@@ -1,7 +1,6 @@
 #include "driver/experiment.h"
 
 #include <algorithm>
-#include <future>
 
 #include "baseline/data_to_mc.h"
 #include "ir/dependence.h"
@@ -10,6 +9,100 @@
 #include "verify/plan_verifier.h"
 
 namespace ndp::driver {
+
+namespace {
+
+/**
+ * One loop nest on its own fresh machine, through the steps every
+ * experiment shares: default placement and the profiling run (the
+ * constructor), then plan() — the partitioner and the static verifier.
+ * A fresh machine per nest makes caches, traffic and the profile-
+ * trained miss predictor nest-local state, which is what makes nests
+ * independent units of parallelism. Callers run their own tail on
+ * engine afterwards. Machine state carries over from one engine call
+ * to the next, so the order profile, plan, tail is part of every
+ * result.
+ */
+class NestSession
+{
+  public:
+    NestSession(const ExperimentConfig &config,
+                const workloads::Workload &workload,
+                const ir::LoopNest &nest)
+        : system(config.machine), engine(system, config.energy),
+          placement(system, workload.arrays, config.placement),
+          config_(config), workload_(workload), nest_(nest)
+    {
+        system.setMcdramArrays(workload.mcdramArrays);
+        nodes = placement.assignIterations(nest);
+        defaultPlan = placement.buildPlan(nest, nodes);
+        // The default run doubles as the profiling pass: it trains the
+        // L2 miss predictor the partitioner consults.
+        defaultRun = engine.run(defaultPlan);
+    }
+
+    NestSession(const NestSession &) = delete;
+    NestSession &operator=(const NestSession &) = delete;
+
+    /**
+     * Plan the nest into report and, unless the verify level is Off,
+     * check the plan against an independent recomputation into verdict
+     * (DESIGN.md §9). Fails fast on error-severity findings: a
+     * malformed plan must never reach the engine, let alone a results
+     * table.
+     */
+    sim::ExecutionPlan
+    plan()
+    {
+        partition::PartitionOptions popts = config_.partition;
+        popts.profileUtilization =
+            static_cast<double>(defaultRun.totalBusyCycles) /
+            std::max<double>(
+                1.0, static_cast<double>(defaultRun.makespanCycles *
+                                         config_.machine.meshCols *
+                                         config_.machine.meshRows));
+        partition::Partitioner partitioner(system, workload_.arrays,
+                                           popts);
+        sim::ExecutionPlan plan = partitioner.plan(nest_, nodes);
+        report = partitioner.report();
+        if (popts.verifyLevel != verify::VerifyLevel::Off &&
+            report.provenance) {
+            const verify::PlanVerifier verifier(system, workload_.arrays);
+            verdict = verifier.verify(nest_, plan, *report.provenance);
+            report.verifyCounts = verdict.counts();
+            report.provenance.reset(); // keep NestResult lean
+            if (verdict.counts().errors > 0) {
+                ndp::panic("static plan verification failed for nest '" +
+                           nest_.name() + "':\n" + verdict.renderTable());
+            }
+        }
+        return plan;
+    }
+
+    sim::ManycoreSystem system;
+    sim::ExecutionEngine engine;
+    baseline::DefaultPlacement placement;
+    std::vector<noc::NodeId> nodes;
+    sim::ExecutionPlan defaultPlan;
+    sim::SimResult defaultRun;
+    partition::PartitionReport report;
+    verify::Report verdict;
+
+  private:
+    const ExperimentConfig &config_;
+    const workloads::Workload &workload_;
+    const ir::LoopNest &nest_;
+};
+
+/** Per-nest makespan totals of the Figure 18 isolation replays. */
+struct IsolationTotals
+{
+    std::int64_t def = 0;
+    std::int64_t full = 0;
+    std::int64_t s1 = 0, s2 = 0, s3 = 0, s4 = 0;
+};
+
+} // namespace
 
 ExperimentRunner::ExperimentRunner(ExperimentConfig config,
                                    support::ThreadPool *pool)
@@ -25,101 +118,38 @@ ExperimentRunner::runNest(const workloads::Workload &workload,
     nr.nest = nest.name();
     nr.analyzableFraction = ir::analyzableFraction(nest);
 
-    // A fresh machine per nest: caches, traffic, and the profile-
-    // trained miss predictor are nest-local state, which is what makes
-    // nests independent units of parallelism.
-    sim::ManycoreSystem system(config_.machine);
-    system.setMcdramArrays(workload.mcdramArrays);
-    sim::ExecutionEngine engine(system, config_.energy);
-    baseline::DefaultPlacement placement(system, workload.arrays,
-                                         config_.placement);
-
-    const std::vector<noc::NodeId> nodes =
-        placement.assignIterations(nest);
-    sim::ExecutionPlan default_plan = placement.buildPlan(nest, nodes);
-
-    // The default run doubles as the profiling pass: it trains the
-    // L2 miss predictor the partitioner consults.
-    nr.defaultRun = engine.run(default_plan);
+    NestSession session(config_, workload, nest);
+    nr.defaultRun = session.defaultRun;
 
     if (config_.dataToMcRemap) {
-        system.addressMap().setPageMcOverride(baseline::profilePageToMc(
-            system, workload.arrays, nest, nodes));
+        session.system.addressMap().setPageMcOverride(
+            baseline::profilePageToMc(session.system, workload.arrays,
+                                      nest, session.nodes));
     }
 
-    sim::ExecutionPlan optimized_plan;
-    if (config_.optimizeComputation) {
-        partition::PartitionOptions popts = config_.partition;
-        popts.profileUtilization =
-            static_cast<double>(nr.defaultRun.totalBusyCycles) /
-            std::max<double>(
-                1.0, static_cast<double>(nr.defaultRun.makespanCycles *
-                                         config_.machine.meshCols *
-                                         config_.machine.meshRows));
-        partition::Partitioner partitioner(system, workload.arrays,
-                                           popts);
-        optimized_plan = partitioner.plan(nest, nodes);
-        nr.report = partitioner.report();
-
-        // Static plan verification (DESIGN.md §9): check the emitted
-        // plan against an independent recomputation and fail fast on
-        // error-severity findings — a malformed plan must never reach
-        // the engine, let alone a results table.
-        if (popts.verifyLevel != verify::VerifyLevel::Off &&
-            nr.report.provenance) {
-            const verify::PlanVerifier verifier(system,
-                                                workload.arrays);
-            nr.verify = verifier.verify(nest, optimized_plan,
-                                        *nr.report.provenance);
-            nr.report.verifyCounts = nr.verify.counts();
-            nr.report.provenance.reset(); // keep NestResult lean
-            if (nr.verify.counts().errors > 0) {
-                ndp::panic("static plan verification failed for nest '" +
-                           nest.name() + "':\n" +
-                           nr.verify.renderTable());
-            }
-        }
-    } else {
-        optimized_plan = placement.buildPlan(nest, nodes);
-    }
+    const sim::ExecutionPlan optimized_plan =
+        config_.optimizeComputation
+            ? session.plan()
+            : session.placement.buildPlan(nest, session.nodes);
+    nr.report = std::move(session.report);
+    nr.verify = std::move(session.verdict);
 
     sim::EngineOptions opts;
     opts.idealNetwork = config_.idealNetwork;
-    nr.optimizedRun = engine.run(optimized_plan, opts);
+    nr.optimizedRun = session.engine.run(optimized_plan, opts);
 
     if (config_.planSelection && config_.optimizeComputation &&
         nr.optimizedRun.makespanCycles > nr.defaultRun.makespanCycles) {
-        // Profile-guided selection: the transformation lost on
-        // this nest; ship the default plan instead. The report's
-        // planning statistics are cleared accordingly — no
-        // subcomputation was actually re-mapped.
-        nr.optimizedRun = engine.run(default_plan, opts);
-        partition::PartitionReport kept;
-        kept.chosenWindowSize = 1;
-        kept.statementsKeptDefault = nr.report.statementsKeptDefault +
-                                     nr.report.statementsSplit;
-        kept.defaultMovement = nr.report.defaultMovement;
-        kept.plannedMovement = nr.report.defaultMovement;
-        kept.movementPerWindowSize = nr.report.movementPerWindowSize;
-        kept.reuseMapHash = nr.report.reuseMapHash;
-        kept.reuseCopiesPlanned = nr.report.reuseCopiesPlanned;
-        // The compile cost was paid regardless of which plan shipped.
-        kept.compile = nr.report.compile;
-        // So was the verification: the partitioner plan was proven
-        // clean even though profiling chose not to ship it.
-        kept.verifyCounts = nr.report.verifyCounts;
-        for (const sim::InstanceStats &is : default_plan.instances) {
-            kept.movementReductionPct.add(0.0);
-            kept.degreeOfParallelism.add(1.0);
-            kept.syncsPerStatement.add(0.0);
-            kept.rawSyncsPerStatement.add(0.0);
-            (void)is;
-        }
-        nr.report = kept;
+        // Profile-guided selection: the transformation lost on this
+        // nest; ship the default plan instead.
+        nr.optimizedRun = session.engine.run(session.defaultPlan, opts);
+        nr.report = partition::keptDefaultReport(
+            nr.report, session.defaultPlan.instances.size());
     }
 
-    nr.predictorPredictions = system.missPredictor().predictions();
-    nr.predictorCorrect = system.missPredictor().correctPredictions();
+    nr.predictorPredictions = session.system.missPredictor().predictions();
+    nr.predictorCorrect =
+        session.system.missPredictor().correctPredictions();
     return nr;
 }
 
@@ -129,27 +159,10 @@ ExperimentRunner::runApp(const workloads::Workload &workload) const
     AppResult result;
     result.app = workload.name;
 
-    // ---- Run every nest, serially or fanned out on the pool. ----
-    std::vector<NestResult> nest_results;
-    nest_results.reserve(workload.nests.size());
-    if (pool_ != nullptr && workload.nests.size() > 1) {
-        std::vector<std::future<NestResult>> futures;
-        futures.reserve(workload.nests.size());
-        for (const ir::LoopNest &nest : workload.nests) {
-            futures.push_back(pool_->submit([this, &workload, &nest]() {
-                return runNest(workload, nest);
-            }));
-        }
-        for (std::future<NestResult> &f : futures) {
-            // runApp may itself execute on a pool worker (a SweepRunner
-            // cell), so wait by helping rather than blocking.
-            pool_->waitHelping(f);
-            nest_results.push_back(f.get());
-        }
-    } else {
-        for (const ir::LoopNest &nest : workload.nests)
-            nest_results.push_back(runNest(workload, nest));
-    }
+    std::vector<NestResult> nest_results = support::orderedMap(
+        pool_, workload.nests.size(), [&](std::size_t n) {
+            return runNest(workload, workload.nests[n]);
+        });
 
     // ---- Merge in nest order: every aggregate below folds the nests
     // left to right, so the result is byte-identical no matter which
@@ -230,128 +243,79 @@ ExperimentRunner::runApp(const workloads::Workload &workload) const
     return result;
 }
 
-namespace {
-
-/** Per-nest makespan totals of the Figure 18 isolation replays. */
-struct IsolationTotals
-{
-    std::int64_t def = 0;
-    std::int64_t full = 0;
-    std::int64_t s1 = 0, s2 = 0, s3 = 0, s4 = 0;
-};
-
-} // namespace
-
 IsolationResult
 ExperimentRunner::runMetricIsolation(
     const workloads::Workload &workload) const
 {
-    IsolationResult iso;
-    iso.app = workload.name;
+    const std::vector<IsolationTotals> totals = support::orderedMap(
+        pool_, workload.nests.size(), [&](std::size_t n) {
+            NestSession session(config_, workload, workload.nests[n]);
+            const sim::ExecutionPlan optimized_plan = session.plan();
+            const sim::SimResult &def = session.defaultRun;
+            const sim::SimResult opt = session.engine.run(optimized_plan);
+            const auto replay = [&session](const sim::EngineOptions &o) {
+                return session.engine.run(session.defaultPlan, o)
+                    .makespanCycles;
+            };
 
-    // Like runNest(): each nest replays on its own fresh machine, so
-    // the isolation runs are independent and can fan out on the pool.
-    const auto run_nest = [this,
-                           &workload](const ir::LoopNest &nest) {
-        sim::ManycoreSystem system(config_.machine);
-        system.setMcdramArrays(workload.mcdramArrays);
-        sim::ExecutionEngine engine(system, config_.energy);
-        baseline::DefaultPlacement placement(system, workload.arrays,
-                                             config_.placement);
+            IsolationTotals t;
+            t.def = def.makespanCycles;
+            t.full = config_.planSelection
+                         ? std::min(opt.makespanCycles, def.makespanCycles)
+                         : opt.makespanCycles;
 
-        const std::vector<noc::NodeId> nodes =
-            placement.assignIterations(nest);
-        sim::ExecutionPlan default_plan =
-            placement.buildPlan(nest, nodes);
-        const sim::SimResult def = engine.run(default_plan);
+            // S1: the default code with the optimized L1 hit/miss
+            // profile.
+            sim::EngineOptions s1;
+            s1.l1HitRateOverride = opt.l1HitRate();
+            t.s1 = replay(s1);
 
-        partition::PartitionOptions popts = config_.partition;
-        popts.profileUtilization =
-            static_cast<double>(def.totalBusyCycles) /
-            std::max<double>(1.0,
-                             static_cast<double>(
-                                 def.makespanCycles *
-                                 config_.machine.meshCols *
-                                 config_.machine.meshRows));
-        partition::Partitioner partitioner(system, workload.arrays,
-                                           popts);
-        sim::ExecutionPlan optimized_plan = partitioner.plan(nest, nodes);
-        const sim::SimResult opt = engine.run(optimized_plan);
+            // S2: the default code paying the optimized data movement —
+            // scale every network latency by the movement ratio.
+            sim::EngineOptions s2;
+            s2.networkScale =
+                def.dataMovementFlitHops == 0
+                    ? 1.0
+                    : static_cast<double>(opt.dataMovementFlitHops) /
+                          static_cast<double>(def.dataMovementFlitHops);
+            t.s2 = replay(s2);
 
-        IsolationTotals t;
-        t.def = def.makespanCycles;
-        t.full = config_.planSelection
-                     ? std::min(opt.makespanCycles, def.makespanCycles)
-                     : opt.makespanCycles;
+            // S3: the default code with the optimized degree of
+            // subcomputation parallelism.
+            sim::EngineOptions s3;
+            s3.parallelismSpeedup =
+                std::max(1.0, session.report.degreeOfParallelism.mean());
+            t.s3 = replay(s3);
 
-        // S1: the default code with the optimized L1 hit/miss profile.
-        sim::EngineOptions s1;
-        s1.l1HitRateOverride = opt.l1HitRate();
-        t.s1 = engine.run(default_plan, s1).makespanCycles;
+            // S4: the default code paying the optimized
+            // synchronisations.
+            sim::EngineOptions s4;
+            s4.extraSyncs = opt.syncCount;
+            t.s4 = replay(s4);
+            return t;
+        });
 
-        // S2: the default code paying the optimized data movement —
-        // scale every network latency by the movement ratio.
-        sim::EngineOptions s2;
-        s2.networkScale =
-            def.dataMovementFlitHops == 0
-                ? 1.0
-                : static_cast<double>(opt.dataMovementFlitHops) /
-                      static_cast<double>(def.dataMovementFlitHops);
-        t.s2 = engine.run(default_plan, s2).makespanCycles;
-
-        // S3: the default code with the optimized degree of
-        // subcomputation parallelism.
-        sim::EngineOptions s3;
-        s3.parallelismSpeedup = std::max(
-            1.0, partitioner.report().degreeOfParallelism.mean());
-        t.s3 = engine.run(default_plan, s3).makespanCycles;
-
-        // S4: the default code paying the optimized synchronisations.
-        sim::EngineOptions s4;
-        s4.extraSyncs = opt.syncCount;
-        t.s4 = engine.run(default_plan, s4).makespanCycles;
-        return t;
-    };
-
-    std::vector<IsolationTotals> totals;
-    totals.reserve(workload.nests.size());
-    if (pool_ != nullptr && workload.nests.size() > 1) {
-        std::vector<std::future<IsolationTotals>> futures;
-        futures.reserve(workload.nests.size());
-        for (const ir::LoopNest &nest : workload.nests) {
-            futures.push_back(pool_->submit(
-                [&run_nest, &nest]() { return run_nest(nest); }));
-        }
-        for (std::future<IsolationTotals> &f : futures) {
-            pool_->waitHelping(f);
-            totals.push_back(f.get());
-        }
-    } else {
-        for (const ir::LoopNest &nest : workload.nests)
-            totals.push_back(run_nest(nest));
-    }
-
-    std::int64_t def_total = 0;
-    std::int64_t full_total = 0;
-    std::int64_t s1_total = 0, s2_total = 0, s3_total = 0, s4_total = 0;
+    IsolationTotals sum;
     for (const IsolationTotals &t : totals) {
-        def_total += t.def;
-        full_total += t.full;
-        s1_total += t.s1;
-        s2_total += t.s2;
-        s3_total += t.s3;
-        s4_total += t.s4;
+        sum.def += t.def;
+        sum.full += t.full;
+        sum.s1 += t.s1;
+        sum.s2 += t.s2;
+        sum.s3 += t.s3;
+        sum.s4 += t.s4;
     }
 
-    const auto pct = [&](std::int64_t v) {
-        return percentReduction(static_cast<double>(def_total),
+    const auto pct = [&sum](std::int64_t v) {
+        return percentReduction(static_cast<double>(sum.def),
                                 static_cast<double>(v));
     };
-    iso.s1L1Behavior = pct(s1_total);
-    iso.s2DataMovement = pct(s2_total);
-    iso.s3Parallelism = pct(s3_total);
-    iso.s4Synchronization = pct(s4_total);
-    iso.fullApproach = pct(full_total);
+    IsolationResult iso;
+    iso.app = workload.name;
+    iso.s1L1Behavior = pct(sum.s1);
+    iso.s2DataMovement = pct(sum.s2);
+    iso.s3Parallelism = pct(sum.s3);
+    iso.s4Synchronization = pct(sum.s4);
+    iso.fullApproach = pct(sum.full);
     return iso;
 }
 

@@ -198,7 +198,11 @@ class ExperimentRunner
     NestResult runNest(const workloads::Workload &workload,
                        const ir::LoopNest &nest) const;
 
-    /** Figure 18: replay the default plan with one donor metric each. */
+    /**
+     * Figure 18: replay the default plan with one donor metric each.
+     * Plans, and verifies at the configured level, exactly as runNest
+     * does; nests fan out on the pool like runApp's.
+     */
     IsolationResult runMetricIsolation(
         const workloads::Workload &workload) const;
 

@@ -110,7 +110,6 @@ FaultCampaign::run(const workloads::Workload &app,
     // rate r. Flat submission order makes mapOrdered's merge (and
     // therefore the whole report) independent of the thread count.
     const std::size_t units = 1 + rate_count * trials_per_rate;
-    const bool nest_parallel = runner.nestParallel();
 
     std::vector<FaultTrialResult> outcomes =
         runner.mapOrdered<FaultTrialResult>(
@@ -131,9 +130,7 @@ FaultCampaign::run(const workloads::Workload &app,
                     trial.faultSummary = model.describe();
                     cfg.machine.faults = std::move(model);
                 }
-                const ExperimentRunner exp(
-                    cfg, nest_parallel ? &pool : nullptr);
-                trial.result = exp.runApp(app);
+                trial.result = ExperimentRunner(cfg, &pool).runApp(app);
                 return trial;
             });
 

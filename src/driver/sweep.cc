@@ -7,29 +7,16 @@
 
 namespace ndp::driver {
 
-namespace {
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-} // namespace
-
 void
 SweepStats::printSummary(std::ostream &os) const
 {
     os << "[sweep] " << cells << " runs on " << threads
-       << " thread(s): " << wallSeconds << "s wall, " << cellSecondsSum
-       << "s serial-equivalent (speedup x" << speedup()
-       << "; set NDP_BENCH_THREADS to change)\n";
-    if (splitPlansComputed + splitPlansMemoized > 0)
-        os << "[sweep] split-plan cache: " << splitPlansMemoized
-           << " memoized / " << splitPlansComputed << " computed ("
-           << 100.0 * splitCacheHitRate() << "% hit rate)\n";
+       << " thread(s): " << wallSeconds
+       << "s wall (set NDP_BENCH_THREADS to change)\n";
+    if (compile.plansComputed + compile.plansMemoized > 0)
+        os << "[sweep] split-plan cache: " << compile.plansMemoized
+           << " memoized / " << compile.plansComputed << " computed ("
+           << 100.0 * compile.hitRate() << "% hit rate)\n";
     if (verify.plansVerified > 0)
         os << "[sweep] plan verifier: " << verify.plansVerified
            << " instances checked, " << verify.errors << " error(s), "
@@ -37,9 +24,8 @@ SweepStats::printSummary(std::ostream &os) const
            << " note(s) (set NDP_VERIFY=off|cheap|full)\n";
 }
 
-SweepRunner::SweepRunner(int threads, bool nest_parallel)
-    : threads_(threads > 0 ? threads : defaultThreads()),
-      nestParallel_(nest_parallel)
+SweepRunner::SweepRunner(int threads)
+    : threads_(threads > 0 ? threads : defaultThreads())
 {
 }
 
@@ -59,55 +45,30 @@ std::vector<std::vector<SweepCell>>
 SweepRunner::runGrid(const std::vector<workloads::Workload> &apps,
                      const std::vector<ExperimentConfig> &configs)
 {
-    const auto sweep_start = std::chrono::steady_clock::now();
+    // Cells run app-major (cell a * C + c is apps[a] under configs[c]),
+    // so the earliest table rows become available first. Each cell's
+    // runApp fans its nests out on the same pool.
+    const std::size_t cols = configs.size();
+    std::vector<SweepCell> cells = mapOrdered<SweepCell>(
+        apps.size() * cols,
+        [&apps, &configs, cols](std::size_t i, support::ThreadPool &pool) {
+            const auto start = std::chrono::steady_clock::now();
+            SweepCell cell;
+            cell.result = ExperimentRunner(configs[i % cols], &pool)
+                              .runApp(apps[i / cols]);
+            cell.wallSeconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() -
+                                   start)
+                                   .count();
+            return cell;
+        });
 
-    // One future per cell, submitted app-major so the earliest table
-    // rows become available first. Each task owns its ExperimentRunner
-    // (and, inside runApp, one ManycoreSystem per nest); the workload
-    // is shared read-only. With nest parallelism on, the cell's nests
-    // are nested tasks on this same pool — waits inside runApp help
-    // (drain the queue) instead of blocking, so the FIFO pool serves
-    // both axes without deadlock.
-    support::ThreadPool pool(static_cast<std::size_t>(threads_));
-    support::ThreadPool *nest_pool = nestParallel_ ? &pool : nullptr;
-    std::vector<std::future<SweepCell>> futures;
-    futures.reserve(apps.size() * configs.size());
-    for (const workloads::Workload &app : apps) {
-        for (const ExperimentConfig &config : configs) {
-            futures.push_back(pool.submit([&app, &config, nest_pool]() {
-                const auto cell_start =
-                    std::chrono::steady_clock::now();
-                ExperimentRunner runner(config, nest_pool);
-                SweepCell cell;
-                cell.result = runner.runApp(app);
-                cell.wallSeconds = secondsSince(cell_start);
-                return cell;
-            }));
-        }
-    }
-
-    // Collect in submission order: the grid layout — and therefore
-    // every table built from it — is identical for any thread count.
     std::vector<std::vector<SweepCell>> grid(apps.size());
-    std::size_t at = 0;
-    stats_ = SweepStats{};
-    stats_.threads = threads_;
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        grid[a].reserve(configs.size());
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            std::future<SweepCell> &f = futures[at++];
-            pool.waitHelping(f);
-            grid[a].push_back(f.get());
-            stats_.cellSecondsSum += grid[a].back().wallSeconds;
-            stats_.splitPlansComputed +=
-                grid[a].back().result.compile.plansComputed;
-            stats_.splitPlansMemoized +=
-                grid[a].back().result.compile.plansMemoized;
-            stats_.verify.merge(grid[a].back().result.verify);
-            ++stats_.cells;
-        }
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        stats_.compile.merge(cells[i].result.compile);
+        stats_.verify.merge(cells[i].result.verify);
+        grid[i / cols].push_back(std::move(cells[i]));
     }
-    stats_.wallSeconds = secondsSince(sweep_start);
     return grid;
 }
 

@@ -19,16 +19,15 @@
  *    FIFO pool between both axes cannot deadlock.
  *
  * Determinism contract: a sweep's *results* are bit-identical for any
- * thread count, including 1, and with nest parallelism on or off —
- * NestResults merge in nest order, cells in submission order. Only
- * the wall-clock timings attached to each cell vary between runs;
- * benches therefore print result tables to stdout and timing tables
- * to stderr, keeping stdout diffable.
+ * thread count, including 1, and with or without a pool for the nests:
+ * NestResults merge in nest order, cells in submission order (both
+ * through support::orderedMap). Only the wall-clock timings attached to
+ * each cell vary between runs; benches therefore print result tables to
+ * stdout and timing tables to stderr, keeping stdout diffable.
  */
 
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <vector>
@@ -47,45 +46,25 @@ struct SweepCell
     double wallSeconds = 0.0;
 };
 
-/** Whole-sweep timing summary. */
+/** Whole-sweep timing and work summary. */
 struct SweepStats
 {
     /** Wall-clock seconds from first submit to last collect. */
     double wallSeconds = 0.0;
-    /** Sum of per-cell wall-clock seconds (serial-equivalent work). */
-    double cellSecondsSum = 0.0;
     int threads = 1;
     std::size_t cells = 0;
-    /** Split plans Kruskal actually ran for, summed over all cells. */
-    std::int64_t splitPlansComputed = 0;
-    /** Split plans replayed from the per-nest cache. */
-    std::int64_t splitPlansMemoized = 0;
-    /** Static plan-verification tallies, summed over all cells
-     *  (all-zero when NDP_VERIFY is off). */
+    /** Compile-loop counters, merged over every cell (runGrid only). */
+    partition::CompileStats compile;
+    /** Static plan-verification tallies, merged over every cell
+     *  (runGrid only; all-zero when NDP_VERIFY is off). */
     verify::ReportCounts verify;
 
-    /** Serial-equivalent time / wall time: the observed speedup. */
-    double
-    speedup() const
-    {
-        return wallSeconds <= 0.0 ? 1.0 : cellSecondsSum / wallSeconds;
-    }
-
-    /** Fraction of split requests served from the plan cache. */
-    double
-    splitCacheHitRate() const
-    {
-        const std::int64_t total = splitPlansComputed + splitPlansMemoized;
-        return total == 0
-                   ? 0.0
-                   : static_cast<double>(splitPlansMemoized) /
-                         static_cast<double>(total);
-    }
-
     /**
-     * One-line wall-clock/speedup summary, shared by every harness.
-     * Print it to stderr: timing is the one nondeterministic output
-     * and stdout must stay diffable across thread counts.
+     * The sweep's stderr footer, shared by every harness: runs,
+     * threads and wall seconds, plus the split-cache and verifier
+     * lines when they have anything to report. Print it to stderr:
+     * timing is the one nondeterministic output and stdout must stay
+     * diffable across thread counts.
      */
     void printSummary(std::ostream &os) const;
 };
@@ -97,16 +76,10 @@ struct SweepStats
 class SweepRunner
 {
   public:
-    /**
-     * @param threads worker count; <= 0 uses defaultThreads().
-     * @param nest_parallel also fan each cell's loop nests out on the
-     *        same pool (see the file comment; results are identical
-     *        either way, single-app latency is not).
-     */
-    explicit SweepRunner(int threads = 0, bool nest_parallel = true);
+    /** @param threads worker count; <= 0 uses defaultThreads(). */
+    explicit SweepRunner(int threads = 0);
 
     int threads() const { return threads_; }
-    bool nestParallel() const { return nestParallel_; }
 
     /**
      * Worker count for sweeps: the NDP_BENCH_THREADS environment
@@ -119,6 +92,7 @@ class SweepRunner
      * Run every workload under every config. Cell [a][c] holds
      * workload @p apps[a] under @p configs[c]; ordering (and therefore
      * every downstream table) is independent of the thread count.
+     * stats() also merges every cell's compile and verifier tallies.
      */
     std::vector<std::vector<SweepCell>> runGrid(
         const std::vector<workloads::Workload> &apps,
@@ -130,8 +104,8 @@ class SweepRunner
      * evaluates @p fn(0..count-1) on the pool and returns the results
      * indexed by input. @p fn must be safe to call concurrently. The
      * pool is exposed to @p fn so it can fan nested work out too
-     * (ExperimentRunner's nest-level axis). Fills stats() like
-     * runGrid().
+     * (ExperimentRunner's nest-level axis). Fills stats() with the
+     * run count, threads and wall time.
      */
     template <typename T>
     std::vector<T>
@@ -139,36 +113,15 @@ class SweepRunner
                const std::function<T(std::size_t, support::ThreadPool &)>
                    &fn)
     {
-        const auto sweep_start = std::chrono::steady_clock::now();
+        const auto start = std::chrono::steady_clock::now();
         support::ThreadPool pool(static_cast<std::size_t>(threads_));
-        std::vector<double> seconds(count, 0.0);
-        std::vector<std::future<T>> futures;
-        futures.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            futures.push_back(pool.submit([&fn, &pool, &seconds, i]() {
-                const auto start = std::chrono::steady_clock::now();
-                T value = fn(i, pool);
-                seconds[i] = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 start)
-                                 .count();
-                return value;
-            }));
-        }
-        std::vector<T> results;
-        results.reserve(count);
-        for (std::future<T> &f : futures) {
-            pool.waitHelping(f);
-            results.push_back(f.get());
-        }
+        std::vector<T> results = support::orderedMap(
+            &pool, count, [&fn, &pool](std::size_t i) { return fn(i, pool); });
         stats_ = SweepStats{};
         stats_.threads = threads_;
         stats_.cells = count;
-        for (double s : seconds)
-            stats_.cellSecondsSum += s;
         stats_.wallSeconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 sweep_start)
+                                 std::chrono::steady_clock::now() - start)
                                  .count();
         return results;
     }
@@ -178,7 +131,6 @@ class SweepRunner
 
   private:
     int threads_;
-    bool nestParallel_;
     SweepStats stats_;
 };
 

@@ -819,4 +819,27 @@ Partitioner::planWithWindow(const ir::LoopNest &nest,
     return plan;
 }
 
+PartitionReport
+keptDefaultReport(const PartitionReport &planned, std::size_t instances)
+{
+    PartitionReport kept;
+    kept.chosenWindowSize = 1;
+    kept.statementsKeptDefault =
+        planned.statementsKeptDefault + planned.statementsSplit;
+    kept.defaultMovement = planned.defaultMovement;
+    kept.plannedMovement = planned.defaultMovement;
+    kept.movementPerWindowSize = planned.movementPerWindowSize;
+    kept.reuseMapHash = planned.reuseMapHash;
+    kept.reuseCopiesPlanned = planned.reuseCopiesPlanned;
+    kept.compile = planned.compile;
+    kept.verifyCounts = planned.verifyCounts;
+    for (std::size_t i = 0; i < instances; ++i) {
+        kept.movementReductionPct.add(0.0);
+        kept.degreeOfParallelism.add(1.0);
+        kept.syncsPerStatement.add(0.0);
+        kept.rawSyncsPerStatement.add(0.0);
+    }
+    return kept;
+}
+
 } // namespace ndp::partition

@@ -11,6 +11,7 @@
  * (Section 4.4), unless a fixed size is forced (Figure 20's sweeps).
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -146,6 +147,17 @@ struct PartitionReport
     /** Diagnostic tallies the driver fills after verification. */
     verify::ReportCounts verifyCounts;
 };
+
+/**
+ * The report of a nest whose profile-guided plan selection shipped the
+ * default plan instead of the one @p planned describes: nothing was
+ * re-mapped, so each of the default plan's @p instances counts as an
+ * unsplit statement (no movement saved, parallelism 1, no syncs). The
+ * movement baselines, window history, compile cost and verification
+ * tallies carry over — they were paid regardless of which plan shipped.
+ */
+PartitionReport keptDefaultReport(const PartitionReport &planned,
+                                  std::size_t instances);
 
 /** Produces the optimized ExecutionPlan for a loop nest. */
 class Partitioner

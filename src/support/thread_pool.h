@@ -112,6 +112,43 @@ class ThreadPool
     bool stop_ = false;
 };
 
+/**
+ * The ordered fan-out: evaluate @p fn(0..count-1) and return the
+ * results indexed by input, so callers merge in a fixed order no matter
+ * which thread computed what. With a pool each index is one task and
+ * the caller waits by helping, which makes this safe to call from a
+ * pool worker (nested fan-out). Without a pool, or for fewer than two
+ * indices, the calls run serially on this thread. @p fn must be safe to
+ * call concurrently. Every task has finished before this returns; if
+ * any threw, the first exception in index order is rethrown.
+ */
+template <typename F>
+auto
+orderedMap(ThreadPool *pool, std::size_t count, const F &fn)
+    -> std::vector<std::invoke_result_t<const F &, std::size_t>>
+{
+    using R = std::invoke_result_t<const F &, std::size_t>;
+    std::vector<R> results;
+    results.reserve(count);
+    if (pool == nullptr || count < 2) {
+        for (std::size_t i = 0; i < count; ++i)
+            results.push_back(fn(i));
+        return results;
+    }
+    std::vector<std::future<R>> futures;
+    futures.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+        futures.push_back(pool->submit([&fn, i]() { return fn(i); }));
+    // Wait for every task before collecting any result: the tasks
+    // reference fn and the caller's state, so none may outlive this
+    // call when an earlier one throws.
+    for (std::future<R> &f : futures)
+        pool->waitHelping(f);
+    for (std::future<R> &f : futures)
+        results.push_back(f.get());
+    return results;
+}
+
 } // namespace ndp::support
 
 #endif // NDP_SUPPORT_THREAD_POOL_H

@@ -221,19 +221,73 @@ TEST(SweepDeterminismTest, NestParallelMatchesSerialAppResult)
     }
 }
 
+/** Byte-exact serialization of a Figure 18 isolation result. */
+std::string
+fingerprint(const IsolationResult &r)
+{
+    std::ostringstream os;
+    os << r.app << '|' << std::hexfloat << r.s1L1Behavior << ','
+       << r.s2DataMovement << ',' << r.s3Parallelism << ','
+       << r.s4Synchronization << ',' << r.fullApproach;
+    return os.str();
+}
+
+TEST(SweepDeterminismTest, MetricIsolationIsPoolAndVerifyInvariant)
+{
+    // Figure 18's path: the isolation replays must not depend on the
+    // pool (none, or mapOrdered at 1/2/8 threads) nor on whether the
+    // plans are statically verified.
+    workloads::WorkloadFactory factory(256);
+    const std::vector<workloads::Workload> apps = {
+        factory.build("water"), factory.build("lu")};
+    ExperimentConfig config;
+    config.partition.verifyLevel = verify::VerifyLevel::Off;
+    ExperimentConfig verified;
+    verified.partition.verifyLevel = verify::VerifyLevel::Full;
+
+    std::vector<std::string> serial;
+    for (const workloads::Workload &app : apps) {
+        ASSERT_GT(app.nests.size(), 1u)
+            << app.name << " no longer exercises multi-nest fan-out";
+        serial.push_back(
+            fingerprint(ExperimentRunner(config).runMetricIsolation(app)));
+    }
+    for (const ExperimentConfig &cfg : {config, verified}) {
+        for (int threads : {1, 2, 8}) {
+            SweepRunner runner(threads);
+            const std::vector<IsolationResult> pooled =
+                runner.mapOrdered<IsolationResult>(
+                    apps.size(),
+                    [&](std::size_t i, support::ThreadPool &pool) {
+                        return ExperimentRunner(cfg, &pool)
+                            .runMetricIsolation(apps[i]);
+                    });
+            ASSERT_EQ(pooled.size(), apps.size());
+            for (std::size_t i = 0; i < apps.size(); ++i) {
+                EXPECT_EQ(serial[i], fingerprint(pooled[i]))
+                    << apps[i].name << " at " << threads
+                    << " thread(s), verify "
+                    << verify::toString(cfg.partition.verifyLevel);
+            }
+        }
+    }
+}
+
 TEST(SweepStatsTest, PrintSummaryReportsRunsThreadsAndSpeedup)
 {
     SweepStats stats;
     stats.cells = 24;
     stats.threads = 8;
     stats.wallSeconds = 2.0;
-    stats.cellSecondsSum = 12.0;
+    stats.compile.plansComputed = 1;
+    stats.compile.plansMemoized = 3;
     std::ostringstream os;
     stats.printSummary(os);
     EXPECT_EQ(os.str(),
-              "[sweep] 24 runs on 8 thread(s): 2s wall, 12s "
-              "serial-equivalent (speedup x6; set NDP_BENCH_THREADS "
-              "to change)\n");
+              "[sweep] 24 runs on 8 thread(s): 2s wall (set "
+              "NDP_BENCH_THREADS to change)\n"
+              "[sweep] split-plan cache: 3 memoized / 1 computed (75% "
+              "hit rate)\n");
 }
 
 TEST(SweepDeterminismTest, StatsCoverEveryCell)
@@ -241,14 +295,26 @@ TEST(SweepDeterminismTest, StatsCoverEveryCell)
     workloads::WorkloadFactory factory(256);
     const std::vector<workloads::Workload> apps = {
         factory.build("water")};
+    ExperimentConfig verified;
+    verified.partition.verifyLevel = verify::VerifyLevel::Full;
     const std::vector<ExperimentConfig> configs = {ExperimentConfig{},
-                                                   ExperimentConfig{}};
+                                                   verified};
     SweepRunner runner(2);
-    (void)runner.runGrid(apps, configs);
+    const auto grid = runner.runGrid(apps, configs);
     EXPECT_EQ(runner.stats().cells, 2u);
     EXPECT_EQ(runner.stats().threads, 2);
     EXPECT_GT(runner.stats().wallSeconds, 0.0);
-    EXPECT_GE(runner.stats().cellSecondsSum, 0.0);
+    // The compile and verifier totals merge every cell's AppResult.
+    std::int64_t instances = 0;
+    std::int64_t verified_plans = 0;
+    for (const SweepCell &cell : grid.front()) {
+        instances += cell.result.compile.instancesPlanned;
+        verified_plans += cell.result.verify.plansVerified;
+    }
+    EXPECT_GT(instances, 0);
+    EXPECT_EQ(runner.stats().compile.instancesPlanned, instances);
+    EXPECT_GT(verified_plans, 0);
+    EXPECT_EQ(runner.stats().verify.plansVerified, verified_plans);
 }
 
 } // namespace

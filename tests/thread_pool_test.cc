@@ -2,8 +2,8 @@
  * @file
  * support::ThreadPool unit tests: submission-order result collection,
  * exception propagation through futures, queue draining on
- * destruction, and the NDP_BENCH_THREADS knob parsing in
- * driver::SweepRunner::defaultThreads().
+ * destruction, the orderedMap fan-out, and the NDP_BENCH_THREADS knob
+ * parsing in driver::SweepRunner::defaultThreads().
  */
 
 #include <gtest/gtest.h>
@@ -108,6 +108,41 @@ TEST(SweepRunnerTest, MapOrderedReturnsIndexedResults)
         EXPECT_EQ(out[static_cast<std::size_t>(i)], i * 3);
     EXPECT_EQ(runner.stats().cells, 50u);
     EXPECT_EQ(runner.stats().threads, 4);
+}
+
+TEST(ThreadPoolTest, OrderedMapIndexesResultsWithOrWithoutPool)
+{
+    const auto square = [](std::size_t i) { return static_cast<int>(i * i); };
+    std::vector<int> expected(40);
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        expected[i] = square(i);
+    EXPECT_EQ(support::orderedMap(nullptr, expected.size(), square),
+              expected);
+    for (std::size_t threads : {1u, 2u, 8u}) {
+        support::ThreadPool pool(threads);
+        EXPECT_EQ(support::orderedMap(&pool, expected.size(), square),
+                  expected)
+            << "threads=" << threads;
+    }
+}
+
+TEST(ThreadPoolTest, OrderedMapFinishesEveryTaskBeforeRethrowing)
+{
+    // The first failing index's exception surfaces, and only after
+    // every task has run: none may outlive the state it references.
+    support::ThreadPool pool(4);
+    std::atomic<int> ran{0};
+    EXPECT_THROW(support::orderedMap(&pool, 64,
+                                     [&ran](std::size_t i) {
+                                         ran.fetch_add(1);
+                                         if (i == 3)
+                                             throw std::logic_error("3");
+                                         if (i == 5)
+                                             throw std::runtime_error("5");
+                                         return 0;
+                                     }),
+                 std::logic_error);
+    EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(ThreadPoolTest, NestedSubmissionWithHelpingWaitCompletes)
