@@ -108,7 +108,19 @@ main(int argc, char **argv)
             mesh_cols = std::atoi(dims.c_str());
             mesh_rows = std::atoi(dims.c_str() + x + 1);
         } else if (arg == "--window") {
-            fixed_window = std::atoi(next_value().c_str());
+            // 0 selects the adaptive sweep; anything but a plain
+            // non-negative integer is rejected rather than guessed at.
+            const std::string w = next_value();
+            const bool digits =
+                !w.empty() && w.size() <= 9 &&
+                w.find_first_not_of("0123456789") == std::string::npos;
+            if (!digits) {
+                std::cerr << "--window expects a non-negative integer "
+                             "(0 = adaptive), got '"
+                          << w << "'\n";
+                return 1;
+            }
+            fixed_window = std::atoi(w.c_str());
         } else if (arg == "--iterations-shown") {
             shown = std::atoll(next_value().c_str());
         } else if (arg == "--help" || arg == "-h") {

@@ -69,26 +69,4 @@ resolveWrite(const StatementInstance &inst, const ArrayTable &arrays)
     return resolveRef(inst.stmt->lhs(), inst.iter, arrays);
 }
 
-bool
-refsIterationInvariant(const Statement &stmt)
-{
-    // A constant affine subscript resolves the same whether direct or
-    // indirect: an indirect subscript at a fixed position reads a fixed
-    // index-array element, and index data does not change mid-plan.
-    const auto invariant = [](const ArrayRef &ref) {
-        for (const Subscript &s : ref.subscripts) {
-            if (!s.affine.isConstant())
-                return false;
-        }
-        return true;
-    };
-    if (!invariant(stmt.lhs()))
-        return false;
-    for (const ArrayRef *ref : stmt.reads()) {
-        if (!invariant(*ref))
-            return false;
-    }
-    return true;
-}
-
 } // namespace ndp::ir

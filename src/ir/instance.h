@@ -73,14 +73,6 @@ void resolveReadsInto(const StatementInstance &inst,
 ResolvedRef resolveWrite(const StatementInstance &inst,
                          const ArrayTable &arrays);
 
-/**
- * True when every subscript of the statement's write and reads is a
- * constant affine function: the resolved addresses are then identical
- * at every iteration, so per-iteration re-resolution is pure waste
- * (the pre-warm loop skips it).
- */
-bool refsIterationInvariant(const Statement &stmt);
-
 } // namespace ndp::ir
 
 #endif // NDP_IR_INSTANCE_H

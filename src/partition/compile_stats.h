@@ -39,7 +39,7 @@ struct CompileStats
     std::int64_t locateNs = 0;  ///< DataLocator::locate per operand
     std::int64_t splitNs = 0;   ///< splitter runs + cache lookups
     std::int64_t syncNs = 0;    ///< per-window sync minimisation
-    std::int64_t totalNs = 0;   ///< whole planWithWindow body
+    std::int64_t totalNs = 0;   ///< whole Partitioner::plan() call
 
     /** Cache hits over all cache-eligible split requests. */
     double

@@ -130,12 +130,14 @@ struct PartitionReport
      * nest-parallel equivalence tests pin.
      */
     std::uint64_t reuseMapHash = 0;
-    /** Total variable2node entries recorded across all windows. */
+    /** variable2node entries of the chosen plan's *last* window (the
+     *  map is rebuilt per window; this is not a total). */
     std::int64_t reuseCopiesPlanned = 0;
     /**
      * Compile-loop cost of producing this plan, summed over every
-     * window-size candidate the adaptive sweep probed (the planner
-     * paid for all of them, not just the winner).
+     * window-size candidate the adaptive sweep probed plus the nest's
+     * one-off default-L1 warm-up (the planner paid for all of them,
+     * not just the winner).
      */
     CompileStats compile;
     /**
@@ -186,13 +188,6 @@ class Partitioner
     const PartitionReport &report() const { return report_; }
 
   private:
-    struct PlanBuild; // one window-size attempt (defined in .cc)
-
-    sim::ExecutionPlan planWithWindow(
-        const ir::LoopNest &nest,
-        const std::vector<noc::NodeId> &default_nodes,
-        std::int32_t window_size, PartitionReport &report) const;
-
     sim::ManycoreSystem *system_;
     const ir::ArrayTable *arrays_;
     PartitionOptions options_;
@@ -200,10 +195,9 @@ class Partitioner
     /**
      * Split-plan cache shared by every window-size candidate of one
      * plan() call (signatures are nest-relative, so plan() clears it).
-     * Mutable: planning is logically const but memoization is not,
-     * and a Partitioner is owned by a single thread.
+     * A Partitioner is owned by a single thread.
      */
-    mutable SplitPlanCache splitCache_;
+    SplitPlanCache splitCache_;
 };
 
 } // namespace ndp::partition

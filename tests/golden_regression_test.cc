@@ -5,7 +5,11 @@
  * parallelism), Figure 17 (execution-time reduction), and Figure 24
  * (energy reduction) metrics of three representative apps at the small
  * bench scale (NDP_BENCH_SCALE=256 equivalent), compared against a
- * checked-in golden file with a small tolerance. The pipeline is
+ * checked-in golden file with a small tolerance. The planner's integer
+ * accounting is pinned alongside: Figure 15's sync totals (after and
+ * before minimisation), Table 3's offloaded-op counts, and the planned
+ * movement of every window-size candidate (Figure 20), which the
+ * tolerance pins exactly. The pipeline is
  * deterministic, so the tolerance only absorbs floating-point drift
  * across toolchains (reassociation, FMA contraction) — a behavioural
  * change in the locator, splitter, balancer, or engine lands far
@@ -82,6 +86,24 @@ computeHeadlines()
             r.execTimeReductionPct();
         metrics[r.app + "/fig24_energy_reduction_pct"] =
             r.energyReductionPct();
+        metrics[r.app + "/fig15_syncs_total"] =
+            r.syncsPerStatement.sum();
+        metrics[r.app + "/fig15_raw_syncs_total"] =
+            r.rawSyncsPerStatement.sum();
+        for (int c = 0; c < 3; ++c) {
+            metrics[r.app + "/table3_offloaded_ops_" +
+                    std::to_string(c)] =
+                static_cast<double>(r.offloadedOps[c]);
+        }
+        // Planned movement of every window-size candidate, summed over
+        // the app's nests (the adaptive sweep probes w = 1..8).
+        for (std::size_t k = 1; k <= 8; ++k) {
+            std::int64_t movement = 0;
+            for (const driver::NestResult &nr : r.nests)
+                movement += nr.report.movementPerWindowSize.at(k - 1);
+            metrics[r.app + "/fig20_planned_movement_w" +
+                    std::to_string(k)] = static_cast<double>(movement);
+        }
     }
     return metrics;
 }

@@ -250,6 +250,15 @@ TEST_F(PartitionerTest, FixedWindowSizeIsRespected)
     }
 }
 
+TEST_F(PartitionerTest, RejectsNegativeFixedWindowSize)
+{
+    // 0 means "adaptive"; a negative size is a caller bug, not a
+    // request for the adaptive sweep.
+    PartitionOptions options;
+    options.fixedWindowSize = -3;
+    EXPECT_THROW(Partitioner(system, arrays, options), FatalError);
+}
+
 TEST_F(PartitionerTest, AdaptiveWindowPicksMinimumMovement)
 {
     ir::LoopNest nest = parse(R"(

@@ -3,7 +3,8 @@
  * Behavioural tests for the window machinery of Section 4.4: window
  * boundaries scope the variable2node map (Figure 12's lost-reuse
  * scenario), the L1-pollution capacity model, the reuse-awareness
- * knob, and the profitability guard's observable effects.
+ * knob, and the profitability guard's observable effects — plus the
+ * independence of the adaptive sweep's window-size candidates.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "ir/parser.h"
 #include "partition/partitioner.h"
 #include "sim/engine.h"
+#include "workloads/workload.h"
 
 namespace {
 
@@ -174,6 +176,67 @@ TEST_F(WindowBehaviorTest, WindowSweepReportsAllSizes)
     EXPECT_EQ(partitioner.report().movementPerWindowSize.size(), 5u);
     EXPECT_LE(partitioner.report().chosenWindowSize, 5);
     EXPECT_GE(partitioner.report().chosenWindowSize, 1);
+}
+
+TEST(WindowCandidateTest, AdaptiveCandidatesEqualFixedRuns)
+{
+    // Every window-size candidate of the adaptive sweep is planned from
+    // the same starting state (the warmed default-L1 model, an empty
+    // dependence history), so candidate w must price and plan exactly
+    // what a run fixed at w does, with and without the balancer.
+    workloads::WorkloadFactory factory(256);
+    for (const char *app : {"water", "fft", "ocean", "minimd"}) {
+        const workloads::Workload workload = factory.build(app);
+        for (const ir::LoopNest &nest : workload.nests) {
+            sim::ManycoreSystem system{sim::ManycoreConfig{}};
+            system.setMcdramArrays(workload.mcdramArrays);
+            baseline::DefaultPlacement placement(system, workload.arrays);
+            const std::vector<noc::NodeId> nodes =
+                placement.assignIterations(nest);
+            sim::ExecutionEngine engine(system);
+            (void)engine.run(placement.buildPlan(nest, nodes));
+
+            for (const bool balance : {true, false}) {
+                SCOPED_TRACE(std::string(app) + "/" + nest.name() +
+                             (balance ? " balanced" : " unbalanced"));
+                PartitionOptions adaptive;
+                adaptive.loadBalance = balance;
+                Partitioner sweep(system, workload.arrays, adaptive);
+                const sim::ExecutionPlan chosen = sweep.plan(nest, nodes);
+                const PartitionReport report = sweep.report();
+                ASSERT_EQ(report.movementPerWindowSize.size(), 8u);
+
+                for (std::int32_t w = 1; w <= 8; ++w) {
+                    PartitionOptions fixed = adaptive;
+                    fixed.fixedWindowSize = w;
+                    Partitioner single(system, workload.arrays, fixed);
+                    const sim::ExecutionPlan plan =
+                        single.plan(nest, nodes);
+                    EXPECT_EQ(report.movementPerWindowSize[
+                                  static_cast<std::size_t>(w - 1)],
+                              single.report().plannedMovement)
+                        << "w=" << w;
+                    if (w != report.chosenWindowSize)
+                        continue;
+                    ASSERT_EQ(chosen.tasks.size(), plan.tasks.size());
+                    for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
+                        const sim::Task &a = chosen.tasks[t];
+                        const sim::Task &b = plan.tasks[t];
+                        EXPECT_EQ(a.node, b.node) << "task " << t;
+                        EXPECT_EQ(a.deps, b.deps) << "task " << t;
+                        ASSERT_EQ(a.reads.size(), b.reads.size());
+                        for (std::size_t r = 0; r < a.reads.size(); ++r) {
+                            EXPECT_EQ(a.reads[r].addr, b.reads[r].addr);
+                        }
+                        ASSERT_EQ(a.write.has_value(), b.write.has_value());
+                        if (a.write) {
+                            EXPECT_EQ(a.write->addr, b.write->addr);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 } // namespace
