@@ -140,9 +140,41 @@ MeshTopology::MeshTopology(std::int32_t cols, std::int32_t rows,
         liveNodes_.resize(n);
         for (NodeId node = 0; node < nodeCount(); ++node)
             liveNodes_[static_cast<std::size_t>(node)] = node;
-        return;
+    } else {
+        buildFaultTables();
     }
-    buildFaultTables();
+    buildRouteTable();
+}
+
+void
+MeshTopology::buildRouteTable()
+{
+    // Every simulated message reads its route from this table, so each
+    // route is walked once, here, straight into one flat array.
+    const std::size_t n = static_cast<std::size_t>(nodeCount());
+    std::size_t total = 0;
+    for (NodeId a : liveNodes_) {
+        for (NodeId b : liveNodes_)
+            total += static_cast<std::size_t>(distance(a, b));
+    }
+    routeLinks_.clear();
+    routeLinks_.reserve(total);
+    routeBegin_.assign(n * n + 1, 0);
+    for (NodeId a = 0; a < nodeCount(); ++a) {
+        for (NodeId b = 0; b < nodeCount(); ++b) {
+            routeBegin_[static_cast<std::size_t>(a) * n +
+                        static_cast<std::size_t>(b)] =
+                static_cast<std::int32_t>(routeLinks_.size());
+            if (!isLive(a) || !isLive(b))
+                continue;
+            NodeId prev = a;
+            walkRoute(a, b, [&](NodeId next) {
+                routeLinks_.push_back(linkIndex(prev, next));
+                prev = next;
+            });
+        }
+    }
+    routeBegin_[n * n] = static_cast<std::int32_t>(routeLinks_.size());
 }
 
 void
@@ -367,19 +399,21 @@ MeshTopology::linkIndex(NodeId from, NodeId to) const
     return from * 4 + dir;
 }
 
-std::vector<std::int32_t>
-MeshTopology::route(NodeId from, NodeId to) const
-{
-    std::vector<std::int32_t> links;
-    const std::vector<NodeId> nodes = routeNodes(from, to);
-    links.reserve(nodes.size() > 0 ? nodes.size() - 1 : 0);
-    for (std::size_t i = 0; i + 1 < nodes.size(); ++i)
-        links.push_back(linkIndex(nodes[i], nodes[i + 1]));
-    return links;
-}
-
 std::vector<NodeId>
 MeshTopology::routeNodes(NodeId from, NodeId to) const
+{
+    NDP_CHECK(isLive(from) && isLive(to),
+              "routing through dead node: " << from << " -> " << to);
+    std::vector<NodeId> nodes;
+    nodes.reserve(static_cast<std::size_t>(distance(from, to)) + 1);
+    nodes.push_back(from);
+    walkRoute(from, to, [&](NodeId next) { nodes.push_back(next); });
+    return nodes;
+}
+
+template <typename Visit>
+void
+MeshTopology::walkRoute(NodeId from, NodeId to, Visit &&visit) const
 {
     if (hasFaults()) {
         // Greedy descent on the BFS distance LUT: from each node take
@@ -387,12 +421,6 @@ MeshTopology::routeNodes(NodeId from, NodeId to) const
         // endpoint is one hop closer to the destination. BFS
         // guarantees such a neighbour exists on every shortest path,
         // and the fixed scan order makes the route deterministic.
-        NDP_CHECK(isLive(from) && isLive(to),
-                  "routing through dead node: " << from << " -> "
-                                                << to);
-        std::vector<NodeId> nodes;
-        nodes.reserve(static_cast<std::size_t>(distance(from, to)) + 1);
-        nodes.push_back(from);
         NodeId cur = from;
         while (cur != to) {
             const std::int32_t remaining = distance(cur, to);
@@ -410,28 +438,24 @@ MeshTopology::routeNodes(NodeId from, NodeId to) const
             }
             NDP_CHECK(chosen != kInvalidNode,
                       "no next hop from " << cur << " toward " << to);
-            nodes.push_back(chosen);
+            visit(chosen);
             cur = chosen;
         }
-        return nodes;
+        return;
     }
 
     Coord cur = coordOf(from);
     const Coord dst = coordOf(to);
-    std::vector<NodeId> nodes;
-    nodes.reserve(static_cast<std::size_t>(distance(from, to)) + 1);
-    nodes.push_back(from);
     while (cur.x != dst.x) { // X dimension first
         cur.x = (cur.x + stepToward(cur.x, dst.x, cols_) + cols_) %
                 cols_;
-        nodes.push_back(nodeAt(cur));
+        visit(nodeAt(cur));
     }
     while (cur.y != dst.y) { // then Y
         cur.y = (cur.y + stepToward(cur.y, dst.y, rows_) + rows_) %
                 rows_;
-        nodes.push_back(nodeAt(cur));
+        visit(nodeAt(cur));
     }
-    return nodes;
 }
 
 QuadrantId

@@ -20,6 +20,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fault/fault_model.h"
@@ -117,9 +118,27 @@ class MeshTopology
     /**
      * Route from @p from to @p to as a sequence of dense link indices:
      * minimal XY on the healthy mesh, shortest surviving path under
-     * faults. Empty when from == to.
+     * faults. Empty when from == to. A view into the per-pair link
+     * table built at construction, so routing allocates nothing; the
+     * links are exactly those between consecutive routeNodes().
+     * Fatal (NDP_CHECK) when either endpoint is dead.
      */
-    std::vector<std::int32_t> route(NodeId from, NodeId to) const;
+    std::span<const std::int32_t>
+    route(NodeId from, NodeId to) const
+    {
+        NDP_CHECK(from >= 0 && from < nodeCount() && to >= 0 &&
+                      to < nodeCount(),
+                  "bad route " << from << " -> " << to);
+        NDP_CHECK(isLive(from) && isLive(to),
+                  "routing through dead node: " << from << " -> " << to);
+        const std::size_t pair =
+            static_cast<std::size_t>(from) *
+                static_cast<std::size_t>(nodeCount()) +
+            static_cast<std::size_t>(to);
+        const std::int32_t begin = routeBegin_[pair];
+        return {routeLinks_.data() + begin,
+                static_cast<std::size_t>(routeBegin_[pair + 1] - begin)};
+    }
 
     /** Nodes visited by the route, inclusive of both endpoints. */
     std::vector<NodeId> routeNodes(NodeId from, NodeId to) const;
@@ -201,6 +220,17 @@ class MeshTopology
     /** BFS distance LUT + liveness/rehome tables for the fault set. */
     void buildFaultTables();
 
+    /**
+     * Call @p visit on every node the route from @p from to @p to
+     * enters, in order, ending with @p to (nothing when from == to).
+     * Both endpoints must be live.
+     */
+    template <typename Visit>
+    void walkRoute(NodeId from, NodeId to, Visit &&visit) const;
+
+    /** Fill routeBegin_/routeLinks_ for every pair of live nodes. */
+    void buildRouteTable();
+
     std::int32_t cols_;
     std::int32_t rows_;
     bool torus_;
@@ -214,6 +244,13 @@ class MeshTopology
     std::vector<NodeId> liveNodes_;
     /** Dead-bank re-home map; empty when fault-free (identity). */
     std::vector<NodeId> rehome_;
+    /**
+     * CSR route table: the links of route(a, b) are
+     * routeLinks_[routeBegin_[p] .. routeBegin_[p + 1]) with
+     * p = a * nodeCount() + b. Pairs with a dead endpoint are empty.
+     */
+    std::vector<std::int32_t> routeBegin_;
+    std::vector<std::int32_t> routeLinks_;
 };
 
 } // namespace ndp::noc

@@ -8,7 +8,10 @@
 namespace ndp::noc {
 
 NocModel::NocModel(const MeshTopology &mesh, NocParams params)
-    : mesh_(&mesh), params_(params)
+    : mesh_(&mesh), params_(params),
+      penalty_(static_cast<std::size_t>(mesh.nodeCount()) *
+                   static_cast<std::size_t>(mesh.nodeCount()),
+               0)
 {
     NDP_REQUIRE(params_.linkCapacity > 0, "link capacity must be positive");
 }
@@ -25,33 +28,45 @@ NocModel::uncontendedLatency(NodeId from, NodeId to,
                params_.serializationCycles;
 }
 
-std::int64_t
-NocModel::congestionPenalty(NodeId from, NodeId to,
-                            const TrafficMatrix &traffic) const
+void
+NocModel::freezeCongestion(const TrafficMatrix &traffic)
 {
-    if (from == to)
-        return 0;
-    double penalty = 0.0;
-    for (std::int32_t link : mesh_->route(from, to)) {
-        const std::int64_t load = traffic.linkLoad(link);
-        const std::int64_t excess = load - params_.linkCapacity;
-        if (excess > 0) {
-            penalty += params_.congestionCyclesPerExcess *
-                       static_cast<double>(excess) /
-                       static_cast<double>(params_.linkCapacity);
+    const std::size_t n = static_cast<std::size_t>(mesh_->nodeCount());
+    for (NodeId from : mesh_->liveNodes()) {
+        for (NodeId to : mesh_->liveNodes()) {
+            double penalty = 0.0;
+            for (std::int32_t link : mesh_->route(from, to)) {
+                const std::int64_t excess =
+                    traffic.linkLoad(link) - params_.linkCapacity;
+                if (excess > 0) {
+                    penalty += params_.congestionCyclesPerExcess *
+                               static_cast<double>(excess) /
+                               static_cast<double>(params_.linkCapacity);
+                }
+            }
+            penalty_[static_cast<std::size_t>(from) * n +
+                     static_cast<std::size_t>(to)] =
+                static_cast<std::int64_t>(std::llround(penalty));
         }
     }
-    return static_cast<std::int64_t>(std::llround(penalty));
+}
+
+void
+NocModel::clearCongestion()
+{
+    std::fill(penalty_.begin(), penalty_.end(), 0);
 }
 
 std::int64_t
-NocModel::messageLatency(NodeId from, NodeId to, std::int64_t flits,
-                         const TrafficMatrix &traffic)
+NocModel::messageLatency(NodeId from, NodeId to, std::int64_t flits)
 {
-    const std::int64_t cycles = uncontendedLatency(from, to, flits) +
-                                congestionPenalty(from, to, traffic);
-    if (from != to)
-        latency_.add(static_cast<double>(cycles));
+    if (from == to)
+        return 0;
+    NDP_DCHECK(mesh_->isLive(from) && mesh_->isLive(to),
+               "message through dead node: " << from << " -> " << to);
+    const std::int64_t cycles =
+        uncontendedLatency(from, to, flits) + congestionPenalty(from, to);
+    latency_.add(static_cast<double>(cycles));
     return cycles;
 }
 

@@ -17,10 +17,12 @@
  *                    max(0, load(link) - capacity) / capacity
  * which grows linearly once a link's recorded traffic exceeds its
  * nominal capacity. The congestion term is fed by the pass-1
- * TrafficMatrix, making pass 2 deterministic.
+ * TrafficMatrix: freezeCongestion() prices every (from, to) pair once,
+ * so pass 2 reads a fixed per-pair table and stays deterministic.
  */
 
 #include <cstdint>
+#include <vector>
 
 #include "noc/mesh_topology.h"
 #include "noc/traffic_matrix.h"
@@ -44,8 +46,9 @@ struct NocParams
 };
 
 /**
- * Stateless latency calculator plus streaming latency statistics
- * (average / maximum message latency, Figure 19's metrics).
+ * Latency calculator over a frozen congestion table, plus streaming
+ * latency statistics (average / maximum message latency, Figure 19's
+ * metrics).
  */
 class NocModel
 {
@@ -56,12 +59,33 @@ class NocModel
     const NocParams &params() const { return params_; }
 
     /**
-     * Latency of a @p flits-flit message from @p from to @p to given the
-     * pass-1 traffic in @p traffic. Also records the value into the
-     * latency statistics. A local (from == to) message costs 0.
+     * Price the congestion penalty of every live (from, to) pair under
+     * @p traffic into the per-pair table that messageLatency() reads.
+     * Later changes to @p traffic are not seen until the next freeze.
      */
-    std::int64_t messageLatency(NodeId from, NodeId to, std::int64_t flits,
-                                const TrafficMatrix &traffic);
+    void freezeCongestion(const TrafficMatrix &traffic);
+
+    /** Drop the frozen congestion: every pair's penalty becomes 0. */
+    void clearCongestion();
+
+    /**
+     * Congestion cycles on route(from, to) under the frozen traffic:
+     * the llround of the per-link penalties summed along the route.
+     */
+    std::int64_t
+    congestionPenalty(NodeId from, NodeId to) const
+    {
+        return penalty_[static_cast<std::size_t>(from) *
+                            static_cast<std::size_t>(mesh_->nodeCount()) +
+                        static_cast<std::size_t>(to)];
+    }
+
+    /**
+     * Latency of a @p flits-flit message from @p from to @p to under
+     * the frozen congestion. Also records the value into the latency
+     * statistics. A local (from == to) message costs 0.
+     */
+    std::int64_t messageLatency(NodeId from, NodeId to, std::int64_t flits);
 
     /** Same computation with no congestion input (ideal, pass-1 use). */
     std::int64_t uncontendedLatency(NodeId from, NodeId to,
@@ -73,11 +97,10 @@ class NocModel
     void resetStats() { latency_.reset(); }
 
   private:
-    std::int64_t congestionPenalty(NodeId from, NodeId to,
-                                   const TrafficMatrix &traffic) const;
-
     const MeshTopology *mesh_;
     NocParams params_;
+    /** congestionPenalty(a, b) == penalty_[a * nodeCount() + b]. */
+    std::vector<std::int64_t> penalty_;
     Accumulator latency_;
 };
 

@@ -19,10 +19,10 @@ TrafficMatrix::addMessage(NodeId from, NodeId to, std::int64_t flits)
     ++messages_;
     if (from == to)
         return;
-    for (std::int32_t link : mesh_->route(from, to)) {
+    const std::span<const std::int32_t> links = mesh_->route(from, to);
+    for (std::int32_t link : links)
         load_[static_cast<std::size_t>(link)] += flits;
-        totalFlitHops_ += flits;
-    }
+    totalFlitHops_ += flits * static_cast<std::int64_t>(links.size());
 }
 
 std::int64_t

@@ -23,7 +23,7 @@ class TrafficMatrix
   public:
     explicit TrafficMatrix(const MeshTopology &mesh);
 
-    /** Account @p flits crossing every link of the XY route from->to. */
+    /** Account @p flits crossing every link of route(from, to). */
     void addMessage(NodeId from, NodeId to, std::int64_t flits);
 
     /** Raw flit count over the dense link @p link_index. */

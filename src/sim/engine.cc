@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
 
 #include "support/error.h"
@@ -73,25 +74,27 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
                                     producer.resultBytes);
         }
     }
+    sys.freezeTraffic();
 
     const mem::CacheStats l1_after_pass1 = sys.l1Stats();
     const double natural_hit_rate = l1_after_pass1.hitRate();
 
-    // ---- Pass 2: price the plan with ready-list scheduling. ----
-    // Each node runs one task at a time; among the tasks whose
-    // producers have finished, the earliest-startable runs first. This
-    // lets independent subcomputations from other statements fill a
-    // node's wait gaps — the subcomputation-level parallelism the
-    // paper exploits (Section 4.5).
+    // ---- Pass 2: price the plan with exact list scheduling. ----
+    // Each node runs one task at a time. The next task to run is, over
+    // all tasks whose producers have finished, the argmin of
+    // (max(node clock, ready), task id): the earliest-startable task,
+    // lowest id first. This lets independent subcomputations from other
+    // statements fill a node's wait gaps — the subcomputation-level
+    // parallelism the paper exploits (Section 4.5).
     SimResult result;
     result.taskCount = static_cast<std::int64_t>(plan.tasks.size());
 
     if (opts.trace)
         opts.trace->clear();
     Rng rng(opts.seed);
-    std::vector<std::int64_t> node_clock(
-        static_cast<std::size_t>(sys.mesh().nodeCount()), 0);
-    std::vector<std::int64_t> finish(plan.tasks.size(), 0);
+    const auto node_count =
+        static_cast<std::size_t>(sys.mesh().nodeCount());
+    std::vector<std::int64_t> node_clock(node_count, 0);
     std::vector<std::int64_t> ready(plan.tasks.size(), 0);
     std::vector<std::int32_t> pending(plan.tasks.size(), 0);
     std::vector<std::vector<TaskId>> consumers(plan.tasks.size());
@@ -107,15 +110,63 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
         }
     }
 
-    // Min-heap of (estimated start, task); lazily re-pushed when the
-    // estimate was stale.
-    using HeapEntry = std::pair<std::int64_t, TaskId>;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>> heap;
+    // The argmin is kept exactly, with every task queued once. Each
+    // node holds two queues of runnable tasks:
+    // - due: ready by the node's clock, so all start at the clock;
+    //   ordered by id;
+    // - future: ready after the clock, so each starts when ready;
+    //   ordered by (ready, id).
+    // A node's head — its own argmin — is the due top, else the future
+    // top. The global heap holds every node's current head. A head
+    // changes only when its node's clock advances or a task becomes
+    // runnable there, and each change pushes the new head; a popped
+    // head that no longer matches its node is stale and skipped.
+    using Key = std::pair<std::int64_t, TaskId>; // (start, task id)
+    using KeyHeap =
+        std::priority_queue<Key, std::vector<Key>, std::greater<Key>>;
+    constexpr Key kNoHead{std::numeric_limits<std::int64_t>::max(),
+                          kInvalidTask};
+    std::vector<std::priority_queue<TaskId, std::vector<TaskId>,
+                                    std::greater<TaskId>>>
+        due(node_count);
+    std::vector<KeyHeap> future(node_count);
+    std::vector<Key> head(node_count, kNoHead);
+    KeyHeap heads;
+
+    const auto node_of = [&](std::size_t t) {
+        return static_cast<std::size_t>(plan.tasks[t].node);
+    };
+    // Task t's producers have all finished: queue it on its node.
+    const auto make_runnable = [&](std::size_t t) {
+        const std::size_t n = node_of(t);
+        if (ready[t] <= node_clock[n])
+            due[n].push(static_cast<TaskId>(t));
+        else
+            future[n].push({ready[t], static_cast<TaskId>(t)});
+    };
+    // Recompute node n's head after its queues or clock changed: due
+    // now takes the future tasks the clock has caught up with.
+    const auto publish = [&](std::size_t n) {
+        while (!future[n].empty() &&
+               future[n].top().first <= node_clock[n]) {
+            due[n].push(future[n].top().second);
+            future[n].pop();
+            ++result.schedulerPops;
+        }
+        const Key key = !due[n].empty() ? Key{node_clock[n], due[n].top()}
+                        : !future[n].empty() ? future[n].top()
+                                             : kNoHead;
+        if (key != head[n] && key != kNoHead)
+            heads.push(key);
+        head[n] = key;
+    };
+
     for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
         if (pending[t] == 0)
-            heap.push({0, static_cast<TaskId>(t)});
+            make_runnable(t);
     }
+    for (std::size_t n = 0; n < node_count; ++n)
+        publish(n);
 
     // Price one task's memory stalls and compute.
     auto busy_cycles = [&](std::size_t t) -> std::int64_t {
@@ -195,37 +246,39 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     };
 
     std::size_t executed = 0;
-    while (!heap.empty()) {
-        const auto [est, tid] = heap.top();
-        heap.pop();
+    while (!heads.empty()) {
+        const auto [start, tid] = heads.top();
+        heads.pop();
+        ++result.schedulerPops;
         const auto t = static_cast<std::size_t>(tid);
-        const Task &task = plan.tasks[t];
-        const auto node = static_cast<std::size_t>(task.node);
-        const std::int64_t start =
-            std::max(node_clock[node], ready[t]);
-        if (start > est) {
-            heap.push({start, tid}); // stale estimate; retry later
-            continue;
-        }
-        if (ready[t] > node_clock[node])
-            result.syncWaitCycles += ready[t] - node_clock[node];
+        const std::size_t node = node_of(t);
+        if (head[node] != Key{start, tid})
+            continue; // stale: the node's head changed since the push
+        if (!due[node].empty())
+            due[node].pop();
+        else
+            future[node].pop();
+        ++result.schedulerPops;
 
-        const std::int64_t busy = busy_cycles(t);
-        finish[t] = start + busy;
+        const Task &task = plan.tasks[t];
         const std::int64_t waited =
             std::max<std::int64_t>(0, ready[t] - node_clock[node]);
-        node_clock[node] = finish[t];
+        result.syncWaitCycles += waited;
+
+        const std::int64_t busy = busy_cycles(t);
+        const std::int64_t finish = start + busy;
+        node_clock[node] = finish;
         result.totalBusyCycles += busy;
         ++executed;
         if (opts.trace) {
-            opts.trace->record(tid, task.node, start, finish[t],
-                               waited, task.isSubcomputation);
+            opts.trace->record(tid, task.node, start, finish, waited,
+                               task.isSubcomputation);
         }
 
         for (TaskId c : consumers[t]) {
             const auto ci = static_cast<std::size_t>(c);
             const Task &consumer = plan.tasks[ci];
-            std::int64_t arrival = finish[t];
+            std::int64_t arrival = finish;
             if (task.node != consumer.node) {
                 const std::int64_t net = sys.resultMessageLatency(
                     task.node, consumer.node, task.resultBytes);
@@ -236,12 +289,12 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
             }
             ready[ci] = std::max(ready[ci], arrival);
             if (--pending[ci] == 0) {
-                heap.push({std::max(ready[ci],
-                                    node_clock[static_cast<std::size_t>(
-                                        consumer.node)]),
-                           c});
+                make_runnable(ci);
+                if (node_of(ci) != node)
+                    publish(node_of(ci));
             }
         }
+        publish(node);
     }
     NDP_CHECK(executed == plan.tasks.size(),
               "dependence cycle: executed " << executed << " of "

@@ -6,11 +6,14 @@
  * Deterministic two-pass execution engine.
  *
  * Pass 1 walks every task's memory accesses through the cache hierarchy
- * (warming caches and recording per-link traffic). Pass 2 replays the
- * plan against per-node clocks: a task starts when its node is free and
- * all producer results have arrived (each cross-node arrival is one
+ * (warming caches and recording per-link traffic), then freezes that
+ * traffic into a per-pair congestion table. Pass 2 replays the plan
+ * against per-node clocks: a task starts when its node is free and all
+ * producer results have arrived (each cross-node arrival is one
  * point-to-point synchronisation); it then stalls for its access
- * latencies and computes. The makespan is the latest finish time.
+ * latencies and computes. Among runnable tasks the one with the
+ * earliest start runs next, lowest task id first. The makespan is the
+ * latest finish time.
  *
  * EngineOptions exposes the isolation knobs of Figure 18 (S1..S4) and
  * the ideal-network mode of Section 6.4.
@@ -67,6 +70,12 @@ struct SimResult
     /** Sum of per-task busy cycles (work, not wall-clock). */
     std::int64_t totalBusyCycles = 0;
     std::int64_t taskCount = 0;
+    /**
+     * Pops from pass 2's scheduler queues: the global heap of node
+     * heads (stale heads included) and the per-node queues. A
+     * deterministic work counter, about two per task.
+     */
+    std::int64_t schedulerPops = 0;
 
     /** Equation-1 data movement actually incurred (flit-hops). */
     std::int64_t dataMovementFlitHops = 0;

@@ -134,6 +134,12 @@ ManycoreSystem::recordResultMessage(noc::NodeId from, noc::NodeId to,
     traffic_.addMessage(from, to, flits);
 }
 
+void
+ManycoreSystem::freezeTraffic()
+{
+    noc_.freezeCongestion(traffic_);
+}
+
 ManycoreSystem::LatencyParts
 ManycoreSystem::accessLatency(const AccessRecord &rec)
 {
@@ -152,17 +158,17 @@ ManycoreSystem::accessLatency(const AccessRecord &rec)
       case AccessLevel::L2:
         parts.core = config_.l1HitCycles + config_.l2BankCycles;
         parts.network =
-            noc_.messageLatency(rec.requester, rec.home, 1, traffic_) +
+            noc_.messageLatency(rec.requester, rec.home, 1) +
             noc_.messageLatency(rec.home, rec.requester,
-                                config_.lineFlits(), traffic_);
+                                config_.lineFlits());
         return parts;
       case AccessLevel::Memory:
         parts.core = config_.l1HitCycles + config_.l2BankCycles;
         parts.network =
-            noc_.messageLatency(rec.requester, rec.home, 1, traffic_) +
-            noc_.messageLatency(rec.home, rec.mc, 1, traffic_) +
+            noc_.messageLatency(rec.requester, rec.home, 1) +
+            noc_.messageLatency(rec.home, rec.mc, 1) +
             noc_.messageLatency(rec.mc, rec.requester,
-                                config_.lineFlits(), traffic_);
+                                config_.lineFlits());
         parts.memory = mcAt(rec.mc).serviceLatency(rec.addr, rec.memKind,
                                                    rec.dram);
         return parts;
@@ -178,7 +184,7 @@ ManycoreSystem::resultMessageLatency(noc::NodeId from, noc::NodeId to,
         return 0;
     const std::int64_t flits =
         std::max<std::int64_t>(1, bytes / config_.flitBytes);
-    return noc_.messageLatency(from, to, flits, traffic_);
+    return noc_.messageLatency(from, to, flits);
 }
 
 mem::CacheStats
@@ -224,6 +230,7 @@ ManycoreSystem::reset()
         mc->reset();
     traffic_.reset();
     noc_.resetStats();
+    noc_.clearCongestion();
     // Note: the miss predictor is deliberately NOT reset here — it is
     // the compiler's profile-trained state and must survive across the
     // baseline/optimized simulation runs. Use resetPredictor().
@@ -240,6 +247,7 @@ ManycoreSystem::resetMeasurement()
         mc->reset();
     traffic_.reset();
     noc_.resetStats();
+    noc_.clearCongestion();
 }
 
 void

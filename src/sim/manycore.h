@@ -151,6 +151,12 @@ class ManycoreSystem
                              std::int64_t bytes);
 
     /**
+     * End of pass 1: freeze the recorded traffic into the per-pair
+     * congestion table every pass-2 latency below reads.
+     */
+    void freezeTraffic();
+
+    /**
      * Latency decomposition of one access, so the engine can scale or
      * zero the network component (ideal-network mode, Figure 18's S2).
      */
@@ -165,7 +171,7 @@ class ManycoreSystem
 
     /**
      * Pass 2: cycles the requesting core stalls for @p record,
-     * including congestion from the pass-1 traffic.
+     * including congestion from the traffic frozen by freezeTraffic().
      */
     LatencyParts accessLatency(const AccessRecord &record);
 

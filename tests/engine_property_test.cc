@@ -3,12 +3,16 @@
  * Property tests for the execution engine over randomly generated task
  * DAGs: structural invariants that must hold for *any* plan —
  * makespan bounds, monotonicity under the Figure-18 knobs, and full
- * determinism.
+ * determinism — plus an oracle check of pass 2's scheduler against a
+ * reference that rescans every runnable task on every step.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
 
 #include "sim/engine.h"
 #include "support/rng.h"
@@ -160,5 +164,359 @@ TEST_P(EnginePropertyTest, SyncCountMatchesCrossNodeDeps)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EnginePropertyTest,
                          ::testing::Range(1, 11));
+
+// ------------------------------------------------ scheduler oracle
+
+/**
+ * Plan shaped to stress the scheduler's tie-breaking: a few busy nodes,
+ * many roots (all ready at cycle 0), zero-cost tasks, and both
+ * same-node and cross-node consumers.
+ */
+ExecutionPlan
+schedulerPlan(std::uint64_t seed, int tasks, int node_count)
+{
+    Rng rng(seed);
+    std::vector<noc::NodeId> nodes;
+    while (nodes.size() < 6) {
+        const auto n = static_cast<noc::NodeId>(
+            rng.nextBelow(static_cast<std::uint64_t>(node_count)));
+        if (std::find(nodes.begin(), nodes.end(), n) == nodes.end())
+            nodes.push_back(n);
+    }
+    ExecutionPlan plan;
+    for (int t = 0; t < tasks; ++t) {
+        Task task;
+        task.id = t;
+        task.node = nodes[rng.nextBelow(nodes.size())];
+        task.computeCost = static_cast<std::int64_t>(rng.nextBelow(3));
+        task.isSubcomputation = rng.nextBool(0.5);
+        task.resultBytes = rng.nextBool(0.5) ? 8 : 64;
+        const int n_reads = static_cast<int>(rng.nextBelow(4));
+        for (int r = 0; r < n_reads; ++r) {
+            // A small hot set (L1 hits for S1 to convert) and a wide
+            // cold one (misses to memory).
+            const std::uint64_t line = rng.nextBool(0.6)
+                                           ? rng.nextBelow(16)
+                                           : 64 + rng.nextBelow(4096);
+            task.reads.push_back(
+                {static_cast<mem::Addr>(0x10000 + 64 * line), 64, 0});
+        }
+        if (rng.nextBool(0.3)) {
+            task.write = MemAccess{
+                static_cast<mem::Addr>(0x200000 + 64 * t), 64, 0};
+        }
+        if (t > 0 && !rng.nextBool(0.35)) {
+            const int n_deps = 1 + static_cast<int>(rng.nextBelow(3));
+            for (int d = 0; d < n_deps; ++d) {
+                auto dep = static_cast<TaskId>(
+                    rng.nextBelow(static_cast<std::uint64_t>(t)));
+                if (rng.nextBool(0.5)) {
+                    // Prefer the latest earlier task on this node.
+                    for (TaskId p = t - 1; p >= 0; --p) {
+                        if (plan.tasks[static_cast<std::size_t>(p)]
+                                .node == task.node) {
+                            dep = p;
+                            break;
+                        }
+                    }
+                }
+                if (std::find(task.deps.begin(), task.deps.end(),
+                              dep) == task.deps.end())
+                    task.deps.push_back(dep);
+            }
+        }
+        plan.tasks.push_back(std::move(task));
+    }
+    return plan;
+}
+
+/**
+ * Reference for ExecutionEngine::run with the simplest possible pass-2
+ * scheduler: every step rescans all runnable tasks for the argmin of
+ * (max(node clock, ready), task id). Everything else mirrors the
+ * engine's pricing through ManycoreSystem's public interface.
+ */
+SimResult
+referenceRun(ManycoreSystem &sys, const ExecutionPlan &plan,
+             const EngineOptions &opts)
+{
+    const ManycoreConfig &cfg = sys.config();
+    sys.reset();
+    for (std::int32_t w = 0; w < opts.warmupPasses; ++w) {
+        for (const Task &task : plan.tasks) {
+            for (const MemAccess &read : task.reads)
+                sys.walkRead(task.node, read);
+            if (task.write)
+                sys.walkWrite(task.node, *task.write);
+        }
+    }
+    if (opts.warmupPasses > 0)
+        sys.resetMeasurement();
+
+    const std::size_t count = plan.tasks.size();
+    std::vector<std::vector<AccessRecord>> records(count);
+    std::vector<std::vector<std::size_t>> consumers(count);
+    EnergyEvents events;
+    for (std::size_t t = 0; t < count; ++t) {
+        const Task &task = plan.tasks[t];
+        for (const MemAccess &read : task.reads) {
+            const AccessRecord rec = sys.walkRead(task.node, read);
+            if (rec.level == AccessLevel::Memory) {
+                ++(rec.memKind == mem::MemoryKind::Mcdram
+                       ? events.mcdramAccesses
+                       : events.ddrAccesses);
+            }
+            records[t].push_back(rec);
+        }
+        if (task.write)
+            records[t].push_back(sys.walkWrite(task.node, *task.write));
+        for (TaskId dep : task.deps) {
+            const auto d = static_cast<std::size_t>(dep);
+            sys.recordResultMessage(plan.tasks[d].node, task.node,
+                                    plan.tasks[d].resultBytes);
+            consumers[d].push_back(t);
+        }
+    }
+    sys.freezeTraffic();
+    const double natural = sys.l1Stats().hitRate();
+    const double net_scale = opts.idealNetwork ? 0.0 : opts.networkScale;
+    const auto scaled = [](std::int64_t cycles, double factor) {
+        return static_cast<std::int64_t>(
+            std::llround(static_cast<double>(cycles) * factor));
+    };
+
+    SimResult result;
+    result.taskCount = static_cast<std::int64_t>(count);
+    if (opts.trace)
+        opts.trace->clear();
+    Rng rng(opts.seed);
+    std::vector<std::int64_t> clock(
+        static_cast<std::size_t>(sys.mesh().nodeCount()), 0);
+    std::vector<std::int64_t> ready(count, 0);
+    std::vector<std::size_t> pending(count, 0);
+    std::vector<std::size_t> runnable;
+    for (std::size_t t = 0; t < count; ++t) {
+        pending[t] = plan.tasks[t].deps.size();
+        if (pending[t] == 0)
+            runnable.push_back(t);
+    }
+
+    while (!runnable.empty()) {
+        std::size_t pick = 0;
+        std::pair<std::int64_t, std::size_t> best{-1, 0};
+        for (std::size_t i = 0; i < runnable.size(); ++i) {
+            const std::size_t t = runnable[i];
+            const auto node =
+                static_cast<std::size_t>(plan.tasks[t].node);
+            const std::pair<std::int64_t, std::size_t> key{
+                std::max(clock[node], ready[t]), t};
+            if (best.first < 0 || key < best) {
+                best = key;
+                pick = i;
+            }
+        }
+        const std::size_t t = runnable[pick];
+        runnable.erase(runnable.begin() +
+                       static_cast<std::ptrdiff_t>(pick));
+        const Task &task = plan.tasks[t];
+        const auto node = static_cast<std::size_t>(task.node);
+        const std::int64_t start = best.first;
+        const std::int64_t waited =
+            std::max<std::int64_t>(0, ready[t] - clock[node]);
+        result.syncWaitCycles += waited;
+
+        std::int64_t busy = cfg.perTaskOverheadCycles;
+        for (AccessRecord rec : records[t]) {
+            const double target = opts.l1HitRateOverride;
+            if (target >= 0.0 && !rec.isWrite) {
+                if (target > natural && rec.level != AccessLevel::L1) {
+                    if (rng.nextBool((target - natural) /
+                                     std::max(1e-9, 1.0 - natural)))
+                        rec.level = AccessLevel::L1;
+                } else if (target < natural &&
+                           rec.level == AccessLevel::L1) {
+                    if (rng.nextBool((natural - target) /
+                                     std::max(1e-9, natural))) {
+                        rec.level = AccessLevel::L2;
+                        rec.home = sys.addressMap().homeBankNode(rec.addr);
+                    }
+                }
+            }
+            const auto parts = sys.accessLatency(rec);
+            const std::int64_t net = scaled(parts.network, net_scale);
+            busy += parts.core + net + parts.memory;
+            result.networkStallCycles += net;
+            result.memoryStallCycles += parts.memory;
+        }
+        std::int64_t compute = task.computeCost * cfg.computeCyclesPerOpUnit;
+        if (opts.parallelismSpeedup > 1.0)
+            compute = scaled(compute, 1.0 / opts.parallelismSpeedup);
+        result.computeCycles += compute;
+        busy += compute;
+        for (TaskId dep : task.deps) {
+            if (plan.tasks[static_cast<std::size_t>(dep)].node != task.node)
+                busy += cfg.recvCycles;
+        }
+        for (std::size_t c : consumers[t]) {
+            if (plan.tasks[c].node != task.node)
+                busy += cfg.sendCycles;
+        }
+
+        const std::int64_t finish = start + busy;
+        clock[node] = finish;
+        result.totalBusyCycles += busy;
+        if (opts.trace) {
+            opts.trace->record(static_cast<TaskId>(t), task.node, start,
+                               finish, waited, task.isSubcomputation);
+        }
+        for (std::size_t c : consumers[t]) {
+            std::int64_t arrival = finish;
+            if (plan.tasks[c].node != task.node) {
+                arrival += scaled(sys.resultMessageLatency(
+                                      task.node, plan.tasks[c].node,
+                                      task.resultBytes),
+                                  net_scale) +
+                           cfg.syncOverheadCycles;
+                ++result.syncCount;
+            }
+            ready[c] = std::max(ready[c], arrival);
+            if (--pending[c] == 0)
+                runnable.push_back(c);
+        }
+    }
+    for (std::int64_t c : clock)
+        result.makespanCycles = std::max(result.makespanCycles, c);
+    if (opts.extraSyncs > 0) {
+        result.syncCount += opts.extraSyncs;
+        const std::int64_t penalty = opts.extraSyncs *
+                                     cfg.syncOverheadCycles /
+                                     sys.mesh().nodeCount();
+        result.makespanCycles += penalty;
+        result.syncWaitCycles += penalty;
+    }
+
+    result.dataMovementFlitHops = sys.traffic().totalFlitHops();
+    result.networkMessages = sys.traffic().messageCount();
+    result.avgNetworkLatency = sys.nocModel().latencyStats().mean();
+    result.maxNetworkLatency = sys.nocModel().latencyStats().max();
+    result.l1 = sys.l1Stats();
+    result.l2 = sys.l2Stats();
+    for (const Task &task : plan.tasks)
+        events.opUnits += task.computeCost;
+    events.l1Accesses = result.l1.accesses();
+    events.l2Accesses = result.l2.accesses();
+    events.flitHops = result.dataMovementFlitHops;
+    events.syncs = result.syncCount;
+    events.nodeCount = sys.mesh().nodeCount();
+    events.makespanCycles = result.makespanCycles;
+    result.energy = computeEnergy(events, EnergyParams{});
+    return result;
+}
+
+/**
+ * Every SimResult field but schedulerPops, which counts the engine's
+ * queue work and has no reference counterpart. Doubles compare
+ * exactly: the same additions must happen in the same order.
+ */
+void
+expectSameResult(const SimResult &got, const SimResult &want,
+                 const std::string &where)
+{
+    EXPECT_EQ(got.makespanCycles, want.makespanCycles) << where;
+    EXPECT_EQ(got.totalBusyCycles, want.totalBusyCycles) << where;
+    EXPECT_EQ(got.taskCount, want.taskCount) << where;
+    EXPECT_EQ(got.dataMovementFlitHops, want.dataMovementFlitHops)
+        << where;
+    EXPECT_EQ(got.networkMessages, want.networkMessages) << where;
+    EXPECT_EQ(got.avgNetworkLatency, want.avgNetworkLatency) << where;
+    EXPECT_EQ(got.maxNetworkLatency, want.maxNetworkLatency) << where;
+    EXPECT_EQ(got.l1.hits, want.l1.hits) << where;
+    EXPECT_EQ(got.l1.misses, want.l1.misses) << where;
+    EXPECT_EQ(got.l2.hits, want.l2.hits) << where;
+    EXPECT_EQ(got.l2.misses, want.l2.misses) << where;
+    EXPECT_EQ(got.syncCount, want.syncCount) << where;
+    EXPECT_EQ(got.syncWaitCycles, want.syncWaitCycles) << where;
+    EXPECT_EQ(got.computeCycles, want.computeCycles) << where;
+    EXPECT_EQ(got.networkStallCycles, want.networkStallCycles) << where;
+    EXPECT_EQ(got.memoryStallCycles, want.memoryStallCycles) << where;
+    EXPECT_EQ(got.energy.compute, want.energy.compute) << where;
+    EXPECT_EQ(got.energy.l1, want.energy.l1) << where;
+    EXPECT_EQ(got.energy.l2, want.energy.l2) << where;
+    EXPECT_EQ(got.energy.network, want.energy.network) << where;
+    EXPECT_EQ(got.energy.memory, want.energy.memory) << where;
+    EXPECT_EQ(got.energy.sync, want.energy.sync) << where;
+    EXPECT_EQ(got.energy.staticLeakage, want.energy.staticLeakage)
+        << where;
+}
+
+class SchedulerOracleTest : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(SchedulerOracleTest, MatchesArgminRescanEventByEvent)
+{
+    // Congest the mesh so pass 2 prices real penalties, and give one
+    // machine a zero per-task overhead so zero-cost tasks leave their
+    // node's clock where it was.
+    ManycoreConfig congested;
+    congested.noc.linkCapacity = 16;
+    ManycoreConfig zero_overhead = congested;
+    zero_overhead.perTaskOverheadCycles = 0;
+
+    EngineOptions plain;
+    EngineOptions ideal;
+    ideal.idealNetwork = true;
+    EngineOptions s1_up;
+    s1_up.l1HitRateOverride = 0.95;
+    EngineOptions s1_down;
+    s1_down.l1HitRateOverride = 0.05;
+    s1_down.idealNetwork = true;
+    EngineOptions knobs;
+    knobs.networkScale = 1.7;
+    knobs.parallelismSpeedup = 2.5;
+    knobs.extraSyncs = 40;
+    const std::pair<const char *, EngineOptions> variants[] = {
+        {"plain", plain}, {"ideal", ideal},   {"s1_up", s1_up},
+        {"s1_down", s1_down}, {"knobs", knobs}};
+
+    const auto seed = static_cast<std::uint64_t>(GetParam());
+    for (const ManycoreConfig &machine : {congested, zero_overhead}) {
+        ManycoreSystem system(machine);
+        ExecutionEngine engine(system);
+        const ExecutionPlan plan =
+            schedulerPlan(seed * 7919, 240, system.mesh().nodeCount());
+        for (const auto &[name, options] : variants) {
+            const std::string where =
+                std::string(name) + " overhead " +
+                std::to_string(machine.perTaskOverheadCycles);
+            ExecutionTrace got_trace;
+            ExecutionTrace want_trace;
+            EngineOptions got_opts = options;
+            got_opts.trace = &got_trace;
+            EngineOptions want_opts = options;
+            want_opts.trace = &want_trace;
+            const SimResult got = engine.run(plan, got_opts);
+            const SimResult want = referenceRun(system, plan, want_opts);
+            expectSameResult(got, want, where);
+            ASSERT_EQ(got_trace.size(), want_trace.size()) << where;
+            for (std::size_t e = 0; e < got_trace.size(); ++e) {
+                const TraceEvent &a = got_trace.events()[e];
+                const TraceEvent &b = want_trace.events()[e];
+                ASSERT_TRUE(a.task == b.task && a.node == b.node &&
+                            a.start == b.start && a.finish == b.finish &&
+                            a.waited == b.waited &&
+                            a.offloaded == b.offloaded)
+                    << where << ": event " << e << " ran task " << a.task
+                    << " on node " << a.node << " at " << a.start
+                    << ", reference ran task " << b.task << " on node "
+                    << b.node << " at " << b.start;
+            }
+            EXPECT_GE(got.schedulerPops, got.taskCount) << where;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerOracleTest,
+                         ::testing::Range(1, 9));
 
 } // namespace

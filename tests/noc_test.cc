@@ -1,13 +1,18 @@
 /**
  * @file
  * Tests for the NoC layer: Manhattan distance, mesh topology and XY
- * routing, traffic accounting, and the latency/congestion model.
+ * routing, the per-pair route table, traffic accounting, and the
+ * latency/congestion model with its frozen per-pair penalty table.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "fault/fault_model.h"
 #include "noc/mesh_topology.h"
 #include "noc/noc_model.h"
 #include "noc/traffic_matrix.h"
@@ -269,10 +274,11 @@ TEST(NocModelTest, CongestionKicksInAboveCapacity)
 
     const NodeId a = mesh.nodeAt({0, 0});
     const NodeId b = mesh.nodeAt({1, 0});
-    const std::int64_t quiet = model.messageLatency(a, b, 1, traffic);
+    model.freezeCongestion(traffic);
+    const std::int64_t quiet = model.messageLatency(a, b, 1);
     traffic.addMessage(a, b, 100); // well above capacity
-    const std::int64_t congested =
-        model.messageLatency(a, b, 1, traffic);
+    model.freezeCongestion(traffic);
+    const std::int64_t congested = model.messageLatency(a, b, 1);
     EXPECT_GT(congested, quiet);
 }
 
@@ -280,13 +286,12 @@ TEST(NocModelTest, LatencyStatsTrackMessages)
 {
     MeshTopology mesh(4, 4);
     NocModel model(mesh, {});
-    TrafficMatrix traffic(mesh);
-    model.messageLatency(0, 1, 1, traffic);
-    model.messageLatency(0, 5, 8, traffic);
+    model.messageLatency(0, 1, 1);
+    model.messageLatency(0, 5, 8);
     EXPECT_EQ(model.latencyStats().count(), 2u);
     EXPECT_GT(model.latencyStats().max(), 0.0);
     // Local messages do not pollute the stats.
-    model.messageLatency(3, 3, 8, traffic);
+    model.messageLatency(3, 3, 8);
     EXPECT_EQ(model.latencyStats().count(), 2u);
     model.resetStats();
     EXPECT_EQ(model.latencyStats().count(), 0u);
@@ -342,10 +347,183 @@ TEST(MeshTopologyTest, DistanceTableMatchesUncachedOnRandomMeshes)
                                             flat.distance(a, b);
                 }
             }
-            if (cols > 2 || rows > 2)
+            if (cols > 2 || rows > 2) {
                 EXPECT_TRUE(shorter_somewhere)
                     << cols << "x" << rows << " torus never wrapped";
+            }
         }
+    }
+}
+
+// ------------------------------------------ route and congestion tables
+
+/** A named topology: healthy, torus, dead node, failed link. */
+struct TableCase
+{
+    std::string name;
+    MeshTopology mesh;
+};
+
+std::vector<TableCase>
+tableCases()
+{
+    fault::FaultModel dead;
+    dead.killNode(14);
+    fault::FaultModel link;
+    link.failLink(7, 8);
+    link.failLink(20, 14);
+    std::vector<TableCase> cases;
+    cases.push_back({"6x6 mesh", MeshTopology(6, 6)});
+    cases.push_back({"5x4 torus", MeshTopology(5, 4, true)});
+    cases.push_back({"6x6 dead node 14", MeshTopology(6, 6, false, dead)});
+    cases.push_back({"6x6 failed links", MeshTopology(6, 6, false, link)});
+    return cases;
+}
+
+/** Links between consecutive routeNodes(), the route's definition. */
+std::vector<std::int32_t>
+linksOfRouteNodes(const MeshTopology &mesh, NodeId a, NodeId b)
+{
+    const std::vector<NodeId> nodes = mesh.routeNodes(a, b);
+    std::vector<std::int32_t> links;
+    for (std::size_t i = 0; i + 1 < nodes.size(); ++i)
+        links.push_back(mesh.linkIndex(nodes[i], nodes[i + 1]));
+    return links;
+}
+
+/** The congestion penalty priced by walking route() link by link. */
+std::int64_t
+routeWalkPenalty(const MeshTopology &mesh, const NocParams &params,
+                 const TrafficMatrix &traffic, NodeId a, NodeId b)
+{
+    double penalty = 0.0;
+    for (std::int32_t link : mesh.route(a, b)) {
+        const std::int64_t excess =
+            traffic.linkLoad(link) - params.linkCapacity;
+        if (excess > 0) {
+            penalty += params.congestionCyclesPerExcess *
+                       static_cast<double>(excess) /
+                       static_cast<double>(params.linkCapacity);
+        }
+    }
+    return static_cast<std::int64_t>(std::llround(penalty));
+}
+
+/** Random messages between live nodes, heavy enough to congest. */
+void
+addRandomTraffic(const MeshTopology &mesh, TrafficMatrix &traffic,
+                 Rng &rng, int messages)
+{
+    const std::vector<NodeId> &live = mesh.liveNodes();
+    for (int m = 0; m < messages; ++m) {
+        const NodeId a = live[rng.nextBelow(live.size())];
+        const NodeId b = live[rng.nextBelow(live.size())];
+        traffic.addMessage(a, b,
+                           1 + static_cast<std::int64_t>(rng.nextBelow(64)));
+    }
+}
+
+TEST(RouteTableTest, EqualsRouteNodeLinksOnEveryPair)
+{
+    for (const TableCase &c : tableCases()) {
+        const MeshTopology &mesh = c.mesh;
+        for (NodeId a : mesh.liveNodes()) {
+            for (NodeId b : mesh.liveNodes()) {
+                const auto table = mesh.route(a, b);
+                ASSERT_EQ(std::vector<std::int32_t>(table.begin(),
+                                                    table.end()),
+                          linksOfRouteNodes(mesh, a, b))
+                    << c.name << ": " << a << " -> " << b;
+                ASSERT_EQ(static_cast<std::int32_t>(table.size()),
+                          mesh.distance(a, b))
+                    << c.name << ": " << a << " -> " << b;
+            }
+        }
+    }
+}
+
+TEST(RouteTableTest, DeadEndpointStillThrows)
+{
+    fault::FaultModel dead;
+    dead.killNode(14);
+    const MeshTopology mesh(6, 6, false, dead);
+    EXPECT_THROW(mesh.route(0, 14), PanicError);
+    EXPECT_THROW(mesh.route(14, 0), PanicError);
+    EXPECT_THROW(mesh.route(14, 14), PanicError);
+    EXPECT_THROW(mesh.routeNodes(0, 14), PanicError);
+    EXPECT_NO_THROW(mesh.route(0, 15));
+}
+
+TEST(CongestionTableTest, FrozenPenaltyEqualsRouteWalkSum)
+{
+    NocParams params;
+    params.linkCapacity = 64;
+    params.congestionCyclesPerExcess = 3.7;
+    Rng rng(0xc0de);
+    for (const TableCase &c : tableCases()) {
+        const MeshTopology &mesh = c.mesh;
+        NocModel model(mesh, params);
+        TrafficMatrix traffic(mesh);
+        addRandomTraffic(mesh, traffic, rng, 400);
+        model.freezeCongestion(traffic);
+        std::int64_t congested_pairs = 0;
+        for (NodeId a : mesh.liveNodes()) {
+            for (NodeId b : mesh.liveNodes()) {
+                const std::int64_t expected =
+                    routeWalkPenalty(mesh, params, traffic, a, b);
+                ASSERT_EQ(model.congestionPenalty(a, b), expected)
+                    << c.name << ": " << a << " -> " << b;
+                congested_pairs += expected > 0 ? 1 : 0;
+            }
+        }
+        EXPECT_GT(congested_pairs, 0) << c.name << " never congested";
+
+        // The table is frozen: later traffic is unseen until the next
+        // freeze, and clearing drops every penalty.
+        const NodeId a = mesh.liveNodes().front();
+        const NodeId b = mesh.liveNodes().back();
+        const std::int64_t frozen = model.congestionPenalty(a, b);
+        traffic.addMessage(a, b, 10'000);
+        EXPECT_EQ(model.congestionPenalty(a, b), frozen) << c.name;
+        model.freezeCongestion(traffic);
+        EXPECT_GT(model.congestionPenalty(a, b), frozen) << c.name;
+        model.clearCongestion();
+        EXPECT_EQ(model.congestionPenalty(a, b), 0) << c.name;
+    }
+}
+
+TEST(CongestionTableTest, LatencyStatsMatchRouteWalkPricing)
+{
+    // Figure 19's mean and max message latency, priced from the frozen
+    // table, equal the same message stream priced by walking each
+    // route against the live traffic.
+    NocParams params;
+    params.linkCapacity = 64;
+    Rng rng(0x1a7);
+    for (const TableCase &c : tableCases()) {
+        const MeshTopology &mesh = c.mesh;
+        NocModel model(mesh, params);
+        TrafficMatrix traffic(mesh);
+        addRandomTraffic(mesh, traffic, rng, 400);
+        model.freezeCongestion(traffic);
+        Accumulator expected;
+        const std::vector<NodeId> &live = mesh.liveNodes();
+        for (int m = 0; m < 500; ++m) {
+            const NodeId a = live[rng.nextBelow(live.size())];
+            const NodeId b = live[rng.nextBelow(live.size())];
+            const auto flits =
+                static_cast<std::int64_t>(1 + rng.nextBelow(8));
+            const std::int64_t reference =
+                model.uncontendedLatency(a, b, flits) +
+                routeWalkPenalty(mesh, params, traffic, a, b);
+            if (a != b)
+                expected.add(static_cast<double>(reference));
+            ASSERT_EQ(model.messageLatency(a, b, flits), reference)
+                << c.name << ": " << a << " -> " << b;
+        }
+        EXPECT_EQ(model.latencyStats().count(), expected.count());
+        EXPECT_EQ(model.latencyStats().mean(), expected.mean()) << c.name;
+        EXPECT_EQ(model.latencyStats().max(), expected.max()) << c.name;
     }
 }
 

@@ -2,16 +2,18 @@
  * @file
  * Tests for the manycore model and the two-pass execution engine:
  * access walks through the hierarchy, latency decomposition, plan
- * execution, determinism, warm-up behaviour, and the Figure 18
- * override knobs.
+ * execution, determinism, warm-up behaviour, the Figure 18 override
+ * knobs, and the pass-2 scheduler's deterministic work counter.
  */
 
 #include <gtest/gtest.h>
 
+#include "driver/experiment.h"
 #include "sim/energy.h"
 #include "sim/engine.h"
 #include "sim/manycore.h"
 #include "support/error.h"
+#include "workloads/workload.h"
 
 namespace {
 
@@ -384,6 +386,34 @@ TEST(EnergyTest, ComponentsScaleWithEvents)
 TEST(EnergyTest, ZeroEventsZeroEnergy)
 {
     EXPECT_DOUBLE_EQ(computeEnergy({}, {}).total(), 0.0);
+}
+
+TEST(SchedulerWorkTest, PopsPerTaskBoundedOnAllApps)
+{
+    // Pass 2 queues each task once: one pop to run it, at most one
+    // more to move it from the future queue to the due queue, plus the
+    // node-head pops. The counter is deterministic, so this gates the
+    // scheduler's work, not the clock. Plan selection is off so every
+    // optimized plan's own run is observed.
+    workloads::WorkloadFactory factory(256);
+    driver::ExperimentConfig config;
+    config.planSelection = false;
+    const driver::ExperimentRunner runner(config);
+    std::int64_t runs = 0;
+    for (const workloads::Workload &app : factory.buildAll()) {
+        for (const driver::NestResult &nest : runner.runApp(app).nests) {
+            for (const SimResult *run :
+                 {&nest.defaultRun, &nest.optimizedRun}) {
+                ASSERT_GT(run->taskCount, 0) << app.name << "/" << nest.nest;
+                EXPECT_LE(run->schedulerPops, 3 * run->taskCount)
+                    << app.name << "/" << nest.nest << ": "
+                    << run->schedulerPops << " pops for "
+                    << run->taskCount << " tasks";
+                ++runs;
+            }
+        }
+    }
+    EXPECT_GE(runs, 24);
 }
 
 } // namespace

@@ -211,7 +211,7 @@ TEST(SweepDeterminismTest, NestParallelMatchesSerialAppResult)
     const ExperimentRunner serial(config);
     support::ThreadPool pool(4);
     const ExperimentRunner parallel(config, &pool);
-    for (const std::string &name : {"water", "lu", "radix"}) {
+    for (const char *name : {"water", "lu", "radix"}) {
         const workloads::Workload app = factory.build(name);
         ASSERT_GT(app.nests.size(), 1u)
             << name << " no longer exercises multi-nest fan-out";
