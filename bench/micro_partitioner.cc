@@ -11,8 +11,9 @@
  *
  * The custom main() additionally runs the split-plan memoization A/B
  * measurement (cache on vs. off on a periodic-access nest, plans
- * digest-checked for identity) and writes BENCH_partitioner.json —
- * the perf trajectory CI tracks. `--json-only` skips the
+ * digest-checked for identity), once with the balancer off and once
+ * with the default balanced config, and writes BENCH_partitioner.json
+ * — the perf trajectory CI tracks. `--json-only` skips the
  * google-benchmark suite and runs just that measurement.
  */
 
@@ -263,7 +264,10 @@ struct MemoModeResult
     double hitRate = 0.0;
     std::int64_t plansComputed = 0;
     std::int64_t plansMemoized = 0;
+    std::int64_t cacheBypassed = 0;
     std::int64_t instancesPlanned = 0;
+    std::int64_t cacheEntries = 0;
+    std::int64_t cacheBytes = 0;
     std::uint64_t planDigest = 0;
 };
 
@@ -279,12 +283,12 @@ struct MemoModeResult
 std::pair<MemoModeResult, MemoModeResult>
 timePlanning(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
              const ir::LoopNest &nest,
-             const std::vector<noc::NodeId> &nodes, int reps)
+             const std::vector<noc::NodeId> &nodes, int reps,
+             bool balanced)
 {
     partition::PartitionOptions options;
-    // The balancer mutates trial state per split, so balanced splits
-    // always bypass the cache; turn it off to measure the cache path.
-    options.loadBalance = false;
+    // Balanced: hits replay against the live loads, vetoes re-split.
+    options.loadBalance = balanced;
     options.memoizeSplits = true;
     partition::Partitioner cached(system, arrays, options);
     options.memoizeSplits = false;
@@ -297,7 +301,10 @@ timePlanning(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
         r.planDigest = planDigest(plan);
         r.plansComputed = p.report().compile.plansComputed;
         r.plansMemoized = p.report().compile.plansMemoized;
+        r.cacheBypassed = p.report().compile.cacheBypassed;
         r.instancesPlanned = p.report().compile.instancesPlanned;
+        r.cacheEntries = p.report().compile.cachePeakEntries;
+        r.cacheBytes = p.report().compile.cachePeakBytes;
         r.hitRate = p.report().compile.hitRate();
         return r;
     };
@@ -390,12 +397,24 @@ runMemoizationBench(const std::string &json_path)
 
     const int reps = 9;
     const auto [on, off] =
-        timePlanning(system, arrays, nest, nodes, reps);
+        timePlanning(system, arrays, nest, nodes, reps, /*balanced=*/false);
+    const auto [bal_on, bal_off] =
+        timePlanning(system, arrays, nest, nodes, reps, /*balanced=*/true);
 
     const bool identical = on.planDigest == off.planDigest;
-    const double speedup =
-        on.nsPerInstance <= 0.0 ? 0.0
-                                : off.nsPerInstance / on.nsPerInstance;
+    const bool balanced_identical = bal_on.planDigest == bal_off.planDigest;
+    const auto speedup_of = [](const MemoModeResult &cached,
+                               const MemoModeResult &uncached) {
+        return cached.nsPerInstance <= 0.0
+                   ? 0.0
+                   : uncached.nsPerInstance / cached.nsPerInstance;
+    };
+    const double speedup = speedup_of(on, off);
+    const double balanced_speedup = speedup_of(bal_on, bal_off);
+    const double bytes_per_entry =
+        on.cacheEntries == 0 ? 0.0
+                             : static_cast<double>(on.cacheBytes) /
+                                   static_cast<double>(on.cacheEntries);
 
     std::ofstream json(json_path);
     json << "{\n"
@@ -413,6 +432,8 @@ runMemoizationBench(const std::string &json_path)
          << "    \"ns_per_instance\": " << off.nsPerInstance << ",\n"
          << "    \"plans_computed\": " << off.plansComputed << "\n"
          << "  },\n"
+         << "  \"cache_entries\": " << on.cacheEntries << ",\n"
+         << "  \"cache_bytes_per_entry\": " << bytes_per_entry << ",\n"
          << "  \"uncached_phase_ns\": {\n"
          << "    \"resolve\": " << phases.resolveNs << ",\n"
          << "    \"locate\": " << phases.locateNs << ",\n"
@@ -429,7 +450,20 @@ runMemoizationBench(const std::string &json_path)
          << "  },\n"
          << "  \"speedup\": " << speedup << ",\n"
          << "  \"plans_identical\": " << (identical ? "true" : "false")
-         << "\n"
+         << ",\n"
+         << "  \"balanced\": {\n"
+         << "    \"cache_on_ns_per_instance\": " << bal_on.nsPerInstance
+         << ",\n"
+         << "    \"cache_off_ns_per_instance\": " << bal_off.nsPerInstance
+         << ",\n"
+         << "    \"hit_rate\": " << bal_on.hitRate << ",\n"
+         << "    \"plans_computed\": " << bal_on.plansComputed << ",\n"
+         << "    \"plans_memoized\": " << bal_on.plansMemoized << ",\n"
+         << "    \"cache_bypassed\": " << bal_on.cacheBypassed << ",\n"
+         << "    \"speedup\": " << balanced_speedup << ",\n"
+         << "    \"plans_identical\": "
+         << (balanced_identical ? "true" : "false") << "\n"
+         << "  }\n"
          << "}\n";
     json.close();
 
@@ -437,8 +471,14 @@ runMemoizationBench(const std::string &json_path)
               << " ns/instance cached vs " << off.nsPerInstance
               << " uncached (speedup x" << speedup << ", hit rate "
               << 100.0 * on.hitRate << "%, plans "
-              << (identical ? "identical" : "DIFFER") << ")\n";
-    return identical ? 0 : 1;
+              << (identical ? "identical" : "DIFFER") << ", "
+              << bytes_per_entry << " B/entry); balanced "
+              << bal_on.nsPerInstance << " vs " << bal_off.nsPerInstance
+              << " (speedup x" << balanced_speedup << ", hit rate "
+              << 100.0 * bal_on.hitRate << "%, " << bal_on.cacheBypassed
+              << " veto re-splits, plans "
+              << (balanced_identical ? "identical" : "DIFFER") << ")\n";
+    return identical && balanced_identical ? 0 : 1;
 }
 
 } // namespace

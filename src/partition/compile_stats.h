@@ -5,8 +5,8 @@
  * @file
  * Counters for the partitioner's own compile loop: how many statement
  * instances were planned, how many split plans were computed from
- * scratch vs. replayed from the SplitPlanCache, and (optionally) where
- * the nanoseconds went. The paper evaluates what the *plans* buy at run
+ * scratch vs. replayed from the SplitPlanCache, how large the cache
+ * grew, and (optionally) where the nanoseconds went. The paper evaluates what the *plans* buy at run
  * time; this layer makes the cost of *producing* the plans a measured,
  * trackable quantity (the BENCH_partitioner.json trajectory).
  *
@@ -15,6 +15,7 @@
  * handful of increments per instance.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 
@@ -31,17 +32,27 @@ struct CompileStats
     std::int64_t plansComputed = 0;
     /** Split plans replayed from the SplitPlanCache. */
     std::int64_t plansMemoized = 0;
-    /** Split requests that bypassed the cache (load-balanced splits). */
+    /**
+     * Balanced replays that met a veto and re-split: a full balanced
+     * split ran after the memoized (or freshly computed) balancer-free
+     * one, which plansComputed/plansMemoized already counted.
+     */
     std::int64_t cacheBypassed = 0;
+    /**
+     * The largest split-plan cache one plan() call built: its entries
+     * and the bytes they occupy (merge() keeps the maximum).
+     */
+    std::int64_t cachePeakEntries = 0;
+    std::int64_t cachePeakBytes = 0;
 
     // Phase timers, nanoseconds; zero unless collectCompileTimers was on.
-    std::int64_t resolveNs = 0; ///< resolveReads/resolveWrite
-    std::int64_t locateNs = 0;  ///< DataLocator::locate per operand
+    std::int64_t resolveNs = 0; ///< the nest's stream, once per plan()
+    std::int64_t locateNs = 0;  ///< home table + per-operand GetNode
     std::int64_t splitNs = 0;   ///< splitter runs + cache lookups
     std::int64_t syncNs = 0;    ///< per-window sync minimisation
     std::int64_t totalNs = 0;   ///< whole Partitioner::plan() call
 
-    /** Cache hits over all cache-eligible split requests. */
+    /** Cache hits over all memoized-path split requests. */
     double
     hitRate() const
     {
@@ -59,6 +70,8 @@ struct CompileStats
         plansComputed += other.plansComputed;
         plansMemoized += other.plansMemoized;
         cacheBypassed += other.cacheBypassed;
+        cachePeakEntries = std::max(cachePeakEntries, other.cachePeakEntries);
+        cachePeakBytes = std::max(cachePeakBytes, other.cachePeakBytes);
         resolveNs += other.resolveNs;
         locateNs += other.locateNs;
         splitNs += other.splitNs;

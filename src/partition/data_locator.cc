@@ -14,10 +14,9 @@ VariableToNodeMap::VariableToNodeMap(std::size_t per_node_capacity)
 void
 VariableToNodeMap::dropOldest(noc::NodeId node)
 {
-    auto fit = fifo_.find(node);
-    if (fit == fifo_.end() || fit->second.size() == 0)
+    LineFifo &queue = fifo_[static_cast<std::size_t>(node)];
+    if (queue.size() == 0)
         return;
-    LineFifo &queue = fit->second;
     const std::uint64_t line = queue.items[queue.head++];
     if (queue.head > queue.items.size() / 2 && queue.head >= 16) {
         queue.items.erase(queue.items.begin(),
@@ -53,7 +52,12 @@ VariableToNodeMap::add(mem::Addr addr, noc::NodeId node)
             return;
     }
     if (capacity_ > 0) {
-        auto &queue = fifo_[node];
+        const auto n = static_cast<std::size_t>(node);
+        if (n >= fifo_.size())
+            fifo_.resize(n + 1);
+        LineFifo &queue = fifo_[n];
+        if (queue.items.empty())
+            fifoNodes_.push_back(node);
         while (queue.size() >= capacity_)
             dropOldest(node);
         queue.items.push_back(line);
@@ -68,9 +72,14 @@ void
 VariableToNodeMap::clear()
 {
     map_.clear();
-    fifo_.clear();
-    // The digest deliberately survives clear(): it fingerprints the
-    // whole insertion history, not the live contents.
+    for (noc::NodeId node : fifoNodes_) {
+        LineFifo &queue = fifo_[static_cast<std::size_t>(node)];
+        queue.items.clear();
+        queue.head = 0;
+    }
+    fifoNodes_.clear();
+    hash_ = kFnvOffset;
+    inserts_ = 0;
 }
 
 const std::vector<noc::NodeId> &
@@ -118,27 +127,32 @@ DataLocator::locate(mem::Addr addr, const VariableToNodeMap &map,
                     noc::NodeId prefer_near) const
 {
     const std::vector<noc::NodeId> &copies = map.nodesFor(addr);
-    if (!copies.empty()) {
-        // Among the L1 copies pick the one nearest to the caller's
-        // anchor node; ties break toward the lower node id so the
-        // choice is deterministic.
-        const noc::MeshTopology &mesh = system_->mesh();
-        Location loc;
-        loc.source = LocationSource::L1Copy;
-        loc.node = copies.front();
-        if (prefer_near != noc::kInvalidNode) {
-            std::int32_t best = mesh.distance(loc.node, prefer_near);
-            for (noc::NodeId n : copies) {
-                const std::int32_t d = mesh.distance(n, prefer_near);
-                if (d < best || (d == best && n < loc.node)) {
-                    best = d;
-                    loc.node = n;
-                }
+    return copies.empty() ? locateHome(addr)
+                          : nearestCopy(copies, prefer_near);
+}
+
+Location
+DataLocator::nearestCopy(const std::vector<noc::NodeId> &copies,
+                         noc::NodeId prefer_near) const
+{
+    // Among the L1 copies pick the one nearest to the caller's anchor
+    // node; ties break toward the lower node id so the choice is
+    // deterministic.
+    const noc::MeshTopology &mesh = system_->mesh();
+    Location loc;
+    loc.source = LocationSource::L1Copy;
+    loc.node = copies.front();
+    if (prefer_near != noc::kInvalidNode) {
+        std::int32_t best = mesh.distance(loc.node, prefer_near);
+        for (noc::NodeId n : copies) {
+            const std::int32_t d = mesh.distance(n, prefer_near);
+            if (d < best || (d == best && n < loc.node)) {
+                best = d;
+                loc.node = n;
             }
         }
-        return loc;
     }
-    return locateHome(addr);
+    return loc;
 }
 
 } // namespace ndp::partition

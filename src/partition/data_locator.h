@@ -64,18 +64,19 @@ class VariableToNodeMap
     /** Nodes holding the line of @p addr (empty if none). */
     const std::vector<noc::NodeId> &nodesFor(mem::Addr addr) const;
 
+    /** Forget every copy and the insertion history: a fresh map. */
     void clear();
     std::size_t size() const { return map_.size(); }
 
     /**
-     * FNV-1a digest of the (line, node) insertion sequence — evictions
-     * included, so two maps with the same digest were built by the
-     * same add() history. The nest-parallel equivalence tests compare
-     * digests to pin that per-nest fan-out replays exactly the serial
-     * window state.
+     * FNV-1a digest of the (line, node) insertion sequence since
+     * construction or the last clear() — evictions included, so two
+     * maps with the same digest were built by the same add() history.
+     * The nest-parallel equivalence tests compare digests to pin that
+     * per-nest fan-out replays exactly the serial window state.
      */
     std::uint64_t insertionHash() const { return hash_; }
-    /** Number of accepted (non-duplicate) add() calls. */
+    /** Number of accepted (non-duplicate) add() calls since then. */
     std::int64_t insertionCount() const { return inserts_; }
 
   private:
@@ -95,12 +96,20 @@ class VariableToNodeMap
         std::size_t size() const { return items.size() - head; }
     };
 
+    static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
     std::size_t capacity_;
-    std::uint64_t hash_ = 0xcbf29ce484222325ull; // FNV offset basis
+    std::uint64_t hash_ = kFnvOffset;
     std::int64_t inserts_ = 0;
     std::unordered_map<std::uint64_t, std::vector<noc::NodeId>> map_;
-    /** Per-node FIFO of the lines recorded for it (oldest first). */
-    std::unordered_map<noc::NodeId, LineFifo> fifo_;
+    /**
+     * Per-node FIFO of the lines recorded for it (oldest first),
+     * indexed by node id and grown on demand; clear() empties only the
+     * nodes listed in fifoNodes_, so a map reused window after window
+     * pays per node it touched, not per mesh node.
+     */
+    std::vector<LineFifo> fifo_;
+    std::vector<noc::NodeId> fifoNodes_;
     static const std::vector<noc::NodeId> kEmpty;
 };
 
@@ -124,6 +133,13 @@ class DataLocator
      */
     Location locate(mem::Addr addr, const VariableToNodeMap &map,
                     noc::NodeId prefer_near) const;
+
+    /**
+     * The L1 copy locate() picks among non-empty @p copies: the one
+     * nearest @p prefer_near, ties toward the lower node id.
+     */
+    Location nearestCopy(const std::vector<noc::NodeId> &copies,
+                         noc::NodeId prefer_near) const;
 
     /** Location ignoring L1 copies (used for default-placement costs). */
     Location locateHome(mem::Addr addr) const;

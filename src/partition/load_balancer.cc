@@ -35,17 +35,6 @@ LoadBalancer::isAvailable(noc::NodeId node) const
     return available_[static_cast<std::size_t>(node)] != 0;
 }
 
-std::int64_t
-LoadBalancer::maxLoadExcluding(noc::NodeId node) const
-{
-    std::int64_t best = 0;
-    for (std::size_t n = 0; n < load_.size(); ++n) {
-        if (static_cast<noc::NodeId>(n) != node)
-            best = std::max(best, load_[n]);
-    }
-    return best;
-}
-
 bool
 LoadBalancer::accepts(noc::NodeId node, std::int64_t extra_cost) const
 {
@@ -56,7 +45,7 @@ LoadBalancer::accepts(noc::NodeId node, std::int64_t extra_cost) const
         return false;
     const std::int64_t mine =
         load_[static_cast<std::size_t>(node)] + extra_cost;
-    const std::int64_t other_max = maxLoadExcluding(node);
+    const std::int64_t other_max = node == topNode_ ? second_ : top_;
     if (other_max == 0) {
         // Nothing has been scheduled elsewhere yet: accept a first
         // assignment, otherwise every node would veto every other.
@@ -74,7 +63,17 @@ LoadBalancer::add(noc::NodeId node, std::int64_t cost)
               "bad node " << node);
     NDP_CHECK(available_[static_cast<std::size_t>(node)],
               "load committed to unavailable node " << node);
-    load_[static_cast<std::size_t>(node)] += cost;
+    NDP_CHECK(cost >= 0, "negative load " << cost);
+    const std::int64_t now = load_[static_cast<std::size_t>(node)] += cost;
+    if (node == topNode_) {
+        top_ = now;
+    } else if (now > top_) {
+        second_ = top_;
+        top_ = now;
+        topNode_ = node;
+    } else {
+        second_ = std::max(second_, now);
+    }
 }
 
 std::int64_t
@@ -89,7 +88,7 @@ LoadBalancer::load(noc::NodeId node) const
 std::int64_t
 LoadBalancer::maxLoad() const
 {
-    return *std::max_element(load_.begin(), load_.end());
+    return top_;
 }
 
 std::int64_t
@@ -123,6 +122,9 @@ void
 LoadBalancer::reset()
 {
     std::fill(load_.begin(), load_.end(), 0);
+    top_ = 0;
+    topNode_ = noc::kInvalidNode;
+    second_ = 0;
 }
 
 } // namespace ndp::partition

@@ -41,10 +41,12 @@ class LoadBalancer
      * Would adding @p extra_cost to @p node keep the load balanced?
      * Always true while every other node is still idle and this one
      * holds no load yet; always false for unavailable (dead) nodes.
+     * O(1): loads only grow between reset() calls, so the two largest
+     * loads (kept by add()) give the ceiling excluding any node.
      */
     bool accepts(noc::NodeId node, std::int64_t extra_cost) const;
 
-    /** Commit @p cost to @p node. */
+    /** Commit @p cost (>= 0) to @p node. */
     void add(noc::NodeId node, std::int64_t cost);
 
     std::int64_t load(noc::NodeId node) const;
@@ -57,12 +59,18 @@ class LoadBalancer
     void reset();
 
   private:
-    std::int64_t maxLoadExcluding(noc::NodeId node) const;
-
     std::vector<std::int64_t> load_;
     /** 1 = in the pool; 0 = marked unavailable (dead node). */
     std::vector<std::uint8_t> available_;
     double threshold_;
+    /**
+     * The largest load, the node holding it, and the largest load of
+     * any other node. Unavailable nodes never hold load, so they never
+     * count toward either.
+     */
+    std::int64_t top_ = 0;
+    noc::NodeId topNode_ = noc::kInvalidNode;
+    std::int64_t second_ = 0;
 };
 
 } // namespace ndp::partition

@@ -1,8 +1,8 @@
 #include "partition/partitioner.h"
 
 #include <algorithm>
-#include <optional>
-#include <unordered_map>
+#include <bit>
+#include <span>
 
 #include "ir/nested_sets.h"
 #include "partition/inspector.h"
@@ -16,124 +16,315 @@ namespace ndp::partition {
 namespace {
 
 /**
+ * Dense ids for 64-bit keys, in first-seen order: open addressing with
+ * linear probing over a power-of-two table kept at most half full.
+ */
+class DenseIds
+{
+  public:
+    std::uint32_t
+    intern(std::uint64_t key)
+    {
+        if (2 * (count_ + 1) > slots_.size())
+            grow();
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = bucket(key);; i = (i + 1) & mask) {
+            Slot &slot = slots_[i];
+            if (slot.id == kNil) {
+                slot = {key, count_};
+                return count_++;
+            }
+            if (slot.key == key)
+                return slot.id;
+        }
+    }
+
+    std::uint32_t size() const { return count_; }
+
+  private:
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+
+    struct Slot
+    {
+        std::uint64_t key = 0;
+        std::uint32_t id = kNil;
+    };
+
+    std::size_t
+    bucket(std::uint64_t key) const
+    {
+        // Fibonacci hashing: the top bits of key * 2^64/phi.
+        return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                        shift_);
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old = std::move(slots_);
+        slots_.assign(std::max<std::size_t>(1024, 2 * old.size()), Slot{});
+        shift_ = 64 - std::countr_zero(slots_.size());
+        const std::size_t mask = slots_.size() - 1;
+        for (const Slot &slot : old) {
+            if (slot.id == kNil)
+                continue;
+            std::size_t i = bucket(slot.key);
+            while (slots_[i].id != kNil)
+                i = (i + 1) & mask;
+            slots_[i] = slot;
+        }
+    }
+
+    std::vector<Slot> slots_;
+    int shift_ = 64;
+    std::uint32_t count_ = 0;
+};
+
+/**
+ * One nest's instance stream, resolved once per plan() call by the
+ * pre-warm walk and read by every window-size candidate. Stream
+ * position p is iteration * statements + statement; its references are
+ * refs[refBegin[p], refBegin[p + 1]): the reads in Statement order,
+ * then the write. Each reference carries two dense per-nest ids, so the
+ * per-instance planner state is flat arrays instead of hash maps:
+ *  - addrId: its address, indexing DepTracker and the home table;
+ *  - lineSlot: its line on the instance's default node, indexing
+ *    DefaultL1Model.
+ */
+struct ResolvedStream
+{
+    std::vector<std::uint32_t> refBegin;
+    /** Every reference of the instance is affine. */
+    std::vector<std::uint8_t> analyzable;
+    /** Only what a task records of a reference: 16 bytes, not 32. */
+    std::vector<sim::MemAccess> refs;
+    std::vector<std::uint32_t> addrId;
+    std::vector<std::uint32_t> lineSlot;
+    std::uint32_t lineSlots = 0;
+    /** The address of each address id, until locateHomes(). */
+    std::vector<mem::Addr> addrs;
+    /** DataLocator::locateHome per address id. */
+    std::vector<Location> home;
+};
+
+ResolvedStream
+resolveStream(const ir::ArrayTable &arrays, const ir::LoopNest &nest,
+              const std::vector<noc::NodeId> &default_nodes)
+{
+    ResolvedStream s;
+    DenseIds addr_ids;
+    DenseIds line_ids;
+    DenseIds slot_ids;
+    std::vector<std::uint32_t> line_of_addr;
+    auto push = [&](const ir::ResolvedRef &r, noc::NodeId node) {
+        const std::uint32_t addr = addr_ids.intern(r.addr);
+        if (addr == s.addrs.size()) {
+            s.addrs.push_back(r.addr);
+            line_of_addr.push_back(line_ids.intern(mem::lineNumber(r.addr)));
+        }
+        s.refs.push_back({r.addr, r.size, r.array});
+        s.addrId.push_back(addr);
+        s.lineSlot.push_back(
+            slot_ids.intern((std::uint64_t{line_of_addr[addr]} << 32) |
+                            static_cast<std::uint32_t>(node)));
+    };
+
+    ir::StatementInstance inst;
+    std::vector<ir::ResolvedRef> reads;
+    s.refBegin.push_back(0);
+    for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
+        const noc::NodeId node = default_nodes[static_cast<std::size_t>(k)];
+        inst.iter = nest.iterationAt(k);
+        inst.iterationNumber = k;
+        for (const ir::Statement &stmt : nest.body()) {
+            inst.stmt = &stmt;
+            ir::resolveReadsInto(inst, arrays, reads);
+            const ir::ResolvedRef write = resolveWrite(inst, arrays);
+            bool analyzable = write.analyzable;
+            for (const ir::ResolvedRef &r : reads) {
+                analyzable = analyzable && r.analyzable;
+                push(r, node);
+            }
+            push(write, node);
+            s.analyzable.push_back(analyzable ? 1 : 0);
+            s.refBegin.push_back(static_cast<std::uint32_t>(s.refs.size()));
+        }
+        if (k == 0) {
+            // Every iteration resolves the same reference count.
+            const std::size_t per_iteration = s.refs.size();
+            const auto iterations =
+                static_cast<std::size_t>(nest.iterationCount());
+            s.refs.reserve(per_iteration * iterations);
+            s.addrId.reserve(per_iteration * iterations);
+            s.lineSlot.reserve(per_iteration * iterations);
+            s.refBegin.reserve(nest.body().size() * iterations + 1);
+            s.analyzable.reserve(nest.body().size() * iterations);
+        }
+    }
+    s.lineSlots = slot_ids.size();
+    return s;
+}
+
+/**
+ * Turn @p stream's addresses into its home table. The miss predictor
+ * is read-only while planning, so an address's home location is a pure
+ * function of it.
+ */
+void
+locateHomes(ResolvedStream &stream, const DataLocator &locator)
+{
+    const std::vector<mem::Addr> addrs = std::move(stream.addrs);
+    stream.home.reserve(addrs.size());
+    for (mem::Addr addr : addrs)
+        stream.home.push_back(locator.locateHome(addr));
+}
+
+/**
  * Model of each default node's L1: the compiler's estimate of which
  * lines the baseline placement would find locally. Used to price the
  * baseline cost of every statement (Figure 12 counts the default's L1
  * hits exactly like this) and to decide whether splitting a statement
- * is profitable at all. Exact LRU over flat per-node slot arrays: a
- * touch stamps its slot, and a miss into a full node evicts the oldest
- * stamp. A plain value, so every window-size candidate starts from a
- * copy of the one warmed model.
+ * is profitable at all. Exact LRU per node over the stream's line
+ * slots: each node keeps its resident slots in a doubly linked list,
+ * least recent first, so a touch relinks one slot and a miss into a
+ * full node evicts the list head — O(1), no scan. A plain value, so
+ * every window-size candidate starts from a copy of the one warmed
+ * model.
  */
 class DefaultL1Model
 {
   public:
-    DefaultL1Model(std::int32_t node_count, std::size_t capacity_lines)
+    DefaultL1Model(std::int32_t node_count, std::size_t capacity_lines,
+                   std::uint32_t slot_count)
         : capacity_(std::max<std::size_t>(1, capacity_lines)),
-          used_(static_cast<std::size_t>(node_count)),
-          slots_(used_.size() * capacity_)
+          nodes_(static_cast<std::size_t>(node_count)), slots_(slot_count)
     {}
 
-    /** Would the default node's L1 hold @p line right now? */
+    /** Would the default node's L1 hold the line of @p slot now? */
     bool
-    contains(noc::NodeId node, std::uint64_t line) const
+    contains(std::uint32_t slot) const
     {
-        const auto n = static_cast<std::size_t>(node);
-        const auto first = slots_.begin() + n * capacity_;
-        return std::any_of(first, first + used_[n],
-                           [line](const Slot &s) { return s.line == line; });
+        return slots_[slot].resident;
     }
 
     /**
-     * Record that @p line flowed through @p node's L1 (LRU: touching a
-     * resident line refreshes it, so hot panel lines survive streams).
-     * Only called for statements actually placed on their default
-     * node: a split statement's operands land in the merge nodes' L1s
-     * instead, so they must not be credited here.
+     * Record that the line of @p slot flowed through @p node's L1 (LRU:
+     * touching a resident line refreshes it, so hot panel lines survive
+     * streams). Only called for statements actually placed on their
+     * default node: a split statement's operands land in the merge
+     * nodes' L1s instead, so they must not be credited here.
      */
     void
-    insert(noc::NodeId node, std::uint64_t line)
+    insert(noc::NodeId node, std::uint32_t slot)
     {
-        const auto n = static_cast<std::size_t>(node);
-        Slot *slots = &slots_[n * capacity_];
-        std::size_t &used = used_[n];
-        std::size_t victim = 0;
-        for (std::size_t s = 0; s < used; ++s) {
-            if (slots[s].line == line) {
-                slots[s].stamp = ++clock_;
+        Lru &lru = nodes_[static_cast<std::size_t>(node)];
+        if (slots_[slot].resident) {
+            if (lru.newest == slot)
                 return;
-            }
-            if (slots[s].stamp < slots[victim].stamp)
-                victim = s;
+            unlink(lru, slot);
+        } else if (lru.used == capacity_) {
+            const std::uint32_t victim = lru.oldest;
+            unlink(lru, victim);
+            slots_[victim].resident = false;
+        } else {
+            ++lru.used;
         }
-        if (used < capacity_)
-            victim = used++;
-        slots[victim] = Slot{line, ++clock_};
+        Slot &s = slots_[slot];
+        s.resident = true;
+        s.older = lru.newest;
+        s.newer = kNil;
+        if (lru.newest != kNil)
+            slots_[lru.newest].newer = slot;
+        else
+            lru.oldest = slot;
+        lru.newest = slot;
     }
 
   private:
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+
     struct Slot
     {
-        std::uint64_t line = 0;
-        std::uint64_t stamp = 0; ///< last touch
+        std::uint32_t older = kNil;
+        std::uint32_t newer = kNil;
+        bool resident = false;
     };
 
+    struct Lru
+    {
+        std::uint32_t oldest = kNil;
+        std::uint32_t newest = kNil;
+        std::size_t used = 0;
+    };
+
+    void
+    unlink(Lru &lru, std::uint32_t slot)
+    {
+        const Slot &s = slots_[slot];
+        if (s.older != kNil)
+            slots_[s.older].newer = s.newer;
+        else
+            lru.oldest = s.newer;
+        if (s.newer != kNil)
+            slots_[s.newer].older = s.older;
+        else
+            lru.newest = s.older;
+    }
+
     std::size_t capacity_;
-    std::uint64_t clock_ = 0;
-    std::vector<std::size_t> used_; ///< occupied slots per node
-    std::vector<Slot> slots_;       ///< capacity_ slots per node
+    std::vector<Lru> nodes_;
+    std::vector<Slot> slots_;
 };
 
 /**
- * Per-address dependence bookkeeping: the last writer and the readers
- * since. Readers are capped at 8 — an overflowing read overwrites the
- * last slot, a documented planner relaxation (DESIGN.md §9, rule R3).
+ * Per-address dependence bookkeeping over the stream's dense address
+ * ids: the last writer and the readers since. Readers are capped at
+ * 8 — an overflowing read overwrites the last slot, a documented
+ * planner relaxation (DESIGN.md §9, rule R3).
  */
 class DepTracker
 {
   public:
-    struct Prior
-    {
-        sim::TaskId writer = sim::kInvalidTask;
-        std::vector<sim::TaskId> readers;
-    };
+    static constexpr std::size_t kMaxReaders = 8;
 
-    /** What an access to @p addr must order after. */
-    const Prior &
-    prior(mem::Addr addr) const
+    explicit DepTracker(std::size_t addr_count)
+        : writer_(addr_count, sim::kInvalidTask), readerCount_(addr_count),
+          readers_(addr_count * kMaxReaders)
+    {}
+
+    sim::TaskId
+    writer(std::uint32_t addr) const
     {
-        static const Prior kNone;
-        const auto it = byAddr_.find(addr);
-        return it == byAddr_.end() ? kNone : it->second;
+        return writer_[addr];
+    }
+
+    std::span<const sim::TaskId>
+    readers(std::uint32_t addr) const
+    {
+        return {readers_.data() + addr * kMaxReaders, readerCount_[addr]};
     }
 
     void
-    noteRead(mem::Addr addr, sim::TaskId task)
+    noteRead(std::uint32_t addr, sim::TaskId task)
     {
-        auto &readers = byAddr_[addr].readers;
-        if (readers.size() < 8)
-            readers.push_back(task);
-        else
-            readers.back() = task;
+        std::uint8_t &count = readerCount_[addr];
+        if (count < kMaxReaders)
+            ++count;
+        readers_[addr * kMaxReaders + count - 1] = task;
     }
 
     void
-    noteWrite(mem::Addr addr, sim::TaskId task)
+    noteWrite(std::uint32_t addr, sim::TaskId task)
     {
-        Prior &p = byAddr_[addr];
-        p.writer = task;
-        p.readers.clear();
+        writer_[addr] = task;
+        readerCount_[addr] = 0;
     }
 
   private:
-    std::unordered_map<mem::Addr, Prior> byAddr_;
+    std::vector<sim::TaskId> writer_;
+    std::vector<std::uint8_t> readerCount_;
+    std::vector<sim::TaskId> readers_;
 };
-
-sim::MemAccess
-memAccess(const ir::ResolvedRef &r)
-{
-    return sim::MemAccess{r.addr, r.size, r.array};
-}
 
 /** One candidate synchronisation arc. */
 struct OrderArc
@@ -149,28 +340,19 @@ struct OrderArc
  * against steady-state residency, not a cold machine.
  */
 DefaultL1Model
-warmDefaultL1(const sim::ManycoreSystem &system,
-              const ir::ArrayTable &arrays, const ir::LoopNest &nest,
-              const std::vector<noc::NodeId> &default_nodes)
+warmDefaultL1(const sim::ManycoreSystem &system, const ResolvedStream &stream,
+              const std::vector<noc::NodeId> &default_nodes,
+              std::size_t statements)
 {
     DefaultL1Model l1(system.mesh().nodeCount(),
                       static_cast<std::size_t>(system.config().l1Bytes /
-                                               mem::kLineSize));
-    ir::StatementInstance inst;
-    std::vector<ir::ResolvedRef> reads;
-    for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
-        const noc::NodeId node =
-            default_nodes[static_cast<std::size_t>(k)];
-        inst.iter = nest.iterationAt(k);
-        inst.iterationNumber = k;
-        for (const ir::Statement &stmt : nest.body()) {
-            inst.stmt = &stmt;
-            ir::resolveReadsInto(inst, arrays, reads);
-            for (const ir::ResolvedRef &r : reads)
-                l1.insert(node, mem::lineNumber(r.addr));
-            l1.insert(node,
-                      mem::lineNumber(resolveWrite(inst, arrays).addr));
-        }
+                                               mem::kLineSize),
+                      stream.lineSlots);
+    for (std::size_t p = 0; p + 1 < stream.refBegin.size(); ++p) {
+        const noc::NodeId node = default_nodes[p / statements];
+        for (std::uint32_t r = stream.refBegin[p]; r < stream.refBegin[p + 1];
+             ++r)
+            l1.insert(node, stream.lineSlot[r]);
     }
     return l1;
 }
@@ -179,7 +361,6 @@ warmDefaultL1(const sim::ManycoreSystem &system,
 struct NestContext
 {
     sim::ManycoreSystem &system;
-    const ir::ArrayTable &arrays;
     const PartitionOptions &options;
     SplitPlanCache &cache;
     const ir::LoopNest &nest;
@@ -190,6 +371,7 @@ struct NestContext
      *  phase can run (Section 4.5), or the oracle is on. */
     bool inspectorResolved;
     std::size_t reuseCapacity;
+    ResolvedStream stream;
     DefaultL1Model warmL1;
 };
 
@@ -208,11 +390,13 @@ class CandidatePlanner
           windowSize_(window_size),
           stmtCount_(static_cast<std::int64_t>(ctx.nest.body().size())),
           lineFlits_(ctx.system.config().lineFlits()),
+          stream_(ctx.stream),
           balancer_(mesh_.nodeCount(), opts_.loadBalanceThreshold),
           splitter_(mesh_, lineFlits_, /*result_weight=*/1),
           locator_(ctx.system, opts_.oracle), l1_(ctx.warmL1),
-          report_(report), cstats_(report.compile),
-          timed_(opts_.collectCompileTimers)
+          deps_(ctx.stream.home.size()), report_(report),
+          cstats_(report.compile), timed_(opts_.collectCompileTimers),
+          varmap_(ctx.reuseCapacity), trial_(balancer_)
     {
         // Dead tiles leave the balancing pool; every other planner
         // input is already live (default nodes come from the
@@ -247,8 +431,7 @@ class CandidatePlanner
         const std::int64_t total = ctx_.nest.iterationCount() * stmtCount_;
         for (std::int64_t begin = 0; begin < total; begin += windowSize_) {
             const std::int64_t end = std::min(begin + windowSize_, total);
-            VariableToNodeMap varmap(ctx_.reuseCapacity);
-            varmap_ = &varmap;
+            varmap_.clear();
             windowTaskBegin_ = plan_.tasks.size();
             orderArcs_.clear();
             dataArcs_.clear();
@@ -258,13 +441,13 @@ class CandidatePlanner
 
             // Fold this window's reuse-map history into the nest digest
             // (boost-style combine: window order matters, by design).
-            report_.reuseMapHash ^= varmap.insertionHash() +
+            report_.reuseMapHash ^= varmap_.insertionHash() +
                                     0x9e3779b97f4a7c15ull +
                                     (report_.reuseMapHash << 6) +
                                     (report_.reuseMapHash >> 2);
-            // The map is rebuilt per window, so this ends up holding
+            // The map is cleared per window, so this ends up holding
             // the last window's count, not a total over the plan.
-            report_.reuseCopiesPlanned = varmap.insertionCount();
+            report_.reuseCopiesPlanned = varmap_.insertionCount();
         }
         report_.provenance = prov_;
 
@@ -294,8 +477,8 @@ class CandidatePlanner
             locate();
             const SplitResult &split = splitInstance();
             if (profitable(split)) {
-                if (trial_)
-                    balancer_ = std::move(*trial_); // commit trial loads
+                if (opts_.loadBalance)
+                    std::swap(balancer_, trial_); // commit trial loads
                 emitSplit(split);
                 record(&split, first);
                 return;
@@ -307,7 +490,10 @@ class CandidatePlanner
         record(nullptr, first);
     }
 
-    /** Resolve instance @p pos; true when every reference is affine. */
+    /**
+     * Take instance @p pos from the resolved stream; true when every
+     * reference is affine.
+     */
     bool
     resolve(std::int64_t pos)
     {
@@ -315,20 +501,22 @@ class CandidatePlanner
         stmtIdx_ = static_cast<std::int32_t>(pos % stmtCount_);
         stmt_ = &ctx_.nest.body()[static_cast<std::size_t>(stmtIdx_)];
         defaultNode_ = ctx_.defaultNodes[static_cast<std::size_t>(iter_)];
-        ir::StatementInstance inst;
-        inst.stmt = stmt_;
-        inst.iter = ctx_.nest.iterationAt(iter_);
-        inst.iterationNumber = iter_;
         cstats_.instancesPlanned += 1;
-        {
-            ScopedPhaseTimer t(timed_ ? &cstats_.resolveNs : nullptr);
-            write_ = resolveWrite(inst, ctx_.arrays);
-            ir::resolveReadsInto(inst, ctx_.arrays, reads_);
-        }
-        storeNode_ = ctx_.system.addressMap().homeBankNode(write_.addr);
-        return write_.analyzable &&
-               std::all_of(reads_.begin(), reads_.end(),
-                           [](const auto &r) { return r.analyzable; });
+        const auto at = static_cast<std::size_t>(pos);
+        base_ = stream_.refBegin[at];
+        const std::size_t write_at = stream_.refBegin[at + 1] - 1;
+        reads_ = {stream_.refs.data() + base_, write_at - base_};
+        write_ = &stream_.refs[write_at];
+        writeId_ = stream_.addrId[write_at];
+        storeNode_ = stream_.home[writeId_].node;
+        return stream_.analyzable[at] != 0;
+    }
+
+    /** Dense address id of read @p i of the instance in flight. */
+    std::uint32_t
+    readId(std::size_t i) const
+    {
+        return stream_.addrId[base_ + i];
     }
 
     /**
@@ -341,24 +529,26 @@ class CandidatePlanner
     priceBaseline()
     {
         defaultMovement_ = 0;
-        fetchedLines_.clear();
-        for (const ir::ResolvedRef &r : reads_) {
-            const std::uint64_t line = mem::lineNumber(r.addr);
-            if (l1_.contains(defaultNode_, line) ||
-                std::find(fetchedLines_.begin(), fetchedLines_.end(),
-                          line) != fetchedLines_.end())
+        fetchedSlots_.clear();
+        for (std::size_t i = 0; i < reads_.size(); ++i) {
+            // One default node per instance, so equal slots are equal
+            // lines.
+            const std::uint32_t slot = stream_.lineSlot[base_ + i];
+            if (l1_.contains(slot) ||
+                std::find(fetchedSlots_.begin(), fetchedSlots_.end(),
+                          slot) != fetchedSlots_.end())
                 continue;
-            fetchedLines_.push_back(line);
+            fetchedSlots_.push_back(slot);
             defaultMovement_ +=
                 lineFlits_ * mesh_.distance(defaultNode_,
-                                            locator_.locateHome(r.addr).node);
+                                            stream_.home[readId(i)].node);
         }
         // Equation 1 weights movement by data size: a fetched line is
         // lineFlits wide; the posted default write moves one element
         // to its home (the root subcomputation writes locally, so the
         // split side charges nothing here).
         const std::int64_t write_flits = std::max<std::int64_t>(
-            1, write_.size / ctx_.system.config().flitBytes);
+            1, write_->size / ctx_.system.config().flitBytes);
         defaultMovement_ +=
             write_flits * mesh_.distance(defaultNode_, storeNode_);
     }
@@ -367,21 +557,30 @@ class CandidatePlanner
     void
     locate()
     {
-        static const VariableToNodeMap kNoReuse;
-        const VariableToNodeMap &lookup =
-            opts_.exploitReuse ? *varmap_ : kNoReuse;
         ScopedPhaseTimer t(timed_ ? &cstats_.locateNs : nullptr);
         locations_.clear();
-        for (const ir::ResolvedRef &r : reads_)
-            locations_.push_back(locator_.locate(r.addr, lookup, storeNode_));
+        for (std::size_t i = 0; i < reads_.size(); ++i) {
+            if (opts_.exploitReuse) {
+                const std::vector<noc::NodeId> &copies =
+                    varmap_.nodesFor(reads_[i].addr);
+                if (!copies.empty()) {
+                    locations_.push_back(
+                        locator_.nearestCopy(copies, storeNode_));
+                    continue;
+                }
+            }
+            locations_.push_back(stream_.home[readId(i)]);
+        }
     }
 
     /**
-     * Split along the MST. Without a balancer the split is a pure
-     * function of (sets, locations, store node): memoize it by
-     * signature. The balancer mutates per-call trial state, so
-     * load-balanced splits always recompute, against a trial copy that
-     * is committed only if the split ships.
+     * Split along the MST. The balancer-free split is a pure function
+     * of (sets, locations, store node), so it is memoized by that
+     * signature. Under the balancer the cached split is replayed
+     * against a trial copy of the live loads (replayOnTrial); only a
+     * veto, which would make the balanced split slide a merge node,
+     * re-splits from scratch. The trial is committed only if the split
+     * ships.
      */
     const SplitResult &
     splitInstance()
@@ -391,31 +590,58 @@ class CandidatePlanner
         // root subcomputation.
         const ir::VarSet &sets =
             ctx_.staticSets[static_cast<std::size_t>(stmtIdx_)];
-        trial_.reset();
         fromCache_ = false;
         cstats_.splitsRequested += 1;
         ScopedPhaseTimer t(timed_ ? &cstats_.splitNs : nullptr);
+        LoadBalancer *balancer = nullptr;
         if (opts_.loadBalance) {
-            cstats_.cacheBypassed += 1;
             trial_ = balancer_;
-            computed_ = splitter_.split(sets, locations_, storeNode_,
-                                        &*trial_);
+            balancer = &trial_;
+        }
+        if (!opts_.memoizeSplits) {
+            cstats_.plansComputed += 1;
+            computed_ = splitter_.split(sets, locations_, storeNode_, balancer);
             return computed_;
         }
-        if (opts_.memoizeSplits) {
-            if (const SplitResult *hit = ctx_.cache.lookup(
-                    stmtIdx_, storeNode_, locations_)) {
-                cstats_.plansMemoized += 1;
-                fromCache_ = true;
-                return *hit;
-            }
+        const SplitResult *plan =
+            ctx_.cache.lookup(stmtIdx_, storeNode_, locations_);
+        if (plan != nullptr) {
+            cstats_.plansMemoized += 1;
+            fromCache_ = true;
+        } else {
             cstats_.plansComputed += 1;
-            return ctx_.cache.insert(
-                splitter_.split(sets, locations_, storeNode_, nullptr));
+            computed_ = splitter_.split(sets, locations_, storeNode_, nullptr);
+            ctx_.cache.insert(computed_);
+            plan = &computed_;
         }
-        cstats_.plansComputed += 1;
-        computed_ = splitter_.split(sets, locations_, storeNode_, nullptr);
+        if (balancer == nullptr || replayOnTrial(*plan))
+            return *plan;
+        cstats_.cacheBypassed += 1;
+        fromCache_ = false;
+        trial_ = balancer_;
+        computed_ = splitter_.split(sets, locations_, storeNode_, &trial_);
         return computed_;
+    }
+
+    /**
+     * Replay @p plan's balancer traffic on trial_, in emission order:
+     * accepts() for every non-root merge with a cost, then add(). Until
+     * a veto, StatementSplitter issues exactly this sequence on the
+     * same (node, cost) pairs and places every merge where the
+     * balancer-free split does, so a veto-free replay is the balanced
+     * split. False at the first veto, with trial_ partly updated.
+     */
+    bool
+    replayOnTrial(const SplitResult &plan)
+    {
+        for (const Subcomputation &sub : plan.subs) {
+            if (sub.opCost == 0)
+                continue;
+            if (!sub.isRoot && !trial_.accepts(sub.node, sub.opCost))
+                return false;
+            trial_.add(sub.node, sub.opCost);
+        }
+        return true;
     }
 
     /**
@@ -464,7 +690,7 @@ class CandidatePlanner
     {
         sim::Task &task = newTask(defaultNode_);
         task.computeCost = stmt_->totalOpCost();
-        task.write = memAccess(write_);
+        task.write = *write_;
         // Like the baseline, the unsplit statement relies on the
         // program's own ordering: only real (resolved) address
         // conflicts serialise it.
@@ -474,27 +700,27 @@ class CandidatePlanner
                     task.deps.end())
                 task.deps.push_back(from);
         };
-        for (const ir::ResolvedRef &r : reads_) {
-            task.reads.push_back(memAccess(r));
-            add_dep(deps_.prior(r.addr).writer);
+        for (std::size_t i = 0; i < reads_.size(); ++i) {
+            task.reads.push_back(reads_[i]);
+            add_dep(deps_.writer(readId(i)));
         }
-        const DepTracker::Prior &prior = deps_.prior(write_.addr);
-        add_dep(prior.writer);
-        for (sim::TaskId reader : prior.readers)
+        add_dep(deps_.writer(writeId_));
+        for (sim::TaskId reader : deps_.readers(writeId_))
             add_dep(reader);
         balancer_.add(defaultNode_, task.computeCost);
 
         // Note the accesses; their lines now pass through the L1 too.
-        for (const ir::ResolvedRef &r : reads_) {
-            deps_.noteRead(r.addr, task.id);
+        const std::size_t refs = reads_.size() + 1;
+        for (std::size_t i = 0; i < reads_.size(); ++i) {
+            deps_.noteRead(readId(i), task.id);
             if (opts_.exploitReuse)
-                varmap_->add(r.addr, defaultNode_);
-            l1_.insert(defaultNode_, mem::lineNumber(r.addr));
+                varmap_.add(reads_[i].addr, defaultNode_);
         }
-        deps_.noteWrite(write_.addr, task.id);
+        deps_.noteWrite(writeId_, task.id);
         if (opts_.exploitReuse)
-            varmap_->add(write_.addr, defaultNode_);
-        l1_.insert(defaultNode_, mem::lineNumber(write_.addr));
+            varmap_.add(write_->addr, defaultNode_);
+        for (std::size_t i = 0; i < refs; ++i)
+            l1_.insert(defaultNode_, stream_.lineSlot[base_ + i]);
     }
 
     /**
@@ -514,15 +740,14 @@ class CandidatePlanner
             task.ops = sub.ops;
             task.isSubcomputation = sub.node != defaultNode_;
             for (int leaf : sub.leaves) {
-                const ir::ResolvedRef &r =
-                    reads_[static_cast<std::size_t>(leaf)];
-                task.reads.push_back(memAccess(r));
-                const sim::TaskId writer = deps_.prior(r.addr).writer;
+                const auto i = static_cast<std::size_t>(leaf);
+                task.reads.push_back(reads_[i]);
+                const sim::TaskId writer = deps_.writer(readId(i));
                 if (writer != sim::kInvalidTask)
                     orderArcs_.push_back({writer, task.id});
-                deps_.noteRead(r.addr, task.id);
+                deps_.noteRead(readId(i), task.id);
                 if (opts_.exploitReuse)
-                    varmap_->add(r.addr, sub.node);
+                    varmap_.add(reads_[i].addr, sub.node);
             }
             for (int child : sub.children) {
                 const sim::TaskId child_task =
@@ -533,26 +758,26 @@ class CandidatePlanner
                 dataArcs_.push_back({child_task, task.id});
             }
             if (sub.isRoot) {
-                task.write = memAccess(write_);
+                task.write = *write_;
                 // Guard operands evaluate with the root merge.
                 for (std::size_t g = stmt_->rhsReadCount();
                      g < reads_.size(); ++g)
-                    task.reads.push_back(memAccess(reads_[g]));
+                    task.reads.push_back(reads_[g]);
             }
             taskOfSub_[s] = task.id;
         }
         const sim::TaskId root =
             taskOfSub_[static_cast<std::size_t>(split.root)];
-        const DepTracker::Prior &prior = deps_.prior(write_.addr);
-        if (prior.writer != sim::kInvalidTask)
-            orderArcs_.push_back({prior.writer, root});
-        for (sim::TaskId reader : prior.readers) {
+        const sim::TaskId writer = deps_.writer(writeId_);
+        if (writer != sim::kInvalidTask)
+            orderArcs_.push_back({writer, root});
+        for (sim::TaskId reader : deps_.readers(writeId_)) {
             if (reader != root)
                 orderArcs_.push_back({reader, root});
         }
-        deps_.noteWrite(write_.addr, root);
+        deps_.noteWrite(writeId_, root);
         if (opts_.exploitReuse)
-            varmap_->add(write_.addr, storeNode_);
+            varmap_.add(write_->addr, storeNode_);
     }
 
     /**
@@ -697,6 +922,7 @@ class CandidatePlanner
     const std::int32_t windowSize_;
     const std::int64_t stmtCount_;
     const std::int64_t lineFlits_;
+    const ResolvedStream &stream_;
     LoadBalancer balancer_;
     StatementSplitter splitter_;
     DataLocator locator_;
@@ -709,8 +935,8 @@ class CandidatePlanner
     std::shared_ptr<verify::PlanProvenance> prov_;
     sim::ExecutionPlan plan_;
 
-    // The current window.
-    VariableToNodeMap *varmap_ = nullptr;
+    // The current window; the map is cleared per window.
+    VariableToNodeMap varmap_;
     std::size_t windowTaskBegin_ = 0;
     std::vector<OrderArc> orderArcs_; // reducible (pure ordering)
     std::vector<OrderArc> dataArcs_;  // value-carrying (fixed)
@@ -723,12 +949,16 @@ class CandidatePlanner
     const ir::Statement *stmt_ = nullptr;
     noc::NodeId defaultNode_ = noc::kInvalidNode;
     noc::NodeId storeNode_ = noc::kInvalidNode;
-    ir::ResolvedRef write_;
-    std::vector<ir::ResolvedRef> reads_;
+    /** The instance's references in stream_: reads, then the write. */
+    std::size_t base_ = 0;
+    std::span<const sim::MemAccess> reads_;
+    const sim::MemAccess *write_ = nullptr;
+    std::uint32_t writeId_ = 0;
     std::int64_t defaultMovement_ = 0;
-    std::vector<std::uint64_t> fetchedLines_;
+    std::vector<std::uint32_t> fetchedSlots_;
     std::vector<Location> locations_;
-    std::optional<LoadBalancer> trial_;
+    /** Balanced splits run against this copy of balancer_. */
+    LoadBalancer trial_;
     SplitResult computed_;
     bool fromCache_ = false;
     std::vector<sim::TaskId> taskOfSub_;
@@ -778,7 +1008,8 @@ Partitioner::plan(const ir::LoopNest &nest,
             options_.collectCompileTimers ? &compile_total.totalNs
                                           : nullptr);
         // The window-independent work runs once per nest: every
-        // candidate starts from the same warmed default-L1 model.
+        // candidate reads the same resolved stream and starts from the
+        // same warmed default-L1 model.
         std::vector<ir::VarSet> static_sets;
         static_sets.reserve(nest.body().size());
         for (const ir::Statement &stmt : nest.body())
@@ -789,12 +1020,26 @@ Partitioner::plan(const ir::LoopNest &nest,
                 ? options_.reuseCapacityLines
                 : static_cast<std::size_t>(system_->config().l1Bytes /
                                            mem::kLineSize / 4);
+        ResolvedStream stream;
+        {
+            ScopedPhaseTimer t(options_.collectCompileTimers
+                                   ? &compile_total.resolveNs
+                                   : nullptr);
+            stream = resolveStream(*arrays_, nest, default_nodes);
+        }
+        {
+            ScopedPhaseTimer t(options_.collectCompileTimers
+                                   ? &compile_total.locateNs
+                                   : nullptr);
+            locateHomes(stream, DataLocator(*system_, options_.oracle));
+        }
+        DefaultL1Model warm_l1 = warmDefaultL1(*system_, stream, default_nodes,
+                                               nest.body().size());
         const NestContext ctx{
-            *system_, *arrays_, options_, splitCache_, nest, default_nodes,
+            *system_, options_, splitCache_, nest, default_nodes,
             std::move(static_sets),
             Inspector::canResolve(nest, *arrays_) || options_.oracle,
-            reuse_capacity,
-            warmDefaultL1(*system_, *arrays_, nest, default_nodes)};
+            reuse_capacity, std::move(stream), std::move(warm_l1)};
 
         for (std::int32_t w = w_first; w <= w_last; ++w) {
             PartitionReport rep;
@@ -809,6 +1054,11 @@ Partitioner::plan(const ir::LoopNest &nest,
         }
     }
 
+    // plan() cleared the cache and it only grows, so it is at its peak.
+    compile_total.cachePeakEntries =
+        static_cast<std::int64_t>(splitCache_.size());
+    compile_total.cachePeakBytes =
+        static_cast<std::int64_t>(splitCache_.bytes());
     best_report.movementPerWindowSize = std::move(movement_per_w);
     // The compile cost covers the whole adaptive sweep: the planner
     // paid for the warm-up and every candidate, not just the winning

@@ -76,12 +76,13 @@ struct PartitionOptions
      */
     double profileUtilization = 0.5;
     /**
-     * Memoize split plans by (statement, operand-location signature,
-     * store node): a hit replays the cached SplitResult instead of
-     * re-running Kruskal, with byte-identical plans either way. Splits
-     * under the load balancer always bypass the cache — the balancer
-     * mutates trial state, so equal signatures no longer imply equal
-     * results.
+     * Memoize balancer-free split plans by (statement, operand-location
+     * signature, store node): a hit replays the cached SplitResult
+     * instead of re-running Kruskal, with byte-identical plans either
+     * way. Under the load balancer a hit is replayed against the live
+     * loads, and only a veto re-runs the full balanced split. Off runs
+     * the full (balanced) split on every request: the reference the
+     * equivalence tests compare with.
      */
     bool memoizeSplits = true;
     /**

@@ -3,33 +3,42 @@
 
 /**
  * @file
- * Split-plan memoization. A statement instance's SplitResult is a pure
- * function of (statement's nested sets, operand locations, store node)
- * when no load balancer is in play: the SNUCA bank mapping is a pure,
- * periodic function of the address, so across the iterations of an
- * affine nest the same (locations, store) tuple recurs constantly and
- * most Kruskal runs recompute an identical plan. The cache interns each
- * instance's operand-location tuple into a compact signature — node id
- * and location source per operand, FNV-1a hashed — and replays the
- * cached SplitResult on a hit.
+ * Split-plan memoization. A statement instance's balancer-free
+ * SplitResult is a pure function of (statement's nested sets, operand
+ * locations, store node): the SNUCA bank mapping is a pure, periodic
+ * function of the address, so across the iterations of an affine nest
+ * the same (locations, store) tuple recurs constantly and most Kruskal
+ * runs recompute an identical plan. The cache interns each instance's
+ * operand-location tuple into a compact signature — statement, store
+ * node, then node id and location source per operand, FNV-1a hashed —
+ * and decodes the cached plan on a hit.
  *
- * Correctness: the 64-bit hash only selects a bucket; every entry keeps
- * its full encoded key and lookups compare it word for word, so a hash
- * collision degrades to a miss (or a sibling entry), never to a wrong
- * plan. Plans produced with a cache are byte-identical to plans
- * produced without one — the invariant tests/split_cache_test pins.
+ * Load-balanced splits use the same entries: the partitioner replays a
+ * cached balancer-free split against the live LoadBalancer and falls
+ * back to a full balanced split only at the first veto (DESIGN.md §6,
+ * "Replaying cached splits under the balancer").
  *
- * Load-balanced splits must bypass the cache entirely: the balancer
- * mutates trial state per call, so equal signatures no longer imply
- * equal results (see Partitioner).
+ * Layout: entries live in flat POD pools — one fixed-size record per
+ * entry, packed subcomputations, and byte arrays of leaves, children
+ * and ops, packed MST edges, and key words — chained into buckets by
+ * index. On the paper's applications that is about 130 bytes per entry
+ * (bytes() / size()), against about 1.3 KB for a SplitResult of nested
+ * vectors. A hit decodes into one SplitResult that the cache reuses, so
+ * steady-state lookups do not allocate.
+ *
+ * Correctness: the hash only selects a bucket; every entry keeps its
+ * full key and lookups compare it word for word, so siblings in one
+ * bucket never alias. Plans produced with a cache are byte-identical to
+ * plans produced without one — the invariant tests/split_cache_test
+ * pins.
  *
  * Not thread-safe; each Partitioner owns one and is itself used from a
  * single thread (nest-level parallelism gives every nest its own
  * Partitioner).
  */
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "partition/data_locator.h"
@@ -37,7 +46,7 @@
 
 namespace ndp::partition {
 
-/** Memoizes SplitResults by (statement, operand locations, store). */
+/** Memoizes balancer-free SplitResults by (statement, locations, store). */
 class SplitPlanCache
 {
   public:
@@ -46,9 +55,8 @@ class SplitPlanCache
      * @p locations (node + source per operand). On a miss the key is
      * retained internally and nullptr is returned; the caller computes
      * the plan and hands it to insert(), which files it under that
-     * retained key. The returned pointer is valid until the next
-     * insert() or clear() (an insert into the same hash bucket may
-     * relocate siblings).
+     * retained key. A hit returns the cache's decode buffer, valid
+     * until the next lookup() or clear().
      */
     const SplitResult *lookup(std::int32_t stmt_idx,
                               noc::NodeId store_node,
@@ -56,11 +64,11 @@ class SplitPlanCache
 
     /**
      * Set the fault epoch (fault::FaultModel::signature(), 0 when
-     * healthy) mixed into every signature. Changing the epoch clears
-     * the cache: entries planned against one fault set must never
-     * replay under another — a cached plan could otherwise schedule a
-     * subcomputation on a node the new epoch declares dead. Belt and
-     * braces on top of the per-plan clear(), which the epoch survives.
+     * healthy). Changing the epoch clears the cache: entries planned
+     * against one fault set must never replay under another — a cached
+     * plan could otherwise schedule a subcomputation on a node the new
+     * epoch declares dead. Every live entry therefore belongs to the
+     * current epoch, so keys do not carry it.
      */
     void setEpoch(std::uint64_t epoch);
 
@@ -68,34 +76,81 @@ class SplitPlanCache
 
     /**
      * File @p plan under the key of the immediately preceding missed
-     * lookup() and return the cached copy. Calling insert() without a
-     * preceding miss is a bug.
+     * lookup(). Calling insert() without a preceding miss is a bug.
      */
-    const SplitResult &insert(SplitResult plan);
+    void insert(const SplitResult &plan);
 
     void clear();
 
     std::int64_t hits() const { return hits_; }
     std::int64_t misses() const { return misses_; }
-    std::size_t size() const { return entries_; }
+    std::size_t size() const { return entries_.size(); }
+    /** Bytes the live entries occupy in the pools (bucket heads too). */
+    std::size_t bytes() const;
 
   private:
-    struct Entry
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+
+    struct PackedSub
     {
-        std::vector<std::uint32_t> key;
-        SplitResult plan;
+        std::uint16_t node = 0;
+        std::uint8_t leaves = 0;
+        std::uint8_t children = 0;
+        std::uint8_t ops = 0;
+        std::uint8_t isRoot = 0;
+        std::int32_t opCost = 0;
     };
 
-    /** Bucketed by signature hash; siblings disambiguate collisions. */
-    std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
+    struct PackedEdge
+    {
+        std::uint16_t a = 0;
+        std::uint16_t b = 0;
+        std::uint16_t weight = 0;
+    };
+
+    /** One cached plan: offsets into the pools plus its scalars. */
+    struct Entry
+    {
+        std::uint32_t next = kNil; ///< next entry in the bucket chain
+        std::uint32_t key = 0;     ///< into keys_
+        std::uint32_t sub = 0;     ///< into subs_
+        std::uint32_t leaf = 0;    ///< into leaves_
+        std::uint32_t child = 0;   ///< into children_
+        std::uint32_t op = 0;      ///< into ops_
+        std::uint32_t edge = 0;    ///< into edges_
+        std::int32_t plannedMovement = 0;
+        std::uint8_t keyWords = 0;
+        std::uint8_t subCount = 0;
+        std::uint8_t edgeCount = 0;
+        std::uint8_t parallelism = 0;
+        std::uint8_t crossNodeEdges = 0;
+        std::int16_t root = -1;
+    };
+
+    bool keyEquals(const Entry &entry) const;
+    void decode(const Entry &entry);
+    void link(std::uint32_t index, std::uint64_t hash);
+    void grow();
+
+    std::vector<Entry> entries_;
+    std::vector<std::uint32_t> keys_;
+    std::vector<PackedSub> subs_;
+    std::vector<std::uint8_t> leaves_;
+    std::vector<std::uint8_t> children_;
+    std::vector<std::uint8_t> ops_;
+    std::vector<PackedEdge> edges_;
+    /** Bucket heads (power-of-two count, kNil = empty). */
+    std::vector<std::uint32_t> heads_;
+
     /** Key of the last lookup, reused as scratch to avoid allocation. */
     std::vector<std::uint32_t> scratchKey_;
     std::uint64_t scratchHash_ = 0;
     bool missArmed_ = false;
+    /** The SplitResult every hit decodes into. */
+    SplitResult decoded_;
     std::uint64_t epoch_ = 0;
     std::int64_t hits_ = 0;
     std::int64_t misses_ = 0;
-    std::size_t entries_ = 0;
 };
 
 } // namespace ndp::partition

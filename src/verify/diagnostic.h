@@ -64,6 +64,9 @@ struct ReportCounts
 {
     /** Statement instances whose records were checked. */
     std::int64_t plansVerified = 0;
+    /** Of those, splits replayed from the split-plan cache (R6's
+     *  subjects at Full). */
+    std::int64_t replaysVerified = 0;
     std::int64_t notes = 0;
     std::int64_t warnings = 0;
     std::int64_t errors = 0;
@@ -84,6 +87,7 @@ struct ReportCounts
     merge(const ReportCounts &other)
     {
         plansVerified += other.plansVerified;
+        replaysVerified += other.replaysVerified;
         notes += other.notes;
         warnings += other.warnings;
         errors += other.errors;

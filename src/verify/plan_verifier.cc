@@ -395,6 +395,8 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                 0)
             st.newWindow(prov.reuseCapacityLines);
         rep.counts().plansVerified += 1;
+        if (rec.wasSplit && rec.fromCache)
+            rep.counts().replaysVerified += 1;
 
         // ---- Task-range tiling: records must cover the plan's tasks
         // contiguously and in stream order.

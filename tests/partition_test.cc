@@ -155,6 +155,77 @@ TEST(LoadBalancerTest, LoadsAndImbalance)
     EXPECT_DOUBLE_EQ(balancer.imbalance(), 1.0);
 }
 
+/**
+ * The O(nodes) ceiling accepts() used before it kept the top two
+ * loads: the largest load of any node other than @p node.
+ */
+std::int64_t
+referenceMaxLoadExcluding(const std::vector<std::int64_t> &loads,
+                          noc::NodeId node)
+{
+    std::int64_t best = 0;
+    for (std::size_t n = 0; n < loads.size(); ++n) {
+        if (static_cast<noc::NodeId>(n) != node)
+            best = std::max(best, loads[n]);
+    }
+    return best;
+}
+
+bool
+referenceAccepts(const std::vector<std::int64_t> &loads,
+                 const std::vector<bool> &available, double threshold,
+                 noc::NodeId node, std::int64_t extra)
+{
+    const auto n = static_cast<std::size_t>(node);
+    if (!available[n])
+        return false;
+    const std::int64_t other_max = referenceMaxLoadExcluding(loads, node);
+    if (other_max == 0)
+        return loads[n] == 0;
+    return static_cast<double>(loads[n] + extra) <=
+           (1.0 + threshold) * static_cast<double>(other_max);
+}
+
+TEST(LoadBalancerTest, TopTwoCeilingMatchesTheFullScan)
+{
+    // Random add/accepts/reset streams over small costs (many ties),
+    // a few dead nodes, and the all-idle start after every reset.
+    Rng rng(0xba1a);
+    for (int trial = 0; trial < 40; ++trial) {
+        const auto nodes = static_cast<std::int32_t>(2 + rng.nextBelow(15));
+        const double threshold = rng.nextBool(0.5) ? 0.10 : 0.0;
+        LoadBalancer balancer(nodes, threshold);
+        std::vector<std::int64_t> loads(static_cast<std::size_t>(nodes), 0);
+        std::vector<bool> available(loads.size(), true);
+        for (noc::NodeId n = 0; n < nodes; ++n) {
+            if (rng.nextBool(0.15)) {
+                balancer.markUnavailable(n);
+                available[static_cast<std::size_t>(n)] = false;
+            }
+        }
+        for (int step = 0; step < 400; ++step) {
+            const auto node = static_cast<noc::NodeId>(
+                rng.nextBelow(static_cast<std::uint64_t>(nodes)));
+            const auto cost = static_cast<std::int64_t>(rng.nextBelow(4));
+            ASSERT_EQ(balancer.accepts(node, cost),
+                      referenceAccepts(loads, available, threshold, node,
+                                       cost))
+                << "trial " << trial << " step " << step << " node "
+                << node;
+            if (rng.nextBool(0.01)) {
+                balancer.reset();
+                std::fill(loads.begin(), loads.end(), 0);
+            } else if (available[static_cast<std::size_t>(node)] &&
+                       rng.nextBool(0.7)) {
+                balancer.add(node, cost);
+                loads[static_cast<std::size_t>(node)] += cost;
+            }
+            ASSERT_EQ(balancer.maxLoad(),
+                      *std::max_element(loads.begin(), loads.end()));
+        }
+    }
+}
+
 // ------------------------------------------------------------- splitter
 
 /** Fixture building statements with chosen operand locations. */

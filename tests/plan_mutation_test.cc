@@ -185,7 +185,11 @@ TEST_F(PlanMutationTest, StructuralDivergenceFromReferenceIsCaught)
 {
     const ir::LoopNest nest = parseDefault();
     BuiltPlan built = build(nest, {});
-    const std::ptrdiff_t at = findSplit(built);
+    // A freshly computed split: a cached one answers to R6 instead.
+    const std::ptrdiff_t at =
+        findRecord(built, [](const verify::SplitRecord &r) {
+            return r.wasSplit && !r.fromCache && !r.split.edges.empty();
+        });
     ASSERT_GE(at, 0);
     built.prov.instances[static_cast<std::size_t>(at)]
         .split.subs.front()
@@ -469,7 +473,7 @@ TEST_F(PlanMutationTest, CorruptedCacheReplayIsCaught)
 {
     const ir::LoopNest nest = parseDefault();
     PartitionOptions opts;
-    opts.loadBalance = false; // the memoized path (cache hits require it)
+    opts.loadBalance = false; // hits replay without balancer traffic
     opts.memoizeSplits = true;
     BuiltPlan built = build(nest, opts);
     const std::ptrdiff_t at =
@@ -484,6 +488,49 @@ TEST_F(PlanMutationTest, CorruptedCacheReplayIsCaught)
     const verify::Report report = verify(nest, built);
     EXPECT_TRUE(hasRule(report, "R6.replay-divergence"))
         << rulesOf(report);
+}
+
+TEST_F(PlanMutationTest, CorruptedBalancedReplayIsCaught)
+{
+    const ir::LoopNest nest = parseDefault();
+    PartitionOptions opts;
+    opts.loadBalance = true; // hits replay against the live balancer
+    opts.memoizeSplits = true;
+    BuiltPlan built = build(nest, opts);
+    ASSERT_TRUE(verify(nest, built).clean());
+
+    // A non-root merge of the last replayed split: moving it (record
+    // and task together) leaves the task mirror intact, and no later
+    // instance can read the operand copy it moves, so the reference
+    // recomputation is the one rule left to object.
+    std::ptrdiff_t at = -1;
+    std::size_t sub_at = 0;
+    for (std::size_t i = built.prov.instances.size(); i-- > 0 && at < 0;) {
+        const verify::SplitRecord &rec = built.prov.instances[i];
+        if (!rec.wasSplit || !rec.fromCache)
+            continue;
+        for (std::size_t s = 0; s < rec.split.subs.size(); ++s) {
+            const Subcomputation &sub = rec.split.subs[s];
+            if (!sub.isRoot) {
+                at = static_cast<std::ptrdiff_t>(i);
+                sub_at = s;
+                break;
+            }
+        }
+    }
+    ASSERT_GE(at, 0) << "no replayed split has a non-root merge";
+    verify::SplitRecord &rec =
+        built.prov.instances[static_cast<std::size_t>(at)];
+    Subcomputation &sub = rec.split.subs[sub_at];
+    sim::Task &task = built.plan.tasks[static_cast<std::size_t>(
+        rec.firstTask + static_cast<sim::TaskId>(sub_at))];
+    const noc::NodeId moved = sub.node == 0 ? 1 : sub.node - 1;
+    sub.node = moved;
+    task.node = moved;
+
+    const verify::Report report = verify(nest, built);
+    ASSERT_EQ(report.diagnostics().size(), 1u) << rulesOf(report);
+    EXPECT_EQ(report.diagnostics().front().rule, "R6.replay-divergence");
 }
 
 } // namespace

@@ -4,11 +4,12 @@
  * a Partitioner with memoizeSplits on must produce byte-identical
  * results to one with it off — same per-nest reuse-map digests, same
  * Equation-1 movement, same app aggregates — for randomized multi-nest
- * apps across reuse on/off, window sizes 1/4/16, and pool sizes 1 and
- * 8 (load balancing off: balanced splits bypass the cache by design).
- * Unit tests pin the counters: hits happen on a periodic nest, and
- * never when the load balancer is on; plus direct SplitPlanCache
- * key/collision/clear semantics.
+ * apps across load balancing on/off, reuse on/off, window sizes
+ * 1/4/16, and pool sizes 1 and 8. With the balancer on, cache hits are
+ * replayed against the live loads and a veto falls back to a full
+ * balanced split; both paths must stay invisible. Unit tests pin the
+ * counters — hits on a periodic nest, with and without the balancer —
+ * plus direct SplitPlanCache key/collision/round-trip/clear semantics.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +18,11 @@
 #include <vector>
 
 #include "driver/experiment.h"
+#include "ir/nested_sets.h"
 #include "ir/parser.h"
+#include "noc/mesh_topology.h"
 #include "partition/split_plan_cache.h"
+#include "partition/splitter.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 #include "workloads/workload.h"
@@ -44,7 +48,8 @@ randomWorkload(int trial, Rng &rng)
         std::string src;
         const int array_count = 3 + static_cast<int>(rng.nextBelow(4));
         for (int a = 0; a < array_count; ++a) {
-            names.push_back("A" + std::to_string(next_array++));
+            names.emplace_back("A");
+            names.back() += std::to_string(next_array++);
             src += "array " + names.back() + "[64];\n";
         }
         const int stmts = 1 + static_cast<int>(rng.nextBelow(3));
@@ -126,53 +131,89 @@ expectIdenticalResults(const driver::AppResult &a,
     EXPECT_EQ(a.predictorAccuracy, b.predictorAccuracy) << label;
 }
 
+/**
+ * Run @p app with the cache on and off, serially and on an 8-thread
+ * pool, and expect one result; returns the cache-on run's veto
+ * re-splits.
+ */
+std::int64_t
+expectCacheInvisible(const workloads::Workload &app,
+                     const driver::ExperimentConfig &config,
+                     const std::string &label)
+{
+    driver::ExperimentConfig cached = config;
+    cached.partition.memoizeSplits = true;
+    driver::ExperimentConfig uncached = config;
+    uncached.partition.memoizeSplits = false;
+
+    // Serial (pool of 1 would still thread; use no pool) and an
+    // 8-thread pool on both modes: four runs, one result.
+    const driver::AppResult on_serial =
+        driver::ExperimentRunner(cached).runApp(app);
+    const driver::AppResult off_serial =
+        driver::ExperimentRunner(uncached).runApp(app);
+    expectIdenticalResults(on_serial, off_serial, label + " serial");
+
+    support::ThreadPool pool(8);
+    const driver::AppResult on_pooled =
+        driver::ExperimentRunner(cached, &pool).runApp(app);
+    const driver::AppResult off_pooled =
+        driver::ExperimentRunner(uncached, &pool).runApp(app);
+    expectIdenticalResults(on_pooled, off_pooled, label + " pooled");
+    expectIdenticalResults(on_serial, on_pooled,
+                           label + " serial-vs-pooled");
+
+    // The cache-on runs actually exercised the cache.
+    EXPECT_GT(on_serial.compile.plansMemoized, 0) << label;
+    EXPECT_EQ(off_serial.compile.plansMemoized, 0) << label;
+    EXPECT_EQ(off_serial.compile.cacheBypassed, 0) << label;
+    return on_serial.compile.cacheBypassed;
+}
+
 TEST(SplitCacheEquivalenceTest, CacheOnMatchesCacheOffExactly)
 {
     Rng rng(0xcac4e);
     const std::int32_t window_sizes[] = {1, 4, 16};
     int trial = 0;
-    for (const bool reuse : {true, false}) {
-        for (const std::int32_t w : window_sizes) {
-            const workloads::Workload app = randomWorkload(trial, rng);
+    std::int64_t balanced_resplits = 0;
+    for (const bool balance : {false, true}) {
+        for (const bool reuse : {true, false}) {
+            for (const std::int32_t w : window_sizes) {
+                const workloads::Workload app = randomWorkload(trial, rng);
 
-            driver::ExperimentConfig config;
-            config.partition.loadBalance = false;
-            config.partition.exploitReuse = reuse;
-            config.partition.fixedWindowSize = w;
+                driver::ExperimentConfig config;
+                config.partition.loadBalance = balance;
+                config.partition.exploitReuse = reuse;
+                config.partition.fixedWindowSize = w;
 
-            driver::ExperimentConfig cached = config;
-            cached.partition.memoizeSplits = true;
-            driver::ExperimentConfig uncached = config;
-            uncached.partition.memoizeSplits = false;
-
-            const std::string label = "reuse=" +
-                                      std::to_string(reuse) +
-                                      " w=" + std::to_string(w);
-
-            // Serial (pool of 1 would still thread; use no pool) and
-            // an 8-thread pool on both modes: four runs, one result.
-            const driver::AppResult on_serial =
-                driver::ExperimentRunner(cached).runApp(app);
-            const driver::AppResult off_serial =
-                driver::ExperimentRunner(uncached).runApp(app);
-            expectIdenticalResults(on_serial, off_serial,
-                                   label + " serial");
-
-            support::ThreadPool pool(8);
-            const driver::AppResult on_pooled =
-                driver::ExperimentRunner(cached, &pool).runApp(app);
-            const driver::AppResult off_pooled =
-                driver::ExperimentRunner(uncached, &pool).runApp(app);
-            expectIdenticalResults(on_pooled, off_pooled,
-                                   label + " pooled");
-            expectIdenticalResults(on_serial, on_pooled,
-                                   label + " serial-vs-pooled");
-
-            // The cache-on runs actually exercised the cache.
-            EXPECT_GT(on_serial.compile.plansMemoized, 0) << label;
-            EXPECT_EQ(off_serial.compile.plansMemoized, 0) << label;
-            ++trial;
+                const std::string label =
+                    "balance=" + std::to_string(balance) +
+                    " reuse=" + std::to_string(reuse) +
+                    " w=" + std::to_string(w);
+                const std::int64_t resplits =
+                    expectCacheInvisible(app, config, label);
+                if (balance)
+                    balanced_resplits += resplits;
+                else
+                    EXPECT_EQ(resplits, 0) << label;
+                ++trial;
+            }
         }
+    }
+    // Some balanced row met a veto, so the full-split fallback ran.
+    EXPECT_GT(balanced_resplits, 0);
+}
+
+TEST(SplitCacheEquivalenceTest, BalancedPaperAppsMatchCacheOff)
+{
+    // The default (balanced) config on paper apps, whose vetoes slide
+    // merges inside kept splits: a replay that missed a veto would
+    // ship a different plan.
+    workloads::WorkloadFactory factory(256);
+    for (const char *name : {"water", "cholesky", "barnes"}) {
+        const std::int64_t resplits = expectCacheInvisible(
+            factory.build(name), driver::ExperimentConfig{}, name);
+        EXPECT_GT(resplits, 0) << name;
     }
 }
 
@@ -197,20 +238,37 @@ TEST(SplitCacheCounterTest, PeriodicNestHitsTheCache)
               r.compile.plansComputed + r.compile.plansMemoized);
 }
 
-TEST(SplitCacheCounterTest, LoadBalancedSplitsNeverUseTheCache)
+/** Compile counters of @p app planned with the balancer at @p threshold. */
+partition::CompileStats
+balancedCounters(const workloads::Workload &app, double threshold)
+{
+    driver::ExperimentConfig config;
+    config.partition.loadBalance = true;
+    config.partition.loadBalanceThreshold = threshold;
+    return driver::ExperimentRunner(config).runApp(app).compile;
+}
+
+TEST(SplitCacheCounterTest, LoadBalancedSplitsReplayTheCache)
 {
     workloads::WorkloadFactory factory(256);
     const workloads::Workload app = factory.build("water");
 
-    driver::ExperimentConfig config;
-    config.partition.loadBalance = true; // mutates trial state
-    const driver::AppResult r =
-        driver::ExperimentRunner(config).runApp(app);
+    // Every balanced request is a hit or a miss; a miss inserts the
+    // balancer-free split, and a hit replays it against the live loads.
+    const partition::CompileStats c = balancedCounters(app, 0.10);
+    EXPECT_GT(c.plansMemoized, 0);
+    EXPECT_EQ(c.plansComputed + c.plansMemoized, c.splitsRequested);
+    EXPECT_GT(c.hitRate(), 0.5);
 
-    EXPECT_EQ(r.compile.plansMemoized, 0);
-    EXPECT_EQ(r.compile.plansComputed, 0);
-    EXPECT_GT(r.compile.cacheBypassed, 0);
-    EXPECT_EQ(r.compile.splitsRequested, r.compile.cacheBypassed);
+    // cacheBypassed counts veto re-splits only, so it follows how often
+    // the balancer vetoes: a tighter threshold vetoes more, a looser
+    // one less, and none of them re-splits most requests.
+    EXPECT_GT(c.cacheBypassed, 0);
+    EXPECT_LT(c.cacheBypassed, c.splitsRequested / 4);
+    const partition::CompileStats tight = balancedCounters(app, 0.0);
+    const partition::CompileStats loose = balancedCounters(app, 1e9);
+    EXPECT_GT(tight.cacheBypassed, c.cacheBypassed);
+    EXPECT_LT(loose.cacheBypassed, c.cacheBypassed);
 }
 
 // ------------------------------------------------- SplitPlanCache unit
@@ -280,6 +338,129 @@ TEST(SplitPlanCacheTest, ClearDropsEntriesButKeepsCounters)
     EXPECT_EQ(cache.lookup(0, 0, locs), nullptr);
     EXPECT_EQ(cache.hits(), 1);
     EXPECT_EQ(cache.misses(), 2);
+}
+
+/** Every field of two SplitResults, nodes and costs included. */
+void
+expectSameSplit(const partition::SplitResult &got,
+                const partition::SplitResult &want, const std::string &label)
+{
+    ASSERT_EQ(got.subs.size(), want.subs.size()) << label;
+    for (std::size_t s = 0; s < want.subs.size(); ++s) {
+        const partition::Subcomputation &a = got.subs[s];
+        const partition::Subcomputation &b = want.subs[s];
+        EXPECT_EQ(a.node, b.node) << label << " sub " << s;
+        EXPECT_EQ(a.leaves, b.leaves) << label << " sub " << s;
+        EXPECT_EQ(a.children, b.children) << label << " sub " << s;
+        EXPECT_EQ(a.ops, b.ops) << label << " sub " << s;
+        EXPECT_EQ(a.opCost, b.opCost) << label << " sub " << s;
+        EXPECT_EQ(a.isRoot, b.isRoot) << label << " sub " << s;
+    }
+    ASSERT_EQ(got.edges.size(), want.edges.size()) << label;
+    for (std::size_t e = 0; e < want.edges.size(); ++e) {
+        EXPECT_EQ(got.edges[e].a, want.edges[e].a) << label << " edge " << e;
+        EXPECT_EQ(got.edges[e].b, want.edges[e].b) << label << " edge " << e;
+        EXPECT_EQ(got.edges[e].weight, want.edges[e].weight)
+            << label << " edge " << e;
+    }
+    EXPECT_EQ(got.root, want.root) << label;
+    EXPECT_EQ(got.plannedMovement, want.plannedMovement) << label;
+    EXPECT_EQ(got.degreeOfParallelism, want.degreeOfParallelism) << label;
+    EXPECT_EQ(got.crossNodeEdges, want.crossNodeEdges) << label;
+}
+
+TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
+{
+    // 512 nodes (a 16x16 mesh tops out at id 255): node ids above 255
+    // must survive the packed layout.
+    const noc::MeshTopology mesh(32, 16);
+    ir::ArrayTable arrays;
+    const ir::LoopNest nest = ir::parseKernel(R"(
+        array A[64]; array B[64]; array C[64]; array D[64];
+        array E[64]; array F[64]; array G[64]; array H[64];
+        for i = 0..64 {
+          S1: A[i] = (B[i] + C[i]) * (D[i] - E[i]) + F[i] / G[i];
+          S2: H[i] = B[i] * C[i] + D[i];
+        })",
+                                              "roundtrip", arrays);
+    partition::StatementSplitter splitter(mesh, /*fetch_weight=*/8);
+    partition::SplitPlanCache cache;
+    Rng rng(0x16);
+
+    struct Filed
+    {
+        std::int32_t stmt;
+        noc::NodeId store;
+        std::vector<partition::Location> locations;
+        partition::SplitResult plan;
+    };
+    std::vector<Filed> filed;
+    noc::NodeId highest = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        const auto stmt = static_cast<std::int32_t>(trial % 2);
+        const ir::Statement &statement =
+            nest.body()[static_cast<std::size_t>(stmt)];
+        Filed f{stmt, static_cast<noc::NodeId>(rng.nextBelow(512)), {}, {}};
+        for (std::size_t l = 0; l < statement.rhsReadCount(); ++l) {
+            const auto node = static_cast<noc::NodeId>(rng.nextBelow(512));
+            f.locations.push_back(
+                {node, rng.nextBool(0.5) ? partition::LocationSource::L2Home
+                                         : partition::LocationSource::L1Copy});
+        }
+        f.plan = splitter.split(ir::buildVarSets(statement), f.locations,
+                                f.store);
+        if (cache.lookup(f.stmt, f.store, f.locations) != nullptr)
+            continue; // a repeated draw
+        cache.insert(f.plan);
+        for (const partition::Subcomputation &sub : f.plan.subs)
+            highest = std::max(highest, sub.node);
+        filed.push_back(std::move(f));
+    }
+    ASSERT_GT(highest, 255);
+    EXPECT_EQ(cache.size(), filed.size());
+    EXPECT_GT(cache.bytes(), 0u);
+
+    // Every entry decodes to its own plan, field for field, in any
+    // order; the reused decode buffer carries nothing over.
+    for (std::size_t i = filed.size(); i-- > 0;) {
+        const Filed &f = filed[i];
+        const partition::SplitResult *hit =
+            cache.lookup(f.stmt, f.store, f.locations);
+        ASSERT_NE(hit, nullptr) << "entry " << i;
+        expectSameSplit(*hit, f.plan, "entry " + std::to_string(i));
+    }
+}
+
+TEST(SplitPlanCacheTest, BucketSiblingsCompareFullKeys)
+{
+    // Thousands of keys differing in one word, lengths mixed: the
+    // bucket table keeps at most one entry per bucket on average, so
+    // many share a chain and only the full key comparison tells them
+    // apart.
+    partition::SplitPlanCache cache;
+    const int keys = 5000;
+    auto locations_of = [](int k) {
+        std::vector<partition::Location> locs(
+            static_cast<std::size_t>(1 + k % 3),
+            {7, partition::LocationSource::L2Home});
+        locs.back().node = static_cast<noc::NodeId>(k);
+        return locs;
+    };
+    for (int k = 0; k < keys; ++k) {
+        ASSERT_EQ(cache.lookup(0, 1, locations_of(k)), nullptr) << k;
+        cache.insert(markerPlan(k));
+    }
+    EXPECT_EQ(cache.size(), static_cast<std::size_t>(keys));
+    for (int k = 0; k < keys; ++k) {
+        const partition::SplitResult *hit = cache.lookup(0, 1, locations_of(k));
+        ASSERT_NE(hit, nullptr) << k;
+        EXPECT_EQ(hit->plannedMovement, k);
+    }
+    // A key one word longer than a filed one is a different key.
+    std::vector<partition::Location> longer = locations_of(3);
+    longer.push_back(longer.back());
+    EXPECT_EQ(cache.lookup(0, 1, longer), nullptr);
+    EXPECT_EQ(cache.hits(), keys);
 }
 
 } // namespace
