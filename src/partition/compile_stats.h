@@ -24,7 +24,12 @@ namespace ndp::partition {
 /** Compile-loop statistics for one planning pass (or a merge of many). */
 struct CompileStats
 {
-    /** Statement instances streamed through the planner. */
+    /**
+     * Statement instances streamed through the planner, over every
+     * pass: an adaptive plan() scores each window candidate and then
+     * emits the winner, so it counts (candidates + 1) x the nest's
+     * instances; a fixed window size is one emitting pass.
+     */
     std::int64_t instancesPlanned = 0;
     /** Instances whose split plan was needed (analyzable instances). */
     std::int64_t splitsRequested = 0;

@@ -17,19 +17,14 @@ VariableToNodeMap::dropOldest(noc::NodeId node)
     LineFifo &queue = fifo_[static_cast<std::size_t>(node)];
     if (queue.size() == 0)
         return;
-    const std::uint64_t line = queue.items[queue.head++];
+    const std::uint32_t id = queue.items[queue.head++];
     if (queue.head > queue.items.size() / 2 && queue.head >= 16) {
         queue.items.erase(queue.items.begin(),
                           queue.items.begin() +
                               static_cast<std::ptrdiff_t>(queue.head));
         queue.head = 0;
     }
-    auto mit = map_.find(line);
-    if (mit != map_.end()) {
-        std::erase(mit->second, node);
-        if (mit->second.empty())
-            map_.erase(mit);
-    }
+    std::erase(nodes_[id], node);
 }
 
 void
@@ -46,7 +41,10 @@ void
 VariableToNodeMap::add(mem::Addr addr, noc::NodeId node)
 {
     const std::uint64_t line = mem::lineNumber(addr);
-    auto &nodes = map_[line];
+    const std::uint32_t id = lines_.intern(line);
+    if (id == nodes_.size())
+        nodes_.emplace_back();
+    std::vector<noc::NodeId> &nodes = nodes_[id];
     for (noc::NodeId n : nodes) {
         if (n == node)
             return;
@@ -58,9 +56,11 @@ VariableToNodeMap::add(mem::Addr addr, noc::NodeId node)
         LineFifo &queue = fifo_[n];
         if (queue.items.empty())
             fifoNodes_.push_back(node);
+        // The line itself is never in node's FIFO here (node is not
+        // among its copies), so eviction leaves `nodes` alone.
         while (queue.size() >= capacity_)
             dropOldest(node);
-        queue.items.push_back(line);
+        queue.items.push_back(id);
     }
     nodes.push_back(node);
     mixHash(line);
@@ -71,7 +71,9 @@ VariableToNodeMap::add(mem::Addr addr, noc::NodeId node)
 void
 VariableToNodeMap::clear()
 {
-    map_.clear();
+    for (std::uint32_t id = 0; id < lines_.size(); ++id)
+        nodes_[id].clear();
+    lines_.clear();
     for (noc::NodeId node : fifoNodes_) {
         LineFifo &queue = fifo_[static_cast<std::size_t>(node)];
         queue.items.clear();
@@ -85,8 +87,8 @@ VariableToNodeMap::clear()
 const std::vector<noc::NodeId> &
 VariableToNodeMap::nodesFor(mem::Addr addr) const
 {
-    const auto it = map_.find(mem::lineNumber(addr));
-    return it == map_.end() ? kEmpty : it->second;
+    const std::uint32_t id = lines_.find(mem::lineNumber(addr));
+    return id == DenseIds::kNil ? kEmpty : nodes_[id];
 }
 
 DataLocator::DataLocator(sim::ManycoreSystem &system, bool oracle)
@@ -120,15 +122,6 @@ DataLocator::locateHome(mem::Addr addr) const
         loc.source = LocationSource::MemCtrl;
     }
     return loc;
-}
-
-Location
-DataLocator::locate(mem::Addr addr, const VariableToNodeMap &map,
-                    noc::NodeId prefer_near) const
-{
-    const std::vector<noc::NodeId> &copies = map.nodesFor(addr);
-    return copies.empty() ? locateHome(addr)
-                          : nearestCopy(copies, prefer_near);
 }
 
 Location

@@ -17,12 +17,13 @@
  * by probing the actual cache state.
  */
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/address.h"
 #include "noc/coord.h"
+#include "partition/dense_ids.h"
 #include "sim/manycore.h"
 
 namespace ndp::partition {
@@ -45,6 +46,12 @@ struct Location
  * The compiler-maintained variable2node map (Algorithm 1 line 34):
  * which nodes will hold each line in their L1s because of
  * already-scheduled subcomputations in the current window.
+ *
+ * Flat and reused: the window's lines get dense ids, and each id's
+ * node list keeps its capacity across clear(), so a map reused window
+ * after window allocates nothing in steady state and clear() costs
+ * O(lines the window touched). A line whose last copy is evicted keeps
+ * its id, with an empty list, until clear().
  */
 class VariableToNodeMap
 {
@@ -61,12 +68,11 @@ class VariableToNodeMap
     /** Record that @p node's L1 will hold the line of @p addr. */
     void add(mem::Addr addr, noc::NodeId node);
 
-    /** Nodes holding the line of @p addr (empty if none). */
+    /** Nodes holding the line of @p addr, oldest first (empty if none). */
     const std::vector<noc::NodeId> &nodesFor(mem::Addr addr) const;
 
     /** Forget every copy and the insertion history: a fresh map. */
     void clear();
-    std::size_t size() const { return map_.size(); }
 
     /**
      * FNV-1a digest of the (line, node) insertion sequence since
@@ -80,30 +86,32 @@ class VariableToNodeMap
     std::int64_t insertionCount() const { return inserts_; }
 
   private:
-    void dropOldest(noc::NodeId node);
-    void mixHash(std::uint64_t value);
+    static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
     /**
-     * FIFO with an advancing head instead of erase-from-front: popping
-     * the oldest line is O(1), and the dead prefix is compacted away
-     * only once it exceeds the live half.
+     * FIFO of line ids with an advancing head instead of
+     * erase-from-front: popping the oldest line is O(1), and the dead
+     * prefix is compacted away only once it exceeds the live half.
      */
     struct LineFifo
     {
-        std::vector<std::uint64_t> items;
+        std::vector<std::uint32_t> items;
         std::size_t head = 0;
 
         std::size_t size() const { return items.size() - head; }
     };
 
-    static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+    void dropOldest(noc::NodeId node);
+    void mixHash(std::uint64_t value);
 
     std::size_t capacity_;
     std::uint64_t hash_ = kFnvOffset;
     std::int64_t inserts_ = 0;
-    std::unordered_map<std::uint64_t, std::vector<noc::NodeId>> map_;
+    DenseIds lines_;
+    /** Nodes per line id; lists past lines_.size() wait for reuse. */
+    std::vector<std::vector<noc::NodeId>> nodes_;
     /**
-     * Per-node FIFO of the lines recorded for it (oldest first),
+     * Per-node FIFO of the line ids recorded for it (oldest first),
      * indexed by node id and grown on demand; clear() empties only the
      * nodes listed in fifoNodes_, so a map reused window after window
      * pays per node it touched, not per mesh node.
@@ -126,17 +134,10 @@ class DataLocator
     DataLocator(sim::ManycoreSystem &system, bool oracle = false);
 
     /**
-     * Locate the line of @p addr. @p map carries the L1 copies planned
-     * so far in this window; @p prefer_near biases the choice among
-     * multiple L1 copies toward the given node (typically the store
-     * node of the statement being split).
-     */
-    Location locate(mem::Addr addr, const VariableToNodeMap &map,
-                    noc::NodeId prefer_near) const;
-
-    /**
-     * The L1 copy locate() picks among non-empty @p copies: the one
-     * nearest @p prefer_near, ties toward the lower node id.
+     * The L1 copy to use among non-empty @p copies (the window map's
+     * nodes for a line): the one nearest @p prefer_near, typically the
+     * store node of the statement being split, ties toward the lower
+     * node id.
      */
     Location nearestCopy(const std::vector<noc::NodeId> &copies,
                          noc::NodeId prefer_near) const;

@@ -5,6 +5,7 @@
 #include <span>
 
 #include "ir/nested_sets.h"
+#include "partition/dense_ids.h"
 #include "partition/inspector.h"
 #include "partition/load_balancer.h"
 #include "partition/splitter.h"
@@ -14,71 +15,6 @@
 namespace ndp::partition {
 
 namespace {
-
-/**
- * Dense ids for 64-bit keys, in first-seen order: open addressing with
- * linear probing over a power-of-two table kept at most half full.
- */
-class DenseIds
-{
-  public:
-    std::uint32_t
-    intern(std::uint64_t key)
-    {
-        if (2 * (count_ + 1) > slots_.size())
-            grow();
-        const std::size_t mask = slots_.size() - 1;
-        for (std::size_t i = bucket(key);; i = (i + 1) & mask) {
-            Slot &slot = slots_[i];
-            if (slot.id == kNil) {
-                slot = {key, count_};
-                return count_++;
-            }
-            if (slot.key == key)
-                return slot.id;
-        }
-    }
-
-    std::uint32_t size() const { return count_; }
-
-  private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-
-    struct Slot
-    {
-        std::uint64_t key = 0;
-        std::uint32_t id = kNil;
-    };
-
-    std::size_t
-    bucket(std::uint64_t key) const
-    {
-        // Fibonacci hashing: the top bits of key * 2^64/phi.
-        return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
-                                        shift_);
-    }
-
-    void
-    grow()
-    {
-        std::vector<Slot> old = std::move(slots_);
-        slots_.assign(std::max<std::size_t>(1024, 2 * old.size()), Slot{});
-        shift_ = 64 - std::countr_zero(slots_.size());
-        const std::size_t mask = slots_.size() - 1;
-        for (const Slot &slot : old) {
-            if (slot.id == kNil)
-                continue;
-            std::size_t i = bucket(slot.key);
-            while (slots_[i].id != kNil)
-                i = (i + 1) & mask;
-            slots_[i] = slot;
-        }
-    }
-
-    std::vector<Slot> slots_;
-    int shift_ = 64;
-    std::uint32_t count_ = 0;
-};
 
 /**
  * One nest's instance stream, resolved once per plan() call by the
@@ -378,23 +314,31 @@ struct NestContext
 /**
  * Plans one nest at one window size. Every statement instance of the
  * stream runs one pipeline — resolve, price the baseline, locate,
- * split, guard, emit, record — and each window then minimises its
+ * split, guard, note, emit, record — and each window then minimises its
  * synchronisations.
+ *
+ * A scoring planner (emit = false) runs only the decision half:
+ * resolve through guard, then note, which updates everything a later
+ * decision reads (the default-L1 model, the window map, the balancer,
+ * the split cache) and the report's two movement totals. It builds no
+ * tasks, dependences, sync arcs, instance stats or provenance, so
+ * scoring a window size costs what deciding it does; plan() scores
+ * every candidate and emits only the winner.
  */
 class CandidatePlanner
 {
   public:
     CandidatePlanner(const NestContext &ctx, std::int32_t window_size,
-                     PartitionReport &report)
+                     PartitionReport &report, bool emit)
         : ctx_(ctx), opts_(ctx.options), mesh_(ctx.system.mesh()),
-          windowSize_(window_size),
+          emit_(emit), windowSize_(window_size),
           stmtCount_(static_cast<std::int64_t>(ctx.nest.body().size())),
           lineFlits_(ctx.system.config().lineFlits()),
           stream_(ctx.stream),
           balancer_(mesh_.nodeCount(), opts_.loadBalanceThreshold),
           splitter_(mesh_, lineFlits_, /*result_weight=*/1),
           locator_(ctx.system, opts_.oracle), l1_(ctx.warmL1),
-          deps_(ctx.stream.home.size()), report_(report),
+          deps_(emit ? ctx.stream.home.size() : 0), report_(report),
           cstats_(report.compile), timed_(opts_.collectCompileTimers),
           varmap_(ctx.reuseCapacity), trial_(balancer_)
     {
@@ -410,9 +354,8 @@ class CandidatePlanner
         plan_.windowSize = window_size;
 
         // Planning provenance for the static verifier (DESIGN.md §9):
-        // recorded per window-size candidate; plan() keeps the
-        // winner's report, and with it the winner's provenance.
-        if (opts_.verifyLevel != verify::VerifyLevel::Off) {
+        // only the emitting pass, the winner's, records it.
+        if (emit_ && opts_.verifyLevel != verify::VerifyLevel::Off) {
             prov_ = std::make_shared<verify::PlanProvenance>();
             prov_->level = opts_.verifyLevel;
             prov_->windowSize = window_size;
@@ -437,6 +380,8 @@ class CandidatePlanner
             dataArcs_.clear();
             for (std::int64_t pos = begin; pos < end; ++pos)
                 planInstance(pos);
+            if (!emit_)
+                continue;
             minimizeSyncs(begin, end);
 
             // Fold this window's reuse-map history into the nest digest
@@ -472,22 +417,27 @@ class CandidatePlanner
     {
         const bool analyzable = resolve(pos);
         priceBaseline();
-        const sim::TaskId first = nextTaskId();
+        // Null when the statement runs whole on its default node:
+        // unanalysable, or the split does not pay.
+        const SplitResult *split = nullptr;
         if (analyzable || ctx_.inspectorResolved) {
             locate();
-            const SplitResult &split = splitInstance();
-            if (profitable(split)) {
+            const SplitResult &candidate = splitInstance();
+            if (profitable(candidate)) {
                 if (opts_.loadBalance)
                     std::swap(balancer_, trial_); // commit trial loads
-                emitSplit(split);
-                record(&split, first);
-                return;
+                split = &candidate;
             }
         }
-        // Unanalysable, or the split does not pay: the statement runs
-        // whole on its default node.
-        emitWhole();
-        record(nullptr, first);
+        note(split);
+        if (!emit_)
+            return;
+        const sim::TaskId first = nextTaskId();
+        if (split != nullptr)
+            emitSplit(*split);
+        else
+            emitWhole();
+        record(split, first);
     }
 
     /**
@@ -666,6 +616,38 @@ class CandidatePlanner
                !(opts_.overheadSafetyFactor > 0.0 && benefit <= overhead);
     }
 
+    /**
+     * Update the state later decisions read: the balancer's load for a
+     * whole statement (a split's trial was committed), the window map's
+     * copies of every fetched operand and of the stored result, in
+     * emission order (insertionHash depends on it), and, for a whole
+     * statement, the default node's L1. Then add the instance to the
+     * movement totals.
+     */
+    void
+    note(const SplitResult *split)
+    {
+        if (split == nullptr) {
+            balancer_.add(defaultNode_, stmt_->totalOpCost());
+            // Reads, then the write: every line passes through the L1.
+            for (std::size_t r = base_; r <= base_ + reads_.size(); ++r) {
+                if (opts_.exploitReuse)
+                    varmap_.add(stream_.refs[r].addr, defaultNode_);
+                l1_.insert(defaultNode_, stream_.lineSlot[r]);
+            }
+        } else if (opts_.exploitReuse) {
+            for (const Subcomputation &sub : split->subs) {
+                for (int leaf : sub.leaves)
+                    varmap_.add(reads_[static_cast<std::size_t>(leaf)].addr,
+                                sub.node);
+            }
+            varmap_.add(write_->addr, storeNode_);
+        }
+        report_.plannedMovement +=
+            split ? split->plannedMovement : defaultMovement_;
+        report_.defaultMovement += defaultMovement_;
+    }
+
     sim::TaskId
     nextTaskId() const
     {
@@ -707,27 +689,15 @@ class CandidatePlanner
         add_dep(deps_.writer(writeId_));
         for (sim::TaskId reader : deps_.readers(writeId_))
             add_dep(reader);
-        balancer_.add(defaultNode_, task.computeCost);
-
-        // Note the accesses; their lines now pass through the L1 too.
-        const std::size_t refs = reads_.size() + 1;
-        for (std::size_t i = 0; i < reads_.size(); ++i) {
+        for (std::size_t i = 0; i < reads_.size(); ++i)
             deps_.noteRead(readId(i), task.id);
-            if (opts_.exploitReuse)
-                varmap_.add(reads_[i].addr, defaultNode_);
-        }
         deps_.noteWrite(writeId_, task.id);
-        if (opts_.exploitReuse)
-            varmap_.add(write_->addr, defaultNode_);
-        for (std::size_t i = 0; i < refs; ++i)
-            l1_.insert(defaultNode_, stream_.lineSlot[base_ + i]);
     }
 
     /**
      * Emit the subcomputation tasks (children first). Inter-statement
      * dependences become ordering arcs for the window's sync
-     * minimisation, and each fetched operand is recorded as a planned
-     * L1 copy for later statements.
+     * minimisation.
      */
     void
     emitSplit(const SplitResult &split)
@@ -746,8 +716,6 @@ class CandidatePlanner
                 if (writer != sim::kInvalidTask)
                     orderArcs_.push_back({writer, task.id});
                 deps_.noteRead(readId(i), task.id);
-                if (opts_.exploitReuse)
-                    varmap_.add(reads_[i].addr, sub.node);
             }
             for (int child : sub.children) {
                 const sim::TaskId child_task =
@@ -776,12 +744,10 @@ class CandidatePlanner
                 orderArcs_.push_back({reader, root});
         }
         deps_.noteWrite(writeId_, root);
-        if (opts_.exploitReuse)
-            varmap_.add(write_->addr, storeNode_);
     }
 
     /**
-     * The one place an instance's outcome is accounted: its
+     * The one place an emitted instance's outcome is accounted: its
      * InstanceStats, the report's tallies and, when verifying, its
      * provenance record. @p split is null when it ran whole.
      */
@@ -796,8 +762,6 @@ class CandidatePlanner
             split ? split->plannedMovement : defaultMovement_;
         istats.degreeOfParallelism = split ? split->degreeOfParallelism : 1;
         plan_.instances.push_back(istats);
-        report_.plannedMovement += istats.dataMovement;
-        report_.defaultMovement += defaultMovement_;
         if (split == nullptr) {
             report_.statementsKeptDefault += 1;
         } else {
@@ -919,6 +883,8 @@ class CandidatePlanner
     const NestContext &ctx_;
     const PartitionOptions &opts_;
     const noc::MeshTopology &mesh_;
+    /** Build the plan (tasks, syncs, stats); false only scores. */
+    const bool emit_;
     const std::int32_t windowSize_;
     const std::int64_t stmtCount_;
     const std::int64_t lineFlits_;
@@ -995,7 +961,7 @@ Partitioner::plan(const ir::LoopNest &nest,
     // Split-plan signatures embed statement indices, which are only
     // meaningful within one nest — but they are stable across the
     // window-size candidates below, so the cache warms on w=1 and
-    // every later candidate replays mostly memoized plans.
+    // every later pass replays mostly memoized plans.
     splitCache_.clear();
     splitCache_.setEpoch(system_->mesh().faults().signature());
 
@@ -1041,17 +1007,32 @@ Partitioner::plan(const ir::LoopNest &nest,
             Inspector::canResolve(nest, *arrays_) || options_.oracle,
             reuse_capacity, std::move(stream), std::move(warm_l1)};
 
-        for (std::int32_t w = w_first; w <= w_last; ++w) {
-            PartitionReport rep;
-            sim::ExecutionPlan p = CandidatePlanner(ctx, w, rep).run();
-            movement_per_w.push_back(rep.plannedMovement);
-            compile_total.merge(rep.compile);
-            if (movement_per_w.size() == 1 ||
-                rep.plannedMovement < best_report.plannedMovement) {
-                best_plan = std::move(p);
-                best_report = std::move(rep);
+        // Score every candidate (Section 4.4: least total movement, the
+        // first on ties), then emit the winner alone. A candidate's
+        // decisions depend only on the shared starting state, so the
+        // emitting pass repeats its scoring pass decision for decision.
+        // A single candidate needs no scoring.
+        std::int32_t best_w = w_first;
+        if (w_first < w_last) {
+            for (std::int32_t w = w_first; w <= w_last; ++w) {
+                PartitionReport scored;
+                (void)CandidatePlanner(ctx, w, scored, /*emit=*/false).run();
+                movement_per_w.push_back(scored.plannedMovement);
+                compile_total.merge(scored.compile);
+                if (scored.plannedMovement <
+                    movement_per_w[static_cast<std::size_t>(best_w - w_first)])
+                    best_w = w;
             }
         }
+        best_plan = CandidatePlanner(ctx, best_w, best_report, /*emit=*/true)
+                        .run();
+        compile_total.merge(best_report.compile);
+        if (movement_per_w.empty())
+            movement_per_w.push_back(best_report.plannedMovement);
+        NDP_CHECK(best_report.plannedMovement ==
+                      movement_per_w[static_cast<std::size_t>(best_w -
+                                                              w_first)],
+                  "emitting pass diverged from its scoring pass");
     }
 
     // plan() cleared the cache and it only grows, so it is at its peak.
@@ -1061,8 +1042,8 @@ Partitioner::plan(const ir::LoopNest &nest,
         static_cast<std::int64_t>(splitCache_.bytes());
     best_report.movementPerWindowSize = std::move(movement_per_w);
     // The compile cost covers the whole adaptive sweep: the planner
-    // paid for the warm-up and every candidate, not just the winning
-    // window size.
+    // paid for the warm-up, every scoring pass and the winner's
+    // emitting pass.
     best_report.compile = compile_total;
     report_ = std::move(best_report);
     return best_plan;

@@ -6,8 +6,8 @@
  * The complete NDP-aware subcomputation scheduler (Algorithm 1 plus
  * Sections 4.3-4.5): windows of consecutive statement instances are
  * located, split along their MSTs, load-balanced, synchronised, and
- * emitted as an ExecutionPlan. Window sizes 1..8 are evaluated per loop
- * nest and the one with the least total data movement is kept
+ * emitted as an ExecutionPlan. Window sizes 1..8 are scored per loop
+ * nest and the one with the least total data movement is emitted
  * (Section 4.4), unless a fixed size is forced (Figure 20's sweeps).
  */
 
@@ -135,10 +135,11 @@ struct PartitionReport
      *  map is rebuilt per window; this is not a total). */
     std::int64_t reuseCopiesPlanned = 0;
     /**
-     * Compile-loop cost of producing this plan, summed over every
-     * window-size candidate the adaptive sweep probed plus the nest's
-     * one-off default-L1 warm-up (the planner paid for all of them,
-     * not just the winner).
+     * Compile-loop cost of producing this plan: the nest's one-off
+     * stream resolution and default-L1 warm-up, the scoring pass of
+     * every window-size candidate the adaptive sweep probed, and the
+     * winner's emitting pass (the planner paid for all of them). A
+     * fixed window size has the emitting pass only.
      */
     CompileStats compile;
     /**

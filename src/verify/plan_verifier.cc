@@ -152,9 +152,9 @@ struct VerifyState
     }
 
     void
-    newWindow(std::size_t reuse_capacity)
+    newWindow()
     {
-        vmap = partition::VariableToNodeMap(reuse_capacity);
+        vmap.clear();
         copySeq.clear();
         writeSeq.clear();
     }
@@ -393,7 +393,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
             static_cast<std::int64_t>(i) %
                     static_cast<std::int64_t>(prov.windowSize) ==
                 0)
-            st.newWindow(prov.reuseCapacityLines);
+            st.newWindow();
         rep.counts().plansVerified += 1;
         if (rec.wasSplit && rec.fromCache)
             rep.counts().replaysVerified += 1;

@@ -10,8 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <functional>
+#include <map>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "ir/nested_sets.h"
 #include "support/disjoint_set.h"
@@ -55,6 +61,138 @@ TEST(VariableToNodeMapTest, CapacityModelsL1Pollution)
     EXPECT_FALSE(map.nodesFor(2 * mem::kLineSize).empty());
 }
 
+/**
+ * The map's reference semantics, kept deliberately naive: a hash map of
+ * node lists plus one FIFO of lines per node, an evicted line's entry
+ * erased once its last copy goes, and the same FNV-1a digest.
+ */
+class ReferenceVarMap
+{
+  public:
+    explicit ReferenceVarMap(std::size_t capacity) : capacity_(capacity) {}
+
+    void
+    add(mem::Addr addr, noc::NodeId node)
+    {
+        const std::uint64_t line = mem::lineNumber(addr);
+        std::vector<noc::NodeId> &nodes = map_[line];
+        if (std::find(nodes.begin(), nodes.end(), node) != nodes.end())
+            return;
+        if (capacity_ > 0) {
+            std::deque<std::uint64_t> &queue = fifo_[node];
+            while (queue.size() >= capacity_) {
+                const std::uint64_t victim = queue.front();
+                queue.pop_front();
+                std::vector<noc::NodeId> &copies = map_.at(victim);
+                std::erase(copies, node);
+                if (copies.empty())
+                    map_.erase(victim);
+            }
+            queue.push_back(line);
+        }
+        nodes.push_back(node);
+        mix(line);
+        mix(static_cast<std::uint64_t>(node));
+        ++inserts_;
+    }
+
+    std::vector<noc::NodeId>
+    nodesFor(mem::Addr addr) const
+    {
+        const auto it = map_.find(mem::lineNumber(addr));
+        return it == map_.end() ? std::vector<noc::NodeId>{} : it->second;
+    }
+
+    void
+    clear()
+    {
+        map_.clear();
+        fifo_.clear();
+        hash_ = 0xcbf29ce484222325ull;
+        inserts_ = 0;
+    }
+
+    std::uint64_t hash() const { return hash_; }
+    std::int64_t inserts() const { return inserts_; }
+
+  private:
+    void
+    mix(std::uint64_t value)
+    {
+        for (int b = 0; b < 8; ++b) {
+            hash_ ^= (value >> (8 * b)) & 0xff;
+            hash_ *= 0x100000001b3ull;
+        }
+    }
+
+    std::size_t capacity_;
+    std::unordered_map<std::uint64_t, std::vector<noc::NodeId>> map_;
+    std::map<noc::NodeId, std::deque<std::uint64_t>> fifo_;
+    std::uint64_t hash_ = 0xcbf29ce484222325ull;
+    std::int64_t inserts_ = 0;
+};
+
+TEST(VariableToNodeMapTest, MatchesReferenceSemantics)
+{
+    for (const std::size_t capacity : {0u, 1u, 3u}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        Rng rng(0x5eed + capacity);
+        VariableToNodeMap map(capacity);
+        ReferenceVarMap ref(capacity);
+        const auto expect_same = [&](mem::Addr addr) {
+            const std::vector<noc::NodeId> &got = map.nodesFor(addr);
+            ASSERT_EQ(got, ref.nodesFor(addr)) << "line "
+                                               << mem::lineNumber(addr);
+            ASSERT_EQ(map.insertionHash(), ref.hash());
+            ASSERT_EQ(map.insertionCount(), ref.inserts());
+        };
+        // Hundreds of windows: cleared slots and node lists are reused,
+        // and windows of up to 300 adds grow the table mid-window.
+        for (int window = 0; window < 400; ++window) {
+            map.clear();
+            ref.clear();
+            const std::uint64_t lines = 1 + rng.nextBelow(window % 7 == 0
+                                                             ? 200
+                                                             : 12);
+            const auto adds = static_cast<int>(rng.nextBelow(300));
+            for (int i = 0; i < adds; ++i) {
+                // Byte offsets inside a line alias to the same entry.
+                const mem::Addr addr =
+                    rng.nextBelow(lines) * mem::kLineSize +
+                    rng.nextBelow(mem::kLineSize);
+                const auto node = static_cast<noc::NodeId>(rng.nextBelow(5));
+                map.add(addr, node);
+                ref.add(addr, node);
+                expect_same(addr);
+                expect_same(rng.nextBelow(lines + 2) * mem::kLineSize);
+            }
+            for (std::uint64_t line = 0; line < lines + 2; ++line)
+                expect_same(line * mem::kLineSize);
+        }
+    }
+}
+
+TEST(VariableToNodeMapTest, EvictedLineIsReAdded)
+{
+    VariableToNodeMap map(/*per_node_capacity=*/1);
+    ReferenceVarMap ref(1);
+    const mem::Addr a = 0, b = mem::kLineSize;
+    for (const auto &[addr, node] :
+         std::vector<std::pair<mem::Addr, noc::NodeId>>{
+             {a, 4}, {b, 4}, {a, 4}, {a, 2}, {b, 2}, {a, 4}}) {
+        map.add(addr, node);
+        ref.add(addr, node);
+        for (mem::Addr probe : {a, b})
+            EXPECT_EQ(map.nodesFor(probe), ref.nodesFor(probe));
+        EXPECT_EQ(map.insertionHash(), ref.hash());
+        EXPECT_EQ(map.insertionCount(), ref.inserts());
+    }
+    // Line a lost its last copy to b, then came back on node 4; node
+    // 2's copy of it went to b in turn.
+    EXPECT_EQ(map.nodesFor(a), std::vector<noc::NodeId>{4});
+    EXPECT_EQ(map.nodesFor(b), std::vector<noc::NodeId>{2});
+}
+
 // ----------------------------------------------------------- DataLocator
 
 class DataLocatorTest : public ::testing::Test
@@ -67,9 +205,8 @@ class DataLocatorTest : public ::testing::Test
 TEST_F(DataLocatorTest, DefaultsToHomeBank)
 {
     DataLocator locator(system);
-    VariableToNodeMap empty;
     const mem::Addr addr = 0x123400;
-    const Location loc = locator.locate(addr, empty, 0);
+    const Location loc = locator.locateHome(addr);
     EXPECT_EQ(loc.node, system.addressMap().homeBankNode(addr));
 }
 
@@ -82,8 +219,8 @@ TEST_F(DataLocatorTest, PrefersNearestL1Copy)
     const noc::NodeId far = system.mesh().nodeAt({5, 5});
     map.add(addr, far);
     map.add(addr, near);
-    const Location loc =
-        locator.locate(addr, map, system.mesh().nodeAt({0, 0}));
+    const Location loc = locator.nearestCopy(map.nodesFor(addr),
+                                             system.mesh().nodeAt({0, 0}));
     EXPECT_EQ(loc.source, LocationSource::L1Copy);
     EXPECT_EQ(loc.node, near);
 }

@@ -183,7 +183,9 @@ TEST(WindowCandidateTest, AdaptiveCandidatesEqualFixedRuns)
     // Every window-size candidate of the adaptive sweep is planned from
     // the same starting state (the warmed default-L1 model, an empty
     // dependence history), so candidate w must price and plan exactly
-    // what a run fixed at w does, with and without the balancer.
+    // what a run fixed at w does, with and without the balancer. The
+    // sweep scores every candidate and emits only the winner, so the
+    // winner's whole report must match the fixed run's too.
     workloads::WorkloadFactory factory(256);
     for (const char *app : {"water", "fft", "ocean", "minimd"}) {
         const workloads::Workload workload = factory.build(app);
@@ -201,10 +203,16 @@ TEST(WindowCandidateTest, AdaptiveCandidatesEqualFixedRuns)
                              (balance ? " balanced" : " unbalanced"));
                 PartitionOptions adaptive;
                 adaptive.loadBalance = balance;
+                adaptive.verifyLevel = verify::VerifyLevel::Full;
                 Partitioner sweep(system, workload.arrays, adaptive);
                 const sim::ExecutionPlan chosen = sweep.plan(nest, nodes);
                 const PartitionReport report = sweep.report();
                 ASSERT_EQ(report.movementPerWindowSize.size(), 8u);
+                const std::int64_t instances =
+                    nest.iterationCount() *
+                    static_cast<std::int64_t>(nest.body().size());
+                // Eight scoring passes plus the winner's emitting pass.
+                EXPECT_EQ(report.compile.instancesPlanned, 9 * instances);
 
                 for (std::int32_t w = 1; w <= 8; ++w) {
                     PartitionOptions fixed = adaptive;
@@ -212,12 +220,53 @@ TEST(WindowCandidateTest, AdaptiveCandidatesEqualFixedRuns)
                     Partitioner single(system, workload.arrays, fixed);
                     const sim::ExecutionPlan plan =
                         single.plan(nest, nodes);
+                    const PartitionReport &fixed_report = single.report();
                     EXPECT_EQ(report.movementPerWindowSize[
                                   static_cast<std::size_t>(w - 1)],
-                              single.report().plannedMovement)
+                              fixed_report.plannedMovement)
                         << "w=" << w;
+                    // A fixed size is one emitting pass, no scoring.
+                    EXPECT_EQ(fixed_report.compile.instancesPlanned,
+                              instances);
                     if (w != report.chosenWindowSize)
                         continue;
+                    EXPECT_EQ(report.reuseMapHash, fixed_report.reuseMapHash);
+                    EXPECT_EQ(report.reuseCopiesPlanned,
+                              fixed_report.reuseCopiesPlanned);
+                    EXPECT_EQ(report.statementsSplit,
+                              fixed_report.statementsSplit);
+                    EXPECT_EQ(report.statementsKeptDefault,
+                              fixed_report.statementsKeptDefault);
+                    for (int c = 0; c < 3; ++c) {
+                        EXPECT_EQ(report.offloadedOps[c],
+                                  fixed_report.offloadedOps[c])
+                            << "category " << c;
+                    }
+                    EXPECT_EQ(report.offloadedSubcomputations,
+                              fixed_report.offloadedSubcomputations);
+                    ASSERT_NE(report.provenance, nullptr);
+                    ASSERT_NE(fixed_report.provenance, nullptr);
+                    EXPECT_EQ(report.provenance->instances.size(),
+                              static_cast<std::size_t>(instances));
+                    EXPECT_EQ(report.provenance->instances.size(),
+                              fixed_report.provenance->instances.size());
+                    ASSERT_EQ(chosen.instances.size(), plan.instances.size());
+                    for (std::size_t i = 0; i < plan.instances.size(); ++i) {
+                        const sim::InstanceStats &a = chosen.instances[i];
+                        const sim::InstanceStats &b = plan.instances[i];
+                        EXPECT_EQ(a.statementIndex, b.statementIndex);
+                        EXPECT_EQ(a.iterationNumber, b.iterationNumber);
+                        EXPECT_EQ(a.dataMovement, b.dataMovement);
+                        EXPECT_EQ(a.defaultDataMovement,
+                                  b.defaultDataMovement);
+                        EXPECT_EQ(a.degreeOfParallelism,
+                                  b.degreeOfParallelism);
+                        EXPECT_EQ(a.synchronizations, b.synchronizations)
+                            << "instance " << i;
+                        EXPECT_EQ(a.rawSynchronizations,
+                                  b.rawSynchronizations)
+                            << "instance " << i;
+                    }
                     ASSERT_EQ(chosen.tasks.size(), plan.tasks.size());
                     for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
                         const sim::Task &a = chosen.tasks[t];
