@@ -2,7 +2,7 @@
  * @file
  * Microbenchmarks (google-benchmark) for the compile-time cost of the
  * partitioner's building blocks: Kruskal MST splitting, nested-set
- * construction, dependence analysis, and the full window sweep. These
+ * construction, and the full window sweep. These
  * quantify the "compilation complexity increases with the window"
  * trade-off of Section 4.4. BM_SweepRunner additionally measures the
  * end-to-end experiment sweep at 1..8 pool threads, making the
@@ -31,7 +31,6 @@
 #include "ir/parser.h"
 #include "partition/partitioner.h"
 #include "partition/splitter.h"
-#include "sim/engine.h"
 #include "sim/manycore.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
@@ -94,37 +93,6 @@ BM_NestedSets(benchmark::State &state)
     }
 }
 BENCHMARK(BM_NestedSets);
-
-void
-BM_DependenceAnalysis(benchmark::State &state)
-{
-    const auto window = static_cast<std::size_t>(state.range(0));
-    ir::ArrayTable arrays;
-    ir::LoopNest nest = ir::parseKernel(R"(
-        array A[1024]; array B[1024]; array C[1024];
-        for i = 0..1024 {
-          S1: A[i] = B[i] + C[i];
-          S2: C[i] = A[i] * B[i];
-        })",
-                                        "micro", arrays);
-    std::vector<ir::StatementInstance> instances;
-    for (std::int64_t k = 0; instances.size() < window; ++k) {
-        for (const ir::Statement &stmt : nest.body()) {
-            if (instances.size() >= window)
-                break;
-            ir::StatementInstance inst;
-            inst.stmt = &stmt;
-            inst.iter = {k};
-            inst.iterationNumber = k;
-            instances.push_back(inst);
-        }
-    }
-    for (auto _ : state) {
-        auto deps = ir::analyzeDependences(instances, arrays, true);
-        benchmark::DoNotOptimize(deps.size());
-    }
-}
-BENCHMARK(BM_DependenceAnalysis)->Arg(2)->Arg(4)->Arg(8);
 
 /** Full planning pass (window sweep included) for a small nest. */
 void
@@ -272,13 +240,11 @@ struct MemoModeResult
 };
 
 /**
- * Time plan() calls on an already-profiled nest with memoization on
- * and off. The predictor was trained by the caller's default-plan
- * engine run; plan() itself is read-only on machine state, so every
- * repetition produces the identical plan. The two modes alternate
- * rep by rep and each reports its fastest rep: clock drift over the
- * measurement window then hits both modes alike instead of whichever
- * happened to run last.
+ * Time plan() calls on a nest with memoization on and off. plan() is
+ * read-only on machine state, so every repetition produces the
+ * identical plan. The two modes alternate rep by rep and each reports
+ * its fastest rep: clock drift over the measurement window then hits
+ * both modes alike instead of whichever happened to run last.
  */
 std::pair<MemoModeResult, MemoModeResult>
 timePlanning(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
@@ -371,13 +337,6 @@ runMemoizationBench(const std::string &json_path)
     baseline::DefaultPlacement placement(system, arrays);
     const std::vector<noc::NodeId> nodes =
         placement.assignIterations(nest);
-    sim::ExecutionPlan default_plan = placement.buildPlan(nest, nodes);
-
-    // Profiling pass: trains the L2 miss predictor the locator
-    // consults, exactly as ExperimentRunner::runNest does.
-    sim::EnergyParams energy;
-    sim::ExecutionEngine engine(system, energy);
-    engine.run(default_plan);
 
     // Diagnostic pass with the per-phase timers on: where the compile
     // loop spends its time (reported in the JSON, not used for the

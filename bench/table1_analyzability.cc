@@ -11,7 +11,7 @@
 
 #include "bench_common.h"
 
-#include "ir/dependence.h"
+#include "ir/statement.h"
 
 int
 main(int argc, char **argv)

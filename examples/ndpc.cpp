@@ -23,9 +23,9 @@
 #include <string>
 
 #include "baseline/default_placement.h"
-#include "ir/dependence.h"
 #include "ir/nested_sets.h"
 #include "ir/parser.h"
+#include "ir/statement.h"
 #include "partition/codegen.h"
 #include "partition/partitioner.h"
 #include "sim/engine.h"

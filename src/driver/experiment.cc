@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "baseline/data_to_mc.h"
-#include "ir/dependence.h"
 #include "support/error.h"
 #include "support/thread_pool.h"
 #include "verify/plan_verifier.h"
@@ -37,7 +36,7 @@ class NestSession
         nodes = placement.assignIterations(nest);
         defaultPlan = placement.buildPlan(nest, nodes);
         // The default run doubles as the profiling pass: it trains the
-        // L2 miss predictor the partitioner consults.
+        // L2 miss predictor whose accuracy Table 2 reports.
         defaultRun = engine.run(defaultPlan);
     }
 

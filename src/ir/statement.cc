@@ -145,4 +145,24 @@ LoopNest::toString(const ArrayTable &arrays) const
     return out;
 }
 
+double
+analyzableFraction(const LoopNest &nest)
+{
+    std::int64_t total = 0;
+    std::int64_t analyzable = 0;
+    for (const Statement &stmt : nest.body()) {
+        ++total;
+        if (stmt.lhs().isAnalyzable())
+            ++analyzable;
+        for (const ArrayRef *ref : stmt.reads()) {
+            ++total;
+            if (ref->isAnalyzable())
+                ++analyzable;
+        }
+    }
+    return total == 0 ? 1.0
+                      : static_cast<double>(analyzable) /
+                            static_cast<double>(total);
+}
+
 } // namespace ndp::ir

@@ -134,6 +134,12 @@ class LoopNest
     std::vector<Statement> body_;
 };
 
+/**
+ * Fraction of a nest's static references (reads + writes) whose
+ * location is compile-time analyzable — the quantity of Table 1.
+ */
+double analyzableFraction(const LoopNest &nest);
+
 } // namespace ndp::ir
 
 #endif // NDP_IR_STATEMENT_H

@@ -94,9 +94,9 @@ AddressMap::homeBankNode(Addr a) const
     // The interleave function is a property of the address bits and
     // stays fixed under faults; a line whose natural bank sits on a
     // dead node is served by that bank's re-home target instead. Both
-    // the compiler (DataLocator) and the simulator resolve homes
-    // through this one function, so they always agree on the live
-    // home. Identity (and free) on a healthy mesh.
+    // the compiler (the partitioner's home table) and the simulator
+    // resolve homes through this one function, so they always agree on
+    // the live home. Identity (and free) on a healthy mesh.
     return mesh_->rehomeOf(home);
 }
 

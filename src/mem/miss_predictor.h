@@ -3,14 +3,18 @@
 
 /**
  * @file
- * L2 hit/miss predictor (Section 4.1). The compiler must decide whether
- * a datum's location is its home L2 bank (likely hit) or the memory
- * controller owning its page (likely miss). Following the spirit of
- * Chandra et al. [11], we use a table of saturating counters indexed by
- * a hash of the line address, trained on observed L2 outcomes. Table 2
- * of the paper reports per-application accuracies of 63-92%; the
- * predictor exposes its measured accuracy so the reproduction of that
- * table is an actual measurement, not a constant.
+ * L2 hit/miss predictor (Section 4.1). In the paper the compiler uses
+ * it to decide whether a datum's location is its home L2 bank (likely
+ * hit) or the memory controller owning its page (likely miss). Here a
+ * miss's fill flows through the home bank, so the partitioner locates
+ * every datum there and never consults the predictor (DESIGN.md §7,
+ * deviation 1); the predictor is trained by each profiling run and
+ * measured for Table 2. Following the spirit of Chandra et al. [11], it
+ * is a table of saturating counters indexed by a hash of the line
+ * address, trained on observed L2 outcomes. Table 2 of the paper
+ * reports per-application accuracies of 63-92%; the predictor exposes
+ * its measured accuracy so the reproduction of that table is an actual
+ * measurement, not a constant.
  */
 
 #include <cstdint>

@@ -11,11 +11,11 @@
  *
  *   ndp::noc        — 2D-mesh topology, XY routing, traffic/latency
  *   ndp::mem        — SNUCA address mapping, caches, MCs, predictor
- *   ndp::ir         — loop-nest IR, kernel parser, dependence analysis
+ *   ndp::ir         — loop-nest IR, kernel parser, nested variable sets
  *   ndp::sim        — the modelled manycore + two-pass engine
- *   ndp::partition  — THE PAPER'S CONTRIBUTION: MST-based statement
- *                     splitting and window-based subcomputation
- *                     scheduling (Algorithm 1)
+ *   ndp::partition  — THE PAPER'S CONTRIBUTION: data location,
+ *                     MST-based statement splitting and window-based
+ *                     subcomputation scheduling (Algorithm 1)
  *   ndp::baseline   — the profile-guided default placement and the
  *                     data-to-MC page mapping it is compared against
  *   ndp::workloads  — the 12 synthetic Splash-2/Mantevo stand-ins
@@ -28,7 +28,6 @@
 #include "baseline/data_to_mc.h"
 #include "baseline/default_placement.h"
 #include "driver/experiment.h"
-#include "ir/dependence.h"
 #include "ir/instance.h"
 #include "ir/nested_sets.h"
 #include "ir/parser.h"

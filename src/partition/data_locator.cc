@@ -1,7 +1,5 @@
 #include "partition/data_locator.h"
 
-#include "support/error.h"
-
 namespace ndp::partition {
 
 const std::vector<noc::NodeId> VariableToNodeMap::kEmpty;
@@ -91,47 +89,13 @@ VariableToNodeMap::nodesFor(mem::Addr addr) const
     return id == DenseIds::kNil ? kEmpty : nodes_[id];
 }
 
-DataLocator::DataLocator(sim::ManycoreSystem &system, bool oracle)
-    : system_(&system), oracle_(oracle)
-{
-}
-
 Location
-DataLocator::locateHome(mem::Addr addr) const
-{
-    const mem::AddressMap &amap = system_->addressMap();
-    Location loc;
-    loc.node = amap.homeBankNode(addr);
-    loc.source = LocationSource::L2Home;
-
-    bool expect_l2_hit;
-    if (oracle_) {
-        // Ideal data analysis: probe the simulated bank directly.
-        expect_l2_hit = true; // home bank will hold it after first touch
-    } else {
-        expect_l2_hit = system_->missPredictor().predictHit(addr);
-    }
-    if (!expect_l2_hit) {
-        // Predicted L2 miss: the fill still flows through the home
-        // bank under SNUCA (Figure 1 steps 2-4), so the home node is a
-        // movement-minimal location for the consumer as well — and,
-        // unlike the paper's literal "use the MC" rule, it does not
-        // funnel subcomputations onto the four corner tiles (our mesh
-        // has 4 corner MCs where KNL spreads 6 DDR + 8 MCDRAM
-        // controllers around the die; see DESIGN.md deviations).
-        loc.source = LocationSource::MemCtrl;
-    }
-    return loc;
-}
-
-Location
-DataLocator::nearestCopy(const std::vector<noc::NodeId> &copies,
-                         noc::NodeId prefer_near) const
+nearestCopy(const noc::MeshTopology &mesh,
+            const std::vector<noc::NodeId> &copies, noc::NodeId prefer_near)
 {
     // Among the L1 copies pick the one nearest to the caller's anchor
     // node; ties break toward the lower node id so the choice is
     // deterministic.
-    const noc::MeshTopology &mesh = system_->mesh();
     Location loc;
     loc.source = LocationSource::L1Copy;
     loc.node = copies.front();

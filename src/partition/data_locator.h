@@ -6,15 +6,15 @@
  * Data location detection (Section 4.1, Algorithm 1's GetNode). The
  * location of a datum is, in priority order:
  *
- *  1. a node whose L1 already holds it because an earlier
- *     subcomputation in the window fetched it (the variable2node map);
- *  2. its SNUCA home L2 bank, when the L2 hit/miss predictor predicts
- *     a hit;
- *  3. otherwise the memory controller that owns its page.
+ *  1. the nearest node whose L1 already holds it because an earlier
+ *     subcomputation in the window fetched it (the variable2node map,
+ *     nearestCopy());
+ *  2. otherwise its SNUCA home L2 bank.
  *
- * An oracle mode (used by the "ideal data analysis" experiment of
- * Section 6.4) replaces the predictor with perfect knowledge obtained
- * by probing the actual cache state.
+ * The paper sends a predicted L2 miss to its memory controller; here
+ * the fill flows through the home bank, so a miss is located there too
+ * (DESIGN.md §7, deviation 1) and a location is a pure function of the
+ * address and the window map.
  */
 
 #include <cstddef>
@@ -23,8 +23,8 @@
 
 #include "mem/address.h"
 #include "noc/coord.h"
+#include "noc/mesh_topology.h"
 #include "partition/dense_ids.h"
-#include "sim/manycore.h"
 
 namespace ndp::partition {
 
@@ -32,8 +32,7 @@ namespace ndp::partition {
 enum class LocationSource : std::uint8_t
 {
     L1Copy, ///< present in some node's L1 due to a scheduled subcomp.
-    L2Home, ///< predicted resident in its home L2 bank
-    MemCtrl,///< predicted L2 miss: located at its memory controller
+    L2Home, ///< at its home L2 bank
 };
 
 struct Location
@@ -121,34 +120,14 @@ class VariableToNodeMap
     static const std::vector<noc::NodeId> kEmpty;
 };
 
-/** GetNode: resolve a datum's on-chip location. */
-class DataLocator
-{
-  public:
-    /**
-     * @param system supplies the address map, the miss predictor, and
-     *        (oracle mode only) the true cache state
-     * @param oracle use perfect location knowledge instead of the
-     *        predictor (Section 6.4's ideal data analysis)
-     */
-    DataLocator(sim::ManycoreSystem &system, bool oracle = false);
-
-    /**
-     * The L1 copy to use among non-empty @p copies (the window map's
-     * nodes for a line): the one nearest @p prefer_near, typically the
-     * store node of the statement being split, ties toward the lower
-     * node id.
-     */
-    Location nearestCopy(const std::vector<noc::NodeId> &copies,
-                         noc::NodeId prefer_near) const;
-
-    /** Location ignoring L1 copies (used for default-placement costs). */
-    Location locateHome(mem::Addr addr) const;
-
-  private:
-    sim::ManycoreSystem *system_;
-    bool oracle_;
-};
+/**
+ * The L1 copy to use among non-empty @p copies (the window map's nodes
+ * for a line): the one nearest @p prefer_near, typically the store
+ * node of the statement being split, ties toward the lower node id.
+ */
+Location nearestCopy(const noc::MeshTopology &mesh,
+                     const std::vector<noc::NodeId> &copies,
+                     noc::NodeId prefer_near);
 
 } // namespace ndp::partition
 

@@ -1,10 +1,6 @@
 #include "partition/inspector.h"
 
-#include <unordered_map>
 #include <unordered_set>
-
-#include "ir/instance.h"
-#include "support/error.h"
 
 namespace ndp::partition {
 
@@ -42,54 +38,6 @@ Inspector::canResolve(const ir::LoopNest &nest,
             return false;
     }
     return true;
-}
-
-InspectionResult
-Inspector::inspect(const ir::LoopNest &nest,
-                   const ir::ArrayTable &arrays) const
-{
-    InspectionResult result;
-    if (!canResolve(nest, arrays))
-        return result;
-
-    // One trip over the iteration space resolves every indirect
-    // access; realised indices are trip-invariant in this model.
-    std::unordered_map<mem::Addr, std::int64_t> fan_in;
-    std::unordered_set<mem::Addr> written;
-    ir::StatementInstance inst;
-
-    const std::int64_t iterations = nest.iterationCount();
-    for (std::int64_t k = 0; k < iterations; ++k) {
-        inst.iter = nest.iterationAt(k);
-        inst.iterationNumber = k;
-        for (const ir::Statement &stmt : nest.body()) {
-            inst.stmt = &stmt;
-            const ir::ResolvedRef write = resolveWrite(inst, arrays);
-            written.insert(write.addr);
-            if (!stmt.lhs().isAnalyzable()) {
-                ++result.indirectAccesses;
-                ++fan_in[write.addr];
-            }
-            const auto reads = resolveReads(inst, arrays);
-            for (std::size_t r = 0; r < reads.size(); ++r) {
-                if (!reads[r].analyzable) {
-                    ++result.indirectAccesses;
-                    ++fan_in[reads[r].addr];
-                }
-            }
-        }
-    }
-
-    result.resolved = true;
-    result.distinctTargets =
-        static_cast<std::int64_t>(fan_in.size());
-    for (const auto &[addr, count] : fan_in) {
-        result.maxTargetFanIn =
-            std::max(result.maxTargetFanIn, count);
-        if (written.count(addr) != 0)
-            result.writeConflicts = true;
-    }
-    return result;
 }
 
 } // namespace ndp::partition

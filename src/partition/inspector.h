@@ -9,74 +9,26 @@
  * inspector that records the realised index values; the remaining
  * (executor) trips are then scheduled with exact dependence knowledge.
  *
- * In this model the "runtime" index values live in the ArrayTable; the
- * inspector walks the inspector-trip iterations, verifies that every
- * indirect subscript can be resolved, and summarises the indirection
- * structure (fan-in of popular targets, write conflicts) that the
- * executor-side scheduler relies on.
+ * In this model the "runtime" index values live in the ArrayTable, so
+ * the inspector reduces to a gate: a nest's indirect subscripts are
+ * resolved once it declares inspector trips and every index array it
+ * reads has runtime data installed. The executor-side ordering of the
+ * realised dependences is the partitioner's address-based DepTracker,
+ * which sees resolved addresses either way.
  */
-
-#include <cstdint>
-#include <vector>
 
 #include "ir/statement.h"
 
 namespace ndp::partition {
 
-/** What one inspector run over a nest discovered. */
-struct InspectionResult
-{
-    /** Every indirect subscript could be resolved from runtime data. */
-    bool resolved = false;
-    /** Indirect accesses observed across the inspected iterations. */
-    std::int64_t indirectAccesses = 0;
-    /** Distinct elements those accesses touched. */
-    std::int64_t distinctTargets = 0;
-    /**
-     * Observed fan-in of the most popular target: how many accesses hit
-     * the hottest element. High fan-in is exactly the reuse the
-     * variable2node map converts into L1 hits.
-     */
-    std::int64_t maxTargetFanIn = 0;
-    /**
-     * True when some indirect access touches an element that the nest
-     * also writes — the realised may-dependences the executor must
-     * order (none of our kernels require ordering beyond what the
-     * address-based tracker inserts, but the flag feeds diagnostics).
-     */
-    bool writeConflicts = false;
-
-    /** Accesses per distinct target (>= 1); the reuse ratio. */
-    double
-    reuseFactor() const
-    {
-        return distinctTargets == 0
-                   ? 0.0
-                   : static_cast<double>(indirectAccesses) /
-                         static_cast<double>(distinctTargets);
-    }
-};
-
-/** Runs the inspector phase of a nest. */
+/** The inspector phase of a nest, as the scheduler consults it. */
 class Inspector
 {
   public:
     /**
-     * Inspect @p nest against the runtime index data in @p arrays.
-     *
-     * Walks min(nest.inspectorTrips, 1) trips' worth of iterations
-     * (the realised indices repeat across trips in this model, so one
-     * walk suffices) and resolves every indirect subscript. Returns
-     * resolved = false — without touching anything else — when the
-     * nest declares no inspector trips or some index array has no
-     * runtime data installed.
-     */
-    InspectionResult inspect(const ir::LoopNest &nest,
-                             const ir::ArrayTable &arrays) const;
-
-    /**
-     * Cheap gate the scheduler uses: may the executor treat indirect
-     * subscripts of @p nest as resolved?
+     * May the executor treat indirect subscripts of @p nest as
+     * resolved? False when the nest declares no inspector trips or
+     * some index array it reads has no runtime data installed.
      */
     static bool canResolve(const ir::LoopNest &nest,
                            const ir::ArrayTable &arrays);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <span>
 
+#include "ir/instance.h"
 #include "ir/nested_sets.h"
 #include "partition/dense_ids.h"
 #include "partition/inspector.h"
@@ -39,7 +40,7 @@ struct ResolvedStream
     std::uint32_t lineSlots = 0;
     /** The address of each address id, until locateHomes(). */
     std::vector<mem::Addr> addrs;
-    /** DataLocator::locateHome per address id. */
+    /** Home-bank location per address id. */
     std::vector<Location> home;
 };
 
@@ -102,17 +103,17 @@ resolveStream(const ir::ArrayTable &arrays, const ir::LoopNest &nest,
 }
 
 /**
- * Turn @p stream's addresses into its home table. The miss predictor
- * is read-only while planning, so an address's home location is a pure
- * function of it.
+ * Turn @p stream's addresses into its home table: an address's home
+ * location is its SNUCA home bank, a pure function of the address.
  */
 void
-locateHomes(ResolvedStream &stream, const DataLocator &locator)
+locateHomes(ResolvedStream &stream, const mem::AddressMap &amap)
 {
     const std::vector<mem::Addr> addrs = std::move(stream.addrs);
     stream.home.reserve(addrs.size());
     for (mem::Addr addr : addrs)
-        stream.home.push_back(locator.locateHome(addr));
+        stream.home.push_back(
+            {amap.homeBankNode(addr), LocationSource::L2Home});
 }
 
 /**
@@ -337,7 +338,7 @@ class CandidatePlanner
           stream_(ctx.stream),
           balancer_(mesh_.nodeCount(), opts_.loadBalanceThreshold),
           splitter_(mesh_, lineFlits_, /*result_weight=*/1),
-          locator_(ctx.system, opts_.oracle), l1_(ctx.warmL1),
+          l1_(ctx.warmL1),
           deps_(emit ? ctx.stream.home.size() : 0), report_(report),
           cstats_(report.compile), timed_(opts_.collectCompileTimers),
           varmap_(ctx.reuseCapacity), trial_(balancer_)
@@ -363,7 +364,6 @@ class CandidatePlanner
             prov_->exploitReuse = opts_.exploitReuse;
             prov_->loadBalanced = opts_.loadBalance;
             prov_->loadBalanceThreshold = opts_.loadBalanceThreshold;
-            prov_->oracle = opts_.oracle;
             prov_->reuseCapacityLines = ctx.reuseCapacity;
         }
     }
@@ -515,7 +515,7 @@ class CandidatePlanner
                     varmap_.nodesFor(reads_[i].addr);
                 if (!copies.empty()) {
                     locations_.push_back(
-                        locator_.nearestCopy(copies, storeNode_));
+                        nearestCopy(mesh_, copies, storeNode_));
                     continue;
                 }
             }
@@ -891,7 +891,6 @@ class CandidatePlanner
     const ResolvedStream &stream_;
     LoadBalancer balancer_;
     StatementSplitter splitter_;
-    DataLocator locator_;
     DefaultL1Model l1_;
     DepTracker deps_;
     PartitionReport &report_;
@@ -961,9 +960,10 @@ Partitioner::plan(const ir::LoopNest &nest,
     // Split-plan signatures embed statement indices, which are only
     // meaningful within one nest — but they are stable across the
     // window-size candidates below, so the cache warms on w=1 and
-    // every later pass replays mostly memoized plans.
+    // every later pass replays mostly memoized plans. Clearing per
+    // call also keeps every entry to the fault set it was planned
+    // against: a cached plan never replays onto a node that died since.
     splitCache_.clear();
-    splitCache_.setEpoch(system_->mesh().faults().signature());
 
     sim::ExecutionPlan best_plan;
     PartitionReport best_report;
@@ -997,7 +997,7 @@ Partitioner::plan(const ir::LoopNest &nest,
             ScopedPhaseTimer t(options_.collectCompileTimers
                                    ? &compile_total.locateNs
                                    : nullptr);
-            locateHomes(stream, DataLocator(*system_, options_.oracle));
+            locateHomes(stream, system_->addressMap());
         }
         DefaultL1Model warm_l1 = warmDefaultL1(*system_, stream, default_nodes,
                                                nest.body().size());

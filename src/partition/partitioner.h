@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "ir/dependence.h"
 #include "ir/statement.h"
 #include "partition/compile_stats.h"
 #include "partition/data_locator.h"
@@ -45,8 +44,10 @@ struct PartitionOptions
     /** Drop transitively-implied synchronisations. */
     bool minimizeSyncs = true;
     /**
-     * Ideal data analysis (Section 6.4): perfect locations and perfect
-     * disambiguation of indirect references.
+     * Ideal data analysis (Section 6.4): perfect disambiguation of
+     * indirect references, so every statement is splittable even
+     * without an inspector. Locations need no oracle: a datum's home
+     * is a pure function of its address.
      */
     bool oracle = false;
     /**
@@ -168,8 +169,8 @@ class Partitioner
 {
   public:
     /**
-     * @param system provides the mesh, address map, and miss predictor
-     *        (which should have been trained by a profiling run)
+     * @param system provides the mesh, the address map, and the
+     *        machine configuration
      * @param arrays the program's array table (with any inspector-
      *        collected index data installed)
      */

@@ -53,15 +53,8 @@ SplitPlanCache::lookup(std::int32_t stmt_idx, noc::NodeId store_node,
     scratchKey_.clear();
     scratchKey_.push_back(static_cast<std::uint32_t>(stmt_idx));
     scratchKey_.push_back(static_cast<std::uint32_t>(store_node));
-    for (const Location &loc : locations) {
-        // Node id and source packed into one word: the source does not
-        // influence the split (only the node does), but keeping it in
-        // the signature costs nothing and keys the cache exactly on
-        // what the locator produced.
-        scratchKey_.push_back(
-            (static_cast<std::uint32_t>(loc.node) << 2) |
-            static_cast<std::uint32_t>(loc.source));
-    }
+    for (const Location &loc : locations)
+        scratchKey_.push_back(static_cast<std::uint32_t>(loc.node));
     scratchHash_ = hashKey(scratchKey_.data(), scratchKey_.size());
 
     if (!heads_.empty()) {
@@ -209,15 +202,6 @@ SplitPlanCache::bytes() const
            children_.size() + ops_.size() +
            edges_.size() * sizeof(PackedEdge) +
            heads_.size() * sizeof(std::uint32_t);
-}
-
-void
-SplitPlanCache::setEpoch(std::uint64_t epoch)
-{
-    if (epoch == epoch_)
-        return;
-    epoch_ = epoch;
-    clear();
 }
 
 void

@@ -5,13 +5,15 @@
  * @file
  * Split-plan memoization. A statement instance's balancer-free
  * SplitResult is a pure function of (statement's nested sets, operand
- * locations, store node): the SNUCA bank mapping is a pure, periodic
+ * nodes, store node): the SNUCA bank mapping is a pure, periodic
  * function of the address, so across the iterations of an affine nest
- * the same (locations, store) tuple recurs constantly and most Kruskal
- * runs recompute an identical plan. The cache interns each instance's
- * operand-location tuple into a compact signature — statement, store
- * node, then node id and location source per operand, FNV-1a hashed —
- * and decodes the cached plan on a hit.
+ * the same (operand nodes, store) tuple recurs constantly and most
+ * Kruskal runs recompute an identical plan. The cache interns each
+ * instance's tuple into a compact signature — statement, store node,
+ * then one node id per operand, FNV-1a hashed — and decodes the cached
+ * plan on a hit. A location's source is not in the key: the splitter
+ * reads only the node, so an L1 copy and a home-bank fetch on the same
+ * node share one entry.
  *
  * Load-balanced splits use the same entries: the partitioner replays a
  * cached balancer-free split against the live LoadBalancer and falls
@@ -46,33 +48,21 @@
 
 namespace ndp::partition {
 
-/** Memoizes balancer-free SplitResults by (statement, locations, store). */
+/** Memoizes balancer-free SplitResults by (statement, nodes, store). */
 class SplitPlanCache
 {
   public:
     /**
      * Find the plan cached for this key, building the signature from
-     * @p locations (node + source per operand). On a miss the key is
-     * retained internally and nullptr is returned; the caller computes
-     * the plan and hands it to insert(), which files it under that
-     * retained key. A hit returns the cache's decode buffer, valid
-     * until the next lookup() or clear().
+     * the nodes of @p locations. On a miss the key is retained
+     * internally and nullptr is returned; the caller computes the plan
+     * and hands it to insert(), which files it under that retained
+     * key. A hit returns the cache's decode buffer, valid until the
+     * next lookup() or clear().
      */
     const SplitResult *lookup(std::int32_t stmt_idx,
                               noc::NodeId store_node,
                               const std::vector<Location> &locations);
-
-    /**
-     * Set the fault epoch (fault::FaultModel::signature(), 0 when
-     * healthy). Changing the epoch clears the cache: entries planned
-     * against one fault set must never replay under another — a cached
-     * plan could otherwise schedule a subcomputation on a node the new
-     * epoch declares dead. Every live entry therefore belongs to the
-     * current epoch, so keys do not carry it.
-     */
-    void setEpoch(std::uint64_t epoch);
-
-    std::uint64_t epoch() const { return epoch_; }
 
     /**
      * File @p plan under the key of the immediately preceding missed
@@ -148,7 +138,6 @@ class SplitPlanCache
     bool missArmed_ = false;
     /** The SplitResult every hit decodes into. */
     SplitResult decoded_;
-    std::uint64_t epoch_ = 0;
     std::int64_t hits_ = 0;
     std::int64_t misses_ = 0;
 };

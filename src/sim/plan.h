@@ -98,24 +98,6 @@ struct ExecutionPlan
 
     /** Window size the planner settled on (optimized plans only). */
     std::int32_t windowSize = 1;
-
-    std::int64_t
-    totalPlannedMovement() const
-    {
-        std::int64_t total = 0;
-        for (const InstanceStats &s : instances)
-            total += s.dataMovement;
-        return total;
-    }
-
-    std::int64_t
-    totalDefaultMovement() const
-    {
-        std::int64_t total = 0;
-        for (const InstanceStats &s : instances)
-            total += s.defaultDataMovement;
-        return total;
-    }
 };
 
 } // namespace ndp::sim

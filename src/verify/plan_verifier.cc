@@ -584,7 +584,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                     error("R4.home-mismatch", &rec, rec.firstTask,
                           loc.node, os.str());
                 }
-            } else if (full && prov.exploitReuse && !prov.oracle) {
+            } else if (full && prov.exploitReuse) {
                 const std::vector<noc::NodeId> &copies =
                     st.vmap.nodesFor(r.addr);
                 if (std::find(copies.begin(), copies.end(),

@@ -72,8 +72,6 @@ struct PlanProvenance
     /** LoadBalancer threshold the planner ran with (loadBalanced
      *  only); the verifier replays the balancer state stream with it. */
     double loadBalanceThreshold = 0.10;
-    /** Oracle locations probe real cache state, not the window map. */
-    bool oracle = false;
     /** One record per statement instance, in stream order. */
     std::vector<SplitRecord> instances;
 };

@@ -2,8 +2,8 @@
  * @file
  * Fault-subsystem unit tests: FaultModel construction/injection
  * determinism and signatures, MeshTopology fault-aware routing,
- * liveness and bank re-homing, connectivity validation, LoadBalancer
- * dead-node exclusion, and the SplitPlanCache fault epoch.
+ * liveness and bank re-homing, connectivity validation, and
+ * LoadBalancer dead-node exclusion.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "fault/fault_model.h"
 #include "noc/mesh_topology.h"
 #include "partition/load_balancer.h"
-#include "partition/split_plan_cache.h"
 #include "support/error.h"
 
 namespace {
@@ -284,50 +283,6 @@ TEST(FaultBalancerTest, UnavailableNodesAreNeverAccepted)
     EXPECT_EQ(balancer.load(1), 0);
     EXPECT_FALSE(balancer.isAvailable(2));
     EXPECT_FALSE(balancer.accepts(2, 1));
-}
-
-// ------------------------------------------------ SplitPlanCache epoch
-
-partition::SplitResult
-markerPlan(std::int64_t movement)
-{
-    partition::SplitResult plan;
-    plan.plannedMovement = movement;
-    return plan;
-}
-
-TEST(FaultCacheEpochTest, ChangingEpochClearsAndSeparatesKeys)
-{
-    partition::SplitPlanCache cache;
-    const std::vector<partition::Location> locs = {
-        {3, partition::LocationSource::L2Home}};
-
-    EXPECT_EQ(cache.epoch(), 0u);
-    EXPECT_EQ(cache.lookup(0, 5, locs), nullptr);
-    cache.insert(markerPlan(11));
-    ASSERT_NE(cache.lookup(0, 5, locs), nullptr);
-
-    // Same epoch: no-op, entries survive.
-    cache.setEpoch(0);
-    EXPECT_EQ(cache.size(), 1u);
-    ASSERT_NE(cache.lookup(0, 5, locs), nullptr);
-
-    // New fault epoch: the cache empties and the same logical key
-    // misses — a plan computed on the healthy mesh must never replay
-    // on a faulted one.
-    cache.setEpoch(0xdead'beefull);
-    EXPECT_EQ(cache.epoch(), 0xdead'beefull);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.lookup(0, 5, locs), nullptr);
-    cache.insert(markerPlan(22));
-    ASSERT_NE(cache.lookup(0, 5, locs), nullptr);
-    EXPECT_EQ(cache.lookup(0, 5, locs)->plannedMovement, 22);
-
-    // Returning to the healthy epoch clears again (no stale replay in
-    // either direction).
-    cache.setEpoch(0);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.lookup(0, 5, locs), nullptr);
 }
 
 } // namespace

@@ -2,12 +2,12 @@
  * @file
  * Tests for the compiler IR: affine expressions, arrays, expression
  * trees, the kernel parser, the paper's nested variable sets
- * (Section 4.2), reference resolution, and dependence analysis.
+ * (Section 4.2), reference resolution, and Table 1's analyzable
+ * fraction.
  */
 
 #include <gtest/gtest.h>
 
-#include "ir/dependence.h"
 #include "ir/instance.h"
 #include "ir/nested_sets.h"
 #include "ir/parser.h"
@@ -594,108 +594,9 @@ TEST(InstanceTest, IndirectResolutionUsesIndexData)
     EXPECT_FALSE(reads[0].analyzable);
 }
 
-// ----------------------------------------------------------- dependence
+// -------------------------------------------------------- analyzability
 
-class DependenceTest : public ::testing::Test
-{
-  protected:
-    std::vector<StatementInstance>
-    instancesOf(const LoopNest &nest, std::int64_t count)
-    {
-        std::vector<StatementInstance> out;
-        for (std::int64_t k = 0; k < count; ++k) {
-            for (const Statement &stmt : nest.body()) {
-                StatementInstance inst;
-                inst.stmt = &stmt;
-                inst.iter = nest.iterationAt(k);
-                inst.iterationNumber = k;
-                out.push_back(inst);
-            }
-        }
-        return out;
-    }
-};
-
-TEST_F(DependenceTest, FlowAntiOutputDetected)
-{
-    ArrayTable arrays;
-    LoopNest nest = parseKernel(R"(
-        array A[8]; array B[8]; array C[8];
-        for i = 0..8 {
-          S1: A[i] = B[i] + C[i];
-          S2: C[i] = A[i] * B[i];
-        })",
-                                "t", arrays);
-    const auto instances = instancesOf(nest, 1);
-    const auto deps = analyzeDependences(instances, arrays, false);
-    bool flow = false, anti = false;
-    for (const Dependence &d : deps) {
-        if (d.kind == DepKind::Flow && d.from == 0 && d.to == 1)
-            flow = true; // A written by S1, read by S2
-        if (d.kind == DepKind::Anti && d.from == 0 && d.to == 1)
-            anti = true; // C read by S1, written by S2
-        EXPECT_FALSE(d.may);
-    }
-    EXPECT_TRUE(flow);
-    EXPECT_TRUE(anti);
-}
-
-TEST_F(DependenceTest, OutputDependence)
-{
-    ArrayTable arrays;
-    LoopNest nest = parseKernel(R"(
-        array A[8]; array B[8];
-        for i = 0..8 {
-          S1: A[i] = B[i];
-          S2: A[i] = B[i] + B[i];
-        })",
-                                "t", arrays);
-    const auto deps =
-        analyzeDependences(instancesOf(nest, 1), arrays, false);
-    bool output = false;
-    for (const Dependence &d : deps)
-        output = output || d.kind == DepKind::Output;
-    EXPECT_TRUE(output);
-}
-
-TEST_F(DependenceTest, NoFalseDependencesAcrossIterations)
-{
-    ArrayTable arrays;
-    LoopNest nest = parseKernel(R"(
-        array A[8]; array B[8];
-        for i = 0..8 { A[i] = B[i]; })",
-                                "t", arrays);
-    const auto deps =
-        analyzeDependences(instancesOf(nest, 4), arrays, false);
-    EXPECT_TRUE(deps.empty()); // disjoint elements
-}
-
-TEST_F(DependenceTest, IndirectWithoutInspectorIsMayDep)
-{
-    ArrayTable arrays;
-    LoopNest nest = parseKernel(R"(
-        array X[8]; array Y[8]; array Z[8];
-        for i = 0..8 {
-          S1: X[i] = Z[i];
-          S2: Z[i] = X[Y[i]];
-        })",
-                                "t", arrays);
-    arrays.setIndexData(arrays.find("Y"), {0, 1, 2, 3, 4, 5, 6, 7});
-    const auto conservative =
-        analyzeDependences(instancesOf(nest, 1), arrays, false);
-    bool may_flow = false;
-    for (const Dependence &d : conservative)
-        may_flow = may_flow || (d.kind == DepKind::Flow && d.may);
-    EXPECT_TRUE(may_flow);
-
-    // With the inspector's realised indices the dependence is exact.
-    const auto exact =
-        analyzeDependences(instancesOf(nest, 1), arrays, true);
-    for (const Dependence &d : exact)
-        EXPECT_FALSE(d.may);
-}
-
-TEST_F(DependenceTest, AnalyzableFraction)
+TEST(DependenceTest, AnalyzableFraction)
 {
     ArrayTable arrays;
     LoopNest affine = parseKernel(R"(

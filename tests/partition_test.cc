@@ -19,11 +19,14 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/default_placement.h"
+#include "ir/instance.h"
 #include "ir/nested_sets.h"
 #include "support/disjoint_set.h"
 #include "ir/parser.h"
 #include "partition/data_locator.h"
 #include "partition/load_balancer.h"
+#include "partition/partitioner.h"
 #include "partition/splitter.h"
 #include "partition/sync_graph.h"
 #include "sim/manycore.h"
@@ -204,47 +207,57 @@ class DataLocatorTest : public ::testing::Test
 
 TEST_F(DataLocatorTest, DefaultsToHomeBank)
 {
-    DataLocator locator(system);
-    const mem::Addr addr = 0x123400;
-    const Location loc = locator.locateHome(addr);
-    EXPECT_EQ(loc.node, system.addressMap().homeBankNode(addr));
+    // Without reuse every operand the planner locates sits at its home
+    // bank, tagged L2Home.
+    ir::ArrayTable arrays;
+    const ir::LoopNest nest = ir::parseKernel(R"(
+        array A[64] bytes 64; array B[64] bytes 64;
+        array C[64] bytes 64; array D[64] bytes 64;
+        for i = 0..64 { A[i] = B[i] + C[i] + D[i]; })",
+                                              "home", arrays);
+    PartitionOptions options;
+    options.exploitReuse = false;
+    options.verifyLevel = verify::VerifyLevel::Cheap;
+    baseline::DefaultPlacement placement(system, arrays);
+    Partitioner partitioner(system, arrays, options);
+    (void)partitioner.plan(nest, placement.assignIterations(nest));
+    const auto &prov = partitioner.report().provenance;
+    ASSERT_NE(prov, nullptr);
+
+    std::int64_t located = 0;
+    for (const verify::SplitRecord &rec : prov->instances) {
+        if (!rec.wasSplit)
+            continue;
+        ir::StatementInstance inst;
+        inst.stmt =
+            &nest.body()[static_cast<std::size_t>(rec.statementIndex)];
+        inst.iter = nest.iterationAt(rec.iterationNumber);
+        inst.iterationNumber = rec.iterationNumber;
+        const std::vector<ir::ResolvedRef> reads =
+            ir::resolveReads(inst, arrays);
+        ASSERT_EQ(rec.locations.size(), reads.size());
+        for (std::size_t j = 0; j < reads.size(); ++j) {
+            EXPECT_EQ(rec.locations[j].node,
+                      system.addressMap().homeBankNode(reads[j].addr));
+            EXPECT_EQ(rec.locations[j].source, LocationSource::L2Home);
+            ++located;
+        }
+    }
+    EXPECT_GT(located, 0) << "the nest planned no split";
 }
 
 TEST_F(DataLocatorTest, PrefersNearestL1Copy)
 {
-    DataLocator locator(system);
     VariableToNodeMap map;
     const mem::Addr addr = 0x777000;
     const noc::NodeId near = system.mesh().nodeAt({1, 1});
     const noc::NodeId far = system.mesh().nodeAt({5, 5});
     map.add(addr, far);
     map.add(addr, near);
-    const Location loc = locator.nearestCopy(map.nodesFor(addr),
-                                             system.mesh().nodeAt({0, 0}));
+    const Location loc = nearestCopy(system.mesh(), map.nodesFor(addr),
+                                     system.mesh().nodeAt({0, 0}));
     EXPECT_EQ(loc.source, LocationSource::L1Copy);
     EXPECT_EQ(loc.node, near);
-}
-
-TEST_F(DataLocatorTest, PredictedMissTagsMemCtrlSource)
-{
-    // Train the predictor to predict misses for this line.
-    const mem::Addr addr = 0x9990c0;
-    for (int i = 0; i < 8; ++i)
-        system.missPredictor().update(addr, false);
-    DataLocator locator(system);
-    const Location loc = locator.locateHome(addr);
-    EXPECT_EQ(loc.source, LocationSource::MemCtrl);
-    // The node stays on the fill path (home bank; see DESIGN.md).
-    EXPECT_EQ(loc.node, system.addressMap().homeBankNode(addr));
-}
-
-TEST_F(DataLocatorTest, OracleIgnoresPredictor)
-{
-    const mem::Addr addr = 0x55500;
-    for (int i = 0; i < 8; ++i)
-        system.missPredictor().update(addr, false);
-    DataLocator oracle(system, /*oracle=*/true);
-    EXPECT_EQ(oracle.locateHome(addr).source, LocationSource::L2Home);
 }
 
 // ----------------------------------------------------------LoadBalancer

@@ -9,6 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baseline/default_placement.h"
 #include "ir/parser.h"
@@ -320,6 +324,139 @@ TEST_F(PartitionerTest, DeterministicPlans)
         EXPECT_EQ(plan1.tasks[t].node, plan2.tasks[t].node);
         EXPECT_EQ(plan1.tasks[t].deps, plan2.tasks[t].deps);
     }
+}
+
+/**
+ * Everything a plan() call produces — plan, report (compile counters
+ * included, timers off) and each provenance record's cache flag and
+ * operand locations — rendered as one comparable string.
+ */
+std::string
+planFingerprint(const sim::ExecutionPlan &plan, const PartitionReport &r)
+{
+    std::ostringstream os;
+    for (const sim::Task &t : plan.tasks) {
+        os << 'T' << t.id << '@' << t.node << ':' << t.statementIndex
+           << '/' << t.iterationNumber << ' ' << t.computeCost << ' '
+           << t.resultBytes << ' ' << t.isSubcomputation << " r";
+        for (const sim::MemAccess &a : t.reads)
+            os << a.addr << ',';
+        if (t.write)
+            os << " w" << t.write->addr;
+        os << " d";
+        for (sim::TaskId dep : t.deps)
+            os << dep << ',';
+        os << '\n';
+    }
+    for (const sim::InstanceStats &i : plan.instances) {
+        os << 'I' << i.statementIndex << '/' << i.iterationNumber << ' '
+           << i.dataMovement << ' ' << i.defaultDataMovement << ' '
+           << i.degreeOfParallelism << ' ' << i.synchronizations << ' '
+           << i.rawSynchronizations << '\n';
+    }
+    os << "window " << plan.windowSize << ' ' << r.chosenWindowSize
+       << "\nmovement " << r.plannedMovement << ' ' << r.defaultMovement
+       << "\naccumulators " << r.movementReductionPct.sum() << ' '
+       << r.degreeOfParallelism.sum() << ' ' << r.syncsPerStatement.sum()
+       << ' ' << r.rawSyncsPerStatement.sum() << "\noffloaded "
+       << r.offloadedOps[0] << ' ' << r.offloadedOps[1] << ' '
+       << r.offloadedOps[2] << ' ' << r.offloadedSubcomputations
+       << "\nstatements " << r.statementsSplit << ' '
+       << r.statementsKeptDefault << "\nper-window";
+    for (std::int64_t m : r.movementPerWindowSize)
+        os << ' ' << m;
+    const CompileStats &c = r.compile;
+    os << "\nreuse " << r.reuseMapHash << ' ' << r.reuseCopiesPlanned
+       << "\ncompile " << c.instancesPlanned << ' ' << c.splitsRequested
+       << ' ' << c.plansComputed << ' ' << c.plansMemoized << ' '
+       << c.cacheBypassed << ' ' << c.cachePeakEntries << ' '
+       << c.cachePeakBytes << "\nprovenance";
+    for (const verify::SplitRecord &rec : r.provenance->instances) {
+        os << ' ' << rec.fromCache << '[';
+        for (const Location &loc : rec.locations)
+            os << loc.node << ':' << static_cast<int>(loc.source) << ',';
+        os << ']';
+    }
+    return os.str();
+}
+
+TEST_F(PartitionerTest, PredictorStateNeverChangesAPlan)
+{
+    // A location is a pure function of the node, so the L2 miss
+    // predictor — cold, trained to all-miss or all-hit, or trained by
+    // a profiling run — cannot move a plan, a report counter, or a
+    // split-cache hit.
+    // B[255 - i] is read from two iterations on different nodes, so
+    // the profiling run sees L2 hits.
+    ir::LoopNest nest = parse(R"(
+        array A[256] bytes 64; array B[256] bytes 64;
+        array C[256] bytes 64; array D[256] bytes 64;
+        array E[256] bytes 64;
+        for i = 0..256 {
+          S1: D[i] = B[i] + C[i] + E[i] + B[255 - i];
+          S2: A[i] = D[i] * E[i] + C[i];
+        })");
+    const auto nodes = defaults(nest);
+    baseline::DefaultPlacement placement(system, arrays);
+    const sim::ExecutionPlan profile = placement.buildPlan(nest, nodes);
+    std::vector<mem::Addr> addrs;
+    for (const sim::Task &t : profile.tasks) {
+        for (const sim::MemAccess &a : t.reads)
+            addrs.push_back(a.addr);
+        if (t.write)
+            addrs.push_back(t.write->addr);
+    }
+
+    PartitionOptions options;
+    options.verifyLevel = verify::VerifyLevel::Cheap;
+    // Plans the nest; returns its fingerprint and how many of the
+    // nest's accesses the predictor currently calls L2 hits.
+    auto planned = [&] {
+        std::int64_t hits = 0;
+        for (mem::Addr a : addrs)
+            hits += system.missPredictor().predictHit(a) ? 1 : 0;
+        Partitioner partitioner(system, arrays, options);
+        const sim::ExecutionPlan plan = partitioner.plan(nest, nodes);
+        // The nest must exercise what a predictor could have keyed:
+        // split-cache hits on a mix of home and L1-copy locations.
+        const PartitionReport &report = partitioner.report();
+        EXPECT_GT(report.compile.plansMemoized, 0);
+        std::int64_t copies = 0;
+        for (const verify::SplitRecord &rec : report.provenance->instances) {
+            for (const Location &loc : rec.locations)
+                copies += loc.source == LocationSource::L1Copy ? 1 : 0;
+        }
+        EXPECT_GT(copies, 0);
+        return std::make_pair(planFingerprint(plan, report), hits);
+    };
+    auto train = [&](bool hit) {
+        system.resetPredictor();
+        for (int round = 0; round < 4; ++round) {
+            for (mem::Addr a : addrs)
+                system.missPredictor().update(a, hit);
+        }
+    };
+
+    system.resetPredictor();
+    const auto [cold, cold_hits] = planned();
+    EXPECT_EQ(cold_hits, 0);
+
+    train(false);
+    const auto [all_miss, miss_hits] = planned();
+    EXPECT_EQ(miss_hits, 0);
+    EXPECT_EQ(all_miss, cold);
+
+    train(true);
+    const auto [all_hit, hit_hits] = planned();
+    EXPECT_EQ(hit_hits, static_cast<std::int64_t>(addrs.size()));
+    EXPECT_EQ(all_hit, cold);
+
+    system.resetPredictor();
+    sim::ExecutionEngine engine(system);
+    (void)engine.run(profile);
+    const auto [profiled, profiled_hits] = planned();
+    EXPECT_GT(profiled_hits, 0) << "the profiling run trained no hit";
+    EXPECT_EQ(profiled, cold);
 }
 
 TEST_F(PartitionerTest, GuardReadsAttachToRootTask)

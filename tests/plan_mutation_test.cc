@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baseline/default_placement.h"
 #include "ir/parser.h"
@@ -123,6 +125,21 @@ class PlanMutationTest : public ::testing::Test
     {
         return findRecord(built, [](const verify::SplitRecord &r) {
             return r.wasSplit && !r.split.edges.empty();
+        });
+    }
+
+    /** First split record with an operand located at an L1 copy. */
+    std::ptrdiff_t
+    findReuse(const BuiltPlan &built)
+    {
+        return findRecord(built, [](const verify::SplitRecord &r) {
+            if (!r.wasSplit)
+                return false;
+            for (const Location &loc : r.locations) {
+                if (loc.source == LocationSource::L1Copy)
+                    return true;
+            }
+            return false;
         });
     }
 
@@ -331,16 +348,7 @@ TEST_F(PlanMutationTest, RehomedReuseCopyIsCaught)
 {
     const ir::LoopNest nest = parseDefault();
     BuiltPlan built = build(nest, {});
-    const std::ptrdiff_t at =
-        findRecord(built, [](const verify::SplitRecord &r) {
-            if (!r.wasSplit)
-                return false;
-            for (const Location &loc : r.locations) {
-                if (loc.source == LocationSource::L1Copy)
-                    return true;
-            }
-            return false;
-        });
+    const std::ptrdiff_t at = findReuse(built);
     ASSERT_GE(at, 0) << "nest planned no L1-copy reuse";
     verify::SplitRecord &rec =
         built.prov.instances[static_cast<std::size_t>(at)];
@@ -354,6 +362,47 @@ TEST_F(PlanMutationTest, RehomedReuseCopyIsCaught)
     // Depending on where the line also lives, the mutation is either a
     // fetch the window never planned or a non-minimal copy pick.
     EXPECT_TRUE(hasRulePrefix(report, "R4.reuse")) << rulesOf(report);
+}
+
+TEST_F(PlanMutationTest, OracleReuseCopyFromNowhereIsCaught)
+{
+    // The oracle disambiguates indirect references but locates data
+    // like every other config, so its L1 copies get the same window
+    // replay: a copy on a node that fetched nothing this window is a
+    // fetch the window never planned.
+    const ir::LoopNest nest = parseDefault();
+    PartitionOptions opts;
+    opts.oracle = true;
+    BuiltPlan built = build(nest, opts);
+    const std::ptrdiff_t at = findReuse(built);
+    ASSERT_GE(at, 0) << "oracle plan planned no L1-copy reuse";
+
+    // Every copy in the window was fetched by one of its tasks so far.
+    const auto window = static_cast<std::ptrdiff_t>(built.prov.windowSize);
+    std::vector<bool> fetched(
+        static_cast<std::size_t>(system.mesh().nodeCount()), false);
+    for (std::ptrdiff_t i = at - at % window; i <= at; ++i) {
+        const verify::SplitRecord &r =
+            built.prov.instances[static_cast<std::size_t>(i)];
+        for (std::int32_t t = 0; t < r.taskCount; ++t) {
+            const sim::Task &task =
+                built.plan.tasks[static_cast<std::size_t>(r.firstTask + t)];
+            fetched[static_cast<std::size_t>(task.node)] = true;
+        }
+    }
+    const auto idle = std::find(fetched.begin(), fetched.end(), false);
+    ASSERT_NE(idle, fetched.end()) << "every node fetched in the window";
+
+    verify::SplitRecord &rec =
+        built.prov.instances[static_cast<std::size_t>(at)];
+    for (Location &loc : rec.locations) {
+        if (loc.source == LocationSource::L1Copy) {
+            loc.node = static_cast<noc::NodeId>(idle - fetched.begin());
+            break;
+        }
+    }
+    const verify::Report report = verify(nest, built);
+    EXPECT_TRUE(hasRule(report, "R4.reuse-unfetched")) << rulesOf(report);
 }
 
 // ---------------------------------------------------------------- R5

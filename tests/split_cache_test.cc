@@ -106,8 +106,7 @@ expectIdenticalResults(const driver::AppResult &a,
         EXPECT_EQ(a.nests[n].optimizedRun.makespanCycles,
                   b.nests[n].optimizedRun.makespanCycles)
             << label << " nest " << n;
-        // The cache must not disturb the locate path either: the miss
-        // predictor sees the same queries in the same order.
+        // So do the miss predictor's Table 2 tallies.
         EXPECT_EQ(a.nests[n].predictorPredictions,
                   b.nests[n].predictorPredictions)
             << label << " nest " << n;
@@ -286,7 +285,7 @@ TEST(SplitPlanCacheTest, KeyCoversStatementStoreAndLocations)
     partition::SplitPlanCache cache;
     const std::vector<partition::Location> locs = {
         {3, partition::LocationSource::L2Home},
-        {7, partition::LocationSource::MemCtrl},
+        {7, partition::LocationSource::L1Copy},
     };
 
     EXPECT_EQ(cache.lookup(0, 5, locs), nullptr);
@@ -300,25 +299,27 @@ TEST(SplitPlanCacheTest, KeyCoversStatementStoreAndLocations)
     // ...store node...
     EXPECT_EQ(cache.lookup(0, 6, locs), nullptr);
     cache.insert(markerPlan(33));
-    // ...a location's node...
+    // ...or a location's node.
     std::vector<partition::Location> moved = locs;
     moved[0].node = 4;
     EXPECT_EQ(cache.lookup(0, 5, moved), nullptr);
     cache.insert(markerPlan(44));
-    // ...or a location's source, node unchanged (an L1 reuse copy
-    // splits differently than an L2-home fetch from the same node).
+
+    // A location's source, node unchanged, must hit: the splitter reads
+    // only the node, so an L1 reuse copy and an L2-home fetch from the
+    // same node split identically.
     std::vector<partition::Location> resourced = locs;
     resourced[0].source = partition::LocationSource::L1Copy;
-    EXPECT_EQ(cache.lookup(0, 5, resourced), nullptr);
-    cache.insert(markerPlan(55));
+    resourced[1].source = partition::LocationSource::L2Home;
+    ASSERT_NE(cache.lookup(0, 5, resourced), nullptr);
+    EXPECT_EQ(cache.lookup(0, 5, resourced)->plannedMovement, 11);
 
-    // All five entries coexist and resolve to their own plans.
-    EXPECT_EQ(cache.size(), 5u);
+    // All four entries coexist and resolve to their own plans.
+    EXPECT_EQ(cache.size(), 4u);
     EXPECT_EQ(cache.lookup(0, 5, locs)->plannedMovement, 11);
     EXPECT_EQ(cache.lookup(1, 5, locs)->plannedMovement, 22);
     EXPECT_EQ(cache.lookup(0, 6, locs)->plannedMovement, 33);
     EXPECT_EQ(cache.lookup(0, 5, moved)->plannedMovement, 44);
-    EXPECT_EQ(cache.lookup(0, 5, resourced)->plannedMovement, 55);
 }
 
 TEST(SplitPlanCacheTest, ClearDropsEntriesButKeepsCounters)

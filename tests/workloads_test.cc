@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ir/dependence.h"
+#include "ir/statement.h"
 #include "support/error.h"
 #include "workloads/workload.h"
 
