@@ -12,7 +12,8 @@
  * The custom main() additionally runs the split-plan memoization A/B
  * measurement (cache on vs. off on a periodic-access nest, plans
  * digest-checked for identity), once with the balancer off and once
- * with the default balanced config, and writes BENCH_partitioner.json
+ * with the default balanced config, plus the heap allocations of the
+ * adaptive sweep's scoring passes, and writes BENCH_partitioner.json
  * — the perf trajectory CI tracks. `--json-only` skips the
  * google-benchmark suite and runs just that measurement.
  */
@@ -32,6 +33,7 @@
 #include "partition/partitioner.h"
 #include "partition/splitter.h"
 #include "sim/manycore.h"
+#include "support/alloc_counter.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 #include "workloads/workload.h"
@@ -69,9 +71,10 @@ BM_StatementSplit(benchmark::State &state)
         loc.source = partition::LocationSource::L2Home;
     }
 
+    partition::SplitPlan plan;
     for (auto _ : state) {
-        auto result = splitter.split(sets, locations, /*store=*/17);
-        benchmark::DoNotOptimize(result.plannedMovement);
+        splitter.split(sets, locations, /*store=*/17, nullptr, plan);
+        benchmark::DoNotOptimize(plan.plannedMovement);
     }
 }
 BENCHMARK(BM_StatementSplit)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
@@ -307,6 +310,34 @@ timePlanning(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
 }
 
 /**
+ * Heap allocations of the adaptive sweep's eight scoring passes: an
+ * adaptive plan() minus a plan() fixed at the window it chose, which
+ * is the emitting pass alone. A per-candidate constant, since the
+ * planner's per-instance loop allocates nothing, and deterministic.
+ */
+std::int64_t
+scoringAllocations(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
+                   const ir::LoopNest &nest,
+                   const std::vector<noc::NodeId> &nodes)
+{
+    const auto allocations = [&](const partition::PartitionOptions &opts,
+                                 std::int32_t &chosen) {
+        partition::Partitioner partitioner(system, arrays, opts);
+        const std::int64_t before = support::heapAllocations();
+        const sim::ExecutionPlan plan = partitioner.plan(nest, nodes);
+        const std::int64_t made = support::heapAllocations() - before;
+        chosen = partitioner.report().chosenWindowSize;
+        return made;
+    };
+    partition::PartitionOptions options;
+    options.verifyLevel = verify::VerifyLevel::Off;
+    std::int32_t chosen = 0;
+    const std::int64_t swept = allocations(options, chosen);
+    options.fixedWindowSize = chosen;
+    return swept - allocations(options, chosen);
+}
+
+/**
  * The BENCH_partitioner.json measurement: a periodic-access two-
  * statement nest (the SNUCA line->bank mapping makes the operand-
  * location signature periodic in the iteration number), profiled once
@@ -363,6 +394,9 @@ runMemoizationBench(const std::string &json_path)
     const auto [bal_on, bal_off] =
         timePlanning(system, arrays, nest, nodes, reps, /*balanced=*/true);
 
+    const std::int64_t scoring_allocations =
+        scoringAllocations(system, arrays, nest, nodes);
+
     const bool identical = on.planDigest == off.planDigest;
     const bool balanced_identical = bal_on.planDigest == bal_off.planDigest;
     const auto speedup_of = [](const MemoModeResult &cached,
@@ -411,6 +445,7 @@ runMemoizationBench(const std::string &json_path)
          << "    \"total\": " << phases_on.totalNs << "\n"
          << "  },\n"
          << "  \"speedup\": " << speedup << ",\n"
+         << "  \"scoring_allocations\": " << scoring_allocations << ",\n"
          << "  \"plans_identical\": " << (identical ? "true" : "false")
          << ",\n"
          << "  \"balanced\": {\n"
@@ -434,7 +469,8 @@ runMemoizationBench(const std::string &json_path)
               << " uncached (speedup x" << speedup << ", hit rate "
               << 100.0 * on.hitRate << "%, plans "
               << (identical ? "identical" : "DIFFER") << ", "
-              << bytes_per_entry << " B/entry); balanced "
+              << bytes_per_entry << " B/entry, " << scoring_allocations
+              << " scoring-pass allocations); balanced "
               << bal_on.nsPerInstance << " vs " << bal_off.nsPerInstance
               << " (speedup x" << balanced_speedup << ", hit rate "
               << 100.0 * bal_on.hitRate << "%, " << bal_on.cacheBypassed

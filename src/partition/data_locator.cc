@@ -1,12 +1,28 @@
 #include "partition/data_locator.h"
 
+#include <algorithm>
+
+#include "support/error.h"
+
 namespace ndp::partition {
 
-const std::vector<noc::NodeId> VariableToNodeMap::kEmpty;
-
-VariableToNodeMap::VariableToNodeMap(std::size_t per_node_capacity)
-    : capacity_(per_node_capacity)
+VariableToNodeMap::VariableToNodeMap(std::int32_t node_count,
+                                     std::size_t per_node_capacity,
+                                     std::size_t line_count)
+    : words_((static_cast<std::size_t>(node_count) + 63) / 64),
+      capacity_(per_node_capacity),
+      fifo_(per_node_capacity > 0 ? static_cast<std::size_t>(node_count)
+                                  : 0)
 {
+    NDP_REQUIRE(node_count > 0, "variable2node map needs nodes");
+    growLines(line_count);
+}
+
+void
+VariableToNodeMap::growLines(std::size_t lines)
+{
+    stamp_.resize(lines, 0);
+    bits_.resize(lines * words_);
 }
 
 void
@@ -15,98 +31,84 @@ VariableToNodeMap::dropOldest(noc::NodeId node)
     LineFifo &queue = fifo_[static_cast<std::size_t>(node)];
     if (queue.size() == 0)
         return;
-    const std::uint32_t id = queue.items[queue.head++];
+    const std::uint32_t line = queue.items[queue.head++];
     if (queue.head > queue.items.size() / 2 && queue.head >= 16) {
         queue.items.erase(queue.items.begin(),
                           queue.items.begin() +
                               static_cast<std::ptrdiff_t>(queue.head));
         queue.head = 0;
     }
-    std::erase(nodes_[id], node);
+    // A line in the FIFO was added this window, so its stamp is current.
+    const auto n = static_cast<std::size_t>(node);
+    bits_[static_cast<std::size_t>(line) * words_ + n / 64] &=
+        ~(std::uint64_t{1} << (n % 64));
 }
 
-void
-VariableToNodeMap::mixHash(std::uint64_t value)
+bool
+VariableToNodeMap::add(std::uint32_t line, noc::NodeId node)
 {
-    // FNV-1a over the value's bytes.
-    for (int b = 0; b < 8; ++b) {
-        hash_ ^= (value >> (8 * b)) & 0xff;
-        hash_ *= 0x100000001b3ull;
+    const auto n = static_cast<std::size_t>(node);
+    NDP_DCHECK(n / 64 < words_, "node " << node << " outside the map");
+    if (line >= stamp_.size())
+        growLines(std::max<std::size_t>(line + 1, 2 * stamp_.size()));
+    std::uint64_t *words =
+        bits_.data() + static_cast<std::size_t>(line) * words_;
+    if (stamp_[line] != epoch_) {
+        stamp_[line] = epoch_;
+        std::fill(words, words + words_, 0);
     }
-}
-
-void
-VariableToNodeMap::add(mem::Addr addr, noc::NodeId node)
-{
-    const std::uint64_t line = mem::lineNumber(addr);
-    const std::uint32_t id = lines_.intern(line);
-    if (id == nodes_.size())
-        nodes_.emplace_back();
-    std::vector<noc::NodeId> &nodes = nodes_[id];
-    for (noc::NodeId n : nodes) {
-        if (n == node)
-            return;
-    }
+    const std::uint64_t bit = std::uint64_t{1} << (n % 64);
+    if ((words[n / 64] & bit) != 0)
+        return false;
     if (capacity_ > 0) {
-        const auto n = static_cast<std::size_t>(node);
-        if (n >= fifo_.size())
-            fifo_.resize(n + 1);
         LineFifo &queue = fifo_[n];
         if (queue.items.empty())
             fifoNodes_.push_back(node);
         // The line itself is never in node's FIFO here (node is not
-        // among its copies), so eviction leaves `nodes` alone.
+        // among its copies), so eviction leaves its bit alone.
         while (queue.size() >= capacity_)
             dropOldest(node);
-        queue.items.push_back(id);
+        queue.items.push_back(line);
     }
-    nodes.push_back(node);
-    mixHash(line);
-    mixHash(static_cast<std::uint64_t>(node));
+    words[n / 64] |= bit;
     ++inserts_;
+    return true;
 }
 
 void
 VariableToNodeMap::clear()
 {
-    for (std::uint32_t id = 0; id < lines_.size(); ++id)
-        nodes_[id].clear();
-    lines_.clear();
+    if (++epoch_ == 0) {
+        // The stamps wrapped: no stale stamp may match the new epoch.
+        std::fill(stamp_.begin(), stamp_.end(), 0);
+        epoch_ = 1;
+    }
     for (noc::NodeId node : fifoNodes_) {
         LineFifo &queue = fifo_[static_cast<std::size_t>(node)];
         queue.items.clear();
         queue.head = 0;
     }
     fifoNodes_.clear();
-    hash_ = kFnvOffset;
     inserts_ = 0;
 }
 
-const std::vector<noc::NodeId> &
-VariableToNodeMap::nodesFor(mem::Addr addr) const
-{
-    const std::uint32_t id = lines_.find(mem::lineNumber(addr));
-    return id == DenseIds::kNil ? kEmpty : nodes_[id];
-}
-
 Location
-nearestCopy(const noc::MeshTopology &mesh,
-            const std::vector<noc::NodeId> &copies, noc::NodeId prefer_near)
+nearestCopy(const noc::MeshTopology &mesh, const CopySet &copies,
+            noc::NodeId prefer_near)
 {
     // Among the L1 copies pick the one nearest to the caller's anchor
-    // node; ties break toward the lower node id so the choice is
-    // deterministic.
+    // node; copies iterate in ascending id, so keeping the first of
+    // equally near ones breaks ties toward the lower node id.
     Location loc;
     loc.source = LocationSource::L1Copy;
-    loc.node = copies.front();
-    if (prefer_near != noc::kInvalidNode) {
-        std::int32_t best = mesh.distance(loc.node, prefer_near);
-        for (noc::NodeId n : copies) {
-            const std::int32_t d = mesh.distance(n, prefer_near);
-            if (d < best || (d == best && n < loc.node)) {
-                best = d;
-                loc.node = n;
-            }
+    std::int32_t best = 0;
+    for (noc::NodeId n : copies) {
+        const std::int32_t d = prefer_near == noc::kInvalidNode
+                                   ? 0
+                                   : mesh.distance(n, prefer_near);
+        if (loc.node == noc::kInvalidNode || d < best) {
+            best = d;
+            loc.node = n;
         }
     }
     return loc;

@@ -17,14 +17,13 @@
  * address and the window map.
  */
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "mem/address.h"
 #include "noc/coord.h"
 #include "noc/mesh_topology.h"
-#include "partition/dense_ids.h"
 
 namespace ndp::partition {
 
@@ -42,51 +41,139 @@ struct Location
 };
 
 /**
+ * The nodes holding one line in their L1s: a node bitset of
+ * ceil(nodes / 64) words. Iterates in ascending node id.
+ */
+class CopySet
+{
+  public:
+    class Iterator
+    {
+      public:
+        Iterator(const std::uint64_t *words, std::size_t count,
+                 std::size_t at)
+            : words_(words), count_(count), at_(at),
+              bits_(at < count ? words[at] : 0)
+        {
+            skipEmpty();
+        }
+
+        noc::NodeId
+        operator*() const
+        {
+            return static_cast<noc::NodeId>(64 * at_ +
+                                            std::countr_zero(bits_));
+        }
+
+        Iterator &
+        operator++()
+        {
+            bits_ &= bits_ - 1;
+            skipEmpty();
+            return *this;
+        }
+
+        bool operator!=(const Iterator &other) const
+        {
+            return at_ != other.at_ || bits_ != other.bits_;
+        }
+
+      private:
+        void
+        skipEmpty()
+        {
+            while (bits_ == 0 && at_ < count_ && ++at_ < count_)
+                bits_ = words_[at_];
+        }
+
+        const std::uint64_t *words_;
+        std::size_t count_;
+        std::size_t at_;
+        std::uint64_t bits_;
+    };
+
+    CopySet() = default;
+    CopySet(const std::uint64_t *words, std::size_t count)
+        : words_(words), count_(count)
+    {}
+
+    bool
+    empty() const
+    {
+        for (std::size_t w = 0; w < count_; ++w) {
+            if (words_[w] != 0)
+                return false;
+        }
+        return true;
+    }
+
+    bool
+    contains(noc::NodeId node) const
+    {
+        const auto n = static_cast<std::size_t>(node);
+        return n / 64 < count_ && ((words_[n / 64] >> (n % 64)) & 1) != 0;
+    }
+
+    Iterator begin() const { return {words_, count_, 0}; }
+    Iterator end() const { return {words_, count_, count_}; }
+
+  private:
+    const std::uint64_t *words_ = nullptr;
+    std::size_t count_ = 0;
+};
+
+/**
  * The compiler-maintained variable2node map (Algorithm 1 line 34):
  * which nodes will hold each line in their L1s because of
  * already-scheduled subcomputations in the current window.
  *
- * Flat and reused: the window's lines get dense ids, and each id's
- * node list keeps its capacity across clear(), so a map reused window
- * after window allocates nothing in steady state and clear() costs
- * O(lines the window touched). A line whose last copy is evicted keeps
- * its id, with an empty list, until clear().
+ * Keyed by dense line ids: the planner's are the nest stream's own
+ * (assigned once per plan() call), and the verifier interns its lines
+ * with DenseIds. Each line has a node bitset stamped with the window
+ * epoch, so clear() bumps the epoch and resets only the node FIFOs the
+ * window touched, and a map reused window after window, candidate
+ * after candidate, allocates nothing once its tables have grown.
  */
 class VariableToNodeMap
 {
   public:
     /**
+     * @param node_count mesh nodes; every node id added is below it
      * @param per_node_capacity how many distinct lines one node's L1 is
      *        trusted to retain within a window; 0 = unlimited. A finite
      *        capacity models the L1 pollution that makes very large
      *        windows counter-productive (Section 4.4): once a node's
      *        budget overflows, its oldest recorded copy is dropped.
+     * @param line_count lines to size the tables for up front; a
+     *        larger line id grows them
      */
-    explicit VariableToNodeMap(std::size_t per_node_capacity = 0);
-
-    /** Record that @p node's L1 will hold the line of @p addr. */
-    void add(mem::Addr addr, noc::NodeId node);
-
-    /** Nodes holding the line of @p addr, oldest first (empty if none). */
-    const std::vector<noc::NodeId> &nodesFor(mem::Addr addr) const;
-
-    /** Forget every copy and the insertion history: a fresh map. */
-    void clear();
+    VariableToNodeMap(std::int32_t node_count,
+                      std::size_t per_node_capacity = 0,
+                      std::size_t line_count = 0);
 
     /**
-     * FNV-1a digest of the (line, node) insertion sequence since
-     * construction or the last clear() — evictions included, so two
-     * maps with the same digest were built by the same add() history.
-     * The nest-parallel equivalence tests compare digests to pin that
-     * per-nest fan-out replays exactly the serial window state.
+     * Record that @p node's L1 will hold line @p line. True when the
+     * copy is new (accepted); false when the node already holds it.
      */
-    std::uint64_t insertionHash() const { return hash_; }
-    /** Number of accepted (non-duplicate) add() calls since then. */
+    bool add(std::uint32_t line, noc::NodeId node);
+
+    /** The nodes holding @p line (empty if none). */
+    CopySet
+    copies(std::uint32_t line) const
+    {
+        if (line >= stamp_.size() || stamp_[line] != epoch_)
+            return {};
+        return {bits_.data() + static_cast<std::size_t>(line) * words_,
+                words_};
+    }
+
+    /** Forget every copy and the insertion count: a fresh window. */
+    void clear();
+
+    /** Number of accepted add() calls since construction or clear(). */
     std::int64_t insertionCount() const { return inserts_; }
 
   private:
-    static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-
     /**
      * FIFO of line ids with an advancing head instead of
      * erase-from-front: popping the oldest line is O(1), and the dead
@@ -101,32 +188,69 @@ class VariableToNodeMap
     };
 
     void dropOldest(noc::NodeId node);
-    void mixHash(std::uint64_t value);
+    void growLines(std::size_t lines);
 
+    std::size_t words_;
     std::size_t capacity_;
-    std::uint64_t hash_ = kFnvOffset;
     std::int64_t inserts_ = 0;
-    DenseIds lines_;
-    /** Nodes per line id; lists past lines_.size() wait for reuse. */
-    std::vector<std::vector<noc::NodeId>> nodes_;
+    /** The current window; a line stamped otherwise has no copies. */
+    std::uint32_t epoch_ = 1;
+    std::vector<std::uint32_t> stamp_;
+    /** words_ bitset words per line. */
+    std::vector<std::uint64_t> bits_;
     /**
-     * Per-node FIFO of the line ids recorded for it (oldest first),
-     * indexed by node id and grown on demand; clear() empties only the
-     * nodes listed in fifoNodes_, so a map reused window after window
-     * pays per node it touched, not per mesh node.
+     * Per-node FIFO of the line ids recorded for it (oldest first);
+     * clear() empties only the nodes listed in fifoNodes_.
      */
     std::vector<LineFifo> fifo_;
     std::vector<noc::NodeId> fifoNodes_;
-    static const std::vector<noc::NodeId> kEmpty;
+};
+
+/**
+ * FNV-1a digest of a window's accepted (line, node) insertions in
+ * order, evictions included, so equal digests mean equal add()
+ * histories. The planner mixes it on its emitting pass only
+ * (PartitionReport::reuseMapHash); the nest-parallel equivalence tests
+ * compare it to pin that per-nest fan-out replays the serial window
+ * state.
+ */
+class InsertionDigest
+{
+  public:
+    /** Mix one accepted add of line number @p line on @p node. */
+    void
+    mix(std::uint64_t line, noc::NodeId node)
+    {
+        mixWord(line);
+        mixWord(static_cast<std::uint64_t>(node));
+    }
+
+    std::uint64_t value() const { return hash_; }
+    void reset() { hash_ = kFnvOffset; }
+
+  private:
+    static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+    void
+    mixWord(std::uint64_t value)
+    {
+        // FNV-1a over the value's bytes.
+        for (int b = 0; b < 8; ++b) {
+            hash_ ^= (value >> (8 * b)) & 0xff;
+            hash_ *= 0x100000001b3ull;
+        }
+    }
+
+    std::uint64_t hash_ = kFnvOffset;
 };
 
 /**
  * The L1 copy to use among non-empty @p copies (the window map's nodes
  * for a line): the one nearest @p prefer_near, typically the store
  * node of the statement being split, ties toward the lower node id.
+ * Without an anchor, the lowest node id.
  */
-Location nearestCopy(const noc::MeshTopology &mesh,
-                     const std::vector<noc::NodeId> &copies,
+Location nearestCopy(const noc::MeshTopology &mesh, const CopySet &copies,
                      noc::NodeId prefer_near);
 
 } // namespace ndp::partition

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <span>
 
 #include "ir/instance.h"
@@ -24,7 +25,8 @@ namespace {
  * refs[refBegin[p], refBegin[p + 1]): the reads in Statement order,
  * then the write. Each reference carries two dense per-nest ids, so the
  * per-instance planner state is flat arrays instead of hash maps:
- *  - addrId: its address, indexing DepTracker and the home table;
+ *  - addrId: its address, indexing DepTracker, the home table and the
+ *    line table;
  *  - lineSlot: its line on the instance's default node, indexing
  *    DefaultL1Model.
  */
@@ -42,6 +44,9 @@ struct ResolvedStream
     std::vector<mem::Addr> addrs;
     /** Home-bank location per address id. */
     std::vector<Location> home;
+    /** Dense line id per address id, keying the window map. */
+    std::vector<std::uint32_t> lineOf;
+    std::uint32_t lineCount = 0;
 };
 
 ResolvedStream
@@ -52,17 +57,16 @@ resolveStream(const ir::ArrayTable &arrays, const ir::LoopNest &nest,
     DenseIds addr_ids;
     DenseIds line_ids;
     DenseIds slot_ids;
-    std::vector<std::uint32_t> line_of_addr;
     auto push = [&](const ir::ResolvedRef &r, noc::NodeId node) {
         const std::uint32_t addr = addr_ids.intern(r.addr);
         if (addr == s.addrs.size()) {
             s.addrs.push_back(r.addr);
-            line_of_addr.push_back(line_ids.intern(mem::lineNumber(r.addr)));
+            s.lineOf.push_back(line_ids.intern(mem::lineNumber(r.addr)));
         }
         s.refs.push_back({r.addr, r.size, r.array});
         s.addrId.push_back(addr);
         s.lineSlot.push_back(
-            slot_ids.intern((std::uint64_t{line_of_addr[addr]} << 32) |
+            slot_ids.intern((std::uint64_t{s.lineOf[addr]} << 32) |
                             static_cast<std::uint32_t>(node)));
     };
 
@@ -99,6 +103,7 @@ resolveStream(const ir::ArrayTable &arrays, const ir::LoopNest &nest,
         }
     }
     s.lineSlots = slot_ids.size();
+    s.lineCount = line_ids.size();
     return s;
 }
 
@@ -313,6 +318,20 @@ struct NestContext
 };
 
 /**
+ * Buffers one plan() call lends to each of its candidates in turn: the
+ * window map, on the stream's line ids, and the splitter with the flat
+ * plan it writes. Their contents never outlive a window or an instance,
+ * so sharing them changes no decision and spares every candidate their
+ * warm-up.
+ */
+struct PlanScratch
+{
+    VariableToNodeMap varmap;
+    StatementSplitter splitter;
+    SplitPlan split;
+};
+
+/**
  * Plans one nest at one window size. Every statement instance of the
  * stream runs one pipeline — resolve, price the baseline, locate,
  * split, guard, note, emit, record — and each window then minimises its
@@ -329,19 +348,20 @@ struct NestContext
 class CandidatePlanner
 {
   public:
-    CandidatePlanner(const NestContext &ctx, std::int32_t window_size,
-                     PartitionReport &report, bool emit)
+    CandidatePlanner(const NestContext &ctx, PlanScratch &scratch,
+                     std::int32_t window_size, PartitionReport &report,
+                     bool emit)
         : ctx_(ctx), opts_(ctx.options), mesh_(ctx.system.mesh()),
           emit_(emit), windowSize_(window_size),
           stmtCount_(static_cast<std::int64_t>(ctx.nest.body().size())),
           lineFlits_(ctx.system.config().lineFlits()),
           stream_(ctx.stream),
           balancer_(mesh_.nodeCount(), opts_.loadBalanceThreshold),
-          splitter_(mesh_, lineFlits_, /*result_weight=*/1),
-          l1_(ctx.warmL1),
+          splitter_(scratch.splitter), l1_(ctx.warmL1),
           deps_(emit ? ctx.stream.home.size() : 0), report_(report),
           cstats_(report.compile), timed_(opts_.collectCompileTimers),
-          varmap_(ctx.reuseCapacity), trial_(balancer_)
+          varmap_(scratch.varmap), trial_(balancer_),
+          computed_(scratch.split)
     {
         // Dead tiles leave the balancing pool; every other planner
         // input is already live (default nodes come from the
@@ -372,9 +392,18 @@ class CandidatePlanner
     run()
     {
         const std::int64_t total = ctx_.nest.iterationCount() * stmtCount_;
+        if (emit_) {
+            // One record per instance, and at least one task each.
+            const auto instances = static_cast<std::size_t>(total);
+            plan_.instances.reserve(instances);
+            plan_.tasks.reserve(instances);
+            if (prov_)
+                prov_->instances.reserve(instances);
+        }
         for (std::int64_t begin = 0; begin < total; begin += windowSize_) {
             const std::int64_t end = std::min(begin + windowSize_, total);
             varmap_.clear();
+            digest_.reset();
             windowTaskBegin_ = plan_.tasks.size();
             orderArcs_.clear();
             dataArcs_.clear();
@@ -386,7 +415,7 @@ class CandidatePlanner
 
             // Fold this window's reuse-map history into the nest digest
             // (boost-style combine: window order matters, by design).
-            report_.reuseMapHash ^= varmap_.insertionHash() +
+            report_.reuseMapHash ^= digest_.value() +
                                     0x9e3779b97f4a7c15ull +
                                     (report_.reuseMapHash << 6) +
                                     (report_.reuseMapHash >> 2);
@@ -419,10 +448,11 @@ class CandidatePlanner
         priceBaseline();
         // Null when the statement runs whole on its default node:
         // unanalysable, or the split does not pay.
-        const SplitResult *split = nullptr;
+        SplitView candidate;
+        const SplitView *split = nullptr;
         if (analyzable || ctx_.inspectorResolved) {
             locate();
-            const SplitResult &candidate = splitInstance();
+            candidate = splitInstance();
             if (profitable(candidate)) {
                 if (opts_.loadBalance)
                     std::swap(balancer_, trial_); // commit trial loads
@@ -511,8 +541,8 @@ class CandidatePlanner
         locations_.clear();
         for (std::size_t i = 0; i < reads_.size(); ++i) {
             if (opts_.exploitReuse) {
-                const std::vector<noc::NodeId> &copies =
-                    varmap_.nodesFor(reads_[i].addr);
+                const CopySet copies =
+                    varmap_.copies(stream_.lineOf[readId(i)]);
                 if (!copies.empty()) {
                     locations_.push_back(
                         nearestCopy(mesh_, copies, storeNode_));
@@ -530,9 +560,10 @@ class CandidatePlanner
      * against a trial copy of the live loads (replayOnTrial); only a
      * veto, which would make the balanced split slide a merge node,
      * re-splits from scratch. The trial is committed only if the split
-     * ships.
+     * ships. Every path returns the one view type: a cache hit reads
+     * the cache's pools in place, a fresh split reads computed_.
      */
-    const SplitResult &
+    SplitView
     splitInstance()
     {
         // buildVarSets covers RHS leaves only, so guard operands
@@ -550,27 +581,28 @@ class CandidatePlanner
         }
         if (!opts_.memoizeSplits) {
             cstats_.plansComputed += 1;
-            computed_ = splitter_.split(sets, locations_, storeNode_, balancer);
-            return computed_;
+            splitter_.split(sets, locations_, storeNode_, balancer, computed_);
+            return computed_.view();
         }
-        const SplitResult *plan =
-            ctx_.cache.lookup(stmtIdx_, storeNode_, locations_);
-        if (plan != nullptr) {
+        SplitView plan;
+        if (const std::optional<SplitView> hit =
+                ctx_.cache.lookup(stmtIdx_, storeNode_, locations_)) {
             cstats_.plansMemoized += 1;
             fromCache_ = true;
+            plan = *hit;
         } else {
             cstats_.plansComputed += 1;
-            computed_ = splitter_.split(sets, locations_, storeNode_, nullptr);
-            ctx_.cache.insert(computed_);
-            plan = &computed_;
+            splitter_.split(sets, locations_, storeNode_, nullptr, computed_);
+            plan = computed_.view();
+            ctx_.cache.insert(plan);
         }
-        if (balancer == nullptr || replayOnTrial(*plan))
-            return *plan;
+        if (balancer == nullptr || replayOnTrial(plan))
+            return plan;
         cstats_.cacheBypassed += 1;
         fromCache_ = false;
         trial_ = balancer_;
-        computed_ = splitter_.split(sets, locations_, storeNode_, &trial_);
-        return computed_;
+        splitter_.split(sets, locations_, storeNode_, &trial_, computed_);
+        return computed_.view();
     }
 
     /**
@@ -582,9 +614,9 @@ class CandidatePlanner
      * split. False at the first veto, with trial_ partly updated.
      */
     bool
-    replayOnTrial(const SplitResult &plan)
+    replayOnTrial(const SplitView &plan)
     {
-        for (const Subcomputation &sub : plan.subs) {
+        for (const SubView sub : plan) {
             if (sub.opCost == 0)
                 continue;
             if (!sub.isRoot && !trial_.accepts(sub.node, sub.opCost))
@@ -600,7 +632,7 @@ class CandidatePlanner
      * synchronisation overhead the split adds.
      */
     bool
-    profitable(const SplitResult &split) const
+    profitable(const SplitView &split) const
     {
         const sim::ManycoreConfig &config = ctx_.system.config();
         const double benefit =
@@ -608,7 +640,7 @@ class CandidatePlanner
             static_cast<double>(defaultMovement_ - split.plannedMovement);
         const double overhead =
             opts_.overheadSafetyFactor * opts_.profileUtilization *
-            (static_cast<double>(split.subs.size()) *
+            (static_cast<double>(split.size()) *
                  static_cast<double>(config.perTaskOverheadCycles) +
              static_cast<double>(split.crossNodeEdges) *
                  static_cast<double>(config.syncOverheadCycles));
@@ -625,27 +657,38 @@ class CandidatePlanner
      * movement totals.
      */
     void
-    note(const SplitResult *split)
+    note(const SplitView *split)
     {
+        const std::size_t write_ref = base_ + reads_.size();
         if (split == nullptr) {
             balancer_.add(defaultNode_, stmt_->totalOpCost());
             // Reads, then the write: every line passes through the L1.
-            for (std::size_t r = base_; r <= base_ + reads_.size(); ++r) {
+            for (std::size_t r = base_; r <= write_ref; ++r) {
                 if (opts_.exploitReuse)
-                    varmap_.add(stream_.refs[r].addr, defaultNode_);
+                    addCopy(r, defaultNode_);
                 l1_.insert(defaultNode_, stream_.lineSlot[r]);
             }
         } else if (opts_.exploitReuse) {
-            for (const Subcomputation &sub : split->subs) {
-                for (int leaf : sub.leaves)
-                    varmap_.add(reads_[static_cast<std::size_t>(leaf)].addr,
-                                sub.node);
+            for (const SubView sub : *split) {
+                for (std::uint8_t leaf : sub.leaves)
+                    addCopy(base_ + leaf, sub.node);
             }
-            varmap_.add(write_->addr, storeNode_);
+            addCopy(write_ref, storeNode_);
         }
         report_.plannedMovement +=
             split ? split->plannedMovement : defaultMovement_;
         report_.defaultMovement += defaultMovement_;
+    }
+
+    /**
+     * Record in the window map that @p node's L1 will hold the line of
+     * stream reference @p ref; the emitting pass also digests the add.
+     */
+    void
+    addCopy(std::size_t ref, noc::NodeId node)
+    {
+        if (varmap_.add(stream_.lineOf[stream_.addrId[ref]], node) && emit_)
+            digest_.mix(mem::lineNumber(stream_.refs[ref].addr), node);
     }
 
     sim::TaskId
@@ -682,10 +725,9 @@ class CandidatePlanner
                     task.deps.end())
                 task.deps.push_back(from);
         };
-        for (std::size_t i = 0; i < reads_.size(); ++i) {
-            task.reads.push_back(reads_[i]);
+        task.reads.assign(reads_.begin(), reads_.end());
+        for (std::size_t i = 0; i < reads_.size(); ++i)
             add_dep(deps_.writer(readId(i)));
-        }
         add_dep(deps_.writer(writeId_));
         for (sim::TaskId reader : deps_.readers(writeId_))
             add_dep(reader);
@@ -700,26 +742,28 @@ class CandidatePlanner
      * minimisation.
      */
     void
-    emitSplit(const SplitResult &split)
+    emitSplit(const SplitView &split)
     {
-        taskOfSub_.assign(split.subs.size(), sim::kInvalidTask);
-        for (std::size_t s = 0; s < split.subs.size(); ++s) {
-            const Subcomputation &sub = split.subs[s];
+        taskOfSub_.assign(split.size(), sim::kInvalidTask);
+        std::size_t s = 0;
+        for (const SubView sub : split) {
             sim::Task &task = newTask(sub.node);
             task.computeCost = sub.opCost;
-            task.ops = sub.ops;
+            task.ops.assign(sub.ops.begin(), sub.ops.end());
             task.isSubcomputation = sub.node != defaultNode_;
-            for (int leaf : sub.leaves) {
-                const auto i = static_cast<std::size_t>(leaf);
+            // Guard operands evaluate with the root merge.
+            const std::size_t guards =
+                sub.isRoot ? reads_.size() - stmt_->rhsReadCount() : 0;
+            task.reads.reserve(sub.leaves.size() + guards);
+            for (const std::size_t i : sub.leaves) {
                 task.reads.push_back(reads_[i]);
                 const sim::TaskId writer = deps_.writer(readId(i));
                 if (writer != sim::kInvalidTask)
                     orderArcs_.push_back({writer, task.id});
                 deps_.noteRead(readId(i), task.id);
             }
-            for (int child : sub.children) {
-                const sim::TaskId child_task =
-                    taskOfSub_[static_cast<std::size_t>(child)];
+            for (const std::size_t child : sub.children) {
+                const sim::TaskId child_task = taskOfSub_[child];
                 NDP_CHECK(child_task != sim::kInvalidTask,
                           "child emitted after parent");
                 task.deps.push_back(child_task);
@@ -727,12 +771,10 @@ class CandidatePlanner
             }
             if (sub.isRoot) {
                 task.write = *write_;
-                // Guard operands evaluate with the root merge.
-                for (std::size_t g = stmt_->rhsReadCount();
-                     g < reads_.size(); ++g)
-                    task.reads.push_back(reads_[g]);
+                task.reads.insert(task.reads.end(), reads_.end() - guards,
+                                  reads_.end());
             }
-            taskOfSub_[s] = task.id;
+            taskOfSub_[s++] = task.id;
         }
         const sim::TaskId root =
             taskOfSub_[static_cast<std::size_t>(split.root)];
@@ -752,7 +794,7 @@ class CandidatePlanner
      * provenance record. @p split is null when it ran whole.
      */
     void
-    record(const SplitResult *split, sim::TaskId first)
+    record(const SplitView *split, sim::TaskId first)
     {
         sim::InstanceStats istats;
         istats.statementIndex = stmtIdx_;
@@ -766,7 +808,7 @@ class CandidatePlanner
             report_.statementsKeptDefault += 1;
         } else {
             report_.statementsSplit += 1;
-            for (const Subcomputation &sub : split->subs) {
+            for (const SubView sub : *split) {
                 if (sub.node == defaultNode_)
                     continue;
                 for (ir::OpKind op : sub.ops)
@@ -794,7 +836,7 @@ class CandidatePlanner
                            : first;
         if (split) {
             r.locations = locations_;
-            r.split = *split;
+            r.split = split->materialise();
         }
         prov_->instances.push_back(std::move(r));
     }
@@ -803,14 +845,16 @@ class CandidatePlanner
      * Synchronisation minimisation over the stream window [begin, end).
      * Value-carrying (tree) arcs always survive; an ordering arc that a
      * chain of other arcs already implies is dropped (transitive-
-     * closure minimisation, Section 4.5).
+     * closure minimisation, Section 4.5). The graph and the per-window
+     * vectors are members, cleared per window.
      */
     void
     minimizeSyncs(std::int64_t begin, std::int64_t end)
     {
         ScopedPhaseTimer t(timed_ ? &cstats_.syncNs : nullptr);
         const std::size_t first = windowTaskBegin_;
-        SyncGraph graph;
+        SyncGraph &graph = syncGraph_;
+        graph.clear();
         for (std::size_t i = first; i < plan_.tasks.size(); ++i)
             graph.addNode();
         auto local = [first](sim::TaskId id) {
@@ -835,7 +879,8 @@ class CandidatePlanner
             if (static_cast<std::size_t>(arc.from) >= first)
                 graph.addArc(local(arc.from), local(arc.to));
         }
-        std::vector<OrderArc> in_window;
+        std::vector<OrderArc> &in_window = inWindow_;
+        in_window.clear();
         for (const OrderArc &arc : orderArcs_) {
             if (arc.from == arc.to)
                 continue;
@@ -849,7 +894,8 @@ class CandidatePlanner
 
         // Per-instance cross-node ordering arcs pruned (raw - final).
         const auto instances = static_cast<std::size_t>(end - begin);
-        std::vector<std::int32_t> pruned(instances, 0);
+        std::vector<std::int32_t> &pruned = pruned_;
+        pruned.assign(instances, 0);
         for (const OrderArc &arc : in_window) {
             if (opts_.minimizeSyncs &&
                 graph.impliedByOthers(local(arc.from), local(arc.to))) {
@@ -864,7 +910,8 @@ class CandidatePlanner
         // Final synchronisations = cross-node dependences of every
         // task, attributed to the consuming instance (Figure 15); raw
         // adds back what the reduction pruned.
-        std::vector<std::int32_t> final_syncs(instances, 0);
+        std::vector<std::int32_t> &final_syncs = finalSyncs_;
+        final_syncs.assign(instances, 0);
         for (std::size_t i = first; i < plan_.tasks.size(); ++i) {
             const sim::Task &t = plan_.tasks[i];
             for (sim::TaskId d : t.deps) {
@@ -890,7 +937,7 @@ class CandidatePlanner
     const std::int64_t lineFlits_;
     const ResolvedStream &stream_;
     LoadBalancer balancer_;
-    StatementSplitter splitter_;
+    StatementSplitter &splitter_;
     DefaultL1Model l1_;
     DepTracker deps_;
     PartitionReport &report_;
@@ -901,10 +948,16 @@ class CandidatePlanner
     sim::ExecutionPlan plan_;
 
     // The current window; the map is cleared per window.
-    VariableToNodeMap varmap_;
+    VariableToNodeMap &varmap_;
+    InsertionDigest digest_;
     std::size_t windowTaskBegin_ = 0;
     std::vector<OrderArc> orderArcs_; // reducible (pure ordering)
     std::vector<OrderArc> dataArcs_;  // value-carrying (fixed)
+    // minimizeSyncs scratch.
+    SyncGraph syncGraph_;
+    std::vector<OrderArc> inWindow_;
+    std::vector<std::int32_t> pruned_;
+    std::vector<std::int32_t> finalSyncs_;
 
     // The instance in flight. Its buffers are reused across the
     // stream: the pipeline runs iterations x statements times, so
@@ -924,7 +977,8 @@ class CandidatePlanner
     std::vector<Location> locations_;
     /** Balanced splits run against this copy of balancer_. */
     LoadBalancer trial_;
-    SplitResult computed_;
+    /** The splitter's output; the view of a fresh split reads it. */
+    SplitPlan &computed_;
     bool fromCache_ = false;
     std::vector<sim::TaskId> taskOfSub_;
 };
@@ -1001,6 +1055,13 @@ Partitioner::plan(const ir::LoopNest &nest,
         }
         DefaultL1Model warm_l1 = warmDefaultL1(*system_, stream, default_nodes,
                                                nest.body().size());
+        PlanScratch scratch{
+            VariableToNodeMap(system_->mesh().nodeCount(), reuse_capacity,
+                              stream.lineCount),
+            StatementSplitter(system_->mesh(),
+                              system_->config().lineFlits(),
+                              /*result_weight=*/1),
+            {}};
         const NestContext ctx{
             *system_, options_, splitCache_, nest, default_nodes,
             std::move(static_sets),
@@ -1016,7 +1077,8 @@ Partitioner::plan(const ir::LoopNest &nest,
         if (w_first < w_last) {
             for (std::int32_t w = w_first; w <= w_last; ++w) {
                 PartitionReport scored;
-                (void)CandidatePlanner(ctx, w, scored, /*emit=*/false).run();
+                (void)CandidatePlanner(ctx, scratch, w, scored, /*emit=*/false)
+                    .run();
                 movement_per_w.push_back(scored.plannedMovement);
                 compile_total.merge(scored.compile);
                 if (scored.plannedMovement <
@@ -1024,8 +1086,9 @@ Partitioner::plan(const ir::LoopNest &nest,
                     best_w = w;
             }
         }
-        best_plan = CandidatePlanner(ctx, best_w, best_report, /*emit=*/true)
-                        .run();
+        best_plan =
+            CandidatePlanner(ctx, scratch, best_w, best_report, /*emit=*/true)
+                .run();
         compile_total.merge(best_report.compile);
         if (movement_per_w.empty())
             movement_per_w.push_back(best_report.plannedMovement);

@@ -1,7 +1,6 @@
 #include "partition/split_plan_cache.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "support/error.h"
 
@@ -23,30 +22,9 @@ hashKey(const std::uint32_t *words, std::size_t count)
     return hash ^ (hash >> 32);
 }
 
-/** @p value narrowed to @p T, which must hold it. */
-template <typename T, typename V>
-T
-narrow(V value, const char *what)
-{
-    NDP_CHECK(std::in_range<T>(value),
-              "split-plan cache: " << what << " " << value
-                                   << " does not fit its packed field");
-    return static_cast<T>(value);
-}
-
-/** Append @p values to @p pool as bytes; returns the count. */
-std::uint8_t
-packBytes(std::vector<std::uint8_t> &pool, const std::vector<int> &values,
-          const char *what)
-{
-    for (int v : values)
-        pool.push_back(narrow<std::uint8_t>(v, what));
-    return narrow<std::uint8_t>(values.size(), what);
-}
-
 } // namespace
 
-const SplitResult *
+std::optional<SplitView>
 SplitPlanCache::lookup(std::int32_t stmt_idx, noc::NodeId store_node,
                        const std::vector<Location> &locations)
 {
@@ -61,16 +39,13 @@ SplitPlanCache::lookup(std::int32_t stmt_idx, noc::NodeId store_node,
         for (std::uint32_t at = heads_[scratchHash_ & (heads_.size() - 1)];
              at != kNil; at = entries_[at].next) {
             if (keyEquals(entries_[at])) {
-                ++hits_;
                 missArmed_ = false;
-                decode(entries_[at]);
-                return &decoded_;
+                return view(entries_[at]);
             }
         }
     }
-    ++misses_;
     missArmed_ = true;
-    return nullptr;
+    return std::nullopt;
 }
 
 bool
@@ -81,89 +56,72 @@ SplitPlanCache::keyEquals(const Entry &entry) const
                       keys_.begin() + entry.key);
 }
 
-void
-SplitPlanCache::decode(const Entry &entry)
+SplitView
+SplitPlanCache::view(const Entry &entry) const
 {
-    SplitResult &out = decoded_;
-    // resize() keeps the surviving subs' vectors, so their capacity
-    // carries over from one hit to the next.
-    out.subs.resize(entry.subCount);
-    const std::uint8_t *leaf = leaves_.data() + entry.leaf;
-    const std::uint8_t *child = children_.data() + entry.child;
-    const std::uint8_t *op = ops_.data() + entry.op;
-    for (std::size_t s = 0; s < entry.subCount; ++s) {
-        const PackedSub &packed = subs_[entry.sub + s];
-        Subcomputation &sub = out.subs[s];
-        sub.node = packed.node;
-        sub.leaves.assign(leaf, leaf + packed.leaves);
-        sub.children.assign(child, child + packed.children);
-        sub.ops.resize(packed.ops);
-        for (std::size_t i = 0; i < packed.ops; ++i)
-            sub.ops[i] = static_cast<ir::OpKind>(op[i]);
-        sub.opCost = packed.opCost;
-        sub.isRoot = packed.isRoot != 0;
-        leaf += packed.leaves;
-        child += packed.children;
-        op += packed.ops;
-    }
-    out.edges.resize(entry.edgeCount);
-    for (std::size_t e = 0; e < entry.edgeCount; ++e) {
-        const PackedEdge &packed = edges_[entry.edge + e];
-        out.edges[e] = MstEdge{packed.a, packed.b, packed.weight};
-    }
-    out.root = entry.root;
-    out.plannedMovement = entry.plannedMovement;
-    out.degreeOfParallelism = entry.parallelism;
-    out.crossNodeEdges = entry.crossNodeEdges;
+    return {subs_.data() + entry.sub,
+            entry.subCount,
+            leaves_.data() + entry.leaf,
+            children_.data() + entry.child,
+            ops_.data() + entry.op,
+            edges_.data() + entry.edge,
+            entry.edgeCount,
+            entry.root,
+            entry.plannedMovement,
+            entry.parallelism,
+            entry.crossNodeEdges};
 }
 
 void
-SplitPlanCache::insert(const SplitResult &plan)
+SplitPlanCache::insert(const SplitView &plan)
 {
     NDP_CHECK(missArmed_, "insert() without a preceding missed lookup");
     missArmed_ = false;
 
     Entry entry;
-    entry.key = narrow<std::uint32_t>(keys_.size(), "key pool offset");
-    entry.keyWords = narrow<std::uint8_t>(scratchKey_.size(), "key words");
+    entry.key = narrowPacked<std::uint32_t>(keys_.size(), "key pool offset");
+    entry.keyWords =
+        narrowPacked<std::uint8_t>(scratchKey_.size(), "key words");
     keys_.insert(keys_.end(), scratchKey_.begin(), scratchKey_.end());
 
-    entry.sub = narrow<std::uint32_t>(subs_.size(), "sub pool offset");
-    entry.leaf = narrow<std::uint32_t>(leaves_.size(), "leaf pool offset");
+    // The plan is already in the pools' layout: append its runs as
+    // they are.
+    std::size_t leaves = 0;
+    std::size_t children = 0;
+    std::size_t ops = 0;
+    for (std::size_t s = 0; s < plan.subCount; ++s) {
+        leaves += plan.subs[s].leaves;
+        children += plan.subs[s].children;
+        ops += plan.subs[s].ops;
+    }
+    entry.sub = narrowPacked<std::uint32_t>(subs_.size(), "sub pool offset");
+    entry.leaf =
+        narrowPacked<std::uint32_t>(leaves_.size(), "leaf pool offset");
     entry.child =
-        narrow<std::uint32_t>(children_.size(), "child pool offset");
-    entry.op = narrow<std::uint32_t>(ops_.size(), "op pool offset");
-    entry.subCount = narrow<std::uint8_t>(plan.subs.size(), "sub count");
-    for (const Subcomputation &sub : plan.subs) {
-        PackedSub packed;
-        packed.node = narrow<std::uint16_t>(sub.node, "node");
-        packed.leaves = packBytes(leaves_, sub.leaves, "leaf");
-        packed.children = packBytes(children_, sub.children, "child");
-        packed.ops = narrow<std::uint8_t>(sub.ops.size(), "op count");
-        for (ir::OpKind op : sub.ops)
-            ops_.push_back(static_cast<std::uint8_t>(op));
-        packed.opCost = narrow<std::int32_t>(sub.opCost, "op cost");
-        packed.isRoot = sub.isRoot ? 1 : 0;
-        subs_.push_back(packed);
-    }
+        narrowPacked<std::uint32_t>(children_.size(), "child pool offset");
+    entry.op = narrowPacked<std::uint32_t>(ops_.size(), "op pool offset");
+    entry.subCount = narrowPacked<std::uint8_t>(plan.subCount, "sub count");
+    subs_.insert(subs_.end(), plan.subs, plan.subs + plan.subCount);
+    leaves_.insert(leaves_.end(), plan.leaves, plan.leaves + leaves);
+    children_.insert(children_.end(), plan.children,
+                     plan.children + children);
+    ops_.insert(ops_.end(), plan.ops, plan.ops + ops);
 
-    entry.edge = narrow<std::uint32_t>(edges_.size(), "edge pool offset");
-    entry.edgeCount = narrow<std::uint8_t>(plan.edges.size(), "edge count");
-    for (const MstEdge &edge : plan.edges) {
-        edges_.push_back({narrow<std::uint16_t>(edge.a, "node"),
-                          narrow<std::uint16_t>(edge.b, "node"),
-                          narrow<std::uint16_t>(edge.weight, "weight")});
-    }
-    entry.root = narrow<std::int16_t>(plan.root, "root");
+    entry.edge =
+        narrowPacked<std::uint32_t>(edges_.size(), "edge pool offset");
+    entry.edgeCount =
+        narrowPacked<std::uint8_t>(plan.edgeCount, "edge count");
+    edges_.insert(edges_.end(), plan.edges, plan.edges + plan.edgeCount);
+    entry.root = narrowPacked<std::int16_t>(plan.root, "root");
     entry.plannedMovement =
-        narrow<std::int32_t>(plan.plannedMovement, "movement");
+        narrowPacked<std::int32_t>(plan.plannedMovement, "movement");
     entry.parallelism =
-        narrow<std::uint8_t>(plan.degreeOfParallelism, "parallelism");
+        narrowPacked<std::uint8_t>(plan.degreeOfParallelism, "parallelism");
     entry.crossNodeEdges =
-        narrow<std::uint8_t>(plan.crossNodeEdges, "cross-node edges");
+        narrowPacked<std::uint8_t>(plan.crossNodeEdges, "cross-node edges");
 
     const auto index =
-        narrow<std::uint32_t>(entries_.size(), "entry count");
+        narrowPacked<std::uint32_t>(entries_.size(), "entry count");
     NDP_CHECK(index != kNil, "split-plan cache is full");
     entries_.push_back(entry);
     if (entries_.size() > heads_.size())
@@ -216,8 +174,6 @@ SplitPlanCache::clear()
     edges_.clear();
     heads_.clear();
     missArmed_ = false;
-    // hits_/misses_ survive: they are cumulative planning statistics,
-    // reported per plan() call by the Partitioner.
 }
 
 } // namespace ndp::partition

@@ -10,23 +10,25 @@
  * the same (operand nodes, store) tuple recurs constantly and most
  * Kruskal runs recompute an identical plan. The cache interns each
  * instance's tuple into a compact signature — statement, store node,
- * then one node id per operand, FNV-1a hashed — and decodes the cached
- * plan on a hit. A location's source is not in the key: the splitter
- * reads only the node, so an L1 copy and a home-bank fetch on the same
- * node share one entry.
+ * then one node id per operand, FNV-1a hashed — and a hit returns a
+ * view of the cached plan. A location's source is not in the key: the
+ * splitter reads only the node, so an L1 copy and a home-bank fetch on
+ * the same node share one entry.
  *
  * Load-balanced splits use the same entries: the partitioner replays a
  * cached balancer-free split against the live LoadBalancer and falls
  * back to a full balanced split only at the first veto (DESIGN.md §6,
  * "Replaying cached splits under the balancer").
  *
- * Layout: entries live in flat POD pools — one fixed-size record per
- * entry, packed subcomputations, and byte arrays of leaves, children
- * and ops, packed MST edges, and key words — chained into buckets by
- * index. On the paper's applications that is about 130 bytes per entry
- * (bytes() / size()), against about 1.3 KB for a SplitResult of nested
- * vectors. A hit decodes into one SplitResult that the cache reuses, so
- * steady-state lookups do not allocate.
+ * Layout: entries live in flat POD pools in the split-plan format
+ * (split_plan.h) — one fixed-size record per entry, packed
+ * subcomputations, byte arrays of leaves, children and ops, packed MST
+ * edges, and key words — chained into buckets by index. insert()
+ * appends the splitter's flat plan to the pools as it is, and a hit is
+ * a SplitView into them: nothing is decoded, and lookups do not
+ * allocate. On the paper's applications that is about 130 bytes per
+ * entry (bytes() / size()), against about 1.3 KB for a SplitResult of
+ * nested vectors.
  *
  * Correctness: the hash only selects a bucket; every entry keeps its
  * full key and lookups compare it word for word, so siblings in one
@@ -41,62 +43,44 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "partition/data_locator.h"
-#include "partition/splitter.h"
+#include "partition/split_plan.h"
 
 namespace ndp::partition {
 
-/** Memoizes balancer-free SplitResults by (statement, nodes, store). */
+/** Memoizes balancer-free split plans by (statement, nodes, store). */
 class SplitPlanCache
 {
   public:
     /**
      * Find the plan cached for this key, building the signature from
-     * the nodes of @p locations. On a miss the key is retained
-     * internally and nullptr is returned; the caller computes the plan
-     * and hands it to insert(), which files it under that retained
-     * key. A hit returns the cache's decode buffer, valid until the
-     * next lookup() or clear().
+     * the nodes of @p locations. A hit is a view into the cache's
+     * pools, valid until the next insert() or clear(). On a miss the
+     * key is retained internally and nullopt is returned; the caller
+     * computes the plan and hands it to insert(), which files it under
+     * that retained key.
      */
-    const SplitResult *lookup(std::int32_t stmt_idx,
-                              noc::NodeId store_node,
-                              const std::vector<Location> &locations);
+    std::optional<SplitView>
+    lookup(std::int32_t stmt_idx, noc::NodeId store_node,
+           const std::vector<Location> &locations);
 
     /**
      * File @p plan under the key of the immediately preceding missed
      * lookup(). Calling insert() without a preceding miss is a bug.
      */
-    void insert(const SplitResult &plan);
+    void insert(const SplitView &plan);
 
     void clear();
 
-    std::int64_t hits() const { return hits_; }
-    std::int64_t misses() const { return misses_; }
     std::size_t size() const { return entries_.size(); }
     /** Bytes the live entries occupy in the pools (bucket heads too). */
     std::size_t bytes() const;
 
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;
-
-    struct PackedSub
-    {
-        std::uint16_t node = 0;
-        std::uint8_t leaves = 0;
-        std::uint8_t children = 0;
-        std::uint8_t ops = 0;
-        std::uint8_t isRoot = 0;
-        std::int32_t opCost = 0;
-    };
-
-    struct PackedEdge
-    {
-        std::uint16_t a = 0;
-        std::uint16_t b = 0;
-        std::uint16_t weight = 0;
-    };
 
     /** One cached plan: offsets into the pools plus its scalars. */
     struct Entry
@@ -118,7 +102,7 @@ class SplitPlanCache
     };
 
     bool keyEquals(const Entry &entry) const;
-    void decode(const Entry &entry);
+    SplitView view(const Entry &entry) const;
     void link(std::uint32_t index, std::uint64_t hash);
     void grow();
 
@@ -127,7 +111,7 @@ class SplitPlanCache
     std::vector<PackedSub> subs_;
     std::vector<std::uint8_t> leaves_;
     std::vector<std::uint8_t> children_;
-    std::vector<std::uint8_t> ops_;
+    std::vector<ir::OpKind> ops_;
     std::vector<PackedEdge> edges_;
     /** Bucket heads (power-of-two count, kNil = empty). */
     std::vector<std::uint32_t> heads_;
@@ -136,10 +120,6 @@ class SplitPlanCache
     std::vector<std::uint32_t> scratchKey_;
     std::uint64_t scratchHash_ = 0;
     bool missArmed_ = false;
-    /** The SplitResult every hit decodes into. */
-    SplitResult decoded_;
-    std::int64_t hits_ = 0;
-    std::int64_t misses_ = 0;
 };
 
 } // namespace ndp::partition

@@ -19,55 +19,17 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ir/nested_sets.h"
 #include "noc/mesh_topology.h"
 #include "partition/data_locator.h"
 #include "partition/load_balancer.h"
+#include "partition/split_plan.h"
+#include "support/disjoint_set.h"
 
 namespace ndp::partition {
-
-/** One MST edge (introspection and the paper's worked examples). */
-struct MstEdge
-{
-    noc::NodeId a = noc::kInvalidNode;
-    noc::NodeId b = noc::kInvalidNode;
-    std::int32_t weight = 0;
-};
-
-/** One subcomputation: a merge executed at one node. */
-struct Subcomputation
-{
-    noc::NodeId node = noc::kInvalidNode;
-    /** Leaf operand indices (into Statement::reads()) consumed here. */
-    std::vector<int> leaves;
-    /** Indices of child subcomputations whose results merge here. */
-    std::vector<int> children;
-    /** Operators executed here. */
-    std::vector<ir::OpKind> ops;
-    /** Load-balancing cost of those operators. */
-    std::int64_t opCost = 0;
-    /** Whether this subcomputation holds the final store. */
-    bool isRoot = false;
-};
-
-/** Result of splitting one statement instance. */
-struct SplitResult
-{
-    /** Subcomputations, children always preceding parents. */
-    std::vector<Subcomputation> subs;
-    /** Index of the root subcomputation (at the store node). */
-    int root = -1;
-    /** Planned Equation-1 data movement (link traversals). */
-    std::int64_t plannedMovement = 0;
-    /** Subcomputations with no children: they start in parallel. */
-    std::int32_t degreeOfParallelism = 1;
-    /** Cross-node parent-child edges = point-to-point syncs needed. */
-    std::int32_t crossNodeEdges = 0;
-    /** All MST edges chosen, every level combined. */
-    std::vector<MstEdge> edges;
-};
 
 /** Splits statements along their nested-set MSTs. */
 class StatementSplitter
@@ -84,7 +46,8 @@ class StatementSplitter
                                std::int64_t result_weight = 1);
 
     /**
-     * Split one statement instance.
+     * Split one statement instance into @p out, which is cleared first
+     * and keeps its buffers' capacity.
      * @param sets nested variable sets of the statement (leaf indices
      *        refer to positions in @p leaf_locations)
      * @param leaf_locations located node of every RHS leaf operand
@@ -95,6 +58,12 @@ class StatementSplitter
      *        caller may pass a trial copy and commit it only if the
      *        split is kept.
      */
+    void split(const ir::VarSet &sets,
+               const std::vector<Location> &leaf_locations,
+               noc::NodeId store_node, LoadBalancer *balancer,
+               SplitPlan &out);
+
+    /** The same split, materialised as nested vectors. */
     SplitResult split(const ir::VarSet &sets,
                       const std::vector<Location> &leaf_locations,
                       noc::NodeId store_node,
@@ -109,23 +78,59 @@ class StatementSplitter
         ir::OpKind op = ir::OpKind::Add;
     };
 
+    struct Edge
+    {
+        std::int32_t weight;
+        std::uint32_t a;
+        std::uint32_t b;
+    };
+
+    /**
+     * One recursion depth's scratch, reused call after call, so a warm
+     * splitter allocates nothing. Vertices are dense per level: vertex
+     * v sits on node vertexNode[v] and holds the items
+     * grouped[itemBegin[v], itemBegin[v + 1]).
+     */
+    struct Level
+    {
+        std::vector<Item> items;
+        /** node -> vertex, -1 = not seen at this level (mesh-sized). */
+        std::vector<std::int32_t> vertexOfNode;
+        std::vector<noc::NodeId> vertexNode;
+        std::vector<std::uint32_t> itemBegin;
+        std::vector<Item> grouped;
+        std::vector<Edge> edges;
+        DisjointSet forest;
+        /** MST edges in acceptance order, then as adjacency (CSR). */
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> tree;
+        std::vector<std::uint32_t> adjBegin;
+        std::vector<std::uint32_t> adjFill;
+        std::vector<std::uint32_t> adjacent;
+        /** Pre-order of the tree walk and each vertex's parent. */
+        std::vector<std::uint32_t> order;
+        std::vector<std::uint32_t> parent;
+        std::vector<Item> vertexResult;
+        std::vector<Item> inputs;
+    };
+
     /** Process one set level; returns the item representing its result. */
     Item splitSet(const ir::VarSet &set,
                   const std::vector<Location> &leaf_locations,
                   noc::NodeId store_node, bool outermost,
-                  LoadBalancer *balancer, SplitResult &result);
+                  LoadBalancer *balancer, SplitPlan &out);
+
+    /** Merge @p inputs at @p at_node into a new sub; returns its index. */
+    int emitSub(noc::NodeId at_node, std::span<const Item> inputs,
+                bool is_root, LoadBalancer *balancer, SplitPlan &out);
 
     const noc::MeshTopology *mesh_;
     std::int64_t fetchWeight_;
     std::int64_t resultWeight_;
-    /**
-     * Reused node -> vertex-slot scratch arrays, one per active
-     * recursion depth of splitSet (sized to the mesh's node count,
-     * -1 = node not seen at this level). Leasing from the pool keeps
-     * the per-call vertex grouping allocation-free after warm-up.
-     */
-    std::vector<std::vector<std::int32_t>> nodeSlotPool_;
-    std::size_t nodeSlotDepth_ = 0;
+    /** Scratch per active recursion depth (stable addresses). */
+    std::vector<std::unique_ptr<Level>> levels_;
+    std::size_t depth_ = 0;
+    /** Output of the materialising split(). */
+    SplitPlan scratch_;
 };
 
 } // namespace ndp::partition

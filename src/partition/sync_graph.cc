@@ -9,16 +9,19 @@ namespace ndp::partition {
 int
 SyncGraph::addNode()
 {
-    adj_.emplace_back();
-    return static_cast<int>(adj_.size()) - 1;
+    if (nodes_ == adj_.size())
+        adj_.emplace_back();
+    else
+        adj_[nodes_].clear();
+    return static_cast<int>(nodes_++);
 }
 
 void
 SyncGraph::addArc(int from, int to)
 {
-    NDP_CHECK(from >= 0 && static_cast<std::size_t>(from) < adj_.size(),
+    NDP_CHECK(from >= 0 && static_cast<std::size_t>(from) < nodes_,
               "bad sync arc source " << from);
-    NDP_CHECK(to >= 0 && static_cast<std::size_t>(to) < adj_.size(),
+    NDP_CHECK(to >= 0 && static_cast<std::size_t>(to) < nodes_,
               "bad sync arc target " << to);
     NDP_CHECK(from != to, "self sync arc");
     auto &out = adj_[static_cast<std::size_t>(from)];
@@ -30,15 +33,15 @@ std::size_t
 SyncGraph::arcCount() const
 {
     std::size_t n = 0;
-    for (const auto &out : adj_)
-        n += out.size();
+    for (std::size_t v = 0; v < nodes_; ++v)
+        n += adj_[v].size();
     return n;
 }
 
 const std::vector<int> &
 SyncGraph::successors(int node) const
 {
-    NDP_CHECK(node >= 0 && static_cast<std::size_t>(node) < adj_.size(),
+    NDP_CHECK(node >= 0 && static_cast<std::size_t>(node) < nodes_,
               "bad node " << node);
     return adj_[static_cast<std::size_t>(node)];
 }
@@ -58,7 +61,7 @@ SyncGraph::impliedByOthers(int from, int to) const
 void
 SyncGraph::removeArc(int from, int to)
 {
-    NDP_CHECK(from >= 0 && static_cast<std::size_t>(from) < adj_.size(),
+    NDP_CHECK(from >= 0 && static_cast<std::size_t>(from) < nodes_,
               "bad arc source " << from);
     std::erase(adj_[static_cast<std::size_t>(from)], to);
 }
@@ -67,9 +70,11 @@ bool
 SyncGraph::reachableAvoiding(int from, int to, int skip_from,
                              int skip_to) const
 {
-    std::vector<bool> seen(adj_.size(), false);
-    std::vector<int> stack{from};
-    seen[static_cast<std::size_t>(from)] = true;
+    std::vector<std::uint8_t> &seen = seen_;
+    std::vector<int> &stack = stack_;
+    seen.assign(nodes_, 0);
+    stack.assign(1, from);
+    seen[static_cast<std::size_t>(from)] = 1;
     while (!stack.empty()) {
         const int v = stack.back();
         stack.pop_back();
@@ -79,7 +84,7 @@ SyncGraph::reachableAvoiding(int from, int to, int skip_from,
             if (next == to)
                 return true;
             if (!seen[static_cast<std::size_t>(next)]) {
-                seen[static_cast<std::size_t>(next)] = true;
+                seen[static_cast<std::size_t>(next)] = 1;
                 stack.push_back(next);
             }
         }
@@ -91,7 +96,7 @@ std::size_t
 SyncGraph::transitiveReduce()
 {
     std::size_t removed = 0;
-    for (std::size_t v = 0; v < adj_.size(); ++v) {
+    for (std::size_t v = 0; v < nodes_; ++v) {
         auto &out = adj_[v];
         for (std::size_t i = 0; i < out.size();) {
             const int target = out[i];

@@ -34,6 +34,18 @@ class DisjointSet
         std::iota(parent_.begin(), parent_.end(), 0);
     }
 
+    /**
+     * Start over with @p size singleton sets. The storage is kept, so
+     * a forest reset call after call stops allocating.
+     */
+    void
+    reset(std::size_t size)
+    {
+        parent_.resize(size);
+        std::iota(parent_.begin(), parent_.end(), 0);
+        rank_.assign(size, 0);
+    }
+
     /** Number of elements (not sets). */
     std::size_t size() const { return parent_.size(); }
 

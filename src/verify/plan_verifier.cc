@@ -12,6 +12,7 @@
 #include "mem/address.h"
 #include "noc/mesh_topology.h"
 #include "partition/data_locator.h"
+#include "partition/dense_ids.h"
 #include "partition/load_balancer.h"
 #include "partition/splitter.h"
 #include "support/error.h"
@@ -106,11 +107,13 @@ struct VerifyState
     std::unordered_map<std::uint64_t,
                        std::vector<std::pair<noc::NodeId, std::int64_t>>>
         copySeq;
-    /** Replayed variable2node map of the current window. */
+    /** Replayed variable2node map of the current window, on line ids
+     *  interned in first-seen order. */
+    partition::DenseIds lines;
     partition::VariableToNodeMap vmap;
 
-    explicit VerifyState(std::size_t reuse_capacity)
-        : vmap(reuse_capacity)
+    VerifyState(std::int32_t node_count, std::size_t reuse_capacity)
+        : vmap(node_count, reuse_capacity)
     {
     }
 
@@ -118,15 +121,7 @@ struct VerifyState
     recordCopy(mem::Addr addr, noc::NodeId node, std::int64_t seq)
     {
         const std::uint64_t line = mem::lineNumber(addr);
-        const bool fresh = [&] {
-            for (noc::NodeId n : vmap.nodesFor(addr)) {
-                if (n == node)
-                    return false;
-            }
-            return true;
-        }();
-        vmap.add(addr, node);
-        if (!fresh)
+        if (!vmap.add(lines.intern(line), node))
             return;
         auto &copies = copySeq[line];
         for (auto &entry : copies) {
@@ -136,6 +131,15 @@ struct VerifyState
             }
         }
         copies.emplace_back(node, seq);
+    }
+
+    /** The window's L1 copies of the line of @p addr. */
+    partition::CopySet
+    copiesOf(mem::Addr addr) const
+    {
+        const std::uint32_t id = lines.find(mem::lineNumber(addr));
+        return id == partition::DenseIds::kNil ? partition::CopySet{}
+                                               : vmap.copies(id);
     }
 
     std::int64_t
@@ -228,7 +232,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
     const bool full = prov.level == VerifyLevel::Full;
     const bool faulted = mesh.hasFaults();
 
-    VerifyState st(prov.reuseCapacityLines);
+    VerifyState st(mesh.nodeCount(), prov.reuseCapacityLines);
     Report &rep = st.report;
     rep.plan = plan.name;
     rep.level = prov.level;
@@ -585,10 +589,8 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                           loc.node, os.str());
                 }
             } else if (full && prov.exploitReuse) {
-                const std::vector<noc::NodeId> &copies =
-                    st.vmap.nodesFor(r.addr);
-                if (std::find(copies.begin(), copies.end(),
-                              loc.node) == copies.end()) {
+                const partition::CopySet copies = st.copiesOf(r.addr);
+                if (!copies.contains(loc.node)) {
                     std::ostringstream os;
                     os << "operand " << j << " claims an L1 copy at "
                           "node "
@@ -600,7 +602,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                 } else {
                     // The deterministic GetNode pick: nearest copy to
                     // the store, lowest node id on ties.
-                    noc::NodeId pick = copies.front();
+                    noc::NodeId pick = *copies.begin();
                     std::int32_t best =
                         mesh.distance(pick, rec.storeNode);
                     for (noc::NodeId n : copies) {
@@ -702,9 +704,16 @@ PlanVerifier::verify(const ir::LoopNest &nest,
             }
         }
 
-        // ---- R2/R6: independent reference recomputation.
+        // ---- R2/R6: independent reference recomputation. It needs
+        // live operand and store nodes: a hop distance to a dead node
+        // is the unreachable sentinel, which no split plan can carry
+        // (R4/R5 above already flagged such a record).
         const ir::VarSet &sets = static_sets[stmt_idx];
-        if (full) {
+        const bool reference_splittable =
+            live(rec.storeNode) &&
+            std::all_of(rec.locations.begin(), rec.locations.end(),
+                        [&](const Location &loc) { return live(loc.node); });
+        if (full && reference_splittable) {
             SplitResult ref;
             if (replay_balancer) {
                 // The planner split against a trial copy and committed

@@ -166,17 +166,19 @@ TEST_F(PaperExamplesTest, Figure11MultiStatementReuse)
         s1, {loc(nB), loc(nC), loc(nD), loc(nE)}, nA);
 
     // Record where S1's subcomputations fetched C(i) (leaf 1).
-    VariableToNodeMap varmap;
+    VariableToNodeMap varmap(mesh.nodeCount());
+    const std::uint32_t c_line = 0; // C(i)'s line id
     noc::NodeId c_holder = noc::kInvalidNode;
     for (const Subcomputation &sub : split1.subs) {
         for (int leaf : sub.leaves) {
             if (leaf == 1) {
                 c_holder = sub.node;
-                varmap.add(0x1000, sub.node); // C(i)'s line key
+                varmap.add(c_line, sub.node);
             }
         }
     }
     ASSERT_NE(c_holder, noc::kInvalidNode);
+    EXPECT_TRUE(varmap.copies(c_line).contains(c_holder));
     // The merge node for C is inside the C/D cluster.
     EXPECT_TRUE(c_holder == nC || c_holder == nD);
 

@@ -25,6 +25,7 @@
 #include "support/disjoint_set.h"
 #include "ir/parser.h"
 #include "partition/data_locator.h"
+#include "partition/dense_ids.h"
 #include "partition/load_balancer.h"
 #include "partition/partitioner.h"
 #include "partition/splitter.h"
@@ -39,29 +40,42 @@ using namespace ndp::partition;
 
 // ---------------------------------------------------- VariableToNodeMap
 
+/** The nodes of @p line's copy set, ascending. */
+std::vector<noc::NodeId>
+nodesOf(const VariableToNodeMap &map, std::uint32_t line)
+{
+    std::vector<noc::NodeId> nodes;
+    for (noc::NodeId n : map.copies(line))
+        nodes.push_back(n);
+    return nodes;
+}
+
 TEST(VariableToNodeMapTest, RecordsAndDeduplicates)
 {
-    VariableToNodeMap map;
-    map.add(0x100, 3);
-    map.add(0x100, 3); // duplicate
-    map.add(0x110, 5); // same line as 0x100
-    ASSERT_EQ(map.nodesFor(0x100).size(), 2u);
-    EXPECT_EQ(map.nodesFor(0x100)[0], 3);
-    EXPECT_EQ(map.nodesFor(0x100)[1], 5);
-    EXPECT_TRUE(map.nodesFor(0x4000).empty());
+    VariableToNodeMap map(/*node_count=*/8);
+    EXPECT_TRUE(map.add(0, 5));
+    EXPECT_TRUE(map.add(0, 3));
+    EXPECT_FALSE(map.add(0, 3)); // duplicate
+    EXPECT_EQ(nodesOf(map, 0), (std::vector<noc::NodeId>{3, 5}));
+    EXPECT_TRUE(map.copies(0).contains(5));
+    EXPECT_FALSE(map.copies(0).contains(4));
+    EXPECT_TRUE(map.copies(1).empty());
+    EXPECT_TRUE(map.copies(1000).empty()); // past the table
+    EXPECT_EQ(map.insertionCount(), 2);
     map.clear();
-    EXPECT_TRUE(map.nodesFor(0x100).empty());
+    EXPECT_TRUE(map.copies(0).empty());
+    EXPECT_EQ(map.insertionCount(), 0);
 }
 
 TEST(VariableToNodeMapTest, CapacityModelsL1Pollution)
 {
-    VariableToNodeMap map(/*per_node_capacity=*/2);
-    map.add(0 * mem::kLineSize, 7);
-    map.add(1 * mem::kLineSize, 7);
-    map.add(2 * mem::kLineSize, 7); // evicts line 0 from node 7
-    EXPECT_TRUE(map.nodesFor(0).empty());
-    EXPECT_FALSE(map.nodesFor(1 * mem::kLineSize).empty());
-    EXPECT_FALSE(map.nodesFor(2 * mem::kLineSize).empty());
+    VariableToNodeMap map(/*node_count=*/8, /*per_node_capacity=*/2);
+    map.add(0, 7);
+    map.add(1, 7);
+    map.add(2, 7); // evicts line 0 from node 7
+    EXPECT_TRUE(map.copies(0).empty());
+    EXPECT_FALSE(map.copies(1).empty());
+    EXPECT_FALSE(map.copies(2).empty());
 }
 
 /**
@@ -135,22 +149,77 @@ class ReferenceVarMap
     std::int64_t inserts_ = 0;
 };
 
+/**
+ * The window map driven the way its callers drive it: lines interned
+ * to dense ids with DenseIds, and each accepted add mixed into an
+ * InsertionDigest, which must match the reference's digest.
+ */
+class InternedVarMap
+{
+  public:
+    InternedVarMap(std::int32_t node_count, std::size_t capacity)
+        : map_(node_count, capacity)
+    {}
+
+    void
+    add(mem::Addr addr, noc::NodeId node)
+    {
+        const std::uint64_t line = mem::lineNumber(addr);
+        if (map_.add(lines_.intern(line), node))
+            digest_.mix(line, node);
+    }
+
+    /** The copies of @p addr's line, ascending. */
+    std::vector<noc::NodeId>
+    nodesFor(mem::Addr addr) const
+    {
+        const std::uint32_t id = lines_.find(mem::lineNumber(addr));
+        return id == DenseIds::kNil ? std::vector<noc::NodeId>{}
+                                    : nodesOf(map_, id);
+    }
+
+    /** A new window; line ids persist, as the stream's do. */
+    void
+    clear()
+    {
+        map_.clear();
+        digest_.reset();
+    }
+
+    std::uint64_t hash() const { return digest_.value(); }
+    std::int64_t inserts() const { return map_.insertionCount(); }
+
+  private:
+    DenseIds lines_;
+    VariableToNodeMap map_;
+    InsertionDigest digest_;
+};
+
+/** @p nodes sorted: the reference keeps insertion order. */
+std::vector<noc::NodeId>
+sorted(std::vector<noc::NodeId> nodes)
+{
+    std::sort(nodes.begin(), nodes.end());
+    return nodes;
+}
+
 TEST(VariableToNodeMapTest, MatchesReferenceSemantics)
 {
     for (const std::size_t capacity : {0u, 1u, 3u}) {
         SCOPED_TRACE("capacity " + std::to_string(capacity));
         Rng rng(0x5eed + capacity);
-        VariableToNodeMap map(capacity);
+        // 256 nodes: the five drawn below sit in four different bitset
+        // words.
+        InternedVarMap map(/*node_count=*/256, capacity);
         ReferenceVarMap ref(capacity);
         const auto expect_same = [&](mem::Addr addr) {
-            const std::vector<noc::NodeId> &got = map.nodesFor(addr);
-            ASSERT_EQ(got, ref.nodesFor(addr)) << "line "
-                                               << mem::lineNumber(addr);
-            ASSERT_EQ(map.insertionHash(), ref.hash());
-            ASSERT_EQ(map.insertionCount(), ref.inserts());
+            ASSERT_EQ(map.nodesFor(addr), sorted(ref.nodesFor(addr)))
+                << "line " << mem::lineNumber(addr);
+            ASSERT_EQ(map.hash(), ref.hash());
+            ASSERT_EQ(map.inserts(), ref.inserts());
         };
-        // Hundreds of windows: cleared slots and node lists are reused,
-        // and windows of up to 300 adds grow the table mid-window.
+        // Hundreds of windows: stale copy sets and FIFOs are reused,
+        // and windows of up to 300 adds grow the tables mid-window.
         for (int window = 0; window < 400; ++window) {
             map.clear();
             ref.clear();
@@ -163,7 +232,8 @@ TEST(VariableToNodeMapTest, MatchesReferenceSemantics)
                 const mem::Addr addr =
                     rng.nextBelow(lines) * mem::kLineSize +
                     rng.nextBelow(mem::kLineSize);
-                const auto node = static_cast<noc::NodeId>(rng.nextBelow(5));
+                const auto node =
+                    static_cast<noc::NodeId>(61 * rng.nextBelow(5));
                 map.add(addr, node);
                 ref.add(addr, node);
                 expect_same(addr);
@@ -177,7 +247,7 @@ TEST(VariableToNodeMapTest, MatchesReferenceSemantics)
 
 TEST(VariableToNodeMapTest, EvictedLineIsReAdded)
 {
-    VariableToNodeMap map(/*per_node_capacity=*/1);
+    InternedVarMap map(/*node_count=*/8, /*capacity=*/1);
     ReferenceVarMap ref(1);
     const mem::Addr a = 0, b = mem::kLineSize;
     for (const auto &[addr, node] :
@@ -186,9 +256,9 @@ TEST(VariableToNodeMapTest, EvictedLineIsReAdded)
         map.add(addr, node);
         ref.add(addr, node);
         for (mem::Addr probe : {a, b})
-            EXPECT_EQ(map.nodesFor(probe), ref.nodesFor(probe));
-        EXPECT_EQ(map.insertionHash(), ref.hash());
-        EXPECT_EQ(map.insertionCount(), ref.inserts());
+            EXPECT_EQ(map.nodesFor(probe), sorted(ref.nodesFor(probe)));
+        EXPECT_EQ(map.hash(), ref.hash());
+        EXPECT_EQ(map.inserts(), ref.inserts());
     }
     // Line a lost its last copy to b, then came back on node 4; node
     // 2's copy of it went to b in turn.
@@ -248,16 +318,26 @@ TEST_F(DataLocatorTest, DefaultsToHomeBank)
 
 TEST_F(DataLocatorTest, PrefersNearestL1Copy)
 {
-    VariableToNodeMap map;
-    const mem::Addr addr = 0x777000;
-    const noc::NodeId near = system.mesh().nodeAt({1, 1});
-    const noc::NodeId far = system.mesh().nodeAt({5, 5});
-    map.add(addr, far);
-    map.add(addr, near);
-    const Location loc = nearestCopy(system.mesh(), map.nodesFor(addr),
-                                     system.mesh().nodeAt({0, 0}));
+    const noc::MeshTopology &mesh = system.mesh();
+    VariableToNodeMap map(mesh.nodeCount());
+    const std::uint32_t line = 0;
+    const noc::NodeId near = mesh.nodeAt({1, 1});
+    const noc::NodeId far = mesh.nodeAt({5, 5});
+    map.add(line, far);
+    map.add(line, near);
+    const Location loc =
+        nearestCopy(mesh, map.copies(line), mesh.nodeAt({0, 0}));
     EXPECT_EQ(loc.source, LocationSource::L1Copy);
     EXPECT_EQ(loc.node, near);
+
+    // Equally near copies: the lower node id wins.
+    const noc::NodeId east = mesh.nodeAt({3, 2});
+    const noc::NodeId south = mesh.nodeAt({2, 3});
+    map.clear();
+    map.add(line, std::max(east, south));
+    map.add(line, std::min(east, south));
+    EXPECT_EQ(nearestCopy(mesh, map.copies(line), mesh.nodeAt({2, 2})).node,
+              std::min(east, south));
 }
 
 // ----------------------------------------------------------LoadBalancer

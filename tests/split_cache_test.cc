@@ -9,11 +9,14 @@
  * replayed against the live loads and a veto falls back to a full
  * balanced split; both paths must stay invisible. Unit tests pin the
  * counters — hits on a periodic nest, with and without the balancer —
- * plus direct SplitPlanCache key/collision/round-trip/clear semantics.
+ * plus direct SplitPlanCache key/collision/round-trip/clear semantics,
+ * and the flat split-plan format's round trip from the splitter through
+ * a cached view to a materialised SplitResult.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "ir/nested_sets.h"
 #include "ir/parser.h"
 #include "noc/mesh_topology.h"
+#include "partition/load_balancer.h"
 #include "partition/split_plan_cache.h"
 #include "partition/splitter.h"
 #include "support/rng.h"
@@ -272,12 +276,24 @@ TEST(SplitCacheCounterTest, LoadBalancedSplitsReplayTheCache)
 
 // ------------------------------------------------- SplitPlanCache unit
 
-partition::SplitResult
+/** A plan with no subs, told apart by its movement. */
+partition::SplitPlan
 markerPlan(std::int64_t movement)
 {
-    partition::SplitResult plan;
+    partition::SplitPlan plan;
     plan.plannedMovement = movement;
     return plan;
+}
+
+/** The movement of the plan cached under the key, or -1 on a miss. */
+std::int64_t
+cachedMovement(partition::SplitPlanCache &cache, std::int32_t stmt,
+               noc::NodeId store,
+               const std::vector<partition::Location> &locations)
+{
+    const std::optional<partition::SplitView> hit =
+        cache.lookup(stmt, store, locations);
+    return hit ? hit->plannedMovement : -1;
 }
 
 TEST(SplitPlanCacheTest, KeyCoversStatementStoreAndLocations)
@@ -288,22 +304,21 @@ TEST(SplitPlanCacheTest, KeyCoversStatementStoreAndLocations)
         {7, partition::LocationSource::L1Copy},
     };
 
-    EXPECT_EQ(cache.lookup(0, 5, locs), nullptr);
-    cache.insert(markerPlan(11));
-    ASSERT_NE(cache.lookup(0, 5, locs), nullptr);
-    EXPECT_EQ(cache.lookup(0, 5, locs)->plannedMovement, 11);
+    EXPECT_FALSE(cache.lookup(0, 5, locs));
+    cache.insert(markerPlan(11).view());
+    EXPECT_EQ(cachedMovement(cache, 0, 5, locs), 11);
 
     // Any key component changing must miss: statement index...
-    EXPECT_EQ(cache.lookup(1, 5, locs), nullptr);
-    cache.insert(markerPlan(22));
+    EXPECT_FALSE(cache.lookup(1, 5, locs));
+    cache.insert(markerPlan(22).view());
     // ...store node...
-    EXPECT_EQ(cache.lookup(0, 6, locs), nullptr);
-    cache.insert(markerPlan(33));
+    EXPECT_FALSE(cache.lookup(0, 6, locs));
+    cache.insert(markerPlan(33).view());
     // ...or a location's node.
     std::vector<partition::Location> moved = locs;
     moved[0].node = 4;
-    EXPECT_EQ(cache.lookup(0, 5, moved), nullptr);
-    cache.insert(markerPlan(44));
+    EXPECT_FALSE(cache.lookup(0, 5, moved));
+    cache.insert(markerPlan(44).view());
 
     // A location's source, node unchanged, must hit: the splitter reads
     // only the node, so an L1 reuse copy and an L2-home fetch from the
@@ -311,34 +326,33 @@ TEST(SplitPlanCacheTest, KeyCoversStatementStoreAndLocations)
     std::vector<partition::Location> resourced = locs;
     resourced[0].source = partition::LocationSource::L1Copy;
     resourced[1].source = partition::LocationSource::L2Home;
-    ASSERT_NE(cache.lookup(0, 5, resourced), nullptr);
-    EXPECT_EQ(cache.lookup(0, 5, resourced)->plannedMovement, 11);
+    EXPECT_EQ(cachedMovement(cache, 0, 5, resourced), 11);
 
     // All four entries coexist and resolve to their own plans.
     EXPECT_EQ(cache.size(), 4u);
-    EXPECT_EQ(cache.lookup(0, 5, locs)->plannedMovement, 11);
-    EXPECT_EQ(cache.lookup(1, 5, locs)->plannedMovement, 22);
-    EXPECT_EQ(cache.lookup(0, 6, locs)->plannedMovement, 33);
-    EXPECT_EQ(cache.lookup(0, 5, moved)->plannedMovement, 44);
+    EXPECT_EQ(cachedMovement(cache, 0, 5, locs), 11);
+    EXPECT_EQ(cachedMovement(cache, 1, 5, locs), 22);
+    EXPECT_EQ(cachedMovement(cache, 0, 6, locs), 33);
+    EXPECT_EQ(cachedMovement(cache, 0, 5, moved), 44);
 }
 
-TEST(SplitPlanCacheTest, ClearDropsEntriesButKeepsCounters)
+TEST(SplitPlanCacheTest, ClearDropsEveryEntry)
 {
     partition::SplitPlanCache cache;
     const std::vector<partition::Location> locs = {
         {1, partition::LocationSource::L2Home}};
 
-    EXPECT_EQ(cache.lookup(0, 0, locs), nullptr);
-    cache.insert(markerPlan(1));
-    ASSERT_NE(cache.lookup(0, 0, locs), nullptr);
-    EXPECT_EQ(cache.hits(), 1);
-    EXPECT_EQ(cache.misses(), 1);
+    EXPECT_FALSE(cache.lookup(0, 0, locs));
+    cache.insert(markerPlan(1).view());
+    EXPECT_EQ(cachedMovement(cache, 0, 0, locs), 1);
+    EXPECT_EQ(cache.size(), 1u);
 
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.lookup(0, 0, locs), nullptr);
-    EXPECT_EQ(cache.hits(), 1);
-    EXPECT_EQ(cache.misses(), 2);
+    EXPECT_FALSE(cache.lookup(0, 0, locs));
+    // The cleared cache files and finds entries again.
+    cache.insert(markerPlan(2).view());
+    EXPECT_EQ(cachedMovement(cache, 0, 0, locs), 2);
 }
 
 /** Every field of two SplitResults, nodes and costs included. */
@@ -370,6 +384,151 @@ expectSameSplit(const partition::SplitResult &got,
     EXPECT_EQ(got.crossNodeEdges, want.crossNodeEdges) << label;
 }
 
+/**
+ * Every field of a flat view against a nested SplitResult, read
+ * through the view's own accessors (not materialise()).
+ */
+void
+expectViewMatches(const partition::SplitView &got,
+                  const partition::SplitResult &want,
+                  const std::string &label)
+{
+    ASSERT_EQ(got.size(), want.subs.size()) << label;
+    std::size_t s = 0;
+    for (const partition::SubView sub : got) {
+        const partition::Subcomputation &b = want.subs[s];
+        EXPECT_EQ(sub.node, b.node) << label << " sub " << s;
+        EXPECT_EQ(std::vector<int>(sub.leaves.begin(), sub.leaves.end()),
+                  b.leaves)
+            << label << " sub " << s;
+        EXPECT_EQ(
+            std::vector<int>(sub.children.begin(), sub.children.end()),
+            b.children)
+            << label << " sub " << s;
+        EXPECT_EQ(std::vector<ir::OpKind>(sub.ops.begin(), sub.ops.end()),
+                  b.ops)
+            << label << " sub " << s;
+        EXPECT_EQ(sub.opCost, b.opCost) << label << " sub " << s;
+        EXPECT_EQ(sub.isRoot, b.isRoot) << label << " sub " << s;
+        ++s;
+    }
+    ASSERT_EQ(got.edgeCount, want.edges.size()) << label;
+    for (std::size_t e = 0; e < want.edges.size(); ++e) {
+        EXPECT_EQ(got.edges[e].a, want.edges[e].a) << label << " edge " << e;
+        EXPECT_EQ(got.edges[e].b, want.edges[e].b) << label << " edge " << e;
+        EXPECT_EQ(got.edges[e].weight, want.edges[e].weight)
+            << label << " edge " << e;
+    }
+    EXPECT_EQ(got.root, want.root) << label;
+    EXPECT_EQ(got.plannedMovement, want.plannedMovement) << label;
+    EXPECT_EQ(got.degreeOfParallelism, want.degreeOfParallelism) << label;
+    EXPECT_EQ(got.crossNodeEdges, want.crossNodeEdges) << label;
+}
+
+/** A random parenthesised expression over V0..V7. */
+std::string
+randomExpr(Rng &rng, int depth)
+{
+    if (depth == 0 || rng.nextBool(0.3))
+        return "V" + std::to_string(rng.nextBelow(8)) + "[i]";
+    static const char *const kOps[] = {" + ", " - ", " * ", " / "};
+    const int terms = 2 + static_cast<int>(rng.nextBelow(3));
+    std::string expr = "(";
+    for (int t = 0; t < terms; ++t) {
+        if (t > 0)
+            expr += kOps[rng.nextBelow(4)];
+        expr += randomExpr(rng, depth - 1);
+    }
+    return expr + ")";
+}
+
+TEST(SplitPlanFormatTest, FlatPlanCachedViewAndSplitResultAgree)
+{
+    // Random statements, operand locations and store nodes on a
+    // 512-node mesh (ids above 255 must survive the packed fields),
+    // split with the balancer off and on. The splitter's flat plan, the
+    // cache's view of it and the nested SplitResult must agree on
+    // every field.
+    const noc::MeshTopology mesh(32, 16);
+    ir::ArrayTable arrays;
+    Rng rng(0xf1a7);
+    std::string src;
+    for (int a = 0; a < 8; ++a)
+        src += "array V" + std::to_string(a) + "[64];\n";
+    src += "array OUT[64];\nfor i = 0..64 {\n";
+    const int statements = 40;
+    for (int k = 0; k < statements; ++k)
+        src += "  S" + std::to_string(k + 1) + ": OUT[i] = " +
+               randomExpr(rng, 3) + ";\n";
+    src += "}";
+    const ir::LoopNest nest = ir::parseKernel(src, "flat", arrays);
+
+    partition::StatementSplitter splitter(mesh, /*fetch_weight=*/8);
+    partition::SplitPlanCache cache;
+    partition::SplitPlan flat;
+    // Pre-loaded so the balancer vetoes and slides merges.
+    partition::LoadBalancer loads(mesh.nodeCount(), 0.10);
+    for (int k = 0; k < 64; ++k)
+        loads.add(static_cast<noc::NodeId>(rng.nextBelow(512)),
+                  1 + static_cast<std::int64_t>(rng.nextBelow(40)));
+
+    std::int32_t key = 0;
+    int slid = 0;
+    noc::NodeId highest = 0;
+    for (int draw = 0; draw < 300; ++draw) {
+        const ir::Statement &stmt =
+            nest.body()[static_cast<std::size_t>(draw % statements)];
+        const ir::VarSet sets = ir::buildVarSets(stmt);
+        std::vector<partition::Location> locations;
+        for (std::size_t l = 0; l < stmt.rhsReadCount(); ++l)
+            locations.push_back(
+                {static_cast<noc::NodeId>(rng.nextBelow(512)),
+                 partition::LocationSource::L2Home});
+        const auto store = static_cast<noc::NodeId>(rng.nextBelow(512));
+
+        for (const bool balanced : {false, true}) {
+            const std::string label = "draw " + std::to_string(draw) +
+                                      (balanced ? " balanced" : "");
+            partition::LoadBalancer flat_trial = loads;
+            partition::LoadBalancer nested_trial = loads;
+            splitter.split(sets, locations, store,
+                           balanced ? &flat_trial : nullptr, flat);
+            const partition::SplitResult nested = splitter.split(
+                sets, locations, store, balanced ? &nested_trial : nullptr);
+            EXPECT_EQ(flat_trial.totalLoad(), nested_trial.totalLoad())
+                << label;
+
+            // A fresh key per split: the cache files the flat plan as
+            // it is and hands back a view of its own copy.
+            ASSERT_FALSE(cache.lookup(key, store, locations)) << label;
+            cache.insert(flat.view());
+            const std::optional<partition::SplitView> cached =
+                cache.lookup(key++, store, locations);
+            ASSERT_TRUE(cached) << label;
+
+            expectViewMatches(flat.view(), nested, label + " flat");
+            expectViewMatches(cached.value(), nested, label + " cached");
+            expectSameSplit(cached.value().materialise(), nested,
+                            label + " materialised");
+            for (const partition::Subcomputation &sub : nested.subs)
+                highest = std::max(highest, sub.node);
+            if (balanced) {
+                const partition::SplitResult free_split =
+                    splitter.split(sets, locations, store);
+                for (std::size_t s = 0; s < nested.subs.size(); ++s) {
+                    if (nested.subs[s].node != free_split.subs[s].node) {
+                        ++slid;
+                        break;
+                    }
+                }
+                loads = flat_trial; // commit, so the loads evolve
+            }
+        }
+    }
+    ASSERT_GT(highest, 255);
+    EXPECT_GT(slid, 0) << "the balancer never slid a merge";
+}
+
 TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
 {
     // 512 nodes (a 16x16 mesh tops out at id 255): node ids above 255
@@ -386,6 +545,7 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
                                               "roundtrip", arrays);
     partition::StatementSplitter splitter(mesh, /*fetch_weight=*/8);
     partition::SplitPlanCache cache;
+    partition::SplitPlan flat;
     Rng rng(0x16);
 
     struct Filed
@@ -408,11 +568,12 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
                 {node, rng.nextBool(0.5) ? partition::LocationSource::L2Home
                                          : partition::LocationSource::L1Copy});
         }
-        f.plan = splitter.split(ir::buildVarSets(statement), f.locations,
-                                f.store);
-        if (cache.lookup(f.stmt, f.store, f.locations) != nullptr)
+        splitter.split(ir::buildVarSets(statement), f.locations, f.store,
+                       nullptr, flat);
+        f.plan = flat.view().materialise();
+        if (cache.lookup(f.stmt, f.store, f.locations))
             continue; // a repeated draw
-        cache.insert(f.plan);
+        cache.insert(flat.view());
         for (const partition::Subcomputation &sub : f.plan.subs)
             highest = std::max(highest, sub.node);
         filed.push_back(std::move(f));
@@ -421,14 +582,14 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
     EXPECT_EQ(cache.size(), filed.size());
     EXPECT_GT(cache.bytes(), 0u);
 
-    // Every entry decodes to its own plan, field for field, in any
-    // order; the reused decode buffer carries nothing over.
+    // Every entry reads back as its own plan, field for field, in any
+    // order.
     for (std::size_t i = filed.size(); i-- > 0;) {
         const Filed &f = filed[i];
-        const partition::SplitResult *hit =
+        const std::optional<partition::SplitView> hit =
             cache.lookup(f.stmt, f.store, f.locations);
-        ASSERT_NE(hit, nullptr) << "entry " << i;
-        expectSameSplit(*hit, f.plan, "entry " + std::to_string(i));
+        ASSERT_TRUE(hit) << "entry " << i;
+        expectViewMatches(hit.value(), f.plan, "entry " + std::to_string(i));
     }
 }
 
@@ -448,20 +609,22 @@ TEST(SplitPlanCacheTest, BucketSiblingsCompareFullKeys)
         return locs;
     };
     for (int k = 0; k < keys; ++k) {
-        ASSERT_EQ(cache.lookup(0, 1, locations_of(k)), nullptr) << k;
-        cache.insert(markerPlan(k));
+        ASSERT_FALSE(cache.lookup(0, 1, locations_of(k))) << k;
+        cache.insert(markerPlan(k).view());
     }
     EXPECT_EQ(cache.size(), static_cast<std::size_t>(keys));
+    int hits = 0;
     for (int k = 0; k < keys; ++k) {
-        const partition::SplitResult *hit = cache.lookup(0, 1, locations_of(k));
-        ASSERT_NE(hit, nullptr) << k;
-        EXPECT_EQ(hit->plannedMovement, k);
+        const std::int64_t movement =
+            cachedMovement(cache, 0, 1, locations_of(k));
+        ASSERT_EQ(movement, k);
+        ++hits;
     }
     // A key one word longer than a filed one is a different key.
     std::vector<partition::Location> longer = locations_of(3);
     longer.push_back(longer.back());
-    EXPECT_EQ(cache.lookup(0, 1, longer), nullptr);
-    EXPECT_EQ(cache.hits(), keys);
+    EXPECT_FALSE(cache.lookup(0, 1, longer));
+    EXPECT_EQ(hits, keys);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include "ir/parser.h"
 #include "partition/partitioner.h"
 #include "sim/engine.h"
+#include "verify/plan_verifier.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -185,101 +186,118 @@ TEST(WindowCandidateTest, AdaptiveCandidatesEqualFixedRuns)
     // dependence history), so candidate w must price and plan exactly
     // what a run fixed at w does, with and without the balancer. The
     // sweep scores every candidate and emits only the winner, so the
-    // winner's whole report must match the fixed run's too.
+    // winner's whole report must match the fixed run's too, and the
+    // winner must verify. A 16x16 mesh has 256 nodes, so the window
+    // map's copy sets span four bitset words.
     workloads::WorkloadFactory factory(256);
-    for (const char *app : {"water", "fft", "ocean", "minimd"}) {
-        const workloads::Workload workload = factory.build(app);
-        for (const ir::LoopNest &nest : workload.nests) {
-            sim::ManycoreSystem system{sim::ManycoreConfig{}};
-            system.setMcdramArrays(workload.mcdramArrays);
-            baseline::DefaultPlacement placement(system, workload.arrays);
-            const std::vector<noc::NodeId> nodes =
-                placement.assignIterations(nest);
-            sim::ExecutionEngine engine(system);
-            (void)engine.run(placement.buildPlan(nest, nodes));
+    for (const std::int32_t mesh : {6, 16}) {
+        for (const char *app : {"water", "fft", "ocean", "minimd"}) {
+            const workloads::Workload workload = factory.build(app);
+            for (const ir::LoopNest &nest : workload.nests) {
+                sim::ManycoreConfig config;
+                config.meshCols = mesh;
+                config.meshRows = mesh;
+                sim::ManycoreSystem system{config};
+                system.setMcdramArrays(workload.mcdramArrays);
+                baseline::DefaultPlacement placement(system, workload.arrays);
+                const std::vector<noc::NodeId> nodes =
+                    placement.assignIterations(nest);
+                sim::ExecutionEngine engine(system);
+                (void)engine.run(placement.buildPlan(nest, nodes));
 
-            for (const bool balance : {true, false}) {
-                SCOPED_TRACE(std::string(app) + "/" + nest.name() +
-                             (balance ? " balanced" : " unbalanced"));
-                PartitionOptions adaptive;
-                adaptive.loadBalance = balance;
-                adaptive.verifyLevel = verify::VerifyLevel::Full;
-                Partitioner sweep(system, workload.arrays, adaptive);
-                const sim::ExecutionPlan chosen = sweep.plan(nest, nodes);
-                const PartitionReport report = sweep.report();
-                ASSERT_EQ(report.movementPerWindowSize.size(), 8u);
-                const std::int64_t instances =
-                    nest.iterationCount() *
-                    static_cast<std::int64_t>(nest.body().size());
-                // Eight scoring passes plus the winner's emitting pass.
-                EXPECT_EQ(report.compile.instancesPlanned, 9 * instances);
-
-                for (std::int32_t w = 1; w <= 8; ++w) {
-                    PartitionOptions fixed = adaptive;
-                    fixed.fixedWindowSize = w;
-                    Partitioner single(system, workload.arrays, fixed);
-                    const sim::ExecutionPlan plan =
-                        single.plan(nest, nodes);
-                    const PartitionReport &fixed_report = single.report();
-                    EXPECT_EQ(report.movementPerWindowSize[
-                                  static_cast<std::size_t>(w - 1)],
-                              fixed_report.plannedMovement)
-                        << "w=" << w;
-                    // A fixed size is one emitting pass, no scoring.
-                    EXPECT_EQ(fixed_report.compile.instancesPlanned,
-                              instances);
-                    if (w != report.chosenWindowSize)
-                        continue;
-                    EXPECT_EQ(report.reuseMapHash, fixed_report.reuseMapHash);
-                    EXPECT_EQ(report.reuseCopiesPlanned,
-                              fixed_report.reuseCopiesPlanned);
-                    EXPECT_EQ(report.statementsSplit,
-                              fixed_report.statementsSplit);
-                    EXPECT_EQ(report.statementsKeptDefault,
-                              fixed_report.statementsKeptDefault);
-                    for (int c = 0; c < 3; ++c) {
-                        EXPECT_EQ(report.offloadedOps[c],
-                                  fixed_report.offloadedOps[c])
-                            << "category " << c;
-                    }
-                    EXPECT_EQ(report.offloadedSubcomputations,
-                              fixed_report.offloadedSubcomputations);
+                for (const bool balance : {true, false}) {
+                    SCOPED_TRACE(std::string(app) + "/" + nest.name() +
+                                 (balance ? " balanced" : " unbalanced") +
+                                 " on " + std::to_string(mesh) + "x" +
+                                 std::to_string(mesh));
+                    PartitionOptions adaptive;
+                    adaptive.loadBalance = balance;
+                    adaptive.verifyLevel = verify::VerifyLevel::Full;
+                    Partitioner sweep(system, workload.arrays, adaptive);
+                    const sim::ExecutionPlan chosen = sweep.plan(nest, nodes);
+                    const PartitionReport report = sweep.report();
+                    ASSERT_EQ(report.movementPerWindowSize.size(), 8u);
                     ASSERT_NE(report.provenance, nullptr);
-                    ASSERT_NE(fixed_report.provenance, nullptr);
-                    EXPECT_EQ(report.provenance->instances.size(),
-                              static_cast<std::size_t>(instances));
-                    EXPECT_EQ(report.provenance->instances.size(),
-                              fixed_report.provenance->instances.size());
-                    ASSERT_EQ(chosen.instances.size(), plan.instances.size());
-                    for (std::size_t i = 0; i < plan.instances.size(); ++i) {
-                        const sim::InstanceStats &a = chosen.instances[i];
-                        const sim::InstanceStats &b = plan.instances[i];
-                        EXPECT_EQ(a.statementIndex, b.statementIndex);
-                        EXPECT_EQ(a.iterationNumber, b.iterationNumber);
-                        EXPECT_EQ(a.dataMovement, b.dataMovement);
-                        EXPECT_EQ(a.defaultDataMovement,
-                                  b.defaultDataMovement);
-                        EXPECT_EQ(a.degreeOfParallelism,
-                                  b.degreeOfParallelism);
-                        EXPECT_EQ(a.synchronizations, b.synchronizations)
-                            << "instance " << i;
-                        EXPECT_EQ(a.rawSynchronizations,
-                                  b.rawSynchronizations)
-                            << "instance " << i;
-                    }
-                    ASSERT_EQ(chosen.tasks.size(), plan.tasks.size());
-                    for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
-                        const sim::Task &a = chosen.tasks[t];
-                        const sim::Task &b = plan.tasks[t];
-                        EXPECT_EQ(a.node, b.node) << "task " << t;
-                        EXPECT_EQ(a.deps, b.deps) << "task " << t;
-                        ASSERT_EQ(a.reads.size(), b.reads.size());
-                        for (std::size_t r = 0; r < a.reads.size(); ++r) {
-                            EXPECT_EQ(a.reads[r].addr, b.reads[r].addr);
+                    const verify::Report verdict =
+                        verify::PlanVerifier(system, workload.arrays)
+                            .verify(nest, chosen, *report.provenance);
+                    EXPECT_EQ(verdict.counts().errors, 0);
+                    const std::int64_t instances =
+                        nest.iterationCount() *
+                        static_cast<std::int64_t>(nest.body().size());
+                    // Eight scoring passes plus the winner's emitting pass.
+                    EXPECT_EQ(report.compile.instancesPlanned, 9 * instances);
+
+                    for (std::int32_t w = 1; w <= 8; ++w) {
+                        PartitionOptions fixed = adaptive;
+                        fixed.fixedWindowSize = w;
+                        Partitioner single(system, workload.arrays, fixed);
+                        const sim::ExecutionPlan plan =
+                            single.plan(nest, nodes);
+                        const PartitionReport &fixed_report = single.report();
+                        EXPECT_EQ(report.movementPerWindowSize[
+                                      static_cast<std::size_t>(w - 1)],
+                                  fixed_report.plannedMovement)
+                            << "w=" << w;
+                        // A fixed size is one emitting pass, no scoring.
+                        EXPECT_EQ(fixed_report.compile.instancesPlanned,
+                                  instances);
+                        if (w != report.chosenWindowSize)
+                            continue;
+                        EXPECT_EQ(report.reuseMapHash,
+                                  fixed_report.reuseMapHash);
+                        EXPECT_EQ(report.reuseCopiesPlanned,
+                                  fixed_report.reuseCopiesPlanned);
+                        EXPECT_EQ(report.statementsSplit,
+                                  fixed_report.statementsSplit);
+                        EXPECT_EQ(report.statementsKeptDefault,
+                                  fixed_report.statementsKeptDefault);
+                        for (int c = 0; c < 3; ++c) {
+                            EXPECT_EQ(report.offloadedOps[c],
+                                      fixed_report.offloadedOps[c])
+                                << "category " << c;
                         }
-                        ASSERT_EQ(a.write.has_value(), b.write.has_value());
-                        if (a.write) {
-                            EXPECT_EQ(a.write->addr, b.write->addr);
+                        EXPECT_EQ(report.offloadedSubcomputations,
+                                  fixed_report.offloadedSubcomputations);
+                        ASSERT_NE(report.provenance, nullptr);
+                        ASSERT_NE(fixed_report.provenance, nullptr);
+                        EXPECT_EQ(report.provenance->instances.size(),
+                                  static_cast<std::size_t>(instances));
+                        EXPECT_EQ(report.provenance->instances.size(),
+                                  fixed_report.provenance->instances.size());
+                        ASSERT_EQ(chosen.instances.size(),
+                                  plan.instances.size());
+                        for (std::size_t i = 0; i < plan.instances.size();
+                             ++i) {
+                            const sim::InstanceStats &a = chosen.instances[i];
+                            const sim::InstanceStats &b = plan.instances[i];
+                            EXPECT_EQ(a.statementIndex, b.statementIndex);
+                            EXPECT_EQ(a.iterationNumber, b.iterationNumber);
+                            EXPECT_EQ(a.dataMovement, b.dataMovement);
+                            EXPECT_EQ(a.defaultDataMovement,
+                                      b.defaultDataMovement);
+                            EXPECT_EQ(a.degreeOfParallelism,
+                                      b.degreeOfParallelism);
+                            EXPECT_EQ(a.synchronizations, b.synchronizations)
+                                << "instance " << i;
+                            EXPECT_EQ(a.rawSynchronizations,
+                                      b.rawSynchronizations)
+                                << "instance " << i;
+                        }
+                        ASSERT_EQ(chosen.tasks.size(), plan.tasks.size());
+                        for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
+                            const sim::Task &a = chosen.tasks[t];
+                            const sim::Task &b = plan.tasks[t];
+                            EXPECT_EQ(a.node, b.node) << "task " << t;
+                            EXPECT_EQ(a.deps, b.deps) << "task " << t;
+                            ASSERT_EQ(a.reads.size(), b.reads.size());
+                            for (std::size_t r = 0; r < a.reads.size(); ++r) {
+                                EXPECT_EQ(a.reads[r].addr, b.reads[r].addr);
+                            }
+                            ASSERT_EQ(a.write.has_value(), b.write.has_value());
+                            if (a.write) {
+                                EXPECT_EQ(a.write->addr, b.write->addr);
+                            }
                         }
                     }
                 }
