@@ -835,10 +835,15 @@ class CandidatePlanner
                                  split->root)]
                            : first;
         if (split) {
-            r.locations = locations_;
-            r.split = split->materialise();
+            r.split = prov_->splits.append(*split);
+            r.locationBegin = narrowPacked<std::uint32_t>(
+                prov_->locations.size(), "location pool offset");
+            r.locationCount = narrowPacked<std::uint32_t>(
+                locations_.size(), "location count");
+            prov_->locations.insert(prov_->locations.end(),
+                                    locations_.begin(), locations_.end());
         }
-        prov_->instances.push_back(std::move(r));
+        prov_->instances.push_back(r);
     }
 
     /**

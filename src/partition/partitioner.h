@@ -78,7 +78,7 @@ struct PartitionOptions
     double profileUtilization = 0.5;
     /**
      * Memoize balancer-free split plans by (statement, operand-location
-     * signature, store node): a hit replays the cached SplitResult
+     * signature, store node): a hit replays the cached split plan
      * instead of re-running Kruskal, with byte-identical plans either
      * way. Under the load balancer a hit is replayed against the live
      * loads, and only a veto re-runs the full balanced split. Off runs

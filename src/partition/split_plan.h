@@ -3,22 +3,19 @@
 
 /**
  * @file
- * The split-plan format, one layout from the splitter to the planner.
+ * The split-plan format, one layout from the splitter to the verifier.
  * StatementSplitter writes a statement instance's split into a
- * caller-owned flat SplitPlan, SplitPlanCache files that layout in its
- * pools as it is, and the planner reads every split, fresh or cached,
- * through one read-only SplitView. Once their buffers are warm none of
- * these steps allocates.
+ * caller-owned flat SplitPlan; a SplitPlanPool files plans in that
+ * layout as they are, for the split-plan cache and for the planning
+ * provenance the static verifier reads; and every reader — planner,
+ * verifier, tests — sees a split, fresh or filed, through one read-only
+ * SplitView. Once their buffers are warm none of these steps allocates.
  *
  * Layout: one packed record per subcomputation (node, op cost, root
  * flag and the lengths of its leaf, child and op runs), byte arrays
  * holding those runs back to back in sub order, packed MST edges, and
  * the plan's scalars. A sub's runs start where the previous sub's end,
  * so a view walks its subs in order.
- *
- * SplitResult is the same plan as nested vectors. It is materialised
- * from a view only where a plan outlives its instance: the planning
- * provenance the static verifier reads, and tests.
  */
 
 #include <cstddef>
@@ -32,47 +29,6 @@
 #include "support/error.h"
 
 namespace ndp::partition {
-
-/** One MST edge (introspection and the paper's worked examples). */
-struct MstEdge
-{
-    noc::NodeId a = noc::kInvalidNode;
-    noc::NodeId b = noc::kInvalidNode;
-    std::int32_t weight = 0;
-};
-
-/** One subcomputation: a merge executed at one node. */
-struct Subcomputation
-{
-    noc::NodeId node = noc::kInvalidNode;
-    /** Leaf operand indices (into Statement::reads()) consumed here. */
-    std::vector<int> leaves;
-    /** Indices of child subcomputations whose results merge here. */
-    std::vector<int> children;
-    /** Operators executed here. */
-    std::vector<ir::OpKind> ops;
-    /** Load-balancing cost of those operators. */
-    std::int64_t opCost = 0;
-    /** Whether this subcomputation holds the final store. */
-    bool isRoot = false;
-};
-
-/** A split as nested vectors (provenance and tests). */
-struct SplitResult
-{
-    /** Subcomputations, children always preceding parents. */
-    std::vector<Subcomputation> subs;
-    /** Index of the root subcomputation (at the store node). */
-    int root = -1;
-    /** Planned Equation-1 data movement (link traversals). */
-    std::int64_t plannedMovement = 0;
-    /** Subcomputations with no children: they start in parallel. */
-    std::int32_t degreeOfParallelism = 1;
-    /** Cross-node parent-child edges = point-to-point syncs needed. */
-    std::int32_t crossNodeEdges = 0;
-    /** All MST edges chosen, every level combined. */
-    std::vector<MstEdge> edges;
-};
 
 /** @p value narrowed to @p T, which must hold it. */
 template <typename T, typename V>
@@ -96,6 +52,7 @@ struct PackedSub
     std::int32_t opCost = 0;
 };
 
+/** One packed MST edge: its endpoint nodes and hop weight. */
 struct PackedEdge
 {
     std::uint16_t a = 0;
@@ -116,8 +73,8 @@ struct SubView
 
 /**
  * A read-only split plan in the flat layout: a SplitPlan's buffers or
- * a cache entry's slice of the cache pools. Valid while its storage is
- * untouched. Iterating a view yields its subs in order, children
+ * one SplitPlanPool entry's slice of the pools. Valid while its storage
+ * is untouched. Iterating a view yields its subs in order, children
  * before parents.
  */
 struct SplitView
@@ -183,30 +140,6 @@ struct SplitView
     Iterator begin() const { return {*this, 0}; }
     Iterator end() const { return {*this, subCount}; }
     std::size_t size() const { return subCount; }
-
-    /** The same plan as nested vectors. */
-    SplitResult
-    materialise() const
-    {
-        SplitResult out;
-        out.subs.reserve(subCount);
-        for (const SubView sub : *this) {
-            Subcomputation &s = out.subs.emplace_back();
-            s.node = sub.node;
-            s.leaves.assign(sub.leaves.begin(), sub.leaves.end());
-            s.children.assign(sub.children.begin(), sub.children.end());
-            s.ops.assign(sub.ops.begin(), sub.ops.end());
-            s.opCost = sub.opCost;
-            s.isRoot = sub.isRoot;
-        }
-        for (std::size_t e = 0; e < edgeCount; ++e)
-            out.edges.push_back({edges[e].a, edges[e].b, edges[e].weight});
-        out.root = root;
-        out.plannedMovement = plannedMovement;
-        out.degreeOfParallelism = degreeOfParallelism;
-        out.crossNodeEdges = crossNodeEdges;
-        return out;
-    }
 };
 
 /** A flat split plan that owns its buffers: the splitter's output. */
@@ -245,6 +178,56 @@ struct SplitPlan
                 edges.size(),    root,            plannedMovement,
                 degreeOfParallelism, crossNodeEdges};
     }
+};
+
+/**
+ * Split plans filed back to back: every entry's runs in the split-plan
+ * layout, appended to shared pools as they are, plus one fixed-size
+ * header per entry holding its offsets and scalars. The split-plan
+ * cache and the planning provenance each keep their plans in one.
+ */
+class SplitPlanPool
+{
+  public:
+    /** One filed plan: offsets into the pools plus its scalars. */
+    struct Entry
+    {
+        std::uint32_t sub = 0;   ///< into the sub pool
+        std::uint32_t leaf = 0;  ///< into the leaf pool
+        std::uint32_t child = 0; ///< into the child pool
+        std::uint32_t op = 0;    ///< into the op pool
+        std::uint32_t edge = 0;  ///< into the edge pool
+        std::int32_t plannedMovement = 0;
+        std::uint8_t subCount = 0;
+        std::uint8_t edgeCount = 0;
+        std::uint8_t parallelism = 0;
+        std::uint8_t crossNodeEdges = 0;
+        std::int16_t root = -1;
+    };
+
+    /** File a copy of @p plan as a new entry; returns its index. */
+    std::uint32_t append(const SplitView &plan);
+
+    /** Entry @p index, valid until the next append() or clear(). */
+    SplitView view(std::size_t index) const;
+
+    /** Entry @p index's header, subs and edges, writable in place. */
+    Entry &header(std::size_t index) { return entries_[index]; }
+    std::span<PackedSub> subsOf(std::size_t index);
+    std::span<PackedEdge> edgesOf(std::size_t index);
+
+    std::size_t size() const { return entries_.size(); }
+    /** Bytes the entries occupy in the pools, headers included. */
+    std::size_t bytes() const;
+    void clear();
+
+  private:
+    std::vector<Entry> entries_;
+    std::vector<PackedSub> subs_;
+    std::vector<std::uint8_t> leaves_;
+    std::vector<std::uint8_t> children_;
+    std::vector<ir::OpKind> ops_;
+    std::vector<PackedEdge> edges_;
 };
 
 } // namespace ndp::partition

@@ -24,7 +24,7 @@ StatementSplitter::StatementSplitter(const noc::MeshTopology &mesh,
 
 void
 StatementSplitter::split(const ir::VarSet &sets,
-                         const std::vector<Location> &leaf_locations,
+                         std::span<const Location> leaf_locations,
                          noc::NodeId store_node, LoadBalancer *balancer,
                          SplitPlan &out)
 {
@@ -46,15 +46,6 @@ StatementSplitter::split(const ir::VarSet &sets,
         }
     }
     out.degreeOfParallelism = std::max(starters, 1);
-}
-
-SplitResult
-StatementSplitter::split(const ir::VarSet &sets,
-                         const std::vector<Location> &leaf_locations,
-                         noc::NodeId store_node, LoadBalancer *balancer)
-{
-    split(sets, leaf_locations, store_node, balancer, scratch_);
-    return scratch_.view().materialise();
 }
 
 int
@@ -126,7 +117,7 @@ StatementSplitter::emitSub(noc::NodeId at_node, std::span<const Item> inputs,
 
 StatementSplitter::Item
 StatementSplitter::splitSet(const ir::VarSet &set,
-                            const std::vector<Location> &leaf_locations,
+                            std::span<const Location> leaf_locations,
                             noc::NodeId store_node, bool outermost,
                             LoadBalancer *balancer, SplitPlan &out)
 {

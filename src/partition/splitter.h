@@ -16,10 +16,16 @@
  * the merge slides to the other endpoint of its MST edge at the cost
  * of one extra edge traversal — preserving correctness while trading a
  * little movement for balance, exactly the knob the paper describes.
+ *
+ * The one output is the flat split-plan format (split_plan.h), written
+ * into a SplitPlan the caller owns and read through its SplitView: the
+ * planner, the split-plan cache, the planning provenance and the
+ * verifier's reference recomputation all take it as it is.
  */
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ir/nested_sets.h"
@@ -59,15 +65,9 @@ class StatementSplitter
      *        split is kept.
      */
     void split(const ir::VarSet &sets,
-               const std::vector<Location> &leaf_locations,
+               std::span<const Location> leaf_locations,
                noc::NodeId store_node, LoadBalancer *balancer,
                SplitPlan &out);
-
-    /** The same split, materialised as nested vectors. */
-    SplitResult split(const ir::VarSet &sets,
-                      const std::vector<Location> &leaf_locations,
-                      noc::NodeId store_node,
-                      LoadBalancer *balancer = nullptr);
 
   private:
     struct Item
@@ -115,7 +115,7 @@ class StatementSplitter
 
     /** Process one set level; returns the item representing its result. */
     Item splitSet(const ir::VarSet &set,
-                  const std::vector<Location> &leaf_locations,
+                  std::span<const Location> leaf_locations,
                   noc::NodeId store_node, bool outermost,
                   LoadBalancer *balancer, SplitPlan &out);
 
@@ -129,8 +129,6 @@ class StatementSplitter
     /** Scratch per active recursion depth (stable addresses). */
     std::vector<std::unique_ptr<Level>> levels_;
     std::size_t depth_ = 0;
-    /** Output of the materialising split(). */
-    SplitPlan scratch_;
 };
 
 } // namespace ndp::partition

@@ -5,7 +5,8 @@
  * @file
  * Union-find (disjoint-set forest) with path compression and union by
  * rank. Used by Kruskal's algorithm in the MST builder (Algorithm 1,
- * lines 22-29 of the paper) and by the dependence-component analysis.
+ * lines 22-29 of the paper) and by the static verifier's R1 spanning
+ * and cycle checks.
  */
 
 #include <cstddef>
@@ -19,8 +20,8 @@ namespace ndp {
 /**
  * Disjoint-set forest over the integers [0, size).
  *
- * Amortised near-O(1) find/unite. The structure can be grown with
- * addElement(); elements are never removed.
+ * Amortised near-O(1) find/unite. reset() starts over at a new size
+ * without giving back storage.
  */
 class DisjointSet
 {
@@ -59,15 +60,6 @@ class DisjointSet
                 ++count;
         }
         return count;
-    }
-
-    /** Append one new singleton set; returns its label. */
-    std::size_t
-    addElement()
-    {
-        parent_.push_back(parent_.size());
-        rank_.push_back(0);
-        return parent_.size() - 1;
     }
 
     /** Representative of the set containing @p x (with path compression). */

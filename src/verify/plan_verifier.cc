@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -15,6 +16,7 @@
 #include "partition/dense_ids.h"
 #include "partition/load_balancer.h"
 #include "partition/splitter.h"
+#include "support/disjoint_set.h"
 #include "support/error.h"
 
 namespace ndp::verify {
@@ -23,47 +25,9 @@ namespace {
 
 using partition::Location;
 using partition::LocationSource;
-using partition::SplitResult;
-using partition::Subcomputation;
-
-/** Union-find over mesh node ids (R1 spanning/cycle checks). */
-class NodeDsu
-{
-  public:
-    explicit NodeDsu(std::int32_t nodes)
-        : parent_(static_cast<std::size_t>(nodes))
-    {
-        for (std::size_t i = 0; i < parent_.size(); ++i)
-            parent_[i] = static_cast<std::int32_t>(i);
-    }
-
-    std::int32_t
-    find(std::int32_t x)
-    {
-        while (parent_[static_cast<std::size_t>(x)] != x) {
-            parent_[static_cast<std::size_t>(x)] =
-                parent_[static_cast<std::size_t>(
-                    parent_[static_cast<std::size_t>(x)])];
-            x = parent_[static_cast<std::size_t>(x)];
-        }
-        return x;
-    }
-
-    /** False when @p a and @p b were already connected (a cycle). */
-    bool
-    unite(std::int32_t a, std::int32_t b)
-    {
-        a = find(a);
-        b = find(b);
-        if (a == b)
-            return false;
-        parent_[static_cast<std::size_t>(a)] = b;
-        return true;
-    }
-
-  private:
-    std::vector<std::int32_t> parent_;
-};
+using partition::PackedEdge;
+using partition::SplitView;
+using partition::SubView;
 
 /**
  * Is task @p from an ancestor of @p to in the dependence DAG? Backward
@@ -167,21 +131,23 @@ struct VerifyState
 /** True when the recorded split matches the reference in structure
  *  (everything a balancer slide cannot change). */
 bool
-sameStructure(const SplitResult &got, const SplitResult &ref)
+sameStructure(const SplitView &got, const SplitView &ref)
 {
-    if (got.subs.size() != ref.subs.size() || got.root != ref.root ||
+    if (got.size() != ref.size() || got.root != ref.root ||
         got.degreeOfParallelism != ref.degreeOfParallelism ||
-        got.edges.size() != ref.edges.size())
+        got.edgeCount != ref.edgeCount)
         return false;
-    for (std::size_t s = 0; s < got.subs.size(); ++s) {
-        const Subcomputation &a = got.subs[s];
-        const Subcomputation &b = ref.subs[s];
-        if (a.leaves != b.leaves || a.children != b.children ||
-            a.ops != b.ops || a.opCost != b.opCost ||
+    auto want = ref.begin();
+    for (const SubView a : got) {
+        const SubView b = *want;
+        ++want;
+        if (!std::ranges::equal(a.leaves, b.leaves) ||
+            !std::ranges::equal(a.children, b.children) ||
+            !std::ranges::equal(a.ops, b.ops) || a.opCost != b.opCost ||
             a.isRoot != b.isRoot)
             return false;
     }
-    for (std::size_t e = 0; e < got.edges.size(); ++e) {
+    for (std::size_t e = 0; e < got.edgeCount; ++e) {
         if (got.edges[e].a != ref.edges[e].a ||
             got.edges[e].b != ref.edges[e].b ||
             got.edges[e].weight != ref.edges[e].weight)
@@ -192,13 +158,13 @@ sameStructure(const SplitResult &got, const SplitResult &ref)
 
 /** Exact equality, nodes and cost included (cache replay identity). */
 bool
-sameExact(const SplitResult &got, const SplitResult &ref)
+sameExact(const SplitView &got, const SplitView &ref)
 {
     if (!sameStructure(got, ref) ||
         got.plannedMovement != ref.plannedMovement ||
         got.crossNodeEdges != ref.crossNodeEdges)
         return false;
-    for (std::size_t s = 0; s < got.subs.size(); ++s) {
+    for (std::size_t s = 0; s < got.size(); ++s) {
         if (got.subs[s].node != ref.subs[s].node)
             return false;
     }
@@ -293,6 +259,8 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         static_sets.push_back(ir::buildVarSets(stmt));
     partition::StatementSplitter ref_splitter(mesh, line_flits,
                                               /*result_weight=*/1);
+    partition::SplitPlan ref_plan;
+    DisjointSet dsu;
 
     // Under load balancing the split is a function of the balancer's
     // evolving load vector too, so the reference recomputation replays
@@ -545,12 +513,12 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         }
 
         // ================== Split instance ==================
-        const SplitResult &split = rec.split;
-        if (rec.locations.size() != reads.size() ||
-            static_cast<std::size_t>(rec.taskCount) !=
-                split.subs.size() ||
+        const SplitView split = prov.splitOf(rec);
+        const std::span<const Location> locations = prov.locationsOf(rec);
+        if (locations.size() != reads.size() ||
+            static_cast<std::size_t>(rec.taskCount) != split.size() ||
             split.root < 0 ||
-            static_cast<std::size_t>(split.root) >= split.subs.size() ||
+            static_cast<std::size_t>(split.root) >= split.size() ||
             rec.rootTask != rec.firstTask + split.root) {
             error("R3.coverage", &rec, rec.firstTask, noc::kInvalidNode,
                   "split record shape (locations/subs/root) does not "
@@ -559,8 +527,8 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         }
 
         // ---- R4/R5: operand locations.
-        for (std::size_t j = 0; j < rec.locations.size(); ++j) {
-            const Location &loc = rec.locations[j];
+        for (std::size_t j = 0; j < locations.size(); ++j) {
+            const Location &loc = locations[j];
             const ir::ResolvedRef &r = reads[j];
             if (loc.node < 0 || loc.node >= mesh.nodeCount()) {
                 std::ostringstream os;
@@ -629,11 +597,11 @@ PlanVerifier::verify(const ir::LoopNest &nest,
 
         // ---- R1: MST edges price real distances and span the
         // operands; flat statements check the exact tree shape.
-        NodeDsu dsu(mesh.nodeCount());
+        dsu.reset(static_cast<std::size_t>(mesh.nodeCount()));
         bool cycle = false;
-        for (const partition::MstEdge &edge : split.edges) {
-            if (edge.a < 0 || edge.a >= mesh.nodeCount() ||
-                edge.b < 0 || edge.b >= mesh.nodeCount()) {
+        for (const PackedEdge &edge :
+             std::span(split.edges, split.edgeCount)) {
+            if (edge.a >= mesh.nodeCount() || edge.b >= mesh.nodeCount()) {
                 std::ostringstream os;
                 os << "MST edge (" << edge.a << ", " << edge.b
                    << ") leaves the mesh";
@@ -666,16 +634,17 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         }
         std::vector<noc::NodeId> vertices = {rec.storeNode};
         const std::size_t rhs_reads =
-            std::min(stmt.rhsReadCount(), rec.locations.size());
+            std::min(stmt.rhsReadCount(), locations.size());
         for (std::size_t j = 0; j < rhs_reads; ++j) {
-            const noc::NodeId n = rec.locations[j].node;
+            const noc::NodeId n = locations[j].node;
             if (n >= 0 && n < mesh.nodeCount() &&
                 std::find(vertices.begin(), vertices.end(), n) ==
                     vertices.end())
                 vertices.push_back(n);
         }
         for (noc::NodeId v : vertices) {
-            if (dsu.find(v) != dsu.find(rec.storeNode)) {
+            if (dsu.find(static_cast<std::size_t>(v)) !=
+                dsu.find(static_cast<std::size_t>(rec.storeNode))) {
                 std::ostringstream os;
                 os << "operand node " << v
                    << " is not connected to store node "
@@ -687,13 +656,12 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         if (static_sets[stmt_idx].depth() == 1) {
             // One Kruskal level: the edge list is one exact spanning
             // tree over the distinct operand nodes plus the store.
-            if (split.edges.size() != vertices.size() - 1) {
+            if (split.edgeCount != vertices.size() - 1) {
                 error("R1.edge-count", &rec, rec.firstTask,
                       noc::kInvalidNode,
                       describeInt(
                           "MST edge count",
-                          static_cast<std::int64_t>(
-                              split.edges.size()),
+                          static_cast<std::int64_t>(split.edgeCount),
                           static_cast<std::int64_t>(vertices.size()) -
                               1));
             }
@@ -711,22 +679,22 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         const ir::VarSet &sets = static_sets[stmt_idx];
         const bool reference_splittable =
             live(rec.storeNode) &&
-            std::all_of(rec.locations.begin(), rec.locations.end(),
+            std::all_of(locations.begin(), locations.end(),
                         [&](const Location &loc) { return live(loc.node); });
         if (full && reference_splittable) {
-            SplitResult ref;
             if (replay_balancer) {
                 // The planner split against a trial copy and committed
                 // it iff the split was kept; split records only exist
                 // for kept splits, so replay commits unconditionally.
                 partition::LoadBalancer trial = *replay_balancer;
-                ref = ref_splitter.split(sets, rec.locations,
-                                         rec.storeNode, &trial);
+                ref_splitter.split(sets, locations, rec.storeNode, &trial,
+                                   ref_plan);
                 *replay_balancer = std::move(trial);
             } else {
-                ref = ref_splitter.split(sets, rec.locations,
-                                         rec.storeNode, nullptr);
+                ref_splitter.split(sets, locations, rec.storeNode, nullptr,
+                                   ref_plan);
             }
+            const SplitView ref = ref_plan.view();
             if (rec.fromCache) {
                 if (!sameExact(split, ref)) {
                     error("R6.replay-divergence", &rec, rec.firstTask,
@@ -756,7 +724,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                 std::int64_t naive = 0;
                 for (std::size_t j = 0; j < rhs_reads; ++j)
                     naive += line_flits *
-                             mesh.distance(rec.locations[j].node,
+                             mesh.distance(locations[j].node,
                                            rec.storeNode);
                 if (split.plannedMovement > naive) {
                     diag("R2.naive-bound", Severity::Warning, &rec,
@@ -790,10 +758,11 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         }
 
         // ---- R3: the emitted tasks mirror the subcomputations.
-        std::vector<std::int32_t> child_refs(split.subs.size(), 0);
+        std::vector<std::int32_t> child_refs(split.size(), 0);
         bool one_root = false;
-        for (std::size_t s = 0; s < split.subs.size(); ++s) {
-            const Subcomputation &sub = split.subs[s];
+        auto sub_at = split.begin();
+        for (std::size_t s = 0; s < split.size(); ++s, ++sub_at) {
+            const SubView sub = *sub_at;
             const sim::TaskId tid =
                 rec.firstTask + static_cast<sim::TaskId>(s);
             const sim::Task &task =
@@ -866,7 +835,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
             error("R3.root-write", &rec, rec.rootTask, rec.storeNode,
                   "no subcomputation holds the final store");
         }
-        for (std::size_t s = 0; s < split.subs.size(); ++s) {
+        for (std::size_t s = 0; s < split.size(); ++s) {
             const bool is_root = static_cast<int>(s) == split.root;
             if (!is_root && child_refs[s] == 0) {
                 error("R3.unreachable-root", &rec,
@@ -888,8 +857,9 @@ PlanVerifier::verify(const ir::LoopNest &nest,
 
         // ---- Full: conflict replay + window-state replay.
         if (full) {
-            for (std::size_t s = 0; s < split.subs.size(); ++s) {
-                const Subcomputation &sub = split.subs[s];
+            auto leaf_at = split.begin();
+            for (std::size_t s = 0; s < split.size(); ++s, ++leaf_at) {
+                const SubView sub = *leaf_at;
                 const sim::TaskId tid =
                     rec.firstTask + static_cast<sim::TaskId>(s);
                 for (int leaf : sub.leaves) {
@@ -899,7 +869,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                     const auto lidx = static_cast<std::size_t>(leaf);
                     const mem::Addr addr = reads[lidx].addr;
                     const bool via_stale_copy =
-                        rec.locations[lidx].source ==
+                        locations[lidx].source ==
                             LocationSource::L1Copy &&
                         [&] {
                             const auto wit = st.writeSeq.find(addr);
@@ -907,7 +877,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                                 return false;
                             const std::int64_t copied =
                                 st.copyRecordedAt(
-                                    addr, rec.locations[lidx].node);
+                                    addr, locations[lidx].node);
                             return copied >= 0 &&
                                    copied < wit->second;
                         }();
@@ -922,15 +892,15 @@ PlanVerifier::verify(const ir::LoopNest &nest,
             st.lastWriter[write.addr] = root_tid;
             st.writeSeq[write.addr] = seq;
             if (prov.exploitReuse) {
-                for (std::size_t s = 0; s < split.subs.size(); ++s) {
-                    for (int leaf : split.subs[s].leaves) {
+                for (const SubView sub : split) {
+                    for (int leaf : sub.leaves) {
                         if (leaf >= 0 &&
                             static_cast<std::size_t>(leaf) <
                                 reads.size())
                             st.recordCopy(
                                 reads[static_cast<std::size_t>(leaf)]
                                     .addr,
-                                split.subs[s].node, seq);
+                                sub.node, seq);
                     }
                 }
                 st.recordCopy(write.addr, rec.storeNode, seq);

@@ -10,18 +10,26 @@
  * byte-for-byte on its fast path.
  *
  * The provenance deliberately stores the planner's *inputs* (operand
- * locations, store node) next to its *outputs* (the SplitResult and
- * the emitted task range): the verifier re-runs the reference splitter
- * on the recorded inputs and diffs the recorded output against it, the
+ * locations, store node) next to its *outputs* (the split and the
+ * emitted task range): the verifier re-runs the reference splitter on
+ * the recorded inputs and diffs the recorded output against it, the
  * same shape as translation validation.
+ *
+ * Layout: a SplitRecord holds scalars and offsets only. Each split
+ * record's split is its own entry in the plan's SplitPlanPool, in the
+ * split-plan format the planner emitted it from (split_plan.h), and its
+ * located reads are a range of one packed Location array. No record
+ * shares an entry, so one record can be corrupted in place (the
+ * mutation tests do), and recording an instance only appends to pools.
  */
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "noc/coord.h"
 #include "partition/data_locator.h"
-#include "partition/splitter.h"
+#include "partition/split_plan.h"
 #include "sim/plan.h"
 #include "verify/verify_level.h"
 
@@ -49,11 +57,12 @@ struct SplitRecord
     std::int32_t taskCount = 0;
     /** Task holding the final store (== firstTask when unsplit). */
     sim::TaskId rootTask = sim::kInvalidTask;
-    /** Located node per resolved read, RHS leaves then guards
-     *  (split instances only). */
-    std::vector<partition::Location> locations;
-    /** The split the planner emitted (split instances only). */
-    partition::SplitResult split;
+    /** Split instances only: the emitted split's entry in
+     *  PlanProvenance::splits, and the range of its located reads (RHS
+     *  leaves then guards) in PlanProvenance::locations. */
+    std::uint32_t split = 0;
+    std::uint32_t locationBegin = 0;
+    std::uint32_t locationCount = 0;
 };
 
 /** Provenance of one whole ExecutionPlan (= one window-size candidate
@@ -74,6 +83,28 @@ struct PlanProvenance
     double loadBalanceThreshold = 0.10;
     /** One record per statement instance, in stream order. */
     std::vector<SplitRecord> instances;
+    /** One entry per split record. */
+    partition::SplitPlanPool splits;
+    /** Every split record's located reads, back to back. */
+    std::vector<partition::Location> locations;
+
+    partition::SplitView
+    splitOf(const SplitRecord &rec) const
+    {
+        return splits.view(rec.split);
+    }
+
+    std::span<const partition::Location>
+    locationsOf(const SplitRecord &rec) const
+    {
+        return {locations.data() + rec.locationBegin, rec.locationCount};
+    }
+
+    std::span<partition::Location>
+    locationsOf(const SplitRecord &rec)
+    {
+        return {locations.data() + rec.locationBegin, rec.locationCount};
+    }
 };
 
 } // namespace ndp::verify

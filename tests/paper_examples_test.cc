@@ -52,6 +52,15 @@ class PaperExamplesTest : public ::testing::Test
         return total;
     }
 
+    /** Split balancer-free into @p out and view the result. */
+    SplitView
+    splitInto(const ir::VarSet &sets, const std::vector<Location> &locations,
+              noc::NodeId store, SplitPlan &out)
+    {
+        splitter.split(sets, locations, store, nullptr, out);
+        return out.view();
+    }
+
     noc::MeshTopology mesh;
     StatementSplitter splitter;
 };
@@ -76,13 +85,14 @@ TEST_F(PaperExamplesTest, Figure9SingleStatement)
 
     const std::vector<Location> locations = {loc(nB), loc(nC), loc(nD),
                                              loc(nE)};
-    SplitResult split = splitter.split(sets, locations, nA);
+    SplitPlan plan;
+    const SplitView split = splitInto(sets, locations, nA, plan);
 
     // The split must beat the fetch-everything default.
     EXPECT_LT(split.plannedMovement, defaultMovement(locations, nA));
     // B/E and C/D each merge inside their cluster.
     int cluster_merges = 0;
-    for (const Subcomputation &sub : split.subs) {
+    for (const SubView sub : split) {
         const bool in_be = sub.node == nB || sub.node == nE;
         const bool in_cd = sub.node == nC || sub.node == nD;
         if (!sub.isRoot && !sub.ops.empty() && (in_be || in_cd))
@@ -116,13 +126,14 @@ TEST_F(PaperExamplesTest, Figure10Parentheses)
 
     const std::vector<Location> locations = {loc(nB), loc(nC), loc(nD),
                                              loc(nE)};
-    SplitResult split = splitter.split(sets, locations, nA);
+    SplitPlan plan;
+    const SplitView split = splitInto(sets, locations, nA, plan);
 
     EXPECT_LT(split.plannedMovement, defaultMovement(locations, nA));
     // The C+D+E sum must complete inside its cluster before the
     // multiplication by B: find the sub holding two AddLike merges.
     bool cde_merged_in_cluster = false;
-    for (const Subcomputation &sub : split.subs) {
+    for (const SubView sub : split) {
         const bool in_cluster =
             sub.node == nC || sub.node == nD || sub.node == nE;
         if (in_cluster && sub.ops.size() >= 1 && !sub.isRoot)
@@ -162,14 +173,15 @@ TEST_F(PaperExamplesTest, Figure11MultiStatementReuse)
     const noc::NodeId nY = mesh.nodeAt({4, 4});
     const noc::NodeId nX = mesh.nodeAt({4, 3});
 
-    SplitResult split1 = splitter.split(
-        s1, {loc(nB), loc(nC), loc(nD), loc(nE)}, nA);
+    SplitPlan plan1;
+    const SplitView split1 =
+        splitInto(s1, {loc(nB), loc(nC), loc(nD), loc(nE)}, nA, plan1);
 
     // Record where S1's subcomputations fetched C(i) (leaf 1).
     VariableToNodeMap varmap(mesh.nodeCount());
     const std::uint32_t c_line = 0; // C(i)'s line id
     noc::NodeId c_holder = noc::kInvalidNode;
-    for (const Subcomputation &sub : split1.subs) {
+    for (const SubView sub : split1) {
         for (int leaf : sub.leaves) {
             if (leaf == 1) {
                 c_holder = sub.node;
@@ -183,13 +195,14 @@ TEST_F(PaperExamplesTest, Figure11MultiStatementReuse)
     EXPECT_TRUE(c_holder == nC || c_holder == nD);
 
     // S2 with reuse: C located at the L1 copy.
-    SplitResult with_reuse =
-        splitter.split(s2, {loc(nY), loc(c_holder,
-                                         LocationSource::L1Copy)},
-                       nX);
+    SplitPlan reuse_plan;
+    const SplitView with_reuse = splitInto(
+        s2, {loc(nY), loc(c_holder, LocationSource::L1Copy)}, nX,
+        reuse_plan);
     // S2 without reuse: C fetched from its home.
-    SplitResult without_reuse =
-        splitter.split(s2, {loc(nY), loc(nC)}, nX);
+    SplitPlan home_plan;
+    const SplitView without_reuse =
+        splitInto(s2, {loc(nY), loc(nC)}, nX, home_plan);
     EXPECT_LE(with_reuse.plannedMovement,
               without_reuse.plannedMovement);
 }
@@ -213,11 +226,14 @@ TEST_F(PaperExamplesTest, Figure12WindowGrouping)
     const noc::NodeId nX = mesh.nodeAt({0, 2});
 
     // Same window: the copy is visible.
-    const SplitResult same_window = splitter.split(
-        sets, {loc(nY), loc(holder, LocationSource::L1Copy)}, nX);
+    SplitPlan same_plan;
+    const SplitView same_window = splitInto(
+        sets, {loc(nY), loc(holder, LocationSource::L1Copy)}, nX,
+        same_plan);
     // Next window: the map was cleared; C resolves to its far home.
-    const SplitResult next_window =
-        splitter.split(sets, {loc(nY), loc(nC)}, nX);
+    SplitPlan next_plan;
+    const SplitView next_window =
+        splitInto(sets, {loc(nY), loc(nC)}, nX, next_plan);
     EXPECT_LT(same_window.plannedMovement,
               next_window.plannedMovement);
 }
@@ -240,10 +256,11 @@ TEST_F(PaperExamplesTest, LevelOrderNeverReassociatesAcrossPriority)
     std::vector<Location> locations;
     for (int i = 0; i < 7; ++i)
         locations.push_back(loc(static_cast<noc::NodeId>(i * 5 % 36)));
-    const SplitResult split =
-        splitter.split(sets, locations, mesh.nodeAt({3, 3}));
+    SplitPlan plan;
+    const SplitView split =
+        splitInto(sets, locations, mesh.nodeAt({3, 3}), plan);
 
-    for (const Subcomputation &sub : split.subs) {
+    for (const SubView sub : split) {
         bool has_bc = false, has_efg = false;
         for (int leaf : sub.leaves) {
             has_bc = has_bc || leaf == 1 || leaf == 2;

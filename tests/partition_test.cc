@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -305,11 +306,12 @@ TEST_F(DataLocatorTest, DefaultsToHomeBank)
         inst.iterationNumber = rec.iterationNumber;
         const std::vector<ir::ResolvedRef> reads =
             ir::resolveReads(inst, arrays);
-        ASSERT_EQ(rec.locations.size(), reads.size());
+        const std::span<const Location> locations = prov->locationsOf(rec);
+        ASSERT_EQ(locations.size(), reads.size());
         for (std::size_t j = 0; j < reads.size(); ++j) {
-            EXPECT_EQ(rec.locations[j].node,
+            EXPECT_EQ(locations[j].node,
                       system.addressMap().homeBankNode(reads[j].addr));
-            EXPECT_EQ(rec.locations[j].source, LocationSource::L2Home);
+            EXPECT_EQ(locations[j].source, LocationSource::L2Home);
             ++located;
         }
     }
@@ -500,9 +502,18 @@ class SplitterTest : public ::testing::Test
         return locations;
     }
 
+    /** Split into the fixture's plan and view the result. */
+    SplitView
+    split(const ir::VarSet &sets, const std::vector<Location> &locations,
+          noc::NodeId store, LoadBalancer *balancer = nullptr)
+    {
+        splitter.split(sets, locations, store, balancer, plan);
+        return plan.view();
+    }
+
     /** Verify structural invariants every split must satisfy. */
     void
-    checkInvariants(const SplitResult &result, std::size_t leaf_count,
+    checkInvariants(const SplitView &result, std::size_t leaf_count,
                     noc::NodeId store_node)
     {
         ASSERT_GE(result.root, 0);
@@ -514,8 +525,8 @@ class SplitterTest : public ::testing::Test
         // Children precede parents; every leaf consumed exactly once.
         std::set<int> leaves_seen;
         std::set<int> children_seen;
-        for (std::size_t s = 0; s < result.subs.size(); ++s) {
-            const Subcomputation &sub = result.subs[s];
+        std::size_t s = 0;
+        for (const SubView sub : result) {
             for (int leaf : sub.leaves)
                 EXPECT_TRUE(leaves_seen.insert(leaf).second)
                     << "leaf " << leaf << " consumed twice";
@@ -525,10 +536,11 @@ class SplitterTest : public ::testing::Test
                 EXPECT_TRUE(children_seen.insert(child).second)
                     << "subresult consumed twice";
             }
+            ++s;
         }
         EXPECT_EQ(leaves_seen.size(), leaf_count);
         // Every non-root sub is consumed by exactly one parent.
-        for (std::size_t s = 0; s < result.subs.size(); ++s) {
+        for (s = 0; s < result.size(); ++s) {
             if (static_cast<int>(s) == result.root)
                 EXPECT_EQ(children_seen.count(static_cast<int>(s)), 0u);
             else
@@ -540,6 +552,7 @@ class SplitterTest : public ::testing::Test
 
     noc::MeshTopology mesh;
     StatementSplitter splitter;
+    SplitPlan plan;
     ir::ArrayTable arrays;
     std::unique_ptr<ir::LoopNest> nest;
 };
@@ -548,11 +561,10 @@ TEST_F(SplitterTest, AllOperandsColocatedCostZeroMovementToStore)
 {
     const ir::VarSet sets = flatSum(3);
     const noc::NodeId where = mesh.nodeAt({2, 2});
-    SplitResult result =
-        splitter.split(sets, at({where, where, where}), where);
+    const SplitView result = split(sets, at({where, where, where}), where);
     checkInvariants(result, 3, where);
     EXPECT_EQ(result.plannedMovement, 0);
-    EXPECT_EQ(result.subs.size(), 1u); // just the root merge
+    EXPECT_EQ(result.size(), 1u); // just the root merge
 }
 
 TEST_F(SplitterTest, PaperStyleSingleStatement)
@@ -565,13 +577,12 @@ TEST_F(SplitterTest, PaperStyleSingleStatement)
     const noc::NodeId nD = mesh.nodeAt({4, 4});
     const noc::NodeId nE = mesh.nodeAt({1, 1}); // with B
     const noc::NodeId nA = mesh.nodeAt({2, 3}); // store
-    SplitResult result =
-        splitter.split(sets, at({nB, nC, nD, nE}), nA);
+    const SplitView result = split(sets, at({nB, nC, nD, nE}), nA);
     checkInvariants(result, 4, nA);
 
     // B+E must merge at their shared node.
     bool be_merge = false;
-    for (const Subcomputation &sub : result.subs) {
+    for (const SubView sub : result) {
         if (sub.node == nB && sub.leaves.size() == 2)
             be_merge = true;
     }
@@ -592,11 +603,11 @@ TEST_F(SplitterTest, LoneLeafBecomesForwardingSub)
     const noc::NodeId n0 = mesh.nodeAt({0, 0});
     const noc::NodeId n1 = mesh.nodeAt({5, 5});
     const noc::NodeId store = mesh.nodeAt({0, 5});
-    SplitResult result = splitter.split(sets, at({n0, n1}), store);
+    const SplitView result = split(sets, at({n0, n1}), store);
     checkInvariants(result, 2, store);
     // Each remote lone operand is read where it lives and forwarded as
     // a value (resultWeight), not pulled as a full line.
-    for (const Subcomputation &sub : result.subs) {
+    for (const SubView sub : result) {
         if (!sub.isRoot) {
             EXPECT_EQ(sub.leaves.size(), 1u);
             EXPECT_TRUE(sub.ops.empty());
@@ -626,11 +637,11 @@ TEST_F(SplitterTest, ParenthesesSplitInnermostFirst)
     const noc::NodeId nb = mesh.nodeAt({5, 0});
     const noc::NodeId nc = mesh.nodeAt({5, 1});
     const noc::NodeId store = mesh.nodeAt({2, 2});
-    SplitResult result = splitter.split(sets, at({na, nb, nc}), store);
+    const SplitView result = split(sets, at({na, nb, nc}), store);
     // b + c must merge inside the b/c cluster (possibly as a local
     // leaf plus a forwarded value), not at a's node or the store.
     bool bc_merge_near = false;
-    for (const Subcomputation &sub : result.subs) {
+    for (const SubView sub : result) {
         if (!sub.ops.empty() && !sub.isRoot &&
             (sub.node == nb || sub.node == nc) &&
             sub.leaves.size() + sub.children.size() == 2)
@@ -654,9 +665,8 @@ TEST_F(SplitterTest, LoadBalancerShiftsOverloadedMerges)
     }
     balancer.add(n1, 100000);
 
-    SplitResult balanced =
-        splitter.split(sets, at({n0, n1}), store, &balancer);
-    for (const Subcomputation &sub : balanced.subs)
+    const SplitView balanced = split(sets, at({n0, n1}), store, &balancer);
+    for (const SubView sub : balanced)
         EXPECT_TRUE(sub.isRoot || sub.opCost == 0 || sub.node != n1)
             << "compute merged on the overloaded node";
 }
@@ -665,7 +675,7 @@ TEST_F(SplitterTest, DegreeOfParallelismCountsIndependentSubs)
 {
     // Two distant operand clusters merging toward a central store.
     const ir::VarSet sets = flatSum(4);
-    SplitResult result = splitter.split(
+    const SplitView result = split(
         sets,
         at({mesh.nodeAt({0, 0}), mesh.nodeAt({0, 1}),
             mesh.nodeAt({5, 5}), mesh.nodeAt({5, 4})}),
@@ -750,11 +760,11 @@ TEST_P(MstOptimalityTest, KruskalMatchesBruteForce)
         locations.push_back(loc);
     }
     StatementSplitter splitter(mesh);
-    SplitResult result =
-        splitter.split(sets, locations, vertices[0]);
+    SplitPlan result;
+    splitter.split(sets, locations, vertices[0], nullptr, result);
 
     std::int64_t kruskal_weight = 0;
-    for (const MstEdge &e : result.edges)
+    for (const PackedEdge &e : result.edges)
         kruskal_weight += e.weight;
     EXPECT_EQ(kruskal_weight, best);
 }

@@ -373,7 +373,7 @@ planFingerprint(const sim::ExecutionPlan &plan, const PartitionReport &r)
        << c.cachePeakBytes << "\nprovenance";
     for (const verify::SplitRecord &rec : r.provenance->instances) {
         os << ' ' << rec.fromCache << '[';
-        for (const Location &loc : rec.locations)
+        for (const Location &loc : r.provenance->locationsOf(rec))
             os << loc.node << ':' << static_cast<int>(loc.source) << ',';
         os << ']';
     }
@@ -423,7 +423,7 @@ TEST_F(PartitionerTest, PredictorStateNeverChangesAPlan)
         EXPECT_GT(report.compile.plansMemoized, 0);
         std::int64_t copies = 0;
         for (const verify::SplitRecord &rec : report.provenance->instances) {
-            for (const Location &loc : rec.locations)
+            for (const Location &loc : report.provenance->locationsOf(rec))
                 copies += loc.source == LocationSource::L1Copy ? 1 : 0;
         }
         EXPECT_GT(copies, 0);

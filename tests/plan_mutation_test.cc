@@ -3,7 +3,8 @@
  * Mutation tests for verify::PlanVerifier: plan each corruption as a
  * healthy baseline, apply exactly one targeted mutation to the plan
  * or its provenance, and assert the verifier reports the intended
- * rule. Together with verify_property_test (healthy plans verify
+ * rule. A provenance mutation edits one record's flat split entry or
+ * located reads in place; no two records share either. Together with verify_property_test (healthy plans verify
  * clean), this pins both directions: no false negatives on the
  * corruptions below, no false positives on real planner output.
  */
@@ -123,8 +124,8 @@ class PlanMutationTest : public ::testing::Test
     std::ptrdiff_t
     findSplit(const BuiltPlan &built)
     {
-        return findRecord(built, [](const verify::SplitRecord &r) {
-            return r.wasSplit && !r.split.edges.empty();
+        return findRecord(built, [&built](const verify::SplitRecord &r) {
+            return r.wasSplit && built.prov.splitOf(r).edgeCount > 0;
         });
     }
 
@@ -132,10 +133,10 @@ class PlanMutationTest : public ::testing::Test
     std::ptrdiff_t
     findReuse(const BuiltPlan &built)
     {
-        return findRecord(built, [](const verify::SplitRecord &r) {
+        return findRecord(built, [&built](const verify::SplitRecord &r) {
             if (!r.wasSplit)
                 return false;
-            for (const Location &loc : r.locations) {
+            for (const Location &loc : built.prov.locationsOf(r)) {
                 if (loc.source == LocationSource::L1Copy)
                     return true;
             }
@@ -165,8 +166,9 @@ TEST_F(PlanMutationTest, DroppedMstEdgeIsNotSpanning)
     BuiltPlan built = build(nest, {});
     const std::ptrdiff_t at = findSplit(built);
     ASSERT_GE(at, 0) << "nest produced no split instance";
-    built.prov.instances[static_cast<std::size_t>(at)]
-        .split.edges.pop_back();
+    const verify::SplitRecord &rec =
+        built.prov.instances[static_cast<std::size_t>(at)];
+    built.prov.splits.header(rec.split).edgeCount -= 1;
     const verify::Report report = verify(nest, built);
     EXPECT_TRUE(hasRule(report, "R1.not-spanning")) << rulesOf(report);
 }
@@ -177,9 +179,9 @@ TEST_F(PlanMutationTest, CorruptedEdgeWeightIsCaught)
     BuiltPlan built = build(nest, {});
     const std::ptrdiff_t at = findSplit(built);
     ASSERT_GE(at, 0);
-    built.prov.instances[static_cast<std::size_t>(at)]
-        .split.edges.front()
-        .weight += 1;
+    const verify::SplitRecord &rec =
+        built.prov.instances[static_cast<std::size_t>(at)];
+    built.prov.splits.edgesOf(rec.split).front().weight += 1;
     const verify::Report report = verify(nest, built);
     EXPECT_TRUE(hasRule(report, "R1.edge-weight")) << rulesOf(report);
 }
@@ -204,13 +206,14 @@ TEST_F(PlanMutationTest, StructuralDivergenceFromReferenceIsCaught)
     BuiltPlan built = build(nest, {});
     // A freshly computed split: a cached one answers to R6 instead.
     const std::ptrdiff_t at =
-        findRecord(built, [](const verify::SplitRecord &r) {
-            return r.wasSplit && !r.fromCache && !r.split.edges.empty();
+        findRecord(built, [&built](const verify::SplitRecord &r) {
+            return r.wasSplit && !r.fromCache &&
+                   built.prov.splitOf(r).edgeCount > 0;
         });
     ASSERT_GE(at, 0);
-    built.prov.instances[static_cast<std::size_t>(at)]
-        .split.subs.front()
-        .opCost += 3;
+    const verify::SplitRecord &rec =
+        built.prov.instances[static_cast<std::size_t>(at)];
+    built.prov.splits.subsOf(rec.split).front().opCost += 3;
     const verify::Report report = verify(nest, built);
     EXPECT_TRUE(hasRule(report, "R2.split-mismatch")) << rulesOf(report);
 }
@@ -235,10 +238,10 @@ TEST_F(PlanMutationTest, RemovedChildDependenceIsCaught)
     const ir::LoopNest nest = parseDefault();
     BuiltPlan built = build(nest, {});
     const std::ptrdiff_t at =
-        findRecord(built, [](const verify::SplitRecord &r) {
+        findRecord(built, [&built](const verify::SplitRecord &r) {
             if (!r.wasSplit)
                 return false;
-            for (const Subcomputation &sub : r.split.subs) {
+            for (const SubView sub : built.prov.splitOf(r)) {
                 if (!sub.children.empty())
                     return true;
             }
@@ -247,8 +250,9 @@ TEST_F(PlanMutationTest, RemovedChildDependenceIsCaught)
     ASSERT_GE(at, 0) << "no split with a merge subcomputation";
     const verify::SplitRecord &rec =
         built.prov.instances[static_cast<std::size_t>(at)];
-    for (std::size_t s = 0; s < rec.split.subs.size(); ++s) {
-        if (rec.split.subs[s].children.empty())
+    const SplitView split = built.prov.splitOf(rec);
+    for (std::size_t s = 0; s < split.size(); ++s) {
+        if (split.subs[s].children == 0)
             continue;
         sim::Task &parent =
             built.plan.tasks[static_cast<std::size_t>(rec.firstTask) + s];
@@ -322,19 +326,19 @@ TEST_F(PlanMutationTest, RehomedOperandLocationIsCaught)
     const ir::LoopNest nest = parseDefault();
     BuiltPlan built = build(nest, {});
     const std::ptrdiff_t at =
-        findRecord(built, [](const verify::SplitRecord &r) {
+        findRecord(built, [&built](const verify::SplitRecord &r) {
             if (!r.wasSplit)
                 return false;
-            for (const Location &loc : r.locations) {
+            for (const Location &loc : built.prov.locationsOf(r)) {
                 if (loc.source != LocationSource::L1Copy)
                     return true;
             }
             return false;
         });
     ASSERT_GE(at, 0);
-    verify::SplitRecord &rec =
+    const verify::SplitRecord &rec =
         built.prov.instances[static_cast<std::size_t>(at)];
-    for (Location &loc : rec.locations) {
+    for (Location &loc : built.prov.locationsOf(rec)) {
         if (loc.source != LocationSource::L1Copy) {
             loc.node = (loc.node + 1) % system.mesh().nodeCount();
             break;
@@ -350,9 +354,9 @@ TEST_F(PlanMutationTest, RehomedReuseCopyIsCaught)
     BuiltPlan built = build(nest, {});
     const std::ptrdiff_t at = findReuse(built);
     ASSERT_GE(at, 0) << "nest planned no L1-copy reuse";
-    verify::SplitRecord &rec =
+    const verify::SplitRecord &rec =
         built.prov.instances[static_cast<std::size_t>(at)];
-    for (Location &loc : rec.locations) {
+    for (Location &loc : built.prov.locationsOf(rec)) {
         if (loc.source == LocationSource::L1Copy) {
             loc.node = (loc.node + 1) % system.mesh().nodeCount();
             break;
@@ -393,9 +397,9 @@ TEST_F(PlanMutationTest, OracleReuseCopyFromNowhereIsCaught)
     const auto idle = std::find(fetched.begin(), fetched.end(), false);
     ASSERT_NE(idle, fetched.end()) << "every node fetched in the window";
 
-    verify::SplitRecord &rec =
+    const verify::SplitRecord &rec =
         built.prov.instances[static_cast<std::size_t>(at)];
-    for (Location &loc : rec.locations) {
+    for (Location &loc : built.prov.locationsOf(rec)) {
         if (loc.source == LocationSource::L1Copy) {
             loc.node = static_cast<noc::NodeId>(idle - fetched.begin());
             break;
@@ -468,7 +472,7 @@ TEST_F(PlanMutationFaultTest, TaskMovedToDeadNodeIsCaught)
     if (!moved) {
         for (verify::SplitRecord &rec : built.prov.instances) {
             if (rec.wasSplit) {
-                rec.split.subs.front().node = deadNode;
+                built.prov.splits.subsOf(rec.split).front().node = deadNode;
                 built.plan
                     .tasks[static_cast<std::size_t>(rec.firstTask)]
                     .node = deadNode;
@@ -503,8 +507,8 @@ TEST_F(PlanMutationFaultTest, OperandLocatedOnDeadNodeIsCaught)
 
     bool mutated = false;
     for (verify::SplitRecord &rec : built.prov.instances) {
-        if (rec.wasSplit && !rec.locations.empty()) {
-            rec.locations.front().node = deadNode;
+        if (rec.wasSplit && rec.locationCount > 0) {
+            built.prov.locationsOf(rec).front().node = deadNode;
             mutated = true;
             break;
         }
@@ -532,7 +536,7 @@ TEST_F(PlanMutationTest, CorruptedCacheReplayIsCaught)
     ASSERT_GE(at, 0) << "no split was served from the plan cache";
     verify::SplitRecord &rec =
         built.prov.instances[static_cast<std::size_t>(at)];
-    rec.split.plannedMovement += 1;
+    built.prov.splits.header(rec.split).plannedMovement += 1;
     rec.claimedMovement += 1; // keep R2's claim check silent
     const verify::Report report = verify(nest, built);
     EXPECT_TRUE(hasRule(report, "R6.replay-divergence"))
@@ -558,9 +562,9 @@ TEST_F(PlanMutationTest, CorruptedBalancedReplayIsCaught)
         const verify::SplitRecord &rec = built.prov.instances[i];
         if (!rec.wasSplit || !rec.fromCache)
             continue;
-        for (std::size_t s = 0; s < rec.split.subs.size(); ++s) {
-            const Subcomputation &sub = rec.split.subs[s];
-            if (!sub.isRoot) {
+        const SplitView split = built.prov.splitOf(rec);
+        for (std::size_t s = 0; s < split.size(); ++s) {
+            if (split.subs[s].isRoot == 0) {
                 at = static_cast<std::ptrdiff_t>(i);
                 sub_at = s;
                 break;
@@ -570,7 +574,7 @@ TEST_F(PlanMutationTest, CorruptedBalancedReplayIsCaught)
     ASSERT_GE(at, 0) << "no replayed split has a non-root merge";
     verify::SplitRecord &rec =
         built.prov.instances[static_cast<std::size_t>(at)];
-    Subcomputation &sub = rec.split.subs[sub_at];
+    PackedSub &sub = built.prov.splits.subsOf(rec.split)[sub_at];
     sim::Task &task = built.plan.tasks[static_cast<std::size_t>(
         rec.firstTask + static_cast<sim::TaskId>(sub_at))];
     const noc::NodeId moved = sub.node == 0 ? 1 : sub.node - 1;

@@ -8,6 +8,12 @@
  * allocation-free, that difference is a per-candidate constant: it must
  * stay below one small bound whether or not the nest's iteration count
  * doubles.
+ *
+ * The same bound gates provenance recording: the emitting pass at the
+ * chosen window with VerifyLevel::Cheap, minus the same pass at Off, is
+ * what recording costs. Each record only appends scalars and offsets,
+ * its split and located reads to per-plan pools, so the difference is
+ * the pools' regrowth, logarithmic in the instance count.
  */
 
 #include <gtest/gtest.h>
@@ -30,9 +36,9 @@ using namespace ndp;
  * Ceiling on one nest's scoring-pass allocations: the eight candidates'
  * set-up (their balancers, default-L1 copies and scratch) and the
  * split cache's pool growth, with headroom. The per-instance loop
- * contributes nothing.
+ * contributes nothing. Provenance recording answers to the same bound.
  */
-constexpr std::int64_t kScoringAllocationCeiling = 400;
+constexpr std::int64_t kAllocationCeiling = 400;
 
 /** Heap allocations made by one plan() call. */
 std::int64_t
@@ -81,33 +87,85 @@ scoringAllocations(const workloads::Workload &app, bool balanced)
     return per_nest;
 }
 
-TEST(PlannerAllocationTest, ScoringPassesDoNotAllocatePerInstance)
+/**
+ * Provenance recording's allocations for every nest of @p app: the
+ * emitting pass at the window an adaptive plan() chose, with Cheap
+ * verification minus with Off.
+ */
+std::vector<std::int64_t>
+recordingAllocations(const workloads::Workload &app, bool balanced)
+{
+    std::vector<std::int64_t> per_nest;
+    for (const ir::LoopNest &nest : app.nests) {
+        sim::ManycoreSystem system{sim::ManycoreConfig{}};
+        system.setMcdramArrays(app.mcdramArrays);
+        baseline::DefaultPlacement placement(system, app.arrays);
+        const std::vector<noc::NodeId> nodes =
+            placement.assignIterations(nest);
+
+        partition::PartitionOptions off;
+        off.loadBalance = balanced;
+        off.verifyLevel = verify::VerifyLevel::Off;
+        std::int32_t chosen = 0;
+        planAllocations(system, app.arrays, nest, nodes, off, &chosen);
+        off.fixedWindowSize = chosen;
+        partition::PartitionOptions cheap = off;
+        cheap.verifyLevel = verify::VerifyLevel::Cheap;
+        const std::int64_t recorded =
+            planAllocations(system, app.arrays, nest, nodes, cheap);
+        const std::int64_t unrecorded =
+            planAllocations(system, app.arrays, nest, nodes, off);
+        per_nest.push_back(recorded - unrecorded);
+    }
+    return per_nest;
+}
+
+/**
+ * Run @p measure (per-nest allocations of one app, balancer on or off)
+ * over water, cholesky and fft at scales 256 and 512, and hold every
+ * nest under the ceiling. Scale 512 doubles every nest's iteration
+ * count, so a per-instance allocation cannot hide.
+ */
+template <typename Measure>
+void
+expectBoundedAtEveryScale(const char *what, Measure measure)
 {
     for (const char *name : {"water", "cholesky", "fft"}) {
         for (const bool balanced : {true, false}) {
-            // Scale 512 doubles every nest's iteration count.
             for (const std::int64_t scale : {256, 512}) {
                 const workloads::Workload app =
                     workloads::WorkloadFactory(scale).build(name);
                 const std::vector<std::int64_t> counts =
-                    scoringAllocations(app, balanced);
+                    measure(app, balanced);
                 std::int64_t instances = 0;
                 for (const ir::LoopNest &nest : app.nests)
                     instances += nest.iterationCount() *
                                  static_cast<std::int64_t>(nest.body().size());
                 std::cout << name << (balanced ? " balanced" : " unbalanced")
                           << " scale " << scale << " (" << instances
-                          << " instances): scoring allocations per nest";
+                          << " instances): " << what
+                          << " allocations per nest";
                 for (std::size_t n = 0; n < counts.size(); ++n) {
                     std::cout << ' ' << counts[n];
-                    EXPECT_LT(counts[n], kScoringAllocationCeiling)
-                        << name << " nest " << n << " scale " << scale
+                    EXPECT_LT(counts[n], kAllocationCeiling)
+                        << what << ": " << name << " nest " << n
+                        << " scale " << scale
                         << (balanced ? " balanced" : " unbalanced");
                 }
                 std::cout << '\n';
             }
         }
     }
+}
+
+TEST(PlannerAllocationTest, ScoringPassesDoNotAllocatePerInstance)
+{
+    expectBoundedAtEveryScale("scoring", scoringAllocations);
+}
+
+TEST(PlannerAllocationTest, ProvenanceRecordingDoesNotAllocatePerInstance)
+{
+    expectBoundedAtEveryScale("recording", recordingAllocations);
 }
 
 } // namespace

@@ -10,12 +10,13 @@
  * balanced split; both paths must stay invisible. Unit tests pin the
  * counters — hits on a periodic nest, with and without the balancer —
  * plus direct SplitPlanCache key/collision/round-trip/clear semantics,
- * and the flat split-plan format's round trip from the splitter through
- * a cached view to a materialised SplitResult.
+ * and the flat split-plan format's round trip from the splitter into
+ * the cache and back out as a view.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -355,65 +356,33 @@ TEST(SplitPlanCacheTest, ClearDropsEveryEntry)
     EXPECT_EQ(cachedMovement(cache, 0, 0, locs), 2);
 }
 
-/** Every field of two SplitResults, nodes and costs included. */
-void
-expectSameSplit(const partition::SplitResult &got,
-                const partition::SplitResult &want, const std::string &label)
-{
-    ASSERT_EQ(got.subs.size(), want.subs.size()) << label;
-    for (std::size_t s = 0; s < want.subs.size(); ++s) {
-        const partition::Subcomputation &a = got.subs[s];
-        const partition::Subcomputation &b = want.subs[s];
-        EXPECT_EQ(a.node, b.node) << label << " sub " << s;
-        EXPECT_EQ(a.leaves, b.leaves) << label << " sub " << s;
-        EXPECT_EQ(a.children, b.children) << label << " sub " << s;
-        EXPECT_EQ(a.ops, b.ops) << label << " sub " << s;
-        EXPECT_EQ(a.opCost, b.opCost) << label << " sub " << s;
-        EXPECT_EQ(a.isRoot, b.isRoot) << label << " sub " << s;
-    }
-    ASSERT_EQ(got.edges.size(), want.edges.size()) << label;
-    for (std::size_t e = 0; e < want.edges.size(); ++e) {
-        EXPECT_EQ(got.edges[e].a, want.edges[e].a) << label << " edge " << e;
-        EXPECT_EQ(got.edges[e].b, want.edges[e].b) << label << " edge " << e;
-        EXPECT_EQ(got.edges[e].weight, want.edges[e].weight)
-            << label << " edge " << e;
-    }
-    EXPECT_EQ(got.root, want.root) << label;
-    EXPECT_EQ(got.plannedMovement, want.plannedMovement) << label;
-    EXPECT_EQ(got.degreeOfParallelism, want.degreeOfParallelism) << label;
-    EXPECT_EQ(got.crossNodeEdges, want.crossNodeEdges) << label;
-}
-
 /**
- * Every field of a flat view against a nested SplitResult, read
- * through the view's own accessors (not materialise()).
+ * Every field of two flat views, nodes and costs included, read through
+ * the views' own accessors.
  */
 void
-expectViewMatches(const partition::SplitView &got,
-                  const partition::SplitResult &want,
-                  const std::string &label)
+expectSameView(const partition::SplitView &got,
+               const partition::SplitView &want, const std::string &label)
 {
-    ASSERT_EQ(got.size(), want.subs.size()) << label;
+    ASSERT_EQ(got.size(), want.size()) << label;
+    auto want_at = want.begin();
     std::size_t s = 0;
-    for (const partition::SubView sub : got) {
-        const partition::Subcomputation &b = want.subs[s];
-        EXPECT_EQ(sub.node, b.node) << label << " sub " << s;
-        EXPECT_EQ(std::vector<int>(sub.leaves.begin(), sub.leaves.end()),
-                  b.leaves)
+    for (const partition::SubView a : got) {
+        const partition::SubView b = *want_at;
+        EXPECT_EQ(a.node, b.node) << label << " sub " << s;
+        EXPECT_TRUE(std::ranges::equal(a.leaves, b.leaves))
             << label << " sub " << s;
-        EXPECT_EQ(
-            std::vector<int>(sub.children.begin(), sub.children.end()),
-            b.children)
+        EXPECT_TRUE(std::ranges::equal(a.children, b.children))
             << label << " sub " << s;
-        EXPECT_EQ(std::vector<ir::OpKind>(sub.ops.begin(), sub.ops.end()),
-                  b.ops)
+        EXPECT_TRUE(std::ranges::equal(a.ops, b.ops))
             << label << " sub " << s;
-        EXPECT_EQ(sub.opCost, b.opCost) << label << " sub " << s;
-        EXPECT_EQ(sub.isRoot, b.isRoot) << label << " sub " << s;
+        EXPECT_EQ(a.opCost, b.opCost) << label << " sub " << s;
+        EXPECT_EQ(a.isRoot, b.isRoot) << label << " sub " << s;
+        ++want_at;
         ++s;
     }
-    ASSERT_EQ(got.edgeCount, want.edges.size()) << label;
-    for (std::size_t e = 0; e < want.edges.size(); ++e) {
+    ASSERT_EQ(got.edgeCount, want.edgeCount) << label;
+    for (std::size_t e = 0; e < want.edgeCount; ++e) {
         EXPECT_EQ(got.edges[e].a, want.edges[e].a) << label << " edge " << e;
         EXPECT_EQ(got.edges[e].b, want.edges[e].b) << label << " edge " << e;
         EXPECT_EQ(got.edges[e].weight, want.edges[e].weight)
@@ -442,13 +411,13 @@ randomExpr(Rng &rng, int depth)
     return expr + ")";
 }
 
-TEST(SplitPlanFormatTest, FlatPlanCachedViewAndSplitResultAgree)
+TEST(SplitPlanFormatTest, FreshPlanAndCachedViewAgree)
 {
     // Random statements, operand locations and store nodes on a
     // 512-node mesh (ids above 255 must survive the packed fields),
-    // split with the balancer off and on. The splitter's flat plan, the
-    // cache's view of it and the nested SplitResult must agree on
-    // every field.
+    // split with the balancer off and on. The cache's view of a filed
+    // plan and a fresh split of the same inputs must agree on every
+    // field.
     const noc::MeshTopology mesh(32, 16);
     ir::ArrayTable arrays;
     Rng rng(0xf1a7);
@@ -466,6 +435,8 @@ TEST(SplitPlanFormatTest, FlatPlanCachedViewAndSplitResultAgree)
     partition::StatementSplitter splitter(mesh, /*fetch_weight=*/8);
     partition::SplitPlanCache cache;
     partition::SplitPlan flat;
+    partition::SplitPlan fresh;
+    partition::SplitPlan free_split;
     // Pre-loaded so the balancer vetoes and slides merges.
     partition::LoadBalancer loads(mesh.nodeCount(), 0.10);
     for (int k = 0; k < 64; ++k)
@@ -490,13 +461,9 @@ TEST(SplitPlanFormatTest, FlatPlanCachedViewAndSplitResultAgree)
             const std::string label = "draw " + std::to_string(draw) +
                                       (balanced ? " balanced" : "");
             partition::LoadBalancer flat_trial = loads;
-            partition::LoadBalancer nested_trial = loads;
+            partition::LoadBalancer fresh_trial = loads;
             splitter.split(sets, locations, store,
                            balanced ? &flat_trial : nullptr, flat);
-            const partition::SplitResult nested = splitter.split(
-                sets, locations, store, balanced ? &nested_trial : nullptr);
-            EXPECT_EQ(flat_trial.totalLoad(), nested_trial.totalLoad())
-                << label;
 
             // A fresh key per split: the cache files the flat plan as
             // it is and hands back a view of its own copy.
@@ -506,17 +473,19 @@ TEST(SplitPlanFormatTest, FlatPlanCachedViewAndSplitResultAgree)
                 cache.lookup(key++, store, locations);
             ASSERT_TRUE(cached) << label;
 
-            expectViewMatches(flat.view(), nested, label + " flat");
-            expectViewMatches(cached.value(), nested, label + " cached");
-            expectSameSplit(cached.value().materialise(), nested,
-                            label + " materialised");
-            for (const partition::Subcomputation &sub : nested.subs)
+            // A second split of the same inputs, into buffers of its
+            // own, must match the cached copy field for field.
+            splitter.split(sets, locations, store,
+                           balanced ? &fresh_trial : nullptr, fresh);
+            EXPECT_EQ(flat_trial.totalLoad(), fresh_trial.totalLoad())
+                << label;
+            expectSameView(cached.value(), fresh.view(), label);
+            for (const partition::SubView sub : fresh.view())
                 highest = std::max(highest, sub.node);
             if (balanced) {
-                const partition::SplitResult free_split =
-                    splitter.split(sets, locations, store);
-                for (std::size_t s = 0; s < nested.subs.size(); ++s) {
-                    if (nested.subs[s].node != free_split.subs[s].node) {
+                splitter.split(sets, locations, store, nullptr, free_split);
+                for (std::size_t s = 0; s < fresh.subs.size(); ++s) {
+                    if (fresh.subs[s].node != free_split.subs[s].node) {
                         ++slid;
                         break;
                     }
@@ -553,7 +522,7 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
         std::int32_t stmt;
         noc::NodeId store;
         std::vector<partition::Location> locations;
-        partition::SplitResult plan;
+        partition::SplitPlan plan;
     };
     std::vector<Filed> filed;
     noc::NodeId highest = 0;
@@ -570,11 +539,11 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
         }
         splitter.split(ir::buildVarSets(statement), f.locations, f.store,
                        nullptr, flat);
-        f.plan = flat.view().materialise();
+        f.plan = flat;
         if (cache.lookup(f.stmt, f.store, f.locations))
             continue; // a repeated draw
         cache.insert(flat.view());
-        for (const partition::Subcomputation &sub : f.plan.subs)
+        for (const partition::SubView sub : f.plan.view())
             highest = std::max(highest, sub.node);
         filed.push_back(std::move(f));
     }
@@ -589,7 +558,8 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
         const std::optional<partition::SplitView> hit =
             cache.lookup(f.stmt, f.store, f.locations);
         ASSERT_TRUE(hit) << "entry " << i;
-        expectViewMatches(hit.value(), f.plan, "entry " + std::to_string(i));
+        expectSameView(hit.value(), f.plan.view(),
+                       "entry " + std::to_string(i));
     }
 }
 

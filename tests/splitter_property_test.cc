@@ -97,9 +97,9 @@ collectLeaves(const ir::VarSet &set, std::vector<int> &leaves)
     }
 }
 
-/** Structural invariants every SplitResult must satisfy. */
+/** Structural invariants every split must satisfy. */
 void
-checkSplitInvariants(const partition::SplitResult &result,
+checkSplitInvariants(const partition::SplitView &result,
                      std::size_t leaf_count, noc::NodeId store_node)
 {
     ASSERT_GE(result.root, 0);
@@ -111,16 +111,18 @@ checkSplitInvariants(const partition::SplitResult &result,
 
     // Children precede parents (emission is post-order) and each
     // subcomputation feeds exactly one parent.
-    std::vector<int> child_uses(result.subs.size(), 0);
-    for (std::size_t s = 0; s < result.subs.size(); ++s) {
-        for (int child : result.subs[s].children) {
+    std::vector<int> child_uses(result.size(), 0);
+    std::size_t s = 0;
+    for (const partition::SubView sub : result) {
+        for (int child : sub.children) {
             ASSERT_GE(child, 0);
             ASSERT_LT(static_cast<std::size_t>(child), s)
                 << "child emitted after its parent";
             ++child_uses[static_cast<std::size_t>(child)];
         }
+        ++s;
     }
-    for (std::size_t s = 0; s < result.subs.size(); ++s) {
+    for (s = 0; s < result.size(); ++s) {
         const int expected = static_cast<int>(s) == result.root ? 0 : 1;
         EXPECT_EQ(child_uses[s], expected)
             << "subcomputation " << s
@@ -129,7 +131,7 @@ checkSplitInvariants(const partition::SplitResult &result,
 
     // Leaf partition: every operand consumed exactly once, somewhere.
     std::vector<int> seen;
-    for (const partition::Subcomputation &sub : result.subs)
+    for (const partition::SubView sub : result)
         seen.insert(seen.end(), sub.leaves.begin(), sub.leaves.end());
     std::sort(seen.begin(), seen.end());
     ASSERT_EQ(seen.size(), leaf_count);
@@ -146,6 +148,7 @@ TEST(SplitterPropertyTest, FlatMstSpansDistinctNodesMinusOne)
     noc::MeshTopology mesh(6, 6);
     partition::StatementSplitter splitter(mesh, kFetchWeight,
                                           kResultWeight);
+    partition::SplitPlan plan;
     for (int trial = 0; trial < 200; ++trial) {
         const int leaves =
             2 + static_cast<int>(rng.nextBelow(11)); // 2..12
@@ -160,14 +163,14 @@ TEST(SplitterPropertyTest, FlatMstSpansDistinctNodesMinusOne)
         const auto store = static_cast<noc::NodeId>(
             rng.nextBelow(static_cast<std::uint64_t>(mesh.nodeCount())));
 
-        const partition::SplitResult result =
-            splitter.split(sets, locations, store);
+        splitter.split(sets, locations, store, nullptr, plan);
+        const partition::SplitView result = plan.view();
 
         std::set<noc::NodeId> distinct;
         for (const partition::Location &loc : locations)
             distinct.insert(loc.node);
         distinct.insert(store);
-        EXPECT_EQ(result.edges.size(), distinct.size() - 1)
+        EXPECT_EQ(result.edgeCount, distinct.size() - 1)
             << "trial " << trial << ": Kruskal must pick exactly "
             << "|V|-1 edges";
         checkSplitInvariants(result,
@@ -181,6 +184,7 @@ TEST(SplitterPropertyTest, MovementNeverExceedsNaiveAllToStore)
     noc::MeshTopology mesh(8, 8);
     partition::StatementSplitter splitter(mesh, kFetchWeight,
                                           kResultWeight);
+    partition::SplitPlan plan;
     for (int trial = 0; trial < 200; ++trial) {
         const int leaves = 2 + static_cast<int>(rng.nextBelow(11));
         const bool flat = rng.nextBool(0.5);
@@ -195,8 +199,8 @@ TEST(SplitterPropertyTest, MovementNeverExceedsNaiveAllToStore)
         const auto store = static_cast<noc::NodeId>(
             rng.nextBelow(static_cast<std::uint64_t>(mesh.nodeCount())));
 
-        const partition::SplitResult result =
-            splitter.split(sets, locations, store);
+        splitter.split(sets, locations, store, nullptr, plan);
+        const partition::SplitView result = plan.view();
 
         // Equation 1's naive cost: every operand line fetched
         // straight to the store node.

@@ -55,17 +55,6 @@ TEST(DisjointSetTest, TransitiveConnectivity)
     EXPECT_EQ(ds.setCount(), 2u);
 }
 
-TEST(DisjointSetTest, AddElementGrows)
-{
-    DisjointSet ds(2);
-    const std::size_t idx = ds.addElement();
-    EXPECT_EQ(idx, 2u);
-    EXPECT_EQ(ds.size(), 3u);
-    EXPECT_FALSE(ds.connected(0, idx));
-    ds.unite(0, idx);
-    EXPECT_TRUE(ds.connected(0, idx));
-}
-
 TEST(DisjointSetTest, FindOutOfRangePanics)
 {
     DisjointSet ds(3);
