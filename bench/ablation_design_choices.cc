@@ -20,10 +20,9 @@
 #include "bench_common.h"
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace ndp;
-    bench::parseBenchArgs(argc, argv);
     using driver::AppResult;
     bench::banner("ablation_design_choices", "DESIGN.md ablations");
 

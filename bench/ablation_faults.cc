@@ -38,7 +38,6 @@ int
 main(int argc, char **argv)
 {
     using namespace ndp;
-    bench::parseBenchArgs(argc, argv);
 
     std::string json_path = "BENCH_faults.json";
     for (int i = 1; i < argc; ++i) {
@@ -52,9 +51,6 @@ main(int argc, char **argv)
     driver::FaultCampaignConfig campaign_cfg;
     campaign_cfg.nodeFaultRates = {0.02, 0.05, 0.10};
     campaign_cfg.trialsPerRate = 3;
-    if (bench::verifyOverride())
-        campaign_cfg.experiment.partition.verifyLevel =
-            *bench::verifyOverride();
     const driver::FaultCampaign campaign(campaign_cfg);
 
     // The campaign multiplies every run by rates x trials, so sweep a

@@ -14,10 +14,9 @@
 #include "bench_common.h"
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace ndp;
-    bench::parseBenchArgs(argc, argv);
     bench::banner("ablation_topology", "Section 2 topology template");
 
     driver::ExperimentConfig mesh_cfg;

@@ -16,20 +16,16 @@
  */
 
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "driver/experiment.h"
 #include "driver/sweep.h"
-#include "support/error.h"
 #include "support/stats.h"
 #include "support/table.h"
-#include "verify/verify_level.h"
 #include "workloads/workload.h"
 
 namespace ndp::bench {
@@ -59,51 +55,6 @@ allApps()
 {
     workloads::WorkloadFactory factory(benchScale());
     return factory.buildAll();
-}
-
-/** Process-wide --verify override; empty = follow NDP_VERIFY. */
-inline std::optional<verify::VerifyLevel> &
-verifyOverride()
-{
-    static std::optional<verify::VerifyLevel> override;
-    return override;
-}
-
-/**
- * Parse the harness command line shared by every bench: `--verify`
- * (full) or `--verify=off|cheap|full` forces the static-verification
- * level of every config in the sweep, overriding NDP_VERIFY. Other
- * arguments are left for the harness's own parser.
- */
-inline void
-parseBenchArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--verify") == 0) {
-            verifyOverride() = verify::VerifyLevel::Full;
-        } else if (std::strncmp(arg, "--verify=", 9) == 0) {
-            verify::VerifyLevel level = verify::VerifyLevel::Off;
-            if (!verify::parseVerifyLevel(arg + 9, level))
-                ndp::fatal(std::string("unknown verify level '") +
-                           (arg + 9) + "' (off|cheap|full)");
-            verifyOverride() = level;
-        }
-    }
-}
-
-/**
- * The effective verification level of a sweep: the --verify flag when
- * given, else whatever the configs carry (NDP_VERIFY's default).
- */
-inline std::vector<driver::ExperimentConfig>
-applyVerifyLevel(std::vector<driver::ExperimentConfig> configs)
-{
-    if (verifyOverride()) {
-        for (driver::ExperimentConfig &config : configs)
-            config.partition.verifyLevel = *verifyOverride();
-    }
-    return configs;
 }
 
 /** Everything one parallel (app x config) sweep produces. */
@@ -174,9 +125,9 @@ maybeWriteVerifyJson(const SweepOutcome &sweep)
  * Run every app under every config on a SweepRunner (both parallelism
  * axes: cells across the pool, loop nests within each cell). The grid
  * layout — and thus any stdout table built from it — is independent
- * of the thread count; only the wallSeconds fields vary. Honours the
- * --verify flag (see parseBenchArgs) and, when NDP_VERIFY_JSON names
- * a path, drops the machine-readable verifier report there.
+ * of the thread count; only the wallSeconds fields vary. When
+ * NDP_VERIFY_JSON names a path, drops the machine-readable verifier
+ * report there.
  */
 inline SweepOutcome
 runSweep(const std::vector<driver::ExperimentConfig> &configs)
@@ -184,7 +135,7 @@ runSweep(const std::vector<driver::ExperimentConfig> &configs)
     SweepOutcome outcome;
     outcome.apps = allApps();
     driver::SweepRunner runner(benchThreads());
-    outcome.grid = runner.runGrid(outcome.apps, applyVerifyLevel(configs));
+    outcome.grid = runner.runGrid(outcome.apps, configs);
     outcome.stats = runner.stats();
     maybeWriteVerifyJson(outcome);
     return outcome;

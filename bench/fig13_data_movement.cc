@@ -13,10 +13,9 @@
 #include "bench_common.h"
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace ndp;
-    bench::parseBenchArgs(argc, argv);
     using driver::AppResult;
     bench::banner("fig13_data_movement", "Figure 13");
 

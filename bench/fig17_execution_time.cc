@@ -14,10 +14,9 @@
 #include "bench_common.h"
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace ndp;
-    bench::parseBenchArgs(argc, argv);
     using driver::AppResult;
     bench::banner("fig17_execution_time", "Figure 17");
 

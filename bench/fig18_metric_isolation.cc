@@ -16,15 +16,13 @@
 #include "bench_common.h"
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace ndp;
-    bench::parseBenchArgs(argc, argv);
     bench::banner("fig18_metric_isolation", "Figure 18");
 
     const std::vector<workloads::Workload> apps = bench::allApps();
-    const driver::ExperimentConfig config =
-        bench::applyVerifyLevel({driver::ExperimentConfig{}}).front();
+    const driver::ExperimentConfig config;
     driver::SweepRunner sweeper(bench::benchThreads());
     const std::vector<driver::IsolationResult> isolations =
         sweeper.mapOrdered<driver::IsolationResult>(

@@ -21,10 +21,9 @@
 #include "bench_common.h"
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace ndp;
-    bench::parseBenchArgs(argc, argv);
     bench::banner("fig22_knl_configs", "Figure 22");
 
     struct Cluster

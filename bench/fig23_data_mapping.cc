@@ -15,10 +15,9 @@
 #include "bench_common.h"
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace ndp;
-    bench::parseBenchArgs(argc, argv);
     using driver::AppResult;
     bench::banner("fig23_data_mapping", "Figure 23");
 

@@ -20,6 +20,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -174,12 +175,15 @@ BENCHMARK(BM_SweepRunner)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Order-dependent digest of an ExecutionPlan: every task field and
- * every InstanceStats field feeds an FNV-1a hash. Equal digests mean
- * the cache-on and cache-off plans are byte-identical.
+ * Order-dependent digest of an ExecutionPlan and its report: every
+ * task field, the report's per-instance accumulators (count, sum, min
+ * and max of each) and its planned and default movement totals feed an
+ * FNV-1a hash. Equal digests mean the cache-on and cache-off plans are
+ * byte-identical and account every instance alike.
  */
 std::uint64_t
-planDigest(const sim::ExecutionPlan &plan)
+planDigest(const sim::ExecutionPlan &plan,
+           const partition::PartitionReport &report)
 {
     std::uint64_t h = 1469598103934665603ull;
     const auto mix = [&h](std::uint64_t v) {
@@ -192,6 +196,12 @@ planDigest(const sim::ExecutionPlan &plan)
         mix(a.addr);
         mix(a.size);
         mix(static_cast<std::uint64_t>(a.array));
+    };
+    const auto mixAccumulator = [&](const Accumulator &acc) {
+        mix(acc.count());
+        mix(std::bit_cast<std::uint64_t>(acc.sum()));
+        mix(std::bit_cast<std::uint64_t>(acc.min()));
+        mix(std::bit_cast<std::uint64_t>(acc.max()));
     };
     mix(plan.tasks.size());
     for (const sim::Task &t : plan.tasks) {
@@ -214,16 +224,12 @@ planDigest(const sim::ExecutionPlan &plan)
         mix(static_cast<std::uint64_t>(t.statementIndex));
         mix(static_cast<std::uint64_t>(t.iterationNumber));
     }
-    mix(plan.instances.size());
-    for (const sim::InstanceStats &s : plan.instances) {
-        mix(static_cast<std::uint64_t>(s.statementIndex));
-        mix(static_cast<std::uint64_t>(s.iterationNumber));
-        mix(static_cast<std::uint64_t>(s.dataMovement));
-        mix(static_cast<std::uint64_t>(s.defaultDataMovement));
-        mix(static_cast<std::uint64_t>(s.degreeOfParallelism));
-        mix(static_cast<std::uint64_t>(s.synchronizations));
-        mix(static_cast<std::uint64_t>(s.rawSynchronizations));
-    }
+    mixAccumulator(report.movementReductionPct);
+    mixAccumulator(report.degreeOfParallelism);
+    mixAccumulator(report.syncsPerStatement);
+    mixAccumulator(report.rawSyncsPerStatement);
+    mix(static_cast<std::uint64_t>(report.plannedMovement));
+    mix(static_cast<std::uint64_t>(report.defaultMovement));
     mix(static_cast<std::uint64_t>(plan.windowSize));
     return h;
 }
@@ -267,7 +273,7 @@ timePlanning(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
         MemoModeResult r;
         // Warm-up rep: faults pages in, yields digest + counters.
         sim::ExecutionPlan plan = p.plan(nest, nodes);
-        r.planDigest = planDigest(plan);
+        r.planDigest = planDigest(plan, p.report());
         r.plansComputed = p.report().compile.plansComputed;
         r.plansMemoized = p.report().compile.plansMemoized;
         r.cacheBypassed = p.report().compile.cacheBypassed;
@@ -493,8 +499,6 @@ main(int argc, char **argv)
             json_only = true;
         else if (std::strncmp(argv[i], "--json=", 7) == 0)
             json_path = argv[i] + 7;
-        else if (std::strncmp(argv[i], "--verify", 8) == 0)
-            ; // static verification runs inside the driver, not here
         else
             bench_args.push_back(argv[i]);
     }

@@ -14,10 +14,9 @@
 #include "ir/statement.h"
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace ndp;
-    bench::parseBenchArgs(argc, argv);
     bench::banner("table1_analyzability", "Table 1");
 
     const std::vector<workloads::Workload> apps = bench::allApps();

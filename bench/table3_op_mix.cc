@@ -27,10 +27,9 @@ offloadedPct(const ndp::driver::AppResult &r, int category)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace ndp;
-    bench::parseBenchArgs(argc, argv);
     using driver::AppResult;
     bench::banner("table3_op_mix", "Table 3");
 

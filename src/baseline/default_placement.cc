@@ -115,9 +115,6 @@ DefaultPlacement::buildPlan(const ir::LoopNest &nest,
     NDP_REQUIRE(static_cast<std::int64_t>(nodes.size()) ==
                     nest.iterationCount(),
                 "assignment size mismatch");
-    const noc::MeshTopology &mesh = system_->mesh();
-    const mem::AddressMap &amap = system_->addressMap();
-
     sim::ExecutionPlan plan;
     plan.name = nest.name() + "/default";
     plan.windowSize = 1;
@@ -146,13 +143,8 @@ DefaultPlacement::buildPlan(const ir::LoopNest &nest,
             task.statementIndex = static_cast<std::int32_t>(s);
             task.iterationNumber = k;
 
-            sim::InstanceStats istats;
-            istats.statementIndex = task.statementIndex;
-            istats.iterationNumber = k;
             for (const ir::ResolvedRef &r : reads) {
                 task.reads.push_back({r.addr, r.size, r.array});
-                istats.defaultDataMovement +=
-                    mesh.distance(node, amap.homeBankNode(r.addr));
                 const auto writer = last_writer.find(r.addr);
                 if (writer != last_writer.end() &&
                     plan.tasks[static_cast<std::size_t>(writer->second)]
@@ -162,13 +154,9 @@ DefaultPlacement::buildPlan(const ir::LoopNest &nest,
             }
             task.write =
                 sim::MemAccess{write.addr, write.size, write.array};
-            istats.defaultDataMovement +=
-                mesh.distance(node, amap.homeBankNode(write.addr));
-            istats.dataMovement = istats.defaultDataMovement;
             last_writer[write.addr] = task.id;
 
             plan.tasks.push_back(std::move(task));
-            plan.instances.push_back(istats);
         }
     }
     return plan;

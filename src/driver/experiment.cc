@@ -142,8 +142,7 @@ ExperimentRunner::runNest(const workloads::Workload &workload,
         // Profile-guided selection: the transformation lost on this
         // nest; ship the default plan instead.
         nr.optimizedRun = session.engine.run(session.defaultPlan, opts);
-        nr.report = partition::keptDefaultReport(
-            nr.report, session.defaultPlan.instances.size());
+        nr.report = partition::keptDefaultReport(nr.report);
     }
 
     nr.predictorPredictions = session.system.missPredictor().predictions();

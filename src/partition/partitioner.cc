@@ -393,9 +393,8 @@ class CandidatePlanner
     {
         const std::int64_t total = ctx_.nest.iterationCount() * stmtCount_;
         if (emit_) {
-            // One record per instance, and at least one task each.
+            // At least one task per instance, and one record each.
             const auto instances = static_cast<std::size_t>(total);
-            plan_.instances.reserve(instances);
             plan_.tasks.reserve(instances);
             if (prov_)
                 prov_->instances.reserve(instances);
@@ -424,19 +423,6 @@ class CandidatePlanner
             report_.reuseCopiesPlanned = varmap_.insertionCount();
         }
         report_.provenance = prov_;
-
-        // ---- Fill the report's per-instance accumulators. ----
-        for (const sim::InstanceStats &istats : plan_.instances) {
-            report_.movementReductionPct.add(percentReduction(
-                static_cast<double>(istats.defaultDataMovement),
-                static_cast<double>(istats.dataMovement)));
-            report_.degreeOfParallelism.add(
-                static_cast<double>(istats.degreeOfParallelism));
-            report_.syncsPerStatement.add(
-                static_cast<double>(istats.synchronizations));
-            report_.rawSyncsPerStatement.add(
-                static_cast<double>(istats.rawSynchronizations));
-        }
         return std::move(plan_);
     }
 
@@ -789,21 +775,22 @@ class CandidatePlanner
     }
 
     /**
-     * The one place an emitted instance's outcome is accounted: its
-     * InstanceStats, the report's tallies and, when verifying, its
-     * provenance record. @p split is null when it ran whole.
+     * The one place an emitted instance's outcome is accounted: the
+     * report's per-instance accumulators and tallies and, when
+     * verifying, its provenance record, both from the same values.
+     * Its synchronisations are added once its window is minimised.
+     * @p split is null when it ran whole.
      */
     void
     record(const SplitView *split, sim::TaskId first)
     {
-        sim::InstanceStats istats;
-        istats.statementIndex = stmtIdx_;
-        istats.iterationNumber = iter_;
-        istats.defaultDataMovement = defaultMovement_;
-        istats.dataMovement =
+        const std::int64_t movement =
             split ? split->plannedMovement : defaultMovement_;
-        istats.degreeOfParallelism = split ? split->degreeOfParallelism : 1;
-        plan_.instances.push_back(istats);
+        report_.movementReductionPct.add(
+            percentReduction(static_cast<double>(defaultMovement_),
+                             static_cast<double>(movement)));
+        report_.degreeOfParallelism.add(static_cast<double>(
+            split ? split->degreeOfParallelism : 1));
         if (split == nullptr) {
             report_.statementsKeptDefault += 1;
         } else {
@@ -827,7 +814,7 @@ class CandidatePlanner
         r.fromCache = split != nullptr && fromCache_;
         r.defaultNode = defaultNode_;
         r.storeNode = storeNode_;
-        r.claimedMovement = istats.dataMovement;
+        r.claimedMovement = movement;
         r.defaultMovement = defaultMovement_;
         r.firstTask = first;
         r.taskCount = nextTaskId() - first;
@@ -924,11 +911,11 @@ class CandidatePlanner
                     final_syncs[slot(t)] += 1;
             }
         }
-        const std::size_t inst_begin = plan_.instances.size() - instances;
         for (std::size_t k = 0; k < instances; ++k) {
-            sim::InstanceStats &istats = plan_.instances[inst_begin + k];
-            istats.synchronizations = final_syncs[k];
-            istats.rawSynchronizations = final_syncs[k] + pruned[k];
+            report_.syncsPerStatement.add(
+                static_cast<double>(final_syncs[k]));
+            report_.rawSyncsPerStatement.add(
+                static_cast<double>(final_syncs[k] + pruned[k]));
         }
     }
 
@@ -1118,12 +1105,13 @@ Partitioner::plan(const ir::LoopNest &nest,
 }
 
 PartitionReport
-keptDefaultReport(const PartitionReport &planned, std::size_t instances)
+keptDefaultReport(const PartitionReport &planned)
 {
+    const std::int64_t instances =
+        planned.statementsKeptDefault + planned.statementsSplit;
     PartitionReport kept;
     kept.chosenWindowSize = 1;
-    kept.statementsKeptDefault =
-        planned.statementsKeptDefault + planned.statementsSplit;
+    kept.statementsKeptDefault = instances;
     kept.defaultMovement = planned.defaultMovement;
     kept.plannedMovement = planned.defaultMovement;
     kept.movementPerWindowSize = planned.movementPerWindowSize;
@@ -1131,7 +1119,7 @@ keptDefaultReport(const PartitionReport &planned, std::size_t instances)
     kept.reuseCopiesPlanned = planned.reuseCopiesPlanned;
     kept.compile = planned.compile;
     kept.verifyCounts = planned.verifyCounts;
-    for (std::size_t i = 0; i < instances; ++i) {
+    for (std::int64_t i = 0; i < instances; ++i) {
         kept.movementReductionPct.add(0.0);
         kept.degreeOfParallelism.add(1.0);
         kept.syncsPerStatement.add(0.0);

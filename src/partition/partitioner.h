@@ -156,13 +156,13 @@ struct PartitionReport
 /**
  * The report of a nest whose profile-guided plan selection shipped the
  * default plan instead of the one @p planned describes: nothing was
- * re-mapped, so each of the default plan's @p instances counts as an
- * unsplit statement (no movement saved, parallelism 1, no syncs). The
- * movement baselines, window history, compile cost and verification
- * tallies carry over — they were paid regardless of which plan shipped.
+ * re-mapped, so each of its statement instances (split or not) counts
+ * as an unsplit statement (no movement saved, parallelism 1, no
+ * syncs). The movement baselines, window history, compile cost and
+ * verification tallies carry over — they were paid regardless of which
+ * plan shipped.
  */
-PartitionReport keptDefaultReport(const PartitionReport &planned,
-                                  std::size_t instances);
+PartitionReport keptDefaultReport(const PartitionReport &planned);
 
 /** Produces the optimized ExecutionPlan for a loop nest. */
 class Partitioner

@@ -9,6 +9,11 @@
  * optionally a store, and may depend on other tasks whose results are
  * sent to it over the network (the paper's point-to-point
  * synchronisations, Section 4.5).
+ *
+ * A plan is the simulator's input only. The per-instance planning
+ * outcomes the paper's Figures 13-15 report live on the planner's
+ * partition::PartitionReport (and, when verifying, in its provenance
+ * records), not here.
  */
 
 #include <cstdint>
@@ -68,23 +73,6 @@ struct Task
     bool isSubcomputation = false;
 };
 
-/** Per-statement-instance planning statistics (Figures 13-15). */
-struct InstanceStats
-{
-    std::int32_t statementIndex = -1;
-    std::int64_t iterationNumber = -1;
-    /** Equation-1 data movement (link traversals) planned. */
-    std::int64_t dataMovement = 0;
-    /** Data movement the default placement would have incurred. */
-    std::int64_t defaultDataMovement = 0;
-    /** Subcomputations of this instance that can run in parallel. */
-    std::int32_t degreeOfParallelism = 1;
-    /** Point-to-point synchronisations after minimisation. */
-    std::int32_t synchronizations = 0;
-    /** Synchronisations before transitive reduction (for reporting). */
-    std::int32_t rawSynchronizations = 0;
-};
-
 /** A complete schedule for one loop nest. */
 struct ExecutionPlan
 {
@@ -94,7 +82,6 @@ struct ExecutionPlan
      * the same node appear in their program order.
      */
     std::vector<Task> tasks;
-    std::vector<InstanceStats> instances;
 
     /** Window size the planner settled on (optimized plans only). */
     std::int32_t windowSize = 1;

@@ -3,16 +3,13 @@
 
 /**
  * @file
- * Execution tracing and per-node utilisation analysis. When attached
- * to the engine, a trace records every task's (node, start, finish)
- * interval; post-processing turns that into the per-node occupancy
- * timeline behind the load-balance discussions of Section 4.5, and a
- * CSV export feeds external plotting.
+ * Execution tracing. When attached to the engine, a trace records
+ * every task's (node, start, finish) interval in the order the engine
+ * scheduled it: the per-task schedule the engine's property tests
+ * diff against their reference.
  */
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "noc/coord.h"
@@ -46,31 +43,6 @@ class ExecutionTrace
     void clear() { events_.clear(); }
     const std::vector<TraceEvent> &events() const { return events_; }
     std::size_t size() const { return events_.size(); }
-
-    /** Busy cycles per node (index = NodeId). */
-    std::vector<std::int64_t> nodeBusy(std::int32_t node_count) const;
-
-    /** Idle-waiting cycles per node. */
-    std::vector<std::int64_t> nodeWaited(std::int32_t node_count) const;
-
-    /**
-     * Utilisation (busy / makespan) per node; 0 for idle nodes. The
-     * max/mean ratio of this vector is the load-imbalance figure the
-     * balancer is meant to bound.
-     */
-    std::vector<double> nodeUtilization(std::int32_t node_count) const;
-
-    /** Max-over-mean utilisation across nodes with any work (>= 1). */
-    double imbalance(std::int32_t node_count) const;
-
-    /** Latest finish time across all events. */
-    std::int64_t makespan() const;
-
-    /**
-     * Write one row per event as CSV:
-     * task,node,start,finish,waited,offloaded
-     */
-    void writeCsv(std::ostream &os) const;
 
   private:
     std::vector<TraceEvent> events_;

@@ -240,13 +240,18 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         return rep;
     }
 
-    if (prov.instances.size() != plan.instances.size()) {
+    // One record per statement instance, in stream order: record i is
+    // statement i % |body| of iteration i / |body|.
+    const auto stmt_count = static_cast<std::int64_t>(nest.body().size());
+    const std::int64_t instance_count = nest.iterationCount() * stmt_count;
+    if (static_cast<std::int64_t>(prov.instances.size()) !=
+        instance_count) {
         error("R3.coverage", nullptr, sim::kInvalidTask,
               noc::kInvalidNode,
               describeInt(
                   "provenance instance count",
                   static_cast<std::int64_t>(prov.instances.size()),
-                  static_cast<std::int64_t>(plan.instances.size())));
+                  instance_count));
         return rep;
     }
 
@@ -282,10 +287,17 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         return n >= 0 && n < mesh.nodeCount() && mesh.isLive(n);
     };
 
-    // Checks deps of one task: backward, duplicate-free, live
-    // producers (the sync-point endpoints of Section 4.5).
-    auto check_deps = [&](const SplitRecord &rec,
+    // Checks one task of @p rec: attributed to the record's instance,
+    // and deps backward, duplicate-free, from live producers (the
+    // sync-point endpoints of Section 4.5).
+    auto check_task = [&](const SplitRecord &rec,
                           const sim::Task &task) {
+        if (task.statementIndex != rec.statementIndex ||
+            task.iterationNumber != rec.iterationNumber) {
+            error("R3.coverage", &rec, task.id, task.node,
+                  "task is attributed to a different statement "
+                  "instance than its provenance record");
+        }
         for (std::size_t i = 0; i < task.deps.size(); ++i) {
             const sim::TaskId dep = task.deps[i];
             if (dep < 0 || dep >= task.id) {
@@ -388,18 +400,22 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         expect_next += rec.taskCount;
 
         // ---- Independently re-resolve the instance's operands.
-        const auto stmt_idx = static_cast<std::size_t>(
-            rec.statementIndex);
-        if (rec.statementIndex < 0 || stmt_idx >= nest.body().size() ||
-            rec.iterationNumber < 0 ||
-            rec.iterationNumber >= nest.iterationCount()) {
+        const std::int64_t seq = static_cast<std::int64_t>(i);
+        if (rec.iterationNumber != seq / stmt_count ||
+            rec.statementIndex != seq % stmt_count) {
+            std::ostringstream os;
+            os << "record " << seq << " names iteration "
+               << rec.iterationNumber << ", statement "
+               << rec.statementIndex << "; its stream position is "
+               << "iteration " << seq / stmt_count << ", statement "
+               << seq % stmt_count;
             error("R3.coverage", &rec, rec.firstTask,
-                  noc::kInvalidNode,
-                  "record references a statement/iteration outside "
-                  "the nest");
+                  noc::kInvalidNode, os.str());
             tiling_broken = true;
             break;
         }
+        const auto stmt_idx = static_cast<std::size_t>(
+            rec.statementIndex);
         const ir::Statement &stmt = nest.body()[stmt_idx];
         ir::StatementInstance inst;
         inst.stmt = &stmt;
@@ -407,28 +423,6 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         inst.iterationNumber = rec.iterationNumber;
         const ir::ResolvedRef write = ir::resolveWrite(inst, *arrays_);
         ir::resolveReadsInto(inst, *arrays_, reads);
-
-        const sim::InstanceStats &istats = plan.instances[i];
-        if (istats.statementIndex != rec.statementIndex ||
-            istats.iterationNumber != rec.iterationNumber) {
-            error("R3.coverage", &rec, rec.firstTask, noc::kInvalidNode,
-                  "plan instance stats and provenance disagree about "
-                  "the originating statement instance");
-        }
-        if (istats.dataMovement != rec.claimedMovement) {
-            error("R2.instance-mismatch", &rec, rec.firstTask,
-                  noc::kInvalidNode,
-                  describeInt("instance dataMovement",
-                              istats.dataMovement,
-                              rec.claimedMovement));
-        }
-        if (istats.defaultDataMovement != rec.defaultMovement) {
-            error("R2.instance-mismatch", &rec, rec.firstTask,
-                  noc::kInvalidNode,
-                  describeInt("instance defaultDataMovement",
-                              istats.defaultDataMovement,
-                              rec.defaultMovement));
-        }
 
         // The split root stores at the write's home; re-homing under
         // faults guarantees the home is live.
@@ -447,8 +441,6 @@ PlanVerifier::verify(const ir::LoopNest &nest,
             error("R5.store-on-dead", &rec, rec.rootTask,
                   rec.storeNode, os.str());
         }
-
-        const std::int64_t seq = static_cast<std::int64_t>(i);
 
         if (!rec.wasSplit) {
             // ================= Unsplit instance =================
@@ -487,12 +479,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                           "unsplit instance claimed movement",
                           rec.claimedMovement, rec.defaultMovement));
             }
-            if (istats.degreeOfParallelism != 1) {
-                error("R2.instance-mismatch", &rec, task.id, task.node,
-                      describeInt("unsplit degree of parallelism",
-                                  istats.degreeOfParallelism, 1));
-            }
-            check_deps(rec, task);
+            check_task(rec, task);
             // Skip dead nodes: the planner never committed load there,
             // and R5.task-on-dead already flagged the record.
             if (replay_balancer && live(rec.defaultNode))
@@ -749,13 +736,6 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                               rec.claimedMovement,
                               rec.defaultMovement - 1));
         }
-        if (istats.degreeOfParallelism != split.degreeOfParallelism) {
-            error("R2.instance-mismatch", &rec, rec.firstTask,
-                  noc::kInvalidNode,
-                  describeInt("instance degree of parallelism",
-                              istats.degreeOfParallelism,
-                              split.degreeOfParallelism));
-        }
 
         // ---- R3: the emitted tasks mirror the subcomputations.
         std::vector<std::int32_t> child_refs(split.size(), 0);
@@ -781,12 +761,6 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                    << mesh.faults().describe() << ")";
                 error("R5.task-on-dead", &rec, tid, task.node,
                       os.str());
-            }
-            if (task.statementIndex != rec.statementIndex ||
-                task.iterationNumber != rec.iterationNumber) {
-                error("R3.coverage", &rec, tid, task.node,
-                      "task is attributed to a different statement "
-                      "instance than its provenance record");
             }
             // Leaves-to-store: every child's result must arrive (the
             // merge is a sync point for each of its >= 1 children).
@@ -829,7 +803,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                 error("R3.root-write", &rec, tid, task.node,
                       "non-root subcomputation stores");
             }
-            check_deps(rec, task);
+            check_task(rec, task);
         }
         if (!one_root) {
             error("R3.root-write", &rec, rec.rootTask, rec.storeNode,

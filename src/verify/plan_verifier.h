@@ -17,9 +17,10 @@
  *   R2 Equation-1 consistency: the claimed movement equals the
  *      reference splitter's recomputation (plus priced load-balancer
  *      slides), kept splits beat the default placement, slide-free
- *      splits respect the naive all-to-store bound, and the plan's
- *      InstanceStats agree with the provenance.
- *   R3 schedule legality: tasks tile the plan contiguously, children
+ *      splits respect the naive all-to-store bound.
+ *   R3 schedule legality: one record per statement instance, each
+ *      naming the (iteration, statement) of its stream position, as
+ *      do its tasks; tasks tile the plan contiguously, children
  *      precede parents and every merge waits on all of its children
  *      (sync points), exactly one task stores, every subcomputation
  *      reaches the root, deps are backward and duplicate-free, and —

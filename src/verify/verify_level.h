@@ -13,12 +13,16 @@
  *
  * Surfaced process-wide as the NDP_VERIFY environment variable
  * ("off" | "cheap" | "full", default off) so every harness, test, and
- * campaign can be re-run under verification without per-call wiring,
- * and per-run as bench_common's --verify flag.
+ * campaign can be re-run under verification without per-call wiring.
+ * It is the only knob: partition::PartitionOptions reads it as its
+ * default, and any other value is a fatal error.
  */
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
+
+#include "support/error.h"
 
 namespace ndp::verify {
 
@@ -43,34 +47,24 @@ toString(VerifyLevel level)
     return "off";
 }
 
-/** Parse "off" / "cheap" / "full" into @p out; false on anything else. */
-inline bool
-parseVerifyLevel(const char *text, VerifyLevel &out)
-{
-    if (text == nullptr)
-        return false;
-    if (std::strcmp(text, "off") == 0) {
-        out = VerifyLevel::Off;
-        return true;
-    }
-    if (std::strcmp(text, "cheap") == 0) {
-        out = VerifyLevel::Cheap;
-        return true;
-    }
-    if (std::strcmp(text, "full") == 0) {
-        out = VerifyLevel::Full;
-        return true;
-    }
-    return false;
-}
-
-/** The NDP_VERIFY environment knob; unset or unparsable means Off. */
+/**
+ * The NDP_VERIFY environment knob. Unset (or empty) means Off; a value
+ * other than "off", "cheap" or "full" is a fatal error naming it, so a
+ * typo never silently turns verification off.
+ */
 inline VerifyLevel
 verifyLevelFromEnv()
 {
-    VerifyLevel level = VerifyLevel::Off;
-    parseVerifyLevel(std::getenv("NDP_VERIFY"), level);
-    return level;
+    const char *text = std::getenv("NDP_VERIFY");
+    if (text == nullptr || *text == '\0')
+        return VerifyLevel::Off;
+    for (const VerifyLevel level :
+         {VerifyLevel::Off, VerifyLevel::Cheap, VerifyLevel::Full}) {
+        if (std::strcmp(text, toString(level)) == 0)
+            return level;
+    }
+    ndp::fatal(std::string("NDP_VERIFY='") + text +
+               "' is not a verify level (off|cheap|full)");
 }
 
 } // namespace ndp::verify

@@ -1,153 +1,25 @@
 /**
  * @file
- * Tests for the extensions beyond the paper's core algorithm: loop
- * unrolling (used by Figure 12 to fill windows), the torus topology
- * option (the paper's "any topology" template claim), and execution
- * tracing / utilisation analysis.
+ * Tests for the extensions beyond the paper's core algorithm: the torus
+ * topology option (the paper's "any topology" template claim),
+ * execution tracing, and the inspector that resolves indirect
+ * references.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
 
 #include "baseline/default_placement.h"
-#include "ir/instance.h"
 #include "ir/parser.h"
-#include "ir/transform.h"
 #include "partition/inspector.h"
 #include "partition/partitioner.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
-#include "support/error.h"
 
 namespace {
 
 using namespace ndp;
-
-// --------------------------------------------------------------- unroll
-
-class UnrollTest : public ::testing::Test
-{
-  protected:
-    ir::ArrayTable arrays;
-};
-
-TEST_F(UnrollTest, DuplicatesBodyAndScalesStep)
-{
-    ir::LoopNest nest = ir::parseKernel(R"(
-        array A[64]; array B[64];
-        for i = 0..64 { S1: A[i] = B[i] + B[i+1]; })",
-                                        "u", arrays);
-    const ir::LoopNest unrolled = ir::unroll(nest, 4);
-    EXPECT_EQ(unrolled.body().size(), 4u);
-    EXPECT_EQ(unrolled.loops().back().step, 4);
-    EXPECT_EQ(unrolled.iterationCount(), 16);
-    EXPECT_EQ(unrolled.body()[0].label(), "S1.0");
-    EXPECT_EQ(unrolled.body()[3].label(), "S1.3");
-}
-
-TEST_F(UnrollTest, ShiftedCopiesTouchTheRightElements)
-{
-    ir::LoopNest nest = ir::parseKernel(R"(
-        array A[64]; array B[64];
-        for i = 0..64 { A[i] = B[i+1]; })",
-                                        "u", arrays);
-    const ir::LoopNest unrolled = ir::unroll(nest, 2);
-    // Copy 1 must read B[i+2] and write A[i+1].
-    const ir::Statement &copy1 = unrolled.body()[1];
-    EXPECT_EQ(copy1.lhs().subscripts[0].affine.constantPart(), 1);
-    EXPECT_EQ(copy1.reads()[0]->subscripts[0].affine.constantPart(), 2);
-
-    // Semantics preserved: the set of (write, read) element pairs over
-    // the whole iteration space is unchanged.
-    std::set<std::pair<mem::Addr, mem::Addr>> original, after;
-    nest.forEachIteration([&](const ir::IterationVector &iv) {
-        ir::StatementInstance inst;
-        inst.stmt = &nest.body().front();
-        inst.iter = iv;
-        original.emplace(resolveWrite(inst, arrays).addr,
-                         resolveReads(inst, arrays)[0].addr);
-    });
-    unrolled.forEachIteration([&](const ir::IterationVector &iv) {
-        for (const ir::Statement &stmt : unrolled.body()) {
-            ir::StatementInstance inst;
-            inst.stmt = &stmt;
-            inst.iter = iv;
-            after.emplace(resolveWrite(inst, arrays).addr,
-                          resolveReads(inst, arrays)[0].addr);
-        }
-    });
-    EXPECT_EQ(original, after);
-}
-
-TEST_F(UnrollTest, InnermostOfTwoDeepNest)
-{
-    ir::LoopNest nest = ir::parseKernel(R"(
-        array A[8][32]; array B[8][32];
-        for i = 0..8 { for j = 0..32 { A[i][j] = B[i][j]; } })",
-                                        "u2", arrays);
-    const ir::LoopNest unrolled = ir::unroll(nest, 8);
-    EXPECT_EQ(unrolled.loops()[0].step, 1);
-    EXPECT_EQ(unrolled.loops()[1].step, 8);
-    EXPECT_EQ(unrolled.iterationCount(), 8 * 4);
-    EXPECT_EQ(unrolled.body().size(), 8u);
-}
-
-TEST_F(UnrollTest, GuardsAndIndirectionShiftToo)
-{
-    ir::LoopNest nest = ir::parseKernel(R"(
-        array X[32]; array Y[32]; array Z[32]; array H[32];
-        for i = 0..32 { if (H[i]) Z[i] = X[Y[i]]; })",
-                                        "ug", arrays);
-    const ir::LoopNest unrolled = ir::unroll(nest, 2);
-    const ir::Statement &copy1 = unrolled.body()[1];
-    ASSERT_TRUE(copy1.hasGuard());
-    // Guard H[i+1]; indirect index position Y[i+1].
-    EXPECT_EQ(copy1.reads().back()->subscripts[0].affine.constantPart(),
-              1);
-    EXPECT_EQ(copy1.reads()[0]->subscripts[0].affine.constantPart(), 1);
-    EXPECT_TRUE(copy1.reads()[0]->subscripts[0].isIndirect());
-}
-
-TEST_F(UnrollTest, FactorOneIsIdentity)
-{
-    ir::LoopNest nest = ir::parseKernel(R"(
-        array A[8]; array B[8];
-        for i = 0..8 { A[i] = B[i]; })",
-                                        "u1", arrays);
-    const ir::LoopNest same = ir::unroll(nest, 1);
-    EXPECT_EQ(same.body().size(), 1u);
-    EXPECT_EQ(same.loops().back().step, 1);
-}
-
-TEST_F(UnrollTest, RejectsNonDividingFactor)
-{
-    ir::LoopNest nest = ir::parseKernel(R"(
-        array A[10]; array B[10];
-        for i = 0..10 { A[i] = B[i]; })",
-                                        "ur", arrays);
-    EXPECT_THROW(ir::unroll(nest, 3), FatalError);
-    EXPECT_THROW(ir::unroll(nest, 0), FatalError);
-}
-
-TEST_F(UnrollTest, UnrolledNestStillPartitions)
-{
-    ir::LoopNest nest = ir::parseKernel(R"(
-        array A[128] bytes 64; array B[128] bytes 64;
-        array C[128] bytes 64;
-        for i = 0..128 { A[i] = B[i] + C[i]; })",
-                                        "up", arrays);
-    const ir::LoopNest unrolled = ir::unroll(nest, 2);
-    sim::ManycoreSystem system({});
-    baseline::DefaultPlacement placement(system, arrays);
-    const auto nodes = placement.assignIterations(unrolled);
-    sim::ExecutionEngine engine(system);
-    (void)engine.run(placement.buildPlan(unrolled, nodes));
-    partition::Partitioner partitioner(system, arrays);
-    const auto plan = partitioner.plan(unrolled, nodes);
-    EXPECT_EQ(static_cast<std::int64_t>(plan.instances.size()),
-              unrolled.iterationCount() * 2);
-}
 
 // ---------------------------------------------------------------- torus
 
@@ -228,36 +100,13 @@ TEST(TraceTest, RecordsEveryTask)
     opts.trace = &trace;
     const auto result = engine.run(plan, opts);
     ASSERT_EQ(trace.size(), 10u);
-    EXPECT_EQ(trace.makespan(), result.makespanCycles);
+    std::int64_t last_finish = 0;
     for (const sim::TraceEvent &e : trace.events()) {
         EXPECT_LT(e.start, e.finish);
         EXPECT_GE(e.waited, 0);
+        last_finish = std::max(last_finish, e.finish);
     }
-}
-
-TEST(TraceTest, UtilizationAndImbalance)
-{
-    sim::ExecutionTrace trace;
-    trace.record(0, 0, 0, 100, 0, false);
-    trace.record(1, 1, 0, 50, 0, true);
-    EXPECT_EQ(trace.makespan(), 100);
-    const auto util = trace.nodeUtilization(4);
-    EXPECT_DOUBLE_EQ(util[0], 1.0);
-    EXPECT_DOUBLE_EQ(util[1], 0.5);
-    EXPECT_DOUBLE_EQ(util[2], 0.0);
-    // busy: 100 and 50 -> mean 75, max 100.
-    EXPECT_NEAR(trace.imbalance(4), 100.0 / 75.0, 1e-9);
-}
-
-TEST(TraceTest, CsvExport)
-{
-    sim::ExecutionTrace trace;
-    trace.record(3, 7, 10, 25, 5, true);
-    std::ostringstream oss;
-    trace.writeCsv(oss);
-    EXPECT_NE(oss.str().find("task,node,start,finish,waited,offloaded"),
-              std::string::npos);
-    EXPECT_NE(oss.str().find("3,7,10,25,5,1"), std::string::npos);
+    EXPECT_EQ(last_finish, result.makespanCycles);
 }
 
 TEST(TraceTest, ClearedBetweenRuns)

@@ -319,6 +319,46 @@ TEST_F(PlanMutationTest, BrokenTaskTilingIsCaught)
     EXPECT_TRUE(hasRule(report, "R3.coverage")) << rulesOf(report);
 }
 
+TEST_F(PlanMutationTest, ReattributedUnsplitTaskIsCaught)
+{
+    const ir::LoopNest nest = parseDefault();
+    BuiltPlan built = build(nest, {});
+    const std::ptrdiff_t at =
+        findRecord(built, [](const verify::SplitRecord &r) {
+            return !r.wasSplit;
+        });
+    ASSERT_GE(at, 0) << "nest produced no unsplit instance";
+    const verify::SplitRecord &rec =
+        built.prov.instances[static_cast<std::size_t>(at)];
+    sim::Task &task =
+        built.plan.tasks[static_cast<std::size_t>(rec.firstTask)];
+    task.iterationNumber =
+        (task.iterationNumber + 1) % nest.iterationCount();
+    const verify::Report report = verify(nest, built);
+    EXPECT_TRUE(hasRule(report, "R3.coverage")) << rulesOf(report);
+}
+
+TEST_F(PlanMutationTest, SwappedRecordInstancesAreCaught)
+{
+    // Records are positional: record i is statement i % |body| of
+    // iteration i / |body|. Swap iteration 0's S1 with iteration 1's
+    // S2.
+    const ir::LoopNest nest = parseDefault();
+    BuiltPlan built = build(nest, {});
+    const std::size_t stride = nest.body().size();
+    ASSERT_GT(built.prov.instances.size(), stride + 1);
+    verify::SplitRecord &a = built.prov.instances[0];
+    verify::SplitRecord &b = built.prov.instances[stride + 1];
+    std::swap(a.iterationNumber, b.iterationNumber);
+    std::swap(a.statementIndex, b.statementIndex);
+    const verify::Report report = verify(nest, built);
+    // The position check runs before anything reads the record's
+    // instance, so it is the first finding.
+    ASSERT_FALSE(report.diagnostics().empty());
+    EXPECT_EQ(report.diagnostics().front().rule, "R3.coverage")
+        << rulesOf(report);
+}
+
 // ---------------------------------------------------------------- R4
 
 TEST_F(PlanMutationTest, RehomedOperandLocationIsCaught)
