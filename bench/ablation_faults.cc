@@ -59,7 +59,7 @@ main(int argc, char **argv)
     if (apps.size() > 3)
         apps.resize(3);
 
-    driver::SweepRunner runner(bench::benchThreads());
+    driver::SweepRunner runner;
 
     std::vector<driver::FaultCampaignResult> results;
     double wall_total = 0.0;

@@ -5,17 +5,20 @@
  * @file
  * Shared scaffolding for the figure/table reproduction harnesses: a
  * common workload scale (overridable via NDP_BENCH_SCALE), parallel
- * (app x config) sweeps (worker count overridable via
- * NDP_BENCH_THREADS), and a declarative metric-table printer so each
- * harness reduces to its config grid plus one row-formatter per
- * column.
+ * (app x config) sweeps (thread count, the caller included,
+ * overridable via NDP_BENCH_THREADS), and a declarative metric-table
+ * printer so each harness reduces to its config grid plus one
+ * row-formatter per column. A malformed value of either variable is
+ * an ndp::fatal that names it.
  *
  * Output discipline: result tables go to stdout and are bit-identical
  * for any thread count; wall-clock timing (inherently nondeterministic)
  * goes to stderr so `bench > table.txt` stays diffable across runs.
  */
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -24,29 +27,30 @@
 
 #include "driver/experiment.h"
 #include "driver/sweep.h"
+#include "support/error.h"
 #include "support/stats.h"
 #include "support/table.h"
 #include "workloads/workload.h"
 
 namespace ndp::bench {
 
-/** Problem scale: NDP_BENCH_SCALE env var or a fast default. */
+/**
+ * Problem scale: NDP_BENCH_SCALE env var or a fast default. A value
+ * that is not an integer of at least 256 is an ndp::fatal.
+ */
 inline std::int64_t
 benchScale()
 {
-    if (const char *env = std::getenv("NDP_BENCH_SCALE")) {
-        const long long v = std::atoll(env);
-        if (v >= 256)
-            return v;
-    }
-    return 2048;
-}
-
-/** Sweep worker count: NDP_BENCH_THREADS env var or all cores. */
-inline int
-benchThreads()
-{
-    return driver::SweepRunner::defaultThreads();
+    const char *env = std::getenv("NDP_BENCH_SCALE");
+    if (env == nullptr)
+        return 2048;
+    const char *end = env + std::strlen(env);
+    std::int64_t scale = 0;
+    const auto [stop, err] = std::from_chars(env, end, scale);
+    NDP_REQUIRE(err == std::errc{} && stop == end && scale >= 256,
+                "NDP_BENCH_SCALE must be an integer of at least 256, got '"
+                    << env << "'");
+    return scale;
 }
 
 /** The paper's 12 applications at the bench scale. */
@@ -134,7 +138,7 @@ runSweep(const std::vector<driver::ExperimentConfig> &configs)
 {
     SweepOutcome outcome;
     outcome.apps = allApps();
-    driver::SweepRunner runner(benchThreads());
+    driver::SweepRunner runner;
     outcome.grid = runner.runGrid(outcome.apps, configs);
     outcome.stats = runner.stats();
     maybeWriteVerifyJson(outcome);

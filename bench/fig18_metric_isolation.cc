@@ -23,7 +23,7 @@ main()
 
     const std::vector<workloads::Workload> apps = bench::allApps();
     const driver::ExperimentConfig config;
-    driver::SweepRunner sweeper(bench::benchThreads());
+    driver::SweepRunner sweeper;
     const std::vector<driver::IsolationResult> isolations =
         sweeper.mapOrdered<driver::IsolationResult>(
             apps.size(),

@@ -177,8 +177,10 @@ BENCHMARK(BM_SweepRunner)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 /**
  * Order-dependent digest of an ExecutionPlan and its report: every
  * task field, the report's per-instance accumulators (count, sum, min
- * and max of each) and its planned and default movement totals feed an
- * FNV-1a hash. Equal digests mean the cache-on and cache-off plans are
+ * and max of each), its planned and default movement totals and its
+ * split and offload tallies (offloaded operators by category, so the
+ * op kinds of every offloaded subcomputation count) feed an FNV-1a
+ * hash. Equal digests mean the cache-on and cache-off plans are
  * byte-identical and account every instance alike.
  */
 std::uint64_t
@@ -205,7 +207,6 @@ planDigest(const sim::ExecutionPlan &plan,
     };
     mix(plan.tasks.size());
     for (const sim::Task &t : plan.tasks) {
-        mix(static_cast<std::uint64_t>(t.id));
         mix(static_cast<std::uint64_t>(t.node));
         mix(t.reads.size());
         for (const sim::MemAccess &a : t.reads)
@@ -214,13 +215,9 @@ planDigest(const sim::ExecutionPlan &plan,
         if (t.write)
             mixAccess(*t.write);
         mix(static_cast<std::uint64_t>(t.computeCost));
-        mix(t.ops.size());
-        for (ir::OpKind op : t.ops)
-            mix(static_cast<std::uint64_t>(op));
         mix(t.deps.size());
         for (sim::TaskId d : t.deps)
             mix(static_cast<std::uint64_t>(d));
-        mix(static_cast<std::uint64_t>(t.resultBytes));
         mix(static_cast<std::uint64_t>(t.statementIndex));
         mix(static_cast<std::uint64_t>(t.iterationNumber));
     }
@@ -230,6 +227,11 @@ planDigest(const sim::ExecutionPlan &plan,
     mixAccumulator(report.rawSyncsPerStatement);
     mix(static_cast<std::uint64_t>(report.plannedMovement));
     mix(static_cast<std::uint64_t>(report.defaultMovement));
+    for (std::int64_t ops : report.offloadedOps)
+        mix(static_cast<std::uint64_t>(ops));
+    mix(static_cast<std::uint64_t>(report.offloadedSubcomputations));
+    mix(static_cast<std::uint64_t>(report.statementsSplit));
+    mix(static_cast<std::uint64_t>(report.statementsKeptDefault));
     mix(static_cast<std::uint64_t>(plan.windowSize));
     return h;
 }

@@ -20,7 +20,7 @@ main()
     bench::banner("table1_analyzability", "Table 1");
 
     const std::vector<workloads::Workload> apps = bench::allApps();
-    driver::SweepRunner sweeper(bench::benchThreads());
+    driver::SweepRunner sweeper;
     const std::vector<double> analyzable = sweeper.mapOrdered<double>(
         apps.size(), [&apps](std::size_t i, support::ThreadPool &) {
             double weighted = 0.0;

@@ -173,6 +173,8 @@ main(int argc, char **argv)
 
         partition::PartitionOptions options;
         options.fixedWindowSize = fixed_window;
+        // Records the split decisions the pseudo-code renderer reads.
+        options.verifyLevel = verify::VerifyLevel::Cheap;
         partition::Partitioner partitioner(system, arrays, options);
         const sim::ExecutionPlan plan = partitioner.plan(nest, nodes);
         const sim::SimResult opt = engine.run(plan);
@@ -190,8 +192,9 @@ main(int argc, char **argv)
 
         std::cout << "\n== generated schedule (iterations 0.."
                   << shown - 1 << ") ==\n"
-                  << partition::generatePseudoCode(plan, nest, arrays,
-                                                   0, shown - 1);
+                  << partition::generatePseudoCode(
+                         plan, report.provenance.get(), nest, arrays, 0,
+                         shown - 1);
 
         Table cmp({"metric", "default", "optimized"});
         cmp.row()

@@ -48,7 +48,11 @@ main()
     sim::ExecutionPlan default_plan = placement.buildPlan(nest, nodes);
     const sim::SimResult def = engine.run(default_plan);
 
-    partition::Partitioner partitioner(system, arrays);
+    // Cheap verification records the planner's split decisions, which
+    // the pseudo-code renderer below reads.
+    partition::PartitionOptions options;
+    options.verifyLevel = verify::VerifyLevel::Cheap;
+    partition::Partitioner partitioner(system, arrays, options);
     sim::ExecutionPlan optimized_plan = partitioner.plan(nest, nodes);
     const sim::SimResult opt = engine.run(optimized_plan);
 
@@ -81,7 +85,8 @@ main()
               << report.degreeOfParallelism.mean() << "\n\n";
 
     std::cout << "Generated schedule for iteration 0 (Figure-8 style):\n"
-              << partition::generatePseudoCode(optimized_plan, nest,
-                                               arrays, 0, 0);
+              << partition::generatePseudoCode(optimized_plan,
+                                               report.provenance.get(),
+                                               nest, arrays, 0, 0);
     return 0;
 }

@@ -136,8 +136,8 @@ DefaultPlacement::buildPlan(const ir::LoopNest &nest,
             const std::vector<ir::ResolvedRef> reads =
                 resolveReads(inst, *arrays_);
 
+            const auto id = static_cast<sim::TaskId>(plan.tasks.size());
             sim::Task task;
-            task.id = static_cast<sim::TaskId>(plan.tasks.size());
             task.node = node;
             task.computeCost = stmt.totalOpCost();
             task.statementIndex = static_cast<std::int32_t>(s);
@@ -154,7 +154,7 @@ DefaultPlacement::buildPlan(const ir::LoopNest &nest,
             }
             task.write =
                 sim::MemAccess{write.addr, write.size, write.array};
-            last_writer[write.addr] = task.id;
+            last_writer[write.addr] = id;
 
             plan.tasks.push_back(std::move(task));
         }

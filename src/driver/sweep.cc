@@ -1,9 +1,13 @@
 #include "driver/sweep.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <ostream>
 #include <thread>
+
+#include "support/error.h"
 
 namespace ndp::driver {
 
@@ -24,21 +28,27 @@ SweepStats::printSummary(std::ostream &os) const
            << " note(s) (set NDP_VERIFY=off|cheap|full)\n";
 }
 
-SweepRunner::SweepRunner(int threads)
-    : threads_(threads > 0 ? threads : defaultThreads())
+SweepRunner::SweepRunner(int workers)
+    : workers_(workers == kDefaultWorkers ? defaultWorkers() : workers)
 {
+    NDP_REQUIRE(workers_ >= 0, "negative sweep worker count " << workers);
 }
 
 int
-SweepRunner::defaultThreads()
+SweepRunner::defaultWorkers()
 {
     if (const char *env = std::getenv("NDP_BENCH_THREADS")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<int>(v);
+        const char *end = env + std::strlen(env);
+        int threads = 0;
+        const auto [stop, err] = std::from_chars(env, end, threads);
+        NDP_REQUIRE(err == std::errc{} && stop == end && threads > 0,
+                    "NDP_BENCH_THREADS must be a positive integer (the "
+                    "caller counts as one thread), got '"
+                        << env << "'");
+        return threads - 1;
     }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
+    return hw == 0 ? 0 : static_cast<int>(hw) - 1;
 }
 
 std::vector<std::vector<SweepCell>>

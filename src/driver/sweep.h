@@ -19,7 +19,8 @@
  *    FIFO pool between both axes cannot deadlock.
  *
  * Determinism contract: a sweep's *results* are bit-identical for any
- * thread count, including 1, and with or without a pool for the nests:
+ * thread count, including 1 (no pool workers: the whole sweep runs on
+ * the calling thread), and with or without a pool for the nests:
  * NestResults merge in nest order, cells in submission order (both
  * through support::orderedMap). Only the wall-clock timings attached to
  * each cell vary between runs; benches therefore print result tables to
@@ -51,6 +52,7 @@ struct SweepStats
 {
     /** Wall-clock seconds from first submit to last collect. */
     double wallSeconds = 0.0;
+    /** Threads the sweep ran on: the pool's workers plus the caller. */
     int threads = 1;
     std::size_t cells = 0;
     /** Compile-loop counters, merged over every cell (runGrid only). */
@@ -76,17 +78,25 @@ struct SweepStats
 class SweepRunner
 {
   public:
-    /** @param threads worker count; <= 0 uses defaultThreads(). */
-    explicit SweepRunner(int threads = 0);
-
-    int threads() const { return threads_; }
+    /** Constructor argument that asks for defaultWorkers(). */
+    static constexpr int kDefaultWorkers = -1;
 
     /**
-     * Worker count for sweeps: the NDP_BENCH_THREADS environment
-     * variable when set to a positive integer, otherwise
-     * hardware_concurrency (at least 1).
+     * @param workers pool worker count. The calling thread helps while
+     *        it waits, so a sweep runs on workers + 1 threads, and 0
+     *        runs it on the caller alone.
      */
-    static int defaultThreads();
+    explicit SweepRunner(int workers = kDefaultWorkers);
+
+    int workers() const { return workers_; }
+
+    /**
+     * Worker count for sweeps. NDP_BENCH_THREADS names the threads a
+     * sweep runs on, the caller included, so it yields one worker
+     * fewer; unset, the sweep uses every hardware thread. A value that
+     * is not a positive integer is an ndp::fatal.
+     */
+    static int defaultWorkers();
 
     /**
      * Run every workload under every config. Cell [a][c] holds
@@ -114,11 +124,11 @@ class SweepRunner
                    &fn)
     {
         const auto start = std::chrono::steady_clock::now();
-        support::ThreadPool pool(static_cast<std::size_t>(threads_));
+        support::ThreadPool pool(static_cast<std::size_t>(workers_));
         std::vector<T> results = support::orderedMap(
             &pool, count, [&fn, &pool](std::size_t i) { return fn(i, pool); });
         stats_ = SweepStats{};
-        stats_.threads = threads_;
+        stats_.threads = workers_ + 1;
         stats_.cells = count;
         stats_.wallSeconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - start)
@@ -130,7 +140,7 @@ class SweepRunner
     const SweepStats &stats() const { return stats_; }
 
   private:
-    int threads_;
+    int workers_;
     SweepStats stats_;
 };
 

@@ -81,7 +81,6 @@ class ArrayTable
 
     /** Element size applied when create() is passed 0. */
     void setDefaultElementSize(std::uint32_t bytes);
-    std::uint32_t defaultElementSize() const { return defaultElemSize_; }
 
     const ArrayInfo &info(ArrayId id) const;
     ArrayInfo &info(ArrayId id);

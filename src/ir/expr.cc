@@ -97,13 +97,6 @@ Expr::binary(OpKind op, ExprPtr lhs, ExprPtr rhs)
     return e;
 }
 
-const ArrayRef &
-Expr::asRef() const
-{
-    NDP_CHECK(kind_ == Kind::Ref, "asRef() on non-ref expr");
-    return ref_;
-}
-
 double
 Expr::asConstant() const
 {

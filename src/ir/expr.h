@@ -95,7 +95,6 @@ class Expr
 
     Kind kind() const { return kind_; }
 
-    const ArrayRef &asRef() const;
     double asConstant() const;
     OpKind op() const;
     const Expr &lhs() const;

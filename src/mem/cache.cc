@@ -18,12 +18,6 @@ SetAssocCache::SetAssocCache(std::uint64_t capacity_bytes,
     entries_.resize(sets_ * ways_);
 }
 
-std::uint64_t
-SetAssocCache::capacityBytes() const
-{
-    return sets_ * ways_ * kLineSize;
-}
-
 bool
 SetAssocCache::access(Addr a)
 {

@@ -59,8 +59,6 @@ class SetAssocCache
      */
     SetAssocCache(std::uint64_t capacity_bytes, std::uint32_t ways);
 
-    std::uint64_t capacityBytes() const;
-    std::uint32_t ways() const { return ways_; }
     std::uint64_t setCount() const { return sets_; }
 
     /**

@@ -683,12 +683,12 @@ class CandidatePlanner
         return static_cast<sim::TaskId>(plan_.tasks.size());
     }
 
-    /** Append a task of the instance in flight, placed on @p node. */
+    /** Append a task of the instance in flight, placed on @p node; its
+     *  id is nextTaskId() before the call. */
     sim::Task &
     newTask(noc::NodeId node)
     {
         sim::Task &task = plan_.tasks.emplace_back();
-        task.id = static_cast<sim::TaskId>(plan_.tasks.size() - 1);
         task.node = node;
         task.statementIndex = stmtIdx_;
         task.iterationNumber = iter_;
@@ -699,14 +699,15 @@ class CandidatePlanner
     void
     emitWhole()
     {
+        const sim::TaskId id = nextTaskId();
         sim::Task &task = newTask(defaultNode_);
         task.computeCost = stmt_->totalOpCost();
         task.write = *write_;
         // Like the baseline, the unsplit statement relies on the
         // program's own ordering: only real (resolved) address
         // conflicts serialise it.
-        auto add_dep = [&task](sim::TaskId from) {
-            if (from != sim::kInvalidTask && from != task.id &&
+        auto add_dep = [&task, id](sim::TaskId from) {
+            if (from != sim::kInvalidTask && from != id &&
                 std::find(task.deps.begin(), task.deps.end(), from) ==
                     task.deps.end())
                 task.deps.push_back(from);
@@ -718,8 +719,8 @@ class CandidatePlanner
         for (sim::TaskId reader : deps_.readers(writeId_))
             add_dep(reader);
         for (std::size_t i = 0; i < reads_.size(); ++i)
-            deps_.noteRead(readId(i), task.id);
-        deps_.noteWrite(writeId_, task.id);
+            deps_.noteRead(readId(i), id);
+        deps_.noteWrite(writeId_, id);
     }
 
     /**
@@ -733,10 +734,9 @@ class CandidatePlanner
         taskOfSub_.assign(split.size(), sim::kInvalidTask);
         std::size_t s = 0;
         for (const SubView sub : split) {
+            const sim::TaskId id = nextTaskId();
             sim::Task &task = newTask(sub.node);
             task.computeCost = sub.opCost;
-            task.ops.assign(sub.ops.begin(), sub.ops.end());
-            task.isSubcomputation = sub.node != defaultNode_;
             // Guard operands evaluate with the root merge.
             const std::size_t guards =
                 sub.isRoot ? reads_.size() - stmt_->rhsReadCount() : 0;
@@ -745,22 +745,22 @@ class CandidatePlanner
                 task.reads.push_back(reads_[i]);
                 const sim::TaskId writer = deps_.writer(readId(i));
                 if (writer != sim::kInvalidTask)
-                    orderArcs_.push_back({writer, task.id});
-                deps_.noteRead(readId(i), task.id);
+                    orderArcs_.push_back({writer, id});
+                deps_.noteRead(readId(i), id);
             }
             for (const std::size_t child : sub.children) {
                 const sim::TaskId child_task = taskOfSub_[child];
                 NDP_CHECK(child_task != sim::kInvalidTask,
                           "child emitted after parent");
                 task.deps.push_back(child_task);
-                dataArcs_.push_back({child_task, task.id});
+                dataArcs_.push_back({child_task, id});
             }
             if (sub.isRoot) {
                 task.write = *write_;
                 task.reads.insert(task.reads.end(), reads_.end() - guards,
                                   reads_.end());
             }
-            taskOfSub_[s++] = task.id;
+            taskOfSub_[s++] = id;
         }
         const sim::TaskId root =
             taskOfSub_[static_cast<std::size_t>(split.root)];

@@ -38,14 +38,6 @@ SyncGraph::arcCount() const
     return n;
 }
 
-const std::vector<int> &
-SyncGraph::successors(int node) const
-{
-    NDP_CHECK(node >= 0 && static_cast<std::size_t>(node) < nodes_,
-              "bad node " << node);
-    return adj_[static_cast<std::size_t>(node)];
-}
-
 bool
 SyncGraph::reachable(int from, int to) const
 {

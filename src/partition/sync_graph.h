@@ -52,9 +52,6 @@ class SyncGraph
      */
     std::size_t transitiveReduce();
 
-    /** Outgoing arcs of @p node. */
-    const std::vector<int> &successors(int node) const;
-
   private:
     bool reachableAvoiding(int from, int to, int skip_from,
                            int skip_to) const;

@@ -21,6 +21,8 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
 {
     ManycoreSystem &sys = *system_;
     const ManycoreConfig &cfg = sys.config();
+    // Every partial result travels as one 8-byte element.
+    constexpr std::int64_t kResultBytes = 8;
     sys.reset();
 
     // ---- Warm-up: earlier trips of the outer timing loop. Cache and
@@ -43,9 +45,9 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
         const Task &task = plan.tasks[t];
         NDP_CHECK(task.node >= 0 && task.node < sys.mesh().nodeCount(),
-                  "task " << task.id << " scheduled on bad node");
+                  "task " << t << " scheduled on bad node");
         NDP_CHECK(sys.mesh().isLive(task.node),
-                  "task " << task.id << " scheduled on dead node "
+                  "task " << t << " scheduled on dead node "
                           << task.node << " (fault epoch "
                           << sys.mesh().faults().signature() << ": "
                           << sys.mesh().faults().describe()
@@ -67,11 +69,10 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
             recs.push_back(sys.walkWrite(task.node, *task.write));
         for (TaskId dep : task.deps) {
             NDP_CHECK(dep >= 0 && static_cast<std::size_t>(dep) < t + 1,
-                      "dep " << dep << " does not precede task "
-                             << task.id);
+                      "dep " << dep << " does not precede task " << t);
             const Task &producer = plan.tasks[static_cast<std::size_t>(dep)];
             sys.recordResultMessage(producer.node, task.node,
-                                    producer.resultBytes);
+                                    kResultBytes);
         }
     }
     sys.freezeTraffic();
@@ -171,28 +172,24 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     // Price one task's memory stalls and compute.
     auto busy_cycles = [&](std::size_t t) -> std::int64_t {
         const Task &task = plan.tasks[t];
-        const double natural_hit_rate_local = natural_hit_rate;
         std::int64_t stall_core = 0;
         std::int64_t stall_net = 0;
         std::int64_t stall_mem = 0;
-        for (const AccessRecord &rec_in : records[t]) {
-            AccessRecord rec = rec_in;
+        for (AccessRecord rec : records[t]) {
             // S1: enforce a donor L1 hit/miss profile by converting
             // outcomes until the target rate is met in expectation.
             if (opts.l1HitRateOverride >= 0.0 && !rec.isWrite) {
                 const double target = opts.l1HitRateOverride;
-                if (target > natural_hit_rate_local &&
+                if (target > natural_hit_rate &&
                     rec.level != AccessLevel::L1) {
-                    const double p =
-                        (target - natural_hit_rate_local) /
-                        std::max(1e-9, 1.0 - natural_hit_rate_local);
+                    const double p = (target - natural_hit_rate) /
+                                     std::max(1e-9, 1.0 - natural_hit_rate);
                     if (rng.nextBool(p))
                         rec.level = AccessLevel::L1;
-                } else if (target < natural_hit_rate_local &&
+                } else if (target < natural_hit_rate &&
                            rec.level == AccessLevel::L1) {
-                    const double p =
-                        (natural_hit_rate_local - target) /
-                        std::max(1e-9, natural_hit_rate_local);
+                    const double p = (natural_hit_rate - target) /
+                                     std::max(1e-9, natural_hit_rate);
                     if (rng.nextBool(p)) {
                         rec.level = AccessLevel::L2;
                         rec.home =
@@ -270,10 +267,8 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
         node_clock[node] = finish;
         result.totalBusyCycles += busy;
         ++executed;
-        if (opts.trace) {
-            opts.trace->record(tid, task.node, start, finish, waited,
-                               task.isSubcomputation);
-        }
+        if (opts.trace)
+            opts.trace->record(tid, task.node, start, finish, waited);
 
         for (TaskId c : consumers[t]) {
             const auto ci = static_cast<std::size_t>(c);
@@ -281,7 +276,7 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
             std::int64_t arrival = finish;
             if (task.node != consumer.node) {
                 const std::int64_t net = sys.resultMessageLatency(
-                    task.node, consumer.node, task.resultBytes);
+                    task.node, consumer.node, kResultBytes);
                 arrival += static_cast<std::int64_t>(std::llround(
                     static_cast<double>(net) * net_scale));
                 arrival += cfg.syncOverheadCycles;

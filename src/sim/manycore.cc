@@ -209,28 +209,14 @@ ManycoreSystem::l2Stats() const
     return total;
 }
 
-bool
-ManycoreSystem::l1Contains(noc::NodeId n, mem::Addr addr) const
-{
-    return l1s_[static_cast<std::size_t>(n)].contains(addr);
-}
-
 void
 ManycoreSystem::reset()
 {
-    for (auto &l1 : l1s_) {
+    for (auto &l1 : l1s_)
         l1.flush();
-        l1.resetStats();
-    }
-    for (auto &bank : l2Banks_) {
+    for (auto &bank : l2Banks_)
         bank.flush();
-        bank.resetStats();
-    }
-    for (auto &mc : mcs_)
-        mc->reset();
-    traffic_.reset();
-    noc_.resetStats();
-    noc_.clearCongestion();
+    resetMeasurement();
     // Note: the miss predictor is deliberately NOT reset here — it is
     // the compiler's profile-trained state and must survive across the
     // baseline/optimized simulation runs. Use resetPredictor().

@@ -184,9 +184,6 @@ class ManycoreSystem
     /** Aggregated L2 statistics over all banks. */
     mem::CacheStats l2Stats() const;
 
-    /** Non-allocating probe: is @p addr in node @p n's L1 right now? */
-    bool l1Contains(noc::NodeId n, mem::Addr addr) const;
-
     /** Clear caches/traffic/stats for a fresh run (keeps predictor). */
     void reset();
 

@@ -10,10 +10,12 @@
  * sent to it over the network (the paper's point-to-point
  * synchronisations, Section 4.5).
  *
- * A plan is the simulator's input only. The per-instance planning
- * outcomes the paper's Figures 13-15 report live on the planner's
- * partition::PartitionReport (and, when verifying, in its provenance
- * records), not here.
+ * A plan is the simulator's input only: a task holds what the engine
+ * runs plus the statement instance it came from, and its id is its
+ * index in ExecutionPlan::tasks. The per-instance outcomes of Figures
+ * 13-15 live on partition::PartitionReport, and the split decisions
+ * (each subcomputation's operators, and whether it left its default
+ * node) in the planner's provenance records (verify/provenance.h).
  */
 
 #include <cstdint>
@@ -22,7 +24,6 @@
 #include <vector>
 
 #include "ir/array.h"
-#include "ir/ops.h"
 #include "noc/coord.h"
 
 namespace ndp::sim {
@@ -44,7 +45,6 @@ inline constexpr TaskId kInvalidTask = -1;
  */
 struct Task
 {
-    TaskId id = kInvalidTask;
     noc::NodeId node = noc::kInvalidNode;
 
     /** Operands fetched by this task from this node. */
@@ -54,23 +54,17 @@ struct Task
 
     /** Abstract op cost (division = 10 units, Section 4.5). */
     std::int64_t computeCost = 0;
-    /** Operator kinds executed here (Table 3 accounting). */
-    std::vector<ir::OpKind> ops;
 
     /**
      * Producer tasks whose partial results must arrive before this task
      * runs. Each cross-node edge is one point-to-point synchronisation.
      */
     std::vector<TaskId> deps;
-    /** Bytes of the partial result this task forwards to its consumer. */
-    std::int64_t resultBytes = 8;
 
     /** Originating static statement (index into the nest body). */
     std::int32_t statementIndex = -1;
     /** Lexicographic iteration number of the originating instance. */
     std::int64_t iterationNumber = -1;
-    /** True for offloaded subcomputations (re-mapped work, Table 3). */
-    bool isSubcomputation = false;
 };
 
 /** A complete schedule for one loop nest. */

@@ -4,9 +4,9 @@
 /**
  * @file
  * Execution tracing. When attached to the engine, a trace records
- * every task's (node, start, finish) interval in the order the engine
- * scheduled it: the per-task schedule the engine's property tests
- * diff against their reference.
+ * every task's (node, start, finish, waited) interval in the order the
+ * engine scheduled it: the per-task schedule the engine's property
+ * tests diff against their reference.
  */
 
 #include <cstdint>
@@ -25,7 +25,6 @@ struct TraceEvent
     std::int64_t start = 0;
     std::int64_t finish = 0;
     std::int64_t waited = 0; ///< idle cycles the node spent before it
-    bool offloaded = false;
 };
 
 /** Recorded schedule of one engine run. */
@@ -34,10 +33,9 @@ class ExecutionTrace
   public:
     void
     record(TaskId task, noc::NodeId node, std::int64_t start,
-           std::int64_t finish, std::int64_t waited, bool offloaded)
+           std::int64_t finish, std::int64_t waited)
     {
-        events_.push_back({task, node, start, finish, waited,
-                           offloaded});
+        events_.push_back({task, node, start, finish, waited});
     }
 
     void clear() { events_.clear(); }

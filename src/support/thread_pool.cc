@@ -1,14 +1,11 @@
 #include "support/thread_pool.h"
 
-#include <algorithm>
-
 namespace ndp::support {
 
 ThreadPool::ThreadPool(std::size_t threads)
 {
-    const std::size_t n = std::max<std::size_t>(1, threads);
-    workers_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
+    workers_.reserve(threads);
+    for (std::size_t i = 0; i < threads; ++i)
         workers_.emplace_back([this]() { workerLoop(); });
 }
 

@@ -18,6 +18,10 @@
  * queued tasks on the waiting thread until the future is ready, which
  * makes one pool safe to share between the sweep level (one task per
  * (app, config) cell) and the nest level inside each cell.
+ *
+ * A pool with zero workers is the serial pool: submit() runs the task
+ * on the calling thread before it returns the future, and orderedMap()
+ * runs every index on the caller, so nothing leaves that thread.
  */
 
 #include <chrono>
@@ -39,10 +43,8 @@ class ThreadPool
 {
   public:
     /**
-     * @param threads worker count; 0 and 1 both run a single worker
-     *        (tasks still execute off the submitting thread, so the
-     *        1-thread pool exercises the same code path the N-thread
-     *        pool does — important for the determinism tests).
+     * @param threads worker count, not counting the threads that help
+     *        while they wait; 0 makes the serial pool.
      */
     explicit ThreadPool(std::size_t threads);
 
@@ -55,9 +57,9 @@ class ThreadPool
     std::size_t threadCount() const { return workers_.size(); }
 
     /**
-     * Enqueue @p fn and return a future for its result. Exceptions
-     * thrown by the task surface from future::get() on the collector
-     * thread.
+     * Enqueue @p fn and return a future for its result; the serial
+     * pool runs it here first. Exceptions thrown by the task surface
+     * from future::get() on the collector thread.
      */
     template <typename F>
     auto
@@ -67,6 +69,10 @@ class ThreadPool
         auto task = std::make_shared<std::packaged_task<R()>>(
             std::forward<F>(fn));
         std::future<R> future = task->get_future();
+        if (workers_.empty()) {
+            (*task)();
+            return future;
+        }
         {
             std::lock_guard<std::mutex> lock(mutex_);
             queue_.emplace_back([task]() { (*task)(); });
@@ -117,10 +123,11 @@ class ThreadPool
  * results indexed by input, so callers merge in a fixed order no matter
  * which thread computed what. With a pool each index is one task and
  * the caller waits by helping, which makes this safe to call from a
- * pool worker (nested fan-out). Without a pool, or for fewer than two
- * indices, the calls run serially on this thread. @p fn must be safe to
- * call concurrently. Every task has finished before this returns; if
- * any threw, the first exception in index order is rethrown.
+ * pool worker (nested fan-out). Without a pool, on the serial pool, or
+ * for fewer than two indices, the calls run in order on this thread.
+ * @p fn must be safe to call concurrently. Every task has finished
+ * before this returns; if any threw, the first exception in index
+ * order is rethrown.
  */
 template <typename F>
 auto
@@ -130,7 +137,7 @@ orderedMap(ThreadPool *pool, std::size_t count, const F &fn)
     using R = std::invoke_result_t<const F &, std::size_t>;
     std::vector<R> results;
     results.reserve(count);
-    if (pool == nullptr || count < 2) {
+    if (pool == nullptr || pool->threadCount() == 0 || count < 2) {
         for (std::size_t i = 0; i < count; ++i)
             results.push_back(fn(i));
         return results;

@@ -287,25 +287,23 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         return n >= 0 && n < mesh.nodeCount() && mesh.isLive(n);
     };
 
-    // Checks one task of @p rec: attributed to the record's instance,
-    // and deps backward, duplicate-free, from live producers (the
-    // sync-point endpoints of Section 4.5).
-    auto check_task = [&](const SplitRecord &rec,
-                          const sim::Task &task) {
+    // Checks task @p index of @p rec: attributed to the record's
+    // instance, and deps backward, duplicate-free, from live producers
+    // (the sync-point endpoints of Section 4.5).
+    auto check_task = [&](const SplitRecord &rec, sim::TaskId index) {
+        const sim::Task &task = plan.tasks[static_cast<std::size_t>(index)];
         if (task.statementIndex != rec.statementIndex ||
             task.iterationNumber != rec.iterationNumber) {
-            error("R3.coverage", &rec, task.id, task.node,
+            error("R3.coverage", &rec, index, task.node,
                   "task is attributed to a different statement "
                   "instance than its provenance record");
         }
         for (std::size_t i = 0; i < task.deps.size(); ++i) {
             const sim::TaskId dep = task.deps[i];
-            if (dep < 0 || dep >= task.id) {
+            if (dep < 0 || dep >= index) {
                 std::ostringstream os;
-                os << "dep " << dep << " does not precede task "
-                   << task.id;
-                error("R3.dep-order", &rec, task.id, task.node,
-                      os.str());
+                os << "dep " << dep << " does not precede task " << index;
+                error("R3.dep-order", &rec, index, task.node, os.str());
                 continue;
             }
             if (std::find(task.deps.begin(),
@@ -314,20 +312,17 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                           dep) !=
                 task.deps.begin() + static_cast<std::ptrdiff_t>(i)) {
                 std::ostringstream os;
-                os << "dep " << dep << " listed twice on task "
-                   << task.id;
-                error("R3.dep-order", &rec, task.id, task.node,
-                      os.str());
+                os << "dep " << dep << " listed twice on task " << index;
+                error("R3.dep-order", &rec, index, task.node, os.str());
             }
             const sim::Task &producer =
                 plan.tasks[static_cast<std::size_t>(dep)];
-            if (dep < task.id && !live(producer.node)) {
+            if (!live(producer.node)) {
                 std::ostringstream os;
                 os << "sync from task " << dep << " on dead node "
                    << producer.node << " (fault epoch "
                    << mesh.faults().signature() << ")";
-                error("R5.sync-on-dead", &rec, task.id, producer.node,
-                      os.str());
+                error("R5.sync-on-dead", &rec, index, producer.node, os.str());
             }
         }
     };
@@ -451,44 +446,42 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                                   rec.taskCount, 1));
                 continue;
             }
-            const sim::Task &task =
-                plan.tasks[static_cast<std::size_t>(rec.firstTask)];
+            const sim::TaskId tid = rec.firstTask;
+            const sim::Task &task = plan.tasks[static_cast<std::size_t>(tid)];
             if (task.node != rec.defaultNode) {
                 std::ostringstream os;
                 os << "unsplit task sits on node " << task.node
                    << ", not its default node " << rec.defaultNode;
-                error("R3.bad-node", &rec, task.id, task.node,
-                      os.str());
+                error("R3.bad-node", &rec, tid, task.node, os.str());
             }
             if (!live(task.node)) {
                 std::ostringstream os;
                 os << "task on dead node " << task.node << " (epoch "
                    << mesh.faults().signature() << ": "
                    << mesh.faults().describe() << ")";
-                error("R5.task-on-dead", &rec, task.id, task.node,
-                      os.str());
+                error("R5.task-on-dead", &rec, tid, task.node, os.str());
             }
             if (!task.write || task.write->addr != write.addr) {
-                error("R3.root-write", &rec, task.id, task.node,
+                error("R3.root-write", &rec, tid, task.node,
                       "unsplit task does not store the statement's "
                       "resolved write address");
             }
             if (rec.claimedMovement != rec.defaultMovement) {
-                error("R2.cost-mismatch", &rec, task.id, task.node,
+                error("R2.cost-mismatch", &rec, tid, task.node,
                       describeInt(
                           "unsplit instance claimed movement",
                           rec.claimedMovement, rec.defaultMovement));
             }
-            check_task(rec, task);
+            check_task(rec, tid);
             // Skip dead nodes: the planner never committed load there,
             // and R5.task-on-dead already flagged the record.
             if (replay_balancer && live(rec.defaultNode))
                 replay_balancer->add(rec.defaultNode, task.computeCost);
             if (full) {
                 for (const ir::ResolvedRef &r : reads)
-                    check_raw(rec, task.id, r.addr, false);
-                check_waw(rec, task.id, write.addr);
-                st.lastWriter[write.addr] = task.id;
+                    check_raw(rec, tid, r.addr, false);
+                check_waw(rec, tid, write.addr);
+                st.lastWriter[write.addr] = tid;
                 st.writeSeq[write.addr] = seq;
                 if (prov.exploitReuse) {
                     for (const ir::ResolvedRef &r : reads)
@@ -636,8 +629,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                 os << "operand node " << v
                    << " is not connected to store node "
                    << rec.storeNode << " by the MST edges";
-                error("R1.not-spanning", &rec, rec.firstTask, v,
-                      os.str());
+                error("R1.not-spanning", &rec, rec.firstTask, v, os.str());
             }
         }
         if (static_sets[stmt_idx].depth() == 1) {
@@ -759,8 +751,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                 os << "task on dead node " << task.node << " (epoch "
                    << mesh.faults().signature() << ": "
                    << mesh.faults().describe() << ")";
-                error("R5.task-on-dead", &rec, tid, task.node,
-                      os.str());
+                error("R5.task-on-dead", &rec, tid, task.node, os.str());
             }
             // Leaves-to-store: every child's result must arrive (the
             // merge is a sync point for each of its >= 1 children).
@@ -779,8 +770,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                     std::ostringstream os;
                     os << "merge task does not wait on child task "
                        << child_tid;
-                    error("R3.sync-missing", &rec, tid, task.node,
-                          os.str());
+                    error("R3.sync-missing", &rec, tid, task.node, os.str());
                 }
             }
             if (sub.isRoot) {
@@ -803,7 +793,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                 error("R3.root-write", &rec, tid, task.node,
                       "non-root subcomputation stores");
             }
-            check_task(rec, task);
+            check_task(rec, tid);
         }
         if (!one_root) {
             error("R3.root-write", &rec, rec.rootTask, rec.storeNode,

@@ -171,10 +171,13 @@ TEST(DriverTest, PseudoCodeGenerationOnRealPlan)
     const ir::LoopNest &nest = app.nests.front();
     const auto nodes = placement.assignIterations(nest);
     (void)engine.run(placement.buildPlan(nest, nodes));
-    partition::Partitioner partitioner(system, app.arrays);
+    partition::PartitionOptions options;
+    options.verifyLevel = verify::VerifyLevel::Cheap;
+    partition::Partitioner partitioner(system, app.arrays, options);
     const auto plan = partitioner.plan(nest, nodes);
-    const std::string code =
-        partition::generatePseudoCode(plan, nest, app.arrays, 0, 1);
+    const std::string code = partition::generatePseudoCode(
+        plan, partitioner.report().provenance.get(), nest, app.arrays, 0,
+        1);
     EXPECT_NE(code.find("node "), std::string::npos);
     EXPECT_NE(code.find("="), std::string::npos);
 }

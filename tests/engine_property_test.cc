@@ -30,7 +30,6 @@ randomPlan(std::uint64_t seed, int tasks, int node_count)
     ExecutionPlan plan;
     for (int t = 0; t < tasks; ++t) {
         Task task;
-        task.id = t;
         task.node = static_cast<noc::NodeId>(
             rng.nextBelow(static_cast<std::uint64_t>(node_count)));
         task.computeCost = 1 + static_cast<std::int64_t>(
@@ -186,11 +185,8 @@ schedulerPlan(std::uint64_t seed, int tasks, int node_count)
     ExecutionPlan plan;
     for (int t = 0; t < tasks; ++t) {
         Task task;
-        task.id = t;
         task.node = nodes[rng.nextBelow(nodes.size())];
         task.computeCost = static_cast<std::int64_t>(rng.nextBelow(3));
-        task.isSubcomputation = rng.nextBool(0.5);
-        task.resultBytes = rng.nextBool(0.5) ? 8 : 64;
         const int n_reads = static_cast<int>(rng.nextBelow(4));
         for (int r = 0; r < n_reads; ++r) {
             // A small hot set (L1 hits for S1 to convert) and a wide
@@ -234,13 +230,15 @@ schedulerPlan(std::uint64_t seed, int tasks, int node_count)
  * Reference for ExecutionEngine::run with the simplest possible pass-2
  * scheduler: every step rescans all runnable tasks for the argmin of
  * (max(node clock, ready), task id). Everything else mirrors the
- * engine's pricing through ManycoreSystem's public interface.
+ * engine's pricing through ManycoreSystem's public interface, with
+ * every partial result one 8-byte element.
  */
 SimResult
 referenceRun(ManycoreSystem &sys, const ExecutionPlan &plan,
              const EngineOptions &opts)
 {
     const ManycoreConfig &cfg = sys.config();
+    constexpr std::int64_t kResultBytes = 8;
     sys.reset();
     for (std::int32_t w = 0; w < opts.warmupPasses; ++w) {
         for (const Task &task : plan.tasks) {
@@ -273,7 +271,7 @@ referenceRun(ManycoreSystem &sys, const ExecutionPlan &plan,
         for (TaskId dep : task.deps) {
             const auto d = static_cast<std::size_t>(dep);
             sys.recordResultMessage(plan.tasks[d].node, task.node,
-                                    plan.tasks[d].resultBytes);
+                                    kResultBytes);
             consumers[d].push_back(t);
         }
     }
@@ -367,14 +365,14 @@ referenceRun(ManycoreSystem &sys, const ExecutionPlan &plan,
         result.totalBusyCycles += busy;
         if (opts.trace) {
             opts.trace->record(static_cast<TaskId>(t), task.node, start,
-                               finish, waited, task.isSubcomputation);
+                               finish, waited);
         }
         for (std::size_t c : consumers[t]) {
             std::int64_t arrival = finish;
             if (plan.tasks[c].node != task.node) {
                 arrival += scaled(sys.resultMessageLatency(
                                       task.node, plan.tasks[c].node,
-                                      task.resultBytes),
+                                      kResultBytes),
                                   net_scale) +
                            cfg.syncOverheadCycles;
                 ++result.syncCount;
@@ -504,8 +502,7 @@ TEST_P(SchedulerOracleTest, MatchesArgminRescanEventByEvent)
                 const TraceEvent &b = want_trace.events()[e];
                 ASSERT_TRUE(a.task == b.task && a.node == b.node &&
                             a.start == b.start && a.finish == b.finish &&
-                            a.waited == b.waited &&
-                            a.offloaded == b.offloaded)
+                            a.waited == b.waited)
                     << where << ": event " << e << " ran task " << a.task
                     << " on node " << a.node << " at " << a.start
                     << ", reference ran task " << b.task << " on node "

@@ -88,7 +88,6 @@ TEST(TraceTest, RecordsEveryTask)
     sim::ExecutionPlan plan;
     for (sim::TaskId i = 0; i < 10; ++i) {
         sim::Task t;
-        t.id = i;
         t.node = i % 4;
         t.computeCost = 2;
         if (i > 0)
@@ -116,7 +115,6 @@ TEST(TraceTest, ClearedBetweenRuns)
     sim::ExecutionEngine engine(system);
     sim::ExecutionPlan plan;
     sim::Task t;
-    t.id = 0;
     t.node = 0;
     t.computeCost = 1;
     plan.tasks.push_back(t);

@@ -163,9 +163,10 @@ TEST(FaultPropertyTest, NoPlanSchedulesWorkOnDeadNodes)
             partitioner.plan(nest, defaults);
         for (const sim::ExecutionPlan *plan :
              {&default_plan, &optimized}) {
-            for (const sim::Task &task : plan->tasks) {
+            for (std::size_t t = 0; t < plan->tasks.size(); ++t) {
+                const sim::Task &task = plan->tasks[t];
                 EXPECT_TRUE(system.mesh().isLive(task.node))
-                    << "trial " << trial << " task " << task.id
+                    << "trial " << trial << " task " << t
                     << " on dead node " << task.node;
             }
         }

@@ -62,12 +62,12 @@ class PartitionerTest : public ::testing::Test
         std::set<std::pair<std::int64_t, std::int32_t>> with_write;
         for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
             const sim::Task &task = plan.tasks[t];
-            EXPECT_EQ(task.id, static_cast<sim::TaskId>(t));
             EXPECT_GE(task.node, 0);
             EXPECT_LT(task.node, system.mesh().nodeCount());
             for (sim::TaskId dep : task.deps) {
                 EXPECT_GE(dep, 0);
-                EXPECT_LT(dep, task.id) << "dep must precede task";
+                EXPECT_LT(dep, static_cast<sim::TaskId>(t))
+                    << "dep must precede task";
             }
             if (task.write) {
                 with_write.emplace(task.iterationNumber,
@@ -110,10 +110,13 @@ TEST_F(PartitionerTest, RootTaskWritesAtStoreNode)
         array A[64] bytes 64; array B[64] bytes 64;
         array C[64] bytes 64; array D[64] bytes 64;
         for i = 0..64 { A[i] = B[i] + C[i] + D[i]; })");
+    const auto nodes = defaults(nest);
     Partitioner partitioner(system, arrays);
-    const auto plan = partitioner.plan(nest, defaults(nest));
+    const auto plan = partitioner.plan(nest, nodes);
     for (const sim::Task &task : plan.tasks) {
-        if (task.write && task.isSubcomputation) {
+        const noc::NodeId default_node =
+            nodes[static_cast<std::size_t>(task.iterationNumber)];
+        if (task.write && task.node != default_node) {
             // A re-mapped writer sits at the output's home node
             // (Section 4.3: the result is stored where it lives).
             EXPECT_EQ(task.node,
@@ -139,10 +142,11 @@ TEST_F(PartitionerTest, FlowDependenceOrdersTasks)
     // For every iteration: the S2 task consuming A[i] must depend
     // (transitively) on S1's writer of A[i].
     std::vector<sim::TaskId> writer_of_s1(64, sim::kInvalidTask);
-    for (const sim::Task &task : plan.tasks) {
+    for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
+        const sim::Task &task = plan.tasks[t];
         if (task.statementIndex == 0 && task.write)
             writer_of_s1[static_cast<std::size_t>(
-                task.iterationNumber)] = task.id;
+                task.iterationNumber)] = static_cast<sim::TaskId>(t);
     }
     // Transitive reachability over deps.
     auto reaches = [&](sim::TaskId from, sim::TaskId to) {
@@ -162,12 +166,13 @@ TEST_F(PartitionerTest, FlowDependenceOrdersTasks)
         return false;
     };
     int checked = 0;
-    for (const sim::Task &task : plan.tasks) {
+    for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
+        const sim::Task &task = plan.tasks[t];
         if (task.statementIndex == 1 && task.write) {
             const sim::TaskId writer = writer_of_s1[
                 static_cast<std::size_t>(task.iterationNumber)];
             ASSERT_NE(writer, sim::kInvalidTask);
-            EXPECT_TRUE(reaches(writer, task.id))
+            EXPECT_TRUE(reaches(writer, static_cast<sim::TaskId>(t)))
                 << "S2 iteration " << task.iterationNumber
                 << " does not wait for S1's store";
             ++checked;
@@ -196,7 +201,6 @@ TEST_F(PartitionerTest, UnanalyzableStatementsStayOnDefaultNodes)
     for (const sim::Task &task : plan.tasks) {
         EXPECT_EQ(task.node,
                   nodes[static_cast<std::size_t>(task.iterationNumber)]);
-        EXPECT_FALSE(task.isSubcomputation);
     }
 }
 
@@ -339,10 +343,10 @@ std::string
 planFingerprint(const sim::ExecutionPlan &plan, const PartitionReport &r)
 {
     std::ostringstream os;
-    for (const sim::Task &t : plan.tasks) {
-        os << 'T' << t.id << '@' << t.node << ':' << t.statementIndex
-           << '/' << t.iterationNumber << ' ' << t.computeCost << ' '
-           << t.resultBytes << ' ' << t.isSubcomputation << " r";
+    for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
+        const sim::Task &t = plan.tasks[i];
+        os << 'T' << i << '@' << t.node << ':' << t.statementIndex
+           << '/' << t.iterationNumber << ' ' << t.computeCost << " r";
         for (const sim::MemAccess &a : t.reads)
             os << a.addr << ',';
         if (t.write)
@@ -468,8 +472,9 @@ TEST_F(PartitionerTest, GuardReadsAttachToRootTask)
         array C[64] bytes 64; array D[64] bytes 64;
         array H[64] bytes 64;
         for i = 0..64 { S1: if (H[i]) A[i] = B[i] + C[i] + D[i]; })");
+    const auto nodes = defaults(nest);
     Partitioner partitioner(system, arrays);
-    const auto plan = partitioner.plan(nest, defaults(nest));
+    const auto plan = partitioner.plan(nest, nodes);
     // Wherever S1 was split, the guard operand H[i] is read by the
     // task that also stores (the duplicated conditional evaluates with
     // the final merge).
@@ -478,7 +483,9 @@ TEST_F(PartitionerTest, GuardReadsAttachToRootTask)
         bool reads_h = false;
         for (const sim::MemAccess &read : task.reads)
             reads_h = reads_h || read.array == h;
-        if (reads_h && task.isSubcomputation) {
+        if (reads_h &&
+            task.node !=
+                nodes[static_cast<std::size_t>(task.iterationNumber)]) {
             EXPECT_TRUE(task.write.has_value());
         }
     }

@@ -268,8 +268,8 @@ TEST_F(PlanMutationTest, SelfDependenceIsCaught)
 {
     const ir::LoopNest nest = parseDefault();
     BuiltPlan built = build(nest, {});
-    sim::Task &task = built.plan.tasks.front();
-    task.deps.push_back(task.id);
+    // The first task's id is its position, 0.
+    built.plan.tasks.front().deps.push_back(0);
     const verify::Report report = verify(nest, built);
     EXPECT_TRUE(hasRule(report, "R3.dep-order")) << rulesOf(report);
 }

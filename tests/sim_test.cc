@@ -121,12 +121,11 @@ TEST_F(ManycoreTest, ResetKeepsPredictorClearsCaches)
 
 // --------------------------------------------------------------- engine
 
-/** Helpers to hand-build small plans. */
+/** Helpers to hand-build small plans; @p id is also the iteration. */
 Task
 makeTask(TaskId id, noc::NodeId node, std::int64_t cost = 1)
 {
     Task t;
-    t.id = id;
     t.node = node;
     t.computeCost = cost;
     t.statementIndex = 0;

@@ -2,13 +2,15 @@
  * @file
  * support::ThreadPool unit tests: submission-order result collection,
  * exception propagation through futures, queue draining on
- * destruction, the orderedMap fan-out, and the NDP_BENCH_THREADS knob
- * parsing in driver::SweepRunner::defaultThreads().
+ * destruction, the orderedMap fan-out, the serial zero-worker pool,
+ * and the NDP_BENCH_THREADS knob parsing in
+ * driver::SweepRunner::defaultWorkers().
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "driver/sweep.h"
+#include "support/error.h"
 #include "support/thread_pool.h"
 
 namespace {
@@ -24,7 +27,7 @@ using namespace ndp;
 
 TEST(ThreadPoolTest, ResultsCollectInSubmissionOrder)
 {
-    for (std::size_t threads : {1u, 2u, 8u}) {
+    for (std::size_t threads : {0u, 1u, 2u, 8u}) {
         support::ThreadPool pool(threads);
         std::vector<std::future<int>> futures;
         for (int i = 0; i < 200; ++i)
@@ -36,11 +39,22 @@ TEST(ThreadPoolTest, ResultsCollectInSubmissionOrder)
     }
 }
 
-TEST(ThreadPoolTest, ZeroThreadsClampsToOne)
+TEST(ThreadPoolTest, ZeroWorkersRunTasksOnTheCaller)
 {
     support::ThreadPool pool(0);
-    EXPECT_EQ(pool.threadCount(), 1u);
-    EXPECT_EQ(pool.submit([]() { return 42; }).get(), 42);
+    EXPECT_EQ(pool.threadCount(), 0u);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::thread::id ran_on;
+    std::future<int> future = pool.submit([&ran_on]() {
+        ran_on = std::this_thread::get_id();
+        return 42;
+    });
+    // The task ran before submit() returned.
+    EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(ran_on, caller);
+    EXPECT_EQ(future.get(), 42);
+    EXPECT_FALSE(pool.tryRunOne());
 }
 
 TEST(ThreadPoolTest, ExceptionsPropagateThroughFutures)
@@ -81,19 +95,47 @@ TEST(ThreadPoolTest, MoveOnlyResultsWork)
 
 TEST(SweepRunnerTest, DefaultThreadsHonorsEnvKnob)
 {
+    // The knob counts the calling thread, so it yields one worker less.
     ::setenv("NDP_BENCH_THREADS", "3", 1);
-    EXPECT_EQ(driver::SweepRunner::defaultThreads(), 3);
-    EXPECT_EQ(driver::SweepRunner(0).threads(), 3);
-    // Explicit constructor argument beats the env knob.
-    EXPECT_EQ(driver::SweepRunner(5).threads(), 5);
+    EXPECT_EQ(driver::SweepRunner::defaultWorkers(), 2);
+    EXPECT_EQ(driver::SweepRunner().workers(), 2);
+    // Explicit constructor arguments are worker counts and beat the
+    // env knob; zero workers is not the default.
+    EXPECT_EQ(driver::SweepRunner(5).workers(), 5);
+    EXPECT_EQ(driver::SweepRunner(0).workers(), 0);
 
-    // Garbage and non-positive values fall back to the hardware.
-    ::setenv("NDP_BENCH_THREADS", "0", 1);
-    EXPECT_GE(driver::SweepRunner::defaultThreads(), 1);
-    ::setenv("NDP_BENCH_THREADS", "banana", 1);
-    EXPECT_GE(driver::SweepRunner::defaultThreads(), 1);
+    // Garbage and non-positive values are fatal.
+    for (const char *bad : {"0", "-2", "banana", "4x", ""}) {
+        ::setenv("NDP_BENCH_THREADS", bad, 1);
+        EXPECT_THROW(driver::SweepRunner::defaultWorkers(), FatalError)
+            << "NDP_BENCH_THREADS='" << bad << "'";
+    }
     ::unsetenv("NDP_BENCH_THREADS");
-    EXPECT_GE(driver::SweepRunner::defaultThreads(), 1);
+    EXPECT_GE(driver::SweepRunner::defaultWorkers(), 0);
+}
+
+TEST(SweepRunnerTest, OneThreadRunsTheWholeSweepOnTheCaller)
+{
+    // NDP_BENCH_THREADS=1: every cell and every nested (nest-level)
+    // task runs on the thread that called mapOrdered.
+    ::setenv("NDP_BENCH_THREADS", "1", 1);
+    driver::SweepRunner runner;
+    ::unsetenv("NDP_BENCH_THREADS");
+    EXPECT_EQ(runner.workers(), 0);
+    const std::thread::id caller = std::this_thread::get_id();
+    const std::vector<int> on_caller = runner.mapOrdered<int>(
+        6, [caller](std::size_t, support::ThreadPool &pool) {
+            int count = std::this_thread::get_id() == caller ? 1 : 0;
+            const std::vector<int> nests = support::orderedMap(
+                &pool, 4, [caller](std::size_t) {
+                    return std::this_thread::get_id() == caller ? 1 : 0;
+                });
+            for (int n : nests)
+                count += n;
+            return count;
+        });
+    EXPECT_EQ(on_caller, std::vector<int>(6, 5));
+    EXPECT_EQ(runner.stats().threads, 1);
 }
 
 TEST(SweepRunnerTest, MapOrderedReturnsIndexedResults)
@@ -107,7 +149,8 @@ TEST(SweepRunnerTest, MapOrderedReturnsIndexedResults)
     for (int i = 0; i < 50; ++i)
         EXPECT_EQ(out[static_cast<std::size_t>(i)], i * 3);
     EXPECT_EQ(runner.stats().cells, 50u);
-    EXPECT_EQ(runner.stats().threads, 4);
+    // Four workers plus the helping caller.
+    EXPECT_EQ(runner.stats().threads, 5);
 }
 
 TEST(ThreadPoolTest, OrderedMapIndexesResultsWithOrWithoutPool)
@@ -118,7 +161,7 @@ TEST(ThreadPoolTest, OrderedMapIndexesResultsWithOrWithoutPool)
         expected[i] = square(i);
     EXPECT_EQ(support::orderedMap(nullptr, expected.size(), square),
               expected);
-    for (std::size_t threads : {1u, 2u, 8u}) {
+    for (std::size_t threads : {0u, 1u, 2u, 8u}) {
         support::ThreadPool pool(threads);
         EXPECT_EQ(support::orderedMap(&pool, expected.size(), square),
                   expected)
@@ -152,7 +195,7 @@ TEST(ThreadPoolTest, NestedSubmissionWithHelpingWaitCompletes)
     // the queue on the waiting thread instead of blocking. This is the
     // deadlock-freedom contract behind sharing one pool between the
     // sweep level and the nest level.
-    for (std::size_t threads : {1u, 2u, 4u}) {
+    for (std::size_t threads : {0u, 1u, 2u, 4u}) {
         support::ThreadPool pool(threads);
         auto outer = pool.submit([&pool]() {
             std::vector<std::future<int>> inner;
@@ -176,7 +219,7 @@ TEST(ThreadPoolTest, WaitHelpingSurvivesThrowingTasks)
     // not unwind through waitHelping (packaged_task captures the
     // exception into the future), must not deadlock the waiter, and
     // must not lose any task queued behind it.
-    for (std::size_t threads : {1u, 4u}) {
+    for (std::size_t threads : {0u, 1u, 4u}) {
         support::ThreadPool pool(threads);
         std::atomic<int> survivors{0};
         auto outer = pool.submit([&pool, &survivors]() {
