@@ -33,6 +33,7 @@
 #include "ir/parser.h"
 #include "partition/partitioner.h"
 #include "partition/splitter.h"
+#include "sim/engine.h"
 #include "sim/manycore.h"
 #include "support/alloc_counter.h"
 #include "support/rng.h"
@@ -208,15 +209,15 @@ planDigest(const sim::ExecutionPlan &plan,
     mix(plan.tasks.size());
     for (const sim::Task &t : plan.tasks) {
         mix(static_cast<std::uint64_t>(t.node));
-        mix(t.reads.size());
-        for (const sim::MemAccess &a : t.reads)
+        mix(plan.reads(t).size());
+        for (const sim::MemAccess &a : plan.reads(t))
             mixAccess(a);
         mix(t.write.has_value());
         if (t.write)
             mixAccess(*t.write);
         mix(static_cast<std::uint64_t>(t.computeCost));
-        mix(t.deps.size());
-        for (sim::TaskId d : t.deps)
+        mix(plan.deps(t).size());
+        for (sim::TaskId d : plan.deps(t))
             mix(static_cast<std::uint64_t>(d));
         mix(static_cast<std::uint64_t>(t.statementIndex));
         mix(static_cast<std::uint64_t>(t.iterationNumber));
@@ -317,22 +318,39 @@ timePlanning(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
     return {on, off};
 }
 
-/**
- * Heap allocations of the adaptive sweep's eight scoring passes: an
- * adaptive plan() minus a plan() fixed at the window it chose, which
- * is the emitting pass alone. A per-candidate constant, since the
- * planner's per-instance loop allocates nothing, and deterministic.
- */
-std::int64_t
-scoringAllocations(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
-                   const ir::LoopNest &nest,
-                   const std::vector<noc::NodeId> &nodes)
+/** Deterministic heap-allocation counts of planning and simulation. */
+struct AllocationCounts
 {
+    /** The adaptive sweep's eight scoring passes. */
+    std::int64_t scoring = 0;
+    /** A plan() fixed at the chosen window: stream resolution, the
+     *  default-L1 warm-up and the emitting pass. */
+    std::int64_t emit = 0;
+    /** One engine run of that fixed-window plan. */
+    std::int64_t engine = 0;
+};
+
+/**
+ * Heap allocations of planning and simulating @p nest, verification
+ * off. The scoring passes' count is an adaptive plan() minus a plan()
+ * fixed at the window it chose, which is the emitting pass alone; both
+ * are per-candidate constants while the planner allocates nothing per
+ * instance or task. The engine's count is one run of the fixed plan,
+ * which allocates nothing per task. Runs the engine on @p system, so
+ * it comes after every timed plan().
+ */
+AllocationCounts
+countAllocations(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
+                 const ir::LoopNest &nest,
+                 const std::vector<noc::NodeId> &nodes)
+{
+    AllocationCounts counts;
+    sim::ExecutionPlan plan;
     const auto allocations = [&](const partition::PartitionOptions &opts,
                                  std::int32_t &chosen) {
         partition::Partitioner partitioner(system, arrays, opts);
         const std::int64_t before = support::heapAllocations();
-        const sim::ExecutionPlan plan = partitioner.plan(nest, nodes);
+        plan = partitioner.plan(nest, nodes);
         const std::int64_t made = support::heapAllocations() - before;
         chosen = partitioner.report().chosenWindowSize;
         return made;
@@ -342,7 +360,14 @@ scoringAllocations(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
     std::int32_t chosen = 0;
     const std::int64_t swept = allocations(options, chosen);
     options.fixedWindowSize = chosen;
-    return swept - allocations(options, chosen);
+    counts.emit = allocations(options, chosen);
+    counts.scoring = swept - counts.emit;
+
+    sim::ExecutionEngine engine(system);
+    const std::int64_t before = support::heapAllocations();
+    engine.run(plan);
+    counts.engine = support::heapAllocations() - before;
+    return counts;
 }
 
 /**
@@ -402,8 +427,8 @@ runMemoizationBench(const std::string &json_path)
     const auto [bal_on, bal_off] =
         timePlanning(system, arrays, nest, nodes, reps, /*balanced=*/true);
 
-    const std::int64_t scoring_allocations =
-        scoringAllocations(system, arrays, nest, nodes);
+    const AllocationCounts allocations =
+        countAllocations(system, arrays, nest, nodes);
 
     const bool identical = on.planDigest == off.planDigest;
     const bool balanced_identical = bal_on.planDigest == bal_off.planDigest;
@@ -453,7 +478,9 @@ runMemoizationBench(const std::string &json_path)
          << "    \"total\": " << phases_on.totalNs << "\n"
          << "  },\n"
          << "  \"speedup\": " << speedup << ",\n"
-         << "  \"scoring_allocations\": " << scoring_allocations << ",\n"
+         << "  \"scoring_allocations\": " << allocations.scoring << ",\n"
+         << "  \"emit_allocations\": " << allocations.emit << ",\n"
+         << "  \"engine_allocations\": " << allocations.engine << ",\n"
          << "  \"plans_identical\": " << (identical ? "true" : "false")
          << ",\n"
          << "  \"balanced\": {\n"
@@ -477,8 +504,10 @@ runMemoizationBench(const std::string &json_path)
               << " uncached (speedup x" << speedup << ", hit rate "
               << 100.0 * on.hitRate << "%, plans "
               << (identical ? "identical" : "DIFFER") << ", "
-              << bytes_per_entry << " B/entry, " << scoring_allocations
-              << " scoring-pass allocations); balanced "
+              << bytes_per_entry << " B/entry, " << allocations.scoring
+              << " scoring-pass, " << allocations.emit << " emit and "
+              << allocations.engine
+              << " engine-run allocations); balanced "
               << bal_on.nsPerInstance << " vs " << bal_off.nsPerInstance
               << " (speedup x" << balanced_speedup << ", hit rate "
               << 100.0 * bal_on.hitRate << "%, " << bal_on.cacheBypassed

@@ -34,13 +34,15 @@ profilePageToMc(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
     // Votes: page -> per-MC access counts.
     std::unordered_map<std::uint64_t, std::array<std::int64_t, 4>> votes;
     ir::StatementInstance inst;
+    std::vector<ir::ResolvedRef> reads;
     for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
         const noc::NodeId node = nodes[static_cast<std::size_t>(k)];
-        inst.iter = nest.iterationAt(k);
+        nest.iterationAt(k, inst.iter);
         inst.iterationNumber = k;
         for (const ir::Statement &stmt : nest.body()) {
             inst.stmt = &stmt;
-            for (const ir::ResolvedRef &r : resolveReads(inst, arrays)) {
+            resolveReadsInto(inst, arrays, reads);
+            for (const ir::ResolvedRef &r : reads) {
                 votes[mem::pageNumber(r.addr)]
                      [preferred[static_cast<std::size_t>(node)]] += 1;
             }

@@ -41,6 +41,8 @@ DefaultPlacement::assignIterations(const ir::LoopNest &nest)
         static_cast<std::size_t>(chunk_count),
         std::vector<std::int64_t>(static_cast<std::size_t>(nodes), 0));
 
+    ir::StatementInstance inst;
+    std::vector<ir::ResolvedRef> reads;
     for (std::int64_t c = 0; c < chunk_count; ++c) {
         const std::int64_t begin = c * chunk;
         const std::int64_t end = std::min(begin + chunk, iterations);
@@ -49,13 +51,12 @@ DefaultPlacement::assignIterations(const ir::LoopNest &nest)
             std::min(options_.profileSamplesPerChunk, span);
         for (std::int64_t s = 0; s < samples; ++s) {
             const std::int64_t k = begin + s * span / samples;
-            ir::StatementInstance inst;
-            inst.iter = nest.iterationAt(k);
+            nest.iterationAt(k, inst.iter);
             inst.iterationNumber = k;
             for (const ir::Statement &stmt : nest.body()) {
                 inst.stmt = &stmt;
-                for (const ir::ResolvedRef &r :
-                     resolveReads(inst, *arrays_)) {
+                resolveReadsInto(inst, *arrays_, reads);
+                for (const ir::ResolvedRef &r : reads) {
                     const noc::NodeId home = amap.homeBankNode(r.addr);
                     for (noc::NodeId n : pool) {
                         cost[static_cast<std::size_t>(c)]
@@ -123,18 +124,25 @@ DefaultPlacement::buildPlan(const ir::LoopNest &nest,
     const auto stmt_count =
         static_cast<std::int64_t>(nest.body().size());
 
+    std::size_t read_count = 0;
+    for (const ir::Statement &stmt : nest.body())
+        read_count += stmt.reads().size();
+    const auto iterations = static_cast<std::size_t>(nest.iterationCount());
+    plan.tasks.reserve(iterations * nest.body().size());
+    plan.readPool.reserve(iterations * read_count);
+
+    ir::StatementInstance inst;
+    std::vector<ir::ResolvedRef> reads;
     for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
         const noc::NodeId node = nodes[static_cast<std::size_t>(k)];
-        ir::StatementInstance inst;
-        inst.iter = nest.iterationAt(k);
+        nest.iterationAt(k, inst.iter);
         inst.iterationNumber = k;
         for (std::int64_t s = 0; s < stmt_count; ++s) {
             const ir::Statement &stmt =
                 nest.body()[static_cast<std::size_t>(s)];
             inst.stmt = &stmt;
             const ir::ResolvedRef write = resolveWrite(inst, *arrays_);
-            const std::vector<ir::ResolvedRef> reads =
-                resolveReads(inst, *arrays_);
+            resolveReadsInto(inst, *arrays_, reads);
 
             const auto id = static_cast<sim::TaskId>(plan.tasks.size());
             sim::Task task;
@@ -143,20 +151,24 @@ DefaultPlacement::buildPlan(const ir::LoopNest &nest,
             task.statementIndex = static_cast<std::int32_t>(s);
             task.iterationNumber = k;
 
+            const std::size_t read_begin = plan.readPool.size();
+            const std::size_t dep_begin = plan.depPool.size();
             for (const ir::ResolvedRef &r : reads) {
-                task.reads.push_back({r.addr, r.size, r.array});
+                plan.readPool.push_back({r.addr, r.size, r.array});
                 const auto writer = last_writer.find(r.addr);
                 if (writer != last_writer.end() &&
                     plan.tasks[static_cast<std::size_t>(writer->second)]
                             .node != node) {
-                    task.deps.push_back(writer->second);
+                    plan.depPool.push_back(writer->second);
                 }
             }
+            plan.closeReads(task, read_begin);
+            plan.closeDeps(task, dep_begin);
             task.write =
                 sim::MemAccess{write.addr, write.size, write.array};
             last_writer[write.addr] = id;
 
-            plan.tasks.push_back(std::move(task));
+            plan.tasks.push_back(task);
         }
     }
     return plan;

@@ -84,31 +84,6 @@ ArrayTable::elementAddr(ArrayId id, std::int64_t flat) const
     return a.base + static_cast<mem::Addr>(idx) * a.elementSize;
 }
 
-std::int64_t
-ArrayTable::flatIndex(ArrayId id,
-                      const std::vector<std::int64_t> &indices) const
-{
-    const ArrayInfo &a = info(id);
-    NDP_CHECK(indices.size() == a.extents.size(),
-              "array '" << a.name << "' expects " << a.extents.size()
-                        << " subscripts, got " << indices.size());
-    std::int64_t flat = 0;
-    for (std::size_t d = 0; d < indices.size(); ++d) {
-        std::int64_t idx = indices[d] % a.extents[d];
-        if (idx < 0)
-            idx += a.extents[d];
-        flat = flat * a.extents[d] + idx;
-    }
-    return flat;
-}
-
-mem::Addr
-ArrayTable::elementAddr(ArrayId id,
-                        const std::vector<std::int64_t> &indices) const
-{
-    return elementAddr(id, flatIndex(id, indices));
-}
-
 void
 ArrayTable::setIndexData(ArrayId id, std::vector<std::int64_t> values)
 {

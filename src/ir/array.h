@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "mem/address.h"
+#include "support/error.h"
 
 namespace ndp::ir {
 
@@ -93,13 +94,39 @@ class ArrayTable
     /** Address of the element at row-major flat index @p flat. */
     mem::Addr elementAddr(ArrayId id, std::int64_t flat) const;
 
-    /** Address of the element at multi-dimensional @p indices. */
-    mem::Addr elementAddr(ArrayId id,
-                          const std::vector<std::int64_t> &indices) const;
+    /**
+     * Row-major flat index of the element of array @p id whose
+     * @p count subscripts are subscript(0) .. subscript(count - 1).
+     * Each subscript wraps modulo its dimension's extent; fatal unless
+     * @p count is the array's rank. The one copy of this rule:
+     * ir::resolveAddr folds evaluated subscripts through it without
+     * materialising them.
+     */
+    template <typename Subscript>
+    std::int64_t
+    flatIndexOf(ArrayId id, std::size_t count, Subscript &&subscript) const
+    {
+        const ArrayInfo &a = info(id);
+        NDP_CHECK(count == a.extents.size(),
+                  "array '" << a.name << "' expects " << a.extents.size()
+                            << " subscripts, got " << count);
+        std::int64_t flat = 0;
+        for (std::size_t d = 0; d < count; ++d) {
+            std::int64_t idx = subscript(d) % a.extents[d];
+            if (idx < 0)
+                idx += a.extents[d];
+            flat = flat * a.extents[d] + idx;
+        }
+        return flat;
+    }
 
-    /** Row-major flat index for multi-dimensional @p indices. */
-    std::int64_t flatIndex(ArrayId id,
-                           const std::vector<std::int64_t> &indices) const;
+    /** flatIndexOf over explicit multi-dimensional @p indices. */
+    std::int64_t
+    flatIndex(ArrayId id, const std::vector<std::int64_t> &indices) const
+    {
+        return flatIndexOf(id, indices.size(),
+                           [&](std::size_t d) { return indices[d]; });
+    }
 
     /** Install the contents of an index array (for X[Y[i]] patterns). */
     void setIndexData(ArrayId id, std::vector<std::int64_t> values);

@@ -4,30 +4,19 @@
 
 namespace ndp::ir {
 
-std::vector<std::int64_t>
-evaluateSubscripts(const ArrayRef &ref, const IterationVector &iter,
-                   const ArrayTable &arrays)
-{
-    std::vector<std::int64_t> values;
-    values.reserve(ref.subscripts.size());
-    for (const Subscript &s : ref.subscripts) {
-        std::int64_t v = s.affine.evaluate(iter);
-        if (s.isIndirect()) {
-            // One-level indirection: the affine part indexes the index
-            // array, whose realised contents give the actual subscript.
-            v = arrays.indexValue(s.indirect, v);
-        }
-        values.push_back(v);
-    }
-    return values;
-}
-
 mem::Addr
 resolveAddr(const ArrayRef &ref, const IterationVector &iter,
             const ArrayTable &arrays)
 {
-    return arrays.elementAddr(ref.array,
-                              evaluateSubscripts(ref, iter, arrays));
+    const std::int64_t flat = arrays.flatIndexOf(
+        ref.array, ref.subscripts.size(), [&](std::size_t d) {
+            const Subscript &s = ref.subscripts[d];
+            const std::int64_t v = s.affine.evaluate(iter);
+            // One-level indirection: the affine part indexes the index
+            // array, whose realised contents give the actual subscript.
+            return s.isIndirect() ? arrays.indexValue(s.indirect, v) : v;
+        });
+    return arrays.elementAddr(ref.array, flat);
 }
 
 ResolvedRef
@@ -41,14 +30,6 @@ resolveRef(const ArrayRef &ref, const IterationVector &iter,
     r.size = arrays.info(ref.array).elementSize;
     r.analyzable = ref.isAnalyzable();
     return r;
-}
-
-std::vector<ResolvedRef>
-resolveReads(const StatementInstance &inst, const ArrayTable &arrays)
-{
-    std::vector<ResolvedRef> out;
-    resolveReadsInto(inst, arrays, out);
-    return out;
 }
 
 void

@@ -9,6 +9,11 @@
  * Indirect subscripts resolve through the index-array contents held by
  * the ArrayTable, which is exactly the information the inspector phase
  * gathers at runtime.
+ *
+ * Resolution allocates nothing: resolveAddr folds each evaluated
+ * subscript straight into the flat index, and a caller that walks a
+ * nest reuses one StatementInstance (LoopNest::iterationAt writes its
+ * iteration vector in place) and one reads buffer (resolveReadsInto).
  */
 
 #include <cstdint>
@@ -43,11 +48,6 @@ struct ResolvedRef
     bool analyzable = true;
 };
 
-/** Concrete subscript values of @p ref at @p iter. */
-std::vector<std::int64_t> evaluateSubscripts(const ArrayRef &ref,
-                                             const IterationVector &iter,
-                                             const ArrayTable &arrays);
-
 /** Concrete address of @p ref at @p iter. */
 mem::Addr resolveAddr(const ArrayRef &ref, const IterationVector &iter,
                       const ArrayTable &arrays);
@@ -56,14 +56,9 @@ mem::Addr resolveAddr(const ArrayRef &ref, const IterationVector &iter,
 ResolvedRef resolveRef(const ArrayRef &ref, const IterationVector &iter,
                        const ArrayTable &arrays);
 
-/** Resolve every read of @p inst (RHS leaves then guard leaves). */
-std::vector<ResolvedRef> resolveReads(const StatementInstance &inst,
-                                      const ArrayTable &arrays);
-
 /**
- * resolveReads into a caller-owned buffer (cleared first). The
- * partitioner's compile loop resolves every instance of a nest; reusing
- * one buffer removes an allocation per statement instance.
+ * Resolve every read of @p inst (RHS leaves then guard leaves) into a
+ * caller-owned buffer, cleared first.
  */
 void resolveReadsInto(const StatementInstance &inst,
                       const ArrayTable &arrays,

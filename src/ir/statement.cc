@@ -94,32 +94,26 @@ void
 LoopNest::forEachIteration(
     const std::function<void(const IterationVector &)> &fn) const
 {
-    IterationVector iter(loops_.size());
+    IterationVector iter;
     const std::int64_t total = iterationCount();
     for (std::int64_t k = 0; k < total; ++k) {
-        std::int64_t rem = k;
-        for (std::size_t d = loops_.size(); d-- > 0;) {
-            const std::int64_t trips = loops_[d].tripCount();
-            iter[d] = loops_[d].lower + (rem % trips) * loops_[d].step;
-            rem /= trips;
-        }
+        iterationAt(k, iter);
         fn(iter);
     }
 }
 
-IterationVector
-LoopNest::iterationAt(std::int64_t k) const
+void
+LoopNest::iterationAt(std::int64_t k, IterationVector &iter) const
 {
     NDP_CHECK(k >= 0 && k < iterationCount(),
               "iteration index " << k << " out of range");
-    IterationVector iter(loops_.size());
+    iter.resize(loops_.size());
     std::int64_t rem = k;
     for (std::size_t d = loops_.size(); d-- > 0;) {
         const std::int64_t trips = loops_[d].tripCount();
         iter[d] = loops_[d].lower + (rem % trips) * loops_[d].step;
         rem /= trips;
     }
-    return iter;
 }
 
 std::string

@@ -114,8 +114,11 @@ class LoopNest
     void forEachIteration(
         const std::function<void(const IterationVector &)> &fn) const;
 
-    /** The @p k-th iteration (lexicographic), 0-based. */
-    IterationVector iterationAt(std::int64_t k) const;
+    /**
+     * Write the @p k-th iteration (lexicographic, 0-based) into
+     * @p iter, which keeps its capacity across calls.
+     */
+    void iterationAt(std::int64_t k, IterationVector &iter) const;
 
     /**
      * Trip count of the surrounding timing loop (Section 4.5's

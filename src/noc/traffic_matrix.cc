@@ -8,6 +8,9 @@ namespace ndp::noc {
 
 TrafficMatrix::TrafficMatrix(const MeshTopology &mesh)
     : mesh_(&mesh),
+      pairFlits_(static_cast<std::size_t>(mesh.nodeCount()) *
+                     static_cast<std::size_t>(mesh.nodeCount()),
+                 0),
       load_(static_cast<std::size_t>(mesh.linkCount()), 0)
 {
 }
@@ -19,10 +22,34 @@ TrafficMatrix::addMessage(NodeId from, NodeId to, std::int64_t flits)
     ++messages_;
     if (from == to)
         return;
-    const std::span<const std::int32_t> links = mesh_->route(from, to);
-    for (std::int32_t link : links)
-        load_[static_cast<std::size_t>(link)] += flits;
-    totalFlitHops_ += flits * static_cast<std::int64_t>(links.size());
+    // route() checks the endpoints, so a bad message fails here.
+    const std::size_t hops = mesh_->route(from, to).size();
+    pairFlits_[static_cast<std::size_t>(from) *
+                   static_cast<std::size_t>(mesh_->nodeCount()) +
+               static_cast<std::size_t>(to)] += flits;
+    totalFlitHops_ += flits * static_cast<std::int64_t>(hops);
+    loadsCurrent_ = false;
+}
+
+void
+TrafficMatrix::expandLoads() const
+{
+    if (loadsCurrent_)
+        return;
+    std::fill(load_.begin(), load_.end(), 0);
+    const auto n = static_cast<std::size_t>(mesh_->nodeCount());
+    for (NodeId from : mesh_->liveNodes()) {
+        for (NodeId to : mesh_->liveNodes()) {
+            const std::int64_t flits =
+                pairFlits_[static_cast<std::size_t>(from) * n +
+                           static_cast<std::size_t>(to)];
+            if (flits == 0)
+                continue;
+            for (std::int32_t link : mesh_->route(from, to))
+                load_[static_cast<std::size_t>(link)] += flits;
+        }
+    }
+    loadsCurrent_ = true;
 }
 
 std::int64_t
@@ -31,37 +58,16 @@ TrafficMatrix::linkLoad(std::int32_t link_index) const
     NDP_CHECK(link_index >= 0 &&
                   static_cast<std::size_t>(link_index) < load_.size(),
               "bad link index " << link_index);
+    expandLoads();
     return load_[static_cast<std::size_t>(link_index)];
-}
-
-std::int64_t
-TrafficMatrix::maxLinkLoad() const
-{
-    if (load_.empty())
-        return 0;
-    return *std::max_element(load_.begin(), load_.end());
-}
-
-double
-TrafficMatrix::meanActiveLinkLoad() const
-{
-    std::int64_t sum = 0;
-    std::int64_t active = 0;
-    for (std::int64_t l : load_) {
-        if (l > 0) {
-            sum += l;
-            ++active;
-        }
-    }
-    return active == 0 ? 0.0
-                       : static_cast<double>(sum) /
-                             static_cast<double>(active);
 }
 
 void
 TrafficMatrix::reset()
 {
+    std::fill(pairFlits_.begin(), pairFlits_.end(), 0);
     std::fill(load_.begin(), load_.end(), 0);
+    loadsCurrent_ = true;
     totalFlitHops_ = 0;
     messages_ = 0;
 }

@@ -8,6 +8,14 @@
  * (this matrix); pass two converts per-link load into a congestion delay.
  * This realises the paper's observation that a longer distance "also
  * increases chances for contention" without a full flit-level model.
+ *
+ * Routes are fixed once a mesh is built, so a message's link loads are
+ * a function of its (from, to) pair alone. The matrix accumulates flits
+ * per pair and expands them into link loads the first time a load is
+ * read after a change; NocModel::freezeCongestion is that read, once
+ * per engine run. Loads are integer sums, so they equal a per-message
+ * walk of every route exactly. linkLoad() is const but may rebuild the
+ * cached loads, so threads must not share one matrix.
  */
 
 #include <cstdint>
@@ -23,7 +31,10 @@ class TrafficMatrix
   public:
     explicit TrafficMatrix(const MeshTopology &mesh);
 
-    /** Account @p flits crossing every link of route(from, to). */
+    /**
+     * Account @p flits crossing every link of route(from, to). Fatal,
+     * as route() is, for a bad or dead endpoint.
+     */
     void addMessage(NodeId from, NodeId to, std::int64_t flits);
 
     /** Raw flit count over the dense link @p link_index. */
@@ -35,17 +46,18 @@ class TrafficMatrix
     /** Number of messages recorded. */
     std::int64_t messageCount() const { return messages_; }
 
-    /** Highest per-link load (a proxy for the congestion hot spot). */
-    std::int64_t maxLinkLoad() const;
-
-    /** Mean load over links that carried any traffic. */
-    double meanActiveLinkLoad() const;
-
     void reset();
 
   private:
+    /** Rebuild load_ from pairFlits_ if a message arrived since. */
+    void expandLoads() const;
+
     const MeshTopology *mesh_;
-    std::vector<std::int64_t> load_;
+    /** Flits sent from a to b: pairFlits_[a * nodeCount() + b]. */
+    std::vector<std::int64_t> pairFlits_;
+    /** Per-link loads, valid while loadsCurrent_. */
+    mutable std::vector<std::int64_t> load_;
+    mutable bool loadsCurrent_ = true;
     std::int64_t totalFlitHops_ = 0;
     std::int64_t messages_ = 0;
 };

@@ -81,7 +81,7 @@ generatePseudoCode(const sim::ExecutionPlan &plan,
                 nest.body()[static_cast<std::size_t>(
                     task.statementIndex)];
             // sync() waits for cross-node producers.
-            for (sim::TaskId dep : task.deps) {
+            for (sim::TaskId dep : plan.deps(task)) {
                 const sim::Task &producer =
                     plan.tasks[static_cast<std::size_t>(dep)];
                 if (producer.node != task.node) {
@@ -109,9 +109,9 @@ generatePseudoCode(const sim::ExecutionPlan &plan,
                 ++op_at;
                 return std::string(" ") + op + " ";
             };
-            for (const sim::MemAccess &read : task.reads)
+            for (const sim::MemAccess &read : plan.reads(task))
                 out << joiner() << access_name(read);
-            for (sim::TaskId dep : task.deps) {
+            for (sim::TaskId dep : plan.deps(task)) {
                 const sim::Task &producer =
                     plan.tasks[static_cast<std::size_t>(dep)];
                 // Pure ordering deps carry no operand; only children

@@ -75,7 +75,7 @@ resolveStream(const ir::ArrayTable &arrays, const ir::LoopNest &nest,
     s.refBegin.push_back(0);
     for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
         const noc::NodeId node = default_nodes[static_cast<std::size_t>(k)];
-        inst.iter = nest.iterationAt(k);
+        nest.iterationAt(k, inst.iter);
         inst.iterationNumber = k;
         for (const ir::Statement &stmt : nest.body()) {
             inst.stmt = &stmt;
@@ -268,6 +268,89 @@ class DepTracker
     std::vector<sim::TaskId> readers_;
 };
 
+/**
+ * The deps of one window's tasks, staged until minimizeSyncs() has
+ * added the window's ordering arcs: one list per task, in the order
+ * its deps were added, threaded through one shared arena. Reset per
+ * window with its storage kept, so staging allocates only when a
+ * window outgrows every earlier one.
+ */
+class DepStaging
+{
+  public:
+    /** Start staging the window whose first task is @p first. */
+    void
+    reset(std::size_t first)
+    {
+        first_ = first;
+        head_.clear();
+        tail_.clear();
+        entries_.clear();
+    }
+
+    /** Open the empty list of the window's next task. */
+    void
+    addTask()
+    {
+        head_.push_back(kEnd);
+        tail_.push_back(kEnd);
+    }
+
+    /** Append @p dep to the list of task @p task. */
+    void
+    add(sim::TaskId task, sim::TaskId dep)
+    {
+        const std::size_t t = local(task);
+        const auto at = static_cast<std::int32_t>(entries_.size());
+        entries_.push_back({dep, kEnd});
+        if (tail_[t] == kEnd)
+            head_[t] = at;
+        else
+            entries_[static_cast<std::size_t>(tail_[t])].next = at;
+        tail_[t] = at;
+    }
+
+    /** add() unless task @p task already lists @p dep. */
+    void
+    addUnique(sim::TaskId task, sim::TaskId dep)
+    {
+        bool listed = false;
+        forEach(task, [&](sim::TaskId d) { listed = listed || d == dep; });
+        if (!listed)
+            add(task, dep);
+    }
+
+    /** Call @p visit on each dep of task @p task, in order. */
+    template <typename Visit>
+    void
+    forEach(sim::TaskId task, Visit &&visit) const
+    {
+        for (std::int32_t e = head_[local(task)]; e != kEnd;
+             e = entries_[static_cast<std::size_t>(e)].next)
+            visit(entries_[static_cast<std::size_t>(e)].dep);
+    }
+
+  private:
+    static constexpr std::int32_t kEnd = -1;
+
+    struct Entry
+    {
+        sim::TaskId dep;
+        std::int32_t next;
+    };
+
+    std::size_t
+    local(sim::TaskId task) const
+    {
+        return static_cast<std::size_t>(task) - first_;
+    }
+
+    std::size_t first_ = 0;
+    std::vector<std::int32_t> head_;
+    std::vector<std::int32_t> tail_;
+    std::vector<Entry> entries_;
+};
+
 /** One candidate synchronisation arc. */
 struct OrderArc
 {
@@ -394,8 +477,10 @@ class CandidatePlanner
         const std::int64_t total = ctx_.nest.iterationCount() * stmtCount_;
         if (emit_) {
             // At least one task per instance, and one record each.
+            // Every read of the stream lands in exactly one task.
             const auto instances = static_cast<std::size_t>(total);
             plan_.tasks.reserve(instances);
+            plan_.readPool.reserve(stream_.refs.size() - instances);
             if (prov_)
                 prov_->instances.reserve(instances);
         }
@@ -404,6 +489,7 @@ class CandidatePlanner
             varmap_.clear();
             digest_.reset();
             windowTaskBegin_ = plan_.tasks.size();
+            stagedDeps_.reset(windowTaskBegin_);
             orderArcs_.clear();
             dataArcs_.clear();
             for (std::int64_t pos = begin; pos < end; ++pos)
@@ -411,6 +497,7 @@ class CandidatePlanner
             if (!emit_)
                 continue;
             minimizeSyncs(begin, end);
+            flushDeps();
 
             // Fold this window's reuse-map history into the nest digest
             // (boost-style combine: window order matters, by design).
@@ -683,16 +770,35 @@ class CandidatePlanner
         return static_cast<sim::TaskId>(plan_.tasks.size());
     }
 
-    /** Append a task of the instance in flight, placed on @p node; its
-     *  id is nextTaskId() before the call. */
+    /**
+     * Append a task of the instance in flight, placed on @p node; its
+     * id is nextTaskId() before the call. Its reads are the read-pool
+     * entries appended until closeReads(); its deps are staged until
+     * the window's flushDeps().
+     */
     sim::Task &
     newTask(noc::NodeId node)
     {
+        stagedDeps_.addTask();
         sim::Task &task = plan_.tasks.emplace_back();
         task.node = node;
         task.statementIndex = stmtIdx_;
         task.iterationNumber = iter_;
         return task;
+    }
+
+    /** Move the window's staged deps to the plan's pool, in task order. */
+    void
+    flushDeps()
+    {
+        for (std::size_t i = windowTaskBegin_; i < plan_.tasks.size(); ++i) {
+            const std::size_t begin = plan_.depPool.size();
+            stagedDeps_.forEach(static_cast<sim::TaskId>(i),
+                                [this](sim::TaskId dep) {
+                                    plan_.depPool.push_back(dep);
+                                });
+            plan_.closeDeps(plan_.tasks[i], begin);
+        }
     }
 
     /** Emit the statement whole on its default node. */
@@ -706,13 +812,14 @@ class CandidatePlanner
         // Like the baseline, the unsplit statement relies on the
         // program's own ordering: only real (resolved) address
         // conflicts serialise it.
-        auto add_dep = [&task, id](sim::TaskId from) {
-            if (from != sim::kInvalidTask && from != id &&
-                std::find(task.deps.begin(), task.deps.end(), from) ==
-                    task.deps.end())
-                task.deps.push_back(from);
+        auto add_dep = [this, id](sim::TaskId from) {
+            if (from != sim::kInvalidTask && from != id)
+                stagedDeps_.addUnique(id, from);
         };
-        task.reads.assign(reads_.begin(), reads_.end());
+        const std::size_t read_begin = plan_.readPool.size();
+        plan_.readPool.insert(plan_.readPool.end(), reads_.begin(),
+                              reads_.end());
+        plan_.closeReads(task, read_begin);
         for (std::size_t i = 0; i < reads_.size(); ++i)
             add_dep(deps_.writer(readId(i)));
         add_dep(deps_.writer(writeId_));
@@ -740,9 +847,9 @@ class CandidatePlanner
             // Guard operands evaluate with the root merge.
             const std::size_t guards =
                 sub.isRoot ? reads_.size() - stmt_->rhsReadCount() : 0;
-            task.reads.reserve(sub.leaves.size() + guards);
+            const std::size_t read_begin = plan_.readPool.size();
             for (const std::size_t i : sub.leaves) {
-                task.reads.push_back(reads_[i]);
+                plan_.readPool.push_back(reads_[i]);
                 const sim::TaskId writer = deps_.writer(readId(i));
                 if (writer != sim::kInvalidTask)
                     orderArcs_.push_back({writer, id});
@@ -752,14 +859,15 @@ class CandidatePlanner
                 const sim::TaskId child_task = taskOfSub_[child];
                 NDP_CHECK(child_task != sim::kInvalidTask,
                           "child emitted after parent");
-                task.deps.push_back(child_task);
+                stagedDeps_.add(id, child_task);
                 dataArcs_.push_back({child_task, id});
             }
             if (sub.isRoot) {
                 task.write = *write_;
-                task.reads.insert(task.reads.end(), reads_.end() - guards,
-                                  reads_.end());
+                plan_.readPool.insert(plan_.readPool.end(),
+                                      reads_.end() - guards, reads_.end());
             }
+            plan_.closeReads(task, read_begin);
             taskOfSub_[s++] = id;
         }
         const sim::TaskId root =
@@ -855,10 +963,8 @@ class CandidatePlanner
         auto task = [this](sim::TaskId id) -> sim::Task & {
             return plan_.tasks[static_cast<std::size_t>(id)];
         };
-        auto apply_dep = [&task](sim::TaskId from, sim::TaskId to) {
-            std::vector<sim::TaskId> &deps = task(to).deps;
-            if (std::find(deps.begin(), deps.end(), from) == deps.end())
-                deps.push_back(from);
+        auto apply_dep = [this](sim::TaskId from, sim::TaskId to) {
+            stagedDeps_.addUnique(to, from);
         };
         // A task's instance is its stream position; count per window
         // offset.
@@ -906,10 +1012,11 @@ class CandidatePlanner
         final_syncs.assign(instances, 0);
         for (std::size_t i = first; i < plan_.tasks.size(); ++i) {
             const sim::Task &t = plan_.tasks[i];
-            for (sim::TaskId d : t.deps) {
-                if (task(d).node != t.node)
-                    final_syncs[slot(t)] += 1;
-            }
+            stagedDeps_.forEach(static_cast<sim::TaskId>(i),
+                                [&](sim::TaskId d) {
+                                    if (task(d).node != t.node)
+                                        final_syncs[slot(t)] += 1;
+                                });
         }
         for (std::size_t k = 0; k < instances; ++k) {
             report_.syncsPerStatement.add(
@@ -943,6 +1050,8 @@ class CandidatePlanner
     VariableToNodeMap &varmap_;
     InsertionDigest digest_;
     std::size_t windowTaskBegin_ = 0;
+    /** The window's task deps, final once minimizeSyncs() ran. */
+    DepStaging stagedDeps_;
     std::vector<OrderArc> orderArcs_; // reducible (pure ordering)
     std::vector<OrderArc> dataArcs_;  // value-carrying (fixed)
     // minimizeSyncs scratch.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <span>
 
 #include "support/error.h"
 #include "support/rng.h"
@@ -29,7 +30,7 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     // predictor state persists; statistics and traffic are discarded.
     for (std::int32_t w = 0; w < opts.warmupPasses; ++w) {
         for (const Task &task : plan.tasks) {
-            for (const MemAccess &read : task.reads)
+            for (const MemAccess &read : plan.reads(task))
                 sys.walkRead(task.node, read);
             if (task.write)
                 sys.walkWrite(task.node, *task.write);
@@ -39,7 +40,12 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
         sys.resetMeasurement();
 
     // ---- Pass 1: warm caches, record traffic and queue pressure. ----
-    std::vector<std::vector<AccessRecord>> records(plan.tasks.size());
+    // Task t's access records are records[record_begin[t],
+    // record_begin[t + 1]): its reads, then its write.
+    std::vector<AccessRecord> records;
+    records.reserve(plan.readPool.size() + plan.tasks.size());
+    std::vector<std::size_t> record_begin;
+    record_begin.reserve(plan.tasks.size() + 1);
     std::int64_t mcdram_accesses = 0;
     std::int64_t ddr_accesses = 0;
     for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
@@ -53,9 +59,8 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
                           << sys.mesh().faults().describe()
                           << "); run with NDP_VERIFY=cheap to catch "
                              "this at plan time (rule R5)");
-        auto &recs = records[t];
-        recs.reserve(task.reads.size() + 1);
-        for (const MemAccess &read : task.reads) {
+        record_begin.push_back(records.size());
+        for (const MemAccess &read : plan.reads(task)) {
             AccessRecord rec = sys.walkRead(task.node, read);
             if (rec.level == AccessLevel::Memory) {
                 if (rec.memKind == mem::MemoryKind::Mcdram)
@@ -63,18 +68,19 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
                 else
                     ++ddr_accesses;
             }
-            recs.push_back(rec);
+            records.push_back(rec);
         }
         if (task.write)
-            recs.push_back(sys.walkWrite(task.node, *task.write));
-        for (TaskId dep : task.deps) {
-            NDP_CHECK(dep >= 0 && static_cast<std::size_t>(dep) < t + 1,
+            records.push_back(sys.walkWrite(task.node, *task.write));
+        for (TaskId dep : plan.deps(task)) {
+            NDP_CHECK(dep >= 0 && static_cast<std::size_t>(dep) < t,
                       "dep " << dep << " does not precede task " << t);
             const Task &producer = plan.tasks[static_cast<std::size_t>(dep)];
             sys.recordResultMessage(producer.node, task.node,
                                     kResultBytes);
         }
     }
+    record_begin.push_back(records.size());
     sys.freezeTraffic();
 
     const mem::CacheStats l1_after_pass1 = sys.l1Stats();
@@ -98,18 +104,35 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     std::vector<std::int64_t> node_clock(node_count, 0);
     std::vector<std::int64_t> ready(plan.tasks.size(), 0);
     std::vector<std::int32_t> pending(plan.tasks.size(), 0);
-    std::vector<std::vector<TaskId>> consumers(plan.tasks.size());
 
     const double net_scale = opts.idealNetwork ? 0.0 : opts.networkScale;
 
-    for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
-        const Task &task = plan.tasks[t];
-        pending[t] = static_cast<std::int32_t>(task.deps.size());
-        for (TaskId dep : task.deps) {
-            consumers[static_cast<std::size_t>(dep)].push_back(
-                static_cast<TaskId>(t));
+    // Consumers of task t, as a CSR: consumers[consumer_begin[t],
+    // consumer_begin[t + 1]), filled in task order so each producer
+    // lists its consumers by ascending id.
+    std::vector<std::size_t> consumer_begin(plan.tasks.size() + 1, 0);
+    for (const Task &task : plan.tasks) {
+        for (TaskId dep : plan.deps(task))
+            ++consumer_begin[static_cast<std::size_t>(dep) + 1];
+    }
+    for (std::size_t t = 0; t < plan.tasks.size(); ++t)
+        consumer_begin[t + 1] += consumer_begin[t];
+    std::vector<TaskId> consumers(consumer_begin.back());
+    {
+        std::vector<std::size_t> fill(consumer_begin.begin(),
+                                      consumer_begin.end() - 1);
+        for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
+            const Task &task = plan.tasks[t];
+            pending[t] = static_cast<std::int32_t>(task.depCount);
+            for (TaskId dep : plan.deps(task))
+                consumers[fill[static_cast<std::size_t>(dep)]++] =
+                    static_cast<TaskId>(t);
         }
     }
+    const auto consumers_of = [&](std::size_t t) {
+        return std::span<const TaskId>(consumers).subspan(
+            consumer_begin[t], consumer_begin[t + 1] - consumer_begin[t]);
+    };
 
     // The argmin is kept exactly, with every task queued once. Each
     // node holds two queues of runnable tasks:
@@ -127,9 +150,22 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
         std::priority_queue<Key, std::vector<Key>, std::greater<Key>>;
     constexpr Key kNoHead{std::numeric_limits<std::int64_t>::max(),
                           kInvalidTask};
-    std::vector<std::priority_queue<TaskId, std::vector<TaskId>,
-                                    std::greater<TaskId>>>
-        due(node_count);
+    using DueQueue = std::priority_queue<TaskId, std::vector<TaskId>,
+                                         std::greater<TaskId>>;
+    std::vector<DueQueue> due;
+    {
+        // Every root is due at cycle 0: size each node's queue for all
+        // of its tasks up front instead of regrowing it.
+        std::vector<std::size_t> per_node(node_count, 0);
+        for (const Task &task : plan.tasks)
+            ++per_node[static_cast<std::size_t>(task.node)];
+        due.reserve(node_count);
+        for (std::size_t n = 0; n < node_count; ++n) {
+            std::vector<TaskId> storage;
+            storage.reserve(per_node[n]);
+            due.emplace_back(std::greater<TaskId>(), std::move(storage));
+        }
+    }
     std::vector<KeyHeap> future(node_count);
     std::vector<Key> head(node_count, kNoHead);
     KeyHeap heads;
@@ -175,7 +211,8 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
         std::int64_t stall_core = 0;
         std::int64_t stall_net = 0;
         std::int64_t stall_mem = 0;
-        for (AccessRecord rec : records[t]) {
+        for (std::size_t r = record_begin[t]; r < record_begin[t + 1]; ++r) {
+            AccessRecord rec = records[r];
             // S1: enforce a donor L1 hit/miss profile by converting
             // outcomes until the target rate is met in expectation.
             if (opts.l1HitRateOverride >= 0.0 && !rec.isWrite) {
@@ -225,12 +262,12 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
         // core cycles, so communication is never free even when its
         // network latency hides.
         std::int64_t messaging = 0;
-        for (TaskId dep : task.deps) {
+        for (TaskId dep : plan.deps(task)) {
             if (plan.tasks[static_cast<std::size_t>(dep)].node !=
                 task.node)
                 messaging += cfg.recvCycles;
         }
-        for (TaskId c : consumers[t]) {
+        for (TaskId c : consumers_of(t)) {
             if (plan.tasks[static_cast<std::size_t>(c)].node !=
                 task.node)
                 messaging += cfg.sendCycles;
@@ -270,7 +307,7 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
         if (opts.trace)
             opts.trace->record(tid, task.node, start, finish, waited);
 
-        for (TaskId c : consumers[t]) {
+        for (TaskId c : consumers_of(t)) {
             const auto ci = static_cast<std::size_t>(c);
             const Task &consumer = plan.tasks[ci];
             std::int64_t arrival = finish;

@@ -48,7 +48,7 @@ orderedBefore(const sim::ExecutionPlan &plan, sim::TaskId from,
         const sim::TaskId at = frontier.back();
         frontier.pop_back();
         for (sim::TaskId dep :
-             plan.tasks[static_cast<std::size_t>(at)].deps) {
+             plan.deps(plan.tasks[static_cast<std::size_t>(at)])) {
             if (dep == from)
                 return true;
             if (dep < from || !visited.insert(dep).second)
@@ -298,19 +298,17 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                   "task is attributed to a different statement "
                   "instance than its provenance record");
         }
-        for (std::size_t i = 0; i < task.deps.size(); ++i) {
-            const sim::TaskId dep = task.deps[i];
+        const std::span<const sim::TaskId> deps = plan.deps(task);
+        for (std::size_t i = 0; i < deps.size(); ++i) {
+            const sim::TaskId dep = deps[i];
             if (dep < 0 || dep >= index) {
                 std::ostringstream os;
                 os << "dep " << dep << " does not precede task " << index;
                 error("R3.dep-order", &rec, index, task.node, os.str());
                 continue;
             }
-            if (std::find(task.deps.begin(),
-                          task.deps.begin() +
-                              static_cast<std::ptrdiff_t>(i),
-                          dep) !=
-                task.deps.begin() + static_cast<std::ptrdiff_t>(i)) {
+            if (std::find(deps.begin(), deps.begin() + i, dep) !=
+                deps.begin() + i) {
                 std::ostringstream os;
                 os << "dep " << dep << " listed twice on task " << index;
                 error("R3.dep-order", &rec, index, task.node, os.str());
@@ -362,6 +360,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         }
     };
 
+    ir::StatementInstance inst;
     std::vector<ir::ResolvedRef> reads;
     sim::TaskId expect_next = 0;
     bool tiling_broken = false;
@@ -412,9 +411,8 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         const auto stmt_idx = static_cast<std::size_t>(
             rec.statementIndex);
         const ir::Statement &stmt = nest.body()[stmt_idx];
-        ir::StatementInstance inst;
         inst.stmt = &stmt;
-        inst.iter = nest.iterationAt(rec.iterationNumber);
+        nest.iterationAt(rec.iterationNumber, inst.iter);
         inst.iterationNumber = rec.iterationNumber;
         const ir::ResolvedRef write = ir::resolveWrite(inst, *arrays_);
         ir::resolveReadsInto(inst, *arrays_, reads);
@@ -765,8 +763,9 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                 child_refs[static_cast<std::size_t>(child)] += 1;
                 const sim::TaskId child_tid =
                     rec.firstTask + static_cast<sim::TaskId>(child);
-                if (std::find(task.deps.begin(), task.deps.end(),
-                              child_tid) == task.deps.end()) {
+                const std::span<const sim::TaskId> deps = plan.deps(task);
+                if (std::find(deps.begin(), deps.end(), child_tid) ==
+                    deps.end()) {
                     std::ostringstream os;
                     os << "merge task does not wait on child task "
                        << child_tid;

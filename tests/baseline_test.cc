@@ -93,7 +93,7 @@ TEST_F(BaselineTest, BuildPlanCoversAllStatementInstances)
         EXPECT_TRUE(task.write.has_value());
         EXPECT_EQ(task.node,
                   nodes[static_cast<std::size_t>(task.iterationNumber)]);
-        for (sim::TaskId dep : task.deps)
+        for (sim::TaskId dep : plan.deps(task))
             EXPECT_LT(dep, static_cast<sim::TaskId>(t));
     }
 }
@@ -110,7 +110,7 @@ TEST_F(BaselineTest, CrossNodeFlowDependencesPreserved)
     const auto plan = placement.buildPlan(nest, nodes);
     bool found_cross_dep = false;
     for (const sim::Task &task : plan.tasks) {
-        for (sim::TaskId dep : task.deps) {
+        for (sim::TaskId dep : plan.deps(task)) {
             if (plan.tasks[static_cast<std::size_t>(dep)].node !=
                 task.node)
                 found_cross_dep = true;

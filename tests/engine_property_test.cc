@@ -17,6 +17,8 @@
 #include "sim/engine.h"
 #include "support/rng.h"
 
+#include "plan_lists.h"
+
 namespace {
 
 using namespace ndp;
@@ -27,9 +29,9 @@ ExecutionPlan
 randomPlan(std::uint64_t seed, int tasks, int node_count)
 {
     Rng rng(seed);
-    ExecutionPlan plan;
+    test::PlanLists plan;
     for (int t = 0; t < tasks; ++t) {
-        Task task;
+        test::ListTask task;
         task.node = static_cast<noc::NodeId>(
             rng.nextBelow(static_cast<std::uint64_t>(node_count)));
         task.computeCost = 1 + static_cast<std::int64_t>(
@@ -59,7 +61,7 @@ randomPlan(std::uint64_t seed, int tasks, int node_count)
         }
         plan.tasks.push_back(std::move(task));
     }
-    return plan;
+    return test::pack(plan);
 }
 
 class EnginePropertyTest : public ::testing::TestWithParam<int>
@@ -151,7 +153,7 @@ TEST_P(EnginePropertyTest, SyncCountMatchesCrossNodeDeps)
         system.mesh().nodeCount());
     std::int64_t expected = 0;
     for (const Task &task : plan.tasks) {
-        for (TaskId dep : task.deps) {
+        for (TaskId dep : plan.deps(task)) {
             if (plan.tasks[static_cast<std::size_t>(dep)].node !=
                 task.node)
                 ++expected;
@@ -182,9 +184,9 @@ schedulerPlan(std::uint64_t seed, int tasks, int node_count)
         if (std::find(nodes.begin(), nodes.end(), n) == nodes.end())
             nodes.push_back(n);
     }
-    ExecutionPlan plan;
+    test::PlanLists plan;
     for (int t = 0; t < tasks; ++t) {
-        Task task;
+        test::ListTask task;
         task.node = nodes[rng.nextBelow(nodes.size())];
         task.computeCost = static_cast<std::int64_t>(rng.nextBelow(3));
         const int n_reads = static_cast<int>(rng.nextBelow(4));
@@ -223,7 +225,7 @@ schedulerPlan(std::uint64_t seed, int tasks, int node_count)
         }
         plan.tasks.push_back(std::move(task));
     }
-    return plan;
+    return test::pack(plan);
 }
 
 /**
@@ -242,7 +244,7 @@ referenceRun(ManycoreSystem &sys, const ExecutionPlan &plan,
     sys.reset();
     for (std::int32_t w = 0; w < opts.warmupPasses; ++w) {
         for (const Task &task : plan.tasks) {
-            for (const MemAccess &read : task.reads)
+            for (const MemAccess &read : plan.reads(task))
                 sys.walkRead(task.node, read);
             if (task.write)
                 sys.walkWrite(task.node, *task.write);
@@ -257,7 +259,7 @@ referenceRun(ManycoreSystem &sys, const ExecutionPlan &plan,
     EnergyEvents events;
     for (std::size_t t = 0; t < count; ++t) {
         const Task &task = plan.tasks[t];
-        for (const MemAccess &read : task.reads) {
+        for (const MemAccess &read : plan.reads(task)) {
             const AccessRecord rec = sys.walkRead(task.node, read);
             if (rec.level == AccessLevel::Memory) {
                 ++(rec.memKind == mem::MemoryKind::Mcdram
@@ -268,7 +270,7 @@ referenceRun(ManycoreSystem &sys, const ExecutionPlan &plan,
         }
         if (task.write)
             records[t].push_back(sys.walkWrite(task.node, *task.write));
-        for (TaskId dep : task.deps) {
+        for (TaskId dep : plan.deps(task)) {
             const auto d = static_cast<std::size_t>(dep);
             sys.recordResultMessage(plan.tasks[d].node, task.node,
                                     kResultBytes);
@@ -294,7 +296,7 @@ referenceRun(ManycoreSystem &sys, const ExecutionPlan &plan,
     std::vector<std::size_t> pending(count, 0);
     std::vector<std::size_t> runnable;
     for (std::size_t t = 0; t < count; ++t) {
-        pending[t] = plan.tasks[t].deps.size();
+        pending[t] = plan.tasks[t].depCount;
         if (pending[t] == 0)
             runnable.push_back(t);
     }
@@ -351,7 +353,7 @@ referenceRun(ManycoreSystem &sys, const ExecutionPlan &plan,
             compute = scaled(compute, 1.0 / opts.parallelismSpeedup);
         result.computeCycles += compute;
         busy += compute;
-        for (TaskId dep : task.deps) {
+        for (TaskId dep : plan.deps(task)) {
             if (plan.tasks[static_cast<std::size_t>(dep)].node != task.node)
                 busy += cfg.recvCycles;
         }

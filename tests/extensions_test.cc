@@ -17,6 +17,8 @@
 #include "sim/engine.h"
 #include "sim/trace.h"
 
+#include "plan_lists.h"
+
 namespace {
 
 using namespace ndp;
@@ -85,9 +87,9 @@ TEST(TraceTest, RecordsEveryTask)
     sim::ManycoreConfig config;
     sim::ManycoreSystem system(config);
     sim::ExecutionEngine engine(system);
-    sim::ExecutionPlan plan;
+    test::PlanLists plan;
     for (sim::TaskId i = 0; i < 10; ++i) {
-        sim::Task t;
+        test::ListTask t;
         t.node = i % 4;
         t.computeCost = 2;
         if (i > 0)
@@ -97,7 +99,7 @@ TEST(TraceTest, RecordsEveryTask)
     sim::ExecutionTrace trace;
     sim::EngineOptions opts;
     opts.trace = &trace;
-    const auto result = engine.run(plan, opts);
+    const auto result = engine.run(test::pack(plan), opts);
     ASSERT_EQ(trace.size(), 10u);
     std::int64_t last_finish = 0;
     for (const sim::TraceEvent &e : trace.events()) {

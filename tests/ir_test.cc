@@ -120,7 +120,8 @@ TEST(ArrayTableTest, ElementAddressing)
     const ArrayId m = arrays.create("M", {4, 5});
     const mem::Addr base = arrays.info(m).base;
     EXPECT_EQ(arrays.flatIndex(m, {2, 3}), 2 * 5 + 3);
-    EXPECT_EQ(arrays.elementAddr(m, {2, 3}), base + (2 * 5 + 3) * 8);
+    EXPECT_EQ(arrays.elementAddr(m, arrays.flatIndex(m, {2, 3})),
+              base + (2 * 5 + 3) * 8);
     // Out-of-range indices wrap (synthetic index tables stay in range).
     EXPECT_EQ(arrays.flatIndex(m, {6, 3}), arrays.flatIndex(m, {2, 3}));
     EXPECT_EQ(arrays.flatIndex(m, {-1, 0}), arrays.flatIndex(m, {3, 0}));
@@ -331,7 +332,9 @@ TEST(ParserTest, StepLoops)
         for i = 0..64 step 4 { A[i] = B[i]; })",
                                 "strided", arrays);
     EXPECT_EQ(nest.iterationCount(), 16);
-    EXPECT_EQ(nest.iterationAt(2)[0], 8);
+    IterationVector iter;
+    nest.iterationAt(2, iter);
+    EXPECT_EQ(iter, (IterationVector{8}));
 }
 
 TEST(ParserTest, CommentsAndByteSuffix)
@@ -429,8 +432,11 @@ TEST(LoopNestTest, IterationEnumerationLexicographic)
     EXPECT_EQ(iters[0], (IterationVector{0, 0}));
     EXPECT_EQ(iters[1], (IterationVector{0, 1}));
     EXPECT_EQ(iters[5], (IterationVector{1, 2}));
-    for (std::int64_t k = 0; k < 6; ++k)
-        EXPECT_EQ(nest.iterationAt(k), iters[static_cast<std::size_t>(k)]);
+    IterationVector iter;
+    for (std::int64_t k = 0; k < 6; ++k) {
+        nest.iterationAt(k, iter);
+        EXPECT_EQ(iter, iters[static_cast<std::size_t>(k)]);
+    }
 }
 
 TEST(LoopNestTest, ToStringShowsStructure)
@@ -570,7 +576,8 @@ TEST(InstanceTest, AffineResolution)
     StatementInstance inst;
     inst.stmt = &nest.body().front();
     inst.iter = {3};
-    const auto reads = resolveReads(inst, arrays);
+    std::vector<ResolvedRef> reads;
+    resolveReadsInto(inst, arrays, reads);
     ASSERT_EQ(reads.size(), 1u);
     EXPECT_EQ(reads[0].addr, arrays.elementAddr(arrays.find("B"), 4));
     EXPECT_TRUE(reads[0].analyzable);
@@ -589,9 +596,34 @@ TEST(InstanceTest, IndirectResolutionUsesIndexData)
     StatementInstance inst;
     inst.stmt = &nest.body().front();
     inst.iter = {2};
-    const auto reads = resolveReads(inst, arrays);
+    std::vector<ResolvedRef> reads;
+    resolveReadsInto(inst, arrays, reads);
     EXPECT_EQ(reads[0].addr, arrays.elementAddr(arrays.find("X"), 5));
     EXPECT_FALSE(reads[0].analyzable);
+}
+
+TEST(InstanceTest, ResolutionWrapsEachDimension)
+{
+    ArrayTable arrays;
+    arrays.setDefaultElementSize(8);
+    LoopNest nest = parseKernel(R"(
+        array M[4][5]; array C[4][5];
+        for i = 0..4 { C[i][1] = M[i+3][i-1]; })",
+                                "t", arrays);
+    const ArrayId m = arrays.find("M");
+    StatementInstance inst;
+    inst.stmt = &nest.body().front();
+    std::vector<ResolvedRef> reads;
+    // i = 3 reads M[6][2], the same element as M[2][2]; i = 0 reads
+    // M[3][-1], each dimension wrapped on its own: M[3][4], not M[2][4].
+    inst.iter = {3};
+    resolveReadsInto(inst, arrays, reads);
+    EXPECT_EQ(reads[0].addr,
+              arrays.elementAddr(m, arrays.flatIndex(m, {2, 2})));
+    inst.iter = {0};
+    resolveReadsInto(inst, arrays, reads);
+    EXPECT_EQ(reads[0].addr,
+              arrays.elementAddr(m, arrays.flatIndex(m, {3, 4})));
 }
 
 // -------------------------------------------------------- analyzability

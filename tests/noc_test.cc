@@ -211,11 +211,9 @@ TEST(TrafficMatrixTest, PerLinkLoadsAccumulate)
     traffic.addMessage(a, b, 3);
     traffic.addMessage(a, b, 4);
     EXPECT_EQ(traffic.linkLoad(mesh.linkIndex(a, b)), 7);
-    EXPECT_EQ(traffic.maxLinkLoad(), 7);
-    EXPECT_DOUBLE_EQ(traffic.meanActiveLinkLoad(), 7.0);
     traffic.reset();
     EXPECT_EQ(traffic.totalFlitHops(), 0);
-    EXPECT_EQ(traffic.maxLinkLoad(), 0);
+    EXPECT_EQ(traffic.linkLoad(mesh.linkIndex(a, b)), 0);
 }
 
 TEST(TrafficMatrixTest, OppositeDirectionsAreSeparateLinks)
@@ -490,6 +488,94 @@ TEST(CongestionTableTest, FrozenPenaltyEqualsRouteWalkSum)
         model.clearCongestion();
         EXPECT_EQ(model.congestionPenalty(a, b), 0) << c.name;
     }
+}
+
+/**
+ * The traffic a per-message route walk accounts: every link's load,
+ * the flit-hops and the message count.
+ */
+struct RouteWalkTraffic
+{
+    std::vector<std::int64_t> load;
+    std::int64_t flitHops = 0;
+    std::int64_t messages = 0;
+
+    void
+    add(const MeshTopology &mesh, NodeId a, NodeId b, std::int64_t flits)
+    {
+        ++messages;
+        for (std::int32_t link : mesh.route(a, b)) {
+            load[static_cast<std::size_t>(link)] += flits;
+            flitHops += flits;
+        }
+    }
+};
+
+/** Random messages between live nodes, into both accountings. */
+void
+addRandomMessages(const MeshTopology &mesh, TrafficMatrix &traffic,
+                  RouteWalkTraffic &reference, Rng &rng, int messages)
+{
+    const std::vector<NodeId> &live = mesh.liveNodes();
+    for (int m = 0; m < messages; ++m) {
+        const NodeId a = live[rng.nextBelow(live.size())];
+        const NodeId b = live[rng.nextBelow(live.size())];
+        const auto flits = static_cast<std::int64_t>(rng.nextBelow(9));
+        traffic.addMessage(a, b, flits);
+        reference.add(mesh, a, b, flits);
+    }
+}
+
+void
+expectSameTraffic(const MeshTopology &mesh, const TrafficMatrix &traffic,
+                  const RouteWalkTraffic &reference, const std::string &what)
+{
+    for (std::int32_t link = 0; link < mesh.linkCount(); ++link) {
+        ASSERT_EQ(traffic.linkLoad(link),
+                  reference.load[static_cast<std::size_t>(link)])
+            << what << ": link " << link;
+    }
+    EXPECT_EQ(traffic.totalFlitHops(), reference.flitHops) << what;
+    EXPECT_EQ(traffic.messageCount(), reference.messages) << what;
+}
+
+TEST(TrafficAccountingTest, PairTableEqualsPerMessageRouteWalk)
+{
+    // The matrix sums flits per (from, to) pair and expands them into
+    // link loads when a load is read; a walk of every message's route
+    // must account exactly the same loads, before and after more
+    // messages arrive behind a read.
+    fault::FaultModel dead;
+    dead.killNode(14);
+    dead.killNode(21);
+    std::vector<TableCase> cases;
+    cases.push_back({"6x6 mesh", MeshTopology(6, 6)});
+    cases.push_back({"6x6 dead tiles 14, 21", MeshTopology(6, 6, false, dead)});
+    Rng rng(0x7aff1c);
+    for (const TableCase &c : cases) {
+        const MeshTopology &mesh = c.mesh;
+        TrafficMatrix traffic(mesh);
+        RouteWalkTraffic reference;
+        reference.load.assign(static_cast<std::size_t>(mesh.linkCount()), 0);
+        addRandomMessages(mesh, traffic, reference, rng, 2000);
+        expectSameTraffic(mesh, traffic, reference, c.name);
+        addRandomMessages(mesh, traffic, reference, rng, 700);
+        expectSameTraffic(mesh, traffic, reference, c.name + ", more");
+        EXPECT_GT(reference.flitHops, 0) << c.name;
+
+        traffic.reset();
+        reference.load.assign(reference.load.size(), 0);
+        reference.flitHops = 0;
+        reference.messages = 0;
+        expectSameTraffic(mesh, traffic, reference, c.name + ", reset");
+    }
+
+    // A message to or from a dead tile is still fatal when it is added.
+    const MeshTopology mesh(6, 6, false, dead);
+    TrafficMatrix traffic(mesh);
+    EXPECT_THROW(traffic.addMessage(0, 14, 1), PanicError);
+    EXPECT_THROW(traffic.addMessage(21, 0, 1), PanicError);
+    EXPECT_THROW(traffic.addMessage(0, 36, 1), PanicError);
 }
 
 TEST(CongestionTableTest, LatencyStatsMatchRouteWalkPricing)

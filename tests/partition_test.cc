@@ -296,16 +296,16 @@ TEST_F(DataLocatorTest, DefaultsToHomeBank)
     ASSERT_NE(prov, nullptr);
 
     std::int64_t located = 0;
+    ir::StatementInstance inst;
+    std::vector<ir::ResolvedRef> reads;
     for (const verify::SplitRecord &rec : prov->instances) {
         if (!rec.wasSplit)
             continue;
-        ir::StatementInstance inst;
         inst.stmt =
             &nest.body()[static_cast<std::size_t>(rec.statementIndex)];
-        inst.iter = nest.iterationAt(rec.iterationNumber);
+        nest.iterationAt(rec.iterationNumber, inst.iter);
         inst.iterationNumber = rec.iterationNumber;
-        const std::vector<ir::ResolvedRef> reads =
-            ir::resolveReads(inst, arrays);
+        ir::resolveReadsInto(inst, arrays, reads);
         const std::span<const Location> locations = prov->locationsOf(rec);
         ASSERT_EQ(locations.size(), reads.size());
         for (std::size_t j = 0; j < reads.size(); ++j) {

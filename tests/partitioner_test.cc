@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <set>
@@ -64,7 +65,7 @@ class PartitionerTest : public ::testing::Test
             const sim::Task &task = plan.tasks[t];
             EXPECT_GE(task.node, 0);
             EXPECT_LT(task.node, system.mesh().nodeCount());
-            for (sim::TaskId dep : task.deps) {
+            for (sim::TaskId dep : plan.deps(task)) {
                 EXPECT_GE(dep, 0);
                 EXPECT_LT(dep, static_cast<sim::TaskId>(t))
                     << "dep must precede task";
@@ -158,7 +159,7 @@ TEST_F(PartitionerTest, FlowDependenceOrdersTasks)
             if (cur == from)
                 return true;
             for (sim::TaskId d :
-                 plan.tasks[static_cast<std::size_t>(cur)].deps) {
+                 plan.deps(plan.tasks[static_cast<std::size_t>(cur)])) {
                 if (seen.insert(d).second)
                     stack.push_back(d);
             }
@@ -330,7 +331,9 @@ TEST_F(PartitionerTest, DeterministicPlans)
     ASSERT_EQ(plan1.tasks.size(), plan2.tasks.size());
     for (std::size_t t = 0; t < plan1.tasks.size(); ++t) {
         EXPECT_EQ(plan1.tasks[t].node, plan2.tasks[t].node);
-        EXPECT_EQ(plan1.tasks[t].deps, plan2.tasks[t].deps);
+        EXPECT_TRUE(std::ranges::equal(plan1.deps(plan1.tasks[t]),
+                                       plan2.deps(plan2.tasks[t])))
+            << "task " << t;
     }
 }
 
@@ -347,12 +350,12 @@ planFingerprint(const sim::ExecutionPlan &plan, const PartitionReport &r)
         const sim::Task &t = plan.tasks[i];
         os << 'T' << i << '@' << t.node << ':' << t.statementIndex
            << '/' << t.iterationNumber << ' ' << t.computeCost << " r";
-        for (const sim::MemAccess &a : t.reads)
+        for (const sim::MemAccess &a : plan.reads(t))
             os << a.addr << ',';
         if (t.write)
             os << " w" << t.write->addr;
         os << " d";
-        for (sim::TaskId dep : t.deps)
+        for (sim::TaskId dep : plan.deps(t))
             os << dep << ',';
         os << '\n';
     }
@@ -407,7 +410,7 @@ TEST_F(PartitionerTest, PredictorStateNeverChangesAPlan)
     const sim::ExecutionPlan profile = placement.buildPlan(nest, nodes);
     std::vector<mem::Addr> addrs;
     for (const sim::Task &t : profile.tasks) {
-        for (const sim::MemAccess &a : t.reads)
+        for (const sim::MemAccess &a : profile.reads(t))
             addrs.push_back(a.addr);
         if (t.write)
             addrs.push_back(t.write->addr);
@@ -481,7 +484,7 @@ TEST_F(PartitionerTest, GuardReadsAttachToRootTask)
     const ir::ArrayId h = arrays.find("H");
     for (const sim::Task &task : plan.tasks) {
         bool reads_h = false;
-        for (const sim::MemAccess &read : task.reads)
+        for (const sim::MemAccess &read : plan.reads(task))
             reads_h = reads_h || read.array == h;
         if (reads_h &&
             task.node !=

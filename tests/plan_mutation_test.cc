@@ -22,6 +22,8 @@
 #include "partition/partitioner.h"
 #include "verify/plan_verifier.h"
 
+#include "plan_lists.h"
+
 namespace {
 
 using namespace ndp;
@@ -251,15 +253,17 @@ TEST_F(PlanMutationTest, RemovedChildDependenceIsCaught)
     const verify::SplitRecord &rec =
         built.prov.instances[static_cast<std::size_t>(at)];
     const SplitView split = built.prov.splitOf(rec);
+    test::PlanLists edited = test::unpack(built.plan);
     for (std::size_t s = 0; s < split.size(); ++s) {
         if (split.subs[s].children == 0)
             continue;
-        sim::Task &parent =
-            built.plan.tasks[static_cast<std::size_t>(rec.firstTask) + s];
+        test::ListTask &parent =
+            edited.tasks[static_cast<std::size_t>(rec.firstTask) + s];
         ASSERT_FALSE(parent.deps.empty());
         parent.deps.erase(parent.deps.begin());
         break;
     }
+    built.plan = test::pack(edited);
     const verify::Report report = verify(nest, built);
     EXPECT_TRUE(hasRule(report, "R3.sync-missing")) << rulesOf(report);
 }
@@ -269,7 +273,9 @@ TEST_F(PlanMutationTest, SelfDependenceIsCaught)
     const ir::LoopNest nest = parseDefault();
     BuiltPlan built = build(nest, {});
     // The first task's id is its position, 0.
-    built.plan.tasks.front().deps.push_back(0);
+    test::PlanLists edited = test::unpack(built.plan);
+    edited.tasks.front().deps.push_back(0);
+    built.plan = test::pack(edited);
     const verify::Report report = verify(nest, built);
     EXPECT_TRUE(hasRule(report, "R3.dep-order")) << rulesOf(report);
 }
@@ -300,11 +306,13 @@ TEST_F(PlanMutationTest, DroppedFlowDependenceIsARace)
     ASSERT_GE(at, 0);
     const verify::SplitRecord &rec =
         built.prov.instances[static_cast<std::size_t>(at)];
-    sim::Task &reader =
-        built.plan.tasks[static_cast<std::size_t>(rec.firstTask)];
+    test::PlanLists edited = test::unpack(built.plan);
+    test::ListTask &reader =
+        edited.tasks[static_cast<std::size_t>(rec.firstTask)];
     ASSERT_FALSE(reader.deps.empty())
         << "S2 should depend on S1's write";
     reader.deps.clear();
+    built.plan = test::pack(edited);
     const verify::Report report = verify(nest, built);
     EXPECT_TRUE(hasRule(report, "R3.conflict-unordered"))
         << rulesOf(report);

@@ -15,10 +15,15 @@
 #include "support/error.h"
 #include "workloads/workload.h"
 
+#include "plan_lists.h"
+
 namespace {
 
 using namespace ndp;
 using namespace ndp::sim;
+using test::ListTask;
+using test::pack;
+using test::PlanLists;
 
 class ManycoreTest : public ::testing::Test
 {
@@ -122,10 +127,10 @@ TEST_F(ManycoreTest, ResetKeepsPredictorClearsCaches)
 // --------------------------------------------------------------- engine
 
 /** Helpers to hand-build small plans; @p id is also the iteration. */
-Task
+ListTask
 makeTask(TaskId id, noc::NodeId node, std::int64_t cost = 1)
 {
-    Task t;
+    ListTask t;
     t.node = node;
     t.computeCost = cost;
     t.statementIndex = 0;
@@ -143,9 +148,9 @@ TEST_F(EngineTest, SingleTaskMakespan)
 {
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
+    PlanLists plan;
     plan.tasks.push_back(makeTask(0, 3, 2));
-    const SimResult result = engine.run(plan);
+    const SimResult result = engine.run(pack(plan));
     EXPECT_EQ(result.taskCount, 1);
     EXPECT_EQ(result.makespanCycles,
               config.perTaskOverheadCycles +
@@ -157,10 +162,10 @@ TEST_F(EngineTest, IndependentTasksRunInParallel)
 {
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
+    PlanLists plan;
     for (TaskId i = 0; i < 8; ++i)
         plan.tasks.push_back(makeTask(i, i, 4));
-    const SimResult serial_work = engine.run(plan);
+    const SimResult serial_work = engine.run(pack(plan));
     // Eight independent tasks on eight nodes: makespan = one task.
     EXPECT_EQ(serial_work.makespanCycles,
               config.perTaskOverheadCycles +
@@ -173,10 +178,10 @@ TEST_F(EngineTest, SameNodeTasksSerialize)
 {
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
+    PlanLists plan;
     for (TaskId i = 0; i < 4; ++i)
         plan.tasks.push_back(makeTask(i, 9, 1));
-    const SimResult result = engine.run(plan);
+    const SimResult result = engine.run(pack(plan));
     EXPECT_EQ(result.makespanCycles, 4 * (config.perTaskOverheadCycles +
                                           config.computeCyclesPerOpUnit));
 }
@@ -185,12 +190,12 @@ TEST_F(EngineTest, CrossNodeDependencyAddsSyncAndMessage)
 {
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
+    PlanLists plan;
     plan.tasks.push_back(makeTask(0, 0, 1));
-    Task consumer = makeTask(1, 35, 1);
+    ListTask consumer = makeTask(1, 35, 1);
     consumer.deps.push_back(0);
     plan.tasks.push_back(consumer);
-    const SimResult result = engine.run(plan);
+    const SimResult result = engine.run(pack(plan));
     EXPECT_EQ(result.syncCount, 1);
     EXPECT_GT(result.syncWaitCycles, 0);
     // Makespan exceeds two serial tasks by the message+sync time.
@@ -203,12 +208,12 @@ TEST_F(EngineTest, SameNodeDependencyNeedsNoSync)
 {
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
+    PlanLists plan;
     plan.tasks.push_back(makeTask(0, 4, 1));
-    Task consumer = makeTask(1, 4, 1);
+    ListTask consumer = makeTask(1, 4, 1);
     consumer.deps.push_back(0);
     plan.tasks.push_back(consumer);
-    const SimResult result = engine.run(plan);
+    const SimResult result = engine.run(pack(plan));
     EXPECT_EQ(result.syncCount, 0);
 }
 
@@ -219,13 +224,13 @@ TEST_F(EngineTest, ReadyListFillsWaitGaps)
     // naive serial order.
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
+    PlanLists plan;
     plan.tasks.push_back(makeTask(0, 0, 30)); // slow producer
-    Task consumer = makeTask(1, 10, 1);
+    ListTask consumer = makeTask(1, 10, 1);
     consumer.deps.push_back(0);
     plan.tasks.push_back(consumer);
     plan.tasks.push_back(makeTask(2, 10, 30)); // filler on node 10
-    const SimResult result = engine.run(plan);
+    const SimResult result = engine.run(pack(plan));
     const std::int64_t producer_time =
         config.perTaskOverheadCycles + 30 * config.computeCyclesPerOpUnit;
     // The filler overlaps the producer, so the makespan is well under
@@ -240,16 +245,16 @@ TEST_F(EngineTest, DeterministicAcrossRuns)
 {
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
+    PlanLists plan;
     for (TaskId i = 0; i < 40; ++i) {
-        Task t = makeTask(i, i % 36, 1 + i % 5);
+        ListTask t = makeTask(i, i % 36, 1 + i % 5);
         t.reads.push_back({static_cast<mem::Addr>(0x1000 + 64 * i), 64, 0});
         if (i > 0 && i % 3 == 0)
             t.deps.push_back(i - 1);
         plan.tasks.push_back(t);
     }
-    const SimResult a = engine.run(plan);
-    const SimResult b = engine.run(plan);
+    const SimResult a = engine.run(pack(plan));
+    const SimResult b = engine.run(pack(plan));
     EXPECT_EQ(a.makespanCycles, b.makespanCycles);
     EXPECT_EQ(a.dataMovementFlitHops, b.dataMovementFlitHops);
     EXPECT_EQ(a.l1.hits, b.l1.hits);
@@ -260,9 +265,9 @@ TEST_F(EngineTest, WarmupRaisesHitRates)
 {
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
+    PlanLists plan;
     for (TaskId i = 0; i < 64; ++i) {
-        Task t = makeTask(i, i % 36, 1);
+        ListTask t = makeTask(i, i % 36, 1);
         t.reads.push_back({static_cast<mem::Addr>(0x10000 + 64 * i), 64, 0});
         plan.tasks.push_back(t);
     }
@@ -270,8 +275,8 @@ TEST_F(EngineTest, WarmupRaisesHitRates)
     cold.warmupPasses = 0;
     EngineOptions warm;
     warm.warmupPasses = 1;
-    const SimResult cold_run = engine.run(plan, cold);
-    const SimResult warm_run = engine.run(plan, warm);
+    const SimResult cold_run = engine.run(pack(plan), cold);
+    const SimResult warm_run = engine.run(pack(plan), warm);
     // After the warm-up trip every line is resident in its reader's
     // L1, so the measured trip hits where the cold trip missed.
     EXPECT_GT(warm_run.l1.hitRate(), cold_run.l1.hitRate());
@@ -282,16 +287,16 @@ TEST_F(EngineTest, IdealNetworkRemovesNetworkStalls)
 {
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
+    PlanLists plan;
     for (TaskId i = 0; i < 32; ++i) {
-        Task t = makeTask(i, i % 36, 1);
+        ListTask t = makeTask(i, i % 36, 1);
         t.reads.push_back({static_cast<mem::Addr>(0x20000 + 64 * i), 64, 0});
         plan.tasks.push_back(t);
     }
     EngineOptions ideal;
     ideal.idealNetwork = true;
-    const SimResult real = engine.run(plan);
-    const SimResult zero = engine.run(plan, ideal);
+    const SimResult real = engine.run(pack(plan));
+    const SimResult zero = engine.run(pack(plan), ideal);
     EXPECT_EQ(zero.networkStallCycles, 0);
     EXPECT_LE(zero.makespanCycles, real.makespanCycles);
 }
@@ -300,20 +305,20 @@ TEST_F(EngineTest, L1OverrideMovesHitRateTowardTarget)
 {
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
+    PlanLists plan;
     // Reads with zero reuse: natural L1 hit rate ~ 0.
     for (TaskId i = 0; i < 128; ++i) {
-        Task t = makeTask(i, i % 36, 1);
+        ListTask t = makeTask(i, i % 36, 1);
         t.reads.push_back({static_cast<mem::Addr>(0x40000 + 64 * i), 64, 0});
         plan.tasks.push_back(t);
     }
     EngineOptions natural;
     natural.warmupPasses = 0; // cold: natural L1 hit rate ~ 0
-    const SimResult base = engine.run(plan, natural);
+    const SimResult base = engine.run(pack(plan), natural);
     EngineOptions forced;
     forced.warmupPasses = 0;
     forced.l1HitRateOverride = 0.9;
-    const SimResult boosted = engine.run(plan, forced);
+    const SimResult boosted = engine.run(pack(plan), forced);
     // Higher effective hit rate shows as fewer network stalls.
     EXPECT_LT(boosted.networkStallCycles, base.networkStallCycles);
 }
@@ -322,12 +327,12 @@ TEST_F(EngineTest, ExtraSyncsPenalizeMakespan)
 {
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
+    PlanLists plan;
     plan.tasks.push_back(makeTask(0, 0, 1));
-    const SimResult base = engine.run(plan);
+    const SimResult base = engine.run(pack(plan));
     EngineOptions opts;
     opts.extraSyncs = 3600;
-    const SimResult penalized = engine.run(plan, opts);
+    const SimResult penalized = engine.run(pack(plan), opts);
     EXPECT_GT(penalized.makespanCycles, base.makespanCycles);
     EXPECT_EQ(penalized.syncCount, base.syncCount + 3600);
 }
@@ -336,12 +341,12 @@ TEST_F(EngineTest, ParallelismSpeedupCutsCompute)
 {
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
+    PlanLists plan;
     plan.tasks.push_back(makeTask(0, 0, 100));
     EngineOptions opts;
     opts.parallelismSpeedup = 2.0;
-    const SimResult fast = engine.run(plan, opts);
-    const SimResult slow = engine.run(plan);
+    const SimResult fast = engine.run(pack(plan), opts);
+    const SimResult slow = engine.run(pack(plan));
     EXPECT_LT(fast.computeCycles, slow.computeCycles);
 }
 
@@ -349,11 +354,31 @@ TEST_F(EngineTest, RejectsForwardDependencies)
 {
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
-    ExecutionPlan plan;
-    Task t = makeTask(0, 0, 1);
+    PlanLists plan;
+    ListTask t = makeTask(0, 0, 1);
     t.deps.push_back(5); // dep on a later (nonexistent-yet) task
     plan.tasks.push_back(t);
-    EXPECT_THROW(engine.run(plan), PanicError);
+    EXPECT_THROW(engine.run(pack(plan)), PanicError);
+}
+
+TEST_F(EngineTest, RejectsSelfDependenceByName)
+{
+    // A task that waits on itself fails the dep-order check by name,
+    // not later as an anonymous dependence cycle.
+    ManycoreSystem system(config);
+    ExecutionEngine engine(system);
+    PlanLists plan;
+    ListTask t = makeTask(0, 0, 1);
+    t.deps.push_back(0);
+    plan.tasks.push_back(t);
+    try {
+        engine.run(pack(plan));
+        FAIL() << "a self-dependent task ran";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("does not precede task 0"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // --------------------------------------------------------------- energy
