@@ -44,6 +44,8 @@ main(int argc, char **argv)
         if (std::strncmp(argv[i], "--json=", 7) == 0)
             json_path = argv[i] + 7;
     }
+    // Opened before the campaigns run, so a bad path fails at once.
+    std::ofstream json = bench::openJsonOutput(json_path, "--json");
 
     bench::banner("ablation_faults",
                   "graceful degradation under injected faults");
@@ -71,7 +73,6 @@ main(int argc, char **argv)
     }
 
     // ---- BENCH_faults.json: the degradation trajectory CI tracks.
-    std::ofstream json(json_path);
     json << "{\n  \"scale\": " << bench::benchScale()
          << ",\n  \"trials_per_rate\": " << campaign_cfg.trialsPerRate
          << ",\n  \"apps\": [\n";

@@ -53,6 +53,20 @@ benchScale()
     return scale;
 }
 
+/**
+ * Open @p path for a JSON report named by @p source (the flag or
+ * variable that gave the path); an ndp::fatal naming both when the
+ * file cannot be created.
+ */
+inline std::ofstream
+openJsonOutput(const std::string &path, const std::string &source)
+{
+    std::ofstream out(path);
+    if (!out)
+        ndp::fatal("cannot open " + source + " path '" + path + "'");
+    return out;
+}
+
 /** The paper's 12 applications at the bench scale. */
 inline std::vector<workloads::Workload>
 allApps()
@@ -72,8 +86,9 @@ struct SweepOutcome
 
 /**
  * Write the machine-readable verifier report of @p sweep to the path
- * named by NDP_VERIFY_JSON (no-op when unset or nothing was
- * verified). One JSON object per app x config cell with its per-nest
+ * named by NDP_VERIFY_JSON (no-op when unset or nothing was verified;
+ * an ndp::fatal naming the path when it cannot be created). One JSON
+ * object per app x config cell with its per-nest
  * verify::Report::renderJson() inlined — CI uploads this as the
  * full-verify artifact.
  */
@@ -83,12 +98,7 @@ maybeWriteVerifyJson(const SweepOutcome &sweep)
     const char *path = std::getenv("NDP_VERIFY_JSON");
     if (!path || sweep.stats.verify.plansVerified == 0)
         return;
-    std::ofstream out(path);
-    if (!out) {
-        std::clog << "[verify] cannot open NDP_VERIFY_JSON path '"
-                  << path << "'\n";
-        return;
-    }
+    std::ofstream out = openJsonOutput(path, "NDP_VERIFY_JSON");
     const verify::ReportCounts &totals = sweep.stats.verify;
     out << "{\n  \"scale\": " << benchScale()
         << ",\n  \"plans_verified\": " << totals.plansVerified

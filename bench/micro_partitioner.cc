@@ -28,6 +28,7 @@
 #include <string>
 
 #include "baseline/default_placement.h"
+#include "bench_common.h"
 #include "driver/sweep.h"
 #include "ir/nested_sets.h"
 #include "ir/parser.h"
@@ -375,10 +376,11 @@ countAllocations(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
  * statement nest (the SNUCA line->bank mapping makes the operand-
  * location signature periodic in the iteration number), profiled once
  * to train the miss predictor, then planned repeatedly with the
- * split-plan cache on and off.
+ * split-plan cache on and off. The report goes to @p json, already
+ * open on @p json_path.
  */
 int
-runMemoizationBench(const std::string &json_path)
+runMemoizationBench(std::ofstream &json, const std::string &json_path)
 {
     sim::ManycoreConfig config;
     sim::ManycoreSystem system(config);
@@ -445,7 +447,6 @@ runMemoizationBench(const std::string &json_path)
                              : static_cast<double>(on.cacheBytes) /
                                    static_cast<double>(on.cacheEntries);
 
-    std::ofstream json(json_path);
     json << "{\n"
          << "  \"bench\": \"micro_partitioner\",\n"
          << "  \"workload\": \"periodic-2stmt-4096\",\n"
@@ -533,6 +534,8 @@ main(int argc, char **argv)
         else
             bench_args.push_back(argv[i]);
     }
+    // Opened before any benchmark runs, so a bad path fails at once.
+    std::ofstream json = ndp::bench::openJsonOutput(json_path, "--json");
 
     if (!json_only) {
         int bench_argc = static_cast<int>(bench_args.size());
@@ -544,5 +547,5 @@ main(int argc, char **argv)
         benchmark::Shutdown();
     }
 
-    return runMemoizationBench(json_path);
+    return runMemoizationBench(json, json_path);
 }

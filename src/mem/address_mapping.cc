@@ -140,21 +140,9 @@ AddressMap::memoryControllerIndex(Addr a) const
 noc::NodeId
 AddressMap::memoryControllerNode(Addr a) const
 {
-    const std::uint32_t idx = memoryControllerIndex(a);
-    if (!pageMcOverride_.empty() &&
-        pageMcOverride_.find(pageNumber(a)) != pageMcOverride_.end()) {
-        // Overrides name corner controllers directly.
-        return mesh_->memoryControllerNodes()[idx];
-    }
-    switch (clusterMode_) {
-      case ClusterMode::AllToAll:
-        return mesh_->memoryControllerNodes()[idx];
-      case ClusterMode::Quadrant:
-      case ClusterMode::SNC4:
-        return mesh_->memoryControllerOfQuadrant(
-            static_cast<noc::QuadrantId>(idx));
-    }
-    ndp::panic("unreachable cluster mode");
+    // Page overrides, channels and quadrants all index the corner
+    // controllers in quadrant order.
+    return mesh_->memoryControllerNodes()[memoryControllerIndex(a)];
 }
 
 } // namespace ndp::mem

@@ -1,7 +1,7 @@
 #include "noc/mesh_topology.h"
 
 #include <algorithm>
-#include <deque>
+#include <array>
 
 #include "support/error.h"
 
@@ -17,80 +17,100 @@ namespace {
 constexpr std::int32_t kUnreachable = 1 << 28;
 
 /**
+ * Neighbour of @p node in direction @p dir (0 = +x, 1 = -x, 2 = +y,
+ * 3 = -y), or kInvalidNode off the edge of a non-torus mesh. The
+ * direction is also the low two bits of the link id (linkIndex()).
+ */
+NodeId
+neighborOf(std::int32_t cols, std::int32_t rows, bool torus, NodeId node,
+           std::int32_t dir)
+{
+    const std::int32_t x = node % cols;
+    const std::int32_t y = node / cols;
+    switch (dir) {
+      case 0:
+        if (x + 1 < cols)
+            return node + 1;
+        return torus ? y * cols : kInvalidNode;
+      case 1:
+        if (x > 0)
+            return node - 1;
+        return torus ? y * cols + cols - 1 : kInvalidNode;
+      case 2:
+        if (y + 1 < rows)
+            return node + cols;
+        return torus ? x : kInvalidNode;
+      default:
+        if (y > 0)
+            return node - cols;
+        return torus ? (rows - 1) * cols + x : kInvalidNode;
+    }
+}
+
+/** Up to four neighbours per node, padded with kInvalidNode. */
+using Adjacency = std::vector<std::array<NodeId, 4>>;
+
+constexpr std::array<NodeId, 4> kNoNeighbors = {kInvalidNode, kInvalidNode,
+                                                kInvalidNode, kInvalidNode};
+
+/**
  * Forward adjacency of the surviving directed graph: for each live
  * node, its live out-neighbours in canonical +x/-x/+y/-y order, with
  * failed links and dead routers removed.
  */
-std::vector<std::vector<NodeId>>
+Adjacency
 survivingAdjacency(std::int32_t cols, std::int32_t rows, bool torus,
                    const fault::FaultModel &faults,
                    const std::vector<std::uint8_t> &live)
 {
     const std::int32_t count = cols * rows;
-    std::vector<std::vector<NodeId>> adjacency(
-        static_cast<std::size_t>(count));
-    const auto neighbor = [&](NodeId node,
-                              std::int32_t dir) -> NodeId {
-        const std::int32_t x = node % cols;
-        const std::int32_t y = node / cols;
-        switch (dir) {
-          case 0:
-            if (x + 1 < cols)
-                return node + 1;
-            return torus ? y * cols : kInvalidNode;
-          case 1:
-            if (x > 0)
-                return node - 1;
-            return torus ? y * cols + cols - 1 : kInvalidNode;
-          case 2:
-            if (y + 1 < rows)
-                return node + cols;
-            return torus ? x : kInvalidNode;
-          default:
-            if (y > 0)
-                return node - cols;
-            return torus ? (rows - 1) * cols + x : kInvalidNode;
-        }
-    };
+    Adjacency adjacency(static_cast<std::size_t>(count), kNoNeighbors);
     for (NodeId node = 0; node < count; ++node) {
         if (!live[static_cast<std::size_t>(node)])
             continue;
+        std::size_t filled = 0;
         for (std::int32_t dir = 0; dir < 4; ++dir) {
-            const NodeId next = neighbor(node, dir);
+            const NodeId next = neighborOf(cols, rows, torus, node, dir);
             if (next == kInvalidNode || next == node)
                 continue;
             if (!live[static_cast<std::size_t>(next)])
                 continue;
             if (faults.isLinkFailed(node, next))
                 continue;
-            adjacency[static_cast<std::size_t>(node)].push_back(next);
+            adjacency[static_cast<std::size_t>(node)][filled++] = next;
         }
     }
     return adjacency;
 }
 
-/** BFS over @p adjacency from @p source; distances in hops. */
-std::vector<std::int32_t>
-bfsFrom(NodeId source,
-        const std::vector<std::vector<NodeId>> &adjacency)
+/**
+ * BFS over @p adjacency from @p source: hop distances into @p dist,
+ * kUnreachable where there is no path. @p queue is scratch; both hold
+ * one slot per node (a node is queued at most once).
+ */
+void
+bfsFrom(NodeId source, const Adjacency &adjacency,
+        std::span<std::int32_t> dist, std::vector<NodeId> &queue)
 {
-    std::vector<std::int32_t> dist(adjacency.size(), kUnreachable);
+    std::fill(dist.begin(), dist.end(), kUnreachable);
     dist[static_cast<std::size_t>(source)] = 0;
-    std::deque<NodeId> frontier{source};
-    while (!frontier.empty()) {
-        const NodeId node = frontier.front();
-        frontier.pop_front();
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    queue[tail++] = source;
+    while (head < tail) {
+        const NodeId node = queue[head++];
         const std::int32_t next_d =
             dist[static_cast<std::size_t>(node)] + 1;
         for (NodeId next : adjacency[static_cast<std::size_t>(node)]) {
+            if (next == kInvalidNode)
+                break;
             auto &d = dist[static_cast<std::size_t>(next)];
             if (next_d < d) {
                 d = next_d;
-                frontier.push_back(next);
+                queue[tail++] = next;
             }
         }
     }
-    return dist;
 }
 
 std::vector<std::uint8_t>
@@ -123,62 +143,11 @@ MeshTopology::MeshTopology(std::int32_t cols, std::int32_t rows,
         nodeAt({cols_ - 1, rows_ - 1}),
     };
 
-    if (faults_.empty()) {
-        // Healthy chip: precompute every pairwise Manhattan distance
-        // once. O(N^2) int32 entries is a few KB for paper-scale
-        // meshes, and it turns the planner's and simulator's hottest
-        // function into a single table load. All nodes are live.
-        const std::size_t n = static_cast<std::size_t>(nodeCount());
-        distanceTable_.resize(n * n);
-        for (NodeId a = 0; a < nodeCount(); ++a) {
-            for (NodeId b = 0; b < nodeCount(); ++b) {
-                distanceTable_[static_cast<std::size_t>(a) * n +
-                               static_cast<std::size_t>(b)] =
-                    distanceUncached(a, b);
-            }
-        }
-        liveNodes_.resize(n);
-        for (NodeId node = 0; node < nodeCount(); ++node)
-            liveNodes_[static_cast<std::size_t>(node)] = node;
-    } else {
-        buildFaultTables();
-    }
-    buildRouteTable();
+    buildTables();
 }
 
 void
-MeshTopology::buildRouteTable()
-{
-    // Every simulated message reads its route from this table, so each
-    // route is walked once, here, straight into one flat array.
-    const std::size_t n = static_cast<std::size_t>(nodeCount());
-    std::size_t total = 0;
-    for (NodeId a : liveNodes_) {
-        for (NodeId b : liveNodes_)
-            total += static_cast<std::size_t>(distance(a, b));
-    }
-    routeLinks_.clear();
-    routeLinks_.reserve(total);
-    routeBegin_.assign(n * n + 1, 0);
-    for (NodeId a = 0; a < nodeCount(); ++a) {
-        for (NodeId b = 0; b < nodeCount(); ++b) {
-            routeBegin_[static_cast<std::size_t>(a) * n +
-                        static_cast<std::size_t>(b)] =
-                static_cast<std::int32_t>(routeLinks_.size());
-            if (!isLive(a) || !isLive(b))
-                continue;
-            NodeId prev = a;
-            walkRoute(a, b, [&](NodeId next) {
-                routeLinks_.push_back(linkIndex(prev, next));
-                prev = next;
-            });
-        }
-    }
-    routeBegin_[n * n] = static_cast<std::int32_t>(routeLinks_.size());
-}
-
-void
-MeshTopology::buildFaultTables()
+MeshTopology::buildTables()
 {
     const std::int32_t count = nodeCount();
     for (NodeId node : faults_.deadNodes()) {
@@ -206,7 +175,6 @@ MeshTopology::buildFaultTables()
     }
 
     live_ = livenessMask(count, faults_);
-    liveNodes_.clear();
     for (NodeId node = 0; node < count; ++node) {
         if (live_[static_cast<std::size_t>(node)])
             liveNodes_.push_back(node);
@@ -223,17 +191,18 @@ MeshTopology::buildFaultTables()
     for (NodeId node = 0; node < count; ++node)
         distanceTable_[static_cast<std::size_t>(node) * n +
                        static_cast<std::size_t>(node)] = 0;
+    std::vector<NodeId> queue(n);
     for (NodeId source : liveNodes_) {
-        const std::vector<std::int32_t> dist = bfsFrom(source, adjacency);
+        const std::span<std::int32_t> dist(
+            distanceTable_.data() + static_cast<std::size_t>(source) * n,
+            n);
+        bfsFrom(source, adjacency, dist, queue);
         for (NodeId target : liveNodes_) {
-            const std::int32_t d =
-                dist[static_cast<std::size_t>(target)];
-            NDP_REQUIRE(d < kUnreachable,
+            NDP_REQUIRE(dist[static_cast<std::size_t>(target)] <
+                            kUnreachable,
                         "fault set disconnects the mesh ("
                             << faults_.describe() << "): no route "
                             << source << " -> " << target);
-            distanceTable_[static_cast<std::size_t>(source) * n +
-                           static_cast<std::size_t>(target)] = d;
         }
     }
 
@@ -259,6 +228,47 @@ MeshTopology::buildFaultTables()
         NDP_CHECK(best != kInvalidNode, "no live re-home target");
         rehome_[static_cast<std::size_t>(node)] = best;
     }
+
+    // Routes: a greedy descent on the distance table, walked once per
+    // live pair straight into one flat array (every simulated message
+    // reads its route from it). From each node take the first
+    // canonical-order (+x/-x/+y/-y) surviving link whose endpoint is one
+    // hop closer to the destination; BFS guarantees one exists. The
+    // fixed scan order makes the route deterministic, and on a healthy
+    // mesh it is dimension-order routing: all of X first, then Y, and on
+    // a torus the shorter way round, forward on ties.
+    std::size_t total = 0;
+    for (NodeId a : liveNodes_) {
+        for (NodeId b : liveNodes_)
+            total += static_cast<std::size_t>(distance(a, b));
+    }
+    routeLinks_.reserve(total);
+    routeBegin_.assign(n * n + 1, 0);
+    for (NodeId a = 0; a < count; ++a) {
+        for (NodeId b = 0; b < count; ++b) {
+            routeBegin_[static_cast<std::size_t>(a) * n +
+                        static_cast<std::size_t>(b)] =
+                static_cast<std::int32_t>(routeLinks_.size());
+            if (!isLive(a) || !isLive(b))
+                continue;
+            for (NodeId cur = a; cur != b;) {
+                const std::int32_t remaining = distance(cur, b);
+                NodeId chosen = kInvalidNode;
+                for (NodeId next : adjacency[static_cast<std::size_t>(cur)]) {
+                    if (next != kInvalidNode &&
+                        distance(next, b) == remaining - 1) {
+                        chosen = next;
+                        break;
+                    }
+                }
+                NDP_CHECK(chosen != kInvalidNode,
+                          "no next hop from " << cur << " toward " << b);
+                routeLinks_.push_back(linkIndex(cur, chosen));
+                cur = chosen;
+            }
+        }
+    }
+    routeBegin_[n * n] = static_cast<std::int32_t>(routeLinks_.size());
 }
 
 bool
@@ -284,15 +294,25 @@ MeshTopology::faultsLeaveMeshConnected(std::int32_t cols,
         survivingAdjacency(cols, rows, torus, faults, live);
     // Strong connectivity of the live subgraph: forward BFS from one
     // live seed must reach every live node, and so must a BFS over the
-    // reversed edges (links fail per direction).
-    std::vector<std::vector<NodeId>> reversed(adjacency.size());
+    // reversed edges (links fail per direction). A node has at most
+    // four in-links, one per direction, so the reversed graph fits the
+    // same four slots.
+    Adjacency reversed(adjacency.size(), kNoNeighbors);
     for (NodeId from = 0; from < count; ++from) {
-        for (NodeId to : adjacency[static_cast<std::size_t>(from)])
-            reversed[static_cast<std::size_t>(to)].push_back(from);
+        for (NodeId to : adjacency[static_cast<std::size_t>(from)]) {
+            if (to == kInvalidNode)
+                break;
+            auto &in = reversed[static_cast<std::size_t>(to)];
+            *std::find(in.begin(), in.end(), kInvalidNode) = from;
+        }
     }
     const NodeId seed = corners[0];
-    const std::vector<std::int32_t> fwd = bfsFrom(seed, adjacency);
-    const std::vector<std::int32_t> rev = bfsFrom(seed, reversed);
+    const std::size_t n = static_cast<std::size_t>(count);
+    std::vector<std::int32_t> fwd(n);
+    std::vector<std::int32_t> rev(n);
+    std::vector<NodeId> queue(n);
+    bfsFrom(seed, adjacency, fwd, queue);
+    bfsFrom(seed, reversed, rev, queue);
     for (NodeId node = 0; node < count; ++node) {
         if (!live[static_cast<std::size_t>(node)])
             continue;
@@ -336,44 +356,6 @@ MeshTopology::distanceUncached(NodeId a, NodeId b) const
 }
 
 std::int32_t
-MeshTopology::stepToward(std::int32_t from, std::int32_t to,
-                         std::int32_t extent) const
-{
-    if (from == to)
-        return 0;
-    if (!torus_)
-        return to > from ? 1 : -1;
-    const std::int32_t forward = (to - from + extent) % extent;
-    const std::int32_t backward = extent - forward;
-    return forward <= backward ? 1 : -1;
-}
-
-NodeId
-MeshTopology::neighborIn(NodeId node, std::int32_t dir) const
-{
-    const std::int32_t x = node % cols_;
-    const std::int32_t y = node / cols_;
-    switch (dir) {
-      case 0:
-        if (x + 1 < cols_)
-            return node + 1;
-        return torus_ ? y * cols_ : kInvalidNode;
-      case 1:
-        if (x > 0)
-            return node - 1;
-        return torus_ ? y * cols_ + cols_ - 1 : kInvalidNode;
-      case 2:
-        if (y + 1 < rows_)
-            return node + cols_;
-        return torus_ ? x : kInvalidNode;
-      default:
-        if (y > 0)
-            return node - cols_;
-        return torus_ ? (rows_ - 1) * cols_ + x : kInvalidNode;
-    }
-}
-
-std::int32_t
 MeshTopology::linkIndex(NodeId from, NodeId to) const
 {
     const Coord cf = coordOf(from);
@@ -402,60 +384,13 @@ MeshTopology::linkIndex(NodeId from, NodeId to) const
 std::vector<NodeId>
 MeshTopology::routeNodes(NodeId from, NodeId to) const
 {
-    NDP_CHECK(isLive(from) && isLive(to),
-              "routing through dead node: " << from << " -> " << to);
+    const std::span<const std::int32_t> links = route(from, to);
     std::vector<NodeId> nodes;
-    nodes.reserve(static_cast<std::size_t>(distance(from, to)) + 1);
+    nodes.reserve(links.size() + 1);
     nodes.push_back(from);
-    walkRoute(from, to, [&](NodeId next) { nodes.push_back(next); });
+    for (std::int32_t link : links)
+        nodes.push_back(neighborOf(cols_, rows_, torus_, link / 4, link % 4));
     return nodes;
-}
-
-template <typename Visit>
-void
-MeshTopology::walkRoute(NodeId from, NodeId to, Visit &&visit) const
-{
-    if (hasFaults()) {
-        // Greedy descent on the BFS distance LUT: from each node take
-        // the first canonical-order (+x/-x/+y/-y) surviving link whose
-        // endpoint is one hop closer to the destination. BFS
-        // guarantees such a neighbour exists on every shortest path,
-        // and the fixed scan order makes the route deterministic.
-        NodeId cur = from;
-        while (cur != to) {
-            const std::int32_t remaining = distance(cur, to);
-            NodeId chosen = kInvalidNode;
-            for (std::int32_t dir = 0; dir < 4; ++dir) {
-                const NodeId next = neighborIn(cur, dir);
-                if (next == kInvalidNode || next == cur)
-                    continue;
-                if (!isLive(next) || faults_.isLinkFailed(cur, next))
-                    continue;
-                if (distance(next, to) == remaining - 1) {
-                    chosen = next;
-                    break;
-                }
-            }
-            NDP_CHECK(chosen != kInvalidNode,
-                      "no next hop from " << cur << " toward " << to);
-            visit(chosen);
-            cur = chosen;
-        }
-        return;
-    }
-
-    Coord cur = coordOf(from);
-    const Coord dst = coordOf(to);
-    while (cur.x != dst.x) { // X dimension first
-        cur.x = (cur.x + stepToward(cur.x, dst.x, cols_) + cols_) %
-                cols_;
-        visit(nodeAt(cur));
-    }
-    while (cur.y != dst.y) { // then Y
-        cur.y = (cur.y + stepToward(cur.y, dst.y, rows_) + rows_) %
-                rows_;
-        visit(nodeAt(cur));
-    }
 }
 
 QuadrantId
@@ -465,30 +400,6 @@ MeshTopology::quadrantOf(NodeId node) const
     const bool right = c.x >= (cols_ + 1) / 2;
     const bool bottom = c.y >= (rows_ + 1) / 2;
     return (bottom ? 2 : 0) + (right ? 1 : 0);
-}
-
-NodeId
-MeshTopology::memoryControllerOfQuadrant(QuadrantId q) const
-{
-    NDP_CHECK(q >= 0 && q < 4, "bad quadrant " << q);
-    // mcNodes_ order matches the quadrant encoding: top-left, top-right,
-    // bottom-left, bottom-right.
-    return mcNodes_[static_cast<std::size_t>(q)];
-}
-
-NodeId
-MeshTopology::nearestMemoryController(NodeId node) const
-{
-    NodeId best = mcNodes_.front();
-    std::int32_t best_d = distance(node, best);
-    for (NodeId mc : mcNodes_) {
-        const std::int32_t d = distance(node, mc);
-        if (d < best_d) {
-            best = mc;
-            best_d = d;
-        }
-    }
-    return best;
 }
 
 } // namespace ndp::noc

@@ -5,18 +5,19 @@
  * @file
  * The M x N 2D-mesh topology of the target manycore (Figure 1). Each
  * node holds a core, a private L1, and one bank of the shared SNUCA L2.
- * Memory controllers sit at the four corner nodes. Messages are routed
- * with deterministic dimension-ordered (XY) routing, which traverses
- * exactly ManhattanDistance links.
+ * Memory controllers sit at the four corner nodes.
  *
- * The topology optionally carries a fault::FaultModel. With an empty
- * model the behaviour is bit-identical to the healthy mesh (XY routes,
- * Manhattan LUT). With faults, routing switches to shortest paths over
- * the surviving directed graph (dead routers and failed links removed,
- * BFS-rebuilt distance LUT, deterministic +x/-x/+y/-y next-hop
- * tiebreak), construction fails fast with ndp::fatal when the live
- * mesh is not strongly connected, and rehomeOf() maps each dead node's
- * L2 bank to its nearest live node.
+ * The topology carries a fault::FaultModel; the healthy chip is its
+ * empty case. Every topology (mesh, torus, faulted or not) is built by
+ * one algorithm: the surviving directed graph (dead routers and failed
+ * links removed), an all-pairs BFS distance table over it, and routes
+ * that greedily take the first +x/-x/+y/-y link one hop closer to the
+ * destination. On a healthy mesh that is dimension-ordered (XY)
+ * routing over exactly ManhattanDistance links; on a healthy torus it
+ * takes the shorter way round each dimension, forward on ties.
+ * Construction fails fast with ndp::fatal when the live mesh is not
+ * strongly connected, and rehomeOf() maps each dead node's L2 bank to
+ * its nearest live node.
  */
 
 #include <cstdint>
@@ -48,11 +49,12 @@ using QuadrantId = std::int32_t;
  * Rectangular 2D mesh (optionally a torus) with row-major node
  * numbering.
  *
- * The topology is immutable after construction. Without faults all
- * routing is minimal XY routing: traverse the X dimension first, then
- * Y; the hop count therefore equals the (wrap-aware) Manhattan
- * distance. The torus option exercises the paper's claim that the
- * approach works with any on-chip topology (Section 2).
+ * The topology is immutable after construction. Routes are shortest
+ * paths over the surviving links with a fixed +x/-x/+y/-y next-hop
+ * order, which without faults is minimal XY routing: X first, then Y,
+ * over the (wrap-aware) Manhattan distance. The torus option exercises
+ * the paper's claim that the approach works with any on-chip topology
+ * (Section 2).
  */
 class MeshTopology
 {
@@ -84,11 +86,11 @@ class MeshTopology
     Coord coordOf(NodeId node) const;
 
     /**
-     * Hop distance between two nodes: Manhattan (wrap-aware on a
-     * torus) on the healthy mesh, shortest surviving path under
-     * faults. Served from a precomputed O(N^2) table — distance()
-     * sits on the locate/MST/traffic hot paths, so it must stay a
-     * single load in release builds (hence NDP_DCHECK).
+     * Hop distance between two nodes: the shortest surviving path,
+     * which is the (wrap-aware) Manhattan distance on a healthy chip.
+     * Served from a precomputed O(N^2) table — distance() sits on the
+     * locate/MST/traffic hot paths, so it must stay a single load in
+     * release builds (hence NDP_DCHECK).
      */
     std::int32_t
     distance(NodeId a, NodeId b) const
@@ -104,8 +106,9 @@ class MeshTopology
     /**
      * The healthy-mesh Manhattan distance computed from coordinates,
      * bypassing the table and ignoring faults. Kept as the independent
-     * reference: property tests cross-check the LUT against it, and
-     * under faults it lower-bounds the detoured distance.
+     * reference: property tests cross-check the BFS table against it,
+     * dead banks re-home by it, and under faults it lower-bounds the
+     * detoured distance.
      */
     std::int32_t distanceUncached(NodeId a, NodeId b) const;
 
@@ -117,10 +120,9 @@ class MeshTopology
 
     /**
      * Route from @p from to @p to as a sequence of dense link indices:
-     * minimal XY on the healthy mesh, shortest surviving path under
-     * faults. Empty when from == to. A view into the per-pair link
-     * table built at construction, so routing allocates nothing; the
-     * links are exactly those between consecutive routeNodes().
+     * the shortest surviving path, minimal XY on a healthy mesh. Empty
+     * when from == to. A view into the per-pair link table built at
+     * construction, so routing allocates nothing.
      * Fatal (NDP_CHECK) when either endpoint is dead.
      */
     std::span<const std::int32_t>
@@ -140,12 +142,13 @@ class MeshTopology
                 static_cast<std::size_t>(routeBegin_[pair + 1] - begin)};
     }
 
-    /** Nodes visited by the route, inclusive of both endpoints. */
+    /** Nodes visited by route(), inclusive of both endpoints. */
     std::vector<NodeId> routeNodes(NodeId from, NodeId to) const;
 
     /**
      * The corner nodes hosting the memory controllers (Figure 1):
-     * (0,0), (cols-1,0), (0,rows-1), (cols-1,rows-1).
+     * (0,0), (cols-1,0), (0,rows-1), (cols-1,rows-1). The order is
+     * the quadrant encoding: entry q sits in quadrant q.
      */
     const std::vector<NodeId> &memoryControllerNodes() const
     {
@@ -155,15 +158,9 @@ class MeshTopology
     /** Quadrant (0..3) containing @p node, for quadrant/SNC-4 modes. */
     QuadrantId quadrantOf(NodeId node) const;
 
-    /** The memory-controller node located in quadrant @p q. */
-    NodeId memoryControllerOfQuadrant(QuadrantId q) const;
-
-    /** Nearest memory controller to @p node by hop distance. */
-    NodeId nearestMemoryController(NodeId node) const;
-
     // ------------------------------------------------------------------
-    // Fault queries. All are trivially cheap; with an empty model they
-    // answer as if every node were live.
+    // Fault queries. All are trivially cheap; with an empty model every
+    // node is live.
 
     bool hasFaults() const { return !faults_.empty(); }
     const fault::FaultModel &faults() const { return faults_; }
@@ -174,8 +171,7 @@ class MeshTopology
     {
         NDP_DCHECK(node >= 0 && node < nodeCount(),
                    "bad node id " << node);
-        return live_.empty() ||
-               live_[static_cast<std::size_t>(node)] != 0;
+        return live_[static_cast<std::size_t>(node)] != 0;
     }
 
     /** Live node ids, ascending. Equals all nodes when fault-free. */
@@ -193,8 +189,7 @@ class MeshTopology
     {
         NDP_DCHECK(node >= 0 && node < nodeCount(),
                    "bad node id " << node);
-        return rehome_.empty() ? node
-                               : rehome_[static_cast<std::size_t>(node)];
+        return rehome_[static_cast<std::size_t>(node)];
     }
 
     /**
@@ -208,28 +203,9 @@ class MeshTopology
                                          const fault::FaultModel &faults);
 
   private:
-    /** Signed minimal step (-1/0/+1) from @p from to @p to, modular
-     *  when the topology is a torus. */
-    std::int32_t stepToward(std::int32_t from, std::int32_t to,
-                            std::int32_t extent) const;
-
-    /** Neighbour of @p node in direction @p dir (0=+x,1=-x,2=+y,3=-y),
-     *  kInvalidNode when off-mesh (non-torus edge). */
-    NodeId neighborIn(NodeId node, std::int32_t dir) const;
-
-    /** BFS distance LUT + liveness/rehome tables for the fault set. */
-    void buildFaultTables();
-
-    /**
-     * Call @p visit on every node the route from @p from to @p to
-     * enters, in order, ending with @p to (nothing when from == to).
-     * Both endpoints must be live.
-     */
-    template <typename Visit>
-    void walkRoute(NodeId from, NodeId to, Visit &&visit) const;
-
-    /** Fill routeBegin_/routeLinks_ for every pair of live nodes. */
-    void buildRouteTable();
+    /** Validate the fault set, then fill the liveness, BFS distance,
+     *  re-home and route tables. */
+    void buildTables();
 
     std::int32_t cols_;
     std::int32_t rows_;
@@ -239,10 +215,10 @@ class MeshTopology
     std::vector<NodeId> mcNodes_;
     /** distance(a, b) == distanceTable_[a * nodeCount() + b]. */
     std::vector<std::int32_t> distanceTable_;
-    /** Per-node liveness mask; empty when fault-free (all live). */
+    /** Per-node liveness mask (1 = live). */
     std::vector<std::uint8_t> live_;
     std::vector<NodeId> liveNodes_;
-    /** Dead-bank re-home map; empty when fault-free (identity). */
+    /** Dead-bank re-home map (identity on live nodes). */
     std::vector<NodeId> rehome_;
     /**
      * CSR route table: the links of route(a, b) are

@@ -1159,9 +1159,7 @@ Partitioner::plan(const ir::LoopNest &nest,
         PlanScratch scratch{
             VariableToNodeMap(system_->mesh().nodeCount(), reuse_capacity,
                               stream.lineCount),
-            StatementSplitter(system_->mesh(),
-                              system_->config().lineFlits(),
-                              /*result_weight=*/1),
+            StatementSplitter(system_->mesh()),
             {}};
         const NestContext ctx{
             *system_, options_, splitCache_, nest, default_nodes,

@@ -12,16 +12,6 @@ constexpr std::uint32_t kNoVertex = 0xffffffffu;
 
 } // namespace
 
-StatementSplitter::StatementSplitter(const noc::MeshTopology &mesh,
-                                     std::int64_t fetch_weight,
-                                     std::int64_t result_weight)
-    : mesh_(&mesh), fetchWeight_(fetch_weight),
-      resultWeight_(result_weight)
-{
-    NDP_REQUIRE(fetch_weight > 0 && result_weight > 0,
-                "movement weights must be positive");
-}
-
 void
 StatementSplitter::split(const ir::VarSet &sets,
                          std::span<const Location> leaf_locations,
@@ -101,8 +91,7 @@ StatementSplitter::emitSub(noc::NodeId at_node, std::span<const Item> inputs,
         }
         if (best != noc::kInvalidNode) {
             chosen = best;
-            out.plannedMovement +=
-                resultWeight_ * mesh_->distance(best, at_node);
+            out.plannedMovement += mesh_->distance(best, at_node);
         }
     }
     sub.node = narrowPacked<std::uint16_t>(chosen, "node");
@@ -322,14 +311,12 @@ StatementSplitter::splitSet(const ir::VarSet &set,
             const Item &in = lv.vertexResult[c];
             if (in.node == noc::kInvalidNode)
                 continue;
-            // The child's value crosses the MST edge exactly once:
-            // a full line when a lone operand is fetched, a single
-            // element when a subcomputation forwards its result
-            // (Equation 1 weights movement by data size).
-            const std::int64_t weight =
-                in.leaf >= 0 ? fetchWeight_ : resultWeight_;
+            // The child's value crosses the MST edge exactly once, as
+            // one element: a child vertex always yields a subcomputation
+            // or a forwarded partial result, never a bare operand (a
+            // lone operand is read where it lives and its value sent).
             out.plannedMovement +=
-                weight * mesh_->distance(lv.vertexNode[c], lv.vertexNode[v]);
+                mesh_->distance(lv.vertexNode[c], lv.vertexNode[v]);
             lv.inputs.push_back(in);
         }
         const std::span<const Item> inputs(lv.inputs);

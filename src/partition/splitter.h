@@ -42,14 +42,14 @@ class StatementSplitter
 {
   public:
     /**
-     * @param fetch_weight flits moved per operand fetch crossing an
-     *        MST edge (a full cache line)
-     * @param result_weight flits per partial-result message (one
-     *        element) — Equation 1 weights movement by data size
+     * Splits over @p mesh's hop distances. Every value crossing an MST
+     * edge is one element (a forwarded operand or partial result), so
+     * plannedMovement counts one unit per link traversed.
      */
-    explicit StatementSplitter(const noc::MeshTopology &mesh,
-                               std::int64_t fetch_weight = 8,
-                               std::int64_t result_weight = 1);
+    explicit StatementSplitter(const noc::MeshTopology &mesh)
+        : mesh_(&mesh)
+    {
+    }
 
     /**
      * Split one statement instance into @p out, which is cleared first
@@ -124,8 +124,6 @@ class StatementSplitter
                 bool is_root, LoadBalancer *balancer, SplitPlan &out);
 
     const noc::MeshTopology *mesh_;
-    std::int64_t fetchWeight_;
-    std::int64_t resultWeight_;
     /** Scratch per active recursion depth (stable addresses). */
     std::vector<std::unique_ptr<Level>> levels_;
     std::size_t depth_ = 0;

@@ -93,9 +93,7 @@ ManycoreSystem::walkRead(noc::NodeId node, const MemAccess &access)
     mcAt(rec.mc).recordAccess();
     // Critical-word-first: the MC sends the data directly to the
     // requester; the home-bank fill travels as a separate copy off the
-    // critical path. This is what makes the MC a meaningful *location*
-    // for predicted-miss data (Section 4.1): a consumer placed near
-    // the MC shortens the response leg.
+    // critical path.
     traffic_.addMessage(rec.mc, node, config_.lineFlits());
     traffic_.addMessage(rec.mc, rec.home, config_.lineFlits());
     return rec;

@@ -262,8 +262,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
     static_sets.reserve(nest.body().size());
     for (const ir::Statement &stmt : nest.body())
         static_sets.push_back(ir::buildVarSets(stmt));
-    partition::StatementSplitter ref_splitter(mesh, line_flits,
-                                              /*result_weight=*/1);
+    partition::StatementSplitter ref_splitter(mesh);
     partition::SplitPlan ref_plan;
     DisjointSet dsu;
 

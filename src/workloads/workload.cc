@@ -16,7 +16,7 @@ namespace {
  * jump, which is how Barnes/FMM/MiniMD neighbor structures behave.
  */
 std::vector<std::int64_t>
-neighborIndices(std::int64_t n, std::int64_t reach, double far_fraction,
+neighborListIndices(std::int64_t n, std::int64_t reach, double far_fraction,
                 Rng &rng)
 {
     // Real neighbor structures are power-law-ish: a small set of hub
@@ -149,8 +149,8 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "barnes/update", w.arrays,
                                           params));
-        installIndex(w, "NB1", neighborIndices(n, 32, 0.15, rng));
-        installIndex(w, "NB2", neighborIndices(n, 64, 0.25, rng));
+        installIndex(w, "NB1", neighborListIndices(n, 32, 0.15, rng));
+        installIndex(w, "NB2", neighborListIndices(n, 64, 0.25, rng));
         markMcdram(w, {"PX", "MASS", "AX"});
     } else if (app == "cholesky") {
         // Supernodal factorisation updates over dense 8-byte matrices:
@@ -202,7 +202,7 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "fft/bitrev", w.arrays,
                                           params));
-                installIndex(w, "REV", neighborIndices(n, n / 2, 0.9, rng));
+                installIndex(w, "REV", neighborListIndices(n, n / 2, 0.9, rng));
         markMcdram(w, {"AR", "AI", "BR", "BI"});
     } else if (app == "fmm") {
         // Multipole interaction lists: three indirect loads per
@@ -225,9 +225,9 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "fmm/upward", w.arrays,
                                           params));
-        installIndex(w, "IL1", neighborIndices(n, 16, 0.1, rng));
-        installIndex(w, "IL2", neighborIndices(n, 48, 0.2, rng));
-        installIndex(w, "IL3", neighborIndices(n, 128, 0.35, rng));
+        installIndex(w, "IL1", neighborListIndices(n, 16, 0.1, rng));
+        installIndex(w, "IL2", neighborListIndices(n, 48, 0.2, rng));
+        installIndex(w, "IL3", neighborListIndices(n, 128, 0.35, rng));
         markMcdram(w, {"PHI", "Q"});
     } else if (app == "lu") {
         // Panel updates over dense 8-byte matrices: A -= row*col, then
@@ -306,8 +306,8 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "radiosity/total", w.arrays,
                                           params));
-        installIndex(w, "VIS1", neighborIndices(n, 64, 0.3, rng));
-        installIndex(w, "VIS2", neighborIndices(n, 256, 0.5, rng));
+        installIndex(w, "VIS1", neighborListIndices(n, 64, 0.3, rng));
+        installIndex(w, "VIS2", neighborListIndices(n, 256, 0.5, rng));
         markMcdram(w, {"RAD", "RADP"});
     } else if (app == "radix") {
         // Digit extraction (shift/logical ops) plus histogram scatter
@@ -349,7 +349,7 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "raytrace/atten", w.arrays,
                                           params));
-        installIndex(w, "OBJ", neighborIndices(n, 128, 0.4, rng));
+        installIndex(w, "OBJ", neighborListIndices(n, 128, 0.4, rng));
         markMcdram(w, {"CLR", "TX"});
     } else if (app == "water") {
         // Pair forces: wide, purely affine add/sub statements.
@@ -395,9 +395,9 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "minimd/integrate", w.arrays,
                                           params));
-        installIndex(w, "NL1", neighborIndices(n, 16, 0.05, rng));
-        installIndex(w, "NL2", neighborIndices(n, 32, 0.1, rng));
-        installIndex(w, "NL3", neighborIndices(n, 96, 0.2, rng));
+        installIndex(w, "NL1", neighborListIndices(n, 16, 0.05, rng));
+        installIndex(w, "NL2", neighborListIndices(n, 32, 0.1, rng));
+        installIndex(w, "NL3", neighborListIndices(n, 96, 0.2, rng));
         markMcdram(w, {"X", "F"});
     } else if (app == "minixyce") {
         // Sparse matrix-vector products from circuit simulation: one
@@ -420,7 +420,7 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "minixyce/residual", w.arrays,
                                           params));
-        installIndex(w, "CI", neighborIndices(n, 24, 0.1, rng));
+        installIndex(w, "CI", neighborListIndices(n, 24, 0.1, rng));
         markMcdram(w, {"Y", "AV", "XV"});
     } else {
         fatal("unknown application '" + app + "'");

@@ -77,8 +77,9 @@ TEST_F(AddressMapTest, Snc4ConfinesBankToPageQuadrant)
         const Addr a = rng.next() % (1ull << 30);
         const noc::QuadrantId q = amap.pageQuadrant(a);
         EXPECT_EQ(mesh.quadrantOf(amap.homeBankNode(a)), q);
+        const auto mc = static_cast<std::size_t>(q);
         EXPECT_EQ(amap.memoryControllerNode(a),
-                  mesh.memoryControllerOfQuadrant(q));
+                  mesh.memoryControllerNodes()[mc]);
     }
 }
 
@@ -88,9 +89,10 @@ TEST_F(AddressMapTest, QuadrantModeMcMatchesHomeBankQuadrant)
     Rng rng(6);
     for (int i = 0; i < 500; ++i) {
         const Addr a = rng.next() % (1ull << 30);
+        const auto q =
+            static_cast<std::size_t>(mesh.quadrantOf(amap.homeBankNode(a)));
         EXPECT_EQ(amap.memoryControllerNode(a),
-                  mesh.memoryControllerOfQuadrant(
-                      mesh.quadrantOf(amap.homeBankNode(a))));
+                  mesh.memoryControllerNodes()[q]);
     }
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the NoC layer: Manhattan distance, mesh topology and XY
- * routing, the per-pair route table, traffic accounting, and the
+ * Tests for the NoC layer: Manhattan distance, mesh topology and its
+ * dimension-order routes on healthy meshes and tori, the per-pair
+ * route table, traffic accounting, and the
  * latency/congestion model with its frozen per-pair penalty table.
  */
 
@@ -82,24 +83,14 @@ TEST(MeshTopologyTest, QuadrantsPartitionTheMesh)
     }
     for (int q = 0; q < 4; ++q)
         EXPECT_EQ(count[q], 9);
-    // The quadrant's MC lives in that quadrant.
-    for (QuadrantId q = 0; q < 4; ++q) {
-        EXPECT_EQ(mesh.quadrantOf(mesh.memoryControllerOfQuadrant(q)),
-                  q);
-    }
+    // Memory controllers are listed in quadrant order: MC q lives in
+    // quadrant q.
+    const auto &mcs = mesh.memoryControllerNodes();
+    for (QuadrantId q = 0; q < 4; ++q)
+        EXPECT_EQ(mesh.quadrantOf(mcs[static_cast<std::size_t>(q)]), q);
 }
 
-TEST(MeshTopologyTest, NearestMemoryControllerIsNearest)
-{
-    MeshTopology mesh(6, 6);
-    for (NodeId n = 0; n < mesh.nodeCount(); ++n) {
-        const NodeId best = mesh.nearestMemoryController(n);
-        for (NodeId mc : mesh.memoryControllerNodes())
-            EXPECT_LE(mesh.distance(n, best), mesh.distance(n, mc));
-    }
-}
-
-/** Mesh-shape sweep: XY routes must be minimal and contiguous. */
+/** Mesh-shape sweep: routes must be minimal and contiguous. */
 class MeshRoutingTest
     : public ::testing::TestWithParam<std::pair<int, int>>
 {
@@ -136,20 +127,79 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_pair(2, 2), std::make_pair(6, 6),
                       std::make_pair(8, 4), std::make_pair(3, 7)));
 
-TEST(MeshTopologyTest, XyRoutingGoesXFirst)
+/**
+ * Dimension-order (XY) reference route, walked from coordinates: all of
+ * X first, then Y, one hop at a time; on a torus the shorter way round
+ * each dimension, forward when both ways are equally long.
+ */
+std::vector<NodeId>
+dimensionOrderRoute(const MeshTopology &mesh, NodeId from, NodeId to)
 {
-    MeshTopology mesh(6, 6);
-    const NodeId from = mesh.nodeAt({1, 1});
-    const NodeId to = mesh.nodeAt({4, 3});
-    const auto nodes = mesh.routeNodes(from, to);
-    // After the first segment the y coordinate must be unchanged until
-    // x reaches the destination column.
-    for (const NodeId n : nodes) {
-        const Coord c = mesh.coordOf(n);
-        if (c.y != 1) {
-            EXPECT_EQ(c.x, 4);
+    const auto step = [&](std::int32_t at, std::int32_t target,
+                          std::int32_t extent) {
+        if (!mesh.isTorus())
+            return target > at ? 1 : -1;
+        const std::int32_t forward = (target - at + extent) % extent;
+        return forward <= extent - forward ? 1 : -1;
+    };
+    Coord cur = mesh.coordOf(from);
+    const Coord dst = mesh.coordOf(to);
+    std::vector<NodeId> nodes{from};
+    while (cur.x != dst.x) {
+        cur.x = (cur.x + step(cur.x, dst.x, mesh.cols()) + mesh.cols()) %
+                mesh.cols();
+        nodes.push_back(mesh.nodeAt(cur));
+    }
+    while (cur.y != dst.y) {
+        cur.y = (cur.y + step(cur.y, dst.y, mesh.rows()) + mesh.rows()) %
+                mesh.rows();
+        nodes.push_back(mesh.nodeAt(cur));
+    }
+    return nodes;
+}
+
+TEST(MeshTopologyTest, HealthyRoutesAreDimensionOrderOnEveryPair)
+{
+    // Healthy meshes and tori route by the same shortest-path builder
+    // as faulted ones; without faults its fixed +x/-x/+y/-y next-hop
+    // order must reproduce XY routing exactly. The even-extent tori
+    // cover the forward tie.
+    const struct
+    {
+        std::int32_t cols;
+        std::int32_t rows;
+        bool torus;
+    } shapes[] = {{2, 2, false}, {3, 7, false}, {6, 6, false},
+                  {8, 4, false}, {2, 2, true},  {3, 3, true},
+                  {4, 4, true},  {5, 4, true},  {6, 6, true},
+                  {7, 2, true}};
+    std::size_t pairs = 0;
+    for (const auto &shape : shapes) {
+        const MeshTopology mesh(shape.cols, shape.rows, shape.torus);
+        for (NodeId a = 0; a < mesh.nodeCount(); ++a) {
+            for (NodeId b = 0; b < mesh.nodeCount(); ++b) {
+                const std::vector<NodeId> expected =
+                    dimensionOrderRoute(mesh, a, b);
+                ASSERT_EQ(mesh.routeNodes(a, b), expected)
+                    << shape.cols << "x" << shape.rows
+                    << (shape.torus ? " torus " : " mesh ") << a << " -> "
+                    << b;
+                std::vector<std::int32_t> links;
+                for (std::size_t i = 0; i + 1 < expected.size(); ++i)
+                    links.push_back(
+                        mesh.linkIndex(expected[i], expected[i + 1]));
+                const auto route = mesh.route(a, b);
+                ASSERT_EQ(std::vector<std::int32_t>(route.begin(),
+                                                    route.end()),
+                          links)
+                    << shape.cols << "x" << shape.rows
+                    << (shape.torus ? " torus " : " mesh ") << a << " -> "
+                    << b;
+                ++pairs;
+            }
         }
     }
+    EXPECT_EQ(pairs, 5022u);
 }
 
 TEST(MeshTopologyTest, LinkIndexUniquePerDirectedLink)
@@ -307,9 +357,11 @@ TEST(NocModelTest, RejectsNonPositiveCapacity)
 
 TEST(MeshTopologyTest, DistanceTableMatchesUncachedOnRandomMeshes)
 {
-    // distance() is a precomputed-table load on the locate/MST/traffic
-    // hot paths; distanceUncached() recomputes from coordinates. They
-    // must agree on every pair, for plain meshes and wrap-aware tori.
+    // distance() loads the table an all-pairs BFS over the surviving
+    // links built; distanceUncached() is the (wrap-aware) Manhattan
+    // distance recomputed from coordinates. On a healthy chip the BFS
+    // must find exactly the Manhattan distance on every pair, for plain
+    // meshes and wrap-aware tori.
     Rng rng(0xd157);
     for (int trial = 0; trial < 24; ++trial) {
         const auto cols = static_cast<std::int32_t>(2 + rng.nextBelow(7));
@@ -378,7 +430,7 @@ tableCases()
     return cases;
 }
 
-/** Links between consecutive routeNodes(), the route's definition. */
+/** Links between consecutive routeNodes(). */
 std::vector<std::int32_t>
 linksOfRouteNodes(const MeshTopology &mesh, NodeId a, NodeId b)
 {

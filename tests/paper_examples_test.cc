@@ -21,13 +21,14 @@ namespace {
 using namespace ndp;
 using namespace ndp::partition;
 
+/** Flits per operand line the default (non-split) schedule fetches. */
 constexpr std::int64_t kFetchWeight = 8;
 
 class PaperExamplesTest : public ::testing::Test
 {
   protected:
     PaperExamplesTest()
-        : mesh(6, 6), splitter(mesh, kFetchWeight, 1)
+        : mesh(6, 6), splitter(mesh)
     {
     }
 

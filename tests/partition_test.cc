@@ -590,10 +590,10 @@ TEST_F(SplitterTest, PaperStyleSingleStatement)
 
     // The default (fetch everything to nA) moves, per element-weighted
     // Equation 1, strictly more than the MST schedule.
-    const std::int64_t fetch_weight = 8;
+    const std::int64_t line_flits = 8;
     std::int64_t default_movement = 0;
     for (noc::NodeId n : {nB, nC, nD, nE})
-        default_movement += fetch_weight * mesh.distance(n, nA);
+        default_movement += line_flits * mesh.distance(n, nA);
     EXPECT_LT(result.plannedMovement, default_movement);
 }
 

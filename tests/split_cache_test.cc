@@ -432,7 +432,7 @@ TEST(SplitPlanFormatTest, FreshPlanAndCachedViewAgree)
     src += "}";
     const ir::LoopNest nest = ir::parseKernel(src, "flat", arrays);
 
-    partition::StatementSplitter splitter(mesh, /*fetch_weight=*/8);
+    partition::StatementSplitter splitter(mesh);
     partition::SplitPlanCache cache;
     partition::SplitPlan flat;
     partition::SplitPlan fresh;
@@ -512,7 +512,7 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
           S2: H[i] = B[i] * C[i] + D[i];
         })",
                                               "roundtrip", arrays);
-    partition::StatementSplitter splitter(mesh, /*fetch_weight=*/8);
+    partition::StatementSplitter splitter(mesh);
     partition::SplitPlanCache cache;
     partition::SplitPlan flat;
     Rng rng(0x16);

@@ -33,8 +33,8 @@ namespace {
 
 using namespace ndp;
 
+/** Flits per operand line fetched in Equation 1's naive bound. */
 constexpr std::int64_t kFetchWeight = 8;
-constexpr std::int64_t kResultWeight = 1;
 
 /** Parse a one-statement kernel whose RHS is @p rhs over V0..Vn-1. */
 ir::LoopNest
@@ -146,8 +146,7 @@ TEST(SplitterPropertyTest, FlatMstSpansDistinctNodesMinusOne)
 {
     Rng rng(0xf1a7);
     noc::MeshTopology mesh(6, 6);
-    partition::StatementSplitter splitter(mesh, kFetchWeight,
-                                          kResultWeight);
+    partition::StatementSplitter splitter(mesh);
     partition::SplitPlan plan;
     for (int trial = 0; trial < 200; ++trial) {
         const int leaves =
@@ -182,8 +181,7 @@ TEST(SplitterPropertyTest, MovementNeverExceedsNaiveAllToStore)
 {
     Rng rng(0xcafe);
     noc::MeshTopology mesh(8, 8);
-    partition::StatementSplitter splitter(mesh, kFetchWeight,
-                                          kResultWeight);
+    partition::StatementSplitter splitter(mesh);
     partition::SplitPlan plan;
     for (int trial = 0; trial < 200; ++trial) {
         const int leaves = 2 + static_cast<int>(rng.nextBelow(11));
@@ -212,6 +210,48 @@ TEST(SplitterPropertyTest, MovementNeverExceedsNaiveAllToStore)
             << "): scheduled movement beat by the naive schedule";
         checkSplitInvariants(result,
                              static_cast<std::size_t>(leaves), store);
+    }
+}
+
+TEST(SplitterPropertyTest, MovementIsTheMstWeightOnHealthyTopologies)
+{
+    // Every value crossing an MST edge is one element, so a
+    // balancer-free split moves exactly its MST edge weights, summed
+    // over every nested-set level. Healthy meshes and tori only: a
+    // failed link makes distance asymmetric, and the movement follows
+    // the child-to-parent direction rather than the edge's.
+    Rng rng(0x3e57);
+    const noc::MeshTopology meshes[] = {
+        noc::MeshTopology(6, 6), noc::MeshTopology(8, 4),
+        noc::MeshTopology(5, 4, true), noc::MeshTopology(6, 6, true)};
+    partition::SplitPlan plan;
+    for (const noc::MeshTopology &mesh : meshes) {
+        partition::StatementSplitter splitter(mesh);
+        for (int trial = 0; trial < 100; ++trial) {
+            const int leaves = 2 + static_cast<int>(rng.nextBelow(11));
+            const bool flat = rng.nextBool(0.5);
+            ir::ArrayTable arrays;
+            ir::LoopNest nest = kernelFor(
+                flat ? flatRhs(leaves, rng) : nestedRhs(0, leaves, rng),
+                leaves, arrays);
+            const ir::VarSet sets = ir::buildVarSets(nest.body().front());
+            const auto locations = randomLocations(
+                static_cast<std::size_t>(leaves), mesh.nodeCount(), rng);
+            const auto store = static_cast<noc::NodeId>(rng.nextBelow(
+                static_cast<std::uint64_t>(mesh.nodeCount())));
+
+            splitter.split(sets, locations, store, nullptr, plan);
+            const partition::SplitView result = plan.view();
+            std::int64_t mst_weight = 0;
+            for (std::size_t e = 0; e < result.edgeCount; ++e)
+                mst_weight += result.edges[e].weight;
+            EXPECT_EQ(result.plannedMovement, mst_weight)
+                << mesh.cols() << "x" << mesh.rows()
+                << (mesh.isTorus() ? " torus" : " mesh") << " trial "
+                << trial << " (flat=" << flat << ")";
+            checkSplitInvariants(result,
+                                 static_cast<std::size_t>(leaves), store);
+        }
     }
 }
 

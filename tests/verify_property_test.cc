@@ -1,11 +1,12 @@
 /**
  * @file
  * Property tests for the static plan verifier: real planner output —
- * healthy or running on a faulted chip — must verify clean at the
- * full level with zero diagnostics of any severity. This is the
- * no-false-positives half of the verifier's contract (the mutation
- * tests pin the no-false-negatives half) and doubles as an end-to-end
- * invariant check of the whole planning pipeline on every app.
+ * healthy, on a torus, or running on a faulted chip — must verify
+ * clean at the full level with zero diagnostics of any severity. This
+ * is the no-false-positives half of the verifier's contract (the
+ * mutation tests pin the no-false-negatives half) and doubles as an
+ * end-to-end invariant check of the whole planning pipeline on every
+ * app.
  */
 
 #include <gtest/gtest.h>
@@ -54,6 +55,17 @@ TEST(VerifyPropertyTest, HealthyPlansVerifyCleanAtFull)
     // The default config balances load, and its kept plans still hold
     // splits replayed from the cache, so R6 ran on balanced replays.
     EXPECT_GT(replays, 0);
+}
+
+TEST(VerifyPropertyTest, TorusPlansVerifyCleanAtFull)
+{
+    // Wrap-around links change every distance, MST and route the
+    // planner and the verifier's re-derivations read.
+    workloads::WorkloadFactory factory(256);
+    ExperimentConfig torus;
+    torus.machine.torus = true;
+    for (const workloads::Workload &app : factory.buildAll())
+        expectClean(runVerified(app, torus), app.name + " on a torus");
 }
 
 TEST(VerifyPropertyTest, DesignChoiceVariantsVerifyCleanAtFull)
