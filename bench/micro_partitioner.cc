@@ -37,6 +37,7 @@
 #include "sim/engine.h"
 #include "sim/manycore.h"
 #include "support/alloc_counter.h"
+#include "support/fnv.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 #include "workloads/workload.h"
@@ -189,13 +190,8 @@ std::uint64_t
 planDigest(const sim::ExecutionPlan &plan,
            const partition::PartitionReport &report)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    };
+    Fnv1a h;
+    const auto mix = [&h](std::uint64_t v) { h.add(v); };
     const auto mixAccess = [&](const sim::MemAccess &a) {
         mix(a.addr);
         mix(a.size);
@@ -235,7 +231,7 @@ planDigest(const sim::ExecutionPlan &plan,
     mix(static_cast<std::uint64_t>(report.statementsSplit));
     mix(static_cast<std::uint64_t>(report.statementsKeptDefault));
     mix(static_cast<std::uint64_t>(plan.windowSize));
-    return h;
+    return h.value();
 }
 
 /** One memoization mode's timing/counter results. */

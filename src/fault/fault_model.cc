@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/error.h"
+#include "support/fnv.h"
 #include "support/rng.h"
 
 namespace ndp::fault {
@@ -23,17 +24,6 @@ insertSorted(std::vector<noc::NodeId> &vec, noc::NodeId node)
     auto it = std::lower_bound(vec.begin(), vec.end(), node);
     if (it == vec.end() || *it != node)
         vec.insert(it, node);
-}
-
-std::uint64_t
-fnvMix(std::uint64_t h, std::uint64_t word)
-{
-    constexpr std::uint64_t kPrime = 0x100000001b3ull;
-    for (int i = 0; i < 8; ++i) {
-        h ^= (word >> (i * 8)) & 0xff;
-        h *= kPrime;
-    }
-    return h;
 }
 
 } // namespace
@@ -149,28 +139,27 @@ FaultModel::signature() const
     // FNV-1a over a canonical serialization: tagged sections, sorted
     // node lists, sorted link keys. Order-independent because every
     // accessor is already canonicalized.
-    constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
-    std::uint64_t h = kBasis;
-    h = fnvMix(h, 0x6e6f646573ull); // "nodes"
+    Fnv1a h;
+    h.add(0x6e6f646573ull); // "nodes"
     for (noc::NodeId node : dead_)
-        h = fnvMix(h, static_cast<std::uint64_t>(node));
-    h = fnvMix(h, 0x64656772ull); // "degr"
+        h.add(static_cast<std::uint64_t>(node));
+    h.add(0x64656772ull); // "degr"
     for (noc::NodeId node : degraded_)
-        h = fnvMix(h, static_cast<std::uint64_t>(node));
-    h = fnvMix(h, 0x6c696e6b73ull); // "links"
+        h.add(static_cast<std::uint64_t>(node));
+    h.add(0x6c696e6b73ull); // "links"
     std::vector<std::uint64_t> keys;
     keys.reserve(links_.size());
     for (const auto &[from, to] : links_)
         keys.push_back(linkKey(from, to));
     std::sort(keys.begin(), keys.end());
     for (std::uint64_t key : keys)
-        h = fnvMix(h, key);
+        h.add(key);
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(degradeFactor_));
     __builtin_memcpy(&bits, &degradeFactor_, sizeof(bits));
-    h = fnvMix(h, bits);
+    h.add(bits);
     // 0 is reserved for the healthy chip.
-    return h == 0 ? 1 : h;
+    return h.value() == 0 ? 1 : h.value();
 }
 
 std::string

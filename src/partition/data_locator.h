@@ -207,44 +207,6 @@ class VariableToNodeMap
 };
 
 /**
- * FNV-1a digest of a window's accepted (line, node) insertions in
- * order, evictions included, so equal digests mean equal add()
- * histories. The planner mixes it on its emitting pass only
- * (PartitionReport::reuseMapHash); the nest-parallel equivalence tests
- * compare it to pin that per-nest fan-out replays the serial window
- * state.
- */
-class InsertionDigest
-{
-  public:
-    /** Mix one accepted add of line number @p line on @p node. */
-    void
-    mix(std::uint64_t line, noc::NodeId node)
-    {
-        mixWord(line);
-        mixWord(static_cast<std::uint64_t>(node));
-    }
-
-    std::uint64_t value() const { return hash_; }
-    void reset() { hash_ = kFnvOffset; }
-
-  private:
-    static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-
-    void
-    mixWord(std::uint64_t value)
-    {
-        // FNV-1a over the value's bytes.
-        for (int b = 0; b < 8; ++b) {
-            hash_ ^= (value >> (8 * b)) & 0xff;
-            hash_ *= 0x100000001b3ull;
-        }
-    }
-
-    std::uint64_t hash_ = kFnvOffset;
-};
-
-/**
  * The L1 copy to use among non-empty @p copies (the window map's nodes
  * for a line): the one nearest @p prefer_near, typically the store
  * node of the statement being split, ties toward the lower node id.

@@ -1,7 +1,6 @@
 #include "partition/partitioner.h"
 
 #include <algorithm>
-#include <bit>
 #include <optional>
 #include <span>
 
@@ -13,6 +12,7 @@
 #include "partition/splitter.h"
 #include "partition/sync_graph.h"
 #include "support/error.h"
+#include "support/fnv.h"
 
 namespace ndp::partition {
 
@@ -401,50 +401,426 @@ struct NestContext
 };
 
 /**
- * Buffers one plan() call lends to each of its candidates in turn: the
- * window map, on the stream's line ids, and the splitter with the flat
- * plan it writes. Their contents never outlive a window or an instance,
- * so sharing them changes no decision and spares every candidate their
- * warm-up.
+ * One statement instance as a DecisionLane decided it: everything the
+ * Emitter reads. Valid until the lane decides its next instance.
  */
-struct PlanScratch
+struct Decision
 {
-    VariableToNodeMap varmap;
-    StatementSplitter splitter;
-    SplitPlan split;
+    std::int64_t iter = 0;
+    std::int32_t stmtIdx = 0;
+    const ir::Statement *stmt = nullptr;
+    noc::NodeId defaultNode = noc::kInvalidNode;
+    noc::NodeId storeNode = noc::kInvalidNode;
+    /** The instance's reads and the write, with dense address ids. */
+    std::span<const sim::MemAccess> reads;
+    std::span<const std::uint32_t> readIds;
+    const sim::MemAccess *write = nullptr;
+    std::uint32_t writeId = 0;
+    std::int64_t defaultMovement = 0;
+    /** Every read's location; set whenever split is. */
+    std::span<const Location> locations;
+    /** The shipped split; null when the statement runs whole. */
+    const SplitView *split = nullptr;
+    bool fromCache = false;
 };
 
 /**
- * Plans one nest at one window size. Every statement instance of the
- * stream runs one pipeline — resolve, price the baseline, locate,
- * split, guard, note, emit, record — and each window then minimises its
- * synchronisations.
- *
- * A scoring planner (emit = false) runs only the decision half:
- * resolve through guard, then note, which updates everything a later
- * decision reads (the default-L1 model, the window map, the balancer,
- * the split cache) and the report's two movement totals. It builds no
- * tasks, dependences, sync arcs, instance stats or provenance, so
- * scoring a window size costs what deciding it does; plan() scores
- * every candidate and emits only the winner.
+ * Builds the plan of the window size plan() chose by watching that
+ * size's DecisionLane walk. Each Decision becomes tasks, staged deps,
+ * ordering and data arcs and one record (report tallies and, when
+ * verifying, provenance); each window end minimises the window's
+ * synchronisations, flushes its deps and folds its reuse-map digest.
  */
-class CandidatePlanner
+class Emitter
 {
   public:
-    CandidatePlanner(const NestContext &ctx, PlanScratch &scratch,
-                     std::int32_t window_size, PartitionReport &report,
-                     bool emit)
+    /**
+     * Emit into @p plan and @p report, both fresh; @p sync_ns, when
+     * set, accumulates minimizeSyncs() time.
+     */
+    Emitter(const NestContext &ctx, std::int32_t window_size,
+            sim::ExecutionPlan &plan, PartitionReport &report,
+            std::int64_t *sync_ns)
+        : ctx_(ctx),
+          stmtCount_(static_cast<std::int64_t>(ctx.nest.body().size())),
+          deps_(ctx.stream.home.size()), report_(report), syncNs_(sync_ns),
+          plan_(plan)
+    {
+        report.chosenWindowSize = window_size;
+        plan_.name = ctx.nest.name();
+        plan_.windowSize = window_size;
+        // At least one task per instance, and one record each. Every
+        // read of the stream lands in exactly one task.
+        const std::size_t instances = ctx.stream.analyzable.size();
+        plan_.tasks.reserve(instances);
+        plan_.readPool.reserve(ctx.stream.refs.size() - instances);
+
+        // Planning provenance for the static verifier (DESIGN.md §9).
+        const PartitionOptions &opts = ctx.options;
+        if (opts.verifyLevel != verify::VerifyLevel::Off) {
+            prov_ = std::make_shared<verify::PlanProvenance>();
+            prov_->level = opts.verifyLevel;
+            prov_->windowSize = window_size;
+            prov_->faultEpoch = ctx.system.mesh().faults().signature();
+            prov_->exploitReuse = opts.exploitReuse;
+            prov_->loadBalanced = opts.loadBalance;
+            prov_->loadBalanceThreshold = opts.loadBalanceThreshold;
+            prov_->reuseCapacityLines = ctx.reuseCapacity;
+            prov_->instances.reserve(instances);
+            report.provenance = prov_;
+        }
+    }
+
+    /** Digest an accepted window-map add of line @p line on @p node. */
+    void
+    noteCopy(std::uint64_t line, noc::NodeId node)
+    {
+        digest_.add(line);
+        digest_.add(static_cast<std::uint64_t>(node));
+    }
+
+    void
+    emit(const Decision &d)
+    {
+        const sim::TaskId first = nextTaskId();
+        if (d.split != nullptr)
+            emitSplit(d);
+        else
+            emitWhole(d);
+        record(d, first);
+    }
+
+    /**
+     * Close the stream window [begin, end), whose map accepted @p copies
+     * adds, and open the next.
+     */
+    void
+    endWindow(std::int64_t begin, std::int64_t end, std::int64_t copies)
+    {
+        minimizeSyncs(begin, end);
+        flushDeps();
+
+        // Fold this window's reuse-map history into the nest digest
+        // (boost-style combine: window order matters, by design).
+        report_.reuseMapHash ^= digest_.value() + 0x9e3779b97f4a7c15ull +
+                                (report_.reuseMapHash << 6) +
+                                (report_.reuseMapHash >> 2);
+        // The map is cleared per window, so this ends up holding the
+        // last window's count, not a total over the plan.
+        report_.reuseCopiesPlanned = copies;
+
+        digest_.reset();
+        windowTaskBegin_ = plan_.tasks.size();
+        stagedDeps_.reset(windowTaskBegin_);
+        orderArcs_.clear();
+        dataArcs_.clear();
+    }
+
+  private:
+    sim::TaskId
+    nextTaskId() const
+    {
+        return static_cast<sim::TaskId>(plan_.tasks.size());
+    }
+
+    /**
+     * Append a task of instance @p d, placed on @p node; its id is
+     * nextTaskId() before the call. Its reads are the read-pool entries
+     * appended until closeReads(); its deps are staged until the
+     * window's flushDeps().
+     */
+    sim::Task &
+    newTask(const Decision &d, noc::NodeId node)
+    {
+        stagedDeps_.addTask();
+        sim::Task &task = plan_.tasks.emplace_back();
+        task.node = node;
+        task.statementIndex = d.stmtIdx;
+        task.iterationNumber = d.iter;
+        return task;
+    }
+
+    /** Move the window's staged deps to the plan's pool, in task order. */
+    void
+    flushDeps()
+    {
+        for (std::size_t i = windowTaskBegin_; i < plan_.tasks.size(); ++i) {
+            const std::size_t begin = plan_.depPool.size();
+            stagedDeps_.forEach(static_cast<sim::TaskId>(i),
+                                [this](sim::TaskId dep) {
+                                    plan_.depPool.push_back(dep);
+                                });
+            plan_.closeDeps(plan_.tasks[i], begin);
+        }
+    }
+
+    /** Emit the statement whole on its default node. */
+    void
+    emitWhole(const Decision &d)
+    {
+        const sim::TaskId id = nextTaskId();
+        sim::Task &task = newTask(d, d.defaultNode);
+        task.computeCost = d.stmt->totalOpCost();
+        task.write = *d.write;
+        // Like the baseline, the unsplit statement relies on the
+        // program's own ordering: only real (resolved) address
+        // conflicts serialise it.
+        auto add_dep = [this, id](sim::TaskId from) {
+            if (from != sim::kInvalidTask && from != id)
+                stagedDeps_.addUnique(id, from);
+        };
+        const std::size_t read_begin = plan_.readPool.size();
+        plan_.readPool.insert(plan_.readPool.end(), d.reads.begin(),
+                              d.reads.end());
+        plan_.closeReads(task, read_begin);
+        for (std::uint32_t addr : d.readIds)
+            add_dep(deps_.writer(addr));
+        add_dep(deps_.writer(d.writeId));
+        for (sim::TaskId reader : deps_.readers(d.writeId))
+            add_dep(reader);
+        for (std::uint32_t addr : d.readIds)
+            deps_.noteRead(addr, id);
+        deps_.noteWrite(d.writeId, id);
+    }
+
+    /**
+     * Emit the subcomputation tasks (children first). Inter-statement
+     * dependences become ordering arcs for the window's sync
+     * minimisation.
+     */
+    void
+    emitSplit(const Decision &d)
+    {
+        const SplitView &split = *d.split;
+        taskOfSub_.assign(split.size(), sim::kInvalidTask);
+        std::size_t s = 0;
+        for (const SubView sub : split) {
+            const sim::TaskId id = nextTaskId();
+            sim::Task &task = newTask(d, sub.node);
+            task.computeCost = sub.opCost;
+            // Guard operands evaluate with the root merge.
+            const std::size_t guards =
+                sub.isRoot ? d.reads.size() - d.stmt->rhsReadCount() : 0;
+            const std::size_t read_begin = plan_.readPool.size();
+            for (const std::size_t i : sub.leaves) {
+                plan_.readPool.push_back(d.reads[i]);
+                const sim::TaskId writer = deps_.writer(d.readIds[i]);
+                if (writer != sim::kInvalidTask)
+                    orderArcs_.push_back({writer, id});
+                deps_.noteRead(d.readIds[i], id);
+            }
+            for (const std::size_t child : sub.children) {
+                const sim::TaskId child_task = taskOfSub_[child];
+                NDP_CHECK(child_task != sim::kInvalidTask,
+                          "child emitted after parent");
+                stagedDeps_.add(id, child_task);
+                dataArcs_.push_back({child_task, id});
+            }
+            if (sub.isRoot) {
+                task.write = *d.write;
+                plan_.readPool.insert(plan_.readPool.end(),
+                                      d.reads.end() - guards, d.reads.end());
+            }
+            plan_.closeReads(task, read_begin);
+            taskOfSub_[s++] = id;
+        }
+        const sim::TaskId root =
+            taskOfSub_[static_cast<std::size_t>(split.root)];
+        const sim::TaskId writer = deps_.writer(d.writeId);
+        if (writer != sim::kInvalidTask)
+            orderArcs_.push_back({writer, root});
+        for (sim::TaskId reader : deps_.readers(d.writeId)) {
+            if (reader != root)
+                orderArcs_.push_back({reader, root});
+        }
+        deps_.noteWrite(d.writeId, root);
+    }
+
+    /**
+     * The one place an emitted instance's outcome is accounted: the
+     * report's per-instance accumulators and tallies and, when
+     * verifying, its provenance record, both from the same values.
+     * Its synchronisations are added once its window is minimised.
+     */
+    void
+    record(const Decision &d, sim::TaskId first)
+    {
+        const SplitView *split = d.split;
+        const std::int64_t movement =
+            split ? split->plannedMovement : d.defaultMovement;
+        report_.movementReductionPct.add(
+            percentReduction(static_cast<double>(d.defaultMovement),
+                             static_cast<double>(movement)));
+        report_.degreeOfParallelism.add(static_cast<double>(
+            split ? split->degreeOfParallelism : 1));
+        if (split == nullptr) {
+            report_.statementsKeptDefault += 1;
+        } else {
+            report_.statementsSplit += 1;
+            for (const SubView sub : *split) {
+                if (sub.node == d.defaultNode)
+                    continue;
+                for (ir::OpKind op : sub.ops)
+                    report_.offloadedOps[static_cast<int>(
+                        ir::opCategory(op))] += 1;
+                ++report_.offloadedSubcomputations;
+            }
+        }
+        if (!prov_)
+            return;
+
+        verify::SplitRecord r;
+        r.statementIndex = d.stmtIdx;
+        r.iterationNumber = d.iter;
+        r.wasSplit = split != nullptr;
+        r.fromCache = split != nullptr && d.fromCache;
+        r.defaultNode = d.defaultNode;
+        r.storeNode = d.storeNode;
+        r.claimedMovement = movement;
+        r.defaultMovement = d.defaultMovement;
+        r.firstTask = first;
+        r.taskCount = nextTaskId() - first;
+        r.rootTask = split ? taskOfSub_[static_cast<std::size_t>(
+                                 split->root)]
+                           : first;
+        if (split) {
+            r.split = prov_->splits.append(*split);
+            r.locationBegin = narrowPacked<std::uint32_t>(
+                prov_->locations.size(), "location pool offset");
+            r.locationCount = narrowPacked<std::uint32_t>(
+                d.locations.size(), "location count");
+            prov_->locations.insert(prov_->locations.end(),
+                                    d.locations.begin(), d.locations.end());
+        }
+        prov_->instances.push_back(r);
+    }
+
+    /**
+     * Synchronisation minimisation over the stream window [begin, end).
+     * Value-carrying (tree) arcs always survive; an ordering arc that a
+     * chain of other arcs already implies is dropped (transitive-
+     * closure minimisation, Section 4.5). The graph and the per-window
+     * vectors are members, cleared per window.
+     */
+    void
+    minimizeSyncs(std::int64_t begin, std::int64_t end)
+    {
+        ScopedPhaseTimer t(syncNs_);
+        const std::size_t first = windowTaskBegin_;
+        SyncGraph &graph = syncGraph_;
+        graph.clear();
+        for (std::size_t i = first; i < plan_.tasks.size(); ++i)
+            graph.addNode();
+        auto local = [first](sim::TaskId id) {
+            return static_cast<int>(static_cast<std::size_t>(id) - first);
+        };
+        auto task = [this](sim::TaskId id) -> sim::Task & {
+            return plan_.tasks[static_cast<std::size_t>(id)];
+        };
+        auto apply_dep = [this](sim::TaskId from, sim::TaskId to) {
+            stagedDeps_.addUnique(to, from);
+        };
+        // A task's instance is its stream position; count per window
+        // offset.
+        auto slot = [&](const sim::Task &t) {
+            return static_cast<std::size_t>(
+                t.iterationNumber * stmtCount_ + t.statementIndex - begin);
+        };
+
+        for (const OrderArc &arc : dataArcs_) {
+            if (static_cast<std::size_t>(arc.from) >= first)
+                graph.addArc(local(arc.from), local(arc.to));
+        }
+        auto in_window = [first](const OrderArc &arc) {
+            return arc.from != arc.to &&
+                   static_cast<std::size_t>(arc.from) >= first;
+        };
+        for (const OrderArc &arc : orderArcs_) {
+            if (in_window(arc))
+                graph.addArc(local(arc.from), local(arc.to));
+            else if (arc.from != arc.to)
+                apply_dep(arc.from, arc.to); // window-crossing
+        }
+
+        // Per-instance cross-node ordering arcs pruned (raw - final).
+        const auto instances = static_cast<std::size_t>(end - begin);
+        pruned_.assign(instances, 0);
+        for (const OrderArc &arc : orderArcs_) {
+            if (!in_window(arc))
+                continue;
+            if (ctx_.options.minimizeSyncs &&
+                graph.dropIfImplied(local(arc.from), local(arc.to))) {
+                if (task(arc.from).node != task(arc.to).node)
+                    pruned_[slot(task(arc.to))] += 1;
+            } else {
+                apply_dep(arc.from, arc.to);
+            }
+        }
+
+        // Final synchronisations = cross-node dependences of every
+        // task, attributed to the consuming instance (Figure 15); raw
+        // adds back what the reduction pruned.
+        finalSyncs_.assign(instances, 0);
+        for (std::size_t i = first; i < plan_.tasks.size(); ++i) {
+            const sim::Task &t = plan_.tasks[i];
+            stagedDeps_.forEach(static_cast<sim::TaskId>(i),
+                                [&](sim::TaskId d) {
+                                    if (task(d).node != t.node)
+                                        finalSyncs_[slot(t)] += 1;
+                                });
+        }
+        for (std::size_t k = 0; k < instances; ++k) {
+            report_.syncsPerStatement.add(
+                static_cast<double>(finalSyncs_[k]));
+            report_.rawSyncsPerStatement.add(
+                static_cast<double>(finalSyncs_[k] + pruned_[k]));
+        }
+    }
+
+    const NestContext &ctx_;
+    const std::int64_t stmtCount_;
+    DepTracker deps_;
+    PartitionReport &report_;
+    std::int64_t *syncNs_;
+    sim::ExecutionPlan &plan_;
+    std::shared_ptr<verify::PlanProvenance> prov_;
+    std::vector<sim::TaskId> taskOfSub_;
+
+    // The open window.
+    Fnv1a digest_;
+    std::size_t windowTaskBegin_ = 0;
+    /** The window's task deps, final once minimizeSyncs() ran. */
+    DepStaging stagedDeps_;
+    std::vector<OrderArc> orderArcs_; // reducible (pure ordering)
+    std::vector<OrderArc> dataArcs_;  // value-carrying (fixed)
+    // minimizeSyncs scratch.
+    SyncGraph syncGraph_;
+    std::vector<std::int32_t> pruned_;
+    std::vector<std::int32_t> finalSyncs_;
+};
+
+/**
+ * Decides one nest's instance stream at one window size: every
+ * statement instance runs resolve, price the baseline, locate, split,
+ * guard and note, and the lane keeps the walk's movement totals and
+ * compile counters. A walk alone scores a window-size candidate;
+ * plan() repeats the winner's walk with an Emitter watching it. One
+ * lane serves every candidate of a plan() call: run() re-arms it from
+ * the shared starting state and keeps its buffers.
+ */
+class DecisionLane
+{
+  public:
+    explicit DecisionLane(const NestContext &ctx)
         : ctx_(ctx), opts_(ctx.options), mesh_(ctx.system.mesh()),
-          emit_(emit), windowSize_(window_size),
           stmtCount_(static_cast<std::int64_t>(ctx.nest.body().size())),
           lineFlits_(ctx.system.config().lineFlits()),
           stream_(ctx.stream),
           balancer_(mesh_.nodeCount(), opts_.loadBalanceThreshold),
-          splitter_(scratch.splitter), l1_(ctx.warmL1),
-          deps_(emit ? ctx.stream.home.size() : 0), report_(report),
-          cstats_(report.compile), timed_(opts_.collectCompileTimers),
-          varmap_(scratch.varmap), trial_(balancer_),
-          computed_(scratch.split)
+          splitter_(mesh_), l1_(ctx.warmL1),
+          varmap_(mesh_.nodeCount(), ctx.reuseCapacity,
+                  ctx.stream.lineCount),
+          trial_(balancer_)
     {
         // Dead tiles leave the balancing pool; every other planner
         // input is already live (default nodes come from the
@@ -453,94 +829,60 @@ class CandidatePlanner
         // could land on a dead node.
         for (noc::NodeId dead : mesh_.faults().deadNodes())
             balancer_.markUnavailable(dead);
-        report.chosenWindowSize = window_size;
-        plan_.name = ctx.nest.name();
-        plan_.windowSize = window_size;
-
-        // Planning provenance for the static verifier (DESIGN.md §9):
-        // only the emitting pass, the winner's, records it.
-        if (emit_ && opts_.verifyLevel != verify::VerifyLevel::Off) {
-            prov_ = std::make_shared<verify::PlanProvenance>();
-            prov_->level = opts_.verifyLevel;
-            prov_->windowSize = window_size;
-            prov_->faultEpoch = mesh_.faults().signature();
-            prov_->exploitReuse = opts_.exploitReuse;
-            prov_->loadBalanced = opts_.loadBalance;
-            prov_->loadBalanceThreshold = opts_.loadBalanceThreshold;
-            prov_->reuseCapacityLines = ctx.reuseCapacity;
-        }
     }
 
-    sim::ExecutionPlan
-    run()
+    /**
+     * Walk the stream at window size @p window_size from the shared
+     * starting state (the warmed L1 model, an idle balancer, an empty
+     * map); @p emitter, when set, watches every decision and window.
+     */
+    void
+    run(std::int32_t window_size, Emitter *emitter)
     {
+        l1_ = ctx_.warmL1;
+        balancer_.reset();
+        cstats_ = {};
+        plannedTotal_ = 0;
+        defaultTotal_ = 0;
+        emitter_ = emitter;
         const std::int64_t total = ctx_.nest.iterationCount() * stmtCount_;
-        if (emit_) {
-            // At least one task per instance, and one record each.
-            // Every read of the stream lands in exactly one task.
-            const auto instances = static_cast<std::size_t>(total);
-            plan_.tasks.reserve(instances);
-            plan_.readPool.reserve(stream_.refs.size() - instances);
-            if (prov_)
-                prov_->instances.reserve(instances);
-        }
-        for (std::int64_t begin = 0; begin < total; begin += windowSize_) {
-            const std::int64_t end = std::min(begin + windowSize_, total);
+        for (std::int64_t begin = 0; begin < total; begin += window_size) {
+            const std::int64_t end = std::min(begin + window_size, total);
             varmap_.clear();
-            digest_.reset();
-            windowTaskBegin_ = plan_.tasks.size();
-            stagedDeps_.reset(windowTaskBegin_);
-            orderArcs_.clear();
-            dataArcs_.clear();
-            for (std::int64_t pos = begin; pos < end; ++pos)
-                planInstance(pos);
-            if (!emit_)
-                continue;
-            minimizeSyncs(begin, end);
-            flushDeps();
-
-            // Fold this window's reuse-map history into the nest digest
-            // (boost-style combine: window order matters, by design).
-            report_.reuseMapHash ^= digest_.value() +
-                                    0x9e3779b97f4a7c15ull +
-                                    (report_.reuseMapHash << 6) +
-                                    (report_.reuseMapHash >> 2);
-            // The map is cleared per window, so this ends up holding
-            // the last window's count, not a total over the plan.
-            report_.reuseCopiesPlanned = varmap_.insertionCount();
+            for (std::int64_t pos = begin; pos < end; ++pos) {
+                decide(pos);
+                if (emitter)
+                    emitter->emit(d_);
+            }
+            if (emitter)
+                emitter->endWindow(begin, end, varmap_.insertionCount());
         }
-        report_.provenance = prov_;
-        return std::move(plan_);
     }
+
+    /** The last walk's Equation-1 totals and compile counters. */
+    std::int64_t plannedMovement() const { return plannedTotal_; }
+    std::int64_t defaultMovement() const { return defaultTotal_; }
+    const CompileStats &compile() const { return cstats_; }
 
   private:
     void
-    planInstance(std::int64_t pos)
+    decide(std::int64_t pos)
     {
         const bool analyzable = resolve(pos);
         priceBaseline();
         // Null when the statement runs whole on its default node:
         // unanalysable, or the split does not pay.
-        SplitView candidate;
-        const SplitView *split = nullptr;
+        d_.split = nullptr;
         if (analyzable || ctx_.inspectorResolved) {
             locate();
-            candidate = splitInstance();
-            if (profitable(candidate)) {
+            candidate_ = splitInstance();
+            if (profitable(candidate_)) {
                 if (opts_.loadBalance)
                     std::swap(balancer_, trial_); // commit trial loads
-                split = &candidate;
+                d_.split = &candidate_;
             }
         }
-        note(split);
-        if (!emit_)
-            return;
-        const sim::TaskId first = nextTaskId();
-        if (split != nullptr)
-            emitSplit(*split);
-        else
-            emitWhole();
-        record(split, first);
+        note();
     }
 
     /**
@@ -550,26 +892,20 @@ class CandidatePlanner
     bool
     resolve(std::int64_t pos)
     {
-        iter_ = pos / stmtCount_;
-        stmtIdx_ = static_cast<std::int32_t>(pos % stmtCount_);
-        stmt_ = &ctx_.nest.body()[static_cast<std::size_t>(stmtIdx_)];
-        defaultNode_ = ctx_.defaultNodes[static_cast<std::size_t>(iter_)];
+        d_.iter = pos / stmtCount_;
+        d_.stmtIdx = static_cast<std::int32_t>(pos % stmtCount_);
+        d_.stmt = &ctx_.nest.body()[static_cast<std::size_t>(d_.stmtIdx)];
+        d_.defaultNode = ctx_.defaultNodes[static_cast<std::size_t>(d_.iter)];
         cstats_.instancesPlanned += 1;
         const auto at = static_cast<std::size_t>(pos);
         base_ = stream_.refBegin[at];
         const std::size_t write_at = stream_.refBegin[at + 1] - 1;
-        reads_ = {stream_.refs.data() + base_, write_at - base_};
-        write_ = &stream_.refs[write_at];
-        writeId_ = stream_.addrId[write_at];
-        storeNode_ = stream_.home[writeId_].node;
+        d_.reads = {stream_.refs.data() + base_, write_at - base_};
+        d_.readIds = {stream_.addrId.data() + base_, write_at - base_};
+        d_.write = &stream_.refs[write_at];
+        d_.writeId = stream_.addrId[write_at];
+        d_.storeNode = stream_.home[d_.writeId].node;
         return stream_.analyzable[at] != 0;
-    }
-
-    /** Dense address id of read @p i of the instance in flight. */
-    std::uint32_t
-    readId(std::size_t i) const
-    {
-        return stream_.addrId[base_ + i];
     }
 
     /**
@@ -581,9 +917,9 @@ class CandidatePlanner
     void
     priceBaseline()
     {
-        defaultMovement_ = 0;
+        d_.defaultMovement = 0;
         fetchedSlots_.clear();
-        for (std::size_t i = 0; i < reads_.size(); ++i) {
+        for (std::size_t i = 0; i < d_.reads.size(); ++i) {
             // One default node per instance, so equal slots are equal
             // lines.
             const std::uint32_t slot = stream_.lineSlot[base_ + i];
@@ -592,38 +928,39 @@ class CandidatePlanner
                           slot) != fetchedSlots_.end())
                 continue;
             fetchedSlots_.push_back(slot);
-            defaultMovement_ +=
-                lineFlits_ * mesh_.distance(defaultNode_,
-                                            stream_.home[readId(i)].node);
+            d_.defaultMovement +=
+                lineFlits_ * mesh_.distance(d_.defaultNode,
+                                            stream_.home[d_.readIds[i]].node);
         }
         // Equation 1 weights movement by data size: a fetched line is
         // lineFlits wide; the posted default write moves one element
         // to its home (the root subcomputation writes locally, so the
         // split side charges nothing here).
         const std::int64_t write_flits = std::max<std::int64_t>(
-            1, write_->size / ctx_.system.config().flitBytes);
-        defaultMovement_ +=
-            write_flits * mesh_.distance(defaultNode_, storeNode_);
+            1, d_.write->size / ctx_.system.config().flitBytes);
+        d_.defaultMovement +=
+            write_flits * mesh_.distance(d_.defaultNode, d_.storeNode);
     }
 
     /** GetNode for every operand, guard reads included. */
     void
     locate()
     {
-        ScopedPhaseTimer t(timed_ ? &cstats_.locateNs : nullptr);
+        ScopedPhaseTimer t(opts_.collectCompileTimers ? &cstats_.locateNs
+                                                     : nullptr);
         locations_.clear();
-        for (std::size_t i = 0; i < reads_.size(); ++i) {
+        for (std::uint32_t addr : d_.readIds) {
             if (opts_.exploitReuse) {
-                const CopySet copies =
-                    varmap_.copies(stream_.lineOf[readId(i)]);
+                const CopySet copies = varmap_.copies(stream_.lineOf[addr]);
                 if (!copies.empty()) {
                     locations_.push_back(
-                        nearestCopy(mesh_, copies, storeNode_));
+                        nearestCopy(mesh_, copies, d_.storeNode));
                     continue;
                 }
             }
-            locations_.push_back(stream_.home[readId(i)]);
+            locations_.push_back(stream_.home[addr]);
         }
+        d_.locations = locations_;
     }
 
     /**
@@ -643,10 +980,12 @@ class CandidatePlanner
         // (duplicated conditionals, Section 4.5) are fetched by the
         // root subcomputation.
         const ir::VarSet &sets =
-            ctx_.staticSets[static_cast<std::size_t>(stmtIdx_)];
-        fromCache_ = false;
+            ctx_.staticSets[static_cast<std::size_t>(d_.stmtIdx)];
+        const noc::NodeId store = d_.storeNode;
+        d_.fromCache = false;
         cstats_.splitsRequested += 1;
-        ScopedPhaseTimer t(timed_ ? &cstats_.splitNs : nullptr);
+        ScopedPhaseTimer t(opts_.collectCompileTimers ? &cstats_.splitNs
+                                                     : nullptr);
         LoadBalancer *balancer = nullptr;
         if (opts_.loadBalance) {
             trial_ = balancer_;
@@ -654,27 +993,27 @@ class CandidatePlanner
         }
         if (!opts_.memoizeSplits) {
             cstats_.plansComputed += 1;
-            splitter_.split(sets, locations_, storeNode_, balancer, computed_);
+            splitter_.split(sets, locations_, store, balancer, computed_);
             return computed_.view();
         }
         SplitView plan;
         if (const std::optional<SplitView> hit =
-                ctx_.cache.lookup(stmtIdx_, storeNode_, locations_)) {
+                ctx_.cache.lookup(d_.stmtIdx, store, locations_)) {
             cstats_.plansMemoized += 1;
-            fromCache_ = true;
+            d_.fromCache = true;
             plan = *hit;
         } else {
             cstats_.plansComputed += 1;
-            splitter_.split(sets, locations_, storeNode_, nullptr, computed_);
+            splitter_.split(sets, locations_, store, nullptr, computed_);
             plan = computed_.view();
             ctx_.cache.insert(plan);
         }
         if (balancer == nullptr || replayOnTrial(plan))
             return plan;
         cstats_.cacheBypassed += 1;
-        fromCache_ = false;
+        d_.fromCache = false;
         trial_ = balancer_;
-        splitter_.split(sets, locations_, storeNode_, &trial_, computed_);
+        splitter_.split(sets, locations_, store, &trial_, computed_);
         return computed_.view();
     }
 
@@ -710,14 +1049,14 @@ class CandidatePlanner
         const sim::ManycoreConfig &config = ctx_.system.config();
         const double benefit =
             opts_.latencyPerFlitHop *
-            static_cast<double>(defaultMovement_ - split.plannedMovement);
+            static_cast<double>(d_.defaultMovement - split.plannedMovement);
         const double overhead =
             opts_.overheadSafetyFactor * opts_.profileUtilization *
             (static_cast<double>(split.size()) *
                  static_cast<double>(config.perTaskOverheadCycles) +
              static_cast<double>(split.crossNodeEdges) *
                  static_cast<double>(config.syncOverheadCycles));
-        return split.plannedMovement < defaultMovement_ &&
+        return split.plannedMovement < d_.defaultMovement &&
                !(opts_.overheadSafetyFactor > 0.0 && benefit <= overhead);
     }
 
@@ -725,363 +1064,76 @@ class CandidatePlanner
      * Update the state later decisions read: the balancer's load for a
      * whole statement (a split's trial was committed), the window map's
      * copies of every fetched operand and of the stored result, in
-     * emission order (insertionHash depends on it), and, for a whole
+     * emission order (the reuse digest depends on it), and, for a whole
      * statement, the default node's L1. Then add the instance to the
      * movement totals.
      */
     void
-    note(const SplitView *split)
+    note()
     {
-        const std::size_t write_ref = base_ + reads_.size();
-        if (split == nullptr) {
-            balancer_.add(defaultNode_, stmt_->totalOpCost());
+        const std::size_t write_ref = base_ + d_.reads.size();
+        if (d_.split == nullptr) {
+            balancer_.add(d_.defaultNode, d_.stmt->totalOpCost());
             // Reads, then the write: every line passes through the L1.
             for (std::size_t r = base_; r <= write_ref; ++r) {
                 if (opts_.exploitReuse)
-                    addCopy(r, defaultNode_);
-                l1_.insert(defaultNode_, stream_.lineSlot[r]);
+                    addCopy(r, d_.defaultNode);
+                l1_.insert(d_.defaultNode, stream_.lineSlot[r]);
             }
         } else if (opts_.exploitReuse) {
-            for (const SubView sub : *split) {
+            for (const SubView sub : *d_.split) {
                 for (std::uint8_t leaf : sub.leaves)
                     addCopy(base_ + leaf, sub.node);
             }
-            addCopy(write_ref, storeNode_);
+            addCopy(write_ref, d_.storeNode);
         }
-        report_.plannedMovement +=
-            split ? split->plannedMovement : defaultMovement_;
-        report_.defaultMovement += defaultMovement_;
+        plannedTotal_ +=
+            d_.split ? d_.split->plannedMovement : d_.defaultMovement;
+        defaultTotal_ += d_.defaultMovement;
     }
 
     /**
      * Record in the window map that @p node's L1 will hold the line of
-     * stream reference @p ref; the emitting pass also digests the add.
+     * stream reference @p ref; an emitter watching digests the add.
      */
     void
     addCopy(std::size_t ref, noc::NodeId node)
     {
-        if (varmap_.add(stream_.lineOf[stream_.addrId[ref]], node) && emit_)
-            digest_.mix(mem::lineNumber(stream_.refs[ref].addr), node);
-    }
-
-    sim::TaskId
-    nextTaskId() const
-    {
-        return static_cast<sim::TaskId>(plan_.tasks.size());
-    }
-
-    /**
-     * Append a task of the instance in flight, placed on @p node; its
-     * id is nextTaskId() before the call. Its reads are the read-pool
-     * entries appended until closeReads(); its deps are staged until
-     * the window's flushDeps().
-     */
-    sim::Task &
-    newTask(noc::NodeId node)
-    {
-        stagedDeps_.addTask();
-        sim::Task &task = plan_.tasks.emplace_back();
-        task.node = node;
-        task.statementIndex = stmtIdx_;
-        task.iterationNumber = iter_;
-        return task;
-    }
-
-    /** Move the window's staged deps to the plan's pool, in task order. */
-    void
-    flushDeps()
-    {
-        for (std::size_t i = windowTaskBegin_; i < plan_.tasks.size(); ++i) {
-            const std::size_t begin = plan_.depPool.size();
-            stagedDeps_.forEach(static_cast<sim::TaskId>(i),
-                                [this](sim::TaskId dep) {
-                                    plan_.depPool.push_back(dep);
-                                });
-            plan_.closeDeps(plan_.tasks[i], begin);
-        }
-    }
-
-    /** Emit the statement whole on its default node. */
-    void
-    emitWhole()
-    {
-        const sim::TaskId id = nextTaskId();
-        sim::Task &task = newTask(defaultNode_);
-        task.computeCost = stmt_->totalOpCost();
-        task.write = *write_;
-        // Like the baseline, the unsplit statement relies on the
-        // program's own ordering: only real (resolved) address
-        // conflicts serialise it.
-        auto add_dep = [this, id](sim::TaskId from) {
-            if (from != sim::kInvalidTask && from != id)
-                stagedDeps_.addUnique(id, from);
-        };
-        const std::size_t read_begin = plan_.readPool.size();
-        plan_.readPool.insert(plan_.readPool.end(), reads_.begin(),
-                              reads_.end());
-        plan_.closeReads(task, read_begin);
-        for (std::size_t i = 0; i < reads_.size(); ++i)
-            add_dep(deps_.writer(readId(i)));
-        add_dep(deps_.writer(writeId_));
-        for (sim::TaskId reader : deps_.readers(writeId_))
-            add_dep(reader);
-        for (std::size_t i = 0; i < reads_.size(); ++i)
-            deps_.noteRead(readId(i), id);
-        deps_.noteWrite(writeId_, id);
-    }
-
-    /**
-     * Emit the subcomputation tasks (children first). Inter-statement
-     * dependences become ordering arcs for the window's sync
-     * minimisation.
-     */
-    void
-    emitSplit(const SplitView &split)
-    {
-        taskOfSub_.assign(split.size(), sim::kInvalidTask);
-        std::size_t s = 0;
-        for (const SubView sub : split) {
-            const sim::TaskId id = nextTaskId();
-            sim::Task &task = newTask(sub.node);
-            task.computeCost = sub.opCost;
-            // Guard operands evaluate with the root merge.
-            const std::size_t guards =
-                sub.isRoot ? reads_.size() - stmt_->rhsReadCount() : 0;
-            const std::size_t read_begin = plan_.readPool.size();
-            for (const std::size_t i : sub.leaves) {
-                plan_.readPool.push_back(reads_[i]);
-                const sim::TaskId writer = deps_.writer(readId(i));
-                if (writer != sim::kInvalidTask)
-                    orderArcs_.push_back({writer, id});
-                deps_.noteRead(readId(i), id);
-            }
-            for (const std::size_t child : sub.children) {
-                const sim::TaskId child_task = taskOfSub_[child];
-                NDP_CHECK(child_task != sim::kInvalidTask,
-                          "child emitted after parent");
-                stagedDeps_.add(id, child_task);
-                dataArcs_.push_back({child_task, id});
-            }
-            if (sub.isRoot) {
-                task.write = *write_;
-                plan_.readPool.insert(plan_.readPool.end(),
-                                      reads_.end() - guards, reads_.end());
-            }
-            plan_.closeReads(task, read_begin);
-            taskOfSub_[s++] = id;
-        }
-        const sim::TaskId root =
-            taskOfSub_[static_cast<std::size_t>(split.root)];
-        const sim::TaskId writer = deps_.writer(writeId_);
-        if (writer != sim::kInvalidTask)
-            orderArcs_.push_back({writer, root});
-        for (sim::TaskId reader : deps_.readers(writeId_)) {
-            if (reader != root)
-                orderArcs_.push_back({reader, root});
-        }
-        deps_.noteWrite(writeId_, root);
-    }
-
-    /**
-     * The one place an emitted instance's outcome is accounted: the
-     * report's per-instance accumulators and tallies and, when
-     * verifying, its provenance record, both from the same values.
-     * Its synchronisations are added once its window is minimised.
-     * @p split is null when it ran whole.
-     */
-    void
-    record(const SplitView *split, sim::TaskId first)
-    {
-        const std::int64_t movement =
-            split ? split->plannedMovement : defaultMovement_;
-        report_.movementReductionPct.add(
-            percentReduction(static_cast<double>(defaultMovement_),
-                             static_cast<double>(movement)));
-        report_.degreeOfParallelism.add(static_cast<double>(
-            split ? split->degreeOfParallelism : 1));
-        if (split == nullptr) {
-            report_.statementsKeptDefault += 1;
-        } else {
-            report_.statementsSplit += 1;
-            for (const SubView sub : *split) {
-                if (sub.node == defaultNode_)
-                    continue;
-                for (ir::OpKind op : sub.ops)
-                    report_.offloadedOps[static_cast<int>(
-                        ir::opCategory(op))] += 1;
-                ++report_.offloadedSubcomputations;
-            }
-        }
-        if (!prov_)
-            return;
-
-        verify::SplitRecord r;
-        r.statementIndex = stmtIdx_;
-        r.iterationNumber = iter_;
-        r.wasSplit = split != nullptr;
-        r.fromCache = split != nullptr && fromCache_;
-        r.defaultNode = defaultNode_;
-        r.storeNode = storeNode_;
-        r.claimedMovement = movement;
-        r.defaultMovement = defaultMovement_;
-        r.firstTask = first;
-        r.taskCount = nextTaskId() - first;
-        r.rootTask = split ? taskOfSub_[static_cast<std::size_t>(
-                                 split->root)]
-                           : first;
-        if (split) {
-            r.split = prov_->splits.append(*split);
-            r.locationBegin = narrowPacked<std::uint32_t>(
-                prov_->locations.size(), "location pool offset");
-            r.locationCount = narrowPacked<std::uint32_t>(
-                locations_.size(), "location count");
-            prov_->locations.insert(prov_->locations.end(),
-                                    locations_.begin(), locations_.end());
-        }
-        prov_->instances.push_back(r);
-    }
-
-    /**
-     * Synchronisation minimisation over the stream window [begin, end).
-     * Value-carrying (tree) arcs always survive; an ordering arc that a
-     * chain of other arcs already implies is dropped (transitive-
-     * closure minimisation, Section 4.5). The graph and the per-window
-     * vectors are members, cleared per window.
-     */
-    void
-    minimizeSyncs(std::int64_t begin, std::int64_t end)
-    {
-        ScopedPhaseTimer t(timed_ ? &cstats_.syncNs : nullptr);
-        const std::size_t first = windowTaskBegin_;
-        SyncGraph &graph = syncGraph_;
-        graph.clear();
-        for (std::size_t i = first; i < plan_.tasks.size(); ++i)
-            graph.addNode();
-        auto local = [first](sim::TaskId id) {
-            return static_cast<int>(static_cast<std::size_t>(id) - first);
-        };
-        auto task = [this](sim::TaskId id) -> sim::Task & {
-            return plan_.tasks[static_cast<std::size_t>(id)];
-        };
-        auto apply_dep = [this](sim::TaskId from, sim::TaskId to) {
-            stagedDeps_.addUnique(to, from);
-        };
-        // A task's instance is its stream position; count per window
-        // offset.
-        auto slot = [&](const sim::Task &t) {
-            return static_cast<std::size_t>(
-                t.iterationNumber * stmtCount_ + t.statementIndex - begin);
-        };
-
-        for (const OrderArc &arc : dataArcs_) {
-            if (static_cast<std::size_t>(arc.from) >= first)
-                graph.addArc(local(arc.from), local(arc.to));
-        }
-        std::vector<OrderArc> &in_window = inWindow_;
-        in_window.clear();
-        for (const OrderArc &arc : orderArcs_) {
-            if (arc.from == arc.to)
-                continue;
-            if (static_cast<std::size_t>(arc.from) < first) {
-                apply_dep(arc.from, arc.to); // window-crossing
-                continue;
-            }
-            graph.addArc(local(arc.from), local(arc.to));
-            in_window.push_back(arc);
-        }
-
-        // Per-instance cross-node ordering arcs pruned (raw - final).
-        const auto instances = static_cast<std::size_t>(end - begin);
-        std::vector<std::int32_t> &pruned = pruned_;
-        pruned.assign(instances, 0);
-        for (const OrderArc &arc : in_window) {
-            if (opts_.minimizeSyncs &&
-                graph.impliedByOthers(local(arc.from), local(arc.to))) {
-                graph.removeArc(local(arc.from), local(arc.to));
-                if (task(arc.from).node != task(arc.to).node)
-                    pruned[slot(task(arc.to))] += 1;
-            } else {
-                apply_dep(arc.from, arc.to);
-            }
-        }
-
-        // Final synchronisations = cross-node dependences of every
-        // task, attributed to the consuming instance (Figure 15); raw
-        // adds back what the reduction pruned.
-        std::vector<std::int32_t> &final_syncs = finalSyncs_;
-        final_syncs.assign(instances, 0);
-        for (std::size_t i = first; i < plan_.tasks.size(); ++i) {
-            const sim::Task &t = plan_.tasks[i];
-            stagedDeps_.forEach(static_cast<sim::TaskId>(i),
-                                [&](sim::TaskId d) {
-                                    if (task(d).node != t.node)
-                                        final_syncs[slot(t)] += 1;
-                                });
-        }
-        for (std::size_t k = 0; k < instances; ++k) {
-            report_.syncsPerStatement.add(
-                static_cast<double>(final_syncs[k]));
-            report_.rawSyncsPerStatement.add(
-                static_cast<double>(final_syncs[k] + pruned[k]));
-        }
+        if (varmap_.add(stream_.lineOf[stream_.addrId[ref]], node) &&
+            emitter_ != nullptr)
+            emitter_->noteCopy(mem::lineNumber(stream_.refs[ref].addr),
+                               node);
     }
 
     const NestContext &ctx_;
     const PartitionOptions &opts_;
     const noc::MeshTopology &mesh_;
-    /** Build the plan (tasks, syncs, stats); false only scores. */
-    const bool emit_;
-    const std::int32_t windowSize_;
     const std::int64_t stmtCount_;
     const std::int64_t lineFlits_;
     const ResolvedStream &stream_;
     LoadBalancer balancer_;
-    StatementSplitter &splitter_;
+    StatementSplitter splitter_;
     DefaultL1Model l1_;
-    DepTracker deps_;
-    PartitionReport &report_;
-    CompileStats &cstats_;
-    /** Phase timers on; a null ScopedPhaseTimer never reads the clock. */
-    const bool timed_;
-    std::shared_ptr<verify::PlanProvenance> prov_;
-    sim::ExecutionPlan plan_;
-
-    // The current window; the map is cleared per window.
-    VariableToNodeMap &varmap_;
-    InsertionDigest digest_;
-    std::size_t windowTaskBegin_ = 0;
-    /** The window's task deps, final once minimizeSyncs() ran. */
-    DepStaging stagedDeps_;
-    std::vector<OrderArc> orderArcs_; // reducible (pure ordering)
-    std::vector<OrderArc> dataArcs_;  // value-carrying (fixed)
-    // minimizeSyncs scratch.
-    SyncGraph syncGraph_;
-    std::vector<OrderArc> inWindow_;
-    std::vector<std::int32_t> pruned_;
-    std::vector<std::int32_t> finalSyncs_;
+    CompileStats cstats_;
+    std::int64_t plannedTotal_ = 0;
+    std::int64_t defaultTotal_ = 0;
+    Emitter *emitter_ = nullptr;
+    /** The current window's map; cleared per window. */
+    VariableToNodeMap varmap_;
 
     // The instance in flight. Its buffers are reused across the
     // stream: the pipeline runs iterations x statements times, so
     // per-instance allocations are pure overhead.
-    std::int64_t iter_ = 0;
-    std::int32_t stmtIdx_ = 0;
-    const ir::Statement *stmt_ = nullptr;
-    noc::NodeId defaultNode_ = noc::kInvalidNode;
-    noc::NodeId storeNode_ = noc::kInvalidNode;
-    /** The instance's references in stream_: reads, then the write. */
+    Decision d_;
+    /** The instance's first reference in stream_. */
     std::size_t base_ = 0;
-    std::span<const sim::MemAccess> reads_;
-    const sim::MemAccess *write_ = nullptr;
-    std::uint32_t writeId_ = 0;
-    std::int64_t defaultMovement_ = 0;
     std::vector<std::uint32_t> fetchedSlots_;
     std::vector<Location> locations_;
     /** Balanced splits run against this copy of balancer_. */
     LoadBalancer trial_;
     /** The splitter's output; the view of a fresh split reads it. */
-    SplitPlan &computed_;
-    bool fromCache_ = false;
-    std::vector<sim::TaskId> taskOfSub_;
+    SplitPlan computed_;
+    SplitView candidate_;
 };
 
 } // namespace
@@ -1156,39 +1208,37 @@ Partitioner::plan(const ir::LoopNest &nest,
         }
         DefaultL1Model warm_l1 = warmDefaultL1(*system_, stream, default_nodes,
                                                nest.body().size());
-        PlanScratch scratch{
-            VariableToNodeMap(system_->mesh().nodeCount(), reuse_capacity,
-                              stream.lineCount),
-            StatementSplitter(system_->mesh()),
-            {}};
         const NestContext ctx{
             *system_, options_, splitCache_, nest, default_nodes,
             std::move(static_sets),
             Inspector::canResolve(nest, *arrays_) || options_.oracle,
             reuse_capacity, std::move(stream), std::move(warm_l1)};
+        DecisionLane lane(ctx);
 
         // Score every candidate (Section 4.4: least total movement, the
-        // first on ties), then emit the winner alone. A candidate's
-        // decisions depend only on the shared starting state, so the
-        // emitting pass repeats its scoring pass decision for decision.
-        // A single candidate needs no scoring.
+        // first on ties), then walk the winner again with an emitter
+        // watching. A walk's decisions depend only on the shared
+        // starting state, so the emitting walk repeats the winner's
+        // scoring walk decision for decision. A single candidate needs
+        // no scoring.
         std::int32_t best_w = w_first;
         if (w_first < w_last) {
             for (std::int32_t w = w_first; w <= w_last; ++w) {
-                PartitionReport scored;
-                (void)CandidatePlanner(ctx, scratch, w, scored, /*emit=*/false)
-                    .run();
-                movement_per_w.push_back(scored.plannedMovement);
-                compile_total.merge(scored.compile);
-                if (scored.plannedMovement <
+                lane.run(w, nullptr);
+                movement_per_w.push_back(lane.plannedMovement());
+                compile_total.merge(lane.compile());
+                if (lane.plannedMovement() <
                     movement_per_w[static_cast<std::size_t>(best_w - w_first)])
                     best_w = w;
             }
         }
-        best_plan =
-            CandidatePlanner(ctx, scratch, best_w, best_report, /*emit=*/true)
-                .run();
-        compile_total.merge(best_report.compile);
+        Emitter emitter(ctx, best_w, best_plan, best_report,
+                        options_.collectCompileTimers ? &compile_total.syncNs
+                                                      : nullptr);
+        lane.run(best_w, &emitter);
+        best_report.plannedMovement = lane.plannedMovement();
+        best_report.defaultMovement = lane.defaultMovement();
+        compile_total.merge(lane.compile());
         if (movement_per_w.empty())
             movement_per_w.push_back(best_report.plannedMovement);
         NDP_CHECK(best_report.plannedMovement ==
@@ -1210,6 +1260,7 @@ Partitioner::plan(const ir::LoopNest &nest,
     report_ = std::move(best_report);
     return best_plan;
 }
+
 
 PartitionReport
 keptDefaultReport(const PartitionReport &planned)

@@ -4,11 +4,11 @@
 /**
  * @file
  * The complete NDP-aware subcomputation scheduler (Algorithm 1 plus
- * Sections 4.3-4.5): windows of consecutive statement instances are
- * located, split along their MSTs, load-balanced, synchronised, and
- * emitted as an ExecutionPlan. Window sizes 1..8 are scored per loop
- * nest and the one with the least total data movement is emitted
- * (Section 4.4), unless a fixed size is forced (Figure 20's sweeps).
+ * Sections 4.3-4.5). Per loop nest, one decision walk per window size
+ * 1..8 locates, splits along the MST and load-balances each statement
+ * instance and scores the size by total data movement (Section 4.4);
+ * the cheapest size, or a forced one (Figure 20's sweeps), is walked
+ * again by an emitter that synchronises each window and builds the plan.
  */
 
 #include <cstddef>

@@ -41,27 +41,6 @@ SyncGraph::arcCount() const
 bool
 SyncGraph::reachable(int from, int to) const
 {
-    return reachableAvoiding(from, to, -1, -1);
-}
-
-bool
-SyncGraph::impliedByOthers(int from, int to) const
-{
-    return reachableAvoiding(from, to, from, to);
-}
-
-void
-SyncGraph::removeArc(int from, int to)
-{
-    NDP_CHECK(from >= 0 && static_cast<std::size_t>(from) < nodes_,
-              "bad arc source " << from);
-    std::erase(adj_[static_cast<std::size_t>(from)], to);
-}
-
-bool
-SyncGraph::reachableAvoiding(int from, int to, int skip_from,
-                             int skip_to) const
-{
     std::vector<std::uint8_t> &seen = seen_;
     std::vector<int> &stack = stack_;
     seen.assign(nodes_, 0);
@@ -71,8 +50,6 @@ SyncGraph::reachableAvoiding(int from, int to, int skip_from,
         const int v = stack.back();
         stack.pop_back();
         for (int next : adj_[static_cast<std::size_t>(v)]) {
-            if (v == skip_from && next == skip_to)
-                continue; // the arc whose redundancy is being tested
             if (next == to)
                 return true;
             if (!seen[static_cast<std::size_t>(next)]) {
@@ -84,26 +61,18 @@ SyncGraph::reachableAvoiding(int from, int to, int skip_from,
     return false;
 }
 
-std::size_t
-SyncGraph::transitiveReduce()
+bool
+SyncGraph::dropIfImplied(int from, int to)
 {
-    std::size_t removed = 0;
-    for (std::size_t v = 0; v < nodes_; ++v) {
-        auto &out = adj_[v];
-        for (std::size_t i = 0; i < out.size();) {
-            const int target = out[i];
-            // Redundant iff the target is still reachable without the
-            // direct arc (a chain already enforces the ordering).
-            if (reachableAvoiding(static_cast<int>(v), target,
-                                  static_cast<int>(v), target)) {
-                out.erase(out.begin() + static_cast<std::ptrdiff_t>(i));
-                ++removed;
-            } else {
-                ++i;
-            }
-        }
-    }
-    return removed;
+    NDP_CHECK(from >= 0 && static_cast<std::size_t>(from) < nodes_,
+              "bad arc source " << from);
+    auto &out = adj_[static_cast<std::size_t>(from)];
+    const std::size_t erased = std::erase(out, to);
+    NDP_CHECK(erased == 1, "no sync arc " << from << " -> " << to);
+    if (reachable(from, to))
+        return true; // a chain of other arcs already forces the order
+    out.push_back(to);
+    return false;
 }
 
 } // namespace ndp::partition

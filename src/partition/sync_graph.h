@@ -7,7 +7,8 @@
  * (Section 4.5, after Midkiff & Padua [51]): nodes are subcomputation
  * instances; an arc means "the target must wait for the source". An
  * arc a->b is redundant when some other path already forces the order;
- * the reduction drops exactly those arcs.
+ * dropIfImplied() tests one arc and drops it if so, and the planner
+ * offers it each of a window's ordering arcs in turn.
  *
  * A graph is reusable: clear() forgets every node and arc but keeps the
  * storage, and the reachability search reuses its own scratch, so a
@@ -31,35 +32,23 @@ class SyncGraph
     /** Add the synchronisation arc @p from -> @p to (deduplicated). */
     void addArc(int from, int to);
 
-    std::size_t nodeCount() const { return nodes_; }
     std::size_t arcCount() const;
 
     /** Is there a directed path from @p from to @p to? */
     bool reachable(int from, int to) const;
 
     /**
-     * Is @p from -> @p to implied by the rest of the graph, i.e.
-     * reachable without using the direct arc itself?
+     * Drop the arc @p from -> @p to if the rest of the graph implies
+     * it, i.e. @p to stays reachable from @p from without it.
+     * @return whether the arc was dropped.
      */
-    bool impliedByOthers(int from, int to) const;
-
-    /** Remove the arc @p from -> @p to if present. */
-    void removeArc(int from, int to);
-
-    /**
-     * Drop every arc implied by a longer path.
-     * @return the number of arcs removed.
-     */
-    std::size_t transitiveReduce();
+    bool dropIfImplied(int from, int to);
 
   private:
-    bool reachableAvoiding(int from, int to, int skip_from,
-                           int skip_to) const;
-
     /** Successors per node; lists past nodes_ wait for reuse. */
     std::vector<std::vector<int>> adj_;
     std::size_t nodes_ = 0;
-    /** reachableAvoiding() scratch. */
+    /** reachable() scratch. */
     mutable std::vector<std::uint8_t> seen_;
     mutable std::vector<int> stack_;
 };

@@ -44,9 +44,10 @@ namespace {
 using namespace ndp;
 
 /**
- * Ceiling on one nest's scoring-pass allocations: the eight candidates'
- * set-up (their balancers, default-L1 copies and scratch) and the
- * split cache's pool growth, with headroom. The per-instance loop
+ * Ceiling on one nest's scoring-pass allocations: the split cache's
+ * pool growth and the decision lane's scratch growing past what one
+ * walk needs, with headroom (the lane and its balancers are built once
+ * per plan() and re-armed for each candidate). The per-instance loop
  * contributes nothing. Provenance recording answers to the same bound.
  */
 constexpr std::int64_t kAllocationCeiling = 400;
@@ -54,8 +55,8 @@ constexpr std::int64_t kAllocationCeiling = 400;
 /**
  * Ceiling on one nest's fixed-window plan(): the stream's and the
  * plan's pools growing geometrically, the window's dep-list scratch,
- * and the one emitting candidate's set-up. Per-task vectors would put
- * it in the thousands.
+ * the decision lane's and the emitter's set-up. Per-task vectors would
+ * put it in the thousands.
  */
 constexpr std::int64_t kEmitAllocationCeiling = 1000;
 

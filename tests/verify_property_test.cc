@@ -73,6 +73,23 @@ TEST(VerifyPropertyTest, DesignChoiceVariantsVerifyCleanAtFull)
     workloads::WorkloadFactory factory(256);
     const workloads::Workload app = factory.buildAll().front();
 
+    // On water the default config prunes implied ordering arcs, which
+    // raw syncs count back in. Without the minimisation nothing is
+    // pruned.
+    const workloads::Workload water = factory.build("water");
+    const AppResult minimized = runVerified(water, ExperimentConfig{});
+    expectClean(minimized, "water");
+    EXPECT_GT(minimized.rawSyncsPerStatement.sum(),
+              minimized.syncsPerStatement.sum());
+
+    ExperimentConfig no_sync_min;
+    no_sync_min.partition.minimizeSyncs = false;
+    const AppResult unminimized = runVerified(water, no_sync_min);
+    expectClean(unminimized, "minimizeSyncs=off");
+    EXPECT_GT(unminimized.syncsPerStatement.sum(), 0.0);
+    EXPECT_EQ(unminimized.rawSyncsPerStatement.sum(),
+              unminimized.syncsPerStatement.sum());
+
     ExperimentConfig no_reuse;
     no_reuse.partition.exploitReuse = false;
     expectClean(runVerified(app, no_reuse), "exploitReuse=off");
