@@ -96,19 +96,11 @@ main(int argc, char **argv)
                  << ", \"retries\": " << rate.retries
                  << ", \"abandoned\": " << rate.abandoned
                  << ", \"default_slowdown_pct\": "
-                 << num(healthy_def <= 0.0
-                            ? 0.0
-                            : 100.0 *
-                                  (rate.meanDefaultMakespan -
-                                   healthy_def) /
-                                  healthy_def)
+                 << num(percentInflation(healthy_def,
+                                         rate.meanDefaultMakespan))
                  << ", \"optimized_slowdown_pct\": "
-                 << num(healthy_opt <= 0.0
-                            ? 0.0
-                            : 100.0 *
-                                  (rate.meanOptimizedMakespan -
-                                   healthy_opt) /
-                                  healthy_opt)
+                 << num(percentInflation(healthy_opt,
+                                         rate.meanOptimizedMakespan))
                  << ", \"exec_reduction_pct\": "
                  << num(rate.meanExecReductionPct)
                  << ", \"optimized_l1_hit_rate\": "

@@ -88,7 +88,6 @@ main(int argc, char **argv)
                  "improvement%"});
 
     // ---- 1. No inspector: may-dependences block the transform. ----
-    nest.timingTrips = 1;
     nest.inspectorTrips = 0;
     {
         partition::Partitioner partitioner(system, arrays);
@@ -106,7 +105,6 @@ main(int argc, char **argv)
 
     // ---- 2. Inspector/executor: the first timing-loop trips record
     // the realised neighbor indices; the executor trips are split.
-    nest.timingTrips = 8;
     nest.inspectorTrips = 1;
     {
         partition::Partitioner partitioner(system, arrays);

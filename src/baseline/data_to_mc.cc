@@ -33,22 +33,16 @@ profilePageToMc(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
 
     // Votes: page -> per-MC access counts.
     std::unordered_map<std::uint64_t, std::array<std::int64_t, 4>> votes;
-    ir::StatementInstance inst;
-    std::vector<ir::ResolvedRef> reads;
+    const auto stmt_count =
+        static_cast<ir::StatementIndex>(nest.body().size());
+    ir::InstanceResolver resolver(nest, arrays);
     for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
         const noc::NodeId node = nodes[static_cast<std::size_t>(k)];
-        nest.iterationAt(k, inst.iter);
-        inst.iterationNumber = k;
-        for (const ir::Statement &stmt : nest.body()) {
-            inst.stmt = &stmt;
-            resolveReadsInto(inst, arrays, reads);
-            for (const ir::ResolvedRef &r : reads) {
-                votes[mem::pageNumber(r.addr)]
-                     [preferred[static_cast<std::size_t>(node)]] += 1;
-            }
-            const ir::ResolvedRef w = resolveWrite(inst, arrays);
-            votes[mem::pageNumber(w.addr)]
-                 [preferred[static_cast<std::size_t>(node)]] += 1;
+        const std::uint32_t mc = preferred[static_cast<std::size_t>(node)];
+        for (ir::StatementIndex s = 0; s < stmt_count; ++s) {
+            resolver.resolve(k, s);
+            for (const ir::ResolvedRef &r : resolver.refs())
+                votes[mem::pageNumber(r.addr)][mc] += 1;
         }
     }
 

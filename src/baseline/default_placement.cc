@@ -41,8 +41,9 @@ DefaultPlacement::assignIterations(const ir::LoopNest &nest)
         static_cast<std::size_t>(chunk_count),
         std::vector<std::int64_t>(static_cast<std::size_t>(nodes), 0));
 
-    ir::StatementInstance inst;
-    std::vector<ir::ResolvedRef> reads;
+    const auto stmt_count =
+        static_cast<ir::StatementIndex>(nest.body().size());
+    ir::InstanceResolver resolver(nest, *arrays_);
     for (std::int64_t c = 0; c < chunk_count; ++c) {
         const std::int64_t begin = c * chunk;
         const std::int64_t end = std::min(begin + chunk, iterations);
@@ -51,25 +52,15 @@ DefaultPlacement::assignIterations(const ir::LoopNest &nest)
             std::min(options_.profileSamplesPerChunk, span);
         for (std::int64_t s = 0; s < samples; ++s) {
             const std::int64_t k = begin + s * span / samples;
-            nest.iterationAt(k, inst.iter);
-            inst.iterationNumber = k;
-            for (const ir::Statement &stmt : nest.body()) {
-                inst.stmt = &stmt;
-                resolveReadsInto(inst, *arrays_, reads);
-                for (const ir::ResolvedRef &r : reads) {
+            for (ir::StatementIndex st = 0; st < stmt_count; ++st) {
+                resolver.resolve(k, st);
+                for (const ir::ResolvedRef &r : resolver.refs()) {
                     const noc::NodeId home = amap.homeBankNode(r.addr);
                     for (noc::NodeId n : pool) {
                         cost[static_cast<std::size_t>(c)]
                             [static_cast<std::size_t>(n)] +=
                             mesh.distance(n, home);
                     }
-                }
-                const ir::ResolvedRef w = resolveWrite(inst, *arrays_);
-                const noc::NodeId home = amap.homeBankNode(w.addr);
-                for (noc::NodeId n : pool) {
-                    cost[static_cast<std::size_t>(c)]
-                        [static_cast<std::size_t>(n)] +=
-                        mesh.distance(n, home);
                 }
             }
         }
@@ -122,7 +113,7 @@ DefaultPlacement::buildPlan(const ir::LoopNest &nest,
 
     std::unordered_map<mem::Addr, sim::TaskId> last_writer;
     const auto stmt_count =
-        static_cast<std::int64_t>(nest.body().size());
+        static_cast<ir::StatementIndex>(nest.body().size());
 
     std::size_t read_count = 0;
     for (const ir::Statement &stmt : nest.body())
@@ -131,29 +122,24 @@ DefaultPlacement::buildPlan(const ir::LoopNest &nest,
     plan.tasks.reserve(iterations * nest.body().size());
     plan.readPool.reserve(iterations * read_count);
 
-    ir::StatementInstance inst;
-    std::vector<ir::ResolvedRef> reads;
+    ir::InstanceResolver resolver(nest, *arrays_);
     for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
         const noc::NodeId node = nodes[static_cast<std::size_t>(k)];
-        nest.iterationAt(k, inst.iter);
-        inst.iterationNumber = k;
-        for (std::int64_t s = 0; s < stmt_count; ++s) {
-            const ir::Statement &stmt =
-                nest.body()[static_cast<std::size_t>(s)];
-            inst.stmt = &stmt;
-            const ir::ResolvedRef write = resolveWrite(inst, *arrays_);
-            resolveReadsInto(inst, *arrays_, reads);
+        for (ir::StatementIndex s = 0; s < stmt_count; ++s) {
+            resolver.resolve(k, s);
+            const ir::ResolvedRef &write = resolver.write();
 
             const auto id = static_cast<sim::TaskId>(plan.tasks.size());
             sim::Task task;
             task.node = node;
-            task.computeCost = stmt.totalOpCost();
-            task.statementIndex = static_cast<std::int32_t>(s);
+            task.computeCost =
+                nest.body()[static_cast<std::size_t>(s)].totalOpCost();
+            task.statementIndex = s;
             task.iterationNumber = k;
 
             const std::size_t read_begin = plan.readPool.size();
             const std::size_t dep_begin = plan.depPool.size();
-            for (const ir::ResolvedRef &r : reads) {
+            for (const ir::ResolvedRef &r : resolver.reads()) {
                 plan.readPool.push_back({r.addr, r.size, r.array});
                 const auto writer = last_writer.find(r.addr);
                 if (writer != last_writer.end() &&

@@ -68,7 +68,6 @@ class NestSession
             report.provenance) {
             const verify::PlanVerifier verifier(system, workload_.arrays);
             verdict = verifier.verify(nest_, plan, *report.provenance);
-            report.verifyCounts = verdict.counts();
             report.provenance.reset(); // keep NestResult lean
             if (verdict.counts().errors > 0) {
                 ndp::panic("static plan verification failed for nest '" +
@@ -191,7 +190,7 @@ ExperimentRunner::runApp(const workloads::Workload &workload) const
         for (int c = 0; c < 3; ++c)
             result.offloadedOps[c] += nr.report.offloadedOps[c];
         result.compile.merge(nr.report.compile);
-        result.verify.merge(nr.report.verifyCounts);
+        result.verify.merge(nr.verify.counts());
 
         def_l1_hits += nr.defaultRun.l1.hits;
         def_l1_acc += nr.defaultRun.l1.accesses();

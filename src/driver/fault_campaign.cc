@@ -5,33 +5,12 @@
 
 #include "noc/mesh_topology.h"
 #include "support/error.h"
+#include "support/rng.h"
+#include "support/stats.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
 
 namespace ndp::driver {
-
-namespace {
-
-/** SplitMix64 step, chaining words into one well-mixed seed. */
-std::uint64_t
-mixWord(std::uint64_t state, std::uint64_t word)
-{
-    state += word + 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-double
-percentInflation(double healthy, double faulted)
-{
-    if (healthy <= 0.0)
-        return 0.0;
-    return 100.0 * (faulted - healthy) / healthy;
-}
-
-} // namespace
 
 double
 appMovement(const AppResult &result, bool optimized)
@@ -63,10 +42,15 @@ std::uint64_t
 FaultCampaign::trialSeed(std::size_t rate_idx, int trial,
                          int attempt) const
 {
-    std::uint64_t s = mixWord(config_.baseSeed, 0x7261746573ull);
-    s = mixWord(s, static_cast<std::uint64_t>(rate_idx));
-    s = mixWord(s, static_cast<std::uint64_t>(trial));
-    s = mixWord(s, static_cast<std::uint64_t>(attempt));
+    // Chain each word into the seed: add it, then one SplitMix64 step.
+    std::uint64_t s = config_.baseSeed;
+    for (const std::uint64_t word :
+         {std::uint64_t{0x7261746573}, static_cast<std::uint64_t>(rate_idx),
+          static_cast<std::uint64_t>(trial),
+          static_cast<std::uint64_t>(attempt)}) {
+        std::uint64_t state = s + word;
+        s = splitMix64(state);
+    }
     return s;
 }
 

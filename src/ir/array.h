@@ -99,8 +99,8 @@ class ArrayTable
      * @p count subscripts are subscript(0) .. subscript(count - 1).
      * Each subscript wraps modulo its dimension's extent; fatal unless
      * @p count is the array's rank. The one copy of this rule:
-     * ir::resolveAddr folds evaluated subscripts through it without
-     * materialising them.
+     * ir::InstanceResolver folds evaluated subscripts through it
+     * without materialising them.
      */
     template <typename Subscript>
     std::int64_t

@@ -3,39 +3,32 @@
 
 /**
  * @file
- * Statement instances (a statement executed at one concrete loop
- * iteration — the paper's footnote 2) and reference resolution: turning
- * an ArrayRef plus an iteration vector into a concrete address.
- * Indirect subscripts resolve through the index-array contents held by
- * the ArrayTable, which is exactly the information the inspector phase
+ * The instance walk: InstanceResolver turns a statement instance (one
+ * statement executed at one concrete loop iteration — the paper's
+ * footnote 2) into the concrete addresses it reads and writes. Every
+ * stage that walks a nest's instance stream — the default placement's
+ * profile and plan, the data-to-MC profile, the planner's stream
+ * resolution and the static verifier — resolves through it. Indirect
+ * subscripts resolve through the index-array contents held by the
+ * ArrayTable, which is exactly the information the inspector phase
  * gathers at runtime.
  *
- * Resolution allocates nothing: resolveAddr folds each evaluated
- * subscript straight into the flat index, and a caller that walks a
- * nest reuses one StatementInstance (LoopNest::iterationAt writes its
- * iteration vector in place) and one reads buffer (resolveReadsInto).
+ * A warm resolver allocates nothing: each evaluated subscript folds
+ * straight into the flat index, the iteration vector is rewritten in
+ * place, and the references land in one reused buffer.
  */
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ir/statement.h"
 
 namespace ndp::ir {
 
-/** A (statement, iteration) pair. */
-struct StatementInstance
-{
-    const Statement *stmt = nullptr;
-    IterationVector iter;
-    /** Lexicographic iteration number, for ordering/windowing. */
-    std::int64_t iterationNumber = 0;
-};
-
 /** A reference resolved to a concrete address. */
 struct ResolvedRef
 {
-    const ArrayRef *ref = nullptr;
     ArrayId array = kInvalidArray;
     mem::Addr addr = 0;
     std::uint32_t size = 0;
@@ -48,25 +41,46 @@ struct ResolvedRef
     bool analyzable = true;
 };
 
-/** Concrete address of @p ref at @p iter. */
-mem::Addr resolveAddr(const ArrayRef &ref, const IterationVector &iter,
-                      const ArrayTable &arrays);
-
-/** Fully resolved descriptor of @p ref at @p iter. */
-ResolvedRef resolveRef(const ArrayRef &ref, const IterationVector &iter,
-                       const ArrayTable &arrays);
-
 /**
- * Resolve every read of @p inst (RHS leaves then guard leaves) into a
- * caller-owned buffer, cleared first.
+ * Resolves the statement instances of one nest against one array
+ * table, both of which must outlive it.
  */
-void resolveReadsInto(const StatementInstance &inst,
-                      const ArrayTable &arrays,
-                      std::vector<ResolvedRef> &out);
+class InstanceResolver
+{
+  public:
+    InstanceResolver(const LoopNest &nest, const ArrayTable &arrays);
 
-/** Resolve the write (LHS) of @p inst. */
-ResolvedRef resolveWrite(const StatementInstance &inst,
-                         const ArrayTable &arrays);
+    /**
+     * Resolve statement @p s of the @p k-th lexicographic iteration
+     * into the buffer refs() views; the iteration vector is recomputed
+     * only when @p k changes. Fatal unless @p s indexes the body.
+     */
+    void resolve(std::int64_t k, StatementIndex s);
+
+    /**
+     * The last resolved instance's references: its reads (RHS leaves,
+     * then guard leaves, in Statement::reads() order) followed by its
+     * write.
+     */
+    std::span<const ResolvedRef> refs() const { return refs_; }
+
+    std::span<const ResolvedRef>
+    reads() const
+    {
+        return refs().first(refs_.size() - 1);
+    }
+
+    const ResolvedRef &write() const { return refs_.back(); }
+
+  private:
+    ResolvedRef resolveRef(const ArrayRef &ref) const;
+
+    const LoopNest *nest_;
+    const ArrayTable *arrays_;
+    std::int64_t iteration_ = -1;
+    IterationVector iter_;
+    std::vector<ResolvedRef> refs_;
+};
 
 } // namespace ndp::ir
 

@@ -91,18 +91,6 @@ LoopNest::iterationCount() const
 }
 
 void
-LoopNest::forEachIteration(
-    const std::function<void(const IterationVector &)> &fn) const
-{
-    IterationVector iter;
-    const std::int64_t total = iterationCount();
-    for (std::int64_t k = 0; k < total; ++k) {
-        iterationAt(k, iter);
-        fn(iter);
-    }
-}
-
-void
 LoopNest::iterationAt(std::int64_t k, IterationVector &iter) const
 {
     NDP_CHECK(k >= 0 && k < iterationCount(),

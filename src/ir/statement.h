@@ -7,12 +7,11 @@
  * consumes. A Statement is `lhs = rhs-expression` with an optional
  * guard (a conditional that must be duplicated alongside offloaded
  * subcomputations, Section 4.5). A LoopNest carries the enclosing
- * loops, the statement body, and an optional outer timing loop (the
- * inspector/executor hook).
+ * loops, the statement body, and the inspector/executor hook of an
+ * optional outer timing loop.
  */
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -108,25 +107,17 @@ class LoopNest
     std::int64_t iterationCount() const;
 
     /**
-     * Enumerate the iteration space in lexicographic order, invoking
-     * @p fn with each concrete iteration vector.
-     */
-    void forEachIteration(
-        const std::function<void(const IterationVector &)> &fn) const;
-
-    /**
      * Write the @p k-th iteration (lexicographic, 0-based) into
      * @p iter, which keeps its capacity across calls.
      */
     void iterationAt(std::int64_t k, IterationVector &iter) const;
 
     /**
-     * Trip count of the surrounding timing loop (Section 4.5's
-     * inspector/executor): the driver runs @ref inspectorTrips of them
-     * through the inspector and the rest through the optimized
-     * executor. Defaults model a non-iterative kernel.
+     * Inspector trips of the surrounding timing loop (Section 4.5's
+     * inspector/executor). Nothing runs these trips: a value > 0 only
+     * lets Inspector::canResolve treat the nest's indirect subscripts
+     * as resolved. The default models a kernel without a timing loop.
      */
-    std::int64_t timingTrips = 1;
     std::int64_t inspectorTrips = 0;
 
     std::string toString(const ArrayTable &arrays) const;

@@ -57,36 +57,29 @@ resolveStream(const ir::ArrayTable &arrays, const ir::LoopNest &nest,
     DenseIds addr_ids;
     DenseIds line_ids;
     DenseIds slot_ids;
-    auto push = [&](const ir::ResolvedRef &r, noc::NodeId node) {
-        const std::uint32_t addr = addr_ids.intern(r.addr);
-        if (addr == s.addrs.size()) {
-            s.addrs.push_back(r.addr);
-            s.lineOf.push_back(line_ids.intern(mem::lineNumber(r.addr)));
-        }
-        s.refs.push_back({r.addr, r.size, r.array});
-        s.addrId.push_back(addr);
-        s.lineSlot.push_back(
-            slot_ids.intern((std::uint64_t{s.lineOf[addr]} << 32) |
-                            static_cast<std::uint32_t>(node)));
-    };
-
-    ir::StatementInstance inst;
-    std::vector<ir::ResolvedRef> reads;
+    const auto stmt_count =
+        static_cast<ir::StatementIndex>(nest.body().size());
+    ir::InstanceResolver resolver(nest, arrays);
     s.refBegin.push_back(0);
     for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
         const noc::NodeId node = default_nodes[static_cast<std::size_t>(k)];
-        nest.iterationAt(k, inst.iter);
-        inst.iterationNumber = k;
-        for (const ir::Statement &stmt : nest.body()) {
-            inst.stmt = &stmt;
-            ir::resolveReadsInto(inst, arrays, reads);
-            const ir::ResolvedRef write = resolveWrite(inst, arrays);
-            bool analyzable = write.analyzable;
-            for (const ir::ResolvedRef &r : reads) {
+        for (ir::StatementIndex st = 0; st < stmt_count; ++st) {
+            resolver.resolve(k, st);
+            bool analyzable = true;
+            for (const ir::ResolvedRef &r : resolver.refs()) {
                 analyzable = analyzable && r.analyzable;
-                push(r, node);
+                const std::uint32_t addr = addr_ids.intern(r.addr);
+                if (addr == s.addrs.size()) {
+                    s.addrs.push_back(r.addr);
+                    s.lineOf.push_back(
+                        line_ids.intern(mem::lineNumber(r.addr)));
+                }
+                s.refs.push_back({r.addr, r.size, r.array});
+                s.addrId.push_back(addr);
+                s.lineSlot.push_back(slot_ids.intern(
+                    (std::uint64_t{s.lineOf[addr]} << 32) |
+                    static_cast<std::uint32_t>(node)));
             }
-            push(write, node);
             s.analyzable.push_back(analyzable ? 1 : 0);
             s.refBegin.push_back(static_cast<std::uint32_t>(s.refs.size()));
         }
@@ -1276,7 +1269,6 @@ keptDefaultReport(const PartitionReport &planned)
     kept.reuseMapHash = planned.reuseMapHash;
     kept.reuseCopiesPlanned = planned.reuseCopiesPlanned;
     kept.compile = planned.compile;
-    kept.verifyCounts = planned.verifyCounts;
     for (std::int64_t i = 0; i < instances; ++i) {
         kept.movementReductionPct.add(0.0);
         kept.degreeOfParallelism.add(1.0);

@@ -23,7 +23,6 @@
 #include "sim/engine.h"
 #include "sim/manycore.h"
 #include "support/stats.h"
-#include "verify/diagnostic.h"
 #include "verify/provenance.h"
 #include "verify/verify_level.h"
 
@@ -149,8 +148,6 @@ struct PartitionReport
      * driver releases it once the plan has been verified.
      */
     std::shared_ptr<const verify::PlanProvenance> provenance;
-    /** Diagnostic tallies the driver fills after verification. */
-    verify::ReportCounts verifyCounts;
 };
 
 /**
@@ -158,9 +155,8 @@ struct PartitionReport
  * default plan instead of the one @p planned describes: nothing was
  * re-mapped, so each of its statement instances (split or not) counts
  * as an unsplit statement (no movement saved, parallelism 1, no
- * syncs). The movement baselines, window history, compile cost and
- * verification tallies carry over — they were paid regardless of which
- * plan shipped.
+ * syncs). The movement baselines, window history and compile cost
+ * carry over — they were paid regardless of which plan shipped.
  */
 PartitionReport keptDefaultReport(const PartitionReport &planned);
 

@@ -16,6 +16,21 @@
 namespace ndp {
 
 /**
+ * One SplitMix64 step: advance @p state by the golden-ratio increment
+ * and return the mixed output. Seeds Rng and chains words into one
+ * well-mixed seed.
+ */
+inline std::uint64_t
+splitMix64(std::uint64_t &state)
+{
+    state += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/**
  * SplitMix64-seeded xorshift128+ generator.
  *
  * Chosen over std::mt19937 because its state is tiny, its output is
@@ -27,8 +42,8 @@ class Rng
   public:
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull)
     {
-        s0_ = splitMix(seed);
-        s1_ = splitMix(seed);
+        s0_ = splitMix64(seed);
+        s1_ = splitMix64(seed);
         if (s0_ == 0 && s1_ == 0)
             s1_ = 1;
     }
@@ -79,16 +94,6 @@ class Rng
     bool nextBool(double p) { return nextDouble() < p; }
 
   private:
-    static std::uint64_t
-    splitMix(std::uint64_t &state)
-    {
-        state += 0x9e3779b97f4a7c15ull;
-        std::uint64_t z = state;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
-    }
-
     std::uint64_t s0_;
     std::uint64_t s1_;
 };

@@ -91,6 +91,14 @@ percentReduction(double baseline, double optimized)
 }
 
 double
+percentInflation(double healthy, double faulted)
+{
+    if (healthy <= 0.0)
+        return 0.0;
+    return 100.0 * (faulted - healthy) / healthy;
+}
+
+double
 safeRatio(double numerator, double denominator)
 {
     return denominator == 0.0 ? 0.0 : numerator / denominator;

@@ -5,7 +5,7 @@
  * @file
  * Small statistics helpers shared by the simulator counters and by the
  * benchmark harnesses (geometric means over applications, per-statement
- * averages/maxima, percentage reductions).
+ * averages/maxima, percentage reductions and inflations).
  */
 
 #include <cstddef>
@@ -54,6 +54,12 @@ double arithmeticMean(std::span<const double> values);
  * 100 * (baseline - optimized) / baseline. Returns 0 when baseline == 0.
  */
 double percentReduction(double baseline, double optimized);
+
+/**
+ * Percentage inflation of @p faulted over @p healthy:
+ * 100 * (faulted - healthy) / healthy. Returns 0 when healthy <= 0.
+ */
+double percentInflation(double healthy, double faulted);
 
 /** Ratio optimized/baseline guarded against division by zero. */
 double safeRatio(double numerator, double denominator);

@@ -57,7 +57,7 @@ struct Diagnostic
 
 /**
  * Severity tallies of one or many verification reports. Carried up the
- * stack (PartitionReport -> AppResult -> SweepStats) so every summary
+ * stack (NestResult::verify -> AppResult -> SweepStats) so every summary
  * can say how many plans were proven clean.
  */
 struct ReportCounts

@@ -359,8 +359,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         }
     };
 
-    ir::StatementInstance inst;
-    std::vector<ir::ResolvedRef> reads;
+    ir::InstanceResolver resolver(nest, *arrays_);
     sim::TaskId expect_next = 0;
     bool tiling_broken = false;
 
@@ -410,11 +409,9 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         const auto stmt_idx = static_cast<std::size_t>(
             rec.statementIndex);
         const ir::Statement &stmt = nest.body()[stmt_idx];
-        inst.stmt = &stmt;
-        nest.iterationAt(rec.iterationNumber, inst.iter);
-        inst.iterationNumber = rec.iterationNumber;
-        const ir::ResolvedRef write = ir::resolveWrite(inst, *arrays_);
-        ir::resolveReadsInto(inst, *arrays_, reads);
+        resolver.resolve(rec.iterationNumber, rec.statementIndex);
+        const std::span<const ir::ResolvedRef> reads = resolver.reads();
+        const ir::ResolvedRef &write = resolver.write();
 
         // The split root stores at the write's home; re-homing under
         // faults guarantees the home is live.

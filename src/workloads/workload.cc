@@ -139,7 +139,6 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "barnes/force", w.arrays,
                                           params));
-        w.nests.back().timingTrips = 4;
         w.nests.back().inspectorTrips = 1;
         w.nests.push_back(ir::parseKernel(R"(
             array VX[N]; array DT[N];
@@ -216,7 +215,6 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "fmm/interact", w.arrays,
                                           params));
-        w.nests.back().timingTrips = 4;
         w.nests.back().inspectorTrips = 1;
         w.nests.push_back(ir::parseKernel(R"(
             array LOC[N]; array UP[N]; array WGT[N];
@@ -297,7 +295,6 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "radiosity/gather", w.arrays,
                                           params));
-        w.nests.back().timingTrips = 4;
         w.nests.back().inspectorTrips = 1;
         w.nests.push_back(ir::parseKernel(R"(
             array AREA[N]; array EMIT[N]; array TOT[N];
@@ -340,7 +337,6 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "raytrace/shade", w.arrays,
                                           params));
-        w.nests.back().timingTrips = 2;
         w.nests.back().inspectorTrips = 1;
         w.nests.push_back(ir::parseKernel(R"(
             array ATT[N]; array NRM[N]; array DST[N]; array LI[N];
@@ -385,7 +381,6 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "minimd/force", w.arrays,
                                           params));
-        w.nests.back().timingTrips = 4;
         w.nests.back().inspectorTrips = 1;
         w.nests.push_back(ir::parseKernel(R"(
             array V[N]; array DTF[N];
@@ -411,7 +406,6 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "minixyce/spmv", w.arrays,
                                           params));
-        w.nests.back().timingTrips = 4;
         w.nests.back().inspectorTrips = 1;
         w.nests.push_back(ir::parseKernel(R"(
             array G[N]; array DV[N]; array RES[N];

@@ -75,7 +75,7 @@ TEST_F(BaselineTest, ChunksAreContiguousAndBalanced)
     EXPECT_GE(static_cast<int>(per_node.size()), 18); // uses the mesh
 }
 
-TEST_F(BaselineTest, BuildPlanCoversAllStatementInstances)
+TEST_F(BaselineTest, BuildPlanCoversEveryInstance)
 {
     ir::LoopNest nest = parse(R"(
         array A[72] bytes 64; array B[72] bytes 64;

@@ -146,7 +146,6 @@ TEST(InspectorTest, ResolvesWhenDataAndTripsPresent)
     nest.inspectorTrips = 0;
     EXPECT_FALSE(partition::Inspector::canResolve(nest, arrays));
 
-    nest.timingTrips = 4;
     nest.inspectorTrips = 1;
     EXPECT_TRUE(partition::Inspector::canResolve(nest, arrays));
 }
@@ -158,7 +157,6 @@ TEST(InspectorTest, MissingIndexDataBlocksResolution)
         array X[32]; array Y[32]; array Z[32];
         for i = 0..32 { Z[i] = X[Y[i]]; })",
                                         "nodata", arrays);
-    nest.timingTrips = 2;
     nest.inspectorTrips = 1;
     // Y has no runtime data: the inspector cannot run.
     EXPECT_FALSE(partition::Inspector::canResolve(nest, arrays));

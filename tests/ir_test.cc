@@ -2,11 +2,14 @@
  * @file
  * Tests for the compiler IR: affine expressions, arrays, expression
  * trees, the kernel parser, the paper's nested variable sets
- * (Section 4.2), reference resolution, and Table 1's analyzable
+ * (Section 4.2), the instance resolver, and Table 1's analyzable
  * fraction.
  */
 
 #include <gtest/gtest.h>
+
+#include <span>
+#include <vector>
 
 #include "ir/instance.h"
 #include "ir/nested_sets.h"
@@ -425,17 +428,13 @@ TEST(LoopNestTest, IterationEnumerationLexicographic)
         array A[2][3];
         for i = 0..2 { for j = 0..3 { A[i][j] = A[i][j]; } })",
                                 "t", arrays);
-    std::vector<IterationVector> iters;
-    nest.forEachIteration(
-        [&](const IterationVector &iv) { iters.push_back(iv); });
-    ASSERT_EQ(iters.size(), 6u);
-    EXPECT_EQ(iters[0], (IterationVector{0, 0}));
-    EXPECT_EQ(iters[1], (IterationVector{0, 1}));
-    EXPECT_EQ(iters[5], (IterationVector{1, 2}));
+    const std::vector<IterationVector> expected = {
+        {0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}};
+    ASSERT_EQ(nest.iterationCount(), 6);
     IterationVector iter;
     for (std::int64_t k = 0; k < 6; ++k) {
         nest.iterationAt(k, iter);
-        EXPECT_EQ(iter, iters[static_cast<std::size_t>(k)]);
+        EXPECT_EQ(iter, expected[static_cast<std::size_t>(k)]) << k;
     }
 }
 
@@ -573,16 +572,14 @@ TEST(InstanceTest, AffineResolution)
         array A[16]; array B[16];
         for i = 0..16 { A[i] = B[i+1]; })",
                                 "t", arrays);
-    StatementInstance inst;
-    inst.stmt = &nest.body().front();
-    inst.iter = {3};
-    std::vector<ResolvedRef> reads;
-    resolveReadsInto(inst, arrays, reads);
-    ASSERT_EQ(reads.size(), 1u);
-    EXPECT_EQ(reads[0].addr, arrays.elementAddr(arrays.find("B"), 4));
-    EXPECT_TRUE(reads[0].analyzable);
-    const ResolvedRef write = resolveWrite(inst, arrays);
-    EXPECT_EQ(write.addr, arrays.elementAddr(arrays.find("A"), 3));
+    InstanceResolver resolver(nest, arrays);
+    resolver.resolve(3, 0);
+    ASSERT_EQ(resolver.reads().size(), 1u);
+    EXPECT_EQ(resolver.reads()[0].addr,
+              arrays.elementAddr(arrays.find("B"), 4));
+    EXPECT_TRUE(resolver.reads()[0].analyzable);
+    EXPECT_EQ(resolver.write().addr,
+              arrays.elementAddr(arrays.find("A"), 3));
 }
 
 TEST(InstanceTest, IndirectResolutionUsesIndexData)
@@ -593,13 +590,11 @@ TEST(InstanceTest, IndirectResolutionUsesIndexData)
         for i = 0..8 { Z[i] = X[Y[i]]; })",
                                 "t", arrays);
     arrays.setIndexData(arrays.find("Y"), {7, 6, 5, 4, 3, 2, 1, 0});
-    StatementInstance inst;
-    inst.stmt = &nest.body().front();
-    inst.iter = {2};
-    std::vector<ResolvedRef> reads;
-    resolveReadsInto(inst, arrays, reads);
-    EXPECT_EQ(reads[0].addr, arrays.elementAddr(arrays.find("X"), 5));
-    EXPECT_FALSE(reads[0].analyzable);
+    InstanceResolver resolver(nest, arrays);
+    resolver.resolve(2, 0);
+    EXPECT_EQ(resolver.reads()[0].addr,
+              arrays.elementAddr(arrays.find("X"), 5));
+    EXPECT_FALSE(resolver.reads()[0].analyzable);
 }
 
 TEST(InstanceTest, ResolutionWrapsEachDimension)
@@ -611,19 +606,96 @@ TEST(InstanceTest, ResolutionWrapsEachDimension)
         for i = 0..4 { C[i][1] = M[i+3][i-1]; })",
                                 "t", arrays);
     const ArrayId m = arrays.find("M");
-    StatementInstance inst;
-    inst.stmt = &nest.body().front();
-    std::vector<ResolvedRef> reads;
+    InstanceResolver resolver(nest, arrays);
     // i = 3 reads M[6][2], the same element as M[2][2]; i = 0 reads
     // M[3][-1], each dimension wrapped on its own: M[3][4], not M[2][4].
-    inst.iter = {3};
-    resolveReadsInto(inst, arrays, reads);
-    EXPECT_EQ(reads[0].addr,
+    resolver.resolve(3, 0);
+    EXPECT_EQ(resolver.reads()[0].addr,
               arrays.elementAddr(m, arrays.flatIndex(m, {2, 2})));
-    inst.iter = {0};
-    resolveReadsInto(inst, arrays, reads);
-    EXPECT_EQ(reads[0].addr,
+    resolver.resolve(0, 0);
+    EXPECT_EQ(resolver.reads()[0].addr,
               arrays.elementAddr(m, arrays.flatIndex(m, {3, 4})));
+}
+
+/** Addresses of @p refs, in order. */
+std::vector<mem::Addr>
+addrsOf(std::span<const ResolvedRef> refs)
+{
+    std::vector<mem::Addr> out;
+    for (const ResolvedRef &r : refs)
+        out.push_back(r.addr);
+    return out;
+}
+
+TEST(InstanceResolverTest, GuardedRefsAreRhsThenGuardThenWrite)
+{
+    ArrayTable arrays;
+    arrays.setDefaultElementSize(8);
+    LoopNest nest = parseKernel(R"(
+        array A[8]; array B[8]; array C[8]; array H[8];
+        for i = 0..8 { S1: if (H[i]) A[i] = B[i] + C[i+1]; })",
+                                "guard", arrays);
+    auto at = [&](const char *name, std::int64_t flat) {
+        return arrays.elementAddr(arrays.find(name), flat);
+    };
+    InstanceResolver resolver(nest, arrays);
+    resolver.resolve(2, 0);
+    EXPECT_EQ(addrsOf(resolver.refs()),
+              (std::vector<mem::Addr>{at("B", 2), at("C", 3), at("H", 2),
+                                      at("A", 2)}));
+    EXPECT_EQ(addrsOf(resolver.reads()),
+              (std::vector<mem::Addr>{at("B", 2), at("C", 3), at("H", 2)}));
+    EXPECT_EQ(resolver.write().addr, at("A", 2));
+    EXPECT_EQ(resolver.write().array, arrays.find("A"));
+    EXPECT_EQ(resolver.write().size, 8u);
+}
+
+TEST(InstanceResolverTest, IterationChangesAreNeverStale)
+{
+    // Iterations of i = 0..2, j = 0..2: k = 0 is (0, 0), k = 1 is
+    // (0, 1), k = 2 is (1, 0). The sequence revisits an earlier k and
+    // then skips ahead, so a resolver that kept a stale iteration
+    // vector resolves the wrong elements.
+    ArrayTable arrays;
+    arrays.setDefaultElementSize(8);
+    LoopNest nest = parseKernel(R"(
+        array A[2][2]; array B[3][3]; array C[2][2];
+        for i = 0..2 { for j = 0..2 {
+            S0: A[i][j] = B[j][i];
+            S1: C[i][j] = A[i][j] + B[i][j+1];
+        } })",
+                                "two", arrays);
+    auto at = [&](const char *name, std::int64_t flat) {
+        return arrays.elementAddr(arrays.find(name), flat);
+    };
+    InstanceResolver resolver(nest, arrays);
+    resolver.resolve(1, 0); // B[1][0] -> A[0][1]
+    EXPECT_EQ(addrsOf(resolver.refs()),
+              (std::vector<mem::Addr>{at("B", 3), at("A", 1)}));
+    resolver.resolve(1, 1); // A[0][1] + B[0][2] -> C[0][1]
+    EXPECT_EQ(addrsOf(resolver.refs()),
+              (std::vector<mem::Addr>{at("A", 1), at("B", 2), at("C", 1)}));
+    resolver.resolve(0, 1); // A[0][0] + B[0][1] -> C[0][0]
+    EXPECT_EQ(addrsOf(resolver.refs()),
+              (std::vector<mem::Addr>{at("A", 0), at("B", 1), at("C", 0)}));
+    resolver.resolve(2, 0); // B[0][1] -> A[1][0]
+    EXPECT_EQ(addrsOf(resolver.refs()),
+              (std::vector<mem::Addr>{at("B", 1), at("A", 2)}));
+}
+
+TEST(InstanceResolverTest, OutOfRangeStatementIsFatal)
+{
+    ArrayTable arrays;
+    LoopNest nest = parseKernel(R"(
+        array A[8]; array B[8];
+        for i = 0..8 { A[i] = B[i]; })",
+                                "t", arrays);
+    InstanceResolver resolver(nest, arrays);
+    EXPECT_THROW(resolver.resolve(0, 1), PanicError);
+    EXPECT_THROW(resolver.resolve(0, -1), PanicError);
+    EXPECT_THROW(resolver.resolve(-1, 0), PanicError);
+    resolver.resolve(7, 0);
+    EXPECT_EQ(resolver.write().addr, arrays.elementAddr(arrays.find("A"), 7));
 }
 
 // -------------------------------------------------------- analyzability

@@ -299,16 +299,12 @@ TEST_F(DataLocatorTest, DefaultsToHomeBank)
     ASSERT_NE(prov, nullptr);
 
     std::int64_t located = 0;
-    ir::StatementInstance inst;
-    std::vector<ir::ResolvedRef> reads;
+    ir::InstanceResolver resolver(nest, arrays);
     for (const verify::SplitRecord &rec : prov->instances) {
         if (!rec.wasSplit)
             continue;
-        inst.stmt =
-            &nest.body()[static_cast<std::size_t>(rec.statementIndex)];
-        nest.iterationAt(rec.iterationNumber, inst.iter);
-        inst.iterationNumber = rec.iterationNumber;
-        ir::resolveReadsInto(inst, arrays, reads);
+        resolver.resolve(rec.iterationNumber, rec.statementIndex);
+        const std::span<const ir::ResolvedRef> reads = resolver.reads();
         const std::span<const Location> locations = prov->locationsOf(rec);
         ASSERT_EQ(locations.size(), reads.size());
         for (std::size_t j = 0; j < reads.size(); ++j) {

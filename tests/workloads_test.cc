@@ -71,7 +71,6 @@ TEST_P(WorkloadBuildTest, BuildsWithSoundStructure)
     for (const ir::LoopNest &nest : w.nests) {
         EXPECT_GT(nest.iterationCount(), 0);
         EXPECT_FALSE(nest.body().empty());
-        EXPECT_GE(nest.timingTrips, nest.inspectorTrips);
         // Index data must be installed for every indirect subscript.
         for (const ir::Statement &stmt : nest.body()) {
             for (const ir::ArrayRef *ref : stmt.reads()) {
