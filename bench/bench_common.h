@@ -8,8 +8,10 @@
  * (app x config) sweeps (thread count, the caller included,
  * overridable via NDP_BENCH_THREADS), and a declarative metric-table
  * printer so each harness reduces to its config grid plus one
- * row-formatter per column. A malformed value of either variable is
- * an ndp::fatal that names it.
+ * row-formatter per column. One harness per sweep: a harness runs its
+ * grid once and prints every paper table read from that grid as one
+ * section each (printSection). A malformed value of either variable
+ * is an ndp::fatal that names it.
  *
  * Output discipline: result tables go to stdout and are bit-identical
  * for any thread count; wall-clock timing (inherently nondeterministic)
@@ -224,6 +226,19 @@ printMetricTable(const SweepOutcome &sweep,
         }
     }
     table.print(std::cout);
+}
+
+/**
+ * Print one section of a harness: a heading line naming the paper
+ * table or figure, its metric table, and a blank separating line.
+ */
+inline void
+printSection(const std::string &heading, const SweepOutcome &sweep,
+             const std::vector<MetricColumn> &columns)
+{
+    std::cout << "-- " << heading << " --\n";
+    printMetricTable(sweep, columns);
+    std::cout << "\n";
 }
 
 /** Print the standard harness banner. */

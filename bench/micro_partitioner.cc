@@ -230,7 +230,7 @@ planDigest(const sim::ExecutionPlan &plan,
     mix(static_cast<std::uint64_t>(report.offloadedSubcomputations));
     mix(static_cast<std::uint64_t>(report.statementsSplit));
     mix(static_cast<std::uint64_t>(report.statementsKeptDefault));
-    mix(static_cast<std::uint64_t>(plan.windowSize));
+    mix(static_cast<std::uint64_t>(report.chosenWindowSize));
     return h.value();
 }
 

@@ -31,6 +31,7 @@
 #include "sim/engine.h"
 #include "support/error.h"
 #include "support/table.h"
+#include "verify/plan_verifier.h"
 
 namespace {
 
@@ -173,12 +174,21 @@ main(int argc, char **argv)
 
         partition::PartitionOptions options;
         options.fixedWindowSize = fixed_window;
-        // Records the split decisions the pseudo-code renderer reads.
+        // Records the split decisions the static verifier checks and
+        // the pseudo-code renderer reads.
         options.verifyLevel = verify::VerifyLevel::Cheap;
         partition::Partitioner partitioner(system, arrays, options);
         const sim::ExecutionPlan plan = partitioner.plan(nest, nodes);
-        const sim::SimResult opt = engine.run(plan);
         const auto &report = partitioner.report();
+        const verify::Report verdict =
+            verify::PlanVerifier(system, arrays)
+                .verify(nest, plan, *report.provenance);
+        if (verdict.counts().errors > 0) {
+            std::cerr << "ndpc: static plan verification failed:\n"
+                      << verdict.renderTable();
+            return 1;
+        }
+        const sim::SimResult opt = engine.run(plan);
 
         std::cout << "\n== plan ==\n"
                   << "window size: " << report.chosenWindowSize

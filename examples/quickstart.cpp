@@ -5,7 +5,8 @@
  *  1. Describe a kernel in the textual IR (or build the IR directly).
  *  2. Build the modelled manycore.
  *  3. Produce the profile-guided default placement and the NDP
- *     partitioner's optimized plan.
+ *     partitioner's optimized plan, and check that plan with the
+ *     static verifier.
  *  4. Simulate both and compare data movement / execution time.
  *
  * The kernel here is the paper's running example (Figure 3):
@@ -20,6 +21,7 @@
 #include "partition/partitioner.h"
 #include "sim/engine.h"
 #include "support/table.h"
+#include "verify/plan_verifier.h"
 
 int
 main()
@@ -48,12 +50,21 @@ main()
     sim::ExecutionPlan default_plan = placement.buildPlan(nest, nodes);
     const sim::SimResult def = engine.run(default_plan);
 
-    // Cheap verification records the planner's split decisions, which
-    // the pseudo-code renderer below reads.
+    // Cheap verification records the planner's split decisions: the
+    // static verifier checks the plan against them, and the pseudo-code
+    // renderer below reads them.
     partition::PartitionOptions options;
     options.verifyLevel = verify::VerifyLevel::Cheap;
     partition::Partitioner partitioner(system, arrays, options);
     sim::ExecutionPlan optimized_plan = partitioner.plan(nest, nodes);
+    const auto &report = partitioner.report();
+    const verify::Report verdict =
+        verify::PlanVerifier(system, arrays)
+            .verify(nest, optimized_plan, *report.provenance);
+    if (verdict.counts().errors > 0) {
+        std::cerr << verdict.renderTable();
+        return 1;
+    }
     const sim::SimResult opt = engine.run(optimized_plan);
 
     // ---- 4. Compare. ----
@@ -76,7 +87,6 @@ main()
         .cell(opt.avgNetworkLatency);
     table.print(std::cout);
 
-    const auto &report = partitioner.report();
     std::cout << "\nchosen window size: " << report.chosenWindowSize
               << "\nper-statement movement reduction: "
               << report.movementReductionPct.mean() << "% (max "

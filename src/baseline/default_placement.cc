@@ -109,7 +109,6 @@ DefaultPlacement::buildPlan(const ir::LoopNest &nest,
                 "assignment size mismatch");
     sim::ExecutionPlan plan;
     plan.name = nest.name() + "/default";
-    plan.windowSize = 1;
 
     std::unordered_map<mem::Addr, sim::TaskId> last_writer;
     const auto stmt_count =

@@ -1,6 +1,7 @@
 #include "driver/experiment.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "baseline/data_to_mc.h"
 #include "support/error.h"
@@ -125,10 +126,14 @@ ExperimentRunner::runNest(const workloads::Workload &workload,
                                       nest, session.nodes));
     }
 
-    const sim::ExecutionPlan optimized_plan =
-        config_.optimizeComputation
-            ? session.plan()
-            : session.placement.buildPlan(nest, session.nodes);
+    // Without the partitioner the "optimized" run replays the session's
+    // default plan: buildPlan reads only the nest, arrays and nodes, not
+    // the MC lookup the data-to-MC override changes.
+    std::optional<sim::ExecutionPlan> planned;
+    if (config_.optimizeComputation)
+        planned = session.plan();
+    const sim::ExecutionPlan &optimized_plan =
+        planned ? *planned : session.defaultPlan;
     nr.report = std::move(session.report);
     nr.verify = std::move(session.verdict);
 

@@ -70,7 +70,7 @@ generatePseudoCode(const sim::ExecutionPlan &plan,
     };
 
     std::ostringstream out;
-    out << "// " << plan.name << ", window size " << plan.windowSize
+    out << "// " << plan.name << ", window size " << provenance->windowSize
         << ", iterations " << first_iteration << ".." << last_iteration
         << "\n";
     for (const auto &[node, tasks] : per_node) {

@@ -441,7 +441,6 @@ class Emitter
     {
         report.chosenWindowSize = window_size;
         plan_.name = ctx.nest.name();
-        plan_.windowSize = window_size;
         // At least one task per instance, and one record each. Every
         // read of the stream lands in exactly one task.
         const std::size_t instances = ctx.stream.analyzable.size();

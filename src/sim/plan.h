@@ -97,9 +97,6 @@ struct ExecutionPlan
     /** Every task's deps, each task's a contiguous run. */
     std::vector<TaskId> depPool;
 
-    /** Window size the planner settled on (optimized plans only). */
-    std::int32_t windowSize = 1;
-
     std::span<const MemAccess>
     reads(const Task &task) const
     {

@@ -1,15 +1,18 @@
 /**
  * @file
  * Golden regression test for the reproduction's headline numbers: the
+ * Table 1 (analyzable references), Table 2 (predictor accuracy),
  * Figure 13 (data-movement reduction), Figure 14 (subcomputation
- * parallelism), Figure 17 (execution-time reduction), and Figure 24
+ * parallelism), Figure 16 (L1 hit rates), Figure 17 (execution-time
+ * reduction), Figure 19 (network latency reduction) and Figure 24
  * (energy reduction) metrics of three representative apps at the small
  * bench scale (NDP_BENCH_SCALE=256 equivalent), compared against a
- * checked-in golden file with a small tolerance. The planner's integer
- * accounting is pinned alongside: Figure 15's sync totals (after and
- * before minimisation), Table 3's offloaded-op counts, and the planned
- * movement of every window-size candidate (Figure 20), which the
- * tolerance pins exactly. The pipeline is
+ * checked-in golden file with a small tolerance (rates and fractions
+ * are pinned in percent, so it reads in % points for them too). The
+ * planner's integer accounting is pinned alongside: Figure 15's sync
+ * totals (after and before minimisation), Table 3's offloaded-op
+ * counts, and the planned movement of every window-size candidate
+ * (Figure 20), which the tolerance pins exactly. The pipeline is
  * deterministic, so the tolerance only absorbs floating-point drift
  * across toolchains (reassociation, FMA contraction) — a behavioural
  * change in the locator, splitter, balancer, or engine lands far
@@ -86,6 +89,18 @@ computeHeadlines()
             r.execTimeReductionPct();
         metrics[r.app + "/fig24_energy_reduction_pct"] =
             r.energyReductionPct();
+        metrics[r.app + "/table1_analyzable_pct"] =
+            100.0 * r.analyzableFraction;
+        metrics[r.app + "/table2_predictor_accuracy_pct"] =
+            100.0 * r.predictorAccuracy;
+        metrics[r.app + "/fig16_default_l1_hit_pct"] =
+            100.0 * r.defaultL1HitRate;
+        metrics[r.app + "/fig16_optimized_l1_hit_pct"] =
+            100.0 * r.optimizedL1HitRate;
+        metrics[r.app + "/fig19_avg_latency_reduction_pct"] =
+            r.avgNetLatencyReductionPct();
+        metrics[r.app + "/fig19_max_latency_reduction_pct"] =
+            r.maxNetLatencyReductionPct();
         metrics[r.app + "/fig15_syncs_total"] =
             r.syncsPerStatement.sum();
         metrics[r.app + "/fig15_raw_syncs_total"] =

@@ -30,7 +30,6 @@ struct PlanLists
 {
     std::string name;
     std::vector<ListTask> tasks;
-    std::int32_t windowSize = 1;
 };
 
 /** @p plan with each task's runs copied out of the pools. */
@@ -39,7 +38,6 @@ unpack(const sim::ExecutionPlan &plan)
 {
     PlanLists lists;
     lists.name = plan.name;
-    lists.windowSize = plan.windowSize;
     lists.tasks.reserve(plan.tasks.size());
     for (const sim::Task &task : plan.tasks) {
         ListTask &t = lists.tasks.emplace_back();
@@ -58,7 +56,6 @@ pack(const PlanLists &lists)
 {
     sim::ExecutionPlan plan;
     plan.name = lists.name;
-    plan.windowSize = lists.windowSize;
     plan.tasks.reserve(lists.tasks.size());
     for (const ListTask &t : lists.tasks) {
         sim::Task &task = plan.tasks.emplace_back(t);
