@@ -45,7 +45,6 @@ InstanceResolver::resolveRef(const ArrayRef &ref) const
     r.array = ref.array;
     r.addr = arrays_->elementAddr(ref.array, flat);
     r.size = arrays_->info(ref.array).elementSize;
-    r.analyzable = ref.isAnalyzable();
     return r;
 }
 

@@ -32,13 +32,6 @@ struct ResolvedRef
     ArrayId array = kInvalidArray;
     mem::Addr addr = 0;
     std::uint32_t size = 0;
-    /**
-     * Whether the compiler can resolve this address statically (all
-     * subscripts affine). Non-analyzable refs are resolvable here only
-     * because the ArrayTable holds the realised index values — i.e.,
-     * only after the inspector ran.
-     */
-    bool analyzable = true;
 };
 
 /**

@@ -60,17 +60,6 @@ SetAssocCache::contains(Addr a) const
 }
 
 void
-SetAssocCache::invalidate(Addr a)
-{
-    const std::uint64_t line = lineNumber(a);
-    Way *base = &entries_[setIndex(line) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == line)
-            base[w].valid = false;
-    }
-}
-
-void
 SetAssocCache::flush()
 {
     for (Way &way : entries_)

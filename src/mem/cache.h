@@ -71,9 +71,6 @@ class SetAssocCache
     /** Non-allocating presence probe (used by locality models). */
     bool contains(Addr a) const;
 
-    /** Invalidate the line containing @p a if present. */
-    void invalidate(Addr a);
-
     /** Drop all contents (statistics are kept). */
     void flush();
 

@@ -65,7 +65,7 @@ MemoryController::sideCacheStats() const
 }
 
 void
-MemoryController::resetServiceState()
+MemoryController::reset()
 {
     serviced_ = 0;
     lastBankKey_.reset();
@@ -73,12 +73,6 @@ MemoryController::resetServiceState()
         sideCache_->flush();
         sideCache_->resetStats();
     }
-}
-
-void
-MemoryController::reset()
-{
-    resetServiceState();
     recordedLoad_ = 0;
 }
 

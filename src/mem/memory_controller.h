@@ -79,10 +79,7 @@ class MemoryController
     /** MCDRAM-side cache statistics (cache/hybrid mode only). */
     const CacheStats *sideCacheStats() const;
 
-    /** Reset pass-2 state, keeping pass-1 load. */
-    void resetServiceState();
-
-    /** Full reset. */
+    /** Drop the pass-1 load and all pass-2 state. */
     void reset();
 
   private:

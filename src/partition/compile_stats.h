@@ -8,7 +8,7 @@
  * scratch vs. replayed from the SplitPlanCache, how large the cache
  * grew, and (optionally) where the nanoseconds went. The paper evaluates what the *plans* buy at run
  * time; this layer makes the cost of *producing* the plans a measured,
- * trackable quantity (the BENCH_partitioner.json trajectory).
+ * trackable quantity (perfbench's partition.* metrics).
  *
  * The phase timers are gated: when PartitionOptions::collectCompileTimers
  * is off (the default) no clock is ever read — the counters alone are a

@@ -33,8 +33,6 @@ namespace {
 struct ResolvedStream
 {
     std::vector<std::uint32_t> refBegin;
-    /** Every reference of the instance is affine. */
-    std::vector<std::uint8_t> analyzable;
     /** Only what a task records of a reference: 16 bytes, not 32. */
     std::vector<sim::MemAccess> refs;
     std::vector<std::uint32_t> addrId;
@@ -65,9 +63,7 @@ resolveStream(const ir::ArrayTable &arrays, const ir::LoopNest &nest,
         const noc::NodeId node = default_nodes[static_cast<std::size_t>(k)];
         for (ir::StatementIndex st = 0; st < stmt_count; ++st) {
             resolver.resolve(k, st);
-            bool analyzable = true;
             for (const ir::ResolvedRef &r : resolver.refs()) {
-                analyzable = analyzable && r.analyzable;
                 const std::uint32_t addr = addr_ids.intern(r.addr);
                 if (addr == s.addrs.size()) {
                     s.addrs.push_back(r.addr);
@@ -80,7 +76,6 @@ resolveStream(const ir::ArrayTable &arrays, const ir::LoopNest &nest,
                     (std::uint64_t{s.lineOf[addr]} << 32) |
                     static_cast<std::uint32_t>(node)));
             }
-            s.analyzable.push_back(analyzable ? 1 : 0);
             s.refBegin.push_back(static_cast<std::uint32_t>(s.refs.size()));
         }
         if (k == 0) {
@@ -92,7 +87,6 @@ resolveStream(const ir::ArrayTable &arrays, const ir::LoopNest &nest,
             s.addrId.reserve(per_iteration * iterations);
             s.lineSlot.reserve(per_iteration * iterations);
             s.refBegin.reserve(nest.body().size() * iterations + 1);
-            s.analyzable.reserve(nest.body().size() * iterations);
         }
     }
     s.lineSlots = slot_ids.size();
@@ -385,9 +379,12 @@ struct NestContext
     const std::vector<noc::NodeId> &defaultNodes;
     /** Nested sets per *static* statement. */
     std::vector<ir::VarSet> staticSets;
-    /** Indirect subscripts count as resolved: the nest's inspector
-     *  phase can run (Section 4.5), or the oracle is on. */
-    bool inspectorResolved;
+    /**
+     * Per static statement: every reference is affine, or indirect
+     * subscripts count as resolved because the nest's inspector phase
+     * can run (Section 4.5) or the oracle is on.
+     */
+    std::vector<bool> splittable;
     std::size_t reuseCapacity;
     ResolvedStream stream;
     DefaultL1Model warmL1;
@@ -443,7 +440,7 @@ class Emitter
         plan_.name = ctx.nest.name();
         // At least one task per instance, and one record each. Every
         // read of the stream lands in exactly one task.
-        const std::size_t instances = ctx.stream.analyzable.size();
+        const std::size_t instances = ctx.stream.refBegin.size() - 1;
         plan_.tasks.reserve(instances);
         plan_.readPool.reserve(ctx.stream.refs.size() - instances);
 
@@ -860,12 +857,12 @@ class DecisionLane
     void
     decide(std::int64_t pos)
     {
-        const bool analyzable = resolve(pos);
+        resolve(pos);
         priceBaseline();
         // Null when the statement runs whole on its default node:
         // unanalysable, or the split does not pay.
         d_.split = nullptr;
-        if (analyzable || ctx_.inspectorResolved) {
+        if (ctx_.splittable[static_cast<std::size_t>(d_.stmtIdx)]) {
             locate();
             candidate_ = splitInstance();
             if (profitable(candidate_)) {
@@ -877,11 +874,8 @@ class DecisionLane
         note();
     }
 
-    /**
-     * Take instance @p pos from the resolved stream; true when every
-     * reference is affine.
-     */
-    bool
+    /** Take instance @p pos from the resolved stream. */
+    void
     resolve(std::int64_t pos)
     {
         d_.iter = pos / stmtCount_;
@@ -897,7 +891,6 @@ class DecisionLane
         d_.write = &stream_.refs[write_at];
         d_.writeId = stream_.addrId[write_at];
         d_.storeNode = stream_.home[d_.writeId].node;
-        return stream_.analyzable[at] != 0;
     }
 
     /**
@@ -1175,10 +1168,19 @@ Partitioner::plan(const ir::LoopNest &nest,
         // The window-independent work runs once per nest: every
         // candidate reads the same resolved stream and starts from the
         // same warmed default-L1 model.
+        const bool inspector_resolved =
+            Inspector::canResolve(nest, *arrays_) || options_.oracle;
         std::vector<ir::VarSet> static_sets;
+        std::vector<bool> splittable;
         static_sets.reserve(nest.body().size());
-        for (const ir::Statement &stmt : nest.body())
+        for (const ir::Statement &stmt : nest.body()) {
             static_sets.push_back(ir::buildVarSets(stmt));
+            splittable.push_back(inspector_resolved ||
+                                 (stmt.lhs().isAnalyzable() &&
+                                  std::ranges::all_of(
+                                      stmt.reads(),
+                                      &ir::ArrayRef::isAnalyzable)));
+        }
         // 0 trusts a quarter of the L1 to survive a window un-evicted.
         const std::size_t reuse_capacity =
             options_.reuseCapacityLines != 0
@@ -1202,8 +1204,7 @@ Partitioner::plan(const ir::LoopNest &nest,
                                                nest.body().size());
         const NestContext ctx{
             *system_, options_, splitCache_, nest, default_nodes,
-            std::move(static_sets),
-            Inspector::canResolve(nest, *arrays_) || options_.oracle,
+            std::move(static_sets), std::move(splittable),
             reuse_capacity, std::move(stream), std::move(warm_l1)};
         DecisionLane lane(ctx);
 

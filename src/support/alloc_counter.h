@@ -6,8 +6,8 @@
  * A counting global operator new, for allocation gates. Linking the
  * ndp_alloc_counter object library into an executable replaces the
  * global operator new/delete with malloc/free wrappers that count every
- * allocation; heapAllocations() reads the count. Only tests and the
- * partitioner microbenchmark link it — never the library itself.
+ * allocation; heapAllocations() reads the count. Only the allocation
+ * gate test links it — never the library itself.
  */
 
 #include <cstdint>

@@ -98,10 +98,4 @@ percentInflation(double healthy, double faulted)
     return 100.0 * (faulted - healthy) / healthy;
 }
 
-double
-safeRatio(double numerator, double denominator)
-{
-    return denominator == 0.0 ? 0.0 : numerator / denominator;
-}
-
 } // namespace ndp

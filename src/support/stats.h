@@ -61,9 +61,6 @@ double percentReduction(double baseline, double optimized);
  */
 double percentInflation(double healthy, double faulted);
 
-/** Ratio optimized/baseline guarded against division by zero. */
-double safeRatio(double numerator, double denominator);
-
 } // namespace ndp
 
 #endif // NDP_SUPPORT_STATS_H

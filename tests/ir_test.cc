@@ -577,7 +577,6 @@ TEST(InstanceTest, AffineResolution)
     ASSERT_EQ(resolver.reads().size(), 1u);
     EXPECT_EQ(resolver.reads()[0].addr,
               arrays.elementAddr(arrays.find("B"), 4));
-    EXPECT_TRUE(resolver.reads()[0].analyzable);
     EXPECT_EQ(resolver.write().addr,
               arrays.elementAddr(arrays.find("A"), 3));
 }
@@ -594,7 +593,6 @@ TEST(InstanceTest, IndirectResolutionUsesIndexData)
     resolver.resolve(2, 0);
     EXPECT_EQ(resolver.reads()[0].addr,
               arrays.elementAddr(arrays.find("X"), 5));
-    EXPECT_FALSE(resolver.reads()[0].analyzable);
 }
 
 TEST(InstanceTest, ResolutionWrapsEachDimension)

@@ -183,12 +183,9 @@ TEST(CacheTest, DirectMappedConflicts)
     EXPECT_TRUE(cache.contains(b));
 }
 
-TEST(CacheTest, InvalidateAndFlush)
+TEST(CacheTest, Flush)
 {
     SetAssocCache cache(1024, 2);
-    cache.access(0x100);
-    cache.invalidate(0x100);
-    EXPECT_FALSE(cache.contains(0x100));
     cache.access(0x100);
     cache.access(0x200);
     cache.flush();

@@ -7,11 +7,13 @@
  * apps across load balancing on/off, reuse on/off, window sizes
  * 1/4/16, and pool sizes 1 and 8. With the balancer on, cache hits are
  * replayed against the live loads and a veto falls back to a full
- * balanced split; both paths must stay invisible. Unit tests pin the
- * counters — hits on a periodic nest, with and without the balancer —
- * plus direct SplitPlanCache key/collision/round-trip/clear semantics,
- * and the flat split-plan format's round trip from the splitter into
- * the cache and back out as a view.
+ * balanced split; both paths must stay invisible. On a periodic nest,
+ * the plans themselves are compared task by task, with the balancer
+ * off and on, and the cache must hit at least 80% of the time. Unit
+ * tests pin the counters — hits on a periodic nest, with and without
+ * the balancer — plus direct SplitPlanCache key/collision/round-trip/
+ * clear semantics, and the flat split-plan format's round trip from
+ * the splitter into the cache and back out as a view.
  */
 
 #include <gtest/gtest.h>
@@ -19,15 +21,20 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "baseline/default_placement.h"
 #include "driver/experiment.h"
 #include "ir/nested_sets.h"
 #include "ir/parser.h"
 #include "noc/mesh_topology.h"
 #include "partition/load_balancer.h"
+#include "partition/partitioner.h"
 #include "partition/split_plan_cache.h"
 #include "partition/splitter.h"
+#include "plan_lists.h"
+#include "sim/manycore.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 #include "workloads/workload.h"
@@ -218,6 +225,114 @@ TEST(SplitCacheEquivalenceTest, BalancedPaperAppsMatchCacheOff)
         const std::int64_t resplits = expectCacheInvisible(
             factory.build(name), driver::ExperimentConfig{}, name);
         EXPECT_GT(resplits, 0) << name;
+    }
+}
+
+/** A memory access as a comparable value. */
+auto
+accessFields(const sim::MemAccess &a)
+{
+    return std::tuple(a.addr, a.size, a.array);
+}
+
+/** Two plans must be equal task by task, every task field included. */
+void
+expectSamePlan(const sim::ExecutionPlan &a, const sim::ExecutionPlan &b,
+               const std::string &label)
+{
+    const test::PlanLists la = test::unpack(a);
+    const test::PlanLists lb = test::unpack(b);
+    ASSERT_EQ(la.tasks.size(), lb.tasks.size()) << label;
+    for (std::size_t t = 0; t < la.tasks.size(); ++t) {
+        const test::ListTask &x = la.tasks[t];
+        const test::ListTask &y = lb.tasks[t];
+        const std::string at = label + " task " + std::to_string(t);
+        ASSERT_EQ(x.node, y.node) << at;
+        ASSERT_EQ(x.statementIndex, y.statementIndex) << at;
+        ASSERT_EQ(x.iterationNumber, y.iterationNumber) << at;
+        ASSERT_EQ(x.computeCost, y.computeCost) << at;
+        ASSERT_EQ(x.write.has_value(), y.write.has_value()) << at;
+        if (x.write && y.write) {
+            ASSERT_EQ(accessFields(*x.write), accessFields(*y.write)) << at;
+        }
+        ASSERT_TRUE(std::ranges::equal(x.reads, y.reads, {}, accessFields,
+                                       accessFields))
+            << at;
+        ASSERT_EQ(x.deps, y.deps) << at;
+    }
+}
+
+/** One per-instance accumulator of two reports must agree exactly. */
+void
+expectSameAccumulator(const Accumulator &a, const Accumulator &b,
+                      const std::string &label)
+{
+    EXPECT_EQ(a.count(), b.count()) << label;
+    EXPECT_EQ(a.sum(), b.sum()) << label;
+    EXPECT_EQ(a.min(), b.min()) << label;
+    EXPECT_EQ(a.max(), b.max()) << label;
+}
+
+TEST(SplitCacheEquivalenceTest, PeriodicNestPlansAreByteIdentical)
+{
+    // The SNUCA line->bank mapping makes the operand-location signature
+    // periodic in the iteration number; wide expressions give every
+    // split a real reduction tree.
+    sim::ManycoreConfig config;
+    sim::ManycoreSystem system(config);
+    ir::ArrayTable arrays;
+    const ir::LoopNest nest = ir::parseKernel(R"(
+        array A[4096]; array B[4096]; array C[4096]; array D[4096];
+        array E[4096]; array F[4096]; array G[4096]; array H[4096];
+        array K[4096];
+        for i = 0..4096 {
+          S1: A[i] = (B[i] + C[i]) * (D[i] + E[i]) +
+                     (F[i] + G[i]) * (H[i] + K[i]);
+          S2: D[i] = B[i] * C[i] + E[i] * F[i] + G[i] * H[i] + K[i];
+        })",
+                                              "periodic", arrays);
+    baseline::DefaultPlacement placement(system, arrays);
+    const std::vector<noc::NodeId> nodes = placement.assignIterations(nest);
+
+    for (const bool balanced : {false, true}) {
+        const std::string label =
+            balanced ? "balancer on" : "balancer off";
+        partition::PartitionOptions options;
+        options.loadBalance = balanced;
+        options.memoizeSplits = true;
+        partition::Partitioner cached(system, arrays, options);
+        options.memoizeSplits = false;
+        partition::Partitioner uncached(system, arrays, options);
+        const sim::ExecutionPlan on = cached.plan(nest, nodes);
+        const sim::ExecutionPlan off = uncached.plan(nest, nodes);
+        expectSamePlan(on, off, label);
+
+        const partition::PartitionReport &ron = cached.report();
+        const partition::PartitionReport &roff = uncached.report();
+        expectSameAccumulator(ron.movementReductionPct,
+                              roff.movementReductionPct, label);
+        expectSameAccumulator(ron.degreeOfParallelism,
+                              roff.degreeOfParallelism, label);
+        expectSameAccumulator(ron.syncsPerStatement,
+                              roff.syncsPerStatement, label);
+        expectSameAccumulator(ron.rawSyncsPerStatement,
+                              roff.rawSyncsPerStatement, label);
+        EXPECT_EQ(ron.plannedMovement, roff.plannedMovement) << label;
+        EXPECT_EQ(ron.defaultMovement, roff.defaultMovement) << label;
+        EXPECT_TRUE(std::ranges::equal(ron.offloadedOps, roff.offloadedOps))
+            << label;
+        EXPECT_EQ(ron.offloadedSubcomputations,
+                  roff.offloadedSubcomputations)
+            << label;
+        EXPECT_EQ(ron.statementsSplit, roff.statementsSplit) << label;
+        EXPECT_EQ(ron.statementsKeptDefault, roff.statementsKeptDefault)
+            << label;
+        EXPECT_EQ(ron.chosenWindowSize, roff.chosenWindowSize) << label;
+
+        // A key that got over- or under-specific shows as a collapse.
+        EXPECT_GE(ron.compile.hitRate(), 0.80)
+            << label << ": " << ron.compile.plansMemoized << " hits / "
+            << ron.compile.plansComputed << " computes";
     }
 }
 

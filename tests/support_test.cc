@@ -235,12 +235,6 @@ TEST(StatsTest, PercentReduction)
     EXPECT_DOUBLE_EQ(percentReduction(0.0, 10.0), 0.0);
 }
 
-TEST(StatsTest, SafeRatio)
-{
-    EXPECT_DOUBLE_EQ(safeRatio(6.0, 3.0), 2.0);
-    EXPECT_DOUBLE_EQ(safeRatio(6.0, 0.0), 0.0);
-}
-
 // ---------------------------------------------------------------- Table
 
 TEST(TableTest, RendersAlignedColumns)
