@@ -20,6 +20,8 @@
 
 #include "bench_common.h"
 #include "driver/fault_campaign.h"
+#include "driver/sweep.h"
+#include "support/stats.h"
 
 namespace {
 

@@ -46,7 +46,9 @@ BM_StatementSplit(benchmark::State &state)
         src += "array V" + std::to_string(i) + "[64];\n";
         if (i > 0)
             rhs += " + ";
-        rhs += "V" + std::to_string(i) + "[i]";
+        rhs += 'V';
+        rhs += std::to_string(i);
+        rhs += "[i]";
     }
     src += "for i = 0..64 { OUT[i] = " + rhs + "; }";
     ir::LoopNest nest = ir::parseKernel(src, "micro", arrays);

@@ -1,0 +1,535 @@
+/**
+ * @file
+ * Every table and figure of the paper's evaluation (Section 6), plus
+ * two ablations, from one (app x config) grid: each of the 26 distinct
+ * ExperimentConfigs runs once over the 12 apps, and every section reads
+ * its columns from the apps' grid rows. Figure 18's metric isolation is
+ * a second, per-app fan-out. The sections, in paper order, each under a
+ * `-- heading --` line:
+ *
+ * - Table 1: the fraction of data references whose on-chip location is
+ *   compile-time analyzable (affine subscripts). Paper: 68.3% (Barnes)
+ *   to 97.2% (Cholesky).
+ * - Table 2: accuracy of the L2 hit/miss predictor, trained online
+ *   during the profiling and optimized runs. Paper: 63.1%-91.8%.
+ * - Table 3: the mix of re-mapped (offloaded) computation types:
+ *   add/sub vs mul/div vs others (shift, logical, min/max).
+ * - Figure 13: average and maximum per-statement reduction in data
+ *   movement (Equation 1) over the locality-optimized default
+ *   placement. Paper: 35.3% geomean average.
+ * - Figure 14: average and maximum number of subcomputations of one
+ *   statement instance that can run in parallel. Paper: ~3.
+ * - Figure 15: point-to-point synchronisations per statement after the
+ *   transitive-closure minimisation (the raw count alongside).
+ * - Figure 16: L1 hit-rate improvement from scheduling reuse-sharing
+ *   subcomputations where the data already is. Paper: 11.6% average.
+ * - Figure 17: execution-time reduction of ours against the two ideal
+ *   scenarios of Section 6.4, the ideal network (0-cycle messages) and
+ *   ideal data analysis. Paper geomeans: 18.4% / 24.4% / 22.3%.
+ * - Figure 18: the four metrics' contributions, isolated by replaying
+ *   the default plan with one donor metric of the optimized run: S1 its
+ *   L1 behaviour, S2 its data movement, S3 its parallelism, S4 its
+ *   synchronisation. Paper: S2 reaches ~77% of the full gain alone.
+ * - Figure 19: average and maximum network-latency reduction (the
+ *   maximum being the congestion proxy). Paper: reductions everywhere.
+ * - Figure 20: execution-time improvement for each fixed statement
+ *   window 1..8 (Section 4.4) and the adaptive per-nest choice.
+ * - Figure 21: the L1 hit-rate improvement behind Figure 20, per fixed
+ *   window.
+ * - Figure 22: makespans across the KNL-style grid, cluster mode (A:
+ *   all-to-all, B: quadrant, C: SNC-4) x memory mode (X: flat, Y:
+ *   cache, Z: hybrid) x code version (1: original, 2: optimized),
+ *   normalized to the default configuration (B,X,1); lower is better.
+ * - Figure 23: ours against the profile-based data-to-MC page mapping,
+ *   and both combined. Paper geomeans: 18.4% / 7.9% / 21.4%.
+ * - Figure 24: energy reduction (event energy model). Paper: 23.1%.
+ * - Ablation, design choices: execution-time improvement with one
+ *   mechanism off: the variable2node map (-reuse), the load-balancing
+ *   veto, sync minimisation, profile-guided plan selection, and
+ *   statement windows (window=1).
+ * - Ablation, topology: the full pipeline on a 2D mesh and on a 2D
+ *   torus (Section 2's "any topology" claim).
+ *
+ * Every table is bit-identical for any NDP_BENCH_THREADS; each fan-out
+ * ends with one `[sweep]` summary on stderr. When NDP_VERIFY_JSON names
+ * a path and NDP_VERIFY is cheap or full, the grid's verifier report is
+ * written there.
+ */
+
+#include <functional>
+#include <iterator>
+#include <optional>
+
+#include "bench_common.h"
+#include "driver/experiment.h"
+#include "driver/sweep.h"
+#include "support/stats.h"
+#include "support/table.h"
+#include "verify/verify_level.h"
+
+namespace {
+
+using namespace ndp;
+using Row = std::vector<driver::SweepCell>;
+
+/** The grid's configs, by column. */
+enum Config : std::size_t
+{
+    /** Ours, Figure 20's adaptive window, the full design, the mesh
+     *  and Figure 22's (B,X). */
+    kDefault,
+    kIdealNetwork,
+    kIdealData,
+    /** Fixed window w = 1..8 at kWindow1 + w - 1. */
+    kWindow1,
+    /** The 8 non-default cluster x memory modes (knlColumn). */
+    kKnl = kWindow1 + 8,
+    kDataMapping = kKnl + 8,
+    kCombined,
+    kNoReuse,
+    kNoBalance,
+    kNoSyncmin,
+    kNoSelection,
+    kTorus,
+    kConfigCount
+};
+static_assert(kConfigCount == 26);
+
+struct KnlMode
+{
+    const char *label;
+    mem::ClusterMode cluster;
+    mem::MemoryMode memory;
+};
+constexpr KnlMode kKnlModes[] = {
+    {"A,X", mem::ClusterMode::AllToAll, mem::MemoryMode::Flat},
+    {"A,Y", mem::ClusterMode::AllToAll, mem::MemoryMode::Cache},
+    {"A,Z", mem::ClusterMode::AllToAll, mem::MemoryMode::Hybrid},
+    {"B,X", mem::ClusterMode::Quadrant, mem::MemoryMode::Flat},
+    {"B,Y", mem::ClusterMode::Quadrant, mem::MemoryMode::Cache},
+    {"B,Z", mem::ClusterMode::Quadrant, mem::MemoryMode::Hybrid},
+    {"C,X", mem::ClusterMode::SNC4, mem::MemoryMode::Flat},
+    {"C,Y", mem::ClusterMode::SNC4, mem::MemoryMode::Cache},
+    {"C,Z", mem::ClusterMode::SNC4, mem::MemoryMode::Hybrid},
+};
+/** (B,X), the machine's default modes. */
+constexpr std::size_t kKnlDefault = 3;
+
+/** Grid column of kKnlModes[@p mode]. */
+std::size_t
+knlColumn(std::size_t mode)
+{
+    if (mode == kKnlDefault)
+        return kDefault;
+    return kKnl + mode - (mode > kKnlDefault ? 1 : 0);
+}
+
+std::vector<driver::ExperimentConfig>
+gridConfigs()
+{
+    std::vector<driver::ExperimentConfig> configs(kConfigCount);
+    configs[kIdealNetwork].optimizeComputation = false;
+    configs[kIdealNetwork].idealNetwork = true;
+    configs[kIdealData].partition.oracle = true;
+    for (int w = 1; w <= 8; ++w)
+        configs[kWindow1 + w - 1].partition.fixedWindowSize = w;
+    for (std::size_t m = 0; m < std::size(kKnlModes); ++m) {
+        configs[knlColumn(m)].machine.clusterMode = kKnlModes[m].cluster;
+        configs[knlColumn(m)].machine.memoryMode = kKnlModes[m].memory;
+    }
+    configs[kDataMapping].optimizeComputation = false;
+    configs[kDataMapping].dataToMcRemap = true;
+    configs[kDataMapping].planSelection = false;
+    configs[kCombined].dataToMcRemap = true;
+    configs[kNoReuse].partition.exploitReuse = false;
+    configs[kNoBalance].partition.loadBalance = false;
+    configs[kNoSyncmin].partition.minimizeSyncs = false;
+    configs[kNoSelection].planSelection = false;
+    configs[kTorus].machine.torus = true;
+    return configs;
+}
+
+/** Everything the (app x config) grid produces. */
+struct SweepOutcome
+{
+    std::vector<workloads::Workload> apps;
+    /** grid[a]: apps[a]'s row, one cell per config. */
+    std::vector<Row> grid;
+    driver::SweepStats stats;
+};
+
+/**
+ * Write the grid's verifier report to @p out: one JSON object per app
+ * x config cell with its per-nest verify::Report::renderJson() inlined.
+ */
+void
+writeVerifyJson(std::ostream &out, const SweepOutcome &sweep)
+{
+    const verify::ReportCounts &totals = sweep.stats.verify;
+    out << "{\n  \"scale\": " << bench::benchScale()
+        << ",\n  \"plans_verified\": " << totals.plansVerified
+        << ",\n  \"errors\": " << totals.errors
+        << ",\n  \"warnings\": " << totals.warnings
+        << ",\n  \"notes\": " << totals.notes << ",\n  \"apps\": [";
+    for (std::size_t a = 0; a < sweep.apps.size(); ++a) {
+        out << (a == 0 ? "" : ",") << "\n    {\"app\": \""
+            << sweep.apps[a].name << "\", \"configs\": [";
+        for (std::size_t c = 0; c < sweep.grid[a].size(); ++c) {
+            const driver::AppResult &r = sweep.grid[a][c].result;
+            out << (c == 0 ? "" : ",") << "\n      {\"config\": " << c
+                << ", \"plans_verified\": " << r.verify.plansVerified
+                << ", \"errors\": " << r.verify.errors
+                << ", \"warnings\": " << r.verify.warnings
+                << ", \"notes\": " << r.verify.notes
+                << ", \"nests\": [";
+            bool first_nest = true;
+            for (const driver::NestResult &nest : r.nests) {
+                if (nest.verify.counts().plansVerified == 0 &&
+                    nest.verify.counts().total() == 0)
+                    continue;
+                out << (first_nest ? "" : ",") << "\n        "
+                    << nest.verify.renderJson();
+                first_nest = false;
+            }
+            out << "]}";
+        }
+        out << "\n    ]}";
+    }
+    out << "\n  ]\n}\n";
+}
+
+/**
+ * Run every app under every config on a SweepRunner (cells across the
+ * pool, loop nests within each cell). When NDP_VERIFY_JSON names a path
+ * and verification is on, the path is opened before the grid runs, so
+ * a bad path fails fast, and the verifier report is written there
+ * after it.
+ */
+SweepOutcome
+runSweep(const std::vector<driver::ExperimentConfig> &configs)
+{
+    const char *json_path = std::getenv("NDP_VERIFY_JSON");
+    std::optional<std::ofstream> json;
+    if (json_path != nullptr &&
+        verify::verifyLevelFromEnv() != verify::VerifyLevel::Off)
+        json = bench::openJsonOutput(json_path, "NDP_VERIFY_JSON");
+
+    SweepOutcome outcome;
+    outcome.apps = bench::allApps();
+    driver::SweepRunner runner;
+    outcome.grid = runner.runGrid(outcome.apps, configs);
+    outcome.stats = runner.stats();
+    outcome.stats.printSummary(std::clog);
+    if (json) {
+        writeVerifyJson(*json, outcome);
+        std::clog << "[verify] wrote JSON report to " << json_path << "\n";
+    }
+    return outcome;
+}
+
+/**
+ * One column of a section's table: a scalar metric of an app's grid
+ * row, plus how (and whether) to summarise it across apps in the
+ * table's footer row.
+ */
+struct MetricColumn
+{
+    enum class Summary { None, Geomean, Mean };
+
+    std::string header;
+    std::function<double(const Row &)> metric;
+    Summary summary = Summary::None;
+    int precision = 2;
+};
+using Summary = MetricColumn::Summary;
+
+/**
+ * A column metric that reads @p metric (a callable, or a pointer to a
+ * member function or field) of config @p c's AppResult.
+ */
+template <typename Metric>
+std::function<double(const Row &)>
+of(std::size_t c, Metric metric)
+{
+    return [c, metric](const Row &row) {
+        return static_cast<double>(std::invoke(metric, row[c].result));
+    };
+}
+
+double
+offloadedPct(const driver::AppResult &r, int category)
+{
+    const double total = static_cast<double>(
+        r.offloadedOps[0] + r.offloadedOps[1] + r.offloadedOps[2]);
+    if (total == 0.0)
+        return 0.0;
+    return 100.0 * static_cast<double>(r.offloadedOps[category]) /
+           total;
+}
+
+/**
+ * Figure 22's cell: column @p c's default (@p optimized false) or
+ * optimized makespan over the (B,X) default makespan.
+ */
+std::function<double(const Row &)>
+normalizedMakespan(std::size_t c, bool optimized)
+{
+    return [c, optimized](const Row &row) {
+        const driver::AppResult &r = row[c].result;
+        return static_cast<double>(optimized ? r.optimizedMakespan
+                                             : r.defaultMakespan) /
+               static_cast<double>(row[kDefault].result.defaultMakespan);
+    };
+}
+
+/**
+ * Print the per-app metric table: one row per app, one cell per
+ * column, and — when any column asks for a summary — a footer row
+ * labelled "geomean" (or "mean" when only arithmetic means were
+ * requested) summarising those columns.
+ */
+void
+printMetricTable(const SweepOutcome &sweep,
+                 const std::vector<MetricColumn> &columns)
+{
+    std::vector<std::string> headers = {"app"};
+    for (const MetricColumn &col : columns)
+        headers.push_back(col.header);
+    Table table(headers);
+
+    std::vector<std::vector<double>> values(columns.size());
+    for (std::size_t a = 0; a < sweep.apps.size(); ++a) {
+        table.row().cell(sweep.apps[a].name);
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            const double v = columns[c].metric(sweep.grid[a]);
+            values[c].push_back(v);
+            table.cell(v, columns[c].precision);
+        }
+    }
+
+    bool any_geomean = false;
+    bool any_mean = false;
+    for (const MetricColumn &col : columns) {
+        any_geomean |= col.summary == Summary::Geomean;
+        any_mean |= col.summary == Summary::Mean;
+    }
+    if (any_geomean || any_mean) {
+        table.row().cell(any_geomean ? "geomean" : "mean");
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            switch (columns[c].summary) {
+            case Summary::Geomean:
+                table.cell(driver::geomeanPct(values[c]),
+                           columns[c].precision);
+                break;
+            case Summary::Mean:
+                table.cell(arithmeticMean(values[c]),
+                           columns[c].precision);
+                break;
+            case Summary::None:
+                table.cell("");
+                break;
+            }
+        }
+    }
+    table.print(std::cout);
+}
+
+/** A section: its heading line, its table and a blank line. */
+void
+printSection(const std::string &heading, const SweepOutcome &sweep,
+             const std::vector<MetricColumn> &columns)
+{
+    std::cout << "-- " << heading << " --\n";
+    printMetricTable(sweep, columns);
+    std::cout << "\n";
+}
+
+/** Figure 18's section: the S1-S4 table and S2's share of the gain. */
+void
+printIsolation(const std::vector<workloads::Workload> &apps,
+               const std::vector<driver::IsolationResult> &isolations)
+{
+    std::cout << "-- Figure 18: isolated metric contributions --\n";
+    Table table({"app", "S1:L1%", "S2:movement%", "S3:parallel%",
+                 "S4:sync%", "full%"});
+    std::vector<double> s2s, fulls;
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const driver::IsolationResult &iso = isolations[a];
+        s2s.push_back(iso.s2DataMovement);
+        fulls.push_back(iso.fullApproach);
+        table.row()
+            .cell(apps[a].name)
+            .cell(iso.s1L1Behavior)
+            .cell(iso.s2DataMovement)
+            .cell(iso.s3Parallelism)
+            .cell(iso.s4Synchronization)
+            .cell(iso.fullApproach);
+    }
+    table.row()
+        .cell("geomean")
+        .cell("")
+        .cell(driver::geomeanPct(s2s))
+        .cell("")
+        .cell("")
+        .cell(driver::geomeanPct(fulls));
+    table.print(std::cout);
+
+    const double share =
+        driver::geomeanPct(fulls) == 0.0
+            ? 0.0
+            : 100.0 * driver::geomeanPct(s2s) / driver::geomeanPct(fulls);
+    std::cout << "\nS2 (movement) alone reaches " << share
+              << "% of the full improvement (paper: ~77%; S2 can exceed"
+                 " 100% here\nbecause it pays none of the split's task"
+                 " and synchronisation overheads)\n\n";
+}
+
+} // namespace
+
+int
+main()
+{
+    using driver::AppResult;
+    bench::banner("paper_sweep",
+                  "Tables 1-3, Figures 13-24 and two ablations");
+
+    const SweepOutcome sweep = runSweep(gridConfigs());
+
+    driver::SweepRunner isolation_runner;
+    const driver::ExperimentConfig isolation_config;
+    const std::vector<driver::IsolationResult> isolations =
+        isolation_runner.mapOrdered<driver::IsolationResult>(
+            sweep.apps.size(),
+            [&sweep, &isolation_config](std::size_t i,
+                                        support::ThreadPool &pool) {
+                return driver::ExperimentRunner(isolation_config, &pool)
+                    .runMetricIsolation(sweep.apps[i]);
+            });
+    isolation_runner.stats().printSummary(std::clog);
+
+    const auto exec = &AppResult::execTimeReductionPct;
+    const auto l1 = &AppResult::l1HitRateImprovementPct;
+    const auto energy = &AppResult::energyReductionPct;
+    const auto percent = [](double AppResult::*fraction) {
+        return [fraction](const AppResult &r) { return 100.0 * r.*fraction; };
+    };
+    const auto mean_of = [](Accumulator AppResult::*per_instance) {
+        return [per_instance](const AppResult &r) {
+            return (r.*per_instance).mean();
+        };
+    };
+    const auto max_of = [](Accumulator AppResult::*per_instance) {
+        return [per_instance](const AppResult &r) {
+            return (r.*per_instance).max();
+        };
+    };
+    const auto avg_dop =
+        of(kDefault, mean_of(&AppResult::degreeOfParallelism));
+
+    printSection("Table 1: analyzable data references", sweep,
+                 {{"analyzable%",
+                   of(kDefault, percent(&AppResult::analyzableFraction)),
+                   Summary::None, 1}});
+    printSection("Table 2: L2 hit/miss predictor accuracy", sweep,
+                 {{"predictor accuracy%",
+                   of(kDefault, percent(&AppResult::predictorAccuracy)),
+                   Summary::None, 1}});
+    std::vector<MetricColumn> op_mix;
+    for (const char *header : {"add/sub%", "mul/div%", "others%"}) {
+        const int category = static_cast<int>(op_mix.size());
+        op_mix.push_back({header,
+                          of(kDefault,
+                             [category](const AppResult &r) {
+                                 return offloadedPct(r, category);
+                             }),
+                          Summary::None, 1});
+    }
+    printSection("Table 3: re-mapped operation mix", sweep, op_mix);
+    printSection(
+        "Figure 13: data movement reduction", sweep,
+        {{"avg reduction%",
+          of(kDefault, mean_of(&AppResult::movementReductionPct)),
+          Summary::Geomean},
+         {"max reduction%",
+          of(kDefault, max_of(&AppResult::movementReductionPct))}});
+    printSection(
+        "Figure 14: subcomputation parallelism", sweep,
+        {{"avg DoP", avg_dop},
+         {"max DoP", of(kDefault, max_of(&AppResult::degreeOfParallelism))}});
+    printSection(
+        "Figure 15: synchronisations per statement", sweep,
+        {{"syncs/stmt", of(kDefault, mean_of(&AppResult::syncsPerStatement))},
+         {"raw syncs/stmt",
+          of(kDefault, mean_of(&AppResult::rawSyncsPerStatement))},
+         {"avg DoP", avg_dop}});
+    printSection(
+        "Figure 16: L1 hit rate", sweep,
+        {{"default L1", of(kDefault, &AppResult::defaultL1HitRate),
+          Summary::None, 3},
+         {"optimized L1", of(kDefault, &AppResult::optimizedL1HitRate),
+          Summary::None, 3},
+         {"improvement%", of(kDefault, l1), Summary::Mean}});
+    printSection("Figure 17: execution time reduction", sweep,
+                 {{"ours%", of(kDefault, exec), Summary::Geomean},
+                  {"ideal-network%", of(kIdealNetwork, exec),
+                   Summary::Geomean},
+                  {"ideal-data%", of(kIdealData, exec), Summary::Geomean}});
+    printIsolation(sweep.apps, isolations);
+    printSection(
+        "Figure 19: network latency reduction", sweep,
+        {{"avg latency reduction%",
+          of(kDefault, &AppResult::avgNetLatencyReductionPct)},
+         {"max latency reduction%",
+          of(kDefault, &AppResult::maxNetLatencyReductionPct)}});
+
+    std::vector<MetricColumn> window_exec, window_l1;
+    for (int w = 1; w <= 8; ++w) {
+        const std::string label = "w=" + std::to_string(w);
+        window_exec.push_back({label, of(kWindow1 + w - 1, exec)});
+        window_l1.push_back({label, of(kWindow1 + w - 1, l1)});
+    }
+    window_exec.push_back({"adaptive", of(kDefault, exec)});
+    printSection("Figure 20: execution time by window size", sweep,
+                 window_exec);
+    printSection("Figure 21: L1 hit-rate improvement by window size",
+                 sweep, window_l1);
+
+    std::vector<MetricColumn> knl;
+    for (std::size_t m = 0; m < std::size(kKnlModes); ++m) {
+        const std::string label = kKnlModes[m].label;
+        for (const bool optimized : {false, true})
+            knl.push_back({label + (optimized ? ",2" : ",1"),
+                           normalizedMakespan(knlColumn(m), optimized),
+                           Summary::Mean, 3});
+    }
+    printSection(
+        "Figure 22: normalized execution time by cluster and memory mode",
+        sweep, knl);
+    printSection("Figure 23: data-to-MC mapping", sweep,
+                 {{"ours%", of(kDefault, exec), Summary::Geomean},
+                  {"data-mapping%", of(kDataMapping, exec),
+                   Summary::Geomean},
+                  {"combined%", of(kCombined, exec), Summary::Geomean}});
+    printSection("Figure 24: energy reduction", sweep,
+                 {{"ours%", of(kDefault, energy), Summary::Mean},
+                  {"ideal-network%", of(kIdealNetwork, energy)},
+                  {"ideal-data%", of(kIdealData, energy)}});
+
+    printSection("Ablation: design choices", sweep,
+                 {{"full", of(kDefault, exec), Summary::Geomean},
+                  {"-reuse", of(kNoReuse, exec), Summary::Geomean},
+                  {"-balance", of(kNoBalance, exec), Summary::Geomean},
+                  {"-syncmin", of(kNoSyncmin, exec), Summary::Geomean},
+                  {"-selection", of(kNoSelection, exec), Summary::Geomean},
+                  {"window=1", of(kWindow1, exec), Summary::Geomean}});
+    printSection(
+        "Ablation: topology", sweep,
+        {{"mesh improvement%", of(kDefault, exec), Summary::Geomean},
+         {"torus improvement%", of(kTorus, exec), Summary::Geomean},
+         {"torus default speedup%", [](const Row &row) {
+              return percentReduction(
+                  static_cast<double>(row[kDefault].result.defaultMakespan),
+                  static_cast<double>(row[kTorus].result.defaultMakespan));
+          }}});
+    return 0;
+}

@@ -88,7 +88,7 @@ main(int argc, char **argv)
                  "improvement%"});
 
     // ---- 1. No inspector: may-dependences block the transform. ----
-    nest.inspectorTrips = 0;
+    nest.hasTimingLoop = false;
     {
         partition::Partitioner partitioner(system, arrays);
         const auto plan = partitioner.plan(nest, nodes);
@@ -105,7 +105,7 @@ main(int argc, char **argv)
 
     // ---- 2. Inspector/executor: the first timing-loop trips record
     // the realised neighbor indices; the executor trips are split.
-    nest.inspectorTrips = 1;
+    nest.hasTimingLoop = true;
     {
         partition::Partitioner partitioner(system, arrays);
         const auto plan = partitioner.plan(nest, nodes);
@@ -122,7 +122,7 @@ main(int argc, char **argv)
 
     // ---- 3. Oracle disambiguation (upper bound, Section 6.4). ----
     {
-        nest.inspectorTrips = 0;
+        nest.hasTimingLoop = false;
         partition::PartitionOptions options;
         options.oracle = true;
         partition::Partitioner partitioner(system, arrays, options);

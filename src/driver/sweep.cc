@@ -1,7 +1,6 @@
 #include "driver/sweep.h"
 
 #include <charconv>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <ostream>
@@ -62,15 +61,8 @@ SweepRunner::runGrid(const std::vector<workloads::Workload> &apps,
     std::vector<SweepCell> cells = mapOrdered<SweepCell>(
         apps.size() * cols,
         [&apps, &configs, cols](std::size_t i, support::ThreadPool &pool) {
-            const auto start = std::chrono::steady_clock::now();
-            SweepCell cell;
-            cell.result = ExperimentRunner(configs[i % cols], &pool)
-                              .runApp(apps[i / cols]);
-            cell.wallSeconds = std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() -
-                                   start)
-                                   .count();
-            return cell;
+            return SweepCell{ExperimentRunner(configs[i % cols], &pool)
+                                 .runApp(apps[i / cols])};
         });
 
     std::vector<std::vector<SweepCell>> grid(apps.size());

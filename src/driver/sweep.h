@@ -22,9 +22,9 @@
  * thread count, including 1 (no pool workers: the whole sweep runs on
  * the calling thread), and with or without a pool for the nests:
  * NestResults merge in nest order, cells in submission order (both
- * through support::orderedMap). Only the wall-clock timings attached to
- * each cell vary between runs; benches therefore print result tables to
- * stdout and timing tables to stderr, keeping stdout diffable.
+ * through support::orderedMap). Only SweepStats' wall-clock time varies
+ * between runs; benches therefore print result tables to stdout and the
+ * timing summary to stderr, keeping stdout diffable.
  */
 
 #include <chrono>
@@ -43,8 +43,6 @@ namespace ndp::driver {
 struct SweepCell
 {
     AppResult result;
-    /** Wall-clock seconds of this cell's runApp (nondeterministic). */
-    double wallSeconds = 0.0;
 };
 
 /** Whole-sweep timing and work summary. */

@@ -101,10 +101,11 @@ AffineExpr::toString(const std::vector<std::string> &loop_names) const
 {
     std::string out;
     for (const auto &[idx, c] : terms_) {
-        const std::string name =
-            static_cast<std::size_t>(idx) < loop_names.size()
-                ? loop_names[static_cast<std::size_t>(idx)]
-                : "v" + std::to_string(idx);
+        std::string name = "v";
+        if (static_cast<std::size_t>(idx) < loop_names.size())
+            name = loop_names[static_cast<std::size_t>(idx)];
+        else
+            name += std::to_string(idx);
         if (!out.empty())
             out += c >= 0 ? "+" : "";
         if (c == 1) {

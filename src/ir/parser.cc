@@ -400,8 +400,10 @@ class Parser
         expectSymbol("=");
         ExprPtr rhs = parseExpr(0);
         expectSymbol(";");
-        if (label.empty())
-            label = "S" + std::to_string(statements_.size() + 1);
+        if (label.empty()) {
+            label = "S";
+            label += std::to_string(statements_.size() + 1);
+        }
         statements_.emplace_back(std::move(label), std::move(lhs),
                                  std::move(rhs), std::move(guard));
     }

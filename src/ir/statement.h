@@ -113,12 +113,13 @@ class LoopNest
     void iterationAt(std::int64_t k, IterationVector &iter) const;
 
     /**
-     * Inspector trips of the surrounding timing loop (Section 4.5's
-     * inspector/executor). Nothing runs these trips: a value > 0 only
-     * lets Inspector::canResolve treat the nest's indirect subscripts
-     * as resolved. The default models a kernel without a timing loop.
+     * The nest sits inside an outer timing loop whose first trips can
+     * run Section 4.5's inspector. Nothing runs those trips: the flag
+     * only lets Inspector::canResolve treat the nest's indirect
+     * subscripts as resolved. The default models a kernel without a
+     * timing loop.
      */
-    std::int64_t inspectorTrips = 0;
+    bool hasTimingLoop = false;
 
     std::string toString(const ArrayTable &arrays) const;
 

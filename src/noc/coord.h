@@ -32,7 +32,12 @@ struct Coord
     std::string
     toString() const
     {
-        return "(" + std::to_string(x) + "," + std::to_string(y) + ")";
+        std::string out = "(";
+        out += std::to_string(x);
+        out += ',';
+        out += std::to_string(y);
+        out += ')';
+        return out;
     }
 };
 

@@ -60,7 +60,11 @@ generatePseudoCode(const sim::ExecutionPlan &plan,
         per_node[task.node].push_back(t);
     }
 
-    auto temp_name = [](auto id) { return "t" + std::to_string(id); };
+    auto temp_name = [](auto id) {
+        std::string name = "t";
+        name += std::to_string(id);
+        return name;
+    };
     auto access_name = [&](const sim::MemAccess &access) {
         const ir::ArrayInfo &info = arrays.info(access.array);
         const std::int64_t elem =

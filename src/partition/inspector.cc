@@ -31,7 +31,7 @@ bool
 Inspector::canResolve(const ir::LoopNest &nest,
                       const ir::ArrayTable &arrays)
 {
-    if (nest.inspectorTrips <= 0)
+    if (!nest.hasTimingLoop)
         return false;
     for (const ir::ArrayId id : indexArraysOf(nest)) {
         if (!arrays.hasIndexData(id))

@@ -11,10 +11,11 @@
  *
  * In this model the "runtime" index values live in the ArrayTable, so
  * the inspector reduces to a gate: a nest's indirect subscripts are
- * resolved once it declares inspector trips and every index array it
- * reads has runtime data installed. The executor-side ordering of the
- * realised dependences is the partitioner's address-based DepTracker,
- * which sees resolved addresses either way.
+ * resolved once it declares a timing loop (LoopNest::hasTimingLoop)
+ * and every index array it reads has runtime data installed. The
+ * executor-side ordering of the realised dependences is the
+ * partitioner's address-based DepTracker, which sees resolved
+ * addresses either way.
  */
 
 #include "ir/statement.h"
@@ -27,7 +28,7 @@ class Inspector
   public:
     /**
      * May the executor treat indirect subscripts of @p nest as
-     * resolved? False when the nest declares no inspector trips or
+     * resolved? False when the nest declares no timing loop or
      * some index array it reads has no runtime data installed.
      */
     static bool canResolve(const ir::LoopNest &nest,

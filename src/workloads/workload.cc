@@ -139,7 +139,7 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "barnes/force", w.arrays,
                                           params));
-        w.nests.back().inspectorTrips = 1;
+        w.nests.back().hasTimingLoop = true;
         w.nests.push_back(ir::parseKernel(R"(
             array VX[N]; array DT[N];
             for i = 0..N {
@@ -215,7 +215,7 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "fmm/interact", w.arrays,
                                           params));
-        w.nests.back().inspectorTrips = 1;
+        w.nests.back().hasTimingLoop = true;
         w.nests.push_back(ir::parseKernel(R"(
             array LOC[N]; array UP[N]; array WGT[N];
             for i = 0..N {
@@ -295,7 +295,7 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "radiosity/gather", w.arrays,
                                           params));
-        w.nests.back().inspectorTrips = 1;
+        w.nests.back().hasTimingLoop = true;
         w.nests.push_back(ir::parseKernel(R"(
             array AREA[N]; array EMIT[N]; array TOT[N];
             for i = 0..N {
@@ -337,7 +337,7 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "raytrace/shade", w.arrays,
                                           params));
-        w.nests.back().inspectorTrips = 1;
+        w.nests.back().hasTimingLoop = true;
         w.nests.push_back(ir::parseKernel(R"(
             array ATT[N]; array NRM[N]; array DST[N]; array LI[N];
             for i = 0..N {
@@ -381,7 +381,7 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "minimd/force", w.arrays,
                                           params));
-        w.nests.back().inspectorTrips = 1;
+        w.nests.back().hasTimingLoop = true;
         w.nests.push_back(ir::parseKernel(R"(
             array V[N]; array DTF[N];
             for i = 0..N {
@@ -406,7 +406,7 @@ WorkloadFactory::build(const std::string &app) const
             })",
                                           "minixyce/spmv", w.arrays,
                                           params));
-        w.nests.back().inspectorTrips = 1;
+        w.nests.back().hasTimingLoop = true;
         w.nests.push_back(ir::parseKernel(R"(
             array G[N]; array DV[N]; array RES[N];
             for i = 0..N {

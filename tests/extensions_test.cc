@@ -143,10 +143,10 @@ TEST(InspectorTest, ResolvesWhenDataAndTripsPresent)
     arrays.setIndexData(arrays.find("Y"), idx);
 
     // No timing loop: the inspector cannot run.
-    nest.inspectorTrips = 0;
+    nest.hasTimingLoop = false;
     EXPECT_FALSE(partition::Inspector::canResolve(nest, arrays));
 
-    nest.inspectorTrips = 1;
+    nest.hasTimingLoop = true;
     EXPECT_TRUE(partition::Inspector::canResolve(nest, arrays));
 }
 
@@ -157,7 +157,7 @@ TEST(InspectorTest, MissingIndexDataBlocksResolution)
         array X[32]; array Y[32]; array Z[32];
         for i = 0..32 { Z[i] = X[Y[i]]; })",
                                         "nodata", arrays);
-    nest.inspectorTrips = 1;
+    nest.hasTimingLoop = true;
     // Y has no runtime data: the inspector cannot run.
     EXPECT_FALSE(partition::Inspector::canResolve(nest, arrays));
 }

@@ -107,8 +107,9 @@ TEST(ArrayTableTest, BasesAreLineStaggeredAcrossArrays)
     ArrayTable arrays;
     std::set<mem::Addr> offsets;
     for (int i = 0; i < 6; ++i) {
-        const ArrayId id =
-            arrays.create("A" + std::to_string(i), {64});
+        std::string name = "A";
+        name += std::to_string(i);
+        const ArrayId id = arrays.create(name, {64});
         offsets.insert(arrays.info(id).base % mem::kPageSize);
     }
     // Not all arrays may start at the same in-page offset (set-conflict

@@ -43,7 +43,8 @@ randomWorkload(int trial, Rng &rng)
         std::string src;
         const int array_count = 3 + static_cast<int>(rng.nextBelow(4));
         for (int a = 0; a < array_count; ++a) {
-            names.push_back("A" + std::to_string(next_array++));
+            names.emplace_back("A");
+            names.back() += std::to_string(next_array++);
             src += "array " + names.back() + "[64];\n";
         }
         const int stmts = 1 + static_cast<int>(rng.nextBelow(3));

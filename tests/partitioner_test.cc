@@ -213,7 +213,7 @@ TEST_F(PartitionerTest, InspectorEnablesSplittingIndirectStatements)
         array Z[64] bytes 64; array W[64] bytes 64;
         array V[64] bytes 64;
         for i = 0..64 { Z[i] = X[Y[i]] + W[i] + V[i] + Z[i]; })");
-    nest.inspectorTrips = 1;
+    nest.hasTimingLoop = true;
     std::vector<std::int64_t> idx(64);
     for (int i = 0; i < 64; ++i)
         idx[static_cast<std::size_t>(i)] = (i * 13) % 64;

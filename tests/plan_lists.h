@@ -8,10 +8,15 @@
  * suits the emitters and the engine but not a test that writes a plan
  * by hand or edits one task's deps. Such a test works on PlanLists —
  * the same plan with each task's reads and deps as plain lists — and
- * packs it into an ExecutionPlan to run or verify it.
+ * packs it into an ExecutionPlan to run or verify it. Two plans
+ * compare task by task through expectSamePlan.
  */
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/plan.h"
@@ -69,6 +74,40 @@ pack(const PlanLists &lists)
         plan.closeDeps(task, dep_begin);
     }
     return plan;
+}
+
+/** A memory access as a comparable value. */
+inline auto
+accessFields(const sim::MemAccess &a)
+{
+    return std::tuple(a.addr, a.size, a.array);
+}
+
+/** Two plans must be equal task by task, every task field included. */
+inline void
+expectSamePlan(const sim::ExecutionPlan &a, const sim::ExecutionPlan &b,
+               const std::string &label)
+{
+    const PlanLists la = unpack(a);
+    const PlanLists lb = unpack(b);
+    ASSERT_EQ(la.tasks.size(), lb.tasks.size()) << label;
+    for (std::size_t t = 0; t < la.tasks.size(); ++t) {
+        const ListTask &x = la.tasks[t];
+        const ListTask &y = lb.tasks[t];
+        const std::string at = label + " task " + std::to_string(t);
+        ASSERT_EQ(x.node, y.node) << at;
+        ASSERT_EQ(x.statementIndex, y.statementIndex) << at;
+        ASSERT_EQ(x.iterationNumber, y.iterationNumber) << at;
+        ASSERT_EQ(x.computeCost, y.computeCost) << at;
+        ASSERT_EQ(x.write.has_value(), y.write.has_value()) << at;
+        if (x.write && y.write) {
+            ASSERT_EQ(accessFields(*x.write), accessFields(*y.write)) << at;
+        }
+        ASSERT_TRUE(std::ranges::equal(x.reads, y.reads, {}, accessFields,
+                                       accessFields))
+            << at;
+        ASSERT_EQ(x.deps, y.deps) << at;
+    }
 }
 
 } // namespace ndp::test

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "baseline/default_placement.h"
@@ -228,40 +227,6 @@ TEST(SplitCacheEquivalenceTest, BalancedPaperAppsMatchCacheOff)
     }
 }
 
-/** A memory access as a comparable value. */
-auto
-accessFields(const sim::MemAccess &a)
-{
-    return std::tuple(a.addr, a.size, a.array);
-}
-
-/** Two plans must be equal task by task, every task field included. */
-void
-expectSamePlan(const sim::ExecutionPlan &a, const sim::ExecutionPlan &b,
-               const std::string &label)
-{
-    const test::PlanLists la = test::unpack(a);
-    const test::PlanLists lb = test::unpack(b);
-    ASSERT_EQ(la.tasks.size(), lb.tasks.size()) << label;
-    for (std::size_t t = 0; t < la.tasks.size(); ++t) {
-        const test::ListTask &x = la.tasks[t];
-        const test::ListTask &y = lb.tasks[t];
-        const std::string at = label + " task " + std::to_string(t);
-        ASSERT_EQ(x.node, y.node) << at;
-        ASSERT_EQ(x.statementIndex, y.statementIndex) << at;
-        ASSERT_EQ(x.iterationNumber, y.iterationNumber) << at;
-        ASSERT_EQ(x.computeCost, y.computeCost) << at;
-        ASSERT_EQ(x.write.has_value(), y.write.has_value()) << at;
-        if (x.write && y.write) {
-            ASSERT_EQ(accessFields(*x.write), accessFields(*y.write)) << at;
-        }
-        ASSERT_TRUE(std::ranges::equal(x.reads, y.reads, {}, accessFields,
-                                       accessFields))
-            << at;
-        ASSERT_EQ(x.deps, y.deps) << at;
-    }
-}
-
 /** One per-instance accumulator of two reports must agree exactly. */
 void
 expectSameAccumulator(const Accumulator &a, const Accumulator &b,
@@ -305,7 +270,7 @@ TEST(SplitCacheEquivalenceTest, PeriodicNestPlansAreByteIdentical)
         partition::Partitioner uncached(system, arrays, options);
         const sim::ExecutionPlan on = cached.plan(nest, nodes);
         const sim::ExecutionPlan off = uncached.plan(nest, nodes);
-        expectSamePlan(on, off, label);
+        test::expectSamePlan(on, off, label);
 
         const partition::PartitionReport &ron = cached.report();
         const partition::PartitionReport &roff = uncached.report();
@@ -513,8 +478,12 @@ expectSameView(const partition::SplitView &got,
 std::string
 randomExpr(Rng &rng, int depth)
 {
-    if (depth == 0 || rng.nextBool(0.3))
-        return "V" + std::to_string(rng.nextBelow(8)) + "[i]";
+    if (depth == 0 || rng.nextBool(0.3)) {
+        std::string leaf = "V";
+        leaf += std::to_string(rng.nextBelow(8));
+        leaf += "[i]";
+        return leaf;
+    }
     static const char *const kOps[] = {" + ", " - ", " * ", " / "};
     const int terms = 2 + static_cast<int>(rng.nextBelow(3));
     std::string expr = "(";
@@ -541,9 +510,13 @@ TEST(SplitPlanFormatTest, FreshPlanAndCachedViewAgree)
         src += "array V" + std::to_string(a) + "[64];\n";
     src += "array OUT[64];\nfor i = 0..64 {\n";
     const int statements = 40;
-    for (int k = 0; k < statements; ++k)
-        src += "  S" + std::to_string(k + 1) + ": OUT[i] = " +
-               randomExpr(rng, 3) + ";\n";
+    for (int k = 0; k < statements; ++k) {
+        src += "  S";
+        src += std::to_string(k + 1);
+        src += ": OUT[i] = ";
+        src += randomExpr(rng, 3);
+        src += ";\n";
+    }
     src += "}";
     const ir::LoopNest nest = ir::parseKernel(src, "flat", arrays);
 

@@ -53,8 +53,12 @@ flatRhs(int leaves, Rng &rng)
 {
     const char *op = rng.nextBool(0.5) ? " + " : " * ";
     std::string rhs = "V0[i]";
-    for (int i = 1; i < leaves; ++i)
-        rhs += op + ("V" + std::to_string(i) + "[i]");
+    for (int i = 1; i < leaves; ++i) {
+        rhs += op;
+        rhs += 'V';
+        rhs += std::to_string(i);
+        rhs += "[i]";
+    }
     return rhs;
 }
 
@@ -62,15 +66,24 @@ flatRhs(int leaves, Rng &rng)
 std::string
 nestedRhs(int lo, int hi, Rng &rng)
 {
-    if (hi - lo == 1)
-        return "V" + std::to_string(lo) + "[i]";
+    std::string rhs;
+    if (hi - lo == 1) {
+        rhs = "V";
+        rhs += std::to_string(lo);
+        rhs += "[i]";
+        return rhs;
+    }
     const int mid =
         lo + 1 +
         static_cast<int>(rng.nextBelow(
             static_cast<std::uint64_t>(hi - lo - 1)));
-    const std::string op = rng.nextBool(0.5) ? " + " : " * ";
-    return "(" + nestedRhs(lo, mid, rng) + op +
-           nestedRhs(mid, hi, rng) + ")";
+    const char *op = rng.nextBool(0.5) ? " + " : " * ";
+    rhs = "(";
+    rhs += nestedRhs(lo, mid, rng);
+    rhs += op;
+    rhs += nestedRhs(mid, hi, rng);
+    rhs += ')';
+    return rhs;
 }
 
 std::vector<partition::Location>

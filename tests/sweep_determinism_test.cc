@@ -198,7 +198,7 @@ TEST(SweepDeterminismTest, AblationHarnessGridIsThreadCountInvariant)
     ExperimentConfig window1;
     window1.partition.fixedWindowSize = 1;
     expectThreadCountInvariant({"water"}, {full, no_reuse, window1},
-                               "ablation_design_choices");
+                               "design ablation");
 }
 
 TEST(SweepDeterminismTest, NestParallelMatchesSerialAppResult)

@@ -14,6 +14,7 @@
 #include "baseline/default_placement.h"
 #include "ir/parser.h"
 #include "partition/partitioner.h"
+#include "plan_lists.h"
 #include "sim/engine.h"
 #include "verify/plan_verifier.h"
 #include "workloads/workload.h"
@@ -22,6 +23,18 @@ namespace {
 
 using namespace ndp;
 using namespace ndp::partition;
+
+/** One per-instance accumulator of two reports must agree exactly. */
+void
+expectSameAccumulator(const Accumulator &x, const Accumulator &y,
+                      const char *what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(x.count(), y.count());
+    EXPECT_EQ(x.sum(), y.sum());
+    EXPECT_EQ(x.min(), y.min());
+    EXPECT_EQ(x.max(), y.max());
+}
 
 class WindowBehaviorTest : public ::testing::Test
 {
@@ -141,6 +154,59 @@ TEST_F(WindowBehaviorTest, ReuseAgnosticEqualsNoMapEntries)
     EXPECT_NEAR(static_cast<double>(agnostic_m),
                 static_cast<double>(starved_m),
                 static_cast<double>(starved_m) / 100.0);
+}
+
+TEST_F(WindowBehaviorTest, ReuseAgnosticPlanIsTheWindowOnePlan)
+{
+    // With exploitReuse off no window candidate reads the window map,
+    // so all eight candidates tie and w = 1 wins; at w = 1 the map is
+    // cleared before every instance, so no read ever finds a copy
+    // either. Reuse-agnostic planning is therefore window-1 planning,
+    // on every nest of every app, as the pipeline plans it (profiling
+    // run first, its utilization handed to the guard).
+    workloads::WorkloadFactory factory(256);
+    for (const workloads::Workload &workload : factory.buildAll()) {
+        for (const ir::LoopNest &nest : workload.nests) {
+            SCOPED_TRACE(workload.name + "/" + nest.name());
+            sim::ManycoreSystem machine{config};
+            machine.setMcdramArrays(workload.mcdramArrays);
+            baseline::DefaultPlacement placement(machine, workload.arrays);
+            const std::vector<noc::NodeId> nodes =
+                placement.assignIterations(nest);
+            sim::ExecutionEngine engine(machine);
+            const sim::SimResult profile =
+                engine.run(placement.buildPlan(nest, nodes));
+
+            PartitionOptions agnostic;
+            agnostic.profileUtilization =
+                static_cast<double>(profile.totalBusyCycles) /
+                std::max<double>(
+                    1.0, static_cast<double>(profile.makespanCycles *
+                                             config.meshCols *
+                                             config.meshRows));
+            PartitionOptions window1 = agnostic;
+            agnostic.exploitReuse = false;
+            window1.fixedWindowSize = 1;
+            Partitioner a(machine, workload.arrays, agnostic);
+            Partitioner b(machine, workload.arrays, window1);
+            test::expectSamePlan(a.plan(nest, nodes), b.plan(nest, nodes),
+                                 nest.name());
+            const PartitionReport &ra = a.report();
+            const PartitionReport &rb = b.report();
+            EXPECT_EQ(ra.chosenWindowSize, 1);
+            EXPECT_EQ(rb.chosenWindowSize, 1);
+            EXPECT_EQ(ra.plannedMovement, rb.plannedMovement);
+            expectSameAccumulator(ra.movementReductionPct,
+                                  rb.movementReductionPct,
+                                  "movement reduction");
+            expectSameAccumulator(ra.degreeOfParallelism,
+                                  rb.degreeOfParallelism, "parallelism");
+            expectSameAccumulator(ra.syncsPerStatement,
+                                  rb.syncsPerStatement, "syncs");
+            expectSameAccumulator(ra.rawSyncsPerStatement,
+                                  rb.rawSyncsPerStatement, "raw syncs");
+        }
+    }
 }
 
 TEST_F(WindowBehaviorTest, GuardDisabledSplitsEverythingAnalyzable)
@@ -267,25 +333,16 @@ TEST(WindowCandidateTest, AdaptiveCandidatesEqualFixedRuns)
                                   static_cast<std::size_t>(instances));
                         ASSERT_EQ(report.provenance->instances.size(),
                                   fixed_report.provenance->instances.size());
-                        const auto same_accumulator =
-                            [](const Accumulator &x, const Accumulator &y,
-                               const char *what) {
-                                SCOPED_TRACE(what);
-                                EXPECT_EQ(x.count(), y.count());
-                                EXPECT_EQ(x.sum(), y.sum());
-                                EXPECT_EQ(x.min(), y.min());
-                                EXPECT_EQ(x.max(), y.max());
-                            };
-                        same_accumulator(report.movementReductionPct,
+                        expectSameAccumulator(report.movementReductionPct,
                                          fixed_report.movementReductionPct,
                                          "movement reduction");
-                        same_accumulator(report.degreeOfParallelism,
+                        expectSameAccumulator(report.degreeOfParallelism,
                                          fixed_report.degreeOfParallelism,
                                          "parallelism");
-                        same_accumulator(report.syncsPerStatement,
+                        expectSameAccumulator(report.syncsPerStatement,
                                          fixed_report.syncsPerStatement,
                                          "syncs");
-                        same_accumulator(report.rawSyncsPerStatement,
+                        expectSameAccumulator(report.rawSyncsPerStatement,
                                          fixed_report.rawSyncsPerStatement,
                                          "raw syncs");
                         // Record for record, except fromCache: the

@@ -180,7 +180,7 @@ TEST(WorkloadTest, InspectorAppsDeclareTimingLoops)
         const Workload w = factory.build(app);
         bool has_inspector = false;
         for (const ir::LoopNest &nest : w.nests)
-            has_inspector = has_inspector || nest.inspectorTrips > 0;
+            has_inspector = has_inspector || nest.hasTimingLoop;
         EXPECT_TRUE(has_inspector) << app;
     }
 }
