@@ -51,18 +51,20 @@
  *   torus (Section 2's "any topology" claim).
  *
  * Every table is bit-identical for any NDP_BENCH_THREADS; each fan-out
- * ends with one `[sweep]` summary on stderr. When NDP_VERIFY_JSON names
- * a path and NDP_VERIFY is cheap or full, the grid's verifier report is
- * written there.
+ * ends with one `[sweep]` summary on stderr, the verifier's tally
+ * included. When NDP_VERIFY_JSON names a path and NDP_VERIFY is cheap
+ * or full, the verifier report of both fan-outs is written there.
  */
 
 #include <functional>
 #include <iterator>
 #include <optional>
+#include <string>
 
 #include "bench_common.h"
 #include "driver/experiment.h"
 #include "driver/sweep.h"
+#include "support/error.h"
 #include "support/stats.h"
 #include "support/table.h"
 #include "verify/verify_level.h"
@@ -124,6 +126,42 @@ knlColumn(std::size_t mode)
     return kKnl + mode - (mode > kKnlDefault ? 1 : 0);
 }
 
+/** The label of grid column @p c, as the section headers name it. */
+std::string
+configName(std::size_t c)
+{
+    if (c >= kWindow1 && c < kWindow1 + 8)
+        return "w=" + std::to_string(c - kWindow1 + 1);
+    for (std::size_t m = 0; m < std::size(kKnlModes); ++m) {
+        if (m != kKnlDefault && c == knlColumn(m))
+            return kKnlModes[m].label;
+    }
+    switch (c) {
+    case kDefault:
+        return "default";
+    case kIdealNetwork:
+        return "ideal-network";
+    case kIdealData:
+        return "ideal-data";
+    case kDataMapping:
+        return "data-mapping";
+    case kCombined:
+        return "combined";
+    case kNoReuse:
+        return "-reuse";
+    case kNoBalance:
+        return "-balance";
+    case kNoSyncmin:
+        return "-syncmin";
+    case kNoSelection:
+        return "-selection";
+    case kTorus:
+        return "torus";
+    default:
+        ndp::panic("no name for grid column " + std::to_string(c));
+    }
+}
+
 std::vector<driver::ExperimentConfig>
 gridConfigs()
 {
@@ -159,24 +197,32 @@ struct SweepOutcome
 };
 
 /**
- * Write the grid's verifier report to @p out: one JSON object per app
- * x config cell with its per-nest verify::Report::renderJson() inlined.
+ * Write the verifier report to @p out: the grid's totals, the totals of
+ * Figure 18's isolation fan-out (@p isolation), and one JSON object per
+ * app x config cell, named by index and label, with its per-nest
+ * verify::Report::renderJson() inlined.
  */
 void
-writeVerifyJson(std::ostream &out, const SweepOutcome &sweep)
+writeVerifyJson(std::ostream &out, const SweepOutcome &sweep,
+                const verify::ReportCounts &isolation)
 {
     const verify::ReportCounts &totals = sweep.stats.verify;
     out << "{\n  \"scale\": " << bench::benchScale()
         << ",\n  \"plans_verified\": " << totals.plansVerified
         << ",\n  \"errors\": " << totals.errors
         << ",\n  \"warnings\": " << totals.warnings
-        << ",\n  \"notes\": " << totals.notes << ",\n  \"apps\": [";
+        << ",\n  \"notes\": " << totals.notes
+        << ",\n  \"isolation\": {\"plans_verified\": "
+        << isolation.plansVerified << ", \"errors\": " << isolation.errors
+        << ", \"warnings\": " << isolation.warnings
+        << ", \"notes\": " << isolation.notes << "},\n  \"apps\": [";
     for (std::size_t a = 0; a < sweep.apps.size(); ++a) {
         out << (a == 0 ? "" : ",") << "\n    {\"app\": \""
             << sweep.apps[a].name << "\", \"configs\": [";
         for (std::size_t c = 0; c < sweep.grid[a].size(); ++c) {
             const driver::AppResult &r = sweep.grid[a][c].result;
             out << (c == 0 ? "" : ",") << "\n      {\"config\": " << c
+                << ", \"config_name\": \"" << configName(c) << "\""
                 << ", \"plans_verified\": " << r.verify.plansVerified
                 << ", \"errors\": " << r.verify.errors
                 << ", \"warnings\": " << r.verify.warnings
@@ -200,30 +246,17 @@ writeVerifyJson(std::ostream &out, const SweepOutcome &sweep)
 
 /**
  * Run every app under every config on a SweepRunner (cells across the
- * pool, loop nests within each cell). When NDP_VERIFY_JSON names a path
- * and verification is on, the path is opened before the grid runs, so
- * a bad path fails fast, and the verifier report is written there
- * after it.
+ * pool, loop nests within each cell).
  */
 SweepOutcome
 runSweep(const std::vector<driver::ExperimentConfig> &configs)
 {
-    const char *json_path = std::getenv("NDP_VERIFY_JSON");
-    std::optional<std::ofstream> json;
-    if (json_path != nullptr &&
-        verify::verifyLevelFromEnv() != verify::VerifyLevel::Off)
-        json = bench::openJsonOutput(json_path, "NDP_VERIFY_JSON");
-
     SweepOutcome outcome;
     outcome.apps = bench::allApps();
     driver::SweepRunner runner;
     outcome.grid = runner.runGrid(outcome.apps, configs);
     outcome.stats = runner.stats();
     outcome.stats.printSummary(std::clog);
-    if (json) {
-        writeVerifyJson(*json, outcome);
-        std::clog << "[verify] wrote JSON report to " << json_path << "\n";
-    }
     return outcome;
 }
 
@@ -393,6 +426,15 @@ main()
     bench::banner("paper_sweep",
                   "Tables 1-3, Figures 13-24 and two ablations");
 
+    // The verifier report's path is opened before anything runs, so a
+    // bad path fails fast; the report is written once both fan-outs
+    // have finished.
+    const char *json_path = std::getenv("NDP_VERIFY_JSON");
+    std::optional<std::ofstream> json;
+    if (json_path != nullptr &&
+        verify::verifyLevelFromEnv() != verify::VerifyLevel::Off)
+        json = bench::openJsonOutput(json_path, "NDP_VERIFY_JSON");
+
     const SweepOutcome sweep = runSweep(gridConfigs());
 
     driver::SweepRunner isolation_runner;
@@ -405,7 +447,14 @@ main()
                 return driver::ExperimentRunner(isolation_config, &pool)
                     .runMetricIsolation(sweep.apps[i]);
             });
-    isolation_runner.stats().printSummary(std::clog);
+    driver::SweepStats isolation_stats = isolation_runner.stats();
+    for (const driver::IsolationResult &iso : isolations)
+        isolation_stats.verify.merge(iso.verify);
+    isolation_stats.printSummary(std::clog);
+    if (json) {
+        writeVerifyJson(*json, sweep, isolation_stats.verify);
+        std::clog << "[verify] wrote JSON report to " << json_path << "\n";
+    }
 
     const auto exec = &AppResult::execTimeReductionPct;
     const auto l1 = &AppResult::l1HitRateImprovementPct;

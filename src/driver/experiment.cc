@@ -99,6 +99,7 @@ struct IsolationTotals
     std::int64_t def = 0;
     std::int64_t full = 0;
     std::int64_t s1 = 0, s2 = 0, s3 = 0, s4 = 0;
+    verify::ReportCounts verify;
 };
 
 } // namespace
@@ -294,6 +295,7 @@ ExperimentRunner::runMetricIsolation(
             sim::EngineOptions s4;
             s4.extraSyncs = opt.syncCount;
             t.s4 = replay(s4);
+            t.verify = session.verdict.counts();
             return t;
         });
 
@@ -305,6 +307,7 @@ ExperimentRunner::runMetricIsolation(
         sum.s2 += t.s2;
         sum.s3 += t.s3;
         sum.s4 += t.s4;
+        sum.verify.merge(t.verify);
     }
 
     const auto pct = [&sum](std::int64_t v) {
@@ -318,6 +321,7 @@ ExperimentRunner::runMetricIsolation(
     iso.s3Parallelism = pct(sum.s3);
     iso.s4Synchronization = pct(sum.s4);
     iso.fullApproach = pct(sum.full);
+    iso.verify = sum.verify;
     return iso;
 }
 

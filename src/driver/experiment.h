@@ -168,6 +168,9 @@ struct IsolationResult
     double s3Parallelism = 0.0;
     double s4Synchronization = 0.0;
     double fullApproach = 0.0;
+    /** Plan-verification tallies of the nests it planned, merged in
+     *  nest order (all-zero at verify level Off). */
+    verify::ReportCounts verify;
 };
 
 /** Runs workloads under configurations. */

@@ -1,5 +1,8 @@
 #include "mem/cache.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "support/error.h"
 
 namespace ndp::mem {
@@ -15,7 +18,9 @@ SetAssocCache::SetAssocCache(std::uint64_t capacity_bytes,
                 "cache capacity " << capacity_bytes
                                   << " not a multiple of ways*linesize");
     sets_ = capacity_bytes / (static_cast<std::uint64_t>(ways) * kLineSize);
-    entries_.resize(sets_ * ways_);
+    maskSets_ = std::has_single_bit(sets_);
+    tags_.resize(sets_ * ways_);
+    fill_.resize(sets_);
 }
 
 bool
@@ -23,26 +28,24 @@ SetAssocCache::access(Addr a)
 {
     const std::uint64_t line = lineNumber(a);
     const std::uint64_t set = setIndex(line);
-    Way *base = &entries_[set * ways_];
-    ++tick_;
+    std::uint64_t *tags = &tags_[set * ways_];
+    std::uint32_t &fill = fill_[set];
 
-    Way *victim = base;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == line) {
-            way.lastUse = tick_;
+    for (std::uint32_t w = 0; w < fill; ++w) {
+        if (tags[w] == line) {
+            // Move the hit to the front; the more recent tags before
+            // it each age by one.
+            std::copy_backward(tags, tags + w, tags + w + 1);
+            tags[0] = line;
             ++stats_.hits;
             return true;
         }
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.lastUse < victim->lastUse) {
-            victim = &way;
-        }
     }
-    victim->valid = true;
-    victim->tag = line;
-    victim->lastUse = tick_;
+    // Allocate at the front. A full set drops its last (LRU) tag.
+    if (fill < ways_)
+        ++fill;
+    std::copy_backward(tags, tags + fill - 1, tags + fill);
+    tags[0] = line;
     ++stats_.misses;
     return false;
 }
@@ -51,19 +54,15 @@ bool
 SetAssocCache::contains(Addr a) const
 {
     const std::uint64_t line = lineNumber(a);
-    const Way *base = &entries_[setIndex(line) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == line)
-            return true;
-    }
-    return false;
+    const std::uint64_t set = setIndex(line);
+    const std::uint64_t *tags = &tags_[set * ways_];
+    return std::find(tags, tags + fill_[set], line) != tags + fill_[set];
 }
 
 void
 SetAssocCache::flush()
 {
-    for (Way &way : entries_)
-        way.valid = false;
+    std::fill(fill_.begin(), fill_.end(), 0);
 }
 
 } // namespace ndp::mem

@@ -47,7 +47,10 @@ struct CacheStats
  * Presence-tracking set-associative cache with true-LRU replacement.
  *
  * Capacity and associativity are fixed at construction; direct-mapped
- * behaviour falls out of ways == 1.
+ * behaviour falls out of ways == 1. Each set keeps its tags in recency
+ * order, so a hit moves its tag to the front and a miss shifts the set
+ * down one and drops the least recent tag: LRU by construction, with
+ * no timestamps to compare.
  */
 class SetAssocCache
 {
@@ -78,19 +81,23 @@ class SetAssocCache
     void resetStats() { stats_.reset(); }
 
   private:
-    struct Way
+    std::uint64_t
+    setIndex(std::uint64_t line) const
     {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    std::uint64_t setIndex(std::uint64_t line) const { return line % sets_; }
+        return maskSets_ ? line & (sets_ - 1) : line % sets_;
+    }
 
     std::uint32_t ways_;
     std::uint64_t sets_;
-    std::uint64_t tick_ = 0;
-    std::vector<Way> entries_; // sets_ * ways_, set-major
+    /** sets_ is a power of two, so a mask indexes the sets. */
+    bool maskSets_ = false;
+    /**
+     * sets_ * ways_ line tags, set-major; each set's first fill_[set]
+     * tags are its resident lines, most recently used first, so the
+     * LRU victim is the last of them.
+     */
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint32_t> fill_;
     CacheStats stats_;
 };
 

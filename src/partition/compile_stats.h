@@ -26,9 +26,11 @@ struct CompileStats
 {
     /**
      * Statement instances streamed through the planner, over every
-     * pass: an adaptive plan() scores each window candidate and then
-     * emits the winner, so it counts (candidates + 1) x the nest's
-     * instances; a fixed window size is one emitting pass.
+     * pass: an adaptive plan() walks the window candidates that can
+     * reach a copy (plus w = 1 when any can) and then emits the
+     * winner, so it counts (walked candidates + 1) x the nest's
+     * instances, between 1 x and (candidates + 1) x; a fixed window
+     * size is one emitting pass.
      */
     std::int64_t instancesPlanned = 0;
     /** Instances whose split plan was needed (analyzable instances). */

@@ -64,7 +64,10 @@ LoadBalancer::add(noc::NodeId node, std::int64_t cost)
     NDP_CHECK(available_[static_cast<std::size_t>(node)],
               "load committed to unavailable node " << node);
     NDP_CHECK(cost >= 0, "negative load " << cost);
-    const std::int64_t now = load_[static_cast<std::size_t>(node)] += cost;
+    std::int64_t &load = load_[static_cast<std::size_t>(node)];
+    if (inTrial_)
+        journal_.push_back({node, load});
+    const std::int64_t now = load += cost;
     if (node == topNode_) {
         top_ = now;
     } else if (now > top_) {
@@ -74,6 +77,38 @@ LoadBalancer::add(noc::NodeId node, std::int64_t cost)
     } else {
         second_ = std::max(second_, now);
     }
+}
+
+void
+LoadBalancer::checkpoint()
+{
+    NDP_CHECK(!inTrial_, "balancer trial already open");
+    inTrial_ = true;
+    trialTop_ = top_;
+    trialTopNode_ = topNode_;
+    trialSecond_ = second_;
+}
+
+void
+LoadBalancer::commit()
+{
+    NDP_CHECK(inTrial_, "no balancer trial to commit");
+    inTrial_ = false;
+    journal_.clear();
+}
+
+void
+LoadBalancer::rollback()
+{
+    NDP_CHECK(inTrial_, "no balancer trial to roll back");
+    // Newest first, so a node added twice ends at its oldest prior.
+    for (auto it = journal_.rbegin(); it != journal_.rend(); ++it)
+        load_[static_cast<std::size_t>(it->node)] = it->prior;
+    top_ = trialTop_;
+    topNode_ = trialTopNode_;
+    second_ = trialSecond_;
+    inTrial_ = false;
+    journal_.clear();
 }
 
 std::int64_t
@@ -125,6 +160,8 @@ LoadBalancer::reset()
     top_ = 0;
     topNode_ = noc::kInvalidNode;
     second_ = 0;
+    inTrial_ = false;
+    journal_.clear();
 }
 
 } // namespace ndp::partition

@@ -41,13 +41,30 @@ class LoadBalancer
      * Would adding @p extra_cost to @p node keep the load balanced?
      * Always true while every other node is still idle and this one
      * holds no load yet; always false for unavailable (dead) nodes.
-     * O(1): loads only grow between reset() calls, so the two largest
+     * O(1): loads only grow between reset() calls (rollback() restores
+     * an earlier state whole, top two included), so the two largest
      * loads (kept by add()) give the ceiling excluding any node.
      */
     bool accepts(noc::NodeId node, std::int64_t extra_cost) const;
 
-    /** Commit @p cost (>= 0) to @p node. */
+    /**
+     * Commit @p cost (>= 0) to @p node. While a trial is open, the
+     * node's prior load is journaled first.
+     */
     void add(noc::NodeId node, std::int64_t cost);
+
+    /**
+     * Open a trial: the add() calls until commit() or rollback() can
+     * be undone. Trials do not nest. A split request runs its balanced
+     * split on the live balancer inside a trial instead of on a copy.
+     */
+    void checkpoint();
+
+    /** Keep the open trial's loads and close it. */
+    void commit();
+
+    /** Restore the loads of checkpoint() time and close the trial. */
+    void rollback();
 
     std::int64_t load(noc::NodeId node) const;
     std::int64_t maxLoad() const;
@@ -56,6 +73,7 @@ class LoadBalancer
     /** Max over min load ratio among nodes with any load (>= 1). */
     double imbalance() const;
 
+    /** Zero every load and drop any open trial. */
     void reset();
 
   private:
@@ -71,6 +89,20 @@ class LoadBalancer
     std::int64_t top_ = 0;
     noc::NodeId topNode_ = noc::kInvalidNode;
     std::int64_t second_ = 0;
+
+    /** One journaled add(): the node and its load before the add. */
+    struct JournalEntry
+    {
+        noc::NodeId node;
+        std::int64_t prior;
+    };
+    /** The open trial's adds, oldest first, and the top-two fields it
+     *  started from. */
+    bool inTrial_ = false;
+    std::vector<JournalEntry> journal_;
+    std::int64_t trialTop_ = 0;
+    noc::NodeId trialTopNode_ = noc::kInvalidNode;
+    std::int64_t trialSecond_ = 0;
 };
 
 } // namespace ndp::partition

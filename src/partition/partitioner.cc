@@ -369,6 +369,52 @@ warmDefaultL1(const sim::ManycoreSystem &system, const ResolvedStream &stream,
     return l1;
 }
 
+/**
+ * Which window sizes of [w_first, w_last] can ever find a copy in the
+ * window map: entry w - w_first is true iff some read of a splittable
+ * statement, at stream position p, has its line referenced earlier in
+ * p's aligned window [p - p mod w, p). References count reads and
+ * writes alike. A window map only ever adds lines its instances
+ * reference, so a size without such a read locates every operand at
+ * its home bank, exactly as w = 1 does, and decides like w = 1 from
+ * the same starting state: its walk would repeat w = 1's. One walk
+ * over the stream keeps each line's last referencing position.
+ */
+std::vector<bool>
+copyReach(const ResolvedStream &stream, const std::vector<bool> &splittable,
+          std::int32_t w_first, std::int32_t w_last)
+{
+    std::vector<bool> reach(static_cast<std::size_t>(w_last - w_first + 1));
+    auto unreached = static_cast<std::int32_t>(reach.size());
+    std::vector<std::int64_t> last(stream.lineCount, -1);
+    const std::size_t statements = splittable.size();
+    const std::size_t positions = stream.refBegin.size() - 1;
+    for (std::size_t at = 0; at < positions && unreached > 0; ++at) {
+        const std::uint32_t begin = stream.refBegin[at];
+        const std::uint32_t write = stream.refBegin[at + 1] - 1;
+        const auto p = static_cast<std::int64_t>(at);
+        if (splittable[at % statements]) {
+            // The nearest earlier reference of any read's line: if it
+            // is outside p's window, every other one is too.
+            std::int64_t nearest = -1;
+            for (std::uint32_t r = begin; r < write; ++r)
+                nearest = std::max(
+                    nearest, last[stream.lineOf[stream.addrId[r]]]);
+            for (std::int32_t w = w_first; nearest >= 0 && w <= w_last;
+                 ++w) {
+                const auto i = static_cast<std::size_t>(w - w_first);
+                if (!reach[i] && nearest >= p - p % w) {
+                    reach[i] = true;
+                    --unreached;
+                }
+            }
+        }
+        for (std::uint32_t r = begin; r <= write; ++r)
+            last[stream.lineOf[stream.addrId[r]]] = p;
+    }
+    return reach;
+}
+
 /** The window-independent inputs of one plan() call. */
 struct NestContext
 {
@@ -385,6 +431,8 @@ struct NestContext
      * can run (Section 4.5) or the oracle is on.
      */
     std::vector<bool> splittable;
+    /** totalOpCost() per static statement: a whole statement's load. */
+    std::vector<std::int64_t> opCost;
     std::size_t reuseCapacity;
     ResolvedStream stream;
     DefaultL1Model warmL1;
@@ -549,7 +597,7 @@ class Emitter
     {
         const sim::TaskId id = nextTaskId();
         sim::Task &task = newTask(d, d.defaultNode);
-        task.computeCost = d.stmt->totalOpCost();
+        task.computeCost = ctx_.opCost[static_cast<std::size_t>(d.stmtIdx)];
         task.write = *d.write;
         // Like the baseline, the unsplit statement relies on the
         // program's own ordering: only real (resolved) address
@@ -808,8 +856,7 @@ class DecisionLane
           balancer_(mesh_.nodeCount(), opts_.loadBalanceThreshold),
           splitter_(mesh_), l1_(ctx.warmL1),
           varmap_(mesh_.nodeCount(), ctx.reuseCapacity,
-                  ctx.stream.lineCount),
-          trial_(balancer_)
+                  ctx.stream.lineCount)
     {
         // Dead tiles leave the balancing pool; every other planner
         // input is already live (default nodes come from the
@@ -824,6 +871,10 @@ class DecisionLane
      * Walk the stream at window size @p window_size from the shared
      * starting state (the warmed L1 model, an idle balancer, an empty
      * map); @p emitter, when set, watches every decision and window.
+     * The map is cleared at each window's start, so the first position
+     * does not probe it; a walk no emitter watches does not add at the
+     * last position either, since only the emitter's digest and
+     * insertion count could see those adds before the next clear.
      */
     void
     run(std::int32_t window_size, Emitter *emitter)
@@ -839,6 +890,9 @@ class DecisionLane
             const std::int64_t end = std::min(begin + window_size, total);
             varmap_.clear();
             for (std::int64_t pos = begin; pos < end; ++pos) {
+                probeMap_ = opts_.exploitReuse && pos != begin;
+                addCopies_ = opts_.exploitReuse &&
+                             (emitter != nullptr || pos + 1 != end);
                 decide(pos);
                 if (emitter)
                     emitter->emit(d_);
@@ -865,11 +919,15 @@ class DecisionLane
         if (ctx_.splittable[static_cast<std::size_t>(d_.stmtIdx)]) {
             locate();
             candidate_ = splitInstance();
-            if (profitable(candidate_)) {
-                if (opts_.loadBalance)
-                    std::swap(balancer_, trial_); // commit trial loads
-                d_.split = &candidate_;
+            const bool ship = profitable(candidate_);
+            if (opts_.loadBalance) {
+                if (ship)
+                    balancer_.commit();
+                else
+                    balancer_.rollback();
             }
+            if (ship)
+                d_.split = &candidate_;
         }
         note();
     }
@@ -935,7 +993,7 @@ class DecisionLane
                                                      : nullptr);
         locations_.clear();
         for (std::uint32_t addr : d_.readIds) {
-            if (opts_.exploitReuse) {
+            if (probeMap_) {
                 const CopySet copies = varmap_.copies(stream_.lineOf[addr]);
                 if (!copies.empty()) {
                     locations_.push_back(
@@ -951,12 +1009,14 @@ class DecisionLane
     /**
      * Split along the MST. The balancer-free split is a pure function
      * of (sets, locations, store node), so it is memoized by that
-     * signature. Under the balancer the cached split is replayed
-     * against a trial copy of the live loads (replayOnTrial); only a
-     * veto, which would make the balanced split slide a merge node,
-     * re-splits from scratch. The trial is committed only if the split
-     * ships. Every path returns the one view type: a cache hit reads
-     * the cache's pools in place, a fresh split reads computed_.
+     * signature. Under the balancer a trial is opened on the live
+     * balancer and the cached split is replayed into it (replay());
+     * only a veto, which would make the balanced split slide a merge
+     * node, rolls the trial back and re-splits from scratch inside a
+     * new one. decide() commits the trial if the split ships and rolls
+     * it back otherwise. Every path returns the one view type: a cache
+     * hit reads the cache's pools in place, a fresh split reads
+     * computed_.
      */
     SplitView
     splitInstance()
@@ -973,8 +1033,8 @@ class DecisionLane
                                                      : nullptr);
         LoadBalancer *balancer = nullptr;
         if (opts_.loadBalance) {
-            trial_ = balancer_;
-            balancer = &trial_;
+            balancer_.checkpoint();
+            balancer = &balancer_;
         }
         if (!opts_.memoizeSplits) {
             cstats_.plansComputed += 1;
@@ -993,32 +1053,34 @@ class DecisionLane
             plan = computed_.view();
             ctx_.cache.insert(plan);
         }
-        if (balancer == nullptr || replayOnTrial(plan))
+        if (balancer == nullptr || replay(plan))
             return plan;
         cstats_.cacheBypassed += 1;
         d_.fromCache = false;
-        trial_ = balancer_;
-        splitter_.split(sets, locations_, store, &trial_, computed_);
+        balancer_.rollback();
+        balancer_.checkpoint();
+        splitter_.split(sets, locations_, store, &balancer_, computed_);
         return computed_.view();
     }
 
     /**
-     * Replay @p plan's balancer traffic on trial_, in emission order:
-     * accepts() for every non-root merge with a cost, then add(). Until
-     * a veto, StatementSplitter issues exactly this sequence on the
-     * same (node, cost) pairs and places every merge where the
-     * balancer-free split does, so a veto-free replay is the balanced
-     * split. False at the first veto, with trial_ partly updated.
+     * Replay @p plan's balancer traffic into the open trial, in
+     * emission order: accepts() for every non-root merge with a cost,
+     * then add(). Until a veto, StatementSplitter issues exactly this
+     * sequence on the same (node, cost) pairs and places every merge
+     * where the balancer-free split does, so a veto-free replay is the
+     * balanced split. False at the first veto, with the trial partly
+     * updated.
      */
     bool
-    replayOnTrial(const SplitView &plan)
+    replay(const SplitView &plan)
     {
         for (const SubView sub : plan) {
             if (sub.opCost == 0)
                 continue;
-            if (!sub.isRoot && !trial_.accepts(sub.node, sub.opCost))
+            if (!sub.isRoot && !balancer_.accepts(sub.node, sub.opCost))
                 return false;
-            trial_.add(sub.node, sub.opCost);
+            balancer_.add(sub.node, sub.opCost);
         }
         return true;
     }
@@ -1058,14 +1120,15 @@ class DecisionLane
     {
         const std::size_t write_ref = base_ + d_.reads.size();
         if (d_.split == nullptr) {
-            balancer_.add(d_.defaultNode, d_.stmt->totalOpCost());
+            balancer_.add(d_.defaultNode,
+                          ctx_.opCost[static_cast<std::size_t>(d_.stmtIdx)]);
             // Reads, then the write: every line passes through the L1.
             for (std::size_t r = base_; r <= write_ref; ++r) {
-                if (opts_.exploitReuse)
+                if (addCopies_)
                     addCopy(r, d_.defaultNode);
                 l1_.insert(d_.defaultNode, stream_.lineSlot[r]);
             }
-        } else if (opts_.exploitReuse) {
+        } else if (addCopies_) {
             for (const SubView sub : *d_.split) {
                 for (std::uint8_t leaf : sub.leaves)
                     addCopy(base_ + leaf, sub.node);
@@ -1105,6 +1168,9 @@ class DecisionLane
     Emitter *emitter_ = nullptr;
     /** The current window's map; cleared per window. */
     VariableToNodeMap varmap_;
+    /** Whether the instance in flight reads the map, and adds to it. */
+    bool probeMap_ = false;
+    bool addCopies_ = false;
 
     // The instance in flight. Its buffers are reused across the
     // stream: the pipeline runs iterations x statements times, so
@@ -1114,8 +1180,6 @@ class DecisionLane
     std::size_t base_ = 0;
     std::vector<std::uint32_t> fetchedSlots_;
     std::vector<Location> locations_;
-    /** Balanced splits run against this copy of balancer_. */
-    LoadBalancer trial_;
     /** The splitter's output; the view of a fresh split reads it. */
     SplitPlan computed_;
     SplitView candidate_;
@@ -1172,9 +1236,11 @@ Partitioner::plan(const ir::LoopNest &nest,
             Inspector::canResolve(nest, *arrays_) || options_.oracle;
         std::vector<ir::VarSet> static_sets;
         std::vector<bool> splittable;
+        std::vector<std::int64_t> op_cost;
         static_sets.reserve(nest.body().size());
         for (const ir::Statement &stmt : nest.body()) {
             static_sets.push_back(ir::buildVarSets(stmt));
+            op_cost.push_back(stmt.totalOpCost());
             splittable.push_back(inspector_resolved ||
                                  (stmt.lhs().isAnalyzable() &&
                                   std::ranges::all_of(
@@ -1202,21 +1268,36 @@ Partitioner::plan(const ir::LoopNest &nest,
         }
         DefaultL1Model warm_l1 = warmDefaultL1(*system_, stream, default_nodes,
                                                nest.body().size());
+        // Only candidates that can reach a copy can differ from
+        // w_first (copyReach()); without reuse none can.
+        std::vector<bool> reach;
+        if (w_first < w_last && options_.exploitReuse)
+            reach = copyReach(stream, splittable, w_first, w_last);
         const NestContext ctx{
             *system_, options_, splitCache_, nest, default_nodes,
             std::move(static_sets), std::move(splittable),
-            reuse_capacity, std::move(stream), std::move(warm_l1)};
+            std::move(op_cost), reuse_capacity, std::move(stream),
+            std::move(warm_l1)};
         DecisionLane lane(ctx);
 
-        // Score every candidate (Section 4.4: least total movement, the
+        // Score the candidates (Section 4.4: least total movement, the
         // first on ties), then walk the winner again with an emitter
         // watching. A walk's decisions depend only on the shared
         // starting state, so the emitting walk repeats the winner's
-        // scoring walk decision for decision. A single candidate needs
-        // no scoring.
+        // scoring walk decision for decision. Only w_first and the
+        // candidates that can reach a copy are walked; every other one
+        // would repeat w_first's walk, so it scores w_first's total and,
+        // tying, never wins. When no candidate can reach a copy, or
+        // there is a single candidate, nothing is scored and w_first is
+        // emitted.
         std::int32_t best_w = w_first;
-        if (w_first < w_last) {
+        if (std::find(reach.begin(), reach.end(), true) != reach.end()) {
             for (std::int32_t w = w_first; w <= w_last; ++w) {
+                if (w != w_first &&
+                    !reach[static_cast<std::size_t>(w - w_first)]) {
+                    movement_per_w.push_back(movement_per_w.front());
+                    continue;
+                }
                 lane.run(w, nullptr);
                 movement_per_w.push_back(lane.plannedMovement());
                 compile_total.merge(lane.compile());
@@ -1233,7 +1314,9 @@ Partitioner::plan(const ir::LoopNest &nest,
         best_report.defaultMovement = lane.defaultMovement();
         compile_total.merge(lane.compile());
         if (movement_per_w.empty())
-            movement_per_w.push_back(best_report.plannedMovement);
+            movement_per_w.assign(
+                static_cast<std::size_t>(w_last - w_first + 1),
+                best_report.plannedMovement);
         NDP_CHECK(best_report.plannedMovement ==
                       movement_per_w[static_cast<std::size_t>(best_w -
                                                               w_first)],
@@ -1247,7 +1330,7 @@ Partitioner::plan(const ir::LoopNest &nest,
         static_cast<std::int64_t>(splitCache_.bytes());
     best_report.movementPerWindowSize = std::move(movement_per_w);
     // The compile cost covers the whole adaptive sweep: the planner
-    // paid for the warm-up, every scoring pass and the winner's
+    // paid for the warm-up, every walked scoring pass and the winner's
     // emitting pass.
     best_report.compile = compile_total;
     report_ = std::move(best_report);

@@ -4,11 +4,13 @@
 /**
  * @file
  * The complete NDP-aware subcomputation scheduler (Algorithm 1 plus
- * Sections 4.3-4.5). Per loop nest, one decision walk per window size
+ * Sections 4.3-4.5). Per loop nest, a decision walk per window size
  * 1..8 locates, splits along the MST and load-balances each statement
  * instance and scores the size by total data movement (Section 4.4);
- * the cheapest size, or a forced one (Figure 20's sweeps), is walked
- * again by an emitter that synchronises each window and builds the plan.
+ * a size whose windows can never hold a copy of a line it reads is not
+ * walked, since it would plan exactly what w = 1 plans. The cheapest
+ * size, or a forced one (Figure 20's sweeps), is walked again by an
+ * emitter that synchronises each window and builds the plan.
  */
 
 #include <cstddef>
@@ -121,7 +123,11 @@ struct PartitionReport
     std::int64_t offloadedSubcomputations = 0;
     std::int64_t statementsSplit = 0;
     std::int64_t statementsKeptDefault = 0;
-    /** Total planned movement for every window size probed (Fig 20). */
+    /**
+     * Total planned movement for every window size probed (Fig 20). A
+     * size that was not walked, because it cannot reach a copy, holds
+     * w = 1's total, which is what it would plan.
+     */
     std::vector<std::int64_t> movementPerWindowSize;
     /**
      * Order-dependent digest of every window's variable2node insertion
@@ -137,8 +143,9 @@ struct PartitionReport
     /**
      * Compile-loop cost of producing this plan: the nest's one-off
      * stream resolution and default-L1 warm-up, the scoring pass of
-     * every window-size candidate the adaptive sweep probed, and the
-     * winner's emitting pass (the planner paid for all of them). A
+     * every window-size candidate the adaptive sweep walked, and the
+     * winner's emitting pass (the planner paid for all of them), so
+     * instancesPlanned is (walked candidates + 1) x the instances. A
      * fixed window size has the emitting pass only.
      */
     CompileStats compile;

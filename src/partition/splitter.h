@@ -61,8 +61,8 @@ class StatementSplitter
      *        the final result must be produced and stored
      * @param balancer optional load balancer consulted (and updated)
      *        for every merge; null disables the balancing veto. The
-     *        caller may pass a trial copy and commit it only if the
-     *        split is kept.
+     *        planner opens a trial (LoadBalancer::checkpoint()) first
+     *        and commits it only if the split is kept.
      */
     void split(const ir::VarSet &sets,
                std::span<const Location> leaf_locations,

@@ -26,14 +26,15 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     constexpr std::int64_t kResultBytes = 8;
     sys.reset();
 
-    // ---- Warm-up: earlier trips of the outer timing loop. Cache and
-    // predictor state persists; statistics and traffic are discarded.
+    // ---- Warm-up: earlier trips of the outer timing loop. Only what
+    // outlives resetMeasurement() runs: cache contents and predictor
+    // training. Traffic, MC load and access records would be discarded.
     for (std::int32_t w = 0; w < opts.warmupPasses; ++w) {
         for (const Task &task : plan.tasks) {
             for (const MemAccess &read : plan.reads(task))
-                sys.walkRead(task.node, read);
+                sys.warmRead(task.node, read.addr);
             if (task.write)
-                sys.walkWrite(task.node, *task.write);
+                sys.warmWrite(task.node, task.write->addr);
         }
     }
     if (opts.warmupPasses > 0)

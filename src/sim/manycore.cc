@@ -57,6 +57,29 @@ ManycoreSystem::mcAt(noc::NodeId node)
     ndp::panic("no memory controller at node " + std::to_string(node));
 }
 
+ManycoreSystem::CacheOutcome
+ManycoreSystem::warmRead(noc::NodeId node, mem::Addr addr)
+{
+    CacheOutcome out;
+    if (l1s_[static_cast<std::size_t>(node)].access(addr))
+        return out;
+    out.home = addrMap_.homeBankNode(addr);
+    const bool l2_hit =
+        l2Banks_[static_cast<std::size_t>(out.home)].access(addr);
+    predictor_.update(addr, l2_hit);
+    out.level = l2_hit ? AccessLevel::L2 : AccessLevel::Memory;
+    return out;
+}
+
+noc::NodeId
+ManycoreSystem::warmWrite(noc::NodeId node, mem::Addr addr)
+{
+    l1s_[static_cast<std::size_t>(node)].access(addr);
+    const noc::NodeId home = addrMap_.homeBankNode(addr);
+    l2Banks_[static_cast<std::size_t>(home)].access(addr);
+    return home;
+}
+
 AccessRecord
 ManycoreSystem::walkRead(noc::NodeId node, const MemAccess &access)
 {
@@ -65,27 +88,21 @@ ManycoreSystem::walkRead(noc::NodeId node, const MemAccess &access)
     rec.requester = node;
     rec.isWrite = false;
 
-    auto &l1 = l1s_[static_cast<std::size_t>(node)];
-    if (l1.access(access.addr)) {
-        rec.level = AccessLevel::L1;
+    const CacheOutcome out = warmRead(node, access.addr);
+    rec.level = out.level;
+    if (out.level == AccessLevel::L1)
         return rec;
-    }
 
     // L1 miss: request to the home bank (1), data back (5) — Figure 1.
-    rec.home = addrMap_.homeBankNode(access.addr);
+    rec.home = out.home;
     traffic_.addMessage(node, rec.home, 1); // request flit
-    auto &bank = l2Banks_[static_cast<std::size_t>(rec.home)];
-    const bool l2_hit = bank.access(access.addr);
-    predictor_.update(access.addr, l2_hit);
-    if (l2_hit) {
-        rec.level = AccessLevel::L2;
+    if (out.level == AccessLevel::L2) {
         traffic_.addMessage(rec.home, node, config_.lineFlits());
         return rec;
     }
 
     // L2 miss: home bank forwards to the MC (2,3); data returns to the
     // home bank (4) and then the requester's L1.
-    rec.level = AccessLevel::Memory;
     rec.mc = addrMap_.memoryControllerNode(access.addr);
     rec.memKind = memoryKindOf(access.array);
     rec.dram = addrMap_.dramCoord(access.addr);
@@ -106,18 +123,14 @@ ManycoreSystem::walkWrite(noc::NodeId node, const MemAccess &access)
     rec.addr = access.addr;
     rec.requester = node;
     rec.isWrite = true;
-    rec.home = addrMap_.homeBankNode(access.addr);
-
+    rec.level = AccessLevel::L2;
     // Allocate locally, then write the result through to its home bank
     // (the store node of Section 4.3 keeps the output at its home).
-    auto &l1 = l1s_[static_cast<std::size_t>(node)];
-    l1.access(access.addr);
+    rec.home = warmWrite(node, access.addr);
     const std::int64_t flits =
         std::max<std::int64_t>(1, access.size / config_.flitBytes);
     if (node != rec.home)
         traffic_.addMessage(node, rec.home, flits);
-    l2Banks_[static_cast<std::size_t>(rec.home)].access(access.addr);
-    rec.level = AccessLevel::L2;
     return rec;
 }
 

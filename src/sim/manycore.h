@@ -146,6 +146,29 @@ class ManycoreSystem
      */
     AccessRecord walkWrite(noc::NodeId node, const MemAccess &access);
 
+    /** Where warmRead() found a line, and its home bank. */
+    struct CacheOutcome
+    {
+        AccessLevel level = AccessLevel::L1;
+        /** Home L2 bank node; unset (kInvalidNode) on an L1 hit. */
+        noc::NodeId home = noc::kInvalidNode;
+    };
+
+    /**
+     * The part of walkRead() that outlives resetMeasurement(): the
+     * L1, on a miss the home bank, and the miss predictor's training.
+     * Records no traffic, MC load or AccessRecord, so a warm-up pass
+     * calls it alone; walkRead() adds those on top.
+     */
+    CacheOutcome warmRead(noc::NodeId node, mem::Addr addr);
+
+    /**
+     * The part of walkWrite() that outlives resetMeasurement():
+     * allocate the line in @p node's L1 and its home bank, which is
+     * returned.
+     */
+    noc::NodeId warmWrite(noc::NodeId node, mem::Addr addr);
+
     /** Pass 1: account a task-result message from @p from to @p to. */
     void recordResultMessage(noc::NodeId from, noc::NodeId to,
                              std::int64_t bytes);

@@ -269,9 +269,9 @@ PlanVerifier::verify(const ir::LoopNest &nest,
     // Under load balancing the split is a function of the balancer's
     // evolving load vector too, so the reference recomputation replays
     // that state stream: unsplit instances commit their default-node
-    // load, accepted splits run against (and commit) a trial copy —
-    // exactly the planner's sequence. This makes the reference split
-    // bit-comparable even for slid placements.
+    // load, accepted splits run on (and add to) the live loads —
+    // exactly what the planner's committed trials leave. This makes the
+    // reference split bit-comparable even for slid placements.
     std::optional<partition::LoadBalancer> replay_balancer;
     if (full && prov.loadBalanced) {
         replay_balancer.emplace(mesh.nodeCount(),
@@ -655,18 +655,12 @@ PlanVerifier::verify(const ir::LoopNest &nest,
             std::all_of(locations.begin(), locations.end(),
                         [&](const Location &loc) { return live(loc.node); });
         if (full && reference_splittable) {
-            if (replay_balancer) {
-                // The planner split against a trial copy and committed
-                // it iff the split was kept; split records only exist
-                // for kept splits, so replay commits unconditionally.
-                partition::LoadBalancer trial = *replay_balancer;
-                ref_splitter.split(sets, locations, rec.storeNode, &trial,
-                                   ref_plan);
-                *replay_balancer = std::move(trial);
-            } else {
-                ref_splitter.split(sets, locations, rec.storeNode, nullptr,
-                                   ref_plan);
-            }
+            // The planner split in a balancer trial and committed it
+            // iff the split was kept; split records only exist for
+            // kept splits, so the replay splits on the live loads.
+            ref_splitter.split(sets, locations, rec.storeNode,
+                               replay_balancer ? &*replay_balancer : nullptr,
+                               ref_plan);
             const SplitView ref = ref_plan.view();
             if (rec.fromCache) {
                 if (!sameExact(split, ref)) {

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mem/address.h"
 #include "mem/address_mapping.h"
@@ -202,6 +207,99 @@ TEST(CacheTest, RejectsBadGeometry)
     EXPECT_THROW(SetAssocCache(0, 1), FatalError);
     EXPECT_THROW(SetAssocCache(100, 1), FatalError); // not line multiple
     EXPECT_THROW(SetAssocCache(1024, 0), FatalError);
+}
+
+/**
+ * Reference true-LRU cache: one list of line numbers per set, most
+ * recent first, indexed by line % sets.
+ */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(std::uint64_t sets, std::uint32_t ways)
+        : ways_(ways), sets_(sets)
+    {
+    }
+
+    bool
+    access(Addr a)
+    {
+        std::list<std::uint64_t> &set = sets_[lineNumber(a) % sets_.size()];
+        const auto it = std::find(set.begin(), set.end(), lineNumber(a));
+        const bool hit = it != set.end();
+        if (hit)
+            set.erase(it);
+        else if (set.size() == ways_)
+            set.pop_back();
+        set.push_front(lineNumber(a));
+        ++(hit ? stats.hits : stats.misses);
+        return hit;
+    }
+
+    bool
+    contains(Addr a) const
+    {
+        const std::list<std::uint64_t> &set =
+            sets_[lineNumber(a) % sets_.size()];
+        return std::find(set.begin(), set.end(), lineNumber(a)) != set.end();
+    }
+
+    void
+    flush()
+    {
+        for (std::list<std::uint64_t> &set : sets_)
+            set.clear();
+    }
+
+    CacheStats stats;
+
+  private:
+    std::size_t ways_;
+    std::vector<std::list<std::uint64_t>> sets_;
+};
+
+TEST(CacheTest, MatchesAReferenceLruOnRandomStreams)
+{
+    // Geometries: one set, a set count that is not a power of two (so
+    // sets are indexed with %), and the mask-indexed shapes of the L1,
+    // L2 and direct-mapped MCDRAM side cache.
+    const std::pair<std::uint64_t, std::uint32_t> geometries[] = {
+        {1, 2}, {3, 2}, {16, 4}, {64, 8}, {4096, 1}};
+    Rng rng(0xcac4e);
+    for (const auto &[sets, ways] : geometries) {
+        SCOPED_TRACE(std::to_string(sets) + " sets x " +
+                     std::to_string(ways) + " ways");
+        SetAssocCache cache(sets * ways * kLineSize, ways);
+        ASSERT_EQ(cache.setCount(), sets);
+        ReferenceLru reference(sets, ways);
+        // Lines from a range twice the capacity, hot low lines drawn
+        // more often, so streams mix hits, misses and evictions.
+        const std::uint64_t lines = 2 * sets * ways;
+        for (int step = 0; step < 20000; ++step) {
+            const std::uint64_t range =
+                rng.nextBool(0.5) ? std::max<std::uint64_t>(1, lines / 4)
+                                  : lines;
+            const Addr a = rng.nextBelow(range) * kLineSize +
+                           rng.nextBelow(kLineSize);
+            const std::uint64_t op = rng.nextBelow(100);
+            if (op < 70) {
+                ASSERT_EQ(cache.access(a), reference.access(a))
+                    << "step " << step;
+            } else if (op < 99) {
+                ASSERT_EQ(cache.contains(a), reference.contains(a))
+                    << "step " << step;
+            } else {
+                cache.flush();
+                reference.flush();
+            }
+            ASSERT_EQ(cache.stats().hits, reference.stats.hits);
+            ASSERT_EQ(cache.stats().misses, reference.stats.misses);
+        }
+        for (std::uint64_t line = 0; line < lines; ++line)
+            EXPECT_EQ(cache.contains(line * kLineSize),
+                      reference.contains(line * kLineSize))
+                << "line " << line;
+    }
 }
 
 /** Property: hit rate never decreases when capacity grows. */

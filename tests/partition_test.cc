@@ -13,6 +13,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -455,6 +456,91 @@ TEST(LoadBalancerTest, TopTwoCeilingMatchesTheFullScan)
                       *std::max_element(loads.begin(), loads.end()));
         }
     }
+}
+
+/**
+ * @p balancer and @p reference hold the same state: every node's
+ * load, the largest load, and the same accepts() answer for every node
+ * and a range of costs (which reads the top-two fields).
+ */
+void
+expectSameBalancer(const LoadBalancer &balancer,
+                   const LoadBalancer &reference, std::int32_t nodes)
+{
+    ASSERT_EQ(balancer.maxLoad(), reference.maxLoad());
+    for (noc::NodeId n = 0; n < nodes; ++n) {
+        ASSERT_EQ(balancer.load(n), reference.load(n)) << "node " << n;
+        for (const std::int64_t cost : {0, 1, 2, 5, 40}) {
+            ASSERT_EQ(balancer.accepts(n, cost), reference.accepts(n, cost))
+                << "node " << n << " cost " << cost;
+        }
+    }
+}
+
+TEST(LoadBalancerTest, JournaledTrialsMatchACopy)
+{
+    // A trial on the live balancer (checkpoint, adds, then commit or
+    // rollback) must leave it exactly where a copy-based trial leaves
+    // the reference: the reference applies the same adds, a copy is
+    // taken at checkpoint(), and rollback() restores that copy. Random
+    // streams over small costs (many ties, frequent top-node changes
+    // inside a trial), dead nodes, resets with a trial open.
+    Rng rng(0x70a1);
+    for (int trial = 0; trial < 40; ++trial) {
+        const auto nodes = static_cast<std::int32_t>(2 + rng.nextBelow(15));
+        const double threshold = rng.nextBool(0.5) ? 0.10 : 0.0;
+        LoadBalancer balancer(nodes, threshold);
+        LoadBalancer reference(nodes, threshold);
+        for (noc::NodeId n = 0; n < nodes; ++n) {
+            if (rng.nextBool(0.15)) {
+                balancer.markUnavailable(n);
+                reference.markUnavailable(n);
+            }
+        }
+        std::optional<LoadBalancer> saved;
+        for (int step = 0; step < 400; ++step) {
+            SCOPED_TRACE("trial " + std::to_string(trial) + " step " +
+                         std::to_string(step));
+            const std::uint64_t op = rng.nextBelow(100);
+            if (!saved && op < 20) {
+                balancer.checkpoint();
+                saved = reference;
+            } else if (saved && op < 10) {
+                balancer.commit();
+                saved.reset();
+            } else if (saved && op < 20) {
+                balancer.rollback();
+                reference = *saved;
+                saved.reset();
+            } else if (op < 21) {
+                balancer.reset();
+                reference.reset();
+                saved.reset();
+            } else {
+                const auto node = static_cast<noc::NodeId>(
+                    rng.nextBelow(static_cast<std::uint64_t>(nodes)));
+                const auto cost = static_cast<std::int64_t>(rng.nextBelow(4));
+                if (reference.isAvailable(node)) {
+                    balancer.add(node, cost);
+                    reference.add(node, cost);
+                }
+            }
+            expectSameBalancer(balancer, reference, nodes);
+        }
+    }
+}
+
+TEST(LoadBalancerTest, TrialsDoNotNest)
+{
+    LoadBalancer balancer(4);
+    EXPECT_THROW(balancer.commit(), PanicError);
+    EXPECT_THROW(balancer.rollback(), PanicError);
+    balancer.checkpoint();
+    EXPECT_THROW(balancer.checkpoint(), PanicError);
+    balancer.add(1, 5);
+    balancer.rollback();
+    EXPECT_EQ(balancer.load(1), 0);
+    EXPECT_EQ(balancer.maxLoad(), 0);
 }
 
 // ------------------------------------------------------------- splitter
