@@ -74,9 +74,17 @@ main(int argc, char **argv)
         std::cout << "\n";
     }
 
-    // ---- BENCH_faults.json: the degradation trajectory CI tracks.
+    // ---- BENCH_faults.json: the degradation trajectory CI tracks,
+    // and what the verifier checked over every campaign (all zero at
+    // NDP_VERIFY=off).
+    verify::ReportCounts verified;
+    for (const driver::FaultCampaignResult &res : results)
+        verified.merge(res.verify);
     json << "{\n  \"scale\": " << bench::benchScale()
          << ",\n  \"trials_per_rate\": " << campaign_cfg.trialsPerRate
+         << ",\n  \"plans_verified\": " << verified.plansVerified
+         << ",\n  \"errors\": " << verified.errors
+         << ",\n  \"warnings\": " << verified.warnings
          << ",\n  \"apps\": [\n";
     for (std::size_t a = 0; a < results.size(); ++a) {
         const driver::FaultCampaignResult &res = results[a];

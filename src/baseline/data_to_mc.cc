@@ -2,19 +2,21 @@
 
 #include <array>
 
-#include "ir/instance.h"
 #include "support/error.h"
 
 namespace ndp::baseline {
 
 std::unordered_map<std::uint64_t, std::uint32_t>
-profilePageToMc(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
-                const ir::LoopNest &nest,
+profilePageToMc(const sim::ManycoreSystem &system, const ir::LoopNest &nest,
+                const ir::InstanceStream &stream,
                 const std::vector<noc::NodeId> &nodes)
 {
     NDP_REQUIRE(static_cast<std::int64_t>(nodes.size()) ==
                     nest.iterationCount(),
                 "assignment size mismatch");
+    NDP_REQUIRE(stream.positions() == nodes.size() * nest.body().size(),
+                "instance stream does not match nest '" << nest.name()
+                                                        << "'");
     const noc::MeshTopology &mesh = system.mesh();
     const auto &mc_nodes = mesh.memoryControllerNodes();
 
@@ -33,17 +35,13 @@ profilePageToMc(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
 
     // Votes: page -> per-MC access counts.
     std::unordered_map<std::uint64_t, std::array<std::int64_t, 4>> votes;
-    const auto stmt_count =
-        static_cast<ir::StatementIndex>(nest.body().size());
-    ir::InstanceResolver resolver(nest, arrays);
-    for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
-        const noc::NodeId node = nodes[static_cast<std::size_t>(k)];
-        const std::uint32_t mc = preferred[static_cast<std::size_t>(node)];
-        for (ir::StatementIndex s = 0; s < stmt_count; ++s) {
-            resolver.resolve(k, s);
-            for (const ir::ResolvedRef &r : resolver.refs())
-                votes[mem::pageNumber(r.addr)][mc] += 1;
-        }
+    const std::size_t statements = nest.body().size();
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+        const std::uint32_t mc = preferred[static_cast<std::size_t>(nodes[k])];
+        const std::uint32_t refs_end = stream.refBegin[(k + 1) * statements];
+        for (std::uint32_t r = stream.refBegin[k * statements]; r < refs_end;
+             ++r)
+            votes[mem::pageNumber(stream.refs[r].addr)][mc] += 1;
     }
 
     std::unordered_map<std::uint64_t, std::uint32_t> mapping;

@@ -15,18 +15,19 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "ir/instance.h"
 #include "ir/statement.h"
 #include "sim/manycore.h"
 
 namespace ndp::baseline {
 
 /**
- * Build the page -> MC-index override for @p nest under the iteration
- * assignment @p nodes.
+ * Build the page -> MC-index override for @p nest, whose instances
+ * @p stream holds, under the iteration assignment @p nodes.
  */
 std::unordered_map<std::uint64_t, std::uint32_t>
-profilePageToMc(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
-                const ir::LoopNest &nest,
+profilePageToMc(const sim::ManycoreSystem &system, const ir::LoopNest &nest,
+                const ir::InstanceStream &stream,
                 const std::vector<noc::NodeId> &nodes);
 
 } // namespace ndp::baseline

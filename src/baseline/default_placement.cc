@@ -1,9 +1,7 @@
 #include "baseline/default_placement.h"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "ir/instance.h"
 #include "support/error.h"
 
 namespace ndp::baseline {
@@ -18,9 +16,29 @@ DefaultPlacement::DefaultPlacement(sim::ManycoreSystem &system,
 std::vector<noc::NodeId>
 DefaultPlacement::assignIterations(const ir::LoopNest &nest)
 {
+    return assignIterations(
+        nest, ir::resolveInstances(nest, *arrays_, system_->addressMap()));
+}
+
+sim::ExecutionPlan
+DefaultPlacement::buildPlan(const ir::LoopNest &nest,
+                            const std::vector<noc::NodeId> &nodes)
+{
+    return buildPlan(
+        nest, ir::resolveInstances(nest, *arrays_, system_->addressMap()),
+        nodes);
+}
+
+std::vector<noc::NodeId>
+DefaultPlacement::assignIterations(const ir::LoopNest &nest,
+                                   const ir::InstanceStream &stream)
+{
     const noc::MeshTopology &mesh = system_->mesh();
-    const mem::AddressMap &amap = system_->addressMap();
     const std::int64_t iterations = nest.iterationCount();
+    NDP_REQUIRE(stream.positions() ==
+                    static_cast<std::size_t>(iterations) * nest.body().size(),
+                "instance stream does not match nest '" << nest.name()
+                                                        << "'");
     const std::int64_t nodes = mesh.nodeCount();
     // The OS scheduler of a degraded chip never dispatches work to
     // disabled tiles: the baseline, too, profiles and assigns over the
@@ -41,27 +59,27 @@ DefaultPlacement::assignIterations(const ir::LoopNest &nest)
         static_cast<std::size_t>(chunk_count),
         std::vector<std::int64_t>(static_cast<std::size_t>(nodes), 0));
 
-    const auto stmt_count =
-        static_cast<ir::StatementIndex>(nest.body().size());
-    ir::InstanceResolver resolver(nest, *arrays_);
+    const std::size_t statements = nest.body().size();
     for (std::int64_t c = 0; c < chunk_count; ++c) {
         const std::int64_t begin = c * chunk;
         const std::int64_t end = std::min(begin + chunk, iterations);
         const std::int64_t span = end - begin;
         const std::int64_t samples =
             std::min(options_.profileSamplesPerChunk, span);
+        std::vector<std::int64_t> &chunk_cost =
+            cost[static_cast<std::size_t>(c)];
         for (std::int64_t s = 0; s < samples; ++s) {
-            const std::int64_t k = begin + s * span / samples;
-            for (ir::StatementIndex st = 0; st < stmt_count; ++st) {
-                resolver.resolve(k, st);
-                for (const ir::ResolvedRef &r : resolver.refs()) {
-                    const noc::NodeId home = amap.homeBankNode(r.addr);
-                    for (noc::NodeId n : pool) {
-                        cost[static_cast<std::size_t>(c)]
-                            [static_cast<std::size_t>(n)] +=
-                            mesh.distance(n, home);
-                    }
-                }
+            // Iteration k's references: every statement's, in order.
+            const auto k =
+                static_cast<std::size_t>(begin + s * span / samples);
+            const std::uint32_t refs_end =
+                stream.refBegin[(k + 1) * statements];
+            for (std::uint32_t r = stream.refBegin[k * statements];
+                 r < refs_end; ++r) {
+                const noc::NodeId home = stream.home[stream.addrId[r]];
+                for (noc::NodeId n : pool)
+                    chunk_cost[static_cast<std::size_t>(n)] +=
+                        mesh.distance(n, home);
             }
         }
     }
@@ -102,56 +120,58 @@ DefaultPlacement::assignIterations(const ir::LoopNest &nest)
 
 sim::ExecutionPlan
 DefaultPlacement::buildPlan(const ir::LoopNest &nest,
+                            const ir::InstanceStream &stream,
                             const std::vector<noc::NodeId> &nodes)
 {
     NDP_REQUIRE(static_cast<std::int64_t>(nodes.size()) ==
                     nest.iterationCount(),
                 "assignment size mismatch");
+    NDP_REQUIRE(stream.positions() == nodes.size() * nest.body().size(),
+                "instance stream does not match nest '" << nest.name()
+                                                        << "'");
     sim::ExecutionPlan plan;
     plan.name = nest.name() + "/default";
 
-    std::unordered_map<mem::Addr, sim::TaskId> last_writer;
-    const auto stmt_count =
-        static_cast<ir::StatementIndex>(nest.body().size());
-
-    std::size_t read_count = 0;
+    // The last writer of each address id of the stream.
+    std::vector<sim::TaskId> last_writer(stream.addressCount(),
+                                         sim::kInvalidTask);
+    std::vector<std::int64_t> op_cost;
     for (const ir::Statement &stmt : nest.body())
-        read_count += stmt.reads().size();
-    const auto iterations = static_cast<std::size_t>(nest.iterationCount());
-    plan.tasks.reserve(iterations * nest.body().size());
-    plan.readPool.reserve(iterations * read_count);
+        op_cost.push_back(stmt.totalOpCost());
+    const auto stmt_count = static_cast<ir::StatementIndex>(op_cost.size());
+    plan.tasks.reserve(stream.positions());
+    plan.readPool.reserve(stream.refs.size() - stream.positions());
 
-    ir::InstanceResolver resolver(nest, *arrays_);
+    std::size_t p = 0;
     for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
         const noc::NodeId node = nodes[static_cast<std::size_t>(k)];
-        for (ir::StatementIndex s = 0; s < stmt_count; ++s) {
-            resolver.resolve(k, s);
-            const ir::ResolvedRef &write = resolver.write();
-
+        for (ir::StatementIndex s = 0; s < stmt_count; ++s, ++p) {
             const auto id = static_cast<sim::TaskId>(plan.tasks.size());
             sim::Task task;
             task.node = node;
-            task.computeCost =
-                nest.body()[static_cast<std::size_t>(s)].totalOpCost();
+            task.computeCost = op_cost[static_cast<std::size_t>(s)];
             task.statementIndex = s;
             task.iterationNumber = k;
 
+            // The reads, then the write.
+            const std::uint32_t write = stream.refBegin[p + 1] - 1;
             const std::size_t read_begin = plan.readPool.size();
             const std::size_t dep_begin = plan.depPool.size();
-            for (const ir::ResolvedRef &r : resolver.reads()) {
-                plan.readPool.push_back({r.addr, r.size, r.array});
-                const auto writer = last_writer.find(r.addr);
-                if (writer != last_writer.end() &&
-                    plan.tasks[static_cast<std::size_t>(writer->second)]
-                            .node != node) {
-                    plan.depPool.push_back(writer->second);
+            for (std::uint32_t r = stream.refBegin[p]; r < write; ++r) {
+                const ir::ResolvedRef &read = stream.refs[r];
+                plan.readPool.push_back({read.addr, read.size, read.array});
+                const sim::TaskId writer = last_writer[stream.addrId[r]];
+                if (writer != sim::kInvalidTask &&
+                    plan.tasks[static_cast<std::size_t>(writer)].node !=
+                        node) {
+                    plan.depPool.push_back(writer);
                 }
             }
             plan.closeReads(task, read_begin);
             plan.closeDeps(task, dep_begin);
-            task.write =
-                sim::MemAccess{write.addr, write.size, write.array};
-            last_writer[write.addr] = id;
+            const ir::ResolvedRef &w = stream.refs[write];
+            task.write = sim::MemAccess{w.addr, w.size, w.array};
+            last_writer[stream.addrId[write]] = id;
 
             plan.tasks.push_back(task);
         }

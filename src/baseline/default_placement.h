@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ir/instance.h"
 #include "ir/statement.h"
 #include "sim/manycore.h"
 #include "sim/plan.h"
@@ -46,15 +47,23 @@ class DefaultPlacement
      * Assign every iteration (lexicographic order) to a node: chunks
      * go to their locality-cheapest node under an equal-chunks-per-node
      * capacity constraint, which is what keeps this baseline both
-     * locality-optimized and load-balanced.
+     * locality-optimized and load-balanced. @p stream is @p nest's,
+     * resolved against this placement's arrays and address map.
      */
-    std::vector<noc::NodeId> assignIterations(const ir::LoopNest &nest);
+    std::vector<noc::NodeId> assignIterations(const ir::LoopNest &nest,
+                                              const ir::InstanceStream &stream);
 
     /**
      * Lower the assignment to an ExecutionPlan: one task per statement
      * instance on its iteration's node, with cross-node flow
      * dependences preserved.
      */
+    sim::ExecutionPlan buildPlan(const ir::LoopNest &nest,
+                                 const ir::InstanceStream &stream,
+                                 const std::vector<noc::NodeId> &nodes);
+
+    /** The two steps above on a stream resolved for the one call. */
+    std::vector<noc::NodeId> assignIterations(const ir::LoopNest &nest);
     sim::ExecutionPlan buildPlan(const ir::LoopNest &nest,
                                  const std::vector<noc::NodeId> &nodes);
 

@@ -16,6 +16,9 @@ namespace {
  * One loop nest on its own fresh machine, through the steps every
  * experiment shares: default placement and the profiling run (the
  * constructor), then plan() — the partitioner and the static verifier.
+ * The nest is resolved once, into the instance stream that placement,
+ * the default plan, the data-to-MC profile and the planner all read;
+ * plan() releases it.
  * A fresh machine per nest makes caches, traffic and the profile-
  * trained miss predictor nest-local state, which is what makes nests
  * independent units of parallelism. Callers run their own tail on
@@ -31,11 +34,13 @@ class NestSession
                 const ir::LoopNest &nest)
         : system(config.machine), engine(system, config.energy),
           placement(system, workload.arrays, config.placement),
+          stream(ir::resolveInstances(nest, workload.arrays,
+                                      system.addressMap())),
           config_(config), workload_(workload), nest_(nest)
     {
         system.setMcdramArrays(workload.mcdramArrays);
-        nodes = placement.assignIterations(nest);
-        defaultPlan = placement.buildPlan(nest, nodes);
+        nodes = placement.assignIterations(nest, *stream);
+        defaultPlan = placement.buildPlan(nest, *stream, nodes);
         // The default run doubles as the profiling pass: it trains the
         // L2 miss predictor whose accuracy Table 2 reports.
         defaultRun = engine.run(defaultPlan);
@@ -63,7 +68,8 @@ class NestSession
                                          config_.machine.meshRows));
         partition::Partitioner partitioner(system, workload_.arrays,
                                            popts);
-        sim::ExecutionPlan plan = partitioner.plan(nest_, nodes);
+        sim::ExecutionPlan plan = partitioner.plan(nest_, *stream, nodes);
+        stream.reset();
         report = partitioner.report();
         if (popts.verifyLevel != verify::VerifyLevel::Off &&
             report.provenance) {
@@ -81,6 +87,8 @@ class NestSession
     sim::ManycoreSystem system;
     sim::ExecutionEngine engine;
     baseline::DefaultPlacement placement;
+    /** The nest's instances; null once plan() has run. */
+    std::optional<ir::InstanceStream> stream;
     std::vector<noc::NodeId> nodes;
     sim::ExecutionPlan defaultPlan;
     sim::SimResult defaultRun;
@@ -123,16 +131,18 @@ ExperimentRunner::runNest(const workloads::Workload &workload,
 
     if (config_.dataToMcRemap) {
         session.system.addressMap().setPageMcOverride(
-            baseline::profilePageToMc(session.system, workload.arrays,
-                                      nest, session.nodes));
+            baseline::profilePageToMc(session.system, nest, *session.stream,
+                                      session.nodes));
     }
 
     // Without the partitioner the "optimized" run replays the session's
-    // default plan: buildPlan reads only the nest, arrays and nodes, not
-    // the MC lookup the data-to-MC override changes.
+    // default plan: buildPlan reads only the nest, its stream and the
+    // nodes, not the MC lookup the data-to-MC override changes (a home
+    // bank is a function of the address alone).
     std::optional<sim::ExecutionPlan> planned;
     if (config_.optimizeComputation)
         planned = session.plan();
+    session.stream.reset();
     const sim::ExecutionPlan &optimized_plan =
         planned ? *planned : session.defaultPlan;
     nr.report = std::move(session.report);

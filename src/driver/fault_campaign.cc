@@ -120,6 +120,8 @@ FaultCampaign::run(const workloads::Workload &app,
 
     FaultCampaignResult result;
     result.app = app.name;
+    for (const FaultTrialResult &outcome : outcomes)
+        result.verify.merge(outcome.result.verify);
     result.healthy = std::move(outcomes.front().result);
     result.healthyDefaultMovement = appMovement(result.healthy, false);
     result.healthyOptimizedMovement = appMovement(result.healthy, true);

@@ -117,6 +117,11 @@ struct FaultCampaignResult
     std::vector<FaultRateResult> rates;
     int totalRetries = 0;
     int totalAbandoned = 0;
+    /**
+     * Static verification tallies summed over the healthy reference
+     * and every completed trial (all zero at verify level Off).
+     */
+    verify::ReportCounts verify;
 
     /**
      * Degradation report (deterministic, stdout-safe): one row per

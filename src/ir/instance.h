@@ -5,13 +5,15 @@
  * @file
  * The instance walk: InstanceResolver turns a statement instance (one
  * statement executed at one concrete loop iteration — the paper's
- * footnote 2) into the concrete addresses it reads and writes. Every
- * stage that walks a nest's instance stream — the default placement's
- * profile and plan, the data-to-MC profile, the planner's stream
- * resolution and the static verifier — resolves through it. Indirect
+ * footnote 2) into the concrete addresses it reads and writes. Indirect
  * subscripts resolve through the index-array contents held by the
  * ArrayTable, which is exactly the information the inspector phase
  * gathers at runtime.
+ *
+ * A nest is resolved once, into an InstanceStream: the default
+ * placement's profile and plan, the data-to-MC profile and the planner
+ * all read that one stream. Only the static verifier walks the nest
+ * again with its own resolver, to stay independent of the planner.
  *
  * A warm resolver allocates nothing: each evaluated subscript folds
  * straight into the flat index, the iteration vector is rewritten in
@@ -23,15 +25,20 @@
 #include <vector>
 
 #include "ir/statement.h"
+#include "noc/coord.h"
+
+namespace ndp::mem {
+class AddressMap;
+}
 
 namespace ndp::ir {
 
-/** A reference resolved to a concrete address. */
+/** A reference resolved to a concrete address (16 bytes). */
 struct ResolvedRef
 {
-    ArrayId array = kInvalidArray;
     mem::Addr addr = 0;
     std::uint32_t size = 0;
+    ArrayId array = kInvalidArray;
 };
 
 /**
@@ -74,6 +81,43 @@ class InstanceResolver
     IterationVector iter_;
     std::vector<ResolvedRef> refs_;
 };
+
+/**
+ * One nest's statement instances, resolved once and independent of
+ * any iteration-to-node assignment. Stream position p is iteration *
+ * statements + statement; its references are refs[refBegin[p],
+ * refBegin[p + 1]): the reads in Statement::reads() order, then the
+ * write. Every reference carries a dense address id, and every address
+ * id a dense line id and its home bank node, so a reader keeps its
+ * per-address and per-line state in flat arrays. Both kinds of id are
+ * numbered in first-seen stream order.
+ */
+struct InstanceStream
+{
+    std::vector<std::uint32_t> refBegin;
+    std::vector<ResolvedRef> refs;
+    /** The address id of each reference. */
+    std::vector<std::uint32_t> addrId;
+    /** The line id of each address id. */
+    std::vector<std::uint32_t> lineOf;
+    /** The home L2 bank node of each address id. */
+    std::vector<noc::NodeId> home;
+    std::uint32_t lineCount = 0;
+
+    std::size_t positions() const { return refBegin.size() - 1; }
+    std::size_t addressCount() const { return home.size(); }
+};
+
+/**
+ * Resolve every instance of @p nest against @p arrays, with homes from
+ * @p amap. Ids come from the array layout, not from hashing: an
+ * address is its array's slot base plus its element index, over the
+ * element span the nest touches in that array, and a line likewise
+ * (the allocator's guard pages keep two arrays off one line).
+ */
+InstanceStream resolveInstances(const LoopNest &nest,
+                                const ArrayTable &arrays,
+                                const mem::AddressMap &amap);
 
 } // namespace ndp::ir
 

@@ -71,7 +71,7 @@ class SetAssocCache
      */
     bool access(Addr a);
 
-    /** Non-allocating presence probe (used by locality models). */
+    /** Non-allocating presence probe: tests observe cache state with it. */
     bool contains(Addr a) const;
 
     /** Drop all contents (statistics are kept). */

@@ -70,9 +70,6 @@ class MemoryController
     std::int64_t serviceLatency(Addr a, MemoryKind kind,
                                 const DramCoord &coord);
 
-    /** Total recorded accesses (pass-1 load). */
-    std::int64_t recordedLoad() const { return recordedLoad_; }
-
     /** Accesses serviced in pass 2. */
     std::int64_t servicedCount() const { return serviced_; }
 

@@ -33,7 +33,12 @@ struct CompileStats
      * size is one emitting pass.
      */
     std::int64_t instancesPlanned = 0;
-    /** Instances whose split plan was needed (analyzable instances). */
+    /**
+     * Split requests: analyzable instances that pass the guard's
+     * floors. An instance the floors prove unprofitable runs whole
+     * without a split, a cache lookup or a balancer trial, and is not
+     * counted here (DESIGN.md §7, deviation 4).
+     */
     std::int64_t splitsRequested = 0;
     /** Split plans computed by running Kruskal/splitSet. */
     std::int64_t plansComputed = 0;
@@ -53,8 +58,10 @@ struct CompileStats
     std::int64_t cachePeakBytes = 0;
 
     // Phase timers, nanoseconds; zero unless collectCompileTimers was on.
-    std::int64_t resolveNs = 0; ///< the nest's stream, once per plan()
-    std::int64_t locateNs = 0;  ///< home table + per-operand GetNode
+    /** The nest's line slots, once per plan(), and the stream when
+     *  plan() resolves it itself. */
+    std::int64_t resolveNs = 0;
+    std::int64_t locateNs = 0;  ///< per-operand GetNode
     std::int64_t splitNs = 0;   ///< splitter runs + cache lookups
     std::int64_t syncNs = 0;    ///< per-window sync minimisation
     std::int64_t totalNs = 0;   ///< whole Partitioner::plan() call

@@ -127,8 +127,8 @@ class CopySet
  * which nodes will hold each line in their L1s because of
  * already-scheduled subcomputations in the current window.
  *
- * Keyed by dense line ids: the planner's are the nest stream's own
- * (assigned once per plan() call), and the verifier interns its lines
+ * Keyed by dense line ids: the planner's are the nest's instance
+ * stream's own (ir::InstanceStream), and the verifier interns its lines
  * with DenseIds. Each line has a node bitset stamped with the window
  * epoch, so clear() bumps the epoch and resets only the node FIFOs the
  * window touched, and a map reused window after window, candidate

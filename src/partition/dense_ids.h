@@ -3,9 +3,9 @@
 
 /**
  * @file
- * Dense ids for 64-bit keys. The pre-warm pass interns the stream's
- * addresses and (line, node) pairs with them, and the variable2node
- * map interns each window's lines.
+ * Dense ids for 64-bit keys. The static verifier interns the lines of
+ * its variable2node map with them; the planner's ids come from the
+ * nest's instance stream instead (ir::InstanceStream).
  */
 
 #include <algorithm>

@@ -135,24 +135,6 @@ LoadBalancer::totalLoad() const
     return total;
 }
 
-double
-LoadBalancer::imbalance() const
-{
-    std::int64_t max_load = 0;
-    std::int64_t min_load = 0;
-    bool first = true;
-    for (std::int64_t l : load_) {
-        if (l == 0)
-            continue;
-        max_load = std::max(max_load, l);
-        min_load = first ? l : std::min(min_load, l);
-        first = false;
-    }
-    if (first || min_load == 0)
-        return 1.0;
-    return static_cast<double>(max_load) / static_cast<double>(min_load);
-}
-
 void
 LoadBalancer::reset()
 {

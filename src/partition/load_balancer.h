@@ -70,9 +70,6 @@ class LoadBalancer
     std::int64_t maxLoad() const;
     std::int64_t totalLoad() const;
 
-    /** Max over min load ratio among nodes with any load (>= 1). */
-    double imbalance() const;
-
     /** Zero every load and drop any open trial. */
     void reset();
 

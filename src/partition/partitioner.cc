@@ -6,7 +6,6 @@
 
 #include "ir/instance.h"
 #include "ir/nested_sets.h"
-#include "partition/dense_ids.h"
 #include "partition/inspector.h"
 #include "partition/load_balancer.h"
 #include "partition/splitter.h"
@@ -19,93 +18,47 @@ namespace ndp::partition {
 namespace {
 
 /**
- * One nest's instance stream, resolved once per plan() call by the
- * pre-warm walk and read by every window-size candidate. Stream
- * position p is iteration * statements + statement; its references are
- * refs[refBegin[p], refBegin[p + 1]): the reads in Statement order,
- * then the write. Each reference carries two dense per-nest ids, so the
- * per-instance planner state is flat arrays instead of hash maps:
- *  - addrId: its address, indexing DepTracker, the home table and the
- *    line table;
- *  - lineSlot: its line on the instance's default node, indexing
- *    DefaultL1Model.
+ * The (line, default node) slot of every reference of a nest's
+ * stream, numbered in first-seen order: the keys of DefaultL1Model.
+ * Each line keeps a short chain of its slots, one per default node
+ * that references it, so finding a slot walks that chain.
  */
-struct ResolvedStream
+struct LineSlots
 {
-    std::vector<std::uint32_t> refBegin;
-    /** Only what a task records of a reference: 16 bytes, not 32. */
-    std::vector<sim::MemAccess> refs;
-    std::vector<std::uint32_t> addrId;
-    std::vector<std::uint32_t> lineSlot;
-    std::uint32_t lineSlots = 0;
-    /** The address of each address id, until locateHomes(). */
-    std::vector<mem::Addr> addrs;
-    /** Home-bank location per address id. */
-    std::vector<Location> home;
-    /** Dense line id per address id, keying the window map. */
-    std::vector<std::uint32_t> lineOf;
-    std::uint32_t lineCount = 0;
+    std::vector<std::uint32_t> ofRef;
+    std::uint32_t count = 0;
 };
 
-ResolvedStream
-resolveStream(const ir::ArrayTable &arrays, const ir::LoopNest &nest,
-              const std::vector<noc::NodeId> &default_nodes)
+LineSlots
+slotLines(const ir::InstanceStream &stream,
+          const std::vector<noc::NodeId> &default_nodes,
+          std::size_t statements)
 {
-    ResolvedStream s;
-    DenseIds addr_ids;
-    DenseIds line_ids;
-    DenseIds slot_ids;
-    const auto stmt_count =
-        static_cast<ir::StatementIndex>(nest.body().size());
-    ir::InstanceResolver resolver(nest, arrays);
-    s.refBegin.push_back(0);
-    for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
-        const noc::NodeId node = default_nodes[static_cast<std::size_t>(k)];
-        for (ir::StatementIndex st = 0; st < stmt_count; ++st) {
-            resolver.resolve(k, st);
-            for (const ir::ResolvedRef &r : resolver.refs()) {
-                const std::uint32_t addr = addr_ids.intern(r.addr);
-                if (addr == s.addrs.size()) {
-                    s.addrs.push_back(r.addr);
-                    s.lineOf.push_back(
-                        line_ids.intern(mem::lineNumber(r.addr)));
-                }
-                s.refs.push_back({r.addr, r.size, r.array});
-                s.addrId.push_back(addr);
-                s.lineSlot.push_back(slot_ids.intern(
-                    (std::uint64_t{s.lineOf[addr]} << 32) |
-                    static_cast<std::uint32_t>(node)));
+    constexpr std::uint32_t kNil = 0xffffffffu;
+    LineSlots slots;
+    slots.ofRef.reserve(stream.refs.size());
+    std::vector<std::uint32_t> head(stream.lineCount, kNil);
+    std::vector<noc::NodeId> node_of;
+    std::vector<std::uint32_t> next;
+    for (std::size_t p = 0; p < stream.positions(); ++p) {
+        const noc::NodeId node = default_nodes[p / statements];
+        for (std::uint32_t r = stream.refBegin[p]; r < stream.refBegin[p + 1];
+             ++r) {
+            std::uint32_t &first = head[stream.lineOf[stream.addrId[r]]];
+            std::uint32_t slot = first;
+            while (slot != kNil && node_of[slot] != node)
+                slot = next[slot];
+            if (slot == kNil) {
+                slot = static_cast<std::uint32_t>(node_of.size());
+                node_of.push_back(node);
+                next.push_back(first);
+                first = slot;
             }
-            s.refBegin.push_back(static_cast<std::uint32_t>(s.refs.size()));
-        }
-        if (k == 0) {
-            // Every iteration resolves the same reference count.
-            const std::size_t per_iteration = s.refs.size();
-            const auto iterations =
-                static_cast<std::size_t>(nest.iterationCount());
-            s.refs.reserve(per_iteration * iterations);
-            s.addrId.reserve(per_iteration * iterations);
-            s.lineSlot.reserve(per_iteration * iterations);
-            s.refBegin.reserve(nest.body().size() * iterations + 1);
+            slots.ofRef.push_back(slot);
         }
     }
-    s.lineSlots = slot_ids.size();
-    s.lineCount = line_ids.size();
-    return s;
-}
-
-/**
- * Turn @p stream's addresses into its home table: an address's home
- * location is its SNUCA home bank, a pure function of the address.
- */
-void
-locateHomes(ResolvedStream &stream, const mem::AddressMap &amap)
-{
-    const std::vector<mem::Addr> addrs = std::move(stream.addrs);
-    stream.home.reserve(addrs.size());
-    for (mem::Addr addr : addrs)
-        stream.home.push_back(
-            {amap.homeBankNode(addr), LocationSource::L2Home});
+    slots.count = static_cast<std::uint32_t>(node_of.size());
+    return slots;
 }
 
 /**
@@ -352,19 +305,20 @@ struct OrderArc
  * against steady-state residency, not a cold machine.
  */
 DefaultL1Model
-warmDefaultL1(const sim::ManycoreSystem &system, const ResolvedStream &stream,
+warmDefaultL1(const sim::ManycoreSystem &system,
+              const ir::InstanceStream &stream, const LineSlots &slots,
               const std::vector<noc::NodeId> &default_nodes,
               std::size_t statements)
 {
     DefaultL1Model l1(system.mesh().nodeCount(),
                       static_cast<std::size_t>(system.config().l1Bytes /
                                                mem::kLineSize),
-                      stream.lineSlots);
-    for (std::size_t p = 0; p + 1 < stream.refBegin.size(); ++p) {
+                      slots.count);
+    for (std::size_t p = 0; p < stream.positions(); ++p) {
         const noc::NodeId node = default_nodes[p / statements];
         for (std::uint32_t r = stream.refBegin[p]; r < stream.refBegin[p + 1];
              ++r)
-            l1.insert(node, stream.lineSlot[r]);
+            l1.insert(node, slots.ofRef[r]);
     }
     return l1;
 }
@@ -381,14 +335,15 @@ warmDefaultL1(const sim::ManycoreSystem &system, const ResolvedStream &stream,
  * over the stream keeps each line's last referencing position.
  */
 std::vector<bool>
-copyReach(const ResolvedStream &stream, const std::vector<bool> &splittable,
-          std::int32_t w_first, std::int32_t w_last)
+copyReach(const ir::InstanceStream &stream,
+          const std::vector<bool> &splittable, std::int32_t w_first,
+          std::int32_t w_last)
 {
     std::vector<bool> reach(static_cast<std::size_t>(w_last - w_first + 1));
     auto unreached = static_cast<std::int32_t>(reach.size());
     std::vector<std::int64_t> last(stream.lineCount, -1);
     const std::size_t statements = splittable.size();
-    const std::size_t positions = stream.refBegin.size() - 1;
+    const std::size_t positions = stream.positions();
     for (std::size_t at = 0; at < positions && unreached > 0; ++at) {
         const std::uint32_t begin = stream.refBegin[at];
         const std::uint32_t write = stream.refBegin[at + 1] - 1;
@@ -434,7 +389,9 @@ struct NestContext
     /** totalOpCost() per static statement: a whole statement's load. */
     std::vector<std::int64_t> opCost;
     std::size_t reuseCapacity;
-    ResolvedStream stream;
+    const ir::InstanceStream &stream;
+    /** The (line, default node) slot of each stream reference. */
+    std::vector<std::uint32_t> lineSlot;
     DefaultL1Model warmL1;
 };
 
@@ -450,9 +407,9 @@ struct Decision
     noc::NodeId defaultNode = noc::kInvalidNode;
     noc::NodeId storeNode = noc::kInvalidNode;
     /** The instance's reads and the write, with dense address ids. */
-    std::span<const sim::MemAccess> reads;
+    std::span<const ir::ResolvedRef> reads;
     std::span<const std::uint32_t> readIds;
-    const sim::MemAccess *write = nullptr;
+    const ir::ResolvedRef *write = nullptr;
     std::uint32_t writeId = 0;
     std::int64_t defaultMovement = 0;
     /** Every read's location; set whenever split is. */
@@ -461,6 +418,13 @@ struct Decision
     const SplitView *split = nullptr;
     bool fromCache = false;
 };
+
+/** What a task records of resolved reference @p r. */
+sim::MemAccess
+access(const ir::ResolvedRef &r)
+{
+    return {r.addr, r.size, r.array};
+}
 
 /**
  * Builds the plan of the window size plan() chose by watching that
@@ -481,14 +445,15 @@ class Emitter
             std::int64_t *sync_ns)
         : ctx_(ctx),
           stmtCount_(static_cast<std::int64_t>(ctx.nest.body().size())),
-          deps_(ctx.stream.home.size()), report_(report), syncNs_(sync_ns),
+          deps_(ctx.stream.addressCount()), report_(report),
+          syncNs_(sync_ns),
           plan_(plan)
     {
         report.chosenWindowSize = window_size;
         plan_.name = ctx.nest.name();
         // At least one task per instance, and one record each. Every
         // read of the stream lands in exactly one task.
-        const std::size_t instances = ctx.stream.refBegin.size() - 1;
+        const std::size_t instances = ctx.stream.positions();
         plan_.tasks.reserve(instances);
         plan_.readPool.reserve(ctx.stream.refs.size() - instances);
 
@@ -598,7 +563,7 @@ class Emitter
         const sim::TaskId id = nextTaskId();
         sim::Task &task = newTask(d, d.defaultNode);
         task.computeCost = ctx_.opCost[static_cast<std::size_t>(d.stmtIdx)];
-        task.write = *d.write;
+        task.write = access(*d.write);
         // Like the baseline, the unsplit statement relies on the
         // program's own ordering: only real (resolved) address
         // conflicts serialise it.
@@ -607,8 +572,8 @@ class Emitter
                 stagedDeps_.addUnique(id, from);
         };
         const std::size_t read_begin = plan_.readPool.size();
-        plan_.readPool.insert(plan_.readPool.end(), d.reads.begin(),
-                              d.reads.end());
+        for (const ir::ResolvedRef &r : d.reads)
+            plan_.readPool.push_back(access(r));
         plan_.closeReads(task, read_begin);
         for (std::uint32_t addr : d.readIds)
             add_dep(deps_.writer(addr));
@@ -630,6 +595,7 @@ class Emitter
     {
         const SplitView &split = *d.split;
         taskOfSub_.assign(split.size(), sim::kInvalidTask);
+        instanceArcs_ = orderArcs_.size();
         std::size_t s = 0;
         for (const SubView sub : split) {
             const sim::TaskId id = nextTaskId();
@@ -640,10 +606,10 @@ class Emitter
                 sub.isRoot ? d.reads.size() - d.stmt->rhsReadCount() : 0;
             const std::size_t read_begin = plan_.readPool.size();
             for (const std::size_t i : sub.leaves) {
-                plan_.readPool.push_back(d.reads[i]);
+                plan_.readPool.push_back(access(d.reads[i]));
                 const sim::TaskId writer = deps_.writer(d.readIds[i]);
                 if (writer != sim::kInvalidTask)
-                    orderArcs_.push_back({writer, id});
+                    addOrderArc(writer, id);
                 deps_.noteRead(d.readIds[i], id);
             }
             for (const std::size_t child : sub.children) {
@@ -654,9 +620,9 @@ class Emitter
                 dataArcs_.push_back({child_task, id});
             }
             if (sub.isRoot) {
-                task.write = *d.write;
-                plan_.readPool.insert(plan_.readPool.end(),
-                                      d.reads.end() - guards, d.reads.end());
+                task.write = access(*d.write);
+                for (const ir::ResolvedRef &r : d.reads.last(guards))
+                    plan_.readPool.push_back(access(r));
             }
             plan_.closeReads(task, read_begin);
             taskOfSub_[s++] = id;
@@ -665,12 +631,31 @@ class Emitter
             taskOfSub_[static_cast<std::size_t>(split.root)];
         const sim::TaskId writer = deps_.writer(d.writeId);
         if (writer != sim::kInvalidTask)
-            orderArcs_.push_back({writer, root});
+            addOrderArc(writer, root);
         for (sim::TaskId reader : deps_.readers(d.writeId)) {
             if (reader != root)
-                orderArcs_.push_back({reader, root});
+                addOrderArc(reader, root);
         }
         deps_.noteWrite(d.writeId, root);
+    }
+
+    /**
+     * Add the ordering arc @p from -> @p to of the split instance being
+     * emitted, once: two reads of one address in a sub, or a read and
+     * the write of one address in the root, would repeat it, and
+     * minimizeSyncs() must meet each arc once (a repeat of a dropped
+     * arc is no longer in its graph).
+     */
+    void
+    addOrderArc(sim::TaskId from, sim::TaskId to)
+    {
+        const OrderArc arc{from, to};
+        if (std::none_of(orderArcs_.begin() +
+                             static_cast<std::ptrdiff_t>(instanceArcs_),
+                         orderArcs_.end(), [&](const OrderArc &a) {
+                             return a.from == arc.from && a.to == arc.to;
+                         }))
+            orderArcs_.push_back(arc);
     }
 
     /**
@@ -829,6 +814,8 @@ class Emitter
     /** The window's task deps, final once minimizeSyncs() ran. */
     DepStaging stagedDeps_;
     std::vector<OrderArc> orderArcs_; // reducible (pure ordering)
+    /** The first of orderArcs_ added by the split being emitted. */
+    std::size_t instanceArcs_ = 0;
     std::vector<OrderArc> dataArcs_;  // value-carrying (fixed)
     // minimizeSyncs scratch.
     SyncGraph syncGraph_;
@@ -918,16 +905,18 @@ class DecisionLane
         d_.split = nullptr;
         if (ctx_.splittable[static_cast<std::size_t>(d_.stmtIdx)]) {
             locate();
-            candidate_ = splitInstance();
-            const bool ship = profitable(candidate_);
-            if (opts_.loadBalance) {
+            if (!cannotPay()) {
+                candidate_ = splitInstance();
+                const bool ship = profitable(candidate_);
+                if (opts_.loadBalance) {
+                    if (ship)
+                        balancer_.commit();
+                    else
+                        balancer_.rollback();
+                }
                 if (ship)
-                    balancer_.commit();
-                else
-                    balancer_.rollback();
+                    d_.split = &candidate_;
             }
-            if (ship)
-                d_.split = &candidate_;
         }
         note();
     }
@@ -948,7 +937,7 @@ class DecisionLane
         d_.readIds = {stream_.addrId.data() + base_, write_at - base_};
         d_.write = &stream_.refs[write_at];
         d_.writeId = stream_.addrId[write_at];
-        d_.storeNode = stream_.home[d_.writeId].node;
+        d_.storeNode = stream_.home[d_.writeId];
     }
 
     /**
@@ -965,15 +954,15 @@ class DecisionLane
         for (std::size_t i = 0; i < d_.reads.size(); ++i) {
             // One default node per instance, so equal slots are equal
             // lines.
-            const std::uint32_t slot = stream_.lineSlot[base_ + i];
+            const std::uint32_t slot = ctx_.lineSlot[base_ + i];
             if (l1_.contains(slot) ||
                 std::find(fetchedSlots_.begin(), fetchedSlots_.end(),
                           slot) != fetchedSlots_.end())
                 continue;
             fetchedSlots_.push_back(slot);
             d_.defaultMovement +=
-                lineFlits_ * mesh_.distance(d_.defaultNode,
-                                            stream_.home[d_.readIds[i]].node);
+                lineFlits_ *
+                mesh_.distance(d_.defaultNode, stream_.home[d_.readIds[i]]);
         }
         // Equation 1 weights movement by data size: a fetched line is
         // lineFlits wide; the posted default write moves one element
@@ -1001,7 +990,8 @@ class DecisionLane
                     continue;
                 }
             }
-            locations_.push_back(stream_.home[addr]);
+            locations_.push_back(
+                {stream_.home[addr], LocationSource::L2Home});
         }
         d_.locations = locations_;
     }
@@ -1108,6 +1098,39 @@ class DecisionLane
     }
 
     /**
+     * True when profitable() would reject every split splitInstance()
+     * could return, so the instance runs whole without one (DESIGN.md
+     * §7, deviation 4). Every split of the instance moves at least
+     * splitReach() and costs at least splitOverheadFloor() cycles of
+     * overhead. Both guard sides are profitable()'s own expressions,
+     * evaluated on an integer never larger (benefit) or never smaller
+     * (overhead); IEEE products are monotone and the Partitioner
+     * requires every factor non-negative, so this never rejects a
+     * split that would ship.
+     */
+    bool
+    cannotPay() const
+    {
+        const std::int32_t reach = splitReach(
+            mesh_,
+            std::span<const Location>(locations_)
+                .first(d_.stmt->rhsReadCount()),
+            d_.storeNode);
+        const std::int64_t saving = d_.defaultMovement - reach;
+        if (saving <= 0)
+            return true;
+        if (!(opts_.overheadSafetyFactor > 0.0))
+            return false;
+        const sim::ManycoreConfig &config = ctx_.system.config();
+        const std::int64_t overhead =
+            splitOverheadFloor(reach, config.perTaskOverheadCycles,
+                               config.syncOverheadCycles);
+        return opts_.latencyPerFlitHop * static_cast<double>(saving) <=
+               opts_.overheadSafetyFactor * opts_.profileUtilization *
+                   static_cast<double>(overhead);
+    }
+
+    /**
      * Update the state later decisions read: the balancer's load for a
      * whole statement (a split's trial was committed), the window map's
      * copies of every fetched operand and of the stored result, in
@@ -1126,7 +1149,7 @@ class DecisionLane
             for (std::size_t r = base_; r <= write_ref; ++r) {
                 if (addCopies_)
                     addCopy(r, d_.defaultNode);
-                l1_.insert(d_.defaultNode, stream_.lineSlot[r]);
+                l1_.insert(d_.defaultNode, ctx_.lineSlot[r]);
             }
         } else if (addCopies_) {
             for (const SubView sub : *d_.split) {
@@ -1158,7 +1181,7 @@ class DecisionLane
     const noc::MeshTopology &mesh_;
     const std::int64_t stmtCount_;
     const std::int64_t lineFlits_;
-    const ResolvedStream &stream_;
+    const ir::InstanceStream &stream_;
     LoadBalancer balancer_;
     StatementSplitter splitter_;
     DefaultL1Model l1_;
@@ -1196,16 +1219,47 @@ Partitioner::Partitioner(sim::ManycoreSystem &system,
     NDP_REQUIRE(options_.fixedWindowSize >= 0,
                 "fixed window size must be >= 0 (0 = adaptive), got "
                     << options_.fixedWindowSize);
+    // The guard's floors (DecisionLane::cannotPay()) are sound only
+    // for non-negative cost-model factors.
+    NDP_REQUIRE(options_.latencyPerFlitHop >= 0.0,
+                "latency per flit-hop must be >= 0, got "
+                    << options_.latencyPerFlitHop);
+    NDP_REQUIRE(options_.profileUtilization >= 0.0,
+                "profile utilization must be >= 0, got "
+                    << options_.profileUtilization);
+    NDP_REQUIRE(system.config().perTaskOverheadCycles >= 0 &&
+                    system.config().syncOverheadCycles >= 0,
+                "task and sync overheads must be >= 0");
 }
 
 sim::ExecutionPlan
 Partitioner::plan(const ir::LoopNest &nest,
                   const std::vector<noc::NodeId> &default_nodes)
 {
+    std::int64_t resolve_ns = 0;
+    const ir::InstanceStream stream = [&] {
+        ScopedPhaseTimer t(options_.collectCompileTimers ? &resolve_ns
+                                                         : nullptr);
+        return ir::resolveInstances(nest, *arrays_, system_->addressMap());
+    }();
+    sim::ExecutionPlan plan = this->plan(nest, stream, default_nodes);
+    report_.compile.resolveNs += resolve_ns;
+    report_.compile.totalNs += resolve_ns;
+    return plan;
+}
+
+sim::ExecutionPlan
+Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
+                  const std::vector<noc::NodeId> &default_nodes)
+{
     NDP_REQUIRE(static_cast<std::int64_t>(default_nodes.size()) ==
                     nest.iterationCount(),
                 "default assignment size mismatch for nest '"
                     << nest.name() << "'");
+    NDP_REQUIRE(stream.positions() ==
+                    default_nodes.size() * nest.body().size(),
+                "instance stream does not match nest '" << nest.name()
+                                                        << "'");
 
     // A fixed window size is the only candidate; 0 sweeps 1..max.
     const bool fixed = options_.fixedWindowSize > 0;
@@ -1230,8 +1284,8 @@ Partitioner::plan(const ir::LoopNest &nest,
             options_.collectCompileTimers ? &compile_total.totalNs
                                           : nullptr);
         // The window-independent work runs once per nest: every
-        // candidate reads the same resolved stream and starts from the
-        // same warmed default-L1 model.
+        // candidate reads the same stream and line slots and starts
+        // from the same warmed default-L1 model.
         const bool inspector_resolved =
             Inspector::canResolve(nest, *arrays_) || options_.oracle;
         std::vector<ir::VarSet> static_sets;
@@ -1253,21 +1307,15 @@ Partitioner::plan(const ir::LoopNest &nest,
                 ? options_.reuseCapacityLines
                 : static_cast<std::size_t>(system_->config().l1Bytes /
                                            mem::kLineSize / 4);
-        ResolvedStream stream;
+        LineSlots slots;
         {
             ScopedPhaseTimer t(options_.collectCompileTimers
                                    ? &compile_total.resolveNs
                                    : nullptr);
-            stream = resolveStream(*arrays_, nest, default_nodes);
+            slots = slotLines(stream, default_nodes, nest.body().size());
         }
-        {
-            ScopedPhaseTimer t(options_.collectCompileTimers
-                                   ? &compile_total.locateNs
-                                   : nullptr);
-            locateHomes(stream, system_->addressMap());
-        }
-        DefaultL1Model warm_l1 = warmDefaultL1(*system_, stream, default_nodes,
-                                               nest.body().size());
+        DefaultL1Model warm_l1 = warmDefaultL1(
+            *system_, stream, slots, default_nodes, nest.body().size());
         // Only candidates that can reach a copy can differ from
         // w_first (copyReach()); without reuse none can.
         std::vector<bool> reach;
@@ -1276,8 +1324,8 @@ Partitioner::plan(const ir::LoopNest &nest,
         const NestContext ctx{
             *system_, options_, splitCache_, nest, default_nodes,
             std::move(static_sets), std::move(splittable),
-            std::move(op_cost), reuse_capacity, std::move(stream),
-            std::move(warm_l1)};
+            std::move(op_cost), reuse_capacity, stream,
+            std::move(slots.ofRef), std::move(warm_l1)};
         DecisionLane lane(ctx);
 
         // Score the candidates (Section 4.4: least total movement, the

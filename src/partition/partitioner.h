@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "ir/instance.h"
 #include "ir/statement.h"
 #include "partition/compile_stats.h"
 #include "partition/data_locator.h"
@@ -142,11 +143,12 @@ struct PartitionReport
     std::int64_t reuseCopiesPlanned = 0;
     /**
      * Compile-loop cost of producing this plan: the nest's one-off
-     * stream resolution and default-L1 warm-up, the scoring pass of
-     * every window-size candidate the adaptive sweep walked, and the
-     * winner's emitting pass (the planner paid for all of them), so
-     * instancesPlanned is (walked candidates + 1) x the instances. A
-     * fixed window size has the emitting pass only.
+     * line slots (and stream, when plan() resolved it) and default-L1
+     * warm-up, the scoring pass of every window-size candidate the
+     * adaptive sweep walked, and the winner's emitting pass (the
+     * planner paid for all of them), so instancesPlanned is (walked
+     * candidates + 1) x the instances. A fixed window size has the
+     * emitting pass only.
      */
     CompileStats compile;
     /**
@@ -181,12 +183,19 @@ class Partitioner
                 PartitionOptions options = {});
 
     /**
-     * Plan @p nest.
+     * Plan @p nest from its resolved instances.
+     * @param stream @p nest's instance stream, resolved against this
+     *        Partitioner's arrays and the system's address map
      * @param default_nodes baseline (iteration -> node) assignment, in
      *        lexicographic iteration order; used for the movement
      *        comparison and as the fallback placement for statements
      *        whose references cannot be analysed
      */
+    sim::ExecutionPlan plan(const ir::LoopNest &nest,
+                            const ir::InstanceStream &stream,
+                            const std::vector<noc::NodeId> &default_nodes);
+
+    /** plan() on a stream resolved for this one call. */
     sim::ExecutionPlan plan(const ir::LoopNest &nest,
                             const std::vector<noc::NodeId> &default_nodes);
 

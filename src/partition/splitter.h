@@ -23,6 +23,7 @@
  * verifier's reference recomputation all take it as it is.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -128,6 +129,43 @@ class StatementSplitter
     std::vector<std::unique_ptr<Level>> levels_;
     std::size_t depth_ = 0;
 };
+
+/**
+ * The reach of a split: the largest hop distance from any of
+ * @p leaf_locations (the RHS leaves; guard reads are not tree leaves)
+ * to @p store_node. Every split StatementSplitter returns for them,
+ * with or without a balancer, moves at least this much: each leaf's
+ * value reaches the root over counted tree edges and slides, and hop
+ * distances obey the triangle inequality.
+ */
+inline std::int32_t
+splitReach(const noc::MeshTopology &mesh,
+           std::span<const Location> leaf_locations, noc::NodeId store_node)
+{
+    std::int32_t reach = 0;
+    for (const Location &loc : leaf_locations)
+        reach = std::max(reach, mesh.distance(loc.node, store_node));
+    return reach;
+}
+
+/**
+ * A floor on size() * @p task_cycles + crossNodeEdges *
+ * @p sync_cycles (both non-negative) over every split of reach
+ * @p reach. A split has a root; with reach > 0 it also has the sub
+ * that reads the far leaf (a lone leaf is forwarded by a sub of its
+ * own), joined to the rest by a cross-node edge. A balancer slide can
+ * move that sub's merge onto the store node, leaving no cross-node
+ * edge, but only onto a child already there: a third sub. So
+ * 2 * task + sync is not a floor; the smaller of it and 3 * task is.
+ */
+inline std::int64_t
+splitOverheadFloor(std::int32_t reach, std::int64_t task_cycles,
+                   std::int64_t sync_cycles)
+{
+    if (reach == 0)
+        return task_cycles;
+    return std::min(2 * task_cycles + sync_cycles, 3 * task_cycles);
+}
 
 } // namespace ndp::partition
 

@@ -31,17 +31,6 @@ struct Workload
     std::vector<ir::LoopNest> nests;
     /** Arrays the Vtune-style profiling step places in MCDRAM. */
     std::unordered_set<ir::ArrayId> mcdramArrays;
-
-    /** Total statement instances across all nests. */
-    std::int64_t
-    statementInstances() const
-    {
-        std::int64_t total = 0;
-        for (const ir::LoopNest &nest : nests)
-            total += nest.iterationCount() *
-                     static_cast<std::int64_t>(nest.body().size());
-        return total;
-    }
 };
 
 /** Builds the 12 applications at a given problem scale. */

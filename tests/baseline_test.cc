@@ -157,7 +157,10 @@ TEST_F(BaselineTest, PageToMcReturnsValidControllers)
     DefaultPlacement placement(system, arrays);
     const auto nodes = placement.assignIterations(nest);
     const auto mapping =
-        profilePageToMc(system, arrays, nest, nodes);
+        profilePageToMc(system, nest,
+                        ir::resolveInstances(nest, arrays,
+                                             system.addressMap()),
+                        nodes);
     EXPECT_FALSE(mapping.empty());
     for (const auto &[page, mc] : mapping)
         EXPECT_LT(mc, 4u);
@@ -179,7 +182,10 @@ TEST_F(BaselineTest, PageVotesFollowAccessingCores)
     const std::vector<noc::NodeId> nodes(
         static_cast<std::size_t>(nest.iterationCount()), corner_ish);
     const auto mapping =
-        profilePageToMc(system, arrays, nest, nodes);
+        profilePageToMc(system, nest,
+                        ir::resolveInstances(nest, arrays,
+                                             system.addressMap()),
+                        nodes);
     const auto &mcs = system.mesh().memoryControllerNodes();
     std::uint32_t expected = 0;
     for (std::uint32_t m = 1; m < mcs.size(); ++m) {

@@ -418,7 +418,6 @@ TEST(MemoryControllerTest, ResetClearsState)
     DramCoord coord{0, 0, 0};
     mc.serviceLatency(0x1000, MemoryKind::Ddr, coord);
     mc.reset();
-    EXPECT_EQ(mc.recordedLoad(), 0);
     EXPECT_EQ(mc.servicedCount(), 0);
     EXPECT_EQ(mc.sideCacheStats()->accesses(), 0);
 }

@@ -271,6 +271,23 @@ TEST_F(PartitionerTest, RejectsNegativeFixedWindowSize)
     EXPECT_THROW(Partitioner(system, arrays, options), FatalError);
 }
 
+TEST_F(PartitionerTest, RejectsNegativeGuardFactors)
+{
+    // The guard's floors skip split requests only because every factor
+    // of profitable() is non-negative; a negative one is a caller bug.
+    PartitionOptions latency;
+    latency.latencyPerFlitHop = -1.0;
+    EXPECT_THROW(Partitioner(system, arrays, latency), FatalError);
+    PartitionOptions utilization;
+    utilization.profileUtilization = -0.25;
+    EXPECT_THROW(Partitioner(system, arrays, utilization), FatalError);
+    // Zero is allowed: it only makes every split look free or worthless.
+    PartitionOptions zero;
+    zero.latencyPerFlitHop = 0.0;
+    zero.profileUtilization = 0.0;
+    EXPECT_NO_THROW(Partitioner(system, arrays, zero));
+}
+
 TEST_F(PartitionerTest, AdaptiveWindowPicksMinimumMovement)
 {
     ir::LoopNest nest = parse(R"(

@@ -13,7 +13,12 @@
  *    than fetching a line (8 flits);
  *  - nested-set levels never mix components: every leaf operand
  *    belongs to exactly one set level and to exactly one
- *    subcomputation, and children always precede their parents.
+ *    subcomputation, and children always precede their parents;
+ *  - every split, with or without balancer slides, on a mesh, a torus
+ *    and a faulted mesh, satisfies the floors the planner's guard
+ *    skips split requests by: movement >= splitReach(), at least two
+ *    subs when the reach is positive, and overhead >=
+ *    splitOverheadFloor().
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +28,11 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault_model.h"
 #include "ir/nested_sets.h"
 #include "ir/parser.h"
 #include "noc/mesh_topology.h"
+#include "partition/load_balancer.h"
 #include "partition/splitter.h"
 #include "support/rng.h"
 
@@ -292,6 +299,116 @@ TEST(SplitterPropertyTest, NestedSetLevelsNeverMixLeaves)
         EXPECT_EQ(sets.leafCount(),
                   static_cast<std::size_t>(leaves));
         EXPECT_GE(sets.depth(), 1u);
+    }
+}
+
+/** A 6x6 mesh with two dead tiles and two failed links, connected. */
+noc::MeshTopology
+faultedMesh()
+{
+    fault::FaultModel model;
+    model.killNode(8);
+    model.killNode(27);
+    model.failLink(14, 15);
+    model.failLink(21, 20);
+    return noc::MeshTopology(6, 6, false, model);
+}
+
+/** @p count locations on live nodes of @p mesh. */
+std::vector<partition::Location>
+randomLiveLocations(const noc::MeshTopology &mesh, std::size_t count,
+                    Rng &rng)
+{
+    const std::vector<noc::NodeId> &live = mesh.liveNodes();
+    std::vector<partition::Location> locations(count);
+    for (partition::Location &loc : locations)
+        loc.node = live[rng.nextBelow(live.size())];
+    return locations;
+}
+
+TEST(SplitterPropertyTest, EverySplitMeetsTheGuardFloors)
+{
+    // (task, sync) overhead pairs: the paper machine's (18, 30), where
+    // 3 * task is the smaller floor, and pairs where 2 * task + sync
+    // is, or where one overhead is free.
+    const std::int64_t overheads[][2] = {
+        {18, 30}, {30, 18}, {7, 0}, {0, 9}};
+    Rng rng(0xf100f);
+    const noc::MeshTopology meshes[] = {noc::MeshTopology(6, 6),
+                                        noc::MeshTopology(5, 4, true),
+                                        faultedMesh()};
+    partition::SplitPlan plan;
+    partition::SplitPlan free_plan;
+    for (const noc::MeshTopology &mesh : meshes) {
+        partition::StatementSplitter splitter(mesh);
+        for (const bool balanced : {false, true}) {
+            // A zero threshold over random preloads vetoes most
+            // merges, so many slide.
+            partition::LoadBalancer balancer(mesh.nodeCount(), 0.0);
+            for (noc::NodeId node = 0; node < mesh.nodeCount(); ++node) {
+                if (!mesh.isLive(node))
+                    balancer.markUnavailable(node);
+            }
+            // Balanced splits that slid a merge.
+            int slid = 0;
+            for (int trial = 0; trial < 300; ++trial) {
+                const int leaves = 2 + static_cast<int>(rng.nextBelow(9));
+                const bool flat = rng.nextBool(0.3);
+                ir::ArrayTable arrays;
+                const ir::LoopNest nest = kernelFor(
+                    flat ? flatRhs(leaves, rng) : nestedRhs(0, leaves, rng),
+                    leaves, arrays);
+                const ir::VarSet sets =
+                    ir::buildVarSets(nest.body().front());
+                // Few distinct nodes, often the store's, so vertices
+                // merge several items and balance-worthy merges abound.
+                const auto pool = randomLiveLocations(
+                    mesh, 1 + rng.nextBelow(4), rng);
+                std::vector<partition::Location> locations;
+                for (int l = 0; l < leaves; ++l)
+                    locations.push_back(pool[rng.nextBelow(pool.size())]);
+                const noc::NodeId store =
+                    rng.nextBool(0.5)
+                        ? pool[rng.nextBelow(pool.size())].node
+                        : randomLiveLocations(mesh, 1, rng).front().node;
+
+                balancer.reset();
+                for (noc::NodeId node : mesh.liveNodes())
+                    balancer.add(node, static_cast<std::int64_t>(
+                                           rng.nextBelow(4)));
+                splitter.split(sets, locations, store,
+                               balanced ? &balancer : nullptr, plan);
+                const partition::SplitView split = plan.view();
+                splitter.split(sets, locations, store, nullptr, free_plan);
+                if (free_plan.plannedMovement != split.plannedMovement)
+                    ++slid;
+
+                const std::string label =
+                    std::to_string(mesh.cols()) + "x" +
+                    std::to_string(mesh.rows()) +
+                    (mesh.isTorus() ? " torus" : "") +
+                    (mesh.hasFaults() ? " faulted" : "") +
+                    (balanced ? " balanced" : "") + " trial " +
+                    std::to_string(trial);
+                const std::int32_t reach =
+                    partition::splitReach(mesh, locations, store);
+                EXPECT_GE(split.plannedMovement, reach) << label;
+                if (reach > 0) {
+                    EXPECT_GE(split.size(), 2u) << label;
+                }
+                for (const auto &[task, sync] : overheads) {
+                    const std::int64_t overhead =
+                        static_cast<std::int64_t>(split.size()) * task +
+                        split.crossNodeEdges * sync;
+                    EXPECT_GE(overhead, partition::splitOverheadFloor(
+                                            reach, task, sync))
+                        << label << " task " << task << " sync " << sync;
+                }
+            }
+            if (balanced) {
+                EXPECT_GT(slid, 0) << mesh.cols() << "x" << mesh.rows();
+            }
+        }
     }
 }
 

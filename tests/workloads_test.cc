@@ -62,7 +62,6 @@ TEST_P(WorkloadBuildTest, BuildsWithSoundStructure)
     const Workload w = factory.build(GetParam());
     EXPECT_EQ(w.name, GetParam());
     EXPECT_FALSE(w.nests.empty());
-    EXPECT_GT(w.statementInstances(), 0);
     EXPECT_FALSE(w.mcdramArrays.empty());
     for (const ir::ArrayId id : w.mcdramArrays) {
         EXPECT_GE(id, 0);
