@@ -6,6 +6,16 @@
 
 namespace ndp::baseline {
 
+namespace {
+
+/**
+ * Iterations sampled per chunk when profiling its locality cost (the
+ * paper's profile pass need not touch every iteration).
+ */
+constexpr std::int64_t kProfileSamplesPerChunk = 8;
+
+} // namespace
+
 DefaultPlacement::DefaultPlacement(sim::ManycoreSystem &system,
                                    const ir::ArrayTable &arrays,
                                    DefaultPlacementOptions options)
@@ -64,8 +74,7 @@ DefaultPlacement::assignIterations(const ir::LoopNest &nest,
         const std::int64_t begin = c * chunk;
         const std::int64_t end = std::min(begin + chunk, iterations);
         const std::int64_t span = end - begin;
-        const std::int64_t samples =
-            std::min(options_.profileSamplesPerChunk, span);
+        const std::int64_t samples = std::min(kProfileSamplesPerChunk, span);
         std::vector<std::int64_t> &chunk_cost =
             cost[static_cast<std::size_t>(c)];
         for (std::int64_t s = 0; s < samples; ++s) {

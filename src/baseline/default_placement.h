@@ -28,11 +28,6 @@ struct DefaultPlacementOptions
      * at least 1).
      */
     std::int64_t chunkIterations = 0;
-    /**
-     * Iterations sampled per chunk when profiling its locality cost
-     * (the paper's profile pass need not touch every iteration).
-     */
-    std::int64_t profileSamplesPerChunk = 8;
 };
 
 /** Profile-guided iteration-granularity placement. */

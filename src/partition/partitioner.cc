@@ -208,89 +208,6 @@ class DepTracker
     std::vector<sim::TaskId> readers_;
 };
 
-/**
- * The deps of one window's tasks, staged until minimizeSyncs() has
- * added the window's ordering arcs: one list per task, in the order
- * its deps were added, threaded through one shared arena. Reset per
- * window with its storage kept, so staging allocates only when a
- * window outgrows every earlier one.
- */
-class DepStaging
-{
-  public:
-    /** Start staging the window whose first task is @p first. */
-    void
-    reset(std::size_t first)
-    {
-        first_ = first;
-        head_.clear();
-        tail_.clear();
-        entries_.clear();
-    }
-
-    /** Open the empty list of the window's next task. */
-    void
-    addTask()
-    {
-        head_.push_back(kEnd);
-        tail_.push_back(kEnd);
-    }
-
-    /** Append @p dep to the list of task @p task. */
-    void
-    add(sim::TaskId task, sim::TaskId dep)
-    {
-        const std::size_t t = local(task);
-        const auto at = static_cast<std::int32_t>(entries_.size());
-        entries_.push_back({dep, kEnd});
-        if (tail_[t] == kEnd)
-            head_[t] = at;
-        else
-            entries_[static_cast<std::size_t>(tail_[t])].next = at;
-        tail_[t] = at;
-    }
-
-    /** add() unless task @p task already lists @p dep. */
-    void
-    addUnique(sim::TaskId task, sim::TaskId dep)
-    {
-        bool listed = false;
-        forEach(task, [&](sim::TaskId d) { listed = listed || d == dep; });
-        if (!listed)
-            add(task, dep);
-    }
-
-    /** Call @p visit on each dep of task @p task, in order. */
-    template <typename Visit>
-    void
-    forEach(sim::TaskId task, Visit &&visit) const
-    {
-        for (std::int32_t e = head_[local(task)]; e != kEnd;
-             e = entries_[static_cast<std::size_t>(e)].next)
-            visit(entries_[static_cast<std::size_t>(e)].dep);
-    }
-
-  private:
-    static constexpr std::int32_t kEnd = -1;
-
-    struct Entry
-    {
-        sim::TaskId dep;
-        std::int32_t next;
-    };
-
-    std::size_t
-    local(sim::TaskId task) const
-    {
-        return static_cast<std::size_t>(task) - first_;
-    }
-
-    std::size_t first_ = 0;
-    std::vector<std::int32_t> head_;
-    std::vector<std::int32_t> tail_;
-    std::vector<Entry> entries_;
-};
-
 /** One candidate synchronisation arc. */
 struct OrderArc
 {
@@ -513,7 +430,6 @@ class Emitter
 
         digest_.reset();
         windowTaskBegin_ = plan_.tasks.size();
-        stagedDeps_.reset(windowTaskBegin_);
         orderArcs_.clear();
         dataArcs_.clear();
     }
@@ -534,12 +450,31 @@ class Emitter
     sim::Task &
     newTask(const Decision &d, noc::NodeId node)
     {
-        stagedDeps_.addTask();
+        const std::size_t local = plan_.tasks.size() - windowTaskBegin_;
+        if (local == windowDeps_.size())
+            windowDeps_.emplace_back();
+        windowDeps_[local].clear();
         sim::Task &task = plan_.tasks.emplace_back();
         task.node = node;
         task.statementIndex = d.stmtIdx;
         task.iterationNumber = d.iter;
         return task;
+    }
+
+    /** The staged deps of window task @p task, in the order added. */
+    std::vector<sim::TaskId> &
+    depsOf(sim::TaskId task)
+    {
+        return windowDeps_[static_cast<std::size_t>(task) - windowTaskBegin_];
+    }
+
+    /** Stage @p dep for task @p task unless it already lists it. */
+    void
+    addDepOnce(sim::TaskId task, sim::TaskId dep)
+    {
+        std::vector<sim::TaskId> &deps = depsOf(task);
+        if (std::find(deps.begin(), deps.end(), dep) == deps.end())
+            deps.push_back(dep);
     }
 
     /** Move the window's staged deps to the plan's pool, in task order. */
@@ -548,10 +483,10 @@ class Emitter
     {
         for (std::size_t i = windowTaskBegin_; i < plan_.tasks.size(); ++i) {
             const std::size_t begin = plan_.depPool.size();
-            stagedDeps_.forEach(static_cast<sim::TaskId>(i),
-                                [this](sim::TaskId dep) {
-                                    plan_.depPool.push_back(dep);
-                                });
+            const std::vector<sim::TaskId> &deps =
+                depsOf(static_cast<sim::TaskId>(i));
+            plan_.depPool.insert(plan_.depPool.end(), deps.begin(),
+                                 deps.end());
             plan_.closeDeps(plan_.tasks[i], begin);
         }
     }
@@ -569,7 +504,7 @@ class Emitter
         // conflicts serialise it.
         auto add_dep = [this, id](sim::TaskId from) {
             if (from != sim::kInvalidTask && from != id)
-                stagedDeps_.addUnique(id, from);
+                addDepOnce(id, from);
         };
         const std::size_t read_begin = plan_.readPool.size();
         for (const ir::ResolvedRef &r : d.reads)
@@ -616,7 +551,7 @@ class Emitter
                 const sim::TaskId child_task = taskOfSub_[child];
                 NDP_CHECK(child_task != sim::kInvalidTask,
                           "child emitted after parent");
-                stagedDeps_.add(id, child_task);
+                depsOf(id).push_back(child_task);
                 dataArcs_.push_back({child_task, id});
             }
             if (sub.isRoot) {
@@ -740,7 +675,7 @@ class Emitter
             return plan_.tasks[static_cast<std::size_t>(id)];
         };
         auto apply_dep = [this](sim::TaskId from, sim::TaskId to) {
-            stagedDeps_.addUnique(to, from);
+            addDepOnce(to, from);
         };
         // A task's instance is its stream position; count per window
         // offset.
@@ -785,11 +720,10 @@ class Emitter
         finalSyncs_.assign(instances, 0);
         for (std::size_t i = first; i < plan_.tasks.size(); ++i) {
             const sim::Task &t = plan_.tasks[i];
-            stagedDeps_.forEach(static_cast<sim::TaskId>(i),
-                                [&](sim::TaskId d) {
-                                    if (task(d).node != t.node)
-                                        finalSyncs_[slot(t)] += 1;
-                                });
+            for (sim::TaskId d : depsOf(static_cast<sim::TaskId>(i))) {
+                if (task(d).node != t.node)
+                    finalSyncs_[slot(t)] += 1;
+            }
         }
         for (std::size_t k = 0; k < instances; ++k) {
             report_.syncsPerStatement.add(
@@ -811,8 +745,13 @@ class Emitter
     // The open window.
     Fnv1a digest_;
     std::size_t windowTaskBegin_ = 0;
-    /** The window's task deps, final once minimizeSyncs() ran. */
-    DepStaging stagedDeps_;
+    /**
+     * The deps of each window task, in the order added; final once
+     * minimizeSyncs() ran. A list is cleared and refilled per window
+     * with its storage kept, so staging allocates only when a window
+     * outgrows every earlier one.
+     */
+    std::vector<std::vector<sim::TaskId>> windowDeps_;
     std::vector<OrderArc> orderArcs_; // reducible (pure ordering)
     /** The first of orderArcs_ added by the split being emitted. */
     std::size_t instanceArcs_ = 0;

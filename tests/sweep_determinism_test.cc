@@ -5,11 +5,14 @@
  * Fingerprints serialize every aggregate — makespans, energies, the
  * movement-reduction / parallelism / sync accumulators, cache and
  * network metrics — with hexfloat precision, so even a 1-ULP drift
- * (e.g. from a reduction reassociated across threads) fails the test.
+ * (e.g. from a reduction reassociated across threads) fails the test;
+ * they also carry the planner's and verifier's deterministic work
+ * counters and each nest's window choice.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,7 +52,16 @@ fingerprint(const AppResult &r)
        << ',' << r.optimizedMaxNetLatency << ','
        << r.analyzableFraction << ',' << r.predictorAccuracy << '|'
        << r.offloadedOps[0] << ',' << r.offloadedOps[1] << ','
-       << r.offloadedOps[2] << '|' << r.nests.size();
+       << r.offloadedOps[2] << '|';
+    // The planner's and the verifier's work counters (not the *Ns
+    // timers): the same plans cost the same work on any thread count.
+    const partition::CompileStats &c = r.compile;
+    os << "compile:" << c.instancesPlanned << ',' << c.splitsRequested
+       << ',' << c.plansComputed << ',' << c.plansMemoized << ','
+       << c.cacheBypassed << ',' << c.cachePeakEntries << ','
+       << c.cachePeakBytes << "|verify:" << r.verify.plansVerified << ','
+       << r.verify.replaysVerified << ',' << r.verify.total() << '|'
+       << r.nests.size();
     for (const NestResult &nr : r.nests) {
         os << '|' << nr.nest << ':'
            << nr.defaultRun.makespanCycles << ','
@@ -59,7 +71,13 @@ fingerprint(const AppResult &r)
            << nr.optimizedRun.syncCount << ','
            << nr.predictorPredictions << ',' << nr.predictorCorrect
            << ',' << nr.report.reuseMapHash << ','
-           << nr.report.reuseCopiesPlanned;
+           << nr.report.reuseCopiesPlanned << ','
+           << nr.report.statementsSplit << ','
+           << nr.report.statementsKeptDefault << ",w"
+           << nr.report.chosenWindowSize << '[';
+        for (std::int64_t movement : nr.report.movementPerWindowSize)
+            os << movement << ',';
+        os << ']';
     }
     return os.str();
 }
@@ -75,7 +93,10 @@ sweepFingerprints(int threads)
     ExperimentConfig base;
     ExperimentConfig oracle;
     oracle.partition.oracle = true;
-    const std::vector<ExperimentConfig> configs = {base, oracle};
+    // Full verification, so the verifier's counts are non-zero.
+    ExperimentConfig verified;
+    verified.partition.verifyLevel = verify::VerifyLevel::Full;
+    const std::vector<ExperimentConfig> configs = {base, oracle, verified};
 
     SweepRunner runner(threads);
     const auto grid = runner.runGrid(apps, configs);
@@ -93,7 +114,7 @@ TEST(SweepDeterminismTest, ByteIdenticalResultsAcross1_2_8Threads)
     const std::vector<std::string> t2 = sweepFingerprints(2);
     const std::vector<std::string> t8 = sweepFingerprints(8);
 
-    ASSERT_EQ(t1.size(), 6u); // 3 apps x 2 configs
+    ASSERT_EQ(t1.size(), 9u); // 3 apps x 3 configs
     ASSERT_EQ(t2.size(), t1.size());
     ASSERT_EQ(t8.size(), t1.size());
     for (std::size_t i = 0; i < t1.size(); ++i) {
