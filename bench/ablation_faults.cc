@@ -64,22 +64,17 @@ main(int argc, char **argv)
         apps.resize(3);
 
     driver::SweepRunner runner;
-
-    std::vector<driver::FaultCampaignResult> results;
-    double wall_total = 0.0;
-    for (const workloads::Workload &app : apps) {
-        results.push_back(campaign.run(app, runner));
-        wall_total += runner.stats().wallSeconds;
-        results.back().printReport(std::cout);
+    const std::vector<driver::FaultCampaignResult> results =
+        campaign.run(apps, runner);
+    for (const driver::FaultCampaignResult &res : results) {
+        res.printReport(std::cout);
         std::cout << "\n";
     }
 
     // ---- BENCH_faults.json: the degradation trajectory CI tracks,
-    // and what the verifier checked over every campaign (all zero at
+    // and what the verifier checked over the whole grid (all zero at
     // NDP_VERIFY=off).
-    verify::ReportCounts verified;
-    for (const driver::FaultCampaignResult &res : results)
-        verified.merge(res.verify);
+    const verify::ReportCounts &verified = runner.stats().verify;
     json << "{\n  \"scale\": " << bench::benchScale()
          << ",\n  \"trials_per_rate\": " << campaign_cfg.trialsPerRate
          << ",\n  \"plans_verified\": " << verified.plansVerified
@@ -123,8 +118,7 @@ main(int argc, char **argv)
     json << "  ]\n}\n";
     json.close();
 
-    std::clog << "[faults] campaigns over " << apps.size()
-              << " apps took " << wall_total << " s; wrote "
-              << json_path << "\n";
+    runner.stats().printSummary(std::clog);
+    std::clog << "[faults] wrote " << json_path << "\n";
     return 0;
 }

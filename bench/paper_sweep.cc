@@ -211,11 +211,9 @@ writeVerifyJson(std::ostream &out, const SweepOutcome &sweep,
         << ",\n  \"plans_verified\": " << totals.plansVerified
         << ",\n  \"errors\": " << totals.errors
         << ",\n  \"warnings\": " << totals.warnings
-        << ",\n  \"notes\": " << totals.notes
         << ",\n  \"isolation\": {\"plans_verified\": "
         << isolation.plansVerified << ", \"errors\": " << isolation.errors
-        << ", \"warnings\": " << isolation.warnings
-        << ", \"notes\": " << isolation.notes << "},\n  \"apps\": [";
+        << ", \"warnings\": " << isolation.warnings << "},\n  \"apps\": [";
     for (std::size_t a = 0; a < sweep.apps.size(); ++a) {
         out << (a == 0 ? "" : ",") << "\n    {\"app\": \""
             << sweep.apps[a].name << "\", \"configs\": [";
@@ -226,7 +224,6 @@ writeVerifyJson(std::ostream &out, const SweepOutcome &sweep,
                 << ", \"plans_verified\": " << r.verify.plansVerified
                 << ", \"errors\": " << r.verify.errors
                 << ", \"warnings\": " << r.verify.warnings
-                << ", \"notes\": " << r.verify.notes
                 << ", \"nests\": [";
             bool first_nest = true;
             for (const driver::NestResult &nest : r.nests) {
@@ -448,8 +445,10 @@ main()
                     .runMetricIsolation(sweep.apps[i]);
             });
     driver::SweepStats isolation_stats = isolation_runner.stats();
-    for (const driver::IsolationResult &iso : isolations)
+    for (const driver::IsolationResult &iso : isolations) {
+        isolation_stats.compile.merge(iso.compile);
         isolation_stats.verify.merge(iso.verify);
+    }
     isolation_stats.printSummary(std::clog);
     if (json) {
         writeVerifyJson(*json, sweep, isolation_stats.verify);

@@ -12,16 +12,17 @@
  *     loop record the realised indices), the same statement splits
  *     into subcomputations near the neighbor data.
  *
+ * Each variant runs in its own driver::NestSession: a fresh machine,
+ * the default plan's profiling run, then the variant's plan.
+ *
  * Run: ./irregular_minimd [atoms]
  */
 
 #include <cstdlib>
 #include <iostream>
 
-#include "baseline/default_placement.h"
+#include "driver/experiment.h"
 #include "ir/parser.h"
-#include "partition/partitioner.h"
-#include "sim/engine.h"
 #include "support/rng.h"
 #include "support/table.h"
 
@@ -53,9 +54,10 @@ main(int argc, char **argv)
 
     const std::int64_t atoms = argc > 1 ? std::atoll(argv[1]) : 2048;
 
-    ir::ArrayTable arrays;
-    arrays.setDefaultElementSize(64); // one particle record per line
-    ir::LoopNest nest = ir::parseKernel(R"(
+    workloads::Workload app;
+    app.name = "minimd-force";
+    app.arrays.setDefaultElementSize(64); // one particle record per line
+    app.nests.push_back(ir::parseKernel(R"(
         array X[N]; array F[N]; array W1[N]; array W2[N]; array W3[N];
         array NL1[N]; array NL2[N]; array NL3[N];
         for i = 0..N {
@@ -63,80 +65,51 @@ main(int argc, char **argv)
                      + (X[NL2[i]] - X[i]) * W2[i]
                      + (X[NL3[i]] - X[i]) * W3[i];
         })",
-                                        "minimd-force", arrays,
-                                        {{"N", atoms}});
+                                        "minimd-force", app.arrays,
+                                        {{"N", atoms}}));
+    ir::LoopNest &nest = app.nests.front();
 
     Rng rng(2026);
-    arrays.setIndexData(arrays.find("NL1"), neighbors(atoms, rng));
-    arrays.setIndexData(arrays.find("NL2"), neighbors(atoms, rng));
-    arrays.setIndexData(arrays.find("NL3"), neighbors(atoms, rng));
+    for (const char *list : {"NL1", "NL2", "NL3"})
+        app.arrays.setIndexData(app.arrays.find(list),
+                                neighbors(atoms, rng));
 
     std::cout << "Force kernel over " << atoms
               << " atoms, 3 indirect neighbor loads per statement\n"
               << "statically analyzable references: "
               << 100.0 * ir::analyzableFraction(nest) << "%\n\n";
 
-    sim::ManycoreSystem system({});
-    sim::ExecutionEngine engine(system);
-    baseline::DefaultPlacement placement(system, arrays);
-    const auto nodes = placement.assignIterations(nest);
-    const sim::SimResult def =
-        engine.run(placement.buildPlan(nest, nodes));
-
     Table table({"configuration", "statements split",
                  "exec cycles", "movement (flit-hops)",
                  "improvement%"});
+    // The default plan does not depend on the variant: every session's
+    // profiling run is the same default execution.
+    sim::SimResult def;
+    const auto variant = [&](const char *label, bool timing_loop,
+                             bool oracle) {
+        nest.hasTimingLoop = timing_loop;
+        driver::ExperimentConfig config;
+        config.partition.oracle = oracle;
+        driver::NestSession session(config, app, nest);
+        def = session.defaultRun;
+        const sim::SimResult r = session.engine.run(session.plan());
+        table.row()
+            .cell(label)
+            .cell(session.report.statementsSplit)
+            .cell(r.makespanCycles)
+            .cell(r.dataMovementFlitHops)
+            .cell(percentReduction(
+                static_cast<double>(def.makespanCycles),
+                static_cast<double>(r.makespanCycles)));
+    };
 
     // ---- 1. No inspector: may-dependences block the transform. ----
-    nest.hasTimingLoop = false;
-    {
-        partition::Partitioner partitioner(system, arrays);
-        const auto plan = partitioner.plan(nest, nodes);
-        const sim::SimResult r = engine.run(plan);
-        table.row()
-            .cell("compile-time only (no inspector)")
-            .cell(partitioner.report().statementsSplit)
-            .cell(r.makespanCycles)
-            .cell(r.dataMovementFlitHops)
-            .cell(percentReduction(
-                static_cast<double>(def.makespanCycles),
-                static_cast<double>(r.makespanCycles)));
-    }
-
+    variant("compile-time only (no inspector)", false, false);
     // ---- 2. Inspector/executor: the first timing-loop trips record
     // the realised neighbor indices; the executor trips are split.
-    nest.hasTimingLoop = true;
-    {
-        partition::Partitioner partitioner(system, arrays);
-        const auto plan = partitioner.plan(nest, nodes);
-        const sim::SimResult r = engine.run(plan);
-        table.row()
-            .cell("inspector/executor")
-            .cell(partitioner.report().statementsSplit)
-            .cell(r.makespanCycles)
-            .cell(r.dataMovementFlitHops)
-            .cell(percentReduction(
-                static_cast<double>(def.makespanCycles),
-                static_cast<double>(r.makespanCycles)));
-    }
-
+    variant("inspector/executor", true, false);
     // ---- 3. Oracle disambiguation (upper bound, Section 6.4). ----
-    {
-        nest.hasTimingLoop = false;
-        partition::PartitionOptions options;
-        options.oracle = true;
-        partition::Partitioner partitioner(system, arrays, options);
-        const auto plan = partitioner.plan(nest, nodes);
-        const sim::SimResult r = engine.run(plan);
-        table.row()
-            .cell("ideal data analysis (oracle)")
-            .cell(partitioner.report().statementsSplit)
-            .cell(r.makespanCycles)
-            .cell(r.dataMovementFlitHops)
-            .cell(percentReduction(
-                static_cast<double>(def.makespanCycles),
-                static_cast<double>(r.makespanCycles)));
-    }
+    variant("ideal data analysis (oracle)", false, true);
 
     std::cout << "default execution: " << def.makespanCycles
               << " cycles, " << def.dataMovementFlitHops

@@ -17,21 +17,18 @@
  * With no file, a built-in demo kernel is compiled.
  */
 
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
-#include "baseline/default_placement.h"
+#include "driver/experiment.h"
 #include "ir/nested_sets.h"
 #include "ir/parser.h"
 #include "ir/statement.h"
 #include "partition/codegen.h"
-#include "partition/partitioner.h"
-#include "sim/engine.h"
-#include "support/error.h"
 #include "support/table.h"
-#include "verify/plan_verifier.h"
 
 namespace {
 
@@ -144,10 +141,13 @@ main(int argc, char **argv)
 
     try {
         // ---- Front end. ----
-        ir::ArrayTable arrays;
-        arrays.setDefaultElementSize(64);
-        ir::LoopNest nest =
-            ir::parseKernel(source, "kernel", arrays, params);
+        workloads::Workload app;
+        app.name = "kernel";
+        app.arrays.setDefaultElementSize(64);
+        app.nests.push_back(
+            ir::parseKernel(source, "kernel", app.arrays, params));
+        const ir::LoopNest &nest = app.nests.front();
+        const ir::ArrayTable &arrays = app.arrays;
 
         std::cout << "== parsed kernel ==\n"
                   << nest.toString(arrays) << "\n"
@@ -161,34 +161,20 @@ main(int argc, char **argv)
             printSets(sets, stmt, arrays, 0);
         }
 
-        // ---- Machine, baseline, partitioner. ----
-        sim::ManycoreConfig config;
-        config.meshCols = mesh_cols;
-        config.meshRows = mesh_rows;
-        sim::ManycoreSystem system(config);
-        sim::ExecutionEngine engine(system);
-        baseline::DefaultPlacement placement(system, arrays);
-        const auto nodes = placement.assignIterations(nest);
-        const sim::SimResult def =
-            engine.run(placement.buildPlan(nest, nodes));
-
-        partition::PartitionOptions options;
-        options.fixedWindowSize = fixed_window;
-        // Records the split decisions the static verifier checks and
-        // the pseudo-code renderer reads.
-        options.verifyLevel = verify::VerifyLevel::Cheap;
-        partition::Partitioner partitioner(system, arrays, options);
-        const sim::ExecutionPlan plan = partitioner.plan(nest, nodes);
-        const auto &report = partitioner.report();
-        const verify::Report verdict =
-            verify::PlanVerifier(system, arrays)
-                .verify(nest, plan, *report.provenance);
-        if (verdict.counts().errors > 0) {
-            std::cerr << "ndpc: static plan verification failed:\n"
-                      << verdict.renderTable();
-            return 1;
-        }
-        const sim::SimResult opt = engine.run(plan);
+        // ---- Machine, baseline, profiling run, partitioner and
+        // static verifier: one nest session. Cheap verification
+        // records the split decisions the verifier checks and the
+        // pseudo-code renderer reads.
+        driver::ExperimentConfig config;
+        config.machine.meshCols = mesh_cols;
+        config.machine.meshRows = mesh_rows;
+        config.partition.fixedWindowSize = fixed_window;
+        config.partition.verifyLevel = verify::VerifyLevel::Cheap;
+        driver::NestSession session(config, app, nest);
+        const sim::SimResult &def = session.defaultRun;
+        const sim::ExecutionPlan plan = session.plan();
+        const partition::PartitionReport &report = session.report;
+        const sim::SimResult opt = session.engine.run(plan);
 
         std::cout << "\n== plan ==\n"
                   << "window size: " << report.chosenWindowSize
@@ -231,7 +217,7 @@ main(int argc, char **argv)
                          static_cast<double>(def.makespanCycles),
                          static_cast<double>(opt.makespanCycles))
                   << "%\n";
-    } catch (const FatalError &e) {
+    } catch (const std::exception &e) {
         std::cerr << "ndpc: " << e.what() << "\n";
         return 1;
     }

@@ -16,10 +16,8 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "baseline/default_placement.h"
+#include "driver/experiment.h"
 #include "ir/parser.h"
-#include "partition/partitioner.h"
-#include "sim/engine.h"
 #include "support/stats.h"
 #include "support/table.h"
 
@@ -35,9 +33,10 @@ main(int argc, char **argv)
     }
 
     // ---- The kernel: red-black relaxation over six field arrays. ----
-    ir::ArrayTable arrays;
-    arrays.setDefaultElementSize(64); // one grid cell per cache line
-    ir::LoopNest nest = ir::parseKernel(R"(
+    workloads::Workload app;
+    app.name = "ocean-relax";
+    app.arrays.setDefaultElementSize(64); // one grid cell per cache line
+    app.nests.push_back(ir::parseKernel(R"(
         array PSI[M][M]; array PSIM[M][M]; array WRK1[M][M];
         array WRK2[M][M]; array WRK3[M][M]; array WRK4[M][M];
         array GA[M][M];  array GB[M][M];
@@ -46,32 +45,21 @@ main(int argc, char **argv)
                          + WRK4[i+1][j] + PSI[i][j] * 0.2 + PSIM[i][j];
           S2: GB[i][j] = GA[i][j] - PSI[i][j] + WRK2[i][j+1];
         } })",
-                                        "ocean-relax", arrays,
-                                        {{"M", side}});
+                                        "ocean-relax", app.arrays,
+                                        {{"M", side}}));
+    const ir::LoopNest &nest = app.nests.front();
     std::cout << "Relaxation kernel on a " << side << "x" << side
               << " grid (" << nest.iterationCount()
               << " iterations, 2 statements each):\n\n";
 
-    // ---- Machine and baseline. ----
-    sim::ManycoreSystem system({});
-    sim::ExecutionEngine engine(system);
-    baseline::DefaultPlacement placement(system, arrays);
-    const auto nodes = placement.assignIterations(nest);
-    const sim::SimResult def =
-        engine.run(placement.buildPlan(nest, nodes));
-
-    // ---- Partition with the adaptive window sweep. The profiled node
-    // utilisation feeds the planner's overhead model, exactly as the
-    // experiment driver does.
-    partition::PartitionOptions options;
-    options.profileUtilization =
-        static_cast<double>(def.totalBusyCycles) /
-        static_cast<double>(def.makespanCycles *
-                            system.mesh().nodeCount());
-    partition::Partitioner partitioner(system, arrays, options);
-    const sim::ExecutionPlan plan = partitioner.plan(nest, nodes);
-    const auto &report = partitioner.report();
-    const sim::SimResult opt = engine.run(plan);
+    // ---- Machine, baseline and profiling run; then the partitioner
+    // with the adaptive window sweep, whose overhead model reads the
+    // profiled node utilisation. ----
+    const driver::ExperimentConfig config;
+    driver::NestSession session(config, app, nest);
+    const sim::SimResult &def = session.defaultRun;
+    const sim::SimResult opt = session.engine.run(session.plan());
+    const partition::PartitionReport &report = session.report;
 
     Table sweep({"window size", "planned movement (flit-hops)"});
     for (std::size_t w = 0; w < report.movementPerWindowSize.size();

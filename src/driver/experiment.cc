@@ -10,96 +10,50 @@
 
 namespace ndp::driver {
 
-namespace {
-
-/**
- * One loop nest on its own fresh machine, through the steps every
- * experiment shares: default placement and the profiling run (the
- * constructor), then plan() — the partitioner and the static verifier.
- * The nest is resolved once, into the instance stream that placement,
- * the default plan, the data-to-MC profile and the planner all read;
- * plan() releases it.
- * A fresh machine per nest makes caches, traffic and the profile-
- * trained miss predictor nest-local state, which is what makes nests
- * independent units of parallelism. Callers run their own tail on
- * engine afterwards. Machine state carries over from one engine call
- * to the next, so the order profile, plan, tail is part of every
- * result.
- */
-class NestSession
+NestSession::NestSession(const ExperimentConfig &config,
+                         const workloads::Workload &workload,
+                         const ir::LoopNest &nest)
+    : system(config.machine), engine(system, config.energy),
+      placement(system, workload.arrays, config.placement),
+      stream(ir::resolveInstances(nest, workload.arrays,
+                                  system.addressMap())),
+      config_(config), workload_(workload), nest_(nest)
 {
-  public:
-    NestSession(const ExperimentConfig &config,
-                const workloads::Workload &workload,
-                const ir::LoopNest &nest)
-        : system(config.machine), engine(system, config.energy),
-          placement(system, workload.arrays, config.placement),
-          stream(ir::resolveInstances(nest, workload.arrays,
-                                      system.addressMap())),
-          config_(config), workload_(workload), nest_(nest)
-    {
-        system.setMcdramArrays(workload.mcdramArrays);
-        nodes = placement.assignIterations(nest, *stream);
-        defaultPlan = placement.buildPlan(nest, *stream, nodes);
-        // The default run doubles as the profiling pass: it trains the
-        // L2 miss predictor whose accuracy Table 2 reports.
-        defaultRun = engine.run(defaultPlan);
-    }
+    system.setMcdramArrays(workload.mcdramArrays);
+    nodes = placement.assignIterations(nest, *stream);
+    defaultPlan = placement.buildPlan(nest, *stream, nodes);
+    // The default run doubles as the profiling pass: it trains the L2
+    // miss predictor whose accuracy Table 2 reports.
+    defaultRun = engine.run(defaultPlan);
+}
 
-    NestSession(const NestSession &) = delete;
-    NestSession &operator=(const NestSession &) = delete;
-
-    /**
-     * Plan the nest into report and, unless the verify level is Off,
-     * check the plan against an independent recomputation into verdict
-     * (DESIGN.md §9). Fails fast on error-severity findings: a
-     * malformed plan must never reach the engine, let alone a results
-     * table.
-     */
-    sim::ExecutionPlan
-    plan()
-    {
-        partition::PartitionOptions popts = config_.partition;
-        popts.profileUtilization =
-            static_cast<double>(defaultRun.totalBusyCycles) /
-            std::max<double>(
-                1.0, static_cast<double>(defaultRun.makespanCycles *
-                                         config_.machine.meshCols *
-                                         config_.machine.meshRows));
-        partition::Partitioner partitioner(system, workload_.arrays,
-                                           popts);
-        sim::ExecutionPlan plan = partitioner.plan(nest_, *stream, nodes);
-        stream.reset();
-        report = partitioner.report();
-        if (popts.verifyLevel != verify::VerifyLevel::Off &&
-            report.provenance) {
-            const verify::PlanVerifier verifier(system, workload_.arrays);
-            verdict = verifier.verify(nest_, plan, *report.provenance);
-            report.provenance.reset(); // keep NestResult lean
-            if (verdict.counts().errors > 0) {
-                ndp::panic("static plan verification failed for nest '" +
-                           nest_.name() + "':\n" + verdict.renderTable());
-            }
+sim::ExecutionPlan
+NestSession::plan()
+{
+    partition::PartitionOptions popts = config_.partition;
+    popts.profileUtilization =
+        static_cast<double>(defaultRun.totalBusyCycles) /
+        std::max<double>(
+            1.0, static_cast<double>(defaultRun.makespanCycles *
+                                     config_.machine.meshCols *
+                                     config_.machine.meshRows));
+    partition::Partitioner partitioner(system, workload_.arrays, popts);
+    sim::ExecutionPlan plan = partitioner.plan(nest_, *stream, nodes);
+    stream.reset();
+    report = partitioner.report();
+    if (popts.verifyLevel != verify::VerifyLevel::Off &&
+        report.provenance) {
+        const verify::PlanVerifier verifier(system, workload_.arrays);
+        verdict = verifier.verify(nest_, plan, *report.provenance);
+        if (verdict.counts().errors > 0) {
+            ndp::panic("static plan verification failed for nest '" +
+                       nest_.name() + "':\n" + verdict.renderTable());
         }
-        return plan;
     }
+    return plan;
+}
 
-    sim::ManycoreSystem system;
-    sim::ExecutionEngine engine;
-    baseline::DefaultPlacement placement;
-    /** The nest's instances; null once plan() has run. */
-    std::optional<ir::InstanceStream> stream;
-    std::vector<noc::NodeId> nodes;
-    sim::ExecutionPlan defaultPlan;
-    sim::SimResult defaultRun;
-    partition::PartitionReport report;
-    verify::Report verdict;
-
-  private:
-    const ExperimentConfig &config_;
-    const workloads::Workload &workload_;
-    const ir::LoopNest &nest_;
-};
+namespace {
 
 /** Per-nest makespan totals of the Figure 18 isolation replays. */
 struct IsolationTotals
@@ -107,6 +61,7 @@ struct IsolationTotals
     std::int64_t def = 0;
     std::int64_t full = 0;
     std::int64_t s1 = 0, s2 = 0, s3 = 0, s4 = 0;
+    partition::CompileStats compile;
     verify::ReportCounts verify;
 };
 
@@ -146,6 +101,7 @@ ExperimentRunner::runNest(const workloads::Workload &workload,
     const sim::ExecutionPlan &optimized_plan =
         planned ? *planned : session.defaultPlan;
     nr.report = std::move(session.report);
+    nr.report.provenance.reset(); // keep NestResult lean
     nr.verify = std::move(session.verdict);
 
     sim::EngineOptions opts;
@@ -305,6 +261,7 @@ ExperimentRunner::runMetricIsolation(
             sim::EngineOptions s4;
             s4.extraSyncs = opt.syncCount;
             t.s4 = replay(s4);
+            t.compile = session.report.compile;
             t.verify = session.verdict.counts();
             return t;
         });
@@ -317,6 +274,7 @@ ExperimentRunner::runMetricIsolation(
         sum.s2 += t.s2;
         sum.s3 += t.s3;
         sum.s4 += t.s4;
+        sum.compile.merge(t.compile);
         sum.verify.merge(t.verify);
     }
 
@@ -331,6 +289,7 @@ ExperimentRunner::runMetricIsolation(
     iso.s3Parallelism = pct(sum.s3);
     iso.s4Synchronization = pct(sum.s4);
     iso.fullApproach = pct(sum.full);
+    iso.compile = sum.compile;
     iso.verify = sum.verify;
     return iso;
 }

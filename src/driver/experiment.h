@@ -19,10 +19,12 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "baseline/default_placement.h"
+#include "ir/instance.h"
 #include "partition/partitioner.h"
 #include "sim/engine.h"
 #include "verify/diagnostic.h"
@@ -60,6 +62,62 @@ struct ExperimentConfig
      * partitioner output.
      */
     bool planSelection = true;
+};
+
+/**
+ * One loop nest on its own fresh machine, through the steps every
+ * experiment shares: default placement and the profiling run (the
+ * constructor), then plan() — the partitioner and the static verifier.
+ * The nest is resolved once, into the instance stream that placement,
+ * the default plan, the data-to-MC profile and the planner all read;
+ * plan() releases it.
+ * A fresh machine per nest makes caches, traffic and the profile-
+ * trained miss predictor nest-local state, which is what makes nests
+ * independent units of parallelism. Callers run their own tail on
+ * engine afterwards. Machine state carries over from one engine call
+ * to the next, so the order profile, plan, tail is part of every
+ * result.
+ *
+ * The session is the one nest pipeline: ExperimentRunner's runNest
+ * and runMetricIsolation drive it, and so do the examples. It keeps
+ * references to the config, the workload and the nest, which must
+ * outlive it.
+ */
+class NestSession
+{
+  public:
+    NestSession(const ExperimentConfig &config,
+                const workloads::Workload &workload,
+                const ir::LoopNest &nest);
+
+    NestSession(const NestSession &) = delete;
+    NestSession &operator=(const NestSession &) = delete;
+
+    /**
+     * Plan the nest into report with the profiled node utilization
+     * and, unless the verify level is Off, check the plan against an
+     * independent recomputation into verdict (DESIGN.md §9). Fails
+     * fast on error-severity findings: a malformed plan must never
+     * reach the engine, let alone a results table. report keeps the
+     * planner's provenance (null at verify level Off).
+     */
+    sim::ExecutionPlan plan();
+
+    sim::ManycoreSystem system;
+    sim::ExecutionEngine engine;
+    baseline::DefaultPlacement placement;
+    /** The nest's instances; null once plan() has run. */
+    std::optional<ir::InstanceStream> stream;
+    std::vector<noc::NodeId> nodes;
+    sim::ExecutionPlan defaultPlan;
+    sim::SimResult defaultRun;
+    partition::PartitionReport report;
+    verify::Report verdict;
+
+  private:
+    const ExperimentConfig &config_;
+    const workloads::Workload &workload_;
+    const ir::LoopNest &nest_;
 };
 
 /** Results of the default/optimized pair for one loop nest. */
@@ -168,6 +226,9 @@ struct IsolationResult
     double s3Parallelism = 0.0;
     double s4Synchronization = 0.0;
     double fullApproach = 0.0;
+    /** Compile-loop counters of the nests it planned, merged in nest
+     *  order. */
+    partition::CompileStats compile;
     /** Plan-verification tallies of the nests it planned, merged in
      *  nest order (all-zero at verify level Off). */
     verify::ReportCounts verify;

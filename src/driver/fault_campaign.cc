@@ -8,7 +8,6 @@
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
-#include "support/thread_pool.h"
 
 namespace ndp::driver {
 
@@ -83,68 +82,60 @@ FaultCampaign::drawFaultSet(std::size_t rate_idx, int trial_idx,
     trial.abandoned = true;
 }
 
-FaultCampaignResult
-FaultCampaign::run(const workloads::Workload &app,
+std::vector<FaultCampaignResult>
+FaultCampaign::run(const std::vector<workloads::Workload> &apps,
                    SweepRunner &runner) const
 {
     const std::size_t rate_count = config_.nodeFaultRates.size();
     const auto trials_per_rate =
         static_cast<std::size_t>(config_.trialsPerRate);
-    // Unit 0 is the healthy reference; unit 1 + r*T + t is trial t of
-    // rate r. Flat submission order makes mapOrdered's merge (and
-    // therefore the whole report) independent of the thread count.
-    const std::size_t units = 1 + rate_count * trials_per_rate;
 
-    std::vector<FaultTrialResult> outcomes =
-        runner.mapOrdered<FaultTrialResult>(
-            units,
-            [&](std::size_t unit, support::ThreadPool &pool)
-                -> FaultTrialResult {
-                FaultTrialResult trial;
-                ExperimentConfig cfg = config_.experiment;
-                if (unit > 0) {
-                    const std::size_t rate_idx =
-                        (unit - 1) / trials_per_rate;
-                    const auto trial_idx = static_cast<int>(
-                        (unit - 1) % trials_per_rate);
-                    fault::FaultModel model;
-                    drawFaultSet(rate_idx, trial_idx, trial, model);
-                    if (trial.abandoned)
-                        return trial;
-                    trial.faultSummary = model.describe();
-                    cfg.machine.faults = std::move(model);
-                }
-                trial.result = ExperimentRunner(cfg, &pool).runApp(app);
-                return trial;
-            });
+    // Config 0 is the healthy reference; each accepted fault set of
+    // (rate r, trial t), drawn once for every app, appends one more.
+    // column[r * T + t] is its config, 0 when the trial was abandoned.
+    std::vector<ExperimentConfig> configs = {config_.experiment};
+    std::vector<FaultTrialResult> trials(rate_count * trials_per_rate);
+    std::vector<std::size_t> column(trials.size(), 0);
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+        fault::FaultModel model;
+        drawFaultSet(i / trials_per_rate,
+                     static_cast<int>(i % trials_per_rate), trials[i],
+                     model);
+        if (trials[i].abandoned)
+            continue;
+        trials[i].faultSummary = model.describe();
+        column[i] = configs.size();
+        configs.push_back(config_.experiment);
+        configs.back().machine.faults = std::move(model);
+    }
 
-    FaultCampaignResult result;
-    result.app = app.name;
-    for (const FaultTrialResult &outcome : outcomes)
-        result.verify.merge(outcome.result.verify);
-    result.healthy = std::move(outcomes.front().result);
-    result.healthyDefaultMovement = appMovement(result.healthy, false);
-    result.healthyOptimizedMovement = appMovement(result.healthy, true);
+    std::vector<std::vector<SweepCell>> grid =
+        runner.runGrid(apps, configs);
 
-    for (std::size_t r = 0; r < rate_count; ++r) {
-        FaultRateResult rate;
-        rate.nodeFaultRate = config_.nodeFaultRates[r];
-        rate.linkFaultRate =
-            rate.nodeFaultRate * config_.linkFaultScale;
-        for (std::size_t t = 0; t < trials_per_rate; ++t) {
-            FaultTrialResult &trial =
-                outcomes[1 + r * trials_per_rate + t];
-            rate.retries += trial.retries;
-            if (trial.abandoned)
-                ++rate.abandoned;
-            rate.trials.push_back(std::move(trial));
-        }
-        const int completed = rate.completedTrials();
-        if (completed > 0) {
-            for (const FaultTrialResult &trial : rate.trials) {
-                if (trial.abandoned)
+    std::vector<FaultCampaignResult> results;
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        std::vector<SweepCell> &row = grid[a];
+        FaultCampaignResult result;
+        result.app = apps[a].name;
+        result.healthy = std::move(row.front().result);
+        result.healthyDefaultMovement = appMovement(result.healthy, false);
+        result.healthyOptimizedMovement =
+            appMovement(result.healthy, true);
+
+        for (std::size_t r = 0; r < rate_count; ++r) {
+            FaultRateResult rate;
+            rate.nodeFaultRate = config_.nodeFaultRates[r];
+            rate.linkFaultRate =
+                rate.nodeFaultRate * config_.linkFaultScale;
+            for (std::size_t t = 0; t < trials_per_rate; ++t) {
+                const std::size_t i = r * trials_per_rate + t;
+                rate.trials.push_back(trials[i]);
+                rate.retries += trials[i].retries;
+                if (trials[i].abandoned) {
+                    ++rate.abandoned;
                     continue;
-                const AppResult &res = trial.result;
+                }
+                const AppResult &res = row[column[i]].result;
                 rate.meanDefaultMakespan +=
                     static_cast<double>(res.defaultMakespan);
                 rate.meanOptimizedMakespan +=
@@ -153,23 +144,26 @@ FaultCampaign::run(const workloads::Workload &app,
                 rate.meanOptimizedMovement += appMovement(res, true);
                 rate.meanDefaultL1HitRate += res.defaultL1HitRate;
                 rate.meanOptimizedL1HitRate += res.optimizedL1HitRate;
-                rate.meanExecReductionPct +=
-                    res.execTimeReductionPct();
+                rate.meanExecReductionPct += res.execTimeReductionPct();
             }
-            const auto n = static_cast<double>(completed);
-            rate.meanDefaultMakespan /= n;
-            rate.meanOptimizedMakespan /= n;
-            rate.meanDefaultMovement /= n;
-            rate.meanOptimizedMovement /= n;
-            rate.meanDefaultL1HitRate /= n;
-            rate.meanOptimizedL1HitRate /= n;
-            rate.meanExecReductionPct /= n;
+            const int completed = rate.completedTrials();
+            if (completed > 0) {
+                const auto n = static_cast<double>(completed);
+                rate.meanDefaultMakespan /= n;
+                rate.meanOptimizedMakespan /= n;
+                rate.meanDefaultMovement /= n;
+                rate.meanOptimizedMovement /= n;
+                rate.meanDefaultL1HitRate /= n;
+                rate.meanOptimizedL1HitRate /= n;
+                rate.meanExecReductionPct /= n;
+            }
+            result.totalRetries += rate.retries;
+            result.totalAbandoned += rate.abandoned;
+            result.rates.push_back(std::move(rate));
         }
-        result.totalRetries += rate.retries;
-        result.totalAbandoned += rate.abandoned;
-        result.rates.push_back(std::move(rate));
+        results.push_back(std::move(result));
     }
-    return result;
+    return results;
 }
 
 void

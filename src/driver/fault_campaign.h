@@ -12,9 +12,12 @@
  * hit rate against the healthy reference.
  *
  * Determinism contract (same as driver::SweepRunner): trial seeds are
- * a pure function of (baseSeed, rate index, trial index, attempt), all
- * trials fan out via SweepRunner::mapOrdered and merge in submission
- * order, so the report is bit-identical for any thread count.
+ * a pure function of (baseSeed, rate index, trial index, attempt), so
+ * each (rate, trial) fault set is drawn once and shared by every app.
+ * The healthy template plus one config per accepted fault set form the
+ * columns of one SweepRunner::runGrid over the apps, merged in
+ * submission order, so the report is bit-identical for any thread
+ * count.
  *
  * An injection that disconnects the surviving mesh is retried with a
  * fresh (still deterministic) seed up to maxRetriesPerTrial times;
@@ -67,7 +70,7 @@ struct FaultCampaignConfig
     std::uint64_t baseSeed = 0xf001'5eedull;
 };
 
-/** One injected fault set simulated end to end. */
+/** One injected fault set, simulated end to end on every app. */
 struct FaultTrialResult
 {
     /** Seed that produced the accepted (connected) fault set. */
@@ -78,7 +81,6 @@ struct FaultTrialResult
     bool abandoned = false;
     /** FaultModel::describe() of the accepted set. */
     std::string faultSummary;
-    AppResult result;
 };
 
 /** All trials of one swept fault rate, plus their means. */
@@ -117,11 +119,6 @@ struct FaultCampaignResult
     std::vector<FaultRateResult> rates;
     int totalRetries = 0;
     int totalAbandoned = 0;
-    /**
-     * Static verification tallies summed over the healthy reference
-     * and every completed trial (all zero at verify level Off).
-     */
-    verify::ReportCounts verify;
 
     /**
      * Degradation report (deterministic, stdout-safe): one row per
@@ -164,12 +161,15 @@ class FaultCampaign
                       fault::FaultModel &out) const;
 
     /**
-     * Run the campaign for @p app: the healthy reference plus
-     * trialsPerRate trials of every swept rate, fanned out on
-     * @p runner. Deterministic for any thread count.
+     * Run the campaign for every app of @p apps: the healthy reference
+     * plus trialsPerRate trials of every swept rate, as one grid on
+     * @p runner (whose stats() then hold the compile and verifier
+     * tallies of every run). Returns one result per app, in order.
+     * Deterministic for any thread count.
      */
-    FaultCampaignResult run(const workloads::Workload &app,
-                            SweepRunner &runner) const;
+    std::vector<FaultCampaignResult> run(
+        const std::vector<workloads::Workload> &apps,
+        SweepRunner &runner) const;
 
   private:
     FaultCampaignConfig config_;

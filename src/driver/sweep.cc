@@ -23,8 +23,8 @@ SweepStats::printSummary(std::ostream &os) const
     if (verify.plansVerified > 0)
         os << "[sweep] plan verifier: " << verify.plansVerified
            << " instances checked, " << verify.errors << " error(s), "
-           << verify.warnings << " warning(s), " << verify.notes
-           << " note(s) (set NDP_VERIFY=off|cheap|full)\n";
+           << verify.warnings
+           << " warning(s) (set NDP_VERIFY=off|cheap|full)\n";
 }
 
 SweepRunner::SweepRunner(int workers)

@@ -120,21 +120,6 @@ opCost(OpKind op)
     return op == OpKind::Div ? 10 : 1;
 }
 
-/** Whether a op b == b op a (safe to reorder siblings freely). */
-constexpr bool
-isCommutative(OpKind op)
-{
-    switch (op) {
-      case OpKind::Sub:
-      case OpKind::Div:
-      case OpKind::Shl:
-      case OpKind::Shr:
-        return false;
-      default:
-        return true;
-    }
-}
-
 const char *toString(OpKind op);
 const char *toString(OpCategory cat);
 

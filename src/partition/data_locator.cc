@@ -99,13 +99,13 @@ nearestCopy(const noc::MeshTopology &mesh, const CopySet &copies,
     // Among the L1 copies pick the one nearest to the caller's anchor
     // node; copies iterate in ascending id, so keeping the first of
     // equally near ones breaks ties toward the lower node id.
+    NDP_DCHECK(prefer_near != noc::kInvalidNode,
+               "nearestCopy needs an anchor node");
     Location loc;
     loc.source = LocationSource::L1Copy;
     std::int32_t best = 0;
     for (noc::NodeId n : copies) {
-        const std::int32_t d = prefer_near == noc::kInvalidNode
-                                   ? 0
-                                   : mesh.distance(n, prefer_near);
+        const std::int32_t d = mesh.distance(n, prefer_near);
         if (loc.node == noc::kInvalidNode || d < best) {
             best = d;
             loc.node = n;

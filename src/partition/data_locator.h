@@ -210,7 +210,6 @@ class VariableToNodeMap
  * The L1 copy to use among non-empty @p copies (the window map's nodes
  * for a line): the one nearest @p prefer_near, typically the store
  * node of the statement being split, ties toward the lower node id.
- * Without an anchor, the lowest node id.
  */
 Location nearestCopy(const noc::MeshTopology &mesh, const CopySet &copies,
                      noc::NodeId prefer_near);

@@ -10,8 +10,6 @@ const char *
 toString(Severity severity)
 {
     switch (severity) {
-    case Severity::Note:
-        return "note";
     case Severity::Warning:
         return "warning";
     case Severity::Error:
@@ -24,9 +22,6 @@ void
 Report::add(Diagnostic diag)
 {
     switch (diag.severity) {
-    case Severity::Note:
-        ++counts_.notes;
-        break;
     case Severity::Warning:
         ++counts_.warnings;
         break;
@@ -58,7 +53,7 @@ Report::renderTable() const
     std::ostringstream os;
     os << "plan '" << plan << "' (" << toString(level) << " verify): "
        << counts_.errors << " error(s), " << counts_.warnings
-       << " warning(s), " << counts_.notes << " note(s)\n"
+       << " warning(s)\n"
        << table.toString();
     if (diags_.size() < static_cast<std::size_t>(counts_.total()))
         os << "... " << (counts_.total() -
@@ -107,8 +102,7 @@ Report::renderJson() const
     os << "\", \"level\": \"" << toString(level) << "\""
        << ", \"plans_verified\": " << counts_.plansVerified
        << ", \"errors\": " << counts_.errors
-       << ", \"warnings\": " << counts_.warnings
-       << ", \"notes\": " << counts_.notes << ", \"diagnostics\": [";
+       << ", \"warnings\": " << counts_.warnings << ", \"diagnostics\": [";
     for (std::size_t i = 0; i < diags_.size(); ++i) {
         const Diagnostic &d = diags_[i];
         if (i > 0)

@@ -30,7 +30,6 @@ namespace ndp::verify {
 
 enum class Severity
 {
-    Note,
     Warning,
     Error,
 };
@@ -67,20 +66,19 @@ struct ReportCounts
     /** Of those, splits replayed from the split-plan cache (R6's
      *  subjects at Full). */
     std::int64_t replaysVerified = 0;
-    std::int64_t notes = 0;
     std::int64_t warnings = 0;
     std::int64_t errors = 0;
 
     bool
     clean() const
     {
-        return notes == 0 && warnings == 0 && errors == 0;
+        return warnings == 0 && errors == 0;
     }
 
     std::int64_t
     total() const
     {
-        return notes + warnings + errors;
+        return warnings + errors;
     }
 
     void
@@ -88,7 +86,6 @@ struct ReportCounts
     {
         plansVerified += other.plansVerified;
         replaysVerified += other.replaysVerified;
-        notes += other.notes;
         warnings += other.warnings;
         errors += other.errors;
     }

@@ -2,7 +2,8 @@
  * @file
  * driver::FaultCampaign tests: bit-identical reports across thread
  * counts {1, 2, 8}, zero-fault equivalence of the healthy reference
- * with a plain ExperimentRunner, deterministic per-trial seed
+ * with a plain ExperimentRunner, a multi-app campaign equal to one
+ * campaign per app on shared fault sets, deterministic per-trial seed
  * derivation, bounded-and-counted retry/abandon accounting, and
  * config validation.
  */
@@ -38,6 +39,27 @@ tinyApp()
     return w;
 }
 
+/** A second small app, one wider statement, for multi-app campaigns. */
+workloads::Workload
+wideApp()
+{
+    workloads::Workload w;
+    w.name = "faultcamp-wide";
+    w.nests.push_back(ir::parseKernel(
+        "array A[64]; array B[64]; array C[64]; array D[64];\n"
+        "for i = 0..56 { S1: A[i] = B[i] + C[i] * D[i] - B[i]; }",
+        "faultcamp-wide/n0", w.arrays));
+    return w;
+}
+
+std::string
+report(const driver::FaultCampaignResult &result)
+{
+    std::ostringstream oss;
+    result.printReport(oss);
+    return oss.str();
+}
+
 driver::FaultCampaignConfig
 tinyCampaignConfig()
 {
@@ -56,10 +78,8 @@ TEST(FaultCampaignTest, ReportIsIdenticalAcrossThreadCounts)
     std::vector<driver::FaultCampaignResult> results;
     for (int threads : {1, 2, 8}) {
         driver::SweepRunner runner(threads);
-        results.push_back(campaign.run(app, runner));
-        std::ostringstream oss;
-        results.back().printReport(oss);
-        reports.push_back(oss.str());
+        results.push_back(campaign.run({app}, runner).front());
+        reports.push_back(report(results.back()));
     }
     EXPECT_EQ(reports[0], reports[1]) << "1 vs 2 threads";
     EXPECT_EQ(reports[0], reports[2]) << "1 vs 8 threads";
@@ -93,9 +113,10 @@ TEST(FaultCampaignTest, HealthyReferenceMatchesPlainExperiment)
     const driver::FaultCampaignConfig cfg = tinyCampaignConfig();
     const driver::FaultCampaign campaign(cfg);
     driver::SweepRunner runner(2);
-    const driver::FaultCampaignResult res = campaign.run(app, runner);
+    const driver::FaultCampaignResult res =
+        campaign.run({app}, runner).front();
 
-    // The campaign's unit 0 runs the unmodified template config, so
+    // The campaign's config 0 runs the unmodified template, so
     // it must be bit-identical to running the experiment directly —
     // the zero-fault path is a true no-op.
     const driver::AppResult direct =
@@ -110,6 +131,61 @@ TEST(FaultCampaignTest, HealthyReferenceMatchesPlainExperiment)
               driver::appMovement(direct, false));
     EXPECT_EQ(driver::appMovement(res.healthy, true),
               driver::appMovement(direct, true));
+}
+
+TEST(FaultCampaignTest, MultiAppCampaignMatchesOneCampaignPerApp)
+{
+    // Each (rate, trial) fault set is drawn once and every app runs on
+    // it, so one grid over two apps must report exactly what two
+    // one-app campaigns do, on any thread count.
+    const std::vector<workloads::Workload> apps = {tinyApp(), wideApp()};
+    const driver::FaultCampaign campaign(tinyCampaignConfig());
+    for (int threads : {1, 8}) {
+        driver::SweepRunner runner(threads);
+        const std::vector<driver::FaultCampaignResult> both =
+            campaign.run(apps, runner);
+        ASSERT_EQ(both.size(), apps.size());
+        for (std::size_t a = 0; a < apps.size(); ++a) {
+            const driver::FaultCampaignResult alone =
+                campaign.run({apps[a]}, runner).front();
+            EXPECT_EQ(both[a].app, apps[a].name);
+            EXPECT_EQ(report(both[a]), report(alone))
+                << apps[a].name << " at " << threads << " thread(s)";
+            ASSERT_EQ(both[a].rates.size(), alone.rates.size());
+            for (std::size_t r = 0; r < alone.rates.size(); ++r) {
+                const driver::FaultRateResult &x = both[a].rates[r];
+                const driver::FaultRateResult &y = alone.rates[r];
+                EXPECT_EQ(x.meanDefaultMakespan, y.meanDefaultMakespan);
+                EXPECT_EQ(x.meanOptimizedMakespan,
+                          y.meanOptimizedMakespan);
+                EXPECT_EQ(x.meanDefaultMovement, y.meanDefaultMovement);
+                EXPECT_EQ(x.meanOptimizedMovement,
+                          y.meanOptimizedMovement);
+                EXPECT_EQ(x.meanDefaultL1HitRate,
+                          y.meanDefaultL1HitRate);
+                EXPECT_EQ(x.meanOptimizedL1HitRate,
+                          y.meanOptimizedL1HitRate);
+                EXPECT_EQ(x.meanExecReductionPct,
+                          y.meanExecReductionPct);
+            }
+        }
+
+        // Both apps ran on the same fault sets.
+        ASSERT_EQ(both[0].rates.size(), both[1].rates.size());
+        for (std::size_t r = 0; r < both[0].rates.size(); ++r) {
+            const auto &first = both[0].rates[r].trials;
+            const auto &second = both[1].rates[r].trials;
+            ASSERT_EQ(first.size(), second.size());
+            for (std::size_t t = 0; t < first.size(); ++t) {
+                if (!first[t].abandoned) {
+                    EXPECT_NE(first[t].seed, 0u);
+                }
+                EXPECT_EQ(first[t].seed, second[t].seed)
+                    << "rate " << r << " trial " << t;
+                EXPECT_EQ(first[t].faultSummary, second[t].faultSummary);
+            }
+        }
+    }
 }
 
 TEST(FaultCampaignTest, TrialSeedsAreAPureFunctionOfIndices)
@@ -178,7 +254,8 @@ TEST(FaultCampaignTest, RetriesAreBoundedAndCounted)
     // abandoned trials stay visible, never silently dropped.
     const workloads::Workload app = tinyApp();
     driver::SweepRunner runner(2);
-    const driver::FaultCampaignResult res = campaign.run(app, runner);
+    const driver::FaultCampaignResult res =
+        campaign.run({app}, runner).front();
     ASSERT_EQ(res.rates.size(), 1u);
     EXPECT_EQ(static_cast<int>(res.rates[0].trials.size()),
               cfg.trialsPerRate);

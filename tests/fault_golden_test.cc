@@ -58,7 +58,8 @@ computeHeadlines()
     const workloads::Workload app = factory.build("water");
 
     driver::SweepRunner runner(2);
-    const driver::FaultCampaignResult res = campaign.run(app, runner);
+    const driver::FaultCampaignResult res =
+        campaign.run({app}, runner).front();
 
     const driver::FaultRateResult &rate = res.rates.at(0);
     const double healthy_def =

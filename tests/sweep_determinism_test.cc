@@ -253,11 +253,27 @@ fingerprint(const IsolationResult &r)
     return os.str();
 }
 
+/** The isolation runs' compile-loop work counters, in app order. */
+std::string
+compileFingerprint(const std::vector<IsolationResult> &isolations)
+{
+    std::ostringstream os;
+    for (const IsolationResult &r : isolations) {
+        const partition::CompileStats &c = r.compile;
+        os << r.app << ':' << c.instancesPlanned << ','
+           << c.splitsRequested << ',' << c.plansComputed << ','
+           << c.plansMemoized << ',' << c.cacheBypassed << ','
+           << c.cachePeakEntries << ',' << c.cachePeakBytes << '|';
+    }
+    return os.str();
+}
+
 TEST(SweepDeterminismTest, MetricIsolationIsPoolAndVerifyInvariant)
 {
     // Figure 18's path: the isolation replays must not depend on the
     // pool (none, or mapOrdered at 1/2/8 threads) nor on whether the
-    // plans are statically verified.
+    // plans are statically verified, and neither may the planning
+    // work their compile counters report.
     workloads::WorkloadFactory factory(256);
     const std::vector<workloads::Workload> apps = {
         factory.build("water"), factory.build("lu")};
@@ -274,6 +290,7 @@ TEST(SweepDeterminismTest, MetricIsolationIsPoolAndVerifyInvariant)
             fingerprint(ExperimentRunner(config).runMetricIsolation(app)));
     }
     for (const ExperimentConfig &cfg : {config, verified}) {
+        std::vector<std::string> compile_prints;
         for (int threads : {1, 2, 8}) {
             SweepRunner runner(threads);
             const std::vector<IsolationResult> pooled =
@@ -289,8 +306,15 @@ TEST(SweepDeterminismTest, MetricIsolationIsPoolAndVerifyInvariant)
                     << apps[i].name << " at " << threads
                     << " thread(s), verify "
                     << verify::toString(cfg.partition.verifyLevel);
+                EXPECT_GT(pooled[i].compile.plansComputed, 0)
+                    << apps[i].name;
             }
+            compile_prints.push_back(compileFingerprint(pooled));
         }
+        EXPECT_EQ(compile_prints[0], compile_prints[1])
+            << "isolation compile counts differ 1 vs 2 threads";
+        EXPECT_EQ(compile_prints[0], compile_prints[2])
+            << "isolation compile counts differ 1 vs 8 threads";
     }
 }
 

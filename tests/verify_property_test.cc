@@ -40,7 +40,6 @@ expectClean(const AppResult &result, const std::string &label)
     EXPECT_GT(result.verify.plansVerified, 0) << label;
     EXPECT_EQ(result.verify.errors, 0) << label;
     EXPECT_EQ(result.verify.warnings, 0) << label;
-    EXPECT_EQ(result.verify.notes, 0) << label;
 }
 
 TEST(VerifyPropertyTest, HealthyPlansVerifyCleanAtFull)
