@@ -1,11 +1,11 @@
 /**
  * @file
  * Every table and figure of the paper's evaluation (Section 6), plus
- * two ablations, from one (app x config) grid: each of the 26 distinct
- * ExperimentConfigs runs once over the 12 apps, and every section reads
- * its columns from the apps' grid rows. Figure 18's metric isolation is
- * a second, per-app fan-out. The sections, in paper order, each under a
- * `-- heading --` line:
+ * two ablations, from one (app x config) grid: each of the 24 distinct
+ * ExperimentConfigs runs once over the 12 apps (288 runs), and every
+ * section reads its columns from the apps' grid rows; Figure 18 replays
+ * the default cells, planning nothing. The sections, in paper order,
+ * each under a `-- heading --` line:
  *
  * - Table 1: the fraction of data references whose on-chip location is
  *   compile-time analyzable (affine subscripts). Paper: 68.3% (Barnes)
@@ -44,18 +44,21 @@
  *   and both combined. Paper geomeans: 18.4% / 7.9% / 21.4%.
  * - Figure 24: energy reduction (event energy model). Paper: 23.1%.
  * - Ablation, design choices: execution-time improvement with one
- *   mechanism off: the variable2node map (-reuse), the load-balancing
- *   veto, sync minimisation, profile-guided plan selection, and
- *   statement windows (window=1).
+ *   mechanism off: the variable2node map (-reuse, the w = 1 column),
+ *   the load-balancing veto, sync minimisation, profile-guided plan
+ *   selection (the default cell's planned runs), and statement windows
+ *   (window=1).
  * - Ablation, topology: the full pipeline on a 2D mesh and on a 2D
  *   torus (Section 2's "any topology" claim).
  *
- * Every table is bit-identical for any NDP_BENCH_THREADS; each fan-out
- * ends with one `[sweep]` summary on stderr, the verifier's tally
- * included. When NDP_VERIFY_JSON names a path and NDP_VERIFY is cheap
- * or full, the verifier report of both fan-outs is written there.
+ * Every table is bit-identical for any NDP_BENCH_THREADS; the grid and
+ * the Figure 18 pass each end with a `[sweep]` summary on stderr, the
+ * grid's with the split-plan cache's and the verifier's tallies. When
+ * NDP_VERIFY_JSON names a path and NDP_VERIFY is cheap or full, the
+ * grid's verifier report is written there.
  */
 
+#include <cstdint>
 #include <functional>
 #include <iterator>
 #include <optional>
@@ -88,14 +91,12 @@ enum Config : std::size_t
     kKnl = kWindow1 + 8,
     kDataMapping = kKnl + 8,
     kCombined,
-    kNoReuse,
     kNoBalance,
     kNoSyncmin,
-    kNoSelection,
     kTorus,
     kConfigCount
 };
-static_assert(kConfigCount == 26);
+static_assert(kConfigCount == 24);
 
 struct KnlMode
 {
@@ -147,14 +148,10 @@ configName(std::size_t c)
         return "data-mapping";
     case kCombined:
         return "combined";
-    case kNoReuse:
-        return "-reuse";
     case kNoBalance:
         return "-balance";
     case kNoSyncmin:
         return "-syncmin";
-    case kNoSelection:
-        return "-selection";
     case kTorus:
         return "torus";
     default:
@@ -177,43 +174,38 @@ gridConfigs()
     }
     configs[kDataMapping].optimizeComputation = false;
     configs[kDataMapping].dataToMcRemap = true;
-    configs[kDataMapping].planSelection = false;
     configs[kCombined].dataToMcRemap = true;
-    configs[kNoReuse].partition.exploitReuse = false;
     configs[kNoBalance].partition.loadBalance = false;
     configs[kNoSyncmin].partition.minimizeSyncs = false;
-    configs[kNoSelection].planSelection = false;
     configs[kTorus].machine.torus = true;
     return configs;
 }
 
-/** Everything the (app x config) grid produces. */
+/** Everything the (app x config) grid and Figure 18's replays produce. */
 struct SweepOutcome
 {
     std::vector<workloads::Workload> apps;
     /** grid[a]: apps[a]'s row, one cell per config. */
     std::vector<Row> grid;
     driver::SweepStats stats;
+    /** isolations[a]: Figure 18's replays of grid[a][kDefault]. */
+    std::vector<driver::IsolationResult> isolations;
 };
 
 /**
- * Write the verifier report to @p out: the grid's totals, the totals of
- * Figure 18's isolation fan-out (@p isolation), and one JSON object per
- * app x config cell, named by index and label, with its per-nest
- * verify::Report::renderJson() inlined.
+ * Write the verifier report to @p out: the grid's totals and one JSON
+ * object per app x config cell, named by index and label, with its
+ * per-nest verify::Report::renderJson() inlined. Figure 18's pass plans
+ * nothing, so the grid's cells hold every verified plan.
  */
 void
-writeVerifyJson(std::ostream &out, const SweepOutcome &sweep,
-                const verify::ReportCounts &isolation)
+writeVerifyJson(std::ostream &out, const SweepOutcome &sweep)
 {
     const verify::ReportCounts &totals = sweep.stats.verify;
     out << "{\n  \"scale\": " << bench::benchScale()
         << ",\n  \"plans_verified\": " << totals.plansVerified
         << ",\n  \"errors\": " << totals.errors
-        << ",\n  \"warnings\": " << totals.warnings
-        << ",\n  \"isolation\": {\"plans_verified\": "
-        << isolation.plansVerified << ", \"errors\": " << isolation.errors
-        << ", \"warnings\": " << isolation.warnings << "},\n  \"apps\": [";
+        << ",\n  \"warnings\": " << totals.warnings << ",\n  \"apps\": [";
     for (std::size_t a = 0; a < sweep.apps.size(); ++a) {
         out << (a == 0 ? "" : ",") << "\n    {\"app\": \""
             << sweep.apps[a].name << "\", \"configs\": [";
@@ -242,32 +234,47 @@ writeVerifyJson(std::ostream &out, const SweepOutcome &sweep,
 }
 
 /**
- * Run every app under every config on a SweepRunner (cells across the
- * pool, loop nests within each cell).
+ * Run every app under every config on one SweepRunner (cells across the
+ * pool, loop nests within each cell), then Figure 18's replays of the
+ * default cells on the same pool; each pass prints its `[sweep]`
+ * summary.
  */
 SweepOutcome
-runSweep(const std::vector<driver::ExperimentConfig> &configs)
+runSweep()
 {
     SweepOutcome outcome;
     outcome.apps = bench::allApps();
+    const std::vector<driver::ExperimentConfig> configs = gridConfigs();
     driver::SweepRunner runner;
     outcome.grid = runner.runGrid(outcome.apps, configs);
     outcome.stats = runner.stats();
     outcome.stats.printSummary(std::clog);
+
+    outcome.isolations = runner.mapOrdered<driver::IsolationResult>(
+        outcome.apps.size(),
+        [&outcome, &configs](std::size_t a, support::ThreadPool &pool) {
+            return driver::ExperimentRunner(configs[kDefault], &pool)
+                .runMetricIsolation(outcome.apps[a],
+                                    outcome.grid[a][kDefault].result);
+        });
+    runner.stats().printSummary(std::clog);
     return outcome;
 }
 
+/** A scalar metric of app a's results in the sweep. */
+using Metric = std::function<double(const SweepOutcome &, std::size_t a)>;
+
 /**
- * One column of a section's table: a scalar metric of an app's grid
- * row, plus how (and whether) to summarise it across apps in the
- * table's footer row.
+ * One column of a section's table: a scalar metric of each app, plus
+ * how (and whether) to summarise it across apps in the table's footer
+ * row.
  */
 struct MetricColumn
 {
     enum class Summary { None, Geomean, Mean };
 
     std::string header;
-    std::function<double(const Row &)> metric;
+    Metric metric;
     Summary summary = Summary::None;
     int precision = 2;
 };
@@ -277,12 +284,22 @@ using Summary = MetricColumn::Summary;
  * A column metric that reads @p metric (a callable, or a pointer to a
  * member function or field) of config @p c's AppResult.
  */
-template <typename Metric>
-std::function<double(const Row &)>
-of(std::size_t c, Metric metric)
+template <typename Getter>
+Metric
+of(std::size_t c, Getter metric)
 {
-    return [c, metric](const Row &row) {
-        return static_cast<double>(std::invoke(metric, row[c].result));
+    return [c, metric](const SweepOutcome &sweep, std::size_t a) {
+        return static_cast<double>(
+            std::invoke(metric, sweep.grid[a][c].result));
+    };
+}
+
+/** A Figure 18 column: field @p pct of each app's IsolationResult. */
+Metric
+isolated(double driver::IsolationResult::*pct)
+{
+    return [pct](const SweepOutcome &sweep, std::size_t a) {
+        return sweep.isolations[a].*pct;
     };
 }
 
@@ -301,10 +318,11 @@ offloadedPct(const driver::AppResult &r, int category)
  * Figure 22's cell: column @p c's default (@p optimized false) or
  * optimized makespan over the (B,X) default makespan.
  */
-std::function<double(const Row &)>
+Metric
 normalizedMakespan(std::size_t c, bool optimized)
 {
-    return [c, optimized](const Row &row) {
+    return [c, optimized](const SweepOutcome &sweep, std::size_t a) {
+        const Row &row = sweep.grid[a];
         const driver::AppResult &r = row[c].result;
         return static_cast<double>(optimized ? r.optimizedMakespan
                                              : r.defaultMakespan) /
@@ -313,15 +331,17 @@ normalizedMakespan(std::size_t c, bool optimized)
 }
 
 /**
- * Print the per-app metric table: one row per app, one cell per
- * column, and — when any column asks for a summary — a footer row
- * labelled "geomean" (or "mean" when only arithmetic means were
- * requested) summarising those columns.
+ * Print a section: its `-- heading --` line, the per-app metric table
+ * (one row per app, one cell per column, and — when any column asks for
+ * a summary — a footer row labelled "geomean", or "mean" when only
+ * arithmetic means were requested, summarising those columns) and a
+ * blank line. Returns each column's per-app values.
  */
-void
-printMetricTable(const SweepOutcome &sweep,
-                 const std::vector<MetricColumn> &columns)
+std::vector<std::vector<double>>
+printSection(const std::string &heading, const SweepOutcome &sweep,
+             const std::vector<MetricColumn> &columns)
 {
+    std::cout << "-- " << heading << " --\n";
     std::vector<std::string> headers = {"app"};
     for (const MetricColumn &col : columns)
         headers.push_back(col.header);
@@ -331,7 +351,7 @@ printMetricTable(const SweepOutcome &sweep,
     for (std::size_t a = 0; a < sweep.apps.size(); ++a) {
         table.row().cell(sweep.apps[a].name);
         for (std::size_t c = 0; c < columns.size(); ++c) {
-            const double v = columns[c].metric(sweep.grid[a]);
+            const double v = columns[c].metric(sweep, a);
             values[c].push_back(v);
             table.cell(v, columns[c].precision);
         }
@@ -362,56 +382,8 @@ printMetricTable(const SweepOutcome &sweep,
         }
     }
     table.print(std::cout);
-}
-
-/** A section: its heading line, its table and a blank line. */
-void
-printSection(const std::string &heading, const SweepOutcome &sweep,
-             const std::vector<MetricColumn> &columns)
-{
-    std::cout << "-- " << heading << " --\n";
-    printMetricTable(sweep, columns);
     std::cout << "\n";
-}
-
-/** Figure 18's section: the S1-S4 table and S2's share of the gain. */
-void
-printIsolation(const std::vector<workloads::Workload> &apps,
-               const std::vector<driver::IsolationResult> &isolations)
-{
-    std::cout << "-- Figure 18: isolated metric contributions --\n";
-    Table table({"app", "S1:L1%", "S2:movement%", "S3:parallel%",
-                 "S4:sync%", "full%"});
-    std::vector<double> s2s, fulls;
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        const driver::IsolationResult &iso = isolations[a];
-        s2s.push_back(iso.s2DataMovement);
-        fulls.push_back(iso.fullApproach);
-        table.row()
-            .cell(apps[a].name)
-            .cell(iso.s1L1Behavior)
-            .cell(iso.s2DataMovement)
-            .cell(iso.s3Parallelism)
-            .cell(iso.s4Synchronization)
-            .cell(iso.fullApproach);
-    }
-    table.row()
-        .cell("geomean")
-        .cell("")
-        .cell(driver::geomeanPct(s2s))
-        .cell("")
-        .cell("")
-        .cell(driver::geomeanPct(fulls));
-    table.print(std::cout);
-
-    const double share =
-        driver::geomeanPct(fulls) == 0.0
-            ? 0.0
-            : 100.0 * driver::geomeanPct(s2s) / driver::geomeanPct(fulls);
-    std::cout << "\nS2 (movement) alone reaches " << share
-              << "% of the full improvement (paper: ~77%; S2 can exceed"
-                 " 100% here\nbecause it pays none of the split's task"
-                 " and synchronisation overheads)\n\n";
+    return values;
 }
 
 } // namespace
@@ -424,34 +396,17 @@ main()
                   "Tables 1-3, Figures 13-24 and two ablations");
 
     // The verifier report's path is opened before anything runs, so a
-    // bad path fails fast; the report is written once both fan-outs
-    // have finished.
+    // bad path fails fast; the report is written once the sweep has
+    // finished.
     const char *json_path = std::getenv("NDP_VERIFY_JSON");
     std::optional<std::ofstream> json;
     if (json_path != nullptr &&
         verify::verifyLevelFromEnv() != verify::VerifyLevel::Off)
         json = bench::openJsonOutput(json_path, "NDP_VERIFY_JSON");
 
-    const SweepOutcome sweep = runSweep(gridConfigs());
-
-    driver::SweepRunner isolation_runner;
-    const driver::ExperimentConfig isolation_config;
-    const std::vector<driver::IsolationResult> isolations =
-        isolation_runner.mapOrdered<driver::IsolationResult>(
-            sweep.apps.size(),
-            [&sweep, &isolation_config](std::size_t i,
-                                        support::ThreadPool &pool) {
-                return driver::ExperimentRunner(isolation_config, &pool)
-                    .runMetricIsolation(sweep.apps[i]);
-            });
-    driver::SweepStats isolation_stats = isolation_runner.stats();
-    for (const driver::IsolationResult &iso : isolations) {
-        isolation_stats.compile.merge(iso.compile);
-        isolation_stats.verify.merge(iso.verify);
-    }
-    isolation_stats.printSummary(std::clog);
+    const SweepOutcome sweep = runSweep();
     if (json) {
-        writeVerifyJson(*json, sweep, isolation_stats.verify);
+        writeVerifyJson(*json, sweep);
         std::clog << "[verify] wrote JSON report to " << json_path << "\n";
     }
 
@@ -522,7 +477,23 @@ main()
                   {"ideal-network%", of(kIdealNetwork, exec),
                    Summary::Geomean},
                   {"ideal-data%", of(kIdealData, exec), Summary::Geomean}});
-    printIsolation(sweep.apps, isolations);
+    using driver::IsolationResult;
+    const auto fig18 = printSection(
+        "Figure 18: isolated metric contributions", sweep,
+        {{"S1:L1%", isolated(&IsolationResult::s1L1Behavior)},
+         {"S2:movement%", isolated(&IsolationResult::s2DataMovement),
+          Summary::Geomean},
+         {"S3:parallel%", isolated(&IsolationResult::s3Parallelism)},
+         {"S4:sync%", isolated(&IsolationResult::s4Synchronization)},
+         {"full%", isolated(&IsolationResult::fullApproach),
+          Summary::Geomean}});
+    const double full = driver::geomeanPct(fig18[4]);
+    const double share =
+        full == 0.0 ? 0.0 : 100.0 * driver::geomeanPct(fig18[1]) / full;
+    std::cout << "S2 (movement) alone reaches " << share
+              << "% of the full improvement (paper: ~77%; S2 can exceed"
+                 " 100% here\nbecause it pays none of the split's task"
+                 " and synchronisation overheads)\n\n";
     printSection(
         "Figure 19: network latency reduction", sweep,
         {{"avg latency reduction%",
@@ -563,18 +534,32 @@ main()
                   {"ideal-network%", of(kIdealNetwork, energy)},
                   {"ideal-data%", of(kIdealData, energy)}});
 
+    // Without the variable2node map no window candidate differs from
+    // w = 1, so -reuse plans the w = 1 column's plan
+    // (WindowBehaviorTest.ReuseAgnosticPlanIsTheWindowOnePlan pins it).
+    // Without plan selection the default cell ships its planned runs.
+    const auto without_selection = [](const AppResult &r) {
+        std::int64_t planned = 0;
+        for (const driver::NestResult &nr : r.nests)
+            planned += nr.plannedRun.makespanCycles;
+        return percentReduction(static_cast<double>(r.defaultMakespan),
+                                static_cast<double>(planned));
+    };
     printSection("Ablation: design choices", sweep,
                  {{"full", of(kDefault, exec), Summary::Geomean},
-                  {"-reuse", of(kNoReuse, exec), Summary::Geomean},
+                  {"-reuse", of(kWindow1, exec), Summary::Geomean},
                   {"-balance", of(kNoBalance, exec), Summary::Geomean},
                   {"-syncmin", of(kNoSyncmin, exec), Summary::Geomean},
-                  {"-selection", of(kNoSelection, exec), Summary::Geomean},
+                  {"-selection", of(kDefault, without_selection),
+                   Summary::Geomean},
                   {"window=1", of(kWindow1, exec), Summary::Geomean}});
     printSection(
         "Ablation: topology", sweep,
         {{"mesh improvement%", of(kDefault, exec), Summary::Geomean},
          {"torus improvement%", of(kTorus, exec), Summary::Geomean},
-         {"torus default speedup%", [](const Row &row) {
+         {"torus default speedup%",
+          [](const SweepOutcome &s, std::size_t a) {
+              const Row &row = s.grid[a];
               return percentReduction(
                   static_cast<double>(row[kDefault].result.defaultMakespan),
                   static_cast<double>(row[kTorus].result.defaultMakespan));

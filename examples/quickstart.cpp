@@ -8,7 +8,8 @@
  *     profiling run.
  *  3. Plan the nest with the NDP partitioner; the session checks the
  *     plan with the static verifier.
- *  4. Simulate the plan and compare data movement / execution time.
+ *  4. Simulate the plan, compare data movement / execution time, and
+ *     say which plan the driver's plan selection would ship.
  *
  * The kernel here is the paper's running example (Figure 3):
  * A(i) = B(i) + C(i) + D(i) + E(i).
@@ -19,6 +20,7 @@
 #include "driver/experiment.h"
 #include "ir/parser.h"
 #include "partition/codegen.h"
+#include "support/stats.h"
 #include "support/table.h"
 
 int
@@ -73,6 +75,19 @@ main()
         .cell(def.avgNetworkLatency)
         .cell(opt.avgNetworkLatency);
     table.print(std::cout);
+
+    // The experiment driver's plan selection would ship the default
+    // plan wherever the optimized one is slower.
+    std::cout << "\nplan selection ships: ";
+    if (config.shipsDefaultPlan(def, opt)) {
+        std::cout << "default (the optimized plan is "
+                  << percentInflation(
+                         static_cast<double>(def.makespanCycles),
+                         static_cast<double>(opt.makespanCycles))
+                  << "% slower)\n";
+    } else {
+        std::cout << "optimized\n";
+    }
 
     std::cout << "\nchosen window size: " << report.chosenWindowSize
               << "\nper-statement movement reduction: "

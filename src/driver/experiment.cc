@@ -1,7 +1,9 @@
 #include "driver/experiment.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
+#include <string>
 
 #include "baseline/data_to_mc.h"
 #include "support/error.h"
@@ -53,20 +55,6 @@ NestSession::plan()
     return plan;
 }
 
-namespace {
-
-/** Per-nest makespan totals of the Figure 18 isolation replays. */
-struct IsolationTotals
-{
-    std::int64_t def = 0;
-    std::int64_t full = 0;
-    std::int64_t s1 = 0, s2 = 0, s3 = 0, s4 = 0;
-    partition::CompileStats compile;
-    verify::ReportCounts verify;
-};
-
-} // namespace
-
 ExperimentRunner::ExperimentRunner(ExperimentConfig config,
                                    support::ThreadPool *pool)
     : config_(std::move(config)), pool_(pool)
@@ -106,14 +94,16 @@ ExperimentRunner::runNest(const workloads::Workload &workload,
 
     sim::EngineOptions opts;
     opts.idealNetwork = config_.idealNetwork;
-    nr.optimizedRun = session.engine.run(optimized_plan, opts);
+    nr.plannedRun = session.engine.run(optimized_plan, opts);
+    nr.plannedParallelism = nr.report.degreeOfParallelism.mean();
 
-    if (config_.planSelection && config_.optimizeComputation &&
-        nr.optimizedRun.makespanCycles > nr.defaultRun.makespanCycles) {
+    if (config_.shipsDefaultPlan(nr.defaultRun, nr.plannedRun)) {
         // Profile-guided selection: the transformation lost on this
         // nest; ship the default plan instead.
         nr.optimizedRun = session.engine.run(session.defaultPlan, opts);
         nr.report = partition::keptDefaultReport(nr.report);
+    } else {
+        nr.optimizedRun = nr.plannedRun;
     }
 
     nr.predictorPredictions = session.system.missPredictor().predictions();
@@ -216,81 +206,83 @@ IsolationResult
 ExperimentRunner::runMetricIsolation(
     const workloads::Workload &workload) const
 {
-    const std::vector<IsolationTotals> totals = support::orderedMap(
+    return runMetricIsolation(workload, runApp(workload));
+}
+
+IsolationResult
+ExperimentRunner::runMetricIsolation(const workloads::Workload &workload,
+                                     const AppResult &cell) const
+{
+    NDP_REQUIRE(cell.nests.size() == workload.nests.size(),
+                "metric isolation of app '" << workload.name << "': the cell"
+                << " has " << cell.nests.size() << " nests");
+    // Per nest, the makespans of the S1-S4 replays of its default plan.
+    using Replays = std::array<std::int64_t, 4>;
+    const std::vector<Replays> replays = support::orderedMap(
         pool_, workload.nests.size(), [&](std::size_t n) {
-            NestSession session(config_, workload, workload.nests[n]);
-            const sim::ExecutionPlan optimized_plan = session.plan();
+            const ir::LoopNest &nest = workload.nests[n];
+            const NestResult &nr = cell.nests[n];
+            const std::string where = "metric isolation of app '" +
+                                      workload.name + "', nest '" +
+                                      nest.name() + "': ";
+            NDP_REQUIRE(config_.optimizeComputation &&
+                            !config_.idealNetwork && !config_.dataToMcRemap,
+                        where << "the config's optimized run is not the "
+                                 "planner's plan on the real network");
+            NestSession session(config_, workload, nest);
+            session.stream.reset(); // the replays read no instances
             const sim::SimResult &def = session.defaultRun;
-            const sim::SimResult opt = session.engine.run(optimized_plan);
-            const auto replay = [&session](const sim::EngineOptions &o) {
-                return session.engine.run(session.defaultPlan, o)
-                    .makespanCycles;
-            };
+            NDP_REQUIRE(def.makespanCycles == nr.defaultRun.makespanCycles,
+                        where << "profiling makespan " << def.makespanCycles
+                              << " differs from the cell's "
+                              << nr.defaultRun.makespanCycles
+                              << " (a cell of another config or workload)");
+            const sim::SimResult &opt = nr.plannedRun;
 
-            IsolationTotals t;
-            t.def = def.makespanCycles;
-            t.full = config_.planSelection
-                         ? std::min(opt.makespanCycles, def.makespanCycles)
-                         : opt.makespanCycles;
-
+            std::array<sim::EngineOptions, 4> s;
             // S1: the default code with the optimized L1 hit/miss
             // profile.
-            sim::EngineOptions s1;
-            s1.l1HitRateOverride = opt.l1HitRate();
-            t.s1 = replay(s1);
-
+            s[0].l1HitRateOverride = opt.l1HitRate();
             // S2: the default code paying the optimized data movement —
             // scale every network latency by the movement ratio.
-            sim::EngineOptions s2;
-            s2.networkScale =
+            s[1].networkScale =
                 def.dataMovementFlitHops == 0
                     ? 1.0
                     : static_cast<double>(opt.dataMovementFlitHops) /
                           static_cast<double>(def.dataMovementFlitHops);
-            t.s2 = replay(s2);
-
             // S3: the default code with the optimized degree of
             // subcomputation parallelism.
-            sim::EngineOptions s3;
-            s3.parallelismSpeedup =
-                std::max(1.0, session.report.degreeOfParallelism.mean());
-            t.s3 = replay(s3);
-
+            s[2].parallelismSpeedup = std::max(1.0, nr.plannedParallelism);
             // S4: the default code paying the optimized
             // synchronisations.
-            sim::EngineOptions s4;
-            s4.extraSyncs = opt.syncCount;
-            t.s4 = replay(s4);
-            t.compile = session.report.compile;
-            t.verify = session.verdict.counts();
-            return t;
+            s[3].extraSyncs = opt.syncCount;
+            Replays makespans{};
+            for (std::size_t i = 0; i < s.size(); ++i) {
+                makespans[i] =
+                    session.engine.run(session.defaultPlan, s[i])
+                        .makespanCycles;
+            }
+            return makespans;
         });
 
-    IsolationTotals sum;
-    for (const IsolationTotals &t : totals) {
-        sum.def += t.def;
-        sum.full += t.full;
-        sum.s1 += t.s1;
-        sum.s2 += t.s2;
-        sum.s3 += t.s3;
-        sum.s4 += t.s4;
-        sum.compile.merge(t.compile);
-        sum.verify.merge(t.verify);
+    Replays sum{};
+    for (const Replays &nest : replays) {
+        for (std::size_t i = 0; i < sum.size(); ++i)
+            sum[i] += nest[i];
     }
-
-    const auto pct = [&sum](std::int64_t v) {
-        return percentReduction(static_cast<double>(sum.def),
+    const auto pct = [&cell](std::int64_t v) {
+        return percentReduction(static_cast<double>(cell.defaultMakespan),
                                 static_cast<double>(v));
     };
     IsolationResult iso;
     iso.app = workload.name;
-    iso.s1L1Behavior = pct(sum.s1);
-    iso.s2DataMovement = pct(sum.s2);
-    iso.s3Parallelism = pct(sum.s3);
-    iso.s4Synchronization = pct(sum.s4);
-    iso.fullApproach = pct(sum.full);
-    iso.compile = sum.compile;
-    iso.verify = sum.verify;
+    iso.s1L1Behavior = pct(sum[0]);
+    iso.s2DataMovement = pct(sum[1]);
+    iso.s3Parallelism = pct(sum[2]);
+    iso.s4Synchronization = pct(sum[3]);
+    // The shipped runs: the planned ones, or the default plan's where
+    // plan selection kept it.
+    iso.fullApproach = cell.execTimeReductionPct();
     return iso;
 }
 

@@ -62,6 +62,16 @@ struct ExperimentConfig
      * partitioner output.
      */
     bool planSelection = true;
+
+    /** Plan selection's verdict on a nest: ship its default plan (run
+     *  @p def) over the planner's (run @p planned)? */
+    bool
+    shipsDefaultPlan(const sim::SimResult &def,
+                     const sim::SimResult &planned) const
+    {
+        return planSelection && optimizeComputation &&
+               planned.makespanCycles > def.makespanCycles;
+    }
 };
 
 /**
@@ -125,7 +135,13 @@ struct NestResult
 {
     std::string nest;
     sim::SimResult defaultRun;
+    /** The shipped run: plannedRun unless plan selection kept the
+     *  default plan. */
     sim::SimResult optimizedRun;
+    /** The planner's optimized run and its report's mean degree of
+     *  parallelism, before plan selection. */
+    sim::SimResult plannedRun;
+    double plannedParallelism = 0.0;
     partition::PartitionReport report;
     /**
      * Static verification of the optimized plan (empty at verify
@@ -226,12 +242,6 @@ struct IsolationResult
     double s3Parallelism = 0.0;
     double s4Synchronization = 0.0;
     double fullApproach = 0.0;
-    /** Compile-loop counters of the nests it planned, merged in nest
-     *  order. */
-    partition::CompileStats compile;
-    /** Plan-verification tallies of the nests it planned, merged in
-     *  nest order (all-zero at verify level Off). */
-    verify::ReportCounts verify;
 };
 
 /** Runs workloads under configurations. */
@@ -263,10 +273,17 @@ class ExperimentRunner
                        const ir::LoopNest &nest) const;
 
     /**
-     * Figure 18: replay the default plan with one donor metric each.
-     * Plans, and verifies at the configured level, exactly as runNest
-     * does; nests fan out on the pool like runApp's.
+     * Figure 18: replay each nest's default plan with one donor metric
+     * of its planned run in @p cell, runApp(@p workload) under this
+     * config; "full" is the shipped run. Plans nothing; nests fan out
+     * on the pool like runApp's. A cell of another config or workload,
+     * or a config with idealNetwork, dataToMcRemap or
+     * !optimizeComputation, is an ndp::fatal.
      */
+    IsolationResult runMetricIsolation(const workloads::Workload &workload,
+                                       const AppResult &cell) const;
+
+    /** runMetricIsolation(@p workload, runApp(@p workload)). */
     IsolationResult runMetricIsolation(
         const workloads::Workload &workload) const;
 

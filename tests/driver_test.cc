@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ndp/ndp.h" // umbrella header must stay self-contained
 #include "driver/experiment.h"
 #include "partition/codegen.h"
+#include "support/error.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -108,6 +111,107 @@ TEST(DriverTest, MetricIsolationOrdersContributions)
     // paper's headline observation for Figure 18).
     EXPECT_GT(iso.fullApproach, 0.0);
     EXPECT_GT(iso.s2DataMovement, iso.s4Synchronization);
+}
+
+/** Every SimResult field of @p got equals @p want's. */
+void
+expectSameRun(const sim::SimResult &got, const sim::SimResult &want,
+              const std::string &where)
+{
+    EXPECT_EQ(got.makespanCycles, want.makespanCycles) << where;
+    EXPECT_EQ(got.totalBusyCycles, want.totalBusyCycles) << where;
+    EXPECT_EQ(got.taskCount, want.taskCount) << where;
+    EXPECT_EQ(got.schedulerPops, want.schedulerPops) << where;
+    EXPECT_EQ(got.dataMovementFlitHops, want.dataMovementFlitHops)
+        << where;
+    EXPECT_EQ(got.networkMessages, want.networkMessages) << where;
+    EXPECT_EQ(got.avgNetworkLatency, want.avgNetworkLatency) << where;
+    EXPECT_EQ(got.maxNetworkLatency, want.maxNetworkLatency) << where;
+    EXPECT_EQ(got.l1.hits, want.l1.hits) << where;
+    EXPECT_EQ(got.l1.misses, want.l1.misses) << where;
+    EXPECT_EQ(got.l2.hits, want.l2.hits) << where;
+    EXPECT_EQ(got.l2.misses, want.l2.misses) << where;
+    EXPECT_EQ(got.syncCount, want.syncCount) << where;
+    EXPECT_EQ(got.syncWaitCycles, want.syncWaitCycles) << where;
+    EXPECT_EQ(got.computeCycles, want.computeCycles) << where;
+    EXPECT_EQ(got.networkStallCycles, want.networkStallCycles) << where;
+    EXPECT_EQ(got.memoryStallCycles, want.memoryStallCycles) << where;
+    EXPECT_EQ(got.energy.compute, want.energy.compute) << where;
+    EXPECT_EQ(got.energy.l1, want.energy.l1) << where;
+    EXPECT_EQ(got.energy.l2, want.energy.l2) << where;
+    EXPECT_EQ(got.energy.network, want.energy.network) << where;
+    EXPECT_EQ(got.energy.memory, want.energy.memory) << where;
+    EXPECT_EQ(got.energy.sync, want.energy.sync) << where;
+    EXPECT_EQ(got.energy.staticLeakage, want.energy.staticLeakage)
+        << where;
+}
+
+TEST(DriverTest, PlannedRunIsTheRunWithoutPlanSelection)
+{
+    // The -selection ablation and Figure 18's donors read a selecting
+    // cell's planned runs: each must be the run a non-selecting cell
+    // ships, and its parallelism that cell's report's.
+    const workloads::Workload app = smallApp("lu");
+    ExperimentConfig raw_config;
+    raw_config.planSelection = false;
+    const AppResult selected = ExperimentRunner().runApp(app);
+    const AppResult raw = ExperimentRunner(raw_config).runApp(app);
+    ASSERT_EQ(selected.nests.size(), raw.nests.size());
+    int kept_default = 0;
+    for (std::size_t n = 0; n < raw.nests.size(); ++n) {
+        const NestResult &s = selected.nests[n];
+        const NestResult &r = raw.nests[n];
+        expectSameRun(s.plannedRun, r.optimizedRun, "lu/" + r.nest);
+        expectSameRun(r.plannedRun, r.optimizedRun, "lu/" + r.nest);
+        EXPECT_EQ(s.plannedParallelism,
+                  r.report.degreeOfParallelism.mean())
+            << r.nest;
+        kept_default += s.optimizedRun.makespanCycles !=
+                        s.plannedRun.makespanCycles;
+    }
+    EXPECT_GT(kept_default, 0)
+        << "plan selection no longer reverts a nest of lu";
+}
+
+/** The message of the ndp::FatalError @p fn throws ("" if none). */
+template <typename Fn>
+std::string
+fatalMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(DriverTest, MetricIsolationRejectsAForeignCell)
+{
+    const workloads::Workload app = smallApp("water");
+    ExperimentConfig torus;
+    torus.machine.torus = true;
+    const AppResult torus_cell = ExperimentRunner(torus).runApp(app);
+    const std::string foreign = fatalMessage(
+        [&] { ExperimentRunner().runMetricIsolation(app, torus_cell); });
+    EXPECT_NE(foreign.find("app 'water', nest '" + app.nests[0].name() +
+                           "'"),
+              std::string::npos)
+        << foreign;
+    EXPECT_NE(foreign.find("profiling makespan"), std::string::npos)
+        << foreign;
+
+    ExperimentConfig ideal;
+    ideal.optimizeComputation = false;
+    ideal.idealNetwork = true;
+    const AppResult ideal_cell = ExperimentRunner(ideal).runApp(app);
+    const std::string not_planned = fatalMessage([&] {
+        ExperimentRunner(ideal).runMetricIsolation(app, ideal_cell);
+    });
+    EXPECT_NE(not_planned.find("app 'water', nest '"), std::string::npos)
+        << not_planned;
+    EXPECT_NE(not_planned.find("real network"), std::string::npos)
+        << not_planned;
 }
 
 TEST(DriverTest, DataToMcRemapRuns)

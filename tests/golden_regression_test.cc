@@ -4,15 +4,16 @@
  * Table 1 (analyzable references), Table 2 (predictor accuracy),
  * Figure 13 (data-movement reduction), Figure 14 (subcomputation
  * parallelism), Figure 16 (L1 hit rates), Figure 17 (execution-time
- * reduction), Figure 19 (network latency reduction) and Figure 24
- * (energy reduction) metrics of three representative apps at the small
- * bench scale (NDP_BENCH_SCALE=256 equivalent), compared against a
- * checked-in golden file with a small tolerance (rates and fractions
- * are pinned in percent, so it reads in % points for them too). The
- * planner's integer accounting is pinned alongside: Figure 15's sync
- * totals (after and before minimisation), Table 3's offloaded-op
- * counts, and the planned movement of every window-size candidate
- * (Figure 20), which the tolerance pins exactly. The pipeline is
+ * reduction), Figure 18 (isolated metric contributions), Figure 19
+ * (network latency reduction), Figure 24 (energy reduction) and the
+ * -selection / -reuse design-ablation metrics of three representative
+ * apps at the small bench scale (NDP_BENCH_SCALE=256 equivalent),
+ * compared against a checked-in golden file with a small tolerance
+ * (rates and fractions are pinned in percent, so it reads in % points
+ * for them too). The planner's integer accounting is pinned alongside:
+ * Figure 15's sync totals (after and before minimisation), Table 3's
+ * offloaded-op counts, and the planned movement of every window-size
+ * candidate (Figure 20), which the tolerance pins exactly. The pipeline is
  * deterministic, so the tolerance only absorbs floating-point drift
  * across toolchains (reassociation, FMA contraction) — a behavioural
  * change in the locator, splitter, balancer, or engine lands far
@@ -26,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -70,9 +72,11 @@ computeHeadlines()
     for (const std::string &name : goldenApps())
         apps.push_back(factory.build(name));
 
+    driver::ExperimentConfig window1;
+    window1.partition.fixedWindowSize = 1;
     driver::SweepRunner runner;
     const auto grid =
-        runner.runGrid(apps, {driver::ExperimentConfig{}});
+        runner.runGrid(apps, {driver::ExperimentConfig{}, window1});
 
     std::map<std::string, double> metrics;
     for (std::size_t a = 0; a < apps.size(); ++a) {
@@ -119,6 +123,24 @@ computeHeadlines()
             metrics[r.app + "/fig20_planned_movement_w" +
                     std::to_string(k)] = static_cast<double>(movement);
         }
+        // Figure 18 and the -selection / -reuse ablations, derived
+        // as paper_sweep derives them: isolation replays the default
+        // cell, -selection is its planned runs, -reuse the w = 1 cell.
+        const driver::IsolationResult iso =
+            driver::ExperimentRunner().runMetricIsolation(apps[a], r);
+        metrics[r.app + "/fig18_s1_pct"] = iso.s1L1Behavior;
+        metrics[r.app + "/fig18_s2_pct"] = iso.s2DataMovement;
+        metrics[r.app + "/fig18_s3_pct"] = iso.s3Parallelism;
+        metrics[r.app + "/fig18_s4_pct"] = iso.s4Synchronization;
+        metrics[r.app + "/fig18_full_pct"] = iso.fullApproach;
+        std::int64_t planned = 0;
+        for (const driver::NestResult &nr : r.nests)
+            planned += nr.plannedRun.makespanCycles;
+        metrics[r.app + "/ablation_noselection_exec_pct"] =
+            percentReduction(static_cast<double>(r.defaultMakespan),
+                             static_cast<double>(planned));
+        metrics[r.app + "/ablation_noreuse_exec_pct"] =
+            grid[a][1].result.execTimeReductionPct();
     }
     return metrics;
 }

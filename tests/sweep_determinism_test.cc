@@ -253,27 +253,12 @@ fingerprint(const IsolationResult &r)
     return os.str();
 }
 
-/** The isolation runs' compile-loop work counters, in app order. */
-std::string
-compileFingerprint(const std::vector<IsolationResult> &isolations)
-{
-    std::ostringstream os;
-    for (const IsolationResult &r : isolations) {
-        const partition::CompileStats &c = r.compile;
-        os << r.app << ':' << c.instancesPlanned << ','
-           << c.splitsRequested << ',' << c.plansComputed << ','
-           << c.plansMemoized << ',' << c.cacheBypassed << ','
-           << c.cachePeakEntries << ',' << c.cachePeakBytes << '|';
-    }
-    return os.str();
-}
-
 TEST(SweepDeterminismTest, MetricIsolationIsPoolAndVerifyInvariant)
 {
     // Figure 18's path: the isolation replays must not depend on the
     // pool (none, or mapOrdered at 1/2/8 threads) nor on whether the
-    // plans are statically verified, and neither may the planning
-    // work their compile counters report.
+    // cell's plans were statically verified, and replaying a given
+    // cell must match the one-argument wrapper, which plans its own.
     workloads::WorkloadFactory factory(256);
     const std::vector<workloads::Workload> apps = {
         factory.build("water"), factory.build("lu")};
@@ -290,31 +275,36 @@ TEST(SweepDeterminismTest, MetricIsolationIsPoolAndVerifyInvariant)
             fingerprint(ExperimentRunner(config).runMetricIsolation(app)));
     }
     for (const ExperimentConfig &cfg : {config, verified}) {
-        std::vector<std::string> compile_prints;
+        std::vector<AppResult> cells;
+        for (const workloads::Workload &app : apps)
+            cells.push_back(ExperimentRunner(cfg).runApp(app));
         for (int threads : {1, 2, 8}) {
             SweepRunner runner(threads);
-            const std::vector<IsolationResult> pooled =
+            const std::vector<IsolationResult> wrapped =
                 runner.mapOrdered<IsolationResult>(
                     apps.size(),
                     [&](std::size_t i, support::ThreadPool &pool) {
                         return ExperimentRunner(cfg, &pool)
                             .runMetricIsolation(apps[i]);
                     });
-            ASSERT_EQ(pooled.size(), apps.size());
+            const std::vector<IsolationResult> replayed =
+                runner.mapOrdered<IsolationResult>(
+                    apps.size(),
+                    [&](std::size_t i, support::ThreadPool &pool) {
+                        return ExperimentRunner(cfg, &pool)
+                            .runMetricIsolation(apps[i], cells[i]);
+                    });
+            ASSERT_EQ(wrapped.size(), apps.size());
+            ASSERT_EQ(replayed.size(), apps.size());
             for (std::size_t i = 0; i < apps.size(); ++i) {
-                EXPECT_EQ(serial[i], fingerprint(pooled[i]))
-                    << apps[i].name << " at " << threads
-                    << " thread(s), verify "
-                    << verify::toString(cfg.partition.verifyLevel);
-                EXPECT_GT(pooled[i].compile.plansComputed, 0)
-                    << apps[i].name;
+                const std::string where =
+                    apps[i].name + " at " + std::to_string(threads) +
+                    " thread(s), verify " +
+                    verify::toString(cfg.partition.verifyLevel);
+                EXPECT_EQ(serial[i], fingerprint(wrapped[i])) << where;
+                EXPECT_EQ(serial[i], fingerprint(replayed[i])) << where;
             }
-            compile_prints.push_back(compileFingerprint(pooled));
         }
-        EXPECT_EQ(compile_prints[0], compile_prints[1])
-            << "isolation compile counts differ 1 vs 2 threads";
-        EXPECT_EQ(compile_prints[0], compile_prints[2])
-            << "isolation compile counts differ 1 vs 8 threads";
     }
 }
 
