@@ -30,7 +30,7 @@ NestSession::NestSession(const ExperimentConfig &config,
 }
 
 sim::ExecutionPlan
-NestSession::plan()
+NestSession::plan(support::ThreadPool *pool)
 {
     partition::PartitionOptions popts = config_.partition;
     popts.profileUtilization =
@@ -40,7 +40,7 @@ NestSession::plan()
                                      config_.machine.meshCols *
                                      config_.machine.meshRows));
     partition::Partitioner partitioner(system, workload_.arrays, popts);
-    sim::ExecutionPlan plan = partitioner.plan(nest_, *stream, nodes);
+    sim::ExecutionPlan plan = partitioner.plan(nest_, *stream, nodes, pool);
     stream.reset();
     report = partitioner.report();
     if (popts.verifyLevel != verify::VerifyLevel::Off &&
@@ -84,7 +84,7 @@ ExperimentRunner::runNest(const workloads::Workload &workload,
     // bank is a function of the address alone).
     std::optional<sim::ExecutionPlan> planned;
     if (config_.optimizeComputation)
-        planned = session.plan();
+        planned = session.plan(pool_);
     session.stream.reset();
     const sim::ExecutionPlan &optimized_plan =
         planned ? *planned : session.defaultPlan;

@@ -109,9 +109,11 @@ class NestSession
      * independent recomputation into verdict (DESIGN.md §9). Fails
      * fast on error-severity findings: a malformed plan must never
      * reach the engine, let alone a results table. report keeps the
-     * planner's provenance (null at verify level Off).
+     * planner's provenance (null at verify level Off). @p pool, when
+     * set, walks the window candidates concurrently
+     * (partition::Partitioner::plan); the result does not depend on it.
      */
-    sim::ExecutionPlan plan();
+    sim::ExecutionPlan plan(support::ThreadPool *pool = nullptr);
 
     sim::ManycoreSystem system;
     sim::ExecutionEngine engine;
@@ -251,9 +253,10 @@ class ExperimentRunner
     /**
      * @param pool when non-null, runApp() partitions independent loop
      *        nests concurrently on it (nest-level parallelism, cutting
-     *        single-app latency). Null runs the nests serially. Both
-     *        paths merge NestResults in nest order and produce
-     *        byte-identical AppResults.
+     *        single-app latency), and each nest's planner walks its
+     *        window candidates on it too. Null runs everything
+     *        serially. Both paths merge NestResults in nest order and
+     *        produce byte-identical AppResults.
      */
     explicit ExperimentRunner(ExperimentConfig config = {},
                               support::ThreadPool *pool = nullptr);

@@ -10,13 +10,16 @@
  * so a sweep fans the grid out across a support::ThreadPool and
  * collects results in submission order.
  *
- * Two parallelism axes share one pool:
+ * Three parallelism axes share one pool:
  *  - across the sweep: one task per (app, config) cell (throughput);
  *  - within an app: each cell fans its independent loop nests out as
  *    nested tasks (latency), because ExperimentRunner::runNest is a
- *    pure function of (config, workload, nest). Nested waits help —
- *    they drain queued tasks instead of blocking — so sharing the
- *    FIFO pool between both axes cannot deadlock.
+ *    pure function of (config, workload, nest);
+ *  - within a nest: the planner walks its window candidates after
+ *    w = 1 concurrently (latency again).
+ * Each fan-out is one support::orderedMap batch, and a waiting caller
+ * claims only its own batch's indices, so sharing the FIFO pool
+ * between the axes cannot deadlock.
  *
  * Determinism contract: a sweep's *results* are bit-identical for any
  * thread count, including 1 (no pool workers: the whole sweep runs on
@@ -80,9 +83,9 @@ class SweepRunner
     static constexpr int kDefaultWorkers = -1;
 
     /**
-     * @param workers pool worker count. The calling thread helps while
-     *        it waits, so a sweep runs on workers + 1 threads, and 0
-     *        runs it on the caller alone.
+     * @param workers pool worker count. The calling thread claims
+     *        work of its own batches too, so a sweep runs on workers + 1
+     *        threads, and 0 runs it on the caller alone.
      */
     explicit SweepRunner(int workers = kDefaultWorkers);
 

@@ -40,9 +40,18 @@ struct CompileStats
      * counted here (DESIGN.md §7, deviation 4).
      */
     std::int64_t splitsRequested = 0;
-    /** Split plans computed by running Kruskal/splitSet. */
+    /**
+     * Split plans computed by running Kruskal/splitSet. Each walk
+     * computes what its own caches miss: w = 1's walk misses what it
+     * has not yet filed, every later window candidate what neither
+     * w = 1's frozen cache nor the candidate's private overlay holds.
+     * Two candidates that miss one key both compute it, so this
+     * exceeds the nest's distinct keys, by the same amount at any
+     * thread count.
+     */
     std::int64_t plansComputed = 0;
-    /** Split plans replayed from the SplitPlanCache. */
+    /** Split plans replayed from the SplitPlanCache (the frozen w = 1
+     *  cache or the walk's own overlay). */
     std::int64_t plansMemoized = 0;
     /**
      * Balanced replays that met a veto and re-split: a full balanced
@@ -51,13 +60,16 @@ struct CompileStats
      */
     std::int64_t cacheBypassed = 0;
     /**
-     * The largest split-plan cache one plan() call built: its entries
-     * and the bytes they occupy (merge() keeps the maximum).
+     * The split-plan entries one plan() call filed, and the bytes they
+     * occupy: w = 1's cache plus every window candidate's overlay, all
+     * alive until plan() returns (merge() keeps the largest call's).
      */
     std::int64_t cachePeakEntries = 0;
     std::int64_t cachePeakBytes = 0;
 
     // Phase timers, nanoseconds; zero unless collectCompileTimers was on.
+    // The per-walk phases add up over walks; walks that overlap on a
+    // pool can sum past totalNs, which is wall time.
     /** The nest's line slots, once per plan(), and the stream when
      *  plan() resolves it itself. */
     std::int64_t resolveNs = 0;

@@ -1,6 +1,8 @@
 #include "partition/partitioner.h"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 
@@ -12,6 +14,7 @@
 #include "partition/sync_graph.h"
 #include "support/error.h"
 #include "support/fnv.h"
+#include "support/thread_pool.h"
 
 namespace ndp::partition {
 
@@ -292,7 +295,6 @@ struct NestContext
 {
     sim::ManycoreSystem &system;
     const PartitionOptions &options;
-    SplitPlanCache &cache;
     const ir::LoopNest &nest;
     const std::vector<noc::NodeId> &defaultNodes;
     /** Nested sets per *static* statement. */
@@ -767,9 +769,10 @@ class Emitter
  * statement instance runs resolve, price the baseline, locate, split,
  * guard and note, and the lane keeps the walk's movement totals and
  * compile counters. A walk alone scores a window-size candidate;
- * plan() repeats the winner's walk with an Emitter watching it. One
- * lane serves every candidate of a plan() call: run() re-arms it from
- * the shared starting state and keeps its buffers.
+ * plan() repeats the winner's walk with an Emitter watching it. run()
+ * re-arms a lane from the shared starting state and keeps its buffers,
+ * so one lane serves w = 1 and the emitting walk, and each window
+ * candidate walking concurrently has a lane of its own.
  */
 class DecisionLane
 {
@@ -801,10 +804,15 @@ class DecisionLane
      * does not probe it; a walk no emitter watches does not add at the
      * last position either, since only the emitter's digest and
      * insertion count could see those adds before the next clear.
+     * Split plans are looked up in @p frozen, when set, which the walk
+     * only reads, then in @p own, where the walk files its misses.
      */
     void
-    run(std::int32_t window_size, Emitter *emitter)
+    run(std::int32_t window_size, Emitter *emitter,
+        const SplitPlanCache *frozen, SplitPlanCache &own)
     {
+        frozen_ = frozen;
+        own_ = &own;
         l1_ = ctx_.warmL1;
         balancer_.reset();
         cstats_ = {};
@@ -970,9 +978,14 @@ class DecisionLane
             splitter_.split(sets, locations_, store, balancer, computed_);
             return computed_.view();
         }
+        key_.assign(d_.stmtIdx, store, locations_);
+        std::optional<SplitView> hit;
+        if (frozen_ != nullptr)
+            hit = frozen_->find(key_);
+        if (!hit)
+            hit = own_->find(key_);
         SplitView plan;
-        if (const std::optional<SplitView> hit =
-                ctx_.cache.lookup(d_.stmtIdx, store, locations_)) {
+        if (hit) {
             cstats_.plansMemoized += 1;
             d_.fromCache = true;
             plan = *hit;
@@ -980,7 +993,7 @@ class DecisionLane
             cstats_.plansComputed += 1;
             splitter_.split(sets, locations_, store, nullptr, computed_);
             plan = computed_.view();
-            ctx_.cache.insert(plan);
+            own_->insert(key_, plan);
         }
         if (balancer == nullptr || replay(plan))
             return plan;
@@ -1133,6 +1146,9 @@ class DecisionLane
     /** Whether the instance in flight reads the map, and adds to it. */
     bool probeMap_ = false;
     bool addCopies_ = false;
+    /** The walk's split-plan caches (run()). */
+    const SplitPlanCache *frozen_ = nullptr;
+    SplitPlanCache *own_ = nullptr;
 
     // The instance in flight. Its buffers are reused across the
     // stream: the pipeline runs iterations x statements times, so
@@ -1142,9 +1158,49 @@ class DecisionLane
     std::size_t base_ = 0;
     std::vector<std::uint32_t> fetchedSlots_;
     std::vector<Location> locations_;
+    SplitKey key_;
     /** The splitter's output; the view of a fresh split reads it. */
     SplitPlan computed_;
     SplitView candidate_;
+};
+
+/**
+ * The decision lanes of one plan() call. run() re-arms a lane, so walks
+ * share them: a walk takes an idle lane, or builds one when every lane
+ * is busy, and gives it back. Lane set-up and the warm-up of its
+ * scratch buffers are then paid per concurrent walk, not per window
+ * candidate; serially, one lane serves every walk.
+ */
+class LanePool
+{
+  public:
+    explicit LanePool(const NestContext &ctx) : ctx_(ctx) {}
+
+    std::unique_ptr<DecisionLane>
+    take()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (!idle_.empty()) {
+                std::unique_ptr<DecisionLane> lane = std::move(idle_.back());
+                idle_.pop_back();
+                return lane;
+            }
+        }
+        return std::make_unique<DecisionLane>(ctx_);
+    }
+
+    void
+    give(std::unique_ptr<DecisionLane> lane)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        idle_.push_back(std::move(lane));
+    }
+
+  private:
+    const NestContext &ctx_;
+    std::mutex mutex_;
+    std::vector<std::unique_ptr<DecisionLane>> idle_;
 };
 
 } // namespace
@@ -1189,7 +1245,8 @@ Partitioner::plan(const ir::LoopNest &nest,
 
 sim::ExecutionPlan
 Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
-                  const std::vector<noc::NodeId> &default_nodes)
+                  const std::vector<noc::NodeId> &default_nodes,
+                  support::ThreadPool *pool)
 {
     NDP_REQUIRE(static_cast<std::int64_t>(default_nodes.size()) ==
                     nest.iterationCount(),
@@ -1208,8 +1265,8 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
 
     // Split-plan signatures embed statement indices, which are only
     // meaningful within one nest — but they are stable across the
-    // window-size candidates below, so the cache warms on w=1 and
-    // every later pass replays mostly memoized plans. Clearing per
+    // window-size candidates below, so the cache warms on w_first and
+    // every later walk replays mostly memoized plans. Clearing per
     // call also keeps every entry to the fault set it was planned
     // against: a cached plan never replays onto a node that died since.
     splitCache_.clear();
@@ -1261,11 +1318,11 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         if (w_first < w_last && options_.exploitReuse)
             reach = copyReach(stream, splittable, w_first, w_last);
         const NestContext ctx{
-            *system_, options_, splitCache_, nest, default_nodes,
+            *system_, options_, nest, default_nodes,
             std::move(static_sets), std::move(splittable),
             std::move(op_cost), reuse_capacity, stream,
             std::move(slots.ofRef), std::move(warm_l1)};
-        DecisionLane lane(ctx);
+        LanePool lanes(ctx);
 
         // Score the candidates (Section 4.4: least total movement, the
         // first on ties), then walk the winner again with an emitter
@@ -1277,29 +1334,93 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         // tying, never wins. When no candidate can reach a copy, or
         // there is a single candidate, nothing is scored and w_first is
         // emitted.
+        //
+        // w_first walks first and fills the split cache; the cache is
+        // then frozen, and the other candidates walk concurrently on
+        // @p pool, each reading the frozen cache and filing its misses
+        // in an overlay of its own. A walk's hits and misses therefore
+        // depend on w_first's walk and its own alone, so the counters
+        // are the same at any thread count, and since the cache is a
+        // pure memo so is every decision.
+        struct Candidate
+        {
+            std::int64_t movement = 0;
+            CompileStats compile;
+            SplitPlanCache overlay;
+        };
         std::int32_t best_w = w_first;
+        SplitPlanCache best_overlay;
+        // What the candidates' overlays filed; with w_first's cache,
+        // all of it is alive until the winner is known.
+        std::int64_t filed_entries = 0;
+        std::int64_t filed_bytes = 0;
         if (std::find(reach.begin(), reach.end(), true) != reach.end()) {
-            for (std::int32_t w = w_first; w <= w_last; ++w) {
-                if (w != w_first &&
-                    !reach[static_cast<std::size_t>(w - w_first)]) {
+            {
+                std::unique_ptr<DecisionLane> lane = lanes.take();
+                lane->run(w_first, nullptr, nullptr, splitCache_);
+                movement_per_w.push_back(lane->plannedMovement());
+                compile_total.merge(lane->compile());
+                lanes.give(std::move(lane));
+            }
+            std::vector<std::int32_t> walked;
+            for (std::int32_t w = w_first + 1; w <= w_last; ++w) {
+                if (reach[static_cast<std::size_t>(w - w_first)])
+                    walked.push_back(w);
+            }
+            const SplitPlanCache &frozen = splitCache_;
+            std::vector<Candidate> scored = support::orderedMap(
+                pool, walked.size(), [&](std::size_t i) {
+                    std::unique_ptr<DecisionLane> own = lanes.take();
+                    Candidate c;
+                    // A candidate misses a share of what w_first filed
+                    // (about a quarter to all of it on the paper's
+                    // apps), so room for that many entries saves the
+                    // overlay's regrowth; untouched room stays virtual.
+                    c.overlay.reserveLike(frozen);
+                    own->run(walked[i], nullptr, &frozen, c.overlay);
+                    c.movement = own->plannedMovement();
+                    c.compile = own->compile();
+                    lanes.give(std::move(own));
+                    return c;
+                });
+            std::size_t next = 0;
+            Candidate *best = nullptr;
+            for (std::int32_t w = w_first + 1; w <= w_last; ++w) {
+                if (!reach[static_cast<std::size_t>(w - w_first)]) {
                     movement_per_w.push_back(movement_per_w.front());
                     continue;
                 }
-                lane.run(w, nullptr);
-                movement_per_w.push_back(lane.plannedMovement());
-                compile_total.merge(lane.compile());
-                if (lane.plannedMovement() <
-                    movement_per_w[static_cast<std::size_t>(best_w - w_first)])
+                Candidate &c = scored[next++];
+                movement_per_w.push_back(c.movement);
+                compile_total.merge(c.compile);
+                filed_entries += static_cast<std::int64_t>(c.overlay.size());
+                filed_bytes += static_cast<std::int64_t>(c.overlay.bytes());
+                if (c.movement <
+                    movement_per_w[static_cast<std::size_t>(best_w -
+                                                            w_first)]) {
                     best_w = w;
+                    best = &c;
+                }
             }
+            // Only the winner's overlay outlives the scoring.
+            if (best != nullptr)
+                best_overlay = std::move(best->overlay);
         }
+
+        const std::unique_ptr<DecisionLane> lane = lanes.take();
         Emitter emitter(ctx, best_w, best_plan, best_report,
                         options_.collectCompileTimers ? &compile_total.syncNs
                                                       : nullptr);
-        lane.run(best_w, &emitter);
-        best_report.plannedMovement = lane.plannedMovement();
-        best_report.defaultMovement = lane.defaultMovement();
-        compile_total.merge(lane.compile());
+        // w_first's emitting walk, or the only walk, files in the cache
+        // itself; another winner's reads the frozen cache and its
+        // overlay.
+        if (best_w == w_first)
+            lane->run(best_w, &emitter, nullptr, splitCache_);
+        else
+            lane->run(best_w, &emitter, &splitCache_, best_overlay);
+        best_report.plannedMovement = lane->plannedMovement();
+        best_report.defaultMovement = lane->defaultMovement();
+        compile_total.merge(lane->compile());
         if (movement_per_w.empty())
             movement_per_w.assign(
                 static_cast<std::size_t>(w_last - w_first + 1),
@@ -1308,13 +1429,14 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                       movement_per_w[static_cast<std::size_t>(best_w -
                                                               w_first)],
                   "emitting pass diverged from its scoring pass");
+        // A walk that repeats a scoring walk files nothing; the only
+        // walk has filled the cache by now.
+        compile_total.cachePeakEntries =
+            filed_entries + static_cast<std::int64_t>(splitCache_.size());
+        compile_total.cachePeakBytes =
+            filed_bytes + static_cast<std::int64_t>(splitCache_.bytes());
     }
 
-    // plan() cleared the cache and it only grows, so it is at its peak.
-    compile_total.cachePeakEntries =
-        static_cast<std::int64_t>(splitCache_.size());
-    compile_total.cachePeakBytes =
-        static_cast<std::int64_t>(splitCache_.bytes());
     best_report.movementPerWindowSize = std::move(movement_per_w);
     // The compile cost covers the whole adaptive sweep: the planner
     // paid for the warm-up, every walked scoring pass and the winner's

@@ -8,9 +8,11 @@
  * 1..8 locates, splits along the MST and load-balances each statement
  * instance and scores the size by total data movement (Section 4.4);
  * a size whose windows can never hold a copy of a line it reads is not
- * walked, since it would plan exactly what w = 1 plans. The cheapest
- * size, or a forced one (Figure 20's sweeps), is walked again by an
- * emitter that synchronises each window and builds the plan.
+ * walked, since it would plan exactly what w = 1 plans. w = 1 walks
+ * first; the other sizes then walk concurrently when plan() is given a
+ * thread pool. The cheapest size, or a forced one (Figure 20's
+ * sweeps), is walked again by an emitter that synchronises each window
+ * and builds the plan.
  */
 
 #include <cstddef>
@@ -28,6 +30,10 @@
 #include "support/stats.h"
 #include "verify/provenance.h"
 #include "verify/verify_level.h"
+
+namespace ndp::support {
+class ThreadPool;
+}
 
 namespace ndp::partition {
 
@@ -148,7 +154,11 @@ struct PartitionReport
      * adaptive sweep walked, and the winner's emitting pass (the
      * planner paid for all of them), so instancesPlanned is (walked
      * candidates + 1) x the instances. A fixed window size has the
-     * emitting pass only.
+     * emitting pass only. The split-plan counters follow one rule,
+     * which makes them the same with or without a pool and at any
+     * thread count: w = 1's walk hits what it filed itself, each other
+     * candidate's walk hits w = 1's frozen cache and its own overlay,
+     * and the emitting walk hits the cache it repeats.
      */
     CompileStats compile;
     /**
@@ -190,12 +200,18 @@ class Partitioner
      *        lexicographic iteration order; used for the movement
      *        comparison and as the fallback placement for statements
      *        whose references cannot be analysed
+     * @param pool when non-null, the window-size candidates after
+     *        w = 1 walk concurrently on it (support::orderedMap); null
+     *        walks them in order on this thread. The plan and the
+     *        report, compile counters included, are the same either
+     *        way.
      */
     sim::ExecutionPlan plan(const ir::LoopNest &nest,
                             const ir::InstanceStream &stream,
-                            const std::vector<noc::NodeId> &default_nodes);
+                            const std::vector<noc::NodeId> &default_nodes,
+                            support::ThreadPool *pool = nullptr);
 
-    /** plan() on a stream resolved for this one call. */
+    /** plan() on a stream resolved for this one call, without a pool. */
     sim::ExecutionPlan plan(const ir::LoopNest &nest,
                             const std::vector<noc::NodeId> &default_nodes);
 
@@ -208,9 +224,10 @@ class Partitioner
     PartitionOptions options_;
     PartitionReport report_;
     /**
-     * Split-plan cache shared by every window-size candidate of one
-     * plan() call (signatures are nest-relative, so plan() clears it).
-     * A Partitioner is owned by a single thread.
+     * The split-plan cache of one plan() call (signatures are
+     * nest-relative, so plan() clears it): w = 1's walk fills it, the
+     * other candidates read it frozen, each with an overlay of its own.
+     * A Partitioner is owned by a single thread; only plan() fans out.
      */
     SplitPlanCache splitCache_;
 };

@@ -87,6 +87,17 @@ SplitPlanPool::bytes() const
 }
 
 void
+SplitPlanPool::reserveLike(const SplitPlanPool &like)
+{
+    entries_.reserve(like.entries_.size());
+    subs_.reserve(like.subs_.size());
+    leaves_.reserve(like.leaves_.size());
+    children_.reserve(like.children_.size());
+    ops_.reserve(like.ops_.size());
+    edges_.reserve(like.edges_.size());
+}
+
+void
 SplitPlanPool::clear()
 {
     entries_.clear();

@@ -24,54 +24,53 @@ hashKey(const std::uint32_t *words, std::size_t count)
 
 } // namespace
 
-std::optional<SplitView>
-SplitPlanCache::lookup(std::int32_t stmt_idx, noc::NodeId store_node,
-                       const std::vector<Location> &locations)
+void
+SplitKey::assign(std::int32_t stmt_idx, noc::NodeId store_node,
+                 std::span<const Location> locations)
 {
-    scratchKey_.clear();
-    scratchKey_.push_back(static_cast<std::uint32_t>(stmt_idx));
-    scratchKey_.push_back(static_cast<std::uint32_t>(store_node));
+    words.clear();
+    words.push_back(static_cast<std::uint32_t>(stmt_idx));
+    words.push_back(static_cast<std::uint32_t>(store_node));
     for (const Location &loc : locations)
-        scratchKey_.push_back(static_cast<std::uint32_t>(loc.node));
-    scratchHash_ = hashKey(scratchKey_.data(), scratchKey_.size());
+        words.push_back(static_cast<std::uint32_t>(loc.node));
+    hash = hashKey(words.data(), words.size());
+}
 
-    if (!heads_.empty()) {
-        for (std::uint32_t at = heads_[scratchHash_ & (heads_.size() - 1)];
-             at != kNil; at = next_[at]) {
-            if (keyEquals(at)) {
-                missArmed_ = false;
-                return plans_.view(at);
-            }
-        }
+std::optional<SplitView>
+SplitPlanCache::find(const SplitKey &key) const
+{
+    if (heads_.empty())
+        return std::nullopt;
+    for (std::uint32_t at = heads_[key.hash & (heads_.size() - 1)];
+         at != kNil; at = next_[at]) {
+        if (keyEquals(at, key))
+            return plans_.view(at);
     }
-    missArmed_ = true;
     return std::nullopt;
 }
 
 bool
-SplitPlanCache::keyEquals(std::uint32_t entry) const
+SplitPlanCache::keyEquals(std::uint32_t entry, const SplitKey &key) const
 {
     const auto begin = keys_.begin() + keyBegin_[entry];
     const auto end = keys_.begin() + keyBegin_[entry + 1];
-    return std::equal(scratchKey_.begin(), scratchKey_.end(), begin, end);
+    return std::equal(key.words.begin(), key.words.end(), begin, end);
 }
 
 void
-SplitPlanCache::insert(const SplitView &plan)
+SplitPlanCache::insert(const SplitKey &key, const SplitView &plan)
 {
-    NDP_CHECK(missArmed_, "insert() without a preceding missed lookup");
-    missArmed_ = false;
-
+    NDP_DCHECK(!find(key), "insert() of a key already filed");
     const std::uint32_t index = plans_.append(plan);
     NDP_CHECK(index != kNil, "split-plan cache is full");
-    keys_.insert(keys_.end(), scratchKey_.begin(), scratchKey_.end());
+    keys_.insert(keys_.end(), key.words.begin(), key.words.end());
     keyBegin_.push_back(
         narrowPacked<std::uint32_t>(keys_.size(), "key pool offset"));
     next_.push_back(kNil);
     if (next_.size() > heads_.size())
         grow(); // links every entry, the new one included
     else
-        link(index, scratchHash_);
+        link(index, key.hash);
 }
 
 void
@@ -103,6 +102,16 @@ SplitPlanCache::bytes() const
 }
 
 void
+SplitPlanCache::reserveLike(const SplitPlanCache &like)
+{
+    plans_.reserveLike(like.plans_);
+    keys_.reserve(like.keys_.size());
+    keyBegin_.reserve(like.keyBegin_.size());
+    next_.reserve(like.next_.size());
+    heads_.reserve(like.heads_.size());
+}
+
+void
 SplitPlanCache::clear()
 {
     plans_.clear();
@@ -110,7 +119,6 @@ SplitPlanCache::clear()
     keyBegin_.assign(1, 0);
     next_.clear();
     heads_.clear();
-    missArmed_ = false;
 }
 
 } // namespace ndp::partition

@@ -34,14 +34,19 @@
  * plans produced without one — the invariant tests/split_cache_test
  * pins.
  *
- * Not thread-safe; each Partitioner owns one and is itself used from a
- * single thread (nest-level parallelism gives every nest its own
- * Partitioner).
+ * Threads: the key lives with the caller, so find() is const and
+ * touches nothing but the cache's pools. Any number of threads may
+ * find() in a cache that no thread inserts into or clears; insert()
+ * and clear() need the cache to themselves. The partitioner relies on
+ * this: once the w = 1 walk has filled a nest's cache it is frozen,
+ * and the window candidates walk concurrently, each probing the frozen
+ * cache and filing its misses in a private overlay cache of its own.
  */
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "partition/data_locator.h"
@@ -49,27 +54,38 @@
 
 namespace ndp::partition {
 
+/**
+ * A split-plan signature: statement, store node, then one node id per
+ * operand (locations' sources are not part of it), with its hash. The
+ * caller owns it and reuses its buffer from one instance to the next.
+ */
+struct SplitKey
+{
+    std::vector<std::uint32_t> words;
+    std::uint64_t hash = 0;
+
+    /** Rebuild the key of (@p stmt_idx, @p store_node, the nodes of
+     *  @p locations). */
+    void assign(std::int32_t stmt_idx, noc::NodeId store_node,
+                std::span<const Location> locations);
+};
+
 /** Memoizes balancer-free split plans by (statement, nodes, store). */
 class SplitPlanCache
 {
   public:
     /**
-     * Find the plan cached for this key, building the signature from
-     * the nodes of @p locations. A hit is a view into the cache's
-     * pools, valid until the next insert() or clear(). On a miss the
-     * key is retained internally and nullopt is returned; the caller
-     * computes the plan and hands it to insert(), which files it under
-     * that retained key.
+     * The plan filed under @p key, or nullopt. A hit is a view into the
+     * cache's pools, valid until the next insert() or clear().
      */
-    std::optional<SplitView>
-    lookup(std::int32_t stmt_idx, noc::NodeId store_node,
-           const std::vector<Location> &locations);
+    std::optional<SplitView> find(const SplitKey &key) const;
 
-    /**
-     * File @p plan under the key of the immediately preceding missed
-     * lookup(). Calling insert() without a preceding miss is a bug.
-     */
-    void insert(const SplitView &plan);
+    /** File @p plan under @p key, which find() just missed. */
+    void insert(const SplitKey &key, const SplitView &plan);
+
+    /** Reserve room for as many entries, of the same shapes, as
+     *  @p like holds. */
+    void reserveLike(const SplitPlanCache &like);
 
     void clear();
 
@@ -80,7 +96,7 @@ class SplitPlanCache
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;
 
-    bool keyEquals(std::uint32_t entry) const;
+    bool keyEquals(std::uint32_t entry, const SplitKey &key) const;
     void link(std::uint32_t entry, std::uint64_t hash);
     void grow();
 
@@ -93,11 +109,6 @@ class SplitPlanCache
     std::vector<std::uint32_t> next_;
     /** Bucket heads (power-of-two count, kNil = empty). */
     std::vector<std::uint32_t> heads_;
-
-    /** Key of the last lookup, reused as scratch to avoid allocation. */
-    std::vector<std::uint32_t> scratchKey_;
-    std::uint64_t scratchHash_ = 0;
-    bool missArmed_ = false;
 };
 
 } // namespace ndp::partition

@@ -11,26 +11,33 @@
  * collect results in *submission* order no matter which worker ran
  * which task or in what order tasks finished.
  *
- * Nested submission is supported through helping: a task that submits
- * sub-tasks to its own pool must not block in future::get() (with a
- * FIFO pool and no work stealing every worker could end up waiting on
- * work that no thread is left to run). waitHelping() instead drains
- * queued tasks on the waiting thread until the future is ready, which
- * makes one pool safe to share between the sweep level (one task per
- * (app, config) cell) and the nest level inside each cell.
+ * Nested fan-out is supported through orderedMap()'s batches: a
+ * caller that fans work out on its own pool must not block in
+ * future::get() (with a FIFO pool and no work stealing every worker
+ * could end up waiting on work that no thread is left to run). Instead
+ * each orderedMap() call is a batch whose indices the caller and up to
+ * threadCount() helper tasks claim from one counter; the caller claims
+ * until none is left and then waits only for the indices other threads
+ * already run. It never runs another batch's work while it waits, so a
+ * waiting nest never opens another nest's session on its stack, and a
+ * claimed index always has a thread running it, which makes one pool
+ * safe to share between the sweep level (one task per (app, config)
+ * cell), the nest level inside each cell and the window candidates
+ * inside each nest.
  *
  * A pool with zero workers is the serial pool: submit() runs the task
  * on the calling thread before it returns the future, and orderedMap()
  * runs every index on the caller, so nothing leaves that thread.
  */
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -81,33 +88,6 @@ class ThreadPool
         return future;
     }
 
-    /**
-     * Run one queued task on the calling thread, if any is pending.
-     * @return true when a task was executed.
-     */
-    bool tryRunOne();
-
-    /**
-     * Block until @p future is ready, executing queued pool tasks on
-     * this thread while waiting. Required (instead of future::get())
-     * whenever the waiter itself runs on a pool worker — see the file
-     * comment on nested submission.
-     */
-    template <typename T>
-    void
-    waitHelping(const std::future<T> &future)
-    {
-        using namespace std::chrono_literals;
-        while (future.wait_for(0s) != std::future_status::ready) {
-            if (!tryRunOne()) {
-                // Nothing queued: the task is in flight on another
-                // worker; a bounded wait avoids spinning while staying
-                // responsive to new nested submissions.
-                future.wait_for(100us);
-            }
-        }
-    }
-
   private:
     void workerLoop();
 
@@ -118,16 +98,30 @@ class ThreadPool
     bool stop_ = false;
 };
 
+namespace detail {
+
+/**
+ * orderedMap()'s pooled path: run @p body(0..count-1), each index once,
+ * on this thread and on the helper tasks it queues on @p pool; return
+ * when every index has finished. @p body must not throw.
+ */
+void runBatch(ThreadPool &pool, std::size_t count,
+              const std::function<void(std::size_t)> &body);
+
+} // namespace detail
+
 /**
  * The ordered fan-out: evaluate @p fn(0..count-1) and return the
  * results indexed by input, so callers merge in a fixed order no matter
- * which thread computed what. With a pool each index is one task and
- * the caller waits by helping, which makes this safe to call from a
- * pool worker (nested fan-out). Without a pool, on the serial pool, or
- * for fewer than two indices, the calls run in order on this thread.
- * @p fn must be safe to call concurrently. Every task has finished
- * before this returns; if any threw, the first exception in index
- * order is rethrown.
+ * which thread computed what. With a pool the indices form one batch
+ * that this thread and the pool's workers claim one at a time; once
+ * none is left unclaimed this thread waits for the rest without running
+ * any other task (see the file comment), which makes this safe to call
+ * from a pool worker (nested fan-out). Without a pool, on the serial
+ * pool, or for fewer than two indices, the calls run in order on this
+ * thread. @p fn must be safe to call concurrently. Every call has
+ * finished before this returns; if any threw, the first exception in
+ * index order is rethrown.
  */
 template <typename F>
 auto
@@ -142,17 +136,20 @@ orderedMap(ThreadPool *pool, std::size_t count, const F &fn)
             results.push_back(fn(i));
         return results;
     }
-    std::vector<std::future<R>> futures;
-    futures.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-        futures.push_back(pool->submit([&fn, i]() { return fn(i); }));
-    // Wait for every task before collecting any result: the tasks
-    // reference fn and the caller's state, so none may outlive this
-    // call when an earlier one throws.
-    for (std::future<R> &f : futures)
-        pool->waitHelping(f);
-    for (std::future<R> &f : futures)
-        results.push_back(f.get());
+    std::vector<std::optional<R>> slots(count);
+    std::vector<std::exception_ptr> errors(count);
+    detail::runBatch(*pool, count, [&](std::size_t i) {
+        try {
+            slots[i].emplace(fn(i));
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+        if (errors[i])
+            std::rethrow_exception(errors[i]);
+        results.push_back(std::move(slots[i].value()));
+    }
     return results;
 }
 

@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "baseline/default_placement.h"
 #include "ir/parser.h"
 #include "partition/partitioner.h"
+#include "plan_fingerprint.h"
 #include "sim/engine.h"
 #include "support/error.h"
 #include "workloads/workload.h"
@@ -353,58 +353,6 @@ TEST_F(PartitionerTest, DeterministicPlans)
     }
 }
 
-/**
- * Everything a plan() call produces — plan, report (compile counters
- * included, timers off) and each provenance record's cache flag and
- * operand locations — rendered as one comparable string.
- */
-std::string
-planFingerprint(const sim::ExecutionPlan &plan, const PartitionReport &r)
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
-        const sim::Task &t = plan.tasks[i];
-        os << 'T' << i << '@' << t.node << ':' << t.statementIndex
-           << '/' << t.iterationNumber << ' ' << t.computeCost << " r";
-        for (const sim::MemAccess &a : plan.reads(t))
-            os << a.addr << ',';
-        if (t.write)
-            os << " w" << t.write->addr;
-        os << " d";
-        for (sim::TaskId dep : plan.deps(t))
-            os << dep << ',';
-        os << '\n';
-    }
-    os << "window " << r.chosenWindowSize
-       << "\nmovement " << r.plannedMovement << ' ' << r.defaultMovement
-       << "\naccumulators";
-    for (const Accumulator *acc :
-         {&r.movementReductionPct, &r.degreeOfParallelism,
-          &r.syncsPerStatement, &r.rawSyncsPerStatement})
-        os << ' ' << acc->count() << '/' << acc->sum() << '/'
-           << acc->min() << '/' << acc->max();
-    os << "\noffloaded "
-       << r.offloadedOps[0] << ' ' << r.offloadedOps[1] << ' '
-       << r.offloadedOps[2] << ' ' << r.offloadedSubcomputations
-       << "\nstatements " << r.statementsSplit << ' '
-       << r.statementsKeptDefault << "\nper-window";
-    for (std::int64_t m : r.movementPerWindowSize)
-        os << ' ' << m;
-    const CompileStats &c = r.compile;
-    os << "\nreuse " << r.reuseMapHash << ' ' << r.reuseCopiesPlanned
-       << "\ncompile " << c.instancesPlanned << ' ' << c.splitsRequested
-       << ' ' << c.plansComputed << ' ' << c.plansMemoized << ' '
-       << c.cacheBypassed << ' ' << c.cachePeakEntries << ' '
-       << c.cachePeakBytes << "\nprovenance";
-    for (const verify::SplitRecord &rec : r.provenance->instances) {
-        os << ' ' << rec.fromCache << '[';
-        for (const Location &loc : r.provenance->locationsOf(rec))
-            os << loc.node << ':' << static_cast<int>(loc.source) << ',';
-        os << ']';
-    }
-    return os.str();
-}
-
 TEST_F(PartitionerTest, PredictorStateNeverChangesAPlan)
 {
     // A location is a pure function of the node, so the L2 miss
@@ -452,7 +400,7 @@ TEST_F(PartitionerTest, PredictorStateNeverChangesAPlan)
                 copies += loc.source == LocationSource::L1Copy ? 1 : 0;
         }
         EXPECT_GT(copies, 0);
-        return std::make_pair(planFingerprint(plan, report), hits);
+        return std::make_pair(test::planFingerprint(plan, report), hits);
     };
     auto train = [&](bool hit) {
         system.resetPredictor();

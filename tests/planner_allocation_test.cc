@@ -45,10 +45,11 @@ using namespace ndp;
 
 /**
  * Ceiling on one nest's scoring-pass allocations: the split cache's
- * pool growth and the decision lane's scratch growing past what one
- * walk needs, with headroom (the lane and its balancers are built once
- * per plan() and re-armed for each candidate). The per-instance loop
- * contributes nothing. Provenance recording answers to the same bound.
+ * pool growth, each window candidate's overlay (reserved once) and the
+ * decision lane's scratch growing past what one walk needs, with
+ * headroom (without a pool one lane serves every walk of a plan() and
+ * is re-armed for each). The per-instance loop contributes nothing.
+ * Provenance recording answers to the same bound.
  */
 constexpr std::int64_t kAllocationCeiling = 400;
 

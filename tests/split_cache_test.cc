@@ -5,15 +5,18 @@
  * results to one with it off — same per-nest reuse-map digests, same
  * Equation-1 movement, same app aggregates — for randomized multi-nest
  * apps across load balancing on/off, reuse on/off, window sizes
- * 1/4/16, and pool sizes 1 and 8. With the balancer on, cache hits are
- * replayed against the live loads and a veto falls back to a full
+ * 1/4/16, and for paper apps under adaptive windows, each with no pool
+ * and on an 8-thread pool, on which the adaptive planner also walks
+ * its window candidates concurrently. With the balancer on, cache hits
+ * are replayed against the live loads and a veto falls back to a full
  * balanced split; both paths must stay invisible. On a periodic nest,
  * the plans themselves are compared task by task, with the balancer
- * off and on, and the cache must hit at least 80% of the time. Unit
- * tests pin the counters — hits on a periodic nest, with and without
- * the balancer — plus direct SplitPlanCache key/collision/round-trip/
- * clear semantics, and the flat split-plan format's round trip from
- * the splitter into the cache and back out as a view.
+ * off and on, planned with and without a pool, and the cache must hit
+ * at least 80% of the time. Unit tests pin the counters — hits on a
+ * periodic nest, with and without the balancer — plus direct
+ * SplitPlanCache key/collision/round-trip/clear semantics, and the
+ * flat split-plan format's round trip from the splitter into the cache
+ * and back out as a view.
  */
 
 #include <gtest/gtest.h>
@@ -294,11 +297,25 @@ TEST(SplitCacheEquivalenceTest, PeriodicNestPlansAreByteIdentical)
         options.loadBalance = balanced;
         options.memoizeSplits = true;
         partition::Partitioner cached(system, arrays, options);
+        partition::Partitioner pooled(system, arrays, options);
         options.memoizeSplits = false;
         partition::Partitioner uncached(system, arrays, options);
         const sim::ExecutionPlan on = cached.plan(nest, nodes);
         const sim::ExecutionPlan off = uncached.plan(nest, nodes);
         test::expectSamePlan(on, off, label);
+        // The window candidates walking concurrently on a pool, on the
+        // frozen w = 1 cache and their overlays, plan the same.
+        support::ThreadPool pool(3);
+        const sim::ExecutionPlan on_pool = pooled.plan(
+            nest, ir::resolveInstances(nest, arrays, system.addressMap()),
+            nodes, &pool);
+        test::expectSamePlan(on_pool, off, label + " pooled");
+        EXPECT_EQ(pooled.report().movementPerWindowSize,
+                  uncached.report().movementPerWindowSize)
+            << label;
+        EXPECT_EQ(pooled.report().compile.plansComputed,
+                  cached.report().compile.plansComputed)
+            << label;
 
         const partition::PartitionReport &ron = cached.report();
         const partition::PartitionReport &roff = uncached.report();
@@ -394,14 +411,24 @@ markerPlan(std::int64_t movement)
     return plan;
 }
 
+/** The split-plan key of (@p stmt, @p store, @p locations). */
+partition::SplitKey
+keyOf(std::int32_t stmt, noc::NodeId store,
+      const std::vector<partition::Location> &locations)
+{
+    partition::SplitKey key;
+    key.assign(stmt, store, locations);
+    return key;
+}
+
 /** The movement of the plan cached under the key, or -1 on a miss. */
 std::int64_t
-cachedMovement(partition::SplitPlanCache &cache, std::int32_t stmt,
+cachedMovement(const partition::SplitPlanCache &cache, std::int32_t stmt,
                noc::NodeId store,
                const std::vector<partition::Location> &locations)
 {
     const std::optional<partition::SplitView> hit =
-        cache.lookup(stmt, store, locations);
+        cache.find(keyOf(stmt, store, locations));
     return hit ? hit->plannedMovement : -1;
 }
 
@@ -413,21 +440,21 @@ TEST(SplitPlanCacheTest, KeyCoversStatementStoreAndLocations)
         {7, partition::LocationSource::L1Copy},
     };
 
-    EXPECT_FALSE(cache.lookup(0, 5, locs));
-    cache.insert(markerPlan(11).view());
+    EXPECT_FALSE(cache.find(keyOf(0, 5, locs)));
+    cache.insert(keyOf(0, 5, locs), markerPlan(11).view());
     EXPECT_EQ(cachedMovement(cache, 0, 5, locs), 11);
 
     // Any key component changing must miss: statement index...
-    EXPECT_FALSE(cache.lookup(1, 5, locs));
-    cache.insert(markerPlan(22).view());
+    EXPECT_FALSE(cache.find(keyOf(1, 5, locs)));
+    cache.insert(keyOf(1, 5, locs), markerPlan(22).view());
     // ...store node...
-    EXPECT_FALSE(cache.lookup(0, 6, locs));
-    cache.insert(markerPlan(33).view());
+    EXPECT_FALSE(cache.find(keyOf(0, 6, locs)));
+    cache.insert(keyOf(0, 6, locs), markerPlan(33).view());
     // ...or a location's node.
     std::vector<partition::Location> moved = locs;
     moved[0].node = 4;
-    EXPECT_FALSE(cache.lookup(0, 5, moved));
-    cache.insert(markerPlan(44).view());
+    EXPECT_FALSE(cache.find(keyOf(0, 5, moved)));
+    cache.insert(keyOf(0, 5, moved), markerPlan(44).view());
 
     // A location's source, node unchanged, must hit: the splitter reads
     // only the node, so an L1 reuse copy and an L2-home fetch from the
@@ -451,16 +478,16 @@ TEST(SplitPlanCacheTest, ClearDropsEveryEntry)
     const std::vector<partition::Location> locs = {
         {1, partition::LocationSource::L2Home}};
 
-    EXPECT_FALSE(cache.lookup(0, 0, locs));
-    cache.insert(markerPlan(1).view());
+    EXPECT_FALSE(cache.find(keyOf(0, 0, locs)));
+    cache.insert(keyOf(0, 0, locs), markerPlan(1).view());
     EXPECT_EQ(cachedMovement(cache, 0, 0, locs), 1);
     EXPECT_EQ(cache.size(), 1u);
 
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.lookup(0, 0, locs));
+    EXPECT_FALSE(cache.find(keyOf(0, 0, locs)));
     // The cleared cache files and finds entries again.
-    cache.insert(markerPlan(2).view());
+    cache.insert(keyOf(0, 0, locs), markerPlan(2).view());
     EXPECT_EQ(cachedMovement(cache, 0, 0, locs), 2);
 }
 
@@ -583,10 +610,10 @@ TEST(SplitPlanFormatTest, FreshPlanAndCachedViewAgree)
 
             // A fresh key per split: the cache files the flat plan as
             // it is and hands back a view of its own copy.
-            ASSERT_FALSE(cache.lookup(key, store, locations)) << label;
-            cache.insert(flat.view());
+            ASSERT_FALSE(cache.find(keyOf(key, store, locations))) << label;
+            cache.insert(keyOf(key, store, locations), flat.view());
             const std::optional<partition::SplitView> cached =
-                cache.lookup(key++, store, locations);
+                cache.find(keyOf(key++, store, locations));
             ASSERT_TRUE(cached) << label;
 
             // A second split of the same inputs, into buffers of its
@@ -656,9 +683,10 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
         splitter.split(ir::buildVarSets(statement), f.locations, f.store,
                        nullptr, flat);
         f.plan = flat;
-        if (cache.lookup(f.stmt, f.store, f.locations))
+        const partition::SplitKey key = keyOf(f.stmt, f.store, f.locations);
+        if (cache.find(key))
             continue; // a repeated draw
-        cache.insert(flat.view());
+        cache.insert(key, flat.view());
         for (const partition::SubView sub : f.plan.view())
             highest = std::max(highest, sub.node);
         filed.push_back(std::move(f));
@@ -672,7 +700,7 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
     for (std::size_t i = filed.size(); i-- > 0;) {
         const Filed &f = filed[i];
         const std::optional<partition::SplitView> hit =
-            cache.lookup(f.stmt, f.store, f.locations);
+            cache.find(keyOf(f.stmt, f.store, f.locations));
         ASSERT_TRUE(hit) << "entry " << i;
         expectSameView(hit.value(), f.plan.view(),
                        "entry " + std::to_string(i));
@@ -695,8 +723,8 @@ TEST(SplitPlanCacheTest, BucketSiblingsCompareFullKeys)
         return locs;
     };
     for (int k = 0; k < keys; ++k) {
-        ASSERT_FALSE(cache.lookup(0, 1, locations_of(k))) << k;
-        cache.insert(markerPlan(k).view());
+        ASSERT_FALSE(cache.find(keyOf(0, 1, locations_of(k)))) << k;
+        cache.insert(keyOf(0, 1, locations_of(k)), markerPlan(k).view());
     }
     EXPECT_EQ(cache.size(), static_cast<std::size_t>(keys));
     int hits = 0;
@@ -709,7 +737,7 @@ TEST(SplitPlanCacheTest, BucketSiblingsCompareFullKeys)
     // A key one word longer than a filed one is a different key.
     std::vector<partition::Location> longer = locations_of(3);
     longer.push_back(longer.back());
-    EXPECT_FALSE(cache.lookup(0, 1, longer));
+    EXPECT_FALSE(cache.find(keyOf(0, 1, longer)));
     EXPECT_EQ(hits, keys);
 }
 

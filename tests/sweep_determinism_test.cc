@@ -7,7 +7,9 @@
  * network metrics — with hexfloat precision, so even a 1-ULP drift
  * (e.g. from a reduction reassociated across threads) fails the test;
  * they also carry the planner's and verifier's deterministic work
- * counters and each nest's window choice.
+ * counters and each nest's window choice. One nest planned directly,
+ * with no pool and with pools of 1, 3 and 7 workers, pins the planner's
+ * own fan-out over its window candidates.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +17,13 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "baseline/default_placement.h"
 #include "driver/sweep.h"
+#include "partition/partitioner.h"
+#include "plan_fingerprint.h"
 #include "support/thread_pool.h"
 #include "workloads/workload.h"
 
@@ -242,6 +248,44 @@ TEST(SweepDeterminismTest, NestParallelMatchesSerialAppResult)
     }
 }
 
+TEST(SweepDeterminismTest, WindowCandidatesPlanAlikeOnAnyPool)
+{
+    // The within-nest axis: after w = 1 the window candidates walk
+    // concurrently on the pool, each on the frozen w = 1 split cache
+    // plus an overlay of its own. The plan, the report, every compile
+    // counter and the provenance's cache flags must not depend on
+    // whether there is a pool or how many workers it has.
+    const workloads::Workload app =
+        workloads::WorkloadFactory(256).build("water");
+    const ir::LoopNest &nest = app.nests.front();
+    sim::ManycoreSystem system{sim::ManycoreConfig{}};
+    system.setMcdramArrays(app.mcdramArrays);
+    baseline::DefaultPlacement placement(system, app.arrays);
+    const ir::InstanceStream stream =
+        ir::resolveInstances(nest, app.arrays, system.addressMap());
+    const std::vector<noc::NodeId> nodes =
+        placement.assignIterations(nest, stream);
+    partition::PartitionOptions options;
+    options.verifyLevel = verify::VerifyLevel::Cheap;
+    auto planned = [&](support::ThreadPool *pool) {
+        partition::Partitioner partitioner(system, app.arrays, options);
+        const sim::ExecutionPlan plan =
+            partitioner.plan(nest, stream, nodes, pool);
+        return std::make_pair(test::planFingerprint(plan, partitioner.report()),
+                              partitioner.report().compile.instancesPlanned);
+    };
+
+    const auto [serial, instances_planned] = planned(nullptr);
+    // At least three scoring walks (w = 1 and two candidates) plus the
+    // emitting one, so the candidates really fan out.
+    EXPECT_GE(instances_planned,
+              4 * static_cast<std::int64_t>(stream.positions()));
+    for (std::size_t workers : {1u, 3u, 7u}) {
+        support::ThreadPool pool(workers);
+        EXPECT_EQ(planned(&pool).first, serial) << workers << " workers";
+    }
+}
+
 /** Byte-exact serialization of a Figure 18 isolation result. */
 std::string
 fingerprint(const IsolationResult &r)
@@ -337,7 +381,7 @@ TEST(SweepDeterminismTest, StatsCoverEveryCell)
     SweepRunner runner(2);
     const auto grid = runner.runGrid(apps, configs);
     EXPECT_EQ(runner.stats().cells, 2u);
-    // Two workers plus the helping caller.
+    // Two workers plus the claiming caller.
     EXPECT_EQ(runner.stats().threads, 3);
     EXPECT_GT(runner.stats().wallSeconds, 0.0);
     // The compile and verifier totals merge every cell's AppResult.

@@ -2,7 +2,8 @@
  * @file
  * support::ThreadPool unit tests: submission-order result collection,
  * exception propagation through futures, queue draining on
- * destruction, the orderedMap fan-out, the serial zero-worker pool,
+ * destruction, the orderedMap fan-out (nested batches, and a waiting
+ * batch that runs no other work), the serial zero-worker pool,
  * and the NDP_BENCH_THREADS knob parsing in
  * driver::SweepRunner::defaultWorkers().
  */
@@ -54,7 +55,6 @@ TEST(ThreadPoolTest, ZeroWorkersRunTasksOnTheCaller)
               std::future_status::ready);
     EXPECT_EQ(ran_on, caller);
     EXPECT_EQ(future.get(), 42);
-    EXPECT_FALSE(pool.tryRunOne());
 }
 
 TEST(ThreadPoolTest, ExceptionsPropagateThroughFutures)
@@ -149,7 +149,7 @@ TEST(SweepRunnerTest, MapOrderedReturnsIndexedResults)
     for (int i = 0; i < 50; ++i)
         EXPECT_EQ(out[static_cast<std::size_t>(i)], i * 3);
     EXPECT_EQ(runner.stats().cells, 50u);
-    // Four workers plus the helping caller.
+    // Four workers plus the claiming caller.
     EXPECT_EQ(runner.stats().threads, 5);
 }
 
@@ -188,89 +188,59 @@ TEST(ThreadPoolTest, OrderedMapFinishesEveryTaskBeforeRethrowing)
     EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(ThreadPoolTest, NestedSubmissionWithHelpingWaitCompletes)
+TEST(ThreadPoolTest, NestedOrderedMapCompletesOnAnyPool)
 {
-    // A task that submits sub-tasks to its own pool and waits for them
-    // must complete even on a single-worker pool: waitHelping drains
-    // the queue on the waiting thread instead of blocking. This is the
-    // deadlock-freedom contract behind sharing one pool between the
-    // sweep level and the nest level.
+    // Batches nested three deep on one pool must complete even on a
+    // single worker: a waiting caller claims its batch's indices
+    // itself and never waits on an index that no thread runs. This is
+    // the deadlock-freedom contract behind sharing one pool between
+    // the sweep, nest and window-candidate levels.
     for (std::size_t threads : {0u, 1u, 2u, 4u}) {
         support::ThreadPool pool(threads);
-        auto outer = pool.submit([&pool]() {
-            std::vector<std::future<int>> inner;
-            for (int i = 0; i < 16; ++i)
-                inner.push_back(pool.submit([i]() { return i + 1; }));
-            int sum = 0;
-            for (std::future<int> &f : inner) {
-                pool.waitHelping(f);
-                sum += f.get();
-            }
-            return sum;
-        });
-        pool.waitHelping(outer);
-        EXPECT_EQ(outer.get(), 136) << "threads=" << threads;
+        auto sum_of = [&pool](std::size_t count, const auto &fn) {
+            const std::vector<int> parts =
+                support::orderedMap(&pool, count, fn);
+            return std::accumulate(parts.begin(), parts.end(), 0);
+        };
+        const auto leaf = [](std::size_t j) { return static_cast<int>(j) + 1; };
+        const auto middle = [&](std::size_t) { return sum_of(16, leaf); };
+        const std::vector<int> outer = support::orderedMap(
+            &pool, 6, [&](std::size_t) { return sum_of(4, middle); });
+        EXPECT_EQ(outer, std::vector<int>(6, 4 * 136))
+            << "threads=" << threads;
     }
 }
 
-TEST(ThreadPoolTest, WaitHelpingSurvivesThrowingTasks)
+TEST(ThreadPoolTest, NestedOrderedMapRethrowsAfterEveryTask)
 {
-    // A task that throws while executed *by the helping waiter* must
-    // not unwind through waitHelping (packaged_task captures the
-    // exception into the future), must not deadlock the waiter, and
-    // must not lose any task queued behind it.
-    for (std::size_t threads : {0u, 1u, 4u}) {
+    // A throwing index of an inner batch surfaces from the outer
+    // batch's call, and only after every inner and outer index ran
+    // (the serial pool stops at the throw, like a plain loop).
+    for (std::size_t threads : {1u, 4u}) {
         support::ThreadPool pool(threads);
-        std::atomic<int> survivors{0};
-        auto outer = pool.submit([&pool, &survivors]() {
-            auto bad = pool.submit([]() -> int {
-                throw std::runtime_error("inner task failed");
-            });
-            std::vector<std::future<int>> rest;
-            for (int i = 0; i < 32; ++i)
-                rest.push_back(pool.submit([&survivors, i]() {
-                    survivors.fetch_add(1,
-                                        std::memory_order_relaxed);
-                    return i;
-                }));
-            pool.waitHelping(bad); // must return, not throw
-            int sum = 0;
-            for (std::future<int> &f : rest) {
-                pool.waitHelping(f);
-                sum += f.get();
-            }
-            EXPECT_THROW(bad.get(), std::runtime_error);
-            return sum;
-        });
-        pool.waitHelping(outer);
-        EXPECT_EQ(outer.get(), 496) << "threads=" << threads;
-        EXPECT_EQ(survivors.load(), 32) << "threads=" << threads;
+        std::atomic<int> ran{0};
+        const auto outer = [&](std::size_t i) {
+            const auto inner = [&ran, i](std::size_t j) {
+                ran.fetch_add(1);
+                if (i == 2 && j == 5)
+                    throw std::logic_error("inner");
+                return 1;
+            };
+            return support::orderedMap(&pool, 8, inner).size();
+        };
+        EXPECT_THROW(support::orderedMap(&pool, 8, outer), std::logic_error)
+            << "threads=" << threads;
+        EXPECT_EQ(ran.load(), 64) << "threads=" << threads;
     }
 }
 
-TEST(ThreadPoolTest, ExceptionInsideHelpingTaskReachesCollector)
+TEST(ThreadPoolTest, WaitingBatchRunsOnlyItsOwnIndices)
 {
-    // The nested rethrow path: an outer task helping-waits on a
-    // throwing inner task and propagates via inner.get(); the
-    // exception must surface from the *outer* future on the collector
-    // thread, and tasks queued behind the outer one must still run.
+    // Occupy the single worker, then queue an unrelated task behind
+    // it: the caller's batch must run every index on the caller and
+    // return without ever running the unrelated task, which waits for
+    // the worker.
     support::ThreadPool pool(1);
-    auto outer = pool.submit([&pool]() {
-        auto inner = pool.submit(
-            []() -> int { throw std::logic_error("boom"); });
-        pool.waitHelping(inner);
-        return inner.get(); // rethrows the inner exception
-    });
-    auto after = pool.submit([]() { return 5; });
-    pool.waitHelping(outer);
-    EXPECT_THROW(outer.get(), std::logic_error);
-    EXPECT_EQ(after.get(), 5); // queued task was not lost
-}
-
-TEST(ThreadPoolTest, TryRunOneReportsQueueState)
-{
-    support::ThreadPool pool(1);
-    // Occupy the single worker so a queued probe task stays queued.
     std::promise<void> release;
     std::shared_future<void> gate = release.get_future().share();
     std::atomic<bool> started{false};
@@ -279,18 +249,25 @@ TEST(ThreadPoolTest, TryRunOneReportsQueueState)
         gate.wait();
         return 0;
     });
-    // Wait until the blocker occupies the worker: if it were still
-    // queued, waitHelping below could steal it onto this thread and
-    // block on the gate we only release afterwards.
     while (!started.load(std::memory_order_acquire))
         std::this_thread::yield();
-    auto probe = pool.submit([]() { return 7; });
-    // The main thread can steal and run the queued probe itself.
-    pool.waitHelping(probe);
-    EXPECT_EQ(probe.get(), 7);
-    EXPECT_FALSE(pool.tryRunOne()); // nothing left queued
+    std::atomic<bool> unrelated_ran{false};
+    auto unrelated = pool.submit([&unrelated_ran]() {
+        unrelated_ran.store(true);
+        return 1;
+    });
+
+    const std::thread::id caller = std::this_thread::get_id();
+    const std::vector<int> on_caller =
+        support::orderedMap(&pool, 4, [caller](std::size_t) {
+            return std::this_thread::get_id() == caller ? 1 : 0;
+        });
+    EXPECT_EQ(on_caller, std::vector<int>(4, 1));
+    EXPECT_FALSE(unrelated_ran.load());
+
     release.set_value();
     EXPECT_EQ(blocker.get(), 0);
+    EXPECT_EQ(unrelated.get(), 1);
 }
 
 } // namespace
