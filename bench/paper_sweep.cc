@@ -3,9 +3,10 @@
  * Every table and figure of the paper's evaluation (Section 6), plus
  * two ablations, from one (app x config) grid: each of the 24 distinct
  * ExperimentConfigs runs once over the 12 apps (288 runs), and every
- * section reads its columns from the apps' grid rows; Figure 18 replays
- * the default cells, planning nothing. The sections, in paper order,
- * each under a `-- heading --` line:
+ * section reads its columns from the apps' grid rows. The default
+ * column is Figure 18's pass: each default cell replays its nests'
+ * default plans in the sessions that planned them. The sections, in
+ * paper order, each under a `-- heading --` line:
  *
  * - Table 1: the fraction of data references whose on-chip location is
  *   compile-time analyzable (affine subscripts). Paper: 68.3% (Barnes)
@@ -51,9 +52,9 @@
  * - Ablation, topology: the full pipeline on a 2D mesh and on a 2D
  *   torus (Section 2's "any topology" claim).
  *
- * Every table is bit-identical for any NDP_BENCH_THREADS; the grid and
- * the Figure 18 pass each end with a `[sweep]` summary on stderr, the
- * grid's with the split-plan cache's and the verifier's tallies. When
+ * Every table is bit-identical for any NDP_BENCH_THREADS; both passes
+ * end with a `[sweep]` summary on stderr, the grid's with the split-plan
+ * cache's and the verifier's tallies over all 288 runs. When
  * NDP_VERIFY_JSON names a path and NDP_VERIFY is cheap or full, the
  * grid's verifier report is written there.
  */
@@ -97,6 +98,7 @@ enum Config : std::size_t
     kConfigCount
 };
 static_assert(kConfigCount == 24);
+static_assert(kDefault == 0, "runSweep puts the default column first");
 
 struct KnlMode
 {
@@ -188,15 +190,15 @@ struct SweepOutcome
     /** grid[a]: apps[a]'s row, one cell per config. */
     std::vector<Row> grid;
     driver::SweepStats stats;
-    /** isolations[a]: Figure 18's replays of grid[a][kDefault]. */
+    /** isolations[a]: Figure 18's replays; its cell is grid[a][kDefault]. */
     std::vector<driver::IsolationResult> isolations;
 };
 
 /**
  * Write the verifier report to @p out: the grid's totals and one JSON
  * object per app x config cell, named by index and label, with its
- * per-nest verify::Report::renderJson() inlined. Figure 18's pass plans
- * nothing, so the grid's cells hold every verified plan.
+ * per-nest verify::Report::renderJson() inlined. The default column's
+ * cells come from Figure 18's pass; its replays verify nothing more.
  */
 void
 writeVerifyJson(std::ostream &out, const SweepOutcome &sweep)
@@ -234,10 +236,10 @@ writeVerifyJson(std::ostream &out, const SweepOutcome &sweep)
 }
 
 /**
- * Run every app under every config on one SweepRunner (cells across the
- * pool, loop nests within each cell), then Figure 18's replays of the
- * default cells on the same pool; each pass prints its `[sweep]`
- * summary.
+ * Run the default column as Figure 18's pass (each default cell and its
+ * replays), then every app under the other configs, on one SweepRunner
+ * (cells across the pool, loop nests within each cell); each pass
+ * prints its `[sweep]` summary, the grid's with both passes' tallies.
  */
 SweepOutcome
 runSweep()
@@ -246,18 +248,24 @@ runSweep()
     outcome.apps = bench::allApps();
     const std::vector<driver::ExperimentConfig> configs = gridConfigs();
     driver::SweepRunner runner;
-    outcome.grid = runner.runGrid(outcome.apps, configs);
-    outcome.stats = runner.stats();
-    outcome.stats.printSummary(std::clog);
-
     outcome.isolations = runner.mapOrdered<driver::IsolationResult>(
         outcome.apps.size(),
         [&outcome, &configs](std::size_t a, support::ThreadPool &pool) {
             return driver::ExperimentRunner(configs[kDefault], &pool)
-                .runMetricIsolation(outcome.apps[a],
-                                    outcome.grid[a][kDefault].result);
+                .runMetricIsolation(outcome.apps[a]);
         });
     runner.stats().printSummary(std::clog);
+
+    outcome.grid = runner.runGrid(
+        outcome.apps, {configs.begin() + 1, configs.end()});
+    outcome.stats = runner.stats();
+    for (std::size_t a = 0; a < outcome.apps.size(); ++a) {
+        const driver::SweepCell cell{outcome.isolations[a].cell};
+        outcome.stats.compile.merge(cell.result.compile);
+        outcome.stats.verify.merge(cell.result.verify);
+        outcome.grid[a].insert(outcome.grid[a].begin(), cell);
+    }
+    outcome.stats.printSummary(std::clog);
     return outcome;
 }
 

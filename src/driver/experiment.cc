@@ -61,18 +61,25 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig config,
 {
 }
 
+namespace {
+
+/**
+ * runNest on an open session: the data-to-MC override, planning, the
+ * planned run, plan selection and the miss predictor's totals. Sets
+ * *@p planned_dop, if given, to the planner's mean degree of
+ * parallelism, which a kept default plan's report resets.
+ */
 NestResult
-ExperimentRunner::runNest(const workloads::Workload &workload,
-                          const ir::LoopNest &nest) const
+finishNest(const ExperimentConfig &config, NestSession &session,
+           const ir::LoopNest &nest, support::ThreadPool *pool,
+           double *planned_dop = nullptr)
 {
     NestResult nr;
     nr.nest = nest.name();
     nr.analyzableFraction = ir::analyzableFraction(nest);
-
-    NestSession session(config_, workload, nest);
     nr.defaultRun = session.defaultRun;
 
-    if (config_.dataToMcRemap) {
+    if (config.dataToMcRemap) {
         session.system.addressMap().setPageMcOverride(
             baseline::profilePageToMc(session.system, nest, *session.stream,
                                       session.nodes));
@@ -83,8 +90,8 @@ ExperimentRunner::runNest(const workloads::Workload &workload,
     // nodes, not the MC lookup the data-to-MC override changes (a home
     // bank is a function of the address alone).
     std::optional<sim::ExecutionPlan> planned;
-    if (config_.optimizeComputation)
-        planned = session.plan(pool_);
+    if (config.optimizeComputation)
+        planned = session.plan(pool);
     session.stream.reset();
     const sim::ExecutionPlan &optimized_plan =
         planned ? *planned : session.defaultPlan;
@@ -93,11 +100,12 @@ ExperimentRunner::runNest(const workloads::Workload &workload,
     nr.verify = std::move(session.verdict);
 
     sim::EngineOptions opts;
-    opts.idealNetwork = config_.idealNetwork;
+    opts.idealNetwork = config.idealNetwork;
     nr.plannedRun = session.engine.run(optimized_plan, opts);
-    nr.plannedParallelism = nr.report.degreeOfParallelism.mean();
+    if (planned_dop != nullptr)
+        *planned_dop = nr.report.degreeOfParallelism.mean();
 
-    if (config_.shipsDefaultPlan(nr.defaultRun, nr.plannedRun)) {
+    if (config.shipsDefaultPlan(nr.defaultRun, nr.plannedRun)) {
         // Profile-guided selection: the transformation lost on this
         // nest; ship the default plan instead.
         nr.optimizedRun = session.engine.run(session.defaultPlan, opts);
@@ -112,20 +120,15 @@ ExperimentRunner::runNest(const workloads::Workload &workload,
     return nr;
 }
 
+/** @p workload's AppResult: folds the nests left to right, so it is
+ *  byte-identical whichever worker computed which NestResult. */
 AppResult
-ExperimentRunner::runApp(const workloads::Workload &workload) const
+mergeNests(const workloads::Workload &workload,
+           std::vector<NestResult> nest_results)
 {
     AppResult result;
     result.app = workload.name;
 
-    std::vector<NestResult> nest_results = support::orderedMap(
-        pool_, workload.nests.size(), [&](std::size_t n) {
-            return runNest(workload, workload.nests[n]);
-        });
-
-    // ---- Merge in nest order: every aggregate below folds the nests
-    // left to right, so the result is byte-identical no matter which
-    // worker computed which NestResult. ----
     double analyzable_weighted = 0.0;
     std::int64_t analyzable_weight = 0;
     std::int64_t def_l1_hits = 0, def_l1_acc = 0;
@@ -178,111 +181,107 @@ ExperimentRunner::runApp(const workloads::Workload &workload) const
         result.nests.push_back(std::move(nr));
     }
 
-    result.defaultL1HitRate =
-        def_l1_acc == 0 ? 0.0
-                        : static_cast<double>(def_l1_hits) /
-                              static_cast<double>(def_l1_acc);
-    result.optimizedL1HitRate =
-        opt_l1_acc == 0 ? 0.0
-                        : static_cast<double>(opt_l1_hits) /
-                              static_cast<double>(opt_l1_acc);
+    const auto ratio = [](std::int64_t part, std::int64_t whole) {
+        return whole == 0 ? 0.0
+                          : static_cast<double>(part) /
+                                static_cast<double>(whole);
+    };
+    result.defaultL1HitRate = ratio(def_l1_hits, def_l1_acc);
+    result.optimizedL1HitRate = ratio(opt_l1_hits, opt_l1_acc);
     result.defaultAvgNetLatency = def_avg_lat.mean();
     result.optimizedAvgNetLatency = opt_avg_lat.mean();
     result.defaultMaxNetLatency = def_max_lat;
     result.optimizedMaxNetLatency = opt_max_lat;
     result.analyzableFraction =
-        analyzable_weight == 0
-            ? 1.0
-            : analyzable_weighted /
-                  static_cast<double>(analyzable_weight);
-    result.predictorAccuracy =
-        pred_total == 0 ? 0.0
-                        : static_cast<double>(pred_correct) /
-                              static_cast<double>(pred_total);
+        analyzable_weight == 0 ? 1.0
+                               : analyzable_weighted /
+                                     static_cast<double>(analyzable_weight);
+    result.predictorAccuracy = ratio(pred_correct, pred_total);
     return result;
+}
+
+} // namespace
+
+NestResult
+ExperimentRunner::runNest(const workloads::Workload &workload,
+                          const ir::LoopNest &nest) const
+{
+    NestSession session(config_, workload, nest);
+    return finishNest(config_, session, nest, pool_);
+}
+
+AppResult
+ExperimentRunner::runApp(const workloads::Workload &workload) const
+{
+    std::vector<NestResult> nests = support::orderedMap(
+        pool_, workload.nests.size(),
+        [&](std::size_t n) { return runNest(workload, workload.nests[n]); });
+    return mergeNests(workload, std::move(nests));
 }
 
 IsolationResult
 ExperimentRunner::runMetricIsolation(
     const workloads::Workload &workload) const
 {
-    return runMetricIsolation(workload, runApp(workload));
-}
-
-IsolationResult
-ExperimentRunner::runMetricIsolation(const workloads::Workload &workload,
-                                     const AppResult &cell) const
-{
-    NDP_REQUIRE(cell.nests.size() == workload.nests.size(),
-                "metric isolation of app '" << workload.name << "': the cell"
-                << " has " << cell.nests.size() << " nests");
-    // Per nest, the makespans of the S1-S4 replays of its default plan.
+    NDP_REQUIRE(config_.optimizeComputation && !config_.idealNetwork &&
+                    !config_.dataToMcRemap,
+                "metric isolation of app '" << workload.name << "': the "
+                "config's optimized run is not the planner's plan on the "
+                "real network");
+    // Per nest, the makespans of the S1-S4 replays of its default plan,
+    // run in the session that planned it.
     using Replays = std::array<std::int64_t, 4>;
-    const std::vector<Replays> replays = support::orderedMap(
+    std::vector<Replays> replays(workload.nests.size());
+    std::vector<NestResult> nests = support::orderedMap(
         pool_, workload.nests.size(), [&](std::size_t n) {
             const ir::LoopNest &nest = workload.nests[n];
-            const NestResult &nr = cell.nests[n];
-            const std::string where = "metric isolation of app '" +
-                                      workload.name + "', nest '" +
-                                      nest.name() + "': ";
-            NDP_REQUIRE(config_.optimizeComputation &&
-                            !config_.idealNetwork && !config_.dataToMcRemap,
-                        where << "the config's optimized run is not the "
-                                 "planner's plan on the real network");
             NestSession session(config_, workload, nest);
-            session.stream.reset(); // the replays read no instances
+            // finishNest reads the miss predictor (Table 2) before the
+            // replays train it further.
+            double planned_dop = 1.0;
+            NestResult nr =
+                finishNest(config_, session, nest, pool_, &planned_dop);
             const sim::SimResult &def = session.defaultRun;
-            NDP_REQUIRE(def.makespanCycles == nr.defaultRun.makespanCycles,
-                        where << "profiling makespan " << def.makespanCycles
-                              << " differs from the cell's "
-                              << nr.defaultRun.makespanCycles
-                              << " (a cell of another config or workload)");
             const sim::SimResult &opt = nr.plannedRun;
 
+            // The default code with one metric of the optimized run.
             std::array<sim::EngineOptions, 4> s;
-            // S1: the default code with the optimized L1 hit/miss
-            // profile.
+            // S1: its L1 hit/miss profile.
             s[0].l1HitRateOverride = opt.l1HitRate();
-            // S2: the default code paying the optimized data movement —
-            // scale every network latency by the movement ratio.
+            // S2: its data movement, as a network latency scale.
             s[1].networkScale =
                 def.dataMovementFlitHops == 0
                     ? 1.0
                     : static_cast<double>(opt.dataMovementFlitHops) /
                           static_cast<double>(def.dataMovementFlitHops);
-            // S3: the default code with the optimized degree of
-            // subcomputation parallelism.
-            s[2].parallelismSpeedup = std::max(1.0, nr.plannedParallelism);
-            // S4: the default code paying the optimized
-            // synchronisations.
+            // S3: its degree of subcomputation parallelism.
+            s[2].parallelismSpeedup = std::max(1.0, planned_dop);
+            // S4: its synchronisations.
             s[3].extraSyncs = opt.syncCount;
-            Replays makespans{};
             for (std::size_t i = 0; i < s.size(); ++i) {
-                makespans[i] =
+                replays[n][i] =
                     session.engine.run(session.defaultPlan, s[i])
                         .makespanCycles;
             }
-            return makespans;
+            return nr;
         });
 
-    Replays sum{};
-    for (const Replays &nest : replays) {
-        for (std::size_t i = 0; i < sum.size(); ++i)
-            sum[i] += nest[i];
-    }
-    const auto pct = [&cell](std::int64_t v) {
-        return percentReduction(static_cast<double>(cell.defaultMakespan),
-                                static_cast<double>(v));
-    };
     IsolationResult iso;
     iso.app = workload.name;
-    iso.s1L1Behavior = pct(sum[0]);
-    iso.s2DataMovement = pct(sum[1]);
-    iso.s3Parallelism = pct(sum[2]);
-    iso.s4Synchronization = pct(sum[3]);
-    // The shipped runs: the planned ones, or the default plan's where
-    // plan selection kept it.
-    iso.fullApproach = cell.execTimeReductionPct();
+    iso.cell = mergeNests(workload, std::move(nests));
+    const auto pct = [&](std::size_t metric) {
+        std::int64_t sum = 0;
+        for (const Replays &nest : replays)
+            sum += nest[metric];
+        return percentReduction(
+            static_cast<double>(iso.cell.defaultMakespan),
+            static_cast<double>(sum));
+    };
+    iso.s1L1Behavior = pct(0);
+    iso.s2DataMovement = pct(1);
+    iso.s3Parallelism = pct(2);
+    iso.s4Synchronization = pct(3);
+    iso.fullApproach = iso.cell.execTimeReductionPct();
     return iso;
 }
 

@@ -88,10 +88,10 @@ struct ExperimentConfig
  * to the next, so the order profile, plan, tail is part of every
  * result.
  *
- * The session is the one nest pipeline: ExperimentRunner's runNest
- * and runMetricIsolation drive it, and so do the examples. It keeps
- * references to the config, the workload and the nest, which must
- * outlive it.
+ * The session is the one nest pipeline: runNest, runMetricIsolation
+ * (which then replays the default plan on its engine) and the examples
+ * drive it. It keeps references to the config, the workload and the
+ * nest, which must outlive it.
  */
 class NestSession
 {
@@ -140,10 +140,8 @@ struct NestResult
     /** The shipped run: plannedRun unless plan selection kept the
      *  default plan. */
     sim::SimResult optimizedRun;
-    /** The planner's optimized run and its report's mean degree of
-     *  parallelism, before plan selection. */
+    /** The planner's optimized run, before plan selection. */
     sim::SimResult plannedRun;
-    double plannedParallelism = 0.0;
     partition::PartitionReport report;
     /**
      * Static verification of the optimized plan (empty at verify
@@ -239,6 +237,8 @@ struct AppResult
 struct IsolationResult
 {
     std::string app;
+    /** runApp(app)'s result: the runs the replays borrow from. */
+    AppResult cell;
     double s1L1Behavior = 0.0;
     double s2DataMovement = 0.0;
     double s3Parallelism = 0.0;
@@ -261,8 +261,6 @@ class ExperimentRunner
     explicit ExperimentRunner(ExperimentConfig config = {},
                               support::ThreadPool *pool = nullptr);
 
-    const ExperimentConfig &config() const { return config_; }
-
     /** Run one application end to end (fresh machine per nest). */
     AppResult runApp(const workloads::Workload &workload) const;
 
@@ -276,17 +274,14 @@ class ExperimentRunner
                        const ir::LoopNest &nest) const;
 
     /**
-     * Figure 18: replay each nest's default plan with one donor metric
-     * of its planned run in @p cell, runApp(@p workload) under this
-     * config; "full" is the shipped run. Plans nothing; nests fan out
-     * on the pool like runApp's. A cell of another config or workload,
-     * or a config with idealNetwork, dataToMcRemap or
-     * !optimizeComputation, is an ndp::fatal.
+     * Figure 18: run each nest as runNest does, then, in the same
+     * session, replay its default plan four times, each with one donor
+     * metric of its planned run (S1-S4). The merged nests are the
+     * result's cell, equal to runApp(@p workload); "full" is the cell's
+     * shipped runs. Nests fan out on the pool like runApp's. A config
+     * with idealNetwork, dataToMcRemap or !optimizeComputation is an
+     * ndp::fatal.
      */
-    IsolationResult runMetricIsolation(const workloads::Workload &workload,
-                                       const AppResult &cell) const;
-
-    /** runMetricIsolation(@p workload, runApp(@p workload)). */
     IsolationResult runMetricIsolation(
         const workloads::Workload &workload) const;
 

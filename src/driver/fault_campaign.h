@@ -141,8 +141,6 @@ class FaultCampaign
   public:
     explicit FaultCampaign(FaultCampaignConfig config);
 
-    const FaultCampaignConfig &config() const { return config_; }
-
     /**
      * The deterministic seed of (rate_idx, trial, attempt) — exposed
      * so tests can reproduce any single trial's fault set exactly.

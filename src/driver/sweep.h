@@ -111,8 +111,8 @@ class SweepRunner
 
     /**
      * Generic ordered fan-out for sweeps that are not plain
-     * (app x config) grids (e.g. Figure 18's replays of a grid's
-     * default cells, which plan nothing):
+     * (app x config) grids (e.g. Figure 18's pass, one
+     * runMetricIsolation per app):
      * evaluates @p fn(0..count-1) on the pool and returns the results
      * indexed by input. @p fn must be safe to call concurrently. The
      * pool is exposed to @p fn so it can fan nested work out too

@@ -148,9 +148,8 @@ expectSameRun(const sim::SimResult &got, const sim::SimResult &want,
 
 TEST(DriverTest, PlannedRunIsTheRunWithoutPlanSelection)
 {
-    // The -selection ablation and Figure 18's donors read a selecting
-    // cell's planned runs: each must be the run a non-selecting cell
-    // ships, and its parallelism that cell's report's.
+    // The -selection ablation reads a selecting cell's planned runs:
+    // each must be the run a non-selecting cell ships.
     const workloads::Workload app = smallApp("lu");
     ExperimentConfig raw_config;
     raw_config.planSelection = false;
@@ -163,9 +162,6 @@ TEST(DriverTest, PlannedRunIsTheRunWithoutPlanSelection)
         const NestResult &r = raw.nests[n];
         expectSameRun(s.plannedRun, r.optimizedRun, "lu/" + r.nest);
         expectSameRun(r.plannedRun, r.optimizedRun, "lu/" + r.nest);
-        EXPECT_EQ(s.plannedParallelism,
-                  r.report.degreeOfParallelism.mean())
-            << r.nest;
         kept_default += s.optimizedRun.makespanCycles !=
                         s.plannedRun.makespanCycles;
     }
@@ -186,29 +182,15 @@ fatalMessage(Fn fn)
     return "";
 }
 
-TEST(DriverTest, MetricIsolationRejectsAForeignCell)
+TEST(DriverTest, MetricIsolationRejectsAnUnplannedConfig)
 {
     const workloads::Workload app = smallApp("water");
-    ExperimentConfig torus;
-    torus.machine.torus = true;
-    const AppResult torus_cell = ExperimentRunner(torus).runApp(app);
-    const std::string foreign = fatalMessage(
-        [&] { ExperimentRunner().runMetricIsolation(app, torus_cell); });
-    EXPECT_NE(foreign.find("app 'water', nest '" + app.nests[0].name() +
-                           "'"),
-              std::string::npos)
-        << foreign;
-    EXPECT_NE(foreign.find("profiling makespan"), std::string::npos)
-        << foreign;
-
     ExperimentConfig ideal;
     ideal.optimizeComputation = false;
     ideal.idealNetwork = true;
-    const AppResult ideal_cell = ExperimentRunner(ideal).runApp(app);
-    const std::string not_planned = fatalMessage([&] {
-        ExperimentRunner(ideal).runMetricIsolation(app, ideal_cell);
-    });
-    EXPECT_NE(not_planned.find("app 'water', nest '"), std::string::npos)
+    const std::string not_planned = fatalMessage(
+        [&] { ExperimentRunner(ideal).runMetricIsolation(app); });
+    EXPECT_NE(not_planned.find("app 'water'"), std::string::npos)
         << not_planned;
     EXPECT_NE(not_planned.find("real network"), std::string::npos)
         << not_planned;

@@ -301,8 +301,9 @@ TEST(SweepDeterminismTest, MetricIsolationIsPoolAndVerifyInvariant)
 {
     // Figure 18's path: the isolation replays must not depend on the
     // pool (none, or mapOrdered at 1/2/8 threads) nor on whether the
-    // cell's plans were statically verified, and replaying a given
-    // cell must match the one-argument wrapper, which plans its own.
+    // plans were statically verified, and the cell the replays run in
+    // must be runApp's, predictor counts included (the replays run in
+    // the sessions that planned it).
     workloads::WorkloadFactory factory(256);
     const std::vector<workloads::Workload> apps = {
         factory.build("water"), factory.build("lu")};
@@ -319,34 +320,35 @@ TEST(SweepDeterminismTest, MetricIsolationIsPoolAndVerifyInvariant)
             fingerprint(ExperimentRunner(config).runMetricIsolation(app)));
     }
     for (const ExperimentConfig &cfg : {config, verified}) {
-        std::vector<AppResult> cells;
-        for (const workloads::Workload &app : apps)
-            cells.push_back(ExperimentRunner(cfg).runApp(app));
+        const std::string level =
+            verify::toString(cfg.partition.verifyLevel);
+        std::vector<std::string> cells;
+        for (std::size_t i = 0; i < apps.size(); ++i) {
+            const IsolationResult iso =
+                ExperimentRunner(cfg).runMetricIsolation(apps[i]);
+            cells.push_back(fingerprint(iso.cell));
+            EXPECT_EQ(serial[i], fingerprint(iso))
+                << apps[i].name << " with no pool, verify " << level;
+            EXPECT_EQ(cells[i],
+                      fingerprint(ExperimentRunner(cfg).runApp(apps[i])))
+                << apps[i].name << "'s isolation cell, verify " << level;
+        }
         for (int threads : {1, 2, 8}) {
             SweepRunner runner(threads);
-            const std::vector<IsolationResult> wrapped =
+            const std::vector<IsolationResult> isos =
                 runner.mapOrdered<IsolationResult>(
                     apps.size(),
                     [&](std::size_t i, support::ThreadPool &pool) {
                         return ExperimentRunner(cfg, &pool)
                             .runMetricIsolation(apps[i]);
                     });
-            const std::vector<IsolationResult> replayed =
-                runner.mapOrdered<IsolationResult>(
-                    apps.size(),
-                    [&](std::size_t i, support::ThreadPool &pool) {
-                        return ExperimentRunner(cfg, &pool)
-                            .runMetricIsolation(apps[i], cells[i]);
-                    });
-            ASSERT_EQ(wrapped.size(), apps.size());
-            ASSERT_EQ(replayed.size(), apps.size());
+            ASSERT_EQ(isos.size(), apps.size());
             for (std::size_t i = 0; i < apps.size(); ++i) {
                 const std::string where =
                     apps[i].name + " at " + std::to_string(threads) +
-                    " thread(s), verify " +
-                    verify::toString(cfg.partition.verifyLevel);
-                EXPECT_EQ(serial[i], fingerprint(wrapped[i])) << where;
-                EXPECT_EQ(serial[i], fingerprint(replayed[i])) << where;
+                    " thread(s), verify " + level;
+                EXPECT_EQ(serial[i], fingerprint(isos[i])) << where;
+                EXPECT_EQ(cells[i], fingerprint(isos[i].cell)) << where;
             }
         }
     }
