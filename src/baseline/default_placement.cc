@@ -144,9 +144,10 @@ DefaultPlacement::buildPlan(const ir::LoopNest &nest,
     // The last writer of each address id of the stream.
     std::vector<sim::TaskId> last_writer(stream.addressCount(),
                                          sim::kInvalidTask);
-    std::vector<std::int64_t> op_cost;
+    std::vector<std::int32_t> op_cost;
     for (const ir::Statement &stmt : nest.body())
-        op_cost.push_back(stmt.totalOpCost());
+        op_cost.push_back(narrowChecked<std::int32_t>(
+            stmt.totalOpCost(), plan.name, "statement op cost"));
     const auto stmt_count = static_cast<ir::StatementIndex>(op_cost.size());
     plan.tasks.reserve(stream.positions());
     plan.readPool.reserve(stream.refs.size() - stream.positions());
@@ -160,7 +161,8 @@ DefaultPlacement::buildPlan(const ir::LoopNest &nest,
             task.node = node;
             task.computeCost = op_cost[static_cast<std::size_t>(s)];
             task.statementIndex = s;
-            task.iterationNumber = k;
+            task.iterationNumber =
+                narrowChecked<std::int32_t>(k, plan.name, "iteration");
 
             // The reads, then the write.
             const std::uint32_t write = stream.refBegin[p + 1] - 1;

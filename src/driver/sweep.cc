@@ -6,16 +6,30 @@
 #include <ostream>
 #include <thread>
 
+#include <sys/resource.h>
+
 #include "support/error.h"
 
 namespace ndp::driver {
+
+ProcessFootprint
+processFootprint()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    // ru_maxrss is in KiB on Linux.
+    return {static_cast<double>(usage.ru_maxrss) / 1024.0,
+            static_cast<std::int64_t>(usage.ru_minflt)};
+}
 
 void
 SweepStats::printSummary(std::ostream &os) const
 {
     os << "[sweep] " << cells << " runs on " << threads
-       << " thread(s): " << wallSeconds
-       << "s wall (set NDP_BENCH_THREADS to change)\n";
+       << " thread(s): " << wallSeconds << "s wall, "
+       << footprint.peakRssMib << " MiB peak RSS, "
+       << footprint.minorFaults
+       << " minor faults (set NDP_BENCH_THREADS to change)\n";
     if (compile.plansComputed + compile.plansMemoized > 0)
         os << "[sweep] split-plan cache: " << compile.plansMemoized
            << " memoized / " << compile.plansComputed << " computed ("

@@ -32,6 +32,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <vector>
@@ -48,11 +49,27 @@ struct SweepCell
     AppResult result;
 };
 
+/** What getrusage() reports of this process's memory so far. */
+struct ProcessFootprint
+{
+    /** Peak resident set size, in MiB. */
+    double peakRssMib = 0.0;
+    /** Minor page faults taken. */
+    std::int64_t minorFaults = 0;
+};
+
+/** This process's footprint so far. */
+ProcessFootprint processFootprint();
+
 /** Whole-sweep timing and work summary. */
 struct SweepStats
 {
     /** Wall-clock seconds from first submit to last collect. */
     double wallSeconds = 0.0;
+    /** The process's peak RSS at the sweep's end, and the minor page
+     *  faults it took during the sweep. Like wallSeconds these vary
+     *  from run to run. */
+    ProcessFootprint footprint;
     /** Threads the sweep ran on: the pool's workers plus the caller. */
     int threads = 1;
     std::size_t cells = 0;
@@ -64,10 +81,11 @@ struct SweepStats
 
     /**
      * The sweep's stderr footer, shared by every harness: runs,
-     * threads and wall seconds, plus the split-cache and verifier
-     * lines when they have anything to report. Print it to stderr:
-     * timing is the one nondeterministic output and stdout must stay
-     * diffable across thread counts.
+     * threads, wall seconds, peak RSS and minor faults, plus the
+     * split-cache and verifier lines when they have anything to
+     * report. Print it to stderr: timing and footprint are the
+     * nondeterministic output and stdout must stay diffable across
+     * thread counts.
      */
     void printSummary(std::ostream &os) const;
 };
@@ -125,6 +143,7 @@ class SweepRunner
                const std::function<T(std::size_t, support::ThreadPool &)>
                    &fn)
     {
+        const std::int64_t faults = processFootprint().minorFaults;
         const auto start = std::chrono::steady_clock::now();
         support::ThreadPool pool(static_cast<std::size_t>(workers_));
         std::vector<T> results = support::orderedMap(
@@ -135,6 +154,8 @@ class SweepRunner
         stats_.wallSeconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - start)
                                  .count();
+        stats_.footprint = processFootprint();
+        stats_.footprint.minorFaults -= faults;
         return results;
     }
 

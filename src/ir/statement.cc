@@ -1,5 +1,8 @@
 #include "ir/statement.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "support/error.h"
 
 namespace ndp::ir {
@@ -69,6 +72,27 @@ LoopNest::LoopNest(std::string name, std::vector<Loop> loops,
                 "loop nest '" << name_ << "' has an empty body");
     for (const Loop &l : loops_)
         NDP_REQUIRE(l.step > 0, "loop '" << l.var << "' has step " << l.step);
+    // Tasks number iterations in 32 bits (sim::Task::iterationNumber).
+    // A nest with an empty loop has none; otherwise the trip-count
+    // product is checked loop by loop, so it never overflows on the way.
+    if (std::ranges::any_of(
+            loops_, [](const Loop &l) { return l.tripCount() == 0; }))
+        return;
+    constexpr std::int64_t kMaxIterations =
+        std::numeric_limits<std::int32_t>::max();
+    std::int64_t iterations = 1;
+    for (const Loop &l : loops_) {
+        const std::int64_t trips = l.tripCount();
+        NDP_REQUIRE(iterations <= kMaxIterations / trips,
+                    "loop nest '" << name_ << "' has more than "
+                                  << kMaxIterations
+                                  << " iterations (loop '" << l.var
+                                  << "' multiplies " << iterations
+                                  << " by " << trips
+                                  << "); a task numbers iterations in "
+                                     "32 bits");
+        iterations *= trips;
+    }
 }
 
 std::vector<std::string>

@@ -104,9 +104,9 @@ DramCoord
 AddressMap::dramCoord(Addr a) const
 {
     DramCoord coord;
-    coord.channel = static_cast<std::uint32_t>(bits(a, 12, 2));
-    coord.rank = static_cast<std::uint32_t>(bits(a, 14, 2));
-    coord.bank = static_cast<std::uint32_t>(bits(a, 16, 3));
+    coord.channel = static_cast<std::uint8_t>(bits(a, 12, 2));
+    coord.rank = static_cast<std::uint8_t>(bits(a, 14, 2));
+    coord.bank = static_cast<std::uint8_t>(bits(a, 16, 3));
     return coord;
 }
 

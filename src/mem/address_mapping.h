@@ -38,12 +38,15 @@ enum class MemoryMode
 const char *toString(ClusterMode mode);
 const char *toString(MemoryMode mode);
 
-/** Decoded page-granularity DRAM coordinates (Figure 2b). */
+/**
+ * Decoded page-granularity DRAM coordinates (Figure 2b). Each is at
+ * most 3 address bits wide, so a byte holds it.
+ */
 struct DramCoord
 {
-    std::uint32_t channel = 0; ///< bits 12..13
-    std::uint32_t rank = 0;    ///< bits 14..15
-    std::uint32_t bank = 0;    ///< bits 16..18
+    std::uint8_t channel = 0; ///< bits 12..13
+    std::uint8_t rank = 0;    ///< bits 14..15
+    std::uint8_t bank = 0;    ///< bits 16..18
 };
 
 /**

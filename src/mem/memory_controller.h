@@ -40,7 +40,7 @@ struct MemoryControllerParams
 };
 
 /** Which physical memory backs an address in flat/hybrid mode. */
-enum class MemoryKind
+enum class MemoryKind : std::uint8_t
 {
     Mcdram,
     Ddr,

@@ -165,7 +165,9 @@ class DefaultL1Model
  * Per-address dependence bookkeeping over the stream's dense address
  * ids: the last writer and the readers since. Readers are capped at
  * 8 — an overflowing read overwrites the last slot, a documented
- * planner relaxation (DESIGN.md §9, rule R3).
+ * planner relaxation (DESIGN.md §9, rule R3). Only an address's first
+ * readerCount_ slots are ever read, so the slots are left
+ * uninitialised: pages of addresses no read reaches are never touched.
  */
 class DepTracker
 {
@@ -174,7 +176,8 @@ class DepTracker
 
     explicit DepTracker(std::size_t addr_count)
         : writer_(addr_count, sim::kInvalidTask), readerCount_(addr_count),
-          readers_(addr_count * kMaxReaders)
+          readers_(std::make_unique_for_overwrite<sim::TaskId[]>(
+              addr_count * kMaxReaders))
     {}
 
     sim::TaskId
@@ -186,7 +189,7 @@ class DepTracker
     std::span<const sim::TaskId>
     readers(std::uint32_t addr) const
     {
-        return {readers_.data() + addr * kMaxReaders, readerCount_[addr]};
+        return {readers_.get() + addr * kMaxReaders, readerCount_[addr]};
     }
 
     void
@@ -208,7 +211,7 @@ class DepTracker
   private:
     std::vector<sim::TaskId> writer_;
     std::vector<std::uint8_t> readerCount_;
-    std::vector<sim::TaskId> readers_;
+    std::unique_ptr<sim::TaskId[]> readers_;
 };
 
 /** One candidate synchronisation arc. */
@@ -306,7 +309,7 @@ struct NestContext
      */
     std::vector<bool> splittable;
     /** totalOpCost() per static statement: a whole statement's load. */
-    std::vector<std::int64_t> opCost;
+    std::vector<std::int32_t> opCost;
     std::size_t reuseCapacity;
     const ir::InstanceStream &stream;
     /** The (line, default node) slot of each stream reference. */
@@ -357,23 +360,27 @@ class Emitter
   public:
     /**
      * Emit into @p plan and @p report, both fresh; @p sync_ns, when
-     * set, accumulates minimizeSyncs() time.
+     * set, accumulates minimizeSyncs() time. @p task_count, when set,
+     * is the number of tasks the walk will emit, counted by the
+     * scoring walk it repeats; checkTaskCount() checks it afterwards.
      */
     Emitter(const NestContext &ctx, std::int32_t window_size,
             sim::ExecutionPlan &plan, PartitionReport &report,
-            std::int64_t *sync_ns)
+            std::int64_t *sync_ns, std::optional<std::int64_t> task_count)
         : ctx_(ctx),
           stmtCount_(static_cast<std::int64_t>(ctx.nest.body().size())),
           deps_(ctx.stream.addressCount()), report_(report),
-          syncNs_(sync_ns),
+          syncNs_(sync_ns), taskCount_(task_count),
           plan_(plan)
     {
         report.chosenWindowSize = window_size;
         plan_.name = ctx.nest.name();
-        // At least one task per instance, and one record each. Every
-        // read of the stream lands in exactly one task.
+        // The counted tasks, else at least one per instance; one record
+        // per instance. Every read of the stream lands in exactly one
+        // task.
         const std::size_t instances = ctx.stream.positions();
-        plan_.tasks.reserve(instances);
+        plan_.tasks.reserve(task_count ? static_cast<std::size_t>(*task_count)
+                                       : instances);
         plan_.readPool.reserve(ctx.stream.refs.size() - instances);
 
         // Planning provenance for the static verifier (DESIGN.md §9).
@@ -390,6 +397,21 @@ class Emitter
             prov_->instances.reserve(instances);
             report.provenance = prov_;
         }
+    }
+
+    /**
+     * The emitted plan holds exactly the counted tasks, when the
+     * constructor was given a count: the scoring walk this walk repeats
+     * counted them, so a difference means the two walks diverged.
+     */
+    void
+    checkTaskCount() const
+    {
+        NDP_CHECK(!taskCount_ || static_cast<std::int64_t>(
+                                     plan_.tasks.size()) == *taskCount_,
+                  "nest '" << ctx_.nest.name() << "': emitted "
+                           << plan_.tasks.size() << " tasks, its scoring "
+                           << "walk counted " << *taskCount_);
     }
 
     /** Digest an accepted window-map add of line @p line on @p node. */
@@ -459,7 +481,8 @@ class Emitter
         sim::Task &task = plan_.tasks.emplace_back();
         task.node = node;
         task.statementIndex = d.stmtIdx;
-        task.iterationNumber = d.iter;
+        task.iterationNumber =
+            narrowChecked<std::int32_t>(d.iter, plan_.name, "iteration");
         return task;
     }
 
@@ -537,7 +560,8 @@ class Emitter
         for (const SubView sub : split) {
             const sim::TaskId id = nextTaskId();
             sim::Task &task = newTask(d, sub.node);
-            task.computeCost = sub.opCost;
+            task.computeCost = narrowChecked<std::int32_t>(
+                sub.opCost, plan_.name, "subcomputation op cost");
             // Guard operands evaluate with the root merge.
             const std::size_t guards =
                 sub.isRoot ? d.reads.size() - d.stmt->rhsReadCount() : 0;
@@ -630,7 +654,8 @@ class Emitter
 
         verify::SplitRecord r;
         r.statementIndex = d.stmtIdx;
-        r.iterationNumber = d.iter;
+        r.iterationNumber = plan_.tasks[static_cast<std::size_t>(first)]
+                                .iterationNumber;
         r.wasSplit = split != nullptr;
         r.fromCache = split != nullptr && d.fromCache;
         r.defaultNode = d.defaultNode;
@@ -740,6 +765,7 @@ class Emitter
     DepTracker deps_;
     PartitionReport &report_;
     std::int64_t *syncNs_;
+    const std::optional<std::int64_t> taskCount_;
     sim::ExecutionPlan &plan_;
     std::shared_ptr<verify::PlanProvenance> prov_;
     std::vector<sim::TaskId> taskOfSub_;
@@ -818,6 +844,7 @@ class DecisionLane
         cstats_ = {};
         plannedTotal_ = 0;
         defaultTotal_ = 0;
+        taskTotal_ = 0;
         emitter_ = emitter;
         const std::int64_t total = ctx_.nest.iterationCount() * stmtCount_;
         for (std::int64_t begin = 0; begin < total; begin += window_size) {
@@ -836,9 +863,14 @@ class DecisionLane
         }
     }
 
-    /** The last walk's Equation-1 totals and compile counters. */
+    /**
+     * The last walk's Equation-1 totals, the tasks an emitter watching
+     * it emits (one per whole instance, one per sub of a shipped split)
+     * and its compile counters.
+     */
     std::int64_t plannedMovement() const { return plannedTotal_; }
     std::int64_t defaultMovement() const { return defaultTotal_; }
+    std::int64_t taskCount() const { return taskTotal_; }
     const CompileStats &compile() const { return cstats_; }
 
   private:
@@ -1088,7 +1120,7 @@ class DecisionLane
      * copies of every fetched operand and of the stored result, in
      * emission order (the reuse digest depends on it), and, for a whole
      * statement, the default node's L1. Then add the instance to the
-     * movement totals.
+     * movement and task totals.
      */
     void
     note()
@@ -1113,6 +1145,9 @@ class DecisionLane
         plannedTotal_ +=
             d_.split ? d_.split->plannedMovement : d_.defaultMovement;
         defaultTotal_ += d_.defaultMovement;
+        taskTotal_ += d_.split
+                          ? static_cast<std::int64_t>(d_.split->size())
+                          : 1;
     }
 
     /**
@@ -1140,6 +1175,7 @@ class DecisionLane
     CompileStats cstats_;
     std::int64_t plannedTotal_ = 0;
     std::int64_t defaultTotal_ = 0;
+    std::int64_t taskTotal_ = 0;
     Emitter *emitter_ = nullptr;
     /** The current window's map; cleared per window. */
     VariableToNodeMap varmap_;
@@ -1286,11 +1322,12 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
             Inspector::canResolve(nest, *arrays_) || options_.oracle;
         std::vector<ir::VarSet> static_sets;
         std::vector<bool> splittable;
-        std::vector<std::int64_t> op_cost;
+        std::vector<std::int32_t> op_cost;
         static_sets.reserve(nest.body().size());
         for (const ir::Statement &stmt : nest.body()) {
             static_sets.push_back(ir::buildVarSets(stmt));
-            op_cost.push_back(stmt.totalOpCost());
+            op_cost.push_back(narrowChecked<std::int32_t>(
+                stmt.totalOpCost(), nest.name(), "statement op cost"));
             splittable.push_back(inspector_resolved ||
                                  (stmt.lhs().isAnalyzable() &&
                                   std::ranges::all_of(
@@ -1345,10 +1382,14 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         struct Candidate
         {
             std::int64_t movement = 0;
+            std::int64_t tasks = 0;
             CompileStats compile;
             SplitPlanCache overlay;
         };
         std::int32_t best_w = w_first;
+        // The winner's task count, when a scoring walk counted it: the
+        // emitted plan is sized exactly.
+        std::optional<std::int64_t> best_tasks;
         SplitPlanCache best_overlay;
         // What the candidates' overlays filed; with w_first's cache,
         // all of it is alive until the winner is known.
@@ -1359,6 +1400,7 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                 std::unique_ptr<DecisionLane> lane = lanes.take();
                 lane->run(w_first, nullptr, nullptr, splitCache_);
                 movement_per_w.push_back(lane->plannedMovement());
+                best_tasks = lane->taskCount();
                 compile_total.merge(lane->compile());
                 lanes.give(std::move(lane));
             }
@@ -1379,6 +1421,7 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                     c.overlay.reserveLike(frozen);
                     own->run(walked[i], nullptr, &frozen, c.overlay);
                     c.movement = own->plannedMovement();
+                    c.tasks = own->taskCount();
                     c.compile = own->compile();
                     lanes.give(std::move(own));
                     return c;
@@ -1399,6 +1442,7 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                     movement_per_w[static_cast<std::size_t>(best_w -
                                                             w_first)]) {
                     best_w = w;
+                    best_tasks = c.tasks;
                     best = &c;
                 }
             }
@@ -1410,7 +1454,8 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         const std::unique_ptr<DecisionLane> lane = lanes.take();
         Emitter emitter(ctx, best_w, best_plan, best_report,
                         options_.collectCompileTimers ? &compile_total.syncNs
-                                                      : nullptr);
+                                                      : nullptr,
+                        best_tasks);
         // w_first's emitting walk, or the only walk, files in the cache
         // itself; another winner's reads the frozen cache and its
         // overlay.
@@ -1429,6 +1474,7 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                       movement_per_w[static_cast<std::size_t>(best_w -
                                                               w_first)],
                   "emitting pass diverged from its scoring pass");
+        emitter.checkTaskCount();
         // A walk that repeats a scoring walk files nothing; the only
         // walk has filled the cache by now.
         compile_total.cachePeakEntries =

@@ -35,10 +35,7 @@ template <typename T, typename V>
 T
 narrowPacked(V value, const char *what)
 {
-    NDP_CHECK(std::in_range<T>(value),
-              "split plan: " << what << " " << value
-                             << " does not fit its packed field");
-    return static_cast<T>(value);
+    return narrowChecked<T>(value, "split plan", what);
 }
 
 /** One packed subcomputation: its node, cost, flag and run lengths. */

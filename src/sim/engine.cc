@@ -42,10 +42,13 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
 
     // ---- Pass 1: warm caches, record traffic and queue pressure. ----
     // Task t's access records are records[record_begin[t],
-    // record_begin[t + 1]): its reads, then its write.
+    // record_begin[t + 1]): its reads, then its write. The offsets
+    // into records and into consumers below are 32-bit.
     std::vector<AccessRecord> records;
-    records.reserve(plan.readPool.size() + plan.tasks.size());
-    std::vector<std::size_t> record_begin;
+    records.reserve(narrowChecked<std::uint32_t>(
+        plan.readPool.size() + plan.tasks.size(), plan.name,
+        "access record count"));
+    std::vector<std::uint32_t> record_begin;
     record_begin.reserve(plan.tasks.size() + 1);
     std::int64_t mcdram_accesses = 0;
     std::int64_t ddr_accesses = 0;
@@ -60,7 +63,7 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
                           << sys.mesh().faults().describe()
                           << "); run with NDP_VERIFY=cheap to catch "
                              "this at plan time (rule R5)");
-        record_begin.push_back(records.size());
+        record_begin.push_back(static_cast<std::uint32_t>(records.size()));
         for (const MemAccess &read : plan.reads(task)) {
             AccessRecord rec = sys.walkRead(task.node, read);
             if (rec.level == AccessLevel::Memory) {
@@ -81,7 +84,7 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
                                     kResultBytes);
         }
     }
-    record_begin.push_back(records.size());
+    record_begin.push_back(static_cast<std::uint32_t>(records.size()));
     sys.freezeTraffic();
 
     const mem::CacheStats l1_after_pass1 = sys.l1Stats();
@@ -111,17 +114,21 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     // Consumers of task t, as a CSR: consumers[consumer_begin[t],
     // consumer_begin[t + 1]), filled in task order so each producer
     // lists its consumers by ascending id.
-    std::vector<std::size_t> consumer_begin(plan.tasks.size() + 1, 0);
+    std::vector<std::uint32_t> consumer_begin(plan.tasks.size() + 1, 0);
+    std::size_t consumer_count = 0;
     for (const Task &task : plan.tasks) {
+        consumer_count += task.depCount;
         for (TaskId dep : plan.deps(task))
             ++consumer_begin[static_cast<std::size_t>(dep) + 1];
     }
+    narrowChecked<std::uint32_t>(consumer_count, plan.name,
+                                 "consumer count");
     for (std::size_t t = 0; t < plan.tasks.size(); ++t)
         consumer_begin[t + 1] += consumer_begin[t];
     std::vector<TaskId> consumers(consumer_begin.back());
     {
-        std::vector<std::size_t> fill(consumer_begin.begin(),
-                                      consumer_begin.end() - 1);
+        std::vector<std::uint32_t> fill(consumer_begin.begin(),
+                                        consumer_begin.end() - 1);
         for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
             const Task &task = plan.tasks[t];
             pending[t] = static_cast<std::int32_t>(task.depCount);
@@ -212,7 +219,8 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
         std::int64_t stall_core = 0;
         std::int64_t stall_net = 0;
         std::int64_t stall_mem = 0;
-        for (std::size_t r = record_begin[t]; r < record_begin[t + 1]; ++r) {
+        for (std::uint32_t r = record_begin[t]; r < record_begin[t + 1];
+             ++r) {
             AccessRecord rec = records[r];
             // S1: enforce a donor L1 hit/miss profile by converting
             // outcomes until the target rate is met in expectation.
@@ -230,8 +238,8 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
                                      std::max(1e-9, natural_hit_rate);
                     if (rng.nextBool(p)) {
                         rec.level = AccessLevel::L2;
-                        rec.home =
-                            sys.addressMap().homeBankNode(rec.addr);
+                        rec.home = static_cast<AccessRecord::PackedNode>(
+                            sys.addressMap().homeBankNode(rec.addr));
                     }
                 }
             }

@@ -6,8 +6,34 @@
 
 namespace ndp::sim {
 
+namespace {
+
+/** @p config, whose mesh must fit an AccessRecord's node ids. */
+const ManycoreConfig &
+admitted(const ManycoreConfig &config)
+{
+    const std::int64_t nodes = static_cast<std::int64_t>(config.meshCols) *
+                               config.meshRows;
+    NDP_REQUIRE(nodes <= AccessRecord::kMaxNodes,
+                "a " << config.meshCols << "x" << config.meshRows
+                     << " mesh has " << nodes
+                     << " nodes; access records hold 16-bit node ids, "
+                        "so a mesh has at most "
+                     << AccessRecord::kMaxNodes);
+    return config;
+}
+
+/** @p node as an AccessRecord holds it; admitted() made it fit. */
+AccessRecord::PackedNode
+packed(noc::NodeId node)
+{
+    return static_cast<AccessRecord::PackedNode>(node);
+}
+
+} // namespace
+
 ManycoreSystem::ManycoreSystem(const ManycoreConfig &config)
-    : config_(config),
+    : config_(admitted(config)),
       mesh_(config.meshCols, config.meshRows, config.torus,
             config.faults),
       addrMap_(mesh_, config.clusterMode),
@@ -85,7 +111,7 @@ ManycoreSystem::walkRead(noc::NodeId node, const MemAccess &access)
 {
     AccessRecord rec;
     rec.addr = access.addr;
-    rec.requester = node;
+    rec.requester = packed(node);
     rec.isWrite = false;
 
     const CacheOutcome out = warmRead(node, access.addr);
@@ -94,25 +120,27 @@ ManycoreSystem::walkRead(noc::NodeId node, const MemAccess &access)
         return rec;
 
     // L1 miss: request to the home bank (1), data back (5) — Figure 1.
-    rec.home = out.home;
-    traffic_.addMessage(node, rec.home, 1); // request flit
+    const noc::NodeId home = out.home;
+    rec.home = packed(home);
+    traffic_.addMessage(node, home, 1); // request flit
     if (out.level == AccessLevel::L2) {
-        traffic_.addMessage(rec.home, node, config_.lineFlits());
+        traffic_.addMessage(home, node, config_.lineFlits());
         return rec;
     }
 
     // L2 miss: home bank forwards to the MC (2,3); data returns to the
     // home bank (4) and then the requester's L1.
-    rec.mc = addrMap_.memoryControllerNode(access.addr);
+    const noc::NodeId mc = addrMap_.memoryControllerNode(access.addr);
+    rec.mc = packed(mc);
     rec.memKind = memoryKindOf(access.array);
     rec.dram = addrMap_.dramCoord(access.addr);
-    traffic_.addMessage(rec.home, rec.mc, 1);
-    mcAt(rec.mc).recordAccess();
+    traffic_.addMessage(home, mc, 1);
+    mcAt(mc).recordAccess();
     // Critical-word-first: the MC sends the data directly to the
     // requester; the home-bank fill travels as a separate copy off the
     // critical path.
-    traffic_.addMessage(rec.mc, node, config_.lineFlits());
-    traffic_.addMessage(rec.mc, rec.home, config_.lineFlits());
+    traffic_.addMessage(mc, node, config_.lineFlits());
+    traffic_.addMessage(mc, home, config_.lineFlits());
     return rec;
 }
 
@@ -121,16 +149,17 @@ ManycoreSystem::walkWrite(noc::NodeId node, const MemAccess &access)
 {
     AccessRecord rec;
     rec.addr = access.addr;
-    rec.requester = node;
+    rec.requester = packed(node);
     rec.isWrite = true;
     rec.level = AccessLevel::L2;
     // Allocate locally, then write the result through to its home bank
     // (the store node of Section 4.3 keeps the output at its home).
-    rec.home = warmWrite(node, access.addr);
+    const noc::NodeId home = warmWrite(node, access.addr);
+    rec.home = packed(home);
     const std::int64_t flits =
         std::max<std::int64_t>(1, access.size / config_.flitBytes);
-    if (node != rec.home)
-        traffic_.addMessage(node, rec.home, flits);
+    if (node != home)
+        traffic_.addMessage(node, home, flits);
     return rec;
 }
 

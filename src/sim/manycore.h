@@ -11,6 +11,7 @@
  */
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -94,19 +95,30 @@ enum class AccessLevel : std::uint8_t
 
 /**
  * Outcome of one walked access; everything pass 2 needs to price it
- * without re-running the caches.
+ * without re-running the caches. The engine keeps one per simulated
+ * access, so it is packed: node ids in 16 bits (ManycoreSystem admits
+ * only meshes of at most kMaxNodes nodes, so every id fits), and the
+ * level, memory kind and DRAM coordinates in a byte each.
  */
 struct AccessRecord
 {
-    AccessLevel level = AccessLevel::L1;
+    /** Nodes a mesh may have: ids 0..kMaxNodes - 1 fit a PackedNode. */
+    using PackedNode = std::int16_t;
+    static constexpr std::int32_t kMaxNodes =
+        std::numeric_limits<PackedNode>::max() + 1;
+
     mem::Addr addr = 0;
-    noc::NodeId requester = noc::kInvalidNode;
-    noc::NodeId home = noc::kInvalidNode; ///< home L2 bank node
-    noc::NodeId mc = noc::kInvalidNode;   ///< servicing MC (Memory only)
+    PackedNode requester = noc::kInvalidNode;
+    PackedNode home = noc::kInvalidNode; ///< home L2 bank node
+    PackedNode mc = noc::kInvalidNode;   ///< servicing MC (Memory only)
+    AccessLevel level = AccessLevel::L1;
     mem::MemoryKind memKind = mem::MemoryKind::Ddr;
     mem::DramCoord dram;
     bool isWrite = false;
 };
+
+static_assert(sizeof(AccessRecord) <= 24,
+              "sim::AccessRecord outgrew 24 bytes");
 
 /**
  * The machine model. Owns every cache/controller and the traffic
@@ -116,6 +128,11 @@ struct AccessRecord
 class ManycoreSystem
 {
   public:
+    /**
+     * Build the machine of @p config. A mesh of more than
+     * AccessRecord::kMaxNodes nodes is an ndp::fatal, raised before
+     * anything is allocated.
+     */
     explicit ManycoreSystem(const ManycoreConfig &config);
 
     const ManycoreConfig &config() const { return config_; }

@@ -25,7 +25,6 @@
  */
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <tuple>
@@ -46,6 +45,35 @@ struct MemAccess
     ir::ArrayId array = ir::kInvalidArray;
 };
 
+/**
+ * A task's optional final store, read like a std::optional<MemAccess>
+ * but held in the access's own 16 bytes: no access has size 0, so a
+ * zero size means "no store", and the optional's flag and padding (8
+ * bytes per task) are gone.
+ */
+class OptionalAccess
+{
+  public:
+    OptionalAccess() = default;
+
+    OptionalAccess(const MemAccess &access) : access_(access)
+    {
+        NDP_CHECK(access.size != 0,
+                  "a task's store at address " << access.addr
+                                               << " has size 0");
+    }
+
+    explicit operator bool() const { return access_.size != 0; }
+    bool has_value() const { return access_.size != 0; }
+    const MemAccess &operator*() const { return access_; }
+    const MemAccess *operator->() const { return &access_; }
+    void reset() { access_ = kNone; }
+
+  private:
+    static constexpr MemAccess kNone{0, 0, ir::kInvalidArray};
+    MemAccess access_ = kNone;
+};
+
 using TaskId = std::int32_t;
 inline constexpr TaskId kInvalidTask = -1;
 
@@ -60,13 +88,16 @@ struct Task
     std::int32_t statementIndex = -1;
 
     /** Final store (only the task holding the statement's result). */
-    std::optional<MemAccess> write;
+    OptionalAccess write;
 
     /** Abstract op cost (division = 10 units, Section 4.5). */
-    std::int64_t computeCost = 0;
+    std::int32_t computeCost = 0;
 
-    /** Lexicographic iteration number of the originating instance. */
-    std::int64_t iterationNumber = -1;
+    /**
+     * Lexicographic iteration number of the originating instance; a
+     * LoopNest has at most 2^31 - 1 iterations, so it fits.
+     */
+    std::int32_t iterationNumber = -1;
 
     /**
      * Operands fetched by this task from this node: the run
@@ -82,6 +113,9 @@ struct Task
     std::uint32_t depBegin = 0;
     std::uint32_t depCount = 0;
 };
+
+// One task per subcomputation: its size is the plan's footprint.
+static_assert(sizeof(Task) <= 48, "sim::Task outgrew 48 bytes");
 
 /** A complete schedule for one loop nest. */
 struct ExecutionPlan

@@ -13,6 +13,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 namespace ndp {
 
@@ -85,5 +87,25 @@ panic(const std::string &msg)
             ::ndp::fatal(ndp_req_oss_.str());                              \
         }                                                                  \
     } while (0)
+
+namespace ndp {
+
+/**
+ * @p value narrowed to the packed field type @p T, which must hold it.
+ * A value it cannot hold is an internal error naming @p owner (the
+ * split plan, or the plan or nest a task belongs to), the field
+ * @p what and the value.
+ */
+template <typename T, typename V>
+T
+narrowChecked(V value, std::string_view owner, std::string_view what)
+{
+    NDP_CHECK(std::in_range<T>(value),
+              owner << ": " << what << " " << value
+                    << " does not fit its packed field");
+    return static_cast<T>(value);
+}
+
+} // namespace ndp
 
 #endif // NDP_SUPPORT_ERROR_H

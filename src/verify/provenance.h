@@ -39,7 +39,8 @@ namespace ndp::verify {
 struct SplitRecord
 {
     std::int32_t statementIndex = -1;
-    std::int64_t iterationNumber = -1;
+    /** A task's iteration number (sim::Task): 32 bits. */
+    std::int32_t iterationNumber = -1;
     /** False = emitted whole on the default node (unsplit). */
     bool wasSplit = false;
     /** Split replayed from the SplitPlanCache (R6's subject). */
@@ -64,6 +65,10 @@ struct SplitRecord
     std::uint32_t locationBegin = 0;
     std::uint32_t locationCount = 0;
 };
+
+// One record per statement instance when verifying.
+static_assert(sizeof(SplitRecord) <= 64,
+              "verify::SplitRecord outgrew 64 bytes");
 
 /** Provenance of one whole ExecutionPlan (= one window-size candidate
  *  of one nest; Partitioner::plan keeps the winner's). */

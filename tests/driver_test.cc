@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "ndp/ndp.h" // umbrella header must stay self-contained
 #include "driver/experiment.h"
+#include "driver/sweep.h"
 #include "partition/codegen.h"
 #include "support/error.h"
 #include "workloads/workload.h"
@@ -167,6 +169,60 @@ TEST(DriverTest, PlannedRunIsTheRunWithoutPlanSelection)
     }
     EXPECT_GT(kept_default, 0)
         << "plan selection no longer reverts a nest of lu";
+}
+
+TEST(DriverTest, RevertedNestsRerunTheirProfilingRun)
+{
+    // Plan selection re-simulates the default plan of every nest it
+    // reverts. On a real network that run repeats the profiling run
+    // exactly, energy included, under each planning config of the paper
+    // grid (the ideal network runs no planner and never reverts), so
+    // the profiling run could be shipped in its place.
+    std::vector<ExperimentConfig> configs;
+    configs.reserve(22);
+    configs.emplace_back();
+    configs.emplace_back().partition.oracle = true;
+    for (std::int32_t w = 1; w <= 8; ++w)
+        configs.emplace_back().partition.fixedWindowSize = w;
+    for (const mem::ClusterMode cluster :
+         {mem::ClusterMode::AllToAll, mem::ClusterMode::Quadrant,
+          mem::ClusterMode::SNC4}) {
+        for (const mem::MemoryMode memory :
+             {mem::MemoryMode::Flat, mem::MemoryMode::Cache,
+              mem::MemoryMode::Hybrid}) {
+            if (cluster == mem::ClusterMode::Quadrant &&
+                memory == mem::MemoryMode::Flat)
+                continue; // the default config's modes
+            ExperimentConfig &knl = configs.emplace_back();
+            knl.machine.clusterMode = cluster;
+            knl.machine.memoryMode = memory;
+        }
+    }
+    configs.emplace_back().dataToMcRemap = true;
+    configs.emplace_back().partition.loadBalance = false;
+    configs.emplace_back().partition.minimizeSyncs = false;
+    configs.emplace_back().machine.torus = true;
+
+    const std::vector<workloads::Workload> apps =
+        workloads::WorkloadFactory(256).buildAll();
+    SweepRunner runner(2);
+    const auto grid = runner.runGrid(apps, configs);
+    int reverted = 0;
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            for (const NestResult &nr : grid[a][c].result.nests) {
+                if (!configs[c].shipsDefaultPlan(nr.defaultRun,
+                                                 nr.plannedRun))
+                    continue;
+                ++reverted;
+                expectSameRun(nr.optimizedRun, nr.defaultRun,
+                              apps[a].name + "/" + nr.nest + " config " +
+                                  std::to_string(c));
+            }
+        }
+    }
+    EXPECT_EQ(configs.size(), 22u);
+    EXPECT_GT(reverted, 0) << "plan selection reverted no nest";
 }
 
 /** The message of the ndp::FatalError @p fn throws ("" if none). */

@@ -439,6 +439,30 @@ TEST(LoopNestTest, IterationEnumerationLexicographic)
     }
 }
 
+TEST(LoopNestTest, RejectsMoreIterationsThanATaskNumbers)
+{
+    // Tasks number iterations in 32 bits: 2^31 - 1 iterations are a
+    // nest, 2^31 are rejected when the nest is built, before anything
+    // resolves it.
+    ArrayTable arrays;
+    const LoopNest widest = parseKernel(R"(
+        array A[4];
+        for i = 0..2147483647 { A[0] = A[1]; })",
+                                        "widest", arrays);
+    EXPECT_EQ(widest.iterationCount(), 2147483647);
+    try {
+        parseKernel(R"(
+            array B[4];
+            for i = 0..65536 { for j = 0..32768 { B[0] = B[1]; } })",
+                    "too_big", arrays);
+        FAIL() << "a nest of 2^31 iterations was built";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'too_big'"), std::string::npos) << what;
+        EXPECT_NE(what.find("2147483647"), std::string::npos) << what;
+    }
+}
+
 TEST(LoopNestTest, ToStringShowsStructure)
 {
     ArrayTable arrays;

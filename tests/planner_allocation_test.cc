@@ -24,6 +24,13 @@
  * run of the default plan or of the optimized plan keeps its access
  * records and consumer lists in flat arrays and accounts traffic per
  * node pair, so it too allocates a bounded number of times.
+ *
+ * Byte gates hold the footprint. A fixed-window plan() allocates at
+ * most a small multiple of the bytes its plan holds, so a buffer that
+ * regrows, or one sized far beyond its use, shows. One engine run
+ * allocates at most a set number of bytes per access record it keeps:
+ * a default plan's run is mostly its 24-byte records, an optimized
+ * plan's adds the per-task scheduler state of its many small tasks.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +40,7 @@
 #include <vector>
 
 #include "baseline/default_placement.h"
+#include "ir/instance.h"
 #include "partition/partitioner.h"
 #include "sim/engine.h"
 #include "sim/manycore.h"
@@ -67,6 +75,46 @@ constexpr std::int64_t kEmitAllocationCeiling = 1000;
  * queues, and the machine's cache-state growth.
  */
 constexpr std::int64_t kEngineAllocationCeiling = 600;
+
+/**
+ * Ceiling on a fixed-window plan()'s allocated bytes per byte of the
+ * plan it returns (tasks, reads and deps), its stream resolved
+ * beforehand as a NestSession does: the dependence tracker's
+ * per-address slots, the line slots, the lane and the plan's own
+ * regrowth (a single walk reserves a task per instance) come to 1.7 to
+ * 7.2 on these nests. A plan buffer regrowing once more, or sized far
+ * beyond its use, crosses it.
+ */
+constexpr double kEmitBytesPerPlanByte = 8.0;
+
+/**
+ * Ceilings on one ExecutionEngine::run's allocated bytes per access
+ * record (a task's reads and its write), for a default plan (29 to 47
+ * on these nests; 55 to 77 with 48-byte records and 64-bit offsets)
+ * and for an optimized plan (34 to 67; 62 to 117 before).
+ */
+constexpr double kDefaultRunBytesPerRecord = 50.0;
+constexpr double kOptimizedRunBytesPerRecord = 75.0;
+
+/** The bytes @p plan holds: its tasks and its two pools. */
+std::int64_t
+planBytes(const sim::ExecutionPlan &plan)
+{
+    return static_cast<std::int64_t>(
+        plan.tasks.size() * sizeof(sim::Task) +
+        plan.readPool.size() * sizeof(sim::MemAccess) +
+        plan.depPool.size() * sizeof(sim::TaskId));
+}
+
+/** The access records one engine run of @p plan keeps. */
+std::int64_t
+accessRecords(const sim::ExecutionPlan &plan)
+{
+    std::int64_t records = static_cast<std::int64_t>(plan.readPool.size());
+    for (const sim::Task &task : plan.tasks)
+        records += task.write ? 1 : 0;
+    return records;
+}
 
 /** Heap allocations made by one plan() call. */
 std::int64_t
@@ -213,14 +261,82 @@ engineAllocations(const workloads::Workload &app, bool balanced)
 }
 
 /**
+ * A fixed-window plan()'s allocated bytes per byte of its plan, for
+ * every nest of @p app: plan() of a resolved stream, fixed at the
+ * window an adaptive plan() chose, verification off.
+ */
+std::vector<double>
+emitBytesPerPlanByte(const workloads::Workload &app, bool balanced)
+{
+    std::vector<double> per_nest;
+    for (const ir::LoopNest &nest : app.nests) {
+        sim::ManycoreSystem system{sim::ManycoreConfig{}};
+        system.setMcdramArrays(app.mcdramArrays);
+        baseline::DefaultPlacement placement(system, app.arrays);
+        const std::vector<noc::NodeId> nodes =
+            placement.assignIterations(nest);
+
+        partition::PartitionOptions options;
+        options.loadBalance = balanced;
+        options.verifyLevel = verify::VerifyLevel::Off;
+        std::int32_t chosen = 0;
+        planAllocations(system, app.arrays, nest, nodes, options, &chosen);
+        options.fixedWindowSize = chosen;
+        partition::Partitioner partitioner(system, app.arrays, options);
+        const ir::InstanceStream stream =
+            ir::resolveInstances(nest, app.arrays, system.addressMap());
+        const std::int64_t before = support::heapBytesAllocated();
+        const sim::ExecutionPlan plan =
+            partitioner.plan(nest, stream, nodes);
+        const std::int64_t bytes = support::heapBytesAllocated() - before;
+        per_nest.push_back(static_cast<double>(bytes) /
+                           static_cast<double>(planBytes(plan)));
+    }
+    return per_nest;
+}
+
+/**
+ * One engine run's allocated bytes per access record, for every nest
+ * of @p app: the run of its default plan, or of its optimized plan
+ * when @p optimized.
+ */
+std::vector<double>
+engineBytesPerRecord(const workloads::Workload &app, bool balanced,
+                     bool optimized)
+{
+    std::vector<double> per_run;
+    for (const ir::LoopNest &nest : app.nests) {
+        sim::ManycoreSystem system{sim::ManycoreConfig{}};
+        system.setMcdramArrays(app.mcdramArrays);
+        sim::ExecutionEngine engine(system);
+        baseline::DefaultPlacement placement(system, app.arrays);
+        const std::vector<noc::NodeId> nodes =
+            placement.assignIterations(nest);
+        partition::PartitionOptions options;
+        options.loadBalance = balanced;
+        options.verifyLevel = verify::VerifyLevel::Off;
+        partition::Partitioner partitioner(system, app.arrays, options);
+        const sim::ExecutionPlan plan = optimized
+                                            ? partitioner.plan(nest, nodes)
+                                            : placement.buildPlan(nest, nodes);
+        const std::int64_t before = support::heapBytesAllocated();
+        engine.run(plan);
+        const std::int64_t bytes = support::heapBytesAllocated() - before;
+        per_run.push_back(static_cast<double>(bytes) /
+                          static_cast<double>(accessRecords(plan)));
+    }
+    return per_run;
+}
+
+/**
  * Run @p measure (allocations per nest, or per run, of one app,
  * balancer on or off) over water, cholesky and fft at scales 256 and
  * 512, and hold every count under @p ceiling. Scale 512 doubles every
  * nest's iteration count, so a per-instance allocation cannot hide.
  */
-template <typename Measure>
+template <typename Count, typename Measure>
 void
-expectBoundedAtEveryScale(const char *what, std::int64_t ceiling,
+expectBoundedAtEveryScale(const char *what, Count ceiling,
                           Measure measure)
 {
     for (const char *name : {"water", "cholesky", "fft"}) {
@@ -228,16 +344,14 @@ expectBoundedAtEveryScale(const char *what, std::int64_t ceiling,
             for (const std::int64_t scale : {256, 512}) {
                 const workloads::Workload app =
                     workloads::WorkloadFactory(scale).build(name);
-                const std::vector<std::int64_t> counts =
-                    measure(app, balanced);
+                const std::vector<Count> counts = measure(app, balanced);
                 std::int64_t instances = 0;
                 for (const ir::LoopNest &nest : app.nests)
                     instances += nest.iterationCount() *
                                  static_cast<std::int64_t>(nest.body().size());
                 std::cout << name << (balanced ? " balanced" : " unbalanced")
                           << " scale " << scale << " (" << instances
-                          << " instances): " << what
-                          << " allocations";
+                          << " instances): " << what;
                 for (std::size_t n = 0; n < counts.size(); ++n) {
                     std::cout << ' ' << counts[n];
                     EXPECT_LT(counts[n], ceiling)
@@ -253,27 +367,49 @@ expectBoundedAtEveryScale(const char *what, std::int64_t ceiling,
 
 TEST(PlannerAllocationTest, ScoringPassesDoNotAllocatePerInstance)
 {
-    expectBoundedAtEveryScale("scoring (per nest)", kAllocationCeiling,
-                              scoringAllocations);
+    expectBoundedAtEveryScale("scoring allocations (per nest)",
+                              kAllocationCeiling, scoringAllocations);
 }
 
 TEST(PlannerAllocationTest, ProvenanceRecordingDoesNotAllocatePerInstance)
 {
-    expectBoundedAtEveryScale("recording (per nest)", kAllocationCeiling,
-                              recordingAllocations);
+    expectBoundedAtEveryScale("recording allocations (per nest)",
+                              kAllocationCeiling, recordingAllocations);
 }
 
 TEST(PlannerAllocationTest, EmittingPassDoesNotAllocatePerTask)
 {
-    expectBoundedAtEveryScale("fixed-window plan() (per nest)",
+    expectBoundedAtEveryScale("fixed-window plan() allocations (per nest)",
                               kEmitAllocationCeiling, emitAllocations);
 }
 
 TEST(PlannerAllocationTest, EngineRunDoesNotAllocatePerTask)
 {
     expectBoundedAtEveryScale(
-        "engine run (default, optimized per nest)",
+        "engine run allocations (default, optimized per nest)",
         kEngineAllocationCeiling, engineAllocations);
+}
+
+TEST(PlannerAllocationTest, FixedWindowPlanAllocatesAFewPlansOfBytes)
+{
+    expectBoundedAtEveryScale("fixed-window plan() bytes per plan byte",
+                              kEmitBytesPerPlanByte, emitBytesPerPlanByte);
+}
+
+TEST(PlannerAllocationTest, EngineRunAllocatesBoundedBytesPerRecord)
+{
+    expectBoundedAtEveryScale(
+        "default-plan run bytes per access record (per nest)",
+        kDefaultRunBytesPerRecord,
+        [](const workloads::Workload &app, bool balanced) {
+            return engineBytesPerRecord(app, balanced, false);
+        });
+    expectBoundedAtEveryScale(
+        "optimized-plan run bytes per access record (per nest)",
+        kOptimizedRunBytesPerRecord,
+        [](const workloads::Workload &app, bool balanced) {
+            return engineBytesPerRecord(app, balanced, true);
+        });
 }
 
 } // namespace

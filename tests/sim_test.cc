@@ -109,6 +109,59 @@ TEST_F(ManycoreTest, CacheModeForcesDdrBacking)
     EXPECT_EQ(system.memoryKindOf(2), mem::MemoryKind::Ddr);
 }
 
+TEST_F(ManycoreTest, AccessRecordHoldsExtremeValues)
+{
+    // The packed record must carry the largest values a walk writes:
+    // the top node of a 16x16 mesh, channel 3 / rank 3 / bank 7, a
+    // memory access to MCDRAM, and the write flag.
+    config.meshCols = 16;
+    config.meshRows = 16;
+    ManycoreSystem system(config); // flat mode
+    system.setMcdramArrays({0});
+    const noc::NodeId top = 255;
+    const MemAccess access{(3u << 12) | (3u << 14) | (7u << 16), 8, 0};
+
+    const AccessRecord read = system.walkRead(top, access);
+    EXPECT_EQ(read.level, AccessLevel::Memory);
+    EXPECT_EQ(read.addr, access.addr);
+    EXPECT_EQ(noc::NodeId{read.requester}, top);
+    EXPECT_EQ(noc::NodeId{read.home},
+              system.addressMap().homeBankNode(access.addr));
+    EXPECT_EQ(noc::NodeId{read.mc},
+              system.addressMap().memoryControllerNode(access.addr));
+    EXPECT_EQ(read.memKind, mem::MemoryKind::Mcdram);
+    EXPECT_EQ(read.dram.channel, 3);
+    EXPECT_EQ(read.dram.rank, 3);
+    EXPECT_EQ(read.dram.bank, 7);
+    EXPECT_FALSE(read.isWrite);
+
+    const AccessRecord write = system.walkWrite(top, access);
+    EXPECT_TRUE(write.isWrite);
+    EXPECT_EQ(noc::NodeId{write.requester}, top);
+    EXPECT_EQ(noc::NodeId{write.home},
+              system.addressMap().homeBankNode(access.addr));
+
+    // The largest id an admitted mesh has survives the packing.
+    AccessRecord rec;
+    rec.home = static_cast<AccessRecord::PackedNode>(
+        AccessRecord::kMaxNodes - 1);
+    EXPECT_EQ(noc::NodeId{rec.home}, AccessRecord::kMaxNodes - 1);
+}
+
+TEST_F(ManycoreTest, RejectsAMeshWhoseNodeIdsDoNotFit16Bits)
+{
+    config.meshCols = 200;
+    config.meshRows = 200;
+    try {
+        ManycoreSystem system(config);
+        FAIL() << "a 40000-node mesh was admitted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("40000 nodes"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST_F(ManycoreTest, ResetKeepsPredictorClearsCaches)
 {
     ManycoreSystem system(config);

@@ -360,13 +360,14 @@ TEST(SweepStatsTest, PrintSummaryReportsRunsThreadsAndSpeedup)
     stats.cells = 24;
     stats.threads = 8;
     stats.wallSeconds = 2.0;
+    stats.footprint = {30.5, 41000};
     stats.compile.plansComputed = 1;
     stats.compile.plansMemoized = 3;
     std::ostringstream os;
     stats.printSummary(os);
     EXPECT_EQ(os.str(),
-              "[sweep] 24 runs on 8 thread(s): 2s wall (set "
-              "NDP_BENCH_THREADS to change)\n"
+              "[sweep] 24 runs on 8 thread(s): 2s wall, 30.5 MiB peak "
+              "RSS, 41000 minor faults (set NDP_BENCH_THREADS to change)\n"
               "[sweep] split-plan cache: 3 memoized / 1 computed (75% "
               "hit rate)\n");
 }
@@ -386,6 +387,8 @@ TEST(SweepDeterminismTest, StatsCoverEveryCell)
     // Two workers plus the claiming caller.
     EXPECT_EQ(runner.stats().threads, 3);
     EXPECT_GT(runner.stats().wallSeconds, 0.0);
+    EXPECT_GT(runner.stats().footprint.peakRssMib, 0.0);
+    EXPECT_GE(runner.stats().footprint.minorFaults, 0);
     // The compile and verifier totals merge every cell's AppResult.
     std::int64_t instances = 0;
     std::int64_t verified_plans = 0;

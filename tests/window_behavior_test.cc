@@ -341,6 +341,11 @@ expectCandidatesEqualFixedRuns(sim::ManycoreSystem &system,
         EXPECT_EQ(report.compile.instancesPlanned,
                   (walkedCandidates(nest, arrays) + 1) * instances);
         planned[balance] = report.compile.instancesPlanned / instances;
+        // A walked winner's task count was counted by its scoring walk,
+        // so the plan holds exactly the tasks it reserved.
+        if (planned[balance] > 1) {
+            EXPECT_EQ(chosen.tasks.capacity(), chosen.tasks.size());
+        }
 
         for (std::int32_t w = 1; w <= 8; ++w) {
             PartitionOptions fixed = adaptive;
