@@ -13,7 +13,8 @@
  *     into subcomputations near the neighbor data.
  *
  * Each variant runs in its own driver::NestSession: a fresh machine,
- * the default plan's profiling run, then the variant's plan.
+ * the default plan's profiling run, then the variant's plan, run with
+ * the session's static verifier beside it.
  *
  * Run: ./irregular_minimd [atoms]
  */
@@ -92,7 +93,7 @@ main(int argc, char **argv)
         config.partition.oracle = oracle;
         driver::NestSession session(config, app, nest);
         def = session.defaultRun;
-        const sim::SimResult r = session.engine.run(session.plan());
+        const sim::SimResult r = session.runPlanned(session.plan());
         table.row()
             .cell(label)
             .cell(session.report.statementsSplit)

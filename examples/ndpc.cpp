@@ -161,10 +161,10 @@ main(int argc, char **argv)
             printSets(sets, stmt, arrays, 0);
         }
 
-        // ---- Machine, baseline, profiling run, partitioner and
-        // static verifier: one nest session. Cheap verification
-        // records the split decisions the verifier checks and the
-        // pseudo-code renderer reads.
+        // ---- Machine, baseline, profiling run, partitioner, and the
+        // optimized run beside the static verifier: one nest session.
+        // Cheap verification records the split decisions the verifier
+        // checks and the pseudo-code renderer reads.
         driver::ExperimentConfig config;
         config.machine.meshCols = mesh_cols;
         config.machine.meshRows = mesh_rows;
@@ -174,7 +174,7 @@ main(int argc, char **argv)
         const sim::SimResult &def = session.defaultRun;
         const sim::ExecutionPlan plan = session.plan();
         const partition::PartitionReport &report = session.report;
-        const sim::SimResult opt = session.engine.run(plan);
+        const sim::SimResult opt = session.runPlanned(plan);
 
         std::cout << "\n== plan ==\n"
                   << "window size: " << report.chosenWindowSize

@@ -6,10 +6,10 @@
  *  2. Open a driver::NestSession on the modelled manycore: it builds
  *     the machine, the profile-guided default placement and the
  *     profiling run.
- *  3. Plan the nest with the NDP partitioner; the session checks the
- *     plan with the static verifier.
- *  4. Simulate the plan, compare data movement / execution time, and
- *     say which plan the driver's plan selection would ship.
+ *  3. Plan the nest with the NDP partitioner, and simulate the plan
+ *     while the session's static verifier checks it.
+ *  4. Compare data movement / execution time, and say which plan the
+ *     driver's plan selection would ship.
  *
  * The kernel here is the paper's running example (Figure 3):
  * A(i) = B(i) + C(i) + D(i) + E(i).
@@ -51,10 +51,10 @@ main()
     driver::NestSession session(config, app, nest);
     const sim::SimResult &def = session.defaultRun;
 
-    // ---- 3. The optimized plan, verified. ----
+    // ---- 3. The optimized plan, run beside its verification. ----
     const sim::ExecutionPlan optimized_plan = session.plan();
     const partition::PartitionReport &report = session.report;
-    const sim::SimResult opt = session.engine.run(optimized_plan);
+    const sim::SimResult opt = session.runPlanned(optimized_plan);
 
     // ---- 4. Compare. ----
     Table table({"metric", "default", "optimized"});

@@ -54,11 +54,12 @@ main(int argc, char **argv)
 
     // ---- Machine, baseline and profiling run; then the partitioner
     // with the adaptive window sweep, whose overhead model reads the
-    // profiled node utilisation. ----
+    // profiled node utilisation, and the optimized run (verified
+    // beside it when NDP_VERIFY asks). ----
     const driver::ExperimentConfig config;
     driver::NestSession session(config, app, nest);
     const sim::SimResult &def = session.defaultRun;
-    const sim::SimResult opt = session.engine.run(session.plan());
+    const sim::SimResult opt = session.runPlanned(session.plan());
     const partition::PartitionReport &report = session.report;
 
     Table sweep({"window size", "planned movement (flit-hops)"});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <exception>
 #include <optional>
 #include <string>
 
@@ -43,16 +44,38 @@ NestSession::plan(support::ThreadPool *pool)
     sim::ExecutionPlan plan = partitioner.plan(nest_, *stream, nodes, pool);
     stream.reset();
     report = partitioner.report();
-    if (popts.verifyLevel != verify::VerifyLevel::Off &&
-        report.provenance) {
-        const verify::PlanVerifier verifier(system, workload_.arrays);
-        verdict = verifier.verify(nest_, plan, *report.provenance);
-        if (verdict.counts().errors > 0) {
-            ndp::panic("static plan verification failed for nest '" +
-                       nest_.name() + "':\n" + verdict.renderTable());
-        }
-    }
     return plan;
+}
+
+sim::SimResult
+NestSession::runPlanned(const sim::ExecutionPlan &planned,
+                        const sim::EngineOptions &options,
+                        support::ThreadPool *pool)
+{
+    if (!report.provenance)
+        return engine.run(planned, options);
+    const verify::PlanVerifier verifier(system, workload_.arrays);
+    sim::SimResult run;
+    std::exception_ptr engine_error;
+    support::orderedMap(pool, 2, [&](std::size_t i) {
+        if (i == 0) {
+            verdict = verifier.verify(nest_, planned, *report.provenance);
+            return 0;
+        }
+        try {
+            run = engine.run(planned, options);
+        } catch (...) {
+            engine_error = std::current_exception();
+        }
+        return 0;
+    });
+    if (verdict.counts().errors > 0) {
+        ndp::panic("static plan verification failed for nest '" +
+                   nest_.name() + "':\n" + verdict.renderTable());
+    }
+    if (engine_error)
+        std::rethrow_exception(engine_error);
+    return run;
 }
 
 ExperimentRunner::ExperimentRunner(ExperimentConfig config,
@@ -65,9 +88,10 @@ namespace {
 
 /**
  * runNest on an open session: the data-to-MC override, planning, the
- * planned run, plan selection and the miss predictor's totals. Sets
- * *@p planned_dop, if given, to the planner's mean degree of
- * parallelism, which a kept default plan's report resets.
+ * planned run with the verifier beside it, plan selection and the miss
+ * predictor's totals. Sets *@p planned_dop, if given, to the planner's
+ * mean degree of parallelism, which a kept default plan's report
+ * resets.
  */
 NestResult
 finishNest(const ExperimentConfig &config, NestSession &session,
@@ -95,13 +119,13 @@ finishNest(const ExperimentConfig &config, NestSession &session,
     session.stream.reset();
     const sim::ExecutionPlan &optimized_plan =
         planned ? *planned : session.defaultPlan;
-    nr.report = std::move(session.report);
-    nr.report.provenance.reset(); // keep NestResult lean
-    nr.verify = std::move(session.verdict);
 
     sim::EngineOptions opts;
     opts.idealNetwork = config.idealNetwork;
-    nr.plannedRun = session.engine.run(optimized_plan, opts);
+    nr.plannedRun = session.runPlanned(optimized_plan, opts, pool);
+    nr.report = std::move(session.report);
+    nr.report.provenance.reset(); // keep NestResult lean
+    nr.verify = std::move(session.verdict);
     if (planned_dop != nullptr)
         *planned_dop = nr.report.degreeOfParallelism.mean();
 

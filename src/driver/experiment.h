@@ -77,21 +77,28 @@ struct ExperimentConfig
 /**
  * One loop nest on its own fresh machine, through the steps every
  * experiment shares: default placement and the profiling run (the
- * constructor), then plan() — the partitioner and the static verifier.
- * The nest is resolved once, into the instance stream that placement,
- * the default plan, the data-to-MC profile and the planner all read;
- * plan() releases it.
+ * constructor), plan() — the partitioner — and runPlanned(), the
+ * optimized run with the static verifier beside it. The nest is
+ * resolved once, into the instance stream that placement, the default
+ * plan, the data-to-MC profile and the planner all read; plan()
+ * releases it.
  * A fresh machine per nest makes caches, traffic and the profile-
  * trained miss predictor nest-local state, which is what makes nests
  * independent units of parallelism. Callers run their own tail on
  * engine afterwards. Machine state carries over from one engine call
- * to the next, so the order profile, plan, tail is part of every
- * result.
+ * to the next, so the order profile, plan, optimized run, tail is part
+ * of every result.
  *
  * The session is the one nest pipeline: runNest, runMetricIsolation
  * (which then replays the default plan on its engine) and the examples
- * drive it. It keeps references to the config, the workload and the
- * nest, which must outlive it.
+ * drive it, and runPlanned() is the only path that verifies. It keeps
+ * references to the config, the workload and the nest, which must
+ * outlive it.
+ *
+ * Threads: a session belongs to one thread. Only plan() and
+ * runPlanned() fan out, on the pool they are given; runPlanned()'s
+ * verifier reads only what no engine run writes (the mesh, the address
+ * map, the config and the IR), so it runs beside the engine.
  */
 class NestSession
 {
@@ -104,16 +111,32 @@ class NestSession
     NestSession &operator=(const NestSession &) = delete;
 
     /**
-     * Plan the nest into report with the profiled node utilization
-     * and, unless the verify level is Off, check the plan against an
-     * independent recomputation into verdict (DESIGN.md §9). Fails
-     * fast on error-severity findings: a malformed plan must never
-     * reach the engine, let alone a results table. report keeps the
-     * planner's provenance (null at verify level Off). @p pool, when
-     * set, walks the window candidates concurrently
-     * (partition::Partitioner::plan); the result does not depend on it.
+     * Plan the nest into report with the profiled node utilization.
+     * report keeps the planner's provenance (null at verify level
+     * Off), which runPlanned() verifies the plan against. @p pool,
+     * when set, splits and walks the window candidates concurrently
+     * (partition::Partitioner::plan); the result does not depend on
+     * it.
      */
     sim::ExecutionPlan plan(support::ThreadPool *pool = nullptr);
+
+    /**
+     * Run @p planned, the plan plan() returned, on engine with
+     * @p options, and, when report holds provenance, check the plan
+     * against an independent recomputation into verdict (DESIGN.md
+     * §9) beside the run: the verifier and the engine are the two
+     * indices of one support::orderedMap on @p pool, the verifier
+     * first, so without a pool it runs before the engine. Fails fast
+     * on error-severity findings, with ndp::panic and the verifier's
+     * diagnostic table, even when the engine threw too: no result of a
+     * plan with errors leaves the session, and the failure reported is
+     * the verifier's. Otherwise an engine failure is rethrown. Without
+     * provenance (verify level Off, or no plan() call) it is
+     * engine.run(@p planned, @p options).
+     */
+    sim::SimResult runPlanned(const sim::ExecutionPlan &planned,
+                              const sim::EngineOptions &options = {},
+                              support::ThreadPool *pool = nullptr);
 
     sim::ManycoreSystem system;
     sim::ExecutionEngine engine;
@@ -146,8 +169,9 @@ struct NestResult
     /**
      * Static verification of the optimized plan (empty at verify
      * level Off). runNest fails fast — ndp::panic with the rendered
-     * diagnostic table — on any error-severity finding, so a
-     * populated result implies no errors survived.
+     * diagnostic table — on any error-severity finding
+     * (NestSession::runPlanned), so a populated result implies no
+     * errors survived.
      */
     verify::Report verify;
     double analyzableFraction = 1.0;

@@ -41,17 +41,25 @@ struct CompileStats
      */
     std::int64_t splitsRequested = 0;
     /**
-     * Split plans computed by running Kruskal/splitSet. Each walk
-     * computes what its own caches miss: w = 1's walk misses what it
-     * has not yet filed, every later window candidate what neither
-     * w = 1's frozen cache nor the candidate's private overlay holds.
-     * Two candidates that miss one key both compute it, so this
-     * exceeds the nest's distinct keys, by the same amount at any
-     * thread count.
+     * Split plans computed by running Kruskal/splitSet: the prefill's,
+     * then what each walk's own caches miss. An adaptive plan() that
+     * scores candidates first splits every distinct w = 1 key of the
+     * nest (plansPrefilled); every walk, w = 1's included, then
+     * computes what neither that frozen cache nor its private overlay
+     * holds. w = 1's walk misses nothing. Two candidates that miss one
+     * key both compute it, so this exceeds the nest's distinct keys,
+     * by the same amount at any thread count.
      */
     std::int64_t plansComputed = 0;
-    /** Split plans replayed from the SplitPlanCache (the frozen w = 1
-     *  cache or the walk's own overlay). */
+    /**
+     * The prefill's share of plansComputed: one per distinct w = 1 key
+     * over the nest's splittable positions, asked for or not, so
+     * splitsRequested == plansComputed - plansPrefilled + plansMemoized
+     * (cacheBypassed re-splits aside).
+     */
+    std::int64_t plansPrefilled = 0;
+    /** Split plans replayed from the SplitPlanCache (the frozen
+     *  prefill or the walk's own overlay). */
     std::int64_t plansMemoized = 0;
     /**
      * Balanced replays that met a veto and re-split: a full balanced
@@ -61,8 +69,9 @@ struct CompileStats
     std::int64_t cacheBypassed = 0;
     /**
      * The split-plan entries one plan() call filed, and the bytes they
-     * occupy: w = 1's cache plus every window candidate's overlay, all
-     * alive until plan() returns (merge() keeps the largest call's).
+     * occupy: the prefill plus every window candidate's overlay, all
+     * alive until the winner is known (merge() keeps the largest
+     * call's).
      */
     std::int64_t cachePeakEntries = 0;
     std::int64_t cachePeakBytes = 0;
@@ -74,7 +83,8 @@ struct CompileStats
      *  plan() resolves it itself. */
     std::int64_t resolveNs = 0;
     std::int64_t locateNs = 0;  ///< per-operand GetNode
-    std::int64_t splitNs = 0;   ///< splitter runs + cache lookups
+    /** Splitter runs and cache lookups; the prefill's wall time. */
+    std::int64_t splitNs = 0;
     std::int64_t syncNs = 0;    ///< per-window sync minimisation
     std::int64_t totalNs = 0;   ///< whole Partitioner::plan() call
 
@@ -94,6 +104,7 @@ struct CompileStats
         instancesPlanned += other.instancesPlanned;
         splitsRequested += other.splitsRequested;
         plansComputed += other.plansComputed;
+        plansPrefilled += other.plansPrefilled;
         plansMemoized += other.plansMemoized;
         cacheBypassed += other.cacheBypassed;
         cachePeakEntries = std::max(cachePeakEntries, other.cachePeakEntries);

@@ -797,8 +797,8 @@ class Emitter
  * compile counters. A walk alone scores a window-size candidate;
  * plan() repeats the winner's walk with an Emitter watching it. run()
  * re-arms a lane from the shared starting state and keeps its buffers,
- * so one lane serves w = 1 and the emitting walk, and each window
- * candidate walking concurrently has a lane of its own.
+ * so serially one lane serves every walk, and each window candidate
+ * walking concurrently has a lane of its own.
  */
 class DecisionLane
 {
@@ -860,6 +860,28 @@ class DecisionLane
             }
             if (emitter)
                 emitter->endWindow(begin, end, varmap_.insertionCount());
+        }
+    }
+
+    /**
+     * Append to @p out the balancer-free split of each of @p cache's
+     * entries [begin, end): keys filed without plans so far
+     * (SplitPlanCache::fileKey()), all of them located at home banks.
+     */
+    void
+    splitKeys(const SplitPlanCache &cache, std::size_t begin,
+              std::size_t end, SplitPlanPool &out)
+    {
+        for (std::size_t k = begin; k < end; ++k) {
+            const SplitKeyView key = cache.keyOf(k);
+            locations_.clear();
+            for (const std::uint32_t node : key.nodes)
+                locations_.push_back({static_cast<noc::NodeId>(node),
+                                      LocationSource::L2Home});
+            splitter_.split(
+                ctx_.staticSets[static_cast<std::size_t>(key.statement)],
+                locations_, key.store, nullptr, computed_);
+            out.append(computed_.view());
         }
     }
 
@@ -1239,6 +1261,70 @@ class LanePool
     std::vector<std::unique_ptr<DecisionLane>> idle_;
 };
 
+/**
+ * File into @p cache, empty, the balancer-free split of every distinct
+ * w = 1 key of the nest, in first-occurrence order over its splittable
+ * positions, and count them as computed and prefilled. At w = 1 no
+ * window holds a copy, so every operand sits at its home bank and a
+ * position's key is its statement, its write's home and its reads'
+ * homes: a function of the stream alone, known before any walk.
+ * Whether a walk asks for a split at all depends on the walk (the
+ * guard's floors read the default-L1 model), so the keys are a
+ * superset of the ones w = 1's walk requests. The keys are filed
+ * first; their splits then run in chunks of keys on @p pool (one chunk
+ * without workers), each on a lane of @p lanes into a pool of its own,
+ * and the cache adopts the chunks' pools in order, so it is the same
+ * at any thread count.
+ */
+void
+prefillW1(const NestContext &ctx, LanePool &lanes,
+          support::ThreadPool *pool, SplitPlanCache &cache,
+          CompileStats &stats)
+{
+    ScopedPhaseTimer t(ctx.options.collectCompileTimers ? &stats.splitNs
+                                                        : nullptr);
+    const ir::InstanceStream &stream = ctx.stream;
+    const std::size_t statements = ctx.splittable.size();
+    {
+        std::vector<Location> locations;
+        SplitKey key;
+        for (std::size_t p = 0; p < stream.positions(); ++p) {
+            if (!ctx.splittable[p % statements])
+                continue;
+            // What DecisionLane::locate() finds in an empty map.
+            const std::uint32_t write = stream.refBegin[p + 1] - 1;
+            locations.clear();
+            for (std::uint32_t r = stream.refBegin[p]; r < write; ++r)
+                locations.push_back({stream.home[stream.addrId[r]],
+                                     LocationSource::L2Home});
+            key.assign(static_cast<std::int32_t>(p % statements),
+                       stream.home[stream.addrId[write]], locations);
+            cache.fileKey(key);
+        }
+    }
+    // Enough keys per chunk to pay for its lane, and a few chunks per
+    // thread to even out their costs.
+    constexpr std::size_t kMinChunkKeys = 64;
+    const std::size_t keys = cache.size();
+    const std::size_t threads = pool == nullptr ? 0 : pool->threadCount();
+    const std::size_t chunks =
+        threads == 0 ? 1
+                     : std::clamp<std::size_t>(keys / kMinChunkKeys, 1,
+                                               4 * (threads + 1));
+    std::vector<SplitPlanPool> splits =
+        support::orderedMap(pool, chunks, [&](std::size_t c) {
+            std::unique_ptr<DecisionLane> lane = lanes.take();
+            SplitPlanPool out;
+            lane->splitKeys(cache, keys * c / chunks,
+                            keys * (c + 1) / chunks, out);
+            lanes.give(std::move(lane));
+            return out;
+        });
+    cache.adoptPlans(SplitPlanPool::concat(splits));
+    stats.plansComputed += static_cast<std::int64_t>(keys);
+    stats.plansPrefilled += static_cast<std::int64_t>(keys);
+}
+
 } // namespace
 
 Partitioner::Partitioner(sim::ManycoreSystem &system,
@@ -1301,8 +1387,8 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
 
     // Split-plan signatures embed statement indices, which are only
     // meaningful within one nest — but they are stable across the
-    // window-size candidates below, so the cache warms on w_first and
-    // every later walk replays mostly memoized plans. Clearing per
+    // window-size candidates below, so the prefill's w = 1 splits serve
+    // every walk, which replays mostly memoized plans. Clearing per
     // call also keeps every entry to the fault set it was planned
     // against: a cached plan never replays onto a node that died since.
     splitCache_.clear();
@@ -1372,13 +1458,15 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         // there is a single candidate, nothing is scored and w_first is
         // emitted.
         //
-        // w_first walks first and fills the split cache; the cache is
-        // then frozen, and the other candidates walk concurrently on
-        // @p pool, each reading the frozen cache and filing its misses
-        // in an overlay of its own. A walk's hits and misses therefore
-        // depend on w_first's walk and its own alone, so the counters
-        // are the same at any thread count, and since the cache is a
-        // pure memo so is every decision.
+        // Scoring starts from w_first = 1, whose keys the stream alone
+        // fixes: the prefill files the split of each of them, and the
+        // cache is frozen. Then every walked candidate, w_first
+        // included, walks concurrently on @p pool, each reading the
+        // frozen cache and filing its misses in an overlay of its own.
+        // A walk's hits and misses therefore depend on the prefill and
+        // its own walk alone, so the counters are the same at any
+        // thread count, and since the cache is a pure memo so is every
+        // decision.
         struct Candidate
         {
             std::int64_t movement = 0;
@@ -1390,35 +1478,35 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         // The winner's task count, when a scoring walk counted it: the
         // emitted plan is sized exactly.
         std::optional<std::int64_t> best_tasks;
+        // The winner's overlay: the emitting walk reads it with the
+        // frozen cache, and, when nothing was scored, files in it.
         SplitPlanCache best_overlay;
-        // What the candidates' overlays filed; with w_first's cache,
-        // all of it is alive until the winner is known.
+        // What the candidates' overlays filed; with the prefill, all
+        // of it is alive until the winner is known.
         std::int64_t filed_entries = 0;
         std::int64_t filed_bytes = 0;
-        if (std::find(reach.begin(), reach.end(), true) != reach.end()) {
-            {
-                std::unique_ptr<DecisionLane> lane = lanes.take();
-                lane->run(w_first, nullptr, nullptr, splitCache_);
-                movement_per_w.push_back(lane->plannedMovement());
-                best_tasks = lane->taskCount();
-                compile_total.merge(lane->compile());
-                lanes.give(std::move(lane));
-            }
-            std::vector<std::int32_t> walked;
+        const bool scored =
+            std::find(reach.begin(), reach.end(), true) != reach.end();
+        if (scored) {
+            if (options_.memoizeSplits)
+                prefillW1(ctx, lanes, pool, splitCache_, compile_total);
+            std::vector<std::int32_t> walked = {w_first};
             for (std::int32_t w = w_first + 1; w <= w_last; ++w) {
                 if (reach[static_cast<std::size_t>(w - w_first)])
                     walked.push_back(w);
             }
             const SplitPlanCache &frozen = splitCache_;
-            std::vector<Candidate> scored = support::orderedMap(
+            std::vector<Candidate> candidates = support::orderedMap(
                 pool, walked.size(), [&](std::size_t i) {
                     std::unique_ptr<DecisionLane> own = lanes.take();
                     Candidate c;
-                    // A candidate misses a share of what w_first filed
-                    // (about a quarter to all of it on the paper's
-                    // apps), so room for that many entries saves the
-                    // overlay's regrowth; untouched room stays virtual.
-                    c.overlay.reserveLike(frozen);
+                    // w_first's walk only hits the prefill. Another
+                    // candidate misses a share of it (about a quarter
+                    // to all on the paper's apps), so room for that
+                    // many entries saves the overlay's regrowth;
+                    // untouched room stays virtual.
+                    if (walked[i] != w_first)
+                        c.overlay.reserveLike(frozen);
                     own->run(walked[i], nullptr, &frozen, c.overlay);
                     c.movement = own->plannedMovement();
                     c.tasks = own->taskCount();
@@ -1428,27 +1516,25 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                 });
             std::size_t next = 0;
             Candidate *best = nullptr;
-            for (std::int32_t w = w_first + 1; w <= w_last; ++w) {
-                if (!reach[static_cast<std::size_t>(w - w_first)]) {
+            for (std::int32_t w = w_first; w <= w_last; ++w) {
+                if (w != w_first &&
+                    !reach[static_cast<std::size_t>(w - w_first)]) {
                     movement_per_w.push_back(movement_per_w.front());
                     continue;
                 }
-                Candidate &c = scored[next++];
+                Candidate &c = candidates[next++];
                 movement_per_w.push_back(c.movement);
                 compile_total.merge(c.compile);
                 filed_entries += static_cast<std::int64_t>(c.overlay.size());
                 filed_bytes += static_cast<std::int64_t>(c.overlay.bytes());
-                if (c.movement <
-                    movement_per_w[static_cast<std::size_t>(best_w -
-                                                            w_first)]) {
+                if (best == nullptr || c.movement < best->movement) {
                     best_w = w;
-                    best_tasks = c.tasks;
                     best = &c;
                 }
             }
             // Only the winner's overlay outlives the scoring.
-            if (best != nullptr)
-                best_overlay = std::move(best->overlay);
+            best_tasks = best->tasks;
+            best_overlay = std::move(best->overlay);
         }
 
         const std::unique_ptr<DecisionLane> lane = lanes.take();
@@ -1456,13 +1542,7 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                         options_.collectCompileTimers ? &compile_total.syncNs
                                                       : nullptr,
                         best_tasks);
-        // w_first's emitting walk, or the only walk, files in the cache
-        // itself; another winner's reads the frozen cache and its
-        // overlay.
-        if (best_w == w_first)
-            lane->run(best_w, &emitter, nullptr, splitCache_);
-        else
-            lane->run(best_w, &emitter, &splitCache_, best_overlay);
+        lane->run(best_w, &emitter, &splitCache_, best_overlay);
         best_report.plannedMovement = lane->plannedMovement();
         best_report.defaultMovement = lane->defaultMovement();
         compile_total.merge(lane->compile());
@@ -1476,7 +1556,11 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                   "emitting pass diverged from its scoring pass");
         emitter.checkTaskCount();
         // A walk that repeats a scoring walk files nothing; the only
-        // walk has filled the cache by now.
+        // walk has filled its overlay by now.
+        if (!scored) {
+            filed_entries = static_cast<std::int64_t>(best_overlay.size());
+            filed_bytes = static_cast<std::int64_t>(best_overlay.bytes());
+        }
         compile_total.cachePeakEntries =
             filed_entries + static_cast<std::int64_t>(splitCache_.size());
         compile_total.cachePeakBytes =

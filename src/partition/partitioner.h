@@ -8,11 +8,12 @@
  * 1..8 locates, splits along the MST and load-balances each statement
  * instance and scores the size by total data movement (Section 4.4);
  * a size whose windows can never hold a copy of a line it reads is not
- * walked, since it would plan exactly what w = 1 plans. w = 1 walks
- * first; the other sizes then walk concurrently when plan() is given a
- * thread pool. The cheapest size, or a forced one (Figure 20's
- * sweeps), is walked again by an emitter that synchronises each window
- * and builds the plan.
+ * walked, since it would plan exactly what w = 1 plans. Every w = 1
+ * split is a function of the instance stream, so they are all computed
+ * before any walk; the walked sizes, w = 1 included, then walk
+ * concurrently when plan() is given a thread pool. The cheapest size,
+ * or a forced one (Figure 20's sweeps), is walked again by an emitter
+ * that synchronises each window and builds the plan.
  */
 
 #include <cstddef>
@@ -156,9 +157,9 @@ struct PartitionReport
      * candidates + 1) x the instances. A fixed window size has the
      * emitting pass only. The split-plan counters follow one rule,
      * which makes them the same with or without a pool and at any
-     * thread count: w = 1's walk hits what it filed itself, each other
-     * candidate's walk hits w = 1's frozen cache and its own overlay,
-     * and the emitting walk hits the cache it repeats.
+     * thread count: the prefill computes every distinct w = 1 key,
+     * each candidate's walk hits that frozen cache and its own
+     * overlay, and the emitting walk hits the caches it repeats.
      */
     CompileStats compile;
     /**
@@ -200,11 +201,11 @@ class Partitioner
      *        lexicographic iteration order; used for the movement
      *        comparison and as the fallback placement for statements
      *        whose references cannot be analysed
-     * @param pool when non-null, the window-size candidates after
-     *        w = 1 walk concurrently on it (support::orderedMap); null
-     *        walks them in order on this thread. The plan and the
-     *        report, compile counters included, are the same either
-     *        way.
+     * @param pool when non-null, the w = 1 splits are computed in
+     *        chunks on it and then the window-size candidates walk
+     *        concurrently on it (support::orderedMap); null does both
+     *        in order on this thread. The plan and the report, compile
+     *        counters included, are the same either way.
      */
     sim::ExecutionPlan plan(const ir::LoopNest &nest,
                             const ir::InstanceStream &stream,
@@ -225,9 +226,10 @@ class Partitioner
     PartitionReport report_;
     /**
      * The split-plan cache of one plan() call (signatures are
-     * nest-relative, so plan() clears it): w = 1's walk fills it, the
-     * other candidates read it frozen, each with an overlay of its own.
-     * A Partitioner is owned by a single thread; only plan() fans out.
+     * nest-relative, so plan() clears it): the prefill fills it with
+     * the w = 1 splits, and every candidate reads it frozen, each with
+     * an overlay of its own. A Partitioner is owned by a single
+     * thread; only plan() fans out.
      */
     SplitPlanCache splitCache_;
 };

@@ -221,6 +221,10 @@ class SplitPlanPool
     void reserveLike(const SplitPlanPool &like);
     void clear();
 
+    /** The entries of @p parts, in order, in one pool sized exactly;
+     *  each part is freed once its entries are in. */
+    static SplitPlanPool concat(std::span<SplitPlanPool> parts);
+
   private:
     std::vector<Entry> entries_;
     std::vector<PackedSub> subs_;

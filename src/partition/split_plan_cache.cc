@@ -36,17 +36,26 @@ SplitKey::assign(std::int32_t stmt_idx, noc::NodeId store_node,
     hash = hashKey(words.data(), words.size());
 }
 
-std::optional<SplitView>
-SplitPlanCache::find(const SplitKey &key) const
+std::uint32_t
+SplitPlanCache::lookup(const SplitKey &key) const
 {
     if (heads_.empty())
-        return std::nullopt;
+        return kNil;
     for (std::uint32_t at = heads_[key.hash & (heads_.size() - 1)];
          at != kNil; at = next_[at]) {
         if (keyEquals(at, key))
-            return plans_.view(at);
+            return at;
     }
-    return std::nullopt;
+    return kNil;
+}
+
+std::optional<SplitView>
+SplitPlanCache::find(const SplitKey &key) const
+{
+    const std::uint32_t at = lookup(key);
+    if (at == kNil)
+        return std::nullopt;
+    return plans_.view(at);
 }
 
 bool
@@ -60,12 +69,47 @@ SplitPlanCache::keyEquals(std::uint32_t entry, const SplitKey &key) const
 void
 SplitPlanCache::insert(const SplitKey &key, const SplitView &plan)
 {
-    NDP_DCHECK(!find(key), "insert() of a key already filed");
+    NDP_DCHECK(lookup(key) == kNil, "insert() of a key already filed");
     const std::uint32_t index = plans_.append(plan);
     NDP_CHECK(index != kNil, "split-plan cache is full");
+    appendKey(key);
+}
+
+void
+SplitPlanCache::fileKey(const SplitKey &key)
+{
+    if (lookup(key) != kNil)
+        return;
+    NDP_CHECK(next_.size() < kNil, "split-plan cache is full");
+    appendKey(key);
+}
+
+SplitKeyView
+SplitPlanCache::keyOf(std::size_t entry) const
+{
+    // The layout of SplitKey::assign().
+    const std::span<const std::uint32_t> words = std::span(keys_).subspan(
+        keyBegin_[entry], keyBegin_[entry + 1] - keyBegin_[entry]);
+    return {static_cast<std::int32_t>(words[0]),
+            static_cast<noc::NodeId>(words[1]), words.subspan(2)};
+}
+
+void
+SplitPlanCache::adoptPlans(SplitPlanPool plans)
+{
+    NDP_CHECK(plans_.size() == 0 && plans.size() == size(),
+              "adoptPlans() of " << plans.size() << " plans for "
+                                 << size() << " keys");
+    plans_ = std::move(plans);
+}
+
+void
+SplitPlanCache::appendKey(const SplitKey &key)
+{
     keys_.insert(keys_.end(), key.words.begin(), key.words.end());
     keyBegin_.push_back(
         narrowPacked<std::uint32_t>(keys_.size(), "key pool offset"));
+    const auto index = static_cast<std::uint32_t>(next_.size());
     next_.push_back(kNil);
     if (next_.size() > heads_.size())
         grow(); // links every entry, the new one included

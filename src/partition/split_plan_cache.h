@@ -38,9 +38,10 @@
  * touches nothing but the cache's pools. Any number of threads may
  * find() in a cache that no thread inserts into or clears; insert()
  * and clear() need the cache to themselves. The partitioner relies on
- * this: once the w = 1 walk has filled a nest's cache it is frozen,
- * and the window candidates walk concurrently, each probing the frozen
- * cache and filing its misses in a private overlay cache of its own.
+ * this: one thread files a nest's w = 1 splits, computed in parallel
+ * chunks beforehand, and the cache is then frozen; the window
+ * candidates walk concurrently, each probing the frozen cache and
+ * filing its misses in a private overlay cache of its own.
  */
 
 #include <cstddef>
@@ -70,6 +71,16 @@ struct SplitKey
                 std::span<const Location> locations);
 };
 
+/** A filed key, unpacked: what SplitKey::assign() was given, the
+ *  locations' sources aside. */
+struct SplitKeyView
+{
+    std::int32_t statement = 0;
+    noc::NodeId store = noc::kInvalidNode;
+    /** One node per operand. */
+    std::span<const std::uint32_t> nodes;
+};
+
 /** Memoizes balancer-free split plans by (statement, nodes, store). */
 class SplitPlanCache
 {
@@ -83,20 +94,39 @@ class SplitPlanCache
     /** File @p plan under @p key, which find() just missed. */
     void insert(const SplitKey &key, const SplitView &plan);
 
+    /**
+     * Bulk filing, in two steps: fileKey() files keys alone, each once,
+     * and adoptPlans() then gives them their plans, in filing order.
+     * In between the cache holds keys without plans; only fileKey()
+     * and keyOf() may be called.
+     */
+    void fileKey(const SplitKey &key);
+
+    /** Entry @p entry's key. */
+    SplitKeyView keyOf(std::size_t entry) const;
+
+    /** The plan of every key fileKey() filed, entry i's being entry i
+     *  of @p plans. */
+    void adoptPlans(SplitPlanPool plans);
+
     /** Reserve room for as many entries, of the same shapes, as
      *  @p like holds. */
     void reserveLike(const SplitPlanCache &like);
 
     void clear();
 
-    std::size_t size() const { return plans_.size(); }
+    std::size_t size() const { return next_.size(); }
     /** Bytes the live entries occupy in the pools (bucket heads too). */
     std::size_t bytes() const;
 
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;
 
+    /** The entry filed under @p key, or kNil. */
+    std::uint32_t lookup(const SplitKey &key) const;
     bool keyEquals(std::uint32_t entry, const SplitKey &key) const;
+    /** File @p key, new, as the next entry. */
+    void appendKey(const SplitKey &key);
     void link(std::uint32_t entry, std::uint64_t hash);
     void grow();
 

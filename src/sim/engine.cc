@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <queue>
@@ -149,10 +150,11 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     // - future: ready after the clock, so each starts when ready;
     //   ordered by (ready, id).
     // A node's head — its own argmin — is the due top, else the future
-    // top. The global heap holds every node's current head. A head
-    // changes only when its node's clock advances or a task becomes
-    // runnable there, and each change pushes the new head; a popped
-    // head that no longer matches its node is stale and skipped.
+    // top. A head changes only when its node's clock advances or a
+    // task becomes runnable there. An indexed tournament tree over the
+    // nodes keeps the least head at its root: leaf n holds node n, each
+    // inner slot the winner of its two children, so a changed head
+    // replays its one leaf-to-root path.
     using Key = std::pair<std::int64_t, TaskId>; // (start, task id)
     using KeyHeap =
         std::priority_queue<Key, std::vector<Key>, std::greater<Key>>;
@@ -175,8 +177,19 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
         }
     }
     std::vector<KeyHeap> future(node_count);
-    std::vector<Key> head(node_count, kNoHead);
-    KeyHeap heads;
+    // Leaves past the last node hold no head and never win.
+    const std::size_t leaves = std::bit_ceil(node_count);
+    std::vector<Key> head(leaves, kNoHead);
+    std::vector<std::uint32_t> winner(2 * leaves);
+    for (std::size_t n = 0; n < leaves; ++n)
+        winner[leaves + n] = static_cast<std::uint32_t>(n);
+    const auto play = [&](std::size_t slot) {
+        const std::uint32_t a = winner[2 * slot];
+        const std::uint32_t b = winner[2 * slot + 1];
+        winner[slot] = head[b] < head[a] ? b : a;
+    };
+    for (std::size_t slot = leaves - 1; slot >= 1; --slot)
+        play(slot);
 
     const auto node_of = [&](std::size_t t) {
         return static_cast<std::size_t>(plan.tasks[t].node);
@@ -201,9 +214,11 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
         const Key key = !due[n].empty() ? Key{node_clock[n], due[n].top()}
                         : !future[n].empty() ? future[n].top()
                                              : kNoHead;
-        if (key != head[n] && key != kNoHead)
-            heads.push(key);
+        if (key == head[n])
+            return;
         head[n] = key;
+        for (std::size_t slot = (leaves + n) / 2; slot >= 1; slot /= 2)
+            play(slot);
     };
 
     for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
@@ -289,14 +304,10 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     };
 
     std::size_t executed = 0;
-    while (!heads.empty()) {
-        const auto [start, tid] = heads.top();
-        heads.pop();
-        ++result.schedulerPops;
+    while (head[winner[1]] != kNoHead) {
+        const std::size_t node = winner[1];
+        const auto [start, tid] = head[node];
         const auto t = static_cast<std::size_t>(tid);
-        const std::size_t node = node_of(t);
-        if (head[node] != Key{start, tid})
-            continue; // stale: the node's head changed since the push
         if (!due[node].empty())
             due[node].pop();
         else

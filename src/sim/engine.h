@@ -71,9 +71,10 @@ struct SimResult
     std::int64_t totalBusyCycles = 0;
     std::int64_t taskCount = 0;
     /**
-     * Pops from pass 2's scheduler queues: the global heap of node
-     * heads (stale heads included) and the per-node queues. A
-     * deterministic work counter, about two per task.
+     * Pass 2's scheduler work: pops from the per-node queues (one per
+     * task) plus the moves of tasks from a node's future queue to its
+     * due queue. A deterministic work counter, between one and two per
+     * task.
      */
     std::int64_t schedulerPops = 0;
 

@@ -4,8 +4,6 @@
 #include <optional>
 #include <span>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ir/instance.h"
@@ -30,71 +28,137 @@ using partition::SplitView;
 using partition::SubView;
 
 /**
- * Is task @p from an ancestor of @p to in the dependence DAG? Backward
- * BFS over deps, pruning ids below @p from (ids are topologically
- * ordered: every dep precedes its consumer).
+ * Ancestor queries over a plan's dependence DAG, with their scratch
+ * kept from one query to the next: a visited stamp per task, which a
+ * new query's epoch invalidates at once, and the frontier.
  */
-bool
-orderedBefore(const sim::ExecutionPlan &plan, sim::TaskId from,
-              sim::TaskId to)
+class DagReach
 {
-    if (from == to)
-        return true;
-    if (from > to)
-        return false;
-    std::vector<sim::TaskId> frontier = {to};
-    std::unordered_set<sim::TaskId> visited = {to};
-    while (!frontier.empty()) {
-        const sim::TaskId at = frontier.back();
-        frontier.pop_back();
-        for (sim::TaskId dep :
-             plan.deps(plan.tasks[static_cast<std::size_t>(at)])) {
-            if (dep == from)
-                return true;
-            if (dep < from || !visited.insert(dep).second)
-                continue;
-            frontier.push_back(dep);
-        }
-    }
-    return false;
-}
+  public:
+    explicit DagReach(const sim::ExecutionPlan &plan) : plan_(plan) {}
 
-/** Shared per-verification state threaded through the rule checks. */
+    /**
+     * Is task @p from an ancestor of @p to? Backward DFS over deps,
+     * pruning ids below @p from (ids are topologically ordered: every
+     * dep precedes its consumer).
+     */
+    bool
+    orderedBefore(sim::TaskId from, sim::TaskId to)
+    {
+        if (from == to)
+            return true;
+        if (from > to)
+            return false;
+        if (visited_.empty())
+            visited_.assign(plan_.tasks.size(), 0);
+        if (++epoch_ == 0) {
+            std::fill(visited_.begin(), visited_.end(), 0);
+            epoch_ = 1;
+        }
+        frontier_.assign(1, to);
+        visited_[static_cast<std::size_t>(to)] = epoch_;
+        while (!frontier_.empty()) {
+            const sim::TaskId at = frontier_.back();
+            frontier_.pop_back();
+            for (sim::TaskId dep :
+                 plan_.deps(plan_.tasks[static_cast<std::size_t>(at)])) {
+                if (dep == from)
+                    return true;
+                if (dep < from)
+                    continue;
+                std::uint32_t &seen = visited_[static_cast<std::size_t>(dep)];
+                if (seen == epoch_)
+                    continue;
+                seen = epoch_;
+                frontier_.push_back(dep);
+            }
+        }
+        return false;
+    }
+
+  private:
+    const sim::ExecutionPlan &plan_;
+    /** Per task: the last query that reached it (sized at the first). */
+    std::vector<std::uint32_t> visited_;
+    std::uint32_t epoch_ = 0;
+    std::vector<sim::TaskId> frontier_;
+};
+
+/**
+ * Shared per-verification state threaded through the rule checks. The
+ * Full replay keys its state by dense address and line ids, interned
+ * in first-seen order; per-window state carries the window's stamp, so
+ * a new window invalidates it without touching it. After warm-up a
+ * record allocates nothing.
+ */
 struct VerifyState
 {
     Report report;
-    /** Per-address last storing task (RAW/WAW replay, Full only). */
-    std::unordered_map<mem::Addr, sim::TaskId> lastWriter;
-    /** Instance index of the last write per address (staleness). */
-    std::unordered_map<mem::Addr, std::int64_t> writeSeq;
-    /** Instance index each (line, node) L1 copy was recorded at. */
-    std::unordered_map<std::uint64_t,
-                       std::vector<std::pair<noc::NodeId, std::int64_t>>>
-        copySeq;
+    DagReach reach;
     /** Replayed variable2node map of the current window, on line ids
      *  interned in first-seen order. */
     partition::DenseIds lines;
     partition::VariableToNodeMap vmap;
+    /** Per-record scratch of the R1 and R3 checks. */
+    std::vector<noc::NodeId> vertices;
+    std::vector<std::int32_t> childRefs;
 
-    VerifyState(std::int32_t node_count, std::size_t reuse_capacity)
-        : vmap(node_count, reuse_capacity)
+    VerifyState(const sim::ExecutionPlan &plan, std::int32_t node_count,
+                std::size_t reuse_capacity)
+        : reach(plan), vmap(node_count, reuse_capacity)
     {
+    }
+
+    /** The last storing task of @p addr (RAW/WAW replay, Full only), or
+     *  kInvalidTask. */
+    sim::TaskId
+    lastWriter(mem::Addr addr) const
+    {
+        const std::uint32_t id = addrs_.find(addr);
+        return id == partition::DenseIds::kNil ? sim::kInvalidTask
+                                               : writes_[id].task;
+    }
+
+    /** Instance index of this window's last write of @p addr, or -1. */
+    std::int64_t
+    writeSeq(mem::Addr addr) const
+    {
+        const std::uint32_t id = addrs_.find(addr);
+        if (id == partition::DenseIds::kNil || writes_[id].window != window_)
+            return -1;
+        return writes_[id].seq;
+    }
+
+    /** Task @p task, instance @p seq, stores to @p addr. */
+    void
+    recordWrite(mem::Addr addr, sim::TaskId task, std::int64_t seq)
+    {
+        const std::uint32_t id = addrs_.intern(addr);
+        if (id == writes_.size())
+            writes_.emplace_back();
+        writes_[id] = {task, seq, window_};
     }
 
     void
     recordCopy(mem::Addr addr, noc::NodeId node, std::int64_t seq)
     {
-        const std::uint64_t line = mem::lineNumber(addr);
-        if (!vmap.add(lines.intern(line), node))
+        const std::uint32_t line = lines.intern(mem::lineNumber(addr));
+        if (!vmap.add(line, node))
             return;
-        auto &copies = copySeq[line];
-        for (auto &entry : copies) {
-            if (entry.first == node) {
-                entry.second = seq;
+        if (line >= copyHead_.size())
+            copyHead_.resize(line + 1);
+        Head &head = copyHead_[line];
+        if (head.window != window_)
+            head = {kNoCopy, window_};
+        for (std::uint32_t at = head.first; at != kNoCopy;
+             at = copies_[at].next) {
+            if (copies_[at].node == node) {
+                copies_[at].seq = seq;
                 return;
             }
         }
-        copies.emplace_back(node, seq);
+        copies_.push_back({node, seq, head.first});
+        head.first = static_cast<std::uint32_t>(copies_.size() - 1);
     }
 
     /** The window's L1 copies of the line of @p addr. */
@@ -106,15 +170,19 @@ struct VerifyState
                                                : vmap.copies(id);
     }
 
+    /** Instance index this window recorded @p node's copy of the line
+     *  of @p addr at, or -1. */
     std::int64_t
     copyRecordedAt(mem::Addr addr, noc::NodeId node) const
     {
-        const auto it = copySeq.find(mem::lineNumber(addr));
-        if (it == copySeq.end())
+        const std::uint32_t line = lines.find(mem::lineNumber(addr));
+        if (line == partition::DenseIds::kNil || line >= copyHead_.size() ||
+            copyHead_[line].window != window_)
             return -1;
-        for (const auto &entry : it->second) {
-            if (entry.first == node)
-                return entry.second;
+        for (std::uint32_t at = copyHead_[line].first; at != kNoCopy;
+             at = copies_[at].next) {
+            if (copies_[at].node == node)
+                return copies_[at].seq;
         }
         return -1;
     }
@@ -123,9 +191,40 @@ struct VerifyState
     newWindow()
     {
         vmap.clear();
-        copySeq.clear();
-        writeSeq.clear();
+        copies_.clear();
+        ++window_;
     }
+
+  private:
+    static constexpr std::uint32_t kNoCopy = 0xffffffffu;
+
+    struct Write
+    {
+        sim::TaskId task = sim::kInvalidTask;
+        std::int64_t seq = 0;
+        std::uint32_t window = 0;
+    };
+    /** One recorded (line, node) L1 copy, chained per line. */
+    struct Copy
+    {
+        noc::NodeId node;
+        std::int64_t seq;
+        std::uint32_t next;
+    };
+    struct Head
+    {
+        std::uint32_t first = kNoCopy;
+        /** The window first is valid in; windows count from 1. */
+        std::uint32_t window = 0;
+    };
+
+    std::uint32_t window_ = 1;
+    partition::DenseIds addrs_;
+    /** Per address id. */
+    std::vector<Write> writes_;
+    /** Per line id, and the window's copies they chain. */
+    std::vector<Head> copyHead_;
+    std::vector<Copy> copies_;
 };
 
 /** True when the recorded split matches the reference in structure
@@ -198,7 +297,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
     const bool full = prov.level == VerifyLevel::Full;
     const bool faulted = mesh.hasFaults();
 
-    VerifyState st(mesh.nodeCount(), prov.reuseCapacityLines);
+    VerifyState st(plan, mesh.nodeCount(), prov.reuseCapacityLines);
     Report &rep = st.report;
     rep.plan = plan.name;
     rep.level = prov.level;
@@ -329,14 +428,14 @@ PlanVerifier::verify(const ir::LoopNest &nest,
     // anti-dependences are ordered by value arcs only.
     auto check_raw = [&](const SplitRecord &rec, sim::TaskId reader,
                          mem::Addr addr, bool stale_reuse) {
-        const auto it = st.lastWriter.find(addr);
-        if (it == st.lastWriter.end() || it->second == reader)
+        const sim::TaskId writer = st.lastWriter(addr);
+        if (writer == sim::kInvalidTask || writer == reader)
             return;
-        if (!orderedBefore(plan, it->second, reader)) {
+        if (!st.reach.orderedBefore(writer, reader)) {
             std::ostringstream os;
             os << (stale_reuse ? "reuse of" : "read of") << " addr "
                << addr << " by task " << reader
-               << " is unordered against writer task " << it->second;
+               << " is unordered against writer task " << writer;
             error(stale_reuse ? "R4.stale-reuse"
                               : "R3.conflict-unordered",
                   &rec, reader,
@@ -346,13 +445,13 @@ PlanVerifier::verify(const ir::LoopNest &nest,
     };
     auto check_waw = [&](const SplitRecord &rec, sim::TaskId writer,
                          mem::Addr addr) {
-        const auto it = st.lastWriter.find(addr);
-        if (it == st.lastWriter.end() || it->second == writer)
+        const sim::TaskId last = st.lastWriter(addr);
+        if (last == sim::kInvalidTask || last == writer)
             return;
-        if (!orderedBefore(plan, it->second, writer)) {
+        if (!st.reach.orderedBefore(last, writer)) {
             std::ostringstream os;
             os << "write of addr " << addr << " by task " << writer
-               << " is unordered against writer task " << it->second;
+               << " is unordered against writer task " << last;
             error("R3.conflict-unordered", &rec, writer,
                   plan.tasks[static_cast<std::size_t>(writer)].node,
                   os.str());
@@ -475,8 +574,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                 for (const ir::ResolvedRef &r : reads)
                     check_raw(rec, tid, r.addr, false);
                 check_waw(rec, tid, write.addr);
-                st.lastWriter[write.addr] = tid;
-                st.writeSeq[write.addr] = seq;
+                st.recordWrite(write.addr, tid, seq);
                 if (prov.exploitReuse) {
                     for (const ir::ResolvedRef &r : reads)
                         st.recordCopy(r.addr, rec.defaultNode, seq);
@@ -606,7 +704,8 @@ PlanVerifier::verify(const ir::LoopNest &nest,
             if (!dsu.unite(edge.a, edge.b))
                 cycle = true;
         }
-        std::vector<noc::NodeId> vertices = {rec.storeNode};
+        std::vector<noc::NodeId> &vertices = st.vertices;
+        vertices.assign(1, rec.storeNode);
         const std::size_t rhs_reads =
             std::min(stmt.rhsReadCount(), locations.size());
         for (std::size_t j = 0; j < rhs_reads; ++j) {
@@ -718,7 +817,8 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         }
 
         // ---- R3: the emitted tasks mirror the subcomputations.
-        std::vector<std::int32_t> child_refs(split.size(), 0);
+        std::vector<std::int32_t> &child_refs = st.childRefs;
+        child_refs.assign(split.size(), 0);
         bool one_root = false;
         auto sub_at = split.begin();
         for (std::size_t s = 0; s < split.size(); ++s, ++sub_at) {
@@ -825,14 +925,13 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                         locations[lidx].source ==
                             LocationSource::L1Copy &&
                         [&] {
-                            const auto wit = st.writeSeq.find(addr);
-                            if (wit == st.writeSeq.end())
+                            const std::int64_t written = st.writeSeq(addr);
+                            if (written < 0)
                                 return false;
                             const std::int64_t copied =
                                 st.copyRecordedAt(
                                     addr, locations[lidx].node);
-                            return copied >= 0 &&
-                                   copied < wit->second;
+                            return copied >= 0 && copied < written;
                         }();
                     check_raw(rec, tid, addr, via_stale_copy);
                 }
@@ -842,8 +941,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                  g < reads.size(); ++g)
                 check_raw(rec, root_tid, reads[g].addr, false);
             check_waw(rec, root_tid, write.addr);
-            st.lastWriter[write.addr] = root_tid;
-            st.writeSeq[write.addr] = seq;
+            st.recordWrite(write.addr, root_tid, seq);
             if (prov.exploitReuse) {
                 for (const SubView sub : split) {
                     for (int leaf : sub.leaves) {

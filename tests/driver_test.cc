@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "driver/sweep.h"
 #include "partition/codegen.h"
 #include "support/error.h"
+#include "support/thread_pool.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -322,6 +324,64 @@ TEST(DriverTest, PseudoCodeGenerationOnRealPlan)
         1);
     EXPECT_NE(code.find("node "), std::string::npos);
     EXPECT_NE(code.find("="), std::string::npos);
+}
+
+/** The message of the PanicError @p run throws, or "" if it throws none. */
+template <typename F>
+std::string
+panicMessage(F run)
+{
+    try {
+        run();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(DriverTest, VerifierFailureOutranksTheEngines)
+{
+    // A faulted mesh's plan with one task moved onto the dead tile: the
+    // engine's dead-node check and the verifier's R5.task-on-dead both
+    // fire. runPlanned runs them side by side, yet always reports the
+    // verifier's table, whichever finishes first.
+    constexpr noc::NodeId kDead = 14;
+    ExperimentConfig config;
+    config.machine.faults.killNode(kDead);
+    config.partition.verifyLevel = verify::VerifyLevel::Cheap;
+    const workloads::Workload app = smallApp("water");
+    const ir::LoopNest &nest = app.nests.front();
+    for (const int workers : {-1, 1, 3}) {
+        const std::string where =
+            workers < 0 ? "no pool" : std::to_string(workers) + " workers";
+        std::optional<support::ThreadPool> pool;
+        if (workers >= 0)
+            pool.emplace(static_cast<std::size_t>(workers));
+        support::ThreadPool *on = pool ? &*pool : nullptr;
+        NestSession session(config, app, nest);
+        sim::ExecutionPlan plan = session.plan(on);
+        ASSERT_FALSE(plan.tasks.empty());
+        plan.tasks.back().node = kDead;
+
+        // The engine alone rejects the plan.
+        sim::ManycoreSystem bare(config.machine);
+        sim::ExecutionEngine engine(bare);
+        EXPECT_NE(panicMessage([&] { (void)engine.run(plan); })
+                      .find("scheduled on dead node"),
+                  std::string::npos)
+            << where;
+
+        const std::string failure =
+            panicMessage([&] { (void)session.runPlanned(plan, {}, on); });
+        EXPECT_NE(failure.find("static plan verification failed"),
+                  std::string::npos)
+            << where << ": " << failure;
+        EXPECT_NE(failure.find("R5.task-on-dead"), std::string::npos)
+            << where << ": " << failure;
+        EXPECT_EQ(failure.find("scheduled on dead node"), std::string::npos)
+            << where << ": " << failure;
+        EXPECT_GT(session.verdict.counts().errors, 0) << where;
+    }
 }
 
 } // namespace

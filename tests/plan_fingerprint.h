@@ -56,8 +56,8 @@ planFingerprint(const sim::ExecutionPlan &plan,
     const partition::CompileStats &c = r.compile;
     os << "\nreuse " << r.reuseMapHash << ' ' << r.reuseCopiesPlanned
        << "\ncompile " << c.instancesPlanned << ' ' << c.splitsRequested
-       << ' ' << c.plansComputed << ' ' << c.plansMemoized << ' '
-       << c.cacheBypassed << ' ' << c.cachePeakEntries << ' '
+       << ' ' << c.plansComputed << ' ' << c.plansPrefilled << ' '
+       << c.plansMemoized << ' ' << c.cacheBypassed << ' ' << c.cachePeakEntries << ' '
        << c.cachePeakBytes << "\nprovenance";
     for (const verify::SplitRecord &rec : r.provenance->instances) {
         os << ' ' << rec.fromCache << '[';

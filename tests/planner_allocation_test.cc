@@ -25,6 +25,11 @@
  * records and consumer lists in flat arrays and accounts traffic per
  * node pair, so it too allocates a bounded number of times.
  *
+ * The static verifier answers to a gate of its own: one Full
+ * verification of a nest's plan keeps its replay state in flat arrays
+ * on dense ids and its scratch from record to record, so it allocates
+ * a small fraction of an allocation per provenance record.
+ *
  * Byte gates hold the footprint. A fixed-window plan() allocates at
  * most a small multiple of the bytes its plan holds, so a buffer that
  * regrows, or one sized far beyond its use, shows. One engine run
@@ -45,6 +50,7 @@
 #include "sim/engine.h"
 #include "sim/manycore.h"
 #include "support/alloc_counter.h"
+#include "verify/plan_verifier.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -75,6 +81,16 @@ constexpr std::int64_t kEmitAllocationCeiling = 1000;
  * queues, and the machine's cache-state growth.
  */
 constexpr std::int64_t kEngineAllocationCeiling = 600;
+
+/**
+ * Ceiling on one Full PlanVerifier::verify's heap allocations per
+ * provenance record: the reference splitter's warm-up and the id
+ * tables and replay arrays growing geometrically, spread over the
+ * nest's records, come to 0.07 to 1.0 on these nests. Hash maps keyed
+ * by address and line, and a visited set and frontier per ordering
+ * query, made 7 to 14.
+ */
+constexpr double kVerifyAllocationsPerRecord = 2.0;
 
 /**
  * Ceiling on a fixed-window plan()'s allocated bytes per byte of the
@@ -219,6 +235,38 @@ emitAllocations(const workloads::Workload &app, bool balanced)
         options.fixedWindowSize = chosen;
         per_nest.push_back(
             planAllocations(system, app.arrays, nest, nodes, options));
+    }
+    return per_nest;
+}
+
+/**
+ * One Full verification's allocations per provenance record, for every
+ * nest of @p app: the adaptive plan, verified as the driver does.
+ */
+std::vector<double>
+verifyAllocationsPerRecord(const workloads::Workload &app, bool balanced)
+{
+    std::vector<double> per_nest;
+    for (const ir::LoopNest &nest : app.nests) {
+        sim::ManycoreSystem system{sim::ManycoreConfig{}};
+        system.setMcdramArrays(app.mcdramArrays);
+        baseline::DefaultPlacement placement(system, app.arrays);
+        const std::vector<noc::NodeId> nodes =
+            placement.assignIterations(nest);
+        partition::PartitionOptions options;
+        options.loadBalance = balanced;
+        options.verifyLevel = verify::VerifyLevel::Full;
+        partition::Partitioner partitioner(system, app.arrays, options);
+        const sim::ExecutionPlan plan = partitioner.plan(nest, nodes);
+        const verify::PlanProvenance &prov =
+            *partitioner.report().provenance;
+        const verify::PlanVerifier verifier(system, app.arrays);
+        const std::int64_t before = support::heapAllocations();
+        const verify::Report report = verifier.verify(nest, plan, prov);
+        const std::int64_t made = support::heapAllocations() - before;
+        EXPECT_TRUE(report.clean()) << report.renderTable();
+        per_nest.push_back(static_cast<double>(made) /
+                           static_cast<double>(prov.instances.size()));
     }
     return per_nest;
 }
@@ -381,6 +429,13 @@ TEST(PlannerAllocationTest, EmittingPassDoesNotAllocatePerTask)
 {
     expectBoundedAtEveryScale("fixed-window plan() allocations (per nest)",
                               kEmitAllocationCeiling, emitAllocations);
+}
+
+TEST(PlannerAllocationTest, VerifierDoesNotAllocatePerRecord)
+{
+    expectBoundedAtEveryScale("Full verification allocations per record",
+                              kVerifyAllocationsPerRecord,
+                              verifyAllocationsPerRecord);
 }
 
 TEST(PlannerAllocationTest, EngineRunDoesNotAllocatePerTask)

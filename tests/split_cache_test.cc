@@ -23,11 +23,13 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "baseline/default_placement.h"
 #include "driver/experiment.h"
+#include "ir/instance.h"
 #include "ir/nested_sets.h"
 #include "ir/parser.h"
 #include "noc/mesh_topology.h"
@@ -35,6 +37,7 @@
 #include "partition/partitioner.h"
 #include "partition/split_plan_cache.h"
 #include "partition/splitter.h"
+#include "mem/address_mapping.h"
 #include "plan_lists.h"
 #include "sim/manycore.h"
 #include "support/rng.h"
@@ -304,7 +307,7 @@ TEST(SplitCacheEquivalenceTest, PeriodicNestPlansAreByteIdentical)
         const sim::ExecutionPlan off = uncached.plan(nest, nodes);
         test::expectSamePlan(on, off, label);
         // The window candidates walking concurrently on a pool, on the
-        // frozen w = 1 cache and their overlays, plan the same.
+        // frozen prefilled cache and their overlays, plan the same.
         support::ThreadPool pool(3);
         const sim::ExecutionPlan on_pool = pooled.plan(
             nest, ir::resolveInstances(nest, arrays, system.addressMap()),
@@ -363,8 +366,68 @@ TEST(SplitCacheCounterTest, PeriodicNestHitsTheCache)
         << r.compile.plansMemoized << " hits / "
         << r.compile.plansComputed << " computes)";
     EXPECT_EQ(r.compile.cacheBypassed, 0);
+    // Every request is a hit or a miss; the prefill's splits are
+    // computed without one.
+    EXPECT_GT(r.compile.plansPrefilled, 0);
     EXPECT_EQ(r.compile.splitsRequested,
-              r.compile.plansComputed + r.compile.plansMemoized);
+              r.compile.plansComputed - r.compile.plansPrefilled +
+                  r.compile.plansMemoized);
+}
+
+TEST(SplitCacheCounterTest, PrefillFilesEachDistinctW1KeyOnce)
+{
+    // S1 and S2 share operands, so the adaptive sweep scores window
+    // sizes past 1 and prefills; S3's indirect read makes it
+    // unsplittable: its index data is there, but no timing loop runs
+    // an inspector.
+    sim::ManycoreConfig config;
+    sim::ManycoreSystem system(config);
+    ir::ArrayTable arrays;
+    const ir::LoopNest nest = ir::parseKernel(R"(
+        array A[512]; array B[512]; array C[512]; array D[512];
+        array X[512]; array Y[512]; array Z[512];
+        for i = 0..512 {
+          S1: A[i] = B[i] + C[i] * D[i];
+          S2: D[i] = A[i] + B[i] + C[i];
+          S3: Z[i] = X[Y[i]] + A[i];
+        })",
+                                              "prefill", arrays);
+    std::vector<std::int64_t> idx(512);
+    for (std::size_t i = 0; i < idx.size(); ++i)
+        idx[i] = static_cast<std::int64_t>((i * 37) % idx.size());
+    arrays.setIndexData(arrays.find("Y"), idx);
+    baseline::DefaultPlacement placement(system, arrays);
+    const std::vector<noc::NodeId> nodes = placement.assignIterations(nest);
+    partition::PartitionOptions options;
+    options.loadBalance = false;
+    partition::Partitioner partitioner(system, arrays, options);
+    (void)partitioner.plan(nest, nodes);
+    const partition::CompileStats &c = partitioner.report().compile;
+    const std::int64_t instances = nest.iterationCount() * 3;
+    ASSERT_GT(c.instancesPlanned, 2 * instances) << "nothing was scored";
+
+    // The w = 1 keys, from each splittable instance's re-resolved
+    // addresses: statement, the write's home, every read's home.
+    std::set<std::vector<std::uint32_t>> keys;
+    ir::InstanceResolver resolver(nest, arrays);
+    const mem::AddressMap &amap = system.addressMap();
+    for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
+        for (const ir::StatementIndex s : {0, 1}) {
+            resolver.resolve(k, s);
+            std::vector<std::uint32_t> key = {
+                static_cast<std::uint32_t>(s),
+                static_cast<std::uint32_t>(
+                    amap.homeBankNode(resolver.write().addr))};
+            for (const ir::ResolvedRef &r : resolver.reads())
+                key.push_back(
+                    static_cast<std::uint32_t>(amap.homeBankNode(r.addr)));
+            keys.insert(std::move(key));
+        }
+    }
+    EXPECT_EQ(c.plansPrefilled, static_cast<std::int64_t>(keys.size()));
+    EXPECT_GE(c.cachePeakEntries, c.plansPrefilled);
+    EXPECT_EQ(c.splitsRequested,
+              c.plansComputed - c.plansPrefilled + c.plansMemoized);
 }
 
 /** Compile counters of @p app planned with the balancer at @p threshold. */
@@ -386,7 +449,8 @@ TEST(SplitCacheCounterTest, LoadBalancedSplitsReplayTheCache)
     // balancer-free split, and a hit replays it against the live loads.
     const partition::CompileStats c = balancedCounters(app, 0.10);
     EXPECT_GT(c.plansMemoized, 0);
-    EXPECT_EQ(c.plansComputed + c.plansMemoized, c.splitsRequested);
+    EXPECT_EQ(c.plansComputed - c.plansPrefilled + c.plansMemoized,
+              c.splitsRequested);
     EXPECT_GT(c.hitRate(), 0.5);
 
     // cacheBypassed counts veto re-splits only, so it follows how often
@@ -489,6 +553,36 @@ TEST(SplitPlanCacheTest, ClearDropsEveryEntry)
     // The cleared cache files and finds entries again.
     cache.insert(keyOf(0, 0, locs), markerPlan(2).view());
     EXPECT_EQ(cachedMovement(cache, 0, 0, locs), 2);
+}
+
+TEST(SplitPlanCacheTest, BulkFilingKeepsFirstOccurrenceOrder)
+{
+    // Keys filed alone, a repeat ignored, then their plans adopted from
+    // two pools concatenated in order.
+    const std::vector<partition::Location> a = {
+        {4, partition::LocationSource::L2Home},
+        {7, partition::LocationSource::L1Copy}};
+    const std::vector<partition::Location> b = {
+        {2, partition::LocationSource::L2Home}};
+    partition::SplitPlanCache cache;
+    cache.fileKey(keyOf(3, 9, a));
+    cache.fileKey(keyOf(1, 5, b));
+    cache.fileKey(keyOf(3, 9, a));
+    ASSERT_EQ(cache.size(), 2u);
+    const partition::SplitKeyView first = cache.keyOf(0);
+    EXPECT_EQ(first.statement, 3);
+    EXPECT_EQ(first.store, 9);
+    EXPECT_EQ(std::vector<std::uint32_t>(first.nodes.begin(),
+                                         first.nodes.end()),
+              (std::vector<std::uint32_t>{4, 7}));
+    EXPECT_EQ(cache.keyOf(1).statement, 1);
+
+    std::vector<partition::SplitPlanPool> parts(2);
+    parts[0].append(markerPlan(30).view());
+    parts[1].append(markerPlan(10).view());
+    cache.adoptPlans(partition::SplitPlanPool::concat(parts));
+    EXPECT_EQ(cachedMovement(cache, 3, 9, a), 30);
+    EXPECT_EQ(cachedMovement(cache, 1, 5, b), 10);
 }
 
 /**

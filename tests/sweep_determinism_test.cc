@@ -9,7 +9,9 @@
  * they also carry the planner's and verifier's deterministic work
  * counters and each nest's window choice. One nest planned directly,
  * with no pool and with pools of 1, 3 and 7 workers, pins the planner's
- * own fan-out over its window candidates.
+ * own fan-out over its w = 1 splits and its window candidates; one app
+ * run on the same pools at every verify level pins the verifier
+ * running beside the optimized simulation.
  */
 
 #include <gtest/gtest.h>
@@ -63,8 +65,9 @@ fingerprint(const AppResult &r)
     // timers): the same plans cost the same work on any thread count.
     const partition::CompileStats &c = r.compile;
     os << "compile:" << c.instancesPlanned << ',' << c.splitsRequested
-       << ',' << c.plansComputed << ',' << c.plansMemoized << ','
-       << c.cacheBypassed << ',' << c.cachePeakEntries << ','
+       << ',' << c.plansComputed << ',' << c.plansPrefilled << ','
+       << c.plansMemoized << ',' << c.cacheBypassed << ','
+       << c.cachePeakEntries << ','
        << c.cachePeakBytes << "|verify:" << r.verify.plansVerified << ','
        << r.verify.replaysVerified << ',' << r.verify.total() << '|'
        << r.nests.size();
@@ -250,11 +253,12 @@ TEST(SweepDeterminismTest, NestParallelMatchesSerialAppResult)
 
 TEST(SweepDeterminismTest, WindowCandidatesPlanAlikeOnAnyPool)
 {
-    // The within-nest axis: after w = 1 the window candidates walk
-    // concurrently on the pool, each on the frozen w = 1 split cache
-    // plus an overlay of its own. The plan, the report, every compile
-    // counter and the provenance's cache flags must not depend on
-    // whether there is a pool or how many workers it has.
+    // The within-nest axis: the w = 1 splits are computed in chunks on
+    // the pool, then every window candidate walks concurrently, each
+    // on that frozen split cache plus an overlay of its own. The plan,
+    // the report, every compile counter and the provenance's cache
+    // flags must not depend on whether there is a pool or how many
+    // workers it has.
     const workloads::Workload app =
         workloads::WorkloadFactory(256).build("water");
     const ir::LoopNest &nest = app.nests.front();
@@ -272,10 +276,14 @@ TEST(SweepDeterminismTest, WindowCandidatesPlanAlikeOnAnyPool)
         const sim::ExecutionPlan plan =
             partitioner.plan(nest, stream, nodes, pool);
         return std::make_pair(test::planFingerprint(plan, partitioner.report()),
-                              partitioner.report().compile.instancesPlanned);
+                              partitioner.report().compile);
     };
 
-    const auto [serial, instances_planned] = planned(nullptr);
+    const auto [serial, compile] = planned(nullptr);
+    const std::int64_t instances_planned = compile.instancesPlanned;
+    // More w = 1 keys than one prefill chunk takes, so the splits fan
+    // out too.
+    EXPECT_GT(compile.plansPrefilled, 128);
     // At least three scoring walks (w = 1 and two candidates) plus the
     // emitting one, so the candidates really fan out.
     EXPECT_GE(instances_planned,
@@ -283,6 +291,39 @@ TEST(SweepDeterminismTest, WindowCandidatesPlanAlikeOnAnyPool)
     for (std::size_t workers : {1u, 3u, 7u}) {
         support::ThreadPool pool(workers);
         EXPECT_EQ(planned(&pool).first, serial) << workers << " workers";
+    }
+}
+
+TEST(SweepDeterminismTest, VerifierBesideTheRunIsPoolAndLevelInvariant)
+{
+    // The optimized run and the verifier of each nest are one ordered
+    // fan-out, the verifier first. The app's results and every compile
+    // counter must not depend on the pool nor on the verify level, and
+    // each level's verifier counts not on the pool.
+    const workloads::Workload app =
+        workloads::WorkloadFactory(256).build("water");
+    std::string unverified;
+    for (const verify::VerifyLevel level :
+         {verify::VerifyLevel::Off, verify::VerifyLevel::Cheap,
+          verify::VerifyLevel::Full}) {
+        ExperimentConfig config;
+        config.partition.verifyLevel = level;
+        const AppResult serial = ExperimentRunner(config).runApp(app);
+        EXPECT_EQ(level == verify::VerifyLevel::Off,
+                  serial.verify.plansVerified == 0);
+        AppResult stripped = serial;
+        stripped.verify = {};
+        if (unverified.empty())
+            unverified = fingerprint(stripped);
+        EXPECT_EQ(fingerprint(stripped), unverified)
+            << "verify level " << static_cast<int>(level);
+        for (std::size_t workers : {1u, 3u, 7u}) {
+            support::ThreadPool pool(workers);
+            EXPECT_EQ(fingerprint(ExperimentRunner(config, &pool).runApp(app)),
+                      fingerprint(serial))
+                << "verify level " << static_cast<int>(level) << ", "
+                << workers << " workers";
+        }
     }
 }
 
