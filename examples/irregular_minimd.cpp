@@ -13,8 +13,9 @@
  *     into subcomputations near the neighbor data.
  *
  * Each variant runs in its own driver::NestSession: a fresh machine,
- * the default plan's profiling run, then the variant's plan, run with
- * the session's static verifier beside it.
+ * the default plan's profiling run beside the planner's set-up, then
+ * the variant's plan, run with the session's static verifier beside
+ * it.
  *
  * Run: ./irregular_minimd [atoms]
  */
@@ -92,8 +93,11 @@ main(int argc, char **argv)
         driver::ExperimentConfig config;
         config.partition.oracle = oracle;
         driver::NestSession session(config, app, nest);
+        // plan() runs the profiling simulation beside the planner's
+        // set-up, so defaultRun is read after it.
+        const sim::ExecutionPlan plan = session.plan();
         def = session.defaultRun;
-        const sim::SimResult r = session.runPlanned(session.plan());
+        const sim::SimResult r = session.runPlanned(plan);
         table.row()
             .cell(label)
             .cell(session.report.statementsSplit)

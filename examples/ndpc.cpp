@@ -161,18 +161,19 @@ main(int argc, char **argv)
             printSets(sets, stmt, arrays, 0);
         }
 
-        // ---- Machine, baseline, profiling run, partitioner, and the
-        // optimized run beside the static verifier: one nest session.
-        // Cheap verification records the split decisions the verifier
-        // checks and the pseudo-code renderer reads.
+        // ---- Machine and baseline, the profiling run beside the
+        // partitioner's set-up, the partitioner, and the optimized run
+        // beside the static verifier: one nest session. Cheap
+        // verification records the split decisions the verifier checks
+        // and the pseudo-code renderer reads.
         driver::ExperimentConfig config;
         config.machine.meshCols = mesh_cols;
         config.machine.meshRows = mesh_rows;
         config.partition.fixedWindowSize = fixed_window;
         config.partition.verifyLevel = verify::VerifyLevel::Cheap;
         driver::NestSession session(config, app, nest);
-        const sim::SimResult &def = session.defaultRun;
         const sim::ExecutionPlan plan = session.plan();
+        const sim::SimResult &def = session.defaultRun;
         const partition::PartitionReport &report = session.report;
         const sim::SimResult opt = session.runPlanned(plan);
 

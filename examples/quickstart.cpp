@@ -4,10 +4,10 @@
  *
  *  1. Describe a kernel in the textual IR (or build the IR directly).
  *  2. Open a driver::NestSession on the modelled manycore: it builds
- *     the machine, the profile-guided default placement and the
- *     profiling run.
- *  3. Plan the nest with the NDP partitioner, and simulate the plan
- *     while the session's static verifier checks it.
+ *     the machine and the profile-guided default placement.
+ *  3. Plan the nest with the NDP partitioner (the session profiles
+ *     the default plan beside the planner's set-up), and simulate the
+ *     plan while the session's static verifier checks it.
  *  4. Compare data movement / execution time, and say which plan the
  *     driver's plan selection would ship.
  *
@@ -41,18 +41,19 @@ main()
     const ir::LoopNest &nest = app.nests.front();
     std::cout << "Kernel:\n" << nest.toString(app.arrays) << "\n";
 
-    // ---- 2. The machine (a 6x6 KNL-like mesh, quadrant + flat), the
-    // default plan and its profiling run. Cheap verification records
-    // the planner's split decisions: the session's static verifier
-    // checks the plan against them, and the pseudo-code renderer below
-    // reads them.
+    // ---- 2. The machine (a 6x6 KNL-like mesh, quadrant + flat) and
+    // the default plan. Cheap verification records the planner's split
+    // decisions: the session's static verifier checks the plan against
+    // them, and the pseudo-code renderer below reads them.
     driver::ExperimentConfig config;
     config.partition.verifyLevel = verify::VerifyLevel::Cheap;
     driver::NestSession session(config, app, nest);
-    const sim::SimResult &def = session.defaultRun;
 
-    // ---- 3. The optimized plan, run beside its verification. ----
+    // ---- 3. The default plan's profiling run beside the planner's
+    // set-up, the optimized plan, and its run beside its
+    // verification. ----
     const sim::ExecutionPlan optimized_plan = session.plan();
+    const sim::SimResult &def = session.defaultRun;
     const partition::PartitionReport &report = session.report;
     const sim::SimResult opt = session.runPlanned(optimized_plan);
 

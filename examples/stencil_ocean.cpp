@@ -52,14 +52,14 @@ main(int argc, char **argv)
               << " grid (" << nest.iterationCount()
               << " iterations, 2 statements each):\n\n";
 
-    // ---- Machine, baseline and profiling run; then the partitioner
-    // with the adaptive window sweep, whose overhead model reads the
-    // profiled node utilisation, and the optimized run (verified
-    // beside it when NDP_VERIFY asks). ----
+    // ---- Machine and baseline; then the profiling run beside the
+    // partitioner's set-up, the adaptive window sweep, whose overhead
+    // model reads the profiled node utilisation, and the optimized run
+    // (verified beside it when NDP_VERIFY asks). ----
     const driver::ExperimentConfig config;
     driver::NestSession session(config, app, nest);
-    const sim::SimResult &def = session.defaultRun;
     const sim::SimResult opt = session.runPlanned(session.plan());
+    const sim::SimResult &def = session.defaultRun;
     const partition::PartitionReport &report = session.report;
 
     Table sweep({"window size", "planned movement (flit-hops)"});

@@ -25,24 +25,31 @@ NestSession::NestSession(const ExperimentConfig &config,
     system.setMcdramArrays(workload.mcdramArrays);
     nodes = placement.assignIterations(nest, *stream);
     defaultPlan = placement.buildPlan(nest, *stream, nodes);
+}
+
+double
+NestSession::profile(support::ThreadPool *pool)
+{
+    NDP_REQUIRE(!profiled_, "nest '" << nest_.name()
+                                     << "' was already profiled");
+    profiled_ = true;
     // The default run doubles as the profiling pass: it trains the L2
     // miss predictor whose accuracy Table 2 reports.
-    defaultRun = engine.run(defaultPlan);
+    defaultRun = engine.run(defaultPlan, {}, pool);
+    return static_cast<double>(defaultRun.totalBusyCycles) /
+           std::max<double>(
+               1.0, static_cast<double>(defaultRun.makespanCycles *
+                                        config_.machine.meshCols *
+                                        config_.machine.meshRows));
 }
 
 sim::ExecutionPlan
 NestSession::plan(support::ThreadPool *pool)
 {
-    partition::PartitionOptions popts = config_.partition;
-    popts.profileUtilization =
-        static_cast<double>(defaultRun.totalBusyCycles) /
-        std::max<double>(
-            1.0, static_cast<double>(defaultRun.makespanCycles *
-                                     config_.machine.meshCols *
-                                     config_.machine.meshRows));
-    partition::Partitioner partitioner(system, workload_.arrays, popts);
-    sim::ExecutionPlan plan = partitioner.plan(nest_, *stream, nodes, pool);
-    stream.reset();
+    partition::Partitioner partitioner(system, workload_.arrays,
+                                       config_.partition);
+    sim::ExecutionPlan plan = partitioner.plan(
+        nest_, *stream, nodes, pool, [&] { return profile(pool); });
     report = partitioner.report();
     return plan;
 }
@@ -53,7 +60,7 @@ NestSession::runPlanned(const sim::ExecutionPlan &planned,
                         support::ThreadPool *pool)
 {
     if (!report.provenance)
-        return engine.run(planned, options);
+        return engine.run(planned, options, pool);
     const verify::PlanVerifier verifier(system, workload_.arrays);
     sim::SimResult run;
     std::exception_ptr engine_error;
@@ -63,7 +70,7 @@ NestSession::runPlanned(const sim::ExecutionPlan &planned,
             return 0;
         }
         try {
-            run = engine.run(planned, options);
+            run = engine.run(planned, options, pool);
         } catch (...) {
             engine_error = std::current_exception();
         }
@@ -87,11 +94,12 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig config,
 namespace {
 
 /**
- * runNest on an open session: the data-to-MC override, planning, the
- * planned run with the verifier beside it, plan selection and the miss
- * predictor's totals. Sets *@p planned_dop, if given, to the planner's
- * mean degree of parallelism, which a kept default plan's report
- * resets.
+ * runNest on an open session: the profiling run beside planning (or
+ * alone, for a config that does not plan), the data-to-MC override,
+ * the planned run with the verifier beside it, plan selection and the
+ * miss predictor's totals; every engine run fans out on @p pool. Sets
+ * *@p planned_dop, if given, to the planner's mean degree of
+ * parallelism, which a kept default plan's report resets.
  */
 NestResult
 finishNest(const ExperimentConfig &config, NestSession &session,
@@ -101,21 +109,24 @@ finishNest(const ExperimentConfig &config, NestSession &session,
     NestResult nr;
     nr.nest = nest.name();
     nr.analyzableFraction = ir::analyzableFraction(nest);
-    nr.defaultRun = session.defaultRun;
 
+    // Without the partitioner the "optimized" run replays the session's
+    // default plan, after the same profiling run. buildPlan reads only
+    // the nest, its stream and the nodes, and the planner never reads
+    // the MC lookup the data-to-MC override changes (a home bank is a
+    // function of the address alone); but the profile must run on the
+    // default mapping, so the override comes after it.
+    std::optional<sim::ExecutionPlan> planned;
+    if (config.optimizeComputation)
+        planned = session.plan(pool);
+    else
+        session.profile(pool);
+    nr.defaultRun = session.defaultRun;
     if (config.dataToMcRemap) {
         session.system.addressMap().setPageMcOverride(
             baseline::profilePageToMc(session.system, nest, *session.stream,
                                       session.nodes));
     }
-
-    // Without the partitioner the "optimized" run replays the session's
-    // default plan: buildPlan reads only the nest, its stream and the
-    // nodes, not the MC lookup the data-to-MC override changes (a home
-    // bank is a function of the address alone).
-    std::optional<sim::ExecutionPlan> planned;
-    if (config.optimizeComputation)
-        planned = session.plan(pool);
     session.stream.reset();
     const sim::ExecutionPlan &optimized_plan =
         planned ? *planned : session.defaultPlan;
@@ -132,7 +143,8 @@ finishNest(const ExperimentConfig &config, NestSession &session,
     if (config.shipsDefaultPlan(nr.defaultRun, nr.plannedRun)) {
         // Profile-guided selection: the transformation lost on this
         // nest; ship the default plan instead.
-        nr.optimizedRun = session.engine.run(session.defaultPlan, opts);
+        nr.optimizedRun =
+            session.engine.run(session.defaultPlan, opts, pool);
         nr.report = partition::keptDefaultReport(nr.report);
     } else {
         nr.optimizedRun = nr.plannedRun;
@@ -284,7 +296,7 @@ ExperimentRunner::runMetricIsolation(
             s[3].extraSyncs = opt.syncCount;
             for (std::size_t i = 0; i < s.size(); ++i) {
                 replays[n][i] =
-                    session.engine.run(session.defaultPlan, s[i])
+                    session.engine.run(session.defaultPlan, s[i], pool_)
                         .makespanCycles;
             }
             return nr;

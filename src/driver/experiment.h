@@ -76,18 +76,20 @@ struct ExperimentConfig
 
 /**
  * One loop nest on its own fresh machine, through the steps every
- * experiment shares: default placement and the profiling run (the
- * constructor), plan() — the partitioner — and runPlanned(), the
- * optimized run with the static verifier beside it. The nest is
- * resolved once, into the instance stream that placement, the default
- * plan, the data-to-MC profile and the planner all read; plan()
- * releases it.
+ * experiment shares: default placement and the default plan (the
+ * constructor, which simulates nothing), plan() — the profiling run
+ * beside the partitioner's set-up, then the partitioner's walks — and
+ * runPlanned(), the optimized run with the static verifier beside it.
+ * The nest is resolved once, into the instance stream that placement,
+ * the default plan, the data-to-MC profile and the planner all read;
+ * the caller releases it when done.
  * A fresh machine per nest makes caches, traffic and the profile-
  * trained miss predictor nest-local state, which is what makes nests
  * independent units of parallelism. Callers run their own tail on
  * engine afterwards. Machine state carries over from one engine call
- * to the next, so the order profile, plan, optimized run, tail is part
- * of every result.
+ * to the next, so the order profile, optimized run, tail is part of
+ * every result; the planner reads only the mesh, the config and the
+ * stream, which no engine run changes.
  *
  * The session is the one nest pipeline: runNest, runMetricIsolation
  * (which then replays the default plan on its engine) and the examples
@@ -95,10 +97,10 @@ struct ExperimentConfig
  * references to the config, the workload and the nest, which must
  * outlive it.
  *
- * Threads: a session belongs to one thread. Only plan() and
- * runPlanned() fan out, on the pool they are given; runPlanned()'s
- * verifier reads only what no engine run writes (the mesh, the address
- * map, the config and the IR), so it runs beside the engine.
+ * Threads: a session belongs to one thread. plan(), profile() and
+ * runPlanned() fan out on the pool they are given, and every engine
+ * run a caller makes on engine may too (sim::ExecutionEngine::run);
+ * none of the results depends on the pool.
  */
 class NestSession
 {
@@ -111,14 +113,28 @@ class NestSession
     NestSession &operator=(const NestSession &) = delete;
 
     /**
-     * Plan the nest into report with the profiled node utilization.
-     * report keeps the planner's provenance (null at verify level
-     * Off), which runPlanned() verifies the plan against. @p pool,
-     * when set, splits and walks the window candidates concurrently
-     * (partition::Partitioner::plan); the result does not depend on
-     * it.
+     * Profile the default plan into defaultRun and plan the nest into
+     * report. The profiling simulation and the planner's window-
+     * independent set-up (with the w = 1 prefill) are the two indices
+     * of one support::orderedMap on @p pool, the profile first, so
+     * without a pool it runs first (partition::Partitioner::plan's
+     * profile); the walks then read the profiled utilization. report
+     * keeps the planner's provenance (null at verify level Off), which
+     * runPlanned() verifies the plan against. @p pool also splits and
+     * walks the window candidates concurrently and runs the profile's
+     * engine chunks; the result does not depend on it. Leaves stream
+     * as it is.
      */
     sim::ExecutionPlan plan(support::ThreadPool *pool = nullptr);
+
+    /**
+     * Run the profiling simulation of defaultPlan into defaultRun and
+     * return the node utilization it profiled. plan() calls it; a
+     * session that does not plan calls it alone. A session profiles
+     * once (a second call is an ndp::fatal): the run trains the miss
+     * predictor Table 2 reads.
+     */
+    double profile(support::ThreadPool *pool = nullptr);
 
     /**
      * Run @p planned, the plan plan() returned, on engine with
@@ -132,7 +148,7 @@ class NestSession
      * plan with errors leaves the session, and the failure reported is
      * the verifier's. Otherwise an engine failure is rethrown. Without
      * provenance (verify level Off, or no plan() call) it is
-     * engine.run(@p planned, @p options).
+     * engine.run(@p planned, @p options, @p pool).
      */
     sim::SimResult runPlanned(const sim::ExecutionPlan &planned,
                               const sim::EngineOptions &options = {},
@@ -141,10 +157,11 @@ class NestSession
     sim::ManycoreSystem system;
     sim::ExecutionEngine engine;
     baseline::DefaultPlacement placement;
-    /** The nest's instances; null once plan() has run. */
+    /** The nest's instances, until the caller resets it. */
     std::optional<ir::InstanceStream> stream;
     std::vector<noc::NodeId> nodes;
     sim::ExecutionPlan defaultPlan;
+    /** The profiling run of defaultPlan: set by plan() or profile(). */
     sim::SimResult defaultRun;
     partition::PartitionReport report;
     verify::Report verdict;
@@ -153,6 +170,7 @@ class NestSession
     const ExperimentConfig &config_;
     const workloads::Workload &workload_;
     const ir::LoopNest &nest_;
+    bool profiled_ = false;
 };
 
 /** Results of the default/optimized pair for one loop nest. */

@@ -17,9 +17,9 @@ MemoryController::MemoryController(noc::NodeId node, MemoryMode mode,
 }
 
 void
-MemoryController::recordAccess()
+MemoryController::recordAccess(std::int64_t count)
 {
-    ++recordedLoad_;
+    recordedLoad_ += count;
 }
 
 std::int64_t

@@ -59,8 +59,11 @@ class MemoryController
     noc::NodeId node() const { return node_; }
     MemoryMode mode() const { return mode_; }
 
-    /** Pass 1: record an access so queue pressure is known in pass 2. */
-    void recordAccess();
+    /**
+     * Pass 1: record @p count accesses so queue pressure is known in
+     * pass 2.
+     */
+    void recordAccess(std::int64_t count = 1);
 
     /**
      * Pass 2: cycles to service a miss to @p a whose backing memory (in

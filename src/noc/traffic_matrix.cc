@@ -32,6 +32,17 @@ TrafficMatrix::addMessage(NodeId from, NodeId to, std::int64_t flits)
 }
 
 void
+TrafficMatrix::add(const TrafficMatrix &other)
+{
+    NDP_CHECK(other.mesh_ == mesh_, "adding traffic of another mesh");
+    for (std::size_t pair = 0; pair < pairFlits_.size(); ++pair)
+        pairFlits_[pair] += other.pairFlits_[pair];
+    totalFlitHops_ += other.totalFlitHops_;
+    messages_ += other.messages_;
+    loadsCurrent_ = false;
+}
+
+void
 TrafficMatrix::expandLoads() const
 {
     if (loadsCurrent_)

@@ -14,8 +14,10 @@
  * per pair and expands them into link loads the first time a load is
  * read after a change; NocModel::freezeCongestion is that read, once
  * per engine run. Loads are integer sums, so they equal a per-message
- * walk of every route exactly. linkLoad() is const but may rebuild the
- * cached loads, so threads must not share one matrix.
+ * walk of every route exactly, and matrices filled apart (the engine's
+ * pass-1 chunks) add up to the one a single walk fills. linkLoad() is
+ * const but may rebuild the cached loads, so threads must not share one
+ * matrix.
  */
 
 #include <cstdint>
@@ -36,6 +38,13 @@ class TrafficMatrix
      * as route() is, for a bad or dead endpoint.
      */
     void addMessage(NodeId from, NodeId to, std::int64_t flits);
+
+    /**
+     * Add @p other's messages, which must be over this matrix's mesh:
+     * every count is an integer sum, so the result is the matrix both
+     * message sets would have filled, in any order.
+     */
+    void add(const TrafficMatrix &other);
 
     /** Raw flit count over the dense link @p link_index. */
     std::int64_t linkLoad(std::int32_t link_index) const;

@@ -228,13 +228,13 @@ struct OrderArc
  * against steady-state residency, not a cold machine.
  */
 DefaultL1Model
-warmDefaultL1(const sim::ManycoreSystem &system,
+warmDefaultL1(const noc::MeshTopology &mesh, const sim::ManycoreConfig &config,
               const ir::InstanceStream &stream, const LineSlots &slots,
               const std::vector<noc::NodeId> &default_nodes,
               std::size_t statements)
 {
-    DefaultL1Model l1(system.mesh().nodeCount(),
-                      static_cast<std::size_t>(system.config().l1Bytes /
+    DefaultL1Model l1(mesh.nodeCount(),
+                      static_cast<std::size_t>(config.l1Bytes /
                                                mem::kLineSize),
                       slots.count);
     for (std::size_t p = 0; p < stream.positions(); ++p) {
@@ -293,10 +293,15 @@ copyReach(const ir::InstanceStream &stream,
     return reach;
 }
 
-/** The window-independent inputs of one plan() call. */
+/**
+ * The window-independent inputs of one plan() call. Of the machine it
+ * holds only what no engine run changes, the mesh and the config, so
+ * the profiling run can simulate on the same machine meanwhile.
+ */
 struct NestContext
 {
-    sim::ManycoreSystem &system;
+    const noc::MeshTopology &mesh;
+    const sim::ManycoreConfig &config;
     const PartitionOptions &options;
     const ir::LoopNest &nest;
     const std::vector<noc::NodeId> &defaultNodes;
@@ -389,7 +394,7 @@ class Emitter
             prov_ = std::make_shared<verify::PlanProvenance>();
             prov_->level = opts.verifyLevel;
             prov_->windowSize = window_size;
-            prov_->faultEpoch = ctx.system.mesh().faults().signature();
+            prov_->faultEpoch = ctx.mesh.faults().signature();
             prov_->exploitReuse = opts.exploitReuse;
             prov_->loadBalanced = opts.loadBalance;
             prov_->loadBalanceThreshold = opts.loadBalanceThreshold;
@@ -804,9 +809,9 @@ class DecisionLane
 {
   public:
     explicit DecisionLane(const NestContext &ctx)
-        : ctx_(ctx), opts_(ctx.options), mesh_(ctx.system.mesh()),
+        : ctx_(ctx), opts_(ctx.options), mesh_(ctx.mesh),
           stmtCount_(static_cast<std::int64_t>(ctx.nest.body().size())),
-          lineFlits_(ctx.system.config().lineFlits()),
+          lineFlits_(ctx.config.lineFlits()),
           stream_(ctx.stream),
           balancer_(mesh_.nodeCount(), opts_.loadBalanceThreshold),
           splitter_(mesh_), l1_(ctx.warmL1),
@@ -970,7 +975,7 @@ class DecisionLane
         // to its home (the root subcomputation writes locally, so the
         // split side charges nothing here).
         const std::int64_t write_flits = std::max<std::int64_t>(
-            1, d_.write->size / ctx_.system.config().flitBytes);
+            1, d_.write->size / ctx_.config.flitBytes);
         d_.defaultMovement +=
             write_flits * mesh_.distance(d_.defaultNode, d_.storeNode);
     }
@@ -1089,7 +1094,7 @@ class DecisionLane
     bool
     profitable(const SplitView &split) const
     {
-        const sim::ManycoreConfig &config = ctx_.system.config();
+        const sim::ManycoreConfig &config = ctx_.config;
         const double benefit =
             opts_.latencyPerFlitHop *
             static_cast<double>(d_.defaultMovement - split.plannedMovement);
@@ -1127,7 +1132,7 @@ class DecisionLane
             return true;
         if (!(opts_.overheadSafetyFactor > 0.0))
             return false;
-        const sim::ManycoreConfig &config = ctx_.system.config();
+        const sim::ManycoreConfig &config = ctx_.config;
         const std::int64_t overhead =
             splitOverheadFloor(reach, config.perTaskOverheadCycles,
                                config.syncOverheadCycles);
@@ -1327,7 +1332,7 @@ prefillW1(const NestContext &ctx, LanePool &lanes,
 
 } // namespace
 
-Partitioner::Partitioner(sim::ManycoreSystem &system,
+Partitioner::Partitioner(const sim::ManycoreSystem &system,
                          const ir::ArrayTable &arrays,
                          PartitionOptions options)
     : system_(&system), arrays_(&arrays), options_(options)
@@ -1368,7 +1373,8 @@ Partitioner::plan(const ir::LoopNest &nest,
 sim::ExecutionPlan
 Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                   const std::vector<noc::NodeId> &default_nodes,
-                  support::ThreadPool *pool)
+                  support::ThreadPool *pool,
+                  const std::function<double()> &profile)
 {
     NDP_REQUIRE(static_cast<std::int64_t>(default_nodes.size()) ==
                     nest.iterationCount(),
@@ -1379,11 +1385,14 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                 "instance stream does not match nest '" << nest.name()
                                                         << "'");
 
+    // This call's options: @p profile, when given, supplies the
+    // utilization before any walk reads it.
+    PartitionOptions options = options_;
     // A fixed window size is the only candidate; 0 sweeps 1..max.
-    const bool fixed = options_.fixedWindowSize > 0;
-    const std::int32_t w_first = fixed ? options_.fixedWindowSize : 1;
+    const bool fixed = options.fixedWindowSize > 0;
+    const std::int32_t w_first = fixed ? options.fixedWindowSize : 1;
     const std::int32_t w_last =
-        fixed ? options_.fixedWindowSize : options_.maxWindowSize;
+        fixed ? options.fixedWindowSize : options.maxWindowSize;
 
     // Split-plan signatures embed statement indices, which are only
     // meaningful within one nest — but they are stable across the
@@ -1399,53 +1408,86 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
     CompileStats compile_total;
     {
         ScopedPhaseTimer total(
-            options_.collectCompileTimers ? &compile_total.totalNs
-                                          : nullptr);
+            options.collectCompileTimers ? &compile_total.totalNs
+                                         : nullptr);
         // The window-independent work runs once per nest: every
         // candidate reads the same stream and line slots and starts
-        // from the same warmed default-L1 model.
-        const bool inspector_resolved =
-            Inspector::canResolve(nest, *arrays_) || options_.oracle;
-        std::vector<ir::VarSet> static_sets;
-        std::vector<bool> splittable;
-        std::vector<std::int32_t> op_cost;
-        static_sets.reserve(nest.body().size());
-        for (const ir::Statement &stmt : nest.body()) {
-            static_sets.push_back(ir::buildVarSets(stmt));
-            op_cost.push_back(narrowChecked<std::int32_t>(
-                stmt.totalOpCost(), nest.name(), "statement op cost"));
-            splittable.push_back(inspector_resolved ||
-                                 (stmt.lhs().isAnalyzable() &&
-                                  std::ranges::all_of(
-                                      stmt.reads(),
-                                      &ir::ArrayRef::isAnalyzable)));
-        }
-        // 0 trusts a quarter of the L1 to survive a window un-evicted.
-        const std::size_t reuse_capacity =
-            options_.reuseCapacityLines != 0
-                ? options_.reuseCapacityLines
-                : static_cast<std::size_t>(system_->config().l1Bytes /
-                                           mem::kLineSize / 4);
-        LineSlots slots;
-        {
-            ScopedPhaseTimer t(options_.collectCompileTimers
-                                   ? &compile_total.resolveNs
-                                   : nullptr);
-            slots = slotLines(stream, default_nodes, nest.body().size());
-        }
-        DefaultL1Model warm_l1 = warmDefaultL1(
-            *system_, stream, slots, default_nodes, nest.body().size());
-        // Only candidates that can reach a copy can differ from
-        // w_first (copyReach()); without reuse none can.
+        // from the same warmed default-L1 model. It reads the stream,
+        // the default nodes, the mesh and the config, never the
+        // profile, so it runs beside the profiling simulation.
+        std::optional<NestContext> ctx;
+        std::optional<LanePool> lanes;
         std::vector<bool> reach;
-        if (w_first < w_last && options_.exploitReuse)
-            reach = copyReach(stream, splittable, w_first, w_last);
-        const NestContext ctx{
-            *system_, options_, nest, default_nodes,
-            std::move(static_sets), std::move(splittable),
-            std::move(op_cost), reuse_capacity, stream,
-            std::move(slots.ofRef), std::move(warm_l1)};
-        LanePool lanes(ctx);
+        bool scored = false;
+        const auto set_up = [&] {
+            const bool inspector_resolved =
+                Inspector::canResolve(nest, *arrays_) || options.oracle;
+            std::vector<ir::VarSet> static_sets;
+            std::vector<bool> splittable;
+            std::vector<std::int32_t> op_cost;
+            static_sets.reserve(nest.body().size());
+            for (const ir::Statement &stmt : nest.body()) {
+                static_sets.push_back(ir::buildVarSets(stmt));
+                op_cost.push_back(narrowChecked<std::int32_t>(
+                    stmt.totalOpCost(), nest.name(), "statement op cost"));
+                splittable.push_back(inspector_resolved ||
+                                     (stmt.lhs().isAnalyzable() &&
+                                      std::ranges::all_of(
+                                          stmt.reads(),
+                                          &ir::ArrayRef::isAnalyzable)));
+            }
+            const sim::ManycoreConfig &config = system_->config();
+            // 0 trusts a quarter of the L1 to survive a window
+            // un-evicted.
+            const std::size_t reuse_capacity =
+                options.reuseCapacityLines != 0
+                    ? options.reuseCapacityLines
+                    : static_cast<std::size_t>(config.l1Bytes /
+                                               mem::kLineSize / 4);
+            LineSlots slots;
+            {
+                ScopedPhaseTimer t(options.collectCompileTimers
+                                       ? &compile_total.resolveNs
+                                       : nullptr);
+                slots =
+                    slotLines(stream, default_nodes, nest.body().size());
+            }
+            DefaultL1Model warm_l1 =
+                warmDefaultL1(system_->mesh(), config, stream, slots,
+                              default_nodes, nest.body().size());
+            // Only candidates that can reach a copy can differ from
+            // w_first (copyReach()); without reuse none can.
+            if (w_first < w_last && options.exploitReuse)
+                reach = copyReach(stream, splittable, w_first, w_last);
+            ctx.emplace(NestContext{
+                system_->mesh(), config, options, nest, default_nodes,
+                std::move(static_sets), std::move(splittable),
+                std::move(op_cost), reuse_capacity, stream,
+                std::move(slots.ofRef), std::move(warm_l1)});
+            lanes.emplace(*ctx);
+            scored = std::find(reach.begin(), reach.end(), true) !=
+                     reach.end();
+            if (scored && options.memoizeSplits)
+                prefillW1(*ctx, *lanes, pool, splitCache_, compile_total);
+        };
+        if (profile) {
+            // The profile simulates on the machine while the set-up
+            // reads only what no simulation changes; the walks wait
+            // for the utilization the guard reads.
+            const std::vector<double> utilization =
+                support::orderedMap(pool, 2, [&](std::size_t i) {
+                    if (i == 0)
+                        return profile();
+                    set_up();
+                    return 0.0;
+                });
+            options.profileUtilization = utilization[0];
+            NDP_REQUIRE(options.profileUtilization >= 0.0,
+                        "profile utilization must be >= 0, got "
+                            << options.profileUtilization);
+        } else {
+            set_up();
+        }
 
         // Score the candidates (Section 4.4: least total movement, the
         // first on ties), then walk the winner again with an emitter
@@ -1485,11 +1527,7 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         // of it is alive until the winner is known.
         std::int64_t filed_entries = 0;
         std::int64_t filed_bytes = 0;
-        const bool scored =
-            std::find(reach.begin(), reach.end(), true) != reach.end();
         if (scored) {
-            if (options_.memoizeSplits)
-                prefillW1(ctx, lanes, pool, splitCache_, compile_total);
             std::vector<std::int32_t> walked = {w_first};
             for (std::int32_t w = w_first + 1; w <= w_last; ++w) {
                 if (reach[static_cast<std::size_t>(w - w_first)])
@@ -1498,7 +1536,7 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
             const SplitPlanCache &frozen = splitCache_;
             std::vector<Candidate> candidates = support::orderedMap(
                 pool, walked.size(), [&](std::size_t i) {
-                    std::unique_ptr<DecisionLane> own = lanes.take();
+                    std::unique_ptr<DecisionLane> own = lanes->take();
                     Candidate c;
                     // w_first's walk only hits the prefill. Another
                     // candidate misses a share of it (about a quarter
@@ -1511,7 +1549,7 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                     c.movement = own->plannedMovement();
                     c.tasks = own->taskCount();
                     c.compile = own->compile();
-                    lanes.give(std::move(own));
+                    lanes->give(std::move(own));
                     return c;
                 });
             std::size_t next = 0;
@@ -1537,9 +1575,9 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
             best_overlay = std::move(best->overlay);
         }
 
-        const std::unique_ptr<DecisionLane> lane = lanes.take();
-        Emitter emitter(ctx, best_w, best_plan, best_report,
-                        options_.collectCompileTimers ? &compile_total.syncNs
+        const std::unique_ptr<DecisionLane> lane = lanes->take();
+        Emitter emitter(*ctx, best_w, best_plan, best_report,
+                        options.collectCompileTimers ? &compile_total.syncNs
                                                       : nullptr,
                         best_tasks);
         lane->run(best_w, &emitter, &splitCache_, best_overlay);

@@ -10,14 +10,16 @@
  * a size whose windows can never hold a copy of a line it reads is not
  * walked, since it would plan exactly what w = 1 plans. Every w = 1
  * split is a function of the instance stream, so they are all computed
- * before any walk; the walked sizes, w = 1 included, then walk
- * concurrently when plan() is given a thread pool. The cheapest size,
- * or a forced one (Figure 20's sweeps), is walked again by an emitter
- * that synchronises each window and builds the plan.
+ * before any walk, beside the profiling run when plan() is given one;
+ * the walked sizes, w = 1 included, then walk concurrently when plan()
+ * is given a thread pool. The cheapest size, or a forced one (Figure
+ * 20's sweeps), is walked again by an emitter that synchronises each
+ * window and builds the plan.
  */
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -190,8 +192,8 @@ class Partitioner
      * @param arrays the program's array table (with any inspector-
      *        collected index data installed)
      */
-    Partitioner(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
-                PartitionOptions options = {});
+    Partitioner(const sim::ManycoreSystem &system,
+                const ir::ArrayTable &arrays, PartitionOptions options = {});
 
     /**
      * Plan @p nest from its resolved instances.
@@ -206,11 +208,22 @@ class Partitioner
      *        concurrently on it (support::orderedMap); null does both
      *        in order on this thread. The plan and the report, compile
      *        counters included, are the same either way.
+     * @param profile when set, returns the profiled node utilization
+     *        the guard reads in place of options.profileUtilization.
+     *        It runs as the first index of one support::orderedMap on
+     *        @p pool, the window-independent set-up and the w = 1
+     *        prefill as the second, so it may simulate on the machine
+     *        this Partitioner reads: the planner reads only the mesh,
+     *        the config and @p stream, which no simulation changes.
+     *        Every walk starts after both. An exception it throws
+     *        outranks the set-up's. With a profile, the compile
+     *        timers' total covers the wait for it.
      */
     sim::ExecutionPlan plan(const ir::LoopNest &nest,
                             const ir::InstanceStream &stream,
                             const std::vector<noc::NodeId> &default_nodes,
-                            support::ThreadPool *pool = nullptr);
+                            support::ThreadPool *pool = nullptr,
+                            const std::function<double()> &profile = {});
 
     /** plan() on a stream resolved for this one call, without a pool. */
     sim::ExecutionPlan plan(const ir::LoopNest &nest,
@@ -220,7 +233,7 @@ class Partitioner
     const PartitionReport &report() const { return report_; }
 
   private:
-    sim::ManycoreSystem *system_;
+    const sim::ManycoreSystem *system_;
     const ir::ArrayTable *arrays_;
     PartitionOptions options_;
     PartitionReport report_;

@@ -4,13 +4,84 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <span>
 
 #include "support/error.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace ndp::sim {
+
+namespace {
+
+/**
+ * Fewest tasks worth a chunk of pass 1's order-free work: a chunk of
+ * its own fills a traffic matrix of its own, which the merge adds up.
+ */
+constexpr std::size_t kMinChunkTasks = 2048;
+
+/** What one chunk of pass 1's order-free work adds up. */
+struct ChunkTally
+{
+    /** The chunk's messages; unset for chunk 0, which records into
+     *  the machine's own matrix. */
+    std::optional<noc::TrafficMatrix> traffic;
+    ManycoreSystem::AccessTally access;
+    std::int64_t opUnits = 0;
+};
+
+/**
+ * Pass 2's plan-only set-up: the consumers of task t, as a CSR
+ * (consumers[consumerBegin[t], consumerBegin[t + 1]), filled in task
+ * order so each producer lists its consumers by ascending id), each
+ * task's unfinished producer count, zeroed ready times, and the tasks
+ * of each node.
+ */
+struct Pass2Setup
+{
+    std::vector<std::uint32_t> consumerBegin;
+    std::vector<TaskId> consumers;
+    std::vector<std::int32_t> pending;
+    std::vector<std::int64_t> ready;
+    std::vector<std::size_t> perNode;
+};
+
+Pass2Setup
+pass2Setup(const ExecutionPlan &plan, std::size_t node_count)
+{
+    const std::size_t task_count = plan.tasks.size();
+    Pass2Setup s;
+    s.consumerBegin.assign(task_count + 1, 0);
+    s.pending.resize(task_count);
+    s.ready.assign(task_count, 0);
+    s.perNode.assign(node_count, 0);
+    std::size_t consumer_count = 0;
+    for (std::size_t t = 0; t < task_count; ++t) {
+        const Task &task = plan.tasks[t];
+        consumer_count += task.depCount;
+        s.pending[t] = static_cast<std::int32_t>(task.depCount);
+        ++s.perNode[static_cast<std::size_t>(task.node)];
+        for (TaskId dep : plan.deps(task))
+            ++s.consumerBegin[static_cast<std::size_t>(dep) + 1];
+    }
+    narrowChecked<std::uint32_t>(consumer_count, plan.name,
+                                 "consumer count");
+    for (std::size_t t = 0; t < task_count; ++t)
+        s.consumerBegin[t + 1] += s.consumerBegin[t];
+    s.consumers.resize(s.consumerBegin.back());
+    std::vector<std::uint32_t> fill(s.consumerBegin.begin(),
+                                    s.consumerBegin.end() - 1);
+    for (std::size_t t = 0; t < task_count; ++t) {
+        for (TaskId dep : plan.deps(plan.tasks[t]))
+            s.consumers[fill[static_cast<std::size_t>(dep)]++] =
+                static_cast<TaskId>(t);
+    }
+    return s;
+}
+
+} // namespace
 
 ExecutionEngine::ExecutionEngine(ManycoreSystem &system,
                                  EnergyParams energy_params)
@@ -19,7 +90,8 @@ ExecutionEngine::ExecutionEngine(ManycoreSystem &system,
 }
 
 SimResult
-ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
+ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts,
+                     support::ThreadPool *pool)
 {
     ManycoreSystem &sys = *system_;
     const ManycoreConfig &cfg = sys.config();
@@ -27,33 +99,16 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     constexpr std::int64_t kResultBytes = 8;
     sys.reset();
 
-    // ---- Warm-up: earlier trips of the outer timing loop. Only what
-    // outlives resetMeasurement() runs: cache contents and predictor
-    // training. Traffic, MC load and access records would be discarded.
-    for (std::int32_t w = 0; w < opts.warmupPasses; ++w) {
-        for (const Task &task : plan.tasks) {
-            for (const MemAccess &read : plan.reads(task))
-                sys.warmRead(task.node, read.addr);
-            if (task.write)
-                sys.warmWrite(task.node, task.write->addr);
-        }
-    }
-    if (opts.warmupPasses > 0)
-        sys.resetMeasurement();
-
-    // ---- Pass 1: warm caches, record traffic and queue pressure. ----
-    // Task t's access records are records[record_begin[t],
+    // ---- Checks, in task order before any work, so the first bad task
+    // reports. Task t's access records are records[record_begin[t],
     // record_begin[t + 1]): its reads, then its write. The offsets
-    // into records and into consumers below are 32-bit.
-    std::vector<AccessRecord> records;
-    records.reserve(narrowChecked<std::uint32_t>(
-        plan.readPool.size() + plan.tasks.size(), plan.name,
-        "access record count"));
-    std::vector<std::uint32_t> record_begin;
-    record_begin.reserve(plan.tasks.size() + 1);
-    std::int64_t mcdram_accesses = 0;
-    std::int64_t ddr_accesses = 0;
-    for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
+    // into records and into the consumers are 32-bit.
+    const std::size_t task_count = plan.tasks.size();
+    narrowChecked<std::uint32_t>(plan.readPool.size() + task_count,
+                                 plan.name, "access record count");
+    std::vector<std::uint32_t> record_begin(task_count + 1);
+    std::size_t record_count = 0;
+    for (std::size_t t = 0; t < task_count; ++t) {
         const Task &task = plan.tasks[t];
         NDP_CHECK(task.node >= 0 && task.node < sys.mesh().nodeCount(),
                   "task " << t << " scheduled on bad node");
@@ -64,28 +119,101 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
                           << sys.mesh().faults().describe()
                           << "); run with NDP_VERIFY=cheap to catch "
                              "this at plan time (rule R5)");
-        record_begin.push_back(static_cast<std::uint32_t>(records.size()));
-        for (const MemAccess &read : plan.reads(task)) {
-            AccessRecord rec = sys.walkRead(task.node, read);
-            if (rec.level == AccessLevel::Memory) {
-                if (rec.memKind == mem::MemoryKind::Mcdram)
-                    ++mcdram_accesses;
-                else
-                    ++ddr_accesses;
-            }
-            records.push_back(rec);
-        }
-        if (task.write)
-            records.push_back(sys.walkWrite(task.node, *task.write));
         for (TaskId dep : plan.deps(task)) {
             NDP_CHECK(dep >= 0 && static_cast<std::size_t>(dep) < t,
                       "dep " << dep << " does not precede task " << t);
-            const Task &producer = plan.tasks[static_cast<std::size_t>(dep)];
-            sys.recordResultMessage(producer.node, task.node,
-                                    kResultBytes);
         }
+        record_begin[t] = static_cast<std::uint32_t>(record_count);
+        record_count += task.readCount + (task.write ? 1 : 0);
     }
-    record_begin.push_back(static_cast<std::uint32_t>(records.size()));
+    record_begin[task_count] = static_cast<std::uint32_t>(record_count);
+
+    // The order-free work runs in chunks of consecutive tasks: one
+    // without workers, else up to one per thread. A plan smaller than
+    // one chunk does not fan out at all.
+    if (task_count < kMinChunkTasks)
+        pool = nullptr;
+    const std::size_t chunks =
+        pool == nullptr
+            ? 1
+            : std::clamp<std::size_t>(task_count / kMinChunkTasks, 1,
+                                      pool->threadCount() + 1);
+    const auto chunk_begin = [&](std::size_t c) {
+        return task_count * c / chunks;
+    };
+
+    // ---- Open every record: address, requester, write flag and home
+    // bank, a function of the address alone. ----
+    std::vector<AccessRecord> records(record_count);
+    support::orderedMap(pool, chunks, [&](std::size_t c) {
+        for (std::size_t t = chunk_begin(c); t < chunk_begin(c + 1); ++t) {
+            const Task &task = plan.tasks[t];
+            AccessRecord *rec = records.data() + record_begin[t];
+            for (const MemAccess &read : plan.reads(task))
+                *rec++ = sys.recordOf(task.node, read, false);
+            if (task.write)
+                *rec = sys.recordOf(task.node, *task.write, true);
+        }
+        return 0;
+    });
+
+    // ---- Warm-up: earlier trips of the outer timing loop. Only what
+    // outlives resetMeasurement() runs: cache contents and predictor
+    // training, the ordered steps alone.
+    for (std::int32_t w = 0; w < opts.warmupPasses; ++w) {
+        for (std::size_t r = 0; r < record_count; ++r)
+            sys.cacheStep(records[r]);
+    }
+    if (opts.warmupPasses > 0)
+        sys.resetMeasurement();
+
+    // ---- Pass 1's ordered core: the cache walk, in task order. ----
+    for (std::size_t r = 0; r < record_count; ++r)
+        records[r].level = sys.cacheStep(records[r]);
+
+    // ---- Pass 1's order-free rest, in chunks: each record's MC,
+    // memory kind and DRAM coordinate, the traffic of access and
+    // result messages, the MC load and memory-kind counts, and the op
+    // units; one more index sets up pass 2 from the plan. Every count
+    // is an integer sum, merged in chunk order. ----
+    Pass2Setup setup;
+    std::vector<ChunkTally> tallies =
+        support::orderedMap(pool, chunks + 1, [&](std::size_t c) {
+            ChunkTally tally;
+            if (c == chunks) {
+                setup = pass2Setup(
+                    plan, static_cast<std::size_t>(sys.mesh().nodeCount()));
+                return tally;
+            }
+            noc::TrafficMatrix &traffic =
+                c == 0 ? sys.traffic() : tally.traffic.emplace(sys.mesh());
+            for (std::size_t t = chunk_begin(c); t < chunk_begin(c + 1);
+                 ++t) {
+                const Task &task = plan.tasks[t];
+                tally.opUnits += task.computeCost;
+                AccessRecord *rec = records.data() + record_begin[t];
+                for (const MemAccess &read : plan.reads(task))
+                    sys.completeRecord(*rec++, read, traffic, tally.access);
+                if (task.write)
+                    sys.completeRecord(*rec, *task.write, traffic,
+                                       tally.access);
+                for (TaskId dep : plan.deps(task)) {
+                    sys.recordResultMessage(
+                        plan.tasks[static_cast<std::size_t>(dep)].node,
+                        task.node, kResultBytes, traffic);
+                }
+            }
+            return tally;
+        });
+    ManycoreSystem::AccessTally access;
+    std::int64_t op_units = 0;
+    for (const ChunkTally &tally : tallies) {
+        if (tally.traffic)
+            sys.traffic().add(*tally.traffic);
+        access += tally.access;
+        op_units += tally.opUnits;
+    }
+    sys.recordTally(access);
     sys.freezeTraffic();
 
     const mem::CacheStats l1_after_pass1 = sys.l1Stats();
@@ -107,40 +235,15 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     const auto node_count =
         static_cast<std::size_t>(sys.mesh().nodeCount());
     std::vector<std::int64_t> node_clock(node_count, 0);
-    std::vector<std::int64_t> ready(plan.tasks.size(), 0);
-    std::vector<std::int32_t> pending(plan.tasks.size(), 0);
+    std::vector<std::int64_t> &ready = setup.ready;
+    std::vector<std::int32_t> &pending = setup.pending;
 
     const double net_scale = opts.idealNetwork ? 0.0 : opts.networkScale;
 
-    // Consumers of task t, as a CSR: consumers[consumer_begin[t],
-    // consumer_begin[t + 1]), filled in task order so each producer
-    // lists its consumers by ascending id.
-    std::vector<std::uint32_t> consumer_begin(plan.tasks.size() + 1, 0);
-    std::size_t consumer_count = 0;
-    for (const Task &task : plan.tasks) {
-        consumer_count += task.depCount;
-        for (TaskId dep : plan.deps(task))
-            ++consumer_begin[static_cast<std::size_t>(dep) + 1];
-    }
-    narrowChecked<std::uint32_t>(consumer_count, plan.name,
-                                 "consumer count");
-    for (std::size_t t = 0; t < plan.tasks.size(); ++t)
-        consumer_begin[t + 1] += consumer_begin[t];
-    std::vector<TaskId> consumers(consumer_begin.back());
-    {
-        std::vector<std::uint32_t> fill(consumer_begin.begin(),
-                                        consumer_begin.end() - 1);
-        for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
-            const Task &task = plan.tasks[t];
-            pending[t] = static_cast<std::int32_t>(task.depCount);
-            for (TaskId dep : plan.deps(task))
-                consumers[fill[static_cast<std::size_t>(dep)]++] =
-                    static_cast<TaskId>(t);
-        }
-    }
     const auto consumers_of = [&](std::size_t t) {
-        return std::span<const TaskId>(consumers).subspan(
-            consumer_begin[t], consumer_begin[t + 1] - consumer_begin[t]);
+        return std::span<const TaskId>(setup.consumers)
+            .subspan(setup.consumerBegin[t],
+                     setup.consumerBegin[t + 1] - setup.consumerBegin[t]);
     };
 
     // The argmin is kept exactly, with every task queued once. Each
@@ -163,18 +266,13 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     using DueQueue = std::priority_queue<TaskId, std::vector<TaskId>,
                                          std::greater<TaskId>>;
     std::vector<DueQueue> due;
-    {
-        // Every root is due at cycle 0: size each node's queue for all
-        // of its tasks up front instead of regrowing it.
-        std::vector<std::size_t> per_node(node_count, 0);
-        for (const Task &task : plan.tasks)
-            ++per_node[static_cast<std::size_t>(task.node)];
-        due.reserve(node_count);
-        for (std::size_t n = 0; n < node_count; ++n) {
-            std::vector<TaskId> storage;
-            storage.reserve(per_node[n]);
-            due.emplace_back(std::greater<TaskId>(), std::move(storage));
-        }
+    // Every root is due at cycle 0: size each node's queue for all of
+    // its tasks up front instead of regrowing it.
+    due.reserve(node_count);
+    for (std::size_t n = 0; n < node_count; ++n) {
+        std::vector<TaskId> storage;
+        storage.reserve(setup.perNode[n]);
+        due.emplace_back(std::greater<TaskId>(), std::move(storage));
     }
     std::vector<KeyHeap> future(node_count);
     // Leaves past the last node hold no head and never win.
@@ -251,11 +349,9 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
                            rec.level == AccessLevel::L1) {
                     const double p = (natural_hit_rate - target) /
                                      std::max(1e-9, natural_hit_rate);
-                    if (rng.nextBool(p)) {
-                        rec.level = AccessLevel::L2;
-                        rec.home = static_cast<AccessRecord::PackedNode>(
-                            sys.addressMap().homeBankNode(rec.addr));
-                    }
+                    if (rng.nextBool(p))
+                        rec.level = AccessLevel::L2; // its home is set
+
                 }
             }
             const ManycoreSystem::LatencyParts parts =
@@ -374,13 +470,12 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     result.l2 = sys.l2Stats();
 
     EnergyEvents events;
-    for (const Task &task : plan.tasks)
-        events.opUnits += task.computeCost;
+    events.opUnits = op_units;
     events.l1Accesses = result.l1.accesses();
     events.l2Accesses = result.l2.accesses();
     events.flitHops = result.dataMovementFlitHops;
-    events.mcdramAccesses = mcdram_accesses;
-    events.ddrAccesses = ddr_accesses;
+    events.mcdramAccesses = access.mcdramAccesses;
+    events.ddrAccesses = access.ddrAccesses;
     events.syncs = result.syncCount;
     events.nodeCount = sys.mesh().nodeCount();
     events.makespanCycles = result.makespanCycles;

@@ -7,7 +7,8 @@
  *
  * Pass 1 walks every task's memory accesses through the cache hierarchy
  * (warming caches and recording per-link traffic), then freezes that
- * traffic into a per-pair congestion table. Pass 2 replays the plan
+ * traffic into a per-pair congestion table. Only the cache walk depends
+ * on order; the rest of pass 1 can run in chunks on a thread pool. Pass 2 replays the plan
  * against per-node clocks: a task starts when its node is free and all
  * producer results have arrived (each cross-node arrival is one
  * point-to-point synchronisation); it then stalls for its access
@@ -27,6 +28,10 @@
 #include "sim/manycore.h"
 #include "sim/plan.h"
 #include "sim/trace.h"
+
+namespace ndp::support {
+class ThreadPool;
+}
 
 namespace ndp::sim {
 
@@ -109,9 +114,25 @@ class ExecutionEngine
     /**
      * Simulate @p plan from a cold machine. The system is reset first;
      * the result captures every paper metric for this run.
+     *
+     * Every task's node and deps are checked, in task order, before
+     * any other work. The ordered core (the warm-up and pass 1's
+     * cache walk in task order, then all of pass 2) runs on this
+     * thread. The order-free work runs through support::orderedMap
+     * in chunks of at least 2048 consecutive tasks, up to one per
+     * thread of @p pool (one chunk, and no fan-out, without a pool or
+     * for a smaller plan): opening each record with its home bank
+     * before the warm-up, and, after the cache walk, completing each
+     * record and counting the traffic of access and result messages,
+     * the MC load and the memory-kind counts, beside one more index
+     * that sets up pass 2 from the plan. Chunk 0 counts into the
+     * machine's own traffic matrix, the others into matrices of their
+     * own, added in chunk order. Every merged count is an integer sum,
+     * so the result does not depend on @p pool.
      */
     SimResult run(const ExecutionPlan &plan,
-                  const EngineOptions &options = {});
+                  const EngineOptions &options = {},
+                  support::ThreadPool *pool = nullptr);
 
   private:
     ManycoreSystem *system_;

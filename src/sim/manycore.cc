@@ -83,95 +83,132 @@ ManycoreSystem::mcAt(noc::NodeId node)
     ndp::panic("no memory controller at node " + std::to_string(node));
 }
 
-ManycoreSystem::CacheOutcome
-ManycoreSystem::warmRead(noc::NodeId node, mem::Addr addr)
+AccessRecord
+ManycoreSystem::recordOf(noc::NodeId node, const MemAccess &access,
+                         bool write) const
 {
-    CacheOutcome out;
-    if (l1s_[static_cast<std::size_t>(node)].access(addr))
-        return out;
-    out.home = addrMap_.homeBankNode(addr);
-    const bool l2_hit =
-        l2Banks_[static_cast<std::size_t>(out.home)].access(addr);
-    predictor_.update(addr, l2_hit);
-    out.level = l2_hit ? AccessLevel::L2 : AccessLevel::Memory;
-    return out;
+    AccessRecord rec;
+    rec.addr = access.addr;
+    rec.requester = packed(node);
+    rec.home = packed(addrMap_.homeBankNode(access.addr));
+    // A store allocates locally and writes through to its home bank
+    // (the store node of Section 4.3 keeps the output at its home).
+    rec.level = write ? AccessLevel::L2 : AccessLevel::L1;
+    rec.isWrite = write;
+    return rec;
 }
 
-noc::NodeId
-ManycoreSystem::warmWrite(noc::NodeId node, mem::Addr addr)
+AccessLevel
+ManycoreSystem::cacheStep(const AccessRecord &rec)
 {
-    l1s_[static_cast<std::size_t>(node)].access(addr);
-    const noc::NodeId home = addrMap_.homeBankNode(addr);
-    l2Banks_[static_cast<std::size_t>(home)].access(addr);
-    return home;
+    const bool l1_hit =
+        l1s_[static_cast<std::size_t>(rec.requester)].access(rec.addr);
+    if (rec.isWrite) {
+        l2Banks_[static_cast<std::size_t>(rec.home)].access(rec.addr);
+        return AccessLevel::L2;
+    }
+    if (l1_hit)
+        return AccessLevel::L1;
+    const bool l2_hit =
+        l2Banks_[static_cast<std::size_t>(rec.home)].access(rec.addr);
+    predictor_.update(rec.addr, l2_hit);
+    return l2_hit ? AccessLevel::L2 : AccessLevel::Memory;
+}
+
+ManycoreSystem::AccessTally &
+ManycoreSystem::AccessTally::operator+=(const AccessTally &other)
+{
+    for (std::size_t mc = 0; mc < mcLoad.size(); ++mc)
+        mcLoad[mc] += other.mcLoad[mc];
+    mcdramAccesses += other.mcdramAccesses;
+    ddrAccesses += other.ddrAccesses;
+    return *this;
+}
+
+void
+ManycoreSystem::completeRecord(AccessRecord &rec, const MemAccess &access,
+                               noc::TrafficMatrix &traffic,
+                               AccessTally &tally) const
+{
+    const noc::NodeId node = rec.requester;
+    const noc::NodeId home = rec.home;
+    if (rec.isWrite) {
+        const std::int64_t flits =
+            std::max<std::int64_t>(1, access.size / config_.flitBytes);
+        if (node != home)
+            traffic.addMessage(node, home, flits);
+        return;
+    }
+    if (rec.level == AccessLevel::L1)
+        return;
+
+    // L1 miss: request to the home bank (1), data back (5) — Figure 1.
+    traffic.addMessage(node, home, 1); // request flit
+    if (rec.level == AccessLevel::L2) {
+        traffic.addMessage(home, node, config_.lineFlits());
+        return;
+    }
+
+    // L2 miss: home bank forwards to the MC (2,3); data returns to the
+    // home bank (4) and then the requester's L1.
+    const std::uint32_t mc_index = addrMap_.memoryControllerIndex(rec.addr);
+    const noc::NodeId mc = mesh_.memoryControllerNodes()[mc_index];
+    rec.mc = packed(mc);
+    rec.memKind = memoryKindOf(access.array);
+    rec.dram = addrMap_.dramCoord(rec.addr);
+    ++(rec.memKind == mem::MemoryKind::Mcdram ? tally.mcdramAccesses
+                                              : tally.ddrAccesses);
+    traffic.addMessage(home, mc, 1);
+    ++tally.mcLoad[mc_index];
+    // Critical-word-first: the MC sends the data directly to the
+    // requester; the home-bank fill travels as a separate copy off the
+    // critical path.
+    traffic.addMessage(mc, node, config_.lineFlits());
+    traffic.addMessage(mc, home, config_.lineFlits());
+}
+
+void
+ManycoreSystem::recordTally(const AccessTally &tally)
+{
+    for (std::size_t mc = 0; mc < tally.mcLoad.size(); ++mc) {
+        mcAt(mesh_.memoryControllerNodes()[mc])
+            .recordAccess(tally.mcLoad[mc]);
+    }
+}
+
+AccessRecord
+ManycoreSystem::walk(noc::NodeId node, const MemAccess &access, bool write)
+{
+    AccessRecord rec = recordOf(node, access, write);
+    rec.level = cacheStep(rec);
+    AccessTally tally;
+    completeRecord(rec, access, traffic_, tally);
+    recordTally(tally);
+    return rec;
 }
 
 AccessRecord
 ManycoreSystem::walkRead(noc::NodeId node, const MemAccess &access)
 {
-    AccessRecord rec;
-    rec.addr = access.addr;
-    rec.requester = packed(node);
-    rec.isWrite = false;
-
-    const CacheOutcome out = warmRead(node, access.addr);
-    rec.level = out.level;
-    if (out.level == AccessLevel::L1)
-        return rec;
-
-    // L1 miss: request to the home bank (1), data back (5) — Figure 1.
-    const noc::NodeId home = out.home;
-    rec.home = packed(home);
-    traffic_.addMessage(node, home, 1); // request flit
-    if (out.level == AccessLevel::L2) {
-        traffic_.addMessage(home, node, config_.lineFlits());
-        return rec;
-    }
-
-    // L2 miss: home bank forwards to the MC (2,3); data returns to the
-    // home bank (4) and then the requester's L1.
-    const noc::NodeId mc = addrMap_.memoryControllerNode(access.addr);
-    rec.mc = packed(mc);
-    rec.memKind = memoryKindOf(access.array);
-    rec.dram = addrMap_.dramCoord(access.addr);
-    traffic_.addMessage(home, mc, 1);
-    mcAt(mc).recordAccess();
-    // Critical-word-first: the MC sends the data directly to the
-    // requester; the home-bank fill travels as a separate copy off the
-    // critical path.
-    traffic_.addMessage(mc, node, config_.lineFlits());
-    traffic_.addMessage(mc, home, config_.lineFlits());
-    return rec;
+    return walk(node, access, false);
 }
 
 AccessRecord
 ManycoreSystem::walkWrite(noc::NodeId node, const MemAccess &access)
 {
-    AccessRecord rec;
-    rec.addr = access.addr;
-    rec.requester = packed(node);
-    rec.isWrite = true;
-    rec.level = AccessLevel::L2;
-    // Allocate locally, then write the result through to its home bank
-    // (the store node of Section 4.3 keeps the output at its home).
-    const noc::NodeId home = warmWrite(node, access.addr);
-    rec.home = packed(home);
-    const std::int64_t flits =
-        std::max<std::int64_t>(1, access.size / config_.flitBytes);
-    if (node != home)
-        traffic_.addMessage(node, home, flits);
-    return rec;
+    return walk(node, access, true);
 }
 
 void
 ManycoreSystem::recordResultMessage(noc::NodeId from, noc::NodeId to,
-                                    std::int64_t bytes)
+                                    std::int64_t bytes,
+                                    noc::TrafficMatrix &traffic) const
 {
     if (from == to)
         return;
     const std::int64_t flits =
         std::max<std::int64_t>(1, bytes / config_.flitBytes);
-    traffic_.addMessage(from, to, flits);
+    traffic.addMessage(from, to, flits);
 }
 
 void

@@ -10,6 +10,7 @@
  * (pass 1), producing AccessRecords that pass 2 converts to cycles.
  */
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -109,7 +110,8 @@ struct AccessRecord
 
     mem::Addr addr = 0;
     PackedNode requester = noc::kInvalidNode;
-    PackedNode home = noc::kInvalidNode; ///< home L2 bank node
+    PackedNode home = noc::kInvalidNode; ///< home L2 bank node (set on
+                                         ///< every record, L1 hits too)
     PackedNode mc = noc::kInvalidNode;   ///< servicing MC (Memory only)
     AccessLevel level = AccessLevel::L1;
     mem::MemoryKind memKind = mem::MemoryKind::Ddr;
@@ -153,7 +155,9 @@ class ManycoreSystem
     /**
      * Pass 1: walk a read from @p node through L1 -> home L2 -> MC,
      * updating caches, the traffic matrix, MC queue load, and the L2
-     * miss predictor. Returns the record pass 2 will price.
+     * miss predictor. Returns the record pass 2 will price. The
+     * engine's own steps, one access at a time: recordOf(),
+     * cacheStep() and completeRecord() into this machine.
      */
     AccessRecord walkRead(noc::NodeId node, const MemAccess &access);
 
@@ -163,32 +167,60 @@ class ManycoreSystem
      */
     AccessRecord walkWrite(noc::NodeId node, const MemAccess &access);
 
-    /** Where warmRead() found a line, and its home bank. */
-    struct CacheOutcome
+    /**
+     * The record of @p access from @p node before any walk: its
+     * address, requester, write flag and home bank. The home is a
+     * function of the address alone (Section 4.1), so records can be
+     * opened in any order, on any thread.
+     */
+    AccessRecord recordOf(noc::NodeId node, const MemAccess &access,
+                          bool write) const;
+
+    /**
+     * Pass 1's ordered step of @p record (a recordOf() result): the
+     * requester's L1 and, on a read miss or a write, the home bank;
+     * a read miss also trains the miss predictor. Returns where the
+     * access was satisfied (L2 for every write). Cache contents and
+     * the predictor depend on the order of the steps, so a run takes
+     * them in task order on one thread; a warm-up pass is these steps
+     * alone.
+     */
+    AccessLevel cacheStep(const AccessRecord &record);
+
+    /** Pass 1's order-free counts beside the traffic. */
+    struct AccessTally
     {
-        AccessLevel level = AccessLevel::L1;
-        /** Home L2 bank node; unset (kInvalidNode) on an L1 hit. */
-        noc::NodeId home = noc::kInvalidNode;
+        /** Accesses per AddressMap::memoryControllerIndex. */
+        std::array<std::int64_t, 4> mcLoad{};
+        std::int64_t mcdramAccesses = 0;
+        std::int64_t ddrAccesses = 0;
+
+        AccessTally &operator+=(const AccessTally &other);
     };
 
     /**
-     * The part of walkRead() that outlives resetMeasurement(): the
-     * L1, on a miss the home bank, and the miss predictor's training.
-     * Records no traffic, MC load or AccessRecord, so a warm-up pass
-     * calls it alone; walkRead() adds those on top.
+     * Pass 1's order-free rest of @p record, whose level cacheStep()
+     * set: a memory access gets its controller, memory kind (from
+     * @p access's array) and DRAM coordinate and counts into
+     * @p tally, and the access's messages go into @p traffic. Reads
+     * only what no engine run changes, so disjoint records complete
+     * concurrently, each thread into a traffic matrix and tally of
+     * its own; every count is an integer sum.
      */
-    CacheOutcome warmRead(noc::NodeId node, mem::Addr addr);
+    void completeRecord(AccessRecord &record, const MemAccess &access,
+                        noc::TrafficMatrix &traffic,
+                        AccessTally &tally) const;
+
+    /** Pass 1: add @p tally's MC load to the controllers. */
+    void recordTally(const AccessTally &tally);
 
     /**
-     * The part of walkWrite() that outlives resetMeasurement():
-     * allocate the line in @p node's L1 and its home bank, which is
-     * returned.
+     * Pass 1: account a task-result message from @p from to @p to
+     * into @p traffic (order-free, like completeRecord()).
      */
-    noc::NodeId warmWrite(noc::NodeId node, mem::Addr addr);
-
-    /** Pass 1: account a task-result message from @p from to @p to. */
     void recordResultMessage(noc::NodeId from, noc::NodeId to,
-                             std::int64_t bytes);
+                             std::int64_t bytes,
+                             noc::TrafficMatrix &traffic) const;
 
     /**
      * End of pass 1: freeze the recorded traffic into the per-pair
@@ -239,6 +271,9 @@ class ManycoreSystem
 
   private:
     mem::MemoryController &mcAt(noc::NodeId node);
+    /** walkRead() or walkWrite(). */
+    AccessRecord walk(noc::NodeId node, const MemAccess &access,
+                      bool write);
 
     ManycoreConfig config_;
     noc::MeshTopology mesh_;

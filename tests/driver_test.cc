@@ -266,6 +266,69 @@ TEST(DriverTest, DataToMcRemapRuns)
     EXPECT_GT(result.optimizedMakespan, 0);
 }
 
+TEST(DriverTest, CombinedAndUnplannedConfigsKeepTheirResults)
+{
+    // The profiling run happens inside plan(), beside the planner's
+    // set-up, the data-to-MC override after it, and a config that does
+    // not plan profiles alone. Each must still profile on the default
+    // MC mapping: these are the results the sessions gave when the
+    // profile ran first, at scale 1024 (where the remap changes the
+    // runs it applies to), with and without a pool.
+    struct Expected
+    {
+        const char *app;
+        bool plans;
+        std::int64_t defaultMakespan;
+        std::int64_t defaultBusy;
+        std::int64_t optimizedMakespan;
+        std::int64_t optimizedBusy;
+        std::int64_t optimizedFlitHops;
+        std::int64_t predictions;
+        std::int64_t correct;
+    };
+    const Expected expected[] = {
+        {"water", true, 41475, 716302, 31828, 804181, 110995, 40388, 20235},
+        {"water", false, 41475, 716302, 41447, 717088, 391814, 40816,
+         20234},
+        {"fft", true, 30592, 540633, 30622, 541817, 301368, 40581, 19678},
+        {"fft", false, 30592, 540633, 30622, 541817, 301368, 28218, 14760},
+    };
+    workloads::WorkloadFactory factory(1024);
+    support::ThreadPool pool(3);
+    for (const Expected &e : expected) {
+        const workloads::Workload app = factory.build(e.app);
+        ExperimentConfig config;
+        config.dataToMcRemap = true;
+        config.optimizeComputation = e.plans;
+        for (support::ThreadPool *on :
+             {&pool, static_cast<support::ThreadPool *>(nullptr)}) {
+            const std::string where =
+                std::string(e.app) + (e.plans ? " combined" : " mapping") +
+                (on ? " on 3 workers" : " with no pool");
+            const AppResult r = ExperimentRunner(config, on).runApp(app);
+            std::int64_t default_busy = 0;
+            std::int64_t busy = 0;
+            std::int64_t flits = 0;
+            std::int64_t predictions = 0;
+            std::int64_t correct = 0;
+            for (const NestResult &nr : r.nests) {
+                default_busy += nr.defaultRun.totalBusyCycles;
+                busy += nr.optimizedRun.totalBusyCycles;
+                flits += nr.optimizedRun.dataMovementFlitHops;
+                predictions += nr.predictorPredictions;
+                correct += nr.predictorCorrect;
+            }
+            EXPECT_EQ(r.defaultMakespan, e.defaultMakespan) << where;
+            EXPECT_EQ(default_busy, e.defaultBusy) << where;
+            EXPECT_EQ(r.optimizedMakespan, e.optimizedMakespan) << where;
+            EXPECT_EQ(busy, e.optimizedBusy) << where;
+            EXPECT_EQ(flits, e.optimizedFlitHops) << where;
+            EXPECT_EQ(predictions, e.predictions) << where;
+            EXPECT_EQ(correct, e.correct) << where;
+        }
+    }
+}
+
 TEST(DriverTest, ClusterAndMemoryModesAllRun)
 {
     const workloads::Workload app = smallApp("fft");
@@ -382,6 +445,27 @@ TEST(DriverTest, VerifierFailureOutranksTheEngines)
             << where << ": " << failure;
         EXPECT_GT(session.verdict.counts().errors, 0) << where;
     }
+}
+
+TEST(DriverTest, ASessionProfilesOnce)
+{
+    // The profile trains the miss predictor Table 2 reads, so a second
+    // one would change it: plan() and profile() each run it, once.
+    const workloads::Workload app = smallApp("water");
+    const ExperimentConfig config;
+    NestSession planned(config, app, app.nests.front());
+    (void)planned.plan();
+    EXPECT_GT(planned.defaultRun.makespanCycles, 0);
+    EXPECT_NE(fatalMessage([&] { planned.profile(); })
+                  .find("already profiled"),
+              std::string::npos);
+    NestSession unplanned(config, app, app.nests.front());
+    unplanned.profile();
+    EXPECT_EQ(unplanned.defaultRun.makespanCycles,
+              planned.defaultRun.makespanCycles);
+    EXPECT_NE(fatalMessage([&] { (void)unplanned.plan(); })
+                  .find("already profiled"),
+              std::string::npos);
 }
 
 } // namespace

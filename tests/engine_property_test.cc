@@ -4,18 +4,24 @@
  * DAGs: structural invariants that must hold for *any* plan —
  * makespan bounds, monotonicity under the Figure-18 knobs, and full
  * determinism — plus an oracle check of pass 2's scheduler against a
- * reference that rescans every runnable task on every step.
+ * reference that rescans every runnable task on every step, and checks
+ * that pass 1's chunks on a thread pool change no result.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "fault/fault_model.h"
 #include "sim/engine.h"
+#include "support/error.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 
 #include "plan_lists.h"
 
@@ -273,7 +279,7 @@ referenceRun(ManycoreSystem &sys, const ExecutionPlan &plan,
         for (TaskId dep : plan.deps(task)) {
             const auto d = static_cast<std::size_t>(dep);
             sys.recordResultMessage(plan.tasks[d].node, task.node,
-                                    kResultBytes);
+                                    kResultBytes, sys.traffic());
             consumers[d].push_back(t);
         }
     }
@@ -517,5 +523,186 @@ TEST_P(SchedulerOracleTest, MatchesArgminRescanEventByEvent)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerOracleTest,
                          ::testing::Range(1, 9));
+
+// ------------------------------------------------ pass-1 chunks
+
+/**
+ * Random plan of @p tasks tasks on @p mesh's live nodes, long enough to
+ * split into several chunks: reads over a span wide enough to miss to
+ * memory, from an MCDRAM array (0) and a DDR one (1), stores on about
+ * half the tasks, and deps on recent and on far earlier tasks.
+ */
+ExecutionPlan
+chunkedPlan(std::uint64_t seed, int tasks, const noc::MeshTopology &mesh)
+{
+    Rng rng(seed);
+    const std::vector<noc::NodeId> &live = mesh.liveNodes();
+    test::PlanLists plan;
+    for (int t = 0; t < tasks; ++t) {
+        test::ListTask task;
+        task.node = live[rng.nextBelow(live.size())];
+        task.computeCost = 1 + static_cast<std::int64_t>(rng.nextBelow(6));
+        task.statementIndex = 0;
+        task.iterationNumber = t;
+        const int n_reads = static_cast<int>(rng.nextBelow(4));
+        for (int r = 0; r < n_reads; ++r) {
+            const ir::ArrayId array = rng.nextBool(0.3) ? 0 : 1;
+            task.reads.push_back(
+                {static_cast<mem::Addr>(0x100000 * (array + 1) +
+                                        64 * rng.nextBelow(16384)),
+                 8, array});
+        }
+        if (rng.nextBool(0.5)) {
+            task.write = MemAccess{
+                static_cast<mem::Addr>(0x4000000 + 8 * t), 8, 1};
+        }
+        for (int d = 0; d < 2 && t > 0; ++d) {
+            if (!rng.nextBool(0.4))
+                continue;
+            const auto span = static_cast<std::uint64_t>(
+                rng.nextBool(0.8) ? std::min(t, 64) : t);
+            const auto dep =
+                static_cast<TaskId>(t - 1 - static_cast<int>(rng.nextBelow(span)));
+            if (std::find(task.deps.begin(), task.deps.end(), dep) ==
+                task.deps.end())
+                task.deps.push_back(dep);
+        }
+        plan.tasks.push_back(std::move(task));
+    }
+    return test::pack(plan);
+}
+
+/** A SimResult, its trace and the machine's predictor totals. */
+struct PooledRun
+{
+    SimResult result;
+    ExecutionTrace trace;
+    std::int64_t predictions = 0;
+    std::int64_t correct = 0;
+};
+
+TEST(EnginePoolTest, ChunkedRunsMatchTheSerialRunOnAnyPool)
+{
+    // Pass 1's order-free work runs in chunks of at least 2048 tasks,
+    // one per thread: 17000 tasks make 2, 4 and 8 chunks on 1, 3 and
+    // 7 workers. Every result, the trace and the miss predictor's
+    // totals must equal the run without a pool, on a mesh, a torus
+    // and a mesh with 5% of its nodes faulted, under every Figure-18
+    // knob.
+    ManycoreConfig mesh;
+    ManycoreConfig torus;
+    torus.torus = true;
+    ManycoreConfig faulted;
+    faulted.meshCols = 8;
+    faulted.meshRows = 8;
+    {
+        fault::FaultSpec spec;
+        spec.nodeFaultRate = 0.05;
+        spec.degradedFraction = 0.25;
+        for (spec.seed = 1;; ++spec.seed) {
+            faulted.faults = fault::FaultModel::inject(8, 8, false, spec);
+            if (!faulted.faults.deadNodes().empty() &&
+                noc::MeshTopology::faultsLeaveMeshConnected(
+                    8, 8, false, faulted.faults))
+                break;
+        }
+    }
+
+    std::vector<EngineOptions> variants(8);
+    variants[1].l1HitRateOverride = 0.95; // S1, converting misses
+    variants[2].l1HitRateOverride = 0.05; // S1, converting hits
+    variants[3].networkScale = 0.6;       // S2
+    variants[4].parallelismSpeedup = 2.5; // S3
+    variants[5].extraSyncs = 400;         // S4
+    variants[6].idealNetwork = true;
+    variants[7].warmupPasses = 0;
+
+    for (const ManycoreConfig &machine : {mesh, torus, faulted}) {
+        const auto runs = [&](support::ThreadPool *pool) {
+            ManycoreSystem system(machine);
+            system.setMcdramArrays({0});
+            ExecutionEngine engine(system);
+            const ExecutionPlan plan =
+                chunkedPlan(0xc4u, 17000, system.mesh());
+            std::vector<PooledRun> out(variants.size());
+            for (std::size_t v = 0; v < variants.size(); ++v) {
+                EngineOptions options = variants[v];
+                options.trace = &out[v].trace;
+                out[v].result = engine.run(plan, options, pool);
+                out[v].predictions = system.missPredictor().predictions();
+                out[v].correct =
+                    system.missPredictor().correctPredictions();
+            }
+            return out;
+        };
+        const std::vector<PooledRun> serial = runs(nullptr);
+        EXPECT_GT(serial[0].result.l1.misses, 0);
+        EXPECT_GT(serial[0].result.energy.memory, 0.0);
+        for (const std::size_t workers : {1u, 3u, 7u}) {
+            support::ThreadPool pool(workers);
+            const std::vector<PooledRun> pooled = runs(&pool);
+            for (std::size_t v = 0; v < variants.size(); ++v) {
+                const std::string where =
+                    std::string(machine.torus ? "torus" : "mesh") +
+                    (machine.faults.deadNodes().empty() ? "" : " faulted") +
+                    ", variant " + std::to_string(v) + ", " +
+                    std::to_string(workers) + " workers";
+                const PooledRun &got = pooled[v];
+                const PooledRun &want = serial[v];
+                expectSameResult(got.result, want.result, where);
+                EXPECT_EQ(got.result.schedulerPops,
+                          want.result.schedulerPops)
+                    << where;
+                EXPECT_EQ(got.predictions, want.predictions) << where;
+                EXPECT_EQ(got.correct, want.correct) << where;
+                ASSERT_EQ(got.trace.size(), want.trace.size()) << where;
+                for (std::size_t e = 0; e < got.trace.size(); ++e) {
+                    const TraceEvent &a = got.trace.events()[e];
+                    const TraceEvent &b = want.trace.events()[e];
+                    ASSERT_TRUE(a.task == b.task && a.node == b.node &&
+                                a.start == b.start &&
+                                a.finish == b.finish &&
+                                a.waited == b.waited)
+                        << where << ": event " << e;
+                }
+            }
+        }
+    }
+}
+
+TEST(EnginePoolTest, DeadTileFailsBeforeAnyChunk)
+{
+    // A task on a dead tile fails the run with the engine's own
+    // message, and before any work: the checks run in task order ahead
+    // of the chunks, so even the last task's failure leaves no cache
+    // access, traffic or predictor training behind.
+    constexpr noc::NodeId kDead = 14;
+    ManycoreConfig config;
+    config.faults.killNode(kDead);
+    for (const int workers : {-1, 1, 3}) {
+        const std::string where =
+            workers < 0 ? "no pool" : std::to_string(workers) + " workers";
+        std::optional<support::ThreadPool> pool;
+        if (workers >= 0)
+            pool.emplace(static_cast<std::size_t>(workers));
+        ManycoreSystem system(config);
+        ExecutionEngine engine(system);
+        ExecutionPlan plan = chunkedPlan(0xdeadu, 10000, system.mesh());
+        plan.tasks.back().node = kDead;
+        std::string message;
+        try {
+            engine.run(plan, {}, pool ? &*pool : nullptr);
+        } catch (const PanicError &e) {
+            message = e.what();
+        }
+        EXPECT_NE(message.find("task 9999 scheduled on dead node 14"),
+                  std::string::npos)
+            << where << ": " << message;
+        EXPECT_EQ(system.l1Stats().accesses(), 0) << where;
+        EXPECT_EQ(system.l2Stats().accesses(), 0) << where;
+        EXPECT_EQ(system.traffic().messageCount(), 0) << where;
+        EXPECT_EQ(system.missPredictor().predictions(), 0) << where;
+    }
+}
 
 } // namespace

@@ -50,6 +50,7 @@
 #include "sim/engine.h"
 #include "sim/manycore.h"
 #include "support/alloc_counter.h"
+#include "support/thread_pool.h"
 #include "verify/plan_verifier.h"
 #include "workloads/workload.h"
 
@@ -105,9 +106,11 @@ constexpr double kEmitBytesPerPlanByte = 8.0;
 
 /**
  * Ceilings on one ExecutionEngine::run's allocated bytes per access
- * record (a task's reads and its write), for a default plan (29 to 47
- * on these nests; 55 to 77 with 48-byte records and 64-bit offsets)
- * and for an optimized plan (34 to 67; 62 to 117 before).
+ * record (a task's reads and its write), with no pool or on a 3-worker
+ * pool, for a default plan (29 to 49 on these nests; 55 to 77 with
+ * 48-byte records and 64-bit offsets) and for an optimized plan (33
+ * to 54 with the records sized exactly; 34 to 67 when they were
+ * reserved for a store per task; 62 to 117 before).
  */
 constexpr double kDefaultRunBytesPerRecord = 50.0;
 constexpr double kOptimizedRunBytesPerRecord = 75.0;
@@ -346,11 +349,11 @@ emitBytesPerPlanByte(const workloads::Workload &app, bool balanced)
 /**
  * One engine run's allocated bytes per access record, for every nest
  * of @p app: the run of its default plan, or of its optimized plan
- * when @p optimized.
+ * when @p optimized, on @p pool (every thread's allocations count).
  */
 std::vector<double>
 engineBytesPerRecord(const workloads::Workload &app, bool balanced,
-                     bool optimized)
+                     bool optimized, support::ThreadPool *pool)
 {
     std::vector<double> per_run;
     for (const ir::LoopNest &nest : app.nests) {
@@ -368,7 +371,7 @@ engineBytesPerRecord(const workloads::Workload &app, bool balanced,
                                             ? partitioner.plan(nest, nodes)
                                             : placement.buildPlan(nest, nodes);
         const std::int64_t before = support::heapBytesAllocated();
-        engine.run(plan);
+        engine.run(plan, {}, pool);
         const std::int64_t bytes = support::heapBytesAllocated() - before;
         per_run.push_back(static_cast<double>(bytes) /
                           static_cast<double>(accessRecords(plan)));
@@ -453,18 +456,29 @@ TEST(PlannerAllocationTest, FixedWindowPlanAllocatesAFewPlansOfBytes)
 
 TEST(PlannerAllocationTest, EngineRunAllocatesBoundedBytesPerRecord)
 {
-    expectBoundedAtEveryScale(
-        "default-plan run bytes per access record (per nest)",
-        kDefaultRunBytesPerRecord,
-        [](const workloads::Workload &app, bool balanced) {
-            return engineBytesPerRecord(app, balanced, false);
-        });
-    expectBoundedAtEveryScale(
-        "optimized-plan run bytes per access record (per nest)",
-        kOptimizedRunBytesPerRecord,
-        [](const workloads::Workload &app, bool balanced) {
-            return engineBytesPerRecord(app, balanced, true);
-        });
+    // On a pool, a run's chunks beyond the first each fill a traffic
+    // matrix of their own; the same ceilings hold.
+    support::ThreadPool pool(3);
+    for (support::ThreadPool *on :
+         {static_cast<support::ThreadPool *>(nullptr), &pool}) {
+        const char *const where = on ? " on 3 workers" : "";
+        std::string default_run =
+            "default-plan run bytes per access record (per nest)";
+        std::string optimized_run =
+            "optimized-plan run bytes per access record (per nest)";
+        default_run += where;
+        optimized_run += where;
+        expectBoundedAtEveryScale(
+            default_run.c_str(), kDefaultRunBytesPerRecord,
+            [on](const workloads::Workload &app, bool balanced) {
+                return engineBytesPerRecord(app, balanced, false, on);
+            });
+        expectBoundedAtEveryScale(
+            optimized_run.c_str(), kOptimizedRunBytesPerRecord,
+            [on](const workloads::Workload &app, bool balanced) {
+                return engineBytesPerRecord(app, balanced, true, on);
+            });
+    }
 }
 
 } // namespace

@@ -11,11 +11,14 @@
  * with no pool and with pools of 1, 3 and 7 workers, pins the planner's
  * own fan-out over its w = 1 splits and its window candidates; one app
  * run on the same pools at every verify level pins the verifier
- * running beside the optimized simulation.
+ * running beside the optimized simulation; and two apps whose largest
+ * engine runs split into chunks pin the profile beside the planner's
+ * set-up and the engine's chunks, for runApp and runMetricIsolation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -390,6 +393,53 @@ TEST(SweepDeterminismTest, MetricIsolationIsPoolAndVerifyInvariant)
                     " thread(s), verify " + level;
                 EXPECT_EQ(serial[i], fingerprint(isos[i])) << where;
                 EXPECT_EQ(cells[i], fingerprint(isos[i].cell)) << where;
+            }
+        }
+    }
+}
+
+TEST(SweepDeterminismTest, SessionsWithEngineChunksArePoolInvariant)
+{
+    // Each nest's profile runs beside its planner's set-up, and every
+    // engine run splits pass 1's order-free work into chunks of at
+    // least 2048 tasks, one per thread. At scale 512 the largest nests
+    // of water and lu run 4000 to 7500 tasks, so their runs split on
+    // every pool below. Neither runApp nor runMetricIsolation may then
+    // depend on the pool at any verify level: results, compile
+    // counters and verifier counts included.
+    workloads::WorkloadFactory factory(512);
+    const std::vector<workloads::Workload> apps = {factory.build("water"),
+                                                   factory.build("lu")};
+    for (const verify::VerifyLevel level :
+         {verify::VerifyLevel::Off, verify::VerifyLevel::Cheap,
+          verify::VerifyLevel::Full}) {
+        ExperimentConfig config;
+        config.partition.verifyLevel = level;
+        for (const workloads::Workload &app : apps) {
+            const std::string where =
+                app.name + ", verify " + verify::toString(level);
+            const AppResult serial = ExperimentRunner(config).runApp(app);
+            std::int64_t largest = 0;
+            for (const NestResult &nr : serial.nests)
+                largest = std::max(largest, nr.plannedRun.taskCount);
+            ASSERT_GE(largest, 2 * 2048)
+                << where << " no longer splits an engine run";
+            const IsolationResult iso =
+                ExperimentRunner(config).runMetricIsolation(app);
+            EXPECT_EQ(fingerprint(iso.cell), fingerprint(serial)) << where;
+            for (std::size_t workers : {1u, 3u, 7u}) {
+                support::ThreadPool pool(workers);
+                const ExperimentRunner pooled(config, &pool);
+                const std::string on =
+                    where + ", " + std::to_string(workers) + " workers";
+                EXPECT_EQ(fingerprint(pooled.runApp(app)),
+                          fingerprint(serial))
+                    << on;
+                const IsolationResult pooled_iso =
+                    pooled.runMetricIsolation(app);
+                EXPECT_EQ(fingerprint(pooled_iso), fingerprint(iso)) << on;
+                EXPECT_EQ(fingerprint(pooled_iso.cell), fingerprint(serial))
+                    << on;
             }
         }
     }
