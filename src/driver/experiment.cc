@@ -15,12 +15,13 @@ namespace ndp::driver {
 
 NestSession::NestSession(const ExperimentConfig &config,
                          const workloads::Workload &workload,
-                         const ir::LoopNest &nest)
-    : system(config.machine), engine(system, config.energy),
+                         const ir::LoopNest &nest,
+                         support::ThreadPool *pool)
+    : system(config.machine), engine(system, config.energy, pool),
       placement(system, workload.arrays, config.placement),
       stream(ir::resolveInstances(nest, workload.arrays,
                                   system.addressMap())),
-      config_(config), workload_(workload), nest_(nest)
+      config_(config), workload_(workload), nest_(nest), pool_(pool)
 {
     system.setMcdramArrays(workload.mcdramArrays);
     nodes = placement.assignIterations(nest, *stream);
@@ -28,14 +29,14 @@ NestSession::NestSession(const ExperimentConfig &config,
 }
 
 double
-NestSession::profile(support::ThreadPool *pool)
+NestSession::profile()
 {
     NDP_REQUIRE(!profiled_, "nest '" << nest_.name()
                                      << "' was already profiled");
     profiled_ = true;
     // The default run doubles as the profiling pass: it trains the L2
     // miss predictor whose accuracy Table 2 reports.
-    defaultRun = engine.run(defaultPlan, {}, pool);
+    defaultRun = engine.run(defaultPlan);
     return static_cast<double>(defaultRun.totalBusyCycles) /
            std::max<double>(
                1.0, static_cast<double>(defaultRun.makespanCycles *
@@ -44,33 +45,32 @@ NestSession::profile(support::ThreadPool *pool)
 }
 
 sim::ExecutionPlan
-NestSession::plan(support::ThreadPool *pool)
+NestSession::plan()
 {
     partition::Partitioner partitioner(system, workload_.arrays,
-                                       config_.partition);
-    sim::ExecutionPlan plan = partitioner.plan(
-        nest_, *stream, nodes, pool, [&] { return profile(pool); });
+                                       config_.partition, pool_);
+    sim::ExecutionPlan plan =
+        partitioner.plan(nest_, *stream, nodes, [&] { return profile(); });
     report = partitioner.report();
     return plan;
 }
 
 sim::SimResult
 NestSession::runPlanned(const sim::ExecutionPlan &planned,
-                        const sim::EngineOptions &options,
-                        support::ThreadPool *pool)
+                        const sim::EngineOptions &options)
 {
     if (!report.provenance)
-        return engine.run(planned, options, pool);
+        return engine.run(planned, options);
     const verify::PlanVerifier verifier(system, workload_.arrays);
     sim::SimResult run;
     std::exception_ptr engine_error;
-    support::orderedMap(pool, 2, [&](std::size_t i) {
+    support::orderedMap(pool_, 2, [&](std::size_t i) {
         if (i == 0) {
             verdict = verifier.verify(nest_, planned, *report.provenance);
             return 0;
         }
         try {
-            run = engine.run(planned, options, pool);
+            run = engine.run(planned, options);
         } catch (...) {
             engine_error = std::current_exception();
         }
@@ -97,14 +97,13 @@ namespace {
  * runNest on an open session: the profiling run beside planning (or
  * alone, for a config that does not plan), the data-to-MC override,
  * the planned run with the verifier beside it, plan selection and the
- * miss predictor's totals; every engine run fans out on @p pool. Sets
- * *@p planned_dop, if given, to the planner's mean degree of
+ * miss predictor's totals, each fanning out on the session's pool.
+ * Sets *@p planned_dop, if given, to the planner's mean degree of
  * parallelism, which a kept default plan's report resets.
  */
 NestResult
 finishNest(const ExperimentConfig &config, NestSession &session,
-           const ir::LoopNest &nest, support::ThreadPool *pool,
-           double *planned_dop = nullptr)
+           const ir::LoopNest &nest, double *planned_dop = nullptr)
 {
     NestResult nr;
     nr.nest = nest.name();
@@ -118,9 +117,9 @@ finishNest(const ExperimentConfig &config, NestSession &session,
     // default mapping, so the override comes after it.
     std::optional<sim::ExecutionPlan> planned;
     if (config.optimizeComputation)
-        planned = session.plan(pool);
+        planned = session.plan();
     else
-        session.profile(pool);
+        session.profile();
     nr.defaultRun = session.defaultRun;
     if (config.dataToMcRemap) {
         session.system.addressMap().setPageMcOverride(
@@ -133,7 +132,7 @@ finishNest(const ExperimentConfig &config, NestSession &session,
 
     sim::EngineOptions opts;
     opts.idealNetwork = config.idealNetwork;
-    nr.plannedRun = session.runPlanned(optimized_plan, opts, pool);
+    nr.plannedRun = session.runPlanned(optimized_plan, opts);
     nr.report = std::move(session.report);
     nr.report.provenance.reset(); // keep NestResult lean
     nr.verify = std::move(session.verdict);
@@ -143,8 +142,7 @@ finishNest(const ExperimentConfig &config, NestSession &session,
     if (config.shipsDefaultPlan(nr.defaultRun, nr.plannedRun)) {
         // Profile-guided selection: the transformation lost on this
         // nest; ship the default plan instead.
-        nr.optimizedRun =
-            session.engine.run(session.defaultPlan, opts, pool);
+        nr.optimizedRun = session.engine.run(session.defaultPlan, opts);
         nr.report = partition::keptDefaultReport(nr.report);
     } else {
         nr.optimizedRun = nr.plannedRun;
@@ -242,8 +240,8 @@ NestResult
 ExperimentRunner::runNest(const workloads::Workload &workload,
                           const ir::LoopNest &nest) const
 {
-    NestSession session(config_, workload, nest);
-    return finishNest(config_, session, nest, pool_);
+    NestSession session(config_, workload, nest, pool_);
+    return finishNest(config_, session, nest);
 }
 
 AppResult
@@ -271,12 +269,11 @@ ExperimentRunner::runMetricIsolation(
     std::vector<NestResult> nests = support::orderedMap(
         pool_, workload.nests.size(), [&](std::size_t n) {
             const ir::LoopNest &nest = workload.nests[n];
-            NestSession session(config_, workload, nest);
+            NestSession session(config_, workload, nest, pool_);
             // finishNest reads the miss predictor (Table 2) before the
             // replays train it further.
             double planned_dop = 1.0;
-            NestResult nr =
-                finishNest(config_, session, nest, pool_, &planned_dop);
+            NestResult nr = finishNest(config_, session, nest, &planned_dop);
             const sim::SimResult &def = session.defaultRun;
             const sim::SimResult &opt = nr.plannedRun;
 
@@ -296,7 +293,7 @@ ExperimentRunner::runMetricIsolation(
             s[3].extraSyncs = opt.syncCount;
             for (std::size_t i = 0; i < s.size(); ++i) {
                 replays[n][i] =
-                    session.engine.run(session.defaultPlan, s[i], pool_)
+                    session.engine.run(session.defaultPlan, s[i])
                         .makespanCycles;
             }
             return nr;

@@ -97,17 +97,20 @@ struct ExperimentConfig
  * references to the config, the workload and the nest, which must
  * outlive it.
  *
- * Threads: a session belongs to one thread. plan(), profile() and
- * runPlanned() fan out on the pool they are given, and every engine
- * run a caller makes on engine may too (sim::ExecutionEngine::run);
- * none of the results depends on the pool.
+ * Threads: a session belongs to one thread. It is given its pool once,
+ * at construction, and hands it to its engine and its partitioner, so
+ * plan(), profile(), runPlanned() and every engine run a caller makes
+ * on engine fan out on it (sim::ExecutionEngine::run); none of the
+ * results depends on the pool.
  */
 class NestSession
 {
   public:
+    /** @param pool the nest's pool, or null to run on the caller. */
     NestSession(const ExperimentConfig &config,
                 const workloads::Workload &workload,
-                const ir::LoopNest &nest);
+                const ir::LoopNest &nest,
+                support::ThreadPool *pool = nullptr);
 
     NestSession(const NestSession &) = delete;
     NestSession &operator=(const NestSession &) = delete;
@@ -116,16 +119,16 @@ class NestSession
      * Profile the default plan into defaultRun and plan the nest into
      * report. The profiling simulation and the planner's window-
      * independent set-up (with the w = 1 prefill) are the two indices
-     * of one support::orderedMap on @p pool, the profile first, so
+     * of one support::orderedMap on the pool, the profile first, so
      * without a pool it runs first (partition::Partitioner::plan's
      * profile); the walks then read the profiled utilization. report
      * keeps the planner's provenance (null at verify level Off), which
-     * runPlanned() verifies the plan against. @p pool also splits and
+     * runPlanned() verifies the plan against. The pool also splits and
      * walks the window candidates concurrently and runs the profile's
      * engine chunks; the result does not depend on it. Leaves stream
      * as it is.
      */
-    sim::ExecutionPlan plan(support::ThreadPool *pool = nullptr);
+    sim::ExecutionPlan plan();
 
     /**
      * Run the profiling simulation of defaultPlan into defaultRun and
@@ -134,25 +137,24 @@ class NestSession
      * once (a second call is an ndp::fatal): the run trains the miss
      * predictor Table 2 reads.
      */
-    double profile(support::ThreadPool *pool = nullptr);
+    double profile();
 
     /**
      * Run @p planned, the plan plan() returned, on engine with
      * @p options, and, when report holds provenance, check the plan
      * against an independent recomputation into verdict (DESIGN.md
      * §9) beside the run: the verifier and the engine are the two
-     * indices of one support::orderedMap on @p pool, the verifier
+     * indices of one support::orderedMap on the pool, the verifier
      * first, so without a pool it runs before the engine. Fails fast
      * on error-severity findings, with ndp::panic and the verifier's
      * diagnostic table, even when the engine threw too: no result of a
      * plan with errors leaves the session, and the failure reported is
      * the verifier's. Otherwise an engine failure is rethrown. Without
      * provenance (verify level Off, or no plan() call) it is
-     * engine.run(@p planned, @p options, @p pool).
+     * engine.run(@p planned, @p options).
      */
     sim::SimResult runPlanned(const sim::ExecutionPlan &planned,
-                              const sim::EngineOptions &options = {},
-                              support::ThreadPool *pool = nullptr);
+                              const sim::EngineOptions &options = {});
 
     sim::ManycoreSystem system;
     sim::ExecutionEngine engine;
@@ -170,6 +172,7 @@ class NestSession
     const ExperimentConfig &config_;
     const workloads::Workload &workload_;
     const ir::LoopNest &nest_;
+    support::ThreadPool *pool_;
     bool profiled_ = false;
 };
 
@@ -295,10 +298,11 @@ class ExperimentRunner
     /**
      * @param pool when non-null, runApp() partitions independent loop
      *        nests concurrently on it (nest-level parallelism, cutting
-     *        single-app latency), and each nest's planner walks its
-     *        window candidates on it too. Null runs everything
-     *        serially. Both paths merge NestResults in nest order and
-     *        produce byte-identical AppResults.
+     *        single-app latency), and hands it to each nest's
+     *        NestSession, whose planner and engine runs fan out on it
+     *        too. Null runs everything serially. Both paths merge
+     *        NestResults in nest order and produce byte-identical
+     *        AppResults.
      */
     explicit ExperimentRunner(ExperimentConfig config = {},
                               support::ThreadPool *pool = nullptr);

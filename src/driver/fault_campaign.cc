@@ -11,6 +11,16 @@
 
 namespace ndp::driver {
 
+namespace {
+
+/**
+ * Fraction of a campaign's faulted nodes that are degraded-slow, not
+ * dead; they compute at fault::FaultModel's default slowdown.
+ */
+constexpr double kDegradedFraction = 0.25;
+
+} // namespace
+
 double
 appMovement(const AppResult &result, bool optimized)
 {
@@ -62,14 +72,13 @@ FaultCampaign::drawFaultSet(std::size_t rate_idx, int trial_idx,
     fault::FaultSpec spec;
     spec.nodeFaultRate = config_.nodeFaultRates[rate_idx];
     spec.linkFaultRate = spec.nodeFaultRate * config_.linkFaultScale;
-    spec.degradedFraction = config_.degradedFraction;
+    spec.degradedFraction = kDegradedFraction;
 
     for (int attempt = 0; attempt <= config_.maxRetriesPerTrial;
          ++attempt) {
         spec.seed = trialSeed(rate_idx, trial_idx, attempt);
         fault::FaultModel model = fault::FaultModel::inject(
             machine.meshCols, machine.meshRows, machine.torus, spec);
-        model.setDegradeFactor(config_.degradeFactor);
         if (noc::MeshTopology::faultsLeaveMeshConnected(
                 machine.meshCols, machine.meshRows, machine.torus,
                 model)) {

@@ -53,12 +53,6 @@ struct FaultCampaignConfig
     /** Each rate's link-fault probability = nodeFaultRate * this. */
     double linkFaultScale = 0.5;
 
-    /** Fraction of faulted nodes that are degraded-slow, not dead. */
-    double degradedFraction = 0.25;
-
-    /** Compute-slowdown factor of degraded nodes. */
-    double degradeFactor = 2.0;
-
     /** Independent fault sets simulated per rate. */
     int trialsPerRate = 3;
 

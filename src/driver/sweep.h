@@ -8,18 +8,21 @@
  * builds its own ManycoreSystem per nest, every stochastic choice
  * flows through a per-run seeded Rng, and workloads are only read —
  * so a sweep fans the grid out across a support::ThreadPool and
- * collects results in submission order.
+ * collects results in input order.
  *
  * Three parallelism axes share one pool:
- *  - across the sweep: one task per (app, config) cell (throughput);
+ *  - across the sweep: one index per (app, config) cell (throughput);
  *  - within an app: each cell fans its independent loop nests out as
- *    nested tasks (latency), because ExperimentRunner::runNest is a
+ *    a nested batch (latency), because ExperimentRunner::runNest is a
  *    pure function of (config, workload, nest);
- *  - within a nest: the planner walks its window candidates after
- *    w = 1 concurrently (latency again).
- * Each fan-out is one support::orderedMap batch, and a waiting caller
- * claims only its own batch's indices, so sharing the FIFO pool
- * between the axes cannot deadlock.
+ *  - within a nest: the nest's NestSession, constructed with the pool,
+ *    hands it to its planner (w = 1 splits in chunks, then the window
+ *    candidates concurrently) and its engine (each run's order-free
+ *    work in chunks), and verifies beside the optimized run (latency
+ *    again).
+ * Each fan-out is one support::orderedMap batch, the only work the
+ * pool runs, and a waiting caller claims only its own batch's indices,
+ * so sharing the FIFO pool between the axes cannot deadlock.
  *
  * Determinism contract: a sweep's *results* are bit-identical for any
  * thread count, including 1 (no pool workers: the whole sweep runs on

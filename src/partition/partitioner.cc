@@ -1334,8 +1334,9 @@ prefillW1(const NestContext &ctx, LanePool &lanes,
 
 Partitioner::Partitioner(const sim::ManycoreSystem &system,
                          const ir::ArrayTable &arrays,
-                         PartitionOptions options)
-    : system_(&system), arrays_(&arrays), options_(options)
+                         PartitionOptions options,
+                         support::ThreadPool *pool)
+    : system_(&system), arrays_(&arrays), options_(options), pool_(pool)
 {
     NDP_REQUIRE(options_.maxWindowSize >= 1, "window size must be >= 1");
     NDP_REQUIRE(options_.fixedWindowSize >= 0,
@@ -1373,7 +1374,6 @@ Partitioner::plan(const ir::LoopNest &nest,
 sim::ExecutionPlan
 Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                   const std::vector<noc::NodeId> &default_nodes,
-                  support::ThreadPool *pool,
                   const std::function<double()> &profile)
 {
     NDP_REQUIRE(static_cast<std::int64_t>(default_nodes.size()) ==
@@ -1468,14 +1468,14 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
             scored = std::find(reach.begin(), reach.end(), true) !=
                      reach.end();
             if (scored && options.memoizeSplits)
-                prefillW1(*ctx, *lanes, pool, splitCache_, compile_total);
+                prefillW1(*ctx, *lanes, pool_, splitCache_, compile_total);
         };
         if (profile) {
             // The profile simulates on the machine while the set-up
             // reads only what no simulation changes; the walks wait
             // for the utilization the guard reads.
             const std::vector<double> utilization =
-                support::orderedMap(pool, 2, [&](std::size_t i) {
+                support::orderedMap(pool_, 2, [&](std::size_t i) {
                     if (i == 0)
                         return profile();
                     set_up();
@@ -1503,7 +1503,7 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         // Scoring starts from w_first = 1, whose keys the stream alone
         // fixes: the prefill files the split of each of them, and the
         // cache is frozen. Then every walked candidate, w_first
-        // included, walks concurrently on @p pool, each reading the
+        // included, walks concurrently on the pool, each reading the
         // frozen cache and filing its misses in an overlay of its own.
         // A walk's hits and misses therefore depend on the prefill and
         // its own walk alone, so the counters are the same at any
@@ -1535,7 +1535,7 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
             }
             const SplitPlanCache &frozen = splitCache_;
             std::vector<Candidate> candidates = support::orderedMap(
-                pool, walked.size(), [&](std::size_t i) {
+                pool_, walked.size(), [&](std::size_t i) {
                     std::unique_ptr<DecisionLane> own = lanes->take();
                     Candidate c;
                     // w_first's walk only hits the prefill. Another

@@ -11,10 +11,10 @@
  * walked, since it would plan exactly what w = 1 plans. Every w = 1
  * split is a function of the instance stream, so they are all computed
  * before any walk, beside the profiling run when plan() is given one;
- * the walked sizes, w = 1 included, then walk concurrently when plan()
- * is given a thread pool. The cheapest size, or a forced one (Figure
- * 20's sweeps), is walked again by an emitter that synchronises each
- * window and builds the plan.
+ * the walked sizes, w = 1 included, then walk concurrently when the
+ * Partitioner is given a thread pool. The cheapest size, or a forced
+ * one (Figure 20's sweeps), is walked again by an emitter that
+ * synchronises each window and builds the plan.
  */
 
 #include <cstddef>
@@ -191,9 +191,16 @@ class Partitioner
      *        machine configuration
      * @param arrays the program's array table (with any inspector-
      *        collected index data installed)
+     * @param pool when non-null, every plan() computes the w = 1
+     *        splits in chunks on it and then walks the window-size
+     *        candidates concurrently on it (support::orderedMap); null
+     *        does both in order on the calling thread. The plan and
+     *        the report, compile counters included, are the same
+     *        either way.
      */
     Partitioner(const sim::ManycoreSystem &system,
-                const ir::ArrayTable &arrays, PartitionOptions options = {});
+                const ir::ArrayTable &arrays, PartitionOptions options = {},
+                support::ThreadPool *pool = nullptr);
 
     /**
      * Plan @p nest from its resolved instances.
@@ -203,15 +210,10 @@ class Partitioner
      *        lexicographic iteration order; used for the movement
      *        comparison and as the fallback placement for statements
      *        whose references cannot be analysed
-     * @param pool when non-null, the w = 1 splits are computed in
-     *        chunks on it and then the window-size candidates walk
-     *        concurrently on it (support::orderedMap); null does both
-     *        in order on this thread. The plan and the report, compile
-     *        counters included, are the same either way.
      * @param profile when set, returns the profiled node utilization
      *        the guard reads in place of options.profileUtilization.
      *        It runs as the first index of one support::orderedMap on
-     *        @p pool, the window-independent set-up and the w = 1
+     *        the pool, the window-independent set-up and the w = 1
      *        prefill as the second, so it may simulate on the machine
      *        this Partitioner reads: the planner reads only the mesh,
      *        the config and @p stream, which no simulation changes.
@@ -222,10 +224,9 @@ class Partitioner
     sim::ExecutionPlan plan(const ir::LoopNest &nest,
                             const ir::InstanceStream &stream,
                             const std::vector<noc::NodeId> &default_nodes,
-                            support::ThreadPool *pool = nullptr,
                             const std::function<double()> &profile = {});
 
-    /** plan() on a stream resolved for this one call, without a pool. */
+    /** plan() on a stream resolved for this one call. */
     sim::ExecutionPlan plan(const ir::LoopNest &nest,
                             const std::vector<noc::NodeId> &default_nodes);
 
@@ -236,6 +237,7 @@ class Partitioner
     const sim::ManycoreSystem *system_;
     const ir::ArrayTable *arrays_;
     PartitionOptions options_;
+    support::ThreadPool *pool_;
     PartitionReport report_;
     /**
      * The split-plan cache of one plan() call (signatures are

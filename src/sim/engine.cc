@@ -22,6 +22,9 @@ namespace {
  */
 constexpr std::size_t kMinChunkTasks = 2048;
 
+/** Seed of S1's hit/miss conversion draws. */
+constexpr std::uint64_t kS1Seed = 0x5eed;
+
 /** What one chunk of pass 1's order-free work adds up. */
 struct ChunkTally
 {
@@ -84,14 +87,14 @@ pass2Setup(const ExecutionPlan &plan, std::size_t node_count)
 } // namespace
 
 ExecutionEngine::ExecutionEngine(ManycoreSystem &system,
-                                 EnergyParams energy_params)
-    : system_(&system), energyParams_(energy_params)
+                                 EnergyParams energy_params,
+                                 support::ThreadPool *pool)
+    : system_(&system), energyParams_(energy_params), pool_(pool)
 {
 }
 
 SimResult
-ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts,
-                     support::ThreadPool *pool)
+ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
 {
     ManycoreSystem &sys = *system_;
     const ManycoreConfig &cfg = sys.config();
@@ -131,8 +134,8 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts,
     // The order-free work runs in chunks of consecutive tasks: one
     // without workers, else up to one per thread. A plan smaller than
     // one chunk does not fan out at all.
-    if (task_count < kMinChunkTasks)
-        pool = nullptr;
+    support::ThreadPool *const pool =
+        task_count < kMinChunkTasks ? nullptr : pool_;
     const std::size_t chunks =
         pool == nullptr
             ? 1
@@ -157,15 +160,12 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts,
         return 0;
     });
 
-    // ---- Warm-up: earlier trips of the outer timing loop. Only what
-    // outlives resetMeasurement() runs: cache contents and predictor
-    // training, the ordered steps alone.
-    for (std::int32_t w = 0; w < opts.warmupPasses; ++w) {
-        for (std::size_t r = 0; r < record_count; ++r)
-            sys.cacheStep(records[r]);
-    }
-    if (opts.warmupPasses > 0)
-        sys.resetMeasurement();
+    // ---- Warm-up: an earlier trip of the outer timing loop. Only
+    // what outlives resetMeasurement() runs: cache contents and
+    // predictor training, the ordered steps alone.
+    for (std::size_t r = 0; r < record_count; ++r)
+        sys.cacheStep(records[r]);
+    sys.resetMeasurement();
 
     // ---- Pass 1's ordered core: the cache walk, in task order. ----
     for (std::size_t r = 0; r < record_count; ++r)
@@ -231,7 +231,7 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts,
 
     if (opts.trace)
         opts.trace->clear();
-    Rng rng(opts.seed);
+    Rng rng(kS1Seed);
     const auto node_count =
         static_cast<std::size_t>(sys.mesh().nodeCount());
     std::vector<std::int64_t> node_clock(node_count, 0);

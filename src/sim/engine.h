@@ -51,21 +51,12 @@ struct EngineOptions
     double parallelismSpeedup = 1.0;
     /** Inject this many extra synchronisations (Figure 18, S4). */
     std::int64_t extraSyncs = 0;
-    /** Seed for the S1 conversion draws. */
-    std::uint64_t seed = 0x5eed;
     /**
      * Optional execution trace: when set, every executed task's
      * (node, start, finish, wait) interval is recorded for
      * utilisation analysis / CSV export. Cleared at run start.
      */
     ExecutionTrace *trace = nullptr;
-    /**
-     * Silent passes over the plan's accesses before measurement,
-     * modelling the earlier trips of the application's outer timing
-     * loop: caches reach steady state, then statistics are measured
-     * over one trip. 0 measures a cold machine.
-     */
-    std::int32_t warmupPasses = 1;
 };
 
 /** Everything a run produces. */
@@ -108,35 +99,44 @@ struct SimResult
 class ExecutionEngine
 {
   public:
+    /**
+     * @param pool when non-null, every run() splits its order-free
+     *        work into chunks on it; null runs everything on the
+     *        calling thread. No result depends on it.
+     */
     explicit ExecutionEngine(ManycoreSystem &system,
-                             EnergyParams energy_params = {});
+                             EnergyParams energy_params = {},
+                             support::ThreadPool *pool = nullptr);
 
     /**
-     * Simulate @p plan from a cold machine. The system is reset first;
-     * the result captures every paper metric for this run.
+     * Simulate @p plan on a freshly reset machine: one silent warm-up
+     * pass over the plan's accesses models the earlier trips of the
+     * application's outer timing loop, so caches reach steady state,
+     * and statistics are then measured over one trip. The result
+     * captures every paper metric for this run.
      *
      * Every task's node and deps are checked, in task order, before
      * any other work. The ordered core (the warm-up and pass 1's
      * cache walk in task order, then all of pass 2) runs on this
      * thread. The order-free work runs through support::orderedMap
      * in chunks of at least 2048 consecutive tasks, up to one per
-     * thread of @p pool (one chunk, and no fan-out, without a pool or
-     * for a smaller plan): opening each record with its home bank
-     * before the warm-up, and, after the cache walk, completing each
-     * record and counting the traffic of access and result messages,
-     * the MC load and the memory-kind counts, beside one more index
-     * that sets up pass 2 from the plan. Chunk 0 counts into the
-     * machine's own traffic matrix, the others into matrices of their
-     * own, added in chunk order. Every merged count is an integer sum,
-     * so the result does not depend on @p pool.
+     * thread of the engine's pool (one chunk, and no fan-out, without
+     * a pool or for a smaller plan): opening each record with its home
+     * bank before the warm-up, and, after the cache walk, completing
+     * each record and counting the traffic of access and result
+     * messages, the MC load and the memory-kind counts, beside one
+     * more index that sets up pass 2 from the plan. Chunk 0 counts
+     * into the machine's own traffic matrix, the others into matrices
+     * of their own, added in chunk order. Every merged count is an
+     * integer sum, so the result does not depend on the pool.
      */
     SimResult run(const ExecutionPlan &plan,
-                  const EngineOptions &options = {},
-                  support::ThreadPool *pool = nullptr);
+                  const EngineOptions &options = {});
 
   private:
     ManycoreSystem *system_;
     EnergyParams energyParams_;
+    support::ThreadPool *pool_;
 };
 
 } // namespace ndp::sim

@@ -176,29 +176,6 @@ ManycoreSystem::recordTally(const AccessTally &tally)
     }
 }
 
-AccessRecord
-ManycoreSystem::walk(noc::NodeId node, const MemAccess &access, bool write)
-{
-    AccessRecord rec = recordOf(node, access, write);
-    rec.level = cacheStep(rec);
-    AccessTally tally;
-    completeRecord(rec, access, traffic_, tally);
-    recordTally(tally);
-    return rec;
-}
-
-AccessRecord
-ManycoreSystem::walkRead(noc::NodeId node, const MemAccess &access)
-{
-    return walk(node, access, false);
-}
-
-AccessRecord
-ManycoreSystem::walkWrite(noc::NodeId node, const MemAccess &access)
-{
-    return walk(node, access, true);
-}
-
 void
 ManycoreSystem::recordResultMessage(noc::NodeId from, noc::NodeId to,
                                     std::int64_t bytes,

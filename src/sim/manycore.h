@@ -124,8 +124,8 @@ static_assert(sizeof(AccessRecord) <= 24,
 
 /**
  * The machine model. Owns every cache/controller and the traffic
- * matrix; exposes the pass-1 access walk and the pass-2 latency
- * calculation.
+ * matrix; exposes pass 1's steps of an access (recordOf(),
+ * cacheStep(), completeRecord()) and the pass-2 latency calculation.
  */
 class ManycoreSystem
 {
@@ -151,21 +151,6 @@ class ManycoreSystem
 
     /** Backing memory of @p array under the current memory mode. */
     mem::MemoryKind memoryKindOf(ir::ArrayId array) const;
-
-    /**
-     * Pass 1: walk a read from @p node through L1 -> home L2 -> MC,
-     * updating caches, the traffic matrix, MC queue load, and the L2
-     * miss predictor. Returns the record pass 2 will price. The
-     * engine's own steps, one access at a time: recordOf(),
-     * cacheStep() and completeRecord() into this machine.
-     */
-    AccessRecord walkRead(noc::NodeId node, const MemAccess &access);
-
-    /**
-     * Pass 1: walk a (write-through) store: allocate in the local L1,
-     * send the line to its home bank, allocate there.
-     */
-    AccessRecord walkWrite(noc::NodeId node, const MemAccess &access);
 
     /**
      * The record of @p access from @p node before any walk: its
@@ -271,9 +256,6 @@ class ManycoreSystem
 
   private:
     mem::MemoryController &mcAt(noc::NodeId node);
-    /** walkRead() or walkWrite(). */
-    AccessRecord walk(noc::NodeId node, const MemAccess &access,
-                      bool write);
 
     ManycoreConfig config_;
     noc::MeshTopology mesh_;

@@ -2,59 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
-#include <memory>
 
 namespace ndp::support {
 
-ThreadPool::ThreadPool(std::size_t threads)
-{
-    workers_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
-        workers_.emplace_back([this]() { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock,
-                     [this]() { return stop_ || !queue_.empty(); });
-            if (queue_.empty()) {
-                // stop_ set and queue drained: exit. (stop_ with a
-                // non-empty queue keeps draining so every submitted
-                // future is eventually satisfied.)
-                return;
-            }
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        task();
-    }
-}
-
 namespace detail {
 
-namespace {
-
 /**
- * One orderedMap() call's indices. Helper tasks hold it by shared_ptr:
- * a helper that starts after the batch is over claims nothing and
- * touches neither body nor the caller's state.
+ * One orderedMap() call's indices. Queued helpers hold it by
+ * shared_ptr: a helper that starts after the batch is over claims
+ * nothing and touches neither body nor the caller's state.
  */
 struct Batch
 {
@@ -70,6 +26,8 @@ struct Batch
     std::condition_variable finished;
     std::size_t done = 0; ///< guarded by mutex
 };
+
+namespace {
 
 /** Claim and run indices of @p batch until none is left unclaimed. */
 void
@@ -97,12 +55,17 @@ runBatch(ThreadPool &pool, std::size_t count,
     // The caller claims too, so count - 1 helpers can keep every index
     // busy; a helper no worker reaches in time finds nothing left.
     const std::size_t helpers = std::min(count - 1, pool.threadCount());
-    // Helpers already queued may run body, so even a failed submit
+    // Helpers already queued may run body, so even a failed enqueue
     // rethrows only once every index has finished.
     std::exception_ptr failed;
     try {
-        for (std::size_t h = 0; h < helpers; ++h)
-            pool.submit([batch]() { drain(*batch); });
+        for (std::size_t h = 0; h < helpers; ++h) {
+            {
+                std::lock_guard<std::mutex> lock(pool.mutex_);
+                pool.queue_.push_back(batch);
+            }
+            pool.cv_.notify_one();
+        }
     } catch (...) {
         failed = std::current_exception();
     }
@@ -117,5 +80,41 @@ runBatch(ThreadPool &pool, std::size_t count,
 }
 
 } // namespace detail
+
+ThreadPool::ThreadPool(std::size_t threads)
+{
+    workers_.reserve(threads);
+    for (std::size_t i = 0; i < threads; ++i)
+        workers_.emplace_back([this]() { workerLoop(); });
+}
+
+ThreadPool::~ThreadPool()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stop_ = true;
+    }
+    cv_.notify_all();
+    for (std::thread &worker : workers_)
+        worker.join();
+}
+
+void
+ThreadPool::workerLoop()
+{
+    for (;;) {
+        std::shared_ptr<detail::Batch> batch;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            cv_.wait(lock,
+                     [this]() { return stop_ || !queue_.empty(); });
+            if (stop_)
+                return;
+            batch = std::move(queue_.front());
+            queue_.pop_front();
+        }
+        detail::drain(*batch);
+    }
+}
 
 } // namespace ndp::support

@@ -3,31 +3,28 @@
 
 /**
  * @file
- * Fixed-size, futures-based worker pool for embarrassingly-parallel
- * experiment sweeps. Deliberately minimal: one FIFO queue, no work
- * stealing, no priorities. Determinism is the caller's contract — a
- * submitted task must not touch shared mutable state — and the pool's
- * contribution is that submit() returns a std::future, so callers
- * collect results in *submission* order no matter which worker ran
- * which task or in what order tasks finished.
+ * Fixed-size worker pool behind the ordered fan-out, orderedMap():
+ * the one way work reaches a worker. Deliberately minimal: one FIFO
+ * queue of batch helpers, no work stealing, no priorities. Determinism
+ * is the caller's contract — an index must not touch shared mutable
+ * state — and orderedMap()'s is that results come back indexed by
+ * input, no matter which thread ran which index or in what order they
+ * finished.
  *
- * Nested fan-out is supported through orderedMap()'s batches: a
- * caller that fans work out on its own pool must not block in
- * future::get() (with a FIFO pool and no work stealing every worker
- * could end up waiting on work that no thread is left to run). Instead
- * each orderedMap() call is a batch whose indices the caller and up to
- * threadCount() helper tasks claim from one counter; the caller claims
- * until none is left and then waits only for the indices other threads
- * already run. It never runs another batch's work while it waits, so a
- * waiting nest never opens another nest's session on its stack, and a
- * claimed index always has a thread running it, which makes one pool
- * safe to share between the sweep level (one task per (app, config)
- * cell), the nest level inside each cell and the window candidates
- * inside each nest.
+ * Each orderedMap() call is a batch whose indices the caller and up to
+ * threadCount() helpers queued on the pool claim from one counter; the
+ * caller claims until none is left and then waits only for the indices
+ * other threads already run. It never runs another batch's work while
+ * it waits, so a waiting nest never opens another nest's session on
+ * its stack, and a claimed index always has a thread running it (with
+ * a FIFO pool and no work stealing, a caller that waited on work no
+ * thread had claimed could leave every worker waiting). That makes one
+ * pool safe to share between nested fan-outs: the sweep level (one
+ * index per (app, config) cell), the nest level inside each cell and
+ * the work inside each nest.
  *
- * A pool with zero workers is the serial pool: submit() runs the task
- * on the calling thread before it returns the future, and orderedMap()
- * runs every index on the caller, so nothing leaves that thread.
+ * A pool with zero workers is the serial pool: orderedMap() runs every
+ * index on the caller, so nothing leaves that thread.
  */
 
 #include <condition_variable>
@@ -35,7 +32,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -45,17 +42,37 @@
 
 namespace ndp::support {
 
-/** Fixed-size FIFO worker pool. */
+class ThreadPool;
+
+namespace detail {
+
+struct Batch;
+
+/**
+ * orderedMap()'s pooled path: run @p body(0..count-1), each index once,
+ * on this thread and on the helpers it queues on @p pool; return when
+ * every index has finished. @p body must not throw.
+ */
+void runBatch(ThreadPool &pool, std::size_t count,
+              const std::function<void(std::size_t)> &body);
+
+} // namespace detail
+
+/** Fixed-size FIFO pool of batch helpers. */
 class ThreadPool
 {
   public:
     /**
-     * @param threads worker count, not counting the threads that help
-     *        while they wait; 0 makes the serial pool.
+     * @param threads worker count, not counting the threads that claim
+     *        their own batches' indices; 0 makes the serial pool.
      */
     explicit ThreadPool(std::size_t threads);
 
-    /** Joins all workers; queued tasks run to completion first. */
+    /**
+     * Joins all workers. Helpers still queued belong to batches that
+     * have finished (orderedMap() returns only then), so they are
+     * dropped unrun.
+     */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -63,65 +80,32 @@ class ThreadPool
 
     std::size_t threadCount() const { return workers_.size(); }
 
-    /**
-     * Enqueue @p fn and return a future for its result; the serial
-     * pool runs it here first. Exceptions thrown by the task surface
-     * from future::get() on the collector thread.
-     */
-    template <typename F>
-    auto
-    submit(F &&fn) -> std::future<std::invoke_result_t<std::decay_t<F>>>
-    {
-        using R = std::invoke_result_t<std::decay_t<F>>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        std::future<R> future = task->get_future();
-        if (workers_.empty()) {
-            (*task)();
-            return future;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            queue_.emplace_back([task]() { (*task)(); });
-        }
-        cv_.notify_one();
-        return future;
-    }
-
   private:
+    friend void detail::runBatch(ThreadPool &, std::size_t,
+                                 const std::function<void(std::size_t)> &);
+
     void workerLoop();
 
     std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
+    /** One entry per queued helper of its batch. */
+    std::deque<std::shared_ptr<detail::Batch>> queue_;
     std::mutex mutex_;
     std::condition_variable cv_;
     bool stop_ = false;
 };
-
-namespace detail {
-
-/**
- * orderedMap()'s pooled path: run @p body(0..count-1), each index once,
- * on this thread and on the helper tasks it queues on @p pool; return
- * when every index has finished. @p body must not throw.
- */
-void runBatch(ThreadPool &pool, std::size_t count,
-              const std::function<void(std::size_t)> &body);
-
-} // namespace detail
 
 /**
  * The ordered fan-out: evaluate @p fn(0..count-1) and return the
  * results indexed by input, so callers merge in a fixed order no matter
  * which thread computed what. With a pool the indices form one batch
  * that this thread and the pool's workers claim one at a time; once
- * none is left unclaimed this thread waits for the rest without running
- * any other task (see the file comment), which makes this safe to call
- * from a pool worker (nested fan-out). Without a pool, on the serial
- * pool, or for fewer than two indices, the calls run in order on this
- * thread. @p fn must be safe to call concurrently. Every call has
- * finished before this returns; if any threw, the first exception in
- * index order is rethrown.
+ * none is left unclaimed this thread waits for the rest without
+ * running another batch's index (see the file comment), which makes
+ * this safe to call from a pool worker (nested fan-out). Without a
+ * pool, on the serial pool, or for fewer than two indices, the calls
+ * run in order on this thread. @p fn must be safe to call
+ * concurrently. Every call has finished before this returns; if any
+ * threw, the first exception in index order is rethrown.
  */
 template <typename F>
 auto

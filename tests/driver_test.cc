@@ -421,8 +421,8 @@ TEST(DriverTest, VerifierFailureOutranksTheEngines)
         if (workers >= 0)
             pool.emplace(static_cast<std::size_t>(workers));
         support::ThreadPool *on = pool ? &*pool : nullptr;
-        NestSession session(config, app, nest);
-        sim::ExecutionPlan plan = session.plan(on);
+        NestSession session(config, app, nest, on);
+        sim::ExecutionPlan plan = session.plan();
         ASSERT_FALSE(plan.tasks.empty());
         plan.tasks.back().node = kDead;
 
@@ -435,7 +435,7 @@ TEST(DriverTest, VerifierFailureOutranksTheEngines)
             << where;
 
         const std::string failure =
-            panicMessage([&] { (void)session.runPlanned(plan, {}, on); });
+            panicMessage([&] { (void)session.runPlanned(plan); });
         EXPECT_NE(failure.find("static plan verification failed"),
                   std::string::npos)
             << where << ": " << failure;

@@ -359,7 +359,7 @@ engineBytesPerRecord(const workloads::Workload &app, bool balanced,
     for (const ir::LoopNest &nest : app.nests) {
         sim::ManycoreSystem system{sim::ManycoreConfig{}};
         system.setMcdramArrays(app.mcdramArrays);
-        sim::ExecutionEngine engine(system);
+        sim::ExecutionEngine engine(system, {}, pool);
         baseline::DefaultPlacement placement(system, app.arrays);
         const std::vector<noc::NodeId> nodes =
             placement.assignIterations(nest);
@@ -371,7 +371,7 @@ engineBytesPerRecord(const workloads::Workload &app, bool balanced,
                                             ? partitioner.plan(nest, nodes)
                                             : placement.buildPlan(nest, nodes);
         const std::int64_t before = support::heapBytesAllocated();
-        engine.run(plan, {}, pool);
+        engine.run(plan);
         const std::int64_t bytes = support::heapBytesAllocated() - before;
         per_run.push_back(static_cast<double>(bytes) /
                           static_cast<double>(accessRecords(plan)));

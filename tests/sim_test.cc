@@ -2,8 +2,8 @@
  * @file
  * Tests for the manycore model and the two-pass execution engine:
  * access walks through the hierarchy, latency decomposition, plan
- * execution, determinism, warm-up behaviour, the Figure 18 override
- * knobs, and the pass-2 scheduler's deterministic work counter.
+ * execution, determinism, the Figure 18 override knobs, and the
+ * pass-2 scheduler's deterministic work counter.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "support/error.h"
 #include "workloads/workload.h"
 
+#include "access_walk.h"
 #include "plan_lists.h"
 
 namespace {
@@ -38,7 +39,7 @@ TEST_F(ManycoreTest, WalkReadLevels)
     MemAccess access{0x4000, 64, 0};
 
     // Cold: L1 miss, L2 miss -> memory.
-    const AccessRecord first = system.walkRead(node, access);
+    const AccessRecord first = test::walk(system, node, access);
     EXPECT_EQ(first.level, AccessLevel::Memory);
     EXPECT_EQ(first.home,
               system.addressMap().homeBankNode(access.addr));
@@ -46,12 +47,11 @@ TEST_F(ManycoreTest, WalkReadLevels)
               system.addressMap().memoryControllerNode(access.addr));
 
     // Immediately after: L1 hit at the same node.
-    const AccessRecord second = system.walkRead(node, access);
+    const AccessRecord second = test::walk(system, node, access);
     EXPECT_EQ(second.level, AccessLevel::L1);
 
     // From another node: the home bank now holds the line -> L2.
-    const AccessRecord remote = system.walkRead(
-        node == 0 ? 1 : 0, access);
+    const AccessRecord remote = test::walk(system, node == 0 ? 1 : 0, access);
     EXPECT_EQ(remote.level, AccessLevel::L2);
 }
 
@@ -85,7 +85,7 @@ TEST_F(ManycoreTest, WriteIsPostedButMovesData)
     ManycoreSystem system(config);
     MemAccess access{0x8000, 64, 0};
     const std::int64_t before = system.traffic().totalFlitHops();
-    const AccessRecord rec = system.walkWrite(3, access);
+    const AccessRecord rec = test::walk(system, 3, access, true);
     EXPECT_TRUE(rec.isWrite);
     if (system.addressMap().homeBankNode(access.addr) != 3) {
         EXPECT_GT(system.traffic().totalFlitHops(), before);
@@ -121,7 +121,7 @@ TEST_F(ManycoreTest, AccessRecordHoldsExtremeValues)
     const noc::NodeId top = 255;
     const MemAccess access{(3u << 12) | (3u << 14) | (7u << 16), 8, 0};
 
-    const AccessRecord read = system.walkRead(top, access);
+    const AccessRecord read = test::walk(system, top, access);
     EXPECT_EQ(read.level, AccessLevel::Memory);
     EXPECT_EQ(read.addr, access.addr);
     EXPECT_EQ(noc::NodeId{read.requester}, top);
@@ -135,7 +135,7 @@ TEST_F(ManycoreTest, AccessRecordHoldsExtremeValues)
     EXPECT_EQ(read.dram.bank, 7);
     EXPECT_FALSE(read.isWrite);
 
-    const AccessRecord write = system.walkWrite(top, access);
+    const AccessRecord write = test::walk(system, top, access, true);
     EXPECT_TRUE(write.isWrite);
     EXPECT_EQ(noc::NodeId{write.requester}, top);
     EXPECT_EQ(noc::NodeId{write.home},
@@ -166,8 +166,8 @@ TEST_F(ManycoreTest, ResetKeepsPredictorClearsCaches)
 {
     ManycoreSystem system(config);
     MemAccess access{0x4000, 64, 0};
-    system.walkRead(0, access);
-    system.walkRead(0, access);
+    test::walk(system, 0, access);
+    test::walk(system, 0, access);
     const std::int64_t preds = system.missPredictor().predictions();
     EXPECT_GT(preds, 0);
     system.reset();
@@ -314,28 +314,6 @@ TEST_F(EngineTest, DeterministicAcrossRuns)
     EXPECT_EQ(a.energy.total(), b.energy.total());
 }
 
-TEST_F(EngineTest, WarmupRaisesHitRates)
-{
-    ManycoreSystem system(config);
-    ExecutionEngine engine(system);
-    PlanLists plan;
-    for (TaskId i = 0; i < 64; ++i) {
-        ListTask t = makeTask(i, i % 36, 1);
-        t.reads.push_back({static_cast<mem::Addr>(0x10000 + 64 * i), 64, 0});
-        plan.tasks.push_back(t);
-    }
-    EngineOptions cold;
-    cold.warmupPasses = 0;
-    EngineOptions warm;
-    warm.warmupPasses = 1;
-    const SimResult cold_run = engine.run(pack(plan), cold);
-    const SimResult warm_run = engine.run(pack(plan), warm);
-    // After the warm-up trip every line is resident in its reader's
-    // L1, so the measured trip hits where the cold trip missed.
-    EXPECT_GT(warm_run.l1.hitRate(), cold_run.l1.hitRate());
-    EXPECT_LE(warm_run.makespanCycles, cold_run.makespanCycles);
-}
-
 TEST_F(EngineTest, IdealNetworkRemovesNetworkStalls)
 {
     ManycoreSystem system(config);
@@ -359,21 +337,22 @@ TEST_F(EngineTest, L1OverrideMovesHitRateTowardTarget)
     ManycoreSystem system(config);
     ExecutionEngine engine(system);
     PlanLists plan;
-    // Reads with zero reuse: natural L1 hit rate ~ 0.
+    // One line per reader, which the warm-up trip leaves in its L1:
+    // natural L1 hit rate 1.
     for (TaskId i = 0; i < 128; ++i) {
         ListTask t = makeTask(i, i % 36, 1);
         t.reads.push_back({static_cast<mem::Addr>(0x40000 + 64 * i), 64, 0});
         plan.tasks.push_back(t);
     }
-    EngineOptions natural;
-    natural.warmupPasses = 0; // cold: natural L1 hit rate ~ 0
-    const SimResult base = engine.run(pack(plan), natural);
+    const SimResult base = engine.run(pack(plan));
+    EXPECT_DOUBLE_EQ(base.l1.hitRate(), 1.0);
+    EXPECT_EQ(base.networkStallCycles, 0);
     EngineOptions forced;
-    forced.warmupPasses = 0;
-    forced.l1HitRateOverride = 0.9;
-    const SimResult boosted = engine.run(pack(plan), forced);
-    // Higher effective hit rate shows as fewer network stalls.
-    EXPECT_LT(boosted.networkStallCycles, base.networkStallCycles);
+    forced.l1HitRateOverride = 0.1;
+    const SimResult lowered = engine.run(pack(plan), forced);
+    // A lower effective hit rate sends reads to their home banks,
+    // which shows as network stalls.
+    EXPECT_GT(lowered.networkStallCycles, base.networkStallCycles);
 }
 
 TEST_F(EngineTest, ExtraSyncsPenalizeMakespan)

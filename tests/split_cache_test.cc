@@ -300,18 +300,18 @@ TEST(SplitCacheEquivalenceTest, PeriodicNestPlansAreByteIdentical)
         options.loadBalance = balanced;
         options.memoizeSplits = true;
         partition::Partitioner cached(system, arrays, options);
-        partition::Partitioner pooled(system, arrays, options);
+        // The window candidates walking concurrently on a pool, on the
+        // frozen prefilled cache and their overlays, plan the same.
+        support::ThreadPool pool(3);
+        partition::Partitioner pooled(system, arrays, options, &pool);
         options.memoizeSplits = false;
         partition::Partitioner uncached(system, arrays, options);
         const sim::ExecutionPlan on = cached.plan(nest, nodes);
         const sim::ExecutionPlan off = uncached.plan(nest, nodes);
         test::expectSamePlan(on, off, label);
-        // The window candidates walking concurrently on a pool, on the
-        // frozen prefilled cache and their overlays, plan the same.
-        support::ThreadPool pool(3);
         const sim::ExecutionPlan on_pool = pooled.plan(
             nest, ir::resolveInstances(nest, arrays, system.addressMap()),
-            nodes, &pool);
+            nodes);
         test::expectSamePlan(on_pool, off, label + " pooled");
         EXPECT_EQ(pooled.report().movementPerWindowSize,
                   uncached.report().movementPerWindowSize)

@@ -275,9 +275,9 @@ TEST(SweepDeterminismTest, WindowCandidatesPlanAlikeOnAnyPool)
     partition::PartitionOptions options;
     options.verifyLevel = verify::VerifyLevel::Cheap;
     auto planned = [&](support::ThreadPool *pool) {
-        partition::Partitioner partitioner(system, app.arrays, options);
-        const sim::ExecutionPlan plan =
-            partitioner.plan(nest, stream, nodes, pool);
+        partition::Partitioner partitioner(system, app.arrays, options,
+                                           pool);
+        const sim::ExecutionPlan plan = partitioner.plan(nest, stream, nodes);
         return std::make_pair(test::planFingerprint(plan, partitioner.report()),
                               partitioner.report().compile);
     };

@@ -1,20 +1,22 @@
 /**
  * @file
- * support::ThreadPool unit tests: submission-order result collection,
- * exception propagation through futures, queue draining on
- * destruction, the orderedMap fan-out (nested batches, and a waiting
- * batch that runs no other work), the serial zero-worker pool,
- * and the NDP_BENCH_THREADS knob parsing in
- * driver::SweepRunner::defaultWorkers().
+ * support::ThreadPool and its one client, the orderedMap fan-out:
+ * indexed results (move-only ones too) with or without a pool and on
+ * the serial zero-worker pool, exception propagation after every index
+ * has run, nested batches, a waiting batch that runs no other batch's
+ * indices, destruction with stale helpers queued, and the
+ * NDP_BENCH_THREADS knob parsing in driver::SweepRunner::defaultWorkers().
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,73 +27,6 @@
 namespace {
 
 using namespace ndp;
-
-TEST(ThreadPoolTest, ResultsCollectInSubmissionOrder)
-{
-    for (std::size_t threads : {0u, 1u, 2u, 8u}) {
-        support::ThreadPool pool(threads);
-        std::vector<std::future<int>> futures;
-        for (int i = 0; i < 200; ++i)
-            futures.push_back(pool.submit([i]() { return i * i; }));
-        for (int i = 0; i < 200; ++i)
-            EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(),
-                      i * i)
-                << "threads=" << threads;
-    }
-}
-
-TEST(ThreadPoolTest, ZeroWorkersRunTasksOnTheCaller)
-{
-    support::ThreadPool pool(0);
-    EXPECT_EQ(pool.threadCount(), 0u);
-    const std::thread::id caller = std::this_thread::get_id();
-    std::thread::id ran_on;
-    std::future<int> future = pool.submit([&ran_on]() {
-        ran_on = std::this_thread::get_id();
-        return 42;
-    });
-    // The task ran before submit() returned.
-    EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_EQ(ran_on, caller);
-    EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPoolTest, ExceptionsPropagateThroughFutures)
-{
-    support::ThreadPool pool(2);
-    auto ok = pool.submit([]() { return 1; });
-    auto bad = pool.submit(
-        []() -> int { throw std::runtime_error("task failed"); });
-    EXPECT_EQ(ok.get(), 1);
-    EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks)
-{
-    // Submit far more tasks than workers and destroy the pool without
-    // collecting: every task must still run exactly once.
-    std::atomic<int> ran{0};
-    {
-        support::ThreadPool pool(4);
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&ran]() {
-                ran.fetch_add(1, std::memory_order_relaxed);
-                return 0;
-            });
-    }
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPoolTest, MoveOnlyResultsWork)
-{
-    support::ThreadPool pool(2);
-    auto future = pool.submit([]() {
-        auto p = std::make_unique<int>(7);
-        return p;
-    });
-    EXPECT_EQ(*future.get(), 7);
-}
 
 TEST(SweepRunnerTest, DefaultThreadsHonorsEnvKnob)
 {
@@ -155,17 +90,23 @@ TEST(SweepRunnerTest, MapOrderedReturnsIndexedResults)
 
 TEST(ThreadPoolTest, OrderedMapIndexesResultsWithOrWithoutPool)
 {
-    const auto square = [](std::size_t i) { return static_cast<int>(i * i); };
-    std::vector<int> expected(40);
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        expected[i] = square(i);
-    EXPECT_EQ(support::orderedMap(nullptr, expected.size(), square),
-              expected);
+    // Move-only results come back indexed by input, whichever thread
+    // computed them.
+    const auto square = [](std::size_t i) {
+        return std::make_unique<std::size_t>(i * i);
+    };
+    const auto expect_squares =
+        [](const std::vector<std::unique_ptr<std::size_t>> &got,
+           const std::string &where) {
+            ASSERT_EQ(got.size(), 40u) << where;
+            for (std::size_t i = 0; i < got.size(); ++i)
+                EXPECT_EQ(*got[i], i * i) << where << ", index " << i;
+        };
+    expect_squares(support::orderedMap(nullptr, 40, square), "no pool");
     for (std::size_t threads : {0u, 1u, 2u, 8u}) {
         support::ThreadPool pool(threads);
-        EXPECT_EQ(support::orderedMap(&pool, expected.size(), square),
-                  expected)
-            << "threads=" << threads;
+        expect_squares(support::orderedMap(&pool, 40, square),
+                       "threads=" + std::to_string(threads));
     }
 }
 
@@ -234,28 +175,60 @@ TEST(ThreadPoolTest, NestedOrderedMapRethrowsAfterEveryTask)
     }
 }
 
+/**
+ * A gate that batch bodies wait on, and a count of the bodies that
+ * have reached it.
+ */
+struct Gate
+{
+    std::promise<void> release;
+    std::shared_future<void> opened = release.get_future().share();
+    std::atomic<int> waiting{0};
+
+    void
+    pass()
+    {
+        waiting.fetch_add(1);
+        opened.wait();
+    }
+
+    void
+    awaitWaiting(int count) const
+    {
+        while (waiting.load() < count)
+            std::this_thread::yield();
+    }
+};
+
 TEST(ThreadPoolTest, WaitingBatchRunsOnlyItsOwnIndices)
 {
-    // Occupy the single worker, then queue an unrelated task behind
-    // it: the caller's batch must run every index on the caller and
-    // return without ever running the unrelated task, which waits for
-    // the worker.
+    // A blocked batch on a background thread holds the single worker
+    // (both of its indices wait at the gate, one on that thread, one on
+    // the worker). An unrelated batch's caller then blocks in its first
+    // index, which leaves its second index queued behind the worker.
+    // This thread's batch must run every index itself and return
+    // without running the unrelated batch's body (which, run here,
+    // would return at once and count a second run).
     support::ThreadPool pool(1);
-    std::promise<void> release;
-    std::shared_future<void> gate = release.get_future().share();
-    std::atomic<bool> started{false};
-    auto blocker = pool.submit([gate, &started]() {
-        started.store(true, std::memory_order_release);
-        gate.wait();
-        return 0;
+    Gate gate;
+    std::thread blocked([&] {
+        support::orderedMap(&pool, 2, [&](std::size_t) {
+            gate.pass();
+            return 0;
+        });
     });
-    while (!started.load(std::memory_order_acquire))
-        std::this_thread::yield();
-    std::atomic<bool> unrelated_ran{false};
-    auto unrelated = pool.submit([&unrelated_ran]() {
-        unrelated_ran.store(true);
-        return 1;
+    gate.awaitWaiting(2);
+
+    std::atomic<int> unrelated_ran{0};
+    std::thread unrelated([&] {
+        support::orderedMap(&pool, 2, [&](std::size_t) {
+            if (unrelated_ran.fetch_add(1) == 0)
+                gate.pass();
+            return 0;
+        });
     });
+    gate.awaitWaiting(3);
+    EXPECT_EQ(unrelated_ran.load(), 1);
 
     const std::thread::id caller = std::this_thread::get_id();
     const std::vector<int> on_caller =
@@ -263,11 +236,32 @@ TEST(ThreadPoolTest, WaitingBatchRunsOnlyItsOwnIndices)
             return std::this_thread::get_id() == caller ? 1 : 0;
         });
     EXPECT_EQ(on_caller, std::vector<int>(4, 1));
-    EXPECT_FALSE(unrelated_ran.load());
+    EXPECT_EQ(unrelated_ran.load(), 1);
 
-    release.set_value();
-    EXPECT_EQ(blocker.get(), 0);
-    EXPECT_EQ(unrelated.get(), 1);
+    gate.release.set_value();
+    blocked.join();
+    unrelated.join();
+    EXPECT_EQ(unrelated_ran.load(), 2);
+}
+
+TEST(ThreadPoolTest, DestroyingThePoolDropsStaleHelpers)
+{
+    // Freshly started workers seldom reach the queue before the caller
+    // has run every index of a tiny batch itself, so the pool is
+    // mostly destroyed with that finished batch's helpers still
+    // queued: it must join its workers and run no body.
+    for (int round = 0; round < 100; ++round) {
+        std::atomic<int> ran{0};
+        {
+            support::ThreadPool pool(2);
+            support::orderedMap(&pool, 3, [&ran](std::size_t) {
+                ran.fetch_add(1);
+                return 0;
+            });
+            EXPECT_EQ(ran.load(), 3) << "round " << round;
+        }
+        EXPECT_EQ(ran.load(), 3) << "round " << round;
+    }
 }
 
 } // namespace
