@@ -79,7 +79,7 @@ FaultCampaign::drawFaultSet(std::size_t rate_idx, int trial_idx,
         spec.seed = trialSeed(rate_idx, trial_idx, attempt);
         fault::FaultModel model = fault::FaultModel::inject(
             machine.meshCols, machine.meshRows, machine.torus, spec);
-        if (noc::MeshTopology::faultsLeaveMeshConnected(
+        if (!noc::MeshTopology::faultSetProblem(
                 machine.meshCols, machine.meshRows, machine.torus,
                 model)) {
             trial.seed = spec.seed;

@@ -19,7 +19,8 @@
  * submission order, so the report is bit-identical for any thread
  * count.
  *
- * An injection that disconnects the surviving mesh is retried with a
+ * An injection that noc::MeshTopology::faultSetProblem rejects (in
+ * practice: one that disconnects the surviving mesh) is retried with a
  * fresh (still deterministic) seed up to maxRetriesPerTrial times;
  * retries and exhausted trials are counted in the result — a trial is
  * abandoned visibly, never silently dropped.
@@ -144,7 +145,8 @@ class FaultCampaign
 
     /**
      * Draw the fault set for one trial: redraws with the next
-     * attempt's seed while the injected set disconnects the mesh,
+     * attempt's seed while MeshTopology::faultSetProblem rejects the
+     * injected set,
      * bounded by maxRetriesPerTrial. Returns the accepted model (or
      * none) via @p out; fills seed/retries/abandoned of @p trial.
      */

@@ -1,6 +1,7 @@
 #include "fault/fault_model.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/error.h"
 #include "support/fnv.h"
@@ -18,12 +19,23 @@ isCorner(std::int32_t x, std::int32_t y, std::int32_t cols,
     return (x == 0 || x == cols - 1) && (y == 0 || y == rows - 1);
 }
 
-void
-insertSorted(std::vector<noc::NodeId> &vec, noc::NodeId node)
+/** Orders as (from, to) does for ids >= 0, so the sorted links_
+ *  yield their keys ascending. */
+std::uint64_t
+linkKey(noc::NodeId from, noc::NodeId to)
 {
-    auto it = std::lower_bound(vec.begin(), vec.end(), node);
-    if (it == vec.end() || *it != node)
-        vec.insert(it, node);
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
+            << 32) |
+           static_cast<std::uint32_t>(to);
+}
+
+template <typename T>
+void
+insertSorted(std::vector<T> &vec, const T &value)
+{
+    auto it = std::lower_bound(vec.begin(), vec.end(), value);
+    if (it == vec.end() || *it != value)
+        vec.insert(it, value);
 }
 
 } // namespace
@@ -101,8 +113,7 @@ FaultModel::killNode(noc::NodeId node)
     NDP_REQUIRE(node >= 0, "killNode: invalid node " << node);
     NDP_REQUIRE(!isDegraded(node),
                 "node " << node << " already marked degraded");
-    if (deadSet_.insert(node).second)
-        insertSorted(dead_, node);
+    insertSorted(dead_, node);
 }
 
 void
@@ -110,8 +121,7 @@ FaultModel::degradeNode(noc::NodeId node)
 {
     NDP_REQUIRE(node >= 0, "degradeNode: invalid node " << node);
     NDP_REQUIRE(!isDead(node), "node " << node << " already marked dead");
-    if (degradedSet_.insert(node).second)
-        insertSorted(degraded_, node);
+    insertSorted(degraded_, node);
 }
 
 void
@@ -119,16 +129,7 @@ FaultModel::failLink(noc::NodeId from, noc::NodeId to)
 {
     NDP_REQUIRE(from >= 0 && to >= 0 && from != to,
                 "failLink: invalid link " << from << " -> " << to);
-    if (linkSet_.insert(linkKey(from, to)).second)
-        links_.emplace_back(from, to);
-}
-
-void
-FaultModel::setDegradeFactor(double factor)
-{
-    NDP_REQUIRE(factor >= 1.0,
-                "degrade factor must be >= 1, got " << factor);
-    degradeFactor_ = factor;
+    insertSorted(links_, std::pair(from, to));
 }
 
 std::uint64_t
@@ -137,8 +138,8 @@ FaultModel::signature() const
     if (empty())
         return 0;
     // FNV-1a over a canonical serialization: tagged sections, sorted
-    // node lists, sorted link keys. Order-independent because every
-    // accessor is already canonicalized.
+    // node lists, sorted link keys, then the degrade factor.
+    // Order-independent because every list is kept sorted.
     Fnv1a h;
     h.add(0x6e6f646573ull); // "nodes"
     for (noc::NodeId node : dead_)
@@ -147,17 +148,9 @@ FaultModel::signature() const
     for (noc::NodeId node : degraded_)
         h.add(static_cast<std::uint64_t>(node));
     h.add(0x6c696e6b73ull); // "links"
-    std::vector<std::uint64_t> keys;
-    keys.reserve(links_.size());
     for (const auto &[from, to] : links_)
-        keys.push_back(linkKey(from, to));
-    std::sort(keys.begin(), keys.end());
-    for (std::uint64_t key : keys)
-        h.add(key);
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(degradeFactor_));
-    __builtin_memcpy(&bits, &degradeFactor_, sizeof(bits));
-    h.add(bits);
+        h.add(linkKey(from, to));
+    h.add(std::bit_cast<std::uint64_t>(kDegradeFactor));
     // 0 is reserved for the healthy chip.
     return h.value() == 0 ? 1 : h.value();
 }

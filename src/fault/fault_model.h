@@ -9,8 +9,8 @@
  *
  *  - dead nodes: core, L1, and L2 bank all unusable. The router of a
  *    dead tile is assumed dead too, so no route may pass through it.
- *  - degraded nodes: fully functional but computing slower by a
- *    configurable factor (binning / DVFS-capped tiles).
+ *  - degraded nodes: fully functional but computing kDegradeFactor
+ *    times slower (binning / DVFS-capped tiles).
  *  - failed links: individual *unidirectional* physical links removed
  *    from the topology (the reverse direction may survive).
  *
@@ -22,24 +22,28 @@
  *
  * The four corner tiles host the memory controllers and are treated
  * as hardened (off-mesh hard IP): random injection never selects
- * them, and noc::MeshTopology rejects explicit fault sets that kill
- * one with ndp::fatal.
+ * them. Whether a fault set fits a mesh at all (ids inside it, links
+ * between neighbours, corners alive, live tiles connected) is judged
+ * by noc::MeshTopology::faultSetProblem, not here.
  *
  * signature() digests the whole fault set; the empty model's
- * signature is 0. Consumers (e.g. partition::SplitPlanCache) use it
- * as a fault *epoch*: state keyed under one signature can never leak
- * into a run under another, so a cached plan cannot resurrect a dead
- * node.
+ * signature is 0. Plan provenance records it as the fault *epoch*,
+ * and the plan verifier rejects a plan whose epoch is not the
+ * machine's.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "noc/coord.h"
 
 namespace ndp::fault {
+
+/** Compute-slowdown multiplier of a degraded node's core. */
+inline constexpr double kDegradeFactor = 2.0;
 
 /** Parameters of one pseudo-random injection. */
 struct FaultSpec
@@ -57,7 +61,10 @@ struct FaultSpec
     std::uint64_t seed = 0;
 };
 
-/** One degraded chip: dead/degraded nodes and failed links. */
+/**
+ * One degraded chip: dead/degraded nodes and failed links, each kept
+ * once in a sorted vector and found by binary search.
+ */
 class FaultModel
 {
   public:
@@ -88,17 +95,19 @@ class FaultModel
 
     bool isDead(noc::NodeId node) const
     {
-        return deadSet_.count(node) != 0;
+        return std::binary_search(dead_.begin(), dead_.end(), node);
     }
 
     bool isDegraded(noc::NodeId node) const
     {
-        return degradedSet_.count(node) != 0;
+        return std::binary_search(degraded_.begin(), degraded_.end(),
+                                  node);
     }
 
     bool isLinkFailed(noc::NodeId from, noc::NodeId to) const
     {
-        return linkSet_.count(linkKey(from, to)) != 0;
+        return std::binary_search(links_.begin(), links_.end(),
+                                  std::pair(from, to));
     }
 
     /** Dead node ids, ascending. */
@@ -108,22 +117,18 @@ class FaultModel
     {
         return degraded_;
     }
-    /** Failed (from, to) pairs, in insertion (canonical) order. */
+    /** Failed (from, to) pairs, ascending. */
     const std::vector<std::pair<noc::NodeId, noc::NodeId>> &
     failedLinks() const
     {
         return links_;
     }
 
-    /** Compute-slowdown multiplier applied to degraded nodes. */
-    double degradeFactor() const { return degradeFactor_; }
-    void setDegradeFactor(double factor);
-
     /**
      * Order-independent FNV-1a digest of the fault set (the fault
      * *epoch*). 0 for the empty model; two models with the same dead
-     * set, degraded set, failed links, and degrade factor share a
-     * signature.
+     * set, degraded set and failed links share a signature. The digest
+     * also covers kDegradeFactor.
      */
     std::uint64_t signature() const;
 
@@ -131,22 +136,9 @@ class FaultModel
     std::string describe() const;
 
   private:
-    static std::uint64_t
-    linkKey(noc::NodeId from, noc::NodeId to)
-    {
-        return (static_cast<std::uint64_t>(
-                    static_cast<std::uint32_t>(from))
-                << 32) |
-               static_cast<std::uint32_t>(to);
-    }
-
     std::vector<noc::NodeId> dead_;
     std::vector<noc::NodeId> degraded_;
     std::vector<std::pair<noc::NodeId, noc::NodeId>> links_;
-    std::unordered_set<noc::NodeId> deadSet_;
-    std::unordered_set<noc::NodeId> degradedSet_;
-    std::unordered_set<std::uint64_t> linkSet_;
-    double degradeFactor_ = 2.0;
 };
 
 } // namespace ndp::fault

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <sstream>
 
 #include "support/error.h"
 
@@ -61,19 +62,19 @@ constexpr std::array<NodeId, 4> kNoNeighbors = {kInvalidNode, kInvalidNode,
 Adjacency
 survivingAdjacency(std::int32_t cols, std::int32_t rows, bool torus,
                    const fault::FaultModel &faults,
-                   const std::vector<std::uint8_t> &live)
+                   const std::vector<std::uint8_t> &tiles)
 {
     const std::int32_t count = cols * rows;
     Adjacency adjacency(static_cast<std::size_t>(count), kNoNeighbors);
     for (NodeId node = 0; node < count; ++node) {
-        if (!live[static_cast<std::size_t>(node)])
+        if (tiles[static_cast<std::size_t>(node)] == MeshTopology::kDead)
             continue;
         std::size_t filled = 0;
         for (std::int32_t dir = 0; dir < 4; ++dir) {
             const NodeId next = neighborOf(cols, rows, torus, node, dir);
             if (next == kInvalidNode || next == node)
                 continue;
-            if (!live[static_cast<std::size_t>(next)])
+            if (tiles[static_cast<std::size_t>(next)] == MeshTopology::kDead)
                 continue;
             if (faults.isLinkFailed(node, next))
                 continue;
@@ -113,35 +114,131 @@ bfsFrom(NodeId source, const Adjacency &adjacency,
     }
 }
 
-std::vector<std::uint8_t>
-livenessMask(std::int32_t count, const fault::FaultModel &faults)
+/** The four memory-controller corners, entry q in quadrant q. */
+std::array<NodeId, 4>
+cornersOf(std::int32_t cols, std::int32_t rows)
 {
-    std::vector<std::uint8_t> live(static_cast<std::size_t>(count), 1);
-    for (NodeId node : faults.deadNodes()) {
-        if (node >= 0 && node < count)
-            live[static_cast<std::size_t>(node)] = 0;
-    }
-    return live;
+    return {0, cols - 1, (rows - 1) * cols, rows * cols - 1};
+}
+
+/**
+ * Per-node TileState of a fault set whose node ids lie inside the
+ * mesh.
+ */
+std::vector<std::uint8_t>
+tileStates(std::int32_t count, const fault::FaultModel &faults)
+{
+    std::vector<std::uint8_t> tiles(static_cast<std::size_t>(count),
+                                    MeshTopology::kHealthy);
+    for (NodeId node : faults.deadNodes())
+        tiles[static_cast<std::size_t>(node)] = MeshTopology::kDead;
+    for (NodeId node : faults.degradedNodes())
+        tiles[static_cast<std::size_t>(node)] = MeshTopology::kDegraded;
+    return tiles;
 }
 
 } // namespace
+
+std::optional<std::string>
+MeshTopology::faultSetProblem(std::int32_t cols, std::int32_t rows,
+                              bool torus, const fault::FaultModel &faults)
+{
+    NDP_REQUIRE(cols >= 2 && rows >= 2,
+                "mesh must be at least 2x2, got " << cols << "x" << rows);
+    if (faults.empty())
+        return std::nullopt;
+    const std::int32_t count = cols * rows;
+    const auto outside = [count](NodeId node) {
+        return node < 0 || node >= count;
+    };
+    const auto problem = [](const auto &...parts) {
+        std::ostringstream os;
+        os << "fault set ";
+        (os << ... << parts);
+        return std::optional<std::string>(os.str());
+    };
+    for (NodeId node : faults.deadNodes()) {
+        if (outside(node))
+            return problem("kills node ", node, " outside the ", cols,
+                           "x", rows, " mesh");
+    }
+    for (NodeId node : faults.degradedNodes()) {
+        if (outside(node))
+            return problem("degrades node ", node, " outside the ", cols,
+                           "x", rows, " mesh");
+    }
+    for (const auto &[from, to] : faults.failedLinks()) {
+        if (outside(from) || outside(to))
+            return problem("fails link ", from, " -> ", to,
+                           " outside the ", cols, "x", rows, " mesh");
+        bool joined = false;
+        for (std::int32_t dir = 0; dir < 4; ++dir)
+            joined |= neighborOf(cols, rows, torus, from, dir) == to;
+        if (!joined)
+            return problem("fails link ", from, " -> ", to,
+                           ", but no link joins tiles ", from, " and ",
+                           to);
+    }
+    const std::array<NodeId, 4> corners = cornersOf(cols, rows);
+    for (NodeId mc : corners) {
+        if (faults.isDead(mc))
+            return problem("kills memory-controller node ", mc,
+                           "; corner tiles are hardened");
+    }
+
+    // Strong connectivity of the live subgraph: a BFS from corner 0
+    // must reach every live tile, and so must a BFS over the reversed
+    // edges (links fail per direction). A node has at most four
+    // in-links, one per direction, so the reversed graph fits the same
+    // four slots.
+    const std::vector<std::uint8_t> tiles = tileStates(count, faults);
+    const Adjacency adjacency =
+        survivingAdjacency(cols, rows, torus, faults, tiles);
+    Adjacency reversed(adjacency.size(), kNoNeighbors);
+    for (NodeId from = 0; from < count; ++from) {
+        for (NodeId to : adjacency[static_cast<std::size_t>(from)]) {
+            if (to == kInvalidNode)
+                break;
+            auto &in = reversed[static_cast<std::size_t>(to)];
+            *std::find(in.begin(), in.end(), kInvalidNode) = from;
+        }
+    }
+    const std::size_t n = static_cast<std::size_t>(count);
+    std::vector<std::int32_t> from_mc(n);
+    std::vector<std::int32_t> to_mc(n);
+    std::vector<NodeId> queue(n);
+    bfsFrom(corners[0], adjacency, from_mc, queue);
+    bfsFrom(corners[0], reversed, to_mc, queue);
+    for (NodeId node = 0; node < count; ++node) {
+        const auto i = static_cast<std::size_t>(node);
+        if (tiles[i] == kDead)
+            continue;
+        if (from_mc[i] == kUnreachable)
+            return problem("disconnects the mesh (", faults.describe(),
+                           "): memory-controller node ", corners[0],
+                           " cannot reach tile ", node);
+        if (to_mc[i] == kUnreachable)
+            return problem("disconnects the mesh (", faults.describe(),
+                           "): tile ", node,
+                           " cannot reach memory-controller node ",
+                           corners[0]);
+    }
+    return std::nullopt;
+}
 
 MeshTopology::MeshTopology(std::int32_t cols, std::int32_t rows,
                            bool torus, fault::FaultModel faults)
     : cols_(cols), rows_(rows), torus_(torus),
       faults_(std::move(faults))
 {
-    NDP_REQUIRE(cols >= 2 && rows >= 2,
-                "mesh must be at least 2x2, got " << cols << "x" << rows);
+    const std::optional<std::string> problem =
+        faultSetProblem(cols, rows, torus, faults_);
+    NDP_REQUIRE(!problem, *problem);
     // Each node has up to 4 outgoing links; we reserve a dense slot for
     // all 4 directions per node (absent edge slots are simply unused).
     linkCount_ = nodeCount() * 4;
-    mcNodes_ = {
-        nodeAt({0, 0}),
-        nodeAt({cols_ - 1, 0}),
-        nodeAt({0, rows_ - 1}),
-        nodeAt({cols_ - 1, rows_ - 1}),
-    };
+    const std::array<NodeId, 4> corners = cornersOf(cols, rows);
+    mcNodes_.assign(corners.begin(), corners.end());
 
     buildTables();
 }
@@ -150,42 +247,18 @@ void
 MeshTopology::buildTables()
 {
     const std::int32_t count = nodeCount();
-    for (NodeId node : faults_.deadNodes()) {
-        NDP_REQUIRE(node >= 0 && node < count,
-                    "fault set kills node " << node
-                        << " outside the " << cols_ << "x" << rows_
-                        << " mesh");
-    }
-    for (NodeId node : faults_.degradedNodes()) {
-        NDP_REQUIRE(node >= 0 && node < count,
-                    "fault set degrades node " << node
-                        << " outside the " << cols_ << "x" << rows_
-                        << " mesh");
-    }
-    for (const auto &[from, to] : faults_.failedLinks()) {
-        NDP_REQUIRE(from >= 0 && from < count && to >= 0 && to < count,
-                    "fault set fails link " << from << " -> " << to
-                        << " outside the " << cols_ << "x" << rows_
-                        << " mesh");
-    }
-    for (NodeId mc : mcNodes_) {
-        NDP_REQUIRE(!faults_.isDead(mc),
-                    "fault set kills memory-controller node "
-                        << mc << "; corner tiles are hardened");
-    }
-
-    live_ = livenessMask(count, faults_);
+    tiles_ = tileStates(count, faults_);
     for (NodeId node = 0; node < count; ++node) {
-        if (live_[static_cast<std::size_t>(node)])
+        if (isLive(node))
             liveNodes_.push_back(node);
     }
 
     // Shortest surviving paths: one BFS per live source over the
     // directed surviving graph. Pairs with a dead endpoint stay at the
-    // kUnreachable sentinel (no caller may route them); any live pair
-    // left unreachable means the chip is not usable — fail fast.
+    // kUnreachable sentinel (no caller may route them); faultSetProblem
+    // has already proved every live pair reachable.
     const auto adjacency =
-        survivingAdjacency(cols_, rows_, torus_, faults_, live_);
+        survivingAdjacency(cols_, rows_, torus_, faults_, tiles_);
     const std::size_t n = static_cast<std::size_t>(count);
     distanceTable_.assign(n * n, kUnreachable);
     for (NodeId node = 0; node < count; ++node)
@@ -193,17 +266,8 @@ MeshTopology::buildTables()
                        static_cast<std::size_t>(node)] = 0;
     std::vector<NodeId> queue(n);
     for (NodeId source : liveNodes_) {
-        const std::span<std::int32_t> dist(
-            distanceTable_.data() + static_cast<std::size_t>(source) * n,
-            n);
-        bfsFrom(source, adjacency, dist, queue);
-        for (NodeId target : liveNodes_) {
-            NDP_REQUIRE(dist[static_cast<std::size_t>(target)] <
-                            kUnreachable,
-                        "fault set disconnects the mesh ("
-                            << faults_.describe() << "): no route "
-                            << source << " -> " << target);
-        }
+        const std::size_t row = static_cast<std::size_t>(source) * n;
+        bfsFrom(source, adjacency, {distanceTable_.data() + row, n}, queue);
     }
 
     // Dead banks re-home to the nearest live node by *healthy*
@@ -212,7 +276,7 @@ MeshTopology::buildTables()
     // is ascending, so the strict < keeps the first (lowest) winner.
     rehome_.resize(n);
     for (NodeId node = 0; node < count; ++node) {
-        if (live_[static_cast<std::size_t>(node)]) {
+        if (isLive(node)) {
             rehome_[static_cast<std::size_t>(node)] = node;
             continue;
         }
@@ -269,58 +333,6 @@ MeshTopology::buildTables()
         }
     }
     routeBegin_[n * n] = static_cast<std::int32_t>(routeLinks_.size());
-}
-
-bool
-MeshTopology::faultsLeaveMeshConnected(std::int32_t cols,
-                                       std::int32_t rows, bool torus,
-                                       const fault::FaultModel &faults)
-{
-    NDP_REQUIRE(cols >= 2 && rows >= 2,
-                "mesh must be at least 2x2, got " << cols << "x" << rows);
-    const std::int32_t count = cols * rows;
-    for (NodeId node : faults.deadNodes()) {
-        if (node < 0 || node >= count)
-            return false;
-    }
-    const NodeId corners[4] = {0, cols - 1, (rows - 1) * cols,
-                               count - 1};
-    for (NodeId mc : corners) {
-        if (faults.isDead(mc))
-            return false;
-    }
-    const std::vector<std::uint8_t> live = livenessMask(count, faults);
-    const auto adjacency =
-        survivingAdjacency(cols, rows, torus, faults, live);
-    // Strong connectivity of the live subgraph: forward BFS from one
-    // live seed must reach every live node, and so must a BFS over the
-    // reversed edges (links fail per direction). A node has at most
-    // four in-links, one per direction, so the reversed graph fits the
-    // same four slots.
-    Adjacency reversed(adjacency.size(), kNoNeighbors);
-    for (NodeId from = 0; from < count; ++from) {
-        for (NodeId to : adjacency[static_cast<std::size_t>(from)]) {
-            if (to == kInvalidNode)
-                break;
-            auto &in = reversed[static_cast<std::size_t>(to)];
-            *std::find(in.begin(), in.end(), kInvalidNode) = from;
-        }
-    }
-    const NodeId seed = corners[0];
-    const std::size_t n = static_cast<std::size_t>(count);
-    std::vector<std::int32_t> fwd(n);
-    std::vector<std::int32_t> rev(n);
-    std::vector<NodeId> queue(n);
-    bfsFrom(seed, adjacency, fwd, queue);
-    bfsFrom(seed, reversed, rev, queue);
-    for (NodeId node = 0; node < count; ++node) {
-        if (!live[static_cast<std::size_t>(node)])
-            continue;
-        if (fwd[static_cast<std::size_t>(node)] >= kUnreachable ||
-            rev[static_cast<std::size_t>(node)] >= kUnreachable)
-            return false;
-    }
-    return true;
 }
 
 bool

@@ -15,13 +15,15 @@
  * destination. On a healthy mesh that is dimension-ordered (XY)
  * routing over exactly ManhattanDistance links; on a healthy torus it
  * takes the shorter way round each dimension, forward on ties.
- * Construction fails fast with ndp::fatal when the live mesh is not
- * strongly connected, and rehomeOf() maps each dead node's L2 bank to
- * its nearest live node.
+ * Construction fails fast with ndp::fatal, naming the fault, when
+ * faultSetProblem() rejects the fault set, and rehomeOf() maps each
+ * dead node's L2 bank to its nearest live node.
  */
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "fault/fault_model.h"
@@ -64,9 +66,8 @@ class MeshTopology
      * @param rows mesh height
      * @param torus add wrap-around links in both dimensions
      * @param faults dead/degraded nodes and failed links; the empty
-     *        model reproduces the healthy mesh exactly. Fatal if a
-     *        corner (memory-controller) node is dead or the surviving
-     *        mesh is not strongly connected.
+     *        model reproduces the healthy mesh exactly. Fatal, with
+     *        faultSetProblem()'s message, if the chip cannot run.
      */
     MeshTopology(std::int32_t cols, std::int32_t rows,
                  bool torus = false, fault::FaultModel faults = {});
@@ -171,7 +172,16 @@ class MeshTopology
     {
         NDP_DCHECK(node >= 0 && node < nodeCount(),
                    "bad node id " << node);
-        return live_[static_cast<std::size_t>(node)] != 0;
+        return tiles_[static_cast<std::size_t>(node)] != kDead;
+    }
+
+    /** Does @p node's core compute fault::kDegradeFactor times slower? */
+    bool
+    isDegraded(NodeId node) const
+    {
+        NDP_DCHECK(node >= 0 && node < nodeCount(),
+                   "bad node id " << node);
+        return tiles_[static_cast<std::size_t>(node)] == kDegraded;
     }
 
     /** Live node ids, ascending. Equals all nodes when fault-free. */
@@ -193,18 +203,26 @@ class MeshTopology
     }
 
     /**
-     * Cheap pre-check used by fault campaigns before paying for a full
-     * topology: would this fault set keep the mesh strongly connected
-     * (and all four corner memory controllers alive)? Constructing a
-     * MeshTopology with a model that fails this check is fatal.
+     * The one rule for a usable chip: nothing when a cols x rows mesh
+     * (torus or not) can run with @p faults, else the first problem,
+     * as a message that names it. In order: a dead or degraded node,
+     * or a link, outside the mesh; a failed link between tiles that
+     * share no link; a dead memory-controller corner; a live tile
+     * that cannot reach corner 0, or that corner 0 cannot reach. The
+     * constructor fails with this message; fault campaigns re-draw on
+     * it. The empty model returns at once. Fatal if the mesh is
+     * smaller than 2x2.
      */
-    static bool faultsLeaveMeshConnected(std::int32_t cols,
-                                         std::int32_t rows, bool torus,
-                                         const fault::FaultModel &faults);
+    static std::optional<std::string>
+    faultSetProblem(std::int32_t cols, std::int32_t rows, bool torus,
+                    const fault::FaultModel &faults);
+
+    /** A tile's state, as the per-node tile mask holds it. */
+    enum TileState : std::uint8_t { kDead, kHealthy, kDegraded };
 
   private:
-    /** Validate the fault set, then fill the liveness, BFS distance,
-     *  re-home and route tables. */
+    /** Fill the tile-state, BFS distance, re-home and route tables of
+     *  a fault set faultSetProblem() accepted. */
     void buildTables();
 
     std::int32_t cols_;
@@ -215,8 +233,8 @@ class MeshTopology
     std::vector<NodeId> mcNodes_;
     /** distance(a, b) == distanceTable_[a * nodeCount() + b]. */
     std::vector<std::int32_t> distanceTable_;
-    /** Per-node liveness mask (1 = live). */
-    std::vector<std::uint8_t> live_;
+    /** Per-node TileState. */
+    std::vector<std::uint8_t> tiles_;
     std::vector<NodeId> liveNodes_;
     /** Dead-bank re-home map (identity on live nodes). */
     std::vector<NodeId> rehome_;

@@ -15,7 +15,6 @@
  * handful of increments per instance.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 
@@ -67,14 +66,6 @@ struct CompileStats
      * one, which plansComputed/plansMemoized already counted.
      */
     std::int64_t cacheBypassed = 0;
-    /**
-     * The split-plan entries one plan() call filed, and the bytes they
-     * occupy: the prefill plus every window candidate's overlay, all
-     * alive until the winner is known (merge() keeps the largest
-     * call's).
-     */
-    std::int64_t cachePeakEntries = 0;
-    std::int64_t cachePeakBytes = 0;
 
     // Phase timers, nanoseconds; zero unless collectCompileTimers was on.
     // The per-walk phases add up over walks; walks that overlap on a
@@ -107,8 +98,6 @@ struct CompileStats
         plansPrefilled += other.plansPrefilled;
         plansMemoized += other.plansMemoized;
         cacheBypassed += other.cacheBypassed;
-        cachePeakEntries = std::max(cachePeakEntries, other.cachePeakEntries);
-        cachePeakBytes = std::max(cachePeakBytes, other.cachePeakBytes);
         resolveNs += other.resolveNs;
         locateNs += other.locateNs;
         splitNs += other.splitNs;

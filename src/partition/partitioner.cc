@@ -1523,10 +1523,6 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         // The winner's overlay: the emitting walk reads it with the
         // frozen cache, and, when nothing was scored, files in it.
         SplitPlanCache best_overlay;
-        // What the candidates' overlays filed; with the prefill, all
-        // of it is alive until the winner is known.
-        std::int64_t filed_entries = 0;
-        std::int64_t filed_bytes = 0;
         if (scored) {
             std::vector<std::int32_t> walked = {w_first};
             for (std::int32_t w = w_first + 1; w <= w_last; ++w) {
@@ -1563,8 +1559,6 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                 Candidate &c = candidates[next++];
                 movement_per_w.push_back(c.movement);
                 compile_total.merge(c.compile);
-                filed_entries += static_cast<std::int64_t>(c.overlay.size());
-                filed_bytes += static_cast<std::int64_t>(c.overlay.bytes());
                 if (best == nullptr || c.movement < best->movement) {
                     best_w = w;
                     best = &c;
@@ -1593,16 +1587,6 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                                                               w_first)],
                   "emitting pass diverged from its scoring pass");
         emitter.checkTaskCount();
-        // A walk that repeats a scoring walk files nothing; the only
-        // walk has filled its overlay by now.
-        if (!scored) {
-            filed_entries = static_cast<std::int64_t>(best_overlay.size());
-            filed_bytes = static_cast<std::int64_t>(best_overlay.bytes());
-        }
-        compile_total.cachePeakEntries =
-            filed_entries + static_cast<std::int64_t>(splitCache_.size());
-        compile_total.cachePeakBytes =
-            filed_bytes + static_cast<std::int64_t>(splitCache_.bytes());
     }
 
     best_report.movementPerWindowSize = std::move(movement_per_w);

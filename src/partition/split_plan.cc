@@ -77,15 +77,6 @@ SplitPlanPool::edgesOf(std::size_t index)
     return {edges_.data() + entry.edge, entry.edgeCount};
 }
 
-std::size_t
-SplitPlanPool::bytes() const
-{
-    return entries_.size() * sizeof(Entry) +
-           subs_.size() * sizeof(PackedSub) + leaves_.size() +
-           children_.size() + ops_.size() +
-           edges_.size() * sizeof(PackedEdge);
-}
-
 void
 SplitPlanPool::reserveLike(const SplitPlanPool &like)
 {

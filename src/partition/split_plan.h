@@ -214,8 +214,6 @@ class SplitPlanPool
     std::span<PackedEdge> edgesOf(std::size_t index);
 
     std::size_t size() const { return entries_.size(); }
-    /** Bytes the entries occupy in the pools, headers included. */
-    std::size_t bytes() const;
     /** Reserve room for as many entries, and run elements, as @p like
      *  holds. */
     void reserveLike(const SplitPlanPool &like);

@@ -136,15 +136,6 @@ SplitPlanCache::grow()
                         keyBegin_[i + 1] - keyBegin_[i]));
 }
 
-std::size_t
-SplitPlanCache::bytes() const
-{
-    return plans_.bytes() +
-           (keys_.size() + keyBegin_.size() + next_.size() +
-            heads_.size()) *
-               sizeof(std::uint32_t);
-}
-
 void
 SplitPlanCache::reserveLike(const SplitPlanCache &like)
 {

@@ -26,7 +26,8 @@
  * buckets of entries chained by index. insert() appends the splitter's
  * flat plan to the pool as it is, and a hit is the pool's view of it:
  * nothing is decoded, and lookups do not allocate. On the paper's
- * applications that is about 130 bytes per entry (bytes() / size()).
+ * applications that was measured at about 130 bytes per entry, pools
+ * and bucket heads included.
  *
  * Correctness: the hash only selects a bucket; every entry keeps its
  * full key and lookups compare it word for word, so siblings in one
@@ -116,8 +117,6 @@ class SplitPlanCache
     void clear();
 
     std::size_t size() const { return next_.size(); }
-    /** Bytes the live entries occupy in the pools (bucket heads too). */
-    std::size_t bytes() const;
 
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;

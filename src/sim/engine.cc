@@ -37,10 +37,10 @@ struct ChunkTally
 
 /**
  * Pass 2's plan-only set-up: the consumers of task t, as a CSR
- * (consumers[consumerBegin[t], consumerBegin[t + 1]), filled in task
- * order so each producer lists its consumers by ascending id), each
- * task's unfinished producer count, zeroed ready times, and the tasks
- * of each node.
+ * (consumers[consumerBegin[t], consumerBegin[t + 1]), filled from the
+ * last task to the first so each producer lists its consumers by
+ * ascending id), each task's unfinished producer count, zeroed ready
+ * times, and the tasks of each node.
  */
 struct Pass2Setup
 {
@@ -67,19 +67,22 @@ pass2Setup(const ExecutionPlan &plan, std::size_t node_count)
         s.pending[t] = static_cast<std::int32_t>(task.depCount);
         ++s.perNode[static_cast<std::size_t>(task.node)];
         for (TaskId dep : plan.deps(task))
-            ++s.consumerBegin[static_cast<std::size_t>(dep) + 1];
+            ++s.consumerBegin[static_cast<std::size_t>(dep)];
     }
     narrowChecked<std::uint32_t>(consumer_count, plan.name,
                                  "consumer count");
+    // Counts become range ends; placing consumers from the last task
+    // to the first walks each end back to its range's begin and leaves
+    // every list ascending.
     for (std::size_t t = 0; t < task_count; ++t)
         s.consumerBegin[t + 1] += s.consumerBegin[t];
-    s.consumers.resize(s.consumerBegin.back());
-    std::vector<std::uint32_t> fill(s.consumerBegin.begin(),
-                                    s.consumerBegin.end() - 1);
-    for (std::size_t t = 0; t < task_count; ++t) {
-        for (TaskId dep : plan.deps(plan.tasks[t]))
-            s.consumers[fill[static_cast<std::size_t>(dep)]++] =
-                static_cast<TaskId>(t);
+    s.consumers.resize(consumer_count);
+    for (std::size_t t = task_count; t-- > 0;) {
+        for (TaskId dep : plan.deps(plan.tasks[t])) {
+            std::uint32_t &end =
+                s.consumerBegin[static_cast<std::size_t>(dep)];
+            s.consumers[--end] = static_cast<TaskId>(t);
+        }
     }
     return s;
 }
@@ -365,12 +368,11 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
         std::int64_t compute =
             task.computeCost * cfg.computeCyclesPerOpUnit;
         // A degraded (binned / DVFS-capped) tile computes slower by
-        // the model's factor; its caches and links run at full speed.
-        if (sys.mesh().hasFaults() &&
-            sys.mesh().faults().isDegraded(task.node)) {
+        // fault::kDegradeFactor; its caches and links run at full speed.
+        if (sys.mesh().isDegraded(task.node)) {
             compute = static_cast<std::int64_t>(
                 std::llround(static_cast<double>(compute) *
-                             sys.mesh().faults().degradeFactor()));
+                             fault::kDegradeFactor));
         }
         if (opts.parallelismSpeedup > 1.0) {
             compute = static_cast<std::int64_t>(

@@ -74,8 +74,9 @@ struct ManycoreConfig
      * links. The default (empty) model is the healthy machine and
      * changes nothing. A non-empty model makes the mesh route around
      * failures, re-homes dead L2 banks, and slows degraded cores by
-     * faults.degradeFactor(); construction is fatal if the surviving
-     * mesh is disconnected or a corner MC node is dead.
+     * fault::kDegradeFactor. Construction fails with the message of
+     * noc::MeshTopology::faultSetProblem, which names the fault, when
+     * the chip cannot run.
      */
     fault::FaultModel faults;
 

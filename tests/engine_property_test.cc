@@ -601,8 +601,8 @@ TEST(EnginePoolTest, ChunkedRunsMatchTheSerialRunOnAnyPool)
         for (spec.seed = 1;; ++spec.seed) {
             faulted.faults = fault::FaultModel::inject(8, 8, false, spec);
             if (!faulted.faults.deadNodes().empty() &&
-                noc::MeshTopology::faultsLeaveMeshConnected(
-                    8, 8, false, faulted.faults))
+                !noc::MeshTopology::faultSetProblem(8, 8, false,
+                                                    faulted.faults))
                 break;
         }
     }

@@ -9,6 +9,9 @@
  *  - every re-homed bank lands on a live node, and on *the* nearest
  *    live node by healthy Manhattan distance with the lowest-id
  *    tiebreak (cross-checked by brute force);
+ *  - MeshTopology::faultSetProblem accepts a drawn set exactly when
+ *    MeshTopology constructs with it, on a mesh and on a torus, and
+ *    construction fails with the rule's own message;
  *  - no compiled plan — default placement or partitioned — ever
  *    schedules a task on a dead node, and the full pipeline runs to
  *    completion on the faulted machine (the engine's own liveness
@@ -17,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +30,7 @@
 #include "noc/mesh_topology.h"
 #include "partition/partitioner.h"
 #include "sim/manycore.h"
+#include "support/error.h"
 #include "support/rng.h"
 
 namespace {
@@ -49,10 +54,8 @@ connectedFaults(std::int32_t cols, std::int32_t rows, double node_rate,
         spec.seed = rng.next();
         FaultModel model =
             FaultModel::inject(cols, rows, false, spec);
-        if (MeshTopology::faultsLeaveMeshConnected(cols, rows, false,
-                                                   model)) {
+        if (!MeshTopology::faultSetProblem(cols, rows, false, model))
             return model;
-        }
     }
 }
 
@@ -129,6 +132,52 @@ TEST(FaultPropertyTest, RehomedBanksAreNearestLiveNodes)
                 << "trial " << trial << " dead node " << n;
         }
     }
+}
+
+TEST(FaultPropertyTest, PredicateHoldsExactlyWhenTheMeshConstructs)
+{
+    // The rates of the tests here, and two high enough to disconnect.
+    struct Rates
+    {
+        std::int32_t side;
+        double node;
+        double link;
+    };
+    const Rates rates[] = {{8, 0.10, 0.05}, {8, 0.15, 0.0},
+                           {6, 0.12, 0.04}, {6, 0.30, 0.20},
+                           {4, 0.40, 0.30}};
+    Rng rng(0x0e5a'11edull);
+    int accepted = 0;
+    int rejected = 0;
+    for (const bool torus : {false, true}) {
+        for (const Rates &r : rates) {
+            FaultSpec spec;
+            spec.nodeFaultRate = r.node;
+            spec.linkFaultRate = r.link;
+            spec.degradedFraction = 0.25;
+            for (int draw = 0; draw < 24; ++draw) {
+                spec.seed = rng.next();
+                const FaultModel model =
+                    FaultModel::inject(r.side, r.side, torus, spec);
+                const std::optional<std::string> problem =
+                    MeshTopology::faultSetProblem(r.side, r.side, torus,
+                                                  model);
+                std::optional<std::string> fatal;
+                try {
+                    const MeshTopology mesh(r.side, r.side, torus, model);
+                } catch (const FatalError &e) {
+                    fatal = e.what();
+                }
+                EXPECT_EQ(problem, fatal)
+                    << r.side << "x" << r.side << (torus ? " torus" : "")
+                    << " seed " << spec.seed;
+                ++(problem ? rejected : accepted);
+            }
+        }
+    }
+    // Both verdicts are exercised.
+    EXPECT_GT(accepted, 0);
+    EXPECT_GT(rejected, 0);
 }
 
 TEST(FaultPropertyTest, NoPlanSchedulesWorkOnDeadNodes)

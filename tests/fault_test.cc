@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "fault/fault_model.h"
@@ -66,14 +68,6 @@ TEST(FaultModelTest, DeadAndDegradedAreMutuallyExclusive)
     FaultModel other;
     other.killNode(3);
     EXPECT_THROW(other.degradeNode(3), FatalError);
-}
-
-TEST(FaultModelTest, DegradeFactorMustBeAtLeastOne)
-{
-    FaultModel model;
-    model.setDegradeFactor(3.5);
-    EXPECT_DOUBLE_EQ(model.degradeFactor(), 3.5);
-    EXPECT_THROW(model.setDegradeFactor(0.5), FatalError);
 }
 
 TEST(FaultModelTest, InjectionIsDeterministic)
@@ -143,13 +137,6 @@ TEST(FaultModelTest, SignatureIsOrderIndependent)
     FaultModel c = a;
     c.killNode(10);
     EXPECT_NE(c.signature(), a.signature());
-    FaultModel d = a;
-    d.setDegradeFactor(4.0);
-    d.degradeNode(10);
-    FaultModel e = a;
-    e.setDegradeFactor(8.0);
-    e.degradeNode(10);
-    EXPECT_NE(d.signature(), e.signature());
 }
 
 // ------------------------------------------- MeshTopology under faults
@@ -218,47 +205,104 @@ TEST(FaultMeshTest, FailedLinkIsUnidirectional)
         EXPECT_FALSE(model.isLinkFailed(path[i], path[i + 1]));
 }
 
+/**
+ * The rule's verdict on a side x side mesh: "" for a usable chip, else
+ * the message, after checking that construction fails with exactly it.
+ */
+std::string
+rejection(std::int32_t side, const FaultModel &model)
+{
+    const std::optional<std::string> problem =
+        MeshTopology::faultSetProblem(side, side, false, model);
+    try {
+        const MeshTopology mesh(side, side, false, model);
+        EXPECT_FALSE(problem) << "constructed despite: " << *problem;
+    } catch (const FatalError &e) {
+        EXPECT_TRUE(problem) << "fatal but accepted: " << e.what();
+        EXPECT_EQ(problem.value_or(""), e.what());
+    }
+    return problem.value_or("");
+}
+
 TEST(FaultMeshTest, DeadCornerIsFatal)
 {
     FaultModel model;
     model.killNode(0); // (0,0) hosts a memory controller
-    EXPECT_THROW(MeshTopology(4, 4, false, model), FatalError);
-    EXPECT_FALSE(
-        MeshTopology::faultsLeaveMeshConnected(4, 4, false, model));
+    EXPECT_EQ(rejection(4, model),
+              "fault set kills memory-controller node 0; corner tiles "
+              "are hardened");
 }
 
 TEST(FaultMeshTest, DisconnectingFaultSetIsFatal)
 {
-    // 3x3 mesh: killing 1, 3, 5, 7 isolates the centre node 4
-    // (corners 0, 2, 6, 8 stay alive).
+    // 3x3 mesh: killing 1, 3, 5, 7 leaves every live tile (corners 0,
+    // 2, 6, 8 and the centre 4) without a live neighbour; the first
+    // one corner 0 cannot reach is 2.
     FaultModel model;
     model.killNode(1);
     model.killNode(3);
     model.killNode(5);
     model.killNode(7);
-    EXPECT_FALSE(
-        MeshTopology::faultsLeaveMeshConnected(3, 3, false, model));
-    EXPECT_THROW(MeshTopology(3, 3, false, model), FatalError);
+    EXPECT_EQ(rejection(3, model),
+              "fault set disconnects the mesh (4 dead, 0 degraded, 0 "
+              "links failed): memory-controller node 0 cannot reach "
+              "tile 2");
 }
 
-TEST(FaultMeshTest, ConnectivityPrecheckAcceptsSurvivableSets)
+TEST(FaultMeshTest, OneWayCutNamesTheTileThatCannotLeave)
 {
-    EXPECT_TRUE(
-        MeshTopology::faultsLeaveMeshConnected(4, 4, false, {}));
+    // 4x4 mesh: node 5's four out-links fail, its in-links survive, so
+    // corner 0 reaches it but it reaches nothing.
+    FaultModel model;
+    for (NodeId next : {1, 4, 6, 9})
+        model.failLink(5, next);
+    EXPECT_EQ(rejection(4, model),
+              "fault set disconnects the mesh (0 dead, 0 degraded, 4 "
+              "links failed): tile 5 cannot reach memory-controller "
+              "node 0");
+}
+
+TEST(FaultMeshTest, SurvivableSetsAreAccepted)
+{
+    EXPECT_EQ(rejection(4, {}), "");
     FaultModel model;
     model.killNode(5);
     model.failLink(2, 6);
-    EXPECT_TRUE(
-        MeshTopology::faultsLeaveMeshConnected(4, 4, false, model));
+    model.degradeNode(10);
+    EXPECT_EQ(rejection(4, model), "");
 }
 
-TEST(FaultMeshTest, OutOfRangeFaultIdsAreRejected)
+TEST(FaultMeshTest, OutOfMeshFaultsAreRejected)
 {
+    FaultModel dead;
+    dead.killNode(99);
+    EXPECT_EQ(rejection(4, dead),
+              "fault set kills node 99 outside the 4x4 mesh");
+    FaultModel degraded;
+    degraded.degradeNode(99);
+    EXPECT_EQ(rejection(4, degraded),
+              "fault set degrades node 99 outside the 4x4 mesh");
+    FaultModel link;
+    link.failLink(0, 99);
+    EXPECT_EQ(rejection(4, link),
+              "fault set fails link 0 -> 99 outside the 4x4 mesh");
+}
+
+TEST(FaultMeshTest, LinkBetweenNonNeighboursIsRejected)
+{
+    // 6x6 mesh: tiles 0 and 7 are diagonal, so no link joins them.
     FaultModel model;
-    model.killNode(99);
-    EXPECT_FALSE(
-        MeshTopology::faultsLeaveMeshConnected(4, 4, false, model));
-    EXPECT_THROW(MeshTopology(4, 4, false, model), FatalError);
+    model.failLink(0, 7);
+    EXPECT_EQ(rejection(6, model),
+              "fault set fails link 0 -> 7, but no link joins tiles 0 "
+              "and 7");
+    // A torus joins the two ends of a row; a mesh does not.
+    FaultModel wrap;
+    wrap.failLink(5, 0);
+    EXPECT_FALSE(MeshTopology::faultSetProblem(6, 6, true, wrap));
+    EXPECT_EQ(rejection(6, wrap),
+              "fault set fails link 5 -> 0, but no link joins tiles 5 "
+              "and 0");
 }
 
 // -------------------------------------------------------- LoadBalancer

@@ -534,8 +534,6 @@ TEST_F(PartitionerTest, KeptDefaultReportCountsEveryInstanceUnsplit)
     EXPECT_EQ(kept.compile.splitsRequested, planned.compile.splitsRequested);
     EXPECT_EQ(kept.compile.plansComputed, planned.compile.plansComputed);
     EXPECT_EQ(kept.compile.plansMemoized, planned.compile.plansMemoized);
-    EXPECT_EQ(kept.compile.cachePeakEntries,
-              planned.compile.cachePeakEntries);
     EXPECT_FALSE(kept.provenance);
 }
 

@@ -57,8 +57,7 @@ planFingerprint(const sim::ExecutionPlan &plan,
     os << "\nreuse " << r.reuseMapHash << ' ' << r.reuseCopiesPlanned
        << "\ncompile " << c.instancesPlanned << ' ' << c.splitsRequested
        << ' ' << c.plansComputed << ' ' << c.plansPrefilled << ' '
-       << c.plansMemoized << ' ' << c.cacheBypassed << ' ' << c.cachePeakEntries << ' '
-       << c.cachePeakBytes << "\nprovenance";
+       << c.plansMemoized << ' ' << c.cacheBypassed << "\nprovenance";
     for (const verify::SplitRecord &rec : r.provenance->instances) {
         os << ' ' << rec.fromCache << '[';
         for (const partition::Location &loc : r.provenance->locationsOf(rec))

@@ -425,7 +425,6 @@ TEST(SplitCacheCounterTest, PrefillFilesEachDistinctW1KeyOnce)
         }
     }
     EXPECT_EQ(c.plansPrefilled, static_cast<std::int64_t>(keys.size()));
-    EXPECT_GE(c.cachePeakEntries, c.plansPrefilled);
     EXPECT_EQ(c.splitsRequested,
               c.plansComputed - c.plansPrefilled + c.plansMemoized);
 }
@@ -787,7 +786,6 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
     }
     ASSERT_GT(highest, 255);
     EXPECT_EQ(cache.size(), filed.size());
-    EXPECT_GT(cache.bytes(), 0u);
 
     // Every entry reads back as its own plan, field for field, in any
     // order.

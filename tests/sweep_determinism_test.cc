@@ -69,9 +69,8 @@ fingerprint(const AppResult &r)
     const partition::CompileStats &c = r.compile;
     os << "compile:" << c.instancesPlanned << ',' << c.splitsRequested
        << ',' << c.plansComputed << ',' << c.plansPrefilled << ','
-       << c.plansMemoized << ',' << c.cacheBypassed << ','
-       << c.cachePeakEntries << ','
-       << c.cachePeakBytes << "|verify:" << r.verify.plansVerified << ','
+       << c.plansMemoized << ',' << c.cacheBypassed
+       << "|verify:" << r.verify.plansVerified << ','
        << r.verify.replaysVerified << ',' << r.verify.total() << '|'
        << r.nests.size();
     for (const NestResult &nr : r.nests) {

@@ -125,7 +125,7 @@ TEST(VerifyPropertyTest, FaultedPlansVerifyCleanAtFull)
         fault::FaultModel model = fault::FaultModel::inject(
             config.machine.meshCols, config.machine.meshRows,
             config.machine.torus, spec);
-        if (!noc::MeshTopology::faultsLeaveMeshConnected(
+        if (noc::MeshTopology::faultSetProblem(
                 config.machine.meshCols, config.machine.meshRows,
                 config.machine.torus, model))
             continue;
