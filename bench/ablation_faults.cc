@@ -43,8 +43,10 @@ main(int argc, char **argv)
 
     std::string json_path = "BENCH_faults.json";
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0)
-            json_path = argv[i] + 7;
+        NDP_REQUIRE(std::strncmp(argv[i], "--json=", 7) == 0,
+                    "ablation_faults takes only --json=PATH, got '"
+                        << argv[i] << "'");
+        json_path = argv[i] + 7;
     }
     // Opened before the campaigns run, so a bad path fails at once.
     std::ofstream json = bench::openJsonOutput(json_path, "--json");

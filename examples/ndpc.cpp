@@ -17,9 +17,12 @@
  * With no file, a built-in demo kernel is compiled.
  */
 
+#include <charconv>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -66,6 +69,23 @@ printSets(const ndp::ir::VarSet &set, const ndp::ir::Statement &stmt,
         std::cout << "\n";
 }
 
+/**
+ * @p text read whole as a decimal integer of at least @p min; nullopt
+ * when it is empty, holds anything but an optional '-' and digits, or
+ * is out of range.
+ */
+template <typename Int>
+std::optional<Int>
+parseInt(const std::string &text, Int min)
+{
+    Int value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, err] = std::from_chars(text.data(), end, value);
+    if (err != std::errc{} || stop != end || value < min)
+        return std::nullopt;
+    return value;
+}
+
 } // namespace
 
 int
@@ -91,36 +111,57 @@ main(int argc, char **argv)
         if (arg == "--param") {
             const std::string kv = next_value();
             const auto eq = kv.find('=');
-            if (eq == std::string::npos) {
-                std::cerr << "--param expects NAME=VALUE\n";
+            const auto value =
+                eq == std::string::npos
+                    ? std::nullopt
+                    : parseInt<std::int64_t>(
+                          kv.substr(eq + 1),
+                          std::numeric_limits<std::int64_t>::min());
+            if (!value) {
+                std::cerr << "--param expects NAME=VALUE with an integer "
+                             "VALUE, got '"
+                          << kv << "'\n";
                 return 1;
             }
-            params[kv.substr(0, eq)] = std::atoll(kv.c_str() + eq + 1);
+            params[kv.substr(0, eq)] = *value;
         } else if (arg == "--mesh") {
             const std::string dims = next_value();
             const auto x = dims.find('x');
-            if (x == std::string::npos) {
-                std::cerr << "--mesh expects CxR, e.g. 6x6\n";
+            const auto cols = parseInt<std::int32_t>(dims.substr(0, x), 1);
+            const auto rows =
+                x == std::string::npos
+                    ? std::nullopt
+                    : parseInt<std::int32_t>(dims.substr(x + 1), 1);
+            if (!cols || !rows) {
+                std::cerr << "--mesh expects CxR with positive integers, "
+                             "e.g. 6x6, got '"
+                          << dims << "'\n";
                 return 1;
             }
-            mesh_cols = std::atoi(dims.c_str());
-            mesh_rows = std::atoi(dims.c_str() + x + 1);
+            mesh_cols = *cols;
+            mesh_rows = *rows;
         } else if (arg == "--window") {
             // 0 selects the adaptive sweep; anything but a plain
             // non-negative integer is rejected rather than guessed at.
             const std::string w = next_value();
-            const bool digits =
-                !w.empty() && w.size() <= 9 &&
-                w.find_first_not_of("0123456789") == std::string::npos;
-            if (!digits) {
+            const auto window = parseInt<std::int32_t>(w, 0);
+            if (!window) {
                 std::cerr << "--window expects a non-negative integer "
                              "(0 = adaptive), got '"
                           << w << "'\n";
                 return 1;
             }
-            fixed_window = std::atoi(w.c_str());
+            fixed_window = *window;
         } else if (arg == "--iterations-shown") {
-            shown = std::atoll(next_value().c_str());
+            const std::string k = next_value();
+            const auto count = parseInt<std::int64_t>(k, 1);
+            if (!count) {
+                std::cerr << "--iterations-shown expects a positive "
+                             "integer, got '"
+                          << k << "'\n";
+                return 1;
+            }
+            shown = *count;
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "usage: ndpc [kernel-file] "
                          "[--param NAME=VALUE]... [--mesh CxR] "

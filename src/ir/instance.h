@@ -12,8 +12,11 @@
  *
  * A nest is resolved once, into an InstanceStream: the default
  * placement's profile and plan, the data-to-MC profile and the planner
- * all read that one stream. Only the static verifier walks the nest
- * again with its own resolver, to stay independent of the planner.
+ * all read that one stream. The static verifier resolves its own
+ * stream with the same function, after the session's is freed; what it
+ * shares with the planner is only this naming of addresses and lines,
+ * so every per-address and per-line table in the repository keys on
+ * one id scheme.
  *
  * A warm resolver allocates nothing: each evaluated subscript folds
  * straight into the flat index, the iteration vector is rewritten in

@@ -15,14 +15,8 @@ VariableToNodeMap::VariableToNodeMap(std::int32_t node_count,
                                   : 0)
 {
     NDP_REQUIRE(node_count > 0, "variable2node map needs nodes");
-    growLines(line_count);
-}
-
-void
-VariableToNodeMap::growLines(std::size_t lines)
-{
-    stamp_.resize(lines, 0);
-    bits_.resize(lines * words_);
+    stamp_.assign(line_count, 0);
+    bits_.assign(line_count * words_, 0);
 }
 
 void
@@ -49,8 +43,9 @@ VariableToNodeMap::add(std::uint32_t line, noc::NodeId node)
 {
     const auto n = static_cast<std::size_t>(node);
     NDP_DCHECK(n / 64 < words_, "node " << node << " outside the map");
-    if (line >= stamp_.size())
-        growLines(std::max<std::size_t>(line + 1, 2 * stamp_.size()));
+    NDP_CHECK(line < stamp_.size(),
+              "line id " << line << " outside the window map's "
+                         << stamp_.size() << " lines");
     std::uint64_t *words =
         bits_.data() + static_cast<std::size_t>(line) * words_;
     if (stamp_[line] != epoch_) {

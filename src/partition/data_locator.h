@@ -127,12 +127,14 @@ class CopySet
  * which nodes will hold each line in their L1s because of
  * already-scheduled subcomputations in the current window.
  *
- * Keyed by dense line ids: the planner's are the nest's instance
- * stream's own (ir::InstanceStream), and the verifier interns its lines
- * with DenseIds. Each line has a node bitset stamped with the window
- * epoch, so clear() bumps the epoch and resets only the node FIFOs the
- * window touched, and a map reused window after window, candidate
- * after candidate, allocates nothing once its tables have grown.
+ * Keyed by the dense line ids of a nest's instance stream
+ * (ir::InstanceStream::lineOf), and sized to its lineCount at
+ * construction: the planner and the verifier each build one over the
+ * stream they resolved. Each line has a node bitset stamped with the
+ * window epoch, so clear() bumps the epoch and resets only the node
+ * FIFOs the window touched, and a map reused window after window,
+ * candidate after candidate, allocates nothing once its node FIFOs
+ * have grown.
  */
 class VariableToNodeMap
 {
@@ -144,16 +146,16 @@ class VariableToNodeMap
      *        capacity models the L1 pollution that makes very large
      *        windows counter-productive (Section 4.4): once a node's
      *        budget overflows, its oldest recorded copy is dropped.
-     * @param line_count lines to size the tables for up front; a
-     *        larger line id grows them
+     * @param line_count the stream's line count; every line id added
+     *        is below it
      */
     VariableToNodeMap(std::int32_t node_count,
-                      std::size_t per_node_capacity = 0,
-                      std::size_t line_count = 0);
+                      std::size_t per_node_capacity, std::size_t line_count);
 
     /**
      * Record that @p node's L1 will hold line @p line. True when the
-     * copy is new (accepted); false when the node already holds it.
+     * copy is new (accepted); false when the node already holds it. A
+     * line id at or past the line count is an internal error.
      */
     bool add(std::uint32_t line, noc::NodeId node);
 
@@ -188,7 +190,6 @@ class VariableToNodeMap
     };
 
     void dropOldest(noc::NodeId node);
-    void growLines(std::size_t lines);
 
     std::size_t words_;
     std::size_t capacity_;

@@ -8,10 +8,8 @@
 
 #include "ir/instance.h"
 #include "ir/nested_sets.h"
-#include "mem/address.h"
 #include "noc/mesh_topology.h"
 #include "partition/data_locator.h"
-#include "partition/dense_ids.h"
 #include "partition/load_balancer.h"
 #include "partition/splitter.h"
 #include "support/disjoint_set.h"
@@ -85,68 +83,56 @@ class DagReach
 };
 
 /**
- * Shared per-verification state threaded through the rule checks. The
- * Full replay keys its state by dense address and line ids, interned
- * in first-seen order; per-window state carries the window's stamp, so
- * a new window invalidates it without touching it. After warm-up a
- * record allocates nothing.
+ * The Full replay's state: the last writer of each address and the
+ * window's variable2node map, with the instance each copy was recorded
+ * at. Every query names a reference by its index in the nest's
+ * instance stream, and the state is kept per address and line id of
+ * that stream, sized to them up front; per-window state carries the
+ * window's stamp, so a new window invalidates it without touching it.
+ * After warm-up a record allocates nothing.
  */
-struct VerifyState
+class WindowReplay
 {
-    Report report;
-    DagReach reach;
-    /** Replayed variable2node map of the current window, on line ids
-     *  interned in first-seen order. */
-    partition::DenseIds lines;
-    partition::VariableToNodeMap vmap;
-    /** Per-record scratch of the R1 and R3 checks. */
-    std::vector<noc::NodeId> vertices;
-    std::vector<std::int32_t> childRefs;
-
-    VerifyState(const sim::ExecutionPlan &plan, std::int32_t node_count,
-                std::size_t reuse_capacity)
-        : reach(plan), vmap(node_count, reuse_capacity)
+  public:
+    WindowReplay(const ir::InstanceStream &stream, std::int32_t node_count,
+                 std::size_t reuse_capacity)
+        : stream_(stream),
+          vmap_(node_count, reuse_capacity, stream.lineCount),
+          writes_(stream.addressCount()), copyHead_(stream.lineCount)
     {
     }
 
-    /** The last storing task of @p addr (RAW/WAW replay, Full only), or
+    /** The last storing task of the address of @p ref, or
      *  kInvalidTask. */
     sim::TaskId
-    lastWriter(mem::Addr addr) const
+    lastWriter(std::size_t ref) const
     {
-        const std::uint32_t id = addrs_.find(addr);
-        return id == partition::DenseIds::kNil ? sim::kInvalidTask
-                                               : writes_[id].task;
+        return writes_[stream_.addrId[ref]].task;
     }
 
-    /** Instance index of this window's last write of @p addr, or -1. */
+    /** Instance index of this window's last write of the address of
+     *  @p ref, or -1. */
     std::int64_t
-    writeSeq(mem::Addr addr) const
+    writeSeq(std::size_t ref) const
     {
-        const std::uint32_t id = addrs_.find(addr);
-        if (id == partition::DenseIds::kNil || writes_[id].window != window_)
-            return -1;
-        return writes_[id].seq;
+        const Write &w = writes_[stream_.addrId[ref]];
+        return w.window == window_ ? w.seq : -1;
     }
 
-    /** Task @p task, instance @p seq, stores to @p addr. */
+    /** Task @p task, instance @p seq, stores to the address of @p ref. */
     void
-    recordWrite(mem::Addr addr, sim::TaskId task, std::int64_t seq)
+    recordWrite(std::size_t ref, sim::TaskId task, std::int64_t seq)
     {
-        const std::uint32_t id = addrs_.intern(addr);
-        if (id == writes_.size())
-            writes_.emplace_back();
-        writes_[id] = {task, seq, window_};
+        writes_[stream_.addrId[ref]] = {task, seq, window_};
     }
 
+    /** Instance @p seq brings the line of @p ref into @p node's L1. */
     void
-    recordCopy(mem::Addr addr, noc::NodeId node, std::int64_t seq)
+    recordCopy(std::size_t ref, noc::NodeId node, std::int64_t seq)
     {
-        const std::uint32_t line = lines.intern(mem::lineNumber(addr));
-        if (!vmap.add(line, node))
+        const std::uint32_t line = lineOf(ref);
+        if (!vmap_.add(line, node))
             return;
-        if (line >= copyHead_.size())
-            copyHead_.resize(line + 1);
         Head &head = copyHead_[line];
         if (head.window != window_)
             head = {kNoCopy, window_};
@@ -161,25 +147,22 @@ struct VerifyState
         head.first = static_cast<std::uint32_t>(copies_.size() - 1);
     }
 
-    /** The window's L1 copies of the line of @p addr. */
+    /** The window's L1 copies of the line of @p ref. */
     partition::CopySet
-    copiesOf(mem::Addr addr) const
+    copiesOf(std::size_t ref) const
     {
-        const std::uint32_t id = lines.find(mem::lineNumber(addr));
-        return id == partition::DenseIds::kNil ? partition::CopySet{}
-                                               : vmap.copies(id);
+        return vmap_.copies(lineOf(ref));
     }
 
     /** Instance index this window recorded @p node's copy of the line
-     *  of @p addr at, or -1. */
+     *  of @p ref at, or -1. */
     std::int64_t
-    copyRecordedAt(mem::Addr addr, noc::NodeId node) const
+    copyRecordedAt(std::size_t ref, noc::NodeId node) const
     {
-        const std::uint32_t line = lines.find(mem::lineNumber(addr));
-        if (line == partition::DenseIds::kNil || line >= copyHead_.size() ||
-            copyHead_[line].window != window_)
+        const Head &head = copyHead_[lineOf(ref)];
+        if (head.window != window_)
             return -1;
-        for (std::uint32_t at = copyHead_[line].first; at != kNoCopy;
+        for (std::uint32_t at = head.first; at != kNoCopy;
              at = copies_[at].next) {
             if (copies_[at].node == node)
                 return copies_[at].seq;
@@ -190,7 +173,7 @@ struct VerifyState
     void
     newWindow()
     {
-        vmap.clear();
+        vmap_.clear();
         copies_.clear();
         ++window_;
     }
@@ -218,8 +201,15 @@ struct VerifyState
         std::uint32_t window = 0;
     };
 
+    std::uint32_t
+    lineOf(std::size_t ref) const
+    {
+        return stream_.lineOf[stream_.addrId[ref]];
+    }
+
+    const ir::InstanceStream &stream_;
+    partition::VariableToNodeMap vmap_;
     std::uint32_t window_ = 1;
-    partition::DenseIds addrs_;
     /** Per address id. */
     std::vector<Write> writes_;
     /** Per line id, and the window's copies they chain. */
@@ -297,8 +287,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
     const bool full = prov.level == VerifyLevel::Full;
     const bool faulted = mesh.hasFaults();
 
-    VerifyState st(plan, mesh.nodeCount(), prov.reuseCapacityLines);
-    Report &rep = st.report;
+    Report rep;
     rep.plan = plan.name;
     rep.level = prov.level;
     if (prov.level == VerifyLevel::Off)
@@ -353,6 +342,19 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                   instance_count));
         return rep;
     }
+
+    // The nest's own instance stream: each record's references are read
+    // from it, and its dense address and line ids key the Full replay.
+    // Only this naming of addresses is shared with the planner; every
+    // location, split, sync and window replay below is recomputed.
+    const ir::InstanceStream stream =
+        ir::resolveInstances(nest, *arrays_, amap);
+    DagReach reach(plan);
+    std::optional<WindowReplay> replay;
+    if (full)
+        replay.emplace(stream, mesh.nodeCount(), prov.reuseCapacityLines);
+    std::vector<noc::NodeId> vertices;
+    std::vector<std::int32_t> child_refs;
 
     // Nested variable sets are per static statement; the reference
     // splitter re-splits from the same (sets, locations, store) inputs
@@ -423,18 +425,18 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         }
     };
 
-    // RAW/WAW legality of one access against the replayed writer map
-    // (Full). WAR is exempt: the planner bounds reader tracking, so
-    // anti-dependences are ordered by value arcs only.
+    // RAW/WAW legality of stream reference @p ref against the replayed
+    // writer map (Full). WAR is exempt: the planner bounds reader
+    // tracking, so anti-dependences are ordered by value arcs only.
     auto check_raw = [&](const SplitRecord &rec, sim::TaskId reader,
-                         mem::Addr addr, bool stale_reuse) {
-        const sim::TaskId writer = st.lastWriter(addr);
+                         std::size_t ref, bool stale_reuse) {
+        const sim::TaskId writer = replay->lastWriter(ref);
         if (writer == sim::kInvalidTask || writer == reader)
             return;
-        if (!st.reach.orderedBefore(writer, reader)) {
+        if (!reach.orderedBefore(writer, reader)) {
             std::ostringstream os;
             os << (stale_reuse ? "reuse of" : "read of") << " addr "
-               << addr << " by task " << reader
+               << stream.refs[ref].addr << " by task " << reader
                << " is unordered against writer task " << writer;
             error(stale_reuse ? "R4.stale-reuse"
                               : "R3.conflict-unordered",
@@ -444,13 +446,14 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         }
     };
     auto check_waw = [&](const SplitRecord &rec, sim::TaskId writer,
-                         mem::Addr addr) {
-        const sim::TaskId last = st.lastWriter(addr);
+                         std::size_t ref) {
+        const sim::TaskId last = replay->lastWriter(ref);
         if (last == sim::kInvalidTask || last == writer)
             return;
-        if (!st.reach.orderedBefore(last, writer)) {
+        if (!reach.orderedBefore(last, writer)) {
             std::ostringstream os;
-            os << "write of addr " << addr << " by task " << writer
+            os << "write of addr " << stream.refs[ref].addr << " by task "
+               << writer
                << " is unordered against writer task " << last;
             error("R3.conflict-unordered", &rec, writer,
                   plan.tasks[static_cast<std::size_t>(writer)].node,
@@ -458,7 +461,6 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         }
     };
 
-    ir::InstanceResolver resolver(nest, *arrays_);
     sim::TaskId expect_next = 0;
     bool tiling_broken = false;
 
@@ -468,7 +470,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
             static_cast<std::int64_t>(i) %
                     static_cast<std::int64_t>(prov.windowSize) ==
                 0)
-            st.newWindow();
+            replay->newWindow();
         rep.counts().plansVerified += 1;
         if (rec.wasSplit && rec.fromCache)
             rep.counts().replaysVerified += 1;
@@ -490,7 +492,7 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         }
         expect_next += rec.taskCount;
 
-        // ---- Independently re-resolve the instance's operands.
+        // ---- The instance's operands, from the verifier's own stream.
         const std::int64_t seq = static_cast<std::int64_t>(i);
         if (rec.iterationNumber != seq / stmt_count ||
             rec.statementIndex != seq % stmt_count) {
@@ -508,9 +510,11 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         const auto stmt_idx = static_cast<std::size_t>(
             rec.statementIndex);
         const ir::Statement &stmt = nest.body()[stmt_idx];
-        resolver.resolve(rec.iterationNumber, rec.statementIndex);
-        const std::span<const ir::ResolvedRef> reads = resolver.reads();
-        const ir::ResolvedRef &write = resolver.write();
+        const std::uint32_t first_ref = stream.refBegin[i];
+        const std::uint32_t write_ref = stream.refBegin[i + 1] - 1;
+        const std::span<const ir::ResolvedRef> reads(
+            stream.refs.data() + first_ref, write_ref - first_ref);
+        const ir::ResolvedRef &write = stream.refs[write_ref];
 
         // The split root stores at the write's home; re-homing under
         // faults guarantees the home is live.
@@ -571,14 +575,13 @@ PlanVerifier::verify(const ir::LoopNest &nest,
             if (replay_balancer && live(rec.defaultNode))
                 replay_balancer->add(rec.defaultNode, task.computeCost);
             if (full) {
-                for (const ir::ResolvedRef &r : reads)
-                    check_raw(rec, tid, r.addr, false);
-                check_waw(rec, tid, write.addr);
-                st.recordWrite(write.addr, tid, seq);
+                for (std::uint32_t r = first_ref; r < write_ref; ++r)
+                    check_raw(rec, tid, r, false);
+                check_waw(rec, tid, write_ref);
+                replay->recordWrite(write_ref, tid, seq);
                 if (prov.exploitReuse) {
-                    for (const ir::ResolvedRef &r : reads)
-                        st.recordCopy(r.addr, rec.defaultNode, seq);
-                    st.recordCopy(write.addr, rec.defaultNode, seq);
+                    for (std::uint32_t r = first_ref; r <= write_ref; ++r)
+                        replay->recordCopy(r, rec.defaultNode, seq);
                 }
             }
             continue;
@@ -629,7 +632,8 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                           loc.node, os.str());
                 }
             } else if (full && prov.exploitReuse) {
-                const partition::CopySet copies = st.copiesOf(r.addr);
+                const partition::CopySet copies =
+                    replay->copiesOf(first_ref + j);
                 if (!copies.contains(loc.node)) {
                     std::ostringstream os;
                     os << "operand " << j << " claims an L1 copy at "
@@ -704,7 +708,6 @@ PlanVerifier::verify(const ir::LoopNest &nest,
             if (!dsu.unite(edge.a, edge.b))
                 cycle = true;
         }
-        std::vector<noc::NodeId> &vertices = st.vertices;
         vertices.assign(1, rec.storeNode);
         const std::size_t rhs_reads =
             std::min(stmt.rhsReadCount(), locations.size());
@@ -817,7 +820,6 @@ PlanVerifier::verify(const ir::LoopNest &nest,
         }
 
         // ---- R3: the emitted tasks mirror the subcomputations.
-        std::vector<std::int32_t> &child_refs = st.childRefs;
         child_refs.assign(split.size(), 0);
         bool one_root = false;
         auto sub_at = split.begin();
@@ -920,41 +922,42 @@ PlanVerifier::verify(const ir::LoopNest &nest,
                                         reads.size())
                         continue;
                     const auto lidx = static_cast<std::size_t>(leaf);
-                    const mem::Addr addr = reads[lidx].addr;
+                    const std::size_t ref = first_ref + lidx;
                     const bool via_stale_copy =
                         locations[lidx].source ==
                             LocationSource::L1Copy &&
                         [&] {
-                            const std::int64_t written = st.writeSeq(addr);
+                            const std::int64_t written =
+                                replay->writeSeq(ref);
                             if (written < 0)
                                 return false;
                             const std::int64_t copied =
-                                st.copyRecordedAt(
-                                    addr, locations[lidx].node);
+                                replay->copyRecordedAt(
+                                    ref, locations[lidx].node);
                             return copied >= 0 && copied < written;
                         }();
-                    check_raw(rec, tid, addr, via_stale_copy);
+                    check_raw(rec, tid, ref, via_stale_copy);
                 }
             }
             const sim::TaskId root_tid = rec.rootTask;
             for (std::size_t g = stmt.rhsReadCount();
                  g < reads.size(); ++g)
-                check_raw(rec, root_tid, reads[g].addr, false);
-            check_waw(rec, root_tid, write.addr);
-            st.recordWrite(write.addr, root_tid, seq);
+                check_raw(rec, root_tid, first_ref + g, false);
+            check_waw(rec, root_tid, write_ref);
+            replay->recordWrite(write_ref, root_tid, seq);
             if (prov.exploitReuse) {
                 for (const SubView sub : split) {
                     for (int leaf : sub.leaves) {
                         if (leaf >= 0 &&
                             static_cast<std::size_t>(leaf) <
                                 reads.size())
-                            st.recordCopy(
-                                reads[static_cast<std::size_t>(leaf)]
-                                    .addr,
+                            replay->recordCopy(
+                                first_ref +
+                                    static_cast<std::size_t>(leaf),
                                 sub.node, seq);
                     }
                 }
-                st.recordCopy(write.addr, rec.storeNode, seq);
+                replay->recordCopy(write_ref, rec.storeNode, seq);
             }
         }
     }

@@ -55,8 +55,8 @@ class PlanVerifier
     /**
      * @param system the machine the plan targets (mesh distances,
      *        fault set, address map); read-only
-     * @param arrays the program's array table, used to independently
-     *        re-resolve every instance's operand addresses
+     * @param arrays the program's array table, from which the
+     *        verifier resolves the nest's instance stream itself
      */
     PlanVerifier(const sim::ManycoreSystem &system,
                  const ir::ArrayTable &arrays);

@@ -2,19 +2,26 @@
  * @file
  * Tests for the compiler IR: affine expressions, arrays, expression
  * trees, the kernel parser, the paper's nested variable sets
- * (Section 4.2), the instance resolver, and Table 1's analyzable
- * fraction.
+ * (Section 4.2), the instance resolver and the instance stream's ids,
+ * and Table 1's analyzable fraction.
  */
 
 #include <gtest/gtest.h>
 
 #include <span>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "fault/fault_model.h"
 #include "ir/instance.h"
 #include "ir/nested_sets.h"
 #include "ir/parser.h"
+#include "mem/address.h"
+#include "noc/mesh_topology.h"
+#include "sim/manycore.h"
 #include "support/error.h"
+#include "workloads/workload.h"
 
 namespace {
 
@@ -719,6 +726,152 @@ TEST(InstanceResolverTest, OutOfRangeStatementIsFatal)
     EXPECT_THROW(resolver.resolve(-1, 0), PanicError);
     resolver.resolve(7, 0);
     EXPECT_EQ(resolver.write().addr, arrays.elementAddr(arrays.find("A"), 7));
+}
+
+// ------------------------------------------------------ instance stream
+
+/**
+ * Checks resolveInstances(@p nest) against a reference built here: the
+ * resolver's references in stream order, addresses and their lines
+ * numbered in first-seen order through hash maps, and each address's
+ * home bank read from @p amap. Every per-address and per-line table of
+ * the planner, the default plan and the verifier keys on these ids.
+ */
+void
+expectStreamMatchesReference(const LoopNest &nest, const ArrayTable &arrays,
+                             const mem::AddressMap &amap)
+{
+    SCOPED_TRACE("nest " + nest.name());
+    const InstanceStream s = resolveInstances(nest, arrays, amap);
+    const auto statements = static_cast<StatementIndex>(nest.body().size());
+    ASSERT_EQ(s.positions(),
+              static_cast<std::size_t>(nest.iterationCount()) *
+                  nest.body().size());
+
+    std::unordered_map<mem::Addr, std::uint32_t> addr_ids;
+    std::unordered_map<std::uint64_t, std::uint32_t> line_ids;
+    std::vector<std::uint32_t> line_of;
+    std::vector<noc::NodeId> home;
+    InstanceResolver resolver(nest, arrays);
+    std::size_t ref = 0;
+    std::size_t p = 0;
+    for (std::int64_t k = 0; k < nest.iterationCount(); ++k) {
+        for (StatementIndex st = 0; st < statements; ++st, ++p) {
+            resolver.resolve(k, st);
+            ASSERT_EQ(s.refBegin[p], ref) << "position " << p;
+            for (const ResolvedRef &r : resolver.refs()) {
+                ASSERT_LT(ref, s.refs.size());
+                ASSERT_EQ(s.refs[ref].addr, r.addr) << "ref " << ref;
+                ASSERT_EQ(s.refs[ref].array, r.array) << "ref " << ref;
+                ASSERT_EQ(s.refs[ref].size, r.size) << "ref " << ref;
+                const auto [at, fresh] = addr_ids.try_emplace(
+                    r.addr, static_cast<std::uint32_t>(addr_ids.size()));
+                if (fresh) {
+                    line_of.push_back(
+                        line_ids
+                            .try_emplace(mem::lineNumber(r.addr),
+                                         static_cast<std::uint32_t>(
+                                             line_ids.size()))
+                            .first->second);
+                    home.push_back(amap.homeBankNode(r.addr));
+                }
+                ASSERT_EQ(s.addrId[ref], at->second)
+                    << "ref " << ref << " (addr " << r.addr << ")";
+                ++ref;
+            }
+        }
+    }
+    ASSERT_EQ(s.refBegin[p], ref);
+    EXPECT_EQ(s.refs.size(), ref);
+    EXPECT_EQ(s.addrId.size(), ref);
+    EXPECT_EQ(s.addressCount(), addr_ids.size());
+    EXPECT_EQ(s.lineCount, line_ids.size());
+    EXPECT_EQ(s.lineOf, line_of);
+    EXPECT_EQ(s.home, home);
+}
+
+TEST(InstanceStreamTest, IdsMatchTheReferenceOnEveryApp)
+{
+    // The 12 apps at the smallest bench scale: cholesky mixes 8-byte
+    // and 64-byte ("bytes 64") arrays, and several apps read through
+    // index arrays.
+    const sim::ManycoreSystem system{sim::ManycoreConfig{}};
+    for (const workloads::Workload &app :
+         workloads::WorkloadFactory(256).buildAll()) {
+        for (const LoopNest &nest : app.nests)
+            expectStreamMatchesReference(nest, app.arrays,
+                                         system.addressMap());
+    }
+}
+
+/** A nest with an indirect subscript and a guarded statement. */
+LoopNest
+indirectGuardedNest(ArrayTable &arrays)
+{
+    arrays.setDefaultElementSize(64);
+    LoopNest nest = parseKernel(R"(
+        array X[64]; array Y[40]; array Z[40]; array H[40] bytes 8;
+        array W[40] bytes 8;
+        for i = 0..40 {
+          S1: Z[i] = X[Y[i]] + X[i + 1];
+          S2: if (H[i]) W[i] = W[i] + Z[i];
+        })",
+                                "indirect", arrays);
+    std::vector<std::int64_t> targets;
+    for (std::int64_t i = 0; i < 40; ++i)
+        targets.push_back((i * 37 + 11) % 64);
+    arrays.setIndexData(arrays.find("Y"), targets);
+    return nest;
+}
+
+TEST(InstanceStreamTest, IdsMatchTheReferenceOnIndirectAndGuardedRefs)
+{
+    const sim::ManycoreSystem system{sim::ManycoreConfig{}};
+    ArrayTable arrays;
+    const LoopNest nest = indirectGuardedNest(arrays);
+    expectStreamMatchesReference(nest, arrays, system.addressMap());
+}
+
+TEST(InstanceStreamTest, HomesFollowTheReHomedBanksOfAFaultedMesh)
+{
+    // A 5%-faulted 8x8 mesh with at least one dead node: a line whose
+    // natural bank (its home on the healthy mesh) died is homed at that
+    // bank's re-home target, and the stream's homes must follow.
+    sim::ManycoreConfig config;
+    config.meshCols = 8;
+    config.meshRows = 8;
+    const sim::ManycoreSystem healthy(config);
+    fault::FaultSpec spec;
+    spec.nodeFaultRate = 0.05;
+    for (spec.seed = 1;; ++spec.seed) {
+        config.faults = fault::FaultModel::inject(8, 8, false, spec);
+        if (!config.faults.deadNodes().empty() &&
+            !noc::MeshTopology::faultSetProblem(8, 8, false, config.faults))
+            break;
+    }
+    const sim::ManycoreSystem system(config);
+    std::int64_t rehomed = 0;
+    auto check = [&](const LoopNest &nest, const ArrayTable &arrays) {
+        expectStreamMatchesReference(nest, arrays, system.addressMap());
+        const InstanceStream s =
+            resolveInstances(nest, arrays, system.addressMap());
+        for (std::size_t r = 0; r < s.refs.size(); ++r) {
+            const noc::NodeId home = s.home[s.addrId[r]];
+            ASSERT_TRUE(system.mesh().isLive(home)) << "home " << home;
+            const noc::NodeId natural =
+                healthy.addressMap().homeBankNode(s.refs[r].addr);
+            rehomed += system.mesh().isLive(natural) ? 0 : 1;
+        }
+    };
+    for (const char *name : {"cholesky", "minimd"}) {
+        const workloads::Workload app =
+            workloads::WorkloadFactory(256).build(name);
+        for (const LoopNest &nest : app.nests)
+            check(nest, app.arrays);
+    }
+    ArrayTable arrays;
+    check(indirectGuardedNest(arrays), arrays);
+    EXPECT_GT(rehomed, 0) << "no reference's natural bank died";
 }
 
 // -------------------------------------------------------- analyzability

@@ -179,7 +179,8 @@ TEST_F(PaperExamplesTest, Figure11MultiStatementReuse)
         splitInto(s1, {loc(nB), loc(nC), loc(nD), loc(nE)}, nA, plan1);
 
     // Record where S1's subcomputations fetched C(i) (leaf 1).
-    VariableToNodeMap varmap(mesh.nodeCount());
+    VariableToNodeMap varmap(mesh.nodeCount(), /*per_node_capacity=*/0,
+                             /*line_count=*/1);
     const std::uint32_t c_line = 0; // C(i)'s line id
     noc::NodeId c_holder = noc::kInvalidNode;
     for (const SubView sub : split1) {

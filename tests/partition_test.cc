@@ -27,7 +27,6 @@
 #include "support/disjoint_set.h"
 #include "ir/parser.h"
 #include "partition/data_locator.h"
-#include "partition/dense_ids.h"
 #include "partition/load_balancer.h"
 #include "partition/partitioner.h"
 #include "partition/splitter.h"
@@ -55,7 +54,8 @@ nodesOf(const VariableToNodeMap &map, std::uint32_t line)
 
 TEST(VariableToNodeMapTest, RecordsAndDeduplicates)
 {
-    VariableToNodeMap map(/*node_count=*/8);
+    VariableToNodeMap map(/*node_count=*/8, /*per_node_capacity=*/0,
+                          /*line_count=*/2);
     EXPECT_TRUE(map.add(0, 5));
     EXPECT_TRUE(map.add(0, 3));
     EXPECT_FALSE(map.add(0, 3)); // duplicate
@@ -72,7 +72,8 @@ TEST(VariableToNodeMapTest, RecordsAndDeduplicates)
 
 TEST(VariableToNodeMapTest, CapacityModelsL1Pollution)
 {
-    VariableToNodeMap map(/*node_count=*/8, /*per_node_capacity=*/2);
+    VariableToNodeMap map(/*node_count=*/8, /*per_node_capacity=*/2,
+                          /*line_count=*/3);
     map.add(0, 7);
     map.add(1, 7);
     map.add(2, 7); // evicts line 0 from node 7
@@ -153,22 +154,26 @@ class ReferenceVarMap
 };
 
 /**
- * The window map driven the way its callers drive it: lines interned
- * to dense ids with DenseIds, and each accepted add mixed into an
- * Fnv1a digest, which must match the reference's digest.
+ * The window map driven the way its callers drive it: sized up front
+ * to the lines it will see, lines numbered densely in first-seen order
+ * (here by a test-local map, as a stream's line ids are), and each
+ * accepted add mixed into an Fnv1a digest, which must match the
+ * reference's digest.
  */
 class InternedVarMap
 {
   public:
-    InternedVarMap(std::int32_t node_count, std::size_t capacity)
-        : map_(node_count, capacity)
+    InternedVarMap(std::int32_t node_count, std::size_t capacity,
+                   std::size_t line_count)
+        : map_(node_count, capacity, line_count)
     {}
 
     void
     add(mem::Addr addr, noc::NodeId node)
     {
         const std::uint64_t line = mem::lineNumber(addr);
-        if (map_.add(lines_.intern(line), node)) {
+        const auto id = static_cast<std::uint32_t>(lines_.size());
+        if (map_.add(lines_.try_emplace(line, id).first->second, node)) {
             digest_.add(line);
             digest_.add(static_cast<std::uint64_t>(node));
         }
@@ -178,9 +183,9 @@ class InternedVarMap
     std::vector<noc::NodeId>
     nodesFor(mem::Addr addr) const
     {
-        const std::uint32_t id = lines_.find(mem::lineNumber(addr));
-        return id == DenseIds::kNil ? std::vector<noc::NodeId>{}
-                                    : nodesOf(map_, id);
+        const auto it = lines_.find(mem::lineNumber(addr));
+        return it == lines_.end() ? std::vector<noc::NodeId>{}
+                                  : nodesOf(map_, it->second);
     }
 
     /** A new window; line ids persist, as the stream's do. */
@@ -195,7 +200,7 @@ class InternedVarMap
     std::int64_t inserts() const { return map_.insertionCount(); }
 
   private:
-    DenseIds lines_;
+    std::unordered_map<std::uint64_t, std::uint32_t> lines_;
     VariableToNodeMap map_;
     Fnv1a digest_;
 };
@@ -214,8 +219,8 @@ TEST(VariableToNodeMapTest, MatchesReferenceSemantics)
         SCOPED_TRACE("capacity " + std::to_string(capacity));
         Rng rng(0x5eed + capacity);
         // 256 nodes: the five drawn below sit in four different bitset
-        // words.
-        InternedVarMap map(/*node_count=*/256, capacity);
+        // words. At most 200 distinct lines are drawn.
+        InternedVarMap map(/*node_count=*/256, capacity, /*line_count=*/200);
         ReferenceVarMap ref(capacity);
         const auto expect_same = [&](mem::Addr addr) {
             ASSERT_EQ(map.nodesFor(addr), sorted(ref.nodesFor(addr)))
@@ -223,8 +228,8 @@ TEST(VariableToNodeMapTest, MatchesReferenceSemantics)
             ASSERT_EQ(map.hash(), ref.hash());
             ASSERT_EQ(map.inserts(), ref.inserts());
         };
-        // Hundreds of windows: stale copy sets and FIFOs are reused,
-        // and windows of up to 300 adds grow the tables mid-window.
+        // Hundreds of windows of up to 300 adds: stale copy sets and
+        // FIFOs are reused.
         for (int window = 0; window < 400; ++window) {
             map.clear();
             ref.clear();
@@ -252,7 +257,7 @@ TEST(VariableToNodeMapTest, MatchesReferenceSemantics)
 
 TEST(VariableToNodeMapTest, EvictedLineIsReAdded)
 {
-    InternedVarMap map(/*node_count=*/8, /*capacity=*/1);
+    InternedVarMap map(/*node_count=*/8, /*capacity=*/1, /*line_count=*/2);
     ReferenceVarMap ref(1);
     const mem::Addr a = 0, b = mem::kLineSize;
     for (const auto &[addr, node] :
@@ -269,6 +274,25 @@ TEST(VariableToNodeMapTest, EvictedLineIsReAdded)
     // 2's copy of it went to b in turn.
     EXPECT_EQ(map.nodesFor(a), std::vector<noc::NodeId>{4});
     EXPECT_EQ(map.nodesFor(b), std::vector<noc::NodeId>{2});
+}
+
+TEST(VariableToNodeMapTest, RejectsALineIdPastItsLineCount)
+{
+    // The map never grows: a line id at or past the count it was built
+    // for is an internal error naming the id and the table size.
+    VariableToNodeMap map(/*node_count=*/8, /*per_node_capacity=*/0,
+                          /*line_count=*/4);
+    EXPECT_TRUE(map.add(3, 1));
+    try {
+        map.add(4, 1);
+        FAIL() << "line id 4 was accepted by a 4-line map";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "line id 4 outside the window map's 4 lines"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(map.insertionCount(), 1);
 }
 
 // ----------------------------------------------------------- DataLocator
@@ -321,7 +345,8 @@ TEST_F(DataLocatorTest, DefaultsToHomeBank)
 TEST_F(DataLocatorTest, PrefersNearestL1Copy)
 {
     const noc::MeshTopology &mesh = system.mesh();
-    VariableToNodeMap map(mesh.nodeCount());
+    VariableToNodeMap map(mesh.nodeCount(), /*per_node_capacity=*/0,
+                          /*line_count=*/1);
     const std::uint32_t line = 0;
     const noc::NodeId near = mesh.nodeAt({1, 1});
     const noc::NodeId far = mesh.nodeAt({5, 5});

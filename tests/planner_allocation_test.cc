@@ -85,11 +85,13 @@ constexpr std::int64_t kEngineAllocationCeiling = 600;
 
 /**
  * Ceiling on one Full PlanVerifier::verify's heap allocations per
- * provenance record: the reference splitter's warm-up and the id
- * tables and replay arrays growing geometrically, spread over the
- * nest's records, come to 0.07 to 1.0 on these nests. Hash maps keyed
- * by address and line, and a visited set and frontier per ordering
- * query, made 7 to 14.
+ * provenance record: the verifier's own instance stream growing
+ * geometrically over its first iteration, the replay tables sized up
+ * front to its address and line counts, the reference splitter's
+ * warm-up and the window's copy list growing, spread over the nest's
+ * records, come to 0.05 to 0.8 on these nests. Hash maps keyed by
+ * address and line, and a visited set and frontier per ordering query,
+ * made 7 to 14.
  */
 constexpr double kVerifyAllocationsPerRecord = 2.0;
 
