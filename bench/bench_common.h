@@ -13,15 +13,14 @@
  * stays diffable across runs.
  */
 
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "support/error.h"
+#include "support/parse_int.h"
 #include "workloads/workload.h"
 
 namespace ndp::bench {
@@ -36,13 +35,11 @@ benchScale()
     const char *env = std::getenv("NDP_BENCH_SCALE");
     if (env == nullptr)
         return 2048;
-    const char *end = env + std::strlen(env);
-    std::int64_t scale = 0;
-    const auto [stop, err] = std::from_chars(env, end, scale);
-    NDP_REQUIRE(err == std::errc{} && stop == end && scale >= 256,
+    const auto scale = parseInt<std::int64_t>(env, 256);
+    NDP_REQUIRE(scale,
                 "NDP_BENCH_SCALE must be an integer of at least 256, got '"
                     << env << "'");
-    return scale;
+    return *scale;
 }
 
 /**

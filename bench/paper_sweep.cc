@@ -404,13 +404,17 @@ main()
                   "Tables 1-3, Figures 13-24 and two ablations");
 
     // The verifier report's path is opened before anything runs, so a
-    // bad path fails fast; the report is written once the sweep has
-    // finished.
+    // bad path, or a path with nothing to report, fails fast; the
+    // report is written once the sweep has finished.
     const char *json_path = std::getenv("NDP_VERIFY_JSON");
     std::optional<std::ofstream> json;
-    if (json_path != nullptr &&
-        verify::verifyLevelFromEnv() != verify::VerifyLevel::Off)
+    if (json_path != nullptr) {
+        NDP_REQUIRE(verify::verifyLevelFromEnv() != verify::VerifyLevel::Off,
+                    "NDP_VERIFY_JSON is set but NDP_VERIFY is off; set "
+                    "NDP_VERIFY=cheap or NDP_VERIFY=full to write a "
+                    "verifier report");
         json = bench::openJsonOutput(json_path, "NDP_VERIFY_JSON");
+    }
 
     const SweepOutcome sweep = runSweep();
     if (json) {

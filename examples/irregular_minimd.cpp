@@ -20,11 +20,11 @@
  * Run: ./irregular_minimd [atoms]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "driver/experiment.h"
 #include "ir/parser.h"
+#include "support/parse_int.h"
 #include "support/rng.h"
 #include "support/table.h"
 
@@ -54,7 +54,16 @@ main(int argc, char **argv)
 {
     using namespace ndp;
 
-    const std::int64_t atoms = argc > 1 ? std::atoll(argv[1]) : 2048;
+    std::int64_t atoms = 2048;
+    if (argc > 1) {
+        const auto arg = parseInt<std::int64_t>(argv[1], 1);
+        if (!arg) {
+            std::cerr << "atom count must be a positive integer, got '"
+                      << argv[1] << "'\n";
+            return 1;
+        }
+        atoms = *arg;
+    }
 
     workloads::Workload app;
     app.name = "minimd-force";
@@ -110,7 +119,7 @@ main(int argc, char **argv)
 
     // ---- 1. No inspector: may-dependences block the transform. ----
     variant("compile-time only (no inspector)", false, false);
-    // ---- 2. Inspector/executor: the first timing-loop trips record
+    // ---- 2. The inspector/executor: the first timing-loop trips record
     // the realised neighbor indices; the executor trips are split.
     variant("inspector/executor", true, false);
     // ---- 3. Oracle disambiguation (upper bound, Section 6.4). ----

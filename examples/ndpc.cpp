@@ -17,7 +17,7 @@
  * With no file, a built-in demo kernel is compiled.
  */
 
-#include <charconv>
+#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -31,6 +31,7 @@
 #include "ir/parser.h"
 #include "ir/statement.h"
 #include "partition/codegen.h"
+#include "support/parse_int.h"
 #include "support/table.h"
 
 namespace {
@@ -67,23 +68,6 @@ printSets(const ndp::ir::VarSet &set, const ndp::ir::Statement &stmt,
     std::cout << ")";
     if (depth == 0)
         std::cout << "\n";
-}
-
-/**
- * @p text read whole as a decimal integer of at least @p min; nullopt
- * when it is empty, holds anything but an optional '-' and digits, or
- * is out of range.
- */
-template <typename Int>
-std::optional<Int>
-parseInt(const std::string &text, Int min)
-{
-    Int value = 0;
-    const char *end = text.data() + text.size();
-    const auto [stop, err] = std::from_chars(text.data(), end, value);
-    if (err != std::errc{} || stop != end || value < min)
-        return std::nullopt;
-    return value;
 }
 
 } // namespace

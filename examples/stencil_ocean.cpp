@@ -13,11 +13,12 @@
  * Run with an optional grid side argument: ./stencil_ocean [side]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "driver/experiment.h"
 #include "ir/parser.h"
+#include "support/parse_int.h"
 #include "support/stats.h"
 #include "support/table.h"
 
@@ -26,7 +27,17 @@ main(int argc, char **argv)
 {
     using namespace ndp;
 
-    const std::int64_t side = argc > 1 ? std::atoll(argv[1]) : 48;
+    std::int64_t side = 48;
+    if (argc > 1) {
+        const auto arg = parseInt<std::int64_t>(
+            argv[1], std::numeric_limits<std::int64_t>::min());
+        if (!arg) {
+            std::cerr << "grid side must be an integer, got '" << argv[1]
+                      << "'\n";
+            return 1;
+        }
+        side = *arg;
+    }
     if (side < 8) {
         std::cerr << "grid side must be >= 8\n";
         return 1;

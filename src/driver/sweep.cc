@@ -1,14 +1,13 @@
 #include "driver/sweep.h"
 
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <ostream>
 #include <thread>
 
 #include <sys/resource.h>
 
 #include "support/error.h"
+#include "support/parse_int.h"
 
 namespace ndp::driver {
 
@@ -51,14 +50,12 @@ int
 SweepRunner::defaultWorkers()
 {
     if (const char *env = std::getenv("NDP_BENCH_THREADS")) {
-        const char *end = env + std::strlen(env);
-        int threads = 0;
-        const auto [stop, err] = std::from_chars(env, end, threads);
-        NDP_REQUIRE(err == std::errc{} && stop == end && threads > 0,
+        const auto threads = parseInt<int>(env, 1);
+        NDP_REQUIRE(threads,
                     "NDP_BENCH_THREADS must be a positive integer (the "
                     "caller counts as one thread), got '"
                         << env << "'");
-        return threads - 1;
+        return *threads - 1;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 0 : static_cast<int>(hw) - 1;

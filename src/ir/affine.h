@@ -6,7 +6,8 @@
  * Affine expressions over loop induction variables:
  * sum(coeff_k * loopvar_k) + constant. These are the statically
  * analyzable subscripts of Table 1; everything else (indirect
- * subscripts) goes through the inspector/executor path.
+ * subscripts) resolves through an index array's data (Section 4.5's
+ * inspector/executor).
  */
 
 #include <cstdint>

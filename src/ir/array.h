@@ -34,11 +34,6 @@ struct ArrayInfo
     std::uint32_t elementSize = 8;
     /** Virtual base address (page-aligned). */
     mem::Addr base = 0;
-    /**
-     * Whether the flat-memory-mode profiling step (Vtune-like, Section
-     * 6.1) placed this array into MCDRAM rather than DDR.
-     */
-    bool preferMcdram = false;
 
     std::int64_t
     elementCount() const
@@ -60,8 +55,9 @@ struct ArrayInfo
  * Registry and allocator for a program's arrays.
  *
  * Also stores element values for *index arrays* (arrays used inside
- * another array's subscript, e.g. Y in X[Y[i]]): the simulator and the
- * inspector both need the realised index values.
+ * another array's subscript, e.g. Y in X[Y[i]]): resolving an
+ * instance that reads X[Y[i]] needs Y's realised values, which Section
+ * 4.5's inspector records at runtime.
  */
 class ArrayTable
 {
@@ -134,7 +130,12 @@ class ArrayTable
     /** True when index data was installed for @p id. */
     bool hasIndexData(ArrayId id) const;
 
-    /** Value of index array @p id at flat position @p flat. */
+    /**
+     * Value of index array @p id at flat position @p flat. Its data
+     * must be installed: ir::InstanceResolver rejects a nest whose
+     * index array has none before resolving any instance, so a miss
+     * here is a library bug.
+     */
     std::int64_t indexValue(ArrayId id, std::int64_t flat) const;
 
   private:

@@ -5,8 +5,10 @@
  * @file
  * Expression trees for statement right-hand sides. References carry
  * affine subscripts (statically analyzable, Table 1) or one-level
- * indirect subscripts X[Y[affine]] (the may-dependence case handled by
- * the inspector/executor, Section 4.5).
+ * indirect subscripts X[Y[affine]], the may-dependence case of Section
+ * 4.5: they resolve through Y's index data, and the partitioner splits
+ * them only in a nest with a timing loop (LoopNest::hasTimingLoop) or
+ * under the oracle.
  */
 
 #include <cstdint>

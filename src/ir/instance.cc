@@ -12,6 +12,25 @@ InstanceResolver::InstanceResolver(const LoopNest &nest,
                                    const ArrayTable &arrays)
     : nest_(&nest), arrays_(&arrays)
 {
+    // An indirect subscript names no address until its index array's
+    // realised values are installed (Section 4.5's inspector records
+    // them): check every reference once, before any instance resolves.
+    const auto require_index_data = [&](const ArrayRef &ref) {
+        for (const Subscript &sub : ref.subscripts) {
+            NDP_REQUIRE(!sub.isIndirect() ||
+                            arrays.hasIndexData(sub.indirect),
+                        "nest '" << nest.name() << "' subscripts array '"
+                                 << arrays.info(ref.array).name
+                                 << "' through index array '"
+                                 << arrays.info(sub.indirect).name
+                                 << "', which has no index data");
+        }
+    };
+    for (const Statement &stmt : nest.body()) {
+        require_index_data(stmt.lhs());
+        for (const ArrayRef *ref : stmt.reads())
+            require_index_data(*ref);
+    }
 }
 
 void

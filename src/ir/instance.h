@@ -7,8 +7,11 @@
  * statement executed at one concrete loop iteration — the paper's
  * footnote 2) into the concrete addresses it reads and writes. Indirect
  * subscripts resolve through the index-array contents held by the
- * ArrayTable, which is exactly the information the inspector phase
- * gathers at runtime.
+ * ArrayTable, the values Section 4.5's inspector records at runtime.
+ * Constructing a resolver checks that every index array the nest
+ * subscripts through has them: this is the one place a nest without
+ * its index data is rejected, so every path that resolves a nest
+ * meets the check before any instance resolves.
  *
  * A nest is resolved once, into an InstanceStream: the default
  * placement's profile and plan, the data-to-MC profile and the planner
@@ -51,6 +54,11 @@ struct ResolvedRef
 class InstanceResolver
 {
   public:
+    /**
+     * An ndp::fatal naming the nest, the subscripted array and the
+     * index array when some reference of @p nest subscripts through an
+     * index array that has no data installed in @p arrays.
+     */
     InstanceResolver(const LoopNest &nest, const ArrayTable &arrays);
 
     /**
@@ -116,7 +124,9 @@ struct InstanceStream
  * @p amap. Ids come from the array layout, not from hashing: an
  * address is its array's slot base plus its element index, over the
  * element span the nest touches in that array, and a line likewise
- * (the allocator's guard pages keep two arrays off one line).
+ * (the allocator's guard pages keep two arrays off one line). Fatal,
+ * as InstanceResolver's constructor is, when an index array the nest
+ * subscripts through has no data.
  */
 InstanceStream resolveInstances(const LoopNest &nest,
                                 const ArrayTable &arrays,

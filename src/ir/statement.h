@@ -115,9 +115,11 @@ class LoopNest
     /**
      * The nest sits inside an outer timing loop whose first trips can
      * run Section 4.5's inspector. Nothing runs those trips: the flag
-     * only lets Inspector::canResolve treat the nest's indirect
-     * subscripts as resolved. The default models a kernel without a
-     * timing loop.
+     * only lets the partitioner treat the nest's indirect subscripts
+     * as resolved, and so split them; the values those trips would
+     * record are the ArrayTable's index data, which resolving any
+     * nest requires. The default models a kernel without a timing
+     * loop.
      */
     bool hasTimingLoop = false;
 

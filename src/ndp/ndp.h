@@ -40,7 +40,6 @@
 #include "noc/traffic_matrix.h"
 #include "partition/codegen.h"
 #include "partition/data_locator.h"
-#include "partition/inspector.h"
 #include "partition/load_balancer.h"
 #include "partition/partitioner.h"
 #include "partition/splitter.h"

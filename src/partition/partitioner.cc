@@ -8,7 +8,6 @@
 
 #include "ir/instance.h"
 #include "ir/nested_sets.h"
-#include "partition/inspector.h"
 #include "partition/load_balancer.h"
 #include "partition/splitter.h"
 #include "partition/sync_graph.h"
@@ -309,8 +308,9 @@ struct NestContext
     std::vector<ir::VarSet> staticSets;
     /**
      * Per static statement: every reference is affine, or indirect
-     * subscripts count as resolved because the nest's inspector phase
-     * can run (Section 4.5) or the oracle is on.
+     * subscripts count as resolved because the nest declares a timing
+     * loop whose first trips run the inspector (Section 4.5) or the
+     * oracle is on.
      */
     std::vector<bool> splittable;
     /** totalOpCost() per static statement: a whole statement's load. */
@@ -1420,8 +1420,10 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         std::vector<bool> reach;
         bool scored = false;
         const auto set_up = [&] {
+            // The stream this plan reads has already resolved every
+            // index value, so a timing loop is all the inspector needs.
             const bool inspector_resolved =
-                Inspector::canResolve(nest, *arrays_) || options.oracle;
+                nest.hasTimingLoop || options.oracle;
             std::vector<ir::VarSet> static_sets;
             std::vector<bool> splittable;
             std::vector<std::int32_t> op_cost;

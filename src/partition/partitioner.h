@@ -56,8 +56,9 @@ struct PartitionOptions
     bool minimizeSyncs = true;
     /**
      * Ideal data analysis (Section 6.4): perfect disambiguation of
-     * indirect references, so every statement is splittable even
-     * without an inspector. Locations need no oracle: a datum's home
+     * indirect references, so every statement is splittable even in a
+     * nest without a timing loop (LoopNest::hasTimingLoop). Locations
+     * need no oracle: a datum's home
      * is a pure function of its address.
      */
     bool oracle = false;
@@ -189,8 +190,9 @@ class Partitioner
     /**
      * @param system provides the mesh, the address map, and the
      *        machine configuration
-     * @param arrays the program's array table (with any inspector-
-     *        collected index data installed)
+     * @param arrays the program's array table; every index array a
+     *        planned nest subscripts through needs its data installed
+     *        (resolution rejects the nest otherwise)
      * @param pool when non-null, every plan() computes the w = 1
      *        splits in chunks on it and then walks the window-size
      *        candidates concurrently on it (support::orderedMap); null

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the extensions beyond the paper's core algorithm: the torus
- * topology option (the paper's "any topology" template claim),
- * execution tracing, and the inspector that resolves indirect
- * references.
+ * topology option (the paper's "any topology" template claim) and
+ * execution tracing. Indirect references are covered where they are
+ * decided: resolution's index-data check in ir_test, and the
+ * timing-loop and oracle splitting rules in partitioner_test.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 
 #include "baseline/default_placement.h"
 #include "ir/parser.h"
-#include "partition/inspector.h"
 #include "partition/partitioner.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
@@ -126,40 +126,6 @@ TEST(TraceTest, ClearedBetweenRuns)
     (void)engine.run(plan, opts);
     (void)engine.run(plan, opts);
     EXPECT_EQ(trace.size(), 1u); // cleared at run start
-}
-
-// ------------------------------------------------------------ inspector
-
-TEST(InspectorTest, ResolvesWhenDataAndTripsPresent)
-{
-    ir::ArrayTable arrays;
-    ir::LoopNest nest = ir::parseKernel(R"(
-        array X[64]; array Y[64]; array Z[64];
-        for i = 0..64 { Z[i] = X[Y[i]] + Z[i]; })",
-                                        "insp", arrays);
-    std::vector<std::int64_t> idx(64);
-    for (int i = 0; i < 64; ++i)
-        idx[static_cast<std::size_t>(i)] = i % 8;
-    arrays.setIndexData(arrays.find("Y"), idx);
-
-    // No timing loop: the inspector cannot run.
-    nest.hasTimingLoop = false;
-    EXPECT_FALSE(partition::Inspector::canResolve(nest, arrays));
-
-    nest.hasTimingLoop = true;
-    EXPECT_TRUE(partition::Inspector::canResolve(nest, arrays));
-}
-
-TEST(InspectorTest, MissingIndexDataBlocksResolution)
-{
-    ir::ArrayTable arrays;
-    ir::LoopNest nest = ir::parseKernel(R"(
-        array X[32]; array Y[32]; array Z[32];
-        for i = 0..32 { Z[i] = X[Y[i]]; })",
-                                        "nodata", arrays);
-    nest.hasTimingLoop = true;
-    // Y has no runtime data: the inspector cannot run.
-    EXPECT_FALSE(partition::Inspector::canResolve(nest, arrays));
 }
 
 } // namespace

@@ -627,6 +627,43 @@ TEST(InstanceTest, IndirectResolutionUsesIndexData)
               arrays.elementAddr(arrays.find("X"), 5));
 }
 
+TEST(InstanceTest, MissingIndexDataIsFatalNamingNestAndArrays)
+{
+    // A gather (the index array in a read) and a scatter (in the
+    // write): resolving either without IDX's data is a user error,
+    // raised before any instance resolves, whichever entry point asks.
+    const sim::ManycoreSystem system{sim::ManycoreConfig{}};
+    for (const char *body : {"Z[i] = X[IDX[i]] + Z[i];",
+                             "X[IDX[i]] = Z[i];"}) {
+        SCOPED_TRACE(body);
+        ArrayTable arrays;
+        const LoopNest nest = parseKernel(
+            std::string("array X[8]; array IDX[8]; array Z[8];\n"
+                        "for i = 0..8 { ") +
+                body + " }",
+            "gather", arrays);
+        const auto expect_named = [](const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("nest 'gather'"), std::string::npos) << what;
+            EXPECT_NE(what.find("array 'X'"), std::string::npos) << what;
+            EXPECT_NE(what.find("index array 'IDX'"), std::string::npos)
+                << what;
+        };
+        try {
+            InstanceResolver resolver(nest, arrays);
+            ADD_FAILURE() << "a resolver was built without IDX's data";
+        } catch (const FatalError &e) {
+            expect_named(e);
+        }
+        try {
+            (void)resolveInstances(nest, arrays, system.addressMap());
+            ADD_FAILURE() << "a stream was resolved without IDX's data";
+        } catch (const FatalError &e) {
+            expect_named(e);
+        }
+    }
+}
+
 TEST(InstanceTest, ResolutionWrapsEachDimension)
 {
     ArrayTable arrays;

@@ -1,17 +1,22 @@
 /**
  * @file
  * Unit and property tests for the support layer: disjoint sets,
- * deterministic RNG, statistics helpers, and the table printer.
+ * deterministic RNG, statistics helpers, the table printer, error
+ * reporting and the integer parser.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "support/disjoint_set.h"
 #include "support/error.h"
+#include "support/parse_int.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -293,6 +298,25 @@ TEST(ErrorTest, MessagesPropagate)
         EXPECT_NE(std::string(e.what()).find("specific message"),
                   std::string::npos);
     }
+}
+
+// ------------------------------------------------------------ parseInt
+
+TEST(ParseIntTest, ReadsWholeIntegersOfAtLeastMin)
+{
+    EXPECT_EQ(parseInt<int>("12", 1), std::optional<int>(12));
+    EXPECT_EQ(parseInt<int>("1", 1), std::optional<int>(1));
+    EXPECT_EQ(parseInt<std::int64_t>("-7", -10),
+              std::optional<std::int64_t>(-7));
+    // A digit prefix, a non-number, an empty or padded value, one
+    // below the minimum and one past the type's range are all refused.
+    for (const char *bad : {"12abc", "abc", "", " 12", "12 ", "+12", "0",
+                            "99999999999"})
+        EXPECT_EQ(parseInt<int>(bad, 1), std::nullopt) << "'" << bad << "'";
+    EXPECT_EQ(parseInt<std::int64_t>(
+                  "9223372036854775808",
+                  std::numeric_limits<std::int64_t>::min()),
+              std::nullopt);
 }
 
 } // namespace

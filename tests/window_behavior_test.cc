@@ -19,7 +19,6 @@
 #include "ir/instance.h"
 #include "ir/parser.h"
 #include "mem/address.h"
-#include "partition/inspector.h"
 #include "partition/partitioner.h"
 #include "plan_lists.h"
 #include "sim/engine.h"
@@ -42,11 +41,10 @@ using namespace ndp::partition;
 std::int64_t
 walkedCandidates(const ir::LoopNest &nest, const ir::ArrayTable &arrays)
 {
-    const bool resolved = Inspector::canResolve(nest, arrays);
     std::vector<bool> splittable;
     for (const ir::Statement &stmt : nest.body())
         splittable.push_back(
-            resolved || (stmt.lhs().isAnalyzable() &&
+            nest.hasTimingLoop || (stmt.lhs().isAnalyzable() &&
                          std::ranges::all_of(stmt.reads(),
                                              &ir::ArrayRef::isAnalyzable)));
     const auto statements =
