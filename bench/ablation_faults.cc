@@ -34,10 +34,8 @@ num(double value)
     return oss.str();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+ablationFaults(int argc, char **argv)
 {
     using namespace ndp;
 
@@ -123,4 +121,13 @@ main(int argc, char **argv)
     runner.stats().printSummary(std::clog);
     std::clog << "[faults] wrote " << json_path << "\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return ndp::bench::runHarness(
+        "ablation_faults", [&] { return ablationFaults(argc, argv); });
 }

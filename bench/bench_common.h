@@ -5,7 +5,8 @@
  * @file
  * What the harnesses share: the workload scale (NDP_BENCH_SCALE; a
  * malformed value is an ndp::fatal that names it), the paper's 12 apps
- * at that scale, JSON report files that fail loudly, and the banner.
+ * at that scale, JSON report files that fail loudly, the banner, and
+ * the exit status 1 that every such user error ends a harness with.
  *
  * Output discipline: result tables go to stdout and are bit-identical
  * for any thread count (NDP_BENCH_THREADS); wall-clock timing
@@ -68,10 +69,28 @@ allApps()
 inline void
 banner(const std::string &experiment, const std::string &paper_ref)
 {
+    const std::int64_t scale = benchScale();
     std::cout << "== " << experiment << " — reproduces " << paper_ref
               << " ==\n"
-              << "(scale " << benchScale()
+              << "(scale " << scale
               << "; set NDP_BENCH_SCALE to change)\n\n";
+}
+
+/**
+ * @p body's exit status, or 1 when it raises an ndp::FatalError (a bad
+ * knob, argument or path), whose message goes to stderr after
+ * "@p harness: ", as ndpc reports its own.
+ */
+template <typename Body>
+int
+runHarness(const char *harness, Body body)
+{
+    try {
+        return body();
+    } catch (const FatalError &e) {
+        std::cerr << harness << ": " << e.what() << "\n";
+        return 1;
+    }
 }
 
 } // namespace ndp::bench

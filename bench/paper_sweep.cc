@@ -394,10 +394,8 @@ printSection(const std::string &heading, const SweepOutcome &sweep,
     return values;
 }
 
-} // namespace
-
 int
-main()
+paperSweep()
 {
     using driver::AppResult;
     bench::banner("paper_sweep",
@@ -577,4 +575,12 @@ main()
                   static_cast<double>(row[kTorus].result.defaultMakespan));
           }}});
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::runHarness("paper_sweep", paperSweep);
 }

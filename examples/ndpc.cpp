@@ -8,7 +8,9 @@
  *   - the nested variable sets of each statement (Section 4.2),
  *   - the adaptive window choice and planning statistics,
  *   - Figure-8-style generated pseudo-code for the first iterations,
- *   - the simulated default-vs-optimized comparison.
+ *   - the simulated default-vs-shipped comparison, where plan
+ *     selection ships the planned schedule unless it is slower than
+ *     the default, as the experiment driver does.
  *
  * Usage:
  *   ndpc [kernel-file] [--param NAME=VALUE]... [--mesh CxR]
@@ -32,6 +34,7 @@
 #include "ir/statement.h"
 #include "partition/codegen.h"
 #include "support/parse_int.h"
+#include "support/stats.h"
 #include "support/table.h"
 
 namespace {
@@ -187,20 +190,20 @@ main(int argc, char **argv)
         }
 
         // ---- Machine and baseline, the profiling run beside the
-        // partitioner's set-up, the partitioner, and the optimized run
-        // beside the static verifier: one nest session. Cheap
-        // verification records the split decisions the verifier checks
-        // and the pseudo-code renderer reads.
+        // partitioner's set-up, the partitioner, the optimized run
+        // beside the static verifier, and plan selection: one nest
+        // session. Cheap verification records the split decisions the
+        // verifier checks and the pseudo-code renderer reads.
         driver::ExperimentConfig config;
         config.machine.meshCols = mesh_cols;
         config.machine.meshRows = mesh_rows;
         config.partition.fixedWindowSize = fixed_window;
         config.partition.verifyLevel = verify::VerifyLevel::Cheap;
         driver::NestSession session(config, app, nest);
-        const sim::ExecutionPlan plan = session.plan();
-        const sim::SimResult &def = session.defaultRun;
+        const driver::NestResult result = session.run();
+        const sim::SimResult &def = result.defaultRun;
+        const sim::SimResult &shipped = result.optimizedRun;
         const partition::PartitionReport &report = session.report;
-        const sim::SimResult opt = session.runPlanned(plan);
 
         std::cout << "\n== plan ==\n"
                   << "window size: " << report.chosenWindowSize
@@ -215,34 +218,45 @@ main(int argc, char **argv)
         std::cout << "\n== generated schedule (iterations 0.."
                   << shown - 1 << ") ==\n"
                   << partition::generatePseudoCode(
-                         plan, report.provenance.get(), nest, arrays, 0,
-                         shown - 1);
+                         *session.planned, report.provenance.get(), nest,
+                         arrays, 0, shown - 1);
 
-        Table cmp({"metric", "default", "optimized"});
+        Table cmp({"metric", "default", "shipped"});
         cmp.row()
             .cell("execution time (cycles)")
             .cell(def.makespanCycles)
-            .cell(opt.makespanCycles);
+            .cell(shipped.makespanCycles);
         cmp.row()
             .cell("data movement (flit-hops)")
             .cell(def.dataMovementFlitHops)
-            .cell(opt.dataMovementFlitHops);
+            .cell(shipped.dataMovementFlitHops);
         cmp.row()
             .cell("L1 hit rate")
             .cell(def.l1HitRate(), 3)
-            .cell(opt.l1HitRate(), 3);
+            .cell(shipped.l1HitRate(), 3);
         cmp.row()
             .cell("synchronisations")
             .cell(def.syncCount)
-            .cell(opt.syncCount);
+            .cell(shipped.syncCount);
         std::cout << "\n== simulation (" << mesh_cols << "x"
                   << mesh_rows << " mesh) ==\n";
         cmp.print(std::cout);
         std::cout << "\nexecution time reduction: "
                   << percentReduction(
                          static_cast<double>(def.makespanCycles),
-                         static_cast<double>(opt.makespanCycles))
-                  << "%\n";
+                         static_cast<double>(shipped.makespanCycles))
+                  << "%\nplan selection ships: ";
+        if (result.keptDefault) {
+            std::cout << "default (the planned schedule is "
+                      << percentInflation(
+                             static_cast<double>(def.makespanCycles),
+                             static_cast<double>(
+                                 result.plannedRun.makespanCycles))
+                      << "% slower, " << result.plannedRun.makespanCycles
+                      << " cycles)\n";
+        } else {
+            std::cout << "the planned schedule\n";
+        }
     } catch (const std::exception &e) {
         std::cerr << "ndpc: " << e.what() << "\n";
         return 1;

@@ -5,11 +5,12 @@
  *  1. Describe a kernel in the textual IR (or build the IR directly).
  *  2. Open a driver::NestSession on the modelled manycore: it builds
  *     the machine and the profile-guided default placement.
- *  3. Plan the nest with the NDP partitioner (the session profiles
- *     the default plan beside the planner's set-up), and simulate the
- *     plan while the session's static verifier checks it.
- *  4. Compare data movement / execution time, and say which plan the
- *     driver's plan selection would ship.
+ *  3. Run the session: it profiles the default plan beside the NDP
+ *     partitioner's set-up, plans the nest, simulates the plan while
+ *     its static verifier checks it, and ships the faster of the two
+ *     plans, as the experiment driver does.
+ *  4. Compare data movement / execution time, say which plan shipped,
+ *     and print the planner's schedule.
  *
  * The kernel here is the paper's running example (Figure 3):
  * A(i) = B(i) + C(i) + D(i) + E(i).
@@ -50,44 +51,46 @@ main()
     driver::NestSession session(config, app, nest);
 
     // ---- 3. The default plan's profiling run beside the planner's
-    // set-up, the optimized plan, and its run beside its
-    // verification. ----
-    const sim::ExecutionPlan optimized_plan = session.plan();
-    const sim::SimResult &def = session.defaultRun;
+    // set-up, the planned run beside its verification, and plan
+    // selection. ----
+    const driver::NestResult result = session.run();
+    const sim::SimResult &def = result.defaultRun;
+    const sim::SimResult &shipped = result.optimizedRun;
     const partition::PartitionReport &report = session.report;
-    const sim::SimResult opt = session.runPlanned(optimized_plan);
 
     // ---- 4. Compare. ----
-    Table table({"metric", "default", "optimized"});
+    Table table({"metric", "default", "shipped"});
     table.row()
         .cell("data movement (flit-hops)")
         .cell(def.dataMovementFlitHops)
-        .cell(opt.dataMovementFlitHops);
+        .cell(shipped.dataMovementFlitHops);
     table.row()
         .cell("execution time (cycles)")
         .cell(def.makespanCycles)
-        .cell(opt.makespanCycles);
+        .cell(shipped.makespanCycles);
     table.row()
         .cell("L1 hit rate")
         .cell(def.l1HitRate(), 3)
-        .cell(opt.l1HitRate(), 3);
+        .cell(shipped.l1HitRate(), 3);
     table.row()
         .cell("avg net latency (cycles)")
         .cell(def.avgNetworkLatency)
-        .cell(opt.avgNetworkLatency);
+        .cell(shipped.avgNetworkLatency);
     table.print(std::cout);
 
-    // The experiment driver's plan selection would ship the default
-    // plan wherever the optimized one is slower.
+    // Plan selection ships the default plan wherever the planned one
+    // is slower.
     std::cout << "\nplan selection ships: ";
-    if (config.shipsDefaultPlan(def, opt)) {
-        std::cout << "default (the optimized plan is "
+    if (result.keptDefault) {
+        std::cout << "default (the planned schedule is "
                   << percentInflation(
                          static_cast<double>(def.makespanCycles),
-                         static_cast<double>(opt.makespanCycles))
-                  << "% slower)\n";
+                         static_cast<double>(
+                             result.plannedRun.makespanCycles))
+                  << "% slower, " << result.plannedRun.makespanCycles
+                  << " cycles)\n";
     } else {
-        std::cout << "optimized\n";
+        std::cout << "the planned schedule\n";
     }
 
     std::cout << "\nchosen window size: " << report.chosenWindowSize
@@ -97,8 +100,8 @@ main()
               << "\ndegree of parallelism: "
               << report.degreeOfParallelism.mean() << "\n\n";
 
-    std::cout << "Generated schedule for iteration 0 (Figure-8 style):\n"
-              << partition::generatePseudoCode(optimized_plan,
+    std::cout << "Planned schedule for iteration 0 (Figure-8 style):\n"
+              << partition::generatePseudoCode(*session.planned,
                                                report.provenance.get(),
                                                nest, app.arrays, 0, 0);
     return 0;

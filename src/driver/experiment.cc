@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <exception>
-#include <optional>
 #include <string>
 
 #include "baseline/data_to_mc.h"
@@ -28,49 +27,120 @@ NestSession::NestSession(const ExperimentConfig &config,
     defaultPlan = placement.buildPlan(nest, *stream, nodes);
 }
 
-double
-NestSession::profile()
+namespace {
+
+/**
+ * The report of a nest whose plan selection shipped the default plan
+ * instead of the one @p planned describes: nothing was re-mapped, so
+ * each of its statement instances (split or not) counts as an unsplit
+ * statement (no movement saved, parallelism 1, no syncs). The movement
+ * baselines, window history and compile cost carry over — they were
+ * paid regardless of which plan shipped.
+ */
+partition::PartitionReport
+keptDefaultReport(const partition::PartitionReport &planned)
 {
-    NDP_REQUIRE(!profiled_, "nest '" << nest_.name()
-                                     << "' was already profiled");
-    profiled_ = true;
-    // The default run doubles as the profiling pass: it trains the L2
-    // miss predictor whose accuracy Table 2 reports.
-    defaultRun = engine.run(defaultPlan);
-    return static_cast<double>(defaultRun.totalBusyCycles) /
-           std::max<double>(
-               1.0, static_cast<double>(defaultRun.makespanCycles *
-                                        config_.machine.meshCols *
-                                        config_.machine.meshRows));
+    const std::int64_t instances =
+        planned.statementsKeptDefault + planned.statementsSplit;
+    partition::PartitionReport kept;
+    kept.chosenWindowSize = 1;
+    kept.statementsKeptDefault = instances;
+    kept.defaultMovement = planned.defaultMovement;
+    kept.plannedMovement = planned.defaultMovement;
+    kept.movementPerWindowSize = planned.movementPerWindowSize;
+    kept.reuseMapHash = planned.reuseMapHash;
+    kept.reuseCopiesPlanned = planned.reuseCopiesPlanned;
+    kept.compile = planned.compile;
+    for (std::int64_t i = 0; i < instances; ++i) {
+        kept.movementReductionPct.add(0.0);
+        kept.degreeOfParallelism.add(1.0);
+        kept.syncsPerStatement.add(0.0);
+        kept.rawSyncsPerStatement.add(0.0);
+    }
+    return kept;
 }
 
-sim::ExecutionPlan
-NestSession::plan()
+} // namespace
+
+NestResult
+NestSession::run()
 {
-    partition::Partitioner partitioner(system, workload_.arrays,
-                                       config_.partition, pool_);
-    sim::ExecutionPlan plan =
-        partitioner.plan(nest_, *stream, nodes, [&] { return profile(); });
-    report = partitioner.report();
-    return plan;
+    NDP_REQUIRE(stream, "nest '" << nest_.name() << "' already ran");
+    NestResult nr;
+    nr.nest = nest_.name();
+    nr.analyzableFraction = ir::analyzableFraction(nest_);
+
+    // The default run doubles as the profiling pass: it trains the L2
+    // miss predictor whose accuracy Table 2 reports, and the planner's
+    // overhead model reads the node utilization it measured.
+    const auto profile = [&] {
+        nr.defaultRun = engine.run(defaultPlan);
+        return static_cast<double>(nr.defaultRun.totalBusyCycles) /
+               std::max<double>(
+                   1.0, static_cast<double>(nr.defaultRun.makespanCycles *
+                                            config_.machine.meshCols *
+                                            config_.machine.meshRows));
+    };
+    // Without the partitioner the "optimized" run replays the default
+    // plan, after the same profiling run. buildPlan reads only the
+    // nest, its stream and the nodes, and the planner never reads the
+    // MC lookup the data-to-MC override changes (a home bank is a
+    // function of the address alone); but the profile must run on the
+    // default mapping, so the override comes after it.
+    if (config_.optimizeComputation) {
+        partition::Partitioner partitioner(system, workload_.arrays,
+                                           config_.partition, pool_);
+        planned = partitioner.plan(nest_, *stream, nodes, profile);
+        report = partitioner.report();
+    } else {
+        (void)profile();
+    }
+    if (config_.dataToMcRemap) {
+        system.addressMap().setPageMcOverride(baseline::profilePageToMc(
+            system, nest_, *stream, nodes));
+    }
+    stream.reset();
+
+    sim::EngineOptions opts;
+    opts.idealNetwork = config_.idealNetwork;
+    nr.plannedRun = runPlanned(planned ? *planned : defaultPlan, opts);
+    nr.verify = std::move(verdict);
+
+    // Plan selection: where the transformation lost, ship the default
+    // plan instead.
+    nr.keptDefault = config_.planSelection && planned &&
+                     nr.plannedRun.makespanCycles >
+                         nr.defaultRun.makespanCycles;
+    if (nr.keptDefault) {
+        nr.optimizedRun = engine.run(defaultPlan, opts);
+        nr.report = keptDefaultReport(report);
+    } else {
+        nr.optimizedRun = nr.plannedRun;
+        nr.report = report;
+        nr.report.provenance.reset(); // keep NestResult lean
+    }
+
+    nr.predictorPredictions = system.missPredictor().predictions();
+    nr.predictorCorrect = system.missPredictor().correctPredictions();
+    return nr;
 }
 
 sim::SimResult
-NestSession::runPlanned(const sim::ExecutionPlan &planned,
+NestSession::runPlanned(const sim::ExecutionPlan &plan,
                         const sim::EngineOptions &options)
 {
     if (!report.provenance)
-        return engine.run(planned, options);
+        return engine.run(plan, options);
     const verify::PlanVerifier verifier(system, workload_.arrays);
     sim::SimResult run;
     std::exception_ptr engine_error;
     support::orderedMap(pool_, 2, [&](std::size_t i) {
         if (i == 0) {
-            verdict = verifier.verify(nest_, planned, *report.provenance);
+            verdict = verifier.verify(nest_, plan, *report.provenance);
             return 0;
         }
         try {
-            run = engine.run(planned, options);
+            run = engine.run(plan, options);
         } catch (...) {
             engine_error = std::current_exception();
         }
@@ -92,67 +162,6 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig config,
 }
 
 namespace {
-
-/**
- * runNest on an open session: the profiling run beside planning (or
- * alone, for a config that does not plan), the data-to-MC override,
- * the planned run with the verifier beside it, plan selection and the
- * miss predictor's totals, each fanning out on the session's pool.
- * Sets *@p planned_dop, if given, to the planner's mean degree of
- * parallelism, which a kept default plan's report resets.
- */
-NestResult
-finishNest(const ExperimentConfig &config, NestSession &session,
-           const ir::LoopNest &nest, double *planned_dop = nullptr)
-{
-    NestResult nr;
-    nr.nest = nest.name();
-    nr.analyzableFraction = ir::analyzableFraction(nest);
-
-    // Without the partitioner the "optimized" run replays the session's
-    // default plan, after the same profiling run. buildPlan reads only
-    // the nest, its stream and the nodes, and the planner never reads
-    // the MC lookup the data-to-MC override changes (a home bank is a
-    // function of the address alone); but the profile must run on the
-    // default mapping, so the override comes after it.
-    std::optional<sim::ExecutionPlan> planned;
-    if (config.optimizeComputation)
-        planned = session.plan();
-    else
-        session.profile();
-    nr.defaultRun = session.defaultRun;
-    if (config.dataToMcRemap) {
-        session.system.addressMap().setPageMcOverride(
-            baseline::profilePageToMc(session.system, nest, *session.stream,
-                                      session.nodes));
-    }
-    session.stream.reset();
-    const sim::ExecutionPlan &optimized_plan =
-        planned ? *planned : session.defaultPlan;
-
-    sim::EngineOptions opts;
-    opts.idealNetwork = config.idealNetwork;
-    nr.plannedRun = session.runPlanned(optimized_plan, opts);
-    nr.report = std::move(session.report);
-    nr.report.provenance.reset(); // keep NestResult lean
-    nr.verify = std::move(session.verdict);
-    if (planned_dop != nullptr)
-        *planned_dop = nr.report.degreeOfParallelism.mean();
-
-    if (config.shipsDefaultPlan(nr.defaultRun, nr.plannedRun)) {
-        // Profile-guided selection: the transformation lost on this
-        // nest; ship the default plan instead.
-        nr.optimizedRun = session.engine.run(session.defaultPlan, opts);
-        nr.report = partition::keptDefaultReport(nr.report);
-    } else {
-        nr.optimizedRun = nr.plannedRun;
-    }
-
-    nr.predictorPredictions = session.system.missPredictor().predictions();
-    nr.predictorCorrect =
-        session.system.missPredictor().correctPredictions();
-    return nr;
-}
 
 /** @p workload's AppResult: folds the nests left to right, so it is
  *  byte-identical whichever worker computed which NestResult. */
@@ -236,20 +245,15 @@ mergeNests(const workloads::Workload &workload,
 
 } // namespace
 
-NestResult
-ExperimentRunner::runNest(const workloads::Workload &workload,
-                          const ir::LoopNest &nest) const
-{
-    NestSession session(config_, workload, nest, pool_);
-    return finishNest(config_, session, nest);
-}
-
 AppResult
 ExperimentRunner::runApp(const workloads::Workload &workload) const
 {
     std::vector<NestResult> nests = support::orderedMap(
         pool_, workload.nests.size(),
-        [&](std::size_t n) { return runNest(workload, workload.nests[n]); });
+        [&](std::size_t n) {
+            return NestSession(config_, workload, workload.nests[n], pool_)
+                .run();
+        });
     return mergeNests(workload, std::move(nests));
 }
 
@@ -268,13 +272,12 @@ ExperimentRunner::runMetricIsolation(
     std::vector<Replays> replays(workload.nests.size());
     std::vector<NestResult> nests = support::orderedMap(
         pool_, workload.nests.size(), [&](std::size_t n) {
-            const ir::LoopNest &nest = workload.nests[n];
-            NestSession session(config_, workload, nest, pool_);
-            // finishNest reads the miss predictor (Table 2) before the
+            NestSession session(config_, workload, workload.nests[n],
+                                pool_);
+            // run() reads the miss predictor (Table 2) before the
             // replays train it further.
-            double planned_dop = 1.0;
-            NestResult nr = finishNest(config_, session, nest, &planned_dop);
-            const sim::SimResult &def = session.defaultRun;
+            NestResult nr = session.run();
+            const sim::SimResult &def = nr.defaultRun;
             const sim::SimResult &opt = nr.plannedRun;
 
             // The default code with one metric of the optimized run.
@@ -288,7 +291,8 @@ ExperimentRunner::runMetricIsolation(
                     : static_cast<double>(opt.dataMovementFlitHops) /
                           static_cast<double>(def.dataMovementFlitHops);
             // S3: its degree of subcomputation parallelism.
-            s[2].parallelismSpeedup = std::max(1.0, planned_dop);
+            s[2].parallelismSpeedup = std::max(
+                1.0, session.report.degreeOfParallelism.mean());
             // S4: its synchronisations.
             s[3].extraSyncs = opt.syncCount;
             for (std::size_t i = 0; i < s.size(); ++i) {

@@ -58,50 +58,82 @@ struct ExperimentConfig
      * Profile-guided plan selection: after simulating the optimized
      * plan, fall back to the default plan for any nest where the
      * transformation did not pay off (a compiler with an accurate cost
-     * model would not ship a slowdown). Disable to report the raw
-     * partitioner output.
+     * model would not ship a slowdown). NestResult::keptDefault
+     * records the verdict. Disable to report the raw partitioner
+     * output.
      */
     bool planSelection = true;
+};
 
-    /** Plan selection's verdict on a nest: ship its default plan (run
-     *  @p def) over the planner's (run @p planned)? */
-    bool
-    shipsDefaultPlan(const sim::SimResult &def,
-                     const sim::SimResult &planned) const
-    {
-        return planSelection && optimizeComputation &&
-               planned.makespanCycles > def.makespanCycles;
-    }
+/** Results of the default/optimized pair for one loop nest. */
+struct NestResult
+{
+    std::string nest;
+    /** The profiling run of the default plan. */
+    sim::SimResult defaultRun;
+    /** The shipped run: plannedRun unless keptDefault. */
+    sim::SimResult optimizedRun;
+    /** The optimized run before plan selection: the planner's plan's,
+     *  or the default plan's for a config that does not plan. */
+    sim::SimResult plannedRun;
+    /**
+     * Plan selection's verdict: the config selects and plans, and
+     * plannedRun is slower than defaultRun, so the default plan ships
+     * (optimizedRun re-runs it) and report counts every statement
+     * instance unsplit.
+     */
+    bool keptDefault = false;
+    /** The shipped plan's report, without provenance. */
+    partition::PartitionReport report;
+    /**
+     * Static verification of the optimized plan (empty at verify
+     * level Off). NestSession::run fails fast — ndp::panic with the
+     * rendered diagnostic table — on any error-severity finding
+     * (NestSession::runPlanned), so a populated result implies no
+     * errors survived.
+     */
+    verify::Report verify;
+    double analyzableFraction = 1.0;
+    /** Miss-predictor totals of this nest's machine (Table 2). */
+    std::int64_t predictorPredictions = 0;
+    std::int64_t predictorCorrect = 0;
 };
 
 /**
- * One loop nest on its own fresh machine, through the steps every
- * experiment shares: default placement and the default plan (the
- * constructor, which simulates nothing), plan() — the profiling run
- * beside the partitioner's set-up, then the partitioner's walks — and
- * runPlanned(), the optimized run with the static verifier beside it.
- * The nest is resolved once, into the instance stream that placement,
- * the default plan, the data-to-MC profile and the planner all read;
- * the caller releases it when done.
+ * One loop nest on its own fresh machine, through the pipeline every
+ * experiment shares. The constructor resolves the nest once, into the
+ * instance stream that placement, the default plan, the data-to-MC
+ * profile and the planner all read, and builds the default placement
+ * and plan; it simulates nothing. run() does the rest, in this order:
+ *  - the profiling run of the default plan beside the partitioner's
+ *    set-up, then the partitioner's walks (or the profile alone, for a
+ *    config that does not plan);
+ *  - the data-to-MC override, when the config asks for it; the stream
+ *    is then released;
+ *  - runPlanned(): the optimized run with the static verifier beside
+ *    it;
+ *  - plan selection, which re-runs the default plan where the planned
+ *    one is slower;
+ *  - the miss predictor's totals (Table 2).
  * A fresh machine per nest makes caches, traffic and the profile-
  * trained miss predictor nest-local state, which is what makes nests
- * independent units of parallelism. Callers run their own tail on
- * engine afterwards. Machine state carries over from one engine call
- * to the next, so the order profile, optimized run, tail is part of
- * every result; the planner reads only the mesh, the config and the
- * stream, which no engine run changes.
+ * independent units of parallelism. Machine state carries over from
+ * one engine call to the next, so the order above is part of every
+ * result, and a caller's own runs on engine (runMetricIsolation's
+ * replays) come after it; the planner reads only the mesh, the config
+ * and the stream, which no engine run changes.
  *
- * The session is the one nest pipeline: runNest, runMetricIsolation
- * (which then replays the default plan on its engine) and the examples
- * drive it, and runPlanned() is the only path that verifies. It keeps
+ * The session is the one nest pipeline: runApp, runMetricIsolation
+ * and the examples call run(), so every caller ships what runApp
+ * ships, and runPlanned() is the only path that verifies. It keeps
  * references to the config, the workload and the nest, which must
  * outlive it.
  *
  * Threads: a session belongs to one thread. It is given its pool once,
  * at construction, and hands it to its engine and its partitioner, so
- * plan(), profile(), runPlanned() and every engine run a caller makes
- * on engine fan out on it (sim::ExecutionEngine::run); none of the
- * results depends on the pool.
+ * run(), runPlanned() and every engine run a caller makes on engine
+ * fan out on it (sim::ExecutionEngine::run); none of the results
+ * depends on the pool.
  */
 class NestSession
 {
@@ -116,56 +148,46 @@ class NestSession
     NestSession &operator=(const NestSession &) = delete;
 
     /**
-     * Profile the default plan into defaultRun and plan the nest into
-     * report. The profiling simulation and the planner's window-
-     * independent set-up (with the w = 1 prefill) are the two indices
-     * of one support::orderedMap on the pool, the profile first, so
-     * without a pool it runs first (partition::Partitioner::plan's
-     * profile); the walks then read the profiled utilization. report
-     * keeps the planner's provenance (null at verify level Off), which
-     * runPlanned() verifies the plan against. The pool also splits and
-     * walks the window candidates concurrently and runs the profile's
-     * engine chunks; the result does not depend on it. Leaves stream
-     * as it is.
+     * Run the nest's pipeline (above) and return its result. The
+     * profile and the planner's window-independent set-up (with the
+     * w = 1 prefill) are the two indices of one support::orderedMap on
+     * the pool, the profile first (partition::Partitioner::plan's
+     * profile); the walks then read the profiled utilization. A
+     * session runs once: the profile trains the miss predictor Table 2
+     * reads, so a second call is an ndp::fatal naming the nest.
      */
-    sim::ExecutionPlan plan();
+    NestResult run();
 
     /**
-     * Run the profiling simulation of defaultPlan into defaultRun and
-     * return the node utilization it profiled. plan() calls it; a
-     * session that does not plan calls it alone. A session profiles
-     * once (a second call is an ndp::fatal): the run trains the miss
-     * predictor Table 2 reads.
+     * Run @p plan on engine with @p options, and, when report holds
+     * provenance, check the plan against an independent recomputation
+     * into verdict (DESIGN.md §9) beside the run: the verifier and the
+     * engine are the two indices of one support::orderedMap on the
+     * pool, the verifier first, so without a pool it runs before the
+     * engine. Fails fast on error-severity findings, with ndp::panic
+     * and the verifier's diagnostic table, even when the engine threw
+     * too: no result of a plan with errors leaves the session, and the
+     * failure reported is the verifier's. Otherwise an engine failure
+     * is rethrown. Without provenance (verify level Off, or a config
+     * that does not plan) it is engine.run(@p plan, @p options).
      */
-    double profile();
-
-    /**
-     * Run @p planned, the plan plan() returned, on engine with
-     * @p options, and, when report holds provenance, check the plan
-     * against an independent recomputation into verdict (DESIGN.md
-     * §9) beside the run: the verifier and the engine are the two
-     * indices of one support::orderedMap on the pool, the verifier
-     * first, so without a pool it runs before the engine. Fails fast
-     * on error-severity findings, with ndp::panic and the verifier's
-     * diagnostic table, even when the engine threw too: no result of a
-     * plan with errors leaves the session, and the failure reported is
-     * the verifier's. Otherwise an engine failure is rethrown. Without
-     * provenance (verify level Off, or no plan() call) it is
-     * engine.run(@p planned, @p options).
-     */
-    sim::SimResult runPlanned(const sim::ExecutionPlan &planned,
+    sim::SimResult runPlanned(const sim::ExecutionPlan &plan,
                               const sim::EngineOptions &options = {});
 
     sim::ManycoreSystem system;
     sim::ExecutionEngine engine;
     baseline::DefaultPlacement placement;
-    /** The nest's instances, until the caller resets it. */
+    /** The nest's instances, until run() releases them. */
     std::optional<ir::InstanceStream> stream;
     std::vector<noc::NodeId> nodes;
     sim::ExecutionPlan defaultPlan;
-    /** The profiling run of defaultPlan: set by plan() or profile(). */
-    sim::SimResult defaultRun;
+    /** The planner's plan: set by run() on a config that plans. */
+    std::optional<sim::ExecutionPlan> planned;
+    /** The planner's report, provenance included (null at verify level
+     *  Off): set by run() on a config that plans. */
     partition::PartitionReport report;
+    /** The findings of runPlanned()'s last verification; run() moves
+     *  them into its result. */
     verify::Report verdict;
 
   private:
@@ -173,32 +195,6 @@ class NestSession
     const workloads::Workload &workload_;
     const ir::LoopNest &nest_;
     support::ThreadPool *pool_;
-    bool profiled_ = false;
-};
-
-/** Results of the default/optimized pair for one loop nest. */
-struct NestResult
-{
-    std::string nest;
-    sim::SimResult defaultRun;
-    /** The shipped run: plannedRun unless plan selection kept the
-     *  default plan. */
-    sim::SimResult optimizedRun;
-    /** The planner's optimized run, before plan selection. */
-    sim::SimResult plannedRun;
-    partition::PartitionReport report;
-    /**
-     * Static verification of the optimized plan (empty at verify
-     * level Off). runNest fails fast — ndp::panic with the rendered
-     * diagnostic table — on any error-severity finding
-     * (NestSession::runPlanned), so a populated result implies no
-     * errors survived.
-     */
-    verify::Report verify;
-    double analyzableFraction = 1.0;
-    /** Miss-predictor totals of this nest's machine (Table 2). */
-    std::int64_t predictorPredictions = 0;
-    std::int64_t predictorCorrect = 0;
 };
 
 /** One application under one configuration. */
@@ -307,22 +303,14 @@ class ExperimentRunner
     explicit ExperimentRunner(ExperimentConfig config = {},
                               support::ThreadPool *pool = nullptr);
 
-    /** Run one application end to end (fresh machine per nest). */
+    /** Run one application end to end: one NestSession::run() per
+     *  nest, each on a fresh machine. */
     AppResult runApp(const workloads::Workload &workload) const;
 
     /**
-     * Run one loop nest on its own fresh machine: the profiling
-     * default run, the partitioner, the optimized run, and
-     * profile-guided plan selection. Pure function of (config,
-     * workload, nest) — the unit of nest-level parallelism.
-     */
-    NestResult runNest(const workloads::Workload &workload,
-                       const ir::LoopNest &nest) const;
-
-    /**
-     * Figure 18: run each nest as runNest does, then, in the same
-     * session, replay its default plan four times, each with one donor
-     * metric of its planned run (S1-S4). The merged nests are the
+     * Figure 18: run each nest's session as runApp does, then, in the
+     * same session, replay its default plan four times, each with one
+     * donor metric of its planned run (S1-S4). The merged nests are the
      * result's cell, equal to runApp(@p workload); "full" is the cell's
      * shipped runs. Nests fan out on the pool like runApp's. A config
      * with idealNetwork, dataToMcRemap or !optimizeComputation is an

@@ -13,8 +13,8 @@
  * Three parallelism axes share one pool:
  *  - across the sweep: one index per (app, config) cell (throughput);
  *  - within an app: each cell fans its independent loop nests out as
- *    a nested batch (latency), because ExperimentRunner::runNest is a
- *    pure function of (config, workload, nest);
+ *    a nested batch (latency), because a nest's NestSession::run() is
+ *    a pure function of (config, workload, nest);
  *  - within a nest: the nest's NestSession, constructed with the pool,
  *    hands it to its planner (w = 1 splits in chunks, then the window
  *    candidates concurrently) and its engine (each run's order-free

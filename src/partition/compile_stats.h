@@ -5,8 +5,8 @@
  * @file
  * Counters for the partitioner's own compile loop: how many statement
  * instances were planned, how many split plans were computed from
- * scratch vs. replayed from the SplitPlanCache, how large the cache
- * grew, and (optionally) where the nanoseconds went. The paper evaluates what the *plans* buy at run
+ * scratch vs. replayed from the SplitPlanCache, and (optionally) where
+ * the nanoseconds went. The paper evaluates what the *plans* buy at run
  * time; this layer makes the cost of *producing* the plans a measured,
  * trackable quantity (perfbench's partition.* metrics).
  *

@@ -1600,28 +1600,4 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
     return best_plan;
 }
 
-
-PartitionReport
-keptDefaultReport(const PartitionReport &planned)
-{
-    const std::int64_t instances =
-        planned.statementsKeptDefault + planned.statementsSplit;
-    PartitionReport kept;
-    kept.chosenWindowSize = 1;
-    kept.statementsKeptDefault = instances;
-    kept.defaultMovement = planned.defaultMovement;
-    kept.plannedMovement = planned.defaultMovement;
-    kept.movementPerWindowSize = planned.movementPerWindowSize;
-    kept.reuseMapHash = planned.reuseMapHash;
-    kept.reuseCopiesPlanned = planned.reuseCopiesPlanned;
-    kept.compile = planned.compile;
-    for (std::int64_t i = 0; i < instances; ++i) {
-        kept.movementReductionPct.add(0.0);
-        kept.degreeOfParallelism.add(1.0);
-        kept.syncsPerStatement.add(0.0);
-        kept.rawSyncsPerStatement.add(0.0);
-    }
-    return kept;
-}
-
 } // namespace ndp::partition

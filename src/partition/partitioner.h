@@ -168,20 +168,11 @@ struct PartitionReport
     /**
      * Per-instance planning provenance of the kept plan — the static
      * verifier's input. Only recorded when verifyLevel != Off; the
-     * driver releases it once the plan has been verified.
+     * driver's NestResult drops it, and the nest session keeps it for
+     * its own life.
      */
     std::shared_ptr<const verify::PlanProvenance> provenance;
 };
-
-/**
- * The report of a nest whose profile-guided plan selection shipped the
- * default plan instead of the one @p planned describes: nothing was
- * re-mapped, so each of its statement instances (split or not) counts
- * as an unsplit statement (no movement saved, parallelism 1, no
- * syncs). The movement baselines, window history and compile cost
- * carry over — they were paid regardless of which plan shipped.
- */
-PartitionReport keptDefaultReport(const PartitionReport &planned);
 
 /** Produces the optimized ExecutionPlan for a loop nest. */
 class Partitioner

@@ -150,24 +150,43 @@ expectSameRun(const sim::SimResult &got, const sim::SimResult &want,
         << where;
 }
 
+/** keptDefault holds exactly when @p config selects and plans and the
+ *  planned run is slower than the profiling run. */
+void
+expectSelectionVerdict(const ExperimentConfig &config, const NestResult &nr,
+                       const std::string &where)
+{
+    EXPECT_EQ(nr.keptDefault,
+              config.planSelection && config.optimizeComputation &&
+                  nr.plannedRun.makespanCycles >
+                      nr.defaultRun.makespanCycles)
+        << where;
+}
+
 TEST(DriverTest, PlannedRunIsTheRunWithoutPlanSelection)
 {
     // The -selection ablation reads a selecting cell's planned runs:
     // each must be the run a non-selecting cell ships.
     const workloads::Workload app = smallApp("lu");
+    const ExperimentConfig config;
     ExperimentConfig raw_config;
     raw_config.planSelection = false;
-    const AppResult selected = ExperimentRunner().runApp(app);
+    const AppResult selected = ExperimentRunner(config).runApp(app);
     const AppResult raw = ExperimentRunner(raw_config).runApp(app);
     ASSERT_EQ(selected.nests.size(), raw.nests.size());
     int kept_default = 0;
     for (std::size_t n = 0; n < raw.nests.size(); ++n) {
         const NestResult &s = selected.nests[n];
         const NestResult &r = raw.nests[n];
-        expectSameRun(s.plannedRun, r.optimizedRun, "lu/" + r.nest);
-        expectSameRun(r.plannedRun, r.optimizedRun, "lu/" + r.nest);
-        kept_default += s.optimizedRun.makespanCycles !=
-                        s.plannedRun.makespanCycles;
+        const std::string where = "lu/" + r.nest;
+        expectSameRun(s.plannedRun, r.optimizedRun, where);
+        expectSameRun(r.plannedRun, r.optimizedRun, where);
+        expectSelectionVerdict(config, s, where);
+        expectSelectionVerdict(raw_config, r, where);
+        EXPECT_EQ(s.keptDefault, s.optimizedRun.makespanCycles !=
+                                     s.plannedRun.makespanCycles)
+            << where;
+        kept_default += s.keptDefault;
     }
     EXPECT_GT(kept_default, 0)
         << "plan selection no longer reverts a nest of lu";
@@ -213,13 +232,13 @@ TEST(DriverTest, RevertedNestsRerunTheirProfilingRun)
     for (std::size_t a = 0; a < apps.size(); ++a) {
         for (std::size_t c = 0; c < configs.size(); ++c) {
             for (const NestResult &nr : grid[a][c].result.nests) {
-                if (!configs[c].shipsDefaultPlan(nr.defaultRun,
-                                                 nr.plannedRun))
+                const std::string where = apps[a].name + "/" + nr.nest +
+                                          " config " + std::to_string(c);
+                expectSelectionVerdict(configs[c], nr, where);
+                if (!nr.keptDefault)
                     continue;
                 ++reverted;
-                expectSameRun(nr.optimizedRun, nr.defaultRun,
-                              apps[a].name + "/" + nr.nest + " config " +
-                                  std::to_string(c));
+                expectSameRun(nr.optimizedRun, nr.defaultRun, where);
             }
         }
     }
@@ -422,7 +441,9 @@ TEST(DriverTest, VerifierFailureOutranksTheEngines)
             pool.emplace(static_cast<std::size_t>(workers));
         support::ThreadPool *on = pool ? &*pool : nullptr;
         NestSession session(config, app, nest, on);
-        sim::ExecutionPlan plan = session.plan();
+        (void)session.run();
+        ASSERT_TRUE(session.planned) << where;
+        sim::ExecutionPlan plan = *session.planned;
         ASSERT_FALSE(plan.tasks.empty());
         plan.tasks.back().node = kDead;
 
@@ -447,25 +468,81 @@ TEST(DriverTest, VerifierFailureOutranksTheEngines)
     }
 }
 
-TEST(DriverTest, ASessionProfilesOnce)
+TEST(DriverTest, ASessionRunsOnce)
 {
     // The profile trains the miss predictor Table 2 reads, so a second
-    // one would change it: plan() and profile() each run it, once.
+    // run would change it: a session runs its nest once.
     const workloads::Workload app = smallApp("water");
     const ExperimentConfig config;
-    NestSession planned(config, app, app.nests.front());
-    (void)planned.plan();
-    EXPECT_GT(planned.defaultRun.makespanCycles, 0);
-    EXPECT_NE(fatalMessage([&] { planned.profile(); })
-                  .find("already profiled"),
-              std::string::npos);
-    NestSession unplanned(config, app, app.nests.front());
-    unplanned.profile();
-    EXPECT_EQ(unplanned.defaultRun.makespanCycles,
-              planned.defaultRun.makespanCycles);
-    EXPECT_NE(fatalMessage([&] { (void)unplanned.plan(); })
-                  .find("already profiled"),
-              std::string::npos);
+    NestSession session(config, app, app.nests.front());
+    const NestResult first = session.run();
+    EXPECT_GT(first.defaultRun.makespanCycles, 0);
+    const std::string again = fatalMessage([&] { (void)session.run(); });
+    EXPECT_NE(again.find("nest '" + app.nests.front().name() +
+                         "' already ran"),
+              std::string::npos)
+        << again;
+}
+
+TEST(DriverTest, KeptDefaultReportCountsEveryInstanceUnsplit)
+{
+    // Plan selection ships the default plan for a nest whose planned
+    // run is slower: its report re-counts every instance as unsplit
+    // and keeps what planning paid for, while the session keeps the
+    // planner's report.
+    const workloads::Workload app = smallApp("lu");
+    ExperimentConfig config;
+    config.partition.verifyLevel = verify::VerifyLevel::Cheap;
+    bool found = false;
+    for (const ir::LoopNest &nest : app.nests) {
+        NestSession session(config, app, nest);
+        const NestResult nr = session.run();
+        if (!nr.keptDefault)
+            continue;
+        found = true;
+        const partition::PartitionReport &planned = session.report;
+        const partition::PartitionReport &kept = nr.report;
+        ASSERT_GT(planned.statementsSplit, 0) << nest.name();
+        EXPECT_TRUE(planned.provenance) << nest.name();
+
+        const std::int64_t instances =
+            planned.statementsSplit + planned.statementsKeptDefault;
+        EXPECT_EQ(instances,
+                  nest.iterationCount() *
+                      static_cast<std::int64_t>(nest.body().size()));
+        EXPECT_EQ(kept.statementsKeptDefault, instances);
+        EXPECT_EQ(kept.statementsSplit, 0);
+        EXPECT_EQ(kept.defaultMovement, planned.defaultMovement);
+        EXPECT_EQ(kept.plannedMovement, planned.defaultMovement);
+
+        for (const Accumulator *acc :
+             {&kept.movementReductionPct, &kept.degreeOfParallelism,
+              &kept.syncsPerStatement, &kept.rawSyncsPerStatement})
+            EXPECT_EQ(static_cast<std::int64_t>(acc->count()), instances);
+        EXPECT_EQ(kept.movementReductionPct.sum(), 0.0);
+        EXPECT_EQ(kept.syncsPerStatement.sum(), 0.0);
+        EXPECT_EQ(kept.rawSyncsPerStatement.sum(), 0.0);
+        EXPECT_EQ(kept.degreeOfParallelism.mean(), 1.0);
+
+        for (const std::int64_t ops : kept.offloadedOps)
+            EXPECT_EQ(ops, 0);
+        EXPECT_EQ(kept.offloadedSubcomputations, 0);
+        EXPECT_EQ(kept.chosenWindowSize, 1);
+
+        EXPECT_EQ(kept.movementPerWindowSize,
+                  planned.movementPerWindowSize);
+        EXPECT_EQ(kept.reuseMapHash, planned.reuseMapHash);
+        EXPECT_EQ(kept.reuseCopiesPlanned, planned.reuseCopiesPlanned);
+        EXPECT_GT(planned.compile.instancesPlanned, 0);
+        EXPECT_EQ(kept.compile.instancesPlanned,
+                  planned.compile.instancesPlanned);
+        EXPECT_EQ(kept.compile.splitsRequested,
+                  planned.compile.splitsRequested);
+        EXPECT_EQ(kept.compile.plansComputed, planned.compile.plansComputed);
+        EXPECT_EQ(kept.compile.plansMemoized, planned.compile.plansMemoized);
+        EXPECT_FALSE(kept.provenance);
+    }
+    EXPECT_TRUE(found) << "plan selection no longer reverts a nest of lu";
 }
 
 } // namespace

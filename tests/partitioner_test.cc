@@ -427,9 +427,9 @@ TEST_F(PartitionerTest, PredictorStateNeverChangesAPlan)
     system.resetPredictor();
     sim::ExecutionEngine engine(system);
     (void)engine.run(profile);
-    const auto [profiled, profiled_hits] = planned();
-    EXPECT_GT(profiled_hits, 0) << "the profiling run trained no hit";
-    EXPECT_EQ(profiled, cold);
+    const auto [trained, trained_hits] = planned();
+    EXPECT_GT(trained_hits, 0) << "the profiling run trained no hit";
+    EXPECT_EQ(trained, cold);
 }
 
 TEST_F(PartitionerTest, GuardReadsAttachToRootTask)
@@ -482,59 +482,6 @@ TEST_F(PartitionerTest, MovementReductionReportedAgainstDefault)
     EXPECT_GT(report.defaultMovement, 0);
     EXPECT_LE(report.plannedMovement, report.defaultMovement);
     EXPECT_GT(report.movementReductionPct.mean(), 0.0);
-}
-
-TEST_F(PartitionerTest, KeptDefaultReportCountsEveryInstanceUnsplit)
-{
-    // Plan selection ships the default plan for such a nest: the kept
-    // report re-counts every instance as unsplit and keeps what
-    // planning paid for.
-    const workloads::Workload app =
-        workloads::WorkloadFactory(256).build("water");
-    const ir::LoopNest &nest = app.nests.front();
-    baseline::DefaultPlacement placement(system, app.arrays);
-    PartitionOptions options;
-    options.verifyLevel = verify::VerifyLevel::Cheap;
-    Partitioner partitioner(system, app.arrays, options);
-    (void)partitioner.plan(nest, placement.assignIterations(nest));
-    const PartitionReport &planned = partitioner.report();
-    ASSERT_GT(planned.statementsSplit, 0);
-    ASSERT_TRUE(planned.provenance);
-
-    const PartitionReport kept = keptDefaultReport(planned);
-    const std::int64_t instances =
-        planned.statementsSplit + planned.statementsKeptDefault;
-    EXPECT_EQ(instances, nest.iterationCount() *
-                             static_cast<std::int64_t>(nest.body().size()));
-    EXPECT_EQ(kept.statementsKeptDefault, instances);
-    EXPECT_EQ(kept.statementsSplit, 0);
-    EXPECT_EQ(kept.defaultMovement, planned.defaultMovement);
-    EXPECT_EQ(kept.plannedMovement, planned.defaultMovement);
-
-    for (const Accumulator *acc :
-         {&kept.movementReductionPct, &kept.degreeOfParallelism,
-          &kept.syncsPerStatement, &kept.rawSyncsPerStatement})
-        EXPECT_EQ(static_cast<std::int64_t>(acc->count()), instances);
-    EXPECT_EQ(kept.movementReductionPct.sum(), 0.0);
-    EXPECT_EQ(kept.syncsPerStatement.sum(), 0.0);
-    EXPECT_EQ(kept.rawSyncsPerStatement.sum(), 0.0);
-    EXPECT_EQ(kept.degreeOfParallelism.mean(), 1.0);
-
-    EXPECT_TRUE(std::ranges::all_of(kept.offloadedOps,
-                                    [](std::int64_t n) { return n == 0; }));
-    EXPECT_EQ(kept.offloadedSubcomputations, 0);
-    EXPECT_EQ(kept.chosenWindowSize, 1);
-
-    EXPECT_EQ(kept.movementPerWindowSize, planned.movementPerWindowSize);
-    EXPECT_EQ(kept.reuseMapHash, planned.reuseMapHash);
-    EXPECT_EQ(kept.reuseCopiesPlanned, planned.reuseCopiesPlanned);
-    EXPECT_GT(planned.compile.instancesPlanned, 0);
-    EXPECT_EQ(kept.compile.instancesPlanned,
-              planned.compile.instancesPlanned);
-    EXPECT_EQ(kept.compile.splitsRequested, planned.compile.splitsRequested);
-    EXPECT_EQ(kept.compile.plansComputed, planned.compile.plansComputed);
-    EXPECT_EQ(kept.compile.plansMemoized, planned.compile.plansMemoized);
-    EXPECT_FALSE(kept.provenance);
 }
 
 TEST(VerifyLevelEnvTest, UnknownLevelIsFatalAndUnsetIsOff)
