@@ -42,7 +42,7 @@ ablationFaults(int argc, char **argv)
     std::string json_path = "BENCH_faults.json";
     for (int i = 1; i < argc; ++i) {
         NDP_REQUIRE(std::strncmp(argv[i], "--json=", 7) == 0,
-                    "ablation_faults takes only --json=PATH, got '"
+                    "takes only --json=PATH, got '"
                         << argv[i] << "'");
         json_path = argv[i] + 7;
     }

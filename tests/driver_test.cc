@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "ndp/ndp.h" // umbrella header must stay self-contained
 #include "driver/experiment.h"
 #include "driver/sweep.h"
+#include "paper_grid.h"
 #include "partition/codegen.h"
 #include "support/error.h"
 #include "support/thread_pool.h"
@@ -80,10 +82,7 @@ TEST(DriverTest, IdealNetworkBeatsOrMatchesOurs)
 {
     const workloads::Workload app = smallApp("fmm");
     ExperimentRunner ours;
-    ExperimentConfig ideal_cfg;
-    ideal_cfg.optimizeComputation = false;
-    ideal_cfg.idealNetwork = true;
-    ExperimentRunner ideal(ideal_cfg);
+    ExperimentRunner ideal(bench::gridConfigs()[bench::kIdealNetwork]);
     const double ours_pct = ours.runApp(app).execTimeReductionPct();
     const double ideal_pct = ideal.runApp(app).execTimeReductionPct();
     EXPECT_GT(ideal_pct, 0.0);
@@ -197,32 +196,14 @@ TEST(DriverTest, RevertedNestsRerunTheirProfilingRun)
     // Plan selection re-simulates the default plan of every nest it
     // reverts. On a real network that run repeats the profiling run
     // exactly, energy included, under each planning config of the paper
-    // grid (the ideal network runs no planner and never reverts), so
-    // the profiling run could be shipped in its place.
+    // grid (ideal-network and data-mapping run no planner), so the
+    // profiling run could be shipped in its place.
     std::vector<ExperimentConfig> configs;
-    configs.reserve(22);
-    configs.emplace_back();
-    configs.emplace_back().partition.oracle = true;
-    for (std::int32_t w = 1; w <= 8; ++w)
-        configs.emplace_back().partition.fixedWindowSize = w;
-    for (const mem::ClusterMode cluster :
-         {mem::ClusterMode::AllToAll, mem::ClusterMode::Quadrant,
-          mem::ClusterMode::SNC4}) {
-        for (const mem::MemoryMode memory :
-             {mem::MemoryMode::Flat, mem::MemoryMode::Cache,
-              mem::MemoryMode::Hybrid}) {
-            if (cluster == mem::ClusterMode::Quadrant &&
-                memory == mem::MemoryMode::Flat)
-                continue; // the default config's modes
-            ExperimentConfig &knl = configs.emplace_back();
-            knl.machine.clusterMode = cluster;
-            knl.machine.memoryMode = memory;
-        }
+    const std::vector<ExperimentConfig> grid_configs = bench::gridConfigs();
+    for (std::size_t c = 0; c < grid_configs.size(); ++c) {
+        if (c != bench::kIdealNetwork && c != bench::kDataMapping)
+            configs.push_back(grid_configs[c]);
     }
-    configs.emplace_back().dataToMcRemap = true;
-    configs.emplace_back().partition.loadBalance = false;
-    configs.emplace_back().partition.minimizeSyncs = false;
-    configs.emplace_back().machine.torus = true;
 
     const std::vector<workloads::Workload> apps =
         workloads::WorkloadFactory(256).buildAll();
@@ -262,9 +243,8 @@ fatalMessage(Fn fn)
 TEST(DriverTest, MetricIsolationRejectsAnUnplannedConfig)
 {
     const workloads::Workload app = smallApp("water");
-    ExperimentConfig ideal;
-    ideal.optimizeComputation = false;
-    ideal.idealNetwork = true;
+    const ExperimentConfig ideal =
+        bench::gridConfigs()[bench::kIdealNetwork];
     const std::string not_planned = fatalMessage(
         [&] { ExperimentRunner(ideal).runMetricIsolation(app); });
     EXPECT_NE(not_planned.find("app 'water'"), std::string::npos)
@@ -314,11 +294,11 @@ TEST(DriverTest, CombinedAndUnplannedConfigsKeepTheirResults)
     };
     workloads::WorkloadFactory factory(1024);
     support::ThreadPool pool(3);
+    const std::vector<ExperimentConfig> grid = bench::gridConfigs();
     for (const Expected &e : expected) {
         const workloads::Workload app = factory.build(e.app);
-        ExperimentConfig config;
-        config.dataToMcRemap = true;
-        config.optimizeComputation = e.plans;
+        const ExperimentConfig &config =
+            grid[e.plans ? bench::kCombined : bench::kDataMapping];
         for (support::ThreadPool *on :
              {&pool, static_cast<support::ThreadPool *>(nullptr)}) {
             const std::string where =
@@ -351,21 +331,12 @@ TEST(DriverTest, CombinedAndUnplannedConfigsKeepTheirResults)
 TEST(DriverTest, ClusterAndMemoryModesAllRun)
 {
     const workloads::Workload app = smallApp("fft");
-    for (const mem::ClusterMode cluster :
-         {mem::ClusterMode::AllToAll, mem::ClusterMode::Quadrant,
-          mem::ClusterMode::SNC4}) {
-        for (const mem::MemoryMode memory :
-             {mem::MemoryMode::Flat, mem::MemoryMode::Cache,
-              mem::MemoryMode::Hybrid}) {
-            ExperimentConfig config;
-            config.machine.clusterMode = cluster;
-            config.machine.memoryMode = memory;
-            ExperimentRunner runner(config);
-            const AppResult result = runner.runApp(app);
-            EXPECT_GT(result.defaultMakespan, 0)
-                << toString(cluster) << "/" << toString(memory);
-            EXPECT_GE(result.execTimeReductionPct(), 0.0);
-        }
+    const std::vector<ExperimentConfig> configs = bench::gridConfigs();
+    for (std::size_t m = 0; m < std::size(bench::kKnlModes); ++m) {
+        ExperimentRunner runner(configs[bench::knlColumn(m)]);
+        const AppResult result = runner.runApp(app);
+        EXPECT_GT(result.defaultMakespan, 0) << bench::kKnlModes[m].label;
+        EXPECT_GE(result.execTimeReductionPct(), 0.0);
     }
 }
 
@@ -373,9 +344,7 @@ TEST(DriverTest, OracleAtLeastMatchesPredictorBasedPlans)
 {
     const workloads::Workload app = smallApp("radix");
     ExperimentRunner ours;
-    ExperimentConfig oracle_cfg;
-    oracle_cfg.partition.oracle = true;
-    ExperimentRunner oracle(oracle_cfg);
+    ExperimentRunner oracle(bench::gridConfigs()[bench::kIdealData]);
     EXPECT_GE(oracle.runApp(app).execTimeReductionPct() + 1.0,
               ours.runApp(app).execTimeReductionPct());
 }

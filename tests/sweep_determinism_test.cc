@@ -27,6 +27,7 @@
 
 #include "baseline/default_placement.h"
 #include "driver/sweep.h"
+#include "paper_grid.h"
 #include "partition/partitioner.h"
 #include "plan_fingerprint.h"
 #include "support/thread_pool.h"
@@ -101,13 +102,13 @@ sweepFingerprints(int threads)
         factory.build("water"), factory.build("lu"),
         factory.build("fft")};
 
-    ExperimentConfig base;
-    ExperimentConfig oracle;
-    oracle.partition.oracle = true;
+    const std::vector<ExperimentConfig> grid_configs = bench::gridConfigs();
     // Full verification, so the verifier's counts are non-zero.
     ExperimentConfig verified;
     verified.partition.verifyLevel = verify::VerifyLevel::Full;
-    const std::vector<ExperimentConfig> configs = {base, oracle, verified};
+    const std::vector<ExperimentConfig> configs = {
+        grid_configs[bench::kDefault], grid_configs[bench::kIdealData],
+        verified};
 
     SweepRunner runner(threads);
     const auto grid = runner.runGrid(apps, configs);
@@ -141,11 +142,9 @@ TEST(SweepDeterminismTest, GridMatchesSerialExperimentRunner)
     workloads::WorkloadFactory factory(256);
     const std::vector<workloads::Workload> apps = {
         factory.build("water"), factory.build("radix")};
-    ExperimentConfig base;
-    ExperimentConfig ideal;
-    ideal.optimizeComputation = false;
-    ideal.idealNetwork = true;
-    const std::vector<ExperimentConfig> configs = {base, ideal};
+    const std::vector<ExperimentConfig> grid_configs = bench::gridConfigs();
+    const std::vector<ExperimentConfig> configs = {
+        grid_configs[bench::kDefault], grid_configs[bench::kIdealNetwork]};
 
     SweepRunner runner(4);
     const auto grid = runner.runGrid(apps, configs);
@@ -206,14 +205,12 @@ expectThreadCountInvariant(const std::vector<std::string> &app_names,
 
 TEST(SweepDeterminismTest, Fig17HarnessGridIsThreadCountInvariant)
 {
-    ExperimentConfig ours;
-    ExperimentConfig ideal_net;
-    ideal_net.optimizeComputation = false;
-    ideal_net.idealNetwork = true;
-    ExperimentConfig oracle;
-    oracle.partition.oracle = true;
-    expectThreadCountInvariant({"water", "lu"},
-                               {ours, ideal_net, oracle}, "fig17");
+    const std::vector<ExperimentConfig> grid = bench::gridConfigs();
+    expectThreadCountInvariant(
+        {"water", "lu"},
+        {grid[bench::kDefault], grid[bench::kIdealNetwork],
+         grid[bench::kIdealData]},
+        "fig17");
 }
 
 TEST(SweepDeterminismTest, Table2HarnessGridIsThreadCountInvariant)
@@ -224,13 +221,12 @@ TEST(SweepDeterminismTest, Table2HarnessGridIsThreadCountInvariant)
 
 TEST(SweepDeterminismTest, AblationHarnessGridIsThreadCountInvariant)
 {
-    ExperimentConfig full;
+    const std::vector<ExperimentConfig> grid = bench::gridConfigs();
     ExperimentConfig no_reuse;
     no_reuse.partition.exploitReuse = false;
-    ExperimentConfig window1;
-    window1.partition.fixedWindowSize = 1;
-    expectThreadCountInvariant({"water"}, {full, no_reuse, window1},
-                               "design ablation");
+    expectThreadCountInvariant(
+        {"water"}, {grid[bench::kDefault], no_reuse, grid[bench::kWindow1]},
+        "design ablation");
 }
 
 TEST(SweepDeterminismTest, NestParallelMatchesSerialAppResult)
