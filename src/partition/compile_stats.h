@@ -25,11 +25,11 @@ struct CompileStats
 {
     /**
      * Statement instances streamed through the planner, over every
-     * pass: an adaptive plan() walks the window candidates that can
-     * reach a copy (plus w = 1 when any can) and then emits the
-     * winner, so it counts (walked candidates + 1) x the nest's
-     * instances, between 1 x and (candidates + 1) x; a fixed window
-     * size is one emitting pass.
+     * walk: an adaptive plan() walks w = 1 and one candidate per class
+     * of window sizes that would walk alike (w = 1 alone when every
+     * size repeats it) and emits the winner from its walk's log, so it
+     * counts the walked candidates x the nest's instances, between 1 x
+     * and candidates x; a fixed window size is one walk.
      */
     std::int64_t instancesPlanned = 0;
     /**

@@ -1,6 +1,7 @@
 #include "partition/partitioner.h"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -246,50 +247,122 @@ warmDefaultL1(const noc::MeshTopology &mesh, const sim::ManycoreConfig &config,
 }
 
 /**
- * Which window sizes of [w_first, w_last] can ever find a copy in the
- * window map: entry w - w_first is true iff some read of a splittable
- * statement, at stream position p, has its line referenced earlier in
- * p's aligned window [p - p mod w, p). References count reads and
- * writes alike. A window map only ever adds lines its instances
- * reference, so a size without such a read locates every operand at
- * its home bank, exactly as w = 1 does, and decides like w = 1 from
- * the same starting state: its walk would repeat w = 1's. One walk
- * over the stream keeps each line's last referencing position.
+ * The walk each window size of [w_first, w_last] repeats: entry
+ * w - w_first is the least size whose walk size w's walk would repeat
+ * decision for decision (w itself when there is none). Two rules merge
+ * sizes, both read off one pass over the stream (DESIGN.md §6):
+ * - *No reach.* A size none of whose windows lets a read of a
+ *   splittable statement, at position p, see its line referenced
+ *   earlier in p's aligned window [p - p mod w, p) locates every
+ *   operand at its home bank, exactly as w = 1 does, so it repeats
+ *   w_first's walk. References count reads and writes alike.
+ * - *Same earlier references.* Sizes w' < w whose aligned windows
+ *   hold, for every reference (read or write, of every statement) of
+ *   every position, the same earlier references to its line offer the
+ *   same copies at every probe: each window's extra references are
+ *   older than the shared ones and to lines the shared ones never
+ *   reference, so the per-node FIFOs evict the same shared entries and
+ *   accept the same adds, and by induction over positions both walks
+ *   decide alike. The pairs are a bitmask per size, so past 64 sizes
+ *   (or a window past 256) only the first rule merges.
+ * Each reference's earlier references inside the largest window are
+ * the chain of its line's previous positions, kept per reference as a
+ * distance back; size w sees the ones at or after p - p mod w.
  */
-std::vector<bool>
-copyReach(const ir::InstanceStream &stream,
-          const std::vector<bool> &splittable, std::int32_t w_first,
-          std::int32_t w_last)
+std::vector<std::int32_t>
+windowClasses(const ir::InstanceStream &stream,
+              const std::vector<bool> &splittable, std::int32_t w_first,
+              std::int32_t w_last)
 {
-    std::vector<bool> reach(static_cast<std::size_t>(w_last - w_first + 1));
-    auto unreached = static_cast<std::int32_t>(reach.size());
+    const auto sizes = static_cast<std::size_t>(w_last - w_first + 1);
+    std::vector<std::int32_t> walk_of(sizes);
+    for (std::size_t i = 0; i < sizes; ++i)
+        walk_of[i] = w_first + static_cast<std::int32_t>(i);
+    if (sizes == 1)
+        return walk_of;
+    const auto start = [w_first](std::int64_t p, std::size_t i) {
+        const std::int64_t w = w_first + static_cast<std::int64_t>(i);
+        return p - p % w;
+    };
+    std::vector<bool> reach(sizes);
+    auto unreached = static_cast<std::int64_t>(sizes - 1);
+    // Only a line's previous position at most span back is in a window.
+    const std::int64_t span = w_last - 1;
+    // same[i]: the smaller sizes still equal to size i. The distances
+    // back are bytes.
+    const bool pairs = sizes <= 64 && span <= 255;
+    std::vector<std::uint64_t> same(pairs ? sizes : 0);
+    for (std::size_t i = 0; i < same.size(); ++i)
+        same[i] = (std::uint64_t{1} << i) - 1;
+    auto open_pairs = static_cast<std::int64_t>(pairs ? sizes - 1 : 0);
+    // Per reference, its line's previous position, that far back; 0
+    // when none is within span.
+    std::vector<std::uint8_t> back(pairs ? stream.refs.size() : 0);
+    std::vector<std::uint8_t> seen(sizes);
+    std::vector<std::uint64_t> by_seen(static_cast<std::size_t>(w_last));
+
     std::vector<std::int64_t> last(stream.lineCount, -1);
     const std::size_t statements = splittable.size();
     const std::size_t positions = stream.positions();
-    for (std::size_t at = 0; at < positions && unreached > 0; ++at) {
+    for (std::size_t at = 0;
+         at < positions && (unreached > 0 || open_pairs > 0); ++at) {
         const std::uint32_t begin = stream.refBegin[at];
         const std::uint32_t write = stream.refBegin[at + 1] - 1;
         const auto p = static_cast<std::int64_t>(at);
-        if (splittable[at % statements]) {
-            // The nearest earlier reference of any read's line: if it
-            // is outside p's window, every other one is too.
-            std::int64_t nearest = -1;
-            for (std::uint32_t r = begin; r < write; ++r)
-                nearest = std::max(
-                    nearest, last[stream.lineOf[stream.addrId[r]]]);
-            for (std::int32_t w = w_first; nearest >= 0 && w <= w_last;
-                 ++w) {
-                const auto i = static_cast<std::size_t>(w - w_first);
-                if (!reach[i] && nearest >= p - p % w) {
-                    reach[i] = true;
-                    --unreached;
+        const bool splits = splittable[at % statements];
+        for (std::uint32_t r = begin; r <= write; ++r) {
+            const std::uint32_t line = stream.lineOf[stream.addrId[r]];
+            const std::int64_t q1 = last[line];
+            if (q1 < 0 || p - q1 > span)
+                continue;
+            if (splits && r < write) {
+                for (std::size_t i = 1; i < sizes; ++i) {
+                    if (!reach[i] && q1 >= start(p, i)) {
+                        reach[i] = true;
+                        --unreached;
+                    }
                 }
+            }
+            if (!pairs)
+                continue;
+            back[r] = static_cast<std::uint8_t>(p - q1);
+            // seen[i]: the line's earlier positions in size i's window,
+            // from the chain of its previous positions.
+            std::fill(seen.begin(), seen.end(), 0);
+            for (std::int64_t q = q1;;) {
+                bool inside = false;
+                for (std::size_t i = 0; i < sizes; ++i) {
+                    if (q >= start(p, i)) {
+                        ++seen[i];
+                        inside = true;
+                    }
+                }
+                const auto qa = static_cast<std::size_t>(q);
+                std::uint32_t k = stream.refBegin[qa];
+                while (stream.lineOf[stream.addrId[k]] != line)
+                    ++k;
+                if (!inside || back[k] == 0)
+                    break;
+                q -= back[k];
+            }
+            std::fill(by_seen.begin(), by_seen.end(), 0);
+            for (std::size_t i = 0; i < sizes; ++i)
+                by_seen[seen[i]] |= std::uint64_t{1} << i;
+            for (std::size_t i = 1; i < sizes; ++i) {
+                if (same[i] != 0 && (same[i] &= by_seen[seen[i]]) == 0)
+                    --open_pairs;
             }
         }
         for (std::uint32_t r = begin; r <= write; ++r)
             last[stream.lineOf[stream.addrId[r]]] = p;
     }
-    return reach;
+    for (std::size_t i = 1; i < sizes; ++i) {
+        if (!reach[i])
+            walk_of[i] = w_first;
+        else if (pairs && same[i] != 0)
+            walk_of[i] = w_first + std::countr_zero(same[i]);
+    }
+    return walk_of;
 }
 
 /**
@@ -323,8 +396,10 @@ struct NestContext
 };
 
 /**
- * One statement instance as a DecisionLane decided it: everything the
- * Emitter reads. Valid until the lane decides its next instance.
+ * One statement instance as decided: everything the Emitter reads. A
+ * DecisionLane fills one per instance it decides, and the Emitter
+ * rebuilds one per instance from the stream and the walk's log. Valid
+ * until the next instance.
  */
 struct Decision
 {
@@ -333,6 +408,8 @@ struct Decision
     const ir::Statement *stmt = nullptr;
     noc::NodeId defaultNode = noc::kInvalidNode;
     noc::NodeId storeNode = noc::kInvalidNode;
+    /** The instance's first reference in the stream. */
+    std::size_t base = 0;
     /** The instance's reads and the write, with dense address ids. */
     std::span<const ir::ResolvedRef> reads;
     std::span<const std::uint32_t> readIds;
@@ -346,6 +423,82 @@ struct Decision
     bool fromCache = false;
 };
 
+/** Fill @p d's stream fields with instance @p pos of @p ctx's stream. */
+void
+resolveInstance(const NestContext &ctx, std::int64_t pos, Decision &d)
+{
+    const ir::InstanceStream &stream = ctx.stream;
+    const auto statements =
+        static_cast<std::int64_t>(ctx.nest.body().size());
+    d.iter = pos / statements;
+    d.stmtIdx = static_cast<std::int32_t>(pos % statements);
+    d.stmt = &ctx.nest.body()[static_cast<std::size_t>(d.stmtIdx)];
+    d.defaultNode = ctx.defaultNodes[static_cast<std::size_t>(d.iter)];
+    const auto at = static_cast<std::size_t>(pos);
+    d.base = stream.refBegin[at];
+    const std::size_t write_at = stream.refBegin[at + 1] - 1;
+    d.reads = {stream.refs.data() + d.base, write_at - d.base};
+    d.readIds = {stream.addrId.data() + d.base, write_at - d.base};
+    d.write = &stream.refs[write_at];
+    d.writeId = stream.addrId[write_at];
+    d.storeNode = stream.home[d.writeId];
+}
+
+/**
+ * One walk of a nest's stream at one window size: its Equation-1
+ * totals, the tasks its plan holds, its compile counters, and its log,
+ * which the Emitter replays to build the plan without walking again.
+ * The log keeps, per stream position, only what the stream does not
+ * hold: whether the instance ships a split and which, its default
+ * movement and its cache flag. A shipped split is an entry of the
+ * frozen cache the walk read, of its own overlay, or, computed fresh
+ * (a veto re-split, or any split when splits are not memoized), of its
+ * fresh pool.
+ */
+struct Walk
+{
+    enum class Split : std::uint32_t
+    {
+        Whole,
+        FrozenHit,
+        OverlayHit,
+        /** Missed, computed and filed in the overlay. */
+        OverlayFiled,
+        Fresh,
+    };
+
+    /** One position's decision, 8 bytes. */
+    struct Entry
+    {
+        static constexpr std::uint32_t kMaxIndex = (1u << 29) - 1;
+
+        std::uint32_t index : 29;
+        /** A Split. */
+        std::uint32_t source : 3;
+        std::int32_t defaultMovement;
+    };
+
+    std::int64_t plannedMovement = 0;
+    std::int64_t defaultMovement = 0;
+    std::int64_t tasks = 0;
+    CompileStats compile;
+    std::vector<Entry> log;
+    SplitPlanCache overlay;
+    SplitPlanPool fresh;
+
+    /** Free the log, the overlay and the fresh pool: a walk that can
+     *  no longer win keeps only its totals. */
+    void
+    dropLog()
+    {
+        log = {};
+        overlay = {};
+        fresh = {};
+    }
+};
+
+static_assert(sizeof(Walk::Entry) == 8, "a walk's log entry outgrew 8 bytes");
+
 /** What a task records of resolved reference @p r. */
 sim::MemAccess
 access(const ir::ResolvedRef &r)
@@ -354,38 +507,37 @@ access(const ir::ResolvedRef &r)
 }
 
 /**
- * Builds the plan of the window size plan() chose by watching that
- * size's DecisionLane walk. Each Decision becomes tasks, staged deps,
- * ordering and data arcs and one record (report tallies and, when
- * verifying, provenance); each window end minimises the window's
+ * Builds the plan of the window size plan() chose by replaying that
+ * size's Walk. Each Decision becomes tasks, staged deps, ordering and
+ * data arcs and one record (report tallies and, when verifying,
+ * provenance); each window end minimises the window's
  * synchronisations, flushes its deps and folds its reuse-map digest.
  */
 class Emitter
 {
   public:
     /**
-     * Emit into @p plan and @p report, both fresh; @p sync_ns, when
-     * set, accumulates minimizeSyncs() time. @p task_count, when set,
-     * is the number of tasks the walk will emit, counted by the
-     * scoring walk it repeats; checkTaskCount() checks it afterwards.
+     * Emit into @p plan and @p report, both fresh, the @p task_count
+     * tasks of a walk at @p window_size; @p sync_ns, when set,
+     * accumulates minimizeSyncs() time. @p window_map, the map of an
+     * idle DecisionLane, is where replay() replays the walk's adds;
+     * null without reuse, which adds nothing.
      */
     Emitter(const NestContext &ctx, std::int32_t window_size,
             sim::ExecutionPlan &plan, PartitionReport &report,
-            std::int64_t *sync_ns, std::optional<std::int64_t> task_count)
-        : ctx_(ctx),
+            std::int64_t *sync_ns, std::int64_t task_count,
+            VariableToNodeMap *window_map)
+        : ctx_(ctx), windowSize_(window_size),
           stmtCount_(static_cast<std::int64_t>(ctx.nest.body().size())),
           deps_(ctx.stream.addressCount()), report_(report),
-          syncNs_(sync_ns), taskCount_(task_count),
-          plan_(plan)
+          syncNs_(sync_ns), plan_(plan), varmap_(window_map)
     {
         report.chosenWindowSize = window_size;
         plan_.name = ctx.nest.name();
-        // The counted tasks, else at least one per instance; one record
-        // per instance. Every read of the stream lands in exactly one
-        // task.
+        // The walk counted the tasks; one record per instance. Every
+        // read of the stream lands in exactly one task.
         const std::size_t instances = ctx.stream.positions();
-        plan_.tasks.reserve(task_count ? static_cast<std::size_t>(*task_count)
-                                       : instances);
+        plan_.tasks.reserve(static_cast<std::size_t>(task_count));
         plan_.readPool.reserve(ctx.stream.refs.size() - instances);
 
         // Planning provenance for the static verifier (DESIGN.md §9).
@@ -405,26 +557,112 @@ class Emitter
     }
 
     /**
-     * The emitted plan holds exactly the counted tasks, when the
-     * constructor was given a count: the scoring walk this walk repeats
-     * counted them, so a difference means the two walks diverged.
+     * Emit the plan @p walk logged, window by window: each instance is
+     * the stream's, its split an entry of @p frozen (the cache the walk
+     * read), of the walk's overlay or of its fresh pool. The window map
+     * replays the walk's accepted adds in DecisionLane::note()'s order,
+     * which the reuse digest folds, and, when recording provenance, is
+     * re-probed for a split instance's locations as the walk's
+     * locate() probed it.
      */
     void
-    checkTaskCount() const
+    replay(const Walk &walk, const SplitPlanCache &frozen)
     {
-        NDP_CHECK(!taskCount_ || static_cast<std::int64_t>(
-                                     plan_.tasks.size()) == *taskCount_,
-                  "nest '" << ctx_.nest.name() << "': emitted "
-                           << plan_.tasks.size() << " tasks, its scoring "
-                           << "walk counted " << *taskCount_);
+        const auto total =
+            static_cast<std::int64_t>(ctx_.stream.positions());
+        Decision d;
+        SplitView split;
+        for (std::int64_t begin = 0; begin < total; begin += windowSize_) {
+            const std::int64_t end = std::min(begin + windowSize_, total);
+            if (varmap_)
+                varmap_->clear();
+            for (std::int64_t pos = begin; pos < end; ++pos) {
+                resolveInstance(ctx_, pos, d);
+                const Walk::Entry e =
+                    walk.log[static_cast<std::size_t>(pos)];
+                d.defaultMovement = e.defaultMovement;
+                const auto source = static_cast<Walk::Split>(e.source);
+                d.fromCache = source == Walk::Split::FrozenHit ||
+                              source == Walk::Split::OverlayHit;
+                d.split = nullptr;
+                if (source != Walk::Split::Whole) {
+                    split = source == Walk::Split::FrozenHit
+                                ? frozen.view(e.index)
+                            : source == Walk::Split::Fresh
+                                ? walk.fresh.view(e.index)
+                                : walk.overlay.view(e.index);
+                    d.split = &split;
+                    if (prov_)
+                        locate(d, pos != begin);
+                }
+                emit(d);
+                noteCopies(d);
+            }
+            endWindow(begin, end,
+                      varmap_ ? varmap_->insertionCount() : 0);
+        }
     }
 
-    /** Digest an accepted window-map add of line @p line on @p node. */
+  private:
+    /**
+     * Locate @p d's reads as DecisionLane::locate() did: at the nearest
+     * copy the window map offers when @p probe (the instance is not its
+     * window's first), else at the home bank.
+     */
     void
-    noteCopy(std::uint64_t line, noc::NodeId node)
+    locate(Decision &d, bool probe)
     {
-        digest_.add(line);
-        digest_.add(static_cast<std::uint64_t>(node));
+        locations_.clear();
+        for (const std::uint32_t addr : d.readIds) {
+            if (probe && varmap_) {
+                const CopySet copies =
+                    varmap_->copies(ctx_.stream.lineOf[addr]);
+                if (!copies.empty()) {
+                    locations_.push_back(
+                        nearestCopy(ctx_.mesh, copies, d.storeNode));
+                    continue;
+                }
+            }
+            locations_.push_back(
+                {ctx_.stream.home[addr], LocationSource::L2Home});
+        }
+        d.locations = locations_;
+    }
+
+    /**
+     * Replay DecisionLane::note()'s adds of @p d to the window map, in
+     * its order, digesting each accepted one: every reference of a
+     * whole statement on its default node; a split's leaves on their
+     * subs' nodes, then the write on the store node.
+     */
+    void
+    noteCopies(const Decision &d)
+    {
+        if (!varmap_)
+            return;
+        const std::size_t write_ref = d.base + d.reads.size();
+        if (d.split == nullptr) {
+            for (std::size_t r = d.base; r <= write_ref; ++r)
+                addCopy(r, d.defaultNode);
+            return;
+        }
+        for (const SubView sub : *d.split) {
+            for (const std::uint8_t leaf : sub.leaves)
+                addCopy(d.base + leaf, sub.node);
+        }
+        addCopy(write_ref, d.storeNode);
+    }
+
+    /** Add stream reference @p ref's line on @p node to the window map,
+     *  and digest the add if the map accepts it. */
+    void
+    addCopy(std::size_t ref, noc::NodeId node)
+    {
+        const ir::InstanceStream &stream = ctx_.stream;
+        if (varmap_->add(stream.lineOf[stream.addrId[ref]], node)) {
+            digest_.add(mem::lineNumber(stream.refs[ref].addr));
+            digest_.add(static_cast<std::uint64_t>(node));
+        }
     }
 
     void
@@ -463,7 +701,6 @@ class Emitter
         dataArcs_.clear();
     }
 
-  private:
     sim::TaskId
     nextTaskId() const
     {
@@ -766,14 +1003,17 @@ class Emitter
     }
 
     const NestContext &ctx_;
+    const std::int32_t windowSize_;
     const std::int64_t stmtCount_;
     DepTracker deps_;
     PartitionReport &report_;
     std::int64_t *syncNs_;
-    const std::optional<std::int64_t> taskCount_;
     sim::ExecutionPlan &plan_;
     std::shared_ptr<verify::PlanProvenance> prov_;
     std::vector<sim::TaskId> taskOfSub_;
+    /** The replayed window map (the constructor's window_map). */
+    VariableToNodeMap *varmap_;
+    std::vector<Location> locations_;
 
     // The open window.
     Fnv1a digest_;
@@ -798,9 +1038,9 @@ class Emitter
 /**
  * Decides one nest's instance stream at one window size: every
  * statement instance runs resolve, price the baseline, locate, split,
- * guard and note, and the lane keeps the walk's movement totals and
- * compile counters. A walk alone scores a window-size candidate;
- * plan() repeats the winner's walk with an Emitter watching it. run()
+ * guard and note, and the lane keeps the walk's movement totals,
+ * compile counters and log (Walk). A walk scores a window-size
+ * candidate, and the winner's log is what the Emitter replays. run()
  * re-arms a lane from the shared starting state and keeps its buffers,
  * so serially one lane serves every walk, and each window candidate
  * walking concurrently has a lane of its own.
@@ -830,43 +1070,41 @@ class DecisionLane
     /**
      * Walk the stream at window size @p window_size from the shared
      * starting state (the warmed L1 model, an idle balancer, an empty
-     * map); @p emitter, when set, watches every decision and window.
-     * The map is cleared at each window's start, so the first position
-     * does not probe it; a walk no emitter watches does not add at the
-     * last position either, since only the emitter's digest and
-     * insertion count could see those adds before the next clear.
-     * Split plans are looked up in @p frozen, when set, which the walk
-     * only reads, then in @p own, where the walk files its misses.
+     * map) into @p walk, whose overlay is empty. The map is cleared at
+     * each window's start, so the first position does not probe it,
+     * and the last position does not add to it: no probe could see
+     * those adds before the next clear. Split plans are looked up in
+     * @p frozen, when set, which the walk only reads, then in the
+     * walk's overlay, where it files its misses.
      */
     void
-    run(std::int32_t window_size, Emitter *emitter,
-        const SplitPlanCache *frozen, SplitPlanCache &own)
+    run(std::int32_t window_size, const SplitPlanCache *frozen, Walk &walk)
     {
         frozen_ = frozen;
-        own_ = &own;
+        walk_ = &walk;
         l1_ = ctx_.warmL1;
         balancer_.reset();
-        cstats_ = {};
-        plannedTotal_ = 0;
-        defaultTotal_ = 0;
-        taskTotal_ = 0;
-        emitter_ = emitter;
+        walk.compile = {};
+        walk.plannedMovement = 0;
+        walk.defaultMovement = 0;
+        walk.tasks = 0;
+        walk.log.clear();
+        walk.log.reserve(ctx_.stream.positions());
         const std::int64_t total = ctx_.nest.iterationCount() * stmtCount_;
         for (std::int64_t begin = 0; begin < total; begin += window_size) {
             const std::int64_t end = std::min(begin + window_size, total);
             varmap_.clear();
             for (std::int64_t pos = begin; pos < end; ++pos) {
                 probeMap_ = opts_.exploitReuse && pos != begin;
-                addCopies_ = opts_.exploitReuse &&
-                             (emitter != nullptr || pos + 1 != end);
+                addCopies_ = opts_.exploitReuse && pos + 1 != end;
                 decide(pos);
-                if (emitter)
-                    emitter->emit(d_);
             }
-            if (emitter)
-                emitter->endWindow(begin, end, varmap_.insertionCount());
         }
     }
+
+    /** The window map, idle between walks: the Emitter replays a
+     *  walk's adds into it. */
+    VariableToNodeMap &windowMap() { return varmap_; }
 
     /**
      * Append to @p out the balancer-free split of each of @p cache's
@@ -890,16 +1128,6 @@ class DecisionLane
         }
     }
 
-    /**
-     * The last walk's Equation-1 totals, the tasks an emitter watching
-     * it emits (one per whole instance, one per sub of a shipped split)
-     * and its compile counters.
-     */
-    std::int64_t plannedMovement() const { return plannedTotal_; }
-    std::int64_t defaultMovement() const { return defaultTotal_; }
-    std::int64_t taskCount() const { return taskTotal_; }
-    const CompileStats &compile() const { return cstats_; }
-
   private:
     void
     decide(std::int64_t pos)
@@ -909,6 +1137,10 @@ class DecisionLane
         // Null when the statement runs whole on its default node:
         // unanalysable, or the split does not pay.
         d_.split = nullptr;
+        Walk::Entry entry{0, static_cast<std::uint32_t>(Walk::Split::Whole),
+                          narrowChecked<std::int32_t>(
+                              d_.defaultMovement, ctx_.nest.name(),
+                              "instance default movement")};
         if (ctx_.splittable[static_cast<std::size_t>(d_.stmtIdx)]) {
             locate();
             if (!cannotPay()) {
@@ -920,10 +1152,21 @@ class DecisionLane
                     else
                         balancer_.rollback();
                 }
-                if (ship)
+                if (ship) {
                     d_.split = &candidate_;
+                    if (source_ == Walk::Split::Fresh)
+                        sourceIndex_ = walk_->fresh.append(candidate_);
+                    NDP_CHECK(sourceIndex_ <= Walk::Entry::kMaxIndex,
+                              "nest '" << ctx_.nest.name()
+                                       << "': split handle "
+                                       << sourceIndex_
+                                       << " outgrew the walk's log");
+                    entry.index = sourceIndex_;
+                    entry.source = static_cast<std::uint32_t>(source_);
+                }
             }
         }
+        walk_->log.push_back(entry);
         note();
     }
 
@@ -931,19 +1174,8 @@ class DecisionLane
     void
     resolve(std::int64_t pos)
     {
-        d_.iter = pos / stmtCount_;
-        d_.stmtIdx = static_cast<std::int32_t>(pos % stmtCount_);
-        d_.stmt = &ctx_.nest.body()[static_cast<std::size_t>(d_.stmtIdx)];
-        d_.defaultNode = ctx_.defaultNodes[static_cast<std::size_t>(d_.iter)];
-        cstats_.instancesPlanned += 1;
-        const auto at = static_cast<std::size_t>(pos);
-        base_ = stream_.refBegin[at];
-        const std::size_t write_at = stream_.refBegin[at + 1] - 1;
-        d_.reads = {stream_.refs.data() + base_, write_at - base_};
-        d_.readIds = {stream_.addrId.data() + base_, write_at - base_};
-        d_.write = &stream_.refs[write_at];
-        d_.writeId = stream_.addrId[write_at];
-        d_.storeNode = stream_.home[d_.writeId];
+        resolveInstance(ctx_, pos, d_);
+        walk_->compile.instancesPlanned += 1;
     }
 
     /**
@@ -960,7 +1192,7 @@ class DecisionLane
         for (std::size_t i = 0; i < d_.reads.size(); ++i) {
             // One default node per instance, so equal slots are equal
             // lines.
-            const std::uint32_t slot = ctx_.lineSlot[base_ + i];
+            const std::uint32_t slot = ctx_.lineSlot[d_.base + i];
             if (l1_.contains(slot) ||
                 std::find(fetchedSlots_.begin(), fetchedSlots_.end(),
                           slot) != fetchedSlots_.end())
@@ -984,8 +1216,9 @@ class DecisionLane
     void
     locate()
     {
-        ScopedPhaseTimer t(opts_.collectCompileTimers ? &cstats_.locateNs
-                                                     : nullptr);
+        ScopedPhaseTimer t(opts_.collectCompileTimers
+                               ? &walk_->compile.locateNs
+                               : nullptr);
         locations_.clear();
         for (std::uint32_t addr : d_.readIds) {
             if (probeMap_) {
@@ -1012,7 +1245,8 @@ class DecisionLane
      * new one. decide() commits the trial if the split ships and rolls
      * it back otherwise. Every path returns the one view type: a cache
      * hit reads the cache's pools in place, a fresh split reads
-     * computed_.
+     * computed_. source_ and sourceIndex_ say where the view lives, for
+     * the walk's log.
      */
     SplitView
     splitInstance()
@@ -1023,41 +1257,49 @@ class DecisionLane
         const ir::VarSet &sets =
             ctx_.staticSets[static_cast<std::size_t>(d_.stmtIdx)];
         const noc::NodeId store = d_.storeNode;
-        d_.fromCache = false;
-        cstats_.splitsRequested += 1;
-        ScopedPhaseTimer t(opts_.collectCompileTimers ? &cstats_.splitNs
+        CompileStats &stats = walk_->compile;
+        stats.splitsRequested += 1;
+        ScopedPhaseTimer t(opts_.collectCompileTimers ? &stats.splitNs
                                                      : nullptr);
         LoadBalancer *balancer = nullptr;
         if (opts_.loadBalance) {
             balancer_.checkpoint();
             balancer = &balancer_;
         }
+        source_ = Walk::Split::Fresh;
         if (!opts_.memoizeSplits) {
-            cstats_.plansComputed += 1;
+            stats.plansComputed += 1;
             splitter_.split(sets, locations_, store, balancer, computed_);
             return computed_.view();
         }
         key_.assign(d_.stmtIdx, store, locations_);
-        std::optional<SplitView> hit;
-        if (frozen_ != nullptr)
-            hit = frozen_->find(key_);
-        if (!hit)
-            hit = own_->find(key_);
+        SplitPlanCache &own = walk_->overlay;
+        std::uint32_t entry = SplitPlanCache::kNone;
+        if (frozen_ != nullptr) {
+            entry = frozen_->entryOf(key_);
+            source_ = Walk::Split::FrozenHit;
+        }
+        if (entry == SplitPlanCache::kNone) {
+            entry = own.entryOf(key_);
+            source_ = Walk::Split::OverlayHit;
+        }
         SplitView plan;
-        if (hit) {
-            cstats_.plansMemoized += 1;
-            d_.fromCache = true;
-            plan = *hit;
+        if (entry != SplitPlanCache::kNone) {
+            stats.plansMemoized += 1;
+            plan = source_ == Walk::Split::FrozenHit ? frozen_->view(entry)
+                                                     : own.view(entry);
         } else {
-            cstats_.plansComputed += 1;
+            stats.plansComputed += 1;
             splitter_.split(sets, locations_, store, nullptr, computed_);
             plan = computed_.view();
-            own_->insert(key_, plan);
+            entry = own.insert(key_, plan);
+            source_ = Walk::Split::OverlayFiled;
         }
+        sourceIndex_ = entry;
         if (balancer == nullptr || replay(plan))
             return plan;
-        cstats_.cacheBypassed += 1;
-        d_.fromCache = false;
+        stats.cacheBypassed += 1;
+        source_ = Walk::Split::Fresh;
         balancer_.rollback();
         balancer_.checkpoint();
         splitter_.split(sets, locations_, store, &balancer_, computed_);
@@ -1152,12 +1394,13 @@ class DecisionLane
     void
     note()
     {
-        const std::size_t write_ref = base_ + d_.reads.size();
+        const std::size_t base = d_.base;
+        const std::size_t write_ref = base + d_.reads.size();
         if (d_.split == nullptr) {
             balancer_.add(d_.defaultNode,
                           ctx_.opCost[static_cast<std::size_t>(d_.stmtIdx)]);
             // Reads, then the write: every line passes through the L1.
-            for (std::size_t r = base_; r <= write_ref; ++r) {
+            for (std::size_t r = base; r <= write_ref; ++r) {
                 if (addCopies_)
                     addCopy(r, d_.defaultNode);
                 l1_.insert(d_.defaultNode, ctx_.lineSlot[r]);
@@ -1165,29 +1408,24 @@ class DecisionLane
         } else if (addCopies_) {
             for (const SubView sub : *d_.split) {
                 for (std::uint8_t leaf : sub.leaves)
-                    addCopy(base_ + leaf, sub.node);
+                    addCopy(base + leaf, sub.node);
             }
             addCopy(write_ref, d_.storeNode);
         }
-        plannedTotal_ +=
+        walk_->plannedMovement +=
             d_.split ? d_.split->plannedMovement : d_.defaultMovement;
-        defaultTotal_ += d_.defaultMovement;
-        taskTotal_ += d_.split
-                          ? static_cast<std::int64_t>(d_.split->size())
-                          : 1;
+        walk_->defaultMovement += d_.defaultMovement;
+        walk_->tasks += d_.split
+                            ? static_cast<std::int64_t>(d_.split->size())
+                            : 1;
     }
 
-    /**
-     * Record in the window map that @p node's L1 will hold the line of
-     * stream reference @p ref; an emitter watching digests the add.
-     */
+    /** Record in the window map that @p node's L1 will hold the line of
+     *  stream reference @p ref. */
     void
     addCopy(std::size_t ref, noc::NodeId node)
     {
-        if (varmap_.add(stream_.lineOf[stream_.addrId[ref]], node) &&
-            emitter_ != nullptr)
-            emitter_->noteCopy(mem::lineNumber(stream_.refs[ref].addr),
-                               node);
+        (void)varmap_.add(stream_.lineOf[stream_.addrId[ref]], node);
     }
 
     const NestContext &ctx_;
@@ -1199,32 +1437,29 @@ class DecisionLane
     LoadBalancer balancer_;
     StatementSplitter splitter_;
     DefaultL1Model l1_;
-    CompileStats cstats_;
-    std::int64_t plannedTotal_ = 0;
-    std::int64_t defaultTotal_ = 0;
-    std::int64_t taskTotal_ = 0;
-    Emitter *emitter_ = nullptr;
     /** The current window's map; cleared per window. */
     VariableToNodeMap varmap_;
     /** Whether the instance in flight reads the map, and adds to it. */
     bool probeMap_ = false;
     bool addCopies_ = false;
-    /** The walk's split-plan caches (run()). */
+    /** The walk in flight and the cache it reads frozen (run()). */
+    Walk *walk_ = nullptr;
     const SplitPlanCache *frozen_ = nullptr;
-    SplitPlanCache *own_ = nullptr;
 
     // The instance in flight. Its buffers are reused across the
     // stream: the pipeline runs iterations x statements times, so
     // per-instance allocations are pure overhead.
     Decision d_;
-    /** The instance's first reference in stream_. */
-    std::size_t base_ = 0;
     std::vector<std::uint32_t> fetchedSlots_;
     std::vector<Location> locations_;
     SplitKey key_;
     /** The splitter's output; the view of a fresh split reads it. */
     SplitPlan computed_;
     SplitView candidate_;
+    /** Where candidate_ lives: a Walk::Split other than Whole, and the
+     *  entry of its cache or pool. */
+    Walk::Split source_ = Walk::Split::Fresh;
+    std::uint32_t sourceIndex_ = 0;
 };
 
 /**
@@ -1417,7 +1652,7 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         // profile, so it runs beside the profiling simulation.
         std::optional<NestContext> ctx;
         std::optional<LanePool> lanes;
-        std::vector<bool> reach;
+        std::vector<std::int32_t> walk_of;
         bool scored = false;
         const auto set_up = [&] {
             // The stream this plan reads has already resolved every
@@ -1457,18 +1692,23 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
             DefaultL1Model warm_l1 =
                 warmDefaultL1(system_->mesh(), config, stream, slots,
                               default_nodes, nest.body().size());
-            // Only candidates that can reach a copy can differ from
-            // w_first (copyReach()); without reuse none can.
-            if (w_first < w_last && options.exploitReuse)
-                reach = copyReach(stream, splittable, w_first, w_last);
+            // Only one candidate per class of windowClasses() is
+            // walked; without reuse every one repeats w_first.
+            walk_of = options.exploitReuse
+                          ? windowClasses(stream, splittable, w_first,
+                                          w_last)
+                          : std::vector<std::int32_t>(
+                                static_cast<std::size_t>(w_last - w_first +
+                                                         1),
+                                w_first);
             ctx.emplace(NestContext{
                 system_->mesh(), config, options, nest, default_nodes,
                 std::move(static_sets), std::move(splittable),
                 std::move(op_cost), reuse_capacity, stream,
                 std::move(slots.ofRef), std::move(warm_l1)});
             lanes.emplace(*ctx);
-            scored = std::find(reach.begin(), reach.end(), true) !=
-                     reach.end();
+            scored = std::ranges::any_of(
+                walk_of, [w_first](std::int32_t w) { return w != w_first; });
             if (scored && options.memoizeSplits)
                 prefillW1(*ctx, *lanes, pool_, splitCache_, compile_total);
         };
@@ -1492,15 +1732,13 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         }
 
         // Score the candidates (Section 4.4: least total movement, the
-        // first on ties), then walk the winner again with an emitter
-        // watching. A walk's decisions depend only on the shared
-        // starting state, so the emitting walk repeats the winner's
-        // scoring walk decision for decision. Only w_first and the
-        // candidates that can reach a copy are walked; every other one
-        // would repeat w_first's walk, so it scores w_first's total and,
-        // tying, never wins. When no candidate can reach a copy, or
-        // there is a single candidate, nothing is scored and w_first is
-        // emitted.
+        // first on ties) and emit the winner from its walk's log. A
+        // walk's decisions depend only on the shared starting state, so
+        // only one candidate per class of windowClasses() is walked:
+        // each other candidate repeats an earlier one's walk, so it
+        // scores that walk's total and, tying, never wins. When every
+        // candidate repeats w_first, or there is a single candidate,
+        // nothing is scored and w_first's one walk is emitted.
         //
         // Scoring starts from w_first = 1, whose keys the stream alone
         // fixes: the prefill files the split of each of them, and the
@@ -1511,90 +1749,68 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         // its own walk alone, so the counters are the same at any
         // thread count, and since the cache is a pure memo so is every
         // decision.
-        struct Candidate
-        {
-            std::int64_t movement = 0;
-            std::int64_t tasks = 0;
-            CompileStats compile;
-            SplitPlanCache overlay;
-        };
-        std::int32_t best_w = w_first;
-        // The winner's task count, when a scoring walk counted it: the
-        // emitted plan is sized exactly.
-        std::optional<std::int64_t> best_tasks;
-        // The winner's overlay: the emitting walk reads it with the
-        // frozen cache, and, when nothing was scored, files in it.
-        SplitPlanCache best_overlay;
-        if (scored) {
-            std::vector<std::int32_t> walked = {w_first};
-            for (std::int32_t w = w_first + 1; w <= w_last; ++w) {
-                if (reach[static_cast<std::size_t>(w - w_first)])
-                    walked.push_back(w);
-            }
-            const SplitPlanCache &frozen = splitCache_;
-            std::vector<Candidate> candidates = support::orderedMap(
-                pool_, walked.size(), [&](std::size_t i) {
-                    std::unique_ptr<DecisionLane> own = lanes->take();
-                    Candidate c;
-                    // w_first's walk only hits the prefill. Another
-                    // candidate misses a share of it (about a quarter
-                    // to all on the paper's apps), so room for that
-                    // many entries saves the overlay's regrowth;
-                    // untouched room stays virtual.
-                    if (walked[i] != w_first)
-                        c.overlay.reserveLike(frozen);
-                    own->run(walked[i], nullptr, &frozen, c.overlay);
-                    c.movement = own->plannedMovement();
-                    c.tasks = own->taskCount();
-                    c.compile = own->compile();
-                    lanes->give(std::move(own));
-                    return c;
-                });
-            std::size_t next = 0;
-            Candidate *best = nullptr;
-            for (std::int32_t w = w_first; w <= w_last; ++w) {
-                if (w != w_first &&
-                    !reach[static_cast<std::size_t>(w - w_first)]) {
-                    movement_per_w.push_back(movement_per_w.front());
-                    continue;
-                }
-                Candidate &c = candidates[next++];
-                movement_per_w.push_back(c.movement);
-                compile_total.merge(c.compile);
-                if (best == nullptr || c.movement < best->movement) {
-                    best_w = w;
-                    best = &c;
-                }
-            }
-            // Only the winner's overlay outlives the scoring.
-            best_tasks = best->tasks;
-            best_overlay = std::move(best->overlay);
+        std::vector<std::int32_t> walked;
+        for (std::int32_t w = w_first; w <= w_last; ++w) {
+            if (walk_of[static_cast<std::size_t>(w - w_first)] == w)
+                walked.push_back(w);
         }
-
+        std::vector<Walk> walks(walked.size());
+        // The least (movement, window) of the walks finished so far. A
+        // finished walk it beats can no longer win, so its log goes at
+        // once: the logs held at a time are the leader's and those of
+        // the walks still running.
+        std::mutex leader_mutex;
+        std::size_t leader = walks.size();
+        const auto beats = [&walks](std::size_t a, std::size_t b) {
+            return walks[a].plannedMovement < walks[b].plannedMovement ||
+                   (walks[a].plannedMovement == walks[b].plannedMovement &&
+                    a < b);
+        };
+        const SplitPlanCache &frozen = splitCache_;
+        support::orderedMap(pool_, walks.size(), [&](std::size_t i) {
+            Walk &walk = walks[i];
+            std::unique_ptr<DecisionLane> own = lanes->take();
+            // w_first's walk only hits the prefill. Another candidate
+            // misses a share of it (about a quarter to all on the
+            // paper's apps), so room for that many entries saves the
+            // overlay's regrowth; untouched room stays virtual.
+            if (walked[i] != w_first)
+                walk.overlay.reserveLike(frozen);
+            own->run(walked[i], &frozen, walk);
+            lanes->give(std::move(own));
+            const std::lock_guard<std::mutex> lock(leader_mutex);
+            if (leader == walks.size() || beats(i, leader)) {
+                if (leader != walks.size())
+                    walks[leader].dropLog();
+                leader = i;
+            } else {
+                walk.dropLog();
+            }
+            return 0;
+        });
+        for (const Walk &walk : walks)
+            compile_total.merge(walk.compile);
+        for (const std::int32_t repeated : walk_of) {
+            const auto at = static_cast<std::size_t>(
+                std::ranges::find(walked, repeated) - walked.begin());
+            movement_per_w.push_back(walks[at].plannedMovement);
+        }
+        const Walk &best = walks[leader];
+        const std::int32_t best_w = walked[leader];
         const std::unique_ptr<DecisionLane> lane = lanes->take();
         Emitter emitter(*ctx, best_w, best_plan, best_report,
                         options.collectCompileTimers ? &compile_total.syncNs
                                                       : nullptr,
-                        best_tasks);
-        lane->run(best_w, &emitter, &splitCache_, best_overlay);
-        best_report.plannedMovement = lane->plannedMovement();
-        best_report.defaultMovement = lane->defaultMovement();
-        compile_total.merge(lane->compile());
-        if (movement_per_w.empty())
-            movement_per_w.assign(
-                static_cast<std::size_t>(w_last - w_first + 1),
-                best_report.plannedMovement);
-        NDP_CHECK(best_report.plannedMovement ==
-                      movement_per_w[static_cast<std::size_t>(best_w -
-                                                              w_first)],
-                  "emitting pass diverged from its scoring pass");
-        emitter.checkTaskCount();
+                        best.tasks,
+                        options.exploitReuse ? &lane->windowMap() : nullptr);
+        emitter.replay(best, splitCache_);
+        best_report.plannedMovement = best.plannedMovement;
+        best_report.defaultMovement = best.defaultMovement;
     }
 
     best_report.movementPerWindowSize = std::move(movement_per_w);
     // The compile cost covers the whole adaptive sweep: the planner
-    // paid for the warm-up, every walked scoring pass and the winner's
-    // emitting pass.
+    // paid for the set-up, the prefill and every walked candidate.
     best_report.compile = compile_total;
     report_ = std::move(best_report);
     return best_plan;

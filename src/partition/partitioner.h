@@ -7,14 +7,16 @@
  * Sections 4.3-4.5). Per loop nest, a decision walk per window size
  * 1..8 locates, splits along the MST and load-balances each statement
  * instance and scores the size by total data movement (Section 4.4);
- * a size whose windows can never hold a copy of a line it reads is not
- * walked, since it would plan exactly what w = 1 plans. Every w = 1
- * split is a function of the instance stream, so they are all computed
- * before any walk, beside the profiling run when plan() is given one;
- * the walked sizes, w = 1 included, then walk concurrently when the
- * Partitioner is given a thread pool. The cheapest size, or a forced
- * one (Figure 20's sweeps), is walked again by an emitter that
- * synchronises each window and builds the plan.
+ * a size whose walk would repeat a smaller size's decision for
+ * decision (its windows never hold a copy of a line it reads, or they
+ * hold the same earlier references at every reference) is not walked.
+ * Every w = 1 split is a function of the instance stream, so they are
+ * all computed before any walk, beside the profiling run when plan()
+ * is given one; the walked sizes, w = 1 included, then walk
+ * concurrently when the Partitioner is given a thread pool. Each walk
+ * logs its decisions, and the cheapest size's log, or a forced size's
+ * (Figure 20's sweeps), is replayed by an emitter that synchronises
+ * each window and builds the plan.
  */
 
 #include <cstddef>
@@ -136,8 +138,9 @@ struct PartitionReport
     std::int64_t statementsKeptDefault = 0;
     /**
      * Total planned movement for every window size probed (Fig 20). A
-     * size that was not walked, because it cannot reach a copy, holds
-     * w = 1's total, which is what it would plan.
+     * size that was not walked, because its walk would repeat a
+     * smaller size's, holds that size's total, which is what it would
+     * plan.
      */
     std::vector<std::int64_t> movementPerWindowSize;
     /**
@@ -154,15 +157,14 @@ struct PartitionReport
     /**
      * Compile-loop cost of producing this plan: the nest's one-off
      * line slots (and stream, when plan() resolved it) and default-L1
-     * warm-up, the scoring pass of every window-size candidate the
-     * adaptive sweep walked, and the winner's emitting pass (the
-     * planner paid for all of them), so instancesPlanned is (walked
-     * candidates + 1) x the instances. A fixed window size has the
-     * emitting pass only. The split-plan counters follow one rule,
-     * which makes them the same with or without a pool and at any
-     * thread count: the prefill computes every distinct w = 1 key,
-     * each candidate's walk hits that frozen cache and its own
-     * overlay, and the emitting walk hits the caches it repeats.
+     * warm-up, the walk of every window-size candidate the adaptive
+     * sweep walked, and the emission from the winner's log (the
+     * planner paid for all of them), so instancesPlanned is the walked
+     * candidates x the instances. A fixed window size has one walk.
+     * The split-plan counters follow one rule, which makes them the
+     * same with or without a pool and at any thread count: the prefill
+     * computes every distinct w = 1 key, and each candidate's walk
+     * hits that frozen cache and its own overlay.
      */
     CompileStats compile;
     /**

@@ -37,25 +37,16 @@ SplitKey::assign(std::int32_t stmt_idx, noc::NodeId store_node,
 }
 
 std::uint32_t
-SplitPlanCache::lookup(const SplitKey &key) const
+SplitPlanCache::entryOf(const SplitKey &key) const
 {
     if (heads_.empty())
-        return kNil;
+        return kNone;
     for (std::uint32_t at = heads_[key.hash & (heads_.size() - 1)];
-         at != kNil; at = next_[at]) {
+         at != kNone; at = next_[at]) {
         if (keyEquals(at, key))
             return at;
     }
-    return kNil;
-}
-
-std::optional<SplitView>
-SplitPlanCache::find(const SplitKey &key) const
-{
-    const std::uint32_t at = lookup(key);
-    if (at == kNil)
-        return std::nullopt;
-    return plans_.view(at);
+    return kNone;
 }
 
 bool
@@ -66,21 +57,22 @@ SplitPlanCache::keyEquals(std::uint32_t entry, const SplitKey &key) const
     return std::equal(key.words.begin(), key.words.end(), begin, end);
 }
 
-void
+std::uint32_t
 SplitPlanCache::insert(const SplitKey &key, const SplitView &plan)
 {
-    NDP_DCHECK(lookup(key) == kNil, "insert() of a key already filed");
+    NDP_DCHECK(entryOf(key) == kNone, "insert() of a key already filed");
     const std::uint32_t index = plans_.append(plan);
-    NDP_CHECK(index != kNil, "split-plan cache is full");
+    NDP_CHECK(index != kNone, "split-plan cache is full");
     appendKey(key);
+    return index;
 }
 
 void
 SplitPlanCache::fileKey(const SplitKey &key)
 {
-    if (lookup(key) != kNil)
+    if (entryOf(key) != kNone)
         return;
-    NDP_CHECK(next_.size() < kNil, "split-plan cache is full");
+    NDP_CHECK(next_.size() < kNone, "split-plan cache is full");
     appendKey(key);
 }
 
@@ -110,7 +102,7 @@ SplitPlanCache::appendKey(const SplitKey &key)
     keyBegin_.push_back(
         narrowPacked<std::uint32_t>(keys_.size(), "key pool offset"));
     const auto index = static_cast<std::uint32_t>(next_.size());
-    next_.push_back(kNil);
+    next_.push_back(kNone);
     if (next_.size() > heads_.size())
         grow(); // links every entry, the new one included
     else
@@ -130,7 +122,7 @@ SplitPlanCache::grow()
 {
     // Keep at most one entry per bucket on average; re-chain from the
     // stored keys.
-    heads_.assign(std::max<std::size_t>(256, 2 * heads_.size()), kNil);
+    heads_.assign(std::max<std::size_t>(256, 2 * heads_.size()), kNone);
     for (std::uint32_t i = 0; i < next_.size(); ++i)
         link(i, hashKey(keys_.data() + keyBegin_[i],
                         keyBegin_[i + 1] - keyBegin_[i]));

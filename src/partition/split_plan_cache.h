@@ -35,9 +35,9 @@
  * plans produced without one — the invariant tests/split_cache_test
  * pins.
  *
- * Threads: the key lives with the caller, so find() is const and
- * touches nothing but the cache's pools. Any number of threads may
- * find() in a cache that no thread inserts into or clears; insert()
+ * Threads: the key lives with the caller, so entryOf() and view() are
+ * const and touch nothing but the cache's pools. Any number of threads
+ * may look up a cache that no thread inserts into or clears; insert()
  * and clear() need the cache to themselves. The partitioner relies on
  * this: one thread files a nest's w = 1 splits, computed in parallel
  * chunks beforehand, and the cache is then frozen; the window
@@ -47,7 +47,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -86,14 +85,21 @@ struct SplitKeyView
 class SplitPlanCache
 {
   public:
-    /**
-     * The plan filed under @p key, or nullopt. A hit is a view into the
-     * cache's pools, valid until the next insert() or clear().
-     */
-    std::optional<SplitView> find(const SplitKey &key) const;
+    /** entryOf()'s miss. */
+    static constexpr std::uint32_t kNone = 0xffffffffu;
 
-    /** File @p plan under @p key, which find() just missed. */
-    void insert(const SplitKey &key, const SplitView &plan);
+    /** The entry filed under @p key, or kNone. */
+    std::uint32_t entryOf(const SplitKey &key) const;
+
+    /**
+     * Entry @p entry's plan: a view into the cache's pools, valid
+     * until the next insert() or clear().
+     */
+    SplitView view(std::size_t entry) const { return plans_.view(entry); }
+
+    /** File @p plan under @p key, which entryOf() just missed; returns
+     *  its entry. */
+    std::uint32_t insert(const SplitKey &key, const SplitView &plan);
 
     /**
      * Bulk filing, in two steps: fileKey() files keys alone, each once,
@@ -119,10 +125,6 @@ class SplitPlanCache
     std::size_t size() const { return next_.size(); }
 
   private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-
-    /** The entry filed under @p key, or kNil. */
-    std::uint32_t lookup(const SplitKey &key) const;
     bool keyEquals(std::uint32_t entry, const SplitKey &key) const;
     /** File @p key, new, as the next entry. */
     void appendKey(const SplitKey &key);
@@ -134,9 +136,9 @@ class SplitPlanCache
      *  keys_[keyBegin_[i], keyBegin_[i + 1]). */
     std::vector<std::uint32_t> keys_;
     std::vector<std::uint32_t> keyBegin_{0};
-    /** Next entry in each entry's bucket chain (kNil ends it). */
+    /** Next entry in each entry's bucket chain (kNone ends it). */
     std::vector<std::uint32_t> next_;
-    /** Bucket heads (power-of-two count, kNil = empty). */
+    /** Bucket heads (power-of-two count, kNone = empty). */
     std::vector<std::uint32_t> heads_;
 };
 

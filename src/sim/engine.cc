@@ -40,7 +40,9 @@ struct ChunkTally
  * (consumers[consumerBegin[t], consumerBegin[t + 1]), filled from the
  * last task to the first so each producer lists its consumers by
  * ascending id), each task's unfinished producer count, zeroed ready
- * times, and the tasks of each node.
+ * times, and the tasks of each node, ranked by id: node n's tasks are
+ * nodeTasks[nodeBegin[n], nodeBegin[n + 1]), ascending, and task t is
+ * the rank[t]-th of its node's.
  */
 struct Pass2Setup
 {
@@ -48,7 +50,9 @@ struct Pass2Setup
     std::vector<TaskId> consumers;
     std::vector<std::int32_t> pending;
     std::vector<std::int64_t> ready;
-    std::vector<std::size_t> perNode;
+    std::vector<std::uint32_t> nodeBegin;
+    std::vector<TaskId> nodeTasks;
+    std::vector<std::uint32_t> rank;
 };
 
 Pass2Setup
@@ -59,13 +63,13 @@ pass2Setup(const ExecutionPlan &plan, std::size_t node_count)
     s.consumerBegin.assign(task_count + 1, 0);
     s.pending.resize(task_count);
     s.ready.assign(task_count, 0);
-    s.perNode.assign(node_count, 0);
+    s.nodeBegin.assign(node_count + 1, 0);
     std::size_t consumer_count = 0;
     for (std::size_t t = 0; t < task_count; ++t) {
         const Task &task = plan.tasks[t];
         consumer_count += task.depCount;
         s.pending[t] = static_cast<std::int32_t>(task.depCount);
-        ++s.perNode[static_cast<std::size_t>(task.node)];
+        ++s.nodeBegin[static_cast<std::size_t>(task.node) + 1];
         for (TaskId dep : plan.deps(task))
             ++s.consumerBegin[static_cast<std::size_t>(dep)];
     }
@@ -84,8 +88,89 @@ pass2Setup(const ExecutionPlan &plan, std::size_t node_count)
             s.consumers[--end] = static_cast<TaskId>(t);
         }
     }
+    // Node counts become range begins; placing tasks from the first to
+    // the last ranks each node's by ascending id.
+    for (std::size_t n = 0; n < node_count; ++n)
+        s.nodeBegin[n + 1] += s.nodeBegin[n];
+    s.nodeTasks.resize(task_count);
+    s.rank.resize(task_count);
+    std::vector<std::uint32_t> filled(s.nodeBegin.begin(),
+                                      s.nodeBegin.end() - 1);
+    for (std::size_t t = 0; t < task_count; ++t) {
+        const auto n = static_cast<std::size_t>(plan.tasks[t].node);
+        s.rank[t] = filled[n] - s.nodeBegin[n];
+        s.nodeTasks[filled[n]++] = static_cast<TaskId>(t);
+    }
     return s;
 }
+
+/**
+ * Every node's due tasks: one bitset per node over the node's tasks in
+ * rank order (Pass2Setup), so a node's least due id is its lowest set
+ * bit. A per-node low-water word sits at that bit's word, every word
+ * below it being zero, so reading and popping the least id take one
+ * std::countr_zero; a push below the low water lowers it.
+ */
+class DueSets
+{
+  public:
+    explicit DueSets(const Pass2Setup &setup)
+        : setup_(setup), wordBegin_(setup.nodeBegin.size())
+    {
+        const std::size_t nodes = setup.nodeBegin.size() - 1;
+        for (std::size_t n = 0; n < nodes; ++n)
+            wordBegin_[n + 1] =
+                wordBegin_[n] +
+                (setup.nodeBegin[n + 1] - setup.nodeBegin[n] + 63) / 64;
+        words_.assign(wordBegin_[nodes], 0);
+        low_.assign(wordBegin_.begin() + 1, wordBegin_.end());
+    }
+
+    bool
+    empty(std::size_t n) const
+    {
+        return low_[n] == wordBegin_[n + 1];
+    }
+
+    /** Node @p n's least due id; @p n has a due task. */
+    TaskId
+    top(std::size_t n) const
+    {
+        const std::size_t low = low_[n];
+        return setup_.nodeTasks[setup_.nodeBegin[n] +
+                                64 * (low - wordBegin_[n]) +
+                                static_cast<std::size_t>(
+                                    std::countr_zero(words_[low]))];
+    }
+
+    /** Make task @p t, of node @p n, due. */
+    void
+    push(std::size_t n, std::size_t t)
+    {
+        const std::uint32_t rank = setup_.rank[t];
+        const std::size_t word = wordBegin_[n] + rank / 64;
+        words_[word] |= std::uint64_t{1} << (rank % 64);
+        low_[n] = std::min(low_[n], word);
+    }
+
+    /** Remove top(@p n). */
+    void
+    pop(std::size_t n)
+    {
+        std::size_t &low = low_[n];
+        words_[low] &= words_[low] - 1;
+        while (low < wordBegin_[n + 1] && words_[low] == 0)
+            ++low;
+    }
+
+  private:
+    const Pass2Setup &setup_;
+    /** Node n's words are words_[wordBegin_[n], wordBegin_[n + 1]). */
+    std::vector<std::size_t> wordBegin_;
+    std::vector<std::uint64_t> words_;
+    /** Node n's low-water word; wordBegin_[n + 1] when none is due. */
+    std::vector<std::size_t> low_;
+};
 
 } // namespace
 
@@ -250,33 +335,23 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     };
 
     // The argmin is kept exactly, with every task queued once. Each
-    // node holds two queues of runnable tasks:
+    // node holds two sets of runnable tasks:
     // - due: ready by the node's clock, so all start at the clock;
-    //   ordered by id;
+    //   ordered by id (DueSets);
     // - future: ready after the clock, so each starts when ready;
-    //   ordered by (ready, id).
-    // A node's head — its own argmin — is the due top, else the future
-    // top. A head changes only when its node's clock advances or a
-    // task becomes runnable there. An indexed tournament tree over the
-    // nodes keeps the least head at its root: leaf n holds node n, each
-    // inner slot the winner of its two children, so a changed head
+    //   a heap ordered by (ready, id).
+    // A node's head — its own argmin — is the least due id, else the
+    // future top. A head changes only when its node's clock advances
+    // or a task becomes runnable there. An indexed tournament tree over
+    // the nodes keeps the least head at its root: leaf n holds node n,
+    // each inner slot the winner of its two children, so a changed head
     // replays its one leaf-to-root path.
     using Key = std::pair<std::int64_t, TaskId>; // (start, task id)
     using KeyHeap =
         std::priority_queue<Key, std::vector<Key>, std::greater<Key>>;
     constexpr Key kNoHead{std::numeric_limits<std::int64_t>::max(),
                           kInvalidTask};
-    using DueQueue = std::priority_queue<TaskId, std::vector<TaskId>,
-                                         std::greater<TaskId>>;
-    std::vector<DueQueue> due;
-    // Every root is due at cycle 0: size each node's queue for all of
-    // its tasks up front instead of regrowing it.
-    due.reserve(node_count);
-    for (std::size_t n = 0; n < node_count; ++n) {
-        std::vector<TaskId> storage;
-        storage.reserve(setup.perNode[n]);
-        due.emplace_back(std::greater<TaskId>(), std::move(storage));
-    }
+    DueSets due(setup);
     std::vector<KeyHeap> future(node_count);
     // Leaves past the last node hold no head and never win.
     const std::size_t leaves = std::bit_ceil(node_count);
@@ -299,7 +374,7 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     const auto make_runnable = [&](std::size_t t) {
         const std::size_t n = node_of(t);
         if (ready[t] <= node_clock[n])
-            due[n].push(static_cast<TaskId>(t));
+            due.push(n, t);
         else
             future[n].push({ready[t], static_cast<TaskId>(t)});
     };
@@ -308,11 +383,11 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
     const auto publish = [&](std::size_t n) {
         while (!future[n].empty() &&
                future[n].top().first <= node_clock[n]) {
-            due[n].push(future[n].top().second);
+            due.push(n, static_cast<std::size_t>(future[n].top().second));
             future[n].pop();
             ++result.schedulerPops;
         }
-        const Key key = !due[n].empty() ? Key{node_clock[n], due[n].top()}
+        const Key key = !due.empty(n) ? Key{node_clock[n], due.top(n)}
                         : !future[n].empty() ? future[n].top()
                                              : kNoHead;
         if (key == head[n])
@@ -406,8 +481,8 @@ ExecutionEngine::run(const ExecutionPlan &plan, const EngineOptions &opts)
         const std::size_t node = winner[1];
         const auto [start, tid] = head[node];
         const auto t = static_cast<std::size_t>(tid);
-        if (!due[node].empty())
-            due[node].pop();
+        if (!due.empty(node))
+            due.pop(node);
         else
             future[node].pop();
         ++result.schedulerPops;

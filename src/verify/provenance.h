@@ -43,7 +43,8 @@ struct SplitRecord
     std::int32_t iterationNumber = -1;
     /** False = emitted whole on the default node (unsplit). */
     bool wasSplit = false;
-    /** Split replayed from the SplitPlanCache (R6's subject). */
+    /** Split replayed from the SplitPlanCache by the walk the plan
+     *  was emitted from (R6's subject). */
     bool fromCache = false;
     /** Baseline node of this iteration. */
     noc::NodeId defaultNode = noc::kInvalidNode;

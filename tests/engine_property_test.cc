@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -233,6 +234,65 @@ schedulerPlan(std::uint64_t seed, int tasks, int node_count)
         plan.tasks.push_back(std::move(task));
     }
     return test::pack(plan);
+}
+
+/**
+ * Plan in which a node's tasks fall due out of id order: hundreds of
+ * tasks on three nodes, more than one 64-task word each, half of them
+ * roots (due at cycle 0) and half consumers of earlier tasks, mostly
+ * on other nodes. A consumer turns due only when its producers' results
+ * arrive, usually while roots with higher ids still wait on its node,
+ * so the due sets take ids below their least waiting one.
+ */
+ExecutionPlan
+dueOrderPlan(std::uint64_t seed, int tasks, int node_count)
+{
+    Rng rng(seed);
+    const noc::NodeId nodes[] = {0, static_cast<noc::NodeId>(node_count / 2),
+                                 static_cast<noc::NodeId>(node_count - 1)};
+    test::PlanLists plan;
+    for (int t = 0; t < tasks; ++t) {
+        test::ListTask task;
+        task.node = nodes[rng.nextBelow(3)];
+        task.computeCost = static_cast<std::int64_t>(rng.nextBelow(6));
+        task.reads.push_back(
+            {static_cast<mem::Addr>(0x10000 + 64 * rng.nextBelow(256)), 64,
+             0});
+        if (t > 0 && rng.nextBool(0.5)) {
+            const int n_deps = 1 + static_cast<int>(rng.nextBelow(2));
+            for (int d = 0; d < n_deps; ++d) {
+                const auto dep = static_cast<TaskId>(
+                    rng.nextBelow(static_cast<std::uint64_t>(t)));
+                if (std::find(task.deps.begin(), task.deps.end(), dep) ==
+                    task.deps.end())
+                    task.deps.push_back(dep);
+            }
+        }
+        plan.tasks.push_back(std::move(task));
+    }
+    return test::pack(plan);
+}
+
+/**
+ * Whether @p trace ran some consumer of @p plan before a root with a
+ * higher id on the same node: the root was due from cycle 0, so the
+ * consumer fell due below a waiting id.
+ */
+bool
+fellDueOutOfOrder(const ExecutionPlan &plan, const ExecutionTrace &trace)
+{
+    std::map<noc::NodeId, TaskId> least_consumer_run;
+    for (const TraceEvent &e : trace.events()) {
+        const Task &task = plan.tasks[static_cast<std::size_t>(e.task)];
+        const auto it = least_consumer_run.find(e.node);
+        if (task.depCount > 0) {
+            if (it == least_consumer_run.end() || e.task < it->second)
+                least_consumer_run[e.node] = e.task;
+        } else if (it != least_consumer_run.end() && it->second < e.task) {
+            return true;
+        }
+    }
+    return false;
 }
 
 /**
@@ -488,34 +548,44 @@ TEST_P(SchedulerOracleTest, MatchesArgminRescanEventByEvent)
     for (const ManycoreConfig &machine : {congested, zero_overhead}) {
         ManycoreSystem system(machine);
         ExecutionEngine engine(system);
-        const ExecutionPlan plan =
-            schedulerPlan(seed * 7919, 240, system.mesh().nodeCount());
-        for (const auto &[name, options] : variants) {
-            const std::string where =
-                std::string(name) + " overhead " +
-                std::to_string(machine.perTaskOverheadCycles);
-            ExecutionTrace got_trace;
-            ExecutionTrace want_trace;
-            EngineOptions got_opts = options;
-            got_opts.trace = &got_trace;
-            EngineOptions want_opts = options;
-            want_opts.trace = &want_trace;
-            const SimResult got = engine.run(plan, got_opts);
-            const SimResult want = referenceRun(system, plan, want_opts);
-            expectSameResult(got, want, where);
-            ASSERT_EQ(got_trace.size(), want_trace.size()) << where;
-            for (std::size_t e = 0; e < got_trace.size(); ++e) {
-                const TraceEvent &a = got_trace.events()[e];
-                const TraceEvent &b = want_trace.events()[e];
-                ASSERT_TRUE(a.task == b.task && a.node == b.node &&
-                            a.start == b.start && a.finish == b.finish &&
-                            a.waited == b.waited)
-                    << where << ": event " << e << " ran task " << a.task
-                    << " on node " << a.node << " at " << a.start
-                    << ", reference ran task " << b.task << " on node "
-                    << b.node << " at " << b.start;
+        const int nodes = system.mesh().nodeCount();
+        const std::pair<const char *, ExecutionPlan> plans[] = {
+            {"ties", schedulerPlan(seed * 7919, 240, nodes)},
+            {"due order", dueOrderPlan(seed * 104729, 600, nodes)}};
+        for (const auto &[shape, plan] : plans) {
+            for (const auto &[name, options] : variants) {
+                const std::string where =
+                    std::string(shape) + " " + name + " overhead " +
+                    std::to_string(machine.perTaskOverheadCycles);
+                ExecutionTrace got_trace;
+                ExecutionTrace want_trace;
+                EngineOptions got_opts = options;
+                got_opts.trace = &got_trace;
+                EngineOptions want_opts = options;
+                want_opts.trace = &want_trace;
+                const SimResult got = engine.run(plan, got_opts);
+                const SimResult want =
+                    referenceRun(system, plan, want_opts);
+                expectSameResult(got, want, where);
+                ASSERT_EQ(got_trace.size(), want_trace.size()) << where;
+                for (std::size_t e = 0; e < got_trace.size(); ++e) {
+                    const TraceEvent &a = got_trace.events()[e];
+                    const TraceEvent &b = want_trace.events()[e];
+                    ASSERT_TRUE(a.task == b.task && a.node == b.node &&
+                                a.start == b.start &&
+                                a.finish == b.finish &&
+                                a.waited == b.waited)
+                        << where << ": event " << e << " ran task "
+                        << a.task << " on node " << a.node << " at "
+                        << a.start << ", reference ran task " << b.task
+                        << " on node " << b.node << " at " << b.start;
+                }
+                EXPECT_GE(got.schedulerPops, got.taskCount) << where;
+                if (std::string(shape) == "due order") {
+                    EXPECT_TRUE(fellDueOutOfOrder(plan, want_trace))
+                        << where;
+                }
             }
-            EXPECT_GE(got.schedulerPops, got.taskCount) << where;
         }
     }
 }

@@ -1,24 +1,24 @@
 /**
  * @file
  * Allocation gates for planning and simulation. First, the planner's
- * scoring passes. An adaptive plan()
- * scores window sizes 1..8 and then emits the winner; a plan() fixed at
- * the winner's size runs that emitting pass alone. So the heap
- * allocations the adaptive call makes beyond the fixed one are the
- * eight scoring passes' — and with the planner's per-instance loop
- * allocation-free, that difference is a per-candidate constant: it must
- * stay below one small bound whether or not the nest's iteration count
- * doubles.
+ * walks. An adaptive plan() walks one window size per class of sizes
+ * 1..8 and then emits the winner from its walk's log; a plan() fixed at
+ * the winner's size walks that size alone and emits it the same way.
+ * So the heap allocations the adaptive call makes beyond the fixed one
+ * are the w = 1 prefill's and the other walks' — and with the planner's
+ * per-instance loop allocation-free, that difference is a per-candidate
+ * constant: it must stay below one small bound whether or not the
+ * nest's iteration count doubles.
  *
- * The same bound gates provenance recording: the emitting pass at the
- * chosen window with VerifyLevel::Cheap, minus the same pass at Off, is
+ * The same bound gates provenance recording: a plan() fixed at the
+ * chosen window with VerifyLevel::Cheap, minus the same call at Off, is
  * what recording costs. Each record only appends scalars and offsets,
  * its split and located reads to per-plan pools, so the difference is
  * the pools' regrowth, logarithmic in the instance count.
  *
  * Two more gates hold the plan format and the simulator flat. A
- * fixed-window plan() — stream resolution, the default-L1 warm-up and
- * the emitting pass, verification off — appends every task's reads
+ * fixed-window plan() — stream resolution, the default-L1 warm-up, the
+ * walk and the emission, verification off — appends every task's reads
  * and deps to the plan's two pools, so it allocates per pool regrowth
  * and per window-scratch high-water mark, not per task. One engine
  * run of the default plan or of the optimized plan keeps its access
@@ -59,9 +59,10 @@ namespace {
 using namespace ndp;
 
 /**
- * Ceiling on one nest's scoring-pass allocations: the split cache's
- * pool growth, each window candidate's overlay (reserved once) and the
- * decision lane's scratch growing past what one walk needs, with
+ * Ceiling on one nest's extra walks' allocations: the split cache's
+ * pool growth, each window candidate's overlay (reserved once) and log
+ * (reserved exactly), the decision lane's scratch growing past what
+ * one walk needs, with
  * headroom (without a pool one lane serves every walk of a plan() and
  * is re-armed for each). The per-instance loop contributes nothing.
  * Provenance recording answers to the same bound.
@@ -99,10 +100,12 @@ constexpr double kVerifyAllocationsPerRecord = 2.0;
  * Ceiling on a fixed-window plan()'s allocated bytes per byte of the
  * plan it returns (tasks, reads and deps), its stream resolved
  * beforehand as a NestSession does: the dependence tracker's
- * per-address slots, the line slots, the lane and the plan's own
- * regrowth (a single walk reserves a task per instance) come to 1.7 to
- * 7.2 on these nests. A plan buffer regrowing once more, or sized far
- * beyond its use, crosses it.
+ * per-address slots, the line slots, the lane, the walk's log and
+ * overlay, and the plan's own pools (the task array reserved from the
+ * walk's count, the read pool exactly, the dep pool regrowing) come to
+ * 1.9 to 6.4 on these nests, and the ceiling is that worst case plus a
+ * quarter. A plan buffer regrowing once more, or sized far beyond its
+ * use, crosses it.
  */
 constexpr double kEmitBytesPerPlanByte = 8.0;
 
@@ -155,7 +158,7 @@ planAllocations(sim::ManycoreSystem &system, const ir::ArrayTable &arrays,
 }
 
 /**
- * The scoring passes' allocations for every nest of @p app: adaptive
+ * The extra walks' allocations for every nest of @p app: adaptive
  * plan() minus plan() fixed at the window it chose.
  */
 std::vector<std::int64_t>
@@ -185,8 +188,8 @@ scoringAllocations(const workloads::Workload &app, bool balanced)
 }
 
 /**
- * Provenance recording's allocations for every nest of @p app: the
- * emitting pass at the window an adaptive plan() chose, with Cheap
+ * Provenance recording's allocations for every nest of @p app: plan()
+ * fixed at the window an adaptive plan() chose, with Cheap
  * verification minus with Off.
  */
 std::vector<std::int64_t>
@@ -218,8 +221,9 @@ recordingAllocations(const workloads::Workload &app, bool balanced)
 }
 
 /**
- * The emitting pass's allocations for every nest of @p app: plan()
- * fixed at the window an adaptive plan() chose, verification off.
+ * One walk and its emission's allocations for every nest of @p app:
+ * plan() fixed at the window an adaptive plan() chose, verification
+ * off.
  */
 std::vector<std::int64_t>
 emitAllocations(const workloads::Workload &app, bool balanced)

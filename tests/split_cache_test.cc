@@ -490,9 +490,10 @@ cachedMovement(const partition::SplitPlanCache &cache, std::int32_t stmt,
                noc::NodeId store,
                const std::vector<partition::Location> &locations)
 {
-    const std::optional<partition::SplitView> hit =
-        cache.find(keyOf(stmt, store, locations));
-    return hit ? hit->plannedMovement : -1;
+    const std::uint32_t entry = cache.entryOf(keyOf(stmt, store, locations));
+    return entry == partition::SplitPlanCache::kNone
+               ? -1
+               : cache.view(entry).plannedMovement;
 }
 
 TEST(SplitPlanCacheTest, KeyCoversStatementStoreAndLocations)
@@ -503,20 +504,20 @@ TEST(SplitPlanCacheTest, KeyCoversStatementStoreAndLocations)
         {7, partition::LocationSource::L1Copy},
     };
 
-    EXPECT_FALSE(cache.find(keyOf(0, 5, locs)));
+    EXPECT_EQ(cachedMovement(cache, 0, 5, locs), -1);
     cache.insert(keyOf(0, 5, locs), markerPlan(11).view());
     EXPECT_EQ(cachedMovement(cache, 0, 5, locs), 11);
 
     // Any key component changing must miss: statement index...
-    EXPECT_FALSE(cache.find(keyOf(1, 5, locs)));
+    EXPECT_EQ(cachedMovement(cache, 1, 5, locs), -1);
     cache.insert(keyOf(1, 5, locs), markerPlan(22).view());
     // ...store node...
-    EXPECT_FALSE(cache.find(keyOf(0, 6, locs)));
+    EXPECT_EQ(cachedMovement(cache, 0, 6, locs), -1);
     cache.insert(keyOf(0, 6, locs), markerPlan(33).view());
     // ...or a location's node.
     std::vector<partition::Location> moved = locs;
     moved[0].node = 4;
-    EXPECT_FALSE(cache.find(keyOf(0, 5, moved)));
+    EXPECT_EQ(cachedMovement(cache, 0, 5, moved), -1);
     cache.insert(keyOf(0, 5, moved), markerPlan(44).view());
 
     // A location's source, node unchanged, must hit: the splitter reads
@@ -541,14 +542,14 @@ TEST(SplitPlanCacheTest, ClearDropsEveryEntry)
     const std::vector<partition::Location> locs = {
         {1, partition::LocationSource::L2Home}};
 
-    EXPECT_FALSE(cache.find(keyOf(0, 0, locs)));
+    EXPECT_EQ(cachedMovement(cache, 0, 0, locs), -1);
     cache.insert(keyOf(0, 0, locs), markerPlan(1).view());
     EXPECT_EQ(cachedMovement(cache, 0, 0, locs), 1);
     EXPECT_EQ(cache.size(), 1u);
 
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.find(keyOf(0, 0, locs)));
+    EXPECT_EQ(cachedMovement(cache, 0, 0, locs), -1);
     // The cleared cache files and finds entries again.
     cache.insert(keyOf(0, 0, locs), markerPlan(2).view());
     EXPECT_EQ(cachedMovement(cache, 0, 0, locs), 2);
@@ -703,11 +704,14 @@ TEST(SplitPlanFormatTest, FreshPlanAndCachedViewAgree)
 
             // A fresh key per split: the cache files the flat plan as
             // it is and hands back a view of its own copy.
-            ASSERT_FALSE(cache.find(keyOf(key, store, locations))) << label;
-            cache.insert(keyOf(key, store, locations), flat.view());
-            const std::optional<partition::SplitView> cached =
-                cache.find(keyOf(key++, store, locations));
-            ASSERT_TRUE(cached) << label;
+            ASSERT_EQ(cache.entryOf(keyOf(key, store, locations)),
+                      partition::SplitPlanCache::kNone)
+                << label;
+            const std::uint32_t entry =
+                cache.insert(keyOf(key, store, locations), flat.view());
+            ASSERT_EQ(cache.entryOf(keyOf(key++, store, locations)), entry)
+                << label;
+            const partition::SplitView cached = cache.view(entry);
 
             // A second split of the same inputs, into buffers of its
             // own, must match the cached copy field for field.
@@ -715,7 +719,7 @@ TEST(SplitPlanFormatTest, FreshPlanAndCachedViewAgree)
                            balanced ? &fresh_trial : nullptr, fresh);
             EXPECT_EQ(flat_trial.totalLoad(), fresh_trial.totalLoad())
                 << label;
-            expectSameView(cached.value(), fresh.view(), label);
+            expectSameView(cached, fresh.view(), label);
             for (const partition::SubView sub : fresh.view())
                 highest = std::max(highest, sub.node);
             if (balanced) {
@@ -777,7 +781,7 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
                        nullptr, flat);
         f.plan = flat;
         const partition::SplitKey key = keyOf(f.stmt, f.store, f.locations);
-        if (cache.find(key))
+        if (cache.entryOf(key) != partition::SplitPlanCache::kNone)
             continue; // a repeated draw
         cache.insert(key, flat.view());
         for (const partition::SubView sub : f.plan.view())
@@ -791,10 +795,10 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
     // order.
     for (std::size_t i = filed.size(); i-- > 0;) {
         const Filed &f = filed[i];
-        const std::optional<partition::SplitView> hit =
-            cache.find(keyOf(f.stmt, f.store, f.locations));
-        ASSERT_TRUE(hit) << "entry " << i;
-        expectSameView(hit.value(), f.plan.view(),
+        const std::uint32_t entry =
+            cache.entryOf(keyOf(f.stmt, f.store, f.locations));
+        ASSERT_NE(entry, partition::SplitPlanCache::kNone) << "entry " << i;
+        expectSameView(cache.view(entry), f.plan.view(),
                        "entry " + std::to_string(i));
     }
 }
@@ -815,7 +819,7 @@ TEST(SplitPlanCacheTest, BucketSiblingsCompareFullKeys)
         return locs;
     };
     for (int k = 0; k < keys; ++k) {
-        ASSERT_FALSE(cache.find(keyOf(0, 1, locations_of(k)))) << k;
+        ASSERT_EQ(cachedMovement(cache, 0, 1, locations_of(k)), -1) << k;
         cache.insert(keyOf(0, 1, locations_of(k)), markerPlan(k).view());
     }
     EXPECT_EQ(cache.size(), static_cast<std::size_t>(keys));
@@ -829,7 +833,7 @@ TEST(SplitPlanCacheTest, BucketSiblingsCompareFullKeys)
     // A key one word longer than a filed one is a different key.
     std::vector<partition::Location> longer = locations_of(3);
     longer.push_back(longer.back());
-    EXPECT_FALSE(cache.find(keyOf(0, 1, longer)));
+    EXPECT_EQ(cachedMovement(cache, 0, 1, longer), -1);
     EXPECT_EQ(hits, keys);
 }
 
