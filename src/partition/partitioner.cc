@@ -1,7 +1,6 @@
 #include "partition/partitioner.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -256,18 +255,14 @@ warmDefaultL1(const noc::MeshTopology &mesh, const sim::ManycoreConfig &config,
  *   earlier in p's aligned window [p - p mod w, p) locates every
  *   operand at its home bank, exactly as w = 1 does, so it repeats
  *   w_first's walk. References count reads and writes alike.
- * - *Same earlier references.* Sizes w' < w whose aligned windows
- *   hold, for every reference (read or write, of every statement) of
- *   every position, the same earlier references to its line offer the
- *   same copies at every probe: each window's extra references are
- *   older than the shared ones and to lines the shared ones never
- *   reference, so the per-node FIFOs evict the same shared entries and
- *   accept the same adds, and by induction over positions both walks
- *   decide alike. The pairs are a bitmask per size, so past 64 sizes
- *   (or a window past 256) only the first rule merges.
- * Each reference's earlier references inside the largest window are
- * the chain of its line's previous positions, kept per reference as a
- * distance back; size w sees the ones at or after p - p mod w.
+ * - *Same earlier references.* Sizes whose aligned windows hold, for
+ *   every reference (read or write, of every statement) of every
+ *   position, the same earlier references to its line offer the same
+ *   copies at every probe, so their walks decide alike. It is enough
+ *   that at every reference both windows hold its line's previous
+ *   reference or neither does: when both hold it, both start at or
+ *   before it, so they agree on the references before it as they did
+ *   at it.
  */
 std::vector<std::int32_t>
 windowClasses(const ir::InstanceStream &stream,
@@ -275,93 +270,58 @@ windowClasses(const ir::InstanceStream &stream,
               std::int32_t w_last)
 {
     const auto sizes = static_cast<std::size_t>(w_last - w_first + 1);
-    std::vector<std::int32_t> walk_of(sizes);
-    for (std::size_t i = 0; i < sizes; ++i)
-        walk_of[i] = w_first + static_cast<std::int32_t>(i);
     if (sizes == 1)
-        return walk_of;
-    const auto start = [w_first](std::int64_t p, std::size_t i) {
-        const std::int64_t w = w_first + static_cast<std::int64_t>(i);
-        return p - p % w;
-    };
+        return {w_first};
+    // same[i]: the least size (as an index) that has seen alike with
+    // size i at every reference so far; all alike before the first.
+    std::vector<std::size_t> same(sizes, 0);
+    auto merged = static_cast<std::int64_t>(sizes - 1);
     std::vector<bool> reach(sizes);
     auto unreached = static_cast<std::int64_t>(sizes - 1);
-    // Only a line's previous position at most span back is in a window.
-    const std::int64_t span = w_last - 1;
-    // same[i]: the smaller sizes still equal to size i. The distances
-    // back are bytes.
-    const bool pairs = sizes <= 64 && span <= 255;
-    std::vector<std::uint64_t> same(pairs ? sizes : 0);
-    for (std::size_t i = 0; i < same.size(); ++i)
-        same[i] = (std::uint64_t{1} << i) - 1;
-    auto open_pairs = static_cast<std::int64_t>(pairs ? sizes - 1 : 0);
-    // Per reference, its line's previous position, that far back; 0
-    // when none is within span.
-    std::vector<std::uint8_t> back(pairs ? stream.refs.size() : 0);
-    std::vector<std::uint8_t> seen(sizes);
-    std::vector<std::uint64_t> by_seen(static_cast<std::size_t>(w_last));
+    std::vector<std::uint8_t> sees(sizes);
+    // split_to[c]: where the sizes of class c that see unlike c go.
+    std::vector<std::size_t> split_to(sizes);
 
     std::vector<std::int64_t> last(stream.lineCount, -1);
     const std::size_t statements = splittable.size();
     const std::size_t positions = stream.positions();
-    for (std::size_t at = 0;
-         at < positions && (unreached > 0 || open_pairs > 0); ++at) {
+    for (std::size_t at = 0; at < positions && (unreached > 0 || merged > 0);
+         ++at) {
         const std::uint32_t begin = stream.refBegin[at];
         const std::uint32_t write = stream.refBegin[at + 1] - 1;
         const auto p = static_cast<std::int64_t>(at);
         const bool splits = splittable[at % statements];
         for (std::uint32_t r = begin; r <= write; ++r) {
-            const std::uint32_t line = stream.lineOf[stream.addrId[r]];
-            const std::int64_t q1 = last[line];
-            if (q1 < 0 || p - q1 > span)
+            const std::int64_t q = last[stream.lineOf[stream.addrId[r]]];
+            if (q < 0 || p - q >= w_last)
                 continue;
-            if (splits && r < write) {
-                for (std::size_t i = 1; i < sizes; ++i) {
-                    if (!reach[i] && q1 >= start(p, i)) {
-                        reach[i] = true;
-                        --unreached;
-                    }
+            for (std::size_t i = 0; i < sizes; ++i) {
+                const std::int64_t w = w_first + static_cast<std::int64_t>(i);
+                sees[i] = q >= p - p % w;
+                if (sees[i] && splits && r < write && !reach[i]) {
+                    reach[i] = true;
+                    --unreached;
                 }
             }
-            if (!pairs)
-                continue;
-            back[r] = static_cast<std::uint8_t>(p - q1);
-            // seen[i]: the line's earlier positions in size i's window,
-            // from the chain of its previous positions.
-            std::fill(seen.begin(), seen.end(), 0);
-            for (std::int64_t q = q1;;) {
-                bool inside = false;
-                for (std::size_t i = 0; i < sizes; ++i) {
-                    if (q >= start(p, i)) {
-                        ++seen[i];
-                        inside = true;
-                    }
-                }
-                const auto qa = static_cast<std::size_t>(q);
-                std::uint32_t k = stream.refBegin[qa];
-                while (stream.lineOf[stream.addrId[k]] != line)
-                    ++k;
-                if (!inside || back[k] == 0)
-                    break;
-                q -= back[k];
-            }
-            std::fill(by_seen.begin(), by_seen.end(), 0);
-            for (std::size_t i = 0; i < sizes; ++i)
-                by_seen[seen[i]] |= std::uint64_t{1} << i;
+            std::fill(split_to.begin(), split_to.end(), sizes);
             for (std::size_t i = 1; i < sizes; ++i) {
-                if (same[i] != 0 && (same[i] &= by_seen[seen[i]]) == 0)
-                    --open_pairs;
+                const std::size_t c = same[i];
+                if (sees[i] == sees[c])
+                    continue;
+                if (split_to[c] == sizes) {
+                    split_to[c] = i;
+                    --merged;
+                }
+                same[i] = split_to[c];
             }
         }
         for (std::uint32_t r = begin; r <= write; ++r)
             last[stream.lineOf[stream.addrId[r]]] = p;
     }
-    for (std::size_t i = 1; i < sizes; ++i) {
-        if (!reach[i])
-            walk_of[i] = w_first;
-        else if (pairs && same[i] != 0)
-            walk_of[i] = w_first + std::countr_zero(same[i]);
-    }
+    std::vector<std::int32_t> walk_of(sizes);
+    for (std::size_t i = 0; i < sizes; ++i)
+        walk_of[i] = reach[i] ? w_first + static_cast<std::int32_t>(same[i])
+                              : w_first;
     return walk_of;
 }
 
@@ -442,6 +402,55 @@ resolveInstance(const NestContext &ctx, std::int64_t pos, Decision &d)
     d.write = &stream.refs[write_at];
     d.writeId = stream.addrId[write_at];
     d.storeNode = stream.home[d.writeId];
+}
+
+/**
+ * GetNode for every operand of @p d, guard reads included, into @p out,
+ * which @p d's locations then view: the nearest copy @p map offers,
+ * when set (the instance is not its window's first), else the home
+ * bank. The walk and the emitter both locate through this.
+ */
+void
+locateReads(const noc::MeshTopology &mesh, const ir::InstanceStream &stream,
+            const VariableToNodeMap *map, Decision &d,
+            std::vector<Location> &out)
+{
+    out.clear();
+    for (const std::uint32_t addr : d.readIds) {
+        if (map != nullptr) {
+            const CopySet copies = map->copies(stream.lineOf[addr]);
+            if (!copies.empty()) {
+                out.push_back(nearestCopy(mesh, copies, d.storeNode));
+                continue;
+            }
+        }
+        out.push_back({stream.home[addr], LocationSource::L2Home});
+    }
+    d.locations = out;
+}
+
+/**
+ * Call @p add(ref, node) for each copy @p d leaves in the window map, in
+ * emission order (the reuse digest depends on it): every reference of
+ * a whole statement, reads then the write, on its default node; a
+ * split's leaves on their subs' nodes, then the write on the store
+ * node. The walk and the emitter both add through this.
+ */
+template <typename Add>
+void
+forEachCopy(const Decision &d, Add &&add)
+{
+    const std::size_t write_ref = d.base + d.reads.size();
+    if (d.split == nullptr) {
+        for (std::size_t r = d.base; r <= write_ref; ++r)
+            add(r, d.defaultNode);
+        return;
+    }
+    for (const SubView sub : *d.split) {
+        for (const std::uint8_t leaf : sub.leaves)
+            add(d.base + leaf, sub.node);
+    }
+    add(write_ref, d.storeNode);
 }
 
 /**
@@ -560,10 +569,10 @@ class Emitter
      * Emit the plan @p walk logged, window by window: each instance is
      * the stream's, its split an entry of @p frozen (the cache the walk
      * read), of the walk's overlay or of its fresh pool. The window map
-     * replays the walk's accepted adds in DecisionLane::note()'s order,
-     * which the reuse digest folds, and, when recording provenance, is
-     * re-probed for a split instance's locations as the walk's
-     * locate() probed it.
+     * replays the walk's adds (forEachCopy()), the window's last
+     * instance's too, and the reuse digest folds the accepted ones;
+     * when recording provenance, it is re-probed for a split instance's
+     * locations as the walk probed it (locateReads()).
      */
     void
     replay(const Walk &walk, const SplitPlanCache &frozen)
@@ -593,10 +602,16 @@ class Emitter
                                 : walk.overlay.view(e.index);
                     d.split = &split;
                     if (prov_)
-                        locate(d, pos != begin);
+                        locateReads(ctx_.mesh, ctx_.stream,
+                                    pos != begin ? varmap_ : nullptr, d,
+                                    locations_);
                 }
                 emit(d);
-                noteCopies(d);
+                if (varmap_)
+                    forEachCopy(d, [this](std::size_t ref,
+                                          noc::NodeId node) {
+                        addCopy(ref, node);
+                    });
             }
             endWindow(begin, end,
                       varmap_ ? varmap_->insertionCount() : 0);
@@ -604,55 +619,6 @@ class Emitter
     }
 
   private:
-    /**
-     * Locate @p d's reads as DecisionLane::locate() did: at the nearest
-     * copy the window map offers when @p probe (the instance is not its
-     * window's first), else at the home bank.
-     */
-    void
-    locate(Decision &d, bool probe)
-    {
-        locations_.clear();
-        for (const std::uint32_t addr : d.readIds) {
-            if (probe && varmap_) {
-                const CopySet copies =
-                    varmap_->copies(ctx_.stream.lineOf[addr]);
-                if (!copies.empty()) {
-                    locations_.push_back(
-                        nearestCopy(ctx_.mesh, copies, d.storeNode));
-                    continue;
-                }
-            }
-            locations_.push_back(
-                {ctx_.stream.home[addr], LocationSource::L2Home});
-        }
-        d.locations = locations_;
-    }
-
-    /**
-     * Replay DecisionLane::note()'s adds of @p d to the window map, in
-     * its order, digesting each accepted one: every reference of a
-     * whole statement on its default node; a split's leaves on their
-     * subs' nodes, then the write on the store node.
-     */
-    void
-    noteCopies(const Decision &d)
-    {
-        if (!varmap_)
-            return;
-        const std::size_t write_ref = d.base + d.reads.size();
-        if (d.split == nullptr) {
-            for (std::size_t r = d.base; r <= write_ref; ++r)
-                addCopy(r, d.defaultNode);
-            return;
-        }
-        for (const SubView sub : *d.split) {
-            for (const std::uint8_t leaf : sub.leaves)
-                addCopy(d.base + leaf, sub.node);
-        }
-        addCopy(write_ref, d.storeNode);
-    }
-
     /** Add stream reference @p ref's line on @p node to the window map,
      *  and digest the add if the map accepts it. */
     void
@@ -1219,20 +1185,8 @@ class DecisionLane
         ScopedPhaseTimer t(opts_.collectCompileTimers
                                ? &walk_->compile.locateNs
                                : nullptr);
-        locations_.clear();
-        for (std::uint32_t addr : d_.readIds) {
-            if (probeMap_) {
-                const CopySet copies = varmap_.copies(stream_.lineOf[addr]);
-                if (!copies.empty()) {
-                    locations_.push_back(
-                        nearestCopy(mesh_, copies, d_.storeNode));
-                    continue;
-                }
-            }
-            locations_.push_back(
-                {stream_.home[addr], LocationSource::L2Home});
-        }
-        d_.locations = locations_;
+        locateReads(mesh_, stream_, probeMap_ ? &varmap_ : nullptr, d_,
+                    locations_);
     }
 
     /**
@@ -1394,23 +1348,18 @@ class DecisionLane
     void
     note()
     {
-        const std::size_t base = d_.base;
-        const std::size_t write_ref = base + d_.reads.size();
         if (d_.split == nullptr) {
             balancer_.add(d_.defaultNode,
                           ctx_.opCost[static_cast<std::size_t>(d_.stmtIdx)]);
             // Reads, then the write: every line passes through the L1.
-            for (std::size_t r = base; r <= write_ref; ++r) {
-                if (addCopies_)
-                    addCopy(r, d_.defaultNode);
+            const std::size_t write_ref = d_.base + d_.reads.size();
+            for (std::size_t r = d_.base; r <= write_ref; ++r)
                 l1_.insert(d_.defaultNode, ctx_.lineSlot[r]);
-            }
-        } else if (addCopies_) {
-            for (const SubView sub : *d_.split) {
-                for (std::uint8_t leaf : sub.leaves)
-                    addCopy(base + leaf, sub.node);
-            }
-            addCopy(write_ref, d_.storeNode);
+        }
+        if (addCopies_) {
+            forEachCopy(d_, [this](std::size_t ref, noc::NodeId node) {
+                (void)varmap_.add(stream_.lineOf[stream_.addrId[ref]], node);
+            });
         }
         walk_->plannedMovement +=
             d_.split ? d_.split->plannedMovement : d_.defaultMovement;
@@ -1418,14 +1367,6 @@ class DecisionLane
         walk_->tasks += d_.split
                             ? static_cast<std::int64_t>(d_.split->size())
                             : 1;
-    }
-
-    /** Record in the window map that @p node's L1 will hold the line of
-     *  stream reference @p ref. */
-    void
-    addCopy(std::size_t ref, noc::NodeId node)
-    {
-        (void)varmap_.add(stream_.lineOf[stream_.addrId[ref]], node);
     }
 
     const NestContext &ctx_;

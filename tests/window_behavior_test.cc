@@ -550,10 +550,12 @@ TEST(WindowCandidateTest, WritesCountAsEarlierReferences)
     // Iteration i reads the line iteration i - 2 wrote, and nothing
     // else twice: one line per iteration of each array. The write puts
     // a copy in the window map, so sizes w >= 3 (whose windows hold
-    // both i - 2 and i for some i) can find it and are walked, one per
-    // class of sizes that see alike, while w = 2 never holds both and
-    // ties w = 1. An analysis that ignored writes would walk w = 1
-    // alone here.
+    // both i - 2 and i for some i) can find it, while w = 2 never holds
+    // both and ties w = 1. Position p's window at size w sees the line
+    // written at p - 2 exactly when p mod w >= 2, a pattern no two
+    // sizes w >= 3 share (at p = w, size w misses it and every larger
+    // size sees it), so w = 1 and w = 3..8 are walked: 7 walks. An
+    // analysis that ignored writes would walk w = 1 alone here.
     ir::ArrayTable arrays;
     const ir::LoopNest nest = ir::parseKernel(R"(
         array A[2064]; array C[2064];
@@ -566,10 +568,10 @@ TEST(WindowCandidateTest, WritesCountAsEarlierReferences)
     const std::vector<noc::NodeId> nodes = placement.assignIterations(nest);
     sim::ExecutionEngine engine(system);
     (void)engine.run(placement.buildPlan(nest, nodes));
+    ASSERT_EQ(walkedCandidates(nest, arrays), 7);
     std::int64_t passes = 0;
     expectCandidatesEqualFixedRuns(system, arrays, nest, nodes, passes);
-    EXPECT_EQ(passes, walkedCandidates(nest, arrays));
-    EXPECT_GT(passes, 1);
+    EXPECT_EQ(passes, 7);
 }
 
 } // namespace
