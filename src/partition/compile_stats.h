@@ -40,14 +40,13 @@ struct CompileStats
      */
     std::int64_t splitsRequested = 0;
     /**
-     * Split plans computed by running Kruskal/splitSet: the prefill's,
-     * then what each walk's own caches miss. An adaptive plan() that
-     * scores candidates first splits every distinct w = 1 key of the
-     * nest (plansPrefilled); every walk, w = 1's included, then
-     * computes what neither that frozen cache nor its private overlay
-     * holds. w = 1's walk misses nothing. Two candidates that miss one
-     * key both compute it, so this exceeds the nest's distinct keys,
-     * by the same amount at any thread count.
+     * Split plans computed by running Kruskal/splitSet, once per
+     * distinct key of a nest: an adaptive plan() that scores
+     * candidates first splits every distinct w = 1 key of the nest
+     * (plansPrefilled), and the walks, w = 1's included, then split
+     * each other key they ask for in the nest's shared cache, once
+     * between them, whichever walk asks first. w = 1's walk files
+     * nothing. The same at any thread count.
      */
     std::int64_t plansComputed = 0;
     /**
@@ -57,8 +56,9 @@ struct CompileStats
      * (cacheBypassed re-splits aside).
      */
     std::int64_t plansPrefilled = 0;
-    /** Split plans replayed from the SplitPlanCache (the frozen
-     *  prefill or the walk's own overlay). */
+    /** Split requests served from the SplitPlanCache without a
+     *  splitter run: splitsRequested less the walks' share of
+     *  plansComputed (cacheBypassed re-splits aside). */
     std::int64_t plansMemoized = 0;
     /**
      * Balanced replays that met a veto and re-split: a full balanced

@@ -408,25 +408,30 @@ resolveInstance(const NestContext &ctx, std::int64_t pos, Decision &d)
  * GetNode for every operand of @p d, guard reads included, into @p out,
  * which @p d's locations then view: the nearest copy @p map offers,
  * when set (the instance is not its window's first), else the home
- * bank. The walk and the emitter both locate through this.
+ * bank. True when every operand sits on its home bank's node, so the
+ * instance's split key is its w = 1 key. The walk and the emitter both
+ * locate through this.
  */
-void
+bool
 locateReads(const noc::MeshTopology &mesh, const ir::InstanceStream &stream,
             const VariableToNodeMap *map, Decision &d,
             std::vector<Location> &out)
 {
     out.clear();
+    bool at_home = true;
     for (const std::uint32_t addr : d.readIds) {
         if (map != nullptr) {
             const CopySet copies = map->copies(stream.lineOf[addr]);
             if (!copies.empty()) {
                 out.push_back(nearestCopy(mesh, copies, d.storeNode));
+                at_home = at_home && out.back().node == stream.home[addr];
                 continue;
             }
         }
         out.push_back({stream.home[addr], LocationSource::L2Home});
     }
     d.locations = out;
+    return at_home;
 }
 
 /**
@@ -460,19 +465,21 @@ forEachCopy(const Decision &d, Add &&add)
  * The log keeps, per stream position, only what the stream does not
  * hold: whether the instance ships a split and which, its default
  * movement and its cache flag. A shipped split is an entry of the
- * frozen cache the walk read, of its own overlay, or, computed fresh
- * (a veto re-split, or any split when splits are not memoized), of its
- * fresh pool.
+ * nest's split-plan cache or, computed fresh (a veto re-split, or any
+ * split when splits are not memoized), of the walk's fresh pool.
  */
 struct Walk
 {
     enum class Split : std::uint32_t
     {
         Whole,
-        FrozenHit,
-        OverlayHit,
-        /** Missed, computed and filed in the overlay. */
-        OverlayFiled,
+        /** An entry the prefill filed. */
+        Prefilled,
+        /** An entry this walk asked for before. */
+        Repeat,
+        /** An entry this walk asks for the first time, filed by this
+         *  walk or another. */
+        First,
         Fresh,
     };
 
@@ -492,17 +499,19 @@ struct Walk
     std::int64_t tasks = 0;
     CompileStats compile;
     std::vector<Entry> log;
-    SplitPlanCache overlay;
     SplitPlanPool fresh;
+    /** Per cache entry past the prefill's: has this walk asked for it
+     *  (a bit each)? */
+    std::vector<std::uint64_t> asked;
 
-    /** Free the log, the overlay and the fresh pool: a walk that can
-     *  no longer win keeps only its totals. */
+    /** Free the log, the fresh pool and the asked bits: a walk that
+     *  can no longer win keeps only its totals. */
     void
     dropLog()
     {
         log = {};
-        overlay = {};
         fresh = {};
+        asked = {};
     }
 };
 
@@ -567,15 +576,15 @@ class Emitter
 
     /**
      * Emit the plan @p walk logged, window by window: each instance is
-     * the stream's, its split an entry of @p frozen (the cache the walk
-     * read), of the walk's overlay or of its fresh pool. The window map
-     * replays the walk's adds (forEachCopy()), the window's last
-     * instance's too, and the reuse digest folds the accepted ones;
-     * when recording provenance, it is re-probed for a split instance's
-     * locations as the walk probed it (locateReads()).
+     * the stream's, its split an entry of @p cache (the nest's cache the
+     * walk read) or of its fresh pool. The window map replays the
+     * walk's adds (forEachCopy()), the window's last instance's too, and
+     * the reuse digest folds the accepted ones; when recording
+     * provenance, it is re-probed for a split instance's locations as
+     * the walk probed it (locateReads()).
      */
     void
-    replay(const Walk &walk, const SplitPlanCache &frozen)
+    replay(const Walk &walk, const SplitPlanCache &cache)
     {
         const auto total =
             static_cast<std::int64_t>(ctx_.stream.positions());
@@ -591,15 +600,13 @@ class Emitter
                     walk.log[static_cast<std::size_t>(pos)];
                 d.defaultMovement = e.defaultMovement;
                 const auto source = static_cast<Walk::Split>(e.source);
-                d.fromCache = source == Walk::Split::FrozenHit ||
-                              source == Walk::Split::OverlayHit;
+                d.fromCache = source == Walk::Split::Prefilled ||
+                              source == Walk::Split::Repeat;
                 d.split = nullptr;
                 if (source != Walk::Split::Whole) {
-                    split = source == Walk::Split::FrozenHit
-                                ? frozen.view(e.index)
-                            : source == Walk::Split::Fresh
+                    split = source == Walk::Split::Fresh
                                 ? walk.fresh.view(e.index)
-                                : walk.overlay.view(e.index);
+                                : cache.view(e.index);
                     d.split = &split;
                     if (prov_)
                         locateReads(ctx_.mesh, ctx_.stream,
@@ -1036,17 +1043,20 @@ class DecisionLane
     /**
      * Walk the stream at window size @p window_size from the shared
      * starting state (the warmed L1 model, an idle balancer, an empty
-     * map) into @p walk, whose overlay is empty. The map is cleared at
-     * each window's start, so the first position does not probe it,
-     * and the last position does not add to it: no probe could see
-     * those adds before the next clear. Split plans are looked up in
-     * @p frozen, when set, which the walk only reads, then in the
-     * walk's overlay, where it files its misses.
+     * map) into @p walk. The map is cleared at each window's start, so
+     * the first position does not probe it, and the last position does
+     * not add to it: no probe could see those adds before the next
+     * clear. Split plans are looked up in, and misses filed in, the
+     * nest's @p cache, shared with the other walks; @p w1_entries,
+     * when set, holds each position's prefilled w = 1 entry, which a
+     * position with every operand at home takes without a lookup.
      */
     void
-    run(std::int32_t window_size, const SplitPlanCache *frozen, Walk &walk)
+    run(std::int32_t window_size, SplitPlanCache &cache,
+        const std::vector<std::uint32_t> *w1_entries, Walk &walk)
     {
-        frozen_ = frozen;
+        cache_ = &cache;
+        w1Entries_ = w1_entries;
         walk_ = &walk;
         l1_ = ctx_.warmL1;
         balancer_.reset();
@@ -1056,6 +1066,7 @@ class DecisionLane
         walk.tasks = 0;
         walk.log.clear();
         walk.log.reserve(ctx_.stream.positions());
+        walk.asked.clear();
         const std::int64_t total = ctx_.nest.iterationCount() * stmtCount_;
         for (std::int64_t begin = 0; begin < total; begin += window_size) {
             const std::int64_t end = std::min(begin + window_size, total);
@@ -1073,13 +1084,13 @@ class DecisionLane
     VariableToNodeMap &windowMap() { return varmap_; }
 
     /**
-     * Append to @p out the balancer-free split of each of @p cache's
-     * entries [begin, end): keys filed without plans so far
+     * Give each of @p cache's entries [begin, end) its balancer-free
+     * split, carved from @p arena: keys filed without plans so far
      * (SplitPlanCache::fileKey()), all of them located at home banks.
      */
     void
-    splitKeys(const SplitPlanCache &cache, std::size_t begin,
-              std::size_t end, SplitPlanPool &out)
+    splitKeys(SplitPlanCache &cache, std::size_t begin, std::size_t end,
+              SplitPlanCache::Arena &arena)
     {
         for (std::size_t k = begin; k < end; ++k) {
             const SplitKeyView key = cache.keyOf(k);
@@ -1090,7 +1101,8 @@ class DecisionLane
             splitter_.split(
                 ctx_.staticSets[static_cast<std::size_t>(key.statement)],
                 locations_, key.store, nullptr, computed_);
-            out.append(computed_.view());
+            cache.setPlan(static_cast<std::uint32_t>(k), computed_.view(),
+                          arena);
         }
     }
 
@@ -1185,22 +1197,24 @@ class DecisionLane
         ScopedPhaseTimer t(opts_.collectCompileTimers
                                ? &walk_->compile.locateNs
                                : nullptr);
-        locateReads(mesh_, stream_, probeMap_ ? &varmap_ : nullptr, d_,
-                    locations_);
+        atHome_ = locateReads(mesh_, stream_, probeMap_ ? &varmap_ : nullptr,
+                              d_, locations_);
     }
 
     /**
      * Split along the MST. The balancer-free split is a pure function
      * of (sets, locations, store node), so it is memoized by that
-     * signature. Under the balancer a trial is opened on the live
-     * balancer and the cached split is replayed into it (replay());
-     * only a veto, which would make the balanced split slide a merge
-     * node, rolls the trial back and re-splits from scratch inside a
-     * new one. decide() commits the trial if the split ships and rolls
-     * it back otherwise. Every path returns the one view type: a cache
-     * hit reads the cache's pools in place, a fresh split reads
-     * computed_. source_ and sourceIndex_ say where the view lives, for
-     * the walk's log.
+     * signature in the nest's cache, where the first walk to miss a key
+     * files it and splits it once; an instance with every operand at
+     * home takes its prefilled w = 1 entry without building a key.
+     * Under the balancer a trial is opened on the live balancer and the
+     * filed split is replayed into it (replay()); only a veto, which
+     * would make the balanced split slide a merge node, rolls the trial
+     * back and re-splits from scratch inside a new one. decide()
+     * commits the trial if the split ships and rolls it back otherwise.
+     * Every path returns the one view type: a filed split reads the
+     * cache's arena in place, a fresh split reads computed_. source_
+     * and sourceIndex_ say where the view lives, for the walk's log.
      */
     SplitView
     splitInstance()
@@ -1226,30 +1240,29 @@ class DecisionLane
             splitter_.split(sets, locations_, store, balancer, computed_);
             return computed_.view();
         }
-        key_.assign(d_.stmtIdx, store, locations_);
-        SplitPlanCache &own = walk_->overlay;
-        std::uint32_t entry = SplitPlanCache::kNone;
-        if (frozen_ != nullptr) {
-            entry = frozen_->entryOf(key_);
-            source_ = Walk::Split::FrozenHit;
-        }
-        if (entry == SplitPlanCache::kNone) {
-            entry = own.entryOf(key_);
-            source_ = Walk::Split::OverlayHit;
-        }
         SplitView plan;
-        if (entry != SplitPlanCache::kNone) {
+        if (w1Entries_ != nullptr && atHome_) {
+            sourceIndex_ = (*w1Entries_)[static_cast<std::size_t>(
+                d_.iter * stmtCount_ + d_.stmtIdx)];
+            plan = cache_->frozenView(sourceIndex_);
             stats.plansMemoized += 1;
-            plan = source_ == Walk::Split::FrozenHit ? frozen_->view(entry)
-                                                     : own.view(entry);
+            source_ = Walk::Split::Prefilled;
         } else {
-            stats.plansComputed += 1;
-            splitter_.split(sets, locations_, store, nullptr, computed_);
-            plan = computed_.view();
-            entry = own.insert(key_, plan);
-            source_ = Walk::Split::OverlayFiled;
+            key_.assign(d_.stmtIdx, store, locations_);
+            bool computed = false;
+            const SplitPlanCache::Found found = cache_->obtain(
+                key_,
+                [&] {
+                    splitter_.split(sets, locations_, store, nullptr,
+                                    computed_);
+                    return computed_.view();
+                },
+                computed);
+            (computed ? stats.plansComputed : stats.plansMemoized) += 1;
+            sourceIndex_ = found.entry;
+            plan = found.plan;
+            source_ = askedBefore(found.entry);
         }
-        sourceIndex_ = entry;
         if (balancer == nullptr || replay(plan))
             return plan;
         stats.cacheBypassed += 1;
@@ -1258,6 +1271,30 @@ class DecisionLane
         balancer_.checkpoint();
         splitter_.split(sets, locations_, store, &balancer_, computed_);
         return computed_.view();
+    }
+
+    /**
+     * Where cache entry @p entry stands for this walk: filed by the
+     * prefill, asked for by the walk before, or asked for the first
+     * time (then noted as asked). The cache flag depends on the walk's
+     * own requests alone, so it is the same whichever walk filed the
+     * entry.
+     */
+    Walk::Split
+    askedBefore(std::uint32_t entry)
+    {
+        const std::size_t frozen = cache_->frozenCount();
+        if (entry < frozen)
+            return Walk::Split::Prefilled;
+        const std::size_t bit = entry - frozen;
+        std::vector<std::uint64_t> &asked = walk_->asked;
+        if (bit / 64 >= asked.size())
+            asked.resize(std::max(bit / 64 + 1, 2 * asked.size()));
+        std::uint64_t &word = asked[bit / 64];
+        const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+        const bool before = (word & mask) != 0;
+        word |= mask;
+        return before ? Walk::Split::Repeat : Walk::Split::First;
     }
 
     /**
@@ -1383,9 +1420,13 @@ class DecisionLane
     /** Whether the instance in flight reads the map, and adds to it. */
     bool probeMap_ = false;
     bool addCopies_ = false;
-    /** The walk in flight and the cache it reads frozen (run()). */
+    /** The walk in flight, the nest's cache and the prefill's entry
+     *  per position (run()). */
     Walk *walk_ = nullptr;
-    const SplitPlanCache *frozen_ = nullptr;
+    SplitPlanCache *cache_ = nullptr;
+    const std::vector<std::uint32_t> *w1Entries_ = nullptr;
+    /** Whether locate() found every operand at home. */
+    bool atHome_ = false;
 
     // The instance in flight. Its buffers are reused across the
     // stream: the pipeline runs iterations x statements times, so
@@ -1445,27 +1486,29 @@ class LanePool
 /**
  * File into @p cache, empty, the balancer-free split of every distinct
  * w = 1 key of the nest, in first-occurrence order over its splittable
- * positions, and count them as computed and prefilled. At w = 1 no
- * window holds a copy, so every operand sits at its home bank and a
- * position's key is its statement, its write's home and its reads'
- * homes: a function of the stream alone, known before any walk.
- * Whether a walk asks for a split at all depends on the walk (the
- * guard's floors read the default-L1 model), so the keys are a
- * superset of the ones w = 1's walk requests. The keys are filed
- * first; their splits then run in chunks of keys on @p pool (one chunk
- * without workers), each on a lane of @p lanes into a pool of its own,
- * and the cache adopts the chunks' pools in order, so it is the same
- * at any thread count.
+ * positions, record each splittable position's entry in
+ * @p w1_entries (kNone at the others), freeze the cache, and count the
+ * keys as computed and prefilled. At w = 1 no window holds a copy, so
+ * every operand sits at its home bank and a position's key is its
+ * statement, its write's home and its reads' homes: a function of the
+ * stream alone, known before any walk. Whether a walk asks for a split
+ * at all depends on the walk (the guard's floors read the default-L1
+ * model), so the keys are a superset of the ones w = 1's walk
+ * requests. The keys are filed first; their splits then run in chunks
+ * of keys on @p pool (one chunk without workers), each on a lane of
+ * @p lanes into an arena of its own that the cache then adopts, so the
+ * cache is the same at any thread count.
  */
 void
 prefillW1(const NestContext &ctx, LanePool &lanes,
           support::ThreadPool *pool, SplitPlanCache &cache,
-          CompileStats &stats)
+          std::vector<std::uint32_t> &w1_entries, CompileStats &stats)
 {
     ScopedPhaseTimer t(ctx.options.collectCompileTimers ? &stats.splitNs
                                                         : nullptr);
     const ir::InstanceStream &stream = ctx.stream;
     const std::size_t statements = ctx.splittable.size();
+    w1_entries.assign(stream.positions(), SplitPlanCache::kNone);
     {
         std::vector<Location> locations;
         SplitKey key;
@@ -1480,7 +1523,7 @@ prefillW1(const NestContext &ctx, LanePool &lanes,
                                      LocationSource::L2Home});
             key.assign(static_cast<std::int32_t>(p % statements),
                        stream.home[stream.addrId[write]], locations);
-            cache.fileKey(key);
+            w1_entries[p] = cache.fileKey(key);
         }
     }
     // Enough keys per chunk to pay for its lane, and a few chunks per
@@ -1492,16 +1535,22 @@ prefillW1(const NestContext &ctx, LanePool &lanes,
         threads == 0 ? 1
                      : std::clamp<std::size_t>(keys / kMinChunkKeys, 1,
                                                4 * (threads + 1));
-    std::vector<SplitPlanPool> splits =
+    std::vector<SplitPlanCache::Arena> arenas =
         support::orderedMap(pool, chunks, [&](std::size_t c) {
+            const std::size_t begin = keys * c / chunks;
+            const std::size_t end = keys * (c + 1) / chunks;
             std::unique_ptr<DecisionLane> lane = lanes.take();
-            SplitPlanPool out;
-            lane->splitKeys(cache, keys * c / chunks,
-                            keys * (c + 1) / chunks, out);
+            // One chunk sized for the chunk's plans, not a run of
+            // doubling ones.
+            SplitPlanCache::Arena arena((end - begin) *
+                                        SplitPlanCache::kPlanBytes);
+            lane->splitKeys(cache, begin, end, arena);
             lanes.give(std::move(lane));
-            return out;
+            return arena;
         });
-    cache.adoptPlans(SplitPlanPool::concat(splits));
+    for (SplitPlanCache::Arena &arena : arenas)
+        cache.adopt(arena);
+    cache.freeze();
     stats.plansComputed += static_cast<std::int64_t>(keys);
     stats.plansPrefilled += static_cast<std::int64_t>(keys);
 }
@@ -1572,11 +1621,12 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
 
     // Split-plan signatures embed statement indices, which are only
     // meaningful within one nest — but they are stable across the
-    // window-size candidates below, so the prefill's w = 1 splits serve
-    // every walk, which replays mostly memoized plans. Clearing per
-    // call also keeps every entry to the fault set it was planned
-    // against: a cached plan never replays onto a node that died since.
-    splitCache_.clear();
+    // window-size candidates below, so one cache serves every walk of
+    // the nest, which replays mostly memoized plans. Resetting per
+    // call (in the set-up, sized to the nest) also keeps every entry
+    // to the fault set it was planned against: a cached plan never
+    // replays onto a node that died since.
+    std::vector<std::uint32_t> w1_entries;
 
     sim::ExecutionPlan best_plan;
     PartitionReport best_report;
@@ -1650,8 +1700,17 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
             lanes.emplace(*ctx);
             scored = std::ranges::any_of(
                 walk_of, [w_first](std::int32_t w) { return w != w_first; });
-            if (scored && options.memoizeSplits)
-                prefillW1(*ctx, *lanes, pool_, splitCache_, compile_total);
+            if (options.memoizeSplits) {
+                // One walk files at most one key per splittable
+                // position.
+                const auto splittable_positions = static_cast<std::size_t>(
+                    nest.iterationCount() *
+                    std::ranges::count(ctx->splittable, true));
+                splitCache_.reset(splittable_positions);
+                if (scored)
+                    prefillW1(*ctx, *lanes, pool_, splitCache_, w1_entries,
+                              compile_total);
+            }
         };
         if (profile) {
             // The profile simulates on the machine while the set-up
@@ -1682,14 +1741,16 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
         // nothing is scored and w_first's one walk is emitted.
         //
         // Scoring starts from w_first = 1, whose keys the stream alone
-        // fixes: the prefill files the split of each of them, and the
-        // cache is frozen. Then every walked candidate, w_first
-        // included, walks concurrently on the pool, each reading the
-        // frozen cache and filing its misses in an overlay of its own.
-        // A walk's hits and misses therefore depend on the prefill and
-        // its own walk alone, so the counters are the same at any
-        // thread count, and since the cache is a pure memo so is every
-        // decision.
+        // fixes: the prefill files the split of each of them and
+        // freezes them. Then every walked candidate, w_first included,
+        // walks concurrently on the pool, all on the one nest cache:
+        // the first walk to miss a key files it and splits it, once.
+        // Which walk that is depends on timing, but a request runs a
+        // split only if no walk asked for its key before, so the
+        // splits computed are the distinct keys the walks file, and a
+        // walk's cache flags depend on the prefill and its own requests
+        // alone: the counters are the same at any thread count, and
+        // since the cache is a pure memo so is every decision.
         std::vector<std::int32_t> walked;
         for (std::int32_t w = w_first; w <= w_last; ++w) {
             if (walk_of[static_cast<std::size_t>(w - w_first)] == w)
@@ -1707,17 +1768,12 @@ Partitioner::plan(const ir::LoopNest &nest, const ir::InstanceStream &stream,
                    (walks[a].plannedMovement == walks[b].plannedMovement &&
                     a < b);
         };
-        const SplitPlanCache &frozen = splitCache_;
+        const std::vector<std::uint32_t> *prefilled =
+            w1_entries.empty() ? nullptr : &w1_entries;
         support::orderedMap(pool_, walks.size(), [&](std::size_t i) {
             Walk &walk = walks[i];
             std::unique_ptr<DecisionLane> own = lanes->take();
-            // w_first's walk only hits the prefill. Another candidate
-            // misses a share of it (about a quarter to all on the
-            // paper's apps), so room for that many entries saves the
-            // overlay's regrowth; untouched room stays virtual.
-            if (walked[i] != w_first)
-                walk.overlay.reserveLike(frozen);
-            own->run(walked[i], &frozen, walk);
+            own->run(walked[i], splitCache_, prefilled, walk);
             lanes->give(std::move(own));
             const std::lock_guard<std::mutex> lock(leader_mutex);
             if (leader == walks.size() || beats(i, leader)) {

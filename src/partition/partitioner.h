@@ -161,10 +161,10 @@ struct PartitionReport
      * sweep walked, and the emission from the winner's log (the
      * planner paid for all of them), so instancesPlanned is the walked
      * candidates x the instances. A fixed window size has one walk.
-     * The split-plan counters follow one rule, which makes them the
-     * same with or without a pool and at any thread count: the prefill
-     * computes every distinct w = 1 key, and each candidate's walk
-     * hits that frozen cache and its own overlay.
+     * The split-plan counters are the same with or without a pool and
+     * at any thread count: the prefill computes every distinct w = 1
+     * key, the walks compute each other key they ask for once between
+     * them, and every other request is memoized.
      */
     CompileStats compile;
     /**
@@ -228,6 +228,10 @@ class Partitioner
     /** Report for the most recent plan() call. */
     const PartitionReport &report() const { return report_; }
 
+    /** The split-plan cache the most recent plan() call filled (with
+     *  memoizeSplits on): every key it split, the prefill's first. */
+    const SplitPlanCache &splitCache() const { return splitCache_; }
+
   private:
     const sim::ManycoreSystem *system_;
     const ir::ArrayTable *arrays_;
@@ -235,11 +239,11 @@ class Partitioner
     support::ThreadPool *pool_;
     PartitionReport report_;
     /**
-     * The split-plan cache of one plan() call (signatures are
-     * nest-relative, so plan() clears it): the prefill fills it with
-     * the w = 1 splits, and every candidate reads it frozen, each with
-     * an overlay of its own. A Partitioner is owned by a single
-     * thread; only plan() fans out.
+     * The split-plan cache of one plan() call, the nest's one store
+     * (signatures are nest-relative, so plan() resets it): the prefill
+     * fills it with the w = 1 splits, and the candidates' walks extend
+     * it concurrently. A Partitioner is owned by a single thread; only
+     * plan() fans out.
      */
     SplitPlanCache splitCache_;
 };

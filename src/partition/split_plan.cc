@@ -78,67 +78,6 @@ SplitPlanPool::edgesOf(std::size_t index)
 }
 
 void
-SplitPlanPool::reserveLike(const SplitPlanPool &like)
-{
-    entries_.reserve(like.entries_.size());
-    subs_.reserve(like.subs_.size());
-    leaves_.reserve(like.leaves_.size());
-    children_.reserve(like.children_.size());
-    ops_.reserve(like.ops_.size());
-    edges_.reserve(like.edges_.size());
-}
-
-SplitPlanPool
-SplitPlanPool::concat(std::span<SplitPlanPool> parts)
-{
-    if (parts.size() == 1)
-        return std::move(parts.front());
-    SplitPlanPool all;
-    const auto total = [parts](auto member) {
-        std::size_t sum = 0;
-        for (const SplitPlanPool &part : parts)
-            sum += (part.*member).size();
-        return sum;
-    };
-    all.entries_.reserve(total(&SplitPlanPool::entries_));
-    all.subs_.reserve(total(&SplitPlanPool::subs_));
-    all.leaves_.reserve(total(&SplitPlanPool::leaves_));
-    all.children_.reserve(total(&SplitPlanPool::children_));
-    all.ops_.reserve(total(&SplitPlanPool::ops_));
-    all.edges_.reserve(total(&SplitPlanPool::edges_));
-    for (SplitPlanPool &part : parts) {
-        // Each run moves as a block; the entries' offsets move by what
-        // the earlier parts hold.
-        const auto base = [](const auto &pool, const char *what) {
-            return narrowPacked<std::uint32_t>(pool.size(), what);
-        };
-        const std::uint32_t sub = base(all.subs_, "sub pool offset");
-        const std::uint32_t leaf = base(all.leaves_, "leaf pool offset");
-        const std::uint32_t child = base(all.children_, "child pool offset");
-        const std::uint32_t op = base(all.ops_, "op pool offset");
-        const std::uint32_t edge = base(all.edges_, "edge pool offset");
-        for (Entry entry : part.entries_) {
-            entry.sub += sub;
-            entry.leaf += leaf;
-            entry.child += child;
-            entry.op += op;
-            entry.edge += edge;
-            all.entries_.push_back(entry);
-        }
-        const auto move_run = [](auto &to, const auto &from) {
-            to.insert(to.end(), from.begin(), from.end());
-        };
-        move_run(all.subs_, part.subs_);
-        move_run(all.leaves_, part.leaves_);
-        move_run(all.children_, part.children_);
-        move_run(all.ops_, part.ops_);
-        move_run(all.edges_, part.edges_);
-        part = {};
-    }
-    return all;
-}
-
-void
 SplitPlanPool::clear()
 {
     entries_.clear();

@@ -6,10 +6,11 @@
  * The split-plan format, one layout from the splitter to the verifier.
  * StatementSplitter writes a statement instance's split into a
  * caller-owned flat SplitPlan; a SplitPlanPool files plans in that
- * layout as they are, for the split-plan cache and for the planning
- * provenance the static verifier reads; and every reader — planner,
- * verifier, tests — sees a split, fresh or filed, through one read-only
- * SplitView. Once their buffers are warm none of these steps allocates.
+ * layout as they are, for the planning provenance the static verifier
+ * reads, and the split-plan cache files each as one block in the same
+ * layout; and every reader — planner, verifier, tests — sees a split,
+ * fresh or filed, through one read-only SplitView. Once their buffers
+ * are warm none of these steps allocates.
  *
  * Layout: one packed record per subcomputation (node, op cost, root
  * flag and the lengths of its leaf, child and op runs), byte arrays
@@ -69,8 +70,9 @@ struct SubView
 };
 
 /**
- * A read-only split plan in the flat layout: a SplitPlan's buffers or
- * one SplitPlanPool entry's slice of the pools. Valid while its storage
+ * A read-only split plan in the flat layout: a SplitPlan's buffers,
+ * one SplitPlanPool entry's slice of the pools or one split-plan cache
+ * block. Valid while its storage
  * is untouched. Iterating a view yields its subs in order, children
  * before parents.
  */
@@ -180,8 +182,9 @@ struct SplitPlan
 /**
  * Split plans filed back to back: every entry's runs in the split-plan
  * layout, appended to shared pools as they are, plus one fixed-size
- * header per entry holding its offsets and scalars. The split-plan
- * cache and the planning provenance each keep their plans in one.
+ * header per entry holding its offsets and scalars. The planning
+ * provenance and each window walk's fresh splits keep their plans in
+ * one.
  */
 class SplitPlanPool
 {
@@ -214,14 +217,7 @@ class SplitPlanPool
     std::span<PackedEdge> edgesOf(std::size_t index);
 
     std::size_t size() const { return entries_.size(); }
-    /** Reserve room for as many entries, and run elements, as @p like
-     *  holds. */
-    void reserveLike(const SplitPlanPool &like);
     void clear();
-
-    /** The entries of @p parts, in order, in one pool sized exactly;
-     *  each part is freed once its entries are in. */
-    static SplitPlanPool concat(std::span<SplitPlanPool> parts);
 
   private:
     std::vector<Entry> entries_;

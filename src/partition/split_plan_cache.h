@@ -3,31 +3,30 @@
 
 /**
  * @file
- * Split-plan memoization. A statement instance's balancer-free split
- * is a pure function of (statement's nested sets, operand nodes, store
- * node): the SNUCA bank mapping is a pure, periodic function of the
- * address, so across the iterations of an affine nest the same (operand
- * nodes, store) tuple recurs constantly and most Kruskal runs recompute
- * an identical plan. The cache interns each instance's tuple into a
- * compact signature — statement, store node, then one node id per
- * operand, FNV-1a hashed — and a hit returns a view of the cached plan.
- * A location's source is not in the key: the splitter reads only the
- * node, so an L1 copy and a home-bank fetch on the same node share one
- * entry.
+ * Split-plan memoization: one store per nest. A statement instance's
+ * balancer-free split is a pure function of (statement's nested sets,
+ * operand nodes, store node): the SNUCA bank mapping is a pure,
+ * periodic function of the address, so across the iterations of an
+ * affine nest the same (operand nodes, store) tuple recurs constantly
+ * and most Kruskal runs would recompute an identical plan. The cache
+ * interns each instance's tuple into a compact signature — statement,
+ * store node, then one node id per operand, FNV-1a hashed — and a hit
+ * returns a view of the filed plan. A location's source is not in the
+ * key: the splitter reads only the node, so an L1 copy and a home-bank
+ * fetch on the same node share one entry.
  *
  * Load-balanced splits use the same entries: the partitioner replays a
- * cached balancer-free split against the live LoadBalancer and falls
+ * filed balancer-free split against the live LoadBalancer and falls
  * back to a full balanced split only at the first veto (DESIGN.md §6,
  * "Replaying cached splits under the balancer").
  *
- * Layout: the plans live in a SplitPlanPool (split_plan.h), entry i of
- * the pool being the cache's entry i; on top of it the cache keeps only
- * its keys — the key words back to back with an offset per entry — and
- * buckets of entries chained by index. insert() appends the splitter's
- * flat plan to the pool as it is, and a hit is the pool's view of it:
- * nothing is decoded, and lookups do not allocate. On the paper's
- * applications that was measured at about 130 bytes per entry, pools
- * and bucket heads included.
+ * Layout: every entry, its key words and its plan live in a chunked
+ * arena whose chunks never move, so a view or an entry stays where it
+ * is while other threads file more. A plan is one block: a small
+ * header of scalars and run lengths, then its subs, MST edges, leaves,
+ * children and ops back to back in the split-plan layout (split_plan.h);
+ * nothing is decoded on a hit, and lookups do not allocate. Buckets are
+ * a fixed table of chain heads, sized when the cache is reset.
  *
  * Correctness: the hash only selects a bucket; every entry keeps its
  * full key and lookups compare it word for word, so siblings in one
@@ -35,18 +34,26 @@
  * plans produced without one — the invariant tests/split_cache_test
  * pins.
  *
- * Threads: the key lives with the caller, so entryOf() and view() are
- * const and touch nothing but the cache's pools. Any number of threads
- * may look up a cache that no thread inserts into or clears; insert()
- * and clear() need the cache to themselves. The partitioner relies on
- * this: one thread files a nest's w = 1 splits, computed in parallel
- * chunks beforehand, and the cache is then frozen; the window
- * candidates walk concurrently, each probing the frozen cache and
- * filing its misses in a private overlay cache of its own.
+ * Threads, in two phases. First one thread files keys (fileKey()),
+ * threads give the filed keys their plans, each entry from one thread
+ * (setPlan(), each into an arena of its own that adopt() then takes
+ * in), and freeze() closes the phase. Then any number of threads share
+ * the cache through find(), obtain() and frozenView(): obtain() files a
+ * key no thread filed yet as its caller's, runs the caller's split with
+ * no lock held and publishes the plan; a thread that asks for a key
+ * whose split is in flight waits for it. So each key is split once, by
+ * whichever thread asked first, and which thread that was changes
+ * nothing a caller sees but who ran the split. view(), keyOf() and
+ * size() read entry ids, which the sharing threads extend, so they
+ * wait until the sharing threads are done (for the frozen entries,
+ * frozenView() need not).
  */
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -85,61 +92,198 @@ struct SplitKeyView
 class SplitPlanCache
 {
   public:
-    /** entryOf()'s miss. */
+    /** A lookup's miss. */
     static constexpr std::uint32_t kNone = 0xffffffffu;
 
-    /** The entry filed under @p key, or kNone. */
-    std::uint32_t entryOf(const SplitKey &key) const;
+    /**
+     * About the bytes a filed plan's block (its scalars, subs, edges
+     * and runs) takes in an arena on the paper's statements: 84 on
+     * cholesky/update at 2048, 143 on fft/butterfly. An arena for a
+     * known number of plans starts with a chunk of this much per plan.
+     */
+    static constexpr std::size_t kPlanBytes = 128;
 
     /**
-     * Entry @p entry's plan: a view into the cache's pools, valid
-     * until the next insert() or clear().
+     * Storage in chunks that never move: entries, keys and plans are
+     * carved from it and stay put until the cache is reset.
      */
-    SplitView view(std::size_t entry) const { return plans_.view(entry); }
+    class Arena
+    {
+      public:
+        Arena() = default;
+        /** An arena whose first chunk holds @p first_chunk bytes. */
+        explicit Arena(std::size_t first_chunk) : nextChunk_(first_chunk) {}
 
-    /** File @p plan under @p key, which entryOf() just missed; returns
-     *  its entry. */
-    std::uint32_t insert(const SplitKey &key, const SplitView &plan);
+        /** @p bytes of storage, 8-byte aligned. */
+        void *allocate(std::size_t bytes);
+        void clear();
+
+      private:
+        friend class SplitPlanCache;
+
+        std::vector<std::unique_ptr<std::byte[]>> chunks_;
+        std::byte *at_ = nullptr;
+        std::byte *end_ = nullptr;
+        std::size_t nextChunk_ = 0;
+    };
+
+    /** A key's entry and its plan. */
+    struct Found
+    {
+        std::uint32_t entry = kNone;
+        SplitView plan;
+    };
+
+    /** An empty cache, reset() for no keys in particular. */
+    SplitPlanCache();
+    ~SplitPlanCache();
+    SplitPlanCache(const SplitPlanCache &) = delete;
+    SplitPlanCache &operator=(const SplitPlanCache &) = delete;
 
     /**
-     * Bulk filing, in two steps: fileKey() files keys alone, each once,
-     * and adoptPlans() then gives them their plans, in filing order.
-     * In between the cache holds keys without plans; only fileKey()
-     * and keyOf() may be called.
+     * Empty the cache, sized for @p expected_keys: a bucket per two of
+     * them (a power of two, at least 256), and a first arena chunk in
+     * proportion. Chains only grow longer past that, so a caller sizes
+     * it for the keys one walk of a nest can file: its splittable
+     * positions.
      */
-    void fileKey(const SplitKey &key);
+    void reset(std::size_t expected_keys);
+
+    // ---- Filing, before the cache is shared.
+
+    /** The entry of @p key, filed without a plan if it is new. */
+    std::uint32_t fileKey(const SplitKey &key);
 
     /** Entry @p entry's key. */
     SplitKeyView keyOf(std::size_t entry) const;
 
-    /** The plan of every key fileKey() filed, entry i's being entry i
-     *  of @p plans. */
-    void adoptPlans(SplitPlanPool plans);
+    /**
+     * Give @p entry, filed by fileKey(), a copy of @p plan, carved from
+     * @p arena, which adopt() must take in before the plan is read.
+     * Threads may give distinct entries their plans at once.
+     */
+    void setPlan(std::uint32_t entry, const SplitView &plan, Arena &arena);
 
-    /** Reserve room for as many entries, of the same shapes, as
-     *  @p like holds. */
-    void reserveLike(const SplitPlanCache &like);
+    /** Take in @p arena's chunks: they live as long as the entries. */
+    void adopt(Arena &arena);
 
-    void clear();
+    /** End the filing: every entry so far has its plan and is frozen. */
+    void freeze();
 
-    std::size_t size() const { return next_.size(); }
+    // ---- Shared by any number of threads.
+
+    /** The entry filed under @p key, or kNone, waiting while its plan
+     *  is being split. */
+    Found find(const SplitKey &key) const;
+
+    /**
+     * find(), or on a miss file @p key as this call's: @p split(),
+     * which returns the plan's view, runs with no lock held, and its
+     * plan is copied in and published. @p computed says whether this
+     * call ran @p split. If @p split throws, the exception propagates
+     * and every thread waiting for the key's plan panics.
+     */
+    template <typename Split>
+    Found
+    obtain(const SplitKey &key, Split &&split, bool &computed)
+    {
+        computed = false;
+        if (const Entry *entry = lookup(key))
+            return {entry->id, await(*entry)};
+        Entry *entry = nullptr;
+        if (!claim(key, entry))
+            return {entry->id, await(*entry)};
+        computed = true;
+        SplitView plan;
+        try {
+            plan = split();
+        } catch (...) {
+            abandon(*entry);
+            throw;
+        }
+        return {entry->id, publish(*entry, plan)};
+    }
+
+    /** Frozen entry @p entry's plan. */
+    SplitView frozenView(std::uint32_t entry) const
+    {
+        return blockView(*frozen_[entry]->plan.load(
+            std::memory_order_relaxed));
+    }
+
+    /** Entries filed before freeze(): their ids are [0, frozenCount()). */
+    std::size_t frozenCount() const { return frozen_.size(); }
+
+    // ---- Once no thread shares the cache.
+
+    /** Entry @p entry's plan: a view into the cache's arena, valid
+     *  until the next reset(). */
+    SplitView view(std::size_t entry) const;
+
+    std::size_t size() const { return entries_.size(); }
 
   private:
-    bool keyEquals(std::uint32_t entry, const SplitKey &key) const;
-    /** File @p key, new, as the next entry. */
-    void appendKey(const SplitKey &key);
-    void link(std::uint32_t entry, std::uint64_t hash);
-    void grow();
+    /** A plan's scalars and run lengths; its runs follow it. */
+    struct Block
+    {
+        std::int32_t plannedMovement;
+        std::int16_t root;
+        std::uint8_t subCount;
+        std::uint8_t edgeCount;
+        std::uint8_t parallelism;
+        std::uint8_t crossNodeEdges;
+        std::uint16_t leafCount;
+        std::uint16_t childCount;
+        std::uint16_t opCount;
+    };
 
-    SplitPlanPool plans_;
-    /** Key words of every entry back to back; entry i's key is
-     *  keys_[keyBegin_[i], keyBegin_[i + 1]). */
-    std::vector<std::uint32_t> keys_;
-    std::vector<std::uint32_t> keyBegin_{0};
-    /** Next entry in each entry's bucket chain (kNone ends it). */
-    std::vector<std::uint32_t> next_;
-    /** Bucket heads (power-of-two count, kNone = empty). */
-    std::vector<std::uint32_t> heads_;
+    /** A filed key and its plan; the key's words follow it. */
+    struct Entry
+    {
+        /** Next entry of the bucket; fixed before the entry is linked. */
+        Entry *next;
+        /** Null until the plan is published. */
+        std::atomic<const Block *> plan;
+        std::uint32_t id;
+        std::uint32_t keyLength;
+
+        std::uint32_t *
+        key()
+        {
+            return reinterpret_cast<std::uint32_t *>(this + 1);
+        }
+        const std::uint32_t *
+        key() const
+        {
+            return reinterpret_cast<const std::uint32_t *>(this + 1);
+        }
+    };
+
+    Entry *lookup(const SplitKey &key) const;
+    bool keyEquals(const Entry &entry, const SplitKey &key) const;
+    /** File @p key, which no entry holds, as a new entry, under the
+     *  lock or before the cache is shared. */
+    Entry *fileNew(const SplitKey &key);
+    /** Under the lock: the entry of @p key in @p entry; true when this
+     *  call filed it. */
+    bool claim(const SplitKey &key, Entry *&entry);
+    SplitView publish(Entry &entry, const SplitView &plan);
+    /** Publish that @p entry's split failed, waking its waiters. */
+    static void abandon(Entry &entry);
+    static SplitView await(const Entry &entry);
+    static const Block *writeBlock(const SplitView &plan, Arena &arena);
+    static SplitView blockView(const Block &block);
+
+    Arena arena_;
+    /** Every entry by id; extended under the lock. */
+    std::vector<Entry *> entries_;
+    /** The entries filed before freeze(), read by any thread. */
+    std::vector<const Entry *> frozen_;
+    /** Bucket chain heads (a power-of-two count). */
+    std::unique_ptr<std::atomic<Entry *>[]> heads_;
+    std::size_t bucketCount_ = 0;
+    /** Guards filing and the arena once the cache is shared. */
+    mutable std::mutex mutex_;
 };
 
 } // namespace ndp::partition

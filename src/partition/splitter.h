@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -34,7 +33,6 @@
 #include "partition/data_locator.h"
 #include "partition/load_balancer.h"
 #include "partition/split_plan.h"
-#include "support/disjoint_set.h"
 
 namespace ndp::partition {
 
@@ -48,7 +46,8 @@ class StatementSplitter
      * plannedMovement counts one unit per link traversed.
      */
     explicit StatementSplitter(const noc::MeshTopology &mesh)
-        : mesh_(&mesh)
+        : mesh_(&mesh),
+          vertexOfNode_(static_cast<std::size_t>(mesh.nodeCount()), -1)
     {
     }
 
@@ -71,63 +70,114 @@ class StatementSplitter
                SplitPlan &out);
 
   private:
+    /**
+     * A located value of a level, 8 bytes: a leaf operand, a
+     * subcomputation's result, or nothing (an all-constant set).
+     */
     struct Item
     {
         noc::NodeId node = noc::kInvalidNode;
-        int leaf = -1; ///< leaf operand index, or
-        int sub = -1;  ///< producing subcomputation index
+        /** A leaf's index (>= 0), a sub's index s as -2 - s, or -1. */
+        std::int16_t ref = -1;
         ir::OpKind op = ir::OpKind::Add;
-    };
 
-    struct Edge
-    {
-        std::int32_t weight;
-        std::uint32_t a;
-        std::uint32_t b;
+        static Item
+        ofLeaf(noc::NodeId node, int leaf, ir::OpKind op)
+        {
+            return {node, narrowPacked<std::int16_t>(leaf, "leaf"), op};
+        }
+        static Item
+        ofSub(noc::NodeId node, int sub, ir::OpKind op)
+        {
+            return {node, narrowPacked<std::int16_t>(-2 - sub, "child"),
+                    op};
+        }
+        bool isLeaf() const { return ref >= 0; }
+        bool isSub() const { return ref <= -2; }
+        int leaf() const { return ref; }
+        int sub() const { return -2 - ref; }
     };
 
     /**
-     * One recursion depth's scratch, reused call after call, so a warm
-     * splitter allocates nothing. Vertices are dense per level: vertex
-     * v sits on node vertexNode[v] and holds the items
-     * grouped[itemBegin[v], itemBegin[v + 1]).
+     * Process one set level, its items being items_[first, end): the
+     * nested sets' results and the leaves. Returns the item
+     * representing the level's result.
      */
-    struct Level
-    {
-        std::vector<Item> items;
-        /** node -> vertex, -1 = not seen at this level (mesh-sized). */
-        std::vector<std::int32_t> vertexOfNode;
-        std::vector<noc::NodeId> vertexNode;
-        std::vector<std::uint32_t> itemBegin;
-        std::vector<Item> grouped;
-        std::vector<Edge> edges;
-        DisjointSet forest;
-        /** MST edges in acceptance order, then as adjacency (CSR). */
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> tree;
-        std::vector<std::uint32_t> adjBegin;
-        std::vector<std::uint32_t> adjFill;
-        std::vector<std::uint32_t> adjacent;
-        /** Pre-order of the tree walk and each vertex's parent. */
-        std::vector<std::uint32_t> order;
-        std::vector<std::uint32_t> parent;
-        std::vector<Item> vertexResult;
-        std::vector<Item> inputs;
-    };
-
-    /** Process one set level; returns the item representing its result. */
     Item splitSet(const ir::VarSet &set,
                   std::span<const Location> leaf_locations,
                   noc::NodeId store_node, bool outermost,
                   LoadBalancer *balancer, SplitPlan &out);
 
+    /** Steps 2-6 of a level whose items are items_[first, end). */
+    Item splitLevel(std::size_t first, noc::NodeId store_node,
+                    bool outermost, LoadBalancer *balancer, SplitPlan &out);
+
+    /**
+     * The result of a vertex on @p node, not the outermost root, whose
+     * @p inputs are its own items and then its children's results: none
+     * (no inputs), a forwarded lone operand, a passed-through partial
+     * result, or a merge.
+     */
+    Item mergeAt(noc::NodeId node, std::span<const Item> inputs,
+                 LoadBalancer *balancer, SplitPlan &out);
+
     /** Merge @p inputs at @p at_node into a new sub; returns its index. */
     int emitSub(noc::NodeId at_node, std::span<const Item> inputs,
                 bool is_root, LoadBalancer *balancer, SplitPlan &out);
 
+    /** Grow the per-level scratch to @p vertices and @p items. */
+    void reserveLevel(std::size_t vertices, std::size_t items);
+
     const noc::MeshTopology *mesh_;
-    /** Scratch per active recursion depth (stable addresses). */
-    std::vector<std::unique_ptr<Level>> levels_;
-    std::size_t depth_ = 0;
+
+    // Scratch kept from call to call, so a warm splitter allocates
+    // nothing and sets nothing up per level beyond what it reads. The
+    // open levels' items form one stack; steps 2-6 of a level run with
+    // no level nested inside them, so one set of per-level arrays
+    // serves every depth. Entries past a level's vertex count hold
+    // stale values from earlier levels and are never read.
+    std::vector<Item> items_;
+    std::size_t itemTop_ = 0;
+    /** node -> vertex of a level of many items in steps 2-6, -1
+     *  elsewhere (mesh-sized; a level resets the slots it set). */
+    std::vector<std::int32_t> vertexOfNode_;
+    std::vector<noc::NodeId> vertexNode_;
+    /** Each vertex's items, in order, as a list: its first and last
+     *  item and each item's next. */
+    std::vector<std::uint32_t> ownHead_;
+    std::vector<std::uint32_t> ownTail_;
+    std::vector<std::uint32_t> itemNext_;
+    /**
+     * One packed sort key per edge of the complete vertex graph:
+     * weight, then 0 for an edge at the store vertex and 1 otherwise,
+     * then both endpoints' nodes (lower vertex first), so sorting the
+     * keys as integers is Kruskal's order; the low bits hold both
+     * vertices when they fit.
+     */
+    std::vector<std::uint64_t> edges_;
+    std::vector<std::uint64_t> sorted_;
+    /** Component label per vertex. */
+    std::vector<std::uint32_t> label_;
+    /** MST adjacency in acceptance order: a list per vertex through
+     *  two arcs per accepted edge. */
+    std::vector<std::uint32_t> adjHead_;
+    std::vector<std::uint32_t> adjTail_;
+    std::vector<std::uint32_t> arcNext_;
+    std::vector<std::uint32_t> arcTo_;
+    /**
+     * Pre-order of the tree walk; each vertex's children are
+     * order_[kidsBegin_[v], kidsEnd_[v]). Before the walk reaches a
+     * vertex, kidsBegin_ marks whether it was seen.
+     */
+    std::vector<std::uint32_t> order_;
+    std::vector<std::uint32_t> kidsBegin_;
+    std::vector<std::uint32_t> kidsEnd_;
+    std::vector<Item> vertexResult_;
+    /** The merge being emitted: a vertex's own items, then its
+     *  children's results (at most one per item, so twice the items). */
+    std::vector<Item> inputs_;
+    /** Subs of the split in flight with no children. */
+    std::int32_t starters_ = 0;
 };
 
 /**

@@ -90,6 +90,18 @@ panic(const std::string &msg)
 
 namespace ndp {
 
+/** narrowChecked()'s failure, out of line so that its check, on hot
+ *  paths, inlines as one compare. */
+template <typename V>
+[[noreturn, gnu::noinline, gnu::cold]] void
+narrowFailed(V value, std::string_view owner, std::string_view what)
+{
+    std::ostringstream oss;
+    oss << owner << ": " << what << " " << value
+        << " does not fit its packed field";
+    panic(oss.str());
+}
+
 /**
  * @p value narrowed to the packed field type @p T, which must hold it.
  * A value it cannot hold is an internal error naming @p owner (the
@@ -97,12 +109,11 @@ namespace ndp {
  * @p what and the value.
  */
 template <typename T, typename V>
-T
+inline T
 narrowChecked(V value, std::string_view owner, std::string_view what)
 {
-    NDP_CHECK(std::in_range<T>(value),
-              owner << ": " << what << " " << value
-                    << " does not fit its packed field");
+    if (!std::in_range<T>(value)) [[unlikely]]
+        narrowFailed(value, owner, what);
     return static_cast<T>(value);
 }
 

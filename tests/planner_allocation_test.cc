@@ -60,9 +60,9 @@ using namespace ndp;
 
 /**
  * Ceiling on one nest's extra walks' allocations: the split cache's
- * pool growth, each window candidate's overlay (reserved once) and log
- * (reserved exactly), the decision lane's scratch growing past what
- * one walk needs, with
+ * arena chunks and position table, each window candidate's log
+ * (reserved exactly) and asked bits, the decision lane's scratch
+ * growing past what one walk needs, with
  * headroom (without a pool one lane serves every walk of a plan() and
  * is re-armed for each). The per-instance loop contributes nothing.
  * Provenance recording answers to the same bound.
@@ -100,14 +100,16 @@ constexpr double kVerifyAllocationsPerRecord = 2.0;
  * Ceiling on a fixed-window plan()'s allocated bytes per byte of the
  * plan it returns (tasks, reads and deps), its stream resolved
  * beforehand as a NestSession does: the dependence tracker's
- * per-address slots, the line slots, the lane, the walk's log and
- * overlay, and the plan's own pools (the task array reserved from the
- * walk's count, the read pool exactly, the dep pool regrowing) come to
- * 1.9 to 6.4 on these nests, and the ceiling is that worst case plus a
- * quarter. A plan buffer regrowing once more, or sized far beyond its
- * use, crosses it.
+ * per-address slots, the line slots, the lane, the walk's log, the
+ * nest's split-plan cache (its buckets and first arena chunk sized
+ * from the nest's splittable positions) and the plan's own pools (the
+ * task array reserved from the walk's count, the read pool exactly,
+ * the dep pool regrowing) come to 2.4 to 5.3 on these nests (1.9 to
+ * 6.4 while the walk filed its splits in a vector-backed overlay that
+ * regrew), and the ceiling is that worst case plus a quarter. A plan
+ * buffer regrowing once more, or sized far beyond its use, crosses it.
  */
-constexpr double kEmitBytesPerPlanByte = 8.0;
+constexpr double kEmitBytesPerPlanByte = 6.6;
 
 /**
  * Ceilings on one ExecutionEngine::run's allocated bytes per access

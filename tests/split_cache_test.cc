@@ -13,8 +13,11 @@
  * the plans themselves are compared task by task, with the balancer
  * off and on, planned with and without a pool, and the cache must hit
  * at least 80% of the time. Unit tests pin the counters — hits on a
- * periodic nest, with and without the balancer — plus direct
- * SplitPlanCache key/collision/round-trip/clear semantics, and the
+ * periodic nest, with and without the balancer, and, over every nest
+ * of the 12 apps, the same counters at any thread count with one split
+ * per distinct key the window walks file in the nest's shared store —
+ * plus direct SplitPlanCache key/collision/round-trip/reset/filing
+ * semantics (a split that throws fails its key's waiters), and the
  * flat split-plan format's round trip from the splitter into the cache
  * and back out as a view.
  */
@@ -38,6 +41,7 @@
 #include "partition/split_plan_cache.h"
 #include "partition/splitter.h"
 #include "mem/address_mapping.h"
+#include "plan_fingerprint.h"
 #include "plan_lists.h"
 #include "sim/manycore.h"
 #include "support/rng.h"
@@ -301,7 +305,7 @@ TEST(SplitCacheEquivalenceTest, PeriodicNestPlansAreByteIdentical)
         options.memoizeSplits = true;
         partition::Partitioner cached(system, arrays, options);
         // The window candidates walking concurrently on a pool, on the
-        // frozen prefilled cache and their overlays, plan the same.
+        // nest's one shared cache, plan the same.
         support::ThreadPool pool(3);
         partition::Partitioner pooled(system, arrays, options, &pool);
         options.memoizeSplits = false;
@@ -463,6 +467,128 @@ TEST(SplitCacheCounterTest, LoadBalancedSplitsReplayTheCache)
     EXPECT_LT(loose.cacheBypassed, c.cacheBypassed);
 }
 
+/** The compile counters of @p c, timers aside. */
+std::vector<std::int64_t>
+counters(const partition::CompileStats &c)
+{
+    return {c.instancesPlanned, c.splitsRequested, c.plansComputed,
+            c.plansPrefilled,   c.plansMemoized,   c.cacheBypassed};
+}
+
+/** The keys of @p cache's entries [first, end). */
+std::set<std::vector<std::uint32_t>>
+filedKeys(const partition::SplitPlanCache &cache, std::size_t first,
+          std::size_t end)
+{
+    std::set<std::vector<std::uint32_t>> keys;
+    for (std::size_t e = first; e < end; ++e) {
+        const partition::SplitKeyView key = cache.keyOf(e);
+        std::vector<std::uint32_t> words = {
+            static_cast<std::uint32_t>(key.statement),
+            static_cast<std::uint32_t>(key.store)};
+        words.insert(words.end(), key.nodes.begin(), key.nodes.end());
+        keys.insert(std::move(words));
+    }
+    return keys;
+}
+
+TEST(SplitCacheCounterTest, SharedStoreSplitsEachKeyOnceAtAnyThreadCount)
+{
+    // Every nest of the 12 apps at 256, balancer on and off, planned
+    // adaptively with no pool and on 1, 3 and 7 workers: the walks
+    // share the nest's one cache, so which walk splits a key depends on
+    // timing, but the counters, the plan and every cache flag do not.
+    // A split runs once per distinct key: the prefill's, then the keys
+    // the walks filed, which are the keys the fixed-window walks at
+    // 1..8 ask for (each size walks as its class's walk does) less the
+    // prefill's. And the plan is the one planned without memoizing.
+    sim::ManycoreConfig config;
+    sim::ManycoreSystem system(config);
+    workloads::WorkloadFactory factory(256);
+    support::ThreadPool one(1);
+    support::ThreadPool three(3);
+    support::ThreadPool seven(7);
+    std::int64_t walk_filed = 0;
+    for (const std::string &name : workloads::WorkloadFactory::appNames()) {
+        const workloads::Workload app = factory.build(name);
+        baseline::DefaultPlacement placement(system, app.arrays);
+        for (const ir::LoopNest &nest : app.nests) {
+            const std::vector<noc::NodeId> nodes =
+                placement.assignIterations(nest);
+            const ir::InstanceStream stream =
+                ir::resolveInstances(nest, app.arrays, system.addressMap());
+            for (const bool balanced : {false, true}) {
+                const std::string label = nest.name() +
+                                          (balanced ? " balanced" : "");
+                partition::PartitionOptions options;
+                options.loadBalance = balanced;
+                options.verifyLevel = verify::VerifyLevel::Cheap;
+                partition::Partitioner serial(system, app.arrays, options);
+                const sim::ExecutionPlan plan =
+                    serial.plan(nest, stream, nodes);
+                const partition::CompileStats &c = serial.report().compile;
+                const std::string fingerprint =
+                    test::planFingerprint(plan, serial.report());
+                for (support::ThreadPool *pool : {&one, &three, &seven}) {
+                    partition::Partitioner pooled(system, app.arrays,
+                                                  options, pool);
+                    const sim::ExecutionPlan on_pool =
+                        pooled.plan(nest, stream, nodes);
+                    EXPECT_EQ(counters(pooled.report().compile),
+                              counters(c))
+                        << label << " on " << pool->threadCount();
+                    EXPECT_EQ(test::planFingerprint(on_pool, pooled.report()),
+                              fingerprint)
+                        << label << " on " << pool->threadCount();
+                }
+
+                EXPECT_EQ(c.splitsRequested,
+                          c.plansComputed - c.plansPrefilled +
+                              c.plansMemoized)
+                    << label;
+                const partition::SplitPlanCache &cache = serial.splitCache();
+                const std::size_t prefilled = cache.frozenCount();
+                EXPECT_EQ(static_cast<std::int64_t>(prefilled),
+                          c.plansPrefilled)
+                    << label;
+                const std::set<std::vector<std::uint32_t>> prefill_keys =
+                    filedKeys(cache, 0, prefilled);
+                std::set<std::vector<std::uint32_t>> asked;
+                for (std::int32_t w = 1; w <= options.maxWindowSize; ++w) {
+                    partition::PartitionOptions fixed = options;
+                    fixed.fixedWindowSize = w;
+                    partition::Partitioner one_walk(system, app.arrays,
+                                                    fixed);
+                    (void)one_walk.plan(nest, stream, nodes);
+                    const partition::SplitPlanCache &own =
+                        one_walk.splitCache();
+                    for (const std::vector<std::uint32_t> &key :
+                         filedKeys(own, 0, own.size())) {
+                        if (!prefill_keys.contains(key))
+                            asked.insert(key);
+                    }
+                }
+                const auto distinct = static_cast<std::int64_t>(asked.size());
+                EXPECT_EQ(c.plansComputed - c.plansPrefilled, distinct)
+                    << label;
+                EXPECT_EQ(filedKeys(cache, 0, cache.size()).size(),
+                          cache.size())
+                    << label;
+                walk_filed += c.plansComputed - c.plansPrefilled;
+
+                options.memoizeSplits = false;
+                partition::Partitioner uncached(system, app.arrays, options);
+                test::expectSamePlan(plan, uncached.plan(nest, stream, nodes),
+                                     label + " memoized vs not");
+                EXPECT_EQ(serial.report().movementPerWindowSize,
+                          uncached.report().movementPerWindowSize)
+                    << label;
+            }
+        }
+    }
+    EXPECT_GT(walk_filed, 0);
+}
+
 // ------------------------------------------------- SplitPlanCache unit
 
 /** A plan with no subs, told apart by its movement. */
@@ -484,13 +610,27 @@ keyOf(std::int32_t stmt, noc::NodeId store,
     return key;
 }
 
+/** File @p plan under @p key, which @p cache does not hold yet, as a
+ *  walk does on a miss; returns its entry. */
+std::uint32_t
+fileIn(partition::SplitPlanCache &cache, const partition::SplitKey &key,
+       const partition::SplitView &plan)
+{
+    bool computed = false;
+    const std::uint32_t entry =
+        cache.obtain(key, [&plan] { return plan; }, computed).entry;
+    EXPECT_TRUE(computed);
+    return entry;
+}
+
 /** The movement of the plan cached under the key, or -1 on a miss. */
 std::int64_t
 cachedMovement(const partition::SplitPlanCache &cache, std::int32_t stmt,
                noc::NodeId store,
                const std::vector<partition::Location> &locations)
 {
-    const std::uint32_t entry = cache.entryOf(keyOf(stmt, store, locations));
+    const std::uint32_t entry =
+        cache.find(keyOf(stmt, store, locations)).entry;
     return entry == partition::SplitPlanCache::kNone
                ? -1
                : cache.view(entry).plannedMovement;
@@ -505,20 +645,20 @@ TEST(SplitPlanCacheTest, KeyCoversStatementStoreAndLocations)
     };
 
     EXPECT_EQ(cachedMovement(cache, 0, 5, locs), -1);
-    cache.insert(keyOf(0, 5, locs), markerPlan(11).view());
+    fileIn(cache, keyOf(0, 5, locs), markerPlan(11).view());
     EXPECT_EQ(cachedMovement(cache, 0, 5, locs), 11);
 
     // Any key component changing must miss: statement index...
     EXPECT_EQ(cachedMovement(cache, 1, 5, locs), -1);
-    cache.insert(keyOf(1, 5, locs), markerPlan(22).view());
+    fileIn(cache, keyOf(1, 5, locs), markerPlan(22).view());
     // ...store node...
     EXPECT_EQ(cachedMovement(cache, 0, 6, locs), -1);
-    cache.insert(keyOf(0, 6, locs), markerPlan(33).view());
+    fileIn(cache, keyOf(0, 6, locs), markerPlan(33).view());
     // ...or a location's node.
     std::vector<partition::Location> moved = locs;
     moved[0].node = 4;
     EXPECT_EQ(cachedMovement(cache, 0, 5, moved), -1);
-    cache.insert(keyOf(0, 5, moved), markerPlan(44).view());
+    fileIn(cache, keyOf(0, 5, moved), markerPlan(44).view());
 
     // A location's source, node unchanged, must hit: the splitter reads
     // only the node, so an L1 reuse copy and an L2-home fetch from the
@@ -536,38 +676,38 @@ TEST(SplitPlanCacheTest, KeyCoversStatementStoreAndLocations)
     EXPECT_EQ(cachedMovement(cache, 0, 5, moved), 44);
 }
 
-TEST(SplitPlanCacheTest, ClearDropsEveryEntry)
+TEST(SplitPlanCacheTest, ResetDropsEveryEntry)
 {
     partition::SplitPlanCache cache;
     const std::vector<partition::Location> locs = {
         {1, partition::LocationSource::L2Home}};
 
     EXPECT_EQ(cachedMovement(cache, 0, 0, locs), -1);
-    cache.insert(keyOf(0, 0, locs), markerPlan(1).view());
+    fileIn(cache, keyOf(0, 0, locs), markerPlan(1).view());
     EXPECT_EQ(cachedMovement(cache, 0, 0, locs), 1);
     EXPECT_EQ(cache.size(), 1u);
 
-    cache.clear();
+    cache.reset(0);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cachedMovement(cache, 0, 0, locs), -1);
     // The cleared cache files and finds entries again.
-    cache.insert(keyOf(0, 0, locs), markerPlan(2).view());
+    fileIn(cache, keyOf(0, 0, locs), markerPlan(2).view());
     EXPECT_EQ(cachedMovement(cache, 0, 0, locs), 2);
 }
 
 TEST(SplitPlanCacheTest, BulkFilingKeepsFirstOccurrenceOrder)
 {
-    // Keys filed alone, a repeat ignored, then their plans adopted from
-    // two pools concatenated in order.
+    // Keys filed alone, a repeat finding its first filing, then their
+    // plans given from two arenas and adopted, and the filing frozen.
     const std::vector<partition::Location> a = {
         {4, partition::LocationSource::L2Home},
         {7, partition::LocationSource::L1Copy}};
     const std::vector<partition::Location> b = {
         {2, partition::LocationSource::L2Home}};
     partition::SplitPlanCache cache;
-    cache.fileKey(keyOf(3, 9, a));
-    cache.fileKey(keyOf(1, 5, b));
-    cache.fileKey(keyOf(3, 9, a));
+    EXPECT_EQ(cache.fileKey(keyOf(3, 9, a)), 0u);
+    EXPECT_EQ(cache.fileKey(keyOf(1, 5, b)), 1u);
+    EXPECT_EQ(cache.fileKey(keyOf(3, 9, a)), 0u);
     ASSERT_EQ(cache.size(), 2u);
     const partition::SplitKeyView first = cache.keyOf(0);
     EXPECT_EQ(first.statement, 3);
@@ -577,12 +717,69 @@ TEST(SplitPlanCacheTest, BulkFilingKeepsFirstOccurrenceOrder)
               (std::vector<std::uint32_t>{4, 7}));
     EXPECT_EQ(cache.keyOf(1).statement, 1);
 
-    std::vector<partition::SplitPlanPool> parts(2);
-    parts[0].append(markerPlan(30).view());
-    parts[1].append(markerPlan(10).view());
-    cache.adoptPlans(partition::SplitPlanPool::concat(parts));
+    std::vector<partition::SplitPlanCache::Arena> arenas(2);
+    cache.setPlan(0, markerPlan(30).view(), arenas[0]);
+    cache.setPlan(1, markerPlan(10).view(), arenas[1]);
+    for (partition::SplitPlanCache::Arena &arena : arenas)
+        cache.adopt(arena);
+    cache.freeze();
+    EXPECT_EQ(cache.frozenCount(), 2u);
     EXPECT_EQ(cachedMovement(cache, 3, 9, a), 30);
     EXPECT_EQ(cachedMovement(cache, 1, 5, b), 10);
+    EXPECT_EQ(cache.frozenView(1).plannedMovement, 10);
+
+    // A key filed once frozen is not frozen, and obtain() splits each
+    // new key once.
+    int splits = 0;
+    bool computed = false;
+    const auto split = [&splits] {
+        ++splits;
+        static const partition::SplitPlan plan = markerPlan(50);
+        return plan.view();
+    };
+    const partition::SplitPlanCache::Found filed =
+        cache.obtain(keyOf(2, 9, a), split, computed);
+    EXPECT_TRUE(computed);
+    EXPECT_EQ(filed.entry, 2u);
+    EXPECT_EQ(filed.plan.plannedMovement, 50);
+    EXPECT_EQ(cache.obtain(keyOf(2, 9, a), split, computed).entry, 2u);
+    EXPECT_FALSE(computed);
+    EXPECT_EQ(cache.obtain(keyOf(3, 9, a), split, computed).entry, 0u);
+    EXPECT_FALSE(computed);
+    EXPECT_EQ(splits, 1);
+    EXPECT_EQ(cache.frozenCount(), 2u);
+    EXPECT_EQ(cache.size(), 3u);
+}
+
+TEST(SplitPlanCacheTest, AThrowingSplitFailsItsWaiters)
+{
+    // A split that throws leaves its key's entry abandoned: the
+    // exception reaches the caller that ran it, and whoever asks for
+    // the key next panics instead of waiting for a plan forever.
+    partition::SplitPlanCache cache;
+    const std::vector<partition::Location> locs = {
+        {3, partition::LocationSource::L2Home}};
+    bool computed = false;
+    EXPECT_THROW(cache.obtain(
+                     keyOf(0, 1, locs),
+                     []() -> partition::SplitView {
+                         throw std::runtime_error("splitter failed");
+                     },
+                     computed),
+                 std::runtime_error);
+    EXPECT_TRUE(computed);
+    EXPECT_THROW((void)cache.find(keyOf(0, 1, locs)), PanicError);
+    // Other keys are unaffected.
+    EXPECT_EQ(cache.obtain(
+                       keyOf(0, 2, locs),
+                       [] {
+                           static const partition::SplitPlan plan =
+                               markerPlan(7);
+                           return plan.view();
+                       },
+                       computed)
+                  .plan.plannedMovement,
+              7);
 }
 
 /**
@@ -704,12 +901,12 @@ TEST(SplitPlanFormatTest, FreshPlanAndCachedViewAgree)
 
             // A fresh key per split: the cache files the flat plan as
             // it is and hands back a view of its own copy.
-            ASSERT_EQ(cache.entryOf(keyOf(key, store, locations)),
+            ASSERT_EQ(cache.find(keyOf(key, store, locations)).entry,
                       partition::SplitPlanCache::kNone)
                 << label;
             const std::uint32_t entry =
-                cache.insert(keyOf(key, store, locations), flat.view());
-            ASSERT_EQ(cache.entryOf(keyOf(key++, store, locations)), entry)
+                fileIn(cache, keyOf(key, store, locations), flat.view());
+            ASSERT_EQ(cache.find(keyOf(key++, store, locations)).entry, entry)
                 << label;
             const partition::SplitView cached = cache.view(entry);
 
@@ -781,9 +978,9 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
                        nullptr, flat);
         f.plan = flat;
         const partition::SplitKey key = keyOf(f.stmt, f.store, f.locations);
-        if (cache.entryOf(key) != partition::SplitPlanCache::kNone)
+        if (cache.find(key).entry != partition::SplitPlanCache::kNone)
             continue; // a repeated draw
-        cache.insert(key, flat.view());
+        fileIn(cache, key, flat.view());
         for (const partition::SubView sub : f.plan.view())
             highest = std::max(highest, sub.node);
         filed.push_back(std::move(f));
@@ -796,7 +993,7 @@ TEST(SplitPlanCacheTest, PackedEntriesRoundTripOnALargeMesh)
     for (std::size_t i = filed.size(); i-- > 0;) {
         const Filed &f = filed[i];
         const std::uint32_t entry =
-            cache.entryOf(keyOf(f.stmt, f.store, f.locations));
+            cache.find(keyOf(f.stmt, f.store, f.locations)).entry;
         ASSERT_NE(entry, partition::SplitPlanCache::kNone) << "entry " << i;
         expectSameView(cache.view(entry), f.plan.view(),
                        "entry " + std::to_string(i));
@@ -820,7 +1017,7 @@ TEST(SplitPlanCacheTest, BucketSiblingsCompareFullKeys)
     };
     for (int k = 0; k < keys; ++k) {
         ASSERT_EQ(cachedMovement(cache, 0, 1, locations_of(k)), -1) << k;
-        cache.insert(keyOf(0, 1, locations_of(k)), markerPlan(k).view());
+        fileIn(cache, keyOf(0, 1, locations_of(k)), markerPlan(k).view());
     }
     EXPECT_EQ(cache.size(), static_cast<std::size_t>(keys));
     int hits = 0;

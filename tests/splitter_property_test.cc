@@ -18,7 +18,11 @@
  *    and a faulted mesh, satisfies the floors the planner's guard
  *    skips split requests by: movement >= splitReach(), at least two
  *    subs when the reach is positive, and overhead >=
- *    splitOverheadFloor().
+ *    splitOverheadFloor();
+ *  - a splitter reused call after call, whose scratch outlives each
+ *    split, splits exactly as a fresh splitter does, byte for byte,
+ *    with or without the balancer, on small and large meshes, a torus
+ *    and a faulted mesh, across levels of 1 to more than 40 vertices.
  */
 
 #include <gtest/gtest.h>
@@ -410,6 +414,128 @@ TEST(SplitterPropertyTest, EverySplitMeetsTheGuardFloors)
             }
         }
     }
+}
+
+/** Every field of two split plans, sub by sub and edge by edge. */
+void
+expectSamePlan(const partition::SplitPlan &got,
+               const partition::SplitPlan &want, const std::string &label)
+{
+    ASSERT_EQ(got.subs.size(), want.subs.size()) << label;
+    for (std::size_t s = 0; s < want.subs.size(); ++s) {
+        const partition::PackedSub &a = got.subs[s];
+        const partition::PackedSub &b = want.subs[s];
+        EXPECT_TRUE(a.node == b.node && a.leaves == b.leaves &&
+                    a.children == b.children && a.ops == b.ops &&
+                    a.isRoot == b.isRoot && a.opCost == b.opCost)
+            << label << " sub " << s;
+    }
+    ASSERT_EQ(got.edges.size(), want.edges.size()) << label;
+    for (std::size_t e = 0; e < want.edges.size(); ++e) {
+        EXPECT_TRUE(got.edges[e].a == want.edges[e].a &&
+                    got.edges[e].b == want.edges[e].b &&
+                    got.edges[e].weight == want.edges[e].weight)
+            << label << " edge " << e;
+    }
+    EXPECT_EQ(got.leaves, want.leaves) << label;
+    EXPECT_EQ(got.children, want.children) << label;
+    EXPECT_EQ(got.ops, want.ops) << label;
+    EXPECT_EQ(got.root, want.root) << label;
+    EXPECT_EQ(got.plannedMovement, want.plannedMovement) << label;
+    EXPECT_EQ(got.degreeOfParallelism, want.degreeOfParallelism) << label;
+    EXPECT_EQ(got.crossNodeEdges, want.crossNodeEdges) << label;
+}
+
+TEST(SplitterPropertyTest, WarmSplitterMatchesAFreshOne)
+{
+    // The splitter keeps its scratch from call to call; a stale entry
+    // would show as a split that differs from a fresh splitter's. Each
+    // mesh's warm splitter sees a few hundred random statements, flat
+    // and nested, over few or many distinct nodes, with every tenth
+    // a flat statement of 41 to 56 leaves on distinct nodes (one level
+    // of more than 40 vertices) between the small ones, and one of 150.
+    Rng rng(0x3a7e);
+    const noc::MeshTopology meshes[] = {
+        noc::MeshTopology(6, 6), noc::MeshTopology(16, 16),
+        noc::MeshTopology(6, 6, true), faultedMesh()};
+    std::int64_t splits = 0;
+    std::size_t widest = 0;
+    for (const noc::MeshTopology &mesh : meshes) {
+        partition::StatementSplitter warm(mesh);
+        partition::SplitPlan warm_plan;
+        partition::SplitPlan fresh_plan;
+        partition::LoadBalancer loads(mesh.nodeCount(), 0.10);
+        for (noc::NodeId node = 0; node < mesh.nodeCount(); ++node) {
+            if (!mesh.isLive(node))
+                loads.markUnavailable(node);
+        }
+        for (int trial = 0; trial < 400; ++trial) {
+            const bool wide = trial % 10 == 9 && mesh.liveNodes().size() > 56;
+            // Once, on the 16x16 mesh, a level of more than 128
+            // vertices, past what an edge key packs.
+            const bool widest_level =
+                trial == 199 && mesh.liveNodes().size() > 150;
+            const int leaves =
+                widest_level ? 150
+                : wide       ? 41 + static_cast<int>(rng.nextBelow(16))
+                             : 1 + static_cast<int>(rng.nextBelow(10));
+            const bool flat = wide || rng.nextBool(0.3);
+            ir::ArrayTable arrays;
+            const ir::LoopNest nest = kernelFor(
+                flat ? flatRhs(leaves, rng) : nestedRhs(0, leaves, rng),
+                leaves, arrays);
+            const ir::VarSet sets = ir::buildVarSets(nest.body().front());
+            std::vector<partition::Location> locations;
+            if (wide) {
+                std::vector<noc::NodeId> live = mesh.liveNodes();
+                for (int l = 0; l < leaves; ++l) {
+                    const std::size_t at =
+                        l + rng.nextBelow(live.size() - l);
+                    std::swap(live[l], live[at]);
+                    locations.push_back(
+                        {live[l], partition::LocationSource::L2Home});
+                }
+                widest = std::max(widest, locations.size());
+            } else {
+                // Few distinct nodes or many, so vertices merge items
+                // or stand alone.
+                const auto pool = randomLiveLocations(
+                    mesh, 1 + rng.nextBelow(rng.nextBool(0.5) ? 3 : 10),
+                    rng);
+                for (int l = 0; l < leaves; ++l)
+                    locations.push_back(pool[rng.nextBelow(pool.size())]);
+            }
+            const noc::NodeId store =
+                randomLiveLocations(mesh, 1, rng).front().node;
+            for (noc::NodeId node : mesh.liveNodes())
+                loads.add(node, static_cast<std::int64_t>(rng.nextBelow(3)));
+
+            for (const bool balanced : {false, true}) {
+                const std::string label =
+                    std::to_string(mesh.cols()) + "x" +
+                    std::to_string(mesh.rows()) +
+                    (mesh.isTorus() ? " torus" : "") +
+                    (mesh.hasFaults() ? " faulted" : "") +
+                    (balanced ? " balanced" : "") + " trial " +
+                    std::to_string(trial);
+                partition::LoadBalancer warm_loads = loads;
+                partition::LoadBalancer fresh_loads = loads;
+                warm.split(sets, locations, store,
+                           balanced ? &warm_loads : nullptr, warm_plan);
+                partition::StatementSplitter fresh(mesh);
+                fresh.split(sets, locations, store,
+                            balanced ? &fresh_loads : nullptr, fresh_plan);
+                expectSamePlan(warm_plan, fresh_plan, label);
+                EXPECT_EQ(warm_loads.totalLoad(), fresh_loads.totalLoad())
+                    << label;
+                ++splits;
+                if (balanced)
+                    loads = warm_loads; // commit, so the loads evolve
+            }
+        }
+    }
+    EXPECT_GT(splits, 3000);
+    EXPECT_GT(widest, 128u);
 }
 
 } // namespace

@@ -252,8 +252,9 @@ TEST(SweepDeterminismTest, NestParallelMatchesSerialAppResult)
 TEST(SweepDeterminismTest, WindowCandidatesPlanAlikeOnAnyPool)
 {
     // The within-nest axis: the w = 1 splits are computed in chunks on
-    // the pool, then every window candidate walks concurrently, each
-    // on that frozen split cache plus an overlay of its own. The plan,
+    // the pool, then every window candidate walks concurrently, all on
+    // the nest's one split cache, each splitting the keys it asks for
+    // first. The plan,
     // the report, every compile counter and the provenance's cache
     // flags must not depend on whether there is a pool or how many
     // workers it has.
